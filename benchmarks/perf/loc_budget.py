@@ -1,0 +1,74 @@
+"""Fail when ``src/repro`` grows past its committed code-line budget.
+
+Usage (from the repo root)::
+
+    python benchmarks/perf/loc_budget.py [--root src/repro]
+
+Size is a measured quantity here, like throughput (ROADMAP item 3): the
+count is taken from the token stream, so a line counts only if it holds
+at least one token of code.  Blank lines, comment-only lines and
+docstrings (any statement that is nothing but a string literal) are
+excluded — the number cannot be moved by reflowing prose or deleting
+comments, only by adding or removing code.
+
+:data:`BUDGET` is the count at the last PR that changed it on purpose.
+A PR that adds code raises it deliberately, in the same diff, with the
+reason in CHANGES.md; a PR that removes code lowers it so the saving
+cannot silently be spent later.
+
+Exit status: 0 when the count is within the budget, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import pathlib
+import sys
+import tokenize
+
+#: Code lines under ``src/repro`` (PR 12: one run session under the four
+#: front doors; 14,049 at its parent by this method).
+BUDGET = 13_848
+
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
+             tokenize.INDENT, tokenize.DEDENT, tokenize.ENCODING,
+             tokenize.ENDMARKER}
+
+
+def code_lines(path: pathlib.Path) -> int:
+    """Physical lines of *path* that carry code."""
+    lines: set[int] = set()
+    statement: list[tokenize.TokenInfo] = []
+    with open(path, "rb") as fh:
+        for tok in tokenize.tokenize(fh.readline):
+            if tok.type not in _NOT_CODE:
+                statement.append(tok)
+            elif tok.type in (tokenize.NEWLINE, tokenize.ENDMARKER):
+                # A logical line that is one string literal is a
+                # docstring (or a bare string doing a comment's job).
+                if not (len(statement) == 1
+                        and statement[0].type == tokenize.STRING):
+                    for t in statement:
+                        lines.update(range(t.start[0], t.end[0] + 1))
+                statement = []
+    return len(lines)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--root", default="src/repro",
+                        help="package directory to count (default: %(default)s)")
+    args = parser.parse_args(argv)
+    counts = {path: code_lines(path)
+              for path in sorted(pathlib.Path(args.root).rglob("*.py"))}
+    total = sum(counts.values())
+    for path, n in sorted(counts.items(), key=lambda kv: -kv[1])[:10]:
+        print(f"{n:>7,}  {path}")
+    status = "ok" if total <= BUDGET else "FAIL"
+    print(f"{status:4s} {total:,} code lines under {args.root} "
+          f"(budget {BUDGET:,}, {BUDGET - total:+,} to spare)")
+    return 0 if total <= BUDGET else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -50,7 +50,12 @@ from ..faults import fault_site
 from ..telemetry import MetricsRegistry, tracepoint
 
 MAGIC = b"RPCK"
-FORMAT_VERSION = 1
+#: Bumped whenever the envelope *or* what the front doors put in it
+#: changes shape, so an old file fails as CheckpointVersionError rather
+#: than as a pickle AttributeError or a KeyError mid-resume.  2: the run
+#: session (repro.run) records ``meta["identity"]`` and fleet payloads
+#: carry the streaming aggregator for both fleet kinds.
+FORMAT_VERSION = 2
 
 #: magic + version + header length: the minimum parseable file.
 _PREFIX_LEN = 12

@@ -48,7 +48,7 @@ from .analysis import (
     unmovable_block_fraction,
     unmovable_region_internal_frag,
 )
-from .errors import ConfigurationError
+from .errors import CheckpointError, ConfigurationError
 from .units import MiB, PAGEBLOCK_FRAMES
 
 
@@ -160,7 +160,10 @@ class _ProgressSink:
 
 
 def _cmd_fleet(args) -> None:
+    import contextlib
+
     from .fleet import FleetConfig, ServerConfig, check_survey_fit, run_fleet
+    from .run import KINDS, checkpoint_flags
     from .telemetry import TelemetryConfig, tracing
 
     check_survey_fit(args.servers, MiB(args.mem_mib), args.workers)
@@ -176,73 +179,20 @@ def _cmd_fleet(args) -> None:
         server=ServerConfig(mem_bytes=MiB(args.mem_mib)),
         base_seed=args.seed, workers=args.workers,
         chunk_size=args.chunk_size, telemetry=telemetry)
-    every, ckdir, resume = _checkpoint_args(args, "fleet")
-    if args.progress:
-        with tracing("fleet.server.*",
-                     sink=_ProgressSink(args.servers)):
-            fleet = run_fleet(config, checkpoint_every=every,
-                              checkpoint_dir=ckdir, resume=resume)
-    else:
-        fleet = run_fleet(config, checkpoint_every=every,
-                          checkpoint_dir=ckdir, resume=resume)
-    _print_fleet_sample(fleet, args.servers)
+    # Progress rides the telemetry stream the run emits anyway.
+    progress = (tracing("fleet.server.*", sink=_ProgressSink(args.servers))
+                if args.progress else contextlib.nullcontext())
+    with progress:
+        fleet = run_fleet(config, **checkpoint_flags("fleet", args))
+    print(KINDS["fleet"].render(fleet))
     if args.events:
         print(f"trace events written to {args.events}")
     if args.manifest:
         print(f"run manifest written to {args.manifest}")
 
 
-def _print_fleet_sample(fleet, n_servers: int) -> None:
-    """The fleet-survey table (shared by ``fleet`` and a ``fleet``-kind
-    ``checkpoint resume``, so both render identically)."""
-    rows = [
-        (gran,
-         percent(fleet.fraction_without_any(gran), 0),
-         percent(fleet.median_unmovable(gran), 0))
-        for gran in ("2MB", "4MB", "32MB", "1GB")
-    ]
-    print(format_table(
-        ["Granularity", "Servers w/o free block",
-         "Median unmovable blocks"],
-        rows, title=f"Fleet survey over {n_servers} servers"))
-    print(f"\nPearson(uptime, free 2MB blocks) = "
-          f"{fleet.uptime_correlation():+.3f}")
-
-
-def _checkpoint_args(args, name: str) -> tuple[int, str | None, bool]:
-    """(checkpoint_every, checkpoint_dir, resume) from the shared
-    ``--checkpoint-every`` / ``--checkpoint-dir`` / ``--resume-from``
-    flags.
-
-    ``--resume-from DIR`` names the directory *and* asks for
-    resumption; without an explicit cadence the one recorded in the
-    checkpoint's own header is reused, so resuming continues exactly as
-    the killed run was configured.  ``--checkpoint-dir`` alone defaults
-    to checkpointing every unit of work.
-    """
-    resume = args.resume_from is not None
-    ckdir = args.resume_from or args.checkpoint_dir
-    every = args.checkpoint_every
-    if resume and not every:
-        every = _recorded_cadence(ckdir, name)
-    if ckdir is not None and not every:
-        every = 1
-    return every, ckdir, resume
-
-
-def _recorded_cadence(ckdir: str, name: str) -> int:
-    """The ``checkpoint_every`` the interrupted run recorded in its
-    envelope header (header-only read: never unpickles)."""
-    from .checkpoint import CheckpointStore
-
-    for desc in CheckpointStore(ckdir, name).inspect()["generations"]:
-        meta = desc.get("meta") or {}
-        if "checkpoint_every" in meta:
-            return int(meta["checkpoint_every"])
-    return 1
-
-
 def _cmd_loadgen(args) -> None:
+    from .run import checkpoint_flags
     from .workloads.tracegen import LoadgenConfig, run_loadgen
 
     telemetry = None
@@ -261,20 +211,12 @@ def _cmd_loadgen(args) -> None:
         seed=args.seed,
         telemetry=telemetry,
     )
-    every, ckdir, resume = _checkpoint_args(args, "loadgen")
-    result = run_loadgen(config, checkpoint_every=every,
-                         checkpoint_dir=ckdir, resume=resume)
+    result = run_loadgen(config, **checkpoint_flags("loadgen", args))
     if args.json:
         import json
 
-        print(json.dumps({
-            "config": config.snapshot(),
-            "requests": result.requests,
-            "windows_seen": result.windows_seen,
-            "spikes": result.spikes,
-            "achieved_rps": round(result.achieved_rps, 3),
-            "rows": result.rows(),
-        }, sort_keys=True))
+        print(json.dumps({"config": config.snapshot(), **result.snapshot()},
+                         sort_keys=True))
     else:
         rows = [
             (row["class"], str(row["requests"]), f"{row['p50_us']:.3f}",
@@ -879,7 +821,7 @@ def _cmd_scenario_report(args) -> None:
 
 def _store_names(directory: str) -> list[str]:
     """Checkpoint store names under *directory* (one per ``*.ckpt``,
-    staging temp files excluded)."""
+    staging temp files excluded); exits when there are none."""
     import os
 
     from .checkpoint import CheckpointStore
@@ -890,9 +832,13 @@ def _store_names(directory: str) -> list[str]:
         raise SystemExit(
             f"repro: no such checkpoint directory: {directory!r}")
     suffix = CheckpointStore.SUFFIX
-    return sorted(entry[:-len(suffix)] for entry in entries
-                  if entry.endswith(suffix)
-                  and not entry.startswith(".tmp-"))
+    names = sorted(entry[:-len(suffix)] for entry in entries
+                   if entry.endswith(suffix)
+                   and not entry.startswith(".tmp-"))
+    if not names:
+        raise SystemExit(
+            f"repro: no checkpoints (*{suffix}) under {directory!r}")
+    return names
 
 
 def _cmd_checkpoint_inspect(args) -> None:
@@ -905,10 +851,6 @@ def _cmd_checkpoint_inspect(args) -> None:
     )
 
     names = _store_names(args.dir)
-    if not names:
-        raise SystemExit(
-            f"repro: no checkpoints (*{CheckpointStore.SUFFIX}) "
-            f"under {args.dir!r}")
     deadline = (DEFAULT_DEADLINE_S if args.deadline is None
                 else args.deadline)
     reports = []
@@ -940,37 +882,12 @@ def _cmd_checkpoint_inspect(args) -> None:
               f"({age}, deadline {wd['deadline_s']:.0f}s)")
 
 
-def _with_manifest_path(config, path: str):
-    """*config* with its telemetry rewritten to emit a manifest at
-    *path* — so a resumed run can land its proof-of-identity manifest
-    wherever CI wants it, without re-spelling the whole config."""
-    from dataclasses import replace
-
-    from .telemetry import TelemetryConfig
-
-    if not hasattr(config, "telemetry"):
-        raise SystemExit(
-            "repro: --manifest is not supported for this checkpoint "
-            "kind (its config carries no telemetry)")
-    telemetry = config.telemetry
-    telemetry = (TelemetryConfig(manifest_path=path)
-                 if telemetry is None
-                 else replace(telemetry, manifest_path=path))
-    return replace(config, telemetry=telemetry)
-
-
 def _cmd_checkpoint_resume(args) -> None:
-    import json
     import sys
 
-    from .checkpoint import CheckpointStore
-    from .errors import CheckpointError
+    from .run import load_resumable, resume_run
 
     names = _store_names(args.dir)
-    if not names:
-        raise SystemExit(
-            f"repro: no checkpoints (*{CheckpointStore.SUFFIX}) "
-            f"under {args.dir!r}")
     name = args.name or (names[0] if len(names) == 1 else None)
     if name is None:
         raise SystemExit(
@@ -980,59 +897,12 @@ def _cmd_checkpoint_resume(args) -> None:
         raise SystemExit(
             f"repro: no checkpoint store {name!r} under {args.dir!r}; "
             f"present: {', '.join(names)}")
-    store = CheckpointStore(args.dir, name)
-    try:
-        ckpt = store.load_latest()
-    except CheckpointError as exc:
-        raise SystemExit(f"repro: {exc}")
-    if ckpt is None:
-        raise SystemExit(
-            f"repro: store {name!r} under {args.dir!r} has no valid "
-            f"generations")
-    config = (ckpt.payload.get("config")
-              if isinstance(ckpt.payload, dict) else None)
-    if config is None:
-        raise SystemExit(
-            f"repro: {ckpt.path} carries no embedded config; resume it "
-            f"through the original entry point's --resume-from instead")
-    every = args.checkpoint_every \
-        or int(ckpt.meta.get("checkpoint_every", 1))
-    if args.manifest:
-        config = _with_manifest_path(config, args.manifest)
+    ckpt = load_resumable(args.dir, name)
     print(f"# resuming {ckpt.kind} from step {ckpt.step} ({ckpt.path})",
           file=sys.stderr)
-
-    kw = dict(checkpoint_every=every, checkpoint_dir=args.dir,
-              resume=True)
-    if ckpt.kind == "fleet-survey":
-        from .fleet import survey_fleet
-
-        out = survey_fleet(config, **kw).snapshot()
-    elif ckpt.kind == "fleet":
-        from .fleet import run_fleet
-
-        sample = run_fleet(config, **kw)
-        _print_fleet_sample(sample, config.n_servers)
-        out = None
-    elif ckpt.kind == "loadgen":
-        from .workloads.tracegen import run_loadgen
-
-        result = run_loadgen(config, **kw)
-        out = {"requests": result.requests,
-               "windows_seen": result.windows_seen,
-               "spikes": result.spikes,
-               "achieved_rps": round(result.achieved_rps, 3),
-               "rows": result.rows()}
-    elif ckpt.kind == "workload":
-        from .workloads import run_workload
-
-        out = run_workload(config, **kw).snapshot()
-    else:
-        raise SystemExit(
-            f"repro: don't know how to resume checkpoint kind "
-            f"{ckpt.kind!r}")
-    if out is not None:
-        print(json.dumps(out, indent=2, sort_keys=True))
+    print(resume_run(ckpt, args.dir,
+                     checkpoint_every=args.checkpoint_every,
+                     manifest_path=args.manifest))
     if args.manifest:
         print(f"# run manifest written to {args.manifest}",
               file=sys.stderr)
@@ -1438,9 +1308,10 @@ def main(argv: list[str] | None = None) -> None:
     args = build_parser().parse_args(argv)
     try:
         args.fn(args)
-    except ConfigurationError as exc:
-        # Bad user input (flag values, config combinations): the typed
-        # message already names the remedy, so no traceback.
+    except (ConfigurationError, CheckpointError) as exc:
+        # Bad user input (flag values, config combinations, a checkpoint
+        # directory with no readable generation): the typed message
+        # already names the remedy, so no traceback.
         raise SystemExit(f"repro: {exc}")
     except BrokenPipeError:
         # Downstream pager/head closed the pipe; not an error.

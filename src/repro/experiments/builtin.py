@@ -40,12 +40,7 @@ def _produce_fleet_survey(ctx: ExperimentContext) -> list:
     sample = run_fleet(
         FleetConfig(n_servers=p["n_servers"], server=server,
                     base_seed=ctx.seed, workers=ctx.workers),
-        checkpoint_every=ctx.checkpoint_every,
-        checkpoint_dir=ctx.checkpoint_dir,
-        # Resuming is always safe: with no checkpoint on disk the run
-        # starts fresh, and a stale-but-good one only skips servers the
-        # killed cell already finished.
-        resume=ctx.checkpoint_dir is not None)
+        **ctx.checkpointing)
     return [scan.snapshot() for scan in sample.scans]
 
 
@@ -195,9 +190,7 @@ def _produce_tail_latency(ctx: ExperimentContext) -> list:
             buffer_pages=p["buffer_pages"],
             seed=ctx.seed,
         ),
-        checkpoint_every=ctx.checkpoint_every,
-        checkpoint_dir=ctx.checkpoint_dir,
-        resume=ctx.checkpoint_dir is not None)
+        **ctx.checkpointing)
     cell = {"shape": p["shape"], "app": p["app"], "design": p["design"],
             "rate_krps": p["rate_krps"],
             "windows": result.windows_seen,
@@ -272,9 +265,7 @@ def _produce_workload_steady(ctx: ExperimentContext) -> list:
             steps=p["steps"],
             seed=ctx.seed,
         ),
-        checkpoint_every=ctx.checkpoint_every,
-        checkpoint_dir=ctx.checkpoint_dir,
-        resume=ctx.checkpoint_dir is not None)
+        **ctx.checkpointing)
     return [result.snapshot()]
 
 

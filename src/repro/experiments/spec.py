@@ -65,11 +65,12 @@ class ExperimentContext:
     figures share one steady-state run.
 
     ``checkpoint_every``/``checkpoint_dir`` are the mid-cell durability
-    knobs: producers that run long surveys or bursts forward them to
-    the underlying entry point (``survey_fleet``, ``run_loadgen``) so a
-    killed cell resumes from its last good checkpoint instead of
-    recomputing; neither knob is part of the cache key because
-    checkpointing cannot change results (bit-identity contract).
+    knobs: producers that run long surveys or bursts splat
+    :attr:`checkpointing` into the underlying front door
+    (``run_fleet``, ``run_loadgen``, ``run_workload``) so a killed cell
+    resumes from its last good checkpoint instead of recomputing;
+    neither knob is part of the cache key because checkpointing cannot
+    change results (bit-identity contract).
     """
 
     spec_name: str
@@ -80,6 +81,16 @@ class ExperimentContext:
     fetch: Callable[..., list] | None = None
     checkpoint_every: int = 0
     checkpoint_dir: str | None = None
+
+    @property
+    def checkpointing(self) -> dict:
+        """The checkpoint keywords every front door takes.  Resuming is
+        always safe: with no checkpoint on disk the run starts fresh,
+        a good one only skips work the killed cell already finished,
+        and another run's checkpoint is refused."""
+        return {"checkpoint_every": self.checkpoint_every,
+                "checkpoint_dir": self.checkpoint_dir,
+                "resume": self.checkpoint_dir is not None}
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Fleet study tooling: simulated servers, sampling, statistics (§2.4).
 
 Public surface (docs/API.md): :class:`FleetConfig` + :func:`run_fleet`
-are the typed front door; ``sample_fleet`` is the deprecated kwarg shim.
+(per-server scans kept) / :func:`survey_fleet` (constant memory) are
+the typed front doors.
 """
 
 from .config import FleetConfig
@@ -18,7 +19,6 @@ from .sampler import (
     FleetSample,
     FleetSummary,
     run_fleet,
-    sample_fleet,
     survey_fleet,
 )
 from .server import FLEET_SERVICES, ServerConfig, ServerScan, SimulatedServer
@@ -44,6 +44,5 @@ __all__ = [
     "resolve_workers",
     "run_fleet",
     "run_fleet_scans",
-    "sample_fleet",
     "survey_fleet",
 ]

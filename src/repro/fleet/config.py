@@ -1,7 +1,6 @@
 """FleetConfig: the typed front door for one fleet-sampling campaign.
 
-The legacy ``sample_fleet(...)`` entry point had grown ten keyword
-arguments spread across sampling, telemetry, and supervision concerns.
+A campaign's knobs span sampling, telemetry, and supervision concerns.
 :class:`FleetConfig` gathers them into one frozen, validated value that
 can be stored, hashed into an experiment cache key, recorded in a run
 manifest, and varied with :func:`dataclasses.replace` — the same shape

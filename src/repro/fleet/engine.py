@@ -75,16 +75,6 @@ _INFLIGHT_PER_WORKER = 2
 _MAX_POOL_REBUILDS = 3
 
 
-def scan_one(payload: tuple[ServerConfig | None, int]) -> ServerScan:
-    """Run a single simulated server; module-level so it pickles.
-
-    Unsupervised compatibility shim — :func:`_scan_payload` is the
-    supervised equivalent and is what :func:`run_fleet_scans` dispatches.
-    """
-    config, seed = payload
-    return SimulatedServer(config, seed=seed).run()
-
-
 @dataclass(frozen=True)
 class WorkerOutcome:
     """One worker attempt's result, with enough context to debug a

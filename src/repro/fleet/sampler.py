@@ -1,19 +1,21 @@
 """Fleet sampling: run many servers and aggregate scans (§2.4, Figs. 4-6).
 
 The paper randomly samples tens of thousands of 64 GiB production servers
-and scans their physical memory.  :func:`run_fleet` — the typed front
-door, taking one frozen :class:`~repro.fleet.FleetConfig` — runs N
-independent :class:`~repro.fleet.server.SimulatedServer` instances
-(scaled down but statistically diverse: different services, uptimes, and
-seeds) and returns the per-server scans plus fleet-level aggregates.
-The legacy ``sample_fleet(...)`` kwarg spelling survives as a warn-once
-deprecation shim (docs/API.md describes the policy).
+and scans their physical memory.  :func:`run_fleet` and
+:func:`survey_fleet` — the typed front doors, taking one frozen
+:class:`~repro.fleet.FleetConfig` — run N independent
+:class:`~repro.fleet.server.SimulatedServer` instances (scaled down but
+statistically diverse: different services, uptimes, and seeds) through
+one streaming loop that folds every scan into fleet-level aggregates;
+``run_fleet`` also keeps the per-server scans, ``survey_fleet`` stays in
+constant memory.
 
-Observability: a :class:`~repro.telemetry.TelemetryConfig` on the config
-turns one sampling campaign into a *run* — tracepoints stream to a ring
-buffer or JSONL file while it executes, and a manifest (config, seeds,
-merged vmstat counters, aggregates) is attached to the returned sample
-and optionally written to disk for ``repro metrics`` diffing.
+Observability and durability are :class:`repro.run.RunSession`'s: a
+:class:`~repro.telemetry.TelemetryConfig` on the config turns a campaign
+into a traced run with a manifest (config, seeds, merged vmstat
+counters, aggregates) for ``repro metrics`` diffing, and the
+``checkpoint_every``/``checkpoint_dir``/``resume`` keywords make it
+resumable.
 """
 
 from __future__ import annotations
@@ -23,23 +25,12 @@ from dataclasses import dataclass, field
 
 from ..errors import ConfigurationError
 from ..mm.page import AllocSource
-from ..telemetry import (
-    CounterSet,
-    JsonlSink,
-    RingBufferSink,
-    TelemetryConfig,
-    build_manifest,
-    tracing,
-    write_manifest,
-)
+from ..run import RunSession
+from ..telemetry import CounterSet
 from .config import FleetConfig
-from .engine import iter_fleet_scans, resolve_workers, run_fleet_scans
+from .engine import iter_fleet_scans, resolve_workers
 from .server import ServerConfig, ServerScan
 from .stats import median, pearson
-
-#: Shared "telemetry off" default so an untraced run builds no config
-#: per call.
-_DEFAULT_TELEMETRY = TelemetryConfig()
 
 #: Per-server metrics addressable through :meth:`FleetSample.series`.
 SERIES_METRICS = ("contiguity", "unmovable")
@@ -50,16 +41,12 @@ SERIES_METRICS = ("contiguity", "unmovable")
 _DEPRECATION_WARNED: set[str] = set()
 
 
-def _warn_once(key: str, message: str) -> None:
-    if key in _DEPRECATION_WARNED:
-        return
-    _DEPRECATION_WARNED.add(key)
-    warnings.warn(message, DeprecationWarning, stacklevel=3)
-
-
 def _warn_deprecated_once(name: str, replacement: str) -> None:
-    _warn_once(name,
-               f"FleetSample.{name}() is deprecated; use {replacement}")
+    if name in _DEPRECATION_WARNED:
+        return
+    _DEPRECATION_WARNED.add(name)
+    warnings.warn(f"FleetSample.{name}() is deprecated; use {replacement}",
+                  DeprecationWarning, stacklevel=3)
 
 
 @dataclass
@@ -135,23 +122,22 @@ class FleetSample:
             [float(s.free_2m_blocks) for s in live],
         )
 
+    def _summary(self) -> "FleetSummary":
+        """Every fleet-level aggregate, folded in index order through
+        the same aggregator :func:`survey_fleet` streams into — which is
+        what makes the two front doors' snapshots byte-identical."""
+        agg = _StreamAggregator()
+        for index, scan in enumerate(self.scans):
+            agg.add(index, scan)
+        return agg.finalize()
+
     def source_breakdown(self) -> dict[AllocSource, float]:
         """Fleet-wide unmovable source fractions (Fig. 6)."""
-        totals: dict[AllocSource, int] = {}
-        for scan in self.scans:
-            for src, n in scan.sources.items():
-                totals[src] = totals.get(src, 0) + n
-        grand = sum(totals.values())
-        if not grand:
-            return {}
-        return {src: n / grand for src, n in totals.items()}
+        return self._summary().source_breakdown
 
     def vmstat_totals(self) -> CounterSet:
         """Merged vmstat counters across every server in the sample."""
-        totals = CounterSet()
-        for scan in self.scans:
-            totals.merge(scan.vmstat)
-        return totals
+        return self._summary().vmstat
 
     def tail_summary(self) -> dict[str, dict[str, float]]:
         """Fleet-wide tail-latency aggregates from per-server bursts.
@@ -161,45 +147,12 @@ class FleetSample:
         so the fleet view is a distribution *of* per-server tails).
         Empty when no server ran a loadgen burst.
         """
-        per_class: dict[str, list[tuple[float, float]]] = {}
-        for scan in self.completed_scans():
-            for cls, row in scan.latency.items():
-                if row.get("requests", 0):
-                    per_class.setdefault(cls, []).append(
-                        (row["p99_us"], row["p999_us"]))
-        return {
-            cls: {
-                "servers": len(rows),
-                "p99_us_median": median([r[0] for r in rows]),
-                "p99_us_max": max(r[0] for r in rows),
-                "p999_us_max": max(r[1] for r in rows),
-            }
-            for cls, rows in sorted(per_class.items())
-        }
+        return self._summary().tail
 
     def snapshot(self) -> dict:
         """Fleet-level aggregates as one plain dict
         (:class:`~repro.telemetry.Snapshotable` surface)."""
-        live = self.completed_scans()
-        snap = {
-            "n_servers": len(self.scans),
-            "n_failed_servers": len(self.scans) - len(live),
-            "fraction_without_any_2mb": self.fraction_without_any("2MB"),
-            "median_unmovable_2mb": self.median_unmovable("2MB")
-            if live else 0.0,
-            "uptime_correlation": self.uptime_correlation()
-            if len(live) > 1 else 0.0,
-        }
-        # Flattened so manifest diffs show one row per source.
-        for src, frac in sorted(self.source_breakdown().items(),
-                                key=lambda kv: kv[0].name):
-            snap[f"unmovable_share.{src.name.lower()}"] = frac
-        # Latency keys appear only on loadgen runs, keeping loadgen-free
-        # snapshots byte-identical to earlier releases.
-        for cls, row in self.tail_summary().items():
-            for key, value in row.items():
-                snap[f"latency.{cls}.{key}"] = value
-        return snap
+        return self._summary().snapshot()
 
     def merge(self, other: "FleetSample") -> "FleetSample":
         """Fold another campaign's scans into this one (aggregates are
@@ -214,205 +167,6 @@ class FleetSample:
         Aggregates are derived, so reconstructing the scans
         reconstructs everything."""
         return cls(scans=[ServerScan.from_snapshot(row) for row in rows])
-
-
-def _manifest_config(n_servers: int, config: ServerConfig | None,
-                     base_seed: int) -> dict:
-    cfg = config or ServerConfig()
-    config_dict = {
-        "n_servers": n_servers,
-        "base_seed": base_seed,
-        "mem_bytes": cfg.mem_bytes,
-        "kernel": cfg.kernel_cls.__name__,
-        "min_uptime_steps": cfg.min_uptime_steps,
-        "max_uptime_steps": cfg.max_uptime_steps,
-        "utilization_range": list(cfg.utilization_range),
-        # Declarative chaos rides in the manifest so a chaos run diffs
-        # cleanly against a clean run of the same seed.
-        "fault_plan": (cfg.fault_plan.snapshot()
-                       if cfg.fault_plan is not None else None),
-    }
-    # Only on loadgen fleets, so earlier manifests diff clean.
-    if cfg.loadgen is not None:
-        config_dict["loadgen"] = cfg.loadgen.snapshot()
-    return config_dict
-
-
-def _checkpoint_store(checkpoint_every: int, checkpoint_dir: str | None,
-                      name: str):
-    """Build a :class:`~repro.checkpoint.CheckpointStore` when both
-    knobs are set; None otherwise (the no-checkpoint fast path)."""
-    if not checkpoint_every or checkpoint_dir is None:
-        return None
-    from ..checkpoint import CheckpointStore
-    return CheckpointStore(checkpoint_dir, name)
-
-
-def _checkpoint_fleet(store, kind: str, config: FleetConfig,
-                      checkpoint_every: int, done: int,
-                      payload: dict) -> None:
-    """One fleet checkpoint boundary: tolerant save, then give the
-    ``sim.crash`` site its shot.  A failed write is counted by the
-    store and the survey continues — the deadline watchdog flags a
-    survey that *stays* unable to checkpoint.
-
-    The pickled config rides in the payload so ``repro checkpoint
-    resume <dir>`` can reconstruct the campaign without re-spelling any
-    flags; the JSON meta carries enough to sanity-check a resume and to
-    describe the file without unpickling.
-    """
-    from ..checkpoint import maybe_crash
-    from ..errors import CheckpointWriteError
-    try:
-        store.save(kind, done, {**payload, "config": config},
-                   meta={"n_servers": config.n_servers,
-                         "base_seed": config.base_seed,
-                         "checkpoint_every": checkpoint_every,
-                         "done": done})
-    except CheckpointWriteError:
-        pass
-    maybe_crash(done, kind=kind)
-
-
-def _load_fleet_checkpoint(store, config: FleetConfig):
-    """The last good checkpoint for *config*, or None.
-
-    A checkpoint from a differently-shaped campaign (seed or size
-    mismatch) raises instead of silently blending two surveys.
-    """
-    ckpt = store.load_latest()
-    if ckpt is None:
-        return None
-    if (ckpt.meta.get("n_servers") != config.n_servers
-            or ckpt.meta.get("base_seed") != config.base_seed):
-        raise ConfigurationError(
-            f"checkpoint in {store.directory!r} belongs to a different "
-            f"campaign (n_servers={ckpt.meta.get('n_servers')}, "
-            f"base_seed={ckpt.meta.get('base_seed')}); this run has "
-            f"n_servers={config.n_servers}, base_seed={config.base_seed}")
-    return ckpt
-
-
-def run_fleet(config: FleetConfig | int, /, *,
-              checkpoint_every: int = 0,
-              checkpoint_dir: str | None = None,
-              resume: bool = False,
-              **legacy) -> FleetSample:
-    """Run one fleet-sampling campaign described by a :class:`FleetConfig`.
-
-    The typed front door (docs/API.md): every knob — sampling size,
-    seeds, worker count, telemetry, supervision budgets — arrives on one
-    frozen config, and the result is a :class:`FleetSample` whose scans
-    are bit-identical for any worker count.
-
-    With ``config.telemetry`` set the run is observable: tracepoints
-    matching ``telemetry.trace_patterns`` stream to
-    ``telemetry.events_path`` (JSONL) or an in-memory ring while the
-    fleet executes, and a run manifest lands on ``FleetSample.manifest``
-    (written to ``telemetry.manifest_path`` when set).  The manifest's
-    deterministic view is identical for every worker count: per-server
-    vmstat counters are snapshotted inside the seeded workers and merged
-    here.
-
-    With a ``config.server.fault_plan`` installed this is the
-    chaos-campaign entry point — the same seed and plan always produce
-    the same manifest.
-
-    Legacy compatibility: the pre-redesign engine spelling
-    ``run_fleet(n_servers, config=..., ...) -> list[ServerScan]`` still
-    works behind a warn-once shim and returns the raw scan list; new
-    code should call :func:`repro.fleet.engine.run_fleet_scans` for
-    that, or pass a :class:`FleetConfig` here.
-    """
-    if isinstance(config, int):
-        _warn_once(
-            "run_fleet-legacy",
-            "run_fleet(n_servers, ...) -> list[ServerScan] is deprecated; "
-            "pass a FleetConfig (returns a FleetSample) or call "
-            "repro.fleet.engine.run_fleet_scans")
-        return run_fleet_scans(config, **legacy)
-    if legacy:
-        raise ConfigurationError(
-            "run_fleet(FleetConfig) takes no keyword arguments; vary the "
-            f"config with dataclasses.replace (got {sorted(legacy)})")
-
-    store = _checkpoint_store(checkpoint_every, checkpoint_dir, "fleet")
-    telemetry = config.telemetry
-    tcfg = telemetry or _DEFAULT_TELEMETRY
-    sink = None
-    if tcfg.trace:
-        sink = (JsonlSink(tcfg.events_path) if tcfg.events_path
-                else RingBufferSink(tcfg.ring_capacity))
-        with tracing(*tcfg.trace_patterns, sink=sink):
-            scans = _run_scans(config, checkpoint_every=checkpoint_every,
-                               store=store, resume=resume)
-        if isinstance(sink, JsonlSink):
-            sink.close()
-    else:
-        scans = _run_scans(config, checkpoint_every=checkpoint_every,
-                           store=store, resume=resume)
-
-    sample = FleetSample(scans=scans)
-    if telemetry is not None and tcfg.emit_manifest:
-        manifest = build_manifest(
-            kind="fleet",
-            config=_manifest_config(config.n_servers, config.server,
-                                    config.base_seed),
-            seed=config.base_seed,
-            counters=sample.vmstat_totals(),
-            aggregates=sample.snapshot(),
-            volatile={
-                "workers": resolve_workers(config.workers),
-                "trace_events": (sink.written if isinstance(sink, JsonlSink)
-                                 else sink.appended if sink else 0),
-                **({"checkpoint_dir": checkpoint_dir,
-                    "checkpoint_every": checkpoint_every,
-                    "resumed": resume} if store is not None else {}),
-            },
-        )
-        sample.manifest = manifest
-        if tcfg.manifest_path:
-            write_manifest(tcfg.manifest_path, manifest)
-    return sample
-
-
-def _run_scans(config: FleetConfig, *, checkpoint_every: int = 0,
-               store=None, resume: bool = False) -> list[ServerScan]:
-    if store is None:
-        return run_fleet_scans(
-            config.n_servers, config=config.server,
-            base_seed=config.base_seed, workers=config.workers,
-            chunk_size=config.chunk_size,
-            max_retries=config.max_retries,
-            server_timeout=config.server_timeout,
-            backoff_base=config.backoff_base)
-    results: list[ServerScan | None] = [None] * config.n_servers
-    done: set[int] = set()
-    if resume:
-        ckpt = _load_fleet_checkpoint(store, config)
-        if ckpt is not None:
-            for index, scan in ckpt.payload["scans"].items():
-                results[index] = scan
-                done.add(index)
-    indices = [i for i in range(config.n_servers) if i not in done]
-    since = 0
-    for index, scan in iter_fleet_scans(
-            config.n_servers, config=config.server,
-            base_seed=config.base_seed, workers=config.workers,
-            chunk_size=config.chunk_size,
-            max_retries=config.max_retries,
-            server_timeout=config.server_timeout,
-            backoff_base=config.backoff_base,
-            indices=indices):
-        results[index] = scan
-        done.add(index)
-        since += 1
-        if since % checkpoint_every == 0:
-            _checkpoint_fleet(
-                store, "fleet", config, checkpoint_every, len(done),
-                {"scans": {i: s for i, s in enumerate(results)
-                           if s is not None}})
-    return results
 
 
 @dataclass
@@ -481,8 +235,9 @@ class _StreamAggregator:
     """
 
     def __init__(self) -> None:
-        self.n_seen = 0
-        self.n_failed = 0
+        #: Every server index folded so far: what a resumed campaign
+        #: must not run again.
+        self.seen: set[int] = set()
         self._rows: list[tuple[int, float, float, float]] = []
         self._source_totals: dict[AllocSource, int] = {}
         self._vmstat = CounterSet()
@@ -490,12 +245,11 @@ class _StreamAggregator:
         self._tail_rows: dict[str, list[tuple[int, float, float]]] = {}
 
     def add(self, index: int, scan: ServerScan) -> None:
-        self.n_seen += 1
+        self.seen.add(index)
         self._vmstat.merge(scan.vmstat)
         for src, n in scan.sources.items():
             self._source_totals[src] = self._source_totals.get(src, 0) + n
         if scan.failed:
-            self.n_failed += 1
             return
         self._rows.append((index, float(scan.uptime_steps),
                            float(scan.free_2m_blocks),
@@ -524,8 +278,8 @@ class _StreamAggregator:
             for cls, trs in sorted(self._tail_rows.items())
         }
         return FleetSummary(
-            n_servers=self.n_seen,
-            n_failed_servers=self.n_failed,
+            n_servers=len(self.seen),
+            n_failed_servers=len(self.seen) - live,
             fraction_without_any_2mb=zeroes / live if live else 0.0,
             median_unmovable_2mb=(median([r[4] for r in rows])
                                   if live else 0.0),
@@ -540,48 +294,54 @@ class _StreamAggregator:
         )
 
 
-def survey_fleet(config: FleetConfig, *,
-                 checkpoint_every: int = 0,
-                 checkpoint_dir: str | None = None,
-                 resume: bool = False) -> FleetSummary:
-    """Run a fleet campaign in constant memory, streaming scans into
-    aggregates as they complete.
+def _manifest_config(n_servers: int, config: ServerConfig | None,
+                     base_seed: int) -> dict:
+    """Which campaign this is: the manifest's ``config`` section and
+    the identity a checkpoint of it records.  Worker count, chunk size
+    and supervision budgets are absent — they cannot change a scan."""
+    cfg = config or ServerConfig()
+    config_dict = {
+        "n_servers": n_servers,
+        "base_seed": base_seed,
+        "mem_bytes": cfg.mem_bytes,
+        "kernel": cfg.kernel_cls.__name__,
+        "min_uptime_steps": cfg.min_uptime_steps,
+        "max_uptime_steps": cfg.max_uptime_steps,
+        "utilization_range": list(cfg.utilization_range),
+        # Declarative chaos rides in the manifest so a chaos run diffs
+        # cleanly against a clean run of the same seed.
+        "fault_plan": (cfg.fault_plan.snapshot()
+                       if cfg.fault_plan is not None else None),
+    }
+    # Only on loadgen fleets, so earlier manifests diff clean.
+    if cfg.loadgen is not None:
+        config_dict["loadgen"] = cfg.loadgen.snapshot()
+    return config_dict
 
-    The 1,000-server entry point: where :func:`run_fleet` holds every
-    :class:`~repro.fleet.server.ServerScan` until the campaign ends,
-    this consumes :func:`repro.fleet.engine.iter_fleet_scans` and folds
-    each scan into a :class:`FleetSummary` immediately, so peak memory
-    is independent of ``n_servers``.  Supervision (retries, stragglers,
-    fault plans), telemetry, and the manifest's deterministic view are
-    identical to :func:`run_fleet` for the same config — only the
-    per-scan list is absent.
 
-    With ``checkpoint_every > 0`` and a ``checkpoint_dir``, the survey
-    checkpoints the streaming aggregator plus the completed-index set
-    every N scans — constant-size checkpoints, like the aggregation
-    itself.  ``resume=True`` restores the last good checkpoint and runs
-    only the servers the killed survey never finished; per-index
-    seeding makes the final summary (and manifest deterministic view)
-    byte-identical to an uninterrupted run's.
+def _run_campaign(kind: str, config: FleetConfig,
+                  scans: dict[int, ServerScan] | None, **checkpointing):
+    """The one fleet loop: stream scans as servers complete, fold each
+    into the aggregator, and keep it in *scans* unless that is None.
+
+    Returns ``(summary, scans)``.  A checkpoint carries the aggregator
+    (constant size, and it knows which indices it has seen) plus the
+    kept scans when there are any; a resumed campaign runs only the
+    servers the killed one never finished, and per-index seeding makes
+    the outcome byte-identical to an uninterrupted run's.
     """
     if not isinstance(config, FleetConfig):
         raise ConfigurationError(
-            f"survey_fleet takes a FleetConfig, got {type(config).__name__}")
-
-    store = _checkpoint_store(checkpoint_every, checkpoint_dir,
-                              "fleet-survey")
-
-    def _stream() -> _StreamAggregator:
-        agg = _StreamAggregator()
-        done: set[int] = set()
-        if store is not None and resume:
-            ckpt = _load_fleet_checkpoint(store, config)
-            if ckpt is not None:
-                agg = ckpt.payload["agg"]
-                done = set(ckpt.payload["done"])
-        indices = (None if not done else
-                   [i for i in range(config.n_servers) if i not in done])
-        since = 0
+            f"{kind} campaigns take a FleetConfig, "
+            f"got {type(config).__name__}")
+    agg = _StreamAggregator()
+    identity = _manifest_config(config.n_servers, config.server,
+                                config.base_seed)
+    with RunSession(kind, config, identity, config.telemetry,
+                    **checkpointing) as session:
+        ckpt = session.restore()
+        if ckpt is not None:
+            agg, scans = ckpt.payload["agg"], ckpt.payload["scans"]
         for index, scan in iter_fleet_scans(
                 config.n_servers, config=config.server,
                 base_seed=config.base_seed, workers=config.workers,
@@ -589,74 +349,73 @@ def survey_fleet(config: FleetConfig, *,
                 max_retries=config.max_retries,
                 server_timeout=config.server_timeout,
                 backoff_base=config.backoff_base,
-                indices=indices):
+                indices=([i for i in range(config.n_servers)
+                          if i not in agg.seen] if agg.seen else None)):
             agg.add(index, scan)
-            done.add(index)
-            since += 1
-            if store is not None and since % checkpoint_every == 0:
-                _checkpoint_fleet(store, "fleet-survey", config,
-                                  checkpoint_every, len(done),
-                                  {"agg": agg, "done": sorted(done)})
-        return agg
-
-    telemetry = config.telemetry
-    tcfg = telemetry or _DEFAULT_TELEMETRY
-    sink = None
-    if tcfg.trace:
-        sink = (JsonlSink(tcfg.events_path) if tcfg.events_path
-                else RingBufferSink(tcfg.ring_capacity))
-        with tracing(*tcfg.trace_patterns, sink=sink):
-            agg = _stream()
-        if isinstance(sink, JsonlSink):
-            sink.close()
-    else:
-        agg = _stream()
-
+            if scans is not None:
+                scans[index] = scan
+            session.boundary(len(agg.seen),
+                             lambda: {"agg": agg, "scans": scans})
     summary = agg.finalize()
-    if telemetry is not None and tcfg.emit_manifest:
-        manifest = build_manifest(
-            kind="fleet",
-            config=_manifest_config(config.n_servers, config.server,
-                                    config.base_seed),
+    if session.emits_manifest:
+        summary.manifest = session.manifest(
             seed=config.base_seed,
-            counters=summary.vmstat_totals(),
+            counters=summary.vmstat,
             aggregates=summary.snapshot(),
-            volatile={
-                "workers": resolve_workers(config.workers),
-                "trace_events": (sink.written if isinstance(sink, JsonlSink)
-                                 else sink.appended if sink else 0),
-                **({"checkpoint_dir": checkpoint_dir,
-                    "checkpoint_every": checkpoint_every,
-                    "resumed": resume} if store is not None else {}),
-            },
-        )
-        summary.manifest = manifest
-        if tcfg.manifest_path:
-            write_manifest(tcfg.manifest_path, manifest)
-    return summary
+            volatile={"workers": resolve_workers(config.workers)})
+    return summary, scans
 
 
-def sample_fleet(n_servers: int = 50,
-                 config: ServerConfig | None = None,
-                 base_seed: int = 0,
-                 workers: int | None = None,
-                 telemetry=None,
-                 max_retries: int | None = None,
-                 server_timeout: float | None = None,
-                 backoff_base: float | None = None) -> FleetSample:
-    """Deprecated kwarg spelling of :func:`run_fleet` (warns once).
+def run_fleet(config: FleetConfig, /, *,
+              checkpoint_every: int = 0,
+              checkpoint_dir: str | None = None,
+              resume: bool = False) -> FleetSample:
+    """Run one fleet-sampling campaign described by a :class:`FleetConfig`.
 
-    Maps the historical ten-kwarg signature onto a
-    :class:`FleetConfig` and delegates; behaviour is unchanged.  New
-    code::
+    The typed front door (docs/API.md): every knob — sampling size,
+    seeds, worker count, telemetry, supervision budgets — arrives on one
+    frozen config, and the result is a :class:`FleetSample` whose scans
+    are bit-identical for any worker count.
 
-        run_fleet(FleetConfig(n_servers=8, server=ServerConfig(...)))
+    With ``config.telemetry`` set the run is observable: tracepoints
+    matching ``telemetry.trace_patterns`` stream to
+    ``telemetry.events_path`` (JSONL) or an in-memory ring while the
+    fleet executes, and a run manifest lands on ``FleetSample.manifest``
+    (written to ``telemetry.manifest_path`` when set).  The manifest's
+    deterministic view is identical for every worker count: per-server
+    vmstat counters are snapshotted inside the seeded workers and merged
+    here.
+
+    With a ``config.server.fault_plan`` installed this is the
+    chaos-campaign entry point — the same seed and plan always produce
+    the same manifest.
+
+    ``checkpoint_every``/``checkpoint_dir``/``resume`` make the campaign
+    durable (every N completed servers) and resumable; see
+    :class:`repro.run.RunSession`.
     """
-    _warn_once(
-        "sample_fleet",
-        "sample_fleet(...) is deprecated; use "
-        "run_fleet(FleetConfig(...)) from repro.fleet")
-    return run_fleet(FleetConfig(
-        n_servers=n_servers, server=config, base_seed=base_seed,
-        workers=workers, telemetry=telemetry, max_retries=max_retries,
-        server_timeout=server_timeout, backoff_base=backoff_base))
+    summary, scans = _run_campaign(
+        "fleet", config, {}, checkpoint_every=checkpoint_every,
+        checkpoint_dir=checkpoint_dir, resume=resume)
+    return FleetSample(scans=[scans[i] for i in range(config.n_servers)],
+                       manifest=summary.manifest)
+
+
+def survey_fleet(config: FleetConfig, *,
+                 checkpoint_every: int = 0,
+                 checkpoint_dir: str | None = None,
+                 resume: bool = False) -> FleetSummary:
+    """Run a fleet campaign in constant memory.
+
+    The 1,000-server entry point: where :func:`run_fleet` holds every
+    :class:`~repro.fleet.server.ServerScan` until the campaign ends,
+    this keeps only the aggregator's four floats per server, so peak
+    memory is independent of ``n_servers`` — and so are its
+    checkpoints.  Supervision (retries, stragglers, fault plans),
+    telemetry, checkpoint/resume and the manifest's deterministic view
+    are identical to :func:`run_fleet` for the same config — only the
+    per-scan list is absent.
+    """
+    return _run_campaign(
+        "fleet-survey", config, None, checkpoint_every=checkpoint_every,
+        checkpoint_dir=checkpoint_dir, resume=resume)[0]

@@ -1,0 +1,287 @@
+"""One run session under the four front doors.
+
+``run_workload``, ``run_loadgen``, ``run_fleet`` and ``survey_fleet``
+each own a genuinely different loop (a step range, an arrival index
+that jumps the clock, an unordered scan stream) and nothing else.
+Everything *around* the loop lives here, once:
+
+1. open the :class:`~repro.checkpoint.CheckpointStore` from the
+   ``(checkpoint_every, checkpoint_dir, resume)`` triple;
+2. open the trace sink a :class:`~repro.telemetry.TelemetryConfig`
+   asks for, and close it when the run ends — however it ends;
+3. :meth:`RunSession.restore` — load the last good checkpoint and
+   refuse it unless it was written by a run with this run's identity;
+4. :meth:`RunSession.boundary` — save when due, tolerate a failed
+   write, give the ``sim.crash`` fault site its shot;
+5. :meth:`RunSession.manifest` — assemble (and optionally write) the
+   run manifest, checkpoint bookkeeping under ``volatile`` only.
+
+:data:`KINDS` is the registry ``repro checkpoint resume`` and the
+``--checkpoint-*``/``--resume-from`` flags read: adding a run kind is
+one loop that calls into a session plus one row here.  See the "Run
+session" section of docs/INTERNALS.md.
+"""
+
+from __future__ import annotations
+
+import json
+from contextlib import ExitStack
+from dataclasses import dataclass, replace
+from importlib import import_module
+from typing import Any, Callable
+
+from .errors import CheckpointWriteError, ConfigurationError
+from .telemetry import (
+    JsonlSink,
+    RingBufferSink,
+    TelemetryConfig,
+    build_manifest,
+    tracing,
+    write_manifest,
+)
+
+
+def _render_snapshot(result) -> str:
+    return json.dumps(result.snapshot(), indent=2, sort_keys=True)
+
+
+def _render_fleet(sample) -> str:
+    from .analysis import format_table, percent
+
+    rows = [
+        (gran,
+         percent(sample.fraction_without_any(gran), 0),
+         percent(sample.median_unmovable(gran), 0))
+        for gran in ("2MB", "4MB", "32MB", "1GB")
+    ]
+    table = format_table(
+        ["Granularity", "Servers w/o free block",
+         "Median unmovable blocks"],
+        rows, title=f"Fleet survey over {len(sample.scans)} servers")
+    return (f"{table}\n\nPearson(uptime, free 2MB blocks) = "
+            f"{sample.uptime_correlation():+.3f}")
+
+
+@dataclass(frozen=True)
+class RunKind:
+    """One resumable run kind.
+
+    Attributes:
+        name: the checkpoint kind and store name (``<name>.ckpt``).
+        manifest_kind: the ``kind`` its run manifest carries.
+        door: ``"module:function"`` of the front door, resolved at call
+            time so this module imports none of the layers above it.
+        render: ``result -> str``, what ``repro checkpoint resume``
+            prints for a finished run (default: its snapshot as JSON).
+    """
+
+    name: str
+    manifest_kind: str
+    door: str
+    render: Callable[[Any], str] = _render_snapshot
+
+
+KINDS: dict[str, RunKind] = {kind.name: kind for kind in (
+    RunKind("workload", "workload", "repro.workloads:run_workload"),
+    RunKind("loadgen", "loadgen", "repro.workloads:run_loadgen"),
+    RunKind("fleet", "fleet", "repro.fleet:run_fleet", _render_fleet),
+    RunKind("fleet-survey", "fleet", "repro.fleet:survey_fleet"),
+)}
+
+
+class RunSession:
+    """Everything around one run loop; a context manager spanning it.
+
+    ``config`` rides (pickled) in every checkpoint payload so ``repro
+    checkpoint resume <dir>`` needs no flags.  ``identity`` is the
+    JSON-safe dict that says *which run this is* — the manifest's
+    deterministic ``config`` section — and is stored in the checkpoint
+    header so a resume over another run's directory is refused instead
+    of silently blending the two.  Worker count, chunk size, telemetry
+    and cadence are deliberately not identity: they cannot change
+    results.
+    """
+
+    def __init__(self, kind: str, config, identity: dict,
+                 telemetry: TelemetryConfig | None, *,
+                 checkpoint_every: int = 0,
+                 checkpoint_dir: str | None = None,
+                 resume: bool = False) -> None:
+        self.kind = KINDS[kind]
+        self.config = config
+        self.identity = identity
+        self.telemetry = telemetry
+        self.every = checkpoint_every
+        self.resume = resume
+        #: None is the no-checkpoint fast path: hot loops may test this
+        #: before building a payload closure.
+        self.store = None
+        if checkpoint_every and checkpoint_dir is not None:
+            from .checkpoint import CheckpointStore
+            self.store = CheckpointStore(checkpoint_dir, kind)
+        self._sink = None
+        self._exit = ExitStack()
+
+    def __enter__(self) -> "RunSession":
+        tcfg = self.telemetry
+        if tcfg is not None and tcfg.trace:
+            if tcfg.events_path:
+                self._sink = self._exit.enter_context(
+                    JsonlSink(tcfg.events_path))
+            else:
+                self._sink = RingBufferSink(tcfg.ring_capacity)
+            self._exit.enter_context(
+                tracing(*tcfg.trace_patterns, sink=self._sink))
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._exit.__exit__(*exc_info)
+
+    def restore(self):
+        """The last good checkpoint of *this* run, or None.
+
+        Raises:
+            ConfigurationError: the directory holds a checkpoint whose
+                recorded identity differs from this run's.
+        """
+        if self.store is None or not self.resume:
+            return None
+        ckpt = self.store.load_latest()
+        if ckpt is None:
+            return None
+        recorded = ckpt.meta.get("identity") or {}
+        # Through JSON, as the recorded side went: tuples become lists.
+        ours = json.loads(json.dumps(self.identity))
+        differing = [f"{key}: {recorded.get(key)!r} there, "
+                     f"{ours.get(key)!r} in this run"
+                     for key in sorted({*recorded, *ours})
+                     if recorded.get(key) != ours.get(key)]
+        if differing:
+            raise ConfigurationError(
+                f"checkpoint in {self.store.directory!r} belongs to a "
+                f"different campaign ({self.kind.name} "
+                f"{'; '.join(differing)})")
+        return ckpt
+
+    def boundary(self, done: int, make_payload: Callable[[], dict]) -> None:
+        """One checkpoint boundary after *done* units of work.
+
+        A failed write is counted by the store, both generations stay
+        intact and the run continues — a run that *stays* unable to
+        checkpoint goes stale and the deadline watchdog flags it.
+        """
+        if self.store is None or done % self.every:
+            return
+        from .checkpoint import maybe_crash
+        try:
+            self.store.save(
+                self.kind.name, done,
+                {**make_payload(), "config": self.config},
+                meta={"identity": self.identity,
+                      "checkpoint_every": self.every})
+        except CheckpointWriteError:
+            pass
+        maybe_crash(done, kind=self.kind.name)
+
+    @property
+    def emits_manifest(self) -> bool:
+        return self.telemetry is not None and self.telemetry.emit_manifest
+
+    def manifest(self, *, seed: int, counters, aggregates: dict,
+                 metrics: dict | None = None,
+                 volatile: dict | None = None) -> dict:
+        """Build the run manifest; write it when the telemetry config
+        names a path.  Call only when :attr:`emits_manifest`."""
+        sink = self._sink
+        volatile = {**(volatile or {}), "trace_events": (
+            sink.written if isinstance(sink, JsonlSink)
+            else sink.appended if sink else 0)}
+        if self.store is not None:
+            # Volatile by design: resumed, uninterrupted and
+            # never-checkpointed runs share one deterministic view.
+            volatile.update({"checkpoint_dir": self.store.directory,
+                             "checkpoint_every": self.every,
+                             "resumed": self.resume})
+        manifest = build_manifest(
+            kind=self.kind.manifest_kind, config=self.identity, seed=seed,
+            counters=counters, metrics=metrics, aggregates=aggregates,
+            volatile=volatile)
+        if self.telemetry.manifest_path:
+            write_manifest(self.telemetry.manifest_path, manifest)
+        return manifest
+
+
+def checkpoint_flags(kind: str, args) -> dict:
+    """The front-door checkpoint keywords from a verb's shared
+    ``--checkpoint-every`` / ``--checkpoint-dir`` / ``--resume-from``
+    flags (an argparse namespace).
+
+    ``--resume-from DIR`` names the directory *and* asks for
+    resumption; without an explicit cadence the one recorded in the
+    checkpoint's own header is reused (header-only read: never
+    unpickles), so resuming continues exactly as the killed run was
+    configured.  A directory alone defaults to checkpointing every unit
+    of work.
+    """
+    directory = args.resume_from or args.checkpoint_dir
+    every = args.checkpoint_every
+    if args.resume_from is not None and not every:
+        from .checkpoint import CheckpointStore
+        for desc in CheckpointStore(directory, kind).inspect()["generations"]:
+            if "checkpoint_every" in (desc.get("meta") or {}):
+                every = desc["meta"]["checkpoint_every"]
+                break
+    if directory is not None and not every:
+        every = 1
+    return {"checkpoint_every": every, "checkpoint_dir": directory,
+            "resume": args.resume_from is not None}
+
+
+def load_resumable(directory: str, name: str):
+    """The last good checkpoint of store *name*, checked to be
+    resumable from its payload alone.
+
+    Raises:
+        ConfigurationError: nothing valid on disk, an unregistered
+            kind, or a payload that embeds no config.
+        CheckpointError: every generation failed validation.
+    """
+    from .checkpoint import CheckpointStore
+    ckpt = CheckpointStore(directory, name).load_latest()
+    if ckpt is None:
+        raise ConfigurationError(
+            f"store {name!r} under {directory!r} has no valid generations")
+    if ckpt.kind not in KINDS:
+        raise ConfigurationError(
+            f"don't know how to resume checkpoint kind {ckpt.kind!r}")
+    if not (isinstance(ckpt.payload, dict) and ckpt.payload.get("config")):
+        raise ConfigurationError(
+            f"{ckpt.path} carries no embedded config; resume it through "
+            f"the original entry point's --resume-from instead")
+    return ckpt
+
+
+def resume_run(ckpt, directory: str, *, checkpoint_every: int = 0,
+               manifest_path: str | None = None) -> str:
+    """Finish the run *ckpt* (from :func:`load_resumable`) belongs to;
+    returns its rendered result.
+
+    ``manifest_path`` rewrites the embedded config's telemetry so the
+    resumed run lands its proof-of-identity manifest wherever CI wants
+    it, without re-spelling the whole config.
+    """
+    kind = KINDS[ckpt.kind]
+    config = ckpt.payload["config"]
+    if manifest_path:
+        if not hasattr(config, "telemetry"):
+            raise ConfigurationError(
+                "--manifest is not supported for this checkpoint kind "
+                "(its config carries no telemetry)")
+        config = replace(config, telemetry=replace(
+            config.telemetry or TelemetryConfig(),
+            manifest_path=manifest_path))
+    module, _, function = kind.door.partition(":")
+    result = getattr(import_module(module), function)(
+        config, checkpoint_dir=directory, resume=True,
+        checkpoint_every=checkpoint_every or ckpt.meta["checkpoint_every"])
+    return kind.render(result)

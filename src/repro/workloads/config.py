@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import ConfigurationError
+from ..run import RunSession
 from ..units import MiB, PAGEBLOCK_FRAMES
 from .base import Workload, WorkloadSpec
 from .registry import canonical_service_name, get_service
@@ -83,6 +84,13 @@ class WorkloadConfig:
             return self.service.name
         return canonical_service_name(self.service)
 
+    def snapshot(self) -> dict:
+        """JSON-safe view of the configuration: the identity a
+        checkpoint of this run records (every field; the service by
+        name, the burst without its telemetry)."""
+        return {**vars(self), "service": self.service_name,
+                "loadgen": self.loadgen and self.loadgen.snapshot()}
+
 
 @dataclass
 class WorkloadResult:
@@ -129,11 +137,12 @@ def run_workload(config: WorkloadConfig, *,
     open-loop tail-latency burst follows.
 
     With ``checkpoint_every > 0`` and a ``checkpoint_dir``, the churn
-    loop checkpoints every N steps (atomic two-generation rotation; see
-    :mod:`repro.checkpoint`) and gives the ``sim.crash`` fault site a
-    shot at each boundary.  ``resume=True`` restores the last good
-    checkpoint — after a sanitizer sweep — and continues; the finished
-    result is byte-identical to an uninterrupted run's.
+    loop checkpoints every N steps and gives the ``sim.crash`` fault
+    site a shot at each boundary.  ``resume=True`` restores the last
+    good checkpoint of *this* config — after a sanitizer sweep — and
+    continues; the finished result is byte-identical to an
+    uninterrupted run's.  The plumbing is
+    :class:`repro.run.RunSession`'s.
     """
     if not isinstance(config, WorkloadConfig):
         raise ConfigurationError(
@@ -145,22 +154,19 @@ def run_workload(config: WorkloadConfig, *,
     from ..core import ContiguitasConfig, ContiguitasKernel
     from ..mm import KernelConfig, LinuxKernel
 
-    store = None
-    if checkpoint_every and checkpoint_dir is not None:
-        from ..checkpoint import CheckpointStore
-        store = CheckpointStore(checkpoint_dir, "workload")
-
-    kernel = workload = None
-    start_step = 0
-    if store is not None and resume:
-        ckpt = store.load_latest()
-        if ckpt is not None:
-            from ..checkpoint import restore_kernel
-            kernel = ckpt.payload["kernel"]
-            workload = ckpt.payload["workload"]
-            start_step = ckpt.step
-            restore_kernel(kernel)
-    if kernel is None:
+    # No telemetry on a WorkloadConfig, so there is no sink to scope
+    # with a ``with`` block.
+    session = RunSession("workload", config, config.snapshot(), None,
+                         checkpoint_every=checkpoint_every,
+                         checkpoint_dir=checkpoint_dir, resume=resume)
+    ckpt = session.restore()
+    if ckpt is not None:
+        # Looked up on the package at call time, so a patched
+        # restore_kernel (the benchmark's tap) is the one called.
+        from ..checkpoint import restore_kernel
+        kernel, workload = ckpt.payload["kernel"], ckpt.payload["workload"]
+        restore_kernel(kernel)
+    else:
         if config.kernel == "linux":
             kernel = LinuxKernel(KernelConfig(mem_bytes=config.mem_bytes))
         else:
@@ -168,26 +174,10 @@ def run_workload(config: WorkloadConfig, *,
                 ContiguitasConfig(mem_bytes=config.mem_bytes))
         workload = Workload(kernel, config.spec, seed=config.seed)
         workload.start()
-    for step in range(start_step, config.steps):
+    for step in range(ckpt.step if ckpt is not None else 0, config.steps):
         workload.step()
-        done = step + 1
-        if store is not None and done % checkpoint_every == 0:
-            from ..checkpoint import maybe_crash
-            from ..errors import CheckpointWriteError
-            try:
-                store.save("workload", done,
-                           {"kernel": kernel, "workload": workload,
-                            "config": config},
-                           meta={"service": config.service_name,
-                                 "seed": config.seed,
-                                 "checkpoint_every": checkpoint_every,
-                                 "steps": config.steps})
-            except CheckpointWriteError:
-                # Counted by the store; generations intact, run
-                # continues — persistent failure surfaces through the
-                # deadline watchdog instead of killing the run.
-                pass
-            maybe_crash(done, kind="workload")
+        session.boundary(step + 1, lambda: {"kernel": kernel,
+                                            "workload": workload})
 
     loadgen_result = None
     if config.loadgen is not None:

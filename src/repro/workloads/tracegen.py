@@ -36,16 +36,12 @@ from dataclasses import asdict, dataclass
 from ..core.hwext.metadata import AccessMode
 from ..errors import ConfigurationError
 from ..sim.params import ArchParams, DEFAULT_PARAMS
+from ..run import RunSession
 from ..telemetry import (
     Histogram,
-    JsonlSink,
     MetricsRegistry,
-    RingBufferSink,
     TelemetryConfig,
-    build_manifest,
     tracepoint,
-    tracing,
-    write_manifest,
 )
 from .interference import MEMCACHED, NGINX, ServerApp
 from .requestloop import MigrationSchedule, RequestLoop
@@ -452,10 +448,18 @@ class LoadgenResult:
         return [{"class": cls, **stats}
                 for cls, stats in self.summary().items()]
 
+    def snapshot(self) -> dict:
+        """JSON-safe outcome: what ``repro loadgen --json`` and a
+        resumed burst print."""
+        return {"requests": self.requests,
+                "windows_seen": self.windows_seen,
+                "spikes": self.spikes,
+                "achieved_rps": round(self.achieved_rps, 3),
+                "rows": self.rows()}
+
 
 def _run_open_loop(config: LoadgenConfig, metrics: MetricsRegistry,
-                   params: ArchParams, *, checkpoint_every: int = 0,
-                   store=None, resume: bool = False) -> LoadgenResult:
+                   params: ArchParams, session: RunSession) -> LoadgenResult:
     shape = get_shape(config.shape)
     app = APPS[config.app]
     freq_hz = params.freq_ghz * 1e9
@@ -467,41 +471,32 @@ def _run_open_loop(config: LoadgenConfig, metrics: MetricsRegistry,
         shape, config.rate_rps, config.duration_s, seed=config.seed)
     services = sample_service(shape, len(arrivals), seed=config.seed)
 
-    restored = None
-    if store is not None and resume:
-        ckpt = store.load_latest()
-        if ckpt is not None:
-            restored = ckpt.payload
-    if restored is not None:
-        loop = restored["loop"]
-        schedule: MigrationSchedule | None = restored["schedule"]
-        recorders = restored["recorders"]
-        windows_before = restored["windows_before"]
-        start_index = restored["index"]
-        mode = (AccessMode.CACHEABLE
-                if config.design == "cacheable" and schedule is not None
-                else AccessMode.NONCACHEABLE)
+    ckpt = session.restore()
+    if ckpt is not None:
+        loop = ckpt.payload["loop"]
+        schedule: MigrationSchedule | None = ckpt.payload["schedule"]
+        recorders = ckpt.payload["recorders"]
+        windows_before = ckpt.payload["windows_before"]
     else:
         loop = RequestLoop(app, params, buffer_pages=config.buffer_pages,
                            seed=config.seed)
         schedule = None
-        mode = AccessMode.NONCACHEABLE
         if config.design != "none" and config.migrations_per_second > 0:
             schedule = loop.make_schedule(config.migrations_per_second)
-            if config.design == "cacheable":
-                mode = AccessMode.CACHEABLE
         recorders = {"all": LatencyRecorder(),
                      "migration": LatencyRecorder(),
                      "quiet": LatencyRecorder()}
         windows_before = 0
-        start_index = 0
         if _tp_start.enabled:
             _tp_start.emit(shape=shape.name, app=app.name,
                            design=config.design, rate_rps=config.rate_rps,
                            offered=len(arrivals))
+    mode = (AccessMode.CACHEABLE
+            if config.design == "cacheable" and schedule is not None
+            else AccessMode.NONCACHEABLE)
 
     core = loop.core
-    for index in range(start_index, len(arrivals)):
+    for index in range(ckpt.step if ckpt is not None else 0, len(arrivals)):
         arrival_s, instructions = arrivals[index], services[index]
         arrival = arrival_s * freq_hz
         if core.stats.cycles < arrival:
@@ -521,27 +516,11 @@ def _run_open_loop(config: LoadgenConfig, metrics: MetricsRegistry,
             _tp_window.emit(opened=schedule.windows_seen - windows_before,
                             total=schedule.windows_seen)
             windows_before = schedule.windows_seen
-        done = index + 1
-        if (store is not None and checkpoint_every
-                and done % checkpoint_every == 0):
-            from ..checkpoint import maybe_crash
-            from ..errors import CheckpointWriteError
-            try:
-                store.save("loadgen", done,
-                           {"loop": loop, "schedule": schedule,
-                            "recorders": recorders,
-                            "windows_before": windows_before,
-                            "index": done, "config": config},
-                           meta={"shape": config.shape, "seed": config.seed,
-                                 "checkpoint_every": checkpoint_every,
-                                 "requests": len(arrivals)})
-            except CheckpointWriteError:
-                # Counted by the store; both generations are intact and
-                # the run keeps going — a run that *stays* unable to
-                # checkpoint goes stale and the deadline watchdog flags
-                # it as hung.
-                pass
-            maybe_crash(done, kind="loadgen")
+        # One attribute test per request when not checkpointing.
+        if session.store is not None:
+            session.boundary(index + 1, lambda: {
+                "loop": loop, "schedule": schedule, "recorders": recorders,
+                "windows_before": windows_before})
 
     windows_seen = schedule.windows_seen if schedule else 0
     metrics.inc("loadgen.requests", len(arrivals))
@@ -578,36 +557,19 @@ def run_loadgen(config: LoadgenConfig,
     manifest (latency histograms included) is attached / written.
 
     With ``checkpoint_every > 0`` and a ``checkpoint_dir``, the request
-    loop checkpoints every N served requests (see
-    :mod:`repro.checkpoint`); ``resume=True`` restores the last good
-    checkpoint and finishes the burst with a manifest byte-identical to
-    an uninterrupted run's.
+    loop checkpoints every N served requests; ``resume=True`` restores
+    the last good checkpoint of *this* config and finishes the burst
+    with a manifest byte-identical to an uninterrupted run's.  The
+    plumbing is :class:`repro.run.RunSession`'s.
     """
-    store = None
-    if checkpoint_every and checkpoint_dir is not None:
-        from ..checkpoint import CheckpointStore
-        store = CheckpointStore(checkpoint_dir, "loadgen")
     metrics = MetricsRegistry()
-    tcfg = config.telemetry
-    sink = None
-    if tcfg is not None and tcfg.trace:
-        sink = (JsonlSink(tcfg.events_path) if tcfg.events_path
-                else RingBufferSink(tcfg.ring_capacity))
-        with tracing(*tcfg.trace_patterns, sink=sink):
-            result = _run_open_loop(config, metrics, params,
-                                    checkpoint_every=checkpoint_every,
-                                    store=store, resume=resume)
-        if isinstance(sink, JsonlSink):
-            sink.close()
-    else:
-        result = _run_open_loop(config, metrics, params,
-                                checkpoint_every=checkpoint_every,
-                                store=store, resume=resume)
-
-    if tcfg is not None and tcfg.emit_manifest:
-        manifest = build_manifest(
-            kind="loadgen",
-            config=config.snapshot(),
+    with RunSession("loadgen", config, config.snapshot(), config.telemetry,
+                    checkpoint_every=checkpoint_every,
+                    checkpoint_dir=checkpoint_dir,
+                    resume=resume) as session:
+        result = _run_open_loop(config, metrics, params, session)
+    if session.emits_manifest:
+        result.manifest = session.manifest(
             seed=config.seed,
             counters=metrics.counters.snapshot(),
             metrics=metrics.snapshot(),
@@ -616,19 +578,5 @@ def run_loadgen(config: LoadgenConfig,
                 **{f"{cls}.{key}": val
                    for cls, stats in result.summary().items()
                    for key, val in stats.items()},
-            },
-            volatile={
-                "trace_events": (sink.written if isinstance(sink, JsonlSink)
-                                 else sink.appended if sink else 0),
-                # Checkpoint bookkeeping is volatile by design: resumed
-                # and uninterrupted runs must share an identical
-                # deterministic view.
-                **({"checkpoint_dir": checkpoint_dir,
-                    "checkpoint_every": checkpoint_every,
-                    "resumed": resume} if store is not None else {}),
-            },
-        )
-        result.manifest = manifest
-        if tcfg.manifest_path:
-            write_manifest(tcfg.manifest_path, manifest)
+            })
     return result

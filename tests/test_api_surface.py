@@ -17,8 +17,7 @@ import repro.fleet
 import repro.scenarios
 import repro.workloads
 from repro.errors import ConfigurationError
-from repro.fleet import FleetConfig, run_fleet, sample_fleet
-from repro.fleet import sampler as sampler_mod
+from repro.fleet import FleetConfig, run_fleet
 from repro.fleet.server import ServerConfig
 from repro.units import MiB
 
@@ -75,7 +74,6 @@ class TestExportSnapshots:
             "resolve_workers",
             "run_fleet",
             "run_fleet_scans",
-            "sample_fleet",
             "survey_fleet",
         ]
 
@@ -208,8 +206,12 @@ class TestFrontDoor:
         assert len(sample.scans) == 2
 
     def test_run_fleet_config_rejects_stray_kwargs(self):
-        with pytest.raises(ConfigurationError, match="no keyword"):
+        """The removed pre-redesign spellings (engine kwargs, a
+        positional server count) fail loudly instead of half-working."""
+        with pytest.raises(TypeError, match="workers"):
             run_fleet(FleetConfig(n_servers=1, server=SMALL), workers=1)
+        with pytest.raises(ConfigurationError, match="FleetConfig"):
+            run_fleet(2)
 
     def test_fleet_config_is_frozen_and_validated(self):
         cfg = FleetConfig(n_servers=2, server=SMALL)
@@ -221,49 +223,6 @@ class TestFrontDoor:
             FleetConfig(n_servers=1, workers=-2)
         with pytest.raises(ConfigurationError):
             FleetConfig(n_servers=1, max_retries=-1)
-
-
-class TestDeprecationShims:
-    def test_sample_fleet_warns_exactly_once(self):
-        sampler_mod._DEPRECATION_WARNED.discard("sample_fleet")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            a = sample_fleet(n_servers=1, config=SMALL, base_seed=2,
-                             workers=1)
-            b = sample_fleet(n_servers=1, config=SMALL, base_seed=2,
-                             workers=1)
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)
-                        and "sample_fleet" in str(w.message)]
-        assert len(deprecations) == 1
-        assert a.scans == b.scans
-
-    def test_sample_fleet_second_call_survives_w_error(self):
-        """After the single warning fired, the shim is silent even under
-        ``-W error`` — sweeps over thousands of samples don't die."""
-        sampler_mod._DEPRECATION_WARNED.discard("sample_fleet")
-        with warnings.catch_warnings(record=True):
-            warnings.simplefilter("always")
-            sample_fleet(n_servers=1, config=SMALL, base_seed=2, workers=1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            sample_fleet(n_servers=1, config=SMALL, base_seed=2, workers=1)
-
-    def test_sample_fleet_first_call_raises_under_w_error(self):
-        sampler_mod._DEPRECATION_WARNED.discard("sample_fleet")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            with pytest.raises(DeprecationWarning, match="FleetConfig"):
-                sample_fleet(n_servers=1, config=SMALL, base_seed=2,
-                             workers=1)
-
-    def test_shim_matches_front_door(self):
-        sampler_mod._DEPRECATION_WARNED.add("sample_fleet")
-        shim = sample_fleet(n_servers=2, config=SMALL, base_seed=6,
-                            workers=1)
-        front = run_fleet(FleetConfig(n_servers=2, server=SMALL,
-                                      base_seed=6, workers=1))
-        assert shim == front
 
 
 class TestWorkloadFrontDoor:

@@ -395,6 +395,114 @@ class TestFleetResume:
         assert fresh == run_fleet(config)
 
 
+def _contract_cases():
+    """kind -> (config, cadence, a config of a *different* run, a key
+    that differs).  Telemetry wherever the config can carry it, so the
+    comparison below is over the manifest's deterministic view."""
+    from dataclasses import replace
+
+    from repro.telemetry import TelemetryConfig
+    from repro.workloads import LoadgenConfig, WorkloadConfig
+
+    workload = WorkloadConfig(service="web", mem_bytes=MiB(16), steps=12,
+                              seed=1)
+    loadgen = LoadgenConfig(rate_rps=150_000.0, duration_s=1e-3, seed=7,
+                            telemetry=TelemetryConfig())
+    fleet = _small_fleet(3, telemetry=TelemetryConfig())
+    return {
+        "workload": (workload, 2,
+                     replace(workload, service="cache-b", seed=2), "seed"),
+        "loadgen": (loadgen, 25, replace(loadgen, design="none"), "design"),
+        "fleet": (fleet, 1, replace(fleet, n_servers=6), "n_servers"),
+        "fleet-survey": (fleet, 1, replace(fleet, base_seed=4),
+                         "base_seed"),
+    }
+
+
+def _run_kind(kind, config, **checkpointing):
+    """Call *kind*'s front door the way the registry names it."""
+    import importlib
+
+    from repro.run import KINDS
+
+    module, _, function = KINDS[kind].door.partition(":")
+    return getattr(importlib.import_module(module), function)(
+        config, **checkpointing)
+
+
+def _view(result) -> str:
+    """What must be byte-identical across interrupted, uninterrupted and
+    never-checkpointed runs: the manifest's deterministic view, or the
+    snapshot for a kind whose config carries no telemetry."""
+    from repro.telemetry import deterministic_view
+
+    manifest = getattr(result, "manifest", None)
+    return json.dumps(deterministic_view(manifest) if manifest
+                      else result.snapshot(), sort_keys=True)
+
+
+def test_every_registered_run_kind_has_a_contract_case():
+    """Adding a row to the kind registry means adding its case here."""
+    from repro.run import KINDS
+
+    assert sorted(KINDS) == sorted(_contract_cases())
+
+
+@pytest.mark.parametrize("kind", sorted(_contract_cases()))
+class TestRunSessionContract:
+    """The run-session contract (docs/INTERNALS.md), once per
+    registered run kind."""
+
+    def test_crash_restart_resume_is_byte_identical(self, kind, tmp_path):
+        """The crash-restart plan: boundary 1's write dies before any
+        rename (tolerated and counted), boundary 2's lands and sim.crash
+        kills the run; the resume == an uninterrupted checkpointed run
+        == a run that never checkpointed."""
+        from repro.checkpoint.format import metrics
+
+        config, every, _, _ = _contract_cases()[kind]
+        killed = str(tmp_path / "killed")
+        failures = metrics.counters.snapshot().get(
+            "checkpoint.write_failures", 0)
+        with injecting(NAMED_PLANS["crash-restart"], seed=0):
+            with pytest.raises(SimCrashError):
+                _run_kind(kind, config, checkpoint_every=every,
+                          checkpoint_dir=killed)
+        assert metrics.counters.snapshot()[
+            "checkpoint.write_failures"] == failures + 1
+        assert CheckpointStore(killed, kind).load_latest().step == 2 * every
+        resumed = _run_kind(kind, config, checkpoint_every=every,
+                            checkpoint_dir=killed, resume=True)
+        uninterrupted = _run_kind(kind, config, checkpoint_every=every,
+                                  checkpoint_dir=str(tmp_path / "whole"))
+        assert _view(resumed) == _view(uninterrupted) \
+            == _view(_run_kind(kind, config))
+
+    def test_another_runs_checkpoint_is_refused(self, kind, tmp_path):
+        config, every, other, key = _contract_cases()[kind]
+        _run_kind(kind, config, checkpoint_every=every,
+                  checkpoint_dir=str(tmp_path))
+        with pytest.raises(ConfigurationError,
+                           match=f"different campaign.*{key}"):
+            _run_kind(kind, other, checkpoint_every=every,
+                      checkpoint_dir=str(tmp_path), resume=True)
+
+    def test_checkpoint_bookkeeping_is_volatile_only(self, kind, tmp_path):
+        config, every, _, _ = _contract_cases()[kind]
+        checkpointed = _run_kind(kind, config, checkpoint_every=every,
+                                 checkpoint_dir=str(tmp_path))
+        plain = _run_kind(kind, config)
+        assert "checkpoint" not in _view(checkpointed)
+        assert _view(checkpointed) == _view(plain)
+        if getattr(plain, "manifest", None):
+            volatile = checkpointed.manifest["volatile"]
+            assert volatile["checkpoint_every"] == every
+            assert volatile["checkpoint_dir"] == str(tmp_path)
+            assert volatile["resumed"] is False
+            assert not {"checkpoint_every", "checkpoint_dir", "resumed"} \
+                & set(plain.manifest["volatile"])
+
+
 class TestRestoreSanitizer:
     def test_restore_runs_invariant_sweep(self, tmp_path):
         """A checkpoint whose kernel state was corrupted in flight is
@@ -500,6 +608,45 @@ class TestCheckpointCli:
         assert "resuming workload from step 4" in captured.err
         resumed = json.loads(captured.out)
         assert resumed == run_workload(config).snapshot()
+
+    @pytest.mark.parametrize("kind", sorted(_contract_cases()))
+    def test_resume_output_per_kind(self, kind, tmp_path, capsys):
+        """``repro checkpoint resume`` needs no flags for any kind and
+        prints what it always printed: the fleet table for ``fleet``,
+        the finished run's JSON (indent 2, sorted keys) otherwise."""
+        from repro.analysis import format_table, percent
+        from repro.cli import main
+
+        config, every, _, _ = _contract_cases()[kind]
+        with injecting(_crash_plan(2), seed=0):
+            with pytest.raises(SimCrashError):
+                _run_kind(kind, config, checkpoint_every=every,
+                          checkpoint_dir=str(tmp_path))
+        main(["checkpoint", "resume", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"# resuming {kind} from step {2 * every} "
+            f"({tmp_path}/{kind}.ckpt)\n")
+        ref = _run_kind(kind, config)
+        if kind == "fleet":
+            table = format_table(
+                ["Granularity", "Servers w/o free block",
+                 "Median unmovable blocks"],
+                [(gran, percent(ref.fraction_without_any(gran), 0),
+                  percent(ref.median_unmovable(gran), 0))
+                 for gran in ("2MB", "4MB", "32MB", "1GB")],
+                title="Fleet survey over 4 servers")
+            expected = (f"{table}\n\nPearson(uptime, free 2MB blocks) = "
+                        f"{ref.uptime_correlation():+.3f}\n")
+        else:
+            doc = ({"requests": ref.requests,
+                    "windows_seen": ref.windows_seen,
+                    "spikes": ref.spikes,
+                    "achieved_rps": round(ref.achieved_rps, 3),
+                    "rows": ref.rows()} if kind == "loadgen"
+                   else ref.snapshot())
+            expected = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert captured.out == expected
 
     def test_resume_empty_dir_exits(self, tmp_path):
         from repro.cli import main

@@ -92,17 +92,6 @@ class TestRunFleet:
                                   base_seed=1, workers=2))
         assert a.scans == b.scans
 
-    def test_run_fleet_legacy_positional_shim(self):
-        """The pre-redesign ``run_fleet(n, ...) -> list`` spelling still
-        works, warns once, and returns the engine's raw scan list."""
-        from repro.fleet import sampler
-
-        sampler._DEPRECATION_WARNED.discard("run_fleet-legacy")
-        with pytest.warns(DeprecationWarning, match="run_fleet_scans"):
-            legacy = run_fleet(2, config=SMALL, base_seed=9, workers=1)
-        assert legacy == run_fleet_scans(2, config=SMALL, base_seed=9,
-                                         workers=1)
-
     def test_zero_servers(self):
         assert run_fleet_scans(0, config=SMALL, workers=1) == []
         assert run_fleet(FleetConfig(n_servers=0, server=SMALL,
@@ -234,6 +223,37 @@ class TestStreaming:
         assert summary.n_servers == 3
         assert summary.n_failed_servers == 3
         assert summary.snapshot() == run_fleet(cfg).snapshot()
+
+
+    def test_sample_snapshot_byte_equal_with_loadgen_and_a_failure(self):
+        """Both front doors aggregate through one fold: on a
+        loadgen-bearing fleet where exactly one server exhausts its
+        retry budget, ``FleetSample.snapshot()`` (index order) and a
+        parallel ``survey_fleet`` (completion order) serialise to the
+        same bytes — keys, order, and every float."""
+        import json
+
+        from repro.workloads import LoadgenConfig
+
+        plan = FaultPlan("flaky", (FaultSpec("fleet.worker.crash",
+                                             rate=0.3),))
+        base_seed = next(b for b in range(1000) if sum(
+            plan.should_crash(b + i, 0) for i in range(4)) == 1)
+        cfg = FleetConfig(
+            n_servers=4, base_seed=base_seed, workers=1, max_retries=0,
+            backoff_base=0.0,
+            server=dataclasses.replace(
+                TINY, fault_plan=plan,
+                loadgen=LoadgenConfig(rate_rps=150_000.0, duration_s=5e-4)))
+        sample = run_fleet(cfg)
+        assert len(sample.failed_indices()) == 1
+        snap = sample.snapshot()
+        assert snap["n_failed_servers"] == 1
+        assert snap["latency.all.servers"] == 3
+        survey = survey_fleet(dataclasses.replace(cfg, workers=2,
+                                                  chunk_size=1))
+        assert json.dumps(snap) == json.dumps(survey.snapshot())
+        assert sample.tail_summary() == survey.tail_summary()
 
 
 class TestManifestBitIdentity:
