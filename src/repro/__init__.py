@@ -22,16 +22,7 @@ Quickstart::
     huge = kernel.alloc_thp()
 """
 
-from .core import (
-    ContiguitasConfig,
-    ContiguitasKernel,
-    IlluminatorKernel,
-    PlacementPolicy,
-    RegionLayout,
-    RegionResizer,
-    ResizeConfig,
-)
-from .core.hwext import AccessMode, HwMigrationEngine
+from ._lazy import lazy_exports
 from .errors import (
     ConfigurationError,
     ContiguityError,
@@ -40,14 +31,16 @@ from .errors import (
     OutOfMemoryError,
     ReproError,
 )
-from .mm import (
-    AllocSource,
-    KernelConfig,
-    LinuxKernel,
-    MigrateType,
-    PageHandle,
-)
-from .workloads import Workload, WorkloadSpec
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".core": ("ContiguitasConfig", "ContiguitasKernel", "IlluminatorKernel",
+              "PlacementPolicy", "RegionLayout", "RegionResizer",
+              "ResizeConfig"),
+    ".core.hwext": ("AccessMode", "HwMigrationEngine"),
+    ".mm": ("AllocSource", "KernelConfig", "LinuxKernel", "MigrateType",
+            "PageHandle"),
+    ".workloads": ("Workload", "WorkloadSpec"),
+})
 
 __version__ = "1.0.0"
 

@@ -6,32 +6,23 @@ and :mod:`~repro.analysis.sanitizer` (runtime frame-state checking) keep
 the simulator itself honest — see ``docs/ANALYSIS.md``.
 """
 
-from .contiguity import (
-    SCAN_GRANULARITIES,
-    contiguity_report,
-    free_block_count,
-    free_contiguity,
-    movable_potential,
-    unmovable_block_fraction,
-    unmovable_page_fraction,
-    unmovable_region_internal_frag,
-    unmovable_report,
-)
-from .hwcost import (
-    MetadataTableCost,
-    SramCostModel,
-    migrations_per_second_capacity,
-)
-from .reporting import format_cdf, format_table, percent
-from .sanitizer import (
-    FrameSanitizer,
-    debug_vm_enabled,
-    verify_allocator,
-    verify_kernel,
-)
-from .simlint import Finding, lint_file, lint_paths, lint_source
-from .snapshot import MemorySnapshot, load_snapshot, save_snapshot
-from .timeline import TimelineRecorder, watch_kernel
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".contiguity": ("SCAN_GRANULARITIES", "contiguity_report",
+                    "free_block_count", "free_contiguity",
+                    "movable_potential", "unmovable_block_fraction",
+                    "unmovable_page_fraction",
+                    "unmovable_region_internal_frag", "unmovable_report"),
+    ".hwcost": ("MetadataTableCost", "SramCostModel",
+                "migrations_per_second_capacity"),
+    ".reporting": ("format_cdf", "format_table", "percent"),
+    ".sanitizer": ("FrameSanitizer", "debug_vm_enabled", "verify_allocator",
+                   "verify_kernel"),
+    ".simlint": ("Finding", "lint_file", "lint_paths", "lint_source"),
+    ".snapshot": ("MemorySnapshot", "load_snapshot", "save_snapshot"),
+    ".timeline": ("TimelineRecorder", "watch_kernel"),
+})
 
 __all__ = [
     "Finding",

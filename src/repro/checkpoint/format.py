@@ -54,8 +54,10 @@ MAGIC = b"RPCK"
 #: changes shape, so an old file fails as CheckpointVersionError rather
 #: than as a pickle AttributeError or a KeyError mid-resume.  2: the run
 #: session (repro.run) records ``meta["identity"]`` and fleet payloads
-#: carry the streaming aggregator for both fleet kinds.
-FORMAT_VERSION = 2
+#: carry the streaming aggregator for both fleet kinds.  3: ``Histogram``
+#: buckets are a ``list[int]`` — a version-2 loadgen payload would put a
+#: numpy array under ``LatencyRecorder`` and break ``json.dumps``.
+FORMAT_VERSION = 3
 
 #: magic + version + header length: the minimum parseable file.
 _PREFIX_LEN = 12

@@ -40,14 +40,7 @@ from __future__ import annotations
 
 import argparse
 
-from .analysis import (
-    MetadataTableCost,
-    format_table,
-    migrations_per_second_capacity,
-    percent,
-    unmovable_block_fraction,
-    unmovable_region_internal_frag,
-)
+from .analysis.reporting import format_table, percent
 from .errors import CheckpointError, ConfigurationError
 from .units import MiB, PAGEBLOCK_FRAMES
 
@@ -92,6 +85,10 @@ def _cmd_walk(args) -> None:
 
 
 def _cmd_steady(args) -> None:
+    from .analysis.contiguity import (
+        unmovable_block_fraction,
+        unmovable_region_internal_frag,
+    )
     from .core import ContiguitasConfig, ContiguitasKernel
     from .mm import KernelConfig, LinuxKernel
     from .workloads import Workload, get_service
@@ -254,8 +251,6 @@ def _resolve_plan(name: str | None):
 
 def _cmd_chaos(args) -> None:
     from .faults import NAMED_PLANS
-    from .fleet import FleetConfig, ServerConfig, run_fleet
-    from .telemetry import TelemetryConfig
 
     if args.list_plans:
         rows = []
@@ -269,6 +264,9 @@ def _cmd_chaos(args) -> None:
             ["Plan", "Site", "Rate", "Max fires", "Skip"], rows,
             title="Named fault plans (docs/ROBUSTNESS.md)"))
         return
+    from .fleet import FleetConfig, ServerConfig, run_fleet
+    from .telemetry import TelemetryConfig
+
     plan = _resolve_plan(args.plan)
     telemetry = TelemetryConfig(manifest_path=args.manifest)
     fleet = run_fleet(FleetConfig(
@@ -418,32 +416,20 @@ def _cmd_lint(args) -> None:
     )
 
     if args.list_rules:
-        if args.deep:
-            catalogue = deeplint.full_rule_catalogue()
-            if args.json:
-                import json
-
-                print(json.dumps(
-                    [{"code": c, "title": t, "summary": s}
-                     for c, t, s in catalogue], indent=2))
-            else:
-                print(format_table(
-                    ["Rule", "Contract"],
-                    [(code, title) for code, title, _ in catalogue],
-                    title="simlint + deeplint rule catalogue "
-                          "(docs/ANALYSIS.md)"))
-            return
+        catalogue = (deeplint.full_rule_catalogue() if args.deep
+                     else rule_catalogue())
         if args.json:
             import json
 
             print(json.dumps(
                 [{"code": c, "title": t, "summary": s}
-                 for c, t, s in rule_catalogue()], indent=2))
+                 for c, t, s in catalogue], indent=2))
         else:
             print(format_table(
                 ["Rule", "Contract"],
-                [(code, title) for code, title, _ in rule_catalogue()],
-                title="simlint rule catalogue (docs/ANALYSIS.md)"))
+                [(code, title) for code, title, _ in catalogue],
+                title=("simlint + deeplint" if args.deep else "simlint")
+                      + " rule catalogue (docs/ANALYSIS.md)"))
         return
     # Default target: the installed repro package itself, so `repro lint`
     # works from any working directory.
@@ -493,6 +479,11 @@ def _cmd_lint(args) -> None:
 
 
 def _cmd_hwcost(args) -> None:
+    from .analysis.hwcost import (
+        MetadataTableCost,
+        migrations_per_second_capacity,
+    )
+
     cost = MetadataTableCost()
     print(format_table(
         ["Metric", "Value"],
@@ -972,6 +963,22 @@ def _checkpoint_options() -> argparse.ArgumentParser:
     return parent
 
 
+class _LazyChoices:
+    """An argparse ``choices`` read from a ``workloads.tracegen``
+    registry when a value is checked (``in`` iterates) or the verb's
+    help is rendered, so building the parser imports no simulator code.
+    ``add_argument`` walks ``choices=`` once on the spot; assign this to
+    the action it returns instead."""
+
+    def __init__(self, pick) -> None:
+        self.pick = pick
+
+    def __iter__(self):
+        from .workloads import tracegen
+
+        return iter(self.pick(tracegen))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1047,26 +1054,25 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--steps", type=int, default=60)
     trace.set_defaults(fn=_cmd_trace)
 
-    from .workloads.tracegen import APPS, DESIGNS, list_shapes
-
     loadgen = sub.add_parser(
         "loadgen", help="open-loop tail-latency burst (§5.3)",
         parents=[_common_options(seed=0, manifest=True, json_flag=True),
                  _checkpoint_options()])
     loadgen.add_argument("--trace-shape", default="azure-faas",
-                         choices=list_shapes(),
                          help="registered trace shape "
-                              "(default: azure-faas)")
+                              "(default: azure-faas)"
+                         ).choices = _LazyChoices(lambda t: t.list_shapes())
     loadgen.add_argument("--rate", type=float, default=2_000_000.0,
                          help="offered load in requests/second of "
                               "simulated time")
     loadgen.add_argument("--duration", type=float, default=1e-3,
                          help="burst length in simulated seconds")
-    loadgen.add_argument("--app", default="nginx", choices=sorted(APPS),
-                         help="interference app profile")
+    loadgen.add_argument("--app", default="nginx",
+                         help="interference app profile"
+                         ).choices = _LazyChoices(lambda t: sorted(t.APPS))
     loadgen.add_argument("--design", default="noncacheable",
-                         choices=DESIGNS,
-                         help="migration design ('none' = no windows)")
+                         help="migration design ('none' = no windows)"
+                         ).choices = _LazyChoices(lambda t: t.DESIGNS)
     loadgen.add_argument("--migrations", type=float, default=12_000.0,
                          help="migration windows per simulated second")
     loadgen.add_argument("--buffer-pages", type=int, default=64,

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import json
 import os
-import platform
-import subprocess
 import time
 
 #: Manifest schema version; bump on incompatible layout changes.
@@ -29,6 +27,8 @@ def git_rev() -> str:
     """The repo's short git revision, or ``"unknown"`` outside a repo."""
     global _GIT_REV_CACHE
     if _GIT_REV_CACHE is None:
+        import subprocess
+
         try:
             out = subprocess.run(
                 ["git", "rev-parse", "--short", "HEAD"],
@@ -65,6 +65,8 @@ def build_manifest(
         volatile: extra non-deterministic facts (durations, worker
             counts); merged into the ``volatile`` section.
     """
+    import platform
+
     manifest = {
         "schema": SCHEMA_VERSION,
         "kind": kind,

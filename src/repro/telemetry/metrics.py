@@ -19,8 +19,6 @@ import time
 from collections.abc import Iterator
 from typing import Protocol, runtime_checkable
 
-import numpy as np
-
 from ..errors import ConfigurationError
 
 
@@ -139,7 +137,7 @@ HIST_BUCKETS = 64
 
 
 class Histogram:
-    """Fixed log2-bucket histogram, numpy-backed.
+    """Fixed log2-bucket histogram over a plain ``list[int]``.
 
     Values are bucketed by ``int(v).bit_length()``: bucket 0 collects
     ``v < 1``, bucket *i* the half-open range ``[2**(i-1), 2**i)``.
@@ -150,7 +148,7 @@ class Histogram:
     __slots__ = ("buckets", "count", "total")
 
     def __init__(self) -> None:
-        self.buckets = np.zeros(HIST_BUCKETS, dtype=np.int64)
+        self.buckets = [0] * HIST_BUCKETS
         self.count = 0
         self.total = 0.0
 
@@ -179,17 +177,7 @@ class Histogram:
     def percentile(self, q: float) -> float:
         """Approximate percentile: the upper edge of the bucket holding
         the q-th sample (exact to within one doubling)."""
-        if not 0 <= q <= 100:
-            raise ConfigurationError(f"q={q} outside [0, 100]")
-        if not self.count:
-            return 0.0
-        rank = q / 100.0 * self.count
-        seen = 0
-        for i, n in enumerate(self.buckets.tolist()):
-            seen += n
-            if seen >= rank and n:
-                return self.bucket_bounds(i)[1]
-        return self.bucket_bounds(HIST_BUCKETS - 1)[1]
+        return self.percentiles((q,))[0]
 
     def percentiles(self, qs: tuple[float, ...] = (50.0, 99.0, 99.9)
                     ) -> list[float]:
@@ -202,7 +190,7 @@ class Histogram:
             return [0.0 for _ in qs]
         order = sorted(range(len(qs)), key=lambda k: qs[k])
         out = [0.0] * len(qs)
-        counts = self.buckets.tolist()
+        counts = self.buckets
         seen = 0
         i = 0
         for k in order:
@@ -216,19 +204,17 @@ class Histogram:
 
     def snapshot(self) -> dict:
         """Counts keyed by bucket lower edge (non-empty buckets only)."""
-        idx = np.flatnonzero(self.buckets)
         return {
             "count": self.count,
             "total": self.total,
             "buckets": {
-                ("<1" if i == 0 else str(1 << (i - 1))):
-                    int(self.buckets[i])
-                for i in idx.tolist()
+                ("<1" if i == 0 else str(1 << (i - 1))): n
+                for i, n in enumerate(self.buckets) if n
             },
         }
 
     def merge(self, other: "Histogram") -> None:
-        self.buckets += other.buckets
+        self.buckets = [a + b for a, b in zip(self.buckets, other.buckets)]
         self.count += other.count
         self.total += other.total
 

@@ -16,47 +16,7 @@ constants ``WEB``/``CACHE_A``/``CACHE_B``/``CI``/``ADS``/``RDMA`` and
 the ``BY_NAME`` dict — use the registry instead.
 """
 
-import warnings
-
-from .base import Workload, WorkloadSpec
-from .config import WorkloadConfig, WorkloadResult, run_workload
-from .fragmenter import fragment_fully, fragment_partially
-from .registry import (
-    canonical_service_name,
-    get_service,
-    list_services,
-    register_service,
-)
-from .requestloop import (
-    LoopResult,
-    MigrationSchedule,
-    RequestLoop,
-    relative_throughput_simulated,
-)
-from .tracegen import (
-    LatencyRecorder,
-    LoadgenConfig,
-    LoadgenResult,
-    TraceShape,
-    get_shape,
-    list_shapes,
-    register_shape,
-    run_loadgen,
-    sample_arrivals,
-    sample_service,
-)
-from .tracelog import TraceEvent, TraceRecorder, load_trace, replay
-from .interference import (
-    MEMCACHED,
-    NGINX,
-    REGULAR_RATE,
-    VERY_HIGH_RATE,
-    ServerApp,
-    interference_overhead,
-    migration_window_cycles,
-    relative_throughput,
-)
-from .services import PRODUCTION_SERVICES, WALK_CHARACTERISATION
+from .._lazy import lazy_exports
 
 __all__ = [
     "LatencyRecorder",
@@ -100,44 +60,36 @@ __all__ = [
     "sample_service",
 ]
 
-#: Deprecated module constants and their registry names.
-_DEPRECATED_SERVICES = {
-    "WEB": "web",
-    "CACHE_A": "cache-a",
-    "CACHE_B": "cache-b",
-    "CI": "ci",
-    "ADS": "ads",
-    "RDMA": "rdma",
+#: Deprecated module constants (and the ``BY_NAME`` dict) with the
+#: registry spelling that replaces each; names already warned about.
+_DEPRECATED = {
+    "WEB": (".services", "get_service('web')"),
+    "CACHE_A": (".services", "get_service('cache-a')"),
+    "CACHE_B": (".services", "get_service('cache-b')"),
+    "CI": (".services", "get_service('ci')"),
+    "ADS": (".services", "get_service('ads')"),
+    "RDMA": (".services", "get_service('rdma')"),
+    "BY_NAME": (".services", "get_service(name) / list_services()"),
 }
-
 _DEPRECATION_WARNED: set[str] = set()
 
-
-def _warn_once(key: str, message: str) -> None:
-    if key in _DEPRECATION_WARNED:
-        return
-    _DEPRECATION_WARNED.add(key)
-    warnings.warn(message, DeprecationWarning, stacklevel=3)
-
-
-def __getattr__(name: str):
-    """Warn-once deprecation shims for the pre-registry surface.
-
-    ``from repro.workloads import CACHE_B`` keeps working but points at
-    the registry; the first access per process warns, later accesses
-    are silent even under ``-W error`` (sweeps don't die mid-run).
-    """
-    if name in _DEPRECATED_SERVICES:
-        registry_name = _DEPRECATED_SERVICES[name]
-        _warn_once(name, (
-            f"repro.workloads.{name} is deprecated; use "
-            f"get_service({registry_name!r}) (docs/API.md)"))
-        return get_service(registry_name)
-    if name == "BY_NAME":
-        _warn_once("BY_NAME", (
-            "repro.workloads.BY_NAME is deprecated; use "
-            "get_service(name) / list_services() (docs/API.md)"))
-        from .services import BY_NAME
-        return BY_NAME
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}")
+# ``from repro.workloads import CACHE_B`` keeps working but warns on the
+# first access per process; later accesses are silent even under
+# ``-W error`` (sweeps don't die mid-run).
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".base": ("Workload", "WorkloadSpec"),
+    ".config": ("WorkloadConfig", "WorkloadResult", "run_workload"),
+    ".fragmenter": ("fragment_fully", "fragment_partially"),
+    ".registry": ("canonical_service_name", "get_service", "list_services",
+                  "register_service"),
+    ".requestloop": ("LoopResult", "MigrationSchedule", "RequestLoop",
+                     "relative_throughput_simulated"),
+    ".tracegen": ("LatencyRecorder", "LoadgenConfig", "LoadgenResult",
+                  "TraceShape", "get_shape", "list_shapes", "register_shape",
+                  "run_loadgen", "sample_arrivals", "sample_service"),
+    ".tracelog": ("TraceEvent", "TraceRecorder", "load_trace", "replay"),
+    ".interference": ("MEMCACHED", "NGINX", "REGULAR_RATE", "VERY_HIGH_RATE",
+                      "ServerApp", "interference_overhead",
+                      "migration_window_cycles", "relative_throughput"),
+    ".services": ("PRODUCTION_SERVICES", "WALK_CHARACTERISATION"),
+}, deprecated=_DEPRECATED, warned=_DEPRECATION_WARNED)

@@ -81,3 +81,9 @@ def canonical_service_name(name: str) -> str:
 def list_services() -> list[str]:
     """Registered canonical service names, sorted."""
     return sorted(_SERVICES)
+
+
+# The built-in services register themselves when their module loads.
+# Loading it from here means every path to a lookup sees them, whichever
+# submodule was imported first (the package ``__init__`` is lazy).
+from . import services as _builtin_services  # noqa: E402,F401

@@ -8,9 +8,12 @@ mirror.
 
 Events are logical, not physical: ``alloc`` records order/source/
 migratetype/pinned and assigns a trace-local id; ``free``/``pin``/
-``unpin`` refer to that id; ``advance`` carries simulated time.  Replay
-maps ids to whatever handles the target kernel returns, so the same trace
-drives kernels with totally different placement decisions.
+``unpin`` refer to that id; ``advance`` carries simulated time.  A bulk
+allocation is recorded as the ``alloc`` of each page it returned;
+``thp`` and ``gigapage`` are attempts, with ``obj`` -1 when the
+recording kernel fell back or raised.  Replay maps ids to whatever
+handles the target kernel returns, so the same trace drives kernels with
+totally different placement decisions.
 """
 
 from __future__ import annotations
@@ -19,18 +22,24 @@ import json
 from dataclasses import dataclass, field
 from typing import IO
 
-from ..errors import ConfigurationError, OutOfMemoryError, ReproError
+from ..errors import (
+    ConfigurationError,
+    ContiguityError,
+    OutOfMemoryError,
+    ReproError,
+)
 from ..mm.page import AllocSource, MigrateType
 
-#: Trace format version.
-TRACE_VERSION = 1
+#: Trace format version.  2 added the ``thp`` and ``gigapage`` ops;
+#: version-1 files hold a subset of the ops and still load.
+TRACE_VERSION = 2
 
 
 @dataclass
 class TraceEvent:
     """One logical allocation event."""
 
-    op: str                 # alloc | free | pin | unpin | advance
+    op: str     # alloc | free | pin | unpin | advance | thp | gigapage
     obj: int = -1           # trace-local object id (alloc assigns)
     order: int = 0
     source: int = 0
@@ -52,8 +61,9 @@ class TraceEvent:
 class TraceRecorder:
     """Wraps a kernel, logging every call it forwards.
 
-    Use it exactly like a kernel facade for the five operations it
-    records; everything else is delegated untouched.
+    Use it exactly like a kernel facade for the operations it records
+    (every call that allocates, frees, pins or advances time);
+    everything else is delegated untouched.
     """
 
     def __init__(self, kernel) -> None:
@@ -64,6 +74,19 @@ class TraceRecorder:
         self._ids: dict[object, int] = {}
         self._next = 0
 
+    def _record(self, op, handle, source=0, migratetype=None, **fields):
+        """Log an allocating *op*; *handle* gets the next trace id, or
+        -1 when the kernel produced no handle."""
+        obj = -1
+        if handle is not None:
+            obj = self._ids[handle] = self._next
+            self._next += 1
+        self.events.append(TraceEvent(
+            op=op, obj=obj, source=int(source),
+            migratetype=None if migratetype is None else int(migratetype),
+            **fields))
+        return handle
+
     def alloc_pages(self, order: int = 0,
                     source: AllocSource = AllocSource.USER,
                     migratetype: MigrateType | None = None,
@@ -72,14 +95,34 @@ class TraceRecorder:
         handle = self.kernel.alloc_pages(
             order=order, source=source, migratetype=migratetype,
             pinned=pinned, reclaimable=reclaimable, **kwargs)
-        obj = self._next
-        self._next += 1
-        self._ids[handle] = obj
-        self.events.append(TraceEvent(
-            op="alloc", obj=obj, order=order, source=int(source),
-            migratetype=None if migratetype is None else int(migratetype),
-            pinned=pinned, reclaimable=reclaimable))
-        return handle
+        return self._record("alloc", handle, source, migratetype,
+                            order=order, pinned=pinned,
+                            reclaimable=reclaimable)
+
+    def alloc_pages_bulk(self, count: int,
+                         source: AllocSource = AllocSource.USER,
+                         migratetype: MigrateType | None = None,
+                         reclaimable: bool = False):
+        handles = self.kernel.alloc_pages_bulk(
+            count, source=source, migratetype=migratetype,
+            reclaimable=reclaimable)
+        for handle in handles:
+            self._record("alloc", handle, source, migratetype,
+                         reclaimable=reclaimable)
+        return handles
+
+    def alloc_thp(self, source: AllocSource = AllocSource.USER,
+                  reclaimable: bool = False):
+        return self._record(
+            "thp", self.kernel.alloc_thp(source, reclaimable), source,
+            reclaimable=reclaimable)
+
+    def alloc_gigapage(self):
+        try:
+            return self._record("gigapage", self.kernel.alloc_gigapage())
+        except ContiguityError:
+            self._record("gigapage", None)
+            raise
 
     def free_pages(self, handle) -> None:
         obj = self._ids.pop(handle, None)
@@ -128,7 +171,7 @@ class ReplayResult:
 def load_trace(fh: IO[str]) -> list[TraceEvent]:
     """Read a trace written by :meth:`TraceRecorder.save`."""
     header = json.loads(fh.readline())
-    if header.get("version") != TRACE_VERSION:
+    if header.get("version") not in (1, TRACE_VERSION):
         raise ConfigurationError(
             f"unsupported trace version {header.get('version')}")
     return [TraceEvent.from_json(line) for line in fh if line.strip()]
@@ -141,7 +184,10 @@ def replay(events: list[TraceEvent], kernel,
     Allocation failures are tolerated by default (a smaller or more
     fragmented target may OOM where the recording kernel did not): the
     failed object simply never exists, and its later events are skipped —
-    the comparison then includes the failure count itself.
+    the comparison then includes the failure count itself.  A ``thp`` or
+    ``gigapage`` attempt is made whatever it recorded, because a failed
+    attempt compacts and reclaims too; a huge page the recording never
+    got is handed straight back.
     """
     result = ReplayResult()
     for event in events:
@@ -165,6 +211,21 @@ def replay(events: list[TraceEvent], kernel,
                 result.alloc_failures += 1
                 continue
             result.live_objects[event.obj] = handle
+            continue
+        if event.op in ("thp", "gigapage"):
+            try:
+                handle = (kernel.alloc_gigapage() if event.op == "gigapage"
+                          else kernel.alloc_thp(AllocSource(event.source),
+                                                event.reclaimable))
+            except ContiguityError:
+                handle = None
+            if event.obj < 0:
+                if handle is not None:
+                    kernel.free_pages(handle)
+            elif handle is None:
+                result.alloc_failures += 1
+            else:
+                result.live_objects[event.obj] = handle
             continue
         handle = result.live_objects.get(event.obj)
         if handle is None or handle.freed:

@@ -2,13 +2,30 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
 from repro.core import ContiguitasConfig, ContiguitasKernel
 from repro.mm import AllocSource, KernelConfig, LinuxKernel
 from repro.units import MiB
+
+
+def fresh_python(code: str, env: dict | None = None
+                 ) -> subprocess.CompletedProcess:
+    """Run *code* in a new interpreter with ``src/`` on the path — the
+    only place import-time behaviour (lazy exports, import tiers) can be
+    observed, since this process has long since imported everything."""
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src, **(env or {})},
+        capture_output=True, text=True, timeout=120)
 
 
 def make_linux(mem_mib: int = 32, **kwargs) -> LinuxKernel:

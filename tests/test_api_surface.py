@@ -7,11 +7,15 @@ Accidental exports (a helper leaking into ``import *``) and accidental
 breakage (a public name vanishing in a refactor) both fail this file.
 """
 
+import inspect
+import sys
 import warnings
+from importlib import import_module
 
 import pytest
 
 import repro
+import repro.analysis
 import repro.experiments
 import repro.fleet
 import repro.scenarios
@@ -20,6 +24,8 @@ from repro.errors import ConfigurationError
 from repro.fleet import FleetConfig, run_fleet
 from repro.fleet.server import ServerConfig
 from repro.units import MiB
+
+from conftest import fresh_python
 
 SMALL = ServerConfig(mem_bytes=MiB(64), min_uptime_steps=20,
                      max_uptime_steps=40)
@@ -310,6 +316,109 @@ class TestWorkloadDeprecationShims:
 
         repro.workloads._DEPRECATION_WARNED.add("RDMA")
         assert repro.workloads.RDMA is get_service("rdma")
+
+
+LAZY_PACKAGES = ("repro", "repro.analysis", "repro.workloads")
+
+
+class TestLazyExports:
+    """The three packages whose re-exports resolve on first access
+    (docs/INTERNALS.md, "Import tiers")."""
+
+    @pytest.mark.parametrize("package", LAZY_PACKAGES)
+    def test_every_export_is_its_home_modules_object(self, package):
+        pkg = import_module(package)
+        for name in pkg.__all__:
+            obj = getattr(pkg, name)
+            if inspect.isclass(obj) or inspect.isfunction(obj):
+                assert getattr(import_module(obj.__module__), name) is obj
+                assert obj.__module__.startswith(package + ".")
+            elif name != "__version__":
+                # A constant: some plain module below the package
+                # defines this very object.
+                homes = [m for key, m in list(sys.modules.items())
+                         if key.startswith(package + ".")
+                         and not hasattr(m, "__path__")
+                         and m.__dict__.get(name) is obj]
+                assert homes, f"{package}.{name} has no home module"
+            # ...and the lookup cached it as a plain global.
+            assert pkg.__dict__[name] is obj
+
+    @pytest.mark.parametrize("package", LAZY_PACKAGES)
+    def test_dir_and_star_import_in_a_fresh_interpreter(self, package):
+        done = fresh_python(
+            f"import sys, {package} as pkg\n"
+            "assert set(pkg.__all__) <= set(dir(pkg)), 'dir'\n"
+            "assert 'numpy' not in sys.modules, 'dir() resolved exports'\n"
+            f"from {package} import *\n"
+            "missing = [n for n in pkg.__all__ if n not in globals()]\n"
+            "assert not missing, missing\n")
+        assert done.returncode == 0, done.stderr
+
+    @pytest.mark.parametrize("package", LAZY_PACKAGES)
+    def test_unknown_attribute_names_the_module(self, package):
+        pkg = import_module(package)
+        with pytest.raises(AttributeError, match=repr(package)):
+            pkg.no_such_export
+        assert not hasattr(pkg, "no_such_export")
+        with pytest.raises(ImportError):
+            exec(f"from {package} import no_such_export")
+
+    def test_attribute_set_before_first_access_wins(self):
+        """The benchmark's taps and tests patch package attributes; a
+        value somebody set must never be replaced by the lazy lookup."""
+        done = fresh_python(
+            "import sys\n"
+            "import repro.workloads as w\n"
+            "tap = object()\n"
+            "w.run_loadgen = tap\n"
+            "assert w.run_loadgen is tap\n"
+            "from repro.workloads import run_loadgen\n"
+            "assert run_loadgen is tap\n"
+            "assert 'repro.workloads.tracegen' not in sys.modules\n"
+            "del w.run_loadgen\n"
+            "from repro.workloads.tracegen import run_loadgen as real\n"
+            "assert w.run_loadgen is real\n")
+        assert done.returncode == 0, done.stderr
+
+    def test_patch_and_restore_after_first_access(self):
+        original = repro.workloads.sample_service
+        repro.workloads.sample_service = wrapper = object()
+        try:
+            assert repro.workloads.sample_service is wrapper
+        finally:
+            repro.workloads.sample_service = original
+        assert repro.workloads.sample_service is original
+
+    def test_submodules_import_through_the_lazy_package(self):
+        from repro.analysis import deeplint
+        from repro.workloads import tracegen
+
+        assert tracegen.run_loadgen is repro.workloads.run_loadgen
+        assert deeplint.__name__ == "repro.analysis.deeplint"
+
+    def test_registry_is_populated_whichever_module_loads_first(self):
+        for first in ("repro.workloads.registry", "repro.workloads.services",
+                      "repro.workloads.config"):
+            done = fresh_python(
+                f"import {first}\n"
+                "from repro.workloads.registry import list_services\n"
+                "assert 'web' in list_services(), list_services()\n")
+            assert done.returncode == 0, (first, done.stderr)
+
+    def test_deprecated_name_warns_once_in_a_fresh_interpreter(self):
+        done = fresh_python(
+            "import warnings\n"
+            "import repro.workloads as w\n"
+            "with warnings.catch_warnings(record=True) as caught:\n"
+            "    warnings.simplefilter('always')\n"
+            "    from repro.workloads import BY_NAME\n"
+            "    again = w.BY_NAME\n"
+            "assert again is BY_NAME\n"
+            "assert 'BY_NAME' not in w.__dict__\n"
+            "assert len(caught) == 1, [str(c.message) for c in caught]\n"
+            "assert 'list_services()' in str(caught[0].message)\n")
+        assert done.returncode == 0, done.stderr
 
 
 class TestScenarioFrontDoor:

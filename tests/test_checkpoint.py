@@ -74,6 +74,17 @@ class TestEnvelope:
         # including the store's last-good fallback — catches it too.
         assert issubclass(CheckpointVersionError, CheckpointCorruptError)
 
+    def test_previous_format_version_is_refused(self, tmp_path):
+        """Version 2 loadgen payloads pickled a numpy-backed Histogram;
+        resuming one must stop at the envelope, not mid-``json.dumps``."""
+        assert FORMAT_VERSION == 3
+        path = tmp_path / "x.ckpt"
+        data = bytearray(encode_checkpoint("loadgen", 1, {}))
+        data[4:8] = (2).to_bytes(4, "big")
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointVersionError, match="version 2"):
+            read_checkpoint(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.ckpt"
         data = bytearray(encode_checkpoint("demo", 1, {}))
@@ -318,6 +329,10 @@ class TestLoadgenCrashResume:
         assert resumed.rows() == reference.rows()
         assert resumed.requests == reference.requests
         assert resumed.achieved_rps == reference.achieved_rps
+        # The recorder rides in the payload: what came back through
+        # pickle still serialises (plain ints, no numpy scalars).
+        assert (json.dumps(resumed.snapshot(), sort_keys=True)
+                == json.dumps(reference.snapshot(), sort_keys=True))
 
 
 def _small_fleet(seed, n_servers=4, telemetry=None):

@@ -1,0 +1,98 @@
+"""The import-tier boundary (docs/INTERNALS.md, "Import tiers").
+
+The cold tier — ``repro``, ``repro.cli`` and every cache-only or
+metadata verb — must never import numpy or the simulator.  Each case
+runs in a fresh interpreter and inspects ``sys.modules`` afterwards; a
+timing assertion would flake, a module list cannot.
+"""
+
+import json
+
+import pytest
+
+import repro.units
+from conftest import fresh_python
+
+#: What the hot tier looks like from ``sys.modules``.
+HOT = ("numpy", "repro.mm", "repro.core", "repro.kalloc", "repro.sim",
+       "repro.fleet", "repro.workloads.base")
+
+PROBE = """
+import json, sys
+{body}
+hot = [h for h in {hot!r}
+       if any(m == h or m.startswith(h + ".") for m in sys.modules)]
+print("\\nHOT=" + json.dumps(hot))
+"""
+
+
+def run_probe(body: str, env: dict | None = None) -> list[str]:
+    """Run *body* in a fresh interpreter; the hot modules it loaded."""
+    done = fresh_python(PROBE.format(body=body, hot=HOT), env)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.rsplit("HOT=", 1)[1])
+
+
+def main_body(*argv: str) -> str:
+    """``repro.cli.main(argv)``, tolerating the clean SystemExit of
+    ``--help``."""
+    return ("from repro.cli import main\n"
+            "try:\n"
+            f"    main({list(argv)!r})\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code in (None, 0), exc.code\n")
+
+
+@pytest.fixture(scope="module")
+def warm(tmp_path_factory):
+    """A populated result cache, a manifest and a checkpoint directory
+    for the cache-only verbs to read (made once, with the hot tier)."""
+    root = tmp_path_factory.mktemp("tiers")
+    cache = root / "cache"
+    manifest = root / "scenario.json"
+    ckpt = root / "ckpt"
+    for argv in (
+            ["scenario", "run", "steady-web", "--smoke",
+             "--manifest", str(manifest)],
+            ["loadgen", "--duration", "2e-4", "--checkpoint-every", "1",
+             "--checkpoint-dir", str(ckpt)]):
+        done = fresh_python(main_body(*argv),
+                            {"REPRO_EXPERIMENT_CACHE": str(cache)})
+        assert done.returncode == 0, done.stderr
+    return {"cache": str(cache), "manifest": str(manifest),
+            "ckpt": str(ckpt)}
+
+
+CASES = {
+    "import-repro": lambda warm: "import repro",
+    "import-cli": lambda warm: "import repro.cli",
+    "build-parser": lambda warm: (
+        "from repro.cli import build_parser\nbuild_parser()"),
+    "scenario-run-warm": lambda warm: main_body(
+        "scenario", "run", "steady-web", "--smoke"),
+    "scenario-list": lambda warm: main_body("scenario", "list"),
+    "experiment-list": lambda warm: main_body("experiment", "list"),
+    "metrics": lambda warm: main_body("metrics", warm["manifest"]),
+    "checkpoint-inspect": lambda warm: main_body(
+        "checkpoint", "inspect", warm["ckpt"]),
+    "chaos-list-plans": lambda warm: main_body("chaos", "--list-plans"),
+    "lint-file": lambda warm: main_body("lint", repro.units.__file__),
+    "help": lambda warm: main_body("--help"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cold_tier_loads_nothing_hot(case, warm):
+    """(A ``scenario run`` that missed the cache would simulate, and so
+    fail here too: the case proves it was warm as well as cold-tier.)"""
+    loaded = run_probe(CASES[case](warm),
+                       env={"REPRO_EXPERIMENT_CACHE": warm["cache"]})
+    assert loaded == [], f"{case} pulled in the hot tier: {loaded}"
+
+
+def test_probe_sees_the_hot_tier_when_it_loads():
+    """The guard itself: a verb that simulates does load numpy and mm,
+    so an empty list above means something."""
+    loaded = run_probe("import repro\nrepro.LinuxKernel")
+    assert "numpy" in loaded and "repro.mm" in loaded
+

@@ -2,7 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.telemetry import (
@@ -227,6 +230,15 @@ class TestHistogram:
         assert a.count == 3
         assert a.snapshot()["buckets"] == {"4": 2, "64": 1}
 
+    def test_buckets_are_plain_ints(self):
+        """The cold tier's one instrument: no numpy in the state it
+        pickles into loadgen checkpoints or dumps into manifests."""
+        h = Histogram()
+        h.observe(7)
+        assert type(h.buckets) is list
+        assert all(type(n) is int for n in h.buckets)
+        json.dumps(h.snapshot())
+
     def test_percentile_upper_edge(self):
         h = Histogram()
         for _ in range(99):
@@ -236,6 +248,89 @@ class TestHistogram:
         assert h.percentile(100) == 1024.0
         with pytest.raises(ConfigurationError):
             h.percentile(101)
+
+
+class ReferenceHistogram:
+    """The numpy-backed 64-slot histogram ``Histogram`` replaced, kept
+    as the reference its list-backed form must equal exactly."""
+
+    def __init__(self):
+        self.buckets = np.zeros(HIST_BUCKETS, dtype=np.int64)
+        self.count = 0
+        self.total = 0.0
+
+    def observe(self, value):
+        self.buckets[Histogram.bucket_index(value)] += 1
+        self.count += 1
+        self.total += value
+
+    def percentile(self, q):
+        if not self.count:
+            return 0.0
+        rank = q / 100.0 * self.count
+        seen = 0
+        for i, n in enumerate(self.buckets.tolist()):
+            seen += n
+            if seen >= rank and n:
+                return Histogram.bucket_bounds(i)[1]
+        return Histogram.bucket_bounds(HIST_BUCKETS - 1)[1]
+
+    def snapshot(self):
+        return {
+            "count": self.count,
+            "total": self.total,
+            "buckets": {
+                ("<1" if i == 0 else str(1 << (i - 1))):
+                    int(self.buckets[i])
+                for i in np.flatnonzero(self.buckets).tolist()
+            },
+        }
+
+    def merge(self, other):
+        self.buckets += other.buckets
+        self.count += other.count
+        self.total += other.total
+
+
+#: Non-negative observations that land on and around every bucket edge,
+#: up to the clamp at ``2**63``, plus sub-1 and ordinary floats.
+_edges = st.integers(0, 63).flatmap(
+    lambda k: st.sampled_from([(1 << k) - 1, 1 << k, (1 << k) + 1]))
+_values = st.one_of(_edges, st.integers(0, 2**63),
+                    st.floats(0, 2.0**63, allow_nan=False))
+_quantiles = st.floats(0, 100, allow_nan=False)
+
+
+def _filled(values):
+    new, ref = Histogram(), ReferenceHistogram()
+    for v in values:
+        new.observe(v)
+        ref.observe(v)
+    return new, ref
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_values, max_size=60), st.lists(_values, max_size=60),
+       st.lists(_quantiles, max_size=5))
+def test_histogram_equals_the_64_slot_reference(left, right, qs):
+    """snapshot / percentile / percentiles / merge agree with the
+    reference on arbitrary input — byte for byte where they serialise."""
+    new, ref = _filled(left)
+    other_new, other_ref = _filled(right)
+    for pair in ((new, ref), (other_new, other_ref)):
+        assert json.dumps(pair[0].snapshot()) == json.dumps(
+            pair[1].snapshot())
+    new.merge(other_new)
+    ref.merge(other_ref)
+    assert json.dumps(new.snapshot()) == json.dumps(ref.snapshot())
+    assert new.buckets == ref.buckets.tolist()
+    for q in (0.0, 50.0, 99.0, 99.9, 100.0, *qs):
+        assert new.percentile(q) == ref.percentile(q)
+    batch = (50.0, 99.0, 99.9, *qs)
+    assert new.percentiles(batch) == [ref.percentile(q) for q in batch]
+    # merge must not alias the other histogram's buckets
+    other_new.observe(1)
+    assert new.buckets == ref.buckets.tolist()
 
 
 class TestMetricsRegistry:
