@@ -3,44 +3,25 @@
 Sweeps the Algorithm-1 coefficient space against a bursty unmovable-demand
 trace and reports the best configuration found vs the hand-tuned default
 — the "automated parameter space search" the paper defers.
+
+Driven by the ``ablation-autotune`` :class:`repro.experiments` spec
+(shared with ``repro experiment run ablation-autotune``).
 """
 
-from repro.analysis import format_table
-from repro.core.autotune import random_search, square_wave_demand
+from repro.experiments import run_experiment
 
 from common import save_result
 
-TRIALS = 24
-
 
 def compute():
-    demand = square_wave_demand(periods=3, low_frames=256,
-                                high_frames=3072, steps_per_level=40)
-    return random_search(demand=demand, trials=TRIALS, seed=5)
+    return run_experiment("ablation-autotune")
 
 
 def test_ablation_autotune(benchmark):
-    out = benchmark.pedantic(compute, rounds=1, iterations=1)
-    base = out.history[0][0]
-    best = out.best
-    rows = [
-        ("threshold_unmov", f"{base.threshold_unmov:.2f}",
-         f"{best.threshold_unmov:.2f}"),
-        ("threshold_mov", f"{base.threshold_mov:.2f}",
-         f"{best.threshold_mov:.2f}"),
-        ("c_ue", f"{base.c_ue:.3f}", f"{best.c_ue:.3f}"),
-        ("c_me", f"{base.c_me:.3f}", f"{best.c_me:.3f}"),
-        ("c_ms", f"{base.c_ms:.3f}", f"{best.c_ms:.3f}"),
-        ("c_us", f"{base.c_us:.3f}", f"{best.c_us:.3f}"),
-        ("cost", f"{out.baseline_cost:,.0f}", f"{out.best_cost:,.0f}"),
-    ]
-    text = format_table(
-        ["Parameter", "Default", "Tuned"],
-        rows,
-        title=(f"Algorithm-1 coefficient search ({TRIALS} trials, bursty "
-               f"demand): {out.improvement:.1%} cost reduction"),
-    )
-    save_result("ablation_autotune.txt", text)
+    result = benchmark.pedantic(compute, rounds=1, iterations=1)
+    save_result("ablation_autotune.txt", result.report())
 
-    assert out.best_cost <= out.baseline_cost
-    assert len(out.history) == TRIALS + 1
+    # Row 0 is the default configuration, then one row per trial.
+    costs = [row["cost"] for row in result.rows]
+    assert min(costs) <= costs[0]
+    assert len(costs) == result.config["trials"] + 1

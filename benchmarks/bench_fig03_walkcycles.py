@@ -3,56 +3,36 @@
 Paper: production counters show up to ~20 % of cycles in page walks; 2 MiB
 pages halve Web's instruction walks but help its data walks much less than
 1 GiB pages do (14 % → 8 %).
+
+Driven by the ``fig03-walk-cycles`` :class:`repro.experiments` spec
+(shared with ``repro experiment run fig03-walk-cycles``).
 """
 
-import pytest
-
-from repro.analysis import format_table
-from repro.perfmodel import MIX_1G, MIX_2M, MIX_4K, walk_cycles
-from repro.workloads import WALK_CHARACTERISATION
-from repro.workloads.services import WEB
+from repro.experiments import run_experiment
 
 from common import save_result
 
-N_INSTR = 150_000
-
 
 def compute():
-    rows = []
-    results = {}
-    for spec in WALK_CHARACTERISATION:
-        mixes = [("4KB", MIX_4K), ("2MB", MIX_2M)]
-        if spec.name == "Web":
-            mixes.append(("1GB", MIX_1G))
-        for label, mix in mixes:
-            r = walk_cycles(spec, mix, n_instructions=N_INSTR, seed=3)
-            results[(spec.name, label)] = r
-            rows.append((spec.name, label,
-                         f"{r.data_pct:.1f}%", f"{r.instr_pct:.1f}%",
-                         f"{r.total_pct:.1f}%"))
-    return rows, results
+    return run_experiment("fig03-walk-cycles")
 
 
 def test_fig03_walkcycles(benchmark):
-    rows, results = benchmark.pedantic(compute, rounds=1, iterations=1)
-    text = format_table(
-        ["Service", "Pages", "Data walk %", "Instr walk %", "Total %"],
-        rows,
-        title="Figure 3: page-walk cycles as % of total cycles",
-    )
-    save_result("fig03_walkcycles.txt", text)
+    result = benchmark.pedantic(compute, rounds=1, iterations=1)
+    save_result("fig03_walkcycles.txt", result.report())
 
+    results = {(row["service"], row["pages"]): row for row in result.rows}
     web_4k = results[("Web", "4KB")]
     web_2m = results[("Web", "2MB")]
     web_1g = results[("Web", "1GB")]
     # Paper: total can approach 20 % of cycles.
-    assert 10.0 < web_4k.total_pct < 35.0
+    assert 10.0 < web_4k["total_pct"] < 35.0
     # Paper: 2 MiB halves Web's instruction walk cycles.
-    assert web_2m.instr_pct < 0.7 * web_4k.instr_pct
+    assert web_2m["instr_pct"] < 0.7 * web_4k["instr_pct"]
     # Paper: 1 GiB's data gain exceeds 2 MiB's for Web.
-    assert (web_4k.data_pct - web_1g.data_pct) > \
-        (web_4k.data_pct - web_2m.data_pct)
+    assert (web_4k["data_pct"] - web_1g["data_pct"]) > \
+        (web_4k["data_pct"] - web_2m["data_pct"])
     # Ordering holds for every service.
-    for spec in WALK_CHARACTERISATION:
-        assert results[(spec.name, "2MB")].total_pct < \
-            results[(spec.name, "4KB")].total_pct
+    for service in {service for service, _ in results}:
+        assert results[(service, "2MB")]["total_pct"] < \
+            results[(service, "4KB")]["total_pct"]

@@ -8,72 +8,36 @@ one local INVLPG, constant in core count.  Linux-Real is represented by
 the analytic cost model calibrated against measurement; Linux-Sim is the
 event-driven protocol model; they must agree within the paper's
 -6 %..+10 % validation band.
+
+Driven by the ``fig13-unavailable`` :class:`repro.experiments` spec
+(shared with ``repro experiment run fig13-unavailable``).
 """
 
-from repro.analysis import format_table
-from repro.mm import MigrationCostModel
-from repro.sim import (
-    DEFAULT_PARAMS,
-    DeviceTlb,
-    Iommu,
-    page_copy_cycles,
-    simulate_contiguitas_migration,
-    simulate_linux_migration,
-)
+from repro.experiments import run_experiment
 
 from common import save_result
 
 
 def compute():
-    analytic = MigrationCostModel()
-    rows = []
-    for victims in range(1, DEFAULT_PARAMS.cores):
-        real = analytic.downtime_cycles(victims)
-        sim = simulate_linux_migration(DEFAULT_PARAMS,
-                                       victims).unavailable_cycles
-        cont = simulate_contiguitas_migration(DEFAULT_PARAMS,
-                                              victims).unavailable_cycles
-        rows.append((victims, real, sim, f"{(sim - real) / real:+.1%}",
-                     cont))
-    return rows
+    return run_experiment("fig13-unavailable")
 
 
 def test_fig13_unavailable(benchmark):
-    rows = benchmark.pedantic(compute, rounds=1, iterations=1)
-    copy = page_copy_cycles(DEFAULT_PARAMS)
-    text = format_table(
-        ["Victim TLBs", "Linux-Real (cycles)", "Linux-Sim (cycles)",
-         "Sim vs Real", "Contiguitas (cycles)"],
-        rows,
-        title="Figure 13: page-unavailable cycles during migration",
-    )
-    text += f"\n\nPage copy cost: {copy} cycles (paper: ~1300)"
-    # Device TLBs (IOMMU/NIC) follow the same protocol on the baseline
-    # (§2.1): a synchronous queued invalidation extends the downtime,
-    # while Contiguitas invalidates them lazily from any core.
-    iommu = Iommu()
-    iommu.attach_device(DeviceTlb(label="nic-tlb"))
-    device_extra = iommu.synchronous_invalidate_cycles()
-    text += (f"\nWith a NIC device TLB, baseline downtime grows by "
-             f"{device_extra} more cycles per page; Contiguitas stays at "
-             f"{DEFAULT_PARAMS.invlpg_cycles}.")
-    cont_total = simulate_contiguitas_migration(DEFAULT_PARAMS, 7)
-    us = DEFAULT_PARAMS.cycles_to_us(cont_total.copy_done_at
-                                     - cont_total.start)
-    text += (f"\nContiguitas-HW 4KB migration copy time: {us:.1f}us "
-             f"(paper: ~2us), page never blocked")
-    save_result("fig13_unavailable.txt", text)
+    result = benchmark.pedantic(compute, rounds=1, iterations=1)
+    save_result("fig13_unavailable.txt", result.report())
 
+    rows = result.rows
     # Linear growth for Linux; constant for Contiguitas.
-    sims = [r[2] for r in rows]
-    conts = [r[4] for r in rows]
+    sims = [row["linux_sim"] for row in rows]
+    conts = [row["contiguitas"] for row in rows]
     deltas = {b - a for a, b in zip(sims, sims[1:])}
     assert len(deltas) == 1, "Linux-Sim not linear"
     assert len(set(conts)) == 1, "Contiguitas not constant"
-    assert conts[0] == DEFAULT_PARAMS.invlpg_cycles
+    assert conts[0] == rows[0]["invlpg_cycles"]
     # Right edge near the paper's ~8000 cycles.
     assert 7000 <= sims[-1] <= 9500
     # Validation band.
-    for _, real, sim, _, _ in rows:
+    for row in rows:
+        real, sim = row["linux_real"], row["linux_sim"]
         assert -0.06 <= (sim - real) / real <= 0.10
-    assert 1100 <= copy <= 1500
+    assert 1100 <= rows[0]["copy_cycles"] <= 1500

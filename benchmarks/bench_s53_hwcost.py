@@ -4,51 +4,28 @@ Paper (CACTI, 22 nm): 0.0038 mm² per slice, 0.0017 nJ/access, 0.64 mW
 leakage, 0.014 % of a core's area; a single entry already sustains far
 more migrations/second than production ever needs (30 µs per migration
 window).
+
+Driven by the ``s53-hwcost`` :class:`repro.experiments` spec (shared
+with ``repro experiment run s53-hwcost``).
 """
 
 import pytest
 
-from repro.analysis import (
-    MetadataTableCost,
-    format_table,
-    migrations_per_second_capacity,
-)
+from repro.experiments import run_experiment
 from repro.workloads import VERY_HIGH_RATE
 
 from common import save_result
 
 
 def compute():
-    cost = MetadataTableCost()
-    return {
-        "area_mm2": cost.area_mm2(),
-        "energy_nj": cost.energy_per_access_nj(),
-        "leakage_mw": cost.leakage_mw(),
-        "core_fraction": cost.fraction_of_core_area(),
-        "capacity_1_entry": migrations_per_second_capacity(entries=1),
-        "capacity_16_entries": migrations_per_second_capacity(entries=16),
-    }
+    return run_experiment("s53-hwcost")
 
 
 def test_s53_hwcost(benchmark):
-    vals = benchmark.pedantic(compute, rounds=1, iterations=1)
-    text = format_table(
-        ["Metric", "Model", "Paper"],
-        [
-            ("area per slice (mm^2)", f"{vals['area_mm2']:.4f}", "0.0038"),
-            ("energy per access (nJ)", f"{vals['energy_nj']:.4f}", "0.0017"),
-            ("leakage (mW)", f"{vals['leakage_mw']:.2f}", "0.64"),
-            ("fraction of core area", f"{vals['core_fraction']:.3%}",
-             "0.014%"),
-            ("migrations/s, 1 entry", f"{vals['capacity_1_entry']:,.0f}",
-             ">> demand"),
-            ("migrations/s, 16 entries",
-             f"{vals['capacity_16_entries']:,.0f}", ">> demand"),
-        ],
-        title="Section 5.3: Contiguitas-HW metadata table cost (22nm)",
-    )
-    save_result("s53_hwcost.txt", text)
+    result = benchmark.pedantic(compute, rounds=1, iterations=1)
+    save_result("s53_hwcost.txt", result.report())
 
+    vals = result.rows[0]
     assert vals["area_mm2"] == pytest.approx(0.0038, rel=0.15)
     assert vals["energy_nj"] == pytest.approx(0.0017, rel=0.15)
     assert vals["leakage_mw"] == pytest.approx(0.64, rel=0.15)

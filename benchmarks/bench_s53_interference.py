@@ -4,67 +4,27 @@ Paper: at the Regular rate (100 migrations/s) neither design affects the
 applications; at Very High (1000/s) the noncacheable design costs 0.2 %
 (NGINX) / 0.3 % (memcached) while the cacheable design stays at ~0.
 Separately, memcached gains ~7 % when contiguity enables 2 MiB pages.
+
+Driven by the ``s53-interference`` :class:`repro.experiments` spec
+(shared with ``repro experiment run s53-interference``).
 """
 
-import pytest
-
-from repro.analysis import format_table
-from repro.core.hwext import AccessMode
-from repro.perfmodel import evaluate_configuration
-from repro.workloads import (
-    MEMCACHED,
-    NGINX,
-    REGULAR_RATE,
-    VERY_HIGH_RATE,
-    interference_overhead,
-    relative_throughput_simulated,
-)
-from repro.workloads.services import CACHE_B
+from repro.experiments import run_experiment
 
 from common import save_result
 
 
 def compute():
-    rows = []
-    overheads = {}
-    for app in (NGINX, MEMCACHED):
-        for rate_name, rate in (("regular", REGULAR_RATE),
-                                ("very-high", VERY_HIGH_RATE)):
-            for mode in (AccessMode.NONCACHEABLE, AccessMode.CACHEABLE):
-                oh = interference_overhead(app, rate, mode)
-                overheads[(app.name, rate_name, mode)] = oh
-                rows.append((app.name, rate_name, mode.value,
-                             f"{oh:.3%}"))
-    # Cross-check at instruction level: the simulated request loop.
-    sim_rows = []
-    for app in (NGINX, MEMCACHED):
-        for mode in (AccessMode.NONCACHEABLE, AccessMode.CACHEABLE):
-            rel = relative_throughput_simulated(
-                app, VERY_HIGH_RATE, mode=mode, requests=1200)
-            sim_rows.append((app.name, "very-high", mode.value,
-                             f"{1 - rel:.4%} (simulated)"))
-    # memcached's huge-page upside once contiguity exists.
-    mc_gain = evaluate_configuration(
-        CACHE_B, {"1g": 0.0, "2m": 1.0, "4k": 0.0}, "thp",
-        n_instructions=120_000).relative_perf
-    return rows + sim_rows, overheads, mc_gain
+    return run_experiment("s53-interference")
 
 
 def test_s53_interference(benchmark):
-    rows, overheads, mc_gain = benchmark.pedantic(compute, rounds=1,
-                                                  iterations=1)
-    text = format_table(
-        ["App", "Migration rate", "HW design", "Throughput overhead"],
-        rows,
-        title=("Section 5.3: migration interference "
-               "(paper: <=0.3% noncacheable at 1000/s, ~0 cacheable)"),
-    )
-    text += (f"\n\nmemcached with 2MB pages: {mc_gain:.3f}x "
-             f"(paper: ~1.07x)")
-    save_result("s53_interference.txt", text)
+    result = benchmark.pedantic(compute, rounds=1, iterations=1)
+    save_result("s53_interference.txt", result.report())
 
-    nc = AccessMode.NONCACHEABLE
-    c = AccessMode.CACHEABLE
+    overheads = {(row["app"], row["rate"], row["design"]): row["overhead"]
+                 for row in result.rows if row["method"] == "analytic"}
+    nc, c = "noncacheable", "cacheable"
     # Regular rate: no measurable impact for either design.
     assert overheads[("nginx", "regular", nc)] < 0.001
     assert overheads[("memcached", "regular", nc)] < 0.001
@@ -74,4 +34,4 @@ def test_s53_interference(benchmark):
     # ...and effectively zero for cacheable.
     assert overheads[("memcached", "very-high", c)] < 1e-4
     # memcached's huge-page win lands near the paper's 7 %.
-    assert 1.03 < mc_gain < 1.12
+    assert 1.03 < result.rows[0]["memcached_2m_gain"] < 1.12

@@ -9,13 +9,10 @@ cost (docs/INTERNALS.md, "Import tiers").
 from __future__ import annotations
 
 import sys
-import warnings
 from importlib import import_module
 
 
-def lazy_exports(package: str, exports: dict[str, tuple[str, ...]],
-                 deprecated: dict[str, tuple[str, str]] | None = None,
-                 warned: set[str] | None = None):
+def lazy_exports(package: str, exports: dict[str, tuple[str, ...]]):
     """``(__getattr__, __dir__)`` for the ``__init__`` of *package*.
 
     *exports* maps a relative submodule (``".core"``) to the names the
@@ -23,10 +20,6 @@ def lazy_exports(package: str, exports: dict[str, tuple[str, ...]],
     submodule and stores the object in the package's globals, so every
     later access is a plain global lookup and a name somebody set on
     the package beforehand (a test, a benchmark tap) is never replaced.
-
-    *deprecated* maps an old name to ``(submodule, replacement)``: it
-    resolves the same way but is not stored, and the first access per
-    process (tracked in *warned*) raises a ``DeprecationWarning``.
     """
     namespace = sys.modules[package].__dict__
     home = {name: module for module, names in exports.items()
@@ -37,14 +30,6 @@ def lazy_exports(package: str, exports: dict[str, tuple[str, ...]],
             value = getattr(import_module(home[name], package), name)
             namespace[name] = value
             return value
-        if deprecated and name in deprecated:
-            module, replacement = deprecated[name]
-            if name not in warned:
-                warned.add(name)
-                warnings.warn(
-                    f"{package}.{name} is deprecated; use {replacement} "
-                    "(docs/API.md)", DeprecationWarning, stacklevel=2)
-            return getattr(import_module(module, package), name)
         raise AttributeError(
             f"module {package!r} has no attribute {name!r}")
 

@@ -17,8 +17,6 @@ SL004     no bare ``assert`` carrying simulator invariants (stripped
 SL005     no mutable default arguments
 SL006     deterministic iteration — set iteration feeding output or
           accumulation in ``fleet``/``telemetry`` needs ``sorted()``
-SL007     no new calls to deprecated APIs (``contiguity_values`` /
-          ``unmovable_values``)
 SL008     retry loops must be bounded — ``while True:`` with retry
           markers needs an attempt counter
 SL009     no per-frame Python-object construction in ``mm`` hot
@@ -40,11 +38,10 @@ from .core import (
     render_json,
     render_text,
 )
-from .rules import DEFAULT_RULES, DEPRECATED_APIS, Rule, rule_catalogue
+from .rules import DEFAULT_RULES, Rule, rule_catalogue
 
 __all__ = [
     "DEFAULT_RULES",
-    "DEPRECATED_APIS",
     "Finding",
     "Rule",
     "lint_file",

@@ -21,15 +21,6 @@ SIM_TIME_SUBSYSTEMS = ("mm", "sim", "kalloc", "fleet")
 #: be bit-identical across runs and worker counts.
 ORDERED_OUTPUT_SUBSYSTEMS = ("fleet", "telemetry")
 
-#: Deprecated API -> replacement (SL007); the shims themselves live in
-#: repro.fleet.sampler and warn at runtime, this rule refuses new call
-#: sites at review time.
-DEPRECATED_APIS = {
-    "contiguity_values": "FleetSample.series('contiguity', granularity)",
-    "unmovable_values": "FleetSample.series('unmovable', granularity)",
-}
-
-
 class Rule:
     """Base class: subclasses set ``code``/``title`` and implement
     :meth:`check`."""
@@ -341,29 +332,6 @@ class DeterministicIterationRule(Rule):
                     "iteration order is arbitrary — wrap in sorted(...)")
 
 
-class DeprecatedApiRule(Rule):
-    """SL007: refuse new calls to deprecated APIs inside the package.
-
-    The runtime shims warn callers once; this rule keeps the package
-    itself honest — new internal code must use the replacement from day
-    one so the shims can eventually be deleted.
-    """
-
-    code = "SL007"
-    title = "no calls to deprecated APIs"
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in DEPRECATED_APIS):
-                replacement = DEPRECATED_APIS[node.func.attr]
-                yield self.finding(
-                    ctx, node,
-                    f".{node.func.attr}() is deprecated; use "
-                    f"{replacement}")
-
-
 class BoundedRetryRule(Rule):
     """SL008: retry loops in non-test code must be bounded.
 
@@ -598,7 +566,6 @@ DEFAULT_RULES = (
     BareAssertRule(),
     MutableDefaultRule(),
     DeterministicIterationRule(),
-    DeprecatedApiRule(),
     BoundedRetryRule(),
     PerFrameObjectRule(),
     AtomicDurableWriteRule(),

@@ -1,27 +1,18 @@
 """Command-line interface: run the paper's experiments from a shell.
 
+Every figure is an experiment spec (``repro experiment list``), so it is
+seeded by policy, cached, ``--json``-able and leaves a manifest; the
+other verbs are the run front doors and the tools around them.
+
 Examples::
 
-    python -m repro fig13                 # migration unavailability curve
-    python -m repro walk --service Web    # page-walk cycles per page size
-    python -m repro steady --service CacheB --kernel contiguitas
-    python -m repro fleet --servers 8     # mini fleet survey
-    python -m repro fleet --servers 8 --trace --events ev.jsonl \\
-        --manifest run.json               # observable fleet run
-    python -m repro chaos --plan ci-smoke --servers 6 \\
-        --manifest chaos.json             # fleet under injected faults
-    python -m repro chaos --list-plans    # named fault plans
-    python -m repro loadgen --trace-shape azure-faas --design cacheable
-    python -m repro trace --match 'mm.buddy.*' --limit 20
-    python -m repro trace --input ev.jsonl --match 'mm.compact.*'
-    python -m repro metrics run.json      # pretty-print one manifest
-    python -m repro metrics a.json b.json # diff two runs
-    python -m repro lint src/repro        # determinism/invariant linter
-    python -m repro lint --deep --strict src/repro  # + whole-program passes
-    python -m repro lint --deep --sarif out.sarif src/repro
-    python -m repro lint --json --list-rules
-    python -m repro hwcost                # metadata-table cost model
     python -m repro experiment list       # registered experiment specs
+    python -m repro experiment run fig13-unavailable   # Fig. 13 curve
+    python -m repro experiment run fig03-walk-cycles \\
+        --set instructions=20000          # page-walk cycles, shorter run
+    python -m repro experiment run workload-steady --set service=cache-b \\
+        --set kernel=contiguitas          # steady-state fragmentation
+    python -m repro experiment run s53-hwcost --json   # metadata table
     python -m repro experiment run fig04-contiguity-cdf --seed 7
     python -m repro experiment sweep fleet-survey --manifest sweep.json
     python -m repro experiment report fig06-sources --json
@@ -30,6 +21,22 @@ Examples::
     python -m repro scenario run fragmentation-aging --smoke
     python -m repro scenario run steady-web --set design=nc --html r.html
     python -m repro scenario report crash-restart-soak --smoke
+    python -m repro fleet --servers 8     # mini fleet survey
+    python -m repro fleet --servers 8 --trace --events ev.jsonl \\
+        --manifest run.json               # observable fleet run
+    python -m repro chaos --plan ci-smoke --servers 6 \\
+        --manifest chaos.json             # fleet under injected faults
+    python -m repro chaos --list-plans    # named fault plans
+    python -m repro loadgen --trace-shape azure-faas --design cacheable
+    python -m repro checkpoint inspect ck/   # a killed run's generations
+    python -m repro trace --match 'mm.buddy.*' --limit 20
+    python -m repro trace --input ev.jsonl --match 'mm.compact.*'
+    python -m repro metrics run.json      # pretty-print one manifest
+    python -m repro metrics a.json b.json # diff two runs
+    python -m repro lint src/repro        # determinism/invariant linter
+    python -m repro lint --deep --strict src/repro  # + whole-program passes
+    python -m repro lint --deep --sarif out.sarif src/repro
+    python -m repro lint --json --list-rules
 
 Shared options (``--seed``, ``--workers``, ``--json``, ``--manifest``)
 are declared once on parent parsers so every verb spells and validates
@@ -40,86 +47,9 @@ from __future__ import annotations
 
 import argparse
 
-from .analysis.reporting import format_table, percent
+from .analysis.reporting import format_table
 from .errors import CheckpointError, ConfigurationError
-from .units import MiB, PAGEBLOCK_FRAMES
-
-
-def _cmd_fig13(args) -> None:
-    from .mm import MigrationCostModel
-    from .sim import (
-        DEFAULT_PARAMS,
-        simulate_contiguitas_migration,
-        simulate_linux_migration,
-    )
-
-    analytic = MigrationCostModel()
-    rows = []
-    for victims in range(1, DEFAULT_PARAMS.cores):
-        rows.append((
-            victims,
-            analytic.downtime_cycles(victims),
-            simulate_linux_migration(DEFAULT_PARAMS,
-                                     victims).unavailable_cycles,
-            simulate_contiguitas_migration(DEFAULT_PARAMS,
-                                           victims).unavailable_cycles,
-        ))
-    print(format_table(
-        ["Victim TLBs", "Linux-Real", "Linux-Sim", "Contiguitas"],
-        rows, title="Page-unavailable cycles during migration (Fig. 13)"))
-
-
-def _cmd_walk(args) -> None:
-    from .perfmodel import MIX_1G, MIX_2M, MIX_4K, walk_cycles
-    from .workloads import get_service
-
-    spec = get_service(args.service)
-    rows = []
-    for label, mix in (("4KB", MIX_4K), ("2MB", MIX_2M), ("1GB", MIX_1G)):
-        r = walk_cycles(spec, mix, n_instructions=args.instructions)
-        rows.append((label, f"{r.data_pct:.1f}%", f"{r.instr_pct:.1f}%",
-                     f"{r.total_pct:.1f}%"))
-    print(format_table(
-        ["Pages", "Data walk", "Instr walk", "Total"],
-        rows, title=f"{spec.name}: page-walk cycles (Fig. 3)"))
-
-
-def _cmd_steady(args) -> None:
-    from .analysis.contiguity import (
-        unmovable_block_fraction,
-        unmovable_region_internal_frag,
-    )
-    from .core import ContiguitasConfig, ContiguitasKernel
-    from .mm import KernelConfig, LinuxKernel
-    from .workloads import Workload, get_service
-
-    spec = get_service(args.service)
-    mem = MiB(args.mem_mib)
-    kernel = (LinuxKernel(KernelConfig(mem_bytes=mem))
-              if args.kernel == "linux"
-              else ContiguitasKernel(ContiguitasConfig(mem_bytes=mem)))
-    workload = Workload(kernel, spec, seed=args.seed)
-    workload.start()
-    for _ in range(args.steps):
-        workload.step()
-    rows = [
-        ("unmovable 2MB blocks",
-         percent(unmovable_block_fraction(kernel.mem, PAGEBLOCK_FRAMES))),
-        ("THP coverage", percent(workload.huge_coverage()["2m"])),
-        ("1G coverage", percent(workload.huge_coverage()["1g"])),
-        ("free frames", f"{kernel.free_frames():,}"),
-    ]
-    if args.kernel == "contiguitas":
-        rows.append(("unmovable region",
-                     f"{kernel.layout.unmovable_blocks} pageblocks"))
-        rows.append(("region internal frag", percent(
-            unmovable_region_internal_frag(kernel.mem,
-                                           kernel.layout.boundary_pfn))))
-        rows.append(("confinement violations",
-                     str(kernel.confinement_violations())))
-    print(format_table(
-        ["Metric", "Value"], rows,
-        title=f"{spec.name} on {args.kernel} after {args.steps} steps"))
+from .units import MiB
 
 
 class _ProgressSink:
@@ -372,37 +302,6 @@ def _cmd_metrics(args) -> None:
               if args.json else format_manifest_diff(diff))
 
 
-def _cmd_interference(args) -> None:
-    from .core.hwext import AccessMode
-    from .workloads import MEMCACHED, NGINX, interference_overhead
-
-    rows = []
-    for app in (NGINX, MEMCACHED):
-        for mode in (AccessMode.NONCACHEABLE, AccessMode.CACHEABLE):
-            oh = interference_overhead(app, args.rate, mode)
-            rows.append((app.name, mode.value, f"{oh:.3%}"))
-    print(format_table(
-        ["App", "HW design", "Throughput overhead"],
-        rows,
-        title=f"Migration interference at {args.rate:g}/s (Sec. 5.3)"))
-
-
-def _cmd_autotune(args) -> None:
-    from .core.autotune import random_search
-
-    out = random_search(trials=args.trials, seed=args.seed)
-    print(f"Baseline cost: {out.baseline_cost:,.0f}")
-    print(f"Best cost:     {out.best_cost:,.0f} "
-          f"({out.improvement:.1%} improvement)")
-    best = out.best
-    print(format_table(
-        ["Parameter", "Value"],
-        [("threshold_unmov", f"{best.threshold_unmov:.2f}"),
-         ("threshold_mov", f"{best.threshold_mov:.2f}"),
-         ("c_ue", f"{best.c_ue:.3f}"), ("c_me", f"{best.c_me:.3f}"),
-         ("c_ms", f"{best.c_ms:.3f}"), ("c_us", f"{best.c_us:.3f}")]))
-
-
 def _cmd_lint(args) -> None:
     import os
     import sys
@@ -478,43 +377,31 @@ def _cmd_lint(args) -> None:
         raise SystemExit(1)
 
 
-def _cmd_hwcost(args) -> None:
-    from .analysis.hwcost import (
-        MetadataTableCost,
-        migrations_per_second_capacity,
-    )
-
-    cost = MetadataTableCost()
-    print(format_table(
-        ["Metric", "Value"],
-        [
-            ("area per slice", f"{cost.area_mm2():.4f} mm^2"),
-            ("energy per access", f"{cost.energy_per_access_nj():.4f} nJ"),
-            ("leakage", f"{cost.leakage_mw():.2f} mW"),
-            ("share of core area", percent(cost.fraction_of_core_area(), 3)),
-            ("migrations/s (1 entry)",
-             f"{migrations_per_second_capacity(entries=1):,.0f}"),
-        ],
-        title="Contiguitas-HW metadata table (22nm, CACTI-like model)"))
+def _split_sets(pairs: list[str] | None) -> dict[str, str]:
+    """``--set KEY=VALUE`` pairs as a dict, both sides still strings
+    (what a scenario's axis pins are: ``--set rate_krps=1000`` pins
+    value id ``"1000"``)."""
+    split = {}
+    for pair in pairs or []:
+        key, sep, value = pair.partition("=")
+        if not sep or not key:
+            raise SystemExit(f"--set expects KEY=VALUE, got {pair!r}")
+        split[key] = value
+    return split
 
 
-def _parse_sets(pairs: list[str] | None) -> dict:
-    """``--set KEY=VALUE`` pairs as a config-override dict.  Values are
-    parsed as JSON scalars (``--set n_servers=12``, ``--set label='"x"'``)
-    and fall back to plain strings."""
+def _config_overrides(args) -> dict:
+    """The experiment verbs' ``--set`` pairs as config overrides: each
+    value a JSON scalar (``--set n_servers=12``, ``--set label='"x"'``),
+    falling back to the plain string."""
     import json
 
     overrides = {}
-    for pair in pairs or []:
-        key, sep, raw = pair.partition("=")
-        if not sep or not key:
-            raise SystemExit(
-                f"--set expects KEY=VALUE, got {pair!r}")
+    for key, raw in _split_sets(args.set).items():
         try:
-            value = json.loads(raw)
+            overrides[key] = json.loads(raw)
         except json.JSONDecodeError:
-            value = raw
-        overrides[key] = value
+            overrides[key] = raw
     return overrides
 
 
@@ -569,7 +456,7 @@ def _cmd_experiment_run(args) -> None:
     # naming a directory is continuing the killed cell from it.
     every = args.checkpoint_every or (1 if args.resume_from else 0)
     result = run_experiment(
-        args.name, overrides=_parse_sets(args.set), seed=args.seed,
+        args.name, overrides=_config_overrides(args), seed=args.seed,
         workers=args.workers, plan=_resolve_plan(args.plan),
         cache=_experiment_cache(args), force=args.force,
         manifest_path=args.manifest,
@@ -586,34 +473,8 @@ def _cmd_experiment_sweep(args) -> None:
 
     from .experiments import run_sweep
 
-    if args.matrix:
-        # Compatibility bridge: sweeping a matrix file is really a
-        # scenario run (same cells, same cache entries).
-        if args.name or args.set or args.plan:
-            raise SystemExit(
-                "repro: --matrix runs a whole scenario file; it takes "
-                "no NAME, --set, or --plan (pin axes with "
-                "`repro scenario run --set AXIS=VALUE`)")
-        print("# note: `repro experiment sweep --matrix` is a "
-              "compatibility bridge; prefer `repro scenario run "
-              f"--matrix {args.matrix}`", file=sys.stderr)
-        from .scenarios import ScenarioConfig, load_matrix, run_scenario
-
-        result = run_scenario(
-            ScenarioConfig(scenario=load_matrix(args.matrix),
-                           seed=args.seed, workers=args.workers,
-                           force=args.force,
-                           checkpoint_every=args.checkpoint_every),
-            cache=_experiment_cache(args),
-            manifest_path=args.manifest)
-        _print_scenario(result, args)
-        return
-    if not args.name:
-        raise SystemExit(
-            "repro: a spec NAME (see `repro experiment list`) or "
-            "--matrix FILE is required")
     sweep = run_sweep(
-        args.name, overrides=_parse_sets(args.set), seed=args.seed,
+        args.name, overrides=_config_overrides(args), seed=args.seed,
         workers=args.workers, plan=_resolve_plan(args.plan),
         cache=_experiment_cache(args), force=args.force,
         manifest_path=args.manifest,
@@ -647,7 +508,7 @@ def _cmd_experiment_report(args) -> None:
     from .experiments import load_cached
 
     result = load_cached(
-        args.name, overrides=_parse_sets(args.set), seed=args.seed,
+        args.name, overrides=_config_overrides(args), seed=args.seed,
         plan=_resolve_plan(args.plan), cache=_experiment_cache(args))
     if result is None:
         raise SystemExit(
@@ -674,20 +535,6 @@ def _scenario_target(args):
     return get_scenario(args.name)
 
 
-def _parse_axis_pins(pairs: list[str] | None) -> dict:
-    """``--set AXIS=VALUE`` pairs as axis -> value-id pins.  Unlike the
-    experiment verbs' config overrides these are cell-id fragments, so
-    both sides stay strings (``--set rate_krps=1000`` pins value id
-    ``"1000"``)."""
-    pins = {}
-    for pair in pairs or []:
-        axis, sep, value = pair.partition("=")
-        if not sep or not axis or not value:
-            raise SystemExit(f"--set expects AXIS=VALUE, got {pair!r}")
-        pins[axis] = value
-    return pins
-
-
 def _scenario_config(args, scenario):
     from .scenarios import ScenarioConfig
 
@@ -697,7 +544,7 @@ def _scenario_config(args, scenario):
         seed=args.seed,
         workers=getattr(args, "workers", None),
         cells=tuple(args.cell or ()),
-        select=_parse_axis_pins(args.set),
+        select=_split_sets(args.set),
         force=getattr(args, "force", False),
         checkpoint_every=getattr(args, "checkpoint_every", 0))
 
@@ -985,25 +832,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Contiguitas (ISCA 2023) reproduction experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("fig13", help="migration unavailability").set_defaults(
-        fn=_cmd_fig13)
-
-    walk = sub.add_parser("walk", help="page-walk cycles per page size")
-    walk.add_argument("--service", default="Web",
-                      choices=["Web", "CacheA", "CacheB", "CI", "Ads"])
-    walk.add_argument("--instructions", type=int, default=150_000)
-    walk.set_defaults(fn=_cmd_walk)
-
-    steady = sub.add_parser("steady", help="steady-state fragmentation",
-                            parents=[_common_options(seed=0)])
-    steady.add_argument("--service", default="CacheB",
-                        choices=["Web", "CacheA", "CacheB", "CI"])
-    steady.add_argument("--kernel", default="contiguitas",
-                        choices=["linux", "contiguitas"])
-    steady.add_argument("--mem-mib", type=int, default=256)
-    steady.add_argument("--steps", type=int, default=600)
-    steady.set_defaults(fn=_cmd_steady)
-
     fleet = sub.add_parser(
         "fleet", help="fleet fragmentation survey",
         parents=[_common_options(seed=0, workers=True, manifest=True),
@@ -1128,27 +956,24 @@ def build_parser() -> argparse.ArgumentParser:
                             parents=[_common_options(json_flag=True)])
     elist.set_defaults(fn=_cmd_experiment_list)
 
-    def _experiment_cell_options(cell_parser, *, force: bool,
-                                 name_optional: bool = False) -> None:
+    def _cache_dir_option(cell_parser) -> None:
+        cell_parser.add_argument(
+            "--cache-dir", metavar="PATH", default=None,
+            help="result cache root (default: benchmarks/results/cache "
+                 "or $REPRO_EXPERIMENT_CACHE)")
+
+    def _experiment_cell_options(cell_parser, *, force: bool) -> None:
         """Options shared by run/sweep/report beyond the common set."""
-        if name_optional:
-            cell_parser.add_argument(
-                "name", metavar="NAME", nargs="?", default=None,
-                help="spec name (see `experiment list`)")
-        else:
-            cell_parser.add_argument(
-                "name", metavar="NAME",
-                help="spec name (see `experiment list`)")
+        cell_parser.add_argument(
+            "name", metavar="NAME",
+            help="spec name (see `experiment list`)")
         cell_parser.add_argument(
             "--set", action="append", metavar="KEY=VALUE",
             help="config override (JSON scalar; repeatable)")
         cell_parser.add_argument(
             "--plan", default=None,
             help="named fault plan (keyed into the cache address)")
-        cell_parser.add_argument(
-            "--cache-dir", metavar="PATH", default=None,
-            help="result cache root (default: benchmarks/results/cache "
-                 "or $REPRO_EXPERIMENT_CACHE)")
+        _cache_dir_option(cell_parser)
         if force:
             cell_parser.add_argument(
                 "--force", action="store_true",
@@ -1175,15 +1000,11 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep", help="run a spec's whole parameter grid (resumable)",
         parents=[_common_options(seed=None, workers=True,
                                  json_flag=True, manifest=True)])
-    _experiment_cell_options(esweep, force=True, name_optional=True)
+    _experiment_cell_options(esweep, force=True)
     esweep.add_argument(
         "--checkpoint-every", type=int, default=0, metavar="N",
         help="mid-cell durability within each grid cell (see "
              "`experiment run --checkpoint-every`)")
-    esweep.add_argument(
-        "--matrix", metavar="FILE", default=None,
-        help="sweep a scenario matrix file instead of a spec's grid "
-             "(compatibility bridge for `repro scenario run --matrix`)")
     esweep.set_defaults(fn=_cmd_experiment_sweep)
 
     ereport = esub.add_parser(
@@ -1221,10 +1042,7 @@ def build_parser() -> argparse.ArgumentParser:
         target_parser.add_argument(
             "--set", action="append", metavar="AXIS=VALUE",
             help="pin an axis to one value id (repeatable)")
-        target_parser.add_argument(
-            "--cache-dir", metavar="PATH", default=None,
-            help="result cache root (default: benchmarks/results/cache "
-                 "or $REPRO_EXPERIMENT_CACHE)")
+        _cache_dir_option(target_parser)
         target_parser.add_argument(
             "--html", metavar="PATH", default=None,
             help="also write the report as standalone HTML to PATH")
@@ -1294,19 +1112,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(overrides the recorded telemetry destination)")
     cresume.set_defaults(fn=_cmd_checkpoint_resume)
 
-    sub.add_parser("hwcost", help="metadata-table cost").set_defaults(
-        fn=_cmd_hwcost)
-
-    inter = sub.add_parser("interference",
-                           help="migration interference model")
-    inter.add_argument("--rate", type=float, default=1000.0)
-    inter.set_defaults(fn=_cmd_interference)
-
-    tune = sub.add_parser("autotune",
-                          help="Algorithm-1 coefficient search",
-                          parents=[_common_options(seed=0)])
-    tune.add_argument("--trials", type=int, default=12)
-    tune.set_defaults(fn=_cmd_autotune)
     return parser
 
 

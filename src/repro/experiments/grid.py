@@ -9,9 +9,8 @@ reordering axis *declarations* never changes a cell's identity).
 
 Both callers compile through here:
 
-* ``ExperimentSpec`` declares ``axes=(...)`` natively (its historical
-  ``grid={param: values}`` dicts convert via :func:`axes_from_grid`
-  behind a warn-once shim, see docs/API.md);
+* ``ExperimentSpec`` declares ``axes=(...)``, usually built from a
+  ``{param: values}`` dict by :func:`axes_from_grid`;
 * ``repro.scenarios`` compiles YAML scenario matrices onto the same
   cells, so a matrix cell and a sweep cell hit the identical
   content-addressed cache entry for the identical config.
@@ -189,12 +188,10 @@ class Cell:
 
 
 def axes_from_grid(grid: Mapping[str, tuple]) -> tuple[Axis, ...]:
-    """A legacy ``{param: (values...)}`` grid dict as axes.
+    """A ``{param: (values...)}`` grid dict as axes.
 
     Each parameter becomes an axis of the same name whose values set
-    exactly that parameter, with ids derived via :func:`value_id` —
-    the bridge that lets ``ExperimentSpec(grid=...)`` compile through
-    the shared engine unchanged.
+    exactly that parameter, with ids derived via :func:`value_id`.
     """
     axes = []
     for param in sorted(grid):

@@ -9,8 +9,8 @@ derived from a small number of expensive steady-state runs.  An
   scalars, every key overridable from the CLI (``--set key=value``);
 * **axes** — named :class:`~repro.experiments.grid.Axis` dimensions
   that ``repro experiment sweep`` fans out cell by cell through the
-  shared grid engine (legacy per-parameter ``grid`` dicts convert via
-  a warn-once shim, see docs/API.md);
+  shared grid engine (``axes_from_grid`` builds them from a
+  per-parameter dict);
 * a **seed policy** — the spec's default base seed, overridable per run;
 * a **producer** — the function that actually simulates, returning
   JSON-serialisable result rows (cached content-addressed, see
@@ -30,29 +30,24 @@ cost one simulation.
 from __future__ import annotations
 
 import re
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
 from ..errors import ConfigurationError
-from .grid import Axis, axes_from_grid, expand_axes
+from .grid import Axis, expand_axes
 
 _NAME_RE = re.compile(r"^[a-z0-9][a-z0-9-]*$")
 
 #: Parameter values must be flat JSON scalars so configs hash stably.
-_SCALARS = (str, int, float, bool, type(None))
-
-#: Deprecation keys that already warned this process (warn-once policy,
-#: docs/API.md): the first ``grid=`` spec warns, later ones are silent
-#: so ``-W error`` sweeps over many specs do not die mid-registration.
-_DEPRECATION_WARNED: set[str] = set()
+#: ``bool`` comes first: to Python it is an ``int``, to JSON it is not.
+_JSON_TYPES = ((bool, "boolean"), (int, "integer"), (float, "float"),
+               (str, "string"), (type(None), "null"))
+_SCALARS = tuple(kind for kind, _ in _JSON_TYPES)
 
 
-def _warn_once(key: str, message: str) -> None:
-    if key in _DEPRECATION_WARNED:
-        return
-    _DEPRECATION_WARNED.add(key)
-    warnings.warn(message, DeprecationWarning, stacklevel=4)
+def _json_type(value: Any) -> str:
+    return next(name for kind, name in _JSON_TYPES
+                if isinstance(value, kind))
 
 
 @dataclass(frozen=True)
@@ -101,7 +96,6 @@ class ExperimentSpec:
     description: str
     producer: Callable[[ExperimentContext], list]
     defaults: Mapping[str, Any] = field(default_factory=dict)
-    grid: Mapping[str, tuple] = field(default_factory=dict)
     axes: tuple[Axis, ...] = ()
     seed: int = 0
     version: int = 1
@@ -121,54 +115,32 @@ class ExperimentSpec:
                 raise ConfigurationError(
                     f"experiment {self.name!r}: default {key}={value!r} "
                     "is not a JSON scalar (configs must hash stably)")
-        if self.grid and self.axes:
-            raise ConfigurationError(
-                f"experiment {self.name!r}: declare axes= or the legacy "
-                "grid=, not both")
-        for key, values in self.grid.items():
-            if key not in self.defaults:
+        for axis in self.axes:
+            if not isinstance(axis, Axis):
                 raise ConfigurationError(
-                    f"experiment {self.name!r}: grid parameter {key!r} "
-                    f"has no default; known: {sorted(self.defaults)}")
-            if not values:
-                raise ConfigurationError(
-                    f"experiment {self.name!r}: grid for {key!r} is empty")
-            for value in values:
-                if not isinstance(value, _SCALARS):
-                    raise ConfigurationError(
-                        f"experiment {self.name!r}: grid value "
-                        f"{key}={value!r} is not a JSON scalar")
-        if self.grid:
-            # Legacy grid dicts compile through the shared Axis/Cell
-            # engine (one axis per parameter) behind a warn-once shim.
-            _warn_once(
-                "ExperimentSpec.grid",
-                "ExperimentSpec(grid={...}) is deprecated; declare "
-                "axes=(Axis(...), ...) — grids and scenario matrices "
-                "now share one cell engine (docs/API.md)")
-            object.__setattr__(self, "axes", axes_from_grid(self.grid))
-        else:
-            for axis in self.axes:
-                if not isinstance(axis, Axis):
-                    raise ConfigurationError(
-                        f"experiment {self.name!r}: axes must be Axis "
-                        f"instances, got {type(axis).__name__}")
-                for value in axis.values:
-                    for key in value.options:
-                        if key not in self.defaults:
-                            raise ConfigurationError(
-                                f"experiment {self.name!r}: axis "
-                                f"{axis.name!r} overrides parameter "
-                                f"{key!r} with no default; known: "
-                                f"{sorted(self.defaults)}")
-            object.__setattr__(self, "axes", tuple(self.axes))
+                    f"experiment {self.name!r}: axes must be Axis "
+                    f"instances, got {type(axis).__name__}")
+            for value in axis.values:
+                for key in value.options:
+                    if key not in self.defaults:
+                        raise ConfigurationError(
+                            f"experiment {self.name!r}: axis "
+                            f"{axis.name!r} overrides parameter "
+                            f"{key!r} with no default; known: "
+                            f"{sorted(self.defaults)}")
+        object.__setattr__(self, "axes", tuple(self.axes))
         expand_axes(self.axes)  # fail fast on duplicate/colliding axes
         if self.version < 1:
             raise ConfigurationError(
                 f"experiment {self.name!r}: version must be >= 1")
 
     def resolve(self, overrides: Mapping[str, Any] | None = None) -> dict:
-        """Defaults merged with *overrides*; unknown keys fail loudly."""
+        """Defaults merged with *overrides*.  Unknown keys fail loudly,
+        and so does a value whose JSON type is not its default's (an
+        integer is taken where the default is a float, anything where
+        it is null): ``--set steps=abc`` is refused here, by name, not
+        as a ``TypeError`` somewhere inside the producer.  Nothing is
+        coerced, so the check moves no cache key."""
         config = dict(self.defaults)
         for key, value in (overrides or {}).items():
             if key not in config:
@@ -179,14 +151,20 @@ class ExperimentSpec:
                 raise ConfigurationError(
                     f"experiment {self.name!r}: override {key}={value!r} "
                     "is not a JSON scalar")
+            expected = _json_type(self.defaults[key])
+            given = _json_type(value)
+            if expected not in ("null", given) and (
+                    expected, given) != ("float", "integer"):
+                raise ConfigurationError(
+                    f"experiment {self.name!r}: parameter {key!r} expects "
+                    f"{expected}, got {given} {value!r}")
             config[key] = value
         return config
 
     def cells(self) -> list[dict]:
         """Every axis combination as an override dict, in a fixed order
         (sorted axis names, value order as declared) so sweeps are
-        resumable and their manifests comparable.  Legacy grid dicts
-        compile to the identical cell list (one axis per parameter)."""
+        resumable and their manifests comparable."""
         return [dict(cell.overrides) for cell in expand_axes(self.axes)]
 
     def grid_cells(self):

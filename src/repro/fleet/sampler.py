@@ -20,7 +20,6 @@ resumable.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 from ..errors import ConfigurationError
@@ -34,20 +33,6 @@ from .stats import median, pearson
 
 #: Per-server metrics addressable through :meth:`FleetSample.series`.
 SERIES_METRICS = ("contiguity", "unmovable")
-
-#: Deprecated entry points that have already warned this process; each
-#: shim warns exactly once so sweeps over thousands of samples don't
-#: flood stderr.  Tests may clear this to re-arm the warnings.
-_DEPRECATION_WARNED: set[str] = set()
-
-
-def _warn_deprecated_once(name: str, replacement: str) -> None:
-    if name in _DEPRECATION_WARNED:
-        return
-    _DEPRECATION_WARNED.add(name)
-    warnings.warn(f"FleetSample.{name}() is deprecated; use {replacement}",
-                  DeprecationWarning, stacklevel=3)
-
 
 @dataclass
 class FleetSample:
@@ -82,18 +67,6 @@ class FleetSample:
                 f"unknown series metric {metric!r}; one of {SERIES_METRICS}")
         return [getattr(s, metric)[granularity]
                 for s in self.completed_scans()]
-
-    def contiguity_values(self, granularity: str) -> list[float]:
-        """Deprecated: use ``series("contiguity", granularity)``."""
-        _warn_deprecated_once(
-            "contiguity_values", "series('contiguity', granularity)")
-        return self.series("contiguity", granularity)
-
-    def unmovable_values(self, granularity: str) -> list[float]:
-        """Deprecated: use ``series("unmovable", granularity)``."""
-        _warn_deprecated_once(
-            "unmovable_values", "series('unmovable', granularity)")
-        return self.series("unmovable", granularity)
 
     def fraction_without_any(self, granularity: str = "2MB") -> float:
         """Paper §2.4: the fraction of servers with *zero* free blocks at

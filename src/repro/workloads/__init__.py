@@ -10,10 +10,6 @@ The typed front door (mirroring ``repro.fleet``):
 * :class:`LoadgenConfig` + :func:`run_loadgen` — open-loop
   trace-driven load generation with tail-latency recording
   (:mod:`repro.workloads.tracegen`).
-
-Deprecated (warn-once shims, see docs/API.md): the service module
-constants ``WEB``/``CACHE_A``/``CACHE_B``/``CI``/``ADS``/``RDMA`` and
-the ``BY_NAME`` dict — use the registry instead.
 """
 
 from .._lazy import lazy_exports
@@ -60,22 +56,6 @@ __all__ = [
     "sample_service",
 ]
 
-#: Deprecated module constants (and the ``BY_NAME`` dict) with the
-#: registry spelling that replaces each; names already warned about.
-_DEPRECATED = {
-    "WEB": (".services", "get_service('web')"),
-    "CACHE_A": (".services", "get_service('cache-a')"),
-    "CACHE_B": (".services", "get_service('cache-b')"),
-    "CI": (".services", "get_service('ci')"),
-    "ADS": (".services", "get_service('ads')"),
-    "RDMA": (".services", "get_service('rdma')"),
-    "BY_NAME": (".services", "get_service(name) / list_services()"),
-}
-_DEPRECATION_WARNED: set[str] = set()
-
-# ``from repro.workloads import CACHE_B`` keeps working but warns on the
-# first access per process; later accesses are silent even under
-# ``-W error`` (sweeps don't die mid-run).
 __getattr__, __dir__ = lazy_exports(__name__, {
     ".base": ("Workload", "WorkloadSpec"),
     ".config": ("WorkloadConfig", "WorkloadResult", "run_workload"),
@@ -92,4 +72,4 @@ __getattr__, __dir__ = lazy_exports(__name__, {
                       "ServerApp", "interference_overhead",
                       "migration_window_cycles", "relative_throughput"),
     ".services": ("PRODUCTION_SERVICES", "WALK_CHARACTERISATION"),
-}, deprecated=_DEPRECATED, warned=_DEPRECATION_WARNED)
+})

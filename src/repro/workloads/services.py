@@ -154,8 +154,3 @@ register_service("cache-b", CACHE_B)
 register_service("ci", CI)
 register_service("ads", ADS)
 register_service("rdma", RDMA)
-
-#: Deprecated: use ``get_service(name)`` instead.  Kept for the
-#: warn-once shim in ``repro.workloads.__getattr__``.
-BY_NAME = {spec.name: spec
-           for spec in (WEB, CACHE_A, CACHE_B, CI, ADS, RDMA)}

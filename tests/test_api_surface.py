@@ -1,4 +1,4 @@
-"""Public API surface snapshots and the deprecation-shim contract.
+"""Public API surface snapshots, and that removed shims stay removed.
 
 The exported-symbol sets below are the stable surface documented in
 docs/API.md.  Changing them is allowed — but it must be a deliberate
@@ -9,7 +9,6 @@ breakage (a public name vanishing in a refactor) both fail this file.
 
 import inspect
 import sys
-import warnings
 from importlib import import_module
 
 import pytest
@@ -193,7 +192,6 @@ class TestExportSnapshots:
             "SL004",
             "SL005",
             "SL006",
-            "SL007",
             "SL008",
             "SL009",
             "SL010",
@@ -202,6 +200,21 @@ class TestExportSnapshots:
             "DL102",
             "DL103",
             "DL104",
+        ]
+
+    def test_simlint_all(self):
+        from repro.analysis import simlint
+
+        assert sorted(simlint.__all__) == [
+            "DEFAULT_RULES",
+            "Finding",
+            "Rule",
+            "lint_file",
+            "lint_paths",
+            "lint_source",
+            "render_json",
+            "render_text",
+            "rule_catalogue",
         ]
 
 
@@ -279,43 +292,25 @@ class TestWorkloadFrontDoor:
         assert "latency" not in snap  # no loadgen burst requested
 
 
-class TestWorkloadDeprecationShims:
-    def _reset(self, key: str) -> None:
-        repro.workloads._DEPRECATION_WARNED.discard(key)
+class TestRemovedShims:
+    """Names past their deprecation window (docs/API.md, policy rule 4)
+    are gone outright: using one is an ``AttributeError``/``TypeError``
+    at the call site, not a warning."""
 
-    def test_service_constant_warns_exactly_once(self):
-        self._reset("WEB")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            a = repro.workloads.WEB
-            b = repro.workloads.WEB
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)
-                        and "WEB" in str(w.message)]
-        assert len(deprecations) == 1
-        assert a is b
+    @pytest.mark.parametrize("name", ["WEB", "CACHE_A", "CACHE_B", "CI",
+                                      "ADS", "RDMA", "BY_NAME"])
+    def test_workloads_service_constants_are_gone(self, name):
+        with pytest.raises(AttributeError, match=name):
+            getattr(repro.workloads, name)
+        assert name not in dir(repro.workloads)
 
-    def test_service_constant_first_access_raises_under_w_error(self):
-        self._reset("CACHE_B")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            with pytest.raises(DeprecationWarning, match="cache-b"):
-                repro.workloads.CACHE_B
+    def test_service_registry_is_the_replacement(self):
+        from repro.workloads import get_service, list_services, services
 
-    def test_by_name_shim_matches_registry(self):
-        from repro.workloads import get_service, list_services
-
-        repro.workloads._DEPRECATION_WARNED.add("BY_NAME")
-        by_name = repro.workloads.BY_NAME
-        for camel, spec in by_name.items():
-            assert get_service(camel) is spec
-        assert len(by_name) == len(list_services())
-
-    def test_shim_matches_front_door(self):
-        from repro.workloads import get_service
-
-        repro.workloads._DEPRECATION_WARNED.add("RDMA")
-        assert repro.workloads.RDMA is get_service("rdma")
+        assert get_service("rdma") is services.RDMA
+        assert get_service("CacheB") is get_service("cache-b")
+        assert not hasattr(services, "BY_NAME")
+        assert len(list_services()) >= 6
 
 
 LAZY_PACKAGES = ("repro", "repro.analysis", "repro.workloads")
@@ -406,20 +401,6 @@ class TestLazyExports:
                 "assert 'web' in list_services(), list_services()\n")
             assert done.returncode == 0, (first, done.stderr)
 
-    def test_deprecated_name_warns_once_in_a_fresh_interpreter(self):
-        done = fresh_python(
-            "import warnings\n"
-            "import repro.workloads as w\n"
-            "with warnings.catch_warnings(record=True) as caught:\n"
-            "    warnings.simplefilter('always')\n"
-            "    from repro.workloads import BY_NAME\n"
-            "    again = w.BY_NAME\n"
-            "assert again is BY_NAME\n"
-            "assert 'BY_NAME' not in w.__dict__\n"
-            "assert len(caught) == 1, [str(c.message) for c in caught]\n"
-            "assert 'list_services()' in str(caught[0].message)\n")
-        assert done.returncode == 0, done.stderr
-
 
 class TestScenarioFrontDoor:
     def test_scenario_config_frozen_and_validated(self):
@@ -453,8 +434,8 @@ class TestScenarioFrontDoor:
 
 
 class TestGridDeprecationShim:
-    """ExperimentSpec's legacy grid dicts ride the same warn-once policy
-    as every other shim — and normalise onto the Axis/Cell engine."""
+    """``ExperimentSpec(grid={...})`` (shimmed since PR 10) is gone;
+    what the shim did is one call, ``axes=axes_from_grid({...})``."""
 
     def _spec(self, **kwargs):
         from repro.experiments import ExperimentSpec
@@ -464,48 +445,20 @@ class TestGridDeprecationShim:
             producer=lambda ctx: [],
             defaults={"steps": 10, "service": "web"}, **kwargs)
 
-    def _reset(self):
-        from repro.experiments import spec as spec_mod
-
-        spec_mod._DEPRECATION_WARNED.discard("ExperimentSpec.grid")
-
-    def test_grid_dict_warns_exactly_once(self):
-        self._reset()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            a = self._spec(grid={"steps": (10, 20)})
-            b = self._spec(grid={"steps": (10, 20)})
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)
-                        and "axes" in str(w.message)]
-        assert len(deprecations) == 1
-        assert [c.id for c in a.grid_cells()] == \
-               [c.id for c in b.grid_cells()]
-
-    def test_grid_dict_second_use_survives_w_error(self):
-        self._reset()
-        with warnings.catch_warnings(record=True):
-            warnings.simplefilter("always")
+    def test_grid_keyword_is_gone(self):
+        with pytest.raises(TypeError, match="grid"):
             self._spec(grid={"steps": (10, 20)})
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            self._spec(grid={"steps": (10, 20)})
-
-    def test_grid_dict_first_use_raises_under_w_error(self):
-        self._reset()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            with pytest.raises(DeprecationWarning, match="axes"):
-                self._spec(grid={"steps": (10, 20)})
 
     def test_grid_dict_matches_axes_spelling(self):
-        from repro.experiments import axes_from_grid
-        from repro.experiments import spec as spec_mod
+        from repro.experiments import Axis, AxisValue, axes_from_grid
 
-        spec_mod._DEPRECATION_WARNED.add("ExperimentSpec.grid")
-        legacy = self._spec(grid={"steps": (10, 20), "service": ("web",)})
-        modern = self._spec(axes=axes_from_grid(
+        by_dict = self._spec(axes=axes_from_grid(
             {"steps": (10, 20), "service": ("web",)}))
-        assert legacy.axes == modern.axes
-        assert [(c.id, c.overrides) for c in legacy.grid_cells()] == \
-               [(c.id, c.overrides) for c in modern.grid_cells()]
+        by_hand = self._spec(axes=(
+            Axis("steps", (AxisValue("10", {"steps": 10}),
+                           AxisValue("20", {"steps": 20}))),
+            Axis("service", (AxisValue("web", {"service": "web"}),))))
+        assert [(c.id, c.overrides) for c in by_dict.grid_cells()] == \
+               [(c.id, c.overrides) for c in by_hand.grid_cells()]
+        assert by_dict.cells() == [{"service": "web", "steps": 10},
+                                   {"service": "web", "steps": 20}]

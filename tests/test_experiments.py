@@ -16,6 +16,7 @@ from repro.experiments import (
     ExperimentSpec,
     ResultCache,
     all_specs,
+    axes_from_grid,
     canonical_json,
     default_cache_dir,
     get_spec,
@@ -46,7 +47,8 @@ def counting_spec():
 
     spec = register(ExperimentSpec(
         name="toy-count", description="test", producer=producer,
-        defaults={"x": 1, "y": "a"}, grid={"x": (1, 2, 3)}, seed=5))
+        defaults={"x": 1, "y": "a"},
+        axes=axes_from_grid({"x": (1, 2, 3)}), seed=5))
     yield spec, calls
     unregister("toy-count")
 
@@ -62,7 +64,8 @@ class TestSpecRegistry:
                            defaults={"k": [1, 2]})
         with pytest.raises(ConfigurationError, match="no default"):
             ExperimentSpec(name="x", description="",
-                           producer=lambda ctx: [], grid={"k": (1,)})
+                           producer=lambda ctx: [],
+                           axes=axes_from_grid({"k": (1,)}))
         with pytest.raises(ConfigurationError, match="version"):
             ExperimentSpec(name="x", description="",
                            producer=lambda ctx: [], version=0)
@@ -81,6 +84,47 @@ class TestSpecRegistry:
         spec, _ = counting_spec
         with pytest.raises(ConfigurationError, match="unknown parameter"):
             spec.resolve({"z": 1})
+
+    TYPED = {"steps": 10, "rate": 1.5, "label": "x", "flag": False,
+             "limit": None}
+
+    def _typed_spec(self):
+        return ExperimentSpec(name="typed", description="",
+                              producer=lambda ctx: [], defaults=self.TYPED)
+
+    @pytest.mark.parametrize("key,value,expected,given", [
+        ("steps", "abc", "integer", "string"),
+        ("steps", 2.5, "integer", "float"),
+        ("steps", 2.0, "integer", "float"),
+        ("steps", True, "integer", "boolean"),
+        ("steps", None, "integer", "null"),
+        ("rate", "fast", "float", "string"),
+        ("rate", False, "float", "boolean"),
+        ("label", 3, "string", "integer"),
+        ("flag", 1, "boolean", "integer"),
+        ("flag", "true", "boolean", "string"),
+    ])
+    def test_resolve_rejects_another_json_type(self, key, value, expected,
+                                               given):
+        with pytest.raises(ConfigurationError) as info:
+            self._typed_spec().resolve({key: value})
+        message = str(info.value)
+        assert repr(key) in message
+        assert f"expects {expected}, got {given} {value!r}" in message
+
+    def test_resolve_accepts_matching_types_uncoerced(self):
+        given = {"steps": 20, "rate": 3, "label": "y", "flag": True,
+                 "limit": "any"}
+        config = self._typed_spec().resolve(given)
+        assert config == given
+        # The integer given for the float default stays an integer, so
+        # its cache key is the one it had before types were checked.
+        assert type(config["rate"]) is int
+        assert canonical_json(config) != canonical_json(
+            {**given, "rate": 3.0})
+        for limit in (7, 0.5, False, None):
+            assert self._typed_spec().resolve(
+                {"limit": limit})["limit"] is limit
 
     def test_cells_deterministic(self, counting_spec):
         spec, _ = counting_spec
@@ -271,7 +315,7 @@ class TestSweep:
 
         register(ExperimentSpec(name="toy-flaky", description="",
                                 producer=flaky, defaults={"x": 1},
-                                grid={"x": (1, 2, 3)}))
+                                axes=axes_from_grid({"x": (1, 2, 3)})))
         try:
             with pytest.raises(RuntimeError, match="injected"):
                 run_sweep("toy-flaky", cache=cache)
@@ -335,7 +379,7 @@ class TestExperimentCli:
             name="toy-cli", description="cli test",
             producer=lambda ctx: [{"x": ctx.params["x"],
                                    "seed": ctx.seed}],
-            defaults={"x": 1}, grid={"x": (1, 2)}, seed=3))
+            defaults={"x": 1}, axes=axes_from_grid({"x": (1, 2)}), seed=3))
         yield
         unregister("toy-cli")
 
@@ -366,6 +410,25 @@ class TestExperimentCli:
                         tmp_path, capsys).out
         assert json.loads(out) == [{"x": 7, "seed": 1}]
 
+    @pytest.mark.parametrize("name,pair,complaint", [
+        ("workload-steady", "steps=abc",
+         "parameter 'steps' expects integer, got string 'abc'"),
+        ("fleet-survey", "n_servers=2.5",
+         "parameter 'n_servers' expects integer, got float 2.5"),
+        ("workload-steady", "mem_mib=true",
+         "parameter 'mem_mib' expects integer, got boolean True"),
+    ])
+    def test_set_of_the_wrong_type_is_refused_by_name(
+            self, name, pair, complaint, tmp_path, capsys):
+        """Each of these used to reach the producer: a TypeError from
+        inside WorkloadConfig, one from the fleet engine, and a silent
+        1 MiB machine."""
+        with pytest.raises(SystemExit) as info:
+            self._run(["experiment", "run", name, "--set", pair],
+                      tmp_path, capsys)
+        assert str(info.value) == f"repro: experiment {name!r}: {complaint}"
+        assert not os.path.exists(tmp_path / "cli-cache")  # nothing ran
+
     def test_bad_set_spelling(self, toy, tmp_path, capsys):
         with pytest.raises(SystemExit, match="KEY=VALUE"):
             self._run(["experiment", "run", "toy-cli", "--set", "x"],
@@ -384,3 +447,56 @@ class TestExperimentCli:
         with pytest.raises(SystemExit, match="no cached result"):
             self._run(["experiment", "report", "toy-cli",
                        "--set", "x=9"], tmp_path, capsys)
+
+
+#: The figures that used to be bespoke CLI verbs with a second copy in
+#: their bench scripts, with overrides that keep the test short.
+FIGURE_SPECS = {
+    "fig03-walk-cycles": {"instructions": 20_000},
+    "fig13-unavailable": {},
+    "s53-interference": {},
+    "s53-hwcost": {},
+    "ablation-autotune": {"trials": 2},
+}
+
+
+class TestFigureSpecs:
+    @pytest.mark.parametrize("name", sorted(FIGURE_SPECS))
+    def test_one_path_cached_json_and_pure_report(self, name, tmp_path,
+                                                  capsys):
+        from repro.cli import main
+
+        overrides = FIGURE_SPECS[name]
+        argv = ["experiment", "run", name, "--cache-dir", str(tmp_path)]
+        for key, value in overrides.items():
+            argv += ["--set", f"{key}={value}"]
+
+        main(argv)
+        fresh = capsys.readouterr()
+        main(argv)
+        again = capsys.readouterr()
+        assert "[computed]" in fresh.err and "[cache hit]" in again.err
+        assert again.out == fresh.out
+
+        main(argv + ["--json"])
+        rows = json.loads(capsys.readouterr().out)
+        cache = ResultCache(str(tmp_path))
+        hit = run_experiment(name, overrides=overrides, cache=cache)
+        loaded = load_cached(name, overrides=overrides, cache=cache)
+        assert hit.cached and hit.rows == loaded.rows == rows
+        assert canonical_json(hit.rows) == canonical_json(rows)
+        # The report is a function of the rows alone: fresh, cached and
+        # cache-only renderings are the same bytes.
+        assert hit.report() + "\n" == loaded.report() + "\n" == fresh.out
+        assert hit.spec.postprocess(rows, hit.config) == hit.report()
+
+    def test_seed_policy_and_defaults_are_the_bench_constants(self):
+        pinned = {name: (get_spec(name).seed, dict(get_spec(name).defaults))
+                  for name in FIGURE_SPECS}
+        assert pinned == {
+            "fig03-walk-cycles": (3, {"instructions": 150_000}),
+            "fig13-unavailable": (0, {}),
+            "s53-interference": (0, {}),
+            "s53-hwcost": (0, {}),
+            "ablation-autotune": (5, {"trials": 24}),
+        }

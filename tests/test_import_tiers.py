@@ -55,7 +55,8 @@ def warm(tmp_path_factory):
             ["scenario", "run", "steady-web", "--smoke",
              "--manifest", str(manifest)],
             ["loadgen", "--duration", "2e-4", "--checkpoint-every", "1",
-             "--checkpoint-dir", str(ckpt)]):
+             "--checkpoint-dir", str(ckpt)],
+            ["experiment", "run", "s53-hwcost"]):
         done = fresh_python(main_body(*argv),
                             {"REPRO_EXPERIMENT_CACHE": str(cache)})
         assert done.returncode == 0, done.stderr
@@ -72,6 +73,8 @@ CASES = {
         "scenario", "run", "steady-web", "--smoke"),
     "scenario-list": lambda warm: main_body("scenario", "list"),
     "experiment-list": lambda warm: main_body("experiment", "list"),
+    "experiment-run-warm": lambda warm: main_body(
+        "experiment", "run", "s53-hwcost"),
     "metrics": lambda warm: main_body("metrics", warm["manifest"]),
     "checkpoint-inspect": lambda warm: main_body(
         "checkpoint", "inspect", warm["ckpt"]),

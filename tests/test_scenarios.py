@@ -183,23 +183,23 @@ class TestGridEngine:
         min_size=1, max_size=3))
     @settings(max_examples=50, deadline=None)
     def test_dict_grid_equals_axes_spelling(self, grid):
-        """The api_redesign invariant: legacy grid dicts and explicit
-        axes compile to identical cells — ids, coords, overrides."""
-        from repro.experiments import spec as spec_mod
-
-        spec_mod._DEPRECATION_WARNED.add("ExperimentSpec.grid")
+        """A grid dict through ``axes_from_grid`` and the same axes
+        spelled out by hand (declared in reverse) compile to identical
+        cells — ids, coords, overrides."""
         defaults = {key: values[0] for key, values in grid.items()}
-        legacy = ExperimentSpec(
-            name="prop-grid", description="d", producer=lambda ctx: [],
-            defaults=defaults, grid={k: tuple(v) for k, v in grid.items()})
-        modern = ExperimentSpec(
+        by_dict = ExperimentSpec(
             name="prop-grid", description="d", producer=lambda ctx: [],
             defaults=defaults, axes=axes_from_grid(grid))
-        assert legacy.axes == modern.axes
+        by_hand = ExperimentSpec(
+            name="prop-grid", description="d", producer=lambda ctx: [],
+            defaults=defaults,
+            axes=tuple(Axis(key, tuple(AxisValue(value_id(v), {key: v})
+                                       for v in grid[key]))
+                       for key in sorted(grid, reverse=True)))
         assert [(c.id, c.coords, c.overrides)
-                for c in legacy.grid_cells()] == \
+                for c in by_dict.grid_cells()] == \
                [(c.id, c.coords, c.overrides)
-                for c in modern.grid_cells()]
+                for c in by_hand.grid_cells()]
 
     def test_plan_axis_limits(self):
         axes = [
@@ -418,22 +418,20 @@ class TestCli:
         cells = json.loads(out)
         assert [c["cell"] for c in cells] == ["u-40"]
 
-    def test_sweep_matrix_bridge_warns_and_delegates(self, tmp_path,
-                                                     capsys):
-        matrix = tmp_path / "user.yml"
-        matrix.write_text(
-            "name: user-demo\n"
-            "description: user matrix file\n"
-            "experiment: workload-steady\n"
-            "prefix: u\n"
-            "axes:\n"
-            "  - name: steps\n"
-            "    values: [40]\n")
-        captured = self._run(["experiment", "sweep", "--matrix",
-                              str(matrix), "--workers", "1"],
-                             tmp_path, capsys)
-        assert "scenario run" in captured.err
-        assert "u-40" in captured.out
+    def test_experiment_sweep_takes_no_matrix(self, tmp_path, capsys):
+        """The PR 10 compatibility bridge is gone: a matrix file is a
+        ``scenario run --matrix`` (the test above), and ``experiment
+        sweep`` requires a spec name."""
+        from repro.cli import build_parser
+
+        for argv, complaint in (
+                (["experiment", "sweep", "workload-steady",
+                  "--matrix", "user.yml"], "unrecognized arguments"),
+                (["experiment", "sweep"], "arguments are required: NAME")):
+            with pytest.raises(SystemExit) as exit_info:
+                build_parser().parse_args(argv)
+            assert exit_info.value.code == 2
+            assert complaint in capsys.readouterr().err
 
     def test_name_and_matrix_are_exclusive(self, tmp_path, capsys):
         from repro.cli import main

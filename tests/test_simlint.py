@@ -15,7 +15,6 @@ import pytest
 
 from repro.analysis.simlint import (
     DEFAULT_RULES,
-    DEPRECATED_APIS,
     Finding,
     lint_paths,
     lint_source,
@@ -267,27 +266,24 @@ class TestDeterministicIterationSL006:
 
 
 class TestDeprecatedApiSL007:
-    def test_flags_each_deprecated_accessor(self):
+    """SL007 flagged calls to ``FleetSample.contiguity_values`` /
+    ``unmovable_values``.  The accessors are gone, so calling one is an
+    ``AttributeError`` a test catches, and the rule was retired."""
+
+    def test_rule_is_retired(self):
         src = """
             def legacy(sample):
-                return (sample.contiguity_values("2MB"),
-                        sample.unmovable_values("2MB"))
+                return sample.contiguity_values("2MB")
         """
-        found = findings_for(src)
-        assert [f.rule for f in found] == ["SL007", "SL007"]
-        for f in found:
-            assert "series(" in f.message
+        assert findings_for(src) == []
+        assert "SL007" not in [code for code, _, _ in rule_catalogue()]
 
     def test_replacement_api_clean(self):
         src = """
             def modern(sample):
                 return sample.series("contiguity", "2MB")
         """
-        assert "SL007" not in rules_of(src)
-
-    def test_catalogue_matches_rule(self):
-        assert set(DEPRECATED_APIS) == {"contiguity_values",
-                                        "unmovable_values"}
+        assert findings_for(src) == []
 
 
 class TestBoundedRetrySL008:
@@ -641,5 +637,5 @@ class TestCli:
 
         main(["lint", "--list-rules"])
         out = capsys.readouterr().out
-        for code in ("SL001", "SL004", "SL007"):
+        for code in ("SL001", "SL004", "SL008"):
             assert code in out

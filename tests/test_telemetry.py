@@ -497,32 +497,21 @@ class TestFleetTelemetry:
                                       **FLEET_KW))
         assert plain.scans == sample.scans
 
-    def test_deprecated_accessors_warn_once_and_delegate(self):
-        import warnings as _warnings
-
+    def test_series_is_the_per_server_accessor(self):
+        """``contiguity_values``/``unmovable_values`` (shimmed since
+        PR 2) are gone; ``series(metric, granularity)`` is the one
+        spelling."""
         from repro.fleet import FleetConfig, run_fleet
-        from repro.fleet import sampler as sampler_mod
 
         sample = run_fleet(FleetConfig(server=_small_config(), workers=1,
                                        **FLEET_KW))
-        sampler_mod._DEPRECATION_WARNED.clear()
-        try:
-            with _warnings.catch_warnings(record=True) as caught:
-                _warnings.simplefilter("always")
-                legacy_c = sample.contiguity_values("2MB")
-                sample.contiguity_values("2MB")  # second call: silent
-                legacy_u = sample.unmovable_values("2MB")
-                sample.unmovable_values("2MB")  # second call: silent
-            deprecations = [w for w in caught
-                            if issubclass(w.category, DeprecationWarning)]
-            # Exactly once per deprecated accessor, not per call.
-            assert len(deprecations) == 2
-            assert "contiguity_values" in str(deprecations[0].message)
-            assert "unmovable_values" in str(deprecations[1].message)
-        finally:
-            sampler_mod._DEPRECATION_WARNED.clear()
-        assert legacy_c == sample.series("contiguity", "2MB")
-        assert legacy_u == sample.series("unmovable", "2MB")
+        for name in ("contiguity_values", "unmovable_values"):
+            with pytest.raises(AttributeError, match=name):
+                getattr(sample, name)
+        assert sample.series("contiguity", "2MB") == [
+            scan.contiguity["2MB"] for scan in sample.scans]
+        assert sample.series("unmovable", "2MB") == [
+            scan.unmovable["2MB"] for scan in sample.scans]
         with pytest.raises(ConfigurationError):
             sample.series("nope", "2MB")
 
