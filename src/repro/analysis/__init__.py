@@ -19,7 +19,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ".reporting": ("format_cdf", "format_table", "percent"),
     ".sanitizer": ("FrameSanitizer", "debug_vm_enabled", "verify_allocator",
                    "verify_kernel"),
-    ".simlint": ("Finding", "lint_file", "lint_paths", "lint_source"),
+    ".simlint": ("Finding", "lint_paths", "lint_source"),
     ".snapshot": ("MemorySnapshot", "load_snapshot", "save_snapshot"),
     ".timeline": ("TimelineRecorder", "watch_kernel"),
 })
@@ -38,7 +38,6 @@ __all__ = [
     "format_table",
     "free_block_count",
     "free_contiguity",
-    "lint_file",
     "lint_paths",
     "lint_source",
     "migrations_per_second_capacity",

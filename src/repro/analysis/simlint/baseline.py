@@ -1,4 +1,4 @@
-"""Baseline suppression for deep-lint findings.
+"""Baseline suppression for lint findings.
 
 A baseline is a committed JSON file listing findings that are known and
 accepted — the escape hatch that lets the strict CI gate land before
@@ -9,7 +9,7 @@ matches anything is reported as *stale* so the file shrinks as debt is
 paid down.
 
 The shipped tree's baseline (``.deeplint-baseline.json``) is empty:
-the deep pass is clean, and the file exists to pin the workflow.
+the tree lints clean, and the file exists to pin the workflow.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from ..simlint.core import Finding
+from .model import Finding
 from .sarif import finding_fingerprint
 
 __all__ = [
@@ -73,12 +73,15 @@ def load_baseline(path: str) -> Baseline:
 
 
 def apply_baseline(findings: list[Finding], baseline: Baseline | None,
+                   skipped: frozenset[str] = frozenset(),
                    ) -> tuple[list[Finding], list[Finding], list[dict]]:
     """Split findings into (active, suppressed) and report stale entries.
 
     *active* findings fail the build; *suppressed* ones matched a
     baseline entry; *stale* baseline entries matched nothing and should
-    be deleted.
+    be deleted.  Entries for a rule in *skipped* — one that did not run,
+    as the whole-program rules do not without ``--deep`` — cannot be
+    judged and are never stale.
     """
     if baseline is None:
         return list(findings), [], []
@@ -89,14 +92,18 @@ def apply_baseline(findings: list[Finding], baseline: Baseline | None,
                   if finding_fingerprint(f) in suppressed_fps]
     live = {finding_fingerprint(f) for f in findings}
     stale = [e for e in baseline.entries
-             if finding_fingerprint(_entry_finding(e)) not in live]
+             if e["rule"] not in skipped
+             and finding_fingerprint(_entry_finding(e)) not in live]
     return active, suppressed, stale
 
 
-def write_baseline(path: str, findings: list[Finding]) -> None:
-    """Write a baseline suppressing exactly *findings* (sorted, stable)."""
+def write_baseline(path: str, findings: list[Finding],
+                   keep: tuple[dict, ...] = ()) -> None:
+    """Write a baseline suppressing exactly *findings* plus the *keep*
+    entries carried over from the file it replaces (sorted, stable)."""
     entries = sorted(
-        {(f.rule, f.path, f.message) for f in findings})
+        {(f.rule, f.path, f.message) for f in findings}
+        | {(e["rule"], e["path"], e["message"]) for e in keep})
     payload = {
         "schema": _SCHEMA,
         "suppressions": [

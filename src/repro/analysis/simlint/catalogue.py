@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 __all__ = [
     "ApiDoc",
     "CatalogueEntry",
+    "Contracts",
     "TelemetryCatalogue",
     "names_match",
     "parse_api_doc",
@@ -36,15 +37,6 @@ class CatalogueEntry:
     name: str
     kind: str              # "tracepoint" | "counter" | "gauge" | ...
     line: int              # 1-based line in the markdown source
-
-    @property
-    def prefix(self) -> str:
-        """Literal part before the first ``{placeholder}``."""
-        return self.name.partition("{")[0]
-
-    @property
-    def is_pattern(self) -> bool:
-        return "{" in self.name
 
 
 def names_match(entry_name: str, emitted_prefix: str,
@@ -223,3 +215,19 @@ def parse_api_doc(path: str, package: str = "repro") -> ApiDoc:
                         doc.deprecated[name] = DeprecatedName(
                             dotted=name, replacement=repl, line=lineno)
     return doc
+
+
+@dataclass
+class Contracts:
+    """The machine-checked docs the whole-program rules diff the
+    program against."""
+
+    catalogue: TelemetryCatalogue
+    api: ApiDoc
+    #: top-level package name of the analyzed tree ("repro", or the
+    #: fixture package under test)
+    package: str
+    #: contract root every display path is relative to; rules that must
+    #: touch the filesystem (e.g. the scenario library) resolve against
+    #: it.
+    root: str

@@ -1,224 +1,194 @@
-"""simlint engine: file contexts, disable comments, runners, renderers.
+"""simlint engine: the rule registry, the one runner, the renderers.
 
-The engine is rule-agnostic: it parses each file once, annotates the AST
-with parent links, extracts ``# simlint: disable=`` allowlists from the
-source, runs every rule, and filters suppressed findings.  Rules live in
-:mod:`repro.analysis.simlint.rules`.
+Whatever is linted — a source string, a file, a tree — goes through the
+same steps: parse every file once into a
+:class:`~repro.analysis.simlint.model.ProgramModel`, run the registered
+rules over it, drop findings a ``# simlint: disable=`` comment excuses,
+sort.  ``deep`` adds the whole-program rules, which diff the tree
+against the docs contracts found at the contract root.
 """
 
 from __future__ import annotations
 
-import ast
 import json
 import os
-import re
-from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+import pathlib
+from collections.abc import Iterable
 
-#: Directory names never descended into when walking a tree.
-_SKIP_DIRS = {"__pycache__", ".git", ".hypothesis", ".pytest_cache"}
+from ...errors import ConfigurationError
+from .catalogue import ApiDoc, Contracts, parse_api_doc, parse_observability
+from .model import Finding, ProgramModel, iter_python_files, module_name
+from .passes import (
+    ApiSurfaceRule,
+    DeterminismBoundaryRule,
+    RngStreamRule,
+    TelemetryContractRule,
+)
+from .rules import (
+    AtomicDurableWriteRule,
+    BareAssertRule,
+    BoundedRetryRule,
+    DeterministicIterationRule,
+    MutableDefaultRule,
+    PerFrameObjectRule,
+    Rule,
+    SeededRandomRule,
+    TracepointGuardRule,
+    WallClockRule,
+)
 
-_DISABLE_RE = re.compile(r"#\s*simlint:\s*disable=([A-Za-z0-9_,\s]+)")
-_DISABLE_FILE_RE = re.compile(
-    r"^\s*#\s*simlint:\s*disable-file=([A-Za-z0-9_,\s]+)")
+#: The shipped rule set, in code order: per-file rules, then the
+#: whole-program rules (``rule.deep``).
+RULES: tuple[Rule, ...] = (
+    WallClockRule(),
+    SeededRandomRule(),
+    TracepointGuardRule(),
+    BareAssertRule(),
+    MutableDefaultRule(),
+    DeterministicIterationRule(),
+    BoundedRetryRule(),
+    PerFrameObjectRule(),
+    AtomicDurableWriteRule(),
+    TelemetryContractRule(),
+    RngStreamRule(),
+    ApiSurfaceRule(),
+    DeterminismBoundaryRule(),
+)
+
+#: ``SL000`` is raised by the parser, not by a rule; the full catalogue
+#: documents it all the same.
+_PARSE_ROW = ("SL000", "file must parse",
+              "A file the per-file linter was pointed at does not parse.")
 
 
-@dataclass(frozen=True, order=True)
-class Finding:
-    """One structured lint finding."""
-
-    path: str
-    line: int
-    col: int
-    rule: str
-    message: str
-
-    def format(self) -> str:
-        return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
-
-    def to_dict(self) -> dict:
-        return {"path": self.path, "line": self.line, "col": self.col,
-                "rule": self.rule, "message": self.message}
+def rule_catalogue(deep: bool = False) -> list[tuple[str, str, str]]:
+    """``(code, title, doc)`` rows, in code order: the per-file rules,
+    or with *deep* the full table — the ``SL000`` parse-error row, the
+    per-file rules and the whole-program rules — that SARIF documents
+    and tests pin."""
+    rows = [(rule.code, rule.title,
+             (rule.__doc__ or "").strip().splitlines()[0])
+            for rule in RULES if deep or not rule.deep]
+    return [_PARSE_ROW, *rows] if deep else rows
 
 
-def _parse_codes(raw: str) -> set[str]:
-    return {c.strip().upper() for c in raw.split(",") if c.strip()}
+class DeepLintError(ValueError):
+    """Deep analysis could not be configured (no docs contract found)."""
 
 
-class FileContext:
-    """Everything a rule needs about one source file.
+def find_contract_root(paths, docs_dir: str | None = None) -> str | None:
+    """Locate the repo root whose ``docs/`` holds the contracts.
 
-    Attributes:
-        path: the file path as given.
-        source: full source text.
-        tree: parsed AST; every node carries a ``_simlint_parent`` link.
-        lines: source split into lines (1-indexed via ``lines[i - 1]``).
+    Walks up from the first analyzed path until a directory containing
+    ``docs/OBSERVABILITY.md`` is found — so fixture packages that carry
+    their own ``docs/`` get checked against those, not the repo's — and
+    returns None when there is none.  An explicit *docs_dir* (the parent
+    of OBSERVABILITY.md/API.md) skips the walk.
     """
-
-    def __init__(self, source: str, path: str) -> None:
-        self.path = str(path)
-        self.source = source
-        self.lines = source.splitlines()
-        self.tree = ast.parse(source, filename=self.path)
-        for node in ast.walk(self.tree):
-            for child in ast.iter_child_nodes(node):
-                child._simlint_parent = node
-        # Directory components of the path, for subsystem scoping.  The
-        # file's own name is excluded so ``fleet.py`` is not "in fleet".
-        norm = os.path.normpath(self.path).replace(os.sep, "/")
-        self._dir_parts = set(norm.split("/")[:-1])
-        self.filename = norm.rsplit("/", 1)[-1]
-
-        self.line_disables: dict[int, set[str]] = {}
-        self.file_disables: set[str] = set()
-        for lineno, line in enumerate(self.lines, start=1):
-            m = _DISABLE_FILE_RE.match(line)
-            if m:
-                self.file_disables |= _parse_codes(m.group(1))
-                continue
-            m = _DISABLE_RE.search(line)
-            if m:
-                self.line_disables[lineno] = _parse_codes(m.group(1))
-
-    # -- helpers for rules ----------------------------------------------
-
-    def in_subsystem(self, *names: str) -> bool:
-        """Whether the file sits under any of the named directories."""
-        return bool(self._dir_parts & set(names))
-
-    def is_test_file(self) -> bool:
-        return (self.filename.startswith("test_")
-                or self.filename == "conftest.py"
-                or "tests" in self._dir_parts)
-
-    def parents(self, node: ast.AST) -> Iterator[ast.AST]:
-        """Ancestors of *node*, innermost first."""
-        while True:
-            node = getattr(node, "_simlint_parent", None)
-            if node is None:
-                return
-            yield node
-
-    def at_module_level(self, node: ast.AST) -> bool:
-        """True when *node* executes at import time (no enclosing
-        function); class bodies count as module level."""
-        return not any(
-            isinstance(p, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
-            for p in self.parents(node))
-
-    def suppressed(self, finding: Finding) -> bool:
-        codes = self.line_disables.get(finding.line, ())
-        return (finding.rule in codes or "ALL" in codes
-                or finding.rule in self.file_disables
-                or "ALL" in self.file_disables)
-
-    def finding(self, node: ast.AST, rule: str, message: str) -> Finding:
-        return Finding(path=self.path, line=node.lineno,
-                       col=node.col_offset, rule=rule, message=message)
-
-
-def dotted_name(node: ast.AST) -> str | None:
-    """Render a ``Name``/``Attribute`` chain as ``"a.b.c"``; None when
-    the chain contains anything else (calls, subscripts, ...)."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
+    if docs_dir is not None:
+        if not os.path.isfile(os.path.join(docs_dir, "OBSERVABILITY.md")):
+            raise DeepLintError(
+                f"--docs {docs_dir!r} has no OBSERVABILITY.md")
+        return os.path.dirname(os.path.abspath(docs_dir)) or os.sep
+    first = next(iter(paths), None)
+    if first is None:
         return None
-    parts.append(node.id)
-    return ".".join(reversed(parts))
+    probe = os.path.abspath(str(first))
+    if os.path.isfile(probe):
+        probe = os.path.dirname(probe)
+    while True:
+        if os.path.isfile(os.path.join(probe, "docs", "OBSERVABILITY.md")):
+            return probe
+        parent = os.path.dirname(probe)
+        if parent == probe:
+            return None
+        probe = parent
 
 
-def import_aliases(tree: ast.AST, modules: tuple[str, ...]) -> dict[str, str]:
-    """Map local names to the fully qualified names they import.
-
-    Covers ``import M``, ``import M as a``, and ``from M import x as y``
-    for every module name in *modules* (e.g. ``("time", "datetime")``).
-    """
-    aliases: dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name in modules:
-                    aliases[alias.asname or alias.name] = alias.name
-        elif isinstance(node, ast.ImportFrom) and node.module in modules:
-            for alias in node.names:
-                aliases[alias.asname or alias.name] = (
-                    f"{node.module}.{alias.name}")
-    return aliases
+def _relative(path: str, root: str) -> str:
+    rel = os.path.relpath(os.path.abspath(path), root)
+    return pathlib.PurePath(rel).as_posix()
 
 
-def resolve_call(call: ast.Call, aliases: dict[str, str]) -> str | None:
-    """The fully qualified dotted name a call targets, expanding the
-    chain's root through *aliases*; None when unresolvable."""
-    name = dotted_name(call.func)
-    if name is None:
-        return None
-    root, _, rest = name.partition(".")
-    expanded = aliases.get(root)
-    if expanded is None:
-        return name
-    return f"{expanded}.{rest}" if rest else expanded
+def _load_contracts(program: ProgramModel, root: str,
+                    docs_dir: str | None) -> Contracts:
+    docs = docs_dir or os.path.join(root, "docs")
+    obs_path = os.path.join(docs, "OBSERVABILITY.md")
+    api_path = os.path.join(docs, "API.md")
+    catalogue = parse_observability(obs_path)
+    catalogue.path = _relative(obs_path, root)
+    package = min((name.partition(".")[0] for name in program.modules),
+                  default="repro")
+    if os.path.isfile(api_path):
+        api = parse_api_doc(api_path, package=package)
+        api.path = _relative(api_path, root)
+    else:
+        api = ApiDoc(path=_relative(api_path, root))
+    return Contracts(catalogue=catalogue, api=api, package=package,
+                     root=root)
 
 
 # ---------------------------------------------------------------------------
-# Runners
+# The runner
 # ---------------------------------------------------------------------------
+
+
+def _run(program: ProgramModel, rules: Iterable[Rule] | None,
+         contracts: Contracts | None = None) -> list[Finding]:
+    program.build_indexes()
+    findings = list(program.parse_errors)
+    for rule in RULES if rules is None else rules:
+        if contracts is not None or not rule.deep:
+            findings.extend(rule.check(program, contracts))
+    by_path = {info.path: info for info in program.files}
+    return sorted(
+        f for f in findings
+        if f.path not in by_path or not by_path[f.path].suppressed(f))
 
 
 def lint_source(source: str, path: str = "<string>",
-                rules: Iterable | None = None) -> list[Finding]:
-    """Lint one source string; returns sorted, unsuppressed findings.
+                rules: Iterable[Rule] | None = None) -> list[Finding]:
+    """Lint one source string with the per-file rules; returns sorted,
+    unsuppressed findings.
 
     A syntactically invalid file yields a single ``SL000`` parse-error
     finding rather than raising.
     """
-    if rules is None:
-        from .rules import DEFAULT_RULES
-
-        rules = DEFAULT_RULES
-    try:
-        ctx = FileContext(source, path)
-    except SyntaxError as exc:
-        return [Finding(path=str(path), line=exc.lineno or 1,
-                        col=(exc.offset or 1) - 1, rule="SL000",
-                        message=f"syntax error: {exc.msg}")]
-    findings = []
-    for rule in rules:
-        for finding in rule.check(ctx):
-            if not ctx.suppressed(finding):
-                findings.append(finding)
-    return sorted(findings)
+    program = ProgramModel()
+    program.add_source(source, str(path), module_name(str(path)))
+    return _run(program, rules)
 
 
-def lint_file(path, rules: Iterable | None = None) -> list[Finding]:
-    with open(path, encoding="utf-8") as fh:
-        return lint_source(fh.read(), str(path), rules)
+def lint_paths(paths: Iterable, rules: Iterable[Rule] | None = None, *,
+               deep: bool = False,
+               docs_dir: str | None = None) -> list[Finding]:
+    """Lint every ``.py`` file under *paths* (files or directories).
 
-
-def iter_python_files(paths: Iterable) -> Iterator[str]:
-    """Expand files and directories into a sorted stream of ``.py``
-    paths (deterministic walk order, skip caches)."""
-    for path in paths:
-        path = str(path)
-        if os.path.isdir(path):
-            for dirpath, dirnames, filenames in os.walk(path):
-                dirnames[:] = sorted(d for d in dirnames
-                                     if d not in _SKIP_DIRS)
-                for fn in sorted(filenames):
-                    if fn.endswith(".py"):
-                        yield os.path.join(dirpath, fn)
-        else:
-            yield path
-
-
-def lint_paths(paths: Iterable, rules: Iterable | None = None) -> list[Finding]:
-    """Lint every ``.py`` file under *paths* (files or directories)."""
-    findings: list[Finding] = []
+    Each file is read and parsed once.  With *deep* the whole-program
+    rules run too, against the docs contracts at the contract root
+    (:class:`DeepLintError` when there is none).  Findings are sorted
+    and carry one display path per file: relative to the contract root
+    when one is found — stable across machines and working
+    directories — and as given otherwise.
+    """
+    paths = list(paths)
+    root = find_contract_root(paths, docs_dir)
+    if deep and root is None:
+        raise DeepLintError(
+            "no docs/OBSERVABILITY.md found above the analyzed "
+            "paths — the deep passes check code against that "
+            "contract (pass --docs to point at it explicitly)")
+    program = ProgramModel()
     for path in iter_python_files(paths):
-        findings.extend(lint_file(path, rules))
-    return sorted(findings)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                source = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigurationError(f"cannot lint {path}: {exc}") from exc
+        program.add_source(source, _relative(path, root) if root else path,
+                           module_name(path))
+    contracts = _load_contracts(program, root, docs_dir) if deep else None
+    return _run(program, rules, contracts)
 
 
 # ---------------------------------------------------------------------------

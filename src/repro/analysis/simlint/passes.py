@@ -1,72 +1,40 @@
-"""The whole-program pass catalogue (DL101–DL104).
+"""The whole-program rule catalogue (DL101–DL104).
 
-Each pass is a class with a ``check(program, contracts)`` generator
-yielding the same :class:`~repro.analysis.simlint.core.Finding` type the
-per-file rules produce, so text/JSON/SARIF rendering and the CLI exit
-code treat shallow and deep findings uniformly.  Findings anchored in a
-source file honour ``# simlint: disable=DLxxx`` allowlists; findings
-anchored in a docs file (a documented-but-dead catalogue row) can only
-be suppressed through the baseline file.
+Each rule overrides ``check(program, contracts)`` and yields the same
+:class:`~repro.analysis.simlint.model.Finding` type the per-file rules
+produce, so text/JSON/SARIF rendering and the CLI exit code treat both
+uniformly.  Findings anchored in a source file honour ``# simlint:
+disable=DLxxx`` allowlists; findings anchored in a docs file (a
+documented-but-dead catalogue row) can only be suppressed through the
+baseline file.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import posixpath
 import re
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from ..simlint.core import Finding
-from .catalogue import ApiDoc, TelemetryCatalogue
-from .model import FunctionInfo, ModuleInfo, ProgramModel
+from .catalogue import ApiDoc, Contracts, names_match
+from .model import (
+    Finding,
+    FunctionInfo,
+    ModuleInfo,
+    ProgramModel,
+    StringVal,
+    named_assignments,
+)
+from .rules import Rule, set_iterations
 
 __all__ = [
-    "DEEP_RULES",
     "ApiSurfaceRule",
-    "Contracts",
-    "DeepRule",
     "DeterminismBoundaryRule",
     "RngStreamRule",
     "TelemetryContractRule",
-    "deep_rule_catalogue",
 ]
-
-
-@dataclass
-class Contracts:
-    """The machine-checked docs the passes diff the program against."""
-
-    catalogue: TelemetryCatalogue
-    api: ApiDoc
-    #: top-level package name of the analyzed tree ("repro", or the
-    #: fixture package under test)
-    package: str
-    #: contract root every display path is relative to; rules that must
-    #: touch the filesystem (e.g. the scenario library) resolve against
-    #: it.  Empty when the caller passed absolute display paths.
-    root: str = ""
-
-
-class DeepRule:
-    """Base class: subclasses set ``code``/``title`` and implement
-    :meth:`check` over the shared program model."""
-
-    code = "DL100"
-    title = ""
-
-    def check(self, program: ProgramModel,
-              contracts: Contracts) -> Iterator[Finding]:
-        raise NotImplementedError
-
-    @staticmethod
-    def at(info: ModuleInfo, node: ast.AST, code: str,
-           message: str) -> Finding:
-        return Finding(path=info.path, line=node.lineno,
-                       col=node.col_offset, rule=code, message=message)
-
-    def doc_finding(self, path: str, line: int, message: str) -> Finding:
-        return Finding(path=path, line=line, col=0, rule=self.code,
-                       message=message)
 
 
 # ---------------------------------------------------------------------------
@@ -82,15 +50,11 @@ _METRIC_KINDS = {"inc": "counter", "gauge": "gauge",
 class _Emission:
     info: ModuleInfo
     node: ast.Call
-    prefix: str
-    exact: bool
+    name: StringVal
     kind: str              # "tracepoint" or a _METRIC_KINDS value
 
-    def render(self) -> str:
-        return self.prefix if self.exact else self.prefix + "{…}"
 
-
-class TelemetryContractRule(DeepRule):
+class TelemetryContractRule(Rule):
     """DL101: every telemetry name crosses the OBSERVABILITY.md catalogue.
 
     Tracepoint declarations and MetricsRegistry emissions (counters,
@@ -107,61 +71,44 @@ class TelemetryContractRule(DeepRule):
 
     code = "DL101"
     title = "telemetry names must match the OBSERVABILITY.md catalogue"
-
-    def _registry_vars(self, info: ModuleInfo) -> set[str]:
-        """Names assigned ``MetricsRegistry(...)`` anywhere in the module
-        (scope-insensitive, like simlint's set tracking)."""
-        out: set[str] = set()
-        for node in ast.walk(info.tree):
-            if (isinstance(node, ast.Assign)
-                    and len(node.targets) == 1
-                    and isinstance(node.targets[0], ast.Name)
-                    and isinstance(node.value, ast.Call)):
-                dotted = info.dotted(node.value.func) or ""
-                if dotted.rpartition(".")[2] == "MetricsRegistry":
-                    out.add(node.targets[0].id)
-        return out
+    deep = True
 
     def emissions(self, program: ProgramModel) -> list[_Emission]:
         out: list[_Emission] = []
         for name in sorted(program.modules):
             info = program.modules[name]
-            registry_vars = self._registry_vars(info)
-            for node in ast.walk(info.tree):
-                if not isinstance(node, ast.Call) or not node.args:
+            # Names assigned ``MetricsRegistry(...)`` anywhere in the
+            # module (scope-insensitive, like the set tracking).
+            registry_vars = {
+                var for var, value in named_assignments(info.nodes)
+                if isinstance(value, ast.Call)
+                and info.leaf(value.func) == "MetricsRegistry"}
+            for site in info.calls:
+                if not site.node.args:
                     continue
-                emission = self._classify(program, info, node,
-                                          registry_vars)
+                emission = self._classify(program, info, site.node,
+                                          site.callee, registry_vars)
                 if emission is not None:
                     out.append(emission)
         return out
 
     def _classify(self, program: ProgramModel, info: ModuleInfo,
-                  node: ast.Call,
+                  node: ast.Call, callee: str,
                   registry_vars: set[str]) -> _Emission | None:
-        func = node.func
-        if isinstance(func, ast.Name) or isinstance(func, ast.Attribute):
-            callee = func.attr if isinstance(func, ast.Attribute) else func.id
-        else:
-            return None
         if callee == "tracepoint":
-            val = program.resolve_string(info, node.args[0])
-            if val is None or not val.prefix:
-                return None
-            return _Emission(info, node, val.prefix, val.exact,
-                             "tracepoint")
-        if callee in _METRIC_KINDS and isinstance(func, ast.Attribute):
-            receiver = func.value
-            recv_dotted = info.dotted(receiver) or ""
-            recv_leaf = recv_dotted.rpartition(".")[2]
+            kind = "tracepoint"
+        elif (callee in _METRIC_KINDS
+                and isinstance(node.func, ast.Attribute)):
+            recv_leaf = info.leaf(node.func.value)
             if not (recv_leaf == "metrics" or recv_leaf in registry_vars):
                 return None
-            val = program.resolve_string(info, node.args[0])
-            if val is None or not val.prefix:
-                return None
-            return _Emission(info, node, val.prefix, val.exact,
-                             _METRIC_KINDS[callee])
-        return None
+            kind = _METRIC_KINDS[callee]
+        else:
+            return None
+        name = program.resolve_string(info, node.args[0])
+        if name is None or not name.prefix:
+            return None
+        return _Emission(info, node, name, kind)
 
     def check(self, program: ProgramModel,
               contracts: Contracts) -> Iterator[Finding]:
@@ -170,30 +117,30 @@ class TelemetryContractRule(DeepRule):
         seen_kinds: dict[str, str] = {}
         for em in emissions:
             if em.kind == "tracepoint":
-                if not cat.match_tracepoint(em.prefix, em.exact):
+                if not cat.match_tracepoint(em.name.prefix, em.name.exact):
                     yield self.at(
-                        em.info, em.node, self.code,
-                        f"tracepoint '{em.render()}' is not in the "
+                        em.info, em.node,
+                        f"tracepoint '{em.name.render()}' is not in the "
                         f"OBSERVABILITY.md tracepoint catalogue")
             else:
-                entry = cat.match_metric(em.prefix, em.exact)
+                entry = cat.match_metric(em.name.prefix, em.name.exact)
                 if entry is None:
                     yield self.at(
-                        em.info, em.node, self.code,
-                        f"{em.kind} '{em.render()}' is not in the "
+                        em.info, em.node,
+                        f"{em.kind} '{em.name.render()}' is not in the "
                         f"OBSERVABILITY.md metric catalogue")
                 elif entry.kind != em.kind:
                     yield self.at(
-                        em.info, em.node, self.code,
-                        f"kind collision: '{em.render()}' emitted as a "
+                        em.info, em.node,
+                        f"kind collision: '{em.name.render()}' emitted as a "
                         f"{em.kind} but documented as a {entry.kind} "
                         f"(OBSERVABILITY.md:{entry.line})")
-                key = entry.name if entry is not None else em.render()
+                key = entry.name if entry is not None else em.name.render()
                 prior = seen_kinds.setdefault(key, em.kind)
                 if prior != em.kind:
                     yield self.at(
-                        em.info, em.node, self.code,
-                        f"kind collision: '{em.render()}' emitted both "
+                        em.info, em.node,
+                        f"kind collision: '{em.name.render()}' emitted both "
                         f"as a {prior} and as a {em.kind}")
         for name in sorted(set(cat.tracepoints) & set(cat.metrics)):
             yield self.doc_finding(
@@ -220,9 +167,7 @@ class TelemetryContractRule(DeepRule):
 
 
 def _matches(entry_name: str, em: _Emission) -> bool:
-    from .catalogue import names_match
-
-    return names_match(entry_name, em.prefix, em.exact)
+    return names_match(entry_name, em.name.prefix, em.name.exact)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +177,7 @@ def _matches(entry_name: str, em: _Emission) -> bool:
 _SITE_RE = re.compile(r"^[a-z][a-z0-9_-]*$")
 
 
-class RngStreamRule(DeepRule):
+class RngStreamRule(Rule):
     """DL102: named RNG streams follow the convention and stay home.
 
     The bit-identity invariant rests on every ``random.Random`` drawing
@@ -250,6 +195,7 @@ class RngStreamRule(DeepRule):
 
     code = "DL102"
     title = "named RNG streams: {site}:{purpose}…:{seed}, no escape"
+    deep = True
 
     # -- seed-expression templating -------------------------------------
 
@@ -308,7 +254,7 @@ class RngStreamRule(DeepRule):
         pretty = re.sub(r"\x00\d+\x00", "{…}", text)
         if len(segments) < 3:
             yield self.at(
-                info, call, self.code,
+                info, call,
                 f"stream seed '{pretty}' does not follow the "
                 f"{{site}}:{{purpose}}…:{{seed}} convention (needs a "
                 f"site, at least one purpose segment, and the seed)")
@@ -316,25 +262,25 @@ class RngStreamRule(DeepRule):
         site = segments[0]
         if not _SITE_RE.fullmatch(site):
             yield self.at(
-                info, call, self.code,
+                info, call,
                 f"stream site (the head of '{pretty}') must be a "
                 f"literal lowercase token")
         elif site.replace("-", "").replace("_", "") not in (
                 info.name.replace(".", "").replace("_", "")):
             yield self.at(
-                info, call, self.code,
+                info, call,
                 f"stream site '{site}' does not name its declaring "
                 f"module '{info.name}' — streams are per-site so a "
                 f"reader can find the declaration")
         if re.fullmatch(r"\x00(\d+)\x00", segments[-1]) is None:
             yield self.at(
-                info, call, self.code,
+                info, call,
                 f"stream seed '{pretty}' must end with a dynamic "
                 f"':'-separated field (the run seed or a draw "
                 f"discriminator), not a constant")
         if not any(self._mentions_seed(expr) for expr in dynamic):
             yield self.at(
-                info, call, self.code,
+                info, call,
                 f"no field of stream seed '{pretty}' references a seed "
                 f"value — every named stream must be derived from the "
                 f"run seed")
@@ -344,7 +290,7 @@ class RngStreamRule(DeepRule):
     def _stream_assignments(self, info: ModuleInfo):
         """Yield ``(call, target, enclosing_fn, class_name)`` for every
         string-seeded Random assigned to a name or self-attribute."""
-        for node in ast.walk(info.tree):
+        for node in info.nodes:
             if not (isinstance(node, ast.Assign)
                     and len(node.targets) == 1
                     and isinstance(node.value, ast.Call)):
@@ -357,7 +303,7 @@ class RngStreamRule(DeepRule):
             target = node.targets[0]
             enclosing = None
             class_name = None
-            for parent in info.ctx.parents(node):
+            for parent in info.parents(node):
                 if (enclosing is None
                         and isinstance(parent, (ast.FunctionDef,
                                                 ast.AsyncFunctionDef))):
@@ -378,7 +324,7 @@ class RngStreamRule(DeepRule):
                             and isinstance(sub.value, ast.Name)
                             and sub.value.id == var):
                         yield self.at(
-                            info, sub, self.code,
+                            info, sub,
                             f"named RNG stream '{var}' escapes its "
                             f"declaring function "
                             f"{enclosing.name}() via "
@@ -392,7 +338,7 @@ class RngStreamRule(DeepRule):
                 class_attrs.setdefault(class_name, set()).add(target.attr)
         if not class_attrs:
             return
-        for node in ast.walk(info.tree):
+        for node in info.nodes:
             if not isinstance(node, ast.ClassDef):
                 continue
             attrs = class_attrs.get(node.name)
@@ -405,7 +351,7 @@ class RngStreamRule(DeepRule):
                         and sub.value.value.id == "self"
                         and sub.value.attr in attrs):
                     yield self.at(
-                        info, sub, self.code,
+                        info, sub,
                         f"named RNG stream 'self.{sub.value.attr}' "
                         f"escapes {node.name} via "
                         f"{'return' if isinstance(sub, ast.Return) else 'yield'}"
@@ -415,11 +361,10 @@ class RngStreamRule(DeepRule):
               contracts: Contracts) -> Iterator[Finding]:
         for name in sorted(program.modules):
             info = program.modules[name]
-            for node in ast.walk(info.tree):
-                if (isinstance(node, ast.Call) and node.args
-                        and info.dotted(node.func) == "random.Random"):
-                    yield from self._check_stream_name(info, node,
-                                                       node.args[0])
+            for site in info.calls:
+                if site.node.args and site.dotted == "random.Random":
+                    yield from self._check_stream_name(
+                        info, site.node, site.node.args[0])
             yield from self._escapes(info)
 
 
@@ -428,7 +373,7 @@ class RngStreamRule(DeepRule):
 # ---------------------------------------------------------------------------
 
 
-class ApiSurfaceRule(DeepRule):
+class ApiSurfaceRule(Rule):
     """DL103: the code and docs/API.md declare the same stable surface.
 
     Cross-checks five claims: every module API.md documents exists and
@@ -449,31 +394,27 @@ class ApiSurfaceRule(DeepRule):
 
     code = "DL103"
     title = "docs/API.md and the code agree on the stable surface"
+    deep = True
 
     @staticmethod
     def _has_literal_all(info: ModuleInfo) -> bool:
-        for node in info.tree.body:
-            if (isinstance(node, ast.Assign)
-                    and len(node.targets) == 1
-                    and isinstance(node.targets[0], ast.Name)
-                    and node.targets[0].id == "__all__"
-                    and isinstance(node.value, (ast.List, ast.Tuple))
-                    and all(isinstance(e, ast.Constant)
-                            and isinstance(e.value, str)
-                            for e in node.value.elts)):
-                return True
-        return False
+        return any(
+            name == "__all__"
+            and isinstance(value, (ast.List, ast.Tuple))
+            and all(isinstance(e, ast.Constant) and isinstance(e.value, str)
+                    for e in value.elts)
+            for name, value in named_assignments(info.tree.body))
 
     @staticmethod
     def _string_literals(info: ModuleInfo) -> set[str]:
-        return {n.value for n in ast.walk(info.tree)
+        return {n.value for n in info.nodes
                 if isinstance(n, ast.Constant)
                 and isinstance(n.value, str)}
 
     @staticmethod
     def _defined_names(info: ModuleInfo) -> set[str]:
         out: set[str] = set()
-        for node in ast.walk(info.tree):
+        for node in info.nodes:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef)):
                 out.add(node.name)
@@ -533,19 +474,18 @@ class ApiSurfaceRule(DeepRule):
             info = program.modules[name]
             if info.name in by_module:
                 continue
-            for node in ast.walk(info.tree):
+            for node in info.nodes:
                 if isinstance(node, ast.ImportFrom):
-                    base = info._resolve_relative(node.module, node.level)
+                    base = info.resolve_relative(node.module, node.level)
                     for alias in node.names:
                         repl = by_module.get(base, {}).get(alias.name)
                         if repl is not None:
                             yield self.at(
-                                info, node, self.code,
+                                info, node,
                                 f"internal import of deprecated "
                                 f"'{base}.{alias.name}' — use {repl} "
                                 f"(shims are for downstream callers)")
-            for node in ast.walk(info.tree):
-                if isinstance(node, ast.Attribute):
+                elif isinstance(node, ast.Attribute):
                     dotted = info.dotted(node)
                     if dotted is None:
                         continue
@@ -553,7 +493,7 @@ class ApiSurfaceRule(DeepRule):
                     repl = by_module.get(module, {}).get(leaf)
                     if repl is not None:
                         yield self.at(
-                            info, node, self.code,
+                            info, node,
                             f"internal use of deprecated '{dotted}' — "
                             f"use {repl}")
         # Deprecated callables ("### Deprecated: `sample_fleet(...)`"):
@@ -565,33 +505,29 @@ class ApiSurfaceRule(DeepRule):
                 if site.module in defining:
                     continue
                 yield self.at(
-                    program.modules[site.module], site.node, self.code,
+                    program.modules[site.module], site.node,
                     f"internal call to deprecated {callee}() "
                     f"(docs/API.md marks it a downstream-only shim)")
 
     def _check_frozen_configs(self, program: ProgramModel,
                               api: ApiDoc) -> Iterator[Finding]:
-        for cls_name in sorted(api.config_classes):
-            for name in sorted(program.modules):
-                info = program.modules[name]
-                for node in ast.walk(info.tree):
-                    if (not isinstance(node, ast.ClassDef)
-                            or node.name != cls_name):
-                        continue
-                    if not self._is_frozen_dataclass(info, node):
-                        yield self.at(
-                            info, node, self.code,
-                            f"{cls_name} is documented as a front-door "
-                            f"config in API.md but is not a frozen "
-                            f"dataclass (configs key caches and "
-                            f"manifests; they must be immutable)")
+        for info in program.modules.values():
+            for node in info.nodes:
+                if (isinstance(node, ast.ClassDef)
+                        and node.name in api.config_classes
+                        and not self._is_frozen_dataclass(info, node)):
+                    yield self.at(
+                        info, node,
+                        f"{node.name} is documented as a front-door "
+                        f"config in API.md but is not a frozen "
+                        f"dataclass (configs key caches and "
+                        f"manifests; they must be immutable)")
 
     @staticmethod
     def _is_frozen_dataclass(info: ModuleInfo, node: ast.ClassDef) -> bool:
         for dec in node.decorator_list:
             if isinstance(dec, ast.Call):
-                dotted = info.dotted(dec.func) or ""
-                if dotted.rpartition(".")[2] == "dataclass":
+                if info.leaf(dec.func) == "dataclass":
                     for kw in dec.keywords:
                         if (kw.arg == "frozen"
                                 and isinstance(kw.value, ast.Constant)
@@ -603,9 +539,6 @@ class ApiSurfaceRule(DeepRule):
 
     def _check_scenario_library(self, program: ProgramModel,
                                 contracts: Contracts) -> Iterator[Finding]:
-        import os
-        import posixpath
-
         # The scenario front door (and thus the library contract) is
         # opt-in: only packages whose API.md documents a `.scenarios`
         # module are held to it.
@@ -695,7 +628,7 @@ DETERMINISM_ROOTS = frozenset({
 })
 
 
-class DeterminismBoundaryRule(DeepRule):
+class DeterminismBoundaryRule(Rule):
     """DL104: nothing order-unstable on a path into a manifest.
 
     Functions *reachable* from the snapshot/manifest producers (the
@@ -711,6 +644,7 @@ class DeterminismBoundaryRule(DeepRule):
 
     code = "DL104"
     title = "no unordered iteration / id() reachable from manifests"
+    deep = True
 
     def _reachable(self, program: ProgramModel) -> list[FunctionInfo]:
         calls_in: dict[FunctionInfo, list] = {}
@@ -734,77 +668,27 @@ class DeterminismBoundaryRule(DeepRule):
                         stack.append(callee)
         return sorted(seen, key=lambda f: (f.module, f.qualname))
 
-    @staticmethod
-    def _is_set_expr(info: ModuleInfo, node: ast.AST,
-                     set_vars: set[str]) -> bool:
-        if isinstance(node, (ast.Set, ast.SetComp)):
-            return True
-        if isinstance(node, ast.Call):
-            dotted = info.dotted(node.func) or ""
-            return dotted.rpartition(".")[2] in ("set", "frozenset")
-        if isinstance(node, ast.BinOp) and isinstance(
-                node.op, (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)):
-            return (DeterminismBoundaryRule._is_set_expr(
-                        info, node.left, set_vars)
-                    or DeterminismBoundaryRule._is_set_expr(
-                        info, node.right, set_vars))
-        if isinstance(node, ast.Name):
-            return node.id in set_vars
-        return False
-
     def _check_function(self, info: ModuleInfo,
                         fn: FunctionInfo) -> Iterator[Finding]:
-        set_vars: set[str] = set()
         for node in ast.walk(fn.node):
-            if (isinstance(node, ast.Assign)
-                    and len(node.targets) == 1
-                    and isinstance(node.targets[0], ast.Name)
-                    and self._is_set_expr(info, node.value, set_vars)):
-                set_vars.add(node.targets[0].id)
-        iters: list[ast.AST] = []
-        for node in ast.walk(fn.node):
-            if isinstance(node, ast.For):
-                iters.append(node.iter)
-            elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
-                                   ast.GeneratorExp)):
-                iters.extend(gen.iter for gen in node.generators)
-            elif (isinstance(node, ast.Call)
+            if (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Name)
                     and node.func.id == "id"
                     and len(node.args) == 1):
                 yield self.at(
-                    info, node, self.code,
+                    info, node,
                     f"id() in {fn.qualname}(), which is reachable from "
                     f"a manifest/snapshot producer — addresses vary "
                     f"per process and break byte-identity")
-        for it in iters:
-            if self._is_set_expr(info, it, set_vars):
-                yield self.at(
-                    info, it, self.code,
-                    f"set iteration in {fn.qualname}(), which is "
-                    f"reachable from a manifest/snapshot producer — "
-                    f"wrap the iterable in sorted(...)")
+        for it in set_iterations(info, fn.node):
+            yield self.at(
+                info, it,
+                f"set iteration in {fn.qualname}(), which is "
+                f"reachable from a manifest/snapshot producer — "
+                f"wrap the iterable in sorted(...)")
 
     def check(self, program: ProgramModel,
               contracts: Contracts) -> Iterator[Finding]:
         for fn in self._reachable(program):
             info = program.modules[fn.module]
             yield from self._check_function(info, fn)
-
-
-#: The shipped deep-pass set, in code order.
-DEEP_RULES = (
-    TelemetryContractRule(),
-    RngStreamRule(),
-    ApiSurfaceRule(),
-    DeterminismBoundaryRule(),
-)
-
-
-def deep_rule_catalogue() -> list[tuple[str, str, str]]:
-    """``(code, title, doc)`` for every shipped deep pass."""
-    out = []
-    for rule in DEEP_RULES:
-        doc = (rule.__doc__ or "").strip().splitlines()[0]
-        out.append((rule.code, rule.title, doc))
-    return out

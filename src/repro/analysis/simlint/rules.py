@@ -1,9 +1,12 @@
-"""The simlint rule catalogue (SL001–SL010).
+"""The per-file rule catalogue (SL001–SL010) and the one rule base.
 
-Each rule is a small class with a ``check(ctx)`` generator yielding
-:class:`~repro.analysis.simlint.core.Finding` objects.  Rules encode the
-repository's own correctness contracts; they are deliberately repo-
-specific, not general Python style checks.
+Each rule is a small class yielding
+:class:`~repro.analysis.simlint.model.Finding` objects.  Per-file rules
+implement ``check_file(info)`` over one
+:class:`~repro.analysis.simlint.model.ModuleInfo`; the whole-program
+rules in :mod:`~repro.analysis.simlint.passes` override ``check``.
+Rules encode the repository's own correctness contracts; they are
+deliberately repo-specific, not general Python style checks.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterator
 
-from .core import FileContext, Finding, dotted_name, import_aliases, resolve_call
+from .model import Finding, ModuleInfo, named_assignments
 
 #: Subsystems that must run on simulated time only (SL001).
 SIM_TIME_SUBSYSTEMS = ("mm", "sim", "kalloc", "fleet")
@@ -21,19 +24,71 @@ SIM_TIME_SUBSYSTEMS = ("mm", "sim", "kalloc", "fleet")
 #: be bit-identical across runs and worker counts.
 ORDERED_OUTPUT_SUBSYSTEMS = ("fleet", "telemetry")
 
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp,
+                   ast.GeneratorExp)
+
+
 class Rule:
     """Base class: subclasses set ``code``/``title`` and implement
-    :meth:`check`."""
+    :meth:`check_file` (one file at a time) or override :meth:`check`
+    (the whole program against the docs contracts)."""
 
     code = "SL000"
     title = ""
+    #: whole-program rules need the docs contracts; they run only when
+    #: the caller asks for ``deep``
+    deep = False
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
+    def check(self, program, contracts) -> Iterator[Finding]:
+        for info in program.files:
+            yield from self.check_file(info)
+
+    def check_file(self, info: ModuleInfo) -> Iterator[Finding]:
         raise NotImplementedError
 
-    def finding(self, ctx: FileContext, node: ast.AST,
-                message: str) -> Finding:
-        return ctx.finding(node, self.code, message)
+    def at(self, info: ModuleInfo, node: ast.AST, message: str) -> Finding:
+        return Finding(path=info.path, line=node.lineno,
+                       col=node.col_offset, rule=self.code, message=message)
+
+    def doc_finding(self, path: str, line: int, message: str) -> Finding:
+        return Finding(path=path, line=line, col=0, rule=self.code,
+                       message=message)
+
+
+def _is_set_expr(info: ModuleInfo, node: ast.AST,
+                 set_vars: set[str]) -> bool:
+    if isinstance(node, (ast.Set, ast.SetComp)):
+        return True
+    if isinstance(node, ast.Call):
+        return info.leaf(node.func) in ("set", "frozenset")
+    if isinstance(node, ast.BinOp) and isinstance(
+            node.op, (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)):
+        return (_is_set_expr(info, node.left, set_vars)
+                or _is_set_expr(info, node.right, set_vars))
+    if isinstance(node, ast.Name):
+        return node.id in set_vars
+    return False
+
+
+def set_iterations(info: ModuleInfo, scope: ast.AST) -> list[ast.AST]:
+    """The set-typed iterables of every ``for`` and comprehension under
+    *scope*: a set literal or comprehension, a ``set()``/``frozenset()``
+    call, set algebra over one, or a name assigned one anywhere under
+    *scope* (a scope-insensitive heuristic).  SL006 asks this of a whole
+    file, DL104 of one function reachable from a manifest producer."""
+    set_vars: set[str] = set()
+    iters: list[ast.AST] = []
+    for node in ast.walk(scope):
+        if isinstance(node, ast.Assign):
+            if (len(node.targets) == 1
+                    and isinstance(node.targets[0], ast.Name)
+                    and _is_set_expr(info, node.value, set_vars)):
+                set_vars.add(node.targets[0].id)
+        elif isinstance(node, ast.For):
+            iters.append(node.iter)
+        elif isinstance(node, _COMPREHENSIONS):
+            iters.extend(gen.iter for gen in node.generators)
+    return [it for it in iters if _is_set_expr(info, it, set_vars)]
 
 
 class WallClockRule(Rule):
@@ -49,32 +104,21 @@ class WallClockRule(Rule):
     code = "SL001"
     title = "no wall-clock time in sim-time subsystems"
 
-    BANNED = {
-        "time.time": "wall-clock",
-        "time.time_ns": "wall-clock",
-        "time.monotonic": "wall-clock",
-        "time.monotonic_ns": "wall-clock",
-        "time.localtime": "wall-clock",
-        "time.gmtime": "wall-clock",
-        "time.strftime": "wall-clock",
-        "datetime.datetime.now": "wall-clock",
-        "datetime.datetime.utcnow": "wall-clock",
-        "datetime.datetime.today": "wall-clock",
-        "datetime.date.today": "wall-clock",
-    }
+    BANNED = frozenset({
+        "time.time", "time.time_ns", "time.monotonic", "time.monotonic_ns",
+        "time.localtime", "time.gmtime", "time.strftime",
+        "datetime.datetime.now", "datetime.datetime.utcnow",
+        "datetime.datetime.today", "datetime.date.today",
+    })
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if not ctx.in_subsystem(*SIM_TIME_SUBSYSTEMS):
+    def check_file(self, info: ModuleInfo) -> Iterator[Finding]:
+        if not info.in_subsystem(*SIM_TIME_SUBSYSTEMS):
             return
-        aliases = import_aliases(ctx.tree, ("time", "datetime"))
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = resolve_call(node, aliases)
-            if name in self.BANNED:
-                yield self.finding(
-                    ctx, node,
-                    f"{name}() reads the wall clock in a sim-time "
+        for site in info.calls:
+            if site.dotted in self.BANNED:
+                yield self.at(
+                    info, site.node,
+                    f"{site.dotted}() reads the wall clock in a sim-time "
                     f"subsystem; use kernel ticks / sim time "
                     f"(perf_counter durations for telemetry are exempt)")
 
@@ -95,56 +139,36 @@ class SeededRandomRule(Rule):
     code = "SL002"
     title = "no module-level or unseeded random"
 
-    @staticmethod
-    def _assignment_aliases(ctx: FileContext,
-                            aliases: dict[str, str]) -> dict[str, str]:
-        """Module-level ``NAME = random.Random`` factory aliases, with
-        the right-hand side itself resolved through *aliases* — calls
-        through NAME are Random() calls wearing a different hat."""
-        out: dict[str, str] = {}
-        for node in ctx.tree.body:
-            if not (isinstance(node, ast.Assign)
-                    and len(node.targets) == 1
-                    and isinstance(node.targets[0], ast.Name)):
-                continue
-            name = dotted_name(node.value)
-            if name is None:
-                continue
-            root, _, rest = name.partition(".")
-            expanded = aliases.get(root)
-            if expanded is not None:
-                name = f"{expanded}.{rest}" if rest else expanded
-            if name == "random.Random":
-                out[node.targets[0].id] = "random.Random"
-        return out
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        aliases = import_aliases(ctx.tree, ("random",))
-        if not aliases:
+    def check_file(self, info: ModuleInfo) -> Iterator[Finding]:
+        if not any(target == "random" or target.startswith("random.")
+                   for target in info.imports.values()):
             return
-        aliases = {**aliases, **self._assignment_aliases(ctx, aliases)}
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
+        # Module-level ``NAME = random.Random`` factory aliases: calls
+        # through NAME are Random() calls wearing a different hat.
+        factories = {name for name, value in named_assignments(info.tree.body)
+                     if info.dotted(value) == "random.Random"}
+        for site in info.calls:
+            root, _, rest = (site.dotted or "").partition(".")
+            if root in factories:
+                root, rest = "random", f"Random.{rest}" if rest else "Random"
+            if root != "random":
                 continue
-            name = resolve_call(node, aliases)
-            if not name or not name.startswith("random."):
-                continue
-            attr = name.partition(".")[2]
-            if attr == "Random":
+            node = site.node
+            if rest == "Random":
                 if not node.args and not node.keywords:
-                    yield self.finding(
-                        ctx, node,
+                    yield self.at(
+                        info, node,
                         "random.Random() without a seed is "
                         "nondeterministic; pass an explicit seed")
-                elif ctx.at_module_level(node):
-                    yield self.finding(
-                        ctx, node,
+                elif info.at_module_level(node):
+                    yield self.at(
+                        info, node,
                         "module-level Random() creates import-time "
                         "global RNG state; inject it instead")
-            elif attr:
-                yield self.finding(
-                    ctx, node,
-                    f"random.{attr}() uses the shared global RNG; "
+            elif rest:
+                yield self.at(
+                    info, node,
+                    f"random.{rest}() uses the shared global RNG; "
                     f"draw from an injected seeded random.Random")
 
 
@@ -162,19 +186,6 @@ class TracepointGuardRule(Rule):
     code = "SL003"
     title = "tracepoint emit must be guarded by its enabled flag"
 
-    def _tracepoint_vars(self, ctx: FileContext) -> set[str]:
-        out = set()
-        for node in ctx.tree.body:
-            if (isinstance(node, ast.Assign)
-                    and len(node.targets) == 1
-                    and isinstance(node.targets[0], ast.Name)
-                    and isinstance(node.value, ast.Call)):
-                name = dotted_name(node.value.func)
-                if name and (name == "tracepoint"
-                             or name.endswith(".tracepoint")):
-                    out.add(node.targets[0].id)
-        return out
-
     @staticmethod
     def _test_checks_enabled(test: ast.AST, tp_name: str) -> bool:
         for sub in ast.walk(test):
@@ -184,9 +195,10 @@ class TracepointGuardRule(Rule):
                 return True
         return False
 
-    def _guarded(self, ctx: FileContext, node: ast.AST, tp_name: str) -> bool:
+    def _guarded(self, info: ModuleInfo, node: ast.AST,
+                 tp_name: str) -> bool:
         child = node
-        for parent in ctx.parents(node):
+        for parent in info.parents(node):
             if (isinstance(parent, ast.If)
                     and any(child is stmt for stmt in parent.body)
                     and self._test_checks_enabled(parent.test, tp_name)):
@@ -194,23 +206,23 @@ class TracepointGuardRule(Rule):
             child = parent
         return False
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        tp_vars = self._tracepoint_vars(ctx)
-        if not tp_vars:
-            return
-        for node in ast.walk(ctx.tree):
-            if not (isinstance(node, ast.Call)
+    def check_file(self, info: ModuleInfo) -> Iterator[Finding]:
+        tp_vars = {name for name, value in named_assignments(info.tree.body)
+                   if isinstance(value, ast.Call)
+                   and info.leaf(value.func) == "tracepoint"}
+        for site in info.calls:
+            node = site.node
+            if not (site.callee == "emit"
                     and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "emit"
                     and isinstance(node.func.value, ast.Name)
                     and node.func.value.id in tp_vars):
                 continue
             if not node.args and not node.keywords:
                 continue
             tp_name = node.func.value.id
-            if not self._guarded(ctx, node, tp_name):
-                yield self.finding(
-                    ctx, node,
+            if not self._guarded(info, node, tp_name):
+                yield self.at(
+                    info, node,
                     f"{tp_name}.emit(...) builds arguments without an "
                     f"'if {tp_name}.enabled:' guard; disabled runs must "
                     f"not pay for event construction")
@@ -229,13 +241,13 @@ class BareAssertRule(Rule):
     code = "SL004"
     title = "no bare assert in non-test code"
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if ctx.is_test_file():
+    def check_file(self, info: ModuleInfo) -> Iterator[Finding]:
+        if info.is_test_file():
             return
-        for node in ast.walk(ctx.tree):
+        for node in info.nodes:
             if isinstance(node, ast.Assert):
-                yield self.finding(
-                    ctx, node,
+                yield self.at(
+                    info, node,
                     "bare assert is stripped under python -O; raise "
                     "SimInvariantError (repro.errors) or use the "
                     "sanitizer (repro.analysis.sanitizer)")
@@ -250,27 +262,25 @@ class MutableDefaultRule(Rule):
     _MUTABLE_CALLS = {"list", "dict", "set", "bytearray", "defaultdict",
                       "deque", "OrderedDict", "Counter"}
 
-    def _is_mutable(self, node: ast.AST) -> bool:
+    def _is_mutable(self, info: ModuleInfo, node: ast.AST) -> bool:
         if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp,
                              ast.SetComp, ast.DictComp)):
             return True
-        if isinstance(node, ast.Call):
-            name = dotted_name(node.func)
-            return bool(name) and name.split(".")[-1] in self._MUTABLE_CALLS
-        return False
+        return (isinstance(node, ast.Call)
+                and info.leaf(node.func) in self._MUTABLE_CALLS)
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+    def check_file(self, info: ModuleInfo) -> Iterator[Finding]:
+        for node in info.nodes:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                      ast.Lambda)):
                 continue
             defaults = list(node.args.defaults)
             defaults += [d for d in node.args.kw_defaults if d is not None]
             for default in defaults:
-                if self._is_mutable(default):
+                if self._is_mutable(info, default):
                     fn = getattr(node, "name", "<lambda>")
-                    yield self.finding(
-                        ctx, default,
+                    yield self.at(
+                        info, default,
                         f"mutable default argument in {fn}() is shared "
                         f"across calls; default to None and build inside")
 
@@ -287,49 +297,14 @@ class DeterministicIterationRule(Rule):
     code = "SL006"
     title = "deterministic iteration in fleet/telemetry"
 
-    _SET_OPS = (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
-
-    def _set_vars(self, ctx: FileContext) -> set[str]:
-        """Names assigned a set-typed expression anywhere in the file
-        (scope-insensitive heuristic)."""
-        out: set[str] = set()
-        for node in ast.walk(ctx.tree):
-            if (isinstance(node, ast.Assign)
-                    and len(node.targets) == 1
-                    and isinstance(node.targets[0], ast.Name)
-                    and self._is_set_expr(node.value, out)):
-                out.add(node.targets[0].id)
-        return out
-
-    def _is_set_expr(self, node: ast.AST, set_vars: set[str]) -> bool:
-        if isinstance(node, (ast.Set, ast.SetComp)):
-            return True
-        if isinstance(node, ast.Call):
-            return dotted_name(node.func) in ("set", "frozenset")
-        if isinstance(node, ast.BinOp) and isinstance(node.op, self._SET_OPS):
-            return (self._is_set_expr(node.left, set_vars)
-                    or self._is_set_expr(node.right, set_vars))
-        if isinstance(node, ast.Name):
-            return node.id in set_vars
-        return False
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if not ctx.in_subsystem(*ORDERED_OUTPUT_SUBSYSTEMS):
+    def check_file(self, info: ModuleInfo) -> Iterator[Finding]:
+        if not info.in_subsystem(*ORDERED_OUTPUT_SUBSYSTEMS):
             return
-        set_vars = self._set_vars(ctx)
-        iters: list[ast.AST] = []
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.For):
-                iters.append(node.iter)
-            elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
-                                   ast.GeneratorExp)):
-                iters.extend(gen.iter for gen in node.generators)
-        for it in iters:
-            if self._is_set_expr(it, set_vars):
-                yield self.finding(
-                    ctx, it,
-                    "iterating a set in an output-producing subsystem; "
-                    "iteration order is arbitrary — wrap in sorted(...)")
+        for it in set_iterations(info, info.tree):
+            yield self.at(
+                info, it,
+                "iterating a set in an output-producing subsystem; "
+                "iteration order is arbitrary — wrap in sorted(...)")
 
 
 class BoundedRetryRule(Rule):
@@ -383,18 +358,18 @@ class BoundedRetryRule(Rule):
                 return True
         return False
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if ctx.is_test_file():
+    def check_file(self, info: ModuleInfo) -> Iterator[Finding]:
+        if info.is_test_file():
             return
-        for node in ast.walk(ctx.tree):
+        for node in info.nodes:
             if not isinstance(node, ast.While):
                 continue
             if not self._constant_true(node.test):
                 continue
             if (self._looks_like_retry(node)
                     and not self._has_attempt_counter(node)):
-                yield self.finding(
-                    ctx, node,
+                yield self.at(
+                    info, node,
                     "unbounded retry loop: 'while True:' with "
                     "retry/backoff markers but no attempt counter; "
                     "bound the attempts and raise or degrade once the "
@@ -437,12 +412,11 @@ class PerFrameObjectRule(Rule):
             if isinstance(node, ast.Name):
                 yield node.id
 
-    def _per_frame_loops(self, ctx: FileContext) -> Iterator[ast.AST]:
-        for node in ast.walk(ctx.tree):
+    def _per_frame_loops(self, info: ModuleInfo) -> Iterator[ast.AST]:
+        for node in info.nodes:
             if isinstance(node, ast.For):
                 names = self._target_names(node.target)
-            elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
-                                   ast.GeneratorExp)):
+            elif isinstance(node, _COMPREHENSIONS):
                 names = (n for gen in node.generators
                          for n in self._target_names(gen.target))
             else:
@@ -452,22 +426,19 @@ class PerFrameObjectRule(Rule):
                    for marker in PER_FRAME_LOOP_MARKERS):
                 yield node
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if not ctx.in_subsystem("mm") or ctx.is_test_file():
+    def check_file(self, info: ModuleInfo) -> Iterator[Finding]:
+        if not info.in_subsystem("mm") or info.is_test_file():
             return
         seen: set[ast.AST] = set()
-        for loop in self._per_frame_loops(ctx):
+        for loop in self._per_frame_loops(info):
             for node in ast.walk(loop):
                 if node in seen or not isinstance(node, ast.Call):
                     continue
-                name = dotted_name(node.func)
-                if not name:
-                    continue
-                ctor = name.split(".")[-1]
+                ctor = info.leaf(node.func)
                 if ctor in PER_FRAME_OBJECT_CTORS:
                     seen.add(node)
-                    yield self.finding(
-                        ctx, node,
+                    yield self.at(
+                        info, node,
                         f"{ctor}(...) constructs a Python object per "
                         f"frame in an mm hot loop; read the packed "
                         f"arrays (pageblocks.get_int, free_order_mv, "
@@ -516,66 +487,28 @@ class AtomicDurableWriteRule(Rule):
             return False
         return any(ch in mode.value for ch in cls._WRITE_CHARS)
 
-    def _enclosing_scope(self, ctx: FileContext, node: ast.AST) -> ast.AST:
-        for parent in ctx.parents(node):
-            if isinstance(parent, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                return parent
-        return ctx.tree
-
     @staticmethod
-    def _calls_replace(scope: ast.AST,
-                       aliases: dict[str, str]) -> bool:
-        for node in ast.walk(scope):
-            if not isinstance(node, ast.Call):
-                continue
-            name = resolve_call(node, aliases)
-            if name == "os.replace":
-                return True
-        return False
+    def _calls_replace(info: ModuleInfo, scope: ast.AST) -> bool:
+        return any(isinstance(node, ast.Call)
+                   and info.dotted(node.func) == "os.replace"
+                   for node in ast.walk(scope))
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if not ctx.in_subsystem(*DURABLE_OUTPUT_SUBSYSTEMS):
+    def check_file(self, info: ModuleInfo) -> Iterator[Finding]:
+        if not info.in_subsystem(*DURABLE_OUTPUT_SUBSYSTEMS):
             return
-        if ctx.is_test_file():
+        if info.is_test_file():
             return
-        aliases = import_aliases(ctx.tree, ("os", "io"))
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
+        for site in info.calls:
+            if site.dotted not in ("open", "io.open"):
                 continue
-            name = resolve_call(node, aliases) or dotted_name(node.func)
-            if name not in ("open", "io.open"):
+            if not self._write_mode(site.node):
                 continue
-            if not self._write_mode(node):
+            scope = site.enclosing.node if site.enclosing else info.tree
+            if self._calls_replace(info, scope):
                 continue
-            scope = self._enclosing_scope(ctx, node)
-            if self._calls_replace(scope, aliases):
-                continue
-            yield self.finding(
-                ctx, node,
+            yield self.at(
+                info, site.node,
                 "write-mode open() in a durable-output subsystem "
                 "without os.replace in the enclosing scope; stage to a "
                 "tempfile in the target directory and publish with "
                 "os.replace (see experiments.cache / checkpoint.format)")
-
-
-#: The shipped rule set, in code order.
-DEFAULT_RULES = (
-    WallClockRule(),
-    SeededRandomRule(),
-    TracepointGuardRule(),
-    BareAssertRule(),
-    MutableDefaultRule(),
-    DeterministicIterationRule(),
-    BoundedRetryRule(),
-    PerFrameObjectRule(),
-    AtomicDurableWriteRule(),
-)
-
-
-def rule_catalogue() -> list[tuple[str, str, str]]:
-    """``(code, title, doc)`` for every shipped rule (docs + CLI)."""
-    out = []
-    for rule in DEFAULT_RULES:
-        doc = (rule.__doc__ or "").strip().splitlines()[0]
-        out.append((rule.code, rule.title, doc))
-    return out

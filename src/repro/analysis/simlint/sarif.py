@@ -1,4 +1,4 @@
-"""SARIF 2.1.0 emission for simlint/deeplint findings.
+"""SARIF 2.1.0 emission for lint findings.
 
 SARIF is the interchange format CI annotation surfaces consume; one
 ``run`` with a ``repro-deeplint`` driver, the full SL+DL rule catalogue
@@ -18,7 +18,7 @@ import hashlib
 import json
 import pathlib
 
-from ..simlint.core import Finding
+from .model import Finding
 
 __all__ = ["SARIF_SCHEMA", "SARIF_VERSION", "render_sarif"]
 

@@ -33,8 +33,8 @@ Examples::
     python -m repro trace --input ev.jsonl --match 'mm.compact.*'
     python -m repro metrics run.json      # pretty-print one manifest
     python -m repro metrics a.json b.json # diff two runs
-    python -m repro lint src/repro        # determinism/invariant linter
-    python -m repro lint --deep --strict src/repro  # + whole-program passes
+    python -m repro lint src/repro/mm/buddy.py   # per-file rules only
+    python -m repro lint --deep --strict src/repro  # + whole-program rules
     python -m repro lint --deep --sarif out.sarif src/repro
     python -m repro lint --json --list-rules
 
@@ -306,17 +306,10 @@ def _cmd_lint(args) -> None:
     import os
     import sys
 
-    from .analysis import deeplint
-    from .analysis.simlint import (
-        lint_paths,
-        render_json,
-        render_text,
-        rule_catalogue,
-    )
+    from .analysis import simlint
 
     if args.list_rules:
-        catalogue = (deeplint.full_rule_catalogue() if args.deep
-                     else rule_catalogue())
+        catalogue = simlint.rule_catalogue(args.deep)
         if args.json:
             import json
 
@@ -333,34 +326,47 @@ def _cmd_lint(args) -> None:
     # Default target: the installed repro package itself, so `repro lint`
     # works from any working directory.
     paths = args.paths or [os.path.dirname(os.path.abspath(__file__))]
-    findings = lint_paths(paths)
-    baseline = None
+    try:
+        root = simlint.find_contract_root(paths, args.docs)
+        findings = simlint.lint_paths(paths, deep=args.deep,
+                                      docs_dir=args.docs)
+    except simlint.DeepLintError as exc:
+        raise SystemExit(f"repro lint: {exc}")
     baseline_path = args.baseline
-    if args.deep:
+    if baseline_path is None and root is not None:
+        baseline_path = os.path.join(root, ".deeplint-baseline.json")
+    # The whole-program rules do not run without --deep, so this run can
+    # neither call their baseline entries stale nor rewrite them.
+    skipped = frozenset() if args.deep else frozenset(
+        rule.code for rule in simlint.RULES if rule.deep)
+
+    def load_baseline():
+        if baseline_path is None or not os.path.isfile(baseline_path):
+            return None
         try:
-            root = deeplint.find_contract_root(paths, args.docs)
-            findings.extend(deeplint.deep_lint_paths(paths,
-                                                     docs_dir=args.docs))
-        except deeplint.DeepLintError as exc:
+            return simlint.load_baseline(baseline_path)
+        except simlint.BaselineError as exc:
             raise SystemExit(f"repro lint: {exc}")
-        findings.sort()
+
+    if args.write_baseline:
         if baseline_path is None:
-            baseline_path = os.path.join(root, ".deeplint-baseline.json")
-        if args.write_baseline:
-            deeplint.write_baseline(baseline_path, findings)
-            print(f"wrote {len(findings)} suppression(s) to "
-                  f"{baseline_path}")
-            return
-        if os.path.isfile(baseline_path):
-            try:
-                baseline = deeplint.load_baseline(baseline_path)
-            except deeplint.BaselineError as exc:
-                raise SystemExit(f"repro lint: {exc}")
-    active, _suppressed, stale = deeplint.apply_baseline(findings,
-                                                         baseline)
+            raise SystemExit(
+                "repro lint: no contract root above the linted paths to "
+                "hold .deeplint-baseline.json; pass --baseline PATH")
+        replaced = load_baseline() if skipped else None
+        simlint.write_baseline(
+            baseline_path, findings,
+            tuple(e for e in replaced.entries if e["rule"] in skipped)
+            if replaced else ())
+        print(f"wrote {len(findings)} suppression(s) to "
+              f"{baseline_path}")
+        return
+    baseline = load_baseline()
+    active, _suppressed, stale = simlint.apply_baseline(findings, baseline,
+                                                        skipped)
     if args.sarif:
-        document = deeplint.render_sarif(
-            findings, deeplint.full_rule_catalogue(),
+        document = simlint.render_sarif(
+            findings, simlint.rule_catalogue(deep=True),
             baseline.fingerprints if baseline else frozenset())
         if args.sarif == "-":
             print(document, end="")
@@ -368,7 +374,8 @@ def _cmd_lint(args) -> None:
             with open(args.sarif, "w", encoding="utf-8") as fh:
                 fh.write(document)
     if args.sarif != "-":
-        print(render_json(active) if args.json else render_text(active))
+        print(simlint.render_json(active) if args.json
+              else simlint.render_text(active))
     for entry in stale:
         print(f"simlint: stale baseline entry {entry['rule']} "
               f"{entry['path']}: {entry['message']!r} matches nothing — "
@@ -928,19 +935,18 @@ def build_parser() -> argparse.ArgumentParser:
                            "(DL101-DL104) against docs/OBSERVABILITY.md "
                            "and docs/API.md")
     lint.add_argument("--strict", action="store_true",
-                      help="with --deep: also fail on stale baseline "
-                           "entries, keeping the suppression file "
-                           "honest")
+                      help="also fail on stale baseline entries, "
+                           "keeping the suppression file honest")
     lint.add_argument("--sarif", metavar="PATH",
                       help="write findings as SARIF 2.1.0 to PATH "
                            "('-' for stdout)")
     lint.add_argument("--baseline", metavar="PATH",
-                      help="baseline suppression file (default with "
-                           "--deep: .deeplint-baseline.json at the "
-                           "contract root)")
+                      help="baseline suppression file (default: "
+                           ".deeplint-baseline.json at the contract "
+                           "root, when there is one)")
     lint.add_argument("--write-baseline", action="store_true",
-                      help="with --deep: suppress every current finding "
-                           "into the baseline file and exit")
+                      help="suppress every current finding into the "
+                           "baseline file and exit")
     lint.add_argument("--docs", metavar="DIR",
                       help="directory holding OBSERVABILITY.md/API.md "
                            "(default: discovered by walking up from the "

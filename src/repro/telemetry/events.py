@@ -278,11 +278,23 @@ class JsonlSink:
 
 def read_jsonl(path) -> list[TraceEvent]:
     """Load an event stream written by :class:`JsonlSink` (or
-    :meth:`RingBufferSink.to_jsonl`)."""
+    :meth:`RingBufferSink.to_jsonl`); a missing file or a line that is
+    not an event is a :class:`ConfigurationError` naming it."""
     out = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(TraceEvent.from_json(line))
+    try:
+        with open(path) as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    out.append(TraceEvent.from_json(line))
+                except (ValueError, KeyError, TypeError,
+                        AttributeError) as exc:
+                    raise ConfigurationError(
+                        f"{path}:{lineno}: not a trace event "
+                        f"({exc!r})") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(
+            f"cannot read event stream {path}: {exc}") from exc
     return out

@@ -17,6 +17,8 @@ import json
 import os
 import time
 
+from ..errors import ConfigurationError
+
 #: Manifest schema version; bump on incompatible layout changes.
 SCHEMA_VERSION = 1
 
@@ -121,8 +123,19 @@ def write_manifest(path, manifest: dict) -> str:
 
 
 def load_manifest(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+    """Read one manifest; a file that is missing, not JSON or not a
+    JSON object is a :class:`ConfigurationError` naming *path*."""
+    try:
+        with open(path) as fh:
+            manifest = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigurationError(
+            f"cannot read manifest {path}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise ConfigurationError(
+            f"manifest {path} must be a JSON object, not a "
+            f"{type(manifest).__name__}")
+    return manifest
 
 
 def manifest_diff(a: dict, b: dict) -> dict:

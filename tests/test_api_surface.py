@@ -182,9 +182,9 @@ class TestExportSnapshots:
         # and SARIF consumers key on these IDs.  Adding or removing a
         # rule must update this snapshot, docs/ANALYSIS.md, and the
         # fixture coverage in tests/test_deeplint.py together.
-        from repro.analysis.deeplint import full_rule_catalogue
+        from repro.analysis.simlint import rule_catalogue
 
-        assert [code for code, _, _ in full_rule_catalogue()] == [
+        assert [code for code, _, _ in rule_catalogue(deep=True)] == [
             "SL000",
             "SL001",
             "SL002",
@@ -195,7 +195,6 @@ class TestExportSnapshots:
             "SL008",
             "SL009",
             "SL010",
-            "DL100",
             "DL101",
             "DL102",
             "DL103",
@@ -206,15 +205,22 @@ class TestExportSnapshots:
         from repro.analysis import simlint
 
         assert sorted(simlint.__all__) == [
-            "DEFAULT_RULES",
+            "Baseline",
+            "BaselineError",
+            "DeepLintError",
             "Finding",
+            "RULES",
             "Rule",
-            "lint_file",
+            "apply_baseline",
+            "find_contract_root",
             "lint_paths",
             "lint_source",
+            "load_baseline",
             "render_json",
+            "render_sarif",
             "render_text",
             "rule_catalogue",
+            "write_baseline",
         ]
 
 
@@ -386,11 +392,11 @@ class TestLazyExports:
         assert repro.workloads.sample_service is original
 
     def test_submodules_import_through_the_lazy_package(self):
-        from repro.analysis import deeplint
+        from repro.analysis import simlint
         from repro.workloads import tracegen
 
         assert tracegen.run_loadgen is repro.workloads.run_loadgen
-        assert deeplint.__name__ == "repro.analysis.deeplint"
+        assert simlint.__name__ == "repro.analysis.simlint"
 
     def test_registry_is_populated_whichever_module_loads_first(self):
         for first in ("repro.workloads.registry", "repro.workloads.services",

@@ -1,4 +1,4 @@
-"""deeplint: whole-program passes, SARIF, baseline, determinism.
+"""The whole-program (``deep``) rules, SARIF, baseline, determinism.
 
 Fixture packages under ``tests/fixtures/deeplint/`` carry one seeded
 violation and one allowlisted case per DL rule (``dirty``) and a
@@ -14,18 +14,18 @@ import textwrap
 
 import pytest
 
-from repro.analysis.deeplint import (
+from repro.analysis.simlint import (
     BaselineError,
     DeepLintError,
     apply_baseline,
-    deep_lint_paths,
     find_contract_root,
-    full_rule_catalogue,
+    lint_paths,
     load_baseline,
     render_sarif,
+    rule_catalogue,
     write_baseline,
 )
-from repro.analysis.deeplint.sarif import finding_fingerprint
+from repro.analysis.simlint.sarif import finding_fingerprint
 
 TESTS = pathlib.Path(__file__).parent
 FIXTURES = TESTS / "fixtures" / "deeplint"
@@ -37,7 +37,7 @@ SRC = REPO / "src" / "repro"
 
 @pytest.fixture(scope="module")
 def dirty():
-    return deep_lint_paths([DIRTY])
+    return lint_paths([DIRTY], deep=True)
 
 
 def rules_at(findings, path_suffix):
@@ -112,16 +112,11 @@ class TestDL102Streams:
 
     @staticmethod
     def _lint_snippet(source):
-        import ast
-
-        from repro.analysis.deeplint.model import ModuleInfo, ProgramModel
-        from repro.analysis.deeplint.passes import RngStreamRule
-        from repro.analysis.simlint.core import FileContext
+        from repro.analysis.simlint.model import ProgramModel
+        from repro.analysis.simlint.passes import RngStreamRule
 
         model = ProgramModel()
-        ctx = FileContext(source, "pkg/streams.py")
-        info = ModuleInfo("pkg.streams", "pkg/streams.py", ctx)
-        model.modules[info.name] = info
+        model.add_source(source, "pkg/streams.py", "pkg.streams")
         model.build_indexes()
         return [f for f in RngStreamRule().check(model, None)]
 
@@ -181,7 +176,7 @@ class TestDL103ScenarioLibrary:
         # contract stays unarmed there (asserted via zero findings in
         # TestCleanAndShippedTrees); the real tree documents
         # `repro.scenarios` and its 11 bundled files must stay clean.
-        findings = deep_lint_paths([SRC])
+        findings = lint_paths([SRC], deep=True)
         assert not any("/library/" in f.path for f in findings)
 
 
@@ -210,12 +205,12 @@ class TestDL104Determinism:
 
 class TestCleanAndShippedTrees:
     def test_clean_fixture_has_zero_findings(self):
-        assert deep_lint_paths([CLEAN]) == []
+        assert lint_paths([CLEAN], deep=True) == []
 
     def test_shipped_tree_is_deep_clean(self):
         # The acceptance bar: repo code satisfies its own contracts
         # with no baseline debt.
-        assert deep_lint_paths([SRC]) == []
+        assert lint_paths([SRC], deep=True) == []
 
     def test_committed_baseline_is_empty(self):
         baseline = load_baseline(str(REPO / ".deeplint-baseline.json"))
@@ -225,39 +220,40 @@ class TestCleanAndShippedTrees:
         (tmp_path / "pkg").mkdir()
         (tmp_path / "pkg" / "mod.py").write_text("X = 1\n")
         with pytest.raises(DeepLintError):
-            deep_lint_paths([tmp_path / "pkg"])
+            lint_paths([tmp_path / "pkg"], deep=True)
 
-    def test_unparsable_file_reports_dl100(self, tmp_path):
+    def test_unparsable_file_reports_one_sl000(self, tmp_path):
         (tmp_path / "docs").mkdir()
         (tmp_path / "docs" / "OBSERVABILITY.md").write_text(
             "### Tracepoint catalogue\n\n### Metric catalogue\n")
         pkg = tmp_path / "pkg"
         pkg.mkdir()
         (pkg / "broken.py").write_text("def f(:\n")
-        findings = deep_lint_paths([pkg])
-        assert [f.rule for f in findings] == ["DL100"]
+        findings = lint_paths([pkg], deep=True)
+        assert [(f.rule, f.path) for f in findings] == [
+            ("SL000", "pkg/broken.py")]
 
 
 class TestDeterminism:
     def test_two_runs_identical_findings(self):
-        assert deep_lint_paths([DIRTY]) == deep_lint_paths([DIRTY])
+        assert lint_paths([DIRTY], deep=True) == lint_paths([DIRTY], deep=True)
 
     def test_sarif_byte_identical_across_runs(self):
-        docs = [render_sarif(deep_lint_paths([DIRTY]),
-                             full_rule_catalogue())
+        docs = [render_sarif(lint_paths([DIRTY], deep=True),
+                             rule_catalogue(deep=True))
                 for _ in range(2)]
         assert docs[0] == docs[1]
 
     def test_json_byte_identical_across_runs(self):
         from repro.analysis.simlint import render_json
 
-        docs = [render_json(deep_lint_paths([DIRTY])) for _ in range(2)]
+        docs = [render_json(lint_paths([DIRTY], deep=True)) for _ in range(2)]
         assert docs[0] == docs[1]
 
 
 class TestSarif:
     def test_document_shape(self, dirty):
-        doc = json.loads(render_sarif(dirty, full_rule_catalogue()))
+        doc = json.loads(render_sarif(dirty, rule_catalogue(deep=True)))
         assert doc["version"] == "2.1.0"
         assert doc["$schema"].endswith("sarif-2.1.0.json")
         (run,) = doc["runs"]
@@ -280,7 +276,7 @@ class TestSarif:
             assert result["partialFingerprints"]["reproDeeplint/v1"]
 
     def test_round_trip_is_stable(self, dirty):
-        rendered = render_sarif(dirty, full_rule_catalogue())
+        rendered = render_sarif(dirty, rule_catalogue(deep=True))
         reparsed = json.loads(rendered)
         assert json.dumps(reparsed, sort_keys=True, indent=2) + "\n" == \
             rendered
@@ -288,7 +284,7 @@ class TestSarif:
     def test_baselined_results_marked_suppressed(self, dirty):
         target = dirty[0]
         doc = json.loads(render_sarif(
-            dirty, full_rule_catalogue(),
+            dirty, rule_catalogue(deep=True),
             frozenset({finding_fingerprint(target)})))
         flags = [("suppressions" in r) for r in doc["runs"][0]["results"]]
         assert flags.count(True) == 1

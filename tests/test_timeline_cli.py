@@ -99,6 +99,27 @@ class TestCli:
                 parser.parse_args(argv)
             assert "process count" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb,content,complaint", [
+        (["lint"], None, "cannot lint"),
+        (["metrics"], None, "cannot read manifest"),
+        (["metrics"], "{not json", "cannot read manifest"),
+        (["metrics"], "[1, 2]", "must be a JSON object"),
+        (["trace", "--input"], None, "cannot read event stream"),
+        (["trace", "--input"], "garbage\n", ":1: not a trace event"),
+    ])
+    def test_bad_input_file_is_a_typed_error(self, tmp_path, verb, content,
+                                             complaint):
+        """A missing or malformed input file exits with ``repro: ...``
+        naming the path — never a traceback."""
+        target = tmp_path / "input.dat"
+        if content is not None:
+            target.write_text(content)
+        with pytest.raises(SystemExit) as exc:
+            main([*verb, str(target)])
+        message = str(exc.value.code)
+        assert message.startswith("repro: ")
+        assert complaint in message and str(target) in message
+
     def test_interference_runs(self, experiment):
         out = experiment("s53-interference")
         assert "noncacheable" in out
