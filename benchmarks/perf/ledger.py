@@ -1,0 +1,215 @@
+#!/usr/bin/env python3
+"""The committed trajectory of the benchmark of record.
+
+    python3 benchmarks/e2e/run.py --repeat 5 --json-out run.json
+    python3 benchmarks/perf/ledger.py append run.json --pr 17 --sha "$(git rev-parse HEAD)"
+    python3 benchmarks/perf/ledger.py report
+
+``history.jsonl`` beside this file is append-only: one JSON object per
+line, one line per PR per workload — the median of each end-to-end
+metric ``BENCHMARK.json`` declares (with the samples behind it),
+round 0's ``sim_digest`` on the lowest seed run, the host's speed
+factor and probe time, its CPU count and the git sha measured.
+``report`` prints every workload's rows oldest first and judges each
+against the row before it with ``e2ebench.compare.verdict``, the rule
+``run.py --compare`` applies, so "better" here means what it means
+there.  A row that does not parse, lacks a field or carries a
+non-number makes ``report`` exit 1 (the CI step); a ``worse`` verdict
+does not, because the ledger records what happened.  A PR measuring
+its own not-yet-committed tree passes ``--sha "src:$(git write-tree
+--prefix=src/)"`` after ``git add -A``; once it is committed,
+``git rev-parse <commit>:src`` reproduces that id.
+
+Stdlib only, and nothing here imports the simulator.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(os.path.dirname(HERE))
+HISTORY = os.path.join(HERE, "history.jsonl")
+sys.path.insert(0, os.path.join(ROOT, "benchmarks", "e2e"))
+
+from e2ebench.compare import verdict  # noqa: E402  (needs the path above)
+from e2ebench.meter import PROBE_REF_S  # noqa: E402
+
+
+class LedgerError(ValueError):
+    """A run record or ledger row that cannot be used."""
+
+
+def load_contract() -> dict:
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def rows_from_runs(runs: list[dict], contract: dict, pr: int,
+                   sha: str) -> list[dict]:
+    """One ledger row per workload from ``run.py --json-out`` records
+    (untraced runs only: those carry the end-to-end metrics)."""
+    rows = []
+    for workload in (w["name"] for w in contract["workloads"]):
+        mine = sorted((r for r in runs if r["workload"] == workload
+                       and not r["trace"] and not r["quick"]),
+                      key=lambda r: r["seed"])
+        if not mine:
+            continue
+        samples = {spec["name"]: [r["metrics"][spec["name"]] for r in mine]
+                   for spec in contract["end_to_end"]}
+        speed = statistics.median(r["raw"]["speed_factor"] for r in mine)
+        rows.append({
+            "pr": pr, "sha": sha, "workload": workload,
+            "seed": mine[0]["seed"], "runs": len(mine),
+            "metrics": {name: statistics.median(values)
+                        for name, values in samples.items()},
+            "samples": samples,
+            "sim_digest": mine[0]["sim_digest"],
+            "failed": sum(r["failed"] for r in mine),
+            "attempted": sum(r["attempted"] for r in mine),
+            "host": {"speed_factor": speed,
+                     "calib_ms": speed * PROBE_REF_S * 1e3,
+                     "nproc": os.cpu_count() or 1},
+        })
+    if not rows:
+        raise LedgerError("no full-size untraced run in the record")
+    return rows
+
+
+def check_row(row, contract: dict, where: str) -> None:
+    """Raise :class:`LedgerError` unless *row* has every field with the
+    type ``report`` relies on."""
+    def need(cond: bool, what: str) -> None:
+        if not cond:
+            raise LedgerError(f"{where}: {what}")
+
+    def number(value) -> bool:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+    need(isinstance(row, dict), "not a JSON object")
+    for key, kind in (("pr", int), ("sha", str), ("workload", str),
+                      ("seed", int), ("runs", int), ("sim_digest", str),
+                      ("failed", int), ("attempted", int),
+                      ("metrics", dict), ("samples", dict), ("host", dict)):
+        need(isinstance(row.get(key), kind), f"{key!r} missing or not "
+             f"{kind.__name__}")
+    need(row["workload"] in {w["name"] for w in contract["workloads"]},
+         f"unknown workload {row['workload']!r}")
+    for spec in contract["end_to_end"]:
+        name = spec["name"]
+        need(number(row["metrics"].get(name)), f"metric {name!r} missing")
+        values = row["samples"].get(name)
+        need(isinstance(values, list) and len(values) == row["runs"]
+             and all(number(v) for v in values),
+             f"samples of {name!r} do not hold {row['runs']} numbers")
+    for key in ("speed_factor", "calib_ms", "nproc"):
+        need(number(row["host"].get(key)), f"host.{key} missing")
+
+
+def load_history(path: str, contract: dict) -> list[dict]:
+    rows = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            where = f"{os.path.basename(path)}:{lineno}"
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise LedgerError(f"{where}: not JSON ({exc})") from None
+            check_row(row, contract, where)
+            rows.append(row)
+    return rows
+
+
+def append(run_path: str, pr: int, sha: str, history: str) -> None:
+    contract = load_contract()
+    try:
+        with open(run_path, encoding="utf-8") as fh:
+            runs = json.load(fh)["runs"]
+        rows = rows_from_runs(runs, contract, pr, sha)
+    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        raise LedgerError(f"{run_path}: not a run.py --json-out record "
+                          f"({exc!r})") from None
+    for row in rows:
+        check_row(row, contract, f"{run_path}: {row['workload']}")
+    with open(history, "a", encoding="utf-8") as fh:
+        for row in rows:
+            fh.write(json.dumps(row, sort_keys=True) + "\n")
+    print(f"ledger: appended {len(rows)} row(s) for PR {pr} "
+          f"({sha[:12]}) to {history}")
+
+
+def report(history: str) -> None:
+    contract = load_contract()
+    rows = load_history(history, contract)
+    specs = contract["end_to_end"]
+    print(f"{len(rows)} row(s) in {history}; each row is judged against "
+          "the one above it (B/A with A = previous row)")
+    for workload in (w["name"] for w in contract["workloads"]):
+        mine = [r for r in rows if r["workload"] == workload]
+        if not mine:
+            continue
+        print(f"== {workload}")
+        prev = None
+        for row in mine:
+            host = row["host"]
+            print(f"   PR {row['pr']:<3} {row['sha'][:12]:<12} seed {row['seed']} "
+                  f"x{row['runs']}  digest {row['sim_digest'][:12]}  "
+                  f"failed {row['failed']}/{row['attempted']}  "
+                  f"host x{host['speed_factor']:.2f} "
+                  f"({host['calib_ms']:.2f} ms probe, {host['nproc']} cpu)")
+            for spec in specs:
+                name = spec["name"]
+                line = (f"      {name:<18} {row['metrics'][name]:>12.5g} "
+                        f"{spec['unit']:<4}")
+                if prev is not None:
+                    word, _worse_by, _spread = verdict(
+                        prev["samples"][name], row["samples"][name],
+                        spec["better"], spec["bound"],
+                        judge_spread=name != "setup_s")
+                    base = prev["metrics"][name]
+                    line += (f" {row['metrics'][name] / base:>6.3f}x of "
+                             f"PR {prev['pr']}'s {base:.5g}  {word}")
+                print(line)
+            if prev is not None and prev["seed"] == row["seed"]:
+                same = prev["sim_digest"] == row["sim_digest"]
+                print("      sim_digest "
+                      + ("identical to" if same else "DIFFERS from")
+                      + f" PR {prev['pr']}")
+            prev = row
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        description=__doc__.split("\n\n")[0],
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--history", default=HISTORY, metavar="FILE",
+                        help="the ledger file (default: history.jsonl "
+                             "beside this script)")
+    sub = parser.add_subparsers(dest="verb", required=True)
+    add = sub.add_parser("append", help="append one row per workload "
+                         "from a run.py --json-out record")
+    add.add_argument("run", metavar="run.json")
+    add.add_argument("--pr", type=int, required=True)
+    add.add_argument("--sha", required=True)
+    sub.add_parser("report", help="print the trajectory with verdicts")
+    args = parser.parse_args(argv)
+    try:
+        if args.verb == "append":
+            append(args.run, args.pr, args.sha, args.history)
+        else:
+            report(args.history)
+    except (LedgerError, OSError) as exc:
+        print(f"ledger: {exc}", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -26,10 +26,11 @@ import pathlib
 import sys
 import tokenize
 
-#: Code lines under ``src/repro`` (PR 16: deeplint folded into simlint,
-#: one parse, one rule base, one registry; 13,816 at its parent by this
-#: method, 13,848 before PR 15, 14,049 before PR 12).
-BUDGET = 13_604
+#: Code lines under ``src/repro`` (PR 17: the driver's ``_Expiry`` class
+#: and fused prune loop pay for the proved-prefix prune; 13,604 at its
+#: parent by this method, 13,816 before PR 16, 13,848 before PR 15,
+#: 14,049 before PR 12).
+BUDGET = 13_603
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
              tokenize.INDENT, tokenize.DEDENT, tokenize.ENCODING,

@@ -56,8 +56,11 @@ MAGIC = b"RPCK"
 #: session (repro.run) records ``meta["identity"]`` and fleet payloads
 #: carry the streaming aggregator for both fleet kinds.  3: ``Histogram``
 #: buckets are a ``list[int]`` — a version-2 loadgen payload would put a
-#: numpy array under ``LatencyRecorder`` and break ``json.dumps``.
-FORMAT_VERSION = 3
+#: numpy array under ``LatencyRecorder`` and break ``json.dumps``.  4: the
+#: workload driver's expiry heap holds plain tuples and
+#: ``NetworkBufferPool.transient`` is a dict — a version-3 payload would
+#: restore ``_Expiry`` objects (a class that is gone) and a list.
+FORMAT_VERSION = 4
 
 #: magic + version + header length: the minimum parseable file.
 _PREFIX_LEN = 12

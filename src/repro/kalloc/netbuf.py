@@ -49,7 +49,10 @@ class NetworkBufferPool:
         self.kernel = kernel
         self.config = config or NetworkQueueConfig()
         self.rings: list[PageHandle] = []
-        self.transient: list[PageHandle] = []
+        # Insertion-ordered set keyed by the handle itself (identity
+        # hash, the ReclaimLRU idiom): O(1) release, and no order is
+        # ever read back — only the count and a frame sum.
+        self.transient: dict[PageHandle, None] = {}
 
     def bring_up(self) -> None:
         """Allocate the persistent per-queue rings (driver initialisation)."""
@@ -94,7 +97,7 @@ class NetworkBufferPool:
                 source=AllocSource.NETWORKING,
                 migratetype=MigrateType.UNMOVABLE,
             )
-        self.transient.append(handle)
+        self.transient[handle] = None
         if _tp_alloc.enabled:
             _tp_alloc.emit(pfn=handle.pfn, order=order, pinned=pinned)
         return handle
@@ -104,7 +107,7 @@ class NetworkBufferPool:
         if _tp_free.enabled:
             _tp_free.emit(pfn=handle.pfn, order=handle.order,
                           pinned=handle.pinned)
-        self.transient.remove(handle)
+        del self.transient[handle]
         if handle.pinned:
             self.kernel.unpin_pages(handle)
         self.kernel.free_pages(handle)

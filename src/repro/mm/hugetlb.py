@@ -46,7 +46,10 @@ class HugeTLBPool:
         self.stats = HugeTLBStats()
         self._free_2m: list[PageHandle] = []
         self._free_1g: list[PageHandle] = []
-        self._in_use: set[int] = set()
+        # Keyed by the handle itself (identity hash, as ReclaimLRU): an
+        # ``id()`` would not survive a checkpoint, and a dict pickles in
+        # insertion order where a set would pickle in address order.
+        self._in_use: dict[PageHandle, None] = {}
 
     # ------------------------------------------------------------------
     # Pool sizing (administrator path)
@@ -126,7 +129,7 @@ class HugeTLBPool:
             raise ContiguityError(
                 f"HugeTLB pool empty for {size_frames}-frame pages")
         handle = pool.pop()
-        self._in_use.add(id(handle))
+        self._in_use[handle] = None
         if size_frames == PAGEBLOCK_FRAMES:
             self.stats.free_2m -= 1
         else:
@@ -136,9 +139,9 @@ class HugeTLBPool:
     def put_page(self, handle: PageHandle) -> None:
         """Unmap a huge page; it returns to the pool (persistent!), not
         to the buddy allocator."""
-        if id(handle) not in self._in_use:
+        if handle not in self._in_use:
             raise ConfigurationError("page does not belong to this pool")
-        self._in_use.remove(id(handle))
+        del self._in_use[handle]
         self._pool_for(handle.nframes).append(handle)
         if handle.nframes == PAGEBLOCK_FRAMES:
             self.stats.free_2m += 1

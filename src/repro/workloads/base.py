@@ -103,19 +103,6 @@ class WorkloadSpec:
     base_cpi: float = 0.8
 
 
-@dataclass
-class _Expiry:
-    """Heap entry for a transient allocation's scheduled death."""
-
-    deadline: int
-    seq: int
-    kind: str
-    payload: object
-
-    def __lt__(self, other: "_Expiry") -> bool:
-        return (self.deadline, self.seq) < (other.deadline, other.seq)
-
-
 class Workload:
     """Drives one kernel with one service's allocation pattern."""
 
@@ -132,18 +119,25 @@ class Workload:
             ring_frames_per_queue=max(1, total_ring_frames // nr_queues),
         ))
         self.slab = SlabAllocator(kernel)
+        # SlabAllocator registers caches at construction only.
+        self._slab_caches = tuple(self.slab.caches.values())
         self.pagetables = PageTableAllocator(kernel)
         self.anon_chunks: list[PageHandle | list[PageHandle]] = []
         self.gigapages: list[PageHandle] = []
         self.cache_pages: list[PageHandle] = []
         self._cache_frames = 0
         self._prune_threshold = 4 * kernel.mem.nframes // 64
-        #: PAGES_RECLAIMED value at the last cache prune.  Handles in
-        #: ``cache_pages`` only become freed through kernel reclaim
+        #: PAGES_RECLAIMED and COMPACT_RUNS at the last cache prune.
+        #: Handles in ``cache_pages`` become freed through kernel reclaim
         #: (bounded-mode eviction pops them from the list first), so an
-        #: unchanged counter proves the prune would be an identity pass.
+        #: unchanged PAGES_RECLAIMED means there is nothing to prune; the
+        #: rare reclaim-compaction drop waits for the next prune, and
+        #: every reader of the list skips freed handles.
         self._pruned_reclaimed = -1
-        self._expiries: list[_Expiry] = []
+        self._pruned_compact_runs = 0
+        #: Min-heap of ``(deadline, seq, kind, payload)``; ``seq`` is
+        #: unique, so tuple comparison never reaches the payload.
+        self._expiries: list[tuple] = []
         self._seq = 0
         self.steps = 0
         self.started = False
@@ -302,32 +296,20 @@ class Workload:
         self.steps += 1
         self._expire()
         # Diurnal traffic factor for kernel-side churn.
-        spec0 = self.spec
-        if spec0.diurnal_amplitude:
-            phase = 2.0 * math.pi * self.steps / spec0.diurnal_period_steps
-            self._traffic = 1.0 + spec0.diurnal_amplitude * math.sin(phase)
+        spec = self.spec
+        if spec.diurnal_amplitude:
+            phase = 2.0 * math.pi * self.steps / spec.diurnal_period_steps
+            self._traffic = 1.0 + spec.diurnal_amplitude * math.sin(phase)
         else:
             self._traffic = 1.0
         if len(self.cache_pages) > self._prune_threshold:
             # Prune handles the kernel's reclaim already freed.  Skipped
             # outright when PAGES_RECLAIMED has not moved since the last
             # prune — no reclaim means no cache handle was freed, so the
-            # pass would rebuild an identical list.  Otherwise one fused
-            # pass: this runs at steady state over a large handle list
-            # and used to dominate fleet-sample wall-clock.
+            # pass would rebuild an identical list.
             reclaimed = self.kernel.stat[ev.PAGES_RECLAIMED]
             if reclaimed != self._pruned_reclaimed:
-                self._pruned_reclaimed = reclaimed
-                live = []
-                frames = 0
-                append = live.append
-                for h in self.cache_pages:
-                    if not h.freed:
-                        append(h)
-                        frames += 1 << h.order
-                self.cache_pages = live
-                self._cache_frames = frames
-        spec = self.spec
+                self._prune_cache(reclaimed)
         t = self._traffic
         self._spawn_poisson(spec.net_rate_per_gib * t, self._spawn_netbuf)
         self._spawn_poisson(spec.slab_rate_per_gib * t, self._spawn_slab)
@@ -339,6 +321,41 @@ class Workload:
         if _tp_step.enabled:
             _tp_step.emit(step=self.steps, traffic=round(self._traffic, 4),
                           cache_frames=self._cache_frames)
+
+    def _prune_cache(self, reclaimed: int) -> None:
+        """Drop from ``cache_pages`` every handle the kernel freed since
+        the last prune; *reclaimed* is PAGES_RECLAIMED now.
+
+        Reclaim frees in LRU order, which is this list's append order,
+        so its victims normally sit at the front: cut the freed prefix,
+        summing its frames.  The last prune left no freed handle behind,
+        and the kernel frees a reclaimable page on its own in two places
+        only — ``ReclaimLRU.reclaim``, which counts the frames in
+        PAGES_RECLAIMED, and the reclaim-compaction drop, which only
+        follows a compaction run.  So with COMPACT_RUNS unmoved, all the
+        freed handles in the list hold at most the PAGES_RECLAIMED
+        delta, and a prefix that held exactly the delta held all of
+        them: the in-place cut is the filter's result.  Otherwise (first
+        prune, a foreign reclaimable page in the delta, bounded mode's
+        shuffled list, a compaction run) the full pass filters what is
+        left and rebinds the list.
+        """
+        pages = self.cache_pages
+        k = frames = 0
+        for h in pages:
+            if not h.freed:
+                break
+            frames += 1 << h.order
+            k += 1
+        del pages[:k]
+        self._cache_frames -= frames
+        compact_runs = self.kernel.stat[ev.COMPACT_RUNS]
+        if (compact_runs != self._pruned_compact_runs
+                or frames != reclaimed - self._pruned_reclaimed):
+            self.cache_pages = live = [h for h in pages if not h.freed]
+            self._cache_frames = sum(1 << h.order for h in live)
+        self._pruned_reclaimed = reclaimed
+        self._pruned_compact_runs = compact_runs
 
     def _spawn_poisson(self, rate_per_gib: float, fn) -> None:
         expected = rate_per_gib * self._scale
@@ -352,13 +369,13 @@ class Workload:
                 self.oom_events += 1
                 return
 
-    def _lifetime(self, mean: float) -> int:
-        return max(1, int(self.rng.expovariate(1.0 / mean)))
-
     def _push_expiry(self, kind: str, payload, lifetime: float) -> None:
+        """Schedule *payload*'s death after an exponential lifetime with
+        mean *lifetime* steps (at least one)."""
         self._seq += 1
-        heapq.heappush(self._expiries, _Expiry(
-            self.steps + self._lifetime(lifetime), self._seq, kind, payload))
+        life = max(1, int(self.rng.expovariate(1.0 / lifetime)))
+        heapq.heappush(self._expiries,
+                       (self.steps + life, self._seq, kind, payload))
 
     def _spawn_netbuf(self) -> None:
         spec = self.spec
@@ -371,8 +388,7 @@ class Workload:
         self._push_expiry("net", buf, life)
 
     def _spawn_slab(self) -> None:
-        cache = self.rng.choice(list(self.slab.caches.values()))
-        ref = cache.alloc_object()
+        ref = self.rng.choice(self._slab_caches).alloc_object()
         self._push_expiry("slab", ref, self.spec.slab_lifetime_steps)
 
     def _spawn_fs(self) -> None:
@@ -421,8 +437,10 @@ class Workload:
                     self.kernel.free_pages(old)
 
     def _expire(self) -> None:
-        while self._expiries and self._expiries[0].deadline <= self.steps:
-            self._release(heapq.heappop(self._expiries))
+        heap, now = self._expiries, self.steps
+        while heap and heap[0][0] <= now:
+            _deadline, _seq, kind, payload = heapq.heappop(heap)
+            self._release(kind, payload)
 
     def _drain_expiries(self, kernel_residue: float = 0.0) -> None:
         """Flush every pending expiry.
@@ -433,24 +451,22 @@ class Workload:
         exit unpins and frees them.
         """
         while self._expiries:
-            item = heapq.heappop(self._expiries)
-            if (item.kind != "pin" and kernel_residue > 0
+            _deadline, _seq, kind, payload = heapq.heappop(self._expiries)
+            if (kind != "pin" and kernel_residue > 0
                     and self.rng.random() < kernel_residue):
                 continue  # leaked: permanent unmovable residue
-            self._release(item)
+            self._release(kind, payload)
 
-    def _release(self, item: _Expiry) -> None:
-        if item.kind == "net":
-            if not item.payload.freed:
-                self.netpool.free_buffer(item.payload)
-        elif item.kind == "slab":
-            item.payload.cache.free_object(item.payload)
-        elif item.kind in ("fs", "pin"):
-            handle = item.payload
-            if not handle.freed:
-                if handle.pinned:
-                    self.kernel.unpin_pages(handle)
-                self.kernel.free_pages(handle)
+    def _release(self, kind: str, payload) -> None:
+        if kind == "net":
+            if not payload.freed:
+                self.netpool.free_buffer(payload)
+        elif kind == "slab":
+            payload.cache.free_object(payload)
+        elif not payload.freed:     # "fs" / "pin": a bare page handle
+            if payload.pinned:
+                self.kernel.unpin_pages(payload)
+            self.kernel.free_pages(payload)
 
     # ------------------------------------------------------------------
     # Measurement

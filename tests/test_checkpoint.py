@@ -75,15 +75,19 @@ class TestEnvelope:
         assert issubclass(CheckpointVersionError, CheckpointCorruptError)
 
     def test_previous_format_version_is_refused(self, tmp_path):
-        """Version 2 loadgen payloads pickled a numpy-backed Histogram;
-        resuming one must stop at the envelope, not mid-``json.dumps``."""
-        assert FORMAT_VERSION == 3
+        """Version 2 loadgen payloads pickled a numpy-backed Histogram,
+        version 3 workload payloads ``_Expiry`` heap entries and a
+        list-backed ``transient``; resuming either must stop at the
+        envelope, not mid-``json.dumps`` or mid-unpickle."""
+        assert FORMAT_VERSION == 4
         path = tmp_path / "x.ckpt"
-        data = bytearray(encode_checkpoint("loadgen", 1, {}))
-        data[4:8] = (2).to_bytes(4, "big")
-        path.write_bytes(bytes(data))
-        with pytest.raises(CheckpointVersionError, match="version 2"):
-            read_checkpoint(path)
+        for old in (2, 3):
+            data = bytearray(encode_checkpoint("workload", 1, {}))
+            data[4:8] = old.to_bytes(4, "big")
+            path.write_bytes(bytes(data))
+            with pytest.raises(CheckpointVersionError,
+                               match=f"version {old}"):
+                read_checkpoint(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.ckpt"

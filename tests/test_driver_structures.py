@@ -1,0 +1,178 @@
+"""The driver's three hot data structures (ISSUE 17): the tuple expiry
+heap, the dict-backed transient-buffer set and the proved-prefix cache
+prune.  They are host-side only, so the tests pin *behaviour*: the
+kernel-call stream against goldens recorded before the change, and the
+prune against the full-pass filter it replaced.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import heapq
+import json
+import os
+from collections import Counter
+
+import pytest
+
+from repro.faults import FaultPlan, FaultSpec, injecting
+from repro.mm import vmstat as ev
+from repro.workloads import Workload, get_service
+from repro.workloads.fragmenter import fragment_partially
+from repro.workloads.tracelog import TraceRecorder
+
+from conftest import make_contiguitas, make_linux
+
+SERVICES = ("web", "cache-a", "cache-b", "ci")
+KERNELS = {"linux": make_linux, "contiguitas": make_contiguitas}
+GOLDEN = os.path.join(os.path.dirname(__file__), "fixtures",
+                      "driver_callstream.json")
+
+
+def callstream_sha256(service: str, make_kernel, mem_mib: int = 64,
+                      steps: int = 60, seed: int = 11) -> str:
+    """sha256 of every kernel call the driver and the kalloc glue make:
+    deploy, *steps* churn intervals, then a restart (``stop`` drains the
+    expiry heap in pop order with one RNG draw per entry, so a reordered
+    heap or a moved draw changes which allocations leak)."""
+    recorder = TraceRecorder(make_kernel(mem_mib))
+    workload = Workload(recorder, get_service(service), seed=seed)
+    workload.start()
+    for _ in range(steps):
+        workload.step()
+    workload.stop()
+    digest = hashlib.sha256()
+    for event in recorder.events:
+        digest.update(event.to_json().encode() + b"\n")
+    return digest.hexdigest()
+
+
+class TestCallStreamGolden:
+    """``fixtures/driver_callstream.json`` was recorded at the parent of
+    ISSUE 17 (dataclass heap, list-backed ``transient``, full-pass
+    prune).  A driver refactor that reorders one RNG draw or one kernel
+    call fails here, in Tier-1, not only in the e2e ``sim_digest``.
+    After a *deliberate* change to the driver's behaviour, replace the
+    cell with the digest the failure prints."""
+
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    @pytest.mark.parametrize("service", SERVICES)
+    def test_stream_matches_the_recording(self, service, kernel):
+        with open(GOLDEN, encoding="utf-8") as fh:
+            golden = json.load(fh)
+        got = callstream_sha256(service, KERNELS[kernel])
+        assert got == golden[f"{service}/{kernel}"], got
+
+
+class ShadowWorkload(Workload):
+    """Every prune is checked against the full-pass filter it replaced;
+    ``branches`` counts which path produced the result (the proved
+    prefix cut edits the list in place, the full pass rebinds it)."""
+
+    def __init__(self, *args, branches: Counter, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.branches = branches
+
+    def _prune_cache(self, reclaimed: int) -> None:
+        before = self.cache_pages
+        want = [h for h in before if not h.freed]
+        super()._prune_cache(reclaimed)
+        assert self.cache_pages == want
+        assert self._cache_frames == sum(h.nframes for h in want)
+        self.branches["prefix" if self.cache_pages is before else "full"] += 1
+
+
+def shadow_run(kernel, spec, branches: Counter, steps: int = 120,
+               seed: int = 11) -> ShadowWorkload:
+    workload = ShadowWorkload(kernel, spec, seed=seed, branches=branches)
+    workload.start()
+    for _ in range(steps):
+        workload.step()
+    return workload
+
+
+class TestShadowPrune:
+    """The prefix cut must equal the old filter wherever it is taken,
+    and both branches must actually run."""
+
+    def test_prefix_cut_equals_the_full_pass_everywhere(self):
+        branches: Counter = Counter()
+        for service in SERVICES:
+            for make_kernel in KERNELS.values():
+                for opportunistic in (True, False):
+                    spec = dataclasses.replace(
+                        get_service(service),
+                        cache_opportunistic=opportunistic)
+                    shadow_run(make_kernel(64), spec, branches)
+        # Opportunistic servers prune by prefix after their first (full)
+        # pass; the bounded cache shuffles its list and never reclaims
+        # twice, so it only ever takes the full pass.
+        assert branches["prefix"] >= 16 and branches["full"] >= 16, branches
+
+    @pytest.mark.parametrize("make_kernel", KERNELS.values(),
+                             ids=sorted(KERNELS))
+    def test_foreign_reclaimable_pages_force_the_full_pass(self, make_kernel):
+        """A restarted server: the previous tenant's cache is older on
+        the LRU, so reclaim takes *its* pages first and the counter's
+        delta is not ours — no proof, full pass, same list."""
+        kernel = make_kernel(64)
+        spec = get_service("cache-b")
+        fragment_partially(kernel, spec, steps=40, seed=5, cycles=1)
+        branches: Counter = Counter()
+        shadow_run(kernel, spec, branches, steps=80)
+        assert branches["full"] >= 2, branches
+
+    def test_under_the_uce_fault_plan(self):
+        """``memory_failure`` migrates cache pages (the handle lives on
+        at a new pfn); it must never look like a reclaim to the prune."""
+        branches: Counter = Counter()
+        plan = FaultPlan("uce-dense", (
+            FaultSpec("mm.memory.uce", rate=0.25, max_fires=32),))
+        with injecting(plan, seed=7):
+            workload = shadow_run(make_linux(64), get_service("ci"), branches)
+        stat = workload.kernel.stat
+        assert stat[ev.MEMORY_FAILURE] >= 16 and stat[ev.MIGRATE_SUCCESS] >= 4
+        assert branches["prefix"] >= 4, branches
+
+    def test_a_reclaim_compaction_drop_voids_the_proof(self):
+        """The one kernel path that frees a cache page without counting
+        it in PAGES_RECLAIMED: a co-tenant's THP fault compacts, then
+        drops the page cache out of a candidate 2 MiB range.  A dropped
+        handle in mid-list next to a prefix that sums to the reclaim
+        delta would survive a prefix-only prune; COMPACT_RUNS moving is
+        what sends that prune down the full pass."""
+        branches: Counter = Counter()
+        kernel = make_linux(64)
+        workload = shadow_run(kernel, get_service("cache-b"), branches,
+                              steps=40)
+        assert branches["prefix"] >= 1
+        runs = kernel.stat[ev.COMPACT_RUNS]
+        pages = workload.cache_pages
+        for _ in range(64):
+            if any(h.freed for h in pages[len(pages) // 8:]):
+                break
+            huge = kernel.alloc_thp()
+            if huge is not None:
+                kernel.free_pages(huge)
+        else:
+            pytest.fail("no THP fault dropped a mid-list cache page")
+        assert kernel.stat[ev.COMPACT_RUNS] > runs
+        full_before = branches["full"]
+        while branches["full"] == full_before:      # shadow-checked
+            workload.step()
+        assert not any(h.freed for h in workload.cache_pages)
+
+
+class TestExpiryHeap:
+    def test_entries_are_plain_tuples_in_deadline_then_seq_order(self):
+        workload = Workload(make_linux(64), get_service("web"), seed=3)
+        workload.start()
+        for _ in range(30):
+            workload.step()
+        heap = list(workload._expiries)
+        assert heap and all(type(item) is tuple for item in heap)
+        # Popping never reaches the payload (handles do not order): the
+        # unique seq breaks every deadline tie.
+        order = [heapq.heappop(heap)[:2] for _ in range(len(heap))]
+        assert order == sorted(order) and len(set(order)) == len(order)

@@ -1,5 +1,7 @@
 """HugeTLB pools and khugepaged collapse."""
 
+import pickle
+
 import pytest
 
 from repro.errors import ConfigurationError, ContiguityError
@@ -45,6 +47,18 @@ class TestHugeTLBPool:
         handle = linux.alloc_pages(9)
         with pytest.raises(ConfigurationError):
             pool.put_page(handle)
+
+    def test_page_out_survives_a_checkpoint(self, linux):
+        """A restored pool takes its own page back: ``_in_use`` used to
+        hold ``id(handle)``, which no unpickled handle ever equals."""
+        pool = HugeTLBPool(linux)
+        pool.reserve_2m(2)
+        page = pool.get_page(PAGEBLOCK_FRAMES)
+        pool, page = pickle.loads(pickle.dumps((pool, page)))
+        pool.put_page(page)
+        assert pool.stats.free_2m == 2
+        with pytest.raises(ConfigurationError):
+            pool.put_page(page)             # no longer out
 
     def test_bad_size_rejected(self, linux):
         pool = HugeTLBPool(linux)
