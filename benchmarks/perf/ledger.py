@@ -2,14 +2,20 @@
 """The committed trajectory of the benchmark of record.
 
     python3 benchmarks/e2e/run.py --repeat 5 --json-out run.json
-    python3 benchmarks/perf/ledger.py append run.json --pr 17 --sha "$(git rev-parse HEAD)"
+    python3 benchmarks/e2e/run.py --traced --workload durable-run --json-out traced.json
+    python3 benchmarks/perf/ledger.py append run.json traced.json --pr 17 --sha "$(git rev-parse HEAD)"
     python3 benchmarks/perf/ledger.py report
 
 ``history.jsonl`` beside this file is append-only: one JSON object per
 line, one line per PR per workload — the median of each end-to-end
 metric ``BENCHMARK.json`` declares (with the samples behind it),
 round 0's ``sim_digest`` on the lowest seed run, the host's speed
-factor and probe time, its CPU count and the git sha measured.
+factor and probe time, its CPU count and the git sha measured.  When
+the appended records also hold *traced* runs of a workload, its row
+carries an optional ``"layers"`` object: the median of every per-layer
+metric ``BENCHMARK.json`` declares that the workload reported non-zero
+(``checkpoint.overhead_x``, ``workloads.driver_share_pct``, ...), so
+the numbers a roadmap gate is written in live here and not in prose.
 ``report`` prints every workload's rows oldest first and judges each
 against the row before it with ``e2ebench.compare.verdict``, the rule
 ``run.py --compare`` applies, so "better" here means what it means
@@ -51,15 +57,23 @@ def load_contract() -> dict:
 
 def rows_from_runs(runs: list[dict], contract: dict, pr: int,
                    sha: str) -> list[dict]:
-    """One ledger row per workload from ``run.py --json-out`` records
-    (untraced runs only: those carry the end-to-end metrics)."""
+    """One ledger row per workload from ``run.py --json-out`` records:
+    the end-to-end metrics from its untraced runs and, when there are
+    traced runs of it too, their per-layer medians under ``layers``."""
     rows = []
     for workload in (w["name"] for w in contract["workloads"]):
-        mine = sorted((r for r in runs if r["workload"] == workload
-                       and not r["trace"] and not r["quick"]),
+        full = [r for r in runs
+                if r["workload"] == workload and not r["quick"]]
+        mine = sorted((r for r in full if not r["trace"]),
                       key=lambda r: r["seed"])
         if not mine:
             continue
+        layers = {}
+        for name in (spec["name"] for spec in contract["per_layer"]):
+            values = [r["metrics"][name] for r in full
+                      if r["trace"] and r["metrics"].get(name)]
+            if values:
+                layers[name] = statistics.median(values)
         samples = {spec["name"]: [r["metrics"][spec["name"]] for r in mine]
                    for spec in contract["end_to_end"]}
         speed = statistics.median(r["raw"]["speed_factor"] for r in mine)
@@ -75,6 +89,7 @@ def rows_from_runs(runs: list[dict], contract: dict, pr: int,
             "host": {"speed_factor": speed,
                      "calib_ms": speed * PROBE_REF_S * 1e3,
                      "nproc": os.cpu_count() or 1},
+            **({"layers": layers} if layers else {}),
         })
     if not rows:
         raise LedgerError("no full-size untraced run in the record")
@@ -109,6 +124,12 @@ def check_row(row, contract: dict, where: str) -> None:
              f"samples of {name!r} do not hold {row['runs']} numbers")
     for key in ("speed_factor", "calib_ms", "nproc"):
         need(number(row["host"].get(key)), f"host.{key} missing")
+    layers = row.get("layers", {})
+    need(isinstance(layers, dict), "'layers' is not an object")
+    declared = {spec["name"] for spec in contract["per_layer"]}
+    for name, value in layers.items():
+        need(name in declared and number(value),
+             f"layers[{name!r}] is not a declared per-layer number")
 
 
 def load_history(path: str, contract: dict) -> list[dict]:
@@ -127,17 +148,20 @@ def load_history(path: str, contract: dict) -> list[dict]:
     return rows
 
 
-def append(run_path: str, pr: int, sha: str, history: str) -> None:
+def append(run_paths: list[str], pr: int, sha: str, history: str) -> None:
     contract = load_contract()
+    where = ", ".join(run_paths)
     try:
-        with open(run_path, encoding="utf-8") as fh:
-            runs = json.load(fh)["runs"]
+        runs = []
+        for run_path in run_paths:
+            with open(run_path, encoding="utf-8") as fh:
+                runs += json.load(fh)["runs"]
         rows = rows_from_runs(runs, contract, pr, sha)
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise LedgerError(f"{run_path}: not a run.py --json-out record "
+        raise LedgerError(f"{where}: not a run.py --json-out record "
                           f"({exc!r})") from None
     for row in rows:
-        check_row(row, contract, f"{run_path}: {row['workload']}")
+        check_row(row, contract, f"{where}: {row['workload']}")
     with open(history, "a", encoding="utf-8") as fh:
         for row in rows:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
@@ -149,6 +173,7 @@ def report(history: str) -> None:
     contract = load_contract()
     rows = load_history(history, contract)
     specs = contract["end_to_end"]
+    units = {spec["name"]: spec["unit"] for spec in contract["per_layer"]}
     print(f"{len(rows)} row(s) in {history}; each row is judged against "
           "the one above it (B/A with A = previous row)")
     for workload in (w["name"] for w in contract["workloads"]):
@@ -177,6 +202,12 @@ def report(history: str) -> None:
                     line += (f" {row['metrics'][name] / base:>6.3f}x of "
                              f"PR {prev['pr']}'s {base:.5g}  {word}")
                 print(line)
+            for name, value in row.get("layers", {}).items():
+                line = f"      {name:<34} {value:>12.5g} {units[name]:<5}"
+                if prev is not None and name in prev.get("layers", {}):
+                    line += (f" (PR {prev['pr']}: "
+                             f"{prev['layers'][name]:.5g})")
+                print(line)
             if prev is not None and prev["seed"] == row["seed"]:
                 same = prev["sim_digest"] == row["sim_digest"]
                 print("      sim_digest "
@@ -195,7 +226,9 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="verb", required=True)
     add = sub.add_parser("append", help="append one row per workload "
                          "from a run.py --json-out record")
-    add.add_argument("run", metavar="run.json")
+    add.add_argument("run", metavar="run.json", nargs="+",
+                     help="one or more records; traced runs among them "
+                          "become the rows' per-layer medians")
     add.add_argument("--pr", type=int, required=True)
     add.add_argument("--sha", required=True)
     sub.add_parser("report", help="print the trajectory with verdicts")

@@ -19,12 +19,7 @@ from .format import (
     inspect_checkpoint,
     read_checkpoint,
 )
-from .runstate import (
-    maybe_crash,
-    reattach_kernel,
-    restore_kernel,
-    verify_restored,
-)
+from .runstate import maybe_crash, restore_kernel
 from .watchdog import DEFAULT_DEADLINE_S, DeadlineWatchdog
 
 __all__ = [
@@ -38,7 +33,5 @@ __all__ = [
     "inspect_checkpoint",
     "maybe_crash",
     "read_checkpoint",
-    "reattach_kernel",
     "restore_kernel",
-    "verify_restored",
 ]

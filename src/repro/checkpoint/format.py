@@ -32,8 +32,8 @@ leaves both previous generations intact.
 
 from __future__ import annotations
 
+import gc
 import hashlib
-import io
 import json
 import os
 import pickle
@@ -59,8 +59,11 @@ MAGIC = b"RPCK"
 #: numpy array under ``LatencyRecorder`` and break ``json.dumps``.  4: the
 #: workload driver's expiry heap holds plain tuples and
 #: ``NetworkBufferPool.transient`` is a dict — a version-3 payload would
-#: restore ``_Expiry`` objects (a class that is gone) and a list.
-FORMAT_VERSION = 4
+#: restore ``_Expiry`` objects (a class that is gone) and a list.  5: a
+#: ``PageHandle`` pickles as a call to ``repro.mm.handle._restore_handle``
+#: on a six-field record — a build that reads version 4 has no such
+#: function, and this build must not pretend it wrote the slot-state form.
+FORMAT_VERSION = 5
 
 #: magic + version + header length: the minimum parseable file.
 _PREFIX_LEN = 12
@@ -83,16 +86,26 @@ class Checkpoint:
     meta: dict = field(default_factory=dict)
     path: str = ""
 
-    def describe(self) -> dict:
-        """Header-only dict (no payload), for ``inspect`` output."""
-        return {"kind": self.kind, "step": self.step,
-                "meta": dict(self.meta), "path": self.path}
+
+def _collector_paused(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` with the cyclic collector off: a payload
+    is tens of thousands of live containers and no garbage, so every
+    collection pickle's allocations trigger is a wasted full-heap walk.
+    The collector is left as it was found on every exit path."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return fn(*args, **kwargs)
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def encode_checkpoint(kind: str, step: int, payload: Any,
                       meta: dict | None = None) -> bytes:
     """Serialise one envelope to bytes (no I/O)."""
-    blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+    blob = _collector_paused(pickle.dumps, payload,
+                             protocol=pickle.HIGHEST_PROTOCOL)
     header = json.dumps({
         "kind": kind,
         "step": int(step),
@@ -100,20 +113,16 @@ def encode_checkpoint(kind: str, step: int, payload: Any,
         "payload_sha256": hashlib.sha256(blob).hexdigest(),
         "payload_len": len(blob),
     }, sort_keys=True).encode("utf-8")
-    out = io.BytesIO()
-    out.write(MAGIC)
-    out.write(FORMAT_VERSION.to_bytes(4, "big"))
-    out.write(len(header).to_bytes(4, "big"))
-    out.write(header)
-    out.write(blob)
-    return out.getvalue()
+    return b"".join((MAGIC, FORMAT_VERSION.to_bytes(4, "big"),
+                     len(header).to_bytes(4, "big"), header, blob))
 
 
 def _parse_header(data: bytes, path: str) -> tuple[dict, int]:
     """Validate the envelope prefix; return (header dict, payload offset).
 
-    Everything before the payload digest check lives here so
-    :func:`inspect_checkpoint` can classify a file without unpickling.
+    Everything before the payload check (:func:`_checked_payload`)
+    lives here so :func:`inspect_checkpoint` can describe a file whose
+    payload is damaged.
     """
     if len(data) < _PREFIX_LEN:
         raise CheckpointCorruptError(
@@ -144,6 +153,23 @@ def _parse_header(data: bytes, path: str) -> tuple[dict, int]:
     return header, end
 
 
+def _checked_payload(data: bytes, header: dict, offset: int,
+                     path: str) -> memoryview:
+    """The payload as a view of *data* (no copy), once its length and
+    SHA-256 match what the header recorded."""
+    blob = memoryview(data)[offset:]
+    if len(blob) != header["payload_len"]:
+        raise CheckpointCorruptError(
+            f"{path}: payload length {len(blob)} != recorded "
+            f"{header['payload_len']}")
+    digest = hashlib.sha256(blob).hexdigest()
+    if digest != header["payload_sha256"]:
+        raise CheckpointCorruptError(
+            f"{path}: payload checksum mismatch ({digest[:12]}... != "
+            f"recorded {header['payload_sha256'][:12]}...)")
+    return blob
+
+
 def read_checkpoint(path: str | os.PathLike) -> Checkpoint:
     """Read and fully validate one checkpoint file.
 
@@ -157,18 +183,9 @@ def read_checkpoint(path: str | os.PathLike) -> Checkpoint:
     with open(path, "rb") as fh:
         data = fh.read()
     header, offset = _parse_header(data, path)
-    blob = data[offset:]
-    if len(blob) != header["payload_len"]:
-        raise CheckpointCorruptError(
-            f"{path}: payload length {len(blob)} != recorded "
-            f"{header['payload_len']}")
-    digest = hashlib.sha256(blob).hexdigest()
-    if digest != header["payload_sha256"]:
-        raise CheckpointCorruptError(
-            f"{path}: payload checksum mismatch ({digest[:12]}... != "
-            f"recorded {header['payload_sha256'][:12]}...)")
+    blob = _checked_payload(data, header, offset, path)
     try:
-        payload = pickle.loads(blob)
+        payload = _collector_paused(pickle.loads, blob)
     except Exception as exc:
         raise CheckpointCorruptError(f"{path}: payload unpickle failed: {exc}")
     return Checkpoint(kind=header["kind"], step=int(header["step"]),
@@ -191,25 +208,18 @@ def inspect_checkpoint(path: str | os.PathLike) -> dict:
     except FileNotFoundError:
         info["status"] = "missing"
         return info
-    info["size"] = len(data)
-    info["mtime"] = os.stat(path).st_mtime
+    info.update(size=len(data), mtime=os.stat(path).st_mtime)
     try:
         header, offset = _parse_header(data, path)
+        info.update(kind=header["kind"], step=header["step"],
+                    meta=header.get("meta", {}))
+        _checked_payload(data, header, offset, path)
     except CheckpointVersionError as exc:
         info.update(status="version-skew", error=str(exc))
-        return info
     except CheckpointCorruptError as exc:
         info.update(status="corrupt", error=str(exc))
-        return info
-    info.update(kind=header["kind"], step=header["step"],
-                meta=header.get("meta", {}))
-    blob = data[offset:]
-    if (len(blob) != header["payload_len"]
-            or hashlib.sha256(blob).hexdigest() != header["payload_sha256"]):
-        info.update(status="corrupt",
-                    error=f"{path}: payload fails length/checksum check")
-        return info
-    info["status"] = "ok"
+    else:
+        info["status"] = "ok"
     return info
 
 
@@ -250,8 +260,18 @@ class CheckpointStore:
                 both existing generations are untouched.
         """
         data = encode_checkpoint(kind, step, payload, meta=meta)
-        fd, tmp = tempfile.mkstemp(dir=self.directory,
-                                   prefix=".tmp-" + self.name,
+        # A writer SIGKILLed mid-write never reached the ``except``
+        # below, so the next save — the writer, never a reader, which
+        # other processes run mid-save — sweeps what it left.  Staged
+        # files are ``.tmp-<name>.<random>.ckpt`` and mkstemp's random
+        # part holds no ".", so store ``fleet`` cannot match a staged
+        # file of ``fleet-survey`` (or of a ``fleet.x``).
+        prefix = f".tmp-{self.name}."
+        for entry in os.listdir(self.directory):
+            if (entry.startswith(prefix) and entry.endswith(self.SUFFIX)
+                    and "." not in entry[len(prefix):-len(self.SUFFIX)]):
+                os.unlink(os.path.join(self.directory, entry))
+        fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=prefix,
                                    suffix=self.SUFFIX)
         try:
             with os.fdopen(fd, "wb") as fh:

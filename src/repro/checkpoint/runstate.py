@@ -28,34 +28,23 @@ from ..telemetry import set_sim_clock
 _fs_crash = fault_site("sim.crash")
 
 
-def reattach_kernel(kernel) -> None:
-    """Re-register a freshly unpickled kernel as the simulated clock.
+def restore_kernel(kernel) -> None:
+    """Full post-unpickle sequence: reattach the clock, then sanitize.
 
-    ``LinuxKernel.__init__`` does this for new kernels; unpickling
-    bypasses ``__init__``-side effects on process-global registries.
-    """
-    set_sim_clock(kernel)
-
-
-def verify_restored(kernel) -> None:
-    """Sanitize a restored kernel before the run continues.
-
-    Runs ``FreelistStore.check_invariants`` (every list's link sweep)
-    and ``kernel.check_consistency()`` (``verify_kernel``: occupancy
-    bitmaps, per-migratetype accounting, global free counts).
+    ``LinuxKernel.__init__`` registers a new kernel as the simulated
+    clock; unpickling bypasses ``__init__``-side effects on
+    process-global registries, so that is redone here.  Then
+    ``FreelistStore.check_invariants`` (every list's link sweep) and
+    ``kernel.check_consistency()`` (``verify_kernel``: occupancy
+    bitmaps, per-migratetype accounting, global free counts) run.
 
     Raises:
         SimInvariantError: the checkpoint decoded cleanly but encodes a
             state the simulator itself considers impossible.
     """
+    set_sim_clock(kernel)
     kernel.mem.freelists.check_invariants()
     kernel.check_consistency()
-
-
-def restore_kernel(kernel) -> None:
-    """Full post-unpickle sequence: reattach the clock, then sanitize."""
-    reattach_kernel(kernel)
-    verify_restored(kernel)
 
 
 def maybe_crash(step: int, kind: str = "run") -> None:

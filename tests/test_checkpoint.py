@@ -2,8 +2,12 @@
 crash-recovery contract — a run killed at any checkpoint boundary and
 resumed produces byte-identical results to an uninterrupted run."""
 
+import gc
 import json
 import os
+import pickle
+import pickletools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -77,11 +81,13 @@ class TestEnvelope:
     def test_previous_format_version_is_refused(self, tmp_path):
         """Version 2 loadgen payloads pickled a numpy-backed Histogram,
         version 3 workload payloads ``_Expiry`` heap entries and a
-        list-backed ``transient``; resuming either must stop at the
-        envelope, not mid-``json.dumps`` or mid-unpickle."""
-        assert FORMAT_VERSION == 4
+        list-backed ``transient``, version 4 payloads ``PageHandle``
+        slot state (and a version-4 build has no ``_restore_handle`` to
+        read this build's); resuming any must stop at the envelope, not
+        mid-``json.dumps`` or mid-unpickle."""
+        assert FORMAT_VERSION == 5
         path = tmp_path / "x.ckpt"
-        for old in (2, 3):
+        for old in (2, 3, 4):
             data = bytearray(encode_checkpoint("workload", 1, {}))
             data[4:8] = old.to_bytes(4, "big")
             path.write_bytes(bytes(data))
@@ -121,6 +127,91 @@ class TestEnvelope:
         vsk = tmp_path / "skew.ckpt"
         vsk.write_bytes(bytes(skew))
         assert inspect_checkpoint(vsk)["status"] == "version-skew"
+
+
+#: ``gc.isenabled()`` as seen from inside pickle.dumps / pickle.loads.
+_collector_seen = []
+
+
+def _collector_probe(corrupt):
+    _collector_seen.append(("loads", gc.isenabled()))
+    if corrupt:
+        raise ValueError("a blob that passes the checksum and will not load")
+    return 0
+
+
+class _CollectorProbe:
+    def __init__(self, corrupt=False):
+        self.corrupt = corrupt
+
+    def __reduce__(self):
+        _collector_seen.append(("dumps", gc.isenabled()))
+        return _collector_probe, (self.corrupt,)
+
+
+class TestCollectorPaused:
+    """Encode and decode run with the cyclic collector off and leave it
+    exactly as they found it, on every exit path."""
+
+    @pytest.fixture(autouse=True)
+    def _put_the_collector_back(self):
+        was_enabled = gc.isenabled()
+        yield
+        (gc.enable if was_enabled else gc.disable)()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_after_equals_state_before(self, tmp_path, enabled):
+        (gc.enable if enabled else gc.disable)()
+        path = tmp_path / "x.ckpt"
+        del _collector_seen[:]
+        path.write_bytes(encode_checkpoint("demo", 1, _CollectorProbe()))
+        assert gc.isenabled() is enabled
+        assert read_checkpoint(path).payload == 0
+        assert gc.isenabled() is enabled
+
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            encode_checkpoint("demo", 1, lambda: None)
+        assert gc.isenabled() is enabled
+        path.write_bytes(encode_checkpoint("demo", 1, _CollectorProbe(True)))
+        with pytest.raises(CheckpointCorruptError, match="unpickle failed"):
+            read_checkpoint(path)
+        assert gc.isenabled() is enabled
+        assert _collector_seen == [("dumps", False), ("loads", False)] * 2
+
+
+class TestPayloadShape:
+    """The speed of a checkpoint is the shape of its pickle: one
+    ``REDUCE`` on a six-field tuple per handle.  Dropping
+    ``PageHandle.__reduce__`` brings back copyreg's slot-state form —
+    one ``BUILD`` and an eight-key dict per handle — and fails here,
+    without a stopwatch."""
+
+    @pytest.mark.parametrize("kernel_name", ["linux", "contiguitas"])
+    def test_handles_pickle_as_compact_records(self, kernel_name):
+        from repro.core import ContiguitasConfig, ContiguitasKernel
+        from repro.mm import KernelConfig, LinuxKernel
+        from repro.workloads import Workload, get_service
+
+        if kernel_name == "linux":
+            kernel = LinuxKernel(KernelConfig(mem_bytes=MiB(64)))
+        else:
+            kernel = ContiguitasKernel(ContiguitasConfig(mem_bytes=MiB(64)))
+        workload = Workload(kernel, get_service("web"), seed=11)
+        workload.start()
+        for _ in range(60):
+            workload.step()
+        live = len(kernel.handles)
+        assert live > 5000
+        blob = pickle.dumps({"kernel": kernel, "workload": workload},
+                            protocol=pickle.HIGHEST_PROTOCOL)
+        builds = array_bytes = 0
+        for opcode, arg, _pos in pickletools.genops(blob):
+            if opcode.name == "BUILD":
+                builds += 1
+            elif isinstance(arg, (bytes, bytearray)):
+                array_bytes += len(arg)     # BINBYTES*/BYTEARRAY8: arrays
+        assert builds < live / 10, (builds, live)
+        assert (len(blob) - array_bytes) / live <= 60.0
 
 
 class TestStore:
@@ -181,6 +272,37 @@ class TestStore:
         assert read_checkpoint(store.previous_path).step == 1
         assert [f for f in os.listdir(tmp_path)
                 if f.startswith(".tmp-")] == []
+
+    def test_save_sweeps_its_own_stale_staged_files(self, tmp_path,
+                                                    monkeypatch):
+        """A writer SIGKILLed mid-write leaves its staged file; the
+        next save of that store removes it — and nothing else's."""
+        store = CheckpointStore(tmp_path, "fleet")
+        store.save("demo", 1, {"step": 1})
+        store.save("demo", 2, {"step": 2})
+        stale = tmp_path / ".tmp-fleet.k1ll3d_0.ckpt"
+        others = [tmp_path / ".tmp-fleet-survey.k1ll3d_0.ckpt",
+                  tmp_path / ".tmp-fleet.x.k1ll3d_0.ckpt",
+                  tmp_path / ".tmp-fleet.k1ll3d_0.json"]
+        for path in (stale, *others):
+            path.write_bytes(b"half a checkpoint")
+        # Readers never sweep: a run may be mid-save beside them.
+        reader = CheckpointStore(tmp_path, "fleet")
+        reader.inspect()
+        assert reader.load_latest().step == 2
+        assert stale.exists()
+
+        staged = []
+        real_replace = os.replace
+        monkeypatch.setattr(os, "replace", lambda src, dst: (
+            staged.append(os.path.basename(src)), real_replace(src, dst)))
+        store.save("demo", 3, {"step": 3})
+        assert not stale.exists()
+        assert all(path.exists() for path in others)
+        assert read_checkpoint(store.current_path).step == 3
+        assert read_checkpoint(store.previous_path).step == 2
+        # What save stages is what the sweep looks for.
+        assert re.fullmatch(r"\.tmp-fleet\.[^.]+\.ckpt", staged[-1])
 
     def test_inspect_describes_both_generations(self, tmp_path):
         store = CheckpointStore(tmp_path, "run")

@@ -1,6 +1,11 @@
 """Handle registry lifecycle and the placement policy."""
 
+import copy
+import pickle
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core import PlacementPolicy
 from repro.errors import DoubleAllocError
@@ -22,6 +27,45 @@ class TestPageHandle:
         assert "pinned" in repr(h)
         h.freed = True
         assert "freed" in repr(h)
+
+
+class TestPageHandleRecord:
+    """What a checkpoint persists of a handle is the six-field tuple
+    ``__reduce__`` returns, not the class's slots."""
+
+    @given(pfn=st.integers(0, 2**40), order=st.integers(0, 18),
+           migratetype=st.sampled_from(MigrateType),
+           source=st.sampled_from(AllocSource),
+           birth=st.integers(0, 2**40), pinned=st.booleans(),
+           freed=st.booleans(), reclaimable=st.booleans(),
+           protocol=st.integers(0, pickle.HIGHEST_PROTOCOL))
+    def test_round_trip_keeps_all_eight_fields(
+            self, pfn, order, migratetype, source, birth, pinned, freed,
+            reclaimable, protocol):
+        h = PageHandle(pfn, order, migratetype, source, birth,
+                       pinned=pinned, reclaimable=reclaimable)
+        h.freed = freed
+        for clone in (pickle.loads(pickle.dumps(h, protocol)), copy.copy(h)):
+            assert clone is not h and type(clone) is PageHandle
+            for name in PageHandle.__slots__:
+                # Same type too: enum members and real bools, not 0/1.
+                value, cloned = getattr(h, name), getattr(clone, name)
+                assert cloned == value and type(cloned) is type(value), name
+
+    def test_the_record_is_six_fields_wide(self):
+        h = PageHandle(7, 2, MigrateType.UNMOVABLE, AllocSource.SLAB, 9,
+                       pinned=True, reclaimable=True)
+        restore, record = h.__reduce__()
+        assert record == (7, 2, MigrateType.UNMOVABLE, AllocSource.SLAB, 9,
+                          0b101)
+        assert restore(*record).reclaimable
+
+    def test_two_references_unpickle_to_one_object(self):
+        h = handle(pfn=5)
+        payload = {"registry": {5: h}, "lru": [h], "transient": {h: None}}
+        out = pickle.loads(pickle.dumps(payload, pickle.HIGHEST_PROTOCOL))
+        assert out["registry"][5] is out["lru"][0]
+        assert list(out["transient"]) == [out["lru"][0]]
 
 
 class TestHandleRegistry:

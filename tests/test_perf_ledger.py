@@ -31,6 +31,12 @@ def run_record(workload="server-aging", seed=11, throughput=900.0,
             "raw": {"speed_factor": 0.9}, **extra}
 
 
+def traced_record(workload="durable-run", seed=11, **layer_metrics) -> dict:
+    """One traced run: its ``metrics`` are the per-layer ones."""
+    return {"workload": workload, "seed": seed, "trace": 1, "quick": False,
+            "metrics": layer_metrics}
+
+
 def write_runs(path, runs) -> str:
     path.write_text(json.dumps({"runs": runs}))
     return str(path)
@@ -75,6 +81,44 @@ class TestAppend:
         assert line.endswith("better")
         assert "sim_digest identical to PR 16" in out
 
+    def test_traced_runs_become_the_rows_layer_medians(self, tmp_path,
+                                                       capsys):
+        """Non-zero declared per-layer metrics only, and only on the
+        workload that was traced; several records append as one."""
+        history = str(tmp_path / "history.jsonl")
+        parent = write_runs(tmp_path / "a.json", [
+            run_record("durable-run", throughput=230.0),
+            run_record("server-aging"),
+            traced_record(**{"checkpoint.overhead_x": 6.5,
+                             "checkpoint.bytes": 4964205.0})])
+        untraced = write_runs(tmp_path / "b.json", [
+            run_record("durable-run", throughput=420.0),
+            run_record("server-aging")])
+        traced = write_runs(tmp_path / "c.json", [
+            traced_record(seed=s, **{"checkpoint.overhead_x": x,
+                                     "mm.alloc_fail": 0.0,
+                                     "not.declared": 1.0})
+            for s, x in ((11, 3.4), (12, 3.6), (13, 3.5))])
+        assert ledger.main(["--history", history, "append", parent,
+                            "--pr", "17", "--sha", "a" * 40]) == 0
+        assert ledger.main(["--history", history, "append", untraced, traced,
+                            "--pr", "18", "--sha", "b" * 40]) == 0
+        rows = ledger.load_history(history, CONTRACT)
+        layers = {(r["pr"], r["workload"]): r.get("layers") for r in rows}
+        assert layers == {
+            (17, "server-aging"): None, (18, "server-aging"): None,
+            (17, "durable-run"): {"checkpoint.overhead_x": 6.5,
+                                  "checkpoint.bytes": 4964205.0},
+            (18, "durable-run"): {"checkpoint.overhead_x": 3.5}}
+        capsys.readouterr()
+        assert ledger.main(["--history", history, "report"]) == 0
+        out = capsys.readouterr().out
+        line = next(ln for ln in out.splitlines()
+                    if "checkpoint.overhead_x" in ln and "PR 17" in ln)
+        assert line.split() == ["checkpoint.overhead_x", "3.5", "x",
+                                "(PR", "17:", "6.5)"]
+        assert "4.9642e+06 count" in out
+
     def test_a_record_with_no_full_untraced_run_is_refused(self, tmp_path,
                                                            capsys):
         path = write_runs(tmp_path / "q.json", [run_record(quick=True)])
@@ -94,6 +138,10 @@ class TestReportValidates:
         (lambda row: row.update(workload="server-ageing"),
          "unknown workload"),
         (lambda row: row["host"].pop("calib_ms"), "host.calib_ms"),
+        (lambda row: row.update(layers={"checkpoint.bytes": "big"}),
+         "layers['checkpoint.bytes']"),
+        (lambda row: row.update(layers={"checkpoint.speed": 1.0}),
+         "layers['checkpoint.speed']"),
     ])
     def test_a_malformed_row_fails_the_report(self, tmp_path, capsys,
                                               damage, message):
