@@ -40,6 +40,7 @@ from collections import deque
 from ..errors import (
     FreelistDivergenceError,
     MigratetypeDriftError,
+    SanitizerError,
 )
 
 #: Environment flag that enables the sanitizer for every kernel built
@@ -202,18 +203,30 @@ def verify_allocator(alloc) -> None:
 
 
 def verify_kernel(kernel) -> None:
-    """Audit a whole kernel: every allocator plus the global free count
-    (including frames parked on per-CPU lists).
+    """Audit a whole kernel: every allocator, the global free count
+    (including frames parked on per-CPU lists), and the handle registry
+    against the frame arrays — every entry files a live allocation
+    (``HandleRegistry.check_invariants``), and every allocation head
+    but the offlined placeholders, which have no owner, has an entry.
 
     Raises:
         FreelistDivergenceError: any allocator diverged, or the total
             free frames in memory disagree with the lists.
         MigratetypeDriftError: per-type accounting drift.
+        SanitizerError: the handle registry and the frame arrays
+            disagree about what is allocated.
     """
     for alloc in kernel.allocators():
         verify_allocator(alloc)
-    free = kernel.mem.free_frames()
+    mem = kernel.mem
+    free = mem.free_frames()
     on_lists = kernel.free_frames()
     if free != on_lists:
         raise FreelistDivergenceError(
             f"{free} frames free in memory vs {on_lists} on free lists")
+    kernel.handles.check_invariants(mem)
+    heads = int((mem.alloc_order >= 0).sum()) - kernel.offlined_frames()
+    if heads != len(kernel.handles):
+        raise SanitizerError(
+            f"{heads} allocation heads in memory vs "
+            f"{len(kernel.handles)} handle registry entries")

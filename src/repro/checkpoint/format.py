@@ -63,7 +63,11 @@ MAGIC = b"RPCK"
 #: ``PageHandle`` pickles as a call to ``repro.mm.handle._restore_handle``
 #: on a six-field record — a build that reads version 4 has no such
 #: function, and this build must not pretend it wrote the slot-state form.
-FORMAT_VERSION = 5
+#: 6: the handle registry files a bulk page under a slot number and the
+#: LRU and ``cache_pages`` hold slots — a version-5 payload holds an eager
+#: registry (no slot table to resolve through) and a ``PhysicalMemory``
+#: attribute (its set of allocation heads) that no longer exists.
+FORMAT_VERSION = 6
 
 #: magic + version + header length: the minimum parseable file.
 _PREFIX_LEN = 12

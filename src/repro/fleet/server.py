@@ -13,7 +13,7 @@ key empirical behaviours reproduced here:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..analysis.contiguity import (
     contiguity_report,
@@ -24,10 +24,10 @@ from ..faults import FaultPlan, injecting
 from ..kalloc.sources import unmovable_breakdown
 from ..mm.kernel import KernelConfig, LinuxKernel
 from ..mm.page import AllocSource
-from ..units import MiB
+from ..units import PAGEBLOCK_FRAMES, MiB
 from ..workloads.base import Workload
 from ..workloads.services import CACHE_A, CACHE_B, CI, WEB
-from ..workloads.tracegen import LoadgenConfig
+from ..workloads.tracegen import LoadgenConfig, run_loadgen
 
 
 @dataclass
@@ -175,14 +175,11 @@ class SimulatedServer:
 
         # Draw this server's utilisation and cap the page cache so free
         # memory varies across the fleet like it does in production.
-        import dataclasses
-
         util = self.rng.uniform(*cfg.utilization_range)
         anon = min(spec.anon_fraction, util - 0.05)
         cache = max(0.03, util - anon - 0.05)
-        spec = dataclasses.replace(spec, anon_fraction=anon,
-                                   cache_fraction=cache,
-                                   cache_opportunistic=False)
+        spec = replace(spec, anon_fraction=anon, cache_fraction=cache,
+                       cache_opportunistic=False)
 
         workload = Workload(kernel, spec, seed=self.seed)
         workload.start()
@@ -190,8 +187,6 @@ class SimulatedServer:
             workload.step()
 
         mem = kernel.mem
-        from ..units import PAGEBLOCK_FRAMES
-
         scan = ServerScan(
             uptime_steps=uptime,
             free_frames=mem.free_frames(),
@@ -214,10 +209,6 @@ class SimulatedServer:
         land on the scan, burst counters join the vmstat counters, and
         the fleet manifest aggregates both.
         """
-        from dataclasses import replace
-
-        from ..workloads.tracegen import run_loadgen
-
         result = run_loadgen(replace(lg, seed=self.seed, telemetry=None))
         scan.latency = result.summary()
         scan.vmstat["loadgen.requests"] = result.requests

@@ -9,7 +9,11 @@ tables / reverse mappings so owners keep working after a move.
 
 from __future__ import annotations
 
-from ..errors import DoubleAllocError
+from bisect import bisect_right
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass
+
+from ..errors import DoubleAllocError, SanitizerError
 from .page import AllocSource, MigrateType
 
 
@@ -79,10 +83,25 @@ def _restore_handle(pfn, order, migratetype, source, birth, bits):
 
 
 class HandleRegistry:
-    """Maps head PFN → :class:`PageHandle` for every live allocation."""
+    """Maps head PFN → :class:`PageHandle` for every live allocation.
+
+    A bulk allocation registers *slots*, not objects: ``_slots[slot]``
+    is the page's PFN until somebody names the page, its handle from
+    then on (freed or not, so every holder of the slot sees one object),
+    and ``_by_pfn`` maps a bulk page's current head PFN to its slot
+    number.  Freeing, pinning and moving all take the handle, so an
+    unbuilt page has never been freed, pinned or moved: its slot-table
+    PFN is still its key.
+    """
 
     def __init__(self) -> None:
-        self._by_pfn: dict[int, PageHandle] = {}
+        self._by_pfn: dict[int, PageHandle | int] = {}
+        self._slots: list[int | PageHandle] = []
+        #: Per bulk call, in slot order: its first slot, and what its
+        #: handles are built with after ``(pfn, 0)``: ``(migratetype,
+        #: source, birth, pinned=False, reclaimable)``.
+        self._batch_starts: list[int] = []
+        self._batch_fields: list[tuple] = []
 
     def __len__(self) -> int:
         return len(self._by_pfn)
@@ -97,8 +116,58 @@ class HandleRegistry:
         self._by_pfn[handle.pfn] = handle
         return handle
 
+    def register_batch(self, pfns: list[int], migratetype: MigrateType,
+                       source: AllocSource, birth: int,
+                       reclaimable: bool) -> "HandleBatch":
+        """Register one order-0 allocation per PFN without building a
+        handle for any of them; the batch builds them on demand."""
+        by_pfn = self._by_pfn
+        if not by_pfn.keys().isdisjoint(pfns):
+            raise DoubleAllocError("duplicate head pfn in handle registry",
+                                   pfn=next(p for p in pfns if p in by_pfn))
+        slots = self._slots
+        start = len(slots)
+        slots.extend(pfns)
+        by_pfn.update(zip(pfns, range(start, len(slots))))
+        self._batch_starts.append(start)
+        self._batch_fields.append(
+            (migratetype, source, birth, False, reclaimable))
+        return HandleBatch(self, start, len(slots))
+
+    def resolve(self, ref: int | PageHandle) -> PageHandle:
+        """The handle *ref* stands for: itself, or — *ref* being a slot
+        number — that slot's, built on first use."""
+        if type(ref) is not int:
+            return ref
+        handle = self._slots[ref]
+        if type(handle) is int:
+            handle = self._slots[ref] = PageHandle(
+                handle, 0, *self._fields_of(ref))
+        return handle
+
+    def resolve_span(self, start: int, stop: int) -> list[PageHandle]:
+        """Every handle of slots ``[start, stop)`` of one batch, in one
+        pass (whole-batch iteration costs what eager construction did)."""
+        slots = self._slots
+        mt, source, birth, pinned, reclaimable = self._fields_of(start)
+        slots[start:stop] = out = [
+            v if type(v) is not int
+            else PageHandle(v, 0, mt, source, birth, pinned, reclaimable)
+            for v in slots[start:stop]]
+        return out
+
+    def _fields_of(self, slot: int) -> tuple:
+        return self._batch_fields[
+            bisect_right(self._batch_starts, slot) - 1]
+
+    def slot_of(self, handle: PageHandle) -> int:
+        """The slot a live *handle* was built from; -1 for a handle
+        that :meth:`register` took."""
+        entry = self._by_pfn.get(handle.pfn)
+        return entry if type(entry) is int else -1
+
     def get(self, pfn: int) -> PageHandle:
-        return self._by_pfn[pfn]
+        return self.resolve(self._by_pfn[pfn])
 
     def on_free(self, handle: PageHandle) -> None:
         """Drop a handle when its allocation is released."""
@@ -108,11 +177,129 @@ class HandleRegistry:
     def relocate(self, old_pfn: int, new_pfn: int) -> PageHandle:
         """Repoint the handle at *old_pfn* after a migration to *new_pfn*
         (the simulator's PTE/rmap update)."""
-        handle = self._by_pfn.pop(old_pfn)
+        entry = self._by_pfn.pop(old_pfn)
+        handle = self.resolve(entry)
         handle.pfn = new_pfn
-        self._by_pfn[new_pfn] = handle
+        self._by_pfn[new_pfn] = entry
         return handle
 
     def live_handles(self) -> list[PageHandle]:
         """All live handles (unordered)."""
-        return list(self._by_pfn.values())
+        return list(map(self.resolve, self._by_pfn.values()))
+
+    def check_invariants(self, mem) -> None:
+        """Sweep every entry against *mem*: its key heads a live
+        allocation of the handle's order (0 for an unbuilt slot), a
+        built or scalar handle sits at its own PFN and is not freed, and
+        an unbuilt slot's table PFN is its key.
+
+        Raises:
+            SanitizerError: the first entry that disagrees.
+        """
+        slots = self._slots
+        order_of = mem.alloc_order_mv
+        for pfn, entry in self._by_pfn.items():
+            handle = slots[entry] if type(entry) is int else entry
+            at, order, freed = ((handle, 0, False) if type(handle) is int
+                                else (handle.pfn, handle.order, handle.freed))
+            if at != pfn or freed or order_of[pfn] != order:
+                raise SanitizerError(
+                    f"handle registry entry {handle!r} does not match the "
+                    f"allocation it is filed under", pfn=pfn)
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class HandleBatch(Sequence):
+    """What one bulk allocation returns: the read-only sequence of its
+    handles, each built by the registry when first read.  ``len`` and
+    truth build nothing; iteration builds the whole batch in one pass.
+    """
+
+    registry: HandleRegistry
+    start: int
+    stop: int
+
+    def __len__(self) -> int:
+        return self.stop - self.start
+
+    def __getitem__(self, index):
+        picked = range(self.start, self.stop)[index]
+        if type(picked) is int:
+            return self.registry.resolve(picked)
+        return [self.registry.resolve(slot) for slot in picked]
+
+    def __iter__(self) -> Iterator[PageHandle]:
+        return iter(self.registry.resolve_span(self.start, self.stop))
+
+
+class HandleList:
+    """A mutable list of handles that keeps a bulk page as its slot
+    number until the page is read — the workload driver's page cache,
+    most of which reclaim frees without the driver ever naming it.
+    Iteration and indexing yield handles.
+    """
+
+    __slots__ = ("_registry", "_refs")
+
+    def __init__(self, registry: HandleRegistry,
+                 refs: list[int | PageHandle] | None = None) -> None:
+        self._registry = registry
+        self._refs = [] if refs is None else refs
+
+    def __len__(self) -> int:
+        return len(self._refs)
+
+    def __iter__(self) -> Iterator[PageHandle]:
+        return map(self._registry.resolve, self._refs)
+
+    def __getitem__(self, index: int) -> PageHandle:
+        return self._registry.resolve(self._refs[index])
+
+    def append(self, handle: PageHandle) -> None:
+        self._refs.append(handle)
+
+    def extend(self, handles) -> None:
+        """Append *handles*; a :class:`HandleBatch` goes in as slots."""
+        if type(handles) is HandleBatch:
+            handles = range(handles.start, handles.stop)
+        self._refs.extend(handles)
+
+    def clear(self) -> None:
+        self._refs.clear()
+
+    def swap_pop(self, index: int) -> PageHandle:
+        """Remove and return item *index*, moving the last item into
+        its place (O(1); builds only the one it returns)."""
+        refs = self._refs
+        refs[index], refs[-1] = refs[-1], refs[index]
+        return self._registry.resolve(refs.pop())
+
+    # An unbuilt slot is never freed (freeing takes the handle), so the
+    # two prunes below read ``freed`` only off handles that exist.
+
+    def cut_freed_prefix(self) -> int:
+        """Drop the leading run of freed handles in place; returns the
+        frames they held."""
+        slots = self._registry._slots
+        k = frames = 0
+        for ref in self._refs:
+            handle = slots[ref] if type(ref) is int else ref
+            if type(handle) is int or not handle.freed:
+                break
+            frames += 1 << handle.order
+            k += 1
+        del self._refs[:k]
+        return frames
+
+    def live(self) -> "HandleList":
+        """A new list of the handles not freed, in order."""
+        slots = self._registry._slots
+        return HandleList(self._registry, [
+            ref for ref in self._refs
+            if type(handle := slots[ref] if type(ref) is int else ref) is int
+            or not handle.freed])
+
+    def frames(self) -> int:
+        """Frames held by every item (a slot is one order-0 page)."""
+        return len(self._refs) + sum((1 << ref.order) - 1 for ref in self._refs
+                                     if type(ref) is not int)

@@ -12,6 +12,7 @@ replaces the single allocator with the two confined regions.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -258,10 +259,12 @@ class LinuxKernel:
         source: AllocSource = AllocSource.USER,
         migratetype: MigrateType | None = None,
         reclaimable: bool = False,
-    ) -> list[PageHandle]:
+    ) -> Sequence[PageHandle]:
         """Fast-path-only bulk order-0 allocation (``alloc_pages_bulk``).
 
-        Returns up to *count* handles — possibly none.  The fast path
+        Returns up to *count* handles — possibly none — as a read-only
+        sequence that builds each handle when it is first read
+        (:class:`~repro.mm.handle.HandleBatch`).  The fast path
         never enters reclaim/compaction, never fires watermark faults,
         and steps aside entirely when PCP is routing order-0 traffic;
         the PFN sequence it does return is exactly what the same number
@@ -281,21 +284,17 @@ class LinuxKernel:
         count: int,
         source: AllocSource,
         reclaimable: bool,
-    ) -> list[PageHandle]:
+    ) -> Sequence[PageHandle]:
         if count <= 0 or self._pcp.get(allocator.label) is not None:
             return []
-        pfns = allocator.alloc_bulk(count, mt, source, self.now)
-        out = []
-        for pfn in pfns.tolist():
-            # The handles ARE the product here — this loop is the API
-            # boundary, not allocator bookkeeping.
-            handle = PageHandle(pfn, 0, mt, source, self.now,  # simlint: disable=SL009
-                                False, reclaimable=reclaimable)
-            self.handles.register(handle)
-            if reclaimable:
-                self.reclaim_lru.register(handle)
-            out.append(handle)
-        return out
+        pfns = allocator.alloc_bulk(count, mt, source, self.now).tolist()
+        if not pfns:
+            return []
+        batch = self.handles.register_batch(
+            pfns, mt, source, self.now, reclaimable)
+        if reclaimable:
+            self.reclaim_lru.register_batch(batch)
+        return batch
 
     def _slow_path(
         self,
@@ -406,8 +405,6 @@ class LinuxKernel:
         ``SCAN_COST`` units, so a light (THP-fault) budget gives up after
         a handful of poisoned or busy candidates.
         """
-        import numpy as np
-
         if budget is None:
             budget = self.config.compact_budget_pages
         size = 1 << order

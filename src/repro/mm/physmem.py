@@ -94,9 +94,6 @@ class PhysicalMemory:
         #: through ``struct page``.
         self.freelists = FreelistStore(nframes)
 
-        #: Live allocation heads, maintained for iteration by analyses.
-        self.alloc_heads: set[int] = set()
-
         #: Optional :class:`~repro.analysis.sanitizer.FrameSanitizer`.
         #: When attached (``REPRO_DEBUG_VM=1`` / ``debug_vm=True``), the
         #: mark paths record per-PFN history so invariant failures carry
@@ -172,7 +169,6 @@ class PhysicalMemory:
             self.head_of_mv[pfn] = pfn
             self.alloc_order_mv[pfn] = 0
             self.birth_mv[pfn] = birth
-            self.alloc_heads.add(pfn)
             if self.sanitizer is not None:
                 self.sanitizer.note_alloc(pfn, 0, birth)
             return
@@ -186,7 +182,6 @@ class PhysicalMemory:
         self.head_of[pfn:end] = pfn
         self.alloc_order[pfn] = order
         self.birth[pfn] = birth
-        self.alloc_heads.add(pfn)
         if self.sanitizer is not None:
             self.sanitizer.note_alloc(pfn, order, birth)
 
@@ -213,7 +208,6 @@ class PhysicalMemory:
         self.head_of[pfns] = pfns
         self.alloc_order[pfns] = 0
         self.birth[pfns] = birth
-        self.alloc_heads.update(pfns.tolist())
         if self.sanitizer is not None:
             note = self.sanitizer.note_alloc
             for p in pfns.tolist():
@@ -235,7 +229,6 @@ class PhysicalMemory:
                 f"heads an order-{int(ao[bad])} allocation")
         self.flags[pfns] = 0
         ao[pfns] = -1
-        self.alloc_heads.difference_update(pfns.tolist())
         if self.sanitizer is not None:
             note = self.sanitizer.note_free
             for p in pfns.tolist():
@@ -251,7 +244,6 @@ class PhysicalMemory:
         else:
             self.flags[pfn:pfn + (1 << order)] = 0
         self.alloc_order_mv[pfn] = -1
-        self.alloc_heads.discard(pfn)
         if self.sanitizer is not None:
             self.sanitizer.note_free(pfn, order)
         return order
@@ -291,9 +283,6 @@ class PhysicalMemory:
 
     def is_allocated(self, pfn: int) -> bool:
         return bool(self.flags_mv[pfn] & _F_ALLOCATED)
-
-    def is_head(self, pfn: int) -> bool:
-        return bool(self.flags_mv[pfn] & _F_HEAD)
 
     def is_pinned(self, pfn: int) -> bool:
         return bool(self.flags_mv[pfn] & _F_PINNED)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from ..telemetry import tracepoint
 from . import vmstat as ev
-from .handle import PageHandle
+from .handle import HandleBatch, HandleRegistry, PageHandle
 
 _tp_reclaim = tracepoint("mm.reclaim.run")
 
@@ -51,31 +51,48 @@ class ReclaimLRU:
     """LRU of reclaimable page handles (page cache and friends).
 
     Insertion order approximates recency; ``reclaim`` frees from the oldest
-    end.  Handles freed by their owners are lazily skipped.
+    end.  Handles freed by their owners are lazily skipped.  A bulk
+    allocation is one entry — its :class:`HandleBatch`, sitting where its
+    pages' own entries would have — consumed oldest page first.
     """
 
     def __init__(self, stat) -> None:
         # Keyed by the handle itself (identity hash): insertion order is
         # the recency order, and no address-derived int exists to leak
         # into output.
-        self._lru: OrderedDict[PageHandle, None] = OrderedDict()
+        self._lru: OrderedDict[PageHandle | HandleBatch, None] = OrderedDict()
         self._stat = stat
+        #: Pages the batch entries stand for, less the one entry each
+        #: occupies in ``_lru``: ``len(_lru) + _surplus`` counts pages.
+        self._surplus = 0
+        #: Every batch slot below this one has been reclaimed or skipped
+        #: (batches arrive, and are consumed, in slot order).
+        self._cursor = 0
+        self._registry: HandleRegistry | None = None
 
     def __len__(self) -> int:
-        return len(self._lru)
+        return len(self._lru) + self._surplus
 
     def register(self, handle: PageHandle) -> None:
         """Add a reclaimable allocation (most-recently-used position)."""
         self._lru[handle] = None
 
-    def touch(self, handle: PageHandle) -> None:
-        """Mark as recently used."""
-        if handle in self._lru:
-            self._lru.move_to_end(handle)
+    def register_batch(self, batch: HandleBatch) -> None:
+        """Add every page of *batch*, in order, without building any."""
+        self._lru[batch] = None
+        self._surplus += len(batch) - 1
+        self._registry = batch.registry
 
     def forget(self, handle: PageHandle) -> None:
         """Remove without freeing (owner freed it explicitly)."""
-        self._lru.pop(handle, None)
+        if self._lru.pop(handle, 0) is None or self._registry is None:
+            return
+        # Not an entry of its own: a batch page is still on the LRU
+        # while the cursor has not passed its slot, which then stays
+        # behind (``reclaim`` skips it) but no longer counts.
+        if (handle.reclaimable
+                and self._registry.slot_of(handle) >= self._cursor):
+            self._surplus -= 1
 
     def reclaim(
         self,
@@ -85,10 +102,24 @@ class ReclaimLRU:
         """Free oldest entries until *target_frames* frames are recovered
         (or the LRU empties).  Returns frames actually freed."""
         freed = 0
-        while freed < target_frames and self._lru:
-            handle, _ = self._lru.popitem(last=False)
-            if handle.freed:
-                continue
+        lru = self._lru
+        while freed < target_frames and lru:
+            handle = batch = next(iter(lru))
+            if type(batch) is HandleBatch:
+                slot = max(self._cursor, batch.start)
+                if slot >= batch.stop:
+                    del lru[batch]
+                    self._surplus += 1
+                    continue
+                self._cursor = slot + 1
+                handle = batch.registry.resolve(slot)
+                if handle.freed:
+                    continue    # forget() already stopped counting it
+                self._surplus -= 1
+            else:
+                del lru[handle]
+                if handle.freed:
+                    continue
             freed += handle.nframes
             free_fn(handle)
         if freed:
@@ -96,5 +127,5 @@ class ReclaimLRU:
             self._stat.inc(ev.PAGES_RECLAIMED, freed)
             if _tp_reclaim.enabled:
                 _tp_reclaim.emit(freed=freed, target=target_frames,
-                                 lru_remaining=len(self._lru))
+                                 lru_remaining=len(self))
         return freed

@@ -23,7 +23,7 @@ from ..mm import vmstat as ev
 from ..kalloc.netbuf import NetworkBufferPool, NetworkQueueConfig
 from ..kalloc.pagetable import PageTableAllocator
 from ..kalloc.slab import SlabAllocator
-from ..mm.handle import PageHandle
+from ..mm.handle import HandleList, PageHandle
 from ..mm.page import AllocSource, MigrateType
 from ..sim.trace import TraceSpec
 from ..telemetry import tracepoint
@@ -124,7 +124,7 @@ class Workload:
         self.pagetables = PageTableAllocator(kernel)
         self.anon_chunks: list[PageHandle | list[PageHandle]] = []
         self.gigapages: list[PageHandle] = []
-        self.cache_pages: list[PageHandle] = []
+        self.cache_pages = HandleList(kernel.handles)
         self._cache_frames = 0
         self._prune_threshold = 4 * kernel.mem.nframes // 64
         #: PAGES_RECLAIMED and COMPACT_RUNS at the last cache prune.
@@ -340,20 +340,13 @@ class Workload:
         shuffled list, a compaction run) the full pass filters what is
         left and rebinds the list.
         """
-        pages = self.cache_pages
-        k = frames = 0
-        for h in pages:
-            if not h.freed:
-                break
-            frames += 1 << h.order
-            k += 1
-        del pages[:k]
+        frames = self.cache_pages.cut_freed_prefix()
         self._cache_frames -= frames
         compact_runs = self.kernel.stat[ev.COMPACT_RUNS]
         if (compact_runs != self._pruned_compact_runs
                 or frames != reclaimed - self._pruned_reclaimed):
-            self.cache_pages = live = [h for h in pages if not h.freed]
-            self._cache_frames = sum(1 << h.order for h in live)
+            self.cache_pages = live = self.cache_pages.live()
+            self._cache_frames = live.frames()
         self._pruned_reclaimed = reclaimed
         self._pruned_compact_runs = compact_runs
 
@@ -428,10 +421,8 @@ class Workload:
             # shreds free memory across the address space.
             target = int(self.kernel.mem.nframes * self.spec.cache_fraction)
             while self._cache_frames > target and self.cache_pages:
-                i = self.rng.randrange(len(self.cache_pages))
-                self.cache_pages[i], self.cache_pages[-1] = \
-                    self.cache_pages[-1], self.cache_pages[i]
-                old = self.cache_pages.pop()
+                old = self.cache_pages.swap_pop(
+                    self.rng.randrange(len(self.cache_pages)))
                 self._cache_frames -= old.nframes
                 if not old.freed:
                     self.kernel.free_pages(old)

@@ -83,11 +83,12 @@ class TestEnvelope:
         version 3 workload payloads ``_Expiry`` heap entries and a
         list-backed ``transient``, version 4 payloads ``PageHandle``
         slot state (and a version-4 build has no ``_restore_handle`` to
-        read this build's); resuming any must stop at the envelope, not
-        mid-``json.dumps`` or mid-unpickle."""
-        assert FORMAT_VERSION == 5
+        read this build's), version 5 payloads an eager handle registry
+        (no slot table) and ``PhysicalMemory.alloc_heads``; resuming any
+        must stop at the envelope, not mid-``json.dumps`` or mid-unpickle."""
+        assert FORMAT_VERSION == 6
         path = tmp_path / "x.ckpt"
-        for old in (2, 3, 4):
+        for old in (2, 3, 4, 5):
             data = bytearray(encode_checkpoint("workload", 1, {}))
             data[4:8] = old.to_bytes(4, "big")
             path.write_bytes(bytes(data))
@@ -180,11 +181,13 @@ class TestCollectorPaused:
 
 
 class TestPayloadShape:
-    """The speed of a checkpoint is the shape of its pickle: one
-    ``REDUCE`` on a six-field tuple per handle.  Dropping
+    """The speed of a checkpoint is the shape of its pickle: a page
+    nobody named is two ints (its registry slot and its PFN), a built
+    handle one ``REDUCE`` on a six-field tuple.  Dropping
     ``PageHandle.__reduce__`` brings back copyreg's slot-state form —
-    one ``BUILD`` and an eight-key dict per handle — and fails here,
-    without a stopwatch."""
+    one ``BUILD`` and an eight-key dict per handle — and fails both
+    bounds here (1,195 / 951 builds, 22.4 bytes per entry), without a
+    stopwatch."""
 
     @pytest.mark.parametrize("kernel_name", ["linux", "contiguitas"])
     def test_handles_pickle_as_compact_records(self, kernel_name):
@@ -192,16 +195,27 @@ class TestPayloadShape:
         from repro.mm import KernelConfig, LinuxKernel
         from repro.workloads import Workload, get_service
 
+        # debug_vm off whatever the environment says: the sanitizer's
+        # per-PFN history rides in the pickle and is not what this
+        # measures.
         if kernel_name == "linux":
-            kernel = LinuxKernel(KernelConfig(mem_bytes=MiB(64)))
+            kernel = LinuxKernel(
+                KernelConfig(mem_bytes=MiB(64), debug_vm=False))
         else:
-            kernel = ContiguitasKernel(ContiguitasConfig(mem_bytes=MiB(64)))
+            kernel = ContiguitasKernel(
+                ContiguitasConfig(mem_bytes=MiB(64), debug_vm=False))
         workload = Workload(kernel, get_service("web"), seed=11)
         workload.start()
         for _ in range(60):
             workload.step()
-        live = len(kernel.handles)
+        registry = kernel.handles
+        live = len(registry)
         assert live > 5000
+        # Handle objects in the payload: built slots (freed ones stay in
+        # the table) plus the scalar allocations.
+        objects = sum(type(v) is not int for v in registry._slots) + sum(
+            type(e) is not int for e in registry._by_pfn.values())
+        assert objects < live / 4, (objects, live)
         blob = pickle.dumps({"kernel": kernel, "workload": workload},
                             protocol=pickle.HIGHEST_PROTOCOL)
         builds = array_bytes = 0
@@ -210,8 +224,8 @@ class TestPayloadShape:
                 builds += 1
             elif isinstance(arg, (bytes, bytearray)):
                 array_bytes += len(arg)     # BINBYTES*/BYTEARRAY8: arrays
-        assert builds < live / 10, (builds, live)
-        assert (len(blob) - array_bytes) / live <= 60.0
+        assert builds < objects / 2, (builds, objects)
+        assert (len(blob) - array_bytes) / live <= 20.0
 
 
 class TestStore:

@@ -68,7 +68,12 @@ class TestCallStreamGolden:
 class ShadowWorkload(Workload):
     """Every prune is checked against the full-pass filter it replaced;
     ``branches`` counts which path produced the result (the proved
-    prefix cut edits the list in place, the full pass rebinds it)."""
+    prefix cut edits the list in place, the full pass rebinds it).
+
+    The filter reads the list's raw items — a handle, or the registry
+    slot of a page nobody has named, which cannot be freed — so the
+    check builds no handle and the prune under test still meets the
+    unbuilt slots it meets in a real run."""
 
     def __init__(self, *args, branches: Counter, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -76,10 +81,15 @@ class ShadowWorkload(Workload):
 
     def _prune_cache(self, reclaimed: int) -> None:
         before = self.cache_pages
-        want = [h for h in before if not h.freed]
+        slots = self.kernel.handles._slots
+        unbuilt = sum(type(v) is int for v in slots)
+        want = [ref for ref in before._refs if not getattr(
+            slots[ref] if type(ref) is int else ref, "freed", False)]
         super()._prune_cache(reclaimed)
-        assert self.cache_pages == want
-        assert self._cache_frames == sum(h.nframes for h in want)
+        assert self.cache_pages._refs == want
+        assert self._cache_frames == sum(
+            1 if type(ref) is int else ref.nframes for ref in want)
+        assert sum(type(v) is int for v in slots) == unbuilt
         self.branches["prefix" if self.cache_pages is before else "full"] += 1
 
 
@@ -150,7 +160,7 @@ class TestShadowPrune:
         runs = kernel.stat[ev.COMPACT_RUNS]
         pages = workload.cache_pages
         for _ in range(64):
-            if any(h.freed for h in pages[len(pages) // 8:]):
+            if any(h.freed for h in list(pages)[len(pages) // 8:]):
                 break
             huge = kernel.alloc_thp()
             if huge is not None:

@@ -15,8 +15,9 @@ from repro.mm.freelist import (
     _COMPACT_MIN,
     FreeList,
     FreelistStore,
-    LegacyFreeList,
 )
+
+from legacy_freelist import LegacyFreeList
 
 IMPLS = [FreeList, LegacyFreeList]
 

@@ -57,7 +57,7 @@ def test_mark_free_clears_everything(mem):
     assert order == 2
     assert mem.free_frames() == 2048
     assert not mem.is_allocated(0)
-    assert 0 not in mem.alloc_heads
+    assert mem.alloc_order[0] == -1
 
 
 def test_double_allocation_raises_typed(mem):

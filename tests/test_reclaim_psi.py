@@ -40,16 +40,6 @@ class TestReclaimLRU:
         assert freed == handles[:2]
         assert stat[ev.PAGES_RECLAIMED] == 2
 
-    def test_touch_moves_to_back(self):
-        lru = ReclaimLRU(VmStat())
-        freed = []
-        a, b = handle(0), handle(1)
-        lru.register(a)
-        lru.register(b)
-        lru.touch(a)
-        lru.reclaim(lambda h: freed.append(h), target_frames=1)
-        assert freed == [b]
-
     def test_forget_skips_handle(self):
         lru = ReclaimLRU(VmStat())
         freed = []
