@@ -17,8 +17,8 @@ def compute():
     return run_experiment("ablation-autotune")
 
 
-def test_ablation_autotune(benchmark):
-    result = benchmark.pedantic(compute, rounds=1, iterations=1)
+def test_ablation_autotune():
+    result = compute()
     save_result("ablation_autotune.txt", result.report())
 
     # Row 0 is the default configuration, then one row per trial.

@@ -80,11 +80,10 @@ def hw_shrink_comparison():
     return out
 
 
-def test_ablation_designs(benchmark):
-    size_rows, copy_rows, shrink = benchmark.pedantic(
-        lambda: (initial_size_sweep(), slice_copy_comparison(),
-                 hw_shrink_comparison()),
-        rounds=1, iterations=1)
+def test_ablation_designs():
+    size_rows = initial_size_sweep()
+    copy_rows = slice_copy_comparison()
+    shrink = hw_shrink_comparison()
 
     text = format_table(
         ["Initial size", "Expands", "Shrinks", "Final blocks"],

@@ -55,8 +55,8 @@ def compute():
     }
 
 
-def test_ablation_pcp(benchmark):
-    out = benchmark.pedantic(compute, rounds=1, iterations=1)
+def test_ablation_pcp():
+    out = compute()
     rows = [
         (kname, "on" if pcp else "off",
          percent(vals["unmovable_2m"]),

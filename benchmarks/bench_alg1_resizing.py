@@ -50,10 +50,9 @@ def demand_spike_run():
     return initial, peak, settled, kernel
 
 
-def test_alg1_resizing(benchmark):
+def test_alg1_resizing():
     rows = scenario_rows()
-    initial, peak, settled, kernel = benchmark.pedantic(
-        demand_spike_run, rounds=1, iterations=1)
+    initial, peak, settled, kernel = demand_spike_run()
     text = format_table(
         ["P_unmov", "P_mov", "Mem_unmov", "Target", "Delta", "Expected"],
         rows,

@@ -28,8 +28,8 @@ def render() -> str:
     )
 
 
-def test_fig02_hwgen(benchmark):
-    text = benchmark(render)
+def test_fig02_hwgen():
+    text = render()
     save_result("fig02_hwgen.txt", text)
     rows = generation_trends()
     assert rows[-1]["relative_capacity"] >= 7.5

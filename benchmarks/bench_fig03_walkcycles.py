@@ -17,8 +17,8 @@ def compute():
     return run_experiment("fig03-walk-cycles")
 
 
-def test_fig03_walkcycles(benchmark):
-    result = benchmark.pedantic(compute, rounds=1, iterations=1)
+def test_fig03_walkcycles():
+    result = compute()
     save_result("fig03_walkcycles.txt", result.report())
 
     results = {(row["service"], row["pages"]): row for row in result.rows}

@@ -19,8 +19,8 @@ def compute():
     return run_experiment("fig04-contiguity-cdf")
 
 
-def test_fig04_contiguity_cdf(benchmark):
-    result = benchmark.pedantic(compute, rounds=1, iterations=1)
+def test_fig04_contiguity_cdf():
+    result = compute()
     save_result("fig04_contiguity_cdf.txt", result.report())
 
     without = {row["granularity"]: row["without_any"]

@@ -24,8 +24,8 @@ def compute():
     return sample, rows
 
 
-def test_fig05_unmovable_cdf(benchmark):
-    sample, rows = benchmark.pedantic(compute, rounds=1, iterations=1)
+def test_fig05_unmovable_cdf():
+    sample, rows = compute()
     med = {g: median(sample.series("unmovable", g))
            for g in ("2MB", "4MB", "32MB", "1GB")}
     text = format_table(

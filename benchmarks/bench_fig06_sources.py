@@ -17,8 +17,8 @@ def compute():
     return run_experiment("fig06-sources")
 
 
-def test_fig06_sources(benchmark):
-    result = benchmark.pedantic(compute, rounds=1, iterations=1)
+def test_fig06_sources():
+    result = compute()
     save_result("fig06_sources.txt", result.report())
 
     fractions = {row["source"]: row["fraction"] for row in result.rows}

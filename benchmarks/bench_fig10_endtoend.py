@@ -16,14 +16,8 @@ import pytest
 from repro.analysis import format_table, percent
 from repro.perfmodel import evaluate_configuration
 from repro.units import MiB
-from repro.workloads import (
-    CACHE_A,
-    CACHE_B,
-    WEB,
-    Workload,
-    fragment_fully,
-    fragment_partially,
-)
+from repro.workloads import Workload, fragment_fully, fragment_partially
+from repro.workloads.services import CACHE_A, CACHE_B, WEB
 
 from common import make_contiguitas, make_linux, save_result
 
@@ -67,8 +61,8 @@ def compute():
     return out
 
 
-def test_fig10_endtoend(benchmark):
-    out = benchmark.pedantic(compute, rounds=1, iterations=1)
+def test_fig10_endtoend():
+    out = compute()
     rows = []
     for (service, config), (coverage, result) in out.items():
         base = out[(service, "linux-full")][1].relative_perf

@@ -20,8 +20,8 @@ def compute():
     return out
 
 
-def test_fig11_unmovable(benchmark):
-    out = benchmark.pedantic(compute, rounds=1, iterations=1)
+def test_fig11_unmovable():
+    out = compute()
     rows = [
         (service,
          percent(out[(service, "linux")]),

@@ -33,8 +33,8 @@ def compute():
     return out
 
 
-def test_fig12_potential(benchmark):
-    out = benchmark.pedantic(compute, rounds=1, iterations=1)
+def test_fig12_potential():
+    out = compute()
     rows = []
     for service in STEADY_SERVICES:
         for kernel_name in ("linux", "contiguitas"):

@@ -22,8 +22,8 @@ def compute():
     return run_experiment("fig13-unavailable")
 
 
-def test_fig13_unavailable(benchmark):
-    result = benchmark.pedantic(compute, rounds=1, iterations=1)
+def test_fig13_unavailable():
+    result = compute()
     save_result("fig13_unavailable.txt", result.report())
 
     rows = result.rows

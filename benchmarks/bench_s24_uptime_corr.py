@@ -15,8 +15,8 @@ def compute():
     return sample, sample.uptime_correlation()
 
 
-def test_s24_uptime_correlation(benchmark):
-    sample, corr = benchmark.pedantic(compute, rounds=1, iterations=1)
+def test_s24_uptime_correlation():
+    sample, corr = compute()
     uptimes = [s.uptime_steps for s in sample.scans]
     text = format_table(
         ["Metric", "Value", "Paper"],

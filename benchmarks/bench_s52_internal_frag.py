@@ -30,8 +30,8 @@ def compute():
     return out
 
 
-def test_s52_internal_frag(benchmark):
-    out = benchmark.pedantic(compute, rounds=1, iterations=1)
+def test_s52_internal_frag():
+    out = compute()
     rows = [
         (service,
          f"{vals['region_blocks']} blocks",

@@ -18,8 +18,8 @@ def compute():
     return run_experiment("s53-interference")
 
 
-def test_s53_interference(benchmark):
-    result = benchmark.pedantic(compute, rounds=1, iterations=1)
+def test_s53_interference():
+    result = compute()
     save_result("s53_interference.txt", result.report())
 
     overheads = {(row["app"], row["rate"], row["design"]): row["overhead"]

@@ -26,11 +26,13 @@ import pathlib
 import sys
 import tokenize
 
-#: Code lines under ``src/repro`` (PR 19: ``LegacyFreeList`` moved under
-#: ``tests/``, ``alloc_heads`` and ``ReclaimLRU.touch`` deleted; they pay
-#: for the slot-backed handle registry.  13,603 before it, 13,604 before
-#: PR 17, 13,816 before PR 16, 13,848 before PR 15, 14,049 before PR 12).
-BUDGET = 13_596
+#: Code lines under ``src/repro`` (PR 20: the manifest ``bench`` section,
+#: ``FreeList.pop_many_fifo``, ``SourceMix.fraction_of`` and
+#: ``WalkStats.walk_cycle_share`` deleted; they pay for the derived
+#: checkpoint directory's clean-up and the two cadence checks.  13,596
+#: before it, 13,603 before PR 19, 13,604 before PR 17, 13,816 before
+#: PR 16, 13,848 before PR 15, 14,049 before PR 12).
+BUDGET = 13_545
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
              tokenize.INDENT, tokenize.DEDENT, tokenize.ENCODING,

@@ -24,6 +24,8 @@ never masquerade as clean ones.
 
 from __future__ import annotations
 
+import os
+import shutil
 from dataclasses import dataclass, field
 
 from ..errors import ConfigurationError
@@ -103,7 +105,9 @@ def run_experiment(name: str,
         plan: a :class:`~repro.faults.FaultPlan` for chaos experiments;
             keyed into the content address via its snapshot.
         cache: result store (default: the shared on-disk cache).
-        force: recompute and overwrite even on a hit.
+        force: recompute and overwrite even on a hit, from the first
+            unit of work: the derived checkpoint directory is emptied
+            first, so no earlier run's state is resumed into the rows.
         metrics: shared registry (sweeps pass one across cells);
             ``experiment.*`` counters land here.
         emit_manifest: build a run manifest onto the result.
@@ -112,12 +116,14 @@ def run_experiment(name: str,
             checkpointing write to ``<cache>/checkpoints/<key>`` every N
             units of work and auto-resume from the last good checkpoint
             on the next miss of the same cell — a killed cell loses at
-            most one checkpoint interval.  Never part of the cache key
+            most one checkpoint interval.  The directory is removed once
+            the rows land in the cache.  Handed to fetched dependencies,
+            each under its own key.  Never part of the cache key
             (checkpointing cannot change results).
         checkpoint_dir: explicit checkpoint directory, overriding the
             derived ``<cache>/checkpoints/<key>`` path — how
             ``repro experiment run --resume-from`` points a rerun at a
-            killed cell's checkpoints.
+            killed cell's checkpoints.  Never deleted, ``force`` or not.
     """
     spec = get_spec(name)
     config = spec.resolve(overrides)
@@ -150,12 +156,15 @@ def run_experiment(name: str,
                 dep, overrides=overrides,
                 seed=seed if dep_seed is None else dep_seed,
                 workers=workers, plan=plan, cache=cache, metrics=metrics,
-                emit_manifest=False)
+                emit_manifest=False, checkpoint_every=checkpoint_every)
             return dep_result.rows
 
+        derived = None
         if checkpoint_dir is None and checkpoint_every:
-            import os
-            checkpoint_dir = os.path.join(cache.root, "checkpoints", key)
+            derived = checkpoint_dir = os.path.join(
+                cache.root, "checkpoints", key)
+            if force and os.path.isdir(derived):
+                shutil.rmtree(derived)
         ctx = ExperimentContext(
             spec_name=spec.name, params=config, seed=seed,
             workers=workers, fault_plan=plan, fetch=fetch,
@@ -169,6 +178,10 @@ def run_experiment(name: str,
         rows = cache.put(key, produced, spec_name=spec.name,
                          version=spec.version, config=config,
                          seed=seed, plan_snapshot=_plan_snapshot(plan))
+        if derived is not None:
+            # The rows are durable: a checkpoint kept past them is only
+            # ever met again by a forced rerun, which must not resume.
+            shutil.rmtree(derived, ignore_errors=True)
 
     result = ExperimentResult(spec=spec, config=config, seed=seed,
                               key=key, rows=rows, cached=cached)

@@ -35,14 +35,6 @@ class SourceMix:
         if abs(total - 1.0) > 1e-6:
             raise ConfigurationError(f"source mix sums to {total}, not 1.0")
 
-    def fraction_of(self, source: AllocSource) -> float:
-        return {
-            AllocSource.NETWORKING: self.networking,
-            AllocSource.SLAB: self.slab,
-            AllocSource.FILESYSTEM: self.filesystem,
-            AllocSource.PAGETABLE: self.pagetable,
-        }.get(source, self.other)
-
 
 #: The fleet-wide unmovable source mix measured in the paper (Fig. 6).
 SOURCE_MIX_META = SourceMix(

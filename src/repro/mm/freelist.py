@@ -451,30 +451,6 @@ class FreeList:
             pfn = prv[pfn]
         return self._detach_tail(out, pfn, k)
 
-    def pop_many_fifo(self, k: int) -> np.ndarray:
-        """FIFO counterpart of :meth:`pop_many_lifo`."""
-        count = self._count
-        if k > count:
-            k = count
-        if k <= 0:
-            return _EMPTY_PFNS
-        nxt_mv = self._next
-        out = []
-        append = out.append
-        pfn = self._head
-        for _ in range(k):
-            append(pfn)
-            pfn = nxt_mv[pfn]
-        arr = np.asarray(out, dtype=np.int64)
-        self._store.list_id[arr] = 0
-        self._head = pfn
-        if pfn >= 0:
-            self._prev[pfn] = -1
-        else:
-            self._tail = -1
-        self._finish_bulk_pop(k)
-        return arr
-
     def _detach_tail(self, out: list[int], new_tail: int,
                      k: int) -> np.ndarray:
         arr = np.asarray(out, dtype=np.int64)

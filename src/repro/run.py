@@ -107,6 +107,9 @@ class RunSession:
                  checkpoint_every: int = 0,
                  checkpoint_dir: str | None = None,
                  resume: bool = False) -> None:
+        if checkpoint_every < 0:
+            raise ConfigurationError(
+                f"checkpoint_every must be >= 0, got {checkpoint_every}")
         self.kind = KINDS[kind]
         self.config = config
         self.identity = identity
@@ -221,10 +224,15 @@ def checkpoint_flags(kind: str, args) -> dict:
     checkpoint's own header is reused (header-only read: never
     unpickles), so resuming continues exactly as the killed run was
     configured.  A directory alone defaults to checkpointing every unit
-    of work.
+    of work; a cadence alone is refused, because nothing would be
+    written and the run would only look durable.
     """
     directory = args.resume_from or args.checkpoint_dir
     every = args.checkpoint_every
+    if every and directory is None:
+        raise ConfigurationError(
+            f"--checkpoint-every {every} needs --checkpoint-dir DIR (or "
+            "--resume-from DIR): without a directory nothing is written")
     if args.resume_from is not None and not every:
         from .checkpoint import CheckpointStore
         for desc in CheckpointStore(directory, kind).inspect()["generations"]:

@@ -122,13 +122,6 @@ class WalkStats:
     walk_cycles: int = 0
     translation_cycles: int = 0
 
-    @property
-    def walk_cycle_share(self) -> float:
-        """Walk cycles as a fraction of translation + walk cycles; callers
-        combine with execution cycles for the Fig. 3 percentage."""
-        total = self.translation_cycles
-        return self.walk_cycles / total if total else 0.0
-
     def snapshot(self) -> dict:
         """Counters as a plain dict (:class:`~repro.telemetry.Snapshotable`)."""
         return {

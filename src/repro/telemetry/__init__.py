@@ -14,8 +14,8 @@ experiment manifests:
   uniform :class:`Snapshotable` surface (``snapshot()`` / ``merge()`` /
   ``to_jsonl()``);
 * :mod:`repro.telemetry.manifest` — machine-readable per-run manifests
-  (config, seed, git revision, counter snapshot, bench numbers) and the
-  diffing used by ``repro metrics``;
+  (config, seed, git revision, counter snapshot) and the diffing used
+  by ``repro metrics``;
 * :mod:`repro.telemetry.config` — :class:`TelemetryConfig`, the one knob
   experiment entry points (``run_fleet``, benchmarks) accept.
 

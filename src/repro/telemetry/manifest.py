@@ -1,9 +1,9 @@
 """Run manifests: a machine-readable record of one experiment run.
 
 A manifest captures everything needed to reproduce and compare a run:
-the configuration, the seed, the git revision, the kernel counter
-snapshot, and any bench numbers.  ``run_fleet`` and the perf harness
-emit them as JSON; ``repro metrics`` pretty-prints and diffs them.
+the configuration, the seed, the git revision and the kernel counter
+snapshot.  Every front door emits them as JSON; ``repro metrics``
+pretty-prints and diffs them.
 
 Volatile facts (wall-clock timestamps, hostname, worker count) live in a
 dedicated ``volatile`` section so that :func:`deterministic_view` — the
@@ -20,7 +20,9 @@ import time
 from ..errors import ConfigurationError
 
 #: Manifest schema version; bump on incompatible layout changes.
-SCHEMA_VERSION = 1
+#: 2 dropped the ``bench`` section; a schema-1 file still loads and the
+#: section, when it has one, is ignored.
+SCHEMA_VERSION = 2
 
 _GIT_REV_CACHE: str | None = None
 
@@ -50,19 +52,17 @@ def build_manifest(
     seed: int | None = None,
     counters: dict | None = None,
     metrics: dict | None = None,
-    bench: dict | None = None,
     aggregates: dict | None = None,
     volatile: dict | None = None,
 ) -> dict:
     """Assemble a manifest dict.
 
     Args:
-        kind: what ran (``"fleet"``, ``"perf"``, ``"steady"``, ...).
+        kind: what ran (``"fleet"``, ``"loadgen"``, ``"experiment"``, ...).
         config: the run's configuration, already JSON-serialisable.
         seed: base RNG seed.
         counters: kernel event-counter snapshot (name -> count).
         metrics: a :meth:`MetricsRegistry.snapshot` dict.
-        bench: benchmark numbers (name -> result row).
         aggregates: derived summary numbers (fractions, correlations).
         volatile: extra non-deterministic facts (durations, worker
             counts); merged into the ``volatile`` section.
@@ -77,7 +77,6 @@ def build_manifest(
         "config": config or {},
         "counters": dict(sorted((counters or {}).items())),
         "aggregates": aggregates or {},
-        "bench": bench or {},
         "metrics": metrics or {},
         "volatile": {
             "created": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
@@ -141,9 +140,8 @@ def load_manifest(path) -> dict:
 def manifest_diff(a: dict, b: dict) -> dict:
     """Structured diff of two manifests (B relative to A).
 
-    Returns ``{"meta": ..., "counters": ..., "aggregates": ...,
-    "bench": ...}`` where each counter row carries (a, b, delta) and
-    each bench row carries the ops/sec ratio.
+    Returns ``{"meta": ..., "counters": ..., "aggregates": ...}`` where
+    each counter row carries (a, b, delta).
     """
     meta = {
         key: {"a": a.get(key), "b": b.get(key)}
@@ -165,23 +163,7 @@ def manifest_diff(a: dict, b: dict) -> dict:
         if va != vb:
             aggregates[name] = {"a": va, "b": vb}
 
-    bench = {}
-    ba, bb = a.get("bench", {}), b.get("bench", {})
-    for name in sorted(set(ba) | set(bb)):
-        ra, rb = ba.get(name), bb.get(name)
-        if ra is None or rb is None:
-            bench[name] = {"a": ra, "b": rb}
-            continue
-        opa = ra.get("ops_per_sec")
-        opb = rb.get("ops_per_sec")
-        row = {"a": opa, "b": opb}
-        if opa and opb:
-            row["ratio"] = round(opb / opa, 4)
-        if row["a"] != row["b"] or "ratio" in row:
-            bench[name] = row
-
-    return {"meta": meta, "counters": counters,
-            "aggregates": aggregates, "bench": bench}
+    return {"meta": meta, "counters": counters, "aggregates": aggregates}
 
 
 def _fmt(value) -> str:
@@ -217,13 +199,6 @@ def format_manifest(manifest: dict) -> str:
         lines.append(format_table(
             ["Aggregate", "Value"],
             [(k, _fmt(v)) for k, v in sorted(aggregates.items())]))
-    bench = manifest.get("bench", {})
-    if bench:
-        lines.append("")
-        lines.append(format_table(
-            ["Bench", "ops/s"],
-            [(k, _fmt(v.get("ops_per_sec", "-")))
-             for k, v in sorted(bench.items())]))
     return "\n".join(lines)
 
 
@@ -250,14 +225,6 @@ def format_manifest_diff(diff: dict) -> str:
             [(k, _fmt(v["a"]), _fmt(v["b"]))
              for k, v in diff["aggregates"].items()],
             title="Aggregate changes"))
-    if diff["bench"]:
-        rows = []
-        for k, v in diff["bench"].items():
-            ratio = v.get("ratio")
-            rows.append((k, _fmt(v.get("a")), _fmt(v.get("b")),
-                         f"{ratio:.3f}x" if ratio else "-"))
-        lines.append(format_table(["Bench", "A ops/s", "B ops/s", "B/A"],
-                                  rows, title="Bench deltas"))
     if not lines:
         return "manifests are identical (ignoring volatile fields)"
     return "\n\n".join(lines)

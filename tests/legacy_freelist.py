@@ -161,14 +161,6 @@ class LegacyFreeList:
             k -= 1
         return np.asarray(out, dtype=np.int64) if out else _EMPTY_PFNS
 
-    def pop_many_fifo(self, k: int) -> np.ndarray:
-        """Parity surface for the fuzzer (scalar loop)."""
-        out = []
-        while k > 0 and self._members:
-            out.append(self.pop_fifo())
-            k -= 1
-        return np.asarray(out, dtype=np.int64) if out else _EMPTY_PFNS
-
     def stale_entries(self) -> int:
         """Total stale (lazy-deleted) entries across the internal
         structures — exposed for the churn tests, the sanitizer's

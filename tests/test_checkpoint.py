@@ -675,44 +675,105 @@ class TestRestoreSanitizer:
 
 
 class TestExperimentMidCellResume:
-    def test_checkpoints_land_under_cache_key(self, tmp_path):
-        from repro.experiments import ResultCache, run_experiment
+    OVERRIDES = {"n_servers": 4, "mem_mib": 32,
+                 "min_uptime_steps": 30, "max_uptime_steps": 60}
 
-        cache = ResultCache(str(tmp_path))
-        overrides = {"n_servers": 2, "mem_mib": 32,
-                     "min_uptime_steps": 30, "max_uptime_steps": 60}
-        result = run_experiment("fleet-survey", overrides=overrides,
-                                workers=1, cache=cache,
-                                checkpoint_every=1)
+    def _run(self, cache, *trace, name="fleet-survey", overrides=OVERRIDES,
+             **kwargs):
+        """One cell (default: the ``fleet-survey`` one); returns (result,
+        names of the *trace* events it emitted, checkpoint paths it
+        wrote)."""
+        import repro.fleet  # noqa: F401  (tracing arms only what exists)
+        from repro.experiments import run_experiment
+        from repro.telemetry import tracing
+
+        with tracing("checkpoint.write", *trace) as sink:
+            result = run_experiment(name, overrides, workers=1,
+                                    cache=cache, **kwargs)
+        events = list(sink)
+        return (result, [e.name for e in events],
+                {e.fields["path"] for e in events
+                 if e.name == "checkpoint.write"})
+
+    def _kill(self, cache, **kwargs):
+        from repro.experiments import run_experiment
+
+        with injecting(_crash_plan(2), seed=0):
+            with pytest.raises(SimCrashError):
+                run_experiment("fleet-survey", self.OVERRIDES, workers=1,
+                               cache=cache, checkpoint_every=1, **kwargs)
+
+    def test_checkpoints_land_under_cache_key(self, tmp_path):
+        from repro.experiments import ResultCache
+
+        result, _, written = self._run(ResultCache(str(tmp_path)),
+                                       checkpoint_every=1)
         ckdir = os.path.join(str(tmp_path), "checkpoints", result.key)
         # The fleet-survey producer fans out through run_fleet, whose
         # store is named "fleet".
-        assert os.path.isfile(os.path.join(ckdir, "fleet.ckpt"))
+        assert written == {os.path.join(ckdir, "fleet.ckpt")}
+        # The rows landed, so the derived directory went.
+        assert not os.path.exists(ckdir)
         # Rows identical to a checkpoint-free run of the same cell.
-        plain = run_experiment("fleet-survey", overrides=overrides,
-                               workers=1,
-                               cache=ResultCache(str(tmp_path / "b")))
+        plain, _, _ = self._run(ResultCache(str(tmp_path / "b")))
         assert result.rows == plain.rows
 
     def test_killed_cell_resumes_from_checkpoint(self, tmp_path):
-        from repro.experiments import ResultCache, run_experiment
+        from repro.experiments import ResultCache
 
         cache = ResultCache(str(tmp_path))
-        overrides = {"n_servers": 4, "mem_mib": 32,
-                     "min_uptime_steps": 30, "max_uptime_steps": 60}
-        with injecting(_crash_plan(2), seed=0):
-            with pytest.raises(SimCrashError):
-                run_experiment("fleet-survey", overrides=overrides,
-                               workers=1, cache=cache,
-                               checkpoint_every=1)
-        resumed = run_experiment("fleet-survey", overrides=overrides,
-                                 workers=1, cache=cache,
-                                 checkpoint_every=1)
+        self._kill(cache)
+        resumed, names, _ = self._run(cache, "checkpoint.restore",
+                                      checkpoint_every=1)
         assert not resumed.cached
-        plain = run_experiment("fleet-survey", overrides=overrides,
-                               workers=1,
-                               cache=ResultCache(str(tmp_path / "b")))
+        assert names.count("checkpoint.restore") == 1
+        plain, _, _ = self._run(ResultCache(str(tmp_path / "b")))
         assert resumed.rows == plain.rows
+
+    def test_forced_rerun_simulates_every_server(self, tmp_path):
+        """``force`` recomputes: neither a killed run's checkpoints nor
+        a finished run's are resumed into the new rows."""
+        from repro.experiments import ResultCache
+
+        cache = ResultCache(str(tmp_path))
+        self._kill(cache)
+        for _ in range(2):  # over the killed run, then the finished one
+            result, names, _ = self._run(
+                cache, "checkpoint.restore", "fleet.server.done",
+                force=True, checkpoint_every=1)
+            assert names.count("checkpoint.restore") == 0
+            assert names.count("fleet.server.done") == 4
+            assert not os.path.exists(os.path.join(
+                str(tmp_path), "checkpoints", result.key))
+
+    def test_explicit_directory_is_resumed_and_kept(self, tmp_path):
+        """``--resume-from DIR`` names somebody's directory: ``force``
+        does not empty it and landing the rows does not remove it."""
+        from repro.experiments import ResultCache
+
+        cache = ResultCache(str(tmp_path / "cache"))
+        explicit = str(tmp_path / "mine")
+        self._kill(cache, checkpoint_dir=explicit)
+        _, names, _ = self._run(cache, "checkpoint.restore", force=True,
+                                checkpoint_every=1, checkpoint_dir=explicit)
+        assert names.count("checkpoint.restore") == 1
+        assert os.path.isfile(os.path.join(explicit, "fleet.ckpt"))
+
+    def test_fetched_dependency_checkpoints_under_its_own_key(
+            self, tmp_path):
+        """fig04 only fetches; the survey under it is the expensive
+        part and takes the cadence."""
+        from repro.experiments import ResultCache, load_cached
+
+        cache = ResultCache(str(tmp_path))
+        size = {"n_servers": 2, "mem_mib": 32}
+        result, _, written = self._run(
+            cache, name="fig04-contiguity-cdf", overrides=size,
+            checkpoint_every=1)
+        survey = load_cached("fleet-survey", size, seed=result.seed,
+                             cache=cache)
+        assert written == {os.path.join(
+            str(tmp_path), "checkpoints", survey.key, "fleet.ckpt")}
 
 
 class TestCheckpointCli:
@@ -808,6 +869,24 @@ class TestCheckpointCli:
 
         with pytest.raises(SystemExit, match="no checkpoints"):
             main(["checkpoint", "resume", str(tmp_path)])
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--checkpoint-every", "1"],
+         "repro: --checkpoint-every 1 needs --checkpoint-dir DIR"),
+        (["--checkpoint-every", "-3", "--checkpoint-dir", "ck"],
+         "repro: checkpoint_every must be >= 0, got -3"),
+    ], ids=["no-directory", "negative"])
+    def test_unusable_cadence_is_refused(self, flags, message, tmp_path,
+                                         monkeypatch):
+        """A cadence that would write nothing, or at the wrong steps,
+        stops the run before it starts instead of exiting 0."""
+        from repro.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit, match=message):
+            main(["fleet", "--servers", "4", "--mem-mib", "32",
+                  "--workers", "1", *flags])
+        assert not os.listdir(tmp_path)
 
 
 class TestManifestVolatileOnly:

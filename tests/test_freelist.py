@@ -120,15 +120,13 @@ class TestBehaviour:
         assert list(fl) == [9, 5, 2]
 
     def test_pop_many_matches_scalar_pops(self, make_list):
-        for mode in ("lifo", "fifo"):
-            a, b = make_list(), make_list()
-            for pfn in [4, 9, 1, 7, 3]:
-                a.add(pfn)
-                b.add(pfn)
-            bulk = getattr(a, f"pop_many_{mode}")(3).tolist()
-            scalar = [getattr(b, f"pop_{mode}")() for _ in range(3)]
-            assert bulk == scalar
-            assert len(a) == len(b) == 2
+        a, b = make_list(), make_list()
+        for pfn in [4, 9, 1, 7, 3]:
+            a.add(pfn)
+            b.add(pfn)
+        assert a.pop_many_lifo(3).tolist() == [b.pop_lifo()
+                                               for _ in range(3)]
+        assert len(a) == len(b) == 2
 
     def test_churn_through_compaction_preserves_order(self, make_list):
         """Discarding past the compaction trigger must not disturb the
@@ -309,7 +307,7 @@ def test_matches_reference_set(ops):
 
 
 #: op, pfn, k — op selects add/discard/pop_{lowest,highest,lifo,fifo}/
-#: extend/pop_many; k sizes the bulk ops.
+#: extend/pop_many_lifo; k sizes the bulk ops.
 _FUZZ_OP = st.tuples(st.integers(0, 7), st.integers(0, 60),
                      st.integers(1, 8))
 
@@ -341,9 +339,8 @@ def test_differential_fuzz_intrusive_vs_legacy(ops):
             new.extend(fresh)
             old.extend(fresh)
         else:
-            mode = "pop_many_lifo" if pfn % 2 else "pop_many_fifo"
-            assert getattr(new, mode)(k).tolist() == \
-                getattr(old, mode)(k).tolist()
+            assert new.pop_many_lifo(k).tolist() == \
+                old.pop_many_lifo(k).tolist()
         assert len(new) == len(old)
         assert (pfn in new) == (pfn in old)
     new.check_invariants()

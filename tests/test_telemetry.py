@@ -22,6 +22,8 @@ from repro.telemetry import (
     TracepointRegistry,
     build_manifest,
     deterministic_view,
+    format_manifest,
+    format_manifest_diff,
     load_manifest,
     manifest_diff,
     read_jsonl,
@@ -438,14 +440,34 @@ class TestManifests:
         assert "volatile" not in deterministic_view(m)
         assert m["volatile"]["workers"] == 4
 
-    def test_diff_counters_and_bench(self):
-        a = build_manifest(kind="t", counters={"x": 1, "same": 5},
-                           bench={"b": {"ops_per_sec": 100.0}})
-        b = build_manifest(kind="t", counters={"x": 4, "same": 5},
-                           bench={"b": {"ops_per_sec": 50.0}})
+    def test_diff_counters(self):
+        a = build_manifest(kind="t", counters={"x": 1, "same": 5})
+        b = build_manifest(kind="t", counters={"x": 4, "same": 5})
         d = manifest_diff(a, b)
         assert d["counters"] == {"x": {"a": 1, "b": 4, "delta": 3}}
-        assert d["bench"]["b"]["ratio"] == 0.5
+
+    def test_schema_2_has_no_bench_section(self):
+        m = build_manifest(kind="t")
+        assert m["schema"] == 2
+        assert "bench" not in m
+        with pytest.raises(TypeError):
+            build_manifest(kind="t", bench={})
+
+    def test_schema_1_manifest_still_loads_and_diffs(self, tmp_path):
+        """A file written before the ``bench`` section went: it loads,
+        prints and diffs, and the section is ignored."""
+        old = {**build_manifest(kind="perf", counters={"x": 1}),
+               "schema": 1,
+               "bench": {"churn": {"ops_per_sec": 100.0}}}
+        path = write_manifest(tmp_path / "old.json", old)
+        loaded = load_manifest(path)
+        text = format_manifest(loaded)
+        assert "schema: 1" in text and "churn" not in text
+        new = build_manifest(kind="perf", counters={"x": 3})
+        diff = manifest_diff(loaded, new)
+        assert set(diff) == {"meta", "counters", "aggregates"}
+        assert "churn" not in format_manifest_diff(diff)
+        assert diff["counters"]["x"]["delta"] == 2
 
 
 FLEET_KW = dict(n_servers=3, base_seed=11)
