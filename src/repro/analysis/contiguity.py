@@ -72,7 +72,7 @@ def unmovable_block_fraction(mem: PhysicalMemory, block_frames: int,
     larger mapping — the scattering amplification the paper quantifies
     (7.6 % of 4 KiB pages poisoning 34 % of 2 MiB blocks, §2.5).
     """
-    unmovable = mem.unmovable_mask()[start_pfn:end_pfn]
+    unmovable = mem.unmovable_mask(start_pfn, end_pfn)
     # A granularity larger than the scanned range degenerates to "does
     # the whole range contain any unmovable page" — the right question
     # when asking a scaled-down machine about 1 GiB regions.
@@ -108,7 +108,7 @@ def unmovable_region_internal_frag(mem: PhysicalMemory,
     that software cannot recover (its neighbours are unmovable), which
     motivates Contiguitas-HW defragmentation.
     """
-    allocated = mem.allocated_mask()[start_pfn:end_pfn]
+    allocated = mem.allocated_mask(start_pfn, end_pfn)
     blocks = _block_view(allocated, PAGEBLOCK_FRAMES)
     if blocks.shape[0] == 0:
         return 0.0

@@ -56,25 +56,12 @@ class MemorySnapshot:
     def size_bytes(self) -> int:
         return self.nframes * FRAME_SIZE
 
-    def allocated_mask(self) -> np.ndarray:
-        from ..mm.page import PageFlag
-
-        return (self.flags & (1 << PageFlag.ALLOCATED)) != 0
-
-    def pinned_mask(self) -> np.ndarray:
-        from ..mm.page import PageFlag
-
-        return (self.flags & (1 << PageFlag.PINNED)) != 0
-
-    def unmovable_mask(self) -> np.ndarray:
-        from ..mm.page import AllocSource
-
-        allocated = self.allocated_mask()
-        kernel = self.source != int(AllocSource.USER)
-        return allocated & (kernel | self.pinned_mask())
-
-    def free_frames(self) -> int:
-        return int(self.nframes - np.count_nonzero(self.allocated_mask()))
+    # The masks read only ``flags``/``source``, which a snapshot carries
+    # under the same names: borrow them, ``(start, end)`` range included.
+    allocated_mask = PhysicalMemory.allocated_mask
+    pinned_mask = PhysicalMemory.pinned_mask
+    unmovable_mask = PhysicalMemory.unmovable_mask
+    free_frames = PhysicalMemory.free_frames
 
 
 def load_snapshot(path: str) -> MemorySnapshot:

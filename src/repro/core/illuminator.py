@@ -30,7 +30,7 @@ class StrictPageblockBuddy(BuddyAllocator):
             flist = self.free_lists[MAX_ORDER][fb]
             if not flist:
                 continue
-            pfn = self._pop(flist, direction)
+            pfn = self._POP[direction](flist)
             self.mem.free_order[pfn] = -1
             self.nr_free -= 1 << MAX_ORDER
             self.stat.inc(ev.ALLOC_FALLBACK)

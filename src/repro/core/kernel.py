@@ -56,6 +56,12 @@ class ContiguitasConfig(KernelConfig):
     resize_check_interval_ticks: int = 100_000
 
 
+# Enum members as module constants: a class-attribute read on an Enum
+# costs ten times a global load, and routing runs once per allocation.
+_USER = AllocSource.USER
+_MOVABLE, _UNMOVABLE = MigrateType.MOVABLE, MigrateType.UNMOVABLE
+
+
 class ContiguitasKernel(LinuxKernel):
     """Linux with Contiguitas's confined-region memory management."""
 
@@ -117,11 +123,16 @@ class ContiguitasKernel(LinuxKernel):
 
     def allocator_for_request(
         self, migratetype: MigrateType, source: AllocSource, pinned: bool,
-    ) -> BuddyAllocator:
-        """Confinement: anything unmovable goes to the unmovable region."""
-        if pinned or source.unmovable or migratetype != MigrateType.MOVABLE:
-            return self.unmovable
-        return self.movable
+    ) -> tuple[BuddyAllocator, MigrateType, str | None]:
+        """Confinement and placement bias: anything unmovable goes to the
+        unmovable region, popped in the policy's direction.  The migrate
+        type is coerced to the region's: inside a region, pages live on a
+        single per-region free-list family (paper §3.2, "distinct free
+        lists for each region")."""
+        if pinned or source is not _USER or migratetype != _MOVABLE:
+            return (self.unmovable, _UNMOVABLE,
+                    self.config.placement.direction(source))
+        return self.movable, _MOVABLE, None
 
     def allocators(self) -> list[BuddyAllocator]:
         return [self.movable, self.unmovable]
@@ -133,77 +144,6 @@ class ContiguitasKernel(LinuxKernel):
         return Region.UNMOVABLE if alloc is self.unmovable else Region.MOVABLE
 
     # -- allocation --------------------------------------------------------
-
-    def alloc_pages(
-        self,
-        order: int = 0,
-        source: AllocSource = AllocSource.USER,
-        migratetype: MigrateType | None = None,
-        pinned: bool = False,
-        reclaimable: bool = False,
-        compact_budget: int | None = None,
-    ) -> PageHandle:
-        """Allocate with confinement and placement bias.
-
-        The migrate type is coerced to the region's type: inside a region,
-        pages live on a single per-region free-list family (paper §3.2,
-        "distinct free lists for each region").
-        """
-        mt = migratetype if migratetype is not None else (
-            MigrateType.MOVABLE if source is AllocSource.USER
-            else MigrateType.UNMOVABLE)
-        allocator = self.allocator_for_request(mt, source, pinned)
-        if allocator is self.unmovable:
-            mt = MigrateType.UNMOVABLE
-            prefer = self.config.placement.direction(source)
-        else:
-            mt = MigrateType.MOVABLE
-            prefer = None
-        pfn = None
-        # The placement bias supersedes PCP for biased allocations; plain
-        # order-0 traffic (movable region) may use the per-CPU caches.
-        pcp = (self._pcp.get(allocator.label)
-               if order == 0 and prefer is None else None)
-        if pcp is not None:
-            pfn = pcp.alloc(mt, source, self.now, pinned)
-        if pfn is None:
-            pfn = allocator.alloc(order, mt, source, self.now, pinned,
-                                  prefer=prefer)
-        if pfn is None:
-            pfn = self._slow_path(allocator, order, mt, source, pinned,
-                                  compact_budget)
-        handle = PageHandle(pfn, order, mt, source, self.now, pinned,
-                            reclaimable=reclaimable)
-        self.handles.register(handle)
-        if reclaimable:
-            self.reclaim_lru.register(handle)
-        return handle
-
-    def alloc_pages_bulk(
-        self,
-        count: int,
-        source: AllocSource = AllocSource.USER,
-        migratetype: MigrateType | None = None,
-        reclaimable: bool = False,
-    ) -> list[PageHandle]:
-        """Region-aware bulk fast path (see the base class).
-
-        The migrate type is coerced to the owning region's, as in
-        :meth:`alloc_pages`.  Unmovable-region traffic with an active
-        placement bias stays scalar (returns no handles): the bulk pop
-        cannot reproduce the biased pop direction.
-        """
-        mt = migratetype if migratetype is not None else (
-            MigrateType.MOVABLE if source is AllocSource.USER
-            else MigrateType.UNMOVABLE)
-        allocator = self.allocator_for_request(mt, source, False)
-        if allocator is self.unmovable:
-            if self.config.placement.direction(source) is not None:
-                return []
-            mt = MigrateType.UNMOVABLE
-        else:
-            mt = MigrateType.MOVABLE
-        return self._finish_bulk(allocator, mt, count, source, reclaimable)
 
     def _slow_path(
         self,
@@ -362,7 +302,7 @@ class ContiguitasKernel(LinuxKernel):
         block = self.layout.boundary_block
         start = block * PAGEBLOCK_FRAMES
         end = start + PAGEBLOCK_FRAMES
-        occupied = bool(self.mem.allocated_mask()[start:end].any())
+        occupied = bool(self.mem.allocated_mask(start, end).any())
         if occupied:
             if not self.config.hw_enabled:
                 return False
@@ -432,7 +372,7 @@ class ContiguitasKernel(LinuxKernel):
                            self.mem.npageblocks):
             start = block * PAGEBLOCK_FRAMES
             end = start + PAGEBLOCK_FRAMES
-            used = int(self.mem.allocated_mask()[start:end].sum())
+            used = int(self.mem.allocated_mask(start, end).sum())
             if 0 < used <= PAGEBLOCK_FRAMES // 2:
                 result = self.evacuator.evacuate(
                     self.unmovable, self.handles, start, end,
@@ -449,4 +389,4 @@ class ContiguitasKernel(LinuxKernel):
         import numpy as np
 
         boundary = self.layout.boundary_pfn
-        return int(np.count_nonzero(self.mem.unmovable_mask()[:boundary]))
+        return int(np.count_nonzero(self.mem.unmovable_mask(0, boundary)))

@@ -85,7 +85,7 @@ class RegionLayout:
         return self.boundary_block * PAGEBLOCK_FRAMES
 
     def in_unmovable(self, pfn: int) -> bool:
-        return pfn >= self.boundary_pfn
+        return pfn >= self.boundary_block * PAGEBLOCK_FRAMES
 
     # -- offline (hwpoison) accounting ------------------------------------
 

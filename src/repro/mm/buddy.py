@@ -164,7 +164,7 @@ class BuddyAllocator:
                 f"[{self.start_block},{self.end_block})"
             )
         pfn = block * PAGEBLOCK_FRAMES
-        if self.mem.allocated_mask()[pfn:pfn + PAGEBLOCK_FRAMES].any():
+        if self.mem.allocated_mask(pfn, pfn + PAGEBLOCK_FRAMES).any():
             raise ConfigurationError(f"adopting non-free block {block}")
         self.pageblocks.set_block(block, mt)
         self._insert_free(pfn, MAX_ORDER, mt)
@@ -258,17 +258,36 @@ class BuddyAllocator:
     def free_block(self, pfn: int, order: int) -> None:
         """Insert an already-cleared frame range into the free lists,
         merging with buddies (low-level path shared with migration)."""
-        free_order = self.mem.free_order_mv
-        start_pfn, end_pfn = self.start_pfn, self.end_pfn
+        # Hot: every guard is resolved once here, not once per merge
+        # level (the loop body is _remove_free inlined, the tail is
+        # _insert_free inlined).
+        mem = self.mem
+        free_order, free_mt = mem.free_order_mv, mem.free_mt_mv
+        start_pfn = self.start_block * PAGEBLOCK_FRAMES
+        end_pfn = self.end_block * PAGEBLOCK_FRAMES
+        lists, occ = self.free_lists, self._occ
+        size = 1 << order
         while order < MAX_ORDER:
             buddy = pfn ^ (1 << order)
             if (buddy < start_pfn or buddy >= end_pfn
                     or free_order[buddy] != order):
                 break
-            self._remove_free(buddy)
-            pfn = min(pfn, buddy)
+            imt = free_mt[buddy]
+            flist = lists[order][imt]
+            if not flist.discard(buddy):
+                self._raise_not_on_list(buddy, order, imt)
+            if not flist._count:
+                occ[imt] &= ~(1 << order)
+            free_order[buddy] = -1
+            if buddy < pfn:
+                pfn = buddy
             order += 1
-        self._insert_free(pfn, order, self.pageblocks.get_int(pfn))
+        imt = self.pageblocks.get_int(pfn)
+        lists[order][imt].add(pfn)
+        occ[imt] |= 1 << order
+        free_order[pfn] = order
+        free_mt[pfn] = imt
+        self.nr_free += size
 
     # ------------------------------------------------------------------
     # Bulk order-0 paths (cache warming, PCP refill, churn benchmarks)
@@ -492,21 +511,19 @@ class BuddyAllocator:
         "lifo": FreeList.pop_lifo,
     }
 
-    @staticmethod
-    def _pop(flist: FreeList, direction: str) -> int:
-        return BuddyAllocator._POP[direction](flist)
-
     def _rmqueue(self, order: int, mt: MigrateType, direction: str) -> int | None:
         """Pop the best free block of *mt* at order >= *order* and split."""
         imt = int(mt)
         occ = self._occ
+        pop = self._POP[direction]
         # Exact-order fast path: the overwhelmingly common case is a hit
-        # on the requested order's own list, with no split needed.
+        # on the requested order's own list, with no split needed (so it
+        # reads the list's count slot: truth-testing is a Python call).
         if occ[imt] >> order & 1:
             flist = self.free_lists[order][imt]
-            if flist:
-                pfn = self._pop(flist, direction)
-                if not flist:
+            if flist._count:
+                pfn = pop(flist)
+                if not flist._count:
                     occ[imt] &= ~(1 << order)
                 self.mem.free_order_mv[pfn] = -1
                 self.nr_free -= 1 << order
@@ -522,7 +539,7 @@ class BuddyAllocator:
             if not flist:
                 occ[imt] &= ~(1 << o)
                 continue
-            pfn = self._pop(flist, direction)
+            pfn = pop(flist)
             if not flist:
                 occ[imt] &= ~(1 << o)
             self.mem.free_order_mv[pfn] = -1
@@ -549,7 +566,7 @@ class BuddyAllocator:
                 if not flist:
                     occ[int(fb)] &= ~(1 << o)
                     continue
-                pfn = self._pop(flist, direction)
+                pfn = self._POP[direction](flist)
                 if not flist:
                     occ[int(fb)] &= ~(1 << o)
                 self.mem.free_order_mv[pfn] = -1
@@ -616,13 +633,16 @@ class BuddyAllocator:
         imt = mem.free_mt_mv[pfn]
         flist = self.free_lists[order][imt]
         if not flist.discard(pfn):
-            raise FreelistDivergenceError(
-                f"{self.label}: free block not on list "
-                f"order={order} mt={imt}", pfn=pfn)
+            self._raise_not_on_list(pfn, order, imt)
         if not flist:
             self._occ[imt] &= ~(1 << order)
         mem.free_order_mv[pfn] = -1
         self.nr_free -= 1 << order
+
+    def _raise_not_on_list(self, pfn: int, order: int, imt: int) -> None:
+        raise FreelistDivergenceError(
+            f"{self.label}: free block not on list "
+            f"order={order} mt={imt}", pfn=pfn)
 
     # ------------------------------------------------------------------
     # Introspection

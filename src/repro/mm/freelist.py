@@ -27,13 +27,18 @@ Extraction modes (why four pops exist):
 Address ordering is *two-mode*.  A list serving only temporal pops (every
 stock-Linux list) carries zero heap bookkeeping — adds and unlinks touch
 only the packed arrays.  The first address-ordered operation builds a
-min/max heap pair from the live membership in one vectorised pass
-(``np.flatnonzero(list_id == id)`` is already sorted); from then on adds
-push eagerly and unlinks leave lazily-deleted stale entries, validated on
-pop against ``list_id``.  Stale entries are bounded exactly as before:
-once removals since the last rebuild exceed ``max(_COMPACT_MIN, live)``
-the heaps are rebuilt from the live set, and an emptied list drops its
-heaps entirely (back to the zero-bookkeeping mode).
+min/max heap pair by walking the list's own chain and sorting it —
+O(len(list)), never a scan of the store's ``list_id`` column, so no
+allocation pays for the size of memory.  From then on the list *stays*
+in address mode: adds push eagerly and unlinks leave lazily-deleted
+stale entries, validated on pop against ``list_id``.  Stale entries are
+bounded: once removals since the last rebuild exceed
+``max(_COMPACT_MIN, live)`` the heaps are rebuilt from the live set, and
+a list that empties clears its heaps in place and keeps them (every
+entry is stale by then), so the refill costs pushes, not a rebuild.
+Only a bulk ``extend`` past ``_EXTEND_HEAP_MAX`` drops the heaps (a
+``None`` heap is also what a pre-existing checkpoint may restore); the
+next address pop rebuilds them, again in O(len(list)).
 
 Invariants (checked by :meth:`FreeList.check_invariants`, which the
 debug_vm sanitizer calls):
@@ -340,10 +345,10 @@ class FreeList:
         count = self._count = self._count - 1
         if self._min_heap is not None:
             if not count:
-                # Emptied: drop the heaps entirely (back to the
-                # zero-bookkeeping temporal mode).
-                self._min_heap = None
-                self._max_heap = None
+                # Emptied: every entry is stale.  Clear the heaps but
+                # keep them, so the refill pushes instead of rebuilding.
+                self._min_heap.clear()
+                self._max_heap.clear()
                 self._removals = 0
                 return
             r = self._removals = self._removals + 1
@@ -353,12 +358,10 @@ class FreeList:
     # -- heap maintenance ------------------------------------------------
 
     def _build_heaps(self) -> None:
-        """One vectorised pass: flatnonzero over ``list_id`` yields the
-        live membership already sorted, and a sorted list is a valid
-        binary min-heap."""
-        live = np.flatnonzero(self._store.list_id == self._id)
-        self._min_heap = live.tolist()
-        self._max_heap = [-p for p in reversed(self._min_heap)]
+        """Walk the chain and sort it — O(len(self)), whatever the
+        store's capacity; a sorted list is a valid binary min-heap."""
+        self._min_heap = live = sorted(self)
+        self._max_heap = [-p for p in reversed(live)]
         self._removals = 0
 
     def _compact(self) -> None:
@@ -467,8 +470,8 @@ class FreeList:
         count = self._count = self._count - k
         if self._min_heap is not None:
             if not count:
-                self._min_heap = None
-                self._max_heap = None
+                self._min_heap.clear()
+                self._max_heap.clear()
                 self._removals = 0
                 return
             r = self._removals = self._removals + k

@@ -180,9 +180,11 @@ class LinuxKernel:
 
     def allocator_for_request(
         self, migratetype: MigrateType, source: AllocSource, pinned: bool,
-    ) -> BuddyAllocator:
-        """The allocator a new request should be served from."""
-        return self.buddy
+    ) -> tuple[BuddyAllocator, MigrateType, str | None]:
+        """Where a new request is served from: the allocator, the migrate
+        type it is filed under there, and the pop direction (None: the
+        allocator's own).  The one routing hook of both allocation APIs."""
+        return self.buddy, migratetype, None
 
     def allocators(self) -> list[BuddyAllocator]:
         return [self.buddy]
@@ -234,15 +236,18 @@ class LinuxKernel:
         Raises:
             OutOfMemoryError: when the slow path cannot satisfy the request.
         """
-        mt = migratetype if migratetype is not None else (
-            DEFAULT_MIGRATETYPE[source])
-        allocator = self.allocator_for_request(mt, source, pinned)
+        allocator, mt, prefer = self.allocator_for_request(
+            migratetype if migratetype is not None
+            else DEFAULT_MIGRATETYPE[source], source, pinned)
         pfn = None
-        pcp = self._pcp.get(allocator.label) if order == 0 else None
+        # A biased pop direction supersedes PCP; plain order-0 traffic
+        # may use the per-CPU caches.
+        pcp = (self._pcp.get(allocator.label)
+               if self._pcp and order == 0 and prefer is None else None)
         if pcp is not None:
             pfn = pcp.alloc(mt, source, self.now, pinned)
         if pfn is None:
-            pfn = allocator.alloc(order, mt, source, self.now, pinned)
+            pfn = allocator.alloc(order, mt, source, self.now, pinned, prefer)
         if pfn is None:
             pfn = self._slow_path(allocator, order, mt, source, pinned,
                                   compact_budget)
@@ -270,22 +275,15 @@ class LinuxKernel:
         the PFN sequence it does return is exactly what the same number
         of scalar :meth:`alloc_pages` calls would have produced, so
         callers complete any shortfall through the scalar API with
-        unchanged slow-path and OOM semantics.
+        unchanged slow-path and OOM semantics.  A request routed with a
+        pop direction (Contiguitas's placement bias) stays scalar too:
+        the bulk pop cannot reproduce a biased direction.
         """
-        mt = migratetype if migratetype is not None else (
-            DEFAULT_MIGRATETYPE[source])
-        allocator = self.allocator_for_request(mt, source, False)
-        return self._finish_bulk(allocator, mt, count, source, reclaimable)
-
-    def _finish_bulk(
-        self,
-        allocator: BuddyAllocator,
-        mt: MigrateType,
-        count: int,
-        source: AllocSource,
-        reclaimable: bool,
-    ) -> Sequence[PageHandle]:
-        if count <= 0 or self._pcp.get(allocator.label) is not None:
+        allocator, mt, prefer = self.allocator_for_request(
+            migratetype if migratetype is not None
+            else DEFAULT_MIGRATETYPE[source], source, False)
+        if (count <= 0 or prefer is not None
+                or self._pcp.get(allocator.label) is not None):
             return []
         pfns = allocator.alloc_bulk(count, mt, source, self.now).tolist()
         if not pfns:
@@ -417,7 +415,7 @@ class LinuxKernel:
             start = allocator.start_pfn + self._scan_rng.randrange(
                 ncands) * size
             end = start + size
-            if self.mem.unmovable_mask()[start:end].any():
+            if self.mem.unmovable_mask(start, end).any():
                 continue
             heads = (np.flatnonzero(self.mem.alloc_order[start:end] >= 0)
                      + start).tolist()
@@ -464,12 +462,13 @@ class LinuxKernel:
             raise DoubleFreeError(
                 f"handle already freed: {handle!r}", pfn=handle.pfn,
                 history=san.history(handle.pfn) if san is not None else ())
-        self.reclaim_lru.forget(handle)
+        if handle.reclaimable:  # nothing else was ever on the LRU
+            self.reclaim_lru.forget(handle)
         self.handles.on_free(handle)
         if handle.order <= MAX_ORDER:
             allocator = self.allocator_for(handle.pfn)
             pcp = (self._pcp.get(allocator.label)
-                   if handle.order == 0 else None)
+                   if self._pcp and handle.order == 0 else None)
             if pcp is not None:
                 self.stat.inc(ev.PAGES_FREED)
                 pcp.free(handle.pfn)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import FreelistDivergenceError
 from repro.mm import (
     AllocSource,
     BuddyAllocator,
@@ -110,6 +111,25 @@ def test_freed_page_joins_current_pageblock_type():
     # Freed into the (now UNMOVABLE) block's list.
     assert len(buddy.free_lists[MAX_ORDER][MigrateType.UNMOVABLE]) == 1
     buddy.check_consistency()
+
+
+def test_free_onto_a_buddy_missing_from_its_list_is_a_typed_error():
+    """The merge loop reads its guards once per call (ISSUE 21); a buddy
+    whose ``free_order`` says free but which is on no list must still be
+    refused with the error ``_remove_free`` raises."""
+    buddy = make_buddy(label="zone")
+    pfn = buddy.alloc(0, MigrateType.MOVABLE)
+    assert pfn == 0 and buddy.mem.free_order[1] == 0
+    assert buddy.free_lists[0][MigrateType.MOVABLE].discard(1)
+    with pytest.raises(FreelistDivergenceError) as exc:
+        buddy.free(pfn)
+    assert exc.value.pfn == 1
+    assert str(exc.value) == \
+        "zone: free block not on list order=0 mt=1 (pfn 1)"
+    with pytest.raises(FreelistDivergenceError) as exc:
+        buddy.take_free_block(1)
+    assert str(exc.value) == \
+        "zone: free block not on list order=0 mt=1 (pfn 1)"
 
 
 def test_take_free_block_and_split():

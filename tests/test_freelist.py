@@ -6,17 +6,24 @@ sequences through both at once and demands identical pop orders and
 lengths on every mode, including FIFO.
 """
 
+import pickle
+import random
+from collections import deque
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import FreelistDivergenceError
+from repro.mm import AllocSource
 from repro.mm.freelist import (
     _COMPACT_MIN,
     FreeList,
     FreelistStore,
 )
 
+from conftest import make_contiguitas
 from legacy_freelist import LegacyFreeList
 
 IMPLS = [FreeList, LegacyFreeList]
@@ -187,7 +194,7 @@ class TestIntrusive:
         assert fl.peek_lowest() == 1  # first address op builds heaps
         assert fl._min_heap is not None
         fl.pop_lowest()
-        assert fl._min_heap is None  # emptied list drops them again
+        assert fl._min_heap == []  # emptied list keeps empty heaps
 
     def test_heap_staleness_bounded_under_churn(self):
         fl = FreeList()
@@ -210,6 +217,73 @@ class TestIntrusive:
         fl._store.next_mv[1] = 3  # sever the chain behind the count
         with pytest.raises(FreelistDivergenceError):
             fl.check_invariants()
+
+
+class TestAddressModeCost:
+    """ISSUE 21: an address-mode list that empties keeps its (cleared)
+    heaps, and building them walks the list, never the store."""
+
+    @pytest.mark.parametrize("drop_heaps", [False, True],
+                             ids=["heaps-kept", "heaps-none"])
+    def test_empty_refill_cycles_pop_in_address_order(self, drop_heaps):
+        rng = random.Random(5)
+        fl = FreeList(FreelistStore(4096))
+        for cycle in range(1000):
+            pfns = rng.sample(range(4096), rng.randint(1, 12))
+            for pfn in pfns:
+                fl.add(pfn)
+            if cycle == 500:
+                # Mid-cycle, members linked: a checkpoint may also hold
+                # a list whose heaps are None (written before this PR,
+                # or after a large extend) — both must restore and pop.
+                if drop_heaps:
+                    fl._min_heap = fl._max_heap = None
+                fl = pickle.loads(pickle.dumps(fl))
+                assert (fl._min_heap is None) == drop_heaps
+            if cycle % 2:
+                assert [fl.pop_highest() for _ in pfns] == \
+                    sorted(pfns, reverse=True)
+            else:
+                assert [fl.pop_lowest() for _ in pfns] == sorted(pfns)
+            assert not fl and fl.stale_entries() == 0
+            assert fl._min_heap == [] and fl._max_heap == []
+            if cycle % 100 == 0:
+                fl.check_invariants()
+        fl.check_invariants()
+
+    @staticmethod
+    def _churn(mem_mib, monkeypatch):
+        """5,000 order-0 NETWORKING alloc/free pairs, three pages in
+        flight so the low-order lists keep emptying and refilling;
+        returns (heap builds, full-memory scans seen)."""
+        kernel = make_contiguitas(mem_mib)
+        nframes = kernel.mem.nframes
+        builds, scans = [], []
+        build = FreeList._build_heaps
+        monkeypatch.setattr(
+            FreeList, "_build_heaps",
+            lambda self: (builds.append(len(self)), build(self))[1])
+        for name in ("flatnonzero", "nonzero"):
+            def spy(a, *args, _real=getattr(np, name), _name=name, **kw):
+                if np.size(a) >= nframes:
+                    scans.append(_name)
+                return _real(a, *args, **kw)
+            monkeypatch.setattr(np, name, spy)
+        live = deque()
+        for _ in range(5000):
+            live.append(kernel.alloc_pages(0, AllocSource.NETWORKING))
+            if len(live) > 3:
+                kernel.free_pages(live.popleft())
+        kernel.check_consistency()
+        return len(builds), scans
+
+    def test_allocation_cost_is_independent_of_memory_size(self, monkeypatch):
+        small = self._churn(64, monkeypatch)
+        monkeypatch.undo()
+        large = self._churn(512, monkeypatch)
+        assert small == large
+        assert small[1] == []  # no O(nframes) scan on any alloc/free
+        assert small[0] <= 2 * 10 + 5000 // _COMPACT_MIN  # O(lists) + compactions
 
 
 class TestLegacy:

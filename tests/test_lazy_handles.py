@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import gc
 import pickle
+import random
 import weakref
 from collections import OrderedDict
 
@@ -255,6 +256,47 @@ def test_every_route_to_a_page_reaches_one_object_across_a_pickle():
     assert victims == [batch[1]] and len(lru) == 18
 
 
+@pytest.mark.parametrize("make_kernel", [make_linux, make_contiguitas],
+                         ids=["linux", "contiguitas"])
+def test_skipping_forget_for_unreclaimable_handles_keeps_the_lru_count(
+        make_kernel):
+    """``free_pages`` no longer calls ``ReclaimLRU.forget`` for a handle
+    that was never reclaimable (ISSUE 21).  The twin below still does,
+    as every kernel did before; through mixed scalar/bulk allocations,
+    frees and reclaim both must count the same pages on the LRU."""
+    class Forgetful(type(make_kernel())):
+        def free_pages(self, handle):
+            if not handle.reclaimable and not handle.freed:
+                self.reclaim_lru.forget(handle)
+            super().free_pages(handle)
+
+    rng = random.Random(21)
+    kernel, twin = make_kernel(64), Forgetful(make_kernel(64).config)
+    live: tuple[list, list] = ([], [])
+    for step in range(600):
+        op, order = rng.randrange(6), rng.randrange(2)
+        index = rng.randrange(1 << 30)
+        for k, mine in zip((kernel, twin), live):
+            if op == 0:
+                mine.extend(k.alloc_pages_bulk(16, reclaimable=True))
+            elif op == 1:
+                mine.extend(k.alloc_pages_bulk(8))
+            elif op == 2:
+                mine.append(k.alloc_pages(0, reclaimable=True))
+            elif op == 3:
+                mine.append(k.alloc_pages(order, AllocSource.SLAB))
+            elif op == 4 and mine:
+                handle = mine.pop(index % len(mine))
+                if not handle.freed:
+                    k.free_pages(handle)
+            elif op == 5:
+                k.reclaim_lru.reclaim(k.free_pages, 1 + index % 24)
+        assert len(kernel.reclaim_lru) == len(twin.reclaim_lru)
+        assert len(kernel.handles) == len(twin.handles)
+    assert kernel.stat.snapshot() == twin.stat.snapshot()
+    kernel.check_consistency()
+
+
 @pytest.fixture
 def built(monkeypatch) -> list[int]:
     """PFNs of every ``PageHandle`` constructed while the fixture is on."""
@@ -286,7 +328,7 @@ def test_a_bulk_allocation_constructs_no_handle_until_one_is_read(built):
 def test_the_fleet_server_builds_a_tenth_of_its_bulk_pages_at_most():
     """The count ISSUE 19 named beforehand, on the benchmark's server:
     64 MiB, bounded cache, 60 steps, seed 11.  Built ÷ bulk slots was
-    1.0 before (one handle per page in ``_finish_bulk``) and 0.033 in
+    1.0 before (one handle per page in ``alloc_pages_bulk``) and 0.033 in
     the prototype; a handle is built for a page only when reclaim,
     compaction or the driver's eviction names it."""
     kernels = []

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.analysis.sanitizer import FrameSanitizer
 from repro.errors import ConfigurationError, DoubleAllocError
 from repro.mm import AllocSource, MigrateType, PhysicalMemory
+from repro.mm.page import PageFlag
 from repro.units import MiB, PAGEBLOCK_FRAMES
 
 
@@ -96,6 +98,86 @@ def test_unmovable_mask_pinned_user(mem):
 def test_allocated_mask_counts(mem):
     mem.mark_allocated(0, 3, MigrateType.MOVABLE, AllocSource.USER, 0)
     assert int(np.count_nonzero(mem.allocated_mask())) == 8
+
+
+def test_ranged_masks_equal_the_sliced_full_masks(mem):
+    mem.mark_allocated(0, 3, MigrateType.MOVABLE, AllocSource.USER, 0)
+    mem.mark_allocated(600, 1, MigrateType.UNMOVABLE, AllocSource.SLAB, 0)
+    mem.mark_allocated(1030, 0, MigrateType.MOVABLE, AllocSource.USER, 0,
+                       pinned=True)
+    for name in ("allocated_mask", "pinned_mask", "unmovable_mask"):
+        mask = getattr(mem, name)
+        for start, end in ((0, None), (0, 512), (512, 1536), (1030, 1031)):
+            assert np.array_equal(mask(start, end), mask()[start:end])
+        assert mask(512, 1024).size == 512
+
+
+_COLUMNS = ("flags", "migratetype", "source", "free_order", "free_mt",
+            "alloc_order", "head_of", "birth")
+
+
+def _columns(mem):
+    return {name: getattr(mem, name).copy() for name in _COLUMNS}
+
+
+def _slice_mark_allocated(mem, pfn, order, mt, source, birth, pinned):
+    """The numpy-slice marks every order above 0 went through before
+    orders 1-3 got a scalar loop (ISSUE 21), kept here as the oracle."""
+    end = pfn + (1 << order)
+    pin = (1 << PageFlag.PINNED) if pinned else 0
+    mem.flags[pfn:end] = (1 << PageFlag.ALLOCATED) | pin
+    mem.flags[pfn] |= 1 << PageFlag.HEAD
+    mem.migratetype[pfn:end] = int(mt)
+    mem.source[pfn:end] = int(source)
+    mem.head_of[pfn:end] = pfn
+    mem.alloc_order[pfn] = order
+    mem.birth[pfn] = birth
+
+
+@pytest.mark.parametrize("pinned", [False, True], ids=["plain", "pinned"])
+@pytest.mark.parametrize("order", range(6))
+def test_marks_equal_the_slice_reference_across_the_cutover(order, pinned):
+    pfn, n = 64, 1 << order
+    mem, ref = PhysicalMemory(MiB(2)), PhysicalMemory(MiB(2))
+    san = FrameSanitizer().attach(mem)
+    args = (MigrateType.UNMOVABLE, AllocSource.SLAB, 17)
+    for m in (mem, ref):     # live neighbours on both sides stay as they are
+        _slice_mark_allocated(m, pfn - 1, 0, MigrateType.MOVABLE,
+                              AllocSource.USER, 3, False)
+        _slice_mark_allocated(m, pfn + n, 0, MigrateType.MOVABLE,
+                              AllocSource.USER, 3, True)
+    mem.mark_allocated(pfn, order, *args, pinned)
+    _slice_mark_allocated(ref, pfn, order, *args, pinned)
+    got, want = _columns(mem), _columns(ref)
+    for name in _COLUMNS:
+        assert np.array_equal(got[name], want[name]), name
+    assert mem.pinned_mask(pfn, pfn + n).all() == pinned
+    assert san.events == 1
+    assert mem.mark_free(pfn) == order
+    ref.flags[pfn:pfn + n] = 0
+    ref.alloc_order[pfn] = -1
+    got, want = _columns(mem), _columns(ref)
+    for name in _COLUMNS:
+        assert np.array_equal(got[name], want[name]), name
+    assert san.history(pfn) == (("alloc", order, 17), ("free", order, -1))
+    assert san.events == 2
+
+
+@pytest.mark.parametrize("live", ["first", "last"])
+@pytest.mark.parametrize("order", range(1, 6))
+def test_a_live_frame_inside_the_range_is_a_double_alloc(mem, order, live):
+    if live == "first":     # 64 is a live *non-head* frame of 63's block
+        mem.mark_allocated(63, 1, MigrateType.MOVABLE, AllocSource.USER, 0)
+    else:
+        mem.mark_allocated(64 + (1 << order) - 1, 0, MigrateType.MOVABLE,
+                           AllocSource.USER, 0)
+    before = _columns(mem)
+    with pytest.raises(DoubleAllocError) as exc:
+        mem.mark_allocated(64, order, MigrateType.UNMOVABLE,
+                           AllocSource.SLAB, 5)
+    assert exc.value.pfn == 64      # the block's head, not the live frame
+    after = _columns(mem)           # refused before any column is written
+    assert all(np.array_equal(before[n], after[n]) for n in _COLUMNS)
 
 
 def test_pageblock_of(mem):
