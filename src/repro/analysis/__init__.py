@@ -16,7 +16,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
                     "unmovable_region_internal_frag", "unmovable_report"),
     ".hwcost": ("MetadataTableCost", "SramCostModel",
                 "migrations_per_second_capacity"),
-    ".reporting": ("format_cdf", "format_table", "percent"),
+    ".reporting": ("format_table", "percent"),
     ".sanitizer": ("FrameSanitizer", "debug_vm_enabled", "verify_allocator",
                    "verify_kernel"),
     ".simlint": ("Finding", "lint_paths", "lint_source"),
@@ -34,7 +34,6 @@ __all__ = [
     "TimelineRecorder",
     "contiguity_report",
     "debug_vm_enabled",
-    "format_cdf",
     "format_table",
     "free_block_count",
     "free_contiguity",

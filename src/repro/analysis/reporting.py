@@ -28,18 +28,6 @@ def format_table(headers: Sequence[str],
     return "\n".join(lines)
 
 
-def format_cdf(values: Sequence[float], points: Sequence[float],
-               label: str = "value") -> str:
-    """Render CDF rows: for each probe point, the fraction of values <= it."""
-    values = sorted(values)
-    n = len(values)
-    rows = []
-    for p in points:
-        count = sum(1 for v in values if v <= p)
-        rows.append((f"{p:g}", f"{count / n:.2f}" if n else "n/a"))
-    return format_table([label, "CDF"], rows)
-
-
 def percent(x: float, digits: int = 1) -> str:
     """Format a 0-1 fraction as a percentage string."""
     return f"{100.0 * x:.{digits}f}%"

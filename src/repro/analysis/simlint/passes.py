@@ -386,10 +386,10 @@ class ApiSurfaceRule(Rule):
     doc names is a frozen dataclass, because the caching and manifest
     layers key on config values being immutable; and, when the doc
     declares a ``<package>.scenarios`` front door, every bundled
-    ``library/*.yml`` matrix honours the structural contract (kebab
-    stem, ``name`` matching the stem, a non-empty ``experiment``, a
-    ``smoke`` mapping, and yamlite-parseable) so ``scenario list``
-    cannot break at runtime on a file nobody loads in CI.
+    ``library/*.json`` matrix loads through ``load_matrix`` and
+    honours the library contract (kebab stem, ``name`` matching the
+    stem, a ``smoke`` variant, no stray non-JSON file) so ``scenario
+    list`` cannot break at runtime on a file nobody loads in CI.
     """
 
     code = "DL103"
@@ -535,7 +535,7 @@ class ApiSurfaceRule(Rule):
                             return True
         return False
 
-    _YML_STEM_RE = re.compile(r"^[a-z0-9][a-z0-9-]*$")
+    _STEM_RE = re.compile(r"^[a-z0-9][a-z0-9-]*$")
 
     def _check_scenario_library(self, program: ProgramModel,
                                 contracts: Contracts) -> Iterator[Finding]:
@@ -559,48 +559,43 @@ class ApiSurfaceRule(Rule):
                 f"front door but ships no library/ directory of "
                 f"bundled matrices")
             return
-        # Structural checks only — experiment registries and fault-plan
-        # names are runtime properties the loader validates; this pass
-        # catches the file-shape drift a static reader can see.
-        from ...scenarios import yamlite
+        # Read through the loader `scenario list` uses, so "parses" and
+        # "well-formed" mean here exactly what they mean at runtime.
+        from ...errors import ConfigurationError
+        from ...scenarios import load_matrix
 
         lib_display = posixpath.join(
             posixpath.dirname(info.path), "library")
         for entry in sorted(os.listdir(library)):
-            if not entry.endswith(".yml"):
-                continue
-            fs_path = os.path.join(library, entry)
             path = posixpath.join(lib_display, entry)
-            stem = entry[:-len(".yml")]
-            if not self._YML_STEM_RE.match(stem):
+            stem, ext = os.path.splitext(entry)
+            if ext != ".json":
+                yield self.doc_finding(
+                    path, 1,
+                    f"stray file '{entry}' in the scenario library is "
+                    f"not JSON; `list_scenarios` will not see it (a "
+                    f".yml matrix converts with the docs/API.md recipe)")
+                continue
+            if not self._STEM_RE.match(stem):
                 yield self.doc_finding(
                     path, 1,
                     f"scenario file name '{entry}' must be kebab-case "
-                    f"([a-z0-9-].yml)")
+                    f"([a-z0-9-].json)")
+            fs_path = os.path.join(library, entry)
             try:
-                with open(fs_path, encoding="utf-8") as fh:
-                    doc = yamlite.loads(fh.read())
-            except yamlite.YamliteError as exc:
+                scenario = load_matrix(fs_path)
+            except ConfigurationError as exc:
+                # The finding already names the file, root-relative.
+                message = str(exc).removeprefix(f"{fs_path}: ")
                 yield self.doc_finding(
-                    path, exc.line,
-                    f"bundled scenario does not parse: {exc}")
+                    path, 1, f"bundled scenario does not load: {message}")
                 continue
-            if not isinstance(doc, dict):
-                yield self.doc_finding(
-                    path, 1, "bundled scenario must be a mapping")
-                continue
-            if doc.get("name") != stem:
+            if scenario.name != stem:
                 yield self.doc_finding(
                     path, 1,
-                    f"scenario name {doc.get('name')!r} must match the "
+                    f"scenario name {scenario.name!r} must match the "
                     f"file stem '{stem}' (the `scenario run` handle)")
-            experiment = doc.get("experiment")
-            if not isinstance(experiment, str) or not experiment:
-                yield self.doc_finding(
-                    path, 1,
-                    "bundled scenario needs a non-empty 'experiment' "
-                    "naming its base spec")
-            if not isinstance(doc.get("smoke"), dict):
+            if scenario.smoke is None:
                 yield self.doc_finding(
                     path, 1,
                     "bundled scenario needs a 'smoke' mapping (the "

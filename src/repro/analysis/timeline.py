@@ -1,15 +1,14 @@
 """Time-series recording of kernel metrics during a simulation.
 
 Benchmarks and examples attach a :class:`TimelineRecorder` to a running
-workload and snapshot named metrics at intervals; the result exports as
-aligned text or CSV.  This is the simulator's equivalent of the paper's
+workload and snapshot named metrics at intervals; the result reads back as
+per-metric series.  This is the simulator's equivalent of the paper's
 15-minute fleet profiling cadence (§5.2: "profile the servers once every
 15 minutes").
 """
 
 from __future__ import annotations
 
-import io
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -52,16 +51,6 @@ class TimelineRecorder:
         if not series:
             raise ConfigurationError("no samples recorded")
         return series[-1]
-
-    def to_csv(self) -> str:
-        """Render all rows as CSV (header + one line per sample)."""
-        out = io.StringIO()
-        names = list(self.metrics)
-        out.write(",".join(["step"] + names) + "\n")
-        for step, values in self.rows:
-            out.write(",".join([str(step)]
-                               + [f"{values[n]:g}" for n in names]) + "\n")
-        return out.getvalue()
 
 
 def watch_kernel(kernel) -> TimelineRecorder:

@@ -194,9 +194,10 @@ def _cmd_chaos(args) -> None:
             ["Plan", "Site", "Rate", "Max fires", "Skip"], rows,
             title="Named fault plans (docs/ROBUSTNESS.md)"))
         return
-    from .fleet import FleetConfig, ServerConfig, run_fleet
+    from .fleet import FleetConfig, ServerConfig, check_survey_fit, run_fleet
     from .telemetry import TelemetryConfig
 
+    check_survey_fit(args.servers, MiB(args.mem_mib), args.workers)
     plan = _resolve_plan(args.plan)
     telemetry = TelemetryConfig(manifest_path=args.manifest)
     fleet = run_fleet(FleetConfig(

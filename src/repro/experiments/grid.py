@@ -11,13 +11,13 @@ Both callers compile through here:
 
 * ``ExperimentSpec`` declares ``axes=(...)``, usually built from a
   ``{param: values}`` dict by :func:`axes_from_grid`;
-* ``repro.scenarios`` compiles YAML scenario matrices onto the same
+* ``repro.scenarios`` compiles JSON scenario matrices onto the same
   cells, so a matrix cell and a sweep cell hit the identical
   content-addressed cache entry for the identical config.
 
 Everything here is pure data: axis values are restricted to JSON
 scalars and normalised through canonical JSON, so two spellings of the
-same value (``1`` via YAML, ``1`` via Python) can never produce
+same value (``1`` via JSON, ``1`` via Python) can never produce
 different cell ids or cache keys.
 """
 

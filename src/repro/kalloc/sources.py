@@ -60,12 +60,3 @@ def unmovable_breakdown(mem: PhysicalMemory) -> dict[AllocSource, int]:
         if count:
             out[source] = count
     return out
-
-
-def unmovable_fractions(mem: PhysicalMemory) -> dict[AllocSource, float]:
-    """Per-source fractions of total unmovable frames (sums to 1)."""
-    counts = unmovable_breakdown(mem)
-    total = sum(counts.values())
-    if not total:
-        return {}
-    return {src: n / total for src, n in counts.items()}

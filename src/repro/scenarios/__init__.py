@@ -7,8 +7,8 @@ The front door for running named what-if campaigns::
     result = run_scenario(ScenarioConfig("uce-degrade", smoke=True))
     print(result.report())
 
-A scenario is a yamlite matrix file — a base experiment spec plus axes
-of named values (``src/repro/scenarios/library/*.yml`` ships 10+ of
+A scenario is a JSON matrix file — a base experiment spec plus axes
+of named values (``src/repro/scenarios/library/*.json`` ships 10+ of
 them; ``repro scenario list`` enumerates).  Matrices compile through
 the same :class:`~repro.experiments.Axis`/:class:`~repro.experiments.Cell`
 engine as ``repro experiment sweep`` grids, so scenario cells share the
@@ -40,7 +40,6 @@ from .runner import (
     load_scenario,
     run_scenario,
 )
-from .yamlite import YamliteError
 
 __all__ = [
     "Scenario",
@@ -48,7 +47,6 @@ __all__ = [
     "ScenarioMatrix",
     "ScenarioResult",
     "Smoke",
-    "YamliteError",
     "get_scenario",
     "library_dir",
     "list_scenarios",

@@ -1,42 +1,46 @@
-"""Scenario matrices from yamlite text to :class:`Scenario` objects.
+"""Scenario matrices from JSON text to :class:`Scenario` objects.
 
 The text form is the elba-style matrix file (see EXPERIMENTS.md)::
 
-    name: uce-degrade
-    description: clean fleet vs one with uncorrectable memory errors
-    experiment: fleet-survey
-    options:
-      mem_mib: 256
-    axes:
-      - name: faults
-        values:
-          - id: clean
-          - id: uce
-            plan: uce
-    smoke:
-      options:
-        mem_mib: 64
+    {
+      "name": "uce-degrade",
+      "description": "clean fleet vs one with uncorrectable memory errors",
+      "why": ["free-text rationale; validated, otherwise ignored"],
+      "experiment": "fleet-survey",
+      "options": {"mem_mib": 256},
+      "axes": [
+        {"name": "faults",
+         "values": [{"id": "clean"}, {"id": "uce", "plan": "uce"}]}
+      ],
+      "smoke": {"options": {"mem_mib": 64}}
+    }
 
-Axis values come in two spellings: a bare scalar (``- 24``) sets the
+Axis values come in two spellings: a bare scalar (``24``) sets the
 parameter named after the axis (id derived via
 :func:`~repro.experiments.value_id`), and a mapping gives the value an
 explicit ``id`` plus any ``value`` / ``options`` / ``plan`` it implies.
 Unknown keys anywhere are rejected with the source file named, so a
 typo'd matrix fails at load, not mid-sweep.
 
+Files are read by the stdlib ``json`` module, tightened twice: a
+duplicate key and a ``NaN``/``Infinity`` literal — both of which bare
+``json.load`` accepts — are errors.  Every way a file can fail to
+read (missing, a directory, not UTF-8, not JSON) is a
+:class:`~repro.errors.ConfigurationError` naming the path.
+
 The bundled library (``repro scenario list``) lives next to this
-module in ``library/*.yml``; each file's stem is its scenario name,
+module in ``library/*.json``; each file's stem is its scenario name,
 a contract the deep linter's DL103 pass enforces.
 """
 
 from __future__ import annotations
 
+import json
 import os
 
 from ..errors import ConfigurationError
 from ..experiments.grid import Axis, AxisValue, value_id
 from .model import Scenario, Smoke
-from . import yamlite
 
 __all__ = [
     "get_scenario",
@@ -122,8 +126,8 @@ def _parse_smoke(raw, source: str) -> Smoke | None:
         replicas=raw.get("replicas"))
 
 
-_TOP_KEYS = ("name", "description", "experiment", "options", "axes",
-             "replicas", "plan", "seed", "prefix", "smoke")
+_TOP_KEYS = ("name", "description", "why", "experiment", "options",
+             "axes", "replicas", "plan", "seed", "prefix", "smoke")
 
 
 def scenario_from_dict(doc, source: str = "<matrix>") -> Scenario:
@@ -135,6 +139,13 @@ def scenario_from_dict(doc, source: str = "<matrix>") -> Scenario:
             raise ConfigurationError(
                 f"{source}: scenario is missing required key "
                 f"{required!r}")
+    # Free-text rationale (the file's header comment): checked so a
+    # typo'd shape fails here, then dropped — it reaches no snapshot.
+    why = doc.get("why", [])
+    if not isinstance(why, list) or not all(
+            isinstance(line, str) for line in why):
+        raise ConfigurationError(
+            f"{source}: 'why' must be a list of strings, got {why!r}")
     return Scenario(
         name=doc["name"],
         description=doc["description"],
@@ -150,11 +161,37 @@ def scenario_from_dict(doc, source: str = "<matrix>") -> Scenario:
         source=source)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """``object_pairs_hook``: bare ``json`` keeps the last duplicate."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
+
+
+def _reject_constant(literal: str):
+    """``parse_constant``: bare ``json`` reads these as floats."""
+    raise ValueError(f"non-finite number {literal} is not JSON")
+
+
 def load_matrix(path: str) -> Scenario:
     """Parse and validate the matrix file at *path*."""
     try:
-        doc = yamlite.load(path)
-    except yamlite.YamliteError as exc:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh, object_pairs_hook=_unique_keys,
+                            parse_constant=_reject_constant)
+    except OSError as exc:
+        raise ConfigurationError(f"{path}: {exc.strerror}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        # Most likely a YAML matrix from before the format changed:
+        # say what is expected, not just where the parser gave up.
+        raise ConfigurationError(
+            f"{path}: {exc}; scenario matrices are JSON (docs/API.md, "
+            "\"Scenario matrices\", has the one-line conversion for an "
+            "older YAML matrix)") from None
+    except ValueError as exc:  # raised by the two hooks above
         raise ConfigurationError(f"{path}: {exc}") from None
     return scenario_from_dict(doc, source=path)
 
@@ -165,22 +202,26 @@ def library_dir() -> str:
                         "library")
 
 
+def _library_stems() -> list[str]:
+    """File stems of the library's ``*.json`` entries, sorted."""
+    return sorted(stem for stem, ext in map(os.path.splitext,
+                                            os.listdir(library_dir()))
+                  if ext == ".json")
+
+
 def list_scenarios() -> list[Scenario]:
     """Every bundled library scenario, name-sorted.
 
     The library is small and each file is pure data, so parsing all of
     them on demand beats caching (tests monkeypatch the directory)."""
     scenarios = []
-    root = library_dir()
-    for entry in sorted(os.listdir(root)):
-        if not entry.endswith(".yml"):
-            continue
-        scenario = load_matrix(os.path.join(root, entry))
-        stem = entry[:-len(".yml")]
+    for stem in _library_stems():
+        path = os.path.join(library_dir(), f"{stem}.json")
+        scenario = load_matrix(path)
         if scenario.name != stem:
             raise ConfigurationError(
-                f"{os.path.join(root, entry)}: scenario name "
-                f"{scenario.name!r} must match the file stem {stem!r}")
+                f"{path}: scenario name {scenario.name!r} must match "
+                f"the file stem {stem!r}")
         scenarios.append(scenario)
     return scenarios
 
@@ -188,14 +229,11 @@ def list_scenarios() -> list[Scenario]:
 def get_scenario(name: str) -> Scenario:
     """The bundled scenario called *name*; unknown names list what
     exists (same contract as ``repro.experiments.get_spec``)."""
-    path = os.path.join(library_dir(), f"{name}.yml")
+    path = os.path.join(library_dir(), f"{name}.json")
     if os.path.isfile(path):
         scenario = load_matrix(path)
         if scenario.name == name:
             return scenario
-    known = sorted(
-        entry[:-len(".yml")] for entry in os.listdir(library_dir())
-        if entry.endswith(".yml"))
     raise ConfigurationError(
         f"unknown scenario {name!r}; bundled: "
-        + (", ".join(known) or "(none)"))
+        + (", ".join(_library_stems()) or "(none)"))

@@ -101,19 +101,3 @@ class TimingCore:
         self.stats.instructions += 1
         self.stats.cycles += cycles
         return cycles
-
-    def run_trace(self, vaddrs, shift: int = SHIFT_4K,
-                  mem_ratio: float = 0.4) -> CoreStats:
-        """Run a stream of data addresses at a given memory-op density.
-
-        Each address is one memory instruction; ``(1-mem_ratio)/mem_ratio``
-        pure-compute instructions are interleaved per memory op.
-        """
-        if not 0 < mem_ratio <= 1:
-            raise ConfigurationError("mem_ratio must be in (0, 1]")
-        fill = int(round((1.0 - mem_ratio) / mem_ratio))
-        for vaddr in vaddrs:
-            self.execute(int(vaddr), shift)
-            for _ in range(fill):
-                self.execute()
-        return self.stats

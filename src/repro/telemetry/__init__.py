@@ -52,7 +52,6 @@ from .metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    ScopedTimer,
     Snapshotable,
 )
 
@@ -64,7 +63,6 @@ __all__ = [
     "JsonlSink",
     "MetricsRegistry",
     "RingBufferSink",
-    "ScopedTimer",
     "Snapshotable",
     "TelemetryConfig",
     "TraceEvent",

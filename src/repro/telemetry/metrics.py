@@ -1,4 +1,4 @@
-"""Metrics: counters, gauges, log2 histograms, scoped timers.
+"""Metrics: counters, gauges, log2 histograms.
 
 Everything here speaks one protocol — :class:`Snapshotable` —
 ``snapshot() -> dict`` for a point-in-time machine-readable view and
@@ -15,7 +15,6 @@ benchmarks aggregate kernel counters without importing ``mm``.
 from __future__ import annotations
 
 import json
-import time
 from collections.abc import Iterator
 from typing import Protocol, runtime_checkable
 
@@ -219,32 +218,8 @@ class Histogram:
         self.total += other.total
 
 
-class ScopedTimer:
-    """``with registry.timer("phase"):`` — wall time into a histogram.
-
-    Elapsed time is observed in integer microseconds (so the log2
-    buckets are meaningful) and summed into ``<name>.seconds``.
-    """
-
-    __slots__ = ("_hist", "_gauge", "_t0")
-
-    def __init__(self, hist: Histogram, gauge: Gauge) -> None:
-        self._hist = hist
-        self._gauge = gauge
-        self._t0 = 0.0
-
-    def __enter__(self) -> "ScopedTimer":
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        elapsed = time.perf_counter() - self._t0
-        self._hist.observe(int(elapsed * 1e6))
-        self._gauge.add(elapsed)
-
-
 class MetricsRegistry:
-    """Named counters, gauges, histograms, and timers in one place.
+    """Named counters, gauges, and histograms in one place.
 
     Instruments are created on first reference (``registry.gauge("x")``)
     so call sites need no registration ceremony.  The whole registry is
@@ -273,12 +248,6 @@ class MetricsRegistry:
         if h is None:
             h = self._histograms[name] = Histogram()
         return h
-
-    def timer(self, name: str) -> ScopedTimer:
-        """A fresh scoped timer recording into ``<name>`` (histogram of
-        microseconds) and ``<name>.seconds`` (total-time gauge)."""
-        return ScopedTimer(self.histogram(name),
-                           self.gauge(name + ".seconds"))
 
     # -- uniform surface -------------------------------------------------
 

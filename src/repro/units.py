@@ -55,11 +55,6 @@ def bytes_to_frames(nbytes: int) -> int:
     return nbytes // FRAME_SIZE
 
 
-def frames_to_bytes(nframes: int) -> int:
-    """Convert a frame count to bytes."""
-    return nframes * FRAME_SIZE
-
-
 def order_of(nframes: int) -> int:
     """Return the buddy order whose block size is exactly *nframes* frames."""
     order = nframes.bit_length() - 1

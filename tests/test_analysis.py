@@ -6,7 +6,6 @@ from repro.analysis import (
     MetadataTableCost,
     SCAN_GRANULARITIES,
     contiguity_report,
-    format_cdf,
     format_table,
     free_block_count,
     free_contiguity,
@@ -127,10 +126,6 @@ class TestReporting:
         assert lines[0] == "T"
         assert "a" in lines[1] and "bb" in lines[1]
         assert len(lines) == 5
-
-    def test_format_cdf(self):
-        out = format_cdf([0.1, 0.5, 0.9], points=[0.0, 0.5, 1.0])
-        assert "0.33" in out.replace("0.67", "0.33") or "0.67" in out
 
     def test_percent(self):
         assert percent(0.314) == "31.4%"

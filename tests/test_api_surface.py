@@ -116,7 +116,6 @@ class TestExportSnapshots:
             "ScenarioMatrix",
             "ScenarioResult",
             "Smoke",
-            "YamliteError",
             "get_scenario",
             "library_dir",
             "list_scenarios",
@@ -317,6 +316,17 @@ class TestRemovedShims:
         assert get_service("CacheB") is get_service("cache-b")
         assert not hasattr(services, "BY_NAME")
         assert len(list_services()) >= 6
+
+    def test_yamlite_is_gone(self):
+        """Matrices are JSON read by the stdlib: no parser module, no
+        error type of its own (parse failures are the
+        ``ConfigurationError`` its callers already caught)."""
+        import importlib
+
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.scenarios.yamlite")
+        for name in ("yamlite", "YamliteError"):
+            assert not hasattr(repro.scenarios, name)
 
 
 LAZY_PACKAGES = ("repro", "repro.analysis", "repro.workloads")

@@ -51,16 +51,11 @@ class TestTimingCore:
         with pytest.raises(ConfigurationError):
             TimingCore(overlap=-0.1)
 
-    def test_run_trace_mem_ratio(self):
-        core = TimingCore()
-        stats = core.run_trace([0x1000] * 100, mem_ratio=0.5)
-        assert stats.instructions == 200  # one filler per memory op
-        with pytest.raises(ConfigurationError):
-            TimingCore().run_trace([1], mem_ratio=0.0)
-
     def test_walk_share_between_zero_and_one(self):
         core = TimingCore()
-        core.run_trace([i * 4096 * 13 for i in range(500)])
+        for i in range(500):
+            core.execute(i * 4096 * 13, SHIFT_4K)
+            core.execute()
         assert 0.0 < core.stats.walk_share < 1.0
 
 

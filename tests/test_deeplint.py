@@ -154,21 +154,29 @@ class TestDL103ScenarioLibrary:
 
     def test_bad_stem_gets_three_findings(self, dirty):
         msgs = [f.message for f in self._library(dirty)
-                if f.path.endswith("bad_stem.yml")]
+                if f.path.endswith("bad_stem.json")]
         assert any("kebab-case" in m for m in msgs)
         assert any("match the file stem" in m for m in msgs)
         assert any("'smoke' mapping" in m for m in msgs)
         assert len(msgs) == 3
 
-    def test_parse_error_carries_yaml_line(self, dirty):
+    def test_loader_rejection_is_one_finding(self, dirty):
         hits = [f for f in self._library(dirty)
-                if f.path.endswith("broken.yml")]
+                if f.path.endswith("broken.json")]
         assert len(hits) == 1
-        assert hits[0].line == 3
-        assert "does not parse" in hits[0].message
+        # The loader's message, minus the machine-specific path prefix
+        # (the finding carries the root-relative one).
+        assert hits[0].message == ("bundled scenario does not load: "
+                                   "duplicate key 'experiment'")
+
+    def test_stray_yaml_file_is_a_finding(self, dirty):
+        hits = [f for f in self._library(dirty)
+                if f.path.endswith("left-behind.yml")]
+        assert len(hits) == 1
+        assert "not JSON; `list_scenarios` will not see it" in hits[0].message
 
     def test_conforming_file_is_clean(self, dirty):
-        assert not any(f.path.endswith("good-one.yml")
+        assert not any(f.path.endswith("good-one.json")
                        for f in self._library(dirty))
 
     def test_undocumented_scenarios_module_not_checked(self):

@@ -291,6 +291,27 @@ class TestSurveyFit:
             check_survey_fit(10**6, MiB(512), workers=4,
                              available_bytes=1 << 30)
 
+    @pytest.mark.parametrize("verb", ["fleet", "chaos"])
+    def test_cli_refuses_oversized_survey_before_any_worker(
+            self, monkeypatch, verb):
+        import repro.fleet
+        from repro.cli import main
+        from repro.fleet import engine
+
+        def started(*args, **kwargs):
+            raise AssertionError("the survey started")
+
+        monkeypatch.setattr(engine, "_available_memory_bytes",
+                            lambda: MiB(64))
+        monkeypatch.setattr(repro.fleet, "run_fleet", started)
+        with pytest.raises(SystemExit) as exit_info:
+            main([verb, "--servers", "5000", "--mem-mib", "4096",
+                  "--workers", "1"])
+        message = exit_info.value.code
+        assert message.startswith("repro: fleet survey of 5000 servers x "
+                                  "4096 MiB needs ~")
+        assert "only 64 MiB is available" in message
+
     def test_estimate_scales_with_workers_not_servers(self):
         one = estimate_survey_bytes(1000, MiB(64), workers=1)
         four = estimate_survey_bytes(1000, MiB(64), workers=4)

@@ -16,7 +16,6 @@ from repro.kalloc import (
     SourceMix,
     unmovable_breakdown,
 )
-from repro.kalloc.sources import unmovable_fractions
 from repro.mm import AllocSource, MigrateType
 from repro.units import PAGEBLOCK_FRAMES
 
@@ -177,13 +176,5 @@ class TestSourceMix:
         with pytest.raises(ConfigurationError):
             SourceMix(0.9, 0.2, 0.1, 0.1, 0.1)
 
-    def test_fractions_sum_to_one(self, linux):
-        pool = NetworkBufferPool(linux)
-        slab = SlabAllocator(linux)
-        pool.alloc_buffer()
-        slab["kmalloc-64"].alloc_object()
-        fractions = unmovable_fractions(linux.mem)
-        assert sum(fractions.values()) == pytest.approx(1.0)
-
     def test_empty_machine_has_no_breakdown(self, linux):
-        assert unmovable_fractions(linux.mem) == {}
+        assert unmovable_breakdown(linux.mem) == {}

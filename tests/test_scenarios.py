@@ -1,11 +1,12 @@
-"""Scenario matrices: yamlite, the grid engine, the front door, reports.
+"""Scenario matrices: the loader, the grid engine, the front door, reports.
 
 Everything runs against ``tmp_path`` caches and the real bundled
 library (read-only), so nothing leaks into the durable store.  The
 heavyweight contracts pinned here:
 
-* yamlite parses the documented subset and rejects everything else
-  with typed, line-numbered errors;
+* matrix files are strict JSON: every way one fails to read is a
+  ``ConfigurationError`` naming the file, and the bundled library
+  compiles to the cell ids and snapshots pinned below;
 * cell ids are deterministic and invariant under axis declaration
   reordering (the cache-key contract);
 * a legacy grid dict and its ``axes_from_grid`` spelling compile to
@@ -15,7 +16,10 @@ heavyweight contracts pinned here:
 * every bundled library scenario's smoke variant actually runs.
 """
 
+import hashlib
 import json
+import os
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +32,7 @@ from repro.experiments import (
     ExperimentSpec,
     ResultCache,
     axes_from_grid,
+    canonical_json,
     expand_axes,
     register,
     unregister,
@@ -35,14 +40,13 @@ from repro.experiments import (
 )
 from repro.scenarios import (
     ScenarioConfig,
-    YamliteError,
     get_scenario,
+    library_dir,
     list_scenarios,
     load_matrix,
     load_scenario,
     run_scenario,
     scenario_from_dict,
-    yamlite,
 )
 
 
@@ -69,6 +73,19 @@ def toy_spec():
     unregister("toy-scn")
 
 
+#: A user-supplied matrix file, as ``--matrix`` reads it.
+MATRIX_JSON = """\
+{
+  "name": "user-demo",
+  "description": "user matrix file",
+  "why": ["user matrix"],
+  "experiment": "workload-steady",
+  "prefix": "u", "options": {"mem_mib": 64},
+  "axes": [{"name": "steps", "values": [40]}]
+}
+"""
+
+
 def toy_scenario(**over):
     doc = {
         "name": "toy-matrix",
@@ -86,67 +103,6 @@ def toy_scenario(**over):
     }
     doc.update(over)
     return scenario_from_dict(doc)
-
-
-class TestYamlite:
-    GOLDEN = """\
-# header comment
-name: demo
-description: "a quoted: description"
-experiment: toy-scn
-replicas: 2
-seed: ~
-options:
-  mem_mib: 128
-  ratio: 1.5
-  verbose: true
-axes:
-  - name: steps
-    values: [100, 400]
-  - name: faults
-    values:
-      - id: clean
-      - id: uce
-        plan: uce
-"""
-
-    def test_golden_document(self):
-        doc = yamlite.loads(self.GOLDEN)
-        assert doc["name"] == "demo"
-        assert doc["description"] == "a quoted: description"
-        assert doc["replicas"] == 2
-        assert doc["seed"] is None
-        assert doc["options"] == {"mem_mib": 128, "ratio": 1.5,
-                                  "verbose": True}
-        assert doc["axes"][0] == {"name": "steps", "values": [100, 400]}
-        assert doc["axes"][1]["values"][1] == {"id": "uce", "plan": "uce"}
-
-    def test_scalars(self):
-        doc = yamlite.loads(
-            "a: true\nb: false\nc: null\nd: 7\ne: -2.5\nf: plain\n"
-            'g: "qu\\"oted"\n')
-        assert doc == {"a": True, "b": False, "c": None, "d": 7,
-                       "e": -2.5, "f": "plain", "g": 'qu"oted'}
-
-    @pytest.mark.parametrize("text,match,line", [
-        ("a: {x: 1}\n", "flow mappings", 1),
-        ("a: &anchor 1\n", "anchors", 1),
-        ("a: *alias\n", "aliases", 1),
-        ("a: |\n  text\n", "block scalars", 1),
-        ("a: 1\na: 2\n", "duplicate key", 2),
-        ("a: 1\n\tb: 2\n", "tab", 2),
-        ("---\na: 1\n---\n", "document", 1),
-        ("a: [1, [2]]\n", "nested", 1),
-    ])
-    def test_rejections_carry_line_numbers(self, text, match, line):
-        with pytest.raises(YamliteError, match=match) as exc:
-            yamlite.loads(text)
-        assert exc.value.line == line
-        assert f"line {line}:" in str(exc.value)
-
-    def test_error_is_a_configuration_error(self):
-        with pytest.raises(ConfigurationError):
-            yamlite.loads("a: {}\n")
 
 
 class TestGridEngine:
@@ -229,10 +185,41 @@ class TestLoader:
                                 "values": [{"plan": "uce"}]}])
 
     def test_load_matrix_wraps_parse_errors_with_path(self, tmp_path):
-        bad = tmp_path / "bad.yml"
-        bad.write_text("a: {x: 1}\n")
-        with pytest.raises(ConfigurationError, match="bad.yml.*line 1"):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"a": {"x": 1,}}\n')
+        with pytest.raises(
+                ConfigurationError,
+                match=r"bad\.json: .*line 1 column 15.*matrices are JSON"):
             load_matrix(str(bad))
+
+    @pytest.mark.parametrize("body,match", [
+        ('{"name": "x", "name": "y"}', "duplicate key 'name'"),
+        (MATRIX_JSON.replace('"mem_mib": 64', '"mem_mib": 64, "mem_mib": 32'),
+         "duplicate key 'mem_mib'"),
+        (MATRIX_JSON.replace("64", "NaN"), "non-finite number NaN"),
+        (MATRIX_JSON.replace("64", "-Infinity"), "non-finite number"),
+        (MATRIX_JSON.replace("[40]", "[40,]"), "line 7 column 44"),
+        ("[" + MATRIX_JSON + "]", "must be a mapping, got list"),
+        (MATRIX_JSON.replace('["user matrix"]', "3"),
+         "'why' must be a list of strings, got 3"),
+        (MATRIX_JSON.replace('["user matrix"]', '["ok", 3]'),
+         "'why' must be a list of strings"),
+    ], ids=["duplicate-key", "nested-duplicate-key", "nan", "infinity",
+            "trailing-comma", "top-level-list", "why-scalar",
+            "why-mixed-list"])
+    def test_load_matrix_rejects(self, tmp_path, body, match):
+        bad = tmp_path / "bad.json"
+        bad.write_text(body)
+        with pytest.raises(ConfigurationError, match=match) as exc:
+            load_matrix(str(bad))
+        assert str(exc.value).startswith(f"{bad}: ")
+
+    def test_why_reaches_no_output(self, tmp_path):
+        path = tmp_path / "user.json"
+        path.write_text(MATRIX_JSON)
+        with_why = load_matrix(str(path))
+        path.write_text(MATRIX_JSON.replace('"why": ["user matrix"],', ""))
+        assert load_matrix(str(path)) == with_why
 
     def test_get_scenario_unknown_lists_known(self):
         with pytest.raises(ConfigurationError, match="fragmentation-aging"):
@@ -247,6 +234,114 @@ class TestLoader:
             # real experiment registry
             scenario.matrix().compile()
             scenario.matrix(smoke=True).compile()
+
+
+#: (scenario, smoke) -> (sha256[:16] of the canonical-JSON
+#: ``matrix.snapshot()``, the compiled cell ids).  Generated once from
+#: the last commit whose library was YAML: the JSON files must compile
+#: to exactly what those compiled to.
+LIBRARY = {
+    ("cache-churn", False): (
+        "875051ee0c8dc1d6",
+        "cc-linux-cache-a cc-linux-cache-b cc-contiguitas-cache-a "
+        "cc-contiguitas-cache-b"),
+    ("cache-churn", True): (
+        "1d665475b09559db",
+        "cc-linux-cache-b cc-contiguitas-cache-b"),
+    ("crash-restart-soak", False): (
+        "00cdbaa4bd121c88",
+        "cr-r0 cr-r1"),
+    ("crash-restart-soak", True): (
+        "6e651ae07c1e21e8",
+        "cr-r0 cr-r1"),
+    ("diurnal-burst", False): (
+        "c3393f3590c9201d",
+        "db-nc-1000 db-nc-2000 db-none-1000 db-none-2000"),
+    ("diurnal-burst", True): (
+        "59cae74b10714f64",
+        "db-nc-1000 db-none-1000"),
+    ("flaky-migrate-soak", False): (
+        "dcd37781ca57d3f0",
+        "fm-6 fm-12"),
+    ("flaky-migrate-soak", True): (
+        "2097d15aa74a7220",
+        "fm-2"),
+    ("fragmentation-aging", False): (
+        "47cc6fc77e75e5aa",
+        "fa-cache-b-100 fa-cache-b-400 fa-cache-b-800 fa-web-100 "
+        "fa-web-400 fa-web-800"),
+    ("fragmentation-aging", True): (
+        "005e52f3d922121e",
+        "fa-cache-b-20"),
+    ("hotplug-churn", False): (
+        "b48f917604c3b914",
+        "hc-6 hc-12"),
+    ("hotplug-churn", True): (
+        "954dd1ff4d73aa51",
+        "hc-2"),
+    ("hugepage-thrash", False): (
+        "01e0d75d32759c5b",
+        "ht-linux-web ht-linux-cache-b ht-contiguitas-web "
+        "ht-contiguitas-cache-b"),
+    ("hugepage-thrash", True): (
+        "cea8d4a232093603",
+        "ht-linux-web ht-contiguitas-web"),
+    ("oom-storm", False): (
+        "a8baf494afdcf249",
+        "os-128 os-256"),
+    ("oom-storm", True): (
+        "bf7fac2ebae892fd",
+        "os-64"),
+    ("region-resize-storm", False): (
+        "64503eeca473cb8b",
+        "rr-64 rr-128 rr-256"),
+    ("region-resize-storm", True): (
+        "492bfaad3d2423f0",
+        "rr-64"),
+    ("steady-web", False): (
+        "2533dfa355e59c03",
+        "sw-nc-1000 sw-nc-2000 sw-c-1000 sw-c-2000 sw-none-1000 "
+        "sw-none-2000"),
+    ("steady-web", True): (
+        "97a8259ebff03d1b",
+        "sw-nc-1000 sw-none-1000"),
+    ("uce-degrade", False): (
+        "e67c63003fb950d2",
+        "ud-clean ud-uce"),
+    ("uce-degrade", True): (
+        "2f567ff2f5da29e0",
+        "ud-clean ud-uce"),
+}
+
+
+def snapshot_digest(matrix):
+    text = canonical_json(matrix.snapshot())
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+class TestLibraryIsData:
+    def test_files_are_exactly_the_pinned_scenarios(self):
+        stems = sorted({name for name, _ in LIBRARY})
+        assert sorted(os.listdir(library_dir())) == [
+            f"{stem}.json" for stem in stems]
+        assert [s.name for s in list_scenarios()] == stems
+
+    @pytest.mark.parametrize("name", sorted({n for n, _ in LIBRARY}))
+    def test_file_shape(self, name):
+        with open(os.path.join(library_dir(), f"{name}.json"),
+                  encoding="utf-8") as fh:
+            doc = json.load(fh)
+        assert doc["name"] == name
+        assert doc["why"] and all(
+            isinstance(line, str) and line for line in doc["why"])
+        assert isinstance(doc["smoke"], dict)
+
+    @pytest.mark.parametrize("name,smoke", sorted(LIBRARY))
+    def test_compiles_to_the_pinned_matrix(self, name, smoke):
+        digest, cells = LIBRARY[name, smoke]
+        matrix = get_scenario(name).matrix(smoke=smoke)
+        assert [c.id for c in matrix.compile()] == cells.split()
+        assert snapshot_digest(matrix) == digest, matrix.snapshot()
 
 
 class TestFrontDoorRuns:
@@ -404,19 +499,36 @@ class TestCli:
         assert "<table>" in html.read_text()
 
     def test_run_matrix_file(self, tmp_path, capsys):
-        matrix = tmp_path / "user.yml"
-        matrix.write_text(
-            "name: user-demo\n"
-            "description: user matrix file\n"
-            "experiment: workload-steady\n"
-            "prefix: u\n"
-            "axes:\n"
-            "  - name: steps\n"
-            "    values: [40]\n")
+        matrix = tmp_path / "user.json"
+        matrix.write_text(MATRIX_JSON)
         out = self._run(["scenario", "run", "--matrix", str(matrix),
                          "--workers", "1", "--json"], tmp_path, capsys).out
         cells = json.loads(out)
         assert [c["cell"] for c in cells] == ["u-40"]
+
+    @pytest.mark.parametrize("content,complaint", [
+        (None, "No such file or directory"),
+        (..., "Is a directory"),
+        (b"\xff\xfe{}", "can't decode byte 0xff.*matrices are JSON"),
+        (b"name: last-week\nexperiment: workload-steady\n",
+         "line 1 column 1.*matrices are JSON.*docs/API.md"),
+        (MATRIX_JSON.replace("64", "Infinity").encode(),
+         "non-finite number Infinity"),
+    ], ids=["missing", "directory", "not-utf8", "yaml", "non-finite"])
+    def test_unreadable_matrix_is_one_line_not_a_traceback(
+            self, tmp_path, content, complaint):
+        from repro.cli import main
+
+        path = tmp_path / "user.json"
+        if content is ...:
+            path.mkdir()
+        elif content is not None:
+            path.write_bytes(content)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["scenario", "show", "--matrix", str(path)])
+        message = exit_info.value.code
+        assert message.startswith(f"repro: {path}: ")
+        assert re.search(complaint, message) and "\n" not in message
 
     def test_experiment_sweep_takes_no_matrix(self, tmp_path, capsys):
         """The PR 10 compatibility bridge is gone: a matrix file is a
@@ -426,7 +538,7 @@ class TestCli:
 
         for argv, complaint in (
                 (["experiment", "sweep", "workload-steady",
-                  "--matrix", "user.yml"], "unrecognized arguments"),
+                  "--matrix", "user.json"], "unrecognized arguments"),
                 (["experiment", "sweep"], "arguments are required: NAME")):
             with pytest.raises(SystemExit) as exit_info:
                 build_parser().parse_args(argv)
@@ -438,7 +550,7 @@ class TestCli:
 
         with pytest.raises(SystemExit):
             main(["scenario", "run", "fragmentation-aging",
-                  "--matrix", "x.yml"])
+                  "--matrix", "x.json"])
         with pytest.raises(SystemExit):
             main(["scenario", "run"])
 

@@ -38,12 +38,6 @@ class TestTimelineRecorder:
         with pytest.raises(ConfigurationError):
             rec.final("m")
 
-    def test_csv_export(self):
-        rec = TimelineRecorder(metrics={"a": lambda: 1, "b": lambda: 2.5})
-        rec.sample(0)
-        csv = rec.to_csv()
-        assert csv.splitlines() == ["step,a,b", "0,1,2.5"]
-
     def test_watch_kernel_includes_region_metric(self):
         k = make_contiguitas(mem_mib=16)
         rec = watch_kernel(k)

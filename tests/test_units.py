@@ -29,7 +29,7 @@ def test_size_helpers():
 
 
 def test_bytes_frames_roundtrip():
-    assert units.bytes_to_frames(units.frames_to_bytes(123)) == 123
+    assert units.bytes_to_frames(123 * units.FRAME_SIZE) == 123
 
 
 def test_bytes_to_frames_rejects_partial_frames():
