@@ -478,38 +478,6 @@ class FreeList:
             if r > _COMPACT_MIN and r > count:
                 self._compact()
 
-    # -- peeks -----------------------------------------------------------
-
-    def peek_lowest(self) -> int:
-        """Return the lowest PFN without removing it."""
-        if self._min_heap is None:
-            if not self._count:
-                raise KeyError("peek on empty FreeList")
-            self._build_heaps()
-        heap = self._min_heap
-        lid = self._lid
-        ident = self._id
-        while heap and lid[heap[0]] != ident:
-            heapq.heappop(heap)
-        if not heap:
-            raise KeyError("peek on empty FreeList")
-        return heap[0]
-
-    def peek_highest(self) -> int:
-        """Return the highest PFN without removing it."""
-        if self._max_heap is None:
-            if not self._count:
-                raise KeyError("peek on empty FreeList")
-            self._build_heaps()
-        heap = self._max_heap
-        lid = self._lid
-        ident = self._id
-        while heap and lid[-heap[0]] != ident:
-            heapq.heappop(heap)
-        if not heap:
-            raise KeyError("peek on empty FreeList")
-        return -heap[0]
-
     # -- integrity -------------------------------------------------------
 
     def check_invariants(self) -> None:

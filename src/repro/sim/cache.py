@@ -41,7 +41,7 @@ class SetAssocCache:
     def access(self, line: int) -> bool:
         """Look up *line*; install it (evicting LRU) on miss."""
         self._stamp += 1
-        entry = self._set_of(line)
+        entry = self._sets[line % self.nsets]
         if line in entry:
             entry[line] = self._stamp
             self.hits += 1
@@ -65,10 +65,6 @@ class SetAssocCache:
         """Invalidate every line of physical page *pfn*; returns count."""
         base = pfn * lines_per_page
         return sum(self.invalidate(base + i) for i in range(lines_per_page))
-
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
 
 
 def slice_of(line: int, nslices: int) -> int:

@@ -11,6 +11,7 @@ paper's RPS measurements move with.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..errors import ConfigurationError
@@ -79,6 +80,35 @@ class TimingCore:
             return p.l3_latency
         return p.l3_latency + p.dram_latency
 
+    def retire(self, n: int) -> None:
+        """Retire *n* non-memory instructions: *n* issue slots, no more.
+
+        Bit-identical to *n* sequential ``cycles += 1 / issue_width``
+        for the power-of-two widths (and clocks below 2**50, where a
+        slot is still a whole number of ulps): inside one binade those
+        adds are exact, so only the add that reaches the next power of
+        two rounds — and the one-shot product would round the *sum* of
+        several such crossings once instead.  For any other width this
+        closed form is the definition.
+        """
+        if n < 0:
+            raise ConfigurationError(f"cannot retire {n} instructions")
+        stats = self.stats
+        slot = 1.0 / self.params.issue_width
+        clock = stats.cycles
+        left = n
+        while left:
+            # Adds up to and including the first to reach 2**exponent
+            # (all that are left, when they fit below it).
+            limit = math.ldexp(1.0, math.frexp(clock)[1])
+            k = math.ceil((limit - clock) / slot)
+            if not 0 < k < left:
+                k = left
+            clock += k * slot
+            left -= k
+        stats.cycles = clock
+        stats.instructions += n
+
     def execute(self, vaddr: int | None = None, shift: int = SHIFT_4K,
                 paddr: int | None = None) -> float:
         """Retire one instruction; memory ops pass a virtual address.
@@ -87,17 +117,19 @@ class TimingCore:
         full (the paper's page walks serialise address generation); the
         data access is discounted by the overlap factor.
         """
-        p = self.params
-        cycles = 1.0 / p.issue_width
-        if vaddr is not None:
-            xlat = self.tlb.translate(vaddr, shift)
-            cycles += xlat
-            self.stats.translation_cycles += xlat
-            data = self.data_access_cycles(
-                paddr if paddr is not None else vaddr)
-            exposed = data * (1.0 - self.overlap)
-            cycles += exposed
-            self.stats.data_cycles += exposed
-        self.stats.instructions += 1
-        self.stats.cycles += cycles
+        cycles = 1.0 / self.params.issue_width
+        if vaddr is None:
+            self.retire(1)
+            return cycles
+        stats = self.stats
+        xlat = self.tlb.translate(vaddr, shift)
+        cycles += xlat
+        stats.translation_cycles += xlat
+        data = self.data_access_cycles(
+            paddr if paddr is not None else vaddr)
+        exposed = data * (1.0 - self.overlap)
+        cycles += exposed
+        stats.data_cycles += exposed
+        stats.instructions += 1
+        stats.cycles += cycles
         return cycles

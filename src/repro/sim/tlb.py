@@ -59,7 +59,7 @@ class SetAssocTLB:
     def lookup(self, vpn: int, shift: int) -> bool:
         """Probe without filling."""
         key = (vpn, shift)
-        entry = self._set_of(vpn)
+        entry = self._sets[vpn % self.nsets]
         if key in entry:
             self._stamp += 1
             entry[key] = self._stamp

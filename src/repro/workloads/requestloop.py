@@ -174,39 +174,43 @@ class RequestLoop:
         """
         core = self.core
         p = self.params
-        start = core.stats.cycles
+        stats = core.stats
+        start = stats.cycles
         if instructions is None:
             n_instr = self.instructions_per_request
             accesses = self.accesses_per_request
         else:
             n_instr = instructions
             accesses = max(1, int(n_instr * self.app.buffer_access_intensity))
-        # Compute portion.
-        for _ in range(n_instr - accesses):
-            core.execute()
+        # Compute portion: a count, not a call per instruction.
+        core.retire(max(0, n_instr - accesses))
         # Buffer touches.
         base_vaddr = 0x10_0000_0000
-        rng = self.rng
+        execute = core.execute
+        rand, randrange = self.rng.random, self.rng.randrange
+        hot_weight = self.hot_weight
+        hot_pages, buffer_pages = self.hot_pages, self.buffer_pages
         for _ in range(accesses):
-            if rng.random() < self.hot_weight:
-                page = rng.randrange(self.hot_pages)
+            if rand() < hot_weight:
+                page = randrange(hot_pages)
             else:
-                page = rng.randrange(self.buffer_pages)
-            now = core.stats.cycles
-            vaddr = base_vaddr + page * FRAME_SIZE + rng.randrange(64) * 64
+                page = randrange(buffer_pages)
+            now = stats.cycles
+            vaddr = base_vaddr + page * FRAME_SIZE + randrange(64) * 64
             if schedule is not None:
-                schedule.advance(now)
+                if now >= schedule.next_start:
+                    schedule.advance(now)
                 if schedule.pays_penalty(now, page, mode):
                     # Served from the LLC: charge the latency difference
                     # on top of the normal (cached) access.
-                    core.execute(vaddr)
+                    execute(vaddr)
                     penalty = (p.l3_latency - p.l1_latency) * (
                         1.0 - core.overlap)
-                    core.stats.cycles += penalty
-                    core.stats.data_cycles += penalty
+                    stats.cycles += penalty
+                    stats.data_cycles += penalty
                     continue
-            core.execute(vaddr)
-        return core.stats.cycles - start
+            execute(vaddr)
+        return stats.cycles - start
 
     def run(self, requests: int,
             migrations_per_second: float = 0.0,

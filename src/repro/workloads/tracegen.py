@@ -88,7 +88,8 @@ class TraceShape:
         service_mean_instructions: mean request size in instructions.
         service_cap_instructions: hard cap on one request's size —
             Pareto tails are unbounded and a single 10^7-instruction
-            draw would stall the simulation.
+            draw would stall the simulation on its ~10^5 buffer
+            touches (compute is retired as a count).  Output-defining.
         diurnal_amplitude: rate modulation ``1 + A*sin(2*pi*t/period)``;
             0 disables, must stay < 1 so the rate remains positive.
         diurnal_period_s: period of the compressed "day".
@@ -389,6 +390,11 @@ class LoadgenConfig:
         if self.design not in DESIGNS:
             raise ConfigurationError(
                 f"unknown design {self.design!r}; known: {DESIGNS}")
+        # NaN fails every comparison below and would generate forever.
+        for name in ("rate_rps", "duration_s", "migrations_per_second"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(
+                    f"{name} must be finite, got {getattr(self, name)}")
         if self.rate_rps <= 0 or self.duration_s <= 0:
             raise ConfigurationError(
                 "rate_rps and duration_s must be > 0")

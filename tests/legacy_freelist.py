@@ -170,22 +170,6 @@ class LegacyFreeList:
             (len(self._max_heap) - live) + \
             max(0, len(self._queue) - live)
 
-    def peek_lowest(self) -> int:
-        """Return the lowest PFN without removing it."""
-        while self._min_heap and self._min_heap[0] not in self._members:
-            heapq.heappop(self._min_heap)
-        if not self._min_heap:
-            raise KeyError("peek on empty FreeList")
-        return self._min_heap[0]
-
-    def peek_highest(self) -> int:
-        """Return the highest PFN without removing it."""
-        while self._max_heap and -self._max_heap[0] not in self._members:
-            heapq.heappop(self._max_heap)
-        if not self._max_heap:
-            raise KeyError("peek on empty FreeList")
-        return -self._max_heap[0]
-
     def check_invariants(self) -> None:
         """Structure-soundness sweep (sanitizer hook): every member must
         be reachable from the queue and heaps, and staleness must

@@ -134,7 +134,7 @@ def test_free_onto_a_buddy_missing_from_its_list_is_a_typed_error():
 
 def test_take_free_block_and_split():
     buddy = make_buddy()
-    head = buddy.free_lists[MAX_ORDER][MigrateType.MOVABLE].peek_lowest()
+    head = min(buddy.free_lists[MAX_ORDER][MigrateType.MOVABLE])
     got = buddy.take_free_split(head, 3)
     assert got == head
     assert buddy.mem.free_order[head] == -1

@@ -1,6 +1,10 @@
 """Timing core and the simulated request loop."""
 
+import dataclasses
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.hwext import AccessMode
 from repro.errors import ConfigurationError
@@ -59,7 +63,82 @@ class TestTimingCore:
         assert 0.0 < core.stats.walk_share < 1.0
 
 
+def _clock_strategy():
+    """Where double rounding could hide: zero, far below one slot, on
+    and just under a power of two, and anywhere up to 2**40."""
+    powers = st.integers(-3, 40).map(lambda k: 2.0 ** k)
+    return st.one_of(
+        st.sampled_from([0.0, 5e-324, 1e-300, 1e-9]),
+        powers,
+        powers.map(lambda x: x * (1.0 - 2.0 ** -53)),
+        st.floats(min_value=0.0, max_value=2.0 ** 40))
+
+
+class TestRetire:
+    """``retire(n)`` against the loop it replaced: exact equality."""
+
+    @staticmethod
+    def _core(width, clock):
+        core = TimingCore(dataclasses.replace(DEFAULT_PARAMS,
+                                              issue_width=width))
+        core.stats.cycles = clock
+        return core
+
+    @settings(max_examples=150, deadline=None)
+    @given(width=st.sampled_from([1, 2, 4, 8]), clock=_clock_strategy(),
+           n=st.integers(0, 10_000))
+    # Crosses 32, 64 and 128: the one-shot product rounds once where the
+    # loop rounds three times.
+    @example(width=4, clock=26.70849061381627, n=609)
+    def test_equals_n_single_instructions(self, width, clock, n):
+        batched = self._core(width, clock)
+        looped = self._core(width, clock)
+        batched.retire(n)
+        for _ in range(n):
+            looped.execute()
+        assert batched.stats == looped.stats
+
+    def test_one_shot_product_is_not_the_loop(self):
+        """Why ``retire`` advances binade by binade."""
+        clock, n = 26.70849061381627, 609
+        core = self._core(4, clock)
+        core.retire(n)
+        assert core.stats.cycles == 178.95849061381625
+        assert clock + n * 0.25 == 178.95849061381628
+
+    def test_execute_without_address_is_retire_one(self):
+        a, b = self._core(4, 7.3), self._core(4, 7.3)
+        assert a.execute() == 0.25
+        b.retire(1)
+        assert a.stats == b.stats
+
+    def test_zero_is_a_no_op_and_negative_is_refused(self):
+        core = self._core(4, 7.3)
+        before = dataclasses.replace(core.stats)
+        core.retire(0)
+        assert core.stats == before
+        with pytest.raises(ConfigurationError, match="retire -1"):
+            core.retire(-1)
+        assert core.stats == before
+
+    def test_other_widths_charge_n_slots(self):
+        """No loop to match for a non-power-of-two width: the closed
+        form is the definition, and it is n slots to within rounding."""
+        core = self._core(3, 0.0)
+        core.retire(3000)
+        assert core.stats.instructions == 3000
+        assert core.stats.cycles == pytest.approx(1000.0, rel=1e-12)
+
+
 class TestRequestLoop:
+    def test_zero_instruction_request_retires_nothing_negative(self):
+        """``instructions=0`` used to compute ``range(-1)``; the compute
+        part is now clamped at zero and the one touch is all it costs."""
+        loop = RequestLoop(NGINX, seed=2)
+        loop.serve_request(instructions=0)
+        assert loop.core.stats.instructions == 1
+        assert loop.core.tlb.stats.accesses == 1
+
     def test_quiet_run_counts_requests(self):
         result = RequestLoop(NGINX).run(200)
         assert result.requests == 200

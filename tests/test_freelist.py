@@ -43,8 +43,6 @@ class TestBehaviour:
             fl.pop_lowest()
         with pytest.raises(KeyError):
             fl.pop_highest()
-        with pytest.raises(KeyError):
-            fl.peek_lowest()
 
     def test_add_and_membership(self, make_list):
         fl = make_list()
@@ -91,13 +89,6 @@ class TestBehaviour:
         assert not fl.discard(1)  # already gone
         assert fl.pop_lowest() == 2
 
-    def test_peek_does_not_remove(self, make_list):
-        fl = make_list()
-        fl.add(42)
-        assert fl.peek_lowest() == 42
-        assert fl.peek_highest() == 42
-        assert 42 in fl
-
     def test_readd_after_discard(self, make_list):
         fl = make_list()
         fl.add(7)
@@ -142,7 +133,8 @@ class TestBehaviour:
         n = 4 * _COMPACT_MIN
         for pfn in range(n):
             fl.add(pfn)
-        fl.peek_lowest()  # arm the intrusive list's heaps before churn
+        fl.add(n)
+        fl.pop_highest()  # arm the intrusive list's heaps before churn
         for pfn in range(0, n, 2):  # force > _COMPACT_MIN removals
             fl.discard(pfn)
         assert [fl.pop_lowest() for _ in range(len(fl))] == \
@@ -191,15 +183,13 @@ class TestIntrusive:
             fl.discard(i)
         assert fl._min_heap is None  # zero address-order overhead
         fl.add(1)
-        assert fl.peek_lowest() == 1  # first address op builds heaps
-        assert fl._min_heap is not None
-        fl.pop_lowest()
+        assert fl.pop_lowest() == 1  # first address op builds heaps
         assert fl._min_heap == []  # emptied list keeps empty heaps
 
     def test_heap_staleness_bounded_under_churn(self):
         fl = FreeList()
         fl.add(0)
-        fl.peek_lowest()  # enter address mode
+        fl.pop_lowest()  # enter address mode
         live_span = 512
         for i in range(40_000):
             fl.add(i % live_span)
@@ -372,8 +362,11 @@ def test_matches_reference_set(ops):
                 ref.discard(pfn)
             assert len(fl) == len(ref)
             if ref:
-                assert fl.peek_lowest() == min(ref)
-                assert fl.peek_highest() == max(ref)
+                low, high = fl.pop_lowest(), max(ref)
+                assert low == min(ref)
+                fl.add(low)
+                assert fl.pop_highest() == high
+                fl.add(high)
         drained = []
         while fl:
             drained.append(fl.pop_lowest())

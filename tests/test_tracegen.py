@@ -352,10 +352,133 @@ class TestRunLoadgen:
         with pytest.raises(ConfigurationError):
             LoadgenConfig(shape="unregistered-shape")
 
+    @pytest.mark.parametrize("flag", ["--rate", "--duration",
+                                      "--migrations"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_rate_is_refused(self, flag, value, tmp_path,
+                                        monkeypatch, capsys):
+        """NaN fails ``<= 0`` and ``> max_requests`` alike: the
+        generator used to sample arrivals forever."""
+        from repro.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit, match="^repro: .* must be finite"):
+            main(["loadgen", "--duration", "1e-4", flag, value,
+                  "--manifest", "m.json"])
+        assert capsys.readouterr().out == ""
+        assert not list(tmp_path.iterdir())
+
     def test_max_requests_guard(self):
         with pytest.raises(ConfigurationError, match="max_requests"):
             run_loadgen(LoadgenConfig(rate_rps=1e9, duration_s=1e-2,
                                       max_requests=1000))
+
+
+class PerInstructionLoop(RequestLoop):
+    """Reference: ``serve_request`` as it was before ``TimingCore.retire``
+    — one issue slot added per compute instruction, nothing hoisted."""
+
+    def serve_request(self, mode=AccessMode.NONCACHEABLE, schedule=None,
+                      instructions=None):
+        core = self.core
+        p = self.params
+        start = core.stats.cycles
+        if instructions is None:
+            n_instr = self.instructions_per_request
+            accesses = self.accesses_per_request
+        else:
+            n_instr = instructions
+            accesses = max(1, int(n_instr * self.app.buffer_access_intensity))
+        for _ in range(n_instr - accesses):
+            core.stats.cycles += 1.0 / p.issue_width
+            core.stats.instructions += 1
+        base_vaddr = 0x10_0000_0000
+        rng = self.rng
+        for _ in range(accesses):
+            if rng.random() < self.hot_weight:
+                page = rng.randrange(self.hot_pages)
+            else:
+                page = rng.randrange(self.buffer_pages)
+            now = core.stats.cycles
+            vaddr = base_vaddr + page * 4096 + rng.randrange(64) * 64
+            if schedule is not None:
+                schedule.advance(now)
+                if schedule.pays_penalty(now, page, mode):
+                    core.execute(vaddr)
+                    penalty = (p.l3_latency - p.l1_latency) * (
+                        1.0 - core.overlap)
+                    core.stats.cycles += penalty
+                    core.stats.data_cycles += penalty
+                    continue
+            core.execute(vaddr)
+        return core.stats.cycles - start
+
+
+def _burst(monkeypatch, loop_cls, config):
+    """Run one burst on *loop_cls*; returns everything it simulated."""
+    from repro.workloads import tracegen
+
+    built = []
+
+    def build(*args, **kwargs):
+        built.append(loop_cls(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(tracegen, "RequestLoop", build)
+    result = run_loadgen(config)
+    core, = (loop.core for loop in built)
+    return {"result": result.snapshot(),
+            "core": dataclasses.asdict(core.stats),
+            "tlb": core.tlb.stats.snapshot(),
+            "caches": [(c.hits, c.misses)
+                       for c in (core.l1, core.l2, core.llc)]}
+
+
+class TestRetireDifferential:
+    """Retiring compute as a count changes no simulated number."""
+
+    @pytest.mark.parametrize("seed", [0, 6, 29])
+    @pytest.mark.parametrize("app", ["nginx", "memcached"])
+    @pytest.mark.parametrize("design", ["noncacheable", "cacheable", "none"])
+    def test_burst_matches_per_instruction_reference(
+            self, monkeypatch, design, app, seed):
+        config = LoadgenConfig(design=design, app=app, seed=seed, **FAST)
+        real = _burst(monkeypatch, RequestLoop, config)
+        reference = _burst(monkeypatch, PerInstructionLoop, config)
+        assert real == reference
+        assert real["result"]["requests"] > 100
+        # ``windows_seen`` is the schedule's own count.
+        assert (real["result"]["windows_seen"] > 0) == (design != "none")
+
+    def test_closed_loop_matches_reference(self):
+        real = RequestLoop(MEMCACHED, seed=4).run(
+            300, migrations_per_second=2e6)
+        reference = PerInstructionLoop(MEMCACHED, seed=4).run(
+            300, migrations_per_second=2e6)
+        assert real == reference and real.migrations_seen > 0
+
+    def test_resumed_burst_equals_uninterrupted_reference(
+            self, monkeypatch, tmp_path):
+        from repro.checkpoint import FORMAT_VERSION
+        from repro.errors import SimCrashError
+        from repro.faults import FaultPlan, FaultSpec, injecting
+
+        config = LoadgenConfig(seed=6, **FAST)
+        kill = FaultPlan("kill", (
+            FaultSpec("sim.crash", rate=1.0, max_fires=1, skip=2),))
+        with injecting(kill, seed=0), pytest.raises(SimCrashError):
+            run_loadgen(config, checkpoint_every=40,
+                        checkpoint_dir=str(tmp_path))
+        resumed = run_loadgen(config, checkpoint_every=40,
+                              checkpoint_dir=str(tmp_path), resume=True)
+        reference = _burst(monkeypatch, PerInstructionLoop, config)
+        assert resumed.snapshot() == reference["result"]
+        # What a checkpoint pickles did not change shape.
+        assert FORMAT_VERSION == 6
+        assert sorted(vars(RequestLoop(NGINX))) == [
+            "accesses_per_request", "app", "buffer_pages", "core",
+            "hot_pages", "hot_weight", "instructions_per_request",
+            "params", "rng", "seed"]
 
 
 class TestWorkloadLoadgenIntegration:
