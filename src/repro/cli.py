@@ -14,7 +14,8 @@ Examples::
         --set kernel=contiguitas          # steady-state fragmentation
     python -m repro experiment run s53-hwcost --json   # metadata table
     python -m repro experiment run fig04-contiguity-cdf --seed 7
-    python -m repro experiment sweep fleet-survey --manifest sweep.json
+    python -m repro experiment sweep workload-steady   # its grid, as a
+                                          # scenario report
     python -m repro experiment report fig06-sources --json
     python -m repro scenario list         # bundled scenario matrices
     python -m repro scenario show uce-degrade --smoke
@@ -166,7 +167,8 @@ def _cmd_loadgen(args) -> None:
 
 
 def _resolve_plan(name: str | None):
-    """A named fault plan, or None; unknown names exit with the list."""
+    """A named fault plan, or None; unknown names are refused with the
+    list."""
     if name is None:
         return None
     from .faults import NAMED_PLANS
@@ -174,7 +176,7 @@ def _resolve_plan(name: str | None):
     try:
         return NAMED_PLANS[name]
     except KeyError:
-        raise SystemExit(
+        raise ConfigurationError(
             f"unknown plan {name!r}; one of "
             f"{', '.join(sorted(NAMED_PLANS))}") from None
 
@@ -438,7 +440,7 @@ def _print_experiment(result, as_json: bool) -> None:
 def _cmd_experiment_list(args) -> None:
     import json
 
-    from .experiments import all_specs
+    from .experiments import all_specs, expand_axes
 
     specs = all_specs()
     if args.json:
@@ -447,13 +449,13 @@ def _cmd_experiment_list(args) -> None:
               "figure": s.figure, "seed": s.seed, "version": s.version,
               "defaults": dict(s.defaults),
               "axes": [axis.snapshot() for axis in s.axes],
-              "cells": len(s.cells())}
+              "cells": len(expand_axes(s.axes))}
              for s in specs], indent=2, sort_keys=True))
         return
     print(format_table(
         ["Name", "Figure", "Seed", "Cells", "Description"],
-        [(s.name, s.figure or "-", str(s.seed), str(len(s.cells())),
-          s.description) for s in specs],
+        [(s.name, s.figure or "-", str(s.seed),
+          str(len(expand_axes(s.axes))), s.description) for s in specs],
         title="Registered experiments (repro experiment run <name>)"))
 
 
@@ -477,39 +479,19 @@ def _cmd_experiment_run(args) -> None:
 
 
 def _cmd_experiment_sweep(args) -> None:
-    import sys
+    """The spec's own axes, run as the scenario they describe: the
+    ``--set`` overrides sit under every cell as scenario options."""
+    from .experiments import get_spec
+    from .scenarios import Scenario, ScenarioConfig
 
-    from .experiments import run_sweep
-
-    sweep = run_sweep(
-        args.name, overrides=_config_overrides(args), seed=args.seed,
-        workers=args.workers, plan=_resolve_plan(args.plan),
-        cache=_experiment_cache(args), force=args.force,
-        manifest_path=args.manifest,
-        checkpoint_every=args.checkpoint_every)
-    counters = sweep.manifest["counters"]
-    print(f"# sweep {args.name}: {len(sweep.results)} cells, "
-          f"{sweep.n_cached} cached, "
-          f"{counters.get('experiment.sweep_resumed', 0)} resumed",
-          file=sys.stderr)
-    if args.json:
-        import json
-
-        print(json.dumps(
-            [{"config": r.config, "seed": r.seed, "key": r.key,
-              "cached": r.cached, "rows": r.rows}
-             for r in sweep.results], indent=2, sort_keys=True))
-    else:
-        print(format_table(
-            ["Cell", "Config", "Rows", "Cached"],
-            [(str(i), ", ".join(f"{k}={v}" for k, v in sorted(
-                r.config.items())), str(len(r.rows)),
-              "yes" if r.cached else "no")
-             for i, r in enumerate(sweep.results)],
-            title=f"Sweep: {args.name}"))
-    if args.manifest:
-        print(f"# sweep manifest written to {args.manifest}",
-              file=sys.stderr)
+    spec = get_spec(args.name)
+    _run_scenario(args, ScenarioConfig(
+        scenario=Scenario(
+            name=spec.name, description=spec.description or spec.name,
+            experiment=spec.name, options=_config_overrides(args),
+            axes=spec.axes, plan=args.plan),
+        seed=args.seed, workers=args.workers, force=args.force,
+        checkpoint_every=args.checkpoint_every))
 
 
 def _cmd_experiment_report(args) -> None:
@@ -641,19 +623,21 @@ def _cmd_scenario_show(args) -> None:
         title=f"Cells ({len(cells)})"))
 
 
-def _cmd_scenario_run(args) -> None:
+def _run_scenario(args, config) -> None:
     from .scenarios import run_scenario
 
-    result = run_scenario(
-        _scenario_config(args, _scenario_target(args)),
-        cache=_experiment_cache(args),
-        manifest_path=args.manifest)
+    result = run_scenario(config, cache=_experiment_cache(args),
+                          manifest_path=args.manifest)
     _print_scenario(result, args)
     if args.manifest:
         import sys
 
         print(f"# scenario manifest written to {args.manifest}",
               file=sys.stderr)
+
+
+def _cmd_scenario_run(args) -> None:
+    _run_scenario(args, _scenario_config(args, _scenario_target(args)))
 
 
 def _cmd_scenario_report(args) -> None:
@@ -754,17 +738,26 @@ def _cmd_checkpoint_resume(args) -> None:
               file=sys.stderr)
 
 
-def _workers_arg(value: str) -> int:
-    """Shared ``--workers`` validation: a positive process count."""
-    try:
-        workers = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer process count, got {value!r}") from None
-    if workers < 1:
-        raise argparse.ArgumentTypeError(
-            f"process count must be >= 1, got {workers}")
-    return workers
+def _count_arg(what: str, minimum: int):
+    """An argparse ``type`` for an integer *what* of at least *minimum*,
+    so a bad count is refused by flag name before the verb runs."""
+    def parse(value: str) -> int:
+        try:
+            count = int(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer {what}, got {value!r}") from None
+        if count < minimum:
+            raise argparse.ArgumentTypeError(
+                f"{what} must be >= {minimum}, got {count}")
+        return count
+    return parse
+
+
+#: Shared ``--workers`` validation: a positive process count.
+_workers_arg = _count_arg("process count", 1)
+#: ``fleet``/``chaos`` ``--servers``: an empty fleet has no statistics.
+_servers_arg = _count_arg("server count", 1)
 
 
 #: Sentinel: the verb takes no ``--seed`` at all (vs. default None).
@@ -844,7 +837,7 @@ def build_parser() -> argparse.ArgumentParser:
         "fleet", help="fleet fragmentation survey",
         parents=[_common_options(seed=0, workers=True, manifest=True),
                  _checkpoint_options()])
-    fleet.add_argument("--servers", type=int, default=6,
+    fleet.add_argument("--servers", type=_servers_arg, default=6,
                        help="fleet size (validated against available "
                             "memory before any worker starts)")
     fleet.add_argument("--mem-mib", type=int, default=512)
@@ -865,7 +858,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[_common_options(seed=0, workers=True, manifest=True)])
     chaos.add_argument("--plan", default="ci-smoke",
                        help="named fault plan (see --list-plans)")
-    chaos.add_argument("--servers", type=int, default=6)
+    chaos.add_argument("--servers", type=_servers_arg, default=6)
     chaos.add_argument("--mem-mib", type=int, default=512)
     chaos.add_argument("--list-plans", action="store_true",
                        help="print the named fault plans and exit")
@@ -879,7 +872,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "a workload")
     trace.add_argument("--match", action="append", metavar="GLOB",
                        help="only events whose name matches (repeatable)")
-    trace.add_argument("--limit", type=int, default=0,
+    trace.add_argument("--limit", type=_count_arg("event count", 0),
+                       default=0,
                        help="print only the last N events")
     trace.add_argument("--out", metavar="PATH", default=None,
                        help="write matching events as JSONL instead of "

@@ -1,5 +1,5 @@
-"""Experiment orchestration: declarative specs, content-addressed
-result caching, and resumable parameter sweeps.
+"""Experiment orchestration: declarative specs, the grid engine and
+content-addressed result caching.
 
 This is the front door for reproducing the paper's figures::
 
@@ -9,11 +9,12 @@ This is the front door for reproducing the paper's figures::
     print(result.report())
 
 Identical (spec, config, seed, plan) invocations are served from the
-on-disk cache (``benchmarks/results/cache/``) byte for byte; sweeps
-checkpoint every finished grid cell, so an interrupted ``repro
-experiment sweep`` resumes without recomputing anything that already
-landed.  See docs/API.md for the stable surface and EXPERIMENTS.md for
-the CLI walkthrough.
+on-disk cache (``benchmarks/results/cache/``) byte for byte; a spec's
+``axes`` are the grid ``repro experiment sweep`` hands
+:func:`repro.scenarios.run_scenario`, which lands every finished cell
+here, so an interrupted grid resumes without recomputing anything.  See
+docs/API.md for the stable surface and EXPERIMENTS.md for the CLI
+walkthrough.
 """
 
 from .cache import (
@@ -32,13 +33,7 @@ from .grid import (
     expand_axes,
     value_id,
 )
-from .runner import (
-    ExperimentResult,
-    SweepResult,
-    load_cached,
-    run_experiment,
-    run_sweep,
-)
+from .runner import ExperimentResult, load_cached, run_experiment
 from .spec import (
     ExperimentContext,
     ExperimentSpec,
@@ -61,7 +56,6 @@ __all__ = [
     "ExperimentResult",
     "ExperimentSpec",
     "ResultCache",
-    "SweepResult",
     "all_specs",
     "axes_from_grid",
     "canonical_json",
@@ -72,7 +66,6 @@ __all__ = [
     "register",
     "result_key",
     "run_experiment",
-    "run_sweep",
     "unregister",
     "value_id",
 ]

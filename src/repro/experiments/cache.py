@@ -10,11 +10,12 @@ of *everything that determines the rows*:
 * the **fault plan** snapshot, when a chaos run is cached at all.
 
 Identical (spec, config, seed, plan) runs therefore hit the same entry
-across processes, sweeps, and figures — the durable analogue of the old
+across processes, grids, and figures — the durable analogue of the old
 per-process ``functools`` cache in ``benchmarks/common.py``, and the
-checkpoint mechanism that makes an interrupted ``repro experiment
-sweep`` resumable: every completed cell is an atomically-written cache
-file, so a rerun recomputes only the missing cells.
+checkpoint mechanism that makes an interrupted grid (``repro scenario
+run``, ``repro experiment sweep``) resumable: every completed cell is
+an atomically-written cache file, so a rerun recomputes only the
+missing cells.
 
 Entries contain no volatile facts (no timestamps, hosts, durations), so
 an identical run writes a byte-identical cache file; rows are

@@ -7,12 +7,14 @@ of several axes and yields :class:`Cell` records with deterministic ids
 (``d-rc-50`` style: the value ids joined in sorted-axis-name order, so
 reordering axis *declarations* never changes a cell's identity).
 
-Both callers compile through here:
+Both declarations compile through here, for the one runner
+(``repro.scenarios.run_scenario``):
 
 * ``ExperimentSpec`` declares ``axes=(...)``, usually built from a
-  ``{param: values}`` dict by :func:`axes_from_grid`;
+  ``{param: values}`` dict by :func:`axes_from_grid` — the grid
+  ``repro experiment sweep`` runs;
 * ``repro.scenarios`` compiles JSON scenario matrices onto the same
-  cells, so a matrix cell and a sweep cell hit the identical
+  cells, so a matrix cell and a spec-grid cell hit the identical
   content-addressed cache entry for the identical config.
 
 Everything here is pure data: axis values are restricted to JSON

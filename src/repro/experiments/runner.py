@@ -1,4 +1,4 @@
-"""Experiment execution: cache-aware single runs and resumable sweeps.
+"""Experiment execution: one cache-aware cell at a time.
 
 :func:`run_experiment` drives one (spec, config, seed) cell: resolve the
 config, compute the content address, serve the rows from the
@@ -6,15 +6,14 @@ config, compute the content address, serve the rows from the
 the producer (which fans heavy fleet work out through the supervised
 :mod:`repro.fleet.engine` pool) and checkpoint the rows atomically.
 
-:func:`run_sweep` iterates a spec's parameter grid cell by cell through
-the same path, so every completed cell is durably checkpointed the
-moment it finishes: killing a sweep mid-grid loses only the in-flight
-cell, and the rerun recomputes nothing that already landed — resumption
-*is* cache hits, reported through the ``experiment.sweep_resumed``
-counter.
+Grids are :func:`repro.scenarios.run_scenario`'s: it calls this once per
+cell, so every completed cell is durably checkpointed the moment it
+finishes — killing a grid midway loses only the in-flight cell, and the
+rerun recomputes nothing that already landed (resumption *is* cache
+hits).
 
 Telemetry: every run folds ``experiment.cache_hit`` /
-``experiment.cache_miss`` / ``experiment.sweep_resumed`` counters into a
+``experiment.cache_miss`` counters into a
 :class:`~repro.telemetry.MetricsRegistry` and (unless suppressed) builds
 a run manifest — the machine-checkable record CI's experiment-smoke job
 gates on.  Fault plans ride in unchanged: a ``--plan`` chaos experiment
@@ -37,7 +36,6 @@ from .spec import ExperimentContext, ExperimentSpec, get_spec
 _tp_run = tracepoint("experiment.run")
 _tp_hit = tracepoint("experiment.cache.hit")
 _tp_miss = tracepoint("experiment.cache.miss")
-_tp_cell = tracepoint("experiment.sweep.cell")
 
 
 @dataclass
@@ -61,19 +59,6 @@ class ExperimentResult:
         import json
 
         return json.dumps(self.rows, indent=2, sort_keys=True)
-
-
-@dataclass
-class SweepResult:
-    """A whole grid's outcomes, in deterministic cell order."""
-
-    spec: ExperimentSpec
-    results: list[ExperimentResult]
-    manifest: dict | None = field(default=None, repr=False)
-
-    @property
-    def n_cached(self) -> int:
-        return sum(1 for r in self.results if r.cached)
 
 
 def _plan_snapshot(plan) -> dict | None:
@@ -108,7 +93,7 @@ def run_experiment(name: str,
         force: recompute and overwrite even on a hit, from the first
             unit of work: the derived checkpoint directory is emptied
             first, so no earlier run's state is resumed into the rows.
-        metrics: shared registry (sweeps pass one across cells);
+        metrics: shared registry (a scenario passes one across cells);
             ``experiment.*`` counters land here.
         emit_manifest: build a run manifest onto the result.
         manifest_path: also write the manifest JSON there.
@@ -186,11 +171,15 @@ def run_experiment(name: str,
     result = ExperimentResult(spec=spec, config=config, seed=seed,
                               key=key, rows=rows, cached=cached)
     if emit_manifest:
-        result.manifest = _experiment_manifest(
-            kind="experiment", spec=spec, seed=seed, plan=plan,
-            metrics=metrics, cache=cache,
-            config_extra={"params": config, "cache_key": key},
-            aggregates={"rows": len(rows)})
+        result.manifest = build_manifest(
+            kind="experiment",
+            config={"experiment": spec.name, "version": spec.version,
+                    "fault_plan": _plan_snapshot(plan),
+                    "params": config, "cache_key": key},
+            seed=seed,
+            counters=metrics.counters.snapshot(),
+            aggregates={"rows": len(rows)},
+            volatile={"cache_dir": cache.root})
         if manifest_path:
             write_manifest(manifest_path, result.manifest)
     return result
@@ -216,76 +205,3 @@ def load_cached(name: str,
         return None
     return ExperimentResult(spec=spec, config=config, seed=seed, key=key,
                             rows=rows, cached=True)
-
-
-def run_sweep(name: str,
-              overrides: dict | None = None,
-              seed: int | None = None,
-              workers: int | None = None,
-              plan=None,
-              cache: ResultCache | None = None,
-              force: bool = False,
-              manifest_path: str | None = None,
-              checkpoint_every: int = 0) -> SweepResult:
-    """Run every cell of a spec's parameter grid, checkpointing each.
-
-    *overrides* apply to every cell (for non-grid parameters, e.g. a
-    scaled-down ``mem_mib`` in CI); grid values win where they collide.
-    Cells run in the spec's deterministic order; each finished cell is
-    an atomic cache entry, so interrupting the sweep anywhere and
-    rerunning it recomputes only unfinished cells.  The manifest's
-    ``experiment.sweep_resumed`` counter says how many cells the rerun
-    was spared.
-    """
-    spec = get_spec(name)
-    if cache is None:
-        cache = ResultCache()
-    metrics = MetricsRegistry()
-    results: list[ExperimentResult] = []
-    for index, cell in enumerate(spec.cells()):
-        before_hits = metrics.counters["experiment.cache_hit"]
-        result = run_experiment(
-            name, overrides={**(overrides or {}), **cell},
-            seed=seed, workers=workers, plan=plan,
-            cache=cache, force=force, metrics=metrics, emit_manifest=False,
-            checkpoint_every=checkpoint_every)
-        if metrics.counters["experiment.cache_hit"] > before_hits:
-            # This cell was finished by an earlier (possibly interrupted)
-            # sweep or run: the rerun resumed past it.
-            metrics.inc("experiment.sweep_resumed")
-        metrics.inc("experiment.sweep_cells")
-        if _tp_cell.enabled:
-            _tp_cell.emit(spec=spec.name, cell=index,
-                          cached=int(result.cached))
-        results.append(result)
-
-    sweep = SweepResult(spec=spec, results=results)
-    sweep.manifest = _experiment_manifest(
-        kind="experiment-sweep", spec=spec,
-        seed=spec.seed if seed is None else seed, plan=plan,
-        metrics=metrics, cache=cache,
-        config_extra={"axes": [axis.snapshot() for axis in spec.axes],
-                      "overrides": dict(overrides or {})},
-        aggregates={"cells_total": len(results),
-                    "cells_cached": sweep.n_cached,
-                    "cells_computed": len(results) - sweep.n_cached})
-    if manifest_path:
-        write_manifest(manifest_path, sweep.manifest)
-    return sweep
-
-
-def _experiment_manifest(kind: str, spec: ExperimentSpec, seed: int, plan,
-                         metrics: MetricsRegistry, cache: ResultCache,
-                         config_extra: dict, aggregates: dict) -> dict:
-    config = {
-        "experiment": spec.name,
-        "version": spec.version,
-        "fault_plan": _plan_snapshot(plan),
-        **config_extra,
-    }
-    return build_manifest(
-        kind=kind, config=config, seed=seed,
-        counters=metrics.counters.snapshot(),
-        aggregates=aggregates,
-        volatile={"cache_dir": cache.root},
-    )

@@ -7,10 +7,9 @@ derived from a small number of expensive steady-state runs.  An
 * a **name** (the CLI handle: ``repro experiment run <name>``);
 * **defaults** — the resolved configuration, a flat dict of JSON
   scalars, every key overridable from the CLI (``--set key=value``);
-* **axes** — named :class:`~repro.experiments.grid.Axis` dimensions
-  that ``repro experiment sweep`` fans out cell by cell through the
-  shared grid engine (``axes_from_grid`` builds them from a
-  per-parameter dict);
+* **axes** — named :class:`~repro.experiments.grid.Axis` dimensions:
+  the grid ``repro experiment sweep`` runs as a scenario, cell by cell
+  (``axes_from_grid`` builds them from a per-parameter dict);
 * a **seed policy** — the spec's default base seed, overridable per run;
 * a **producer** — the function that actually simulates, returning
   JSON-serialisable result rows (cached content-addressed, see
@@ -160,17 +159,6 @@ class ExperimentSpec:
                     f"{expected}, got {given} {value!r}")
             config[key] = value
         return config
-
-    def cells(self) -> list[dict]:
-        """Every axis combination as an override dict, in a fixed order
-        (sorted axis names, value order as declared) so sweeps are
-        resumable and their manifests comparable."""
-        return [dict(cell.overrides) for cell in expand_axes(self.axes)]
-
-    def grid_cells(self):
-        """The full :class:`~repro.experiments.grid.Cell` records
-        (deterministic ids included) behind :meth:`cells`."""
-        return expand_axes(self.axes)
 
 
 #: The process-wide spec registry (built-ins register on import;

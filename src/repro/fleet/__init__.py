@@ -14,7 +14,6 @@ from .engine import (
     resolve_workers,
     run_fleet_scans,
 )
-from .report import render_report
 from .sampler import (
     FleetSample,
     FleetSummary,
@@ -22,7 +21,7 @@ from .sampler import (
     survey_fleet,
 )
 from .server import FLEET_SERVICES, ServerConfig, ServerScan, SimulatedServer
-from .stats import cdf_at, median, pearson, percentile
+from .stats import median, pearson, percentile
 
 __all__ = [
     "FLEET_SERVICES",
@@ -33,14 +32,12 @@ __all__ = [
     "ServerScan",
     "SimulatedServer",
     "WorkerOutcome",
-    "cdf_at",
     "check_survey_fit",
     "estimate_survey_bytes",
     "iter_fleet_scans",
     "median",
     "pearson",
     "percentile",
-    "render_report",
     "resolve_workers",
     "run_fleet",
     "run_fleet_scans",

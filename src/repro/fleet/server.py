@@ -20,11 +20,12 @@ from ..analysis.contiguity import (
     free_block_count,
     unmovable_report,
 )
+from ..errors import ConfigurationError
 from ..faults import FaultPlan, injecting
 from ..kalloc.sources import unmovable_breakdown
 from ..mm.kernel import KernelConfig, LinuxKernel
 from ..mm.page import AllocSource
-from ..units import PAGEBLOCK_FRAMES, MiB
+from ..units import FRAME_SIZE, PAGEBLOCK_FRAMES, MiB
 from ..workloads.base import Workload
 from ..workloads.services import CACHE_A, CACHE_B, CI, WEB
 from ..workloads.tracegen import LoadgenConfig, run_loadgen
@@ -133,6 +134,15 @@ class ServerConfig:
     #: telemetry stripped — the fleet manifest is the telemetry) and
     #: reports per-class percentiles in ``ServerScan.latency``.
     loadgen: LoadgenConfig | None = None
+
+    def __post_init__(self) -> None:
+        # PhysicalMemory's check, made here so that a bad size is one
+        # error at the front door, not every worker's retry budget.
+        pageblock = PAGEBLOCK_FRAMES * FRAME_SIZE
+        if self.mem_bytes <= 0 or self.mem_bytes % pageblock:
+            raise ConfigurationError(
+                f"memory size {self.mem_bytes} must be a positive "
+                f"multiple of {pageblock} bytes")
 
 
 FLEET_SERVICES = (WEB, CACHE_A, CACHE_B, CI)

@@ -29,13 +29,6 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     return cov / math.sqrt(vx * vy)
 
 
-def cdf_at(values: Sequence[float], point: float) -> float:
-    """Empirical CDF: fraction of values <= point."""
-    if not values:
-        raise ConfigurationError("empty sample")
-    return sum(1 for v in values if v <= point) / len(values)
-
-
 def percentile(values: Sequence[float], q: float) -> float:
     """Linear-interpolated percentile, q in [0, 100]."""
     if not values:

@@ -7,14 +7,12 @@ Workloads drive these to generate a realistic unmovable allocation mix on
 top of any kernel variant.
 """
 
-from .filesystem import FsBufferPool
 from .netbuf import NetworkBufferPool, NetworkQueueConfig
 from .pagetable import PageTableAllocator
 from .slab import SlabAllocator, SlabCache
 from .sources import SOURCE_MIX_META, SourceMix, unmovable_breakdown
 
 __all__ = [
-    "FsBufferPool",
     "NetworkBufferPool",
     "NetworkQueueConfig",
     "PageTableAllocator",

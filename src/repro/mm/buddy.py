@@ -61,10 +61,9 @@ class BuddyAllocator:
             lists (Contiguitas regions disable fallback — confinement).
         prefer: free-block selection policy.  ``"lifo"`` is stock Linux
             (freed blocks are reused first, scattering allocations across
-            the address space); ``"fifo"`` is the oldest-first variant;
-            ``"low"``/``"high"`` are address-ordered and used by
-            Contiguitas's placement bias (the unmovable region prefers the
-            end farthest from the region border).
+            the address space); ``"low"``/``"high"`` are address-ordered
+            and used by Contiguitas's placement bias (the unmovable region
+            prefers the end farthest from the region border).
         label: name used in diagnostics.
     """
 
@@ -79,9 +78,9 @@ class BuddyAllocator:
         prefer: str = "low",
         label: str = "buddy",
     ) -> None:
-        if prefer not in ("low", "high", "lifo", "fifo"):
+        if prefer not in ("low", "high", "lifo"):
             raise ConfigurationError(
-                f"prefer must be low/high/lifo/fifo, got {prefer!r}")
+                f"prefer must be low/high/lifo, got {prefer!r}")
         self.mem = mem
         self.pageblocks = pageblocks
         self.stat = stat
@@ -507,7 +506,6 @@ class BuddyAllocator:
     _POP = {
         "low": FreeList.pop_lowest,
         "high": FreeList.pop_highest,
-        "fifo": FreeList.pop_fifo,
         "lifo": FreeList.pop_lifo,
     }
 

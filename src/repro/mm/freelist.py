@@ -7,19 +7,18 @@ list nodes *are* the frames — and :class:`FreelistStore` mirrors that
 layout: one pair of packed int64 ``next``/``prev`` arrays indexed by PFN,
 shared by every list of one :class:`~repro.mm.physmem.PhysicalMemory`,
 plus a ``list_id`` array recording which list currently links each frame
-(0 = none).  Membership, append, unlink, and the LIFO/FIFO pops are all
+(0 = none).  Membership, append, unlink, and the LIFO pop are all
 O(1) array reads/writes; bulk insert and bulk pop are vectorised numpy
 fancy-index writes, which is what lifts allocator churn from ~250k to
 multi-million ops/s.
 
-Extraction modes (why four pops exist):
+Extraction modes (why three pops exist):
 
 * ``pop_lifo`` is stock Linux: a freed block is pushed at the list head
   and the next allocation pops it.  That temporal order is what scatters
   allocations across the address space on a busy machine (the next
   unmovable allocation lands wherever something was just freed), so the
   Linux-baseline fragmentation behaviour depends on it.
-* ``pop_fifo`` is the oldest-first variant.
 * ``pop_lowest`` / ``pop_highest`` give address order, which Contiguitas's
   placement policy (§3.2) needs — "the free block farthest from the
   region border" means ordered extraction from either end.
@@ -188,7 +187,7 @@ class FreeList:
         self._tail = -1
         self._count = 0
         #: Lazily-built min/max heaps for address order; ``None`` while
-        #: the list has only ever served temporal (LIFO/FIFO) traffic.
+        #: the list has only ever served temporal (LIFO) traffic.
         self._min_heap: list[int] | None = None
         self._max_heap: list[int] | None = None
         #: Unlinks since the last heap rebuild — an upper bound on the
@@ -389,15 +388,6 @@ class FreeList:
         """Remove and return the most recently added PFN (Linux
         list-head behaviour); raises KeyError if empty."""
         pfn = self._tail
-        if pfn < 0:
-            raise KeyError("pop from empty FreeList")
-        self._unlink(pfn)
-        return pfn
-
-    def pop_fifo(self) -> int:
-        """Remove and return the oldest added PFN; raises KeyError if
-        empty."""
-        pfn = self._head
         if pfn < 0:
             raise KeyError("pop from empty FreeList")
         self._unlink(pfn)

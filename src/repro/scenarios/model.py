@@ -1,10 +1,10 @@
 """Frozen scenario-matrix model compiled onto the shared grid engine.
 
 A :class:`Scenario` names a base experiment spec and declares axes of
-named values over it — the same :class:`~repro.experiments.Axis` /
-:class:`~repro.experiments.Cell` engine ``repro experiment sweep``
-runs on, so a scenario cell and a sweep cell with the same resolved
-config hit the identical content-addressed cache entry.  On top of the
+named values over it — the :class:`~repro.experiments.Axis` /
+:class:`~repro.experiments.Cell` engine a spec's own ``axes`` are
+declared in, so a scenario cell and an ``experiment run`` with the same
+resolved config hit the identical content-addressed cache entry.  On top of the
 raw cross product a scenario adds:
 
 * scenario-wide ``options`` (applied under every cell's overrides);

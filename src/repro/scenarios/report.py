@@ -1,15 +1,18 @@
-"""Scenario comparison reports: a cells-by-metrics grid, twice.
+"""Scenario comparison reports: one document, two emitters.
 
 One collection pass flattens every cell's result rows to dotted numeric
 leaves (``contiguity.2MB``, ``latency.p99_us``, ``vmstat.pgmigrate_success``)
-and averages them per cell; the renderers then emit the identical grid
-as markdown and as a standalone HTML document:
+and averages them per cell; :func:`_document` then builds the report
+once, as a list of sections of already-formatted cell texts:
 
 * the raw grid (cells x headline metrics);
 * deltas against the first cell (the matrix's declared baseline);
 * per-axis marginals — each axis value's mean over every cell that
   picked it, the column-wise collapse that makes a 12-cell matrix
   answer "what did the ``design`` axis do?" at a glance.
+
+:func:`render_markdown` and :func:`render_html` only dress that
+document: which texts are code, how a table is spelt.
 
 Everything is a pure function of the result rows with stable float
 formatting, so reports are byte-identical across reruns, worker
@@ -19,7 +22,7 @@ counts, and cache hits — the property CI's scenario-smoke job diffs.
 from __future__ import annotations
 
 from html import escape
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 __all__ = ["render_html", "render_markdown"]
 
@@ -105,40 +108,73 @@ def _fmt_delta(value: float | None, base: float | None) -> str:
     return f"{delta:+.6g}"
 
 
-def _header_lines(result) -> list[str]:
-    matrix = result.matrix
-    variant = " (smoke)" if matrix.smoke else ""
-    plan = matrix.plan or "none"
-    return [
-        f"# Scenario: {matrix.scenario}{variant}",
-        "",
-        matrix.description,
-        "",
-        f"Experiment `{matrix.experiment}`, seed {result.seed}, "
-        f"plan {plan}, {len(result.cells)} cell(s).",
-    ]
+class _Section(NamedTuple):
+    """One headed table.  ``subject`` is the id the heading ends with
+    (set as code); ``lead`` heads the columns before the metric columns;
+    every row starts with an id, the rest are cell texts."""
+
+    title: str
+    subject: str
+    lead: list[str]
+    rows: list[list[str]]
+    note: str = ""
 
 
-def _axis_marginals(result, means: dict, metrics: list[str]):
-    """Per axis: [(value id, n cells, {metric: mean-of-cell-means})]."""
-    marginals = []
-    for axis in sorted(result.matrix.axes, key=lambda a: a.name):
-        rows = []
-        for value in axis.values:
-            members = [cell.id for cell in result.cells
-                       if dict(cell.coords).get(axis.name) == value.id]
-            if not members:
-                continue
-            combined: dict[str, str] = {}
-            for metric in metrics:
-                picked = [means[cid][metric] for cid in members
-                          if metric in means[cid]]
-                combined[metric] = (sum(picked) / len(picked)
-                                    if picked else None)
-            rows.append((value.id, len(members), combined))
+class _Document(NamedTuple):
+    title: str
+    description: str
+    experiment: str
+    facts: str
+    metrics: list[str]
+    sections: list[_Section]
+
+
+def _marginal_rows(result, axis, means: dict, metrics: list[str]):
+    """Per value of *axis* some cell picked: [value id, n cells,
+    mean-of-cell-means per metric]."""
+    rows = []
+    for value in axis.values:
+        members = [means[cell.id] for cell in result.cells
+                   if dict(cell.coords).get(axis.name) == value.id]
+        if not members:
+            continue
+        row = [value.id, str(len(members))]
+        for metric in metrics:
+            picked = [m[metric] for m in members if metric in m]
+            row.append(_fmt(sum(picked) / len(picked) if picked else None))
+        rows.append(row)
+    return rows
+
+
+def _document(result) -> _Document:
+    """The whole report, built once for both emitters."""
+    metrics, hidden, means = _collect(result)
+    matrix, cells = result.matrix, result.cells
+    sections = [_Section(
+        "Cell grid", "", ["cell"],
+        [[cell.id] + [_fmt(means[cell.id].get(m)) for m in metrics]
+         for cell in cells],
+        f"({hidden} further metric(s) not shown.)" if hidden else "")]
+    if len(cells) > 1:
+        base = means[cells[0].id]
+        sections.append(_Section(
+            "Delta vs baseline", cells[0].id, ["cell"],
+            [[cell.id] + [_fmt_delta(means[cell.id].get(m), base.get(m))
+                          for m in metrics]
+             for cell in cells[1:]]))
+    for axis in sorted(matrix.axes, key=lambda a: a.name):
+        rows = _marginal_rows(result, axis, means, metrics)
         if rows:
-            marginals.append((axis.name, rows))
-    return marginals
+            sections.append(_Section(
+                "Marginals by", axis.name, ["value", "cells"], rows))
+    return _Document(
+        title=f"Scenario: {matrix.scenario}"
+              + (" (smoke)" if matrix.smoke else ""),
+        description=matrix.description,
+        experiment=matrix.experiment,
+        facts=f", seed {result.seed}, plan {matrix.plan or 'none'}, "
+              f"{len(cells)} cell(s).",
+        metrics=metrics, sections=sections)
 
 
 def _md_table(header: list[str], rows: list[list[str]]) -> list[str]:
@@ -150,37 +186,17 @@ def _md_table(header: list[str], rows: list[list[str]]) -> list[str]:
 
 def render_markdown(result) -> str:
     """The full comparison report as GitHub-flavoured markdown."""
-    metrics, hidden, means = _collect(result)
-    lines = _header_lines(result)
-
-    lines += ["", "## Cell grid", ""]
-    lines += _md_table(
-        ["cell"] + [f"`{m}`" for m in metrics],
-        [[f"`{cell.id}`"]
-         + [_fmt(means[cell.id].get(m)) for m in metrics]
-         for cell in result.cells])
-    if hidden:
-        lines.append(f"\n({hidden} further metric(s) not shown.)")
-
-    if len(result.cells) > 1:
-        base_id = result.cells[0].id
-        base = means[base_id]
-        lines += ["", f"## Delta vs baseline `{base_id}`", ""]
+    doc = _document(result)
+    lines = [f"# {doc.title}", "", doc.description, "",
+             f"Experiment `{doc.experiment}`{doc.facts}"]
+    for section in doc.sections:
+        subject = f" `{section.subject}`" if section.subject else ""
+        lines += ["", f"## {section.title}{subject}", ""]
         lines += _md_table(
-            ["cell"] + [f"`{m}`" for m in metrics],
-            [[f"`{cell.id}`"]
-             + [_fmt_delta(means[cell.id].get(m), base.get(m))
-                for m in metrics]
-             for cell in result.cells[1:]])
-
-    for axis_name, rows in _axis_marginals(result, means, metrics):
-        lines += ["", f"## Marginals by `{axis_name}`", ""]
-        lines += _md_table(
-            ["value", "cells"] + [f"`{m}`" for m in metrics],
-            [[f"`{value_id}`", str(n)]
-             + [_fmt(combined.get(m)) for m in metrics]
-             for value_id, n, combined in rows])
-
+            section.lead + [f"`{m}`" for m in doc.metrics],
+            [[f"`{row[0]}`"] + row[1:] for row in section.rows])
+        if section.note:
+            lines.append("\n" + section.note)
     return "\n".join(lines) + "\n"
 
 
@@ -198,13 +214,11 @@ def _html_table(header: list[str], rows: list[list[str]]) -> list[str]:
 
 def render_html(result) -> str:
     """The same report as a standalone, dependency-free HTML document."""
-    metrics, hidden, means = _collect(result)
-    matrix = result.matrix
-    variant = " (smoke)" if matrix.smoke else ""
+    doc = _document(result)
     lines = [
         "<!DOCTYPE html>",
         "<html><head><meta charset=\"utf-8\">",
-        f"<title>Scenario: {escape(matrix.scenario)}{variant}</title>",
+        f"<title>{escape(doc.title)}</title>",
         "<style>",
         "body { font-family: sans-serif; margin: 2em; }",
         "table { border-collapse: collapse; margin: 1em 0; }",
@@ -212,40 +226,17 @@ def render_html(result) -> str:
         " text-align: right; }",
         "th:first-child, td:first-child { text-align: left; }",
         "</style></head><body>",
-        f"<h1>Scenario: {escape(matrix.scenario)}{escape(variant)}</h1>",
-        f"<p>{escape(matrix.description)}</p>",
-        f"<p>Experiment <code>{escape(matrix.experiment)}</code>, "
-        f"seed {result.seed}, plan {escape(matrix.plan or 'none')}, "
-        f"{len(result.cells)} cell(s).</p>",
-        "<h2>Cell grid</h2>",
+        f"<h1>{escape(doc.title)}</h1>",
+        f"<p>{escape(doc.description)}</p>",
+        f"<p>Experiment <code>{escape(doc.experiment)}</code>"
+        f"{escape(doc.facts)}</p>",
     ]
-    lines += _html_table(
-        ["cell"] + metrics,
-        [[cell.id] + [_fmt(means[cell.id].get(m)) for m in metrics]
-         for cell in result.cells])
-    if hidden:
-        lines.append(f"<p>({hidden} further metric(s) not shown.)</p>")
-
-    if len(result.cells) > 1:
-        base_id = result.cells[0].id
-        base = means[base_id]
-        lines.append(
-            f"<h2>Delta vs baseline <code>{escape(base_id)}</code></h2>")
-        lines += _html_table(
-            ["cell"] + metrics,
-            [[cell.id]
-             + [_fmt_delta(means[cell.id].get(m), base.get(m))
-                for m in metrics]
-             for cell in result.cells[1:]])
-
-    for axis_name, rows in _axis_marginals(result, means, metrics):
-        lines.append(
-            f"<h2>Marginals by <code>{escape(axis_name)}</code></h2>")
-        lines += _html_table(
-            ["value", "cells"] + metrics,
-            [[value_id, str(n)]
-             + [_fmt(combined.get(m)) for m in metrics]
-             for value_id, n, combined in rows])
-
+    for section in doc.sections:
+        subject = (f" <code>{escape(section.subject)}</code>"
+                   if section.subject else "")
+        lines.append(f"<h2>{section.title}{subject}</h2>")
+        lines += _html_table(section.lead + doc.metrics, section.rows)
+        if section.note:
+            lines.append(f"<p>{section.note}</p>")
     lines.append("</body></html>")
     return "\n".join(lines) + "\n"

@@ -8,7 +8,8 @@ deterministic snapshot/manifest out.
 ``run_scenario`` compiles the named (or inline) scenario matrix through
 the shared grid engine and drives every cell through
 :func:`repro.experiments.run_experiment` — the cells land in the same
-content-addressed cache as ``repro experiment run``/``sweep`` cells, so
+content-addressed cache as ``repro experiment run`` cells (``repro
+experiment sweep`` *is* a scenario: the spec's own axes, run here), so
 a rerun of a finished scenario is pure cache hits (checkpoint/resume of
 interrupted cells rides the experiment layer unchanged), and the rows
 are byte-identical at any worker count.

@@ -3,7 +3,7 @@ replaced, kept as its differential-testing reference (``test_freelist.py``).
 
 Two fixes over the historical version: queue entries are
 generation-stamped, so a member discarded and later re-added
-consistently takes its FIFO position from the re-add (the lazy path used
+consistently takes its queue position from the re-add (the lazy path used
 to revive the old position, the compacted path the new one), and
 ``_compact`` rebuilds the queue to exactly one entry per live member, so
 ``stale_entries()`` is zero after every rebuild (the historical
@@ -96,7 +96,7 @@ class LegacyFreeList:
         A sorted list is a valid binary min-heap, so the heaps pop in
         exactly the same order afterwards.  The queue is rebuilt to
         exactly one (current-stamp) entry per live member in stamp
-        order, so LIFO/FIFO pops are unchanged and ``stale_entries()``
+        order, so LIFO pops are unchanged and ``stale_entries()``
         is zero after every rebuild.
         """
         self._removals = 0
@@ -135,18 +135,6 @@ class LegacyFreeList:
         members = self._members
         while self._queue:
             stamp, pfn = self._queue.pop()
-            if members.get(pfn) == stamp:
-                del members[pfn]
-                self._note_removal()
-                return pfn
-        raise KeyError("pop from empty FreeList")
-
-    def pop_fifo(self) -> int:
-        """Remove and return the oldest added PFN; raises KeyError if
-        empty."""
-        members = self._members
-        while self._queue:
-            stamp, pfn = self._queue.popleft()
             if members.get(pfn) == stamp:
                 del members[pfn]
                 self._note_removal()

@@ -68,14 +68,12 @@ class TestExportSnapshots:
             "ServerScan",
             "SimulatedServer",
             "WorkerOutcome",
-            "cdf_at",
             "check_survey_fit",
             "estimate_survey_bytes",
             "iter_fleet_scans",
             "median",
             "pearson",
             "percentile",
-            "render_report",
             "resolve_workers",
             "run_fleet",
             "run_fleet_scans",
@@ -93,7 +91,6 @@ class TestExportSnapshots:
             "ExperimentResult",
             "ExperimentSpec",
             "ResultCache",
-            "SweepResult",
             "all_specs",
             "axes_from_grid",
             "canonical_json",
@@ -104,7 +101,6 @@ class TestExportSnapshots:
             "register",
             "result_key",
             "run_experiment",
-            "run_sweep",
             "unregister",
             "value_id",
         ]
@@ -466,7 +462,8 @@ class TestGridDeprecationShim:
             self._spec(grid={"steps": (10, 20)})
 
     def test_grid_dict_matches_axes_spelling(self):
-        from repro.experiments import Axis, AxisValue, axes_from_grid
+        from repro.experiments import Axis, AxisValue, axes_from_grid, \
+            expand_axes
 
         by_dict = self._spec(axes=axes_from_grid(
             {"steps": (10, 20), "service": ("web",)}))
@@ -474,7 +471,8 @@ class TestGridDeprecationShim:
             Axis("steps", (AxisValue("10", {"steps": 10}),
                            AxisValue("20", {"steps": 20}))),
             Axis("service", (AxisValue("web", {"service": "web"}),))))
-        assert [(c.id, c.overrides) for c in by_dict.grid_cells()] == \
-               [(c.id, c.overrides) for c in by_hand.grid_cells()]
-        assert by_dict.cells() == [{"service": "web", "steps": 10},
-                                   {"service": "web", "steps": 20}]
+        cells = expand_axes(by_dict.axes)
+        assert [(c.id, c.overrides) for c in cells] == \
+               [(c.id, c.overrides) for c in expand_axes(by_hand.axes)]
+        assert [c.overrides for c in cells] == [
+            {"service": "web", "steps": 10}, {"service": "web", "steps": 20}]

@@ -1,4 +1,5 @@
-"""Experiment orchestration: specs, content-addressed cache, sweeps.
+"""Experiment orchestration: specs, content-addressed cache, sweeps
+(``repro experiment sweep`` = the scenario a spec declares about itself).
 
 Every test uses a ``tmp_path`` cache root and registers throwaway specs
 (cleaned up via ``unregister``), so nothing leaks into the durable
@@ -19,12 +20,12 @@ from repro.experiments import (
     axes_from_grid,
     canonical_json,
     default_cache_dir,
+    expand_axes,
     get_spec,
     load_cached,
     register,
     result_key,
     run_experiment,
-    run_sweep,
     unregister,
 )
 from repro.faults import FaultPlan, FaultSpec
@@ -128,7 +129,8 @@ class TestSpecRegistry:
 
     def test_cells_deterministic(self, counting_spec):
         spec, _ = counting_spec
-        assert spec.cells() == [{"x": 1}, {"x": 2}, {"x": 3}]
+        assert [(c.id, c.overrides) for c in expand_axes(spec.axes)] == [
+            ("1", {"x": 1}), ("2", {"x": 2}), ("3", {"x": 3})]
 
     def test_builtins_registered(self):
         names = [s.name for s in all_specs()]
@@ -272,20 +274,47 @@ class TestNestedFetch:
                 unregister(name)
 
 
-class TestSweep:
-    def test_sweep_covers_grid_and_checkpoints(self, cache,
-                                               counting_spec):
-        _, calls = counting_spec
-        sweep = run_sweep("toy-count", cache=cache)
-        assert len(sweep.results) == 3
-        assert calls["n"] == 3
-        assert sweep.n_cached == 0
-        assert [r.config["x"] for r in sweep.results] == [1, 2, 3]
-        counters = sweep.manifest["counters"]
-        assert counters["experiment.sweep_cells"] == 3
-        assert "experiment.sweep_resumed" not in counters
+def _matrix_of(name: str, options: dict) -> dict:
+    """The spec's own grid written as a ``--matrix`` document."""
+    spec = get_spec(name)
+    return {"name": spec.name, "description": spec.description,
+            "experiment": spec.name, "options": options,
+            "axes": [{"name": axis.name,
+                      "values": [v.options[axis.name] for v in axis.values]}
+                     for axis in spec.axes]}
 
-    def test_interrupted_sweep_resumes(self, cache, counting_spec):
+
+class TestSweep:
+    """``repro experiment sweep NAME`` builds the scenario the spec
+    describes and hands it to ``run_scenario``: there is no second grid
+    runner, so a sweep is resumable, keyed and printed as a scenario."""
+
+    def _sweep(self, name, tmp_path, capsys, *flags):
+        """(cells as --json prints them, manifest) of one CLI sweep
+        against the ``cache`` fixture's directory."""
+        from repro.cli import main
+
+        manifest = tmp_path / "sweep.json"
+        main(["experiment", "sweep", name, "--json", "--cache-dir",
+              str(tmp_path / "cache"), "--manifest", str(manifest), *flags])
+        return (json.loads(capsys.readouterr().out),
+                json.loads(manifest.read_text()))
+
+    def test_sweep_covers_grid_and_checkpoints(self, cache, counting_spec,
+                                               tmp_path, capsys):
+        _, calls = counting_spec
+        cells, manifest = self._sweep("toy-count", tmp_path, capsys)
+        assert calls["n"] == 3
+        assert [c["cell"] for c in cells] == ["1", "2", "3"]
+        assert [c["config"]["x"] for c in cells] == [1, 2, 3]
+        assert not any(c["cached"] for c in cells)
+        assert sorted(cache.keys()) == sorted(c["key"] for c in cells)
+        assert manifest["kind"] == "scenario"
+        assert manifest["config"]["scenario"] == "toy-count"
+        assert manifest["counters"]["scenario.cells_total"] == 3
+
+    def test_interrupted_sweep_resumes(self, cache, counting_spec,
+                                       tmp_path, capsys):
         """A killed sweep's finished cells are served from checkpoint on
         rerun; only unfinished cells recompute."""
         _, calls = counting_spec
@@ -295,16 +324,17 @@ class TestSweep:
                        emit_manifest=False)
         assert calls["n"] == 1
 
-        sweep = run_sweep("toy-count", cache=cache)
+        cells, manifest = self._sweep("toy-count", tmp_path, capsys)
         assert calls["n"] == 3  # x=2 and x=3 only
-        counters = sweep.manifest["counters"]
-        assert counters["experiment.sweep_resumed"] == 1
+        assert [c["cached"] for c in cells] == [True, False, False]
+        counters = manifest["counters"]
         assert counters["experiment.cache_hit"] == 1
         assert counters["experiment.cache_miss"] == 2
-        assert sweep.manifest["aggregates"] == {
+        assert manifest["aggregates"] == {
             "cells_total": 3, "cells_cached": 1, "cells_computed": 2}
 
-    def test_producer_crash_leaves_no_torn_cell(self, cache):
+    def test_producer_crash_leaves_no_torn_cell(self, cache, tmp_path,
+                                                capsys):
         state = {"fail": True, "calls": 0}
 
         def flaky(ctx):
@@ -318,34 +348,104 @@ class TestSweep:
                                 axes=axes_from_grid({"x": (1, 2, 3)})))
         try:
             with pytest.raises(RuntimeError, match="injected"):
-                run_sweep("toy-flaky", cache=cache)
+                self._sweep("toy-flaky", tmp_path, capsys)
             assert state["calls"] == 2  # x=1 landed, x=2 died
+            assert len(cache.keys()) == 1
 
             state["fail"] = False
-            sweep = run_sweep("toy-flaky", cache=cache)
+            _, manifest = self._sweep("toy-flaky", tmp_path, capsys)
             # x=1 resumed from checkpoint; x=2, x=3 computed fresh.
             assert state["calls"] == 4
-            counters = sweep.manifest["counters"]
-            assert counters["experiment.sweep_resumed"] == 1
-            assert counters["experiment.cache_miss"] == 2
+            assert manifest["aggregates"]["cells_cached"] == 1
+            assert manifest["counters"]["experiment.cache_miss"] == 2
         finally:
             unregister("toy-flaky")
 
-    def test_full_rerun_is_all_resumed(self, cache, counting_spec):
-        run_sweep("toy-count", cache=cache)
-        sweep = run_sweep("toy-count", cache=cache)
-        counters = sweep.manifest["counters"]
-        assert counters["experiment.sweep_resumed"] == 3
-        assert "experiment.cache_miss" not in counters
+    def test_full_rerun_is_all_resumed(self, counting_spec, tmp_path,
+                                       capsys):
+        first, _ = self._sweep("toy-count", tmp_path, capsys)
+        second, manifest = self._sweep("toy-count", tmp_path, capsys)
+        assert manifest["aggregates"] == {
+            "cells_total": 3, "cells_cached": 3, "cells_computed": 0}
+        assert "experiment.cache_miss" not in manifest["counters"]
+        assert [c["rows"] for c in second] == [c["rows"] for c in first]
 
-    def test_sweep_base_overrides(self, cache, counting_spec):
-        _, calls = counting_spec
-        sweep = run_sweep("toy-count", overrides={"y": "b"}, cache=cache)
-        assert all(r.config["y"] == "b" for r in sweep.results)
-        assert sweep.manifest["config"]["overrides"] == {"y": "b"}
+    def test_sweep_base_overrides(self, counting_spec, tmp_path, capsys):
+        cells, manifest = self._sweep("toy-count", tmp_path, capsys,
+                                      "--set", "y=b")
+        assert all(c["config"]["y"] == "b" for c in cells)
+        assert manifest["config"]["options"] == {"y": "b"}
         # Grid values win over base overrides on collision.
-        sweep2 = run_sweep("toy-count", overrides={"x": 99}, cache=cache)
-        assert [r.config["x"] for r in sweep2.results] == [1, 2, 3]
+        cells, _ = self._sweep("toy-count", tmp_path, capsys,
+                               "--set", "x=99")
+        assert [c["config"]["x"] for c in cells] == [1, 2, 3]
+        with pytest.raises(SystemExit, match="unknown parameter 'z'"):
+            self._sweep("toy-count", tmp_path, capsys, "--set", "z=1")
+
+    def test_seed_plan_and_force(self, cache, counting_spec, tmp_path,
+                                 capsys):
+        """``--seed`` reaches every cell, ``--plan`` is keyed into every
+        cell's address, ``--force`` recomputes finished cells."""
+        from repro.faults import NAMED_PLANS
+
+        _, calls = counting_spec
+        clean, _ = self._sweep("toy-count", tmp_path, capsys, "--seed", "9")
+        assert [c["rows"][0]["seed"] for c in clean] == [9, 9, 9]
+        chaos, manifest = self._sweep("toy-count", tmp_path, capsys,
+                                      "--seed", "9", "--plan", "ci-smoke")
+        assert manifest["config"]["plan"] == "ci-smoke"
+        assert not {c["key"] for c in chaos} & {c["key"] for c in clean}
+        assert chaos[0]["key"] == run_experiment(
+            "toy-count", overrides={"x": 1}, seed=9, cache=cache,
+            plan=NAMED_PLANS["ci-smoke"]).key
+        assert calls["n"] == 6
+        forced, _ = self._sweep("toy-count", tmp_path, capsys,
+                                "--seed", "9", "--force")
+        assert calls["n"] == 9
+        assert not any(c["cached"] for c in forced)
+        with pytest.raises(SystemExit, match="repro: .*unknown fault plan"):
+            self._sweep("toy-count", tmp_path, capsys, "--plan", "nope")
+
+    @pytest.mark.parametrize("name,sets", [
+        ("toy-count", {"y": "b"}),
+        ("workload-steady", {"mem_mib": 64, "steps": 20}),
+    ])
+    def test_sweep_is_the_scenario_run(self, name, sets, counting_spec,
+                                       tmp_path, capsys):
+        """The sweep and ``scenario run --matrix`` over the same axes
+        written as a file print the same bytes, carry the same cell ids
+        and serve each other's cells from one cache."""
+        from repro.cli import main
+
+        matrix = tmp_path / "grid.json"
+        matrix.write_text(json.dumps(_matrix_of(name, sets)))
+        flags = [f"--set={k}={v}" for k, v in sets.items()]
+
+        def both(cache_dir, *extra):
+            out = []
+            for argv in (["experiment", "sweep", name, *flags],
+                         ["scenario", "run", "--matrix", str(matrix)]):
+                main(argv + ["--cache-dir", str(tmp_path / cache_dir),
+                             "--workers", "1", *extra])
+                out.append(capsys.readouterr())
+            return out
+
+        swept, ran = both("sweep-first")
+        assert swept.out == ran.out and swept.out.startswith(
+            f"# Scenario: {name}\n")
+        n = len(expand_axes(get_spec(name).axes))
+        assert f"{n} cell(s), 0 cached" in swept.err
+        assert f"{n} cell(s), {n} cached" in ran.err
+        # The other direction: a sweep over a scenario run's cache.
+        main(["scenario", "run", "--matrix", str(matrix), "--workers", "1",
+              "--cache-dir", str(tmp_path / "scenario-first")])
+        assert f"{n} cell(s), 0 cached" in capsys.readouterr().err
+        main(["experiment", "sweep", name, *flags, "--workers", "1",
+              "--cache-dir", str(tmp_path / "scenario-first")])
+        assert f"{n} cell(s), {n} cached" in capsys.readouterr().err
+        swept, ran = both("sweep-first", "--json")
+        assert swept.out == ran.out
+        assert len(json.loads(swept.out)) == n
 
 
 class TestCacheStore:
@@ -437,7 +537,8 @@ class TestExperimentCli:
     def test_sweep_and_report(self, toy, tmp_path, capsys):
         swept = self._run(["experiment", "sweep", "toy-cli"],
                           tmp_path, capsys)
-        assert "2 cells" in swept.err
+        assert "# scenario toy-cli: 2 cell(s), 0 cached" in swept.err
+        assert "## Cell grid" in swept.out
         reported = self._run(["experiment", "report", "toy-cli",
                               "--set", "x=2", "--json"],
                              tmp_path, capsys)

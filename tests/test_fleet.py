@@ -7,7 +7,6 @@ from repro.fleet import (
     FleetConfig,
     SimulatedServer,
     ServerConfig,
-    cdf_at,
     median,
     pearson,
     percentile,
@@ -39,11 +38,6 @@ class TestStats:
             pearson([1], [1, 2])
         with pytest.raises(ConfigurationError):
             pearson([1], [1])
-
-    def test_cdf_at(self):
-        assert cdf_at([1, 2, 3, 4], 2) == 0.5
-        assert cdf_at([1, 2, 3, 4], 0) == 0.0
-        assert cdf_at([1, 2, 3, 4], 10) == 1.0
 
     def test_percentile_and_median(self):
         vals = [1, 2, 3, 4, 5]
@@ -102,6 +96,17 @@ class TestFleetSampling:
         b = SimulatedServer(config, seed=3).run()
         assert a.contiguity == b.contiguity
         assert a.uptime_steps == b.uptime_steps
+
+
+class TestServerConfigValidation:
+    @pytest.mark.parametrize("mem_bytes", [MiB(3), 0, -MiB(64), MiB(2) + 4096])
+    def test_mem_bytes_checked_at_construction(self, mem_bytes):
+        with pytest.raises(ConfigurationError,
+                           match="positive multiple of 2097152 bytes"):
+            ServerConfig(mem_bytes=mem_bytes)
+
+    def test_empty_fleet_stays_legal_for_api_callers(self):
+        assert run_fleet(FleetConfig(n_servers=0)).scans == []
 
 
 class TestScanSnapshotRoundTrip:
@@ -177,20 +182,3 @@ class TestScanSnapshotRoundTrip:
                                            "max_us": 1.0}})
         snap = json.loads(json.dumps(scan.snapshot()))
         assert ServerScan.from_snapshot(snap) == scan
-
-
-class TestFleetReport:
-    def test_render_report_contains_all_sections(self):
-        from repro.fleet import ServerConfig, render_report
-        from repro.units import MiB
-
-        sample = run_fleet(FleetConfig(n_servers=3, server=ServerConfig(
-            mem_bytes=MiB(64), min_uptime_steps=30, max_uptime_steps=60),
-            base_seed=5))
-        report = render_report(sample, title="Test study")
-        assert "# Test study" in report
-        assert "Fig. 4" in report
-        assert "Fig. 5" in report
-        assert "Fig. 6" in report
-        assert "Pearson" in report
-        assert "networking" in report

@@ -77,9 +77,7 @@ class TestBehaviour:
         fl = make_list()
         for pfn in [30, 10, 20]:
             fl.add(pfn)
-        assert fl.pop_lifo() == 20
-        assert fl.pop_fifo() == 30
-        assert fl.pop_lifo() == 10
+        assert [fl.pop_lifo() for _ in range(3)] == [20, 10, 30]
 
     def test_discard_then_pop_skips_stale_entries(self, make_list):
         fl = make_list()
@@ -105,9 +103,7 @@ class TestBehaviour:
             fl.add(pfn)
         fl.discard(1)
         fl.add(1)
-        assert fl.pop_fifo() == 2
-        assert fl.pop_fifo() == 3
-        assert fl.pop_fifo() == 1
+        assert [fl.pop_lifo() for _ in range(3)] == [1, 3, 2]
 
     def test_iteration_is_insertion_ordered(self, make_list):
         fl = make_list()
@@ -165,8 +161,7 @@ class TestIntrusive:
         fl.add(999)
         fl.extend([5, 6, 7])
         assert list(fl) == [999, 5, 6, 7]
-        assert fl.pop_lifo() == 7
-        assert fl.pop_fifo() == 999
+        assert [fl.pop_lifo() for _ in range(4)] == [7, 6, 5, 999]
         fl.check_invariants()
 
     def test_extend_rejects_linked_frames(self):
@@ -313,9 +308,9 @@ class TestLegacy:
         assert fl.stale_entries() == 0
         fl.check_invariants()
         # And the rebuild preserved every pop mode's view.
-        assert fl.pop_fifo() == 1
         assert fl.pop_lifo() == 2 * _COMPACT_MIN - 2
         assert fl.pop_lowest() == 0
+        assert list(fl)[0] == 1
 
 
 @settings(max_examples=150)
@@ -373,9 +368,9 @@ def test_matches_reference_set(ops):
         assert drained == sorted(ref)
 
 
-#: op, pfn, k — op selects add/discard/pop_{lowest,highest,lifo,fifo}/
+#: op, pfn, k — op selects add/discard/pop_{lowest,highest,lifo}/
 #: extend/pop_many_lifo; k sizes the bulk ops.
-_FUZZ_OP = st.tuples(st.integers(0, 7), st.integers(0, 60),
+_FUZZ_OP = st.tuples(st.integers(0, 6), st.integers(0, 60),
                      st.integers(1, 8))
 
 
@@ -393,15 +388,14 @@ def test_differential_fuzz_intrusive_vs_legacy(ops):
             old.add(pfn)
         elif op == 1:
             assert new.discard(pfn) == old.discard(pfn)
-        elif op in (2, 3, 4, 5):
-            pop = ("pop_lowest", "pop_highest",
-                   "pop_lifo", "pop_fifo")[op - 2]
+        elif op in (2, 3, 4):
+            pop = ("pop_lowest", "pop_highest", "pop_lifo")[op - 2]
             if not old:
                 with pytest.raises(KeyError):
                     getattr(new, pop)()
             else:
                 assert getattr(new, pop)() == getattr(old, pop)()
-        elif op == 6:
+        elif op == 5:
             fresh = [p for p in range(pfn, pfn + k) if p not in old]
             new.extend(fresh)
             old.extend(fresh)

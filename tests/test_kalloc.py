@@ -1,4 +1,4 @@
-"""Kernel allocation sources: slab, networking, page tables, filesystem."""
+"""Kernel allocation sources: slab, networking, page tables."""
 
 import random
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import ReproError
 from repro.kalloc import (
-    FsBufferPool,
     NetworkBufferPool,
     NetworkQueueConfig,
     PageTableAllocator,
@@ -145,25 +144,6 @@ class TestPageTables:
         pt = PageTableAllocator(linux)
         pt.on_map(512)
         assert AllocSource.PAGETABLE in unmovable_breakdown(linux.mem)
-
-
-class TestFsBuffers:
-    def test_burst_frees_most(self, linux):
-        fs = FsBufferPool(linux, straggler_probability=0.0)
-        fs.io_burst(nbuffers=8)
-        assert fs.frames_in_use() == 0
-        assert linux.free_frames() == linux.mem.nframes
-
-    def test_stragglers_accumulate(self, linux):
-        fs = FsBufferPool(linux, straggler_probability=1.0)
-        fs.io_burst(nbuffers=4)
-        assert fs.frames_in_use() == 4
-
-    def test_retire_stragglers(self, linux):
-        fs = FsBufferPool(linux, straggler_probability=1.0)
-        fs.io_burst(nbuffers=8)
-        fs.retire_stragglers(fraction=0.5)
-        assert fs.frames_in_use() == 4
 
 
 class TestSourceMix:

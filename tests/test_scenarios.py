@@ -153,9 +153,9 @@ class TestGridEngine:
                                        for v in grid[key]))
                        for key in sorted(grid, reverse=True)))
         assert [(c.id, c.coords, c.overrides)
-                for c in by_dict.grid_cells()] == \
+                for c in expand_axes(by_dict.axes)] == \
                [(c.id, c.coords, c.overrides)
-                for c in by_hand.grid_cells()]
+                for c in expand_axes(by_hand.axes)]
 
     def test_plan_axis_limits(self):
         axes = [
@@ -451,6 +451,68 @@ def test_library_smoke_end_to_end(name, tmp_path):
     assert second.n_cached == len(second.cells)
     assert first.report() == second.report()
     assert "<table>" in second.report_html()
+
+
+class TestReport:
+    """``report.py`` builds one document of sections; markdown and HTML
+    only dress it."""
+
+    @pytest.mark.parametrize("name", ["hugepage-thrash",
+                                      "crash-restart-soak"])
+    def test_bytes_match_the_pre_refactor_golden(self, name, cache):
+        """The fixture holds what the two independent renderers printed
+        at the commit before they became emitters over one document
+        (two axes; replicas under a fault plan)."""
+        path = os.path.join(os.path.dirname(__file__), "fixtures",
+                            "scenario_report_golden.json")
+        with open(path) as fh:
+            golden = json.load(fh)["scenarios"][name]
+        result = run_scenario(
+            ScenarioConfig(scenario=name, smoke=True, workers=1),
+            cache=cache)
+        for fmt, text in (("markdown", result.report()),
+                          ("html", result.report_html())):
+            assert hashlib.sha256(text.encode()).hexdigest() == \
+                golden[fmt], fmt
+
+    def test_both_emitters_carry_the_same_sections_and_cells(
+            self, cache, toy_spec):
+        from html import unescape
+
+        result = run_scenario(
+            ScenarioConfig(scenario=toy_scenario(), workers=1), cache=cache)
+
+        def from_markdown(text):
+            sections = []
+            for block in text.split("\n## ")[1:]:
+                heading, _, body = block.partition("\n")
+                sections.append((heading.replace("`", ""), [
+                    [c.strip("`") for c in line[2:-2].split(" | ")]
+                    for line in body.splitlines()
+                    if line.startswith("| ")
+                    and not line.startswith("| ---")]))
+            return sections
+
+        def from_html(text):
+            untag = lambda t: unescape(re.sub(r"<[^>]+>", "", t))
+            sections = []
+            for block in text.split("<h2>")[1:]:
+                heading, _, body = block.partition("</h2>")
+                sections.append((untag(heading), [
+                    [untag(c) for c in re.findall(
+                        r"<t[hd]>(.*?)</t[hd]>", row, re.S)]
+                    for row in body.split("<tr>")[1:]]))
+            return sections
+
+        sections = from_markdown(result.report())
+        assert sections == from_html(result.report_html())
+        assert [heading for heading, _ in sections] == [
+            "Cell grid", "Delta vs baseline t-a-1",
+            "Marginals by mode", "Marginals by x"]
+        grid = dict(sections)["Cell grid"]
+        assert grid[0][0] == "cell" and "metric" in grid[0]
+        assert [row[0] for row in grid[1:]] == [
+            c.id for c in result.cells]
 
 
 class TestCli:

@@ -93,6 +93,51 @@ class TestCli:
                 parser.parse_args(argv)
             assert "process count" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb", ["fleet", "chaos"])
+    def test_bad_mem_mib_is_one_front_door_error(self, verb):
+        """Nothing validated ``ServerConfig.mem_bytes``, so 3 MiB was
+        every worker's failure: both servers retried through their whole
+        budget and the verb died on the statistics of an empty sample."""
+        import repro.fleet  # noqa: F401  (tracing arms existing points)
+        from repro.telemetry import tracing
+
+        with tracing("fleet.server.*") as sink:
+            with pytest.raises(SystemExit) as exc:
+                main([verb, "--servers", "2", "--mem-mib", "3",
+                      "--workers", "1"])
+        assert exc.value.code == ("repro: memory size 3145728 must be a "
+                                  "positive multiple of 2097152 bytes")
+        assert sink.events() == []
+
+    @pytest.mark.parametrize("argv,complaint", [
+        (["fleet", "--servers", "0"],
+         "argument --servers: server count must be >= 1, got 0"),
+        (["chaos", "--servers", "-1"],
+         "argument --servers: server count must be >= 1, got -1"),
+        (["trace", "--limit", "-3"],
+         "argument --limit: event count must be >= 0, got -3"),
+    ])
+    def test_counts_are_refused_by_flag_name(self, argv, complaint,
+                                             capsys):
+        """``--servers 0`` used to exit ``repro: empty sample``, and
+        ``--limit -3`` printed everything but the first three events."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert complaint in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["chaos", "--plan", "nope"],
+        ["experiment", "run", "s53-hwcost", "--plan", "nope"],
+        ["experiment", "report", "s53-hwcost", "--plan", "nope"],
+    ])
+    def test_unknown_plan_is_a_repro_line(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code.startswith(
+            "repro: unknown plan 'nope'; one of ")
+        assert "ci-smoke" in exc.value.code and "\n" not in exc.value.code
+
     @pytest.mark.parametrize("verb,content,complaint", [
         (["lint"], None, "cannot lint"),
         (["metrics"], None, "cannot read manifest"),
