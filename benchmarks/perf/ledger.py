@@ -3,7 +3,7 @@
 
     python3 benchmarks/e2e/run.py --repeat 5 --json-out run.json
     python3 benchmarks/e2e/run.py --traced --workload durable-run --json-out traced.json
-    python3 benchmarks/perf/ledger.py append run.json traced.json --pr 17 --sha "$(git rev-parse HEAD)"
+    python3 benchmarks/perf/ledger.py append run.json traced.json --pr N --sha "$(git rev-parse HEAD)" --tier1 SECONDS COUNT
     python3 benchmarks/perf/ledger.py report
 
 ``history.jsonl`` beside this file is append-only: one JSON object per
@@ -16,6 +16,9 @@ carries an optional ``"layers"`` object: the median of every per-layer
 metric ``BENCHMARK.json`` declares that the workload reported non-zero
 (``checkpoint.overhead_x``, ``workloads.driver_share_pct``, ...), so
 the numbers a roadmap gate is written in live here and not in prose.
+``--tier1 SECONDS COUNT`` records the Tier-1 suite's wall seconds and
+test count for the tree measured, as every appended row's optional
+``"tier1"`` object, so "the tests did not get slower" is a row too.
 ``report`` prints every workload's rows oldest first and judges each
 against the row before it with ``e2ebench.compare.verdict``, the rule
 ``run.py --compare`` applies, so "better" here means what it means
@@ -56,10 +59,11 @@ def load_contract() -> dict:
 
 
 def rows_from_runs(runs: list[dict], contract: dict, pr: int,
-                   sha: str) -> list[dict]:
+                   sha: str, tier1: dict | None = None) -> list[dict]:
     """One ledger row per workload from ``run.py --json-out`` records:
     the end-to-end metrics from its untraced runs and, when there are
-    traced runs of it too, their per-layer medians under ``layers``."""
+    traced runs of it too, their per-layer medians under ``layers``;
+    *tier1* (``{"seconds", "tests"}``) rides on every row."""
     rows = []
     for workload in (w["name"] for w in contract["workloads"]):
         full = [r for r in runs
@@ -90,6 +94,7 @@ def rows_from_runs(runs: list[dict], contract: dict, pr: int,
                      "calib_ms": speed * PROBE_REF_S * 1e3,
                      "nproc": os.cpu_count() or 1},
             **({"layers": layers} if layers else {}),
+            **({"tier1": tier1} if tier1 else {}),
         })
     if not rows:
         raise LedgerError("no full-size untraced run in the record")
@@ -130,6 +135,12 @@ def check_row(row, contract: dict, where: str) -> None:
     for name, value in layers.items():
         need(name in declared and number(value),
              f"layers[{name!r}] is not a declared per-layer number")
+    if "tier1" in row:
+        tier1 = row["tier1"]
+        need(isinstance(tier1, dict) and set(tier1) == {"seconds", "tests"}
+             and number(tier1["seconds"]) and tier1["seconds"] > 0
+             and type(tier1["tests"]) is int and tier1["tests"] > 0,
+             "'tier1' is not {\"seconds\": > 0, \"tests\": int > 0}")
 
 
 def load_history(path: str, contract: dict) -> list[dict]:
@@ -148,7 +159,20 @@ def load_history(path: str, contract: dict) -> list[dict]:
     return rows
 
 
-def append(run_paths: list[str], pr: int, sha: str, history: str) -> None:
+def parse_tier1(seconds: str, tests: str) -> dict:
+    try:
+        tier1 = {"seconds": float(seconds), "tests": int(tests)}
+    except ValueError:
+        tier1 = {}
+    if not (tier1 and 0 < tier1["seconds"] < float("inf")
+            and tier1["tests"] > 0):
+        raise LedgerError(f"--tier1 {seconds} {tests}: want SECONDS > 0 "
+                          f"and a test COUNT > 0")
+    return tier1
+
+
+def append(run_paths: list[str], pr: int, sha: str, history: str,
+           tier1: dict | None = None) -> None:
     contract = load_contract()
     where = ", ".join(run_paths)
     try:
@@ -156,7 +180,7 @@ def append(run_paths: list[str], pr: int, sha: str, history: str) -> None:
         for run_path in run_paths:
             with open(run_path, encoding="utf-8") as fh:
                 runs += json.load(fh)["runs"]
-        rows = rows_from_runs(runs, contract, pr, sha)
+        rows = rows_from_runs(runs, contract, pr, sha, tier1)
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise LedgerError(f"{where}: not a run.py --json-out record "
                           f"({exc!r})") from None
@@ -202,6 +226,9 @@ def report(history: str) -> None:
                     line += (f" {row['metrics'][name] / base:>6.3f}x of "
                              f"PR {prev['pr']}'s {base:.5g}  {word}")
                 print(line)
+            if "tier1" in row:
+                print(f"      tier1 {row['tier1']['tests']:>8,} tests in "
+                      f"{row['tier1']['seconds']:.1f} s")
             for name, value in row.get("layers", {}).items():
                 line = f"      {name:<34} {value:>12.5g} {units[name]:<5}"
                 if prev is not None and name in prev.get("layers", {}):
@@ -231,11 +258,15 @@ def main(argv=None) -> int:
                           "become the rows' per-layer medians")
     add.add_argument("--pr", type=int, required=True)
     add.add_argument("--sha", required=True)
+    add.add_argument("--tier1", nargs=2, metavar=("SECONDS", "COUNT"),
+                     help="Tier-1 wall seconds and test count of the "
+                          "tree measured")
     sub.add_parser("report", help="print the trajectory with verdicts")
     args = parser.parse_args(argv)
     try:
         if args.verb == "append":
-            append(args.run, args.pr, args.sha, args.history)
+            append(args.run, args.pr, args.sha, args.history,
+                   parse_tier1(*args.tier1) if args.tier1 else None)
         else:
             report(args.history)
     except (LedgerError, OSError) as exc:

@@ -34,7 +34,11 @@ import tokenize
 #: before PR 23, 13,517 before PR 22, 13,545 before PR 21, 13,596 before
 #: PR 20, 13,603 before PR 19, 13,604 before PR 17, 13,816 before PR 16,
 #: 13,848 before PR 15, 14,049 before PR 12).
-BUDGET = 13_030
+#: Then 13,030 → 13,070: reclaim frees the pages nobody named in runs,
+#: without building their handles — the slot walk in
+#: ``ReclaimLRU.reclaim``, ``LinuxKernel.reclaim``/``_free_unnamed``,
+#: ``BuddyAllocator.free_run``/``free_blocks`` and the freed marker.
+BUDGET = 13_070
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
              tokenize.INDENT, tokenize.DEDENT, tokenize.ENCODING,

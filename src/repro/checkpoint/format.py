@@ -66,8 +66,11 @@ MAGIC = b"RPCK"
 #: 6: the handle registry files a bulk page under a slot number and the
 #: LRU and ``cache_pages`` hold slots — a version-5 payload holds an eager
 #: registry (no slot table to resolve through) and a ``PhysicalMemory``
-#: attribute (its set of allocation heads) that no longer exists.
-FORMAT_VERSION = 6
+#: attribute (its set of allocation heads) that no longer exists.  7: a
+#: slot reclaim freed before anybody named it holds the freed marker
+#: ``~pfn`` — a version-6 build would read the negative int as the PFN
+#: of a live page.
+FORMAT_VERSION = 7
 
 #: magic + version + header length: the minimum parseable file.
 _PREFIX_LEN = 12

@@ -171,7 +171,7 @@ class ContiguitasKernel(LinuxKernel):
             if pfn is not None:
                 return pfn
             # Last resort: reclaimable kernel memory may be on the LRU.
-            self.reclaim_lru.reclaim(self.free_pages, 1 << order)
+            self.reclaim(1 << order)
             pfn = allocator.alloc(order, mt, source, self.now, pinned)
             if pfn is not None:
                 return pfn
@@ -186,7 +186,7 @@ class ContiguitasKernel(LinuxKernel):
         # region to recover memory.
         wm = self._watermarks_for(allocator)
         want = max(1 << order, wm.high - allocator.nr_free)
-        self.reclaim_lru.reclaim(self.free_pages, want)
+        self.reclaim(want)
         pfn = allocator.alloc(order, mt, source, self.now, pinned)
         if pfn is not None:
             return pfn
@@ -242,8 +242,7 @@ class ContiguitasKernel(LinuxKernel):
                     # Expansion needs movable headroom to evacuate the
                     # boundary block into: reclaim page cache and retry.
                     wm = self._watermarks_for(self.movable)
-                    if not self.reclaim_lru.reclaim(self.free_pages,
-                                                    wm.high):
+                    if not self.reclaim(wm.high):
                         break
                     if not self._expand_one():
                         break
@@ -337,8 +336,7 @@ class ContiguitasKernel(LinuxKernel):
                 # kswapd-style reclaim also wakes the resize thread (§3.2).
                 resize_due = True
                 if alloc is self.movable:
-                    self.reclaim_lru.reclaim(
-                        self.free_pages, wm.high - alloc.nr_free)
+                    self.reclaim(wm.high - alloc.nr_free)
         if resize_due:
             self._last_resize_check = self.now
             self.resizer.run(

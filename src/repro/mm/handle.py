@@ -89,9 +89,13 @@ class HandleRegistry:
     is the page's PFN until somebody names the page, its handle from
     then on (freed or not, so every holder of the slot sees one object),
     and ``_by_pfn`` maps a bulk page's current head PFN to its slot
-    number.  Freeing, pinning and moving all take the handle, so an
-    unbuilt page has never been freed, pinned or moved: its slot-table
-    PFN is still its key.
+    number.  Pinning and moving take the handle, and so does every free
+    but one: reclaim frees a page nobody named without naming it, drops
+    its ``_by_pfn`` entry and leaves the freed marker ``~pfn`` (< 0) in
+    the slot (:meth:`~repro.mm.reclaim.ReclaimLRU.reclaim`).  So a slot
+    still holding a PFN (>= 0) has never been freed, pinned or moved:
+    that PFN is still its key.  :meth:`resolve` builds a marked slot's
+    handle freed.
     """
 
     def __init__(self) -> None:
@@ -140,19 +144,19 @@ class HandleRegistry:
         if type(ref) is not int:
             return ref
         handle = self._slots[ref]
-        if type(handle) is int:
-            handle = self._slots[ref] = PageHandle(
-                handle, 0, *self._fields_of(ref))
-        return handle
+        return (handle if type(handle) is not int
+                else self.resolve_span(ref, ref + 1)[0])
 
     def resolve_span(self, start: int, stop: int) -> list[PageHandle]:
         """Every handle of slots ``[start, stop)`` of one batch, in one
         pass (whole-batch iteration costs what eager construction did)."""
         slots = self._slots
         mt, source, birth, pinned, reclaimable = self._fields_of(start)
+        freed = pinned | 2 | reclaimable << 2   # a marked slot's record
         slots[start:stop] = out = [
             v if type(v) is not int
             else PageHandle(v, 0, mt, source, birth, pinned, reclaimable)
+            if v >= 0 else _restore_handle(~v, 0, mt, source, birth, freed)
             for v in slots[start:stop]]
         return out
 
@@ -190,8 +194,9 @@ class HandleRegistry:
     def check_invariants(self, mem) -> None:
         """Sweep every entry against *mem*: its key heads a live
         allocation of the handle's order (0 for an unbuilt slot), a
-        built or scalar handle sits at its own PFN and is not freed, and
-        an unbuilt slot's table PFN is its key.
+        built or scalar handle sits at its own PFN and is not freed, an
+        unbuilt slot's table PFN is its key — so no entry is filed under
+        a slot holding the freed marker, a negative int.
 
         Raises:
             SanitizerError: the first entry that disagrees.
@@ -274,8 +279,8 @@ class HandleList:
         refs[index], refs[-1] = refs[-1], refs[index]
         return self._registry.resolve(refs.pop())
 
-    # An unbuilt slot is never freed (freeing takes the handle), so the
-    # two prunes below read ``freed`` only off handles that exist.
+    # The two prunes below read ``freed`` without building a handle: an
+    # unbuilt slot holds its PFN (live) or the freed marker (< 0).
 
     def cut_freed_prefix(self) -> int:
         """Drop the leading run of freed handles in place; returns the
@@ -284,9 +289,9 @@ class HandleList:
         k = frames = 0
         for ref in self._refs:
             handle = slots[ref] if type(ref) is int else ref
-            if type(handle) is int or not handle.freed:
+            if handle >= 0 if type(handle) is int else not handle.freed:
                 break
-            frames += 1 << handle.order
+            frames += 1 if type(handle) is int else 1 << handle.order
             k += 1
         del self._refs[:k]
         return frames
@@ -296,8 +301,9 @@ class HandleList:
         slots = self._registry._slots
         return HandleList(self._registry, [
             ref for ref in self._refs
-            if type(handle := slots[ref] if type(ref) is int else ref) is int
-            or not handle.freed])
+            if (handle >= 0 if type(
+                handle := slots[ref] if type(ref) is int else ref) is int
+                else not handle.freed)])
 
     def frames(self) -> int:
         """Frames held by every item (a slot is one order-0 page)."""

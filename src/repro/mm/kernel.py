@@ -209,8 +209,7 @@ class LinuxKernel:
         for alloc in self.allocators():
             wm = self._watermarks_for(alloc)
             if alloc.nr_free < wm.low:
-                self.reclaim_lru.reclaim(
-                    self.free_pages, wm.high - alloc.nr_free)
+                self.reclaim(wm.high - alloc.nr_free)
 
     def _watermarks_for(self, alloc: BuddyAllocator) -> Watermarks:
         return self.watermarks
@@ -312,7 +311,7 @@ class LinuxKernel:
         self.drain_pcp()
         wm = self._watermarks_for(allocator)
         want = max(1 << order, wm.high - allocator.nr_free)
-        self.reclaim_lru.reclaim(self.free_pages, want)
+        self.reclaim(want)
         pfn = allocator.alloc(order, mt, source, self.now, pinned)
         if pfn is not None:
             return pfn
@@ -375,7 +374,7 @@ class LinuxKernel:
         load and a branch, the same contract as the injection hooks."""
         if not _fs_watermark.armed:
             return None
-        self.reclaim_lru.reclaim(self.free_pages, allocator.nr_frames)
+        self.reclaim(allocator.nr_frames)
         pfn = allocator.alloc(order, mt, source, self.now, pinned)
         if pfn is not None:
             self.stat.inc(ev.OOM_RESCUE)
@@ -483,6 +482,32 @@ class LinuxKernel:
                 self.allocator_for(pfn).free_block(pfn, MAX_ORDER)
         if self._deferred_offline:
             self._reoffline_range(handle.pfn, handle.nframes)
+
+    def reclaim(self, target_frames: int) -> int:
+        """Free reclaimable pages, oldest first, until *target_frames*
+        frames are recovered or none is left; returns frames freed."""
+        return self.reclaim_lru.reclaim(self.free_pages, self._free_unnamed,
+                                        target_frames)
+
+    def _free_unnamed(self, pfns: list[int]) -> None:
+        """:meth:`free_pages` of each page in *pfns*, in order: a run of
+        one batch's pages that reclaim freed without naming them (the
+        registry has dropped them already).  Never named means live,
+        order 0, unpinned and never moved, so the whole run sits in the
+        allocator that served the batch — a boundary only moves over an
+        evacuated block — and that allocator's order-0 frees bypass the
+        per-CPU cache (:meth:`alloc_pages_bulk` serves no batch where
+        one routes them).  Routing and the deferred-offline check are
+        resolved once for the run."""
+        allocator = self.allocator_for(pfns[0])
+        deferred = self._deferred_offline
+        if not deferred or deferred.isdisjoint(pfns):
+            allocator.free_run(pfns)
+            return
+        for pfn in pfns:
+            allocator.free(pfn)
+            if pfn in deferred:
+                self._reoffline_range(pfn, 1)
 
     def _reoffline_range(self, pfn: int, nframes: int) -> None:
         """Carve out any deferred-offline frames the just-freed range

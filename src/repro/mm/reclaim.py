@@ -97,31 +97,56 @@ class ReclaimLRU:
     def reclaim(
         self,
         free_fn: Callable[[PageHandle], None],
+        free_run: Callable[[list[int]], None],
         target_frames: int,
     ) -> int:
         """Free oldest entries until *target_frames* frames are recovered
-        (or the LRU empties).  Returns frames actually freed."""
+        (or the LRU empties).  Returns frames actually freed.
+
+        A handle goes to *free_fn*.  A batch is walked slot by slot: a
+        slot nobody named is freed without a handle — the registry
+        drops it and marks the slot ``~pfn`` — and each maximal run of
+        such PFNs goes to *free_run*, in slot order, before the next
+        named victim goes to *free_fn*.
+        """
         freed = 0
         lru = self._lru
         while freed < target_frames and lru:
-            handle = batch = next(iter(lru))
-            if type(batch) is HandleBatch:
-                slot = max(self._cursor, batch.start)
-                if slot >= batch.stop:
-                    del lru[batch]
-                    self._surplus += 1
-                    continue
-                self._cursor = slot + 1
-                handle = batch.registry.resolve(slot)
-                if handle.freed:
-                    continue    # forget() already stopped counting it
-                self._surplus -= 1
-            else:
-                del lru[handle]
-                if handle.freed:
-                    continue
-            freed += handle.nframes
-            free_fn(handle)
+            entry = next(iter(lru))
+            if type(entry) is not HandleBatch:
+                del lru[entry]
+                if not entry.freed:
+                    freed += entry.nframes
+                    free_fn(entry)
+                continue
+            slot, stop = max(self._cursor, entry.start), entry.stop
+            slots, by_pfn = entry.registry._slots, entry.registry._by_pfn
+            before = freed
+            run: list[int] = []
+            while slot < stop and freed < target_frames:
+                handle = slots[slot]
+                slot += 1
+                if type(handle) is int:
+                    # Never named, so live, order 0, at this PFN.
+                    slots[slot - 1] = ~handle
+                    del by_pfn[handle]
+                    run.append(handle)
+                    freed += 1
+                elif not handle.freed:  # else forget() stopped counting it
+                    if run:
+                        free_run(run)
+                        run = []
+                    self._cursor = slot
+                    freed += 1
+                    free_fn(handle)
+            self._cursor = slot
+            if run:
+                free_run(run)
+            # The pages consumed leave the count; a used-up batch leaves
+            # ``_lru``, and its entry's one page with it.
+            self._surplus -= freed - before - (slot >= stop)
+            if slot >= stop:
+                del lru[entry]
         if freed:
             self._stat.inc(ev.RECLAIM_RUNS)
             self._stat.inc(ev.PAGES_RECLAIMED, freed)

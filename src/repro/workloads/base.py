@@ -127,14 +127,15 @@ class Workload:
         self.cache_pages = HandleList(kernel.handles)
         self._cache_frames = 0
         self._prune_threshold = 4 * kernel.mem.nframes // 64
-        #: PAGES_RECLAIMED and COMPACT_RUNS at the last cache prune.
+        #: PAGES_RECLAIMED and COMPACT_RUNS at the last cache prune —
+        #: at construction, whose empty list is pruned by definition.
         #: Handles in ``cache_pages`` become freed through kernel reclaim
         #: (bounded-mode eviction pops them from the list first), so an
         #: unchanged PAGES_RECLAIMED means there is nothing to prune; the
         #: rare reclaim-compaction drop waits for the next prune, and
         #: every reader of the list skips freed handles.
-        self._pruned_reclaimed = -1
-        self._pruned_compact_runs = 0
+        self._pruned_reclaimed = kernel.stat[ev.PAGES_RECLAIMED]
+        self._pruned_compact_runs = kernel.stat[ev.COMPACT_RUNS]
         #: Min-heap of ``(deadline, seq, kind, payload)``; ``seq`` is
         #: unique, so tuple comparison never reaches the payload.
         self._expiries: list[tuple] = []
@@ -335,10 +336,11 @@ class Workload:
         follows a compaction run.  So with COMPACT_RUNS unmoved, all the
         freed handles in the list hold at most the PAGES_RECLAIMED
         delta, and a prefix that held exactly the delta held all of
-        them: the in-place cut is the filter's result.  Otherwise (first
-        prune, a foreign reclaimable page in the delta, bounded mode's
-        shuffled list, a compaction run) the full pass filters what is
-        left and rebinds the list.
+        them: the in-place cut is the filter's result.  The first prune
+        is no exception — the counters were read when the list was
+        empty.  Otherwise (a foreign reclaimable page in the delta,
+        bounded mode's shuffled list, a compaction run) the full pass
+        filters what is left and rebinds the list.
         """
         frames = self.cache_pages.cut_freed_prefix()
         self._cache_frames -= frames

@@ -71,7 +71,8 @@ class ShadowWorkload(Workload):
     prefix cut edits the list in place, the full pass rebinds it).
 
     The filter reads the list's raw items — a handle, or the registry
-    slot of a page nobody has named, which cannot be freed — so the
+    slot of a page nobody has named, which holds its PFN while the page
+    lives and the freed marker (< 0) once reclaim has freed it — so the
     check builds no handle and the prune under test still meets the
     unbuilt slots it meets in a real run."""
 
@@ -83,8 +84,10 @@ class ShadowWorkload(Workload):
         before = self.cache_pages
         slots = self.kernel.handles._slots
         unbuilt = sum(type(v) is int for v in slots)
-        want = [ref for ref in before._refs if not getattr(
-            slots[ref] if type(ref) is int else ref, "freed", False)]
+        items = (slots[ref] if type(ref) is int else ref
+                 for ref in before._refs)
+        want = [ref for ref, item in zip(before._refs, items)
+                if not (item < 0 if type(item) is int else item.freed)]
         super()._prune_cache(reclaimed)
         assert self.cache_pages._refs == want
         assert self._cache_frames == sum(
@@ -108,17 +111,19 @@ class TestShadowPrune:
 
     def test_prefix_cut_equals_the_full_pass_everywhere(self):
         branches: Counter = Counter()
+        # A bounded cache that fits in memory never reclaims, so it never
+        # prunes (the counters were read at construction): the bounded
+        # servers here hold more cache than memory has room for.
         for service in SERVICES:
             for make_kernel in KERNELS.values():
-                for opportunistic in (True, False):
-                    spec = dataclasses.replace(
-                        get_service(service),
-                        cache_opportunistic=opportunistic)
+                for changes in ({}, {"cache_opportunistic": False,
+                                     "cache_fraction": 0.7}):
+                    spec = dataclasses.replace(get_service(service),
+                                               **changes)
                     shadow_run(make_kernel(64), spec, branches)
-        # Opportunistic servers prune by prefix after their first (full)
-        # pass; the bounded cache shuffles its list and never reclaims
-        # twice, so it only ever takes the full pass.
-        assert branches["prefix"] >= 16 and branches["full"] >= 16, branches
+        # Every server prunes by prefix from its first prune on; the
+        # bounded cache's shuffled list sometimes voids the proof.
+        assert branches["prefix"] >= 32 and branches["full"] >= 4, branches
 
     @pytest.mark.parametrize("make_kernel", KERNELS.values(),
                              ids=sorted(KERNELS))

@@ -76,13 +76,13 @@ class Eager:
         self.by_pfn[new] = handle
         return handle
 
-    def reclaim(self, target: int) -> list[tuple]:
+    def reclaim(self, target: int) -> list[int]:
         victims = []
         freed = 0
         while freed < target and self.lru:
             handle, _ = self.lru.popitem(last=False)
             freed += handle.nframes
-            victims.append(fields(handle))
+            victims.append(handle.pfn)
             self.free(handle)
         return victims
 
@@ -112,14 +112,16 @@ class Lazy:
         self.lru.forget(handle)
         self.registry.on_free(handle)
 
-    def reclaim(self, target: int) -> list[tuple]:
+    def reclaim(self, target: int) -> list[int]:
+        """The PFNs freed, in order: a named victim through ``free``,
+        a run of unnamed ones as the registry already dropped them."""
         victims = []
 
         def free_fn(handle: PageHandle) -> None:
-            victims.append(fields(handle))
+            victims.append(handle.pfn)
             self.free(handle)
 
-        self.lru.reclaim(free_fn, target)
+        self.lru.reclaim(free_fn, victims.extend, target)
         return victims
 
 
@@ -228,8 +230,12 @@ class _Orders:
 
 def _one_object(registry, batch, cache, i: int) -> PageHandle:
     handle = batch[i]
-    assert handle is cache[i] is registry.get(handle.pfn)
+    assert handle is cache[i]
     assert handle is batch[i:i + 1][0] is list(batch)[i] is list(cache)[i]
+    if handle.freed:
+        assert handle.pfn not in registry
+    else:
+        assert handle is registry.get(handle.pfn)
     return handle
 
 
@@ -241,19 +247,42 @@ def test_every_route_to_a_page_reaches_one_object_across_a_pickle():
     lru.register_batch(batch)
     cache = HandleList(registry)
     cache.extend(batch)
-    victims: list[PageHandle] = []
-    lru.reclaim(victims.append, 1)
-    assert victims == [_one_object(registry, batch, cache, 0)]
-    early = _one_object(registry, batch, cache, 3)
+    runs: list[list[int]] = []
+    lru.reclaim(pytest.fail, runs.append, 2)
+    # Reclaim freed slots 0 and 1 without naming them: the registry
+    # dropped both and left the marker, and a handle is built, freed,
+    # when read.
+    assert runs == [[40, 41]] and registry._slots[:3] == [~40, ~41, 42]
+    assert len(registry) == 18 and 40 not in registry
+    first = batch[0]
+    assert (first.pfn, first.freed, first.birth) == (40, True, 5)
+    early = batch[3]
 
-    registry, lru, batch, cache, early = pickle.loads(pickle.dumps(
-        (registry, lru, batch, cache, early), pickle.HIGHEST_PROTOCOL))
-    assert early is _one_object(registry, batch, cache, 3)  # built before
-    late = _one_object(registry, batch, cache, 7)           # built after
+    registry, lru, batch, cache, first, early = pickle.loads(pickle.dumps(
+        (registry, lru, batch, cache, first, early), pickle.HIGHEST_PROTOCOL))
+    assert first is _one_object(registry, batch, cache, 0)  # built before
+    assert early is _one_object(registry, batch, cache, 3)
+    second = _one_object(registry, batch, cache, 1)         # built after
+    assert (second.pfn, second.freed) == (41, True)
+    late = _one_object(registry, batch, cache, 7)
     assert (late.pfn, late.birth, late.reclaimable) == (47, 5, True)
-    victims = []
-    lru.reclaim(victims.append, 1)
-    assert victims == [batch[1]] and len(lru) == 18
+    victims: list[PageHandle] = []
+    lru.reclaim(victims.append, pytest.fail, 1)
+    assert victims == [batch[2]] and len(lru) == 17
+
+
+def test_a_named_victim_ends_the_run_before_it():
+    registry = HandleRegistry()
+    lru = ReclaimLRU(VmStat())
+    batch = registry.register_batch(
+        list(range(8)), MigrateType.MOVABLE, AllocSource.USER, 1, True)
+    lru.register_batch(batch)
+    named = batch[2]
+    calls: list = []
+    assert lru.reclaim(calls.append,
+                       lambda run: calls.append(list(run)), 4) == 4
+    assert calls == [[0, 1], named, [3]] and len(lru) == 4
+    assert registry._slots[:5] == [~0, ~1, named, ~3, 4]
 
 
 @pytest.mark.parametrize("make_kernel", [make_linux, make_contiguitas],
@@ -290,7 +319,7 @@ def test_skipping_forget_for_unreclaimable_handles_keeps_the_lru_count(
                 if not handle.freed:
                     k.free_pages(handle)
             elif op == 5:
-                k.reclaim_lru.reclaim(k.free_pages, 1 + index % 24)
+                k.reclaim(1 + index % 24)
         assert len(kernel.reclaim_lru) == len(twin.reclaim_lru)
         assert len(kernel.handles) == len(twin.handles)
     assert kernel.stat.snapshot() == twin.stat.snapshot()
@@ -325,12 +354,12 @@ def test_a_bulk_allocation_constructs_no_handle_until_one_is_read(built):
         batch[512]
 
 
-def test_the_fleet_server_builds_a_tenth_of_its_bulk_pages_at_most():
+def test_the_fleet_server_builds_a_twentieth_of_its_bulk_pages_at_most():
     """The count ISSUE 19 named beforehand, on the benchmark's server:
     64 MiB, bounded cache, 60 steps, seed 11.  Built ÷ bulk slots was
-    1.0 before (one handle per page in ``alloc_pages_bulk``) and 0.033 in
-    the prototype; a handle is built for a page only when reclaim,
-    compaction or the driver's eviction names it."""
+    1.0 before (one handle per page in ``alloc_pages_bulk``) and is
+    363 / 7,877 = 0.046 now: a handle is built for a page only when
+    compaction or the driver's bounded-cache eviction names it."""
     kernels = []
 
     def boot(config):
@@ -342,7 +371,21 @@ def test_the_fleet_server_builds_a_tenth_of_its_bulk_pages_at_most():
         kernel_cls=boot), seed=11).run()
     slots = kernels[0].handles._slots
     assert len(slots) > 4000
-    assert sum(type(v) is PageHandle for v in slots) / len(slots) <= 0.10
+    assert sum(type(v) is PageHandle for v in slots) / len(slots) <= 0.05
+
+
+def test_reclaim_names_no_page():
+    """A 300-step 256 MiB ``web`` server on Linux: reclaim frees 6,774
+    bulk pages, which built a handle each (21 % of the slot table)
+    until reclaim stopped naming its victims; now none is built."""
+    kernel = make_linux(256, debug_vm=False)
+    workload = Workload(kernel, get_service("web"), seed=11)
+    workload.start()
+    for _ in range(300):
+        workload.step()
+    slots = kernel.handles._slots
+    assert sum(type(v) is int and v < 0 for v in slots) == 6774
+    assert not any(type(v) is PageHandle for v in slots)
 
 
 @pytest.mark.parametrize("make_kernel", [make_linux, make_contiguitas],
@@ -374,6 +417,9 @@ class TestRestoreSweep:
 
     @staticmethod
     def _unpickled():
+        """A kernel whose slot table holds all three kinds of slot:
+        live unbuilt, built (bounded-mode evictions) and freed-marker
+        (the reclaim at the end)."""
         kernel = make_linux(64)
         spec = dataclasses.replace(get_service("web"),
                                    cache_opportunistic=False)
@@ -381,24 +427,38 @@ class TestRestoreSweep:
         workload.start()
         for _ in range(20):
             workload.step()
+        assert kernel.reclaim(512) == 512
         return pickle.loads(pickle.dumps(kernel, pickle.HIGHEST_PROTOCOL))
 
+    @staticmethod
+    def _live_unbuilt_slot(kernel) -> int:
+        return next(i for i, v in enumerate(kernel.handles._slots)
+                    if type(v) is int and v >= 0)
+
     def test_a_clean_kernel_passes(self):
-        restore_kernel(self._unpickled())
+        kernel = self._unpickled()
+        kinds = {"built" if type(v) is not int else "live" if v >= 0
+                 else "freed" for v in kernel.handles._slots}
+        assert kinds == {"built", "live", "freed"}
+        restore_kernel(kernel)
 
     def test_a_corrupted_slot_pfn_is_refused(self):
         kernel = self._unpickled()
+        kernel.handles._slots[self._live_unbuilt_slot(kernel)] += 1
+        with pytest.raises(SanitizerError, match="handle registry"):
+            restore_kernel(kernel)
+
+    def test_a_live_slot_flipped_to_the_freed_marker_is_refused(self):
+        kernel = self._unpickled()
         slots = kernel.handles._slots
-        slot = next(i for i, v in enumerate(slots) if type(v) is int)
-        slots[slot] += 1
+        slot = self._live_unbuilt_slot(kernel)
+        slots[slot] = ~slots[slot]
         with pytest.raises(SanitizerError, match="handle registry"):
             restore_kernel(kernel)
 
     def test_a_built_handle_off_its_key_is_refused(self):
         kernel = self._unpickled()
-        slots = kernel.handles._slots
-        handle = kernel.handles.resolve(
-            next(i for i, v in enumerate(slots) if type(v) is int))
+        handle = kernel.handles.resolve(self._live_unbuilt_slot(kernel))
         handle.pfn += 1
         with pytest.raises(SanitizerError, match="handle registry"):
             restore_kernel(kernel)

@@ -119,6 +119,37 @@ class TestAppend:
                                 "(PR", "17:", "6.5)"]
         assert "4.9642e+06 count" in out
 
+    def test_tier1_seconds_and_count_ride_on_every_row(self, tmp_path,
+                                                       capsys):
+        history = str(tmp_path / "history.jsonl")
+        runs = write_runs(tmp_path / "a.json", [
+            run_record("durable-run"), run_record("server-aging")])
+        assert ledger.main(["--history", history, "append", runs,
+                            "--pr", "24", "--sha", "a" * 40]) == 0
+        assert ledger.main(["--history", history, "append", runs,
+                            "--pr", "25", "--sha", "b" * 40,
+                            "--tier1", "33.5", "1262"]) == 0
+        rows = ledger.load_history(history, CONTRACT)
+        assert [r.get("tier1") for r in rows] == [None, None] + [
+            {"seconds": 33.5, "tests": 1262}] * 2
+        capsys.readouterr()
+        assert ledger.main(["--history", history, "report"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("tier1    1,262 tests in 33.5 s") == 2
+
+    @pytest.mark.parametrize("seconds, count", [
+        ("0", "1262"), ("fast", "1262"), ("33.5", "12.5"), ("inf", "1"),
+        ("33.5", "-1")])
+    def test_a_bad_tier1_is_refused_before_anything_is_written(
+            self, tmp_path, capsys, seconds, count):
+        history = tmp_path / "history.jsonl"
+        runs = write_runs(tmp_path / "a.json", [run_record()])
+        assert ledger.main(["--history", str(history), "append", runs,
+                            "--pr", "25", "--sha", "s",
+                            "--tier1", seconds, count]) == 1
+        assert "--tier1" in capsys.readouterr().err
+        assert not history.exists()
+
     def test_a_record_with_no_full_untraced_run_is_refused(self, tmp_path,
                                                            capsys):
         path = write_runs(tmp_path / "q.json", [run_record(quick=True)])
@@ -142,6 +173,9 @@ class TestReportValidates:
          "layers['checkpoint.bytes']"),
         (lambda row: row.update(layers={"checkpoint.speed": 1.0}),
          "layers['checkpoint.speed']"),
+        (lambda row: row.update(tier1={"seconds": 30.0}), "'tier1'"),
+        (lambda row: row.update(tier1={"seconds": 30.0, "tests": 1.5}),
+         "'tier1'"),
     ])
     def test_a_malformed_row_fails_the_report(self, tmp_path, capsys,
                                               damage, message):

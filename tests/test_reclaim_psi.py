@@ -36,7 +36,7 @@ class TestReclaimLRU:
         handles = [handle(i) for i in range(5)]
         for h in handles:
             lru.register(h)
-        lru.reclaim(lambda h: freed.append(h), target_frames=2)
+        lru.reclaim(freed.append, freed.extend, target_frames=2)
         assert freed == handles[:2]
         assert stat[ev.PAGES_RECLAIMED] == 2
 
@@ -46,7 +46,7 @@ class TestReclaimLRU:
         a = handle(0)
         lru.register(a)
         lru.forget(a)
-        assert lru.reclaim(lambda h: freed.append(h), 10) == 0
+        assert lru.reclaim(freed.append, freed.extend, 10) == 0
         assert freed == []
 
     def test_already_freed_handles_skipped(self):
@@ -56,7 +56,7 @@ class TestReclaimLRU:
         lru.register(b)
         a.freed = True
         freed = []
-        got = lru.reclaim(lambda h: freed.append(h), 1)
+        got = lru.reclaim(freed.append, freed.extend, 1)
         assert got == 1
         assert freed == [b]
 
@@ -64,7 +64,7 @@ class TestReclaimLRU:
         lru = ReclaimLRU(VmStat())
         big = handle(0, order=9)
         lru.register(big)
-        assert lru.reclaim(lambda h: None, 1) == 512
+        assert lru.reclaim(lambda h: None, lambda pfns: None, 1) == 512
 
 
 class TestPsi:

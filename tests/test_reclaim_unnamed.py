@@ -1,0 +1,139 @@
+"""Reclaim frees a page nobody named without naming it.
+
+``ReclaimLRU.reclaim`` walks a batch's slots and hands each run of
+unbuilt pages to ``LinuxKernel._free_unnamed`` in one call; a page that
+was named goes through ``free_pages`` as before.  The differential
+below runs every workload twice: once as it is, and once with a driver
+that names every page of a bulk allocation the moment it is allocated,
+so that reclaim only ever meets built handles — the per-page
+``free_pages`` path.  Everything the simulation shows must be equal.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.faults import NAMED_PLANS, FaultPlan, FaultSpec, injecting
+from repro.mm import vmstat as ev
+from repro.mm.handle import HandleList
+from repro.telemetry import tracing
+from repro.telemetry.events import RingBufferSink
+from repro.workloads import Workload, get_service
+
+from conftest import make_contiguitas, make_linux
+
+SERVICES = ("web", "cache-a", "cache-b", "ci")
+KERNELS = {"linux": make_linux, "contiguitas": make_contiguitas}
+FRAME_COLUMNS = ("flags", "migratetype", "source", "free_order", "free_mt",
+                 "alloc_order", "head_of", "birth")
+
+
+class _NamingList(HandleList):
+    def extend(self, handles) -> None:
+        list(handles)       # a HandleBatch builds every handle here
+        super().extend(handles)
+
+
+class NamingWorkload(Workload):
+    """Names every bulk page as soon as it is allocated (the driver's
+    one bulk caller extends ``cache_pages`` with the batch)."""
+
+    def __init__(self, kernel, spec, seed: int = 0) -> None:
+        super().__init__(kernel, spec, seed=seed)
+        self.cache_pages = _NamingList(kernel.handles)
+
+
+def observe(workload_cls, make_kernel, service: str, steps: int = 120,
+            plan: FaultPlan | None = None, **config) -> dict:
+    """Run one server and return everything it can be compared by."""
+    kernel = make_kernel(64, debug_vm=True, **config)
+    with injecting(plan, seed=7), traced() as sink:
+        workload = workload_cls(kernel, get_service(service), seed=11)
+        workload.start()
+        for _ in range(steps):
+            workload.step()
+    return state(kernel, sink)
+
+
+def traced():
+    return tracing("mm.buddy.free", "mm.reclaim.run",
+                   sink=RingBufferSink(1 << 20))
+
+
+def state(kernel, sink: RingBufferSink) -> dict:
+    assert sink.dropped == 0
+    mem = kernel.mem
+    slots = kernel.handles._slots
+    return {
+        "frames": {name: getattr(mem, name).tobytes()
+                   for name in FRAME_COLUMNS},
+        "free_lists": [[list(flist) for flist in by_mt.values()]
+                       for alloc in kernel.allocators()
+                       for by_mt in alloc.free_lists],
+        "vmstat": kernel.stat.snapshot(),
+        "trace": sink.to_jsonl(),
+        "sanitizer": {pfn: tuple(hist)
+                      for pfn, hist in mem.sanitizer._hist.items()},
+        "offlined": kernel.offlined_frames(),
+        "unnamed_frees": sum(type(v) is int and v < 0 for v in slots),
+    }
+
+
+def assert_equal(named: dict, normal: dict) -> dict:
+    assert named.pop("unnamed_frees") == 0
+    unnamed = normal.pop("unnamed_frees")
+    for key in named:
+        assert normal[key] == named[key], key
+    return {"unnamed_frees": unnamed, **normal}
+
+
+def assert_equal_runs(make_kernel, service: str, **kwargs) -> dict:
+    return assert_equal(
+        observe(NamingWorkload, make_kernel, service, **kwargs),
+        observe(Workload, make_kernel, service, **kwargs))
+
+
+@pytest.mark.parametrize("service", SERVICES)
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_unnamed_reclaim_equals_named_reclaim(kernel, service):
+    run = assert_equal_runs(KERNELS[kernel], service)
+    assert run["unnamed_frees"] > 100
+
+
+def test_under_the_uce_plan():
+    """The plan the ``uce-degrade`` scenario runs (it first fires
+    within 300 steps at this seed)."""
+    run = assert_equal_runs(make_linux, "web", steps=300,
+                            plan=NAMED_PLANS["uce"])
+    assert run["vmstat"][ev.MEMORY_FAILURE] >= 1 and run["unnamed_frees"]
+
+
+@pytest.mark.parametrize("make_kernel", KERNELS.values(), ids=sorted(KERNELS))
+def test_a_deferred_offline_frame_is_offlined_right_after_its_page(
+        make_kernel):
+    """Every migration fails, so a UCE on a cache page poisons it in
+    place and defers its offline to the free — here in the middle of a
+    run of unnamed pages, which is then freed page by page."""
+    runs = []
+    for name in (True, False):
+        kernel = make_kernel(64, debug_vm=True)
+        batch = kernel.alloc_pages_bulk(3000, reclaimable=True)
+        pfns = kernel.handles._slots[batch.start:batch.stop]
+        if name:
+            list(batch)
+        with injecting(FaultPlan("pinned-everywhere", (
+                FaultSpec("mm.migrate.busy", rate=1.0),)), seed=0):
+            assert not any(kernel.memory_failure(pfn)
+                           for pfn in pfns[100:2000:150])
+        with traced() as sink:
+            assert kernel.reclaim(len(batch)) == len(batch)
+        runs.append(state(kernel, sink))
+    run = assert_equal(*runs)
+    assert run["offlined"] == 13 and run["unnamed_frees"] == len(batch)
+
+
+def test_with_per_cpu_lists():
+    """PCP routes order-0 frees, and a bulk allocation steps aside for
+    it: nothing is left unnamed, and nothing may differ."""
+    run = assert_equal_runs(make_contiguitas, "web", pcp_enabled=True)
+    assert run["unnamed_frees"] == 0

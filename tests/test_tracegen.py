@@ -473,8 +473,9 @@ class TestRetireDifferential:
                               checkpoint_dir=str(tmp_path), resume=True)
         reference = _burst(monkeypatch, PerInstructionLoop, config)
         assert resumed.snapshot() == reference["result"]
-        # What a checkpoint pickles did not change shape.
-        assert FORMAT_VERSION == 6
+        # What a loadgen checkpoint pickles did not change shape (7 is
+        # the handle registry's freed marker).
+        assert FORMAT_VERSION == 7
         assert sorted(vars(RequestLoop(NGINX))) == [
             "accesses_per_request", "app", "buffer_pages", "core",
             "hot_pages", "hot_weight", "instructions_per_request",
