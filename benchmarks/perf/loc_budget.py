@@ -38,7 +38,14 @@ import tokenize
 #: without building their handles — the slot walk in
 #: ``ReclaimLRU.reclaim``, ``LinuxKernel.reclaim``/``_free_unnamed``,
 #: ``BuddyAllocator.free_run``/``free_blocks`` and the freed marker.
-BUDGET = 13_070
+#: Then 13,070 → 13,553: figure code moved into ``src`` — the eleven
+#: figures that ran private kernel loops under ``benchmarks/`` became
+#: specs in ``experiments/builtin.py`` (with the shared
+#: ``steady-profile`` run), and the shared bench helpers plus the 18
+#: ``bench_*.py`` files became one ``bench_figures.py`` (679 → 181
+#: code lines); ``src/repro`` plus ``benchmarks/*.py`` went 13,749 →
+#: 13,734.
+BUDGET = 13_553
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
              tokenize.INDENT, tokenize.DEDENT, tokenize.ENCODING,

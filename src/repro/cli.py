@@ -395,7 +395,8 @@ def _split_sets(pairs: list[str] | None) -> dict[str, str]:
     for pair in pairs or []:
         key, sep, value = pair.partition("=")
         if not sep or not key:
-            raise SystemExit(f"--set expects KEY=VALUE, got {pair!r}")
+            raise ConfigurationError(
+                f"--set expects KEY=VALUE, got {pair!r}")
         split[key] = value
     return split
 
@@ -501,7 +502,7 @@ def _cmd_experiment_report(args) -> None:
         args.name, overrides=_config_overrides(args), seed=args.seed,
         plan=_resolve_plan(args.plan), cache=_experiment_cache(args))
     if result is None:
-        raise SystemExit(
+        raise ConfigurationError(
             f"no cached result for {args.name!r} with this config/seed; "
             f"run `repro experiment run {args.name}` first")
     _print_experiment(result, args.json)

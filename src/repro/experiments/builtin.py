@@ -1,20 +1,21 @@
-"""Built-in experiment specs: every paper figure that has a CLI handle.
+"""Built-in experiment specs: every paper figure, table and ablation.
 
-``fleet-survey`` is the shared steady-state campaign behind Figs. 4-6
-and §2.4 — exactly the run the paper derives several figures from.  The
-figure specs (``fig04-contiguity-cdf``, ``fig06-sources``) fetch it
-through the content-addressed cache, so running either figure pays for
-the survey once and every overlapping figure afterwards is a pure cache
-hit.  The analytic figures (``fig03-walk-cycles``, ``fig13-unavailable``,
-``s53-interference``, ``s53-hwcost``, ``ablation-autotune``) are specs
-for the same reason: one path, seeded by policy, cached, ``--json``-able
-and manifest-bearing, shared by ``repro experiment run <name>`` and the
-matching ``benchmarks/bench_*.py`` script.
+Two shared runs sit under the figures, exactly as the paper derives
+several figures from one campaign.  ``fleet-survey`` is the steady-state
+fleet scan behind Figs. 4-6 and §2.4; ``steady-profile`` is the
+steady-state service profiling behind Figs. 11, 12 and §5.2.  The figure
+specs fetch them through the content-addressed cache, so running any one
+figure pays for its shared run once and every overlapping figure
+afterwards is a pure cache hit.  The rest (Figs. 2, 3, 10, 13, §5.3,
+Algorithm 1 and the ablations) are specs for the same reason: one path,
+seeded by policy, cached, ``--json``-able and manifest-bearing, shared
+by ``repro experiment run <name>`` and ``benchmarks/bench_figures.py``.
 
 Producers return canonical-JSON-safe rows only (scan snapshots, plain
 dicts of numbers) and import the simulator inside the function, so a
 cache hit stays in the cold import tier (docs/INTERNALS.md); rendering
-to the figure tables happens in ``postprocess``, which is never cached.
+to the figure tables happens in ``postprocess``, which is never cached
+and reads nothing but the rows and the config.
 """
 
 from __future__ import annotations
@@ -27,6 +28,10 @@ GRANULARITIES = ("2MB", "4MB", "32MB", "1GB")
 
 #: Fig. 4 CDF evaluation points (fraction of free memory in free blocks).
 CDF_POINTS = (0.0, 0.05, 0.10, 0.20, 0.30, 0.50, 0.75, 1.0)
+
+#: Fig. 5 CDF evaluation points (fraction of blocks holding unmovable
+#: pages).
+FIG05_CDF_POINTS = (0.0, 0.1, 0.2, 0.3, 0.4, 0.6, 0.8, 1.0)
 
 
 def _produce_fleet_survey(ctx: ExperimentContext) -> list:
@@ -61,6 +66,27 @@ def _fetch_survey(ctx: ExperimentContext):
     return FleetSample.from_snapshots(rows)
 
 
+def _cdf(values: list, points: tuple) -> dict:
+    """The fraction of *values* at or below each point, keyed by the
+    point to two decimals."""
+    return {f"{point:.2f}":
+            (sum(1 for v in values if v <= point) / len(values)
+             if values else 0.0)
+            for point in points}
+
+
+def _cdf_table(rows: list, points: tuple, title: str) -> str:
+    """Figs. 4 and 5's table: one CDF row per granularity."""
+    from ..analysis import format_table
+
+    return format_table(
+        ["Granularity"] + [f"<= {p:.0%}" for p in points],
+        [[row["granularity"]]
+         + [f"{row['cdf'][f'{p:.2f}']:.2f}" for p in points]
+         for row in rows],
+        title=title)
+
+
 def _produce_fig04(ctx: ExperimentContext) -> list:
     sample = _fetch_survey(ctx)
     rows = []
@@ -68,28 +94,16 @@ def _produce_fig04(ctx: ExperimentContext) -> list:
         values = sample.series("contiguity", gran)
         rows.append({
             "granularity": gran,
-            "cdf": {
-                f"{point:.2f}":
-                    (sum(1 for v in values if v <= point) / len(values)
-                     if values else 0.0)
-                for point in CDF_POINTS
-            },
+            "cdf": _cdf(values, CDF_POINTS),
             "without_any": sample.fraction_without_any(gran),
         })
     return rows
 
 
 def _report_fig04(rows: list, config: dict) -> str:
-    from ..analysis import format_table
-
-    table = format_table(
-        ["Granularity"] + [f"<= {p:.0%}" for p in CDF_POINTS],
-        [[row["granularity"]]
-         + [f"{row['cdf'][f'{p:.2f}']:.2f}" for p in CDF_POINTS]
-         for row in rows],
-        title=("Figure 4: CDF of servers vs contiguity "
-               "(fraction of free memory in free blocks)"),
-    )
+    table = _cdf_table(rows, CDF_POINTS, title=(
+        "Figure 4: CDF of servers vs contiguity "
+        "(fraction of free memory in free blocks)"))
     without = {row["granularity"]: row["without_any"] for row in rows}
     return table + (
         f"\n\nServers with zero free 2MB blocks:  "
@@ -98,6 +112,30 @@ def _report_fig04(rows: list, config: dict) -> str:
         f"{without['32MB']:.0%} (paper: 59%)"
         f"\nServers with zero free 1GB blocks:  "
         f"{without['1GB']:.0%} (paper: ~100%)"
+    )
+
+
+def _produce_fig05(ctx: ExperimentContext) -> list:
+    from ..fleet import median
+
+    sample = _fetch_survey(ctx)
+    rows = []
+    for gran in GRANULARITIES:
+        values = sample.series("unmovable", gran)
+        rows.append({"granularity": gran,
+                     "cdf": _cdf(values, FIG05_CDF_POINTS),
+                     "median": median(values)})
+    return rows
+
+
+def _report_fig05(rows: list, config: dict) -> str:
+    table = _cdf_table(rows, FIG05_CDF_POINTS, title=(
+        "Figure 5: CDF of servers vs fraction of blocks containing "
+        "unmovable pages"))
+    med = {row["granularity"]: row["median"] for row in rows}
+    return table + (
+        f"\n\nMedian unmovable 2MB blocks:  {med['2MB']:.0%} (paper: 34%)"
+        f"\nMedian unmovable 1GB regions: {med['1GB']:.0%} (paper: ~100%)"
     )
 
 
@@ -130,7 +168,32 @@ def _report_fig06(rows: list, config: dict) -> str:
     )
 
 
-#: Fleet-survey scale mirrors ``benchmarks/common.py`` historically:
+def _produce_s24(ctx: ExperimentContext) -> list:
+    sample = _fetch_survey(ctx)
+    uptimes = [scan.uptime_steps for scan in sample.scans]
+    return [{"servers": len(sample.scans), "uptime_min": min(uptimes),
+             "uptime_max": max(uptimes),
+             "correlation": sample.uptime_correlation()}]
+
+
+def _report_s24(rows: list, config: dict) -> str:
+    from ..analysis import format_table
+
+    row = rows[0]
+    return format_table(
+        ["Metric", "Value", "Paper"],
+        [
+            ("servers sampled", row["servers"], "tens of thousands"),
+            ("uptime range (steps)",
+             f"{row['uptime_min']}-{row['uptime_max']}", "hours to weeks"),
+            ("Pearson(uptime, free 2MB blocks)",
+             f"{row['correlation']:+.3f}", "0.00286"),
+        ],
+        title="Section 2.4: uptime vs contiguity correlation",
+    )
+
+
+#: Fleet-survey scale, chosen when the figures were first recorded:
 #: 24 x 512 MiB servers, uptimes past the fragmentation saturation
 #: point, base seed 11 — so cached results line up with the recorded
 #: EXPERIMENTS.md numbers.
@@ -140,6 +203,7 @@ _SURVEY_DEFAULTS = {
     "min_uptime_steps": 1100,
     "max_uptime_steps": 1600,
 }
+_SURVEY_AXES = axes_from_grid({"n_servers": (6, 12, 24)})
 
 FLEET_SURVEY = register(ExperimentSpec(
     name="fleet-survey",
@@ -147,34 +211,41 @@ FLEET_SURVEY = register(ExperimentSpec(
                 "the §2.4 uptime study",
     producer=_produce_fleet_survey,
     defaults=_SURVEY_DEFAULTS,
-    axes=axes_from_grid({"n_servers": (6, 12, 24)}),
+    axes=_SURVEY_AXES,
     seed=11,
     figure="Figs. 4-6, §2.4",
 ))
 
-FIG04 = register(ExperimentSpec(
-    name="fig04-contiguity-cdf",
-    description="CDF of free-memory contiguity across the fleet",
-    producer=_produce_fig04,
-    defaults={"n_servers": _SURVEY_DEFAULTS["n_servers"],
-              "mem_mib": _SURVEY_DEFAULTS["mem_mib"]},
-    axes=axes_from_grid({"n_servers": (6, 12, 24)}),
-    seed=11,
-    figure="Fig. 4",
-    postprocess=_report_fig04,
-))
 
-FIG06 = register(ExperimentSpec(
-    name="fig06-sources",
-    description="Sources of unmovable allocations (networking-dominated)",
-    producer=_produce_fig06,
-    defaults={"n_servers": _SURVEY_DEFAULTS["n_servers"],
-              "mem_mib": _SURVEY_DEFAULTS["mem_mib"]},
-    axes=axes_from_grid({"n_servers": (6, 12, 24)}),
-    seed=11,
-    figure="Fig. 6",
-    postprocess=_report_fig06,
-))
+def _survey_figure(name: str, description: str, figure: str,
+                   producer, postprocess) -> ExperimentSpec:
+    """Register a figure over ``fleet-survey``: it takes the survey's
+    scale as its parameters and the survey's seed as its own."""
+    return register(ExperimentSpec(
+        name=name,
+        description=description,
+        producer=producer,
+        defaults={"n_servers": _SURVEY_DEFAULTS["n_servers"],
+                  "mem_mib": _SURVEY_DEFAULTS["mem_mib"]},
+        axes=_SURVEY_AXES,
+        seed=FLEET_SURVEY.seed,
+        figure=figure,
+        postprocess=postprocess,
+    ))
+
+
+_survey_figure("fig04-contiguity-cdf",
+               "CDF of free-memory contiguity across the fleet",
+               "Fig. 4", _produce_fig04, _report_fig04)
+_survey_figure("fig05-unmovable-cdf",
+               "CDF of blocks holding unmovable pages across the fleet",
+               "Fig. 5", _produce_fig05, _report_fig05)
+_survey_figure("fig06-sources",
+               "Sources of unmovable allocations (networking-dominated)",
+               "Fig. 6", _produce_fig06, _report_fig06)
+_survey_figure("s24-uptime-corr",
+               "Correlation of server uptime with free 2MB blocks",
+               "§2.4", _produce_s24, _report_s24)
 
 
 def _produce_tail_latency(ctx: ExperimentContext) -> list:
@@ -305,6 +376,308 @@ WORKLOAD_STEADY = register(ExperimentSpec(
     seed=13,
     figure="§2.4 churn / scenario library",
     postprocess=_report_workload_steady,
+))
+
+
+def _boot(kernel: str, mem_mib: int, **config):
+    """A freshly booted ``"linux"`` or ``"contiguitas"`` kernel with
+    *mem_mib* MiB of memory; *config* are further config fields."""
+    from ..core import ContiguitasConfig, ContiguitasKernel
+    from ..mm import KernelConfig, LinuxKernel
+    from ..units import MiB
+
+    if kernel == "linux":
+        return LinuxKernel(KernelConfig(mem_bytes=MiB(mem_mib), **config))
+    return ContiguitasKernel(
+        ContiguitasConfig(mem_bytes=MiB(mem_mib), **config))
+
+
+def _bounded_cache(service):
+    """*service* with its page cache bounded at ~97 % machine
+    utilisation and recency-based (address-random) eviction — the
+    production regime in which unmovable allocations land at scattered
+    just-evicted frames."""
+    import dataclasses
+
+    return dataclasses.replace(
+        service, cache_opportunistic=False,
+        cache_fraction=max(0.05, 0.97 - service.anon_fraction - 0.06))
+
+
+def _churn(kernel, service, seed: int, steps: int):
+    """*service* deployed on *kernel* and run for *steps* steps."""
+    from ..workloads import Workload
+
+    workload = Workload(kernel, service, seed=seed)
+    workload.start()
+    for _ in range(steps):
+        workload.step()
+    return workload
+
+
+#: ``steady-profile``'s machine: 1 GiB, scaled down from the paper's
+#: 64 GiB hosts (every policy scales with memory size), run for 1,200
+#: workload steps.
+_STEADY_MEM_MIB = 1024
+_STEADY_STEPS = 1200
+
+
+def _produce_steady_profile(ctx: ExperimentContext) -> list:
+    """Each production service run to steady state on each kernel, one
+    row per run with what Figs. 11, 12 and §5.2 read.  The workload is
+    stepped here, as a fleet server steps it, because §5.2 is a time
+    average: the unmovable region's internal fragmentation swings with
+    traffic (0 at peaks, max in troughs), so it is sampled every 25
+    steps over the final diurnal period."""
+    from ..analysis import (
+        movable_potential,
+        unmovable_block_fraction,
+        unmovable_region_internal_frag,
+    )
+    from ..units import PAGEBLOCK_FRAMES
+    from ..workloads import Workload
+    from ..workloads.services import CACHE_A, CACHE_B, CI, WEB
+
+    rows = []
+    for service in (CI, WEB, CACHE_A, CACHE_B):
+        for kernel_name in ("linux", "contiguitas"):
+            kernel = _boot(kernel_name, _STEADY_MEM_MIB)
+            mem = kernel.mem
+            workload = Workload(kernel, _bounded_cache(service),
+                                seed=ctx.seed)
+            workload.start()
+            samples = []
+            for step in range(_STEADY_STEPS):
+                workload.step()
+                if (kernel_name == "contiguitas"
+                        and step > _STEADY_STEPS - 500 and step % 25 == 0):
+                    samples.append(unmovable_region_internal_frag(
+                        mem, kernel.layout.boundary_pfn))
+            row = {
+                "service": service.name,
+                "kernel": kernel_name,
+                "unmovable_2m": unmovable_block_fraction(
+                    mem, PAGEBLOCK_FRAMES),
+                # "1G*" is memory/64: the scale-equivalent of 1 GiB on
+                # the paper's 64 GiB hosts.
+                "potential": {
+                    label: movable_potential(mem, frames)
+                    for label, frames in (
+                        ("2M", PAGEBLOCK_FRAMES),
+                        ("32M", 16 * PAGEBLOCK_FRAMES),
+                        ("1G*", mem.nframes // 64))},
+            }
+            if kernel_name == "contiguitas":
+                row.update(region_blocks=kernel.layout.unmovable_blocks,
+                           npageblocks=mem.npageblocks,
+                           internal_frag=samples)
+            rows.append(row)
+    return rows
+
+
+STEADY_PROFILE = register(ExperimentSpec(
+    name="steady-profile",
+    description="Shared steady-state runs (CI/Web/CacheA/CacheB x "
+                "Linux/Contiguitas) behind Figs. 11, 12 and §5.2",
+    producer=_produce_steady_profile,
+    seed=42,
+    figure="Figs. 11-12, §5.2",
+))
+
+
+def _produce_fig11(ctx: ExperimentContext) -> list:
+    """One row per service: its unmovable 2 MiB block share per kernel."""
+    rows = {}
+    for run in ctx.fetch("steady-profile"):
+        row = rows.setdefault(run["service"], {"service": run["service"]})
+        row[run["kernel"]] = run["unmovable_2m"]
+    return list(rows.values())
+
+
+def _report_fig11(rows: list, config: dict) -> str:
+    from ..analysis import format_table, percent
+
+    avg = {kernel: sum(row[kernel] for row in rows) / len(rows)
+           for kernel in ("linux", "contiguitas")}
+    return format_table(
+        ["Workload", "Linux", "Contiguitas"],
+        [(row["service"], percent(row["linux"]),
+          percent(row["contiguitas"])) for row in rows]
+        + [("average", percent(avg["linux"]),
+            percent(avg["contiguitas"]))],
+        title=("Figure 11: unmovable 2MB pages at steady state "
+               "(paper: Linux 19-42% avg 31%, Contiguitas <=9% avg 7%)"),
+    )
+
+
+def _produce_fig12(ctx: ExperimentContext) -> list:
+    return [{"service": run["service"], "kernel": run["kernel"],
+             **run["potential"]}
+            for run in ctx.fetch("steady-profile")]
+
+
+def _report_fig12(rows: list, config: dict) -> str:
+    from ..analysis import format_table, percent
+
+    return format_table(
+        ["Workload", "Kernel", "2M", "32M", "1G*"],
+        [(row["service"], row["kernel"])
+         + tuple(percent(row[g], 0) for g in ("2M", "32M", "1G*"))
+         for row in rows],
+        title=("Figure 12: potential contiguity after perfect compaction "
+               "(% of total memory; 1G* = memory/64, the scale-equivalent "
+               "of 1GiB on the paper's 64GiB hosts)"),
+    )
+
+
+def _produce_s52(ctx: ExperimentContext) -> list:
+    """Per service on Contiguitas: the region's size and its internal
+    fragmentation, time-averaged over the final diurnal period."""
+    return [{"service": run["service"],
+             "frag": sum(run["internal_frag"]) / len(run["internal_frag"]),
+             "frag_peak": max(run["internal_frag"]),
+             "region_blocks": run["region_blocks"],
+             "region_share": run["region_blocks"] / run["npageblocks"]}
+            for run in ctx.fetch("steady-profile")
+            if run["kernel"] == "contiguitas"]
+
+
+def _report_s52(rows: list, config: dict) -> str:
+    from ..analysis import format_table, percent
+
+    avg = sum(row["frag"] for row in rows) / len(rows)
+    peak = max(row["frag_peak"] for row in rows)
+    return format_table(
+        ["Workload", "Unmovable region", "Share of memory",
+         "Free in occupied 2MB blocks (avg)", "(trough peak)"],
+        [(row["service"], f"{row['region_blocks']} blocks",
+          percent(row["region_share"], 0), percent(row["frag"], 0),
+          percent(row["frag_peak"], 0)) for row in rows]
+        + [("average", "", "", percent(avg, 0), percent(peak, 0))],
+        title=("Section 5.2: unmovable-region internal fragmentation "
+               "(paper: ~22% free in a typical block)"),
+    )
+
+
+def _steady_figure(name: str, description: str, figure: str,
+                   producer, postprocess) -> ExperimentSpec:
+    """Register a figure over ``steady-profile``, seeded like it: a
+    figure fetches its dependency at its own seed."""
+    return register(ExperimentSpec(
+        name=name,
+        description=description,
+        producer=producer,
+        seed=STEADY_PROFILE.seed,
+        figure=figure,
+        postprocess=postprocess,
+    ))
+
+
+_steady_figure("fig11-unmovable",
+               "Unmovable 2MB blocks at steady state, Linux vs Contiguitas",
+               "Fig. 11", _produce_fig11, _report_fig11)
+_steady_figure("fig12-potential",
+               "Potential contiguity after perfect compaction",
+               "Fig. 12", _produce_fig12, _report_fig12)
+_steady_figure("s52-internal-frag",
+               "Internal fragmentation of Contiguitas's unmovable region",
+               "§5.2", _produce_s52, _report_s52)
+
+
+#: Fig. 10's machine per service (Web needs room for 1 GiB
+#: reservations; the caches run smaller and faster) and the
+#: deploy-restart cycles (code pushes) before the measured deployment
+#: on the partially fragmented machine.
+_FIG10_MACHINES = {"Web": (2048 + 256, 350), "CacheA": (256, 500),
+                   "CacheB": (256, 500)}
+
+
+def _produce_fig10(ctx: ExperimentContext) -> list:
+    """The paper's method: pre-condition the machine, deploy the
+    service, measure the huge-page coverage it achieved, then feed that
+    coverage to the walk-cycle model for relative throughput.  The seed
+    drives the deployment; the walk model keeps its own (9)."""
+    from ..perfmodel import evaluate_configuration
+    from ..workloads import fragment_fully, fragment_partially
+    from ..workloads.services import CACHE_A, CACHE_B, WEB
+
+    rows = []
+    for service in (WEB, CACHE_A, CACHE_B):
+        mem_mib, warmup = _FIG10_MACHINES[service.name]
+        for config in ("linux-full", "linux-partial", "contiguitas"):
+            kernel = _boot("linux" if config.startswith("linux")
+                           else "contiguitas", mem_mib)
+            if config == "linux-partial":
+                fragment_partially(kernel, service, steps=warmup)
+            else:
+                fragment_fully(kernel)
+            coverage = _churn(kernel, service, ctx.seed, 100).huge_coverage()
+            result = evaluate_configuration(
+                service, coverage, config, n_instructions=120_000, seed=9)
+            rows.append({"service": service.name, "config": config,
+                         "coverage_2m": coverage["2m"],
+                         "coverage_1g": coverage["1g"],
+                         "walk_pct": result.walk.total_pct,
+                         "relative_perf": result.relative_perf,
+                         "perf_from_1g": result.perf_from_1g})
+    return rows
+
+
+def _report_fig10(rows: list, config: dict) -> str:
+    from ..analysis import format_table, percent
+
+    base = {row["service"]: row["relative_perf"] for row in rows
+            if row["config"] == "linux-full"}
+    return format_table(
+        ["Service", "Config", "2M cov", "1G cov", "Walk %",
+         "Perf vs Linux-Full", "1G share"],
+        [(row["service"], row["config"], percent(row["coverage_2m"], 0),
+          percent(row["coverage_1g"], 0), f"{row['walk_pct']:.1f}%",
+          f"{row['relative_perf'] / base[row['service']]:.3f}",
+          f"+{row['perf_from_1g']:.3f}" if row["perf_from_1g"] else "-")
+         for row in rows],
+        title="Figure 10: end-to-end performance (relative RPS)",
+    )
+
+
+FIG10 = register(ExperimentSpec(
+    name="fig10-endtoend",
+    description="Relative RPS of Web/CacheA/CacheB on fully and "
+                "partially fragmented Linux vs Contiguitas",
+    producer=_produce_fig10,
+    seed=7,
+    figure="Fig. 10",
+    postprocess=_report_fig10,
+))
+
+
+def _produce_fig02(ctx: ExperimentContext) -> list:
+    from ..perfmodel import generation_trends
+
+    return generation_trends()
+
+
+def _report_fig02(rows: list, config: dict) -> str:
+    from ..analysis import format_table, percent
+
+    return format_table(
+        ["Generation", "Rel. memory", "TLB cov 4K", "TLB cov 2M",
+         "TLB cov 1G"],
+        [(row["generation"], f'{row["relative_capacity"]:.1f}x',
+          percent(row["coverage_4k"], 3), percent(row["coverage_2m"], 2),
+          percent(row["coverage_1g"], 0))
+         for row in rows],
+        title="Figure 2: memory capacity and TLB coverage by generation",
+    )
+
+
+FIG02 = register(ExperimentSpec(
+    name="fig02-hwgen",
+    description="Memory capacity vs TLB coverage across five hardware "
+                "generations",
+    producer=_produce_fig02,
+    figure="Fig. 2",
+    postprocess=_report_fig02,
 ))
 
 
@@ -538,6 +911,288 @@ S53_HWCOST = register(ExperimentSpec(
     producer=_produce_s53_hwcost,
     figure="§5.3",
     postprocess=_report_s53_hwcost,
+))
+
+
+#: Algorithm 1's pressure scenarios: (P_unmov, P_mov, expectation).
+_ALG1_SCENARIOS = (
+    (0.0, 0.0, "shrink (idle)"),
+    (20.0, 0.0, "expand (unmovable demand)"),
+    (50.0, 0.0, "expand harder"),
+    (0.0, 30.0, "shrink (movable demand)"),
+    (50.0, 50.0, "no expand (both pressured)"),
+)
+
+
+def _produce_alg1(ctx: ExperimentContext) -> list:
+    """The resizing algorithm two ways: the pure function over a grid of
+    pressure inputs (one row each), and a live kernel driven through an
+    unmovable-demand spike and its release (on every row) — the region
+    must grow to absorb it and shrink back once the demand subsides."""
+    from ..core import ResizeConfig, target_unmovable_frames
+    from ..mm import AllocSource
+    from ..mm import vmstat as ev
+
+    kernel = _boot("contiguitas", 64)
+    initial = kernel.layout.unmovable_blocks
+    handles = [kernel.alloc_pages(0, source=AllocSource.NETWORKING)
+               for _ in range(6 * 512)]
+    peak = kernel.layout.unmovable_blocks
+    for handle in handles:
+        kernel.free_pages(handle)
+    for _ in range(60):
+        kernel.advance(200_000)
+    spike = {"initial": initial, "peak": peak,
+             "settled": kernel.layout.unmovable_blocks,
+             "expands": kernel.stat[ev.REGION_EXPAND],
+             "shrinks": kernel.stat[ev.REGION_SHRINK],
+             "violations": kernel.confinement_violations()}
+    mem = 100_000
+    return [{"p_unmov": pu, "p_mov": pm, "mem_unmov": mem,
+             "target": target_unmovable_frames(pu, pm, mem, ResizeConfig()),
+             "expected": expected, **spike}
+            for pu, pm, expected in _ALG1_SCENARIOS]
+
+
+def _report_alg1(rows: list, config: dict) -> str:
+    from ..analysis import format_table
+
+    table = format_table(
+        ["P_unmov", "P_mov", "Mem_unmov", "Target", "Delta", "Expected"],
+        [(row["p_unmov"], row["p_mov"], row["mem_unmov"], row["target"],
+          f"{(row['target'] - row['mem_unmov']) / row['mem_unmov']:+.1%}",
+          row["expected"]) for row in rows],
+        title="Algorithm 1: resizing targets per pressure scenario",
+    )
+    spike = rows[0]
+    return table + (
+        f"\n\nLive demand spike: region {spike['initial']} -> "
+        f"{spike['peak']} -> {spike['settled']} pageblocks (expands "
+        f"{spike['expands']}, shrinks {spike['shrinks']})"
+    )
+
+
+ALG1 = register(ExperimentSpec(
+    name="alg1-resizing",
+    description="Algorithm-1 resize targets per pressure scenario and a "
+                "live demand spike",
+    producer=_produce_alg1,
+    figure="Alg. 1",
+    postprocess=_report_alg1,
+))
+
+
+def _produce_placement(ctx: ExperimentContext) -> list:
+    """One row per placement-bias setting.  A demand spike fills the
+    region, then drains in *random* order — the region is now oversized
+    with free frames everywhere.  A trickle of new long-lived
+    allocations follows: with the bias they are steered away from the
+    boundary; without it, LIFO reuse drops them onto the most recently
+    freed (random) frames, blocking the coming shrink."""
+    import random
+
+    from ..core import PlacementPolicy
+    from ..mm import AllocSource
+    from ..mm import vmstat as ev
+
+    rows = []
+    for bias in (True, False):
+        kernel = _boot("contiguitas", 64, initial_unmovable_fraction=0.5,
+                       placement=PlacementPolicy(bias_enabled=bias))
+        rng = random.Random(ctx.seed)
+        spike = [kernel.alloc_pages(0, source=AllocSource.SLAB)
+                 for _ in range(int(kernel.unmovable.nr_frames * 0.9))]
+        rng.shuffle(spike)
+        for handle in spike:
+            kernel.free_pages(handle)
+        for _ in range(kernel.unmovable.nr_frames // 16):
+            kernel.alloc_pages(0, source=AllocSource.SLAB)
+        start = kernel.layout.unmovable_blocks
+        for _ in range(80):
+            kernel.advance(200_000)
+        rows.append({"bias": bias, "start": start,
+                     "end": kernel.layout.unmovable_blocks,
+                     "shrinks": kernel.stat[ev.REGION_SHRINK],
+                     "blocked": kernel.resizer.blocked_shrinks})
+    return rows
+
+
+def _report_placement(rows: list, config: dict) -> str:
+    from ..analysis import format_table
+
+    return format_table(
+        ["Placement", "Region start (blocks)", "Region end",
+         "Shrinks", "Blocked shrinks"],
+        [("bias on" if row["bias"] else "bias off", row["start"],
+          row["end"], row["shrinks"], row["blocked"]) for row in rows],
+        title=("Ablation: placement bias vs region shrinkability "
+               "(demand spike drains in random order, then a trickle of "
+               "long-lived allocations lands before the region shrinks)"),
+    )
+
+
+ABLATION_PLACEMENT = register(ExperimentSpec(
+    name="ablation-placement",
+    description="Placement bias away from the region border on/off vs "
+                "how far the region can shrink (§3.2)",
+    producer=_produce_placement,
+    seed=5,
+    figure="§3.2 ablation",
+    postprocess=_report_placement,
+))
+
+
+def _produce_designs(ctx: ExperimentContext) -> list:
+    """Three Contiguitas design choices, one ``part`` each.
+
+    * ``initial-size``: the boot-time region size (the paper boots 4 GiB
+      on 64 GiB hosts = 1/16) under churn seeded by the run's seed —
+      too small forces synchronous expansions on the hot path, too big
+      wastes movable memory until the resizer reclaims it.
+    * ``slice-copy``: the shipped sequential slice hand-off (§3.3) vs
+      letting all LLC slices copy concurrently.
+    * ``hw-shrink``: confinement only vs Contiguitas-HW, which can
+      evacuate occupied boundary blocks, so the region shrinks further.
+    """
+    import random
+
+    from ..core.hwext import HwMigrationEngine
+    from ..mm import AllocSource, MigrateType, PageHandle
+    from ..mm import vmstat as ev
+
+    rows = []
+    for fraction in (1 / 32, 1 / 16, 1 / 8, 1 / 4):
+        kernel = _boot("contiguitas", 64,
+                       initial_unmovable_fraction=fraction)
+        rng = random.Random(ctx.seed)
+        live = []
+        for _ in range(4000):
+            if live and rng.random() < 0.4:
+                kernel.free_pages(live.pop(rng.randrange(len(live))))
+            else:
+                live.append(kernel.alloc_pages(
+                    0, source=AllocSource.NETWORKING))
+            if len(live) % 200 == 0:
+                kernel.advance(1000)
+        rows.append({"part": "initial-size",
+                     "size": f"1/{int(1 / fraction)}",
+                     "expands": kernel.stat[ev.REGION_EXPAND],
+                     "shrinks": kernel.stat[ev.REGION_SHRINK],
+                     "blocks": kernel.layout.unmovable_blocks})
+    engine = HwMigrationEngine()
+    for src, dst in ((100, 200), (5000, 5001), (77, 4096)):
+        rows.append({
+            "part": "slice-copy", "migration": f"{src}->{dst}",
+            "sequential": engine.estimate_copy_cycles(
+                src, dst, parallel_slices=False),
+            "parallel": engine.estimate_copy_cycles(
+                src, dst, parallel_slices=True)})
+    for hw in (False, True):
+        kernel = _boot("contiguitas", 64, initial_unmovable_fraction=0.5,
+                       hw_enabled=hw)
+        rng = random.Random(9)
+        # Sparse long-lived unmovable pages spread over the region with
+        # no placement help: software shrink gets stuck on them.
+        handles = [
+            kernel.unmovable.alloc(0, MigrateType.UNMOVABLE,
+                                   AllocSource.NETWORKING, prefer="lifo")
+            for _ in range(kernel.unmovable.nr_frames // 2)
+        ]
+        rng.shuffle(handles)
+        keep = handles[: len(handles) // 8]
+        for pfn in handles[len(handles) // 8:]:
+            kernel.unmovable.free(pfn)
+        for pfn in keep:
+            kernel.handles.register(PageHandle(
+                pfn, 0, MigrateType.UNMOVABLE, AllocSource.NETWORKING, 0))
+        for _ in range(60):
+            kernel.advance(200_000)
+        rows.append({"part": "hw-shrink", "hw": hw,
+                     "blocks": kernel.layout.unmovable_blocks})
+    return rows
+
+
+def _report_designs(rows: list, config: dict) -> str:
+    from ..analysis import format_table
+
+    part = {name: [row for row in rows if row["part"] == name]
+            for name in ("initial-size", "slice-copy", "hw-shrink")}
+    text = format_table(
+        ["Initial size", "Expands", "Shrinks", "Final blocks"],
+        [(row["size"], row["expands"], row["shrinks"], row["blocks"])
+         for row in part["initial-size"]],
+        title="Ablation: initial unmovable-region size (64MiB machine)",
+    )
+    text += "\n\n" + format_table(
+        ["Migration", "Sequential (cycles)", "Parallel (cycles)",
+         "Speedup"],
+        [(row["migration"], row["sequential"], row["parallel"],
+          f"{row['sequential'] / row['parallel']:.1f}x")
+         for row in part["slice-copy"]],
+        title="Ablation: sequential vs parallel slice copy",
+    )
+    shrink = {row["hw"]: row["blocks"] for row in part["hw-shrink"]}
+    return text + (
+        f"\n\nAblation: shrinking a half-memory region with scattered "
+        f"unmovable pages\n  confinement only: {shrink[False]} blocks "
+        f"remain\n  with Contiguitas-HW: {shrink[True]} blocks remain"
+    )
+
+
+ABLATION_DESIGNS = register(ExperimentSpec(
+    name="ablation-designs",
+    description="Initial region size, sequential vs parallel slice copy, "
+                "and shrinking with Contiguitas-HW",
+    producer=_produce_designs,
+    seed=3,
+    figure="§3.2-3.3 ablation",
+    postprocess=_report_designs,
+))
+
+
+def _produce_pcp(ctx: ExperimentContext) -> list:
+    """Per-CPU page caches on and off under the same CacheB churn.  PCP
+    changes placement: concurrent allocation streams draw from per-CPU
+    batches, interleaving allocations across the address space at batch
+    granularity; Contiguitas's confinement must not care."""
+    from ..analysis import unmovable_block_fraction
+    from ..units import PAGEBLOCK_FRAMES
+    from ..workloads.services import CACHE_B
+
+    rows = []
+    for kernel_name in ("linux", "contiguitas"):
+        for pcp in (False, True):
+            kernel = _boot(kernel_name, 256, pcp_enabled=pcp)
+            _churn(kernel, _bounded_cache(CACHE_B), ctx.seed, 800)
+            row = {"kernel": kernel_name, "pcp": pcp,
+                   "unmovable_2m": unmovable_block_fraction(
+                       kernel.mem, PAGEBLOCK_FRAMES)}
+            if kernel_name == "contiguitas":
+                row["violations"] = kernel.confinement_violations()
+            rows.append(row)
+    return rows
+
+
+def _report_pcp(rows: list, config: dict) -> str:
+    from ..analysis import format_table, percent
+
+    return format_table(
+        ["Kernel", "PCP", "Unmovable 2MB blocks", "Confinement violations"],
+        [(row["kernel"], "on" if row["pcp"] else "off",
+          percent(row["unmovable_2m"]), row.get("violations", "-"))
+         for row in rows],
+        title="Ablation: per-CPU page caches vs unmovable scattering",
+    )
+
+
+ABLATION_PCP = register(ExperimentSpec(
+    name="ablation-pcp",
+    description="Per-CPU page caches on/off vs unmovable scattering, "
+                "Linux and Contiguitas",
+    producer=_produce_pcp,
+    seed=13,
+    figure="PCP ablation",
+    postprocess=_report_pcp,
 ))
 
 

@@ -10,9 +10,9 @@ of *everything that determines the rows*:
 * the **fault plan** snapshot, when a chaos run is cached at all.
 
 Identical (spec, config, seed, plan) runs therefore hit the same entry
-across processes, grids, and figures — the durable analogue of the old
-per-process ``functools`` cache in ``benchmarks/common.py``, and the
-checkpoint mechanism that makes an interrupted grid (``repro scenario
+across processes, grids, and figures.  The figures sharing one run
+(``fleet-survey``, ``steady-profile``) pay for it once, and the store
+is the checkpoint mechanism that makes an interrupted grid (``repro scenario
 run``, ``repro experiment sweep``) resumable: every completed cell is
 an atomically-written cache file, so a rerun recomputes only the
 missing cells.

@@ -8,6 +8,7 @@ Every test uses a ``tmp_path`` cache root and registers throwaway specs
 
 import json
 import os
+import pathlib
 
 import pytest
 
@@ -549,26 +550,74 @@ class TestExperimentCli:
             self._run(["experiment", "report", "toy-cli",
                        "--set", "x=9"], tmp_path, capsys)
 
+    @pytest.mark.parametrize("argv,message", [
+        (["experiment", "report", "fig06-sources"],
+         "repro: no cached result for 'fig06-sources' with this "
+         "config/seed; run `repro experiment run fig06-sources` first"),
+        (["experiment", "run", "fig06-sources", "--set", "novalue"],
+         "repro: --set expects KEY=VALUE, got 'novalue'"),
+    ], ids=["report-miss", "set-spelling"])
+    def test_user_errors_are_one_repro_line(self, argv, message, tmp_path,
+                                            capsys):
+        """A string exit code is printed as one stderr line and exits
+        with status 1, like every other refused input."""
+        with pytest.raises(SystemExit) as info:
+            self._run(argv, tmp_path, capsys)
+        assert info.value.code == message
 
-#: The figures that used to be bespoke CLI verbs with a second copy in
-#: their bench scripts, with overrides that keep the test short.
+
+#: The committed figure outputs, one ``<spec name with - as _>.txt``
+#: per figure spec, regenerated by ``benchmarks/bench_figures.py``.
+BENCHMARKS = pathlib.Path(__file__).resolve().parents[1] / "benchmarks"
+
+#: A fleet survey small enough for Tier-1, shared by the survey figures.
+SMALL_SURVEY = {"n_servers": 6, "mem_mib": 64}
+
+#: Figure specs with overrides that keep the test short; those run at
+#: full size (no overrides) must print their committed result file.
 FIGURE_SPECS = {
+    "fig02-hwgen": {},
     "fig03-walk-cycles": {"instructions": 20_000},
+    "fig05-unmovable-cdf": SMALL_SURVEY,
     "fig13-unavailable": {},
+    "s24-uptime-corr": SMALL_SURVEY,
     "s53-interference": {},
     "s53-hwcost": {},
+    "alg1-resizing": {},
     "ablation-autotune": {"trials": 2},
+    "ablation-designs": {},
+    "ablation-placement": {},
 }
+
+#: The figures over the one steady-state profiling run.
+STEADY_FIGURES = ("fig11-unmovable", "fig12-potential", "s52-internal-frag")
+
+
+def _bench_figures():
+    """``benchmarks/bench_figures.py``, imported by path."""
+    import importlib.util
+
+    loader = importlib.util.spec_from_file_location(
+        "bench_figures", BENCHMARKS / "bench_figures.py")
+    module = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="class")
+def figure_cache(tmp_path_factory):
+    """One cache for the class, so the survey figures share a survey."""
+    return tmp_path_factory.mktemp("figures")
 
 
 class TestFigureSpecs:
     @pytest.mark.parametrize("name", sorted(FIGURE_SPECS))
-    def test_one_path_cached_json_and_pure_report(self, name, tmp_path,
+    def test_one_path_cached_json_and_pure_report(self, name, figure_cache,
                                                   capsys):
         from repro.cli import main
 
         overrides = FIGURE_SPECS[name]
-        argv = ["experiment", "run", name, "--cache-dir", str(tmp_path)]
+        argv = ["experiment", "run", name, "--cache-dir", str(figure_cache)]
         for key, value in overrides.items():
             argv += ["--set", f"{key}={value}"]
 
@@ -578,10 +627,14 @@ class TestFigureSpecs:
         again = capsys.readouterr()
         assert "[computed]" in fresh.err and "[cache hit]" in again.err
         assert again.out == fresh.out
+        if not overrides:
+            committed = BENCHMARKS / "results" / (
+                name.replace("-", "_") + ".txt")
+            assert fresh.out == committed.read_text()
 
         main(argv + ["--json"])
         rows = json.loads(capsys.readouterr().out)
-        cache = ResultCache(str(tmp_path))
+        cache = ResultCache(str(figure_cache))
         hit = run_experiment(name, overrides=overrides, cache=cache)
         loaded = load_cached(name, overrides=overrides, cache=cache)
         assert hit.cached and hit.rows == loaded.rows == rows
@@ -592,12 +645,63 @@ class TestFigureSpecs:
         assert hit.spec.postprocess(rows, hit.config) == hit.report()
 
     def test_seed_policy_and_defaults_are_the_bench_constants(self):
-        pinned = {name: (get_spec(name).seed, dict(get_spec(name).defaults))
-                  for name in FIGURE_SPECS}
-        assert pinned == {
+        survey = {"n_servers": 24, "mem_mib": 512}
+        expected = {
+            "fig02-hwgen": (0, {}),
             "fig03-walk-cycles": (3, {"instructions": 150_000}),
+            "fig04-contiguity-cdf": (11, survey),
+            "fig05-unmovable-cdf": (11, survey),
+            "fig06-sources": (11, survey),
+            "s24-uptime-corr": (11, survey),
+            "fig10-endtoend": (7, {}),
+            "steady-profile": (42, {}),
+            "fig11-unmovable": (42, {}),
+            "fig12-potential": (42, {}),
+            "s52-internal-frag": (42, {}),
             "fig13-unavailable": (0, {}),
             "s53-interference": (0, {}),
             "s53-hwcost": (0, {}),
+            "alg1-resizing": (0, {}),
             "ablation-autotune": (5, {"trials": 24}),
+            "ablation-designs": (3, {}),
+            "ablation-placement": (5, {}),
+            "ablation-pcp": (13, {}),
         }
+        pinned = {name: (get_spec(name).seed, dict(get_spec(name).defaults))
+                  for name in expected}
+        assert pinned == expected
+
+    def test_steady_figures_share_one_profile_run(self, tmp_path,
+                                                  monkeypatch):
+        """Figs. 11, 12 and §5.2 fetch one ``steady-profile`` cell: one
+        simulation for the three, cached across processes, and each
+        report renders from its rows alone."""
+        from repro.experiments import builtin
+        from repro.telemetry import MetricsRegistry
+
+        monkeypatch.setattr(builtin, "_STEADY_MEM_MIB", 64)
+        monkeypatch.setattr(builtin, "_STEADY_STEPS", 30)
+        cache = ResultCache(str(tmp_path))
+        metrics = MetricsRegistry()
+        results = [run_experiment(name, cache=cache, metrics=metrics)
+                   for name in STEADY_FIGURES]
+        assert sorted(cache.load(key)["spec"] for key in cache.keys()) == \
+            sorted(STEADY_FIGURES + ("steady-profile",))
+        counters = metrics.counters.snapshot()
+        assert counters["experiment.cache_miss"] == 4  # 3 figures + 1 run
+        assert counters["experiment.cache_hit"] == 2
+        for result in results:
+            loaded = load_cached(result.spec.name, cache=cache)
+            assert loaded.rows == result.rows
+            assert loaded.report() == result.report() == \
+                result.spec.postprocess(loaded.rows, loaded.config)
+
+    def test_every_result_file_is_a_checked_spec(self):
+        """The bench file regenerates exactly the committed results, and
+        every figure it names is a registered spec with a report."""
+        names = set(_bench_figures().CHECKS)
+        stems = {path.stem for path in (BENCHMARKS / "results").glob("*.txt")}
+        assert stems == {name.replace("-", "_") for name in names}
+        assert len(names) == 18
+        for name in names:
+            assert get_spec(name).postprocess is not None, name

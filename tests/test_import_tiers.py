@@ -12,6 +12,7 @@ import pytest
 
 import repro.units
 from conftest import fresh_python
+from repro.experiments import ResultCache, get_spec, result_key
 
 #: What the hot tier looks like from ``sys.modules``.
 HOT = ("numpy", "repro.mm", "repro.core", "repro.kalloc", "repro.sim",
@@ -51,12 +52,23 @@ def warm(tmp_path_factory):
     cache = root / "cache"
     manifest = root / "scenario.json"
     ckpt = root / "ckpt"
+    # Fig. 11's one dependency is the 1 GiB steady-state profile: stand-in
+    # rows in its cell keep warming the figure cheap.
+    profile = get_spec("steady-profile")
+    ResultCache(str(cache)).put(
+        result_key(profile.name, profile.version, profile.resolve(),
+                   profile.seed),
+        [{"service": "CI", "kernel": kernel, "unmovable_2m": 0.5}
+         for kernel in ("linux", "contiguitas")],
+        spec_name=profile.name, version=profile.version,
+        config=profile.resolve(), seed=profile.seed)
     for argv in (
             ["scenario", "run", "steady-web", "--smoke",
              "--manifest", str(manifest)],
             ["loadgen", "--duration", "2e-4", "--checkpoint-every", "1",
              "--checkpoint-dir", str(ckpt)],
-            ["experiment", "run", "s53-hwcost"]):
+            ["experiment", "run", "s53-hwcost"],
+            ["experiment", "run", "fig11-unmovable"]):
         done = fresh_python(main_body(*argv),
                             {"REPRO_EXPERIMENT_CACHE": str(cache)})
         assert done.returncode == 0, done.stderr
@@ -75,6 +87,8 @@ CASES = {
     "experiment-list": lambda warm: main_body("experiment", "list"),
     "experiment-run-warm": lambda warm: main_body(
         "experiment", "run", "s53-hwcost"),
+    "experiment-run-fig11-warm": lambda warm: main_body(
+        "experiment", "run", "fig11-unmovable"),
     "metrics": lambda warm: main_body("metrics", warm["manifest"]),
     "checkpoint-inspect": lambda warm: main_body(
         "checkpoint", "inspect", warm["ckpt"]),
