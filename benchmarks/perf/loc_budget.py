@@ -45,7 +45,11 @@ import tokenize
 #: ``bench_*.py`` files became one ``bench_figures.py`` (679 → 181
 #: code lines); ``src/repro`` plus ``benchmarks/*.py`` went 13,749 →
 #: 13,734.
-BUDGET = 13_553
+#: Then 13,553 → 13,312: the ``fleet``, ``chaos`` and ``loadgen`` CLI
+#: verbs went, with their handlers, their parser blocks and the second
+#: checkpoint-flag dialect (``run.checkpoint_flags``) and fleet table
+#: renderer only they used; ``cli.py`` 879 → 665.
+BUDGET = 13_312
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
              tokenize.INDENT, tokenize.DEDENT, tokenize.ENCODING,

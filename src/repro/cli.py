@@ -1,8 +1,9 @@
 """Command-line interface: run the paper's experiments from a shell.
 
-Every figure is an experiment spec (``repro experiment list``), so it is
-seeded by policy, cached, ``--json``-able and leaves a manifest; the
-other verbs are the run front doors and the tools around them.
+Every simulation is an experiment spec (``repro experiment list``), so
+it is seeded by policy, cached, ``--json``-able and leaves a manifest;
+``scenario`` runs matrices of specs, ``checkpoint`` inspects and
+resumes killed runs, and the other verbs are tools.
 
 Examples::
 
@@ -14,6 +15,12 @@ Examples::
         --set kernel=contiguitas          # steady-state fragmentation
     python -m repro experiment run s53-hwcost --json   # metadata table
     python -m repro experiment run fig04-contiguity-cdf --seed 7
+    python -m repro experiment run fleet-survey --set n_servers=8 \\
+        --json                            # mini fleet survey, per server
+    python -m repro experiment run fleet-survey --plan ci-smoke \\
+        --set n_servers=6                 # ... under injected faults
+    python -m repro experiment run tail-latency-interference \\
+        --set design=cacheable --resume-from ck/   # a resumable burst
     python -m repro experiment sweep workload-steady   # its grid, as a
                                           # scenario report
     python -m repro experiment report fig06-sources --json
@@ -22,13 +29,6 @@ Examples::
     python -m repro scenario run fragmentation-aging --smoke
     python -m repro scenario run steady-web --set design=nc --html r.html
     python -m repro scenario report crash-restart-soak --smoke
-    python -m repro fleet --servers 8     # mini fleet survey
-    python -m repro fleet --servers 8 --trace --events ev.jsonl \\
-        --manifest run.json               # observable fleet run
-    python -m repro chaos --plan ci-smoke --servers 6 \\
-        --manifest chaos.json             # fleet under injected faults
-    python -m repro chaos --list-plans    # named fault plans
-    python -m repro loadgen --trace-shape azure-faas --design cacheable
     python -m repro checkpoint inspect ck/   # a killed run's generations
     python -m repro trace --match 'mm.buddy.*' --limit 20
     python -m repro trace --input ev.jsonl --match 'mm.compact.*'
@@ -53,119 +53,6 @@ from .errors import CheckpointError, ConfigurationError
 from .units import MiB
 
 
-class _ProgressSink:
-    """Prints shard progress to stderr off the fleet tracepoints.
-
-    Rides the existing telemetry stream — ``fleet.server.done`` /
-    ``fleet.server.fail`` events — rather than adding a side channel,
-    so progress costs nothing when not requested and sees exactly what
-    the manifest sees.
-    """
-
-    def __init__(self, n_servers: int) -> None:
-        self.n_servers = n_servers
-        self.done = 0
-        self.failed = 0
-
-    def append(self, event) -> None:
-        import sys
-
-        if event.name == "fleet.server.done":
-            self.done += 1
-        elif event.name == "fleet.server.fail":
-            self.done += 1
-            self.failed += 1
-        else:
-            return
-        secs = event.fields.get("seconds")
-        rate = (f", {self.done / secs:.1f} servers/s"
-                if secs else "")
-        print(f"\r[fleet] {self.done}/{self.n_servers} servers"
-              + (f" ({self.failed} degraded)" if self.failed else "")
-              + rate, end="", file=sys.stderr)
-        if self.done == self.n_servers:
-            print(file=sys.stderr)
-
-
-def _cmd_fleet(args) -> None:
-    import contextlib
-
-    from .fleet import FleetConfig, ServerConfig, check_survey_fit, run_fleet
-    from .run import KINDS, checkpoint_flags
-    from .telemetry import TelemetryConfig, tracing
-
-    check_survey_fit(args.servers, MiB(args.mem_mib), args.workers)
-    telemetry = None
-    if args.trace or args.events or args.manifest:
-        telemetry = TelemetryConfig(
-            trace=bool(args.trace or args.events),
-            events_path=args.events,
-            manifest_path=args.manifest,
-        )
-    config = FleetConfig(
-        n_servers=args.servers,
-        server=ServerConfig(mem_bytes=MiB(args.mem_mib)),
-        base_seed=args.seed, workers=args.workers,
-        chunk_size=args.chunk_size, telemetry=telemetry)
-    # Progress rides the telemetry stream the run emits anyway.
-    progress = (tracing("fleet.server.*", sink=_ProgressSink(args.servers))
-                if args.progress else contextlib.nullcontext())
-    with progress:
-        fleet = run_fleet(config, **checkpoint_flags("fleet", args))
-    print(KINDS["fleet"].render(fleet))
-    if args.events:
-        print(f"trace events written to {args.events}")
-    if args.manifest:
-        print(f"run manifest written to {args.manifest}")
-
-
-def _cmd_loadgen(args) -> None:
-    from .run import checkpoint_flags
-    from .workloads.tracegen import LoadgenConfig, run_loadgen
-
-    telemetry = None
-    if args.manifest:
-        from .telemetry import TelemetryConfig
-
-        telemetry = TelemetryConfig(manifest_path=args.manifest)
-    config = LoadgenConfig(
-        shape=args.trace_shape,
-        rate_rps=args.rate,
-        duration_s=args.duration,
-        app=args.app,
-        design=args.design,
-        migrations_per_second=args.migrations,
-        buffer_pages=args.buffer_pages,
-        seed=args.seed,
-        telemetry=telemetry,
-    )
-    result = run_loadgen(config, **checkpoint_flags("loadgen", args))
-    if args.json:
-        import json
-
-        print(json.dumps({"config": config.snapshot(), **result.snapshot()},
-                         sort_keys=True))
-    else:
-        rows = [
-            (row["class"], str(row["requests"]), f"{row['p50_us']:.3f}",
-             f"{row['p99_us']:.3f}", f"{row['p999_us']:.3f}",
-             f"{row['max_us']:.3f}")
-            for row in result.rows()
-        ]
-        print(format_table(
-            ["Class", "Requests", "p50 (µs)", "p99 (µs)", "p999 (µs)",
-             "max (µs)"],
-            rows,
-            title=(f"{args.trace_shape} on {args.app} "
-                   f"({args.design} migration): open-loop tail latency")))
-        print(f"\nachieved rate: {result.achieved_rps:,.0f} rps "
-              f"(offered {args.rate:,.0f}); "
-              f"{result.windows_seen} migration windows, "
-              f"{result.spikes} load spikes")
-        if args.manifest:
-            print(f"run manifest written to {args.manifest}")
-
-
 def _resolve_plan(name: str | None):
     """A named fault plan, or None; unknown names are refused with the
     list."""
@@ -179,62 +66,6 @@ def _resolve_plan(name: str | None):
         raise ConfigurationError(
             f"unknown plan {name!r}; one of "
             f"{', '.join(sorted(NAMED_PLANS))}") from None
-
-
-def _cmd_chaos(args) -> None:
-    from .faults import NAMED_PLANS
-
-    if args.list_plans:
-        rows = []
-        for name, plan in sorted(NAMED_PLANS.items()):
-            for spec in plan.specs:
-                rows.append((
-                    name, spec.site, f"{spec.rate:g}",
-                    "-" if spec.max_fires is None else str(spec.max_fires),
-                    str(spec.skip)))
-        print(format_table(
-            ["Plan", "Site", "Rate", "Max fires", "Skip"], rows,
-            title="Named fault plans (docs/ROBUSTNESS.md)"))
-        return
-    from .fleet import FleetConfig, ServerConfig, check_survey_fit, run_fleet
-    from .telemetry import TelemetryConfig
-
-    check_survey_fit(args.servers, MiB(args.mem_mib), args.workers)
-    plan = _resolve_plan(args.plan)
-    telemetry = TelemetryConfig(manifest_path=args.manifest)
-    fleet = run_fleet(FleetConfig(
-        n_servers=args.servers,
-        server=ServerConfig(mem_bytes=MiB(args.mem_mib), fault_plan=plan),
-        base_seed=args.seed, workers=args.workers, telemetry=telemetry))
-
-    failed = fleet.failed_indices()
-    rows = [
-        ("servers requested", str(args.servers)),
-        ("scans returned", str(len(fleet.scans))),
-        ("completed", str(len(fleet.scans) - len(failed))),
-        ("degraded (retry budget spent)",
-         f"{len(failed)}" + (f"  indices={failed}" if failed else "")),
-    ]
-    print(format_table(
-        ["Outcome", "Value"], rows,
-        title=f"Chaos run: plan '{plan.name}' over {args.servers} servers"))
-
-    fault_rows = [(event, f"{count:,}")
-                  for event, count in fleet.vmstat_totals().items()
-                  if event.startswith("fault.")
-                  or event in ("migrate_retry", "memory_failure",
-                               "memory_failure_offlined",
-                               "memory_failure_fatal", "oom_rescue")]
-    if fault_rows:
-        print()
-        print(format_table(
-            ["Fault counter", "Total"], fault_rows,
-            title="Injected faults and degradation events"))
-
-    print(f"\nPearson(uptime, free 2MB blocks) = "
-          f"{fleet.uptime_correlation():+.3f}")
-    if args.manifest:
-        print(f"run manifest written to {args.manifest}")
 
 
 def _format_event(event) -> str:
@@ -757,8 +588,8 @@ def _count_arg(what: str, minimum: int):
 
 #: Shared ``--workers`` validation: a positive process count.
 _workers_arg = _count_arg("process count", 1)
-#: ``fleet``/``chaos`` ``--servers``: an empty fleet has no statistics.
-_servers_arg = _count_arg("server count", 1)
+#: Shared ``--checkpoint-every`` validation: 0 is off, never negative.
+_cadence_arg = _count_arg("checkpoint cadence", 0)
 
 
 #: Sentinel: the verb takes no ``--seed`` at all (vs. default None).
@@ -792,162 +623,11 @@ def _common_options(*, seed=_OMIT, workers: bool = False,
     return parent
 
 
-def _checkpoint_options() -> argparse.ArgumentParser:
-    """Parent parser for the durable-checkpoint flags, so ``fleet`` and
-    ``loadgen`` spell ``--checkpoint-every`` / ``--checkpoint-dir`` /
-    ``--resume-from`` identically."""
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument(
-        "--checkpoint-every", type=int, default=0, metavar="N",
-        help="checkpoint every N units of work (0 = off; default when "
-             "a checkpoint directory is named: 1)")
-    parent.add_argument(
-        "--checkpoint-dir", metavar="DIR", default=None,
-        help="directory for the two-generation checkpoint files")
-    parent.add_argument(
-        "--resume-from", metavar="DIR", default=None,
-        help="resume from the last good checkpoint in DIR (implies "
-             "--checkpoint-dir DIR; cadence defaults to the one the "
-             "interrupted run recorded)")
-    return parent
-
-
-class _LazyChoices:
-    """An argparse ``choices`` read from a ``workloads.tracegen``
-    registry when a value is checked (``in`` iterates) or the verb's
-    help is rendered, so building the parser imports no simulator code.
-    ``add_argument`` walks ``choices=`` once on the spot; assign this to
-    the action it returns instead."""
-
-    def __init__(self, pick) -> None:
-        self.pick = pick
-
-    def __iter__(self):
-        from .workloads import tracegen
-
-        return iter(self.pick(tracegen))
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Contiguitas (ISCA 2023) reproduction experiments")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    fleet = sub.add_parser(
-        "fleet", help="fleet fragmentation survey",
-        parents=[_common_options(seed=0, workers=True, manifest=True),
-                 _checkpoint_options()])
-    fleet.add_argument("--servers", type=_servers_arg, default=6,
-                       help="fleet size (validated against available "
-                            "memory before any worker starts)")
-    fleet.add_argument("--mem-mib", type=int, default=512)
-    fleet.add_argument("--chunk-size", type=int, default=None,
-                       help="servers packed per worker task (default: "
-                            "auto-sized; results identical either way)")
-    fleet.add_argument("--progress", action="store_true",
-                       help="print per-server shard progress to stderr")
-    fleet.add_argument("--trace", action="store_true",
-                       help="enable tracepoints during the run")
-    fleet.add_argument("--events", metavar="PATH", default=None,
-                       help="stream trace events to PATH as JSONL "
-                            "(implies --trace)")
-    fleet.set_defaults(fn=_cmd_fleet)
-
-    chaos = sub.add_parser(
-        "chaos", help="fleet survey under an injected fault plan",
-        parents=[_common_options(seed=0, workers=True, manifest=True)])
-    chaos.add_argument("--plan", default="ci-smoke",
-                       help="named fault plan (see --list-plans)")
-    chaos.add_argument("--servers", type=_servers_arg, default=6)
-    chaos.add_argument("--mem-mib", type=int, default=512)
-    chaos.add_argument("--list-plans", action="store_true",
-                       help="print the named fault plans and exit")
-    chaos.set_defaults(fn=_cmd_chaos)
-
-    trace = sub.add_parser(
-        "trace", help="dump/filter a tracepoint event stream",
-        parents=[_common_options(seed=0)])
-    trace.add_argument("--input", metavar="PATH", default=None,
-                       help="read a JSONL event stream instead of running "
-                            "a workload")
-    trace.add_argument("--match", action="append", metavar="GLOB",
-                       help="only events whose name matches (repeatable)")
-    trace.add_argument("--limit", type=_count_arg("event count", 0),
-                       default=0,
-                       help="print only the last N events")
-    trace.add_argument("--out", metavar="PATH", default=None,
-                       help="write matching events as JSONL instead of "
-                            "pretty-printing")
-    trace.add_argument("--service", default="CacheB",
-                       choices=["Web", "CacheA", "CacheB", "CI"])
-    trace.add_argument("--mem-mib", type=int, default=128)
-    trace.add_argument("--steps", type=int, default=60)
-    trace.set_defaults(fn=_cmd_trace)
-
-    loadgen = sub.add_parser(
-        "loadgen", help="open-loop tail-latency burst (§5.3)",
-        parents=[_common_options(seed=0, manifest=True, json_flag=True),
-                 _checkpoint_options()])
-    loadgen.add_argument("--trace-shape", default="azure-faas",
-                         help="registered trace shape "
-                              "(default: azure-faas)"
-                         ).choices = _LazyChoices(lambda t: t.list_shapes())
-    loadgen.add_argument("--rate", type=float, default=2_000_000.0,
-                         help="offered load in requests/second of "
-                              "simulated time")
-    loadgen.add_argument("--duration", type=float, default=1e-3,
-                         help="burst length in simulated seconds")
-    loadgen.add_argument("--app", default="nginx",
-                         help="interference app profile"
-                         ).choices = _LazyChoices(lambda t: sorted(t.APPS))
-    loadgen.add_argument("--design", default="noncacheable",
-                         help="migration design ('none' = no windows)"
-                         ).choices = _LazyChoices(lambda t: t.DESIGNS)
-    loadgen.add_argument("--migrations", type=float, default=12_000.0,
-                         help="migration windows per simulated second")
-    loadgen.add_argument("--buffer-pages", type=int, default=64,
-                         help="request-buffer working set in pages")
-    loadgen.set_defaults(fn=_cmd_loadgen)
-
-    metrics = sub.add_parser(
-        "metrics", help="pretty-print one run manifest, or diff two",
-        parents=[_common_options(json_flag=True)])
-    metrics.add_argument("manifests", nargs="+", metavar="MANIFEST",
-                         help="one manifest to summarise, or two to diff")
-    metrics.set_defaults(fn=_cmd_metrics)
-
-    lint = sub.add_parser(
-        "lint", help="determinism & invariant static analysis "
-                     "(simlint + deeplint)",
-        parents=[_common_options(json_flag=True)])
-    lint.add_argument("paths", nargs="*", metavar="PATH",
-                      help="files/directories to lint (default: the "
-                           "installed repro package)")
-    lint.add_argument("--list-rules", action="store_true",
-                      help="print the rule catalogue and exit")
-    lint.add_argument("--deep", action="store_true",
-                      help="also run the whole-program passes "
-                           "(DL101-DL104) against docs/OBSERVABILITY.md "
-                           "and docs/API.md")
-    lint.add_argument("--strict", action="store_true",
-                      help="also fail on stale baseline entries, "
-                           "keeping the suppression file honest")
-    lint.add_argument("--sarif", metavar="PATH",
-                      help="write findings as SARIF 2.1.0 to PATH "
-                           "('-' for stdout)")
-    lint.add_argument("--baseline", metavar="PATH",
-                      help="baseline suppression file (default: "
-                           ".deeplint-baseline.json at the contract "
-                           "root, when there is one)")
-    lint.add_argument("--write-baseline", action="store_true",
-                      help="suppress every current finding into the "
-                           "baseline file and exit")
-    lint.add_argument("--docs", metavar="DIR",
-                      help="directory holding OBSERVABILITY.md/API.md "
-                           "(default: discovered by walking up from the "
-                           "linted paths)")
-    lint.set_defaults(fn=_cmd_lint)
 
     experiment = sub.add_parser(
         "experiment", help="declarative experiments with result caching")
@@ -987,7 +667,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  json_flag=True, manifest=True)])
     _experiment_cell_options(erun, force=True)
     erun.add_argument(
-        "--checkpoint-every", type=int, default=0, metavar="N",
+        "--checkpoint-every", type=_cadence_arg, default=0, metavar="N",
         help="mid-cell durability: producers checkpoint every N units "
              "of work under <cache>/checkpoints/<key> and auto-resume "
              "on the next miss of the same cell")
@@ -1004,7 +684,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  json_flag=True, manifest=True)])
     _experiment_cell_options(esweep, force=True)
     esweep.add_argument(
-        "--checkpoint-every", type=int, default=0, metavar="N",
+        "--checkpoint-every", type=_cadence_arg, default=0, metavar="N",
         help="mid-cell durability within each grid cell (see "
              "`experiment run --checkpoint-every`)")
     esweep.set_defaults(fn=_cmd_experiment_sweep)
@@ -1066,7 +746,7 @@ def build_parser() -> argparse.ArgumentParser:
     _scenario_target_options(srun)
     _scenario_select_options(srun, force=True)
     srun.add_argument(
-        "--checkpoint-every", type=int, default=0, metavar="N",
+        "--checkpoint-every", type=_cadence_arg, default=0, metavar="N",
         help="mid-cell durability within each cell (see "
              "`experiment run --checkpoint-every`)")
     srun.set_defaults(fn=_cmd_scenario_run)
@@ -1106,13 +786,72 @@ def build_parser() -> argparse.ArgumentParser:
         "--name", default=None,
         help="store name when DIR holds several (*.ckpt basename)")
     cresume.add_argument(
-        "--checkpoint-every", type=int, default=0, metavar="N",
+        "--checkpoint-every", type=_cadence_arg, default=0, metavar="N",
         help="override the cadence recorded in the checkpoint")
     cresume.add_argument(
         "--manifest", metavar="PATH", default=None,
         help="write the resumed run's manifest JSON to PATH "
              "(overrides the recorded telemetry destination)")
     cresume.set_defaults(fn=_cmd_checkpoint_resume)
+
+    trace = sub.add_parser(
+        "trace", help="dump/filter a tracepoint event stream",
+        parents=[_common_options(seed=0)])
+    trace.add_argument("--input", metavar="PATH", default=None,
+                       help="read a JSONL event stream instead of running "
+                            "a workload")
+    trace.add_argument("--match", action="append", metavar="GLOB",
+                       help="only events whose name matches (repeatable)")
+    trace.add_argument("--limit", type=_count_arg("event count", 0),
+                       default=0,
+                       help="print only the last N events")
+    trace.add_argument("--out", metavar="PATH", default=None,
+                       help="write matching events as JSONL instead of "
+                            "pretty-printing")
+    trace.add_argument("--service", default="CacheB",
+                       choices=["Web", "CacheA", "CacheB", "CI"])
+    trace.add_argument("--mem-mib", type=int, default=128)
+    trace.add_argument("--steps", type=int, default=60)
+    trace.set_defaults(fn=_cmd_trace)
+
+    metrics = sub.add_parser(
+        "metrics", help="pretty-print one run manifest, or diff two",
+        parents=[_common_options(json_flag=True)])
+    metrics.add_argument("manifests", nargs="+", metavar="MANIFEST",
+                         help="one manifest to summarise, or two to diff")
+    metrics.set_defaults(fn=_cmd_metrics)
+
+    lint = sub.add_parser(
+        "lint", help="determinism & invariant static analysis "
+                     "(simlint + deeplint)",
+        parents=[_common_options(json_flag=True)])
+    lint.add_argument("paths", nargs="*", metavar="PATH",
+                      help="files/directories to lint (default: the "
+                           "installed repro package)")
+    lint.add_argument("--list-rules", action="store_true",
+                      help="print the rule catalogue and exit")
+    lint.add_argument("--deep", action="store_true",
+                      help="also run the whole-program passes "
+                           "(DL101-DL104) against docs/OBSERVABILITY.md "
+                           "and docs/API.md")
+    lint.add_argument("--strict", action="store_true",
+                      help="also fail on stale baseline entries, "
+                           "keeping the suppression file honest")
+    lint.add_argument("--sarif", metavar="PATH",
+                      help="write findings as SARIF 2.1.0 to PATH "
+                           "('-' for stdout)")
+    lint.add_argument("--baseline", metavar="PATH",
+                      help="baseline suppression file (default: "
+                           ".deeplint-baseline.json at the contract "
+                           "root, when there is one)")
+    lint.add_argument("--write-baseline", action="store_true",
+                      help="suppress every current finding into the "
+                           "baseline file and exit")
+    lint.add_argument("--docs", metavar="DIR",
+                      help="directory holding OBSERVABILITY.md/API.md "
+                           "(default: discovered by walking up from the "
+                           "linted paths)")
+    lint.set_defaults(fn=_cmd_lint)
 
     return parser
 

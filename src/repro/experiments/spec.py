@@ -28,6 +28,7 @@ cost one simulation.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
@@ -138,8 +139,9 @@ class ExperimentSpec:
         and so does a value whose JSON type is not its default's (an
         integer is taken where the default is a float, anything where
         it is null): ``--set steps=abc`` is refused here, by name, not
-        as a ``TypeError`` somewhere inside the producer.  Nothing is
-        coerced, so the check moves no cache key."""
+        as a ``TypeError`` somewhere inside the producer.  A ``NaN`` or
+        infinite float is refused too: no cache key can hold it.  Nothing
+        is coerced, so the check moves no cache key."""
         config = dict(self.defaults)
         for key, value in (overrides or {}).items():
             if key not in config:
@@ -157,6 +159,10 @@ class ExperimentSpec:
                 raise ConfigurationError(
                     f"experiment {self.name!r}: parameter {key!r} expects "
                     f"{expected}, got {given} {value!r}")
+            if given == "float" and not math.isfinite(value):
+                raise ConfigurationError(
+                    f"experiment {self.name!r}: parameter {key!r} must be "
+                    f"finite, got {value!r}")
             config[key] = value
         return config
 

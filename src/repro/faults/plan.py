@@ -129,7 +129,9 @@ class FaultPlan:
         return rng.random() < spec.rate
 
 
-#: Plans addressable by name from ``repro chaos --plan`` and CI.
+#: Plans addressable by name from ``repro experiment run|sweep|report
+#: --plan``, scenario matrices and CI; an unknown name is refused with
+#: this table's keys.
 NAMED_PLANS: dict[str, FaultPlan] = {
     # Every server's first attempt crashes, migrations are mildly
     # flaky, and two allocations fail after a grace window: the CI

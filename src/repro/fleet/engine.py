@@ -230,7 +230,7 @@ def check_survey_fit(n_servers: int, mem_bytes: int,
             f"({min(resolve_workers(workers), max(1, n_servers))} "
             f"concurrent workers) but only "
             f"{available_bytes >> 20} MiB is available; reduce "
-            f"--servers, --mem-mib, or --workers")
+            f"n_servers, mem_mib, or workers")
     return need
 
 

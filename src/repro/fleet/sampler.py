@@ -27,7 +27,7 @@ from ..mm.page import AllocSource
 from ..run import RunSession
 from ..telemetry import CounterSet
 from .config import FleetConfig
-from .engine import iter_fleet_scans, resolve_workers
+from .engine import check_survey_fit, iter_fleet_scans, resolve_workers
 from .server import ServerConfig, ServerScan
 from .stats import median, pearson
 
@@ -310,6 +310,10 @@ def _run_campaign(kind: str, config: FleetConfig,
     agg = _StreamAggregator()
     identity = _manifest_config(config.n_servers, config.server,
                                 config.base_seed)
+    # Every survey passes here, so every survey is sized before a
+    # worker starts or a checkpoint directory is made.
+    check_survey_fit(config.n_servers, identity["mem_bytes"],
+                     config.workers)
     with RunSession(kind, config, identity, config.telemetry,
                     **checkpointing) as session:
         ckpt = session.restore()

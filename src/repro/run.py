@@ -16,10 +16,9 @@ Everything *around* the loop lives here, once:
 5. :meth:`RunSession.manifest` — assemble (and optionally write) the
    run manifest, checkpoint bookkeeping under ``volatile`` only.
 
-:data:`KINDS` is the registry ``repro checkpoint resume`` and the
-``--checkpoint-*``/``--resume-from`` flags read: adding a run kind is
-one loop that calls into a session plus one row here.  See the "Run
-session" section of docs/INTERNALS.md.
+:data:`KINDS` is the registry ``repro checkpoint resume`` reads:
+adding a run kind is one loop that calls into a session plus one row
+here.  See the "Run session" section of docs/INTERNALS.md.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ import json
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from importlib import import_module
-from typing import Any, Callable
+from typing import Callable
 
 from .errors import CheckpointWriteError, ConfigurationError
 from .telemetry import (
@@ -41,27 +40,6 @@ from .telemetry import (
 )
 
 
-def _render_snapshot(result) -> str:
-    return json.dumps(result.snapshot(), indent=2, sort_keys=True)
-
-
-def _render_fleet(sample) -> str:
-    from .analysis import format_table, percent
-
-    rows = [
-        (gran,
-         percent(sample.fraction_without_any(gran), 0),
-         percent(sample.median_unmovable(gran), 0))
-        for gran in ("2MB", "4MB", "32MB", "1GB")
-    ]
-    table = format_table(
-        ["Granularity", "Servers w/o free block",
-         "Median unmovable blocks"],
-        rows, title=f"Fleet survey over {len(sample.scans)} servers")
-    return (f"{table}\n\nPearson(uptime, free 2MB blocks) = "
-            f"{sample.uptime_correlation():+.3f}")
-
-
 @dataclass(frozen=True)
 class RunKind:
     """One resumable run kind.
@@ -71,20 +49,17 @@ class RunKind:
         manifest_kind: the ``kind`` its run manifest carries.
         door: ``"module:function"`` of the front door, resolved at call
             time so this module imports none of the layers above it.
-        render: ``result -> str``, what ``repro checkpoint resume``
-            prints for a finished run (default: its snapshot as JSON).
     """
 
     name: str
     manifest_kind: str
     door: str
-    render: Callable[[Any], str] = _render_snapshot
 
 
 KINDS: dict[str, RunKind] = {kind.name: kind for kind in (
     RunKind("workload", "workload", "repro.workloads:run_workload"),
     RunKind("loadgen", "loadgen", "repro.workloads:run_loadgen"),
-    RunKind("fleet", "fleet", "repro.fleet:run_fleet", _render_fleet),
+    RunKind("fleet", "fleet", "repro.fleet:run_fleet"),
     RunKind("fleet-survey", "fleet", "repro.fleet:survey_fleet"),
 )}
 
@@ -214,37 +189,6 @@ class RunSession:
         return manifest
 
 
-def checkpoint_flags(kind: str, args) -> dict:
-    """The front-door checkpoint keywords from a verb's shared
-    ``--checkpoint-every`` / ``--checkpoint-dir`` / ``--resume-from``
-    flags (an argparse namespace).
-
-    ``--resume-from DIR`` names the directory *and* asks for
-    resumption; without an explicit cadence the one recorded in the
-    checkpoint's own header is reused (header-only read: never
-    unpickles), so resuming continues exactly as the killed run was
-    configured.  A directory alone defaults to checkpointing every unit
-    of work; a cadence alone is refused, because nothing would be
-    written and the run would only look durable.
-    """
-    directory = args.resume_from or args.checkpoint_dir
-    every = args.checkpoint_every
-    if every and directory is None:
-        raise ConfigurationError(
-            f"--checkpoint-every {every} needs --checkpoint-dir DIR (or "
-            "--resume-from DIR): without a directory nothing is written")
-    if args.resume_from is not None and not every:
-        from .checkpoint import CheckpointStore
-        for desc in CheckpointStore(directory, kind).inspect()["generations"]:
-            if "checkpoint_every" in (desc.get("meta") or {}):
-                every = desc["meta"]["checkpoint_every"]
-                break
-    if directory is not None and not every:
-        every = 1
-    return {"checkpoint_every": every, "checkpoint_dir": directory,
-            "resume": args.resume_from is not None}
-
-
 def load_resumable(directory: str, name: str):
     """The last good checkpoint of store *name*, checked to be
     resumable from its payload alone.
@@ -272,7 +216,7 @@ def load_resumable(directory: str, name: str):
 def resume_run(ckpt, directory: str, *, checkpoint_every: int = 0,
                manifest_path: str | None = None) -> str:
     """Finish the run *ckpt* (from :func:`load_resumable`) belongs to;
-    returns its rendered result.
+    returns its result's snapshot as JSON (indent 2, sorted keys).
 
     ``manifest_path`` rewrites the embedded config's telemetry so the
     resumed run lands its proof-of-identity manifest wherever CI wants
@@ -292,4 +236,4 @@ def resume_run(ckpt, directory: str, *, checkpoint_every: int = 0,
     result = getattr(import_module(module), function)(
         config, checkpoint_dir=directory, resume=True,
         checkpoint_every=checkpoint_every or ckpt.meta["checkpoint_every"])
-    return kind.render(result)
+    return json.dumps(result.snapshot(), indent=2, sort_keys=True)

@@ -455,8 +455,8 @@ class LoadgenResult:
                 for cls, stats in self.summary().items()]
 
     def snapshot(self) -> dict:
-        """JSON-safe outcome: what ``repro loadgen --json`` and a
-        resumed burst print."""
+        """JSON-safe outcome: what ``repro checkpoint resume`` prints
+        for a resumed burst."""
         return {"requests": self.requests,
                 "windows_seen": self.windows_seen,
                 "spikes": self.spikes,

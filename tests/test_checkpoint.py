@@ -840,9 +840,8 @@ class TestCheckpointCli:
     @pytest.mark.parametrize("kind", sorted(_contract_cases()))
     def test_resume_output_per_kind(self, kind, tmp_path, capsys):
         """``repro checkpoint resume`` needs no flags for any kind and
-        prints what it always printed: the fleet table for ``fleet``,
-        the finished run's JSON (indent 2, sorted keys) otherwise."""
-        from repro.analysis import format_table, percent
+        prints the finished run's snapshot as JSON (indent 2, sorted
+        keys)."""
         from repro.cli import main
 
         config, every, _, _ = _contract_cases()[kind]
@@ -856,25 +855,8 @@ class TestCheckpointCli:
             f"# resuming {kind} from step {2 * every} "
             f"({tmp_path}/{kind}.ckpt)\n")
         ref = _run_kind(kind, config)
-        if kind == "fleet":
-            table = format_table(
-                ["Granularity", "Servers w/o free block",
-                 "Median unmovable blocks"],
-                [(gran, percent(ref.fraction_without_any(gran), 0),
-                  percent(ref.median_unmovable(gran), 0))
-                 for gran in ("2MB", "4MB", "32MB", "1GB")],
-                title="Fleet survey over 4 servers")
-            expected = (f"{table}\n\nPearson(uptime, free 2MB blocks) = "
-                        f"{ref.uptime_correlation():+.3f}\n")
-        else:
-            doc = ({"requests": ref.requests,
-                    "windows_seen": ref.windows_seen,
-                    "spikes": ref.spikes,
-                    "achieved_rps": round(ref.achieved_rps, 3),
-                    "rows": ref.rows()} if kind == "loadgen"
-                   else ref.snapshot())
-            expected = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        assert captured.out == expected
+        assert captured.out == json.dumps(
+            ref.snapshot(), indent=2, sort_keys=True) + "\n"
 
     def test_resume_empty_dir_exits(self, tmp_path):
         from repro.cli import main
@@ -882,22 +864,23 @@ class TestCheckpointCli:
         with pytest.raises(SystemExit, match="no checkpoints"):
             main(["checkpoint", "resume", str(tmp_path)])
 
-    @pytest.mark.parametrize("flags, message", [
-        (["--checkpoint-every", "1"],
-         "repro: --checkpoint-every 1 needs --checkpoint-dir DIR"),
-        (["--checkpoint-every", "-3", "--checkpoint-dir", "ck"],
-         "repro: checkpoint_every must be >= 0, got -3"),
-    ], ids=["no-directory", "negative"])
-    def test_unusable_cadence_is_refused(self, flags, message, tmp_path,
-                                         monkeypatch):
-        """A cadence that would write nothing, or at the wrong steps,
-        stops the run before it starts instead of exiting 0."""
+    @pytest.mark.parametrize("flags", [
+        ["--checkpoint-every", "-3", "--resume-from", "ck"],
+    ], ids=["negative"])
+    def test_unusable_cadence_is_refused(self, flags, tmp_path, monkeypatch,
+                                         capsys):
+        """A cadence that would save at the wrong steps stops the run
+        before it starts, by flag name, instead of exiting 0."""
         from repro.cli import main
 
         monkeypatch.chdir(tmp_path)
-        with pytest.raises(SystemExit, match=message):
-            main(["fleet", "--servers", "4", "--mem-mib", "32",
-                  "--workers", "1", *flags])
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "run", "fleet-survey", "--set", "n_servers=4",
+                  "--set", "mem_mib=32", "--workers", "1",
+                  "--cache-dir", "cache", *flags])
+        assert exc.value.code == 2
+        assert ("argument --checkpoint-every: checkpoint cadence must be "
+                ">= 0, got -3") in capsys.readouterr().err
         assert not os.listdir(tmp_path)
 
 

@@ -518,12 +518,17 @@ class TestExperimentCli:
          "parameter 'n_servers' expects integer, got float 2.5"),
         ("workload-steady", "mem_mib=true",
          "parameter 'mem_mib' expects integer, got boolean True"),
+        ("tail-latency-interference", "duration_ms=Infinity",
+         "parameter 'duration_ms' must be finite, got inf"),
+        ("tail-latency-interference", "duration_ms=NaN",
+         "parameter 'duration_ms' must be finite, got nan"),
     ])
     def test_set_of_the_wrong_type_is_refused_by_name(
             self, name, pair, complaint, tmp_path, capsys):
-        """Each of these used to reach the producer: a TypeError from
-        inside WorkloadConfig, one from the fleet engine, and a silent
-        1 MiB machine."""
+        """Each of these used to get past the parameter check: a
+        TypeError from inside WorkloadConfig, one from the fleet engine,
+        a silent 1 MiB machine, and a cache key that cannot hold a
+        non-finite float."""
         with pytest.raises(SystemExit) as info:
             self._run(["experiment", "run", name, "--set", pair],
                       tmp_path, capsys)
@@ -564,6 +569,51 @@ class TestExperimentCli:
         with pytest.raises(SystemExit) as info:
             self._run(argv, tmp_path, capsys)
         assert info.value.code == message
+
+
+class TestSpecFormsOfRemovedVerbs:
+    """``repro fleet``, ``chaos`` and ``loadgen`` went because these
+    specs run the same simulations (docs/API.md, "Removed CLI verbs")."""
+
+    #: The uptimes ``repro fleet`` used: ``ServerConfig``'s defaults.
+    FLEET = {"n_servers": 2, "mem_mib": 64, "min_uptime_steps": 50,
+             "max_uptime_steps": 800}
+
+    def test_fleet_survey_rows_are_the_fleet_verbs_scans(self, cache):
+        from repro.faults import NAMED_PLANS
+        from repro.fleet import FleetConfig, ServerConfig, run_fleet
+        from repro.units import MiB
+
+        rows = run_experiment("fleet-survey", self.FLEET, seed=5,
+                              workers=1, cache=cache).rows
+        sample = run_fleet(FleetConfig(
+            n_servers=2, server=ServerConfig(mem_bytes=MiB(64)),
+            base_seed=5, workers=1))
+        assert canonical_json(rows) == canonical_json(
+            [scan.snapshot() for scan in sample.scans])
+        # `chaos --plan crash-only`: every first attempt dies, the retry
+        # replays the seed, and the rows are the clean rows.
+        crashed = run_experiment("fleet-survey", self.FLEET, seed=5,
+                                 workers=1, cache=cache,
+                                 plan=NAMED_PLANS["crash-only"])
+        assert not crashed.cached
+        assert canonical_json(crashed.rows) == canonical_json(rows)
+
+    def test_tail_latency_rows_are_the_loadgen_verbs_rows(self, cache):
+        from repro.workloads import LoadgenConfig, run_loadgen
+
+        rows = run_experiment("tail-latency-interference",
+                              {"rate_krps": 500, "duration_ms": 0.5},
+                              seed=17, cache=cache).rows
+        burst = run_loadgen(LoadgenConfig(
+            rate_rps=500_000.0, duration_s=0.0005, buffer_pages=8,
+            seed=17))
+        cell = {"shape", "app", "design", "rate_krps", "windows",
+                "achieved_rps"}
+        assert [{k: v for k, v in row.items() if k not in cell}
+                for row in rows] == burst.rows()
+        assert {(row["windows"], row["achieved_rps"]) for row in rows} == {
+            (burst.windows_seen, round(burst.achieved_rps, 3))}
 
 
 #: The committed figure outputs, one ``<spec name with - as _>.txt``

@@ -1,6 +1,7 @@
 """Supervised fleet engine: worker resolution, retries, bit-identity."""
 
 import dataclasses
+import os
 
 import pytest
 
@@ -291,11 +292,9 @@ class TestSurveyFit:
             check_survey_fit(10**6, MiB(512), workers=4,
                              available_bytes=1 << 30)
 
-    @pytest.mark.parametrize("verb", ["fleet", "chaos"])
-    def test_cli_refuses_oversized_survey_before_any_worker(
-            self, monkeypatch, verb):
-        import repro.fleet
-        from repro.cli import main
+    @pytest.fixture
+    def no_room(self, monkeypatch):
+        """64 MiB available, and any server that starts fails the test."""
         from repro.fleet import engine
 
         def started(*args, **kwargs):
@@ -303,14 +302,42 @@ class TestSurveyFit:
 
         monkeypatch.setattr(engine, "_available_memory_bytes",
                             lambda: MiB(64))
-        monkeypatch.setattr(repro.fleet, "run_fleet", started)
-        with pytest.raises(SystemExit) as exit_info:
-            main([verb, "--servers", "5000", "--mem-mib", "4096",
-                  "--workers", "1"])
-        message = exit_info.value.code
-        assert message.startswith("repro: fleet survey of 5000 servers x "
-                                  "4096 MiB needs ~")
-        assert "only 64 MiB is available" in message
+        monkeypatch.setattr(engine, "_scan_payload", started)
+        monkeypatch.setattr(engine, "_scan_chunk", started)
+
+    REFUSED = ("fleet survey of 5000 servers x 4096 MiB needs ~",
+               "only 64 MiB is available; reduce n_servers, mem_mib, or "
+               "workers")
+
+    @pytest.mark.parametrize("plan", [[], ["--plan", "ci-smoke"]],
+                             ids=["fleet", "chaos"])
+    def test_cli_refuses_oversized_survey_before_any_worker(
+            self, no_room, tmp_path, plan):
+        """The survey is sized where every survey passes, so the spec
+        form of a clean or a chaos survey is refused before any server
+        runs or any row is cached."""
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as info:
+            main(["experiment", "run", "fleet-survey", *plan,
+                  "--set", "n_servers=5000", "--set", "mem_mib=4096",
+                  "--workers", "1", "--cache-dir", str(tmp_path)])
+        head, tail = self.REFUSED
+        assert info.value.code.startswith("repro: " + head)
+        assert info.value.code.endswith(tail)
+        assert not os.listdir(tmp_path)
+
+    def test_run_fleet_refuses_oversized_survey_before_any_worker(
+            self, no_room, tmp_path):
+        ckdir = tmp_path / "ck"
+        with pytest.raises(ConfigurationError) as info:
+            run_fleet(FleetConfig(
+                n_servers=5000, server=ServerConfig(mem_bytes=MiB(4096)),
+                workers=1), checkpoint_every=1, checkpoint_dir=str(ckdir))
+        head, tail = self.REFUSED
+        assert str(info.value).startswith(head)
+        assert str(info.value).endswith(tail)
+        assert not ckdir.exists()
 
     def test_estimate_scales_with_workers_not_servers(self):
         one = estimate_survey_bytes(1000, MiB(64), workers=1)

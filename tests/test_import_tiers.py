@@ -65,8 +65,8 @@ def warm(tmp_path_factory):
     for argv in (
             ["scenario", "run", "steady-web", "--smoke",
              "--manifest", str(manifest)],
-            ["loadgen", "--duration", "2e-4", "--checkpoint-every", "1",
-             "--checkpoint-dir", str(ckpt)],
+            ["experiment", "run", "tail-latency-interference",
+             "--set", "duration_ms=0.2", "--resume-from", str(ckpt)],
             ["experiment", "run", "s53-hwcost"],
             ["experiment", "run", "fig11-unmovable"]):
         done = fresh_python(main_body(*argv),
@@ -92,7 +92,6 @@ CASES = {
     "metrics": lambda warm: main_body("metrics", warm["manifest"]),
     "checkpoint-inspect": lambda warm: main_body(
         "checkpoint", "inspect", warm["ckpt"]),
-    "chaos-list-plans": lambda warm: main_body("chaos", "--list-plans"),
     "lint-file": lambda warm: main_body("lint", repro.units.__file__),
     "help": lambda warm: main_body("--help"),
 }

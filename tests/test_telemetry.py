@@ -596,14 +596,20 @@ class TestCliVerbs:
         assert "identical" in capsys.readouterr().out
 
     def test_fleet_verb_writes_artifacts(self, tmp_path, capsys):
+        """The survey's CLI form: per-server rows on stdout and the
+        cell's manifest at ``--manifest`` (an events stream is the
+        Python form's, see ``test_tracing_produces_jsonl_and_manifest``)."""
         from repro.cli import main
 
-        events = tmp_path / "ev.jsonl"
         manifest = tmp_path / "run.json"
-        main(["fleet", "--servers", "2", "--mem-mib", "64",
-              "--workers", "1", "--events", str(events),
-              "--manifest", str(manifest)])
-        out = capsys.readouterr().out
-        assert "Fleet survey" in out
-        assert load_manifest(manifest)["kind"] == "fleet"
-        assert len(read_jsonl(events)) > 0
+        main(["experiment", "run", "fleet-survey", "--set", "n_servers=2",
+              "--set", "mem_mib=64", "--workers", "1", "--json",
+              "--manifest", str(manifest),
+              "--cache-dir", str(tmp_path / "cache")])
+        captured = capsys.readouterr()
+        assert len(json.loads(captured.out)) == 2
+        assert f"# run manifest written to {manifest}" in captured.err
+        written = load_manifest(manifest)
+        assert written["kind"] == "experiment"
+        assert written["config"]["experiment"] == "fleet-survey"
+        assert written["config"]["params"]["n_servers"] == 2

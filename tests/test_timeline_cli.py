@@ -61,22 +61,34 @@ def experiment(tmp_path, capsys):
 
 class TestCli:
     def test_parser_has_all_commands(self):
-        """The front doors and the tools; every figure is an
-        ``experiment run <spec>``, not a verb of its own."""
+        """The scenario and checkpoint front doors and the tools; every
+        simulation is an ``experiment run <spec>``, not a verb of its
+        own."""
         parser = build_parser()
         # argparse stores subparser choices on the last action.
         sub = parser._subparsers._group_actions[0]
-        assert set(sub.choices) == {"fleet", "chaos", "loadgen",
-                                    "experiment", "scenario", "checkpoint",
-                                    "trace", "metrics", "lint"}
+        assert list(sub.choices) == ["experiment", "scenario", "checkpoint",
+                                     "trace", "metrics", "lint"]
+
+    @pytest.mark.parametrize("verb", ["fleet", "chaos", "loadgen"])
+    def test_removed_verbs_are_invalid_choices(self, verb, capsys):
+        """``fleet`` and ``chaos`` are ``experiment run fleet-survey
+        [--plan P]``, ``loadgen`` a ``tail-latency-interference`` cell
+        (docs/API.md, "Removed CLI verbs")."""
+        with pytest.raises(SystemExit) as exc:
+            main([verb])
+        assert exc.value.code == 2
+        assert f"invalid choice: '{verb}'" in capsys.readouterr().err
 
     def test_shared_options_spelled_identically(self):
-        """The consolidated verbs take --seed/--workers/--json/--manifest
-        from one parent parser: same defaults, same validation."""
+        """The verbs take --seed/--workers/--json/--manifest from one
+        parent parser: same defaults, same validation."""
         parser = build_parser()
-        args = parser.parse_args(["fleet", "--seed", "3", "--workers", "2"])
+        args = parser.parse_args(["experiment", "run", "fleet-survey",
+                                  "--seed", "3", "--workers", "2"])
         assert (args.seed, args.workers) == (3, 2)
-        args = parser.parse_args(["chaos", "--seed", "3", "--workers", "2"])
+        args = parser.parse_args(["scenario", "run", "uce-degrade",
+                                  "--seed", "3", "--workers", "2"])
         assert (args.seed, args.workers) == (3, 2)
         args = parser.parse_args(["experiment", "run", "fleet-survey",
                                   "--workers", "2", "--json"])
@@ -86,52 +98,65 @@ class TestCli:
 
     def test_workers_validated_identically(self, capsys):
         parser = build_parser()
-        for argv in (["fleet", "--workers", "0"],
-                     ["chaos", "--workers", "-2"],
+        for argv in (["experiment", "sweep", "x", "--workers", "0"],
+                     ["scenario", "run", "x", "--workers", "-2"],
                      ["experiment", "run", "x", "--workers", "zero"]):
             with pytest.raises(SystemExit):
                 parser.parse_args(argv)
             assert "process count" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("verb", ["fleet", "chaos"])
-    def test_bad_mem_mib_is_one_front_door_error(self, verb):
+    @pytest.mark.parametrize("plan", [[], ["--plan", "ci-smoke"]],
+                             ids=["fleet", "chaos"])
+    def test_bad_mem_mib_is_one_front_door_error(self, plan, tmp_path):
         """Nothing validated ``ServerConfig.mem_bytes``, so 3 MiB was
         every worker's failure: both servers retried through their whole
-        budget and the verb died on the statistics of an empty sample."""
+        budget and the survey died on the statistics of an empty sample
+        — with or without a fault plan."""
         import repro.fleet  # noqa: F401  (tracing arms existing points)
         from repro.telemetry import tracing
 
         with tracing("fleet.server.*") as sink:
             with pytest.raises(SystemExit) as exc:
-                main([verb, "--servers", "2", "--mem-mib", "3",
-                      "--workers", "1"])
+                main(["experiment", "run", "fleet-survey", *plan,
+                      "--set", "n_servers=2", "--set", "mem_mib=3",
+                      "--workers", "1", "--cache-dir", str(tmp_path)])
         assert exc.value.code == ("repro: memory size 3145728 must be a "
                                   "positive multiple of 2097152 bytes")
         assert sink.events() == []
 
     @pytest.mark.parametrize("argv,complaint", [
-        (["fleet", "--servers", "0"],
-         "argument --servers: server count must be >= 1, got 0"),
-        (["chaos", "--servers", "-1"],
-         "argument --servers: server count must be >= 1, got -1"),
+        (["experiment", "run", "s53-hwcost", "--checkpoint-every", "-3"],
+         "argument --checkpoint-every: checkpoint cadence must be >= 0, "
+         "got -3"),
+        (["experiment", "sweep", "s53-hwcost", "--checkpoint-every", "-3"],
+         "argument --checkpoint-every: checkpoint cadence must be >= 0, "
+         "got -3"),
         (["trace", "--limit", "-3"],
          "argument --limit: event count must be >= 0, got -3"),
+        (["scenario", "run", "steady-web", "--checkpoint-every", "-3"],
+         "argument --checkpoint-every: checkpoint cadence must be >= 0, "
+         "got -3"),
+        (["checkpoint", "resume", "ck", "--checkpoint-every", "-3"],
+         "argument --checkpoint-every: checkpoint cadence must be >= 0, "
+         "got -3"),
     ])
     def test_counts_are_refused_by_flag_name(self, argv, complaint,
                                              capsys):
-        """``--servers 0`` used to exit ``repro: empty sample``, and
-        ``--limit -3`` printed everything but the first three events."""
+        """``--limit -3`` printed everything but the first three events,
+        and ``experiment run --checkpoint-every -3`` exited 0."""
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert complaint in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
-        ["chaos", "--plan", "nope"],
+        ["experiment", "run", "fleet-survey", "--plan", "nope"],
         ["experiment", "run", "s53-hwcost", "--plan", "nope"],
         ["experiment", "report", "s53-hwcost", "--plan", "nope"],
     ])
     def test_unknown_plan_is_a_repro_line(self, argv):
+        """The message lists every named plan: the catalogue the CLI
+        has."""
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code.startswith(
@@ -186,24 +211,28 @@ class TestCli:
         assert "contiguitas" in out
         assert "Unmovable" in out and "Free frames" in out
 
-    def test_loadgen_runs(self, capsys):
-        main(["loadgen", "--trace-shape", "steady", "--rate", "500000",
-              "--duration", "0.0005", "--seed", "9"])
-        out = capsys.readouterr().out
-        assert "open-loop tail latency" in out
+    def test_loadgen_runs(self, experiment):
+        out = experiment("tail-latency-interference", "shape=steady",
+                         "rate_krps=500", "duration_ms=0.5")
+        assert "open-loop" in out
         assert "migration" in out and "quiet" in out
-        assert "migration windows" in out
+        assert "Migration windows during the burst" in out
 
-    def test_loadgen_json_deterministic(self, capsys):
-        argv = ["loadgen", "--json", "--trace-shape", "spiky-cache",
-                "--rate", "500000", "--duration", "0.0005", "--seed", "9"]
-        main(argv)
-        first = capsys.readouterr().out
-        main(argv)
-        assert capsys.readouterr().out == first
+    def test_loadgen_json_deterministic(self, tmp_path, capsys):
+        """Two computations against two fresh caches print the same
+        rows."""
         import json
 
-        doc = json.loads(first)
-        assert doc["requests"] > 0
-        assert {row["class"] for row in doc["rows"]} == {
-            "all", "migration", "quiet"}
+        outs = []
+        for cache in ("a", "b"):
+            main(["experiment", "run", "tail-latency-interference",
+                  "--json", "--set", "shape=spiky-cache",
+                  "--set", "rate_krps=500", "--set", "duration_ms=0.5",
+                  "--seed", "9", "--cache-dir", str(tmp_path / cache)])
+            captured = capsys.readouterr()
+            assert "[computed]" in captured.err
+            outs.append(captured.out)
+        assert outs[0] == outs[1]
+        by_class = {row["class"]: row for row in json.loads(outs[0])}
+        assert set(by_class) == {"all", "migration", "quiet"}
+        assert by_class["all"]["requests"] > 0
