@@ -123,70 +123,115 @@ class FrameSanitizer:
 # ---------------------------------------------------------------------------
 
 
+#: Heap rebuilds wait for this many removals (``mm.buddy._COMPACT_MIN``,
+#: restated: this module imports nothing from ``repro.mm``).
+_COMPACT_MIN = 64
+
+
 def verify_allocator(alloc) -> None:
     """Audit one buddy allocator's bookkeeping against the frame arrays.
 
-    Checks, in order:
+    Reads the allocator's free-list table (list ``order * n_types + mt``:
+    ``_head``/``_tail``/``_count``/heaps, linked under ``free_list_id ==
+    _lid0 + list``) and the memory's link columns.  Checks, in order:
 
-    * occupancy-bitmap soundness — a non-empty ``(order, migratetype)``
-      free list must have its ``_occ`` bit set (stale *set* bits over
-      empty lists are legal; they heal lazily);
-    * intrusive-link integrity — each list's own
-      ``check_invariants()`` (next/prev chain closure, membership
-      stamps) when the list implementation provides one;
+    * occupancy bitmaps — bit *o* of ``_occ[mt]`` is set exactly when
+      list (*o*, *mt*) is non-empty;
+    * chain closure — the ``free_next`` walk from each head visits
+      ``count`` frames, each tagged with the list's id and agreeing
+      with ``free_prev``, and ends at the tail;
     * per-entry agreement — every listed head must be marked free at the
-      listed order in ``mem.free_order`` and not allocated;
-    * migratetype agreement — ``mem.free_mt`` must match the list each
-      head actually sits on, and the per-type frame totals derived from
-      the lists must match a recount from the arrays;
-    * ``nr_free`` — the cached total must equal the frames on the lists.
+      listed order in ``mem.free_order`` and not allocated, and
+      ``mem.free_mt`` must match the list it sits on;
+    * heap staleness — an address-mode list's heaps hold at most the
+      rebuild bound of stale entries;
+    * ``list_id`` tags — as many frames carry each list's id as the list
+      counts members;
+    * ``nr_free`` and per-type drift — the cached total must equal the
+      frames on the lists, and the per-type totals a recount from the
+      arrays.
 
     Raises:
         FreelistDivergenceError: structural list/array divergence.
         MigratetypeDriftError: per-type accounting drift.
     """
+    import numpy as np
+
     mem = alloc.mem
+    label = alloc.label
+    nmt = len(alloc._occ)
+    nxt_mv, prv_mv = mem.free_next_mv, mem.free_prev_mv
+    tags = mem.free_list_id_mv
+    free_order, free_mt = mem.free_order_mv, mem.free_mt_mv
     counted = 0
     listed_by_mt: dict[int, int] = {}
-    for order, lists in enumerate(alloc.free_lists):
-        for mt, flist in lists.items():
-            imt = int(mt)
-            if flist and not (alloc._occ[imt] >> order & 1):
+    for li, count in enumerate(alloc._count):
+        order, imt = divmod(li, nmt)
+        where = f"order={order} mt={imt}"
+        if bool(count) != bool(alloc._occ[imt] >> order & 1):
+            raise FreelistDivergenceError(
+                f"{label}: occupancy bit {'clear' if count else 'set'} for "
+                f"{'non-empty' if count else 'empty'} list {where}")
+        ident = alloc._lid0 + li
+        seen, prev, pfn = 0, -1, alloc._head[li]
+        while pfn >= 0:
+            seen += 1
+            if seen > count:
                 raise FreelistDivergenceError(
-                    f"{alloc.label}: occupancy bit clear for non-empty "
-                    f"list order={order} mt={imt}")
-            check = getattr(flist, "check_invariants", None)
-            if check is not None:
-                try:
-                    check()
-                except Exception as exc:
-                    raise FreelistDivergenceError(
-                        f"{alloc.label}: intrusive-list invariants broken "
-                        f"at order={order} mt={imt}: {exc}") from exc
-            for pfn in flist:
-                if mem.free_order[pfn] != order:
-                    raise FreelistDivergenceError(
-                        f"{alloc.label}: listed at order {order} but "
-                        f"free_order[{pfn}] = {mem.free_order[pfn]}",
-                        pfn=pfn)
-                if mem.is_allocated(pfn):
-                    raise FreelistDivergenceError(
-                        f"{alloc.label}: allocated frame on free list "
-                        f"order={order} mt={imt}", pfn=pfn)
-                if mem.free_mt[pfn] != imt:
-                    raise MigratetypeDriftError(
-                        f"{alloc.label}: on mt-{imt} list but "
-                        f"free_mt[{pfn}] = {mem.free_mt[pfn]}", pfn=pfn)
-                counted += 1 << order
-                listed_by_mt[imt] = listed_by_mt.get(imt, 0) + (1 << order)
+                    f"{label}: forward walk of list {where} exceeds its "
+                    f"count {count} (cycle?)", pfn=pfn)
+            if tags[pfn] != ident:
+                raise FreelistDivergenceError(
+                    f"{label}: frame on list {where} tagged list "
+                    f"{tags[pfn]}, expected {ident}", pfn=pfn)
+            if prv_mv[pfn] != prev:
+                raise FreelistDivergenceError(
+                    f"{label}: prev link {prv_mv[pfn]} != expected {prev}",
+                    pfn=pfn)
+            if free_order[pfn] != order:
+                raise FreelistDivergenceError(
+                    f"{label}: listed at order {order} but "
+                    f"free_order[{pfn}] = {free_order[pfn]}", pfn=pfn)
+            if mem.is_allocated(pfn):
+                raise FreelistDivergenceError(
+                    f"{label}: allocated frame on free list {where}",
+                    pfn=pfn)
+            if free_mt[pfn] != imt:
+                raise MigratetypeDriftError(
+                    f"{label}: on mt-{imt} list but "
+                    f"free_mt[{pfn}] = {free_mt[pfn]}", pfn=pfn)
+            prev, pfn = pfn, nxt_mv[pfn]
+        if seen != count:
+            raise FreelistDivergenceError(
+                f"{label}: walk of list {where} found {seen} members, "
+                f"count says {count}")
+        if prev != alloc._tail[li]:
+            raise FreelistDivergenceError(
+                f"{label}: walk of list {where} ended at {prev}, tail says "
+                f"{alloc._tail[li]}")
+        heap = alloc._min_heap[li]
+        if heap is not None:
+            stale = (len(heap) + len(alloc._max_heap[li])) - 2 * count
+            if stale > 2 * max(_COMPACT_MIN, count) + 2:
+                raise FreelistDivergenceError(
+                    f"{label}: heap staleness {stale} of list {where} "
+                    f"exceeds the rebuild bound (live {count})")
+        if count:
+            counted += count << order
+            listed_by_mt[imt] = listed_by_mt.get(imt, 0) + (count << order)
+    lid0, nlists = alloc._lid0, len(alloc._count)
+    tagged = np.bincount(mem.free_list_id, minlength=lid0 + nlists)
+    for li, count in enumerate(alloc._count):
+        if tagged[lid0 + li] != count:
+            raise FreelistDivergenceError(
+                f"{label}: {tagged[lid0 + li]} frames tagged for list "
+                f"order={li // nmt} mt={li % nmt}, count says {count}")
     if counted != alloc.nr_free:
         raise FreelistDivergenceError(
-            f"{alloc.label}: nr_free {alloc.nr_free} != {counted} frames "
+            f"{label}: nr_free {alloc.nr_free} != {counted} frames "
             f"on the lists")
     # Aggregate per-type drift: recount free frames per migratetype from
     # the arrays, restricted to this allocator's range.
-    import numpy as np
-
     start, end = alloc.start_pfn, alloc.end_pfn
     orders = np.asarray(mem.free_order[start:end])
     mts = np.asarray(mem.free_mt[start:end])
@@ -216,9 +261,16 @@ def verify_kernel(kernel) -> None:
         SanitizerError: the handle registry and the frame arrays
             disagree about what is allocated.
     """
+    linked = 0
     for alloc in kernel.allocators():
         verify_allocator(alloc)
+        linked += sum(alloc._count)
     mem = kernel.mem
+    tagged = int((mem.free_list_id != 0).sum())
+    if tagged != linked:
+        raise FreelistDivergenceError(
+            f"{tagged} frames tagged as linked vs {linked} on the "
+            f"allocators' free lists")
     free = mem.free_frames()
     on_lists = kernel.free_frames()
     if free != on_lists:

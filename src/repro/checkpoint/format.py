@@ -69,8 +69,11 @@ MAGIC = b"RPCK"
 #: attribute (its set of allocation heads) that no longer exists.  7: a
 #: slot reclaim freed before anybody named it holds the freed marker
 #: ``~pfn`` — a version-6 build would read the negative int as the PFN
-#: of a live page.
-FORMAT_VERSION = 7
+#: of a live page.  8: the free lists are link columns of
+#: ``PhysicalMemory`` and a table in ``BuddyAllocator`` — a version-7
+#: payload pickles ``FreeList``/``FreelistStore`` objects of a module
+#: that no longer exists.
+FORMAT_VERSION = 8
 
 #: magic + version + header length: the minimum parseable file.
 _PREFIX_LEN = 12

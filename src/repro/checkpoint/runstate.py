@@ -34,16 +34,16 @@ def restore_kernel(kernel) -> None:
     ``LinuxKernel.__init__`` registers a new kernel as the simulated
     clock; unpickling bypasses ``__init__``-side effects on
     process-global registries, so that is redone here.  Then
-    ``FreelistStore.check_invariants`` (every list's link sweep) and
-    ``kernel.check_consistency()`` (``verify_kernel``: occupancy
-    bitmaps, per-migratetype accounting, global free counts) run.
+    ``kernel.check_consistency()`` (``verify_kernel``: every free
+    list's link walk and ``list_id`` tags, occupancy bitmaps,
+    per-migratetype accounting, global free counts, the handle
+    registry) runs.
 
     Raises:
         SimInvariantError: the checkpoint decoded cleanly but encodes a
             state the simulator itself considers impossible.
     """
     set_sim_clock(kernel)
-    kernel.mem.freelists.check_invariants()
     kernel.check_consistency()
 
 

@@ -27,12 +27,9 @@ class StrictPageblockBuddy(BuddyAllocator):
         *mt*, and allocate from it; never split a partially used foreign
         block (that would mix types within 2 MiB)."""
         for fb in fallback_types(mt):
-            flist = self.free_lists[MAX_ORDER][fb]
-            if not flist:
+            if not self._occ[fb] >> MAX_ORDER & 1:
                 continue
-            pfn = self._POP[direction](flist)
-            self.mem.free_order[pfn] = -1
-            self.nr_free -= 1 << MAX_ORDER
+            pfn = self._take(MAX_ORDER, fb, direction)
             self.stat.inc(ev.ALLOC_FALLBACK)
             self.pageblocks.set(pfn, mt)
             self.stat.inc(ev.PAGEBLOCK_STEAL)

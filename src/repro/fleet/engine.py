@@ -170,7 +170,7 @@ def resolve_workers(workers: int | None = None) -> int:
 
 
 #: Rough per-frame bookkeeping cost of one simulated server: the packed
-#: frame arrays (~22 B) plus the intrusive freelist store (~20 B) plus
+#: frame arrays (~22 B) plus the free-list link columns (~20 B) plus
 #: Python-object slack, rounded up.  Deliberately conservative — the
 #: footprint check must never green-light a survey that then OOMs.
 _BYTES_PER_FRAME = 64

@@ -8,7 +8,6 @@ stealing, compaction, reclaim, THP, and contiguous-range allocation.
 from .buddy import BuddyAllocator
 from .compaction import CompactionResult, Compactor
 from .contig import EvacuationResult, RangeEvacuator
-from .freelist import FreeList
 from .handle import HandleRegistry, PageHandle
 from .hugetlb import HugeTLBPool, HugeTLBStats
 from .kernel import DEFAULT_MIGRATETYPE, KernelConfig, LinuxKernel
@@ -31,7 +30,6 @@ __all__ = [
     "Compactor",
     "DEFAULT_MIGRATETYPE",
     "EvacuationResult",
-    "FreeList",
     "HandleRegistry",
     "HugeTLBPool",
     "HugeTLBStats",

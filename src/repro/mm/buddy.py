@@ -15,9 +15,46 @@ One :class:`BuddyAllocator` manages a contiguous, pageblock-aligned range of
 frames.  The stock Linux kernel uses a single allocator over all memory;
 Contiguitas instantiates two (movable / unmovable region) and moves
 pageblocks between them when the region boundary shifts.
+
+Free lists.  Linux threads its free lists through ``struct page`` —
+the list nodes *are* the frames — and so does this allocator: the
+links are the ``free_next``/``free_prev``/``free_list_id`` columns of
+:class:`~repro.mm.physmem.PhysicalMemory`, and each list's head, tail,
+member count and address heaps are one row of a flat table in the
+allocator, list ``order * 3 + migratetype``.  Membership, append,
+unlink and the LIFO pop are O(1) column reads and writes.  Why three
+pops exist:
+
+* ``"lifo"`` is stock Linux: a freed block is appended at the tail and
+  the next allocation takes it.  That temporal order is what scatters
+  allocations across the address space on a busy machine, so the
+  Linux-baseline fragmentation depends on it.
+* ``"low"`` / ``"high"`` give address order, which Contiguitas's
+  placement policy needs — "the free block farthest from the region
+  border" means ordered extraction from either end.
+
+Address order is two-mode.  A list serving only LIFO pops (every stock
+Linux list) carries no heap bookkeeping.  The first address pop builds a
+min/max heap pair by walking the list's own chain and sorting it —
+O(len(list)), never a scan of a per-frame column.  From then on the list
+stays in address mode: links push eagerly and unlinks leave stale
+entries, which pops recognise by ``free_list_id``.  Once removals since
+the last rebuild exceed ``max(_COMPACT_MIN, live)`` the heaps are
+rebuilt from the live set, and a list that empties clears its heaps in
+place and keeps them.  Pops are value-based, so neither changes a pop
+order.
+
+Invariants (:func:`repro.analysis.sanitizer.verify_allocator` audits
+them): a frame's ``free_list_id`` names list *l* exactly when it is
+linked on *l*; the walk from a head closes through the links at its
+tail after ``count`` members; ``free_order``/``free_mt`` of a member name
+its list; bit *o* of ``_occ[mt]`` is set exactly when list (*o*, *mt*)
+is non-empty; heap staleness stays within the rebuild bound.
 """
 
 from __future__ import annotations
+
+from heapq import heappop, heappush
 
 import numpy as np
 
@@ -27,10 +64,15 @@ from ..telemetry import tracepoint
 from ..units import MAX_ORDER, PAGEBLOCK_FRAMES
 from . import vmstat as ev
 from .fallback import fallback_types, should_steal_pageblock
-from .freelist import FreeList
 from .page import AllocSource, MigrateType
 from .pageblock import PageblockTable
-from .physmem import PhysicalMemory
+from .physmem import (
+    _F_ALLOCATED,
+    _F_HEAD,
+    _F_PINNED,
+    _SCALAR_MARK_ORDER,
+    PhysicalMemory,
+)
 
 # Tracepoints at the allocator's decision points (docs/OBSERVABILITY.md).
 # Call sites guard on ``.enabled`` so the disabled path never builds
@@ -47,6 +89,13 @@ _tp_steal = tracepoint("mm.buddy.steal")
 _fs_watermark = fault_site("mm.buddy.watermark")
 
 _EMPTY_PFNS = np.empty(0, dtype=np.int64)
+
+_NMT = len(MigrateType)
+#: One free list per (order, migrate type): list ``order * _NMT + mt``.
+_NLISTS = (MAX_ORDER + 1) * _NMT
+#: Heap rebuilds never trigger below this many removals, so small lists
+#: are not churned; above it, a >50 % stale fraction triggers one.
+_COMPACT_MIN = 64
 
 
 class BuddyAllocator:
@@ -90,25 +139,23 @@ class BuddyAllocator:
         self.prefer = prefer
         self.label = label
 
-        # One intrusive list per (order, migratetype), all threaded
-        # through the shared per-frame link arrays on ``mem.freelists``
-        # (sibling allocators over the same memory share the store; list
-        # ids keep their memberships disjoint).
-        store = mem.freelists
-        self.free_lists: list[dict[MigrateType, FreeList]] = [
-            {mt: store.new_list() for mt in MigrateType}
-            for _ in range(MAX_ORDER + 1)
-        ]
-        #: Per-migratetype occupancy bitmaps: bit *o* of ``_occ[int(mt)]``
-        #: is set when ``free_lists[o][mt]`` *may* be non-empty.  The
-        #: bitmap is conservative — bits are set eagerly on insert and
-        #: cleared lazily when a lookup observes an empty list — so
-        #: subclasses and external capture paths that pop from the
-        #: :class:`FreeList` objects directly can never make it unsound,
-        #: only momentarily loose.  ``_rmqueue`` / ``_alloc_fallback`` /
-        #: ``largest_free_order`` use it to skip empty (order, type)
-        #: pairs without touching the dicts at all.
-        self._occ: list[int] = [0] * len(MigrateType)
+        # The free-list table, one row per list.  List ``li`` links its
+        # frames under ``free_list_id == _lid0 + li``.
+        self._lid0 = mem.reserve_list_ids(_NLISTS)
+        self._head = [-1] * _NLISTS
+        self._tail = [-1] * _NLISTS
+        self._count = [0] * _NLISTS
+        #: Address heaps (min, and max as negated PFNs); ``None`` while
+        #: the list has only ever served LIFO pops.
+        self._min_heap: list[list[int] | None] = [None] * _NLISTS
+        self._max_heap: list[list[int] | None] = [None] * _NLISTS
+        #: Unlinks since the last heap rebuild — an upper bound on the
+        #: stale entries in either heap.
+        self._removals = [0] * _NLISTS
+        #: Per-migratetype occupancy bitmaps: bit *o* of ``_occ[mt]`` is
+        #: set exactly when list (*o*, *mt*) is non-empty, so a search
+        #: visits only the orders that can serve it.
+        self._occ: list[int] = [0] * _NMT
         #: Free frames currently held on this allocator's lists.
         self.nr_free = 0
 
@@ -212,6 +259,51 @@ class BuddyAllocator:
             self.stat.inc(ev.ALLOC_FAIL)
             return None
         direction = prefer or self.prefer
+        if order > _SCALAR_MARK_ORDER or not self._count[
+                order * _NMT + migratetype]:
+            return self._alloc_split(order, migratetype, source, now, pinned,
+                                     direction)
+        # Hot: a hit on the requested list needs no split, and a block
+        # of at most eight frames is marked through the memoryviews here
+        # (mark_allocated's scalar path, same checks and typed error).
+        pfn = self._take(order, migratetype, direction)
+        mem = self.mem
+        flags_mv = mem.flags_mv
+        body = (_F_ALLOCATED | _F_PINNED) if pinned else _F_ALLOCATED
+        if order:
+            end = pfn + (1 << order)
+            mt_mv, source_mv = mem.migratetype_mv, mem.source_mv
+            head_mv = mem.head_of_mv
+            for p in range(pfn, end):
+                if flags_mv[p]:
+                    mem._raise_double_alloc(pfn, order)
+            for p in range(pfn, end):
+                flags_mv[p] = body
+                mt_mv[p] = migratetype
+                source_mv[p] = source
+                head_mv[p] = pfn
+        else:
+            if flags_mv[pfn]:
+                mem._raise_double_alloc(pfn, 0)
+            mem.migratetype_mv[pfn] = migratetype
+            mem.source_mv[pfn] = source
+            mem.head_of_mv[pfn] = pfn
+        flags_mv[pfn] = body | _F_HEAD
+        mem.alloc_order_mv[pfn] = order
+        mem.birth_mv[pfn] = now
+        if mem.sanitizer is not None:
+            mem.sanitizer.note_alloc(pfn, order, now)
+        self.stat.inc(ev.ALLOC_SUCCESS)
+        if _tp_alloc.enabled:
+            _tp_alloc.emit(ts=now, pfn=pfn, order=order,
+                           mt=int(migratetype), source=int(source),
+                           label=self.label)
+        return pfn
+
+    def _alloc_split(self, order, migratetype, source, now, pinned,
+                     direction) -> int | None:
+        """:meth:`alloc` when the requested list cannot serve it as is:
+        split a larger block, else fall back, else fail."""
         pfn = self._rmqueue(order, migratetype, direction)
         if pfn is None and self.fallback_enabled:
             pfn = self._alloc_fallback(order, migratetype, direction)
@@ -247,7 +339,15 @@ class BuddyAllocator:
         *current* migrate type and is merged with free buddies up to
         pageblock size.
         """
-        order = self.mem.mark_free(pfn)
+        mem = self.mem
+        order = mem.alloc_order_mv[pfn]
+        if order:   # not an order-0 head: mark_free clears or refuses it
+            order = mem.mark_free(pfn)
+        else:
+            mem.flags_mv[pfn] = 0
+            mem.alloc_order_mv[pfn] = -1
+            if mem.sanitizer is not None:
+                mem.sanitizer.note_free(pfn, 0)
         self.stat.inc(ev.PAGES_FREED, 1 << order)
         if _tp_free.enabled:
             _tp_free.emit(pfn=pfn, order=order, label=self.label)
@@ -258,9 +358,16 @@ class BuddyAllocator:
         """:meth:`free` of each order-0 allocation headed in *pfns*, in
         order — same marks, counters, tracepoints and free lists — with
         one counter bump and one cascade call for the run."""
-        mark_free = self.mem.mark_free
+        mem = self.mem
+        flags_mv, order_mv = mem.flags_mv, mem.alloc_order_mv
+        san = mem.sanitizer
         for pfn in pfns:
-            mark_free(pfn)
+            if order_mv[pfn]:   # the run holds order-0 heads only
+                mem._raise_bad_free(pfn)
+            flags_mv[pfn] = 0
+            order_mv[pfn] = -1
+            if san is not None:
+                san.note_free(pfn, 0)
         self.stat.inc(ev.PAGES_FREED, len(pfns))
         if _tp_free.enabled:
             for pfn in pfns:
@@ -273,16 +380,20 @@ class BuddyAllocator:
         self.free_blocks((pfn,), order)
 
     def free_blocks(self, pfns, order: int) -> None:
-        """:meth:`free_block` of each head in *pfns*, in order."""
-        # Hot: every guard is resolved once per call, not once per block
-        # or merge level (the loop body is _remove_free inlined, the
-        # tail is _insert_free inlined).
+        """:meth:`free_block` of each head in *pfns*, in order: the one
+        merge cascade."""
+        # Hot: every guard is resolved once per call, and the unlink of
+        # each merged buddy and the final link are written out over the
+        # columns and the list table.
         mem = self.mem
         free_order, free_mt = mem.free_order_mv, mem.free_mt_mv
+        nxt_mv, prv_mv = mem.free_next_mv, mem.free_prev_mv
+        lid_mv = mem.free_list_id_mv
         start_pfn = self.start_block * PAGEBLOCK_FRAMES
         end_pfn = self.end_block * PAGEBLOCK_FRAMES
-        lists, occ = self.free_lists, self._occ
-        mt_of = self.pageblocks.get_int
+        head, tail, count = self._head, self._tail, self._count
+        min_heap, occ, lid0 = self._min_heap, self._occ, self._lid0
+        block_mt = self.pageblocks._types_mv
         first = order
         for pfn in pfns:
             order = first
@@ -292,24 +403,54 @@ class BuddyAllocator:
                         or free_order[buddy] != order):
                     break
                 imt = free_mt[buddy]
-                flist = lists[order][imt]
-                if not flist.discard(buddy):
+                li = order * _NMT + imt
+                if lid_mv[buddy] != lid0 + li:
                     self._raise_not_on_list(buddy, order, imt)
-                if not flist._count:
+                nxt = nxt_mv[buddy]
+                prv = prv_mv[buddy]
+                if prv >= 0:
+                    nxt_mv[prv] = nxt
+                else:
+                    head[li] = nxt
+                if nxt >= 0:
+                    prv_mv[nxt] = prv
+                else:
+                    tail[li] = prv
+                lid_mv[buddy] = 0
+                n = count[li] = count[li] - 1
+                if not n:
                     occ[imt] &= ~(1 << order)
+                if min_heap[li] is not None:
+                    self._shrink_heaps(li, n)
                 free_order[buddy] = -1
                 if buddy < pfn:
                     pfn = buddy
                 order += 1
-            imt = mt_of(pfn)
-            lists[order][imt].add(pfn)
+            imt = block_mt[pfn // PAGEBLOCK_FRAMES]
+            li = order * _NMT + imt
+            if lid_mv[pfn]:
+                self._raise_linked(pfn)
+            lid_mv[pfn] = lid0 + li
+            last = tail[li]
+            prv_mv[pfn] = last
+            nxt_mv[pfn] = -1
+            if last >= 0:
+                nxt_mv[last] = pfn
+            else:
+                head[li] = pfn
+            tail[li] = pfn
+            count[li] += 1
             occ[imt] |= 1 << order
+            heap = min_heap[li]
+            if heap is not None:
+                heappush(heap, pfn)
+                heappush(self._max_heap[li], -pfn)
             free_order[pfn] = order
             free_mt[pfn] = imt
         self.nr_free += len(pfns) << first
 
     # ------------------------------------------------------------------
-    # Bulk order-0 paths (cache warming, PCP refill, churn benchmarks)
+    # Bulk order-0 paths (cache warming, PCP refill)
     # ------------------------------------------------------------------
 
     def take_free_bulk(self, count: int, migratetype: MigrateType) -> np.ndarray:
@@ -337,50 +478,51 @@ class BuddyAllocator:
         if self.prefer != "lifo":
             out = []
             while len(out) < count:
-                pfn = self._rmqueue(0, migratetype, self.prefer)
+                pfn = self._rmqueue(0, imt, self.prefer)
                 if pfn is None:
                     break
                 out.append(pfn)
             return np.asarray(out, dtype=np.int64) if out else _EMPTY_PFNS
-        occ = self._occ
-        lists0 = self.free_lists[0]
-        free_order = self.mem.free_order
+        mem = self.mem
+        prv_mv = mem.free_prev_mv
+        occ, live = self._occ, self._count
         chunks: list[np.ndarray] = []
         got = 0
         while got < count:
-            flist = lists0[imt]
-            if flist:
-                batch = flist.pop_many_lifo(count - got)
-                free_order[batch] = -1
-                self.nr_free -= batch.size
-                got += batch.size
-                chunks.append(batch)
-                if not flist:
+            n = live[imt]             # the order-0 list: li == imt
+            if n:
+                # Walk k members back from the tail: the LIFO pops.
+                k = min(n, count - got)
+                pfn = self._tail[imt]
+                out = []
+                for _ in range(k):
+                    out.append(pfn)
+                    pfn = prv_mv[pfn]
+                batch = np.asarray(out, dtype=np.int64)
+                mem.free_list_id[batch] = 0
+                mem.free_order[batch] = -1
+                self._tail[imt] = pfn
+                if pfn >= 0:
+                    mem.free_next_mv[pfn] = -1
+                else:
+                    self._head[imt] = -1
+                live[imt] = n - k
+                if n == k:
                     occ[imt] &= ~1
+                if self._min_heap[imt] is not None:
+                    self._shrink_heaps(imt, n - k, k)
+                self.nr_free -= k
+                got += k
+                chunks.append(batch)
                 continue
-            occ[imt] &= ~1
-            # Lowest non-empty higher order — the scalar bit-scan.
-            bits = occ[imt] >> 1 << 1
-            o = -1
-            while bits:
-                cand = (bits & -bits).bit_length() - 1
-                bits &= bits - 1
-                fl2 = self.free_lists[cand][imt]
-                if fl2:
-                    o = cand
-                    break
-                occ[imt] &= ~(1 << cand)
-            if o < 0:
+            bits = occ[imt] >> 1
+            if not bits:
                 break
+            o = (bits & -bits).bit_length()     # lowest non-empty order
             size = 1 << o
             if size > count - got:
                 break  # leave partial blocks to the scalar path
-            fl2 = self.free_lists[o][imt]
-            pfn = fl2.pop_lifo()
-            if not fl2:
-                occ[imt] &= ~(1 << o)
-            self.mem.free_order_mv[pfn] = -1
-            self.nr_free -= size
+            pfn = self._take(o, imt, "lifo")
             chunks.append(
                 np.arange(pfn + size - 1, pfn - 1, -1, dtype=np.int64))
             got += size
@@ -418,58 +560,6 @@ class BuddyAllocator:
                                mt=int(migratetype), source=int(source),
                                label=self.label)
         return pfns
-
-    def free_bulk(self, pfns) -> None:
-        """Free order-0 allocations headed at *pfns* in one pass.
-
-        Order-normalised variant of ``for p in pfns: self.free(p)``: the
-        batch is sorted, split into maximal contiguous runs, and each
-        run is decomposed into its aligned power-of-two blocks — exactly
-        the fixed point the scalar merge cascade reaches for frames
-        whose buddies are also in the batch (buddy merging is confluent,
-        so the normal form does not depend on free order).  Decomposed
-        blocks whose outside buddy is free at the same order continue
-        through the scalar cascade; the rest are inserted directly.  The
-        final free-block set matches a scalar free loop; temporal list
-        order within the batch differs — callers that need bit-identical
-        trajectories with scalar frees keep using :meth:`free`.
-        """
-        arr = np.asarray(pfns, dtype=np.int64)
-        if arr.size == 0:
-            return
-        mem = self.mem
-        mem.mark_free_bulk(arr)
-        self.stat.inc(ev.PAGES_FREED, arr.size)
-        if _tp_free.enabled:
-            for p in arr.tolist():
-                _tp_free.emit(pfn=p, order=0, label=self.label)
-        srt = np.sort(arr) if arr.size > 1 else arr
-        gaps = np.diff(srt)
-        if gaps.size and not gaps.all():
-            raise ConfigurationError("free_bulk: duplicate pfn in batch")
-        run_starts = np.concatenate(
-            ([0], np.flatnonzero(gaps != 1) + 1, [srt.size]))
-        free_order_mv = mem.free_order_mv
-        start_pfn, end_pfn = self.start_pfn, self.end_pfn
-        for i in range(run_starts.size - 1):
-            s = int(srt[run_starts[i]])
-            n = int(run_starts[i + 1] - run_starts[i])
-            while n:
-                # Largest aligned block at s that fits in the run.
-                k = (s & -s).bit_length() - 1 if s else MAX_ORDER
-                if k > MAX_ORDER:
-                    k = MAX_ORDER
-                while (1 << k) > n:
-                    k -= 1
-                buddy = s ^ (1 << k)
-                if (k < MAX_ORDER and start_pfn <= buddy < end_pfn
-                        and free_order_mv[buddy] == k):
-                    # Cascade continues outside the batch.
-                    self.free_block(s, k)
-                else:
-                    self._insert_free(s, k, self.pageblocks.get_int(s))
-                s += 1 << k
-                n -= 1 << k
 
     # ------------------------------------------------------------------
     # Targeted free-block capture (compaction / contig ranges / resizing)
@@ -521,139 +611,204 @@ class BuddyAllocator:
     # Internals
     # ------------------------------------------------------------------
 
-    #: Direction -> unbound FreeList pop method (dispatch table beats an
-    #: if-chain on the hot path).
-    _POP = {
-        "low": FreeList.pop_lowest,
-        "high": FreeList.pop_highest,
-        "lifo": FreeList.pop_lifo,
-    }
-
-    def _rmqueue(self, order: int, mt: MigrateType, direction: str) -> int | None:
+    def _rmqueue(self, order: int, mt: MigrateType | int,
+                 direction: str) -> int | None:
         """Pop the best free block of *mt* at order >= *order* and split."""
-        imt = int(mt)
-        occ = self._occ
-        pop = self._POP[direction]
-        # Exact-order fast path: the overwhelmingly common case is a hit
-        # on the requested order's own list, with no split needed (so it
-        # reads the list's count slot: truth-testing is a Python call).
-        if occ[imt] >> order & 1:
-            flist = self.free_lists[order][imt]
-            if flist._count:
-                pfn = pop(flist)
-                if not flist._count:
-                    occ[imt] &= ~(1 << order)
-                self.mem.free_order_mv[pfn] = -1
-                self.nr_free -= 1 << order
-                return pfn
-            occ[imt] &= ~(1 << order)  # stale bit: heal it
-        # Candidate orders > order, lowest first — same visit sequence
-        # as a full range scan, minus the empty lists.
-        bits = occ[imt] >> (order + 1) << (order + 1)
-        while bits:
-            o = (bits & -bits).bit_length() - 1
-            bits &= bits - 1
-            flist = self.free_lists[o][imt]
-            if not flist:
-                occ[imt] &= ~(1 << o)
-                continue
-            pfn = pop(flist)
-            if not flist:
-                occ[imt] &= ~(1 << o)
-            self.mem.free_order_mv[pfn] = -1
-            self.nr_free -= 1 << o
-            return self._expand(pfn, o, order, mt, direction)
-        return None
+        if self._count[order * _NMT + mt]:
+            return self._take(order, mt, direction)
+        bits = self._occ[mt] >> (order + 1)
+        if not bits:
+            return None
+        o = order + (bits & -bits).bit_length()   # lowest order above
+        return self._expand(self._take(o, mt, direction), o, order, mt,
+                            direction)
 
     def _alloc_fallback(self, order: int, mt: MigrateType, direction: str) -> int | None:
         """Steal from another migrate type, largest blocks first (Linux's
         ``__rmqueue_fallback``), optionally claiming the whole pageblock."""
         fbs = fallback_types(mt)
         occ = self._occ
-        combined = 0
+        bits = 0
         for fb in fbs:
-            combined |= occ[int(fb)]
-        # Candidate orders <= MAX_ORDER, highest first, skipping orders
-        # where every fallback list is empty.
-        bits = combined >> order << order
-        while bits:
-            o = bits.bit_length() - 1
-            bits &= ~(1 << o)
-            for fb in fbs:
-                flist = self.free_lists[o][fb]
-                if not flist:
-                    occ[int(fb)] &= ~(1 << o)
-                    continue
-                pfn = self._POP[direction](flist)
-                if not flist:
-                    occ[int(fb)] &= ~(1 << o)
-                self.mem.free_order_mv[pfn] = -1
-                self.nr_free -= 1 << o
-                self.stat.inc(ev.ALLOC_FALLBACK)
-                if _tp_fallback.enabled:
-                    _tp_fallback.emit(pfn=pfn, have_order=o, want_order=order,
-                                      from_mt=int(fb), to_mt=int(mt),
-                                      label=self.label)
-                if should_steal_pageblock(mt, o):
-                    block = self.mem.pageblock_of(pfn)
-                    if self.pageblocks.get_block(block) != mt:
-                        self.move_freepages_block(block, mt)
-                        self.stat.inc(ev.PAGEBLOCK_STEAL)
-                        if _tp_steal.enabled:
-                            _tp_steal.emit(block=block, to_mt=int(mt),
-                                           label=self.label)
-                    tail_mt = mt
-                else:
-                    tail_mt = fb
-                return self._expand(pfn, o, order, mt, direction,
-                                    tail_mt=tail_mt)
-        return None
+            bits |= occ[fb]
+        bits >>= order
+        if not bits:
+            return None
+        o = order + bits.bit_length() - 1
+        fb = next(fb for fb in fbs if occ[fb] >> o & 1)
+        pfn = self._take(o, fb, direction)
+        self.stat.inc(ev.ALLOC_FALLBACK)
+        if _tp_fallback.enabled:
+            _tp_fallback.emit(pfn=pfn, have_order=o, want_order=order,
+                              from_mt=int(fb), to_mt=int(mt),
+                              label=self.label)
+        if should_steal_pageblock(mt, o):
+            block = self.mem.pageblock_of(pfn)
+            if self.pageblocks.get_block(block) != mt:
+                self.move_freepages_block(block, mt)
+                self.stat.inc(ev.PAGEBLOCK_STEAL)
+                if _tp_steal.enabled:
+                    _tp_steal.emit(block=block, to_mt=int(mt),
+                                   label=self.label)
+            halves_mt = mt
+        else:
+            halves_mt = fb
+        return self._expand(pfn, o, order, halves_mt, direction)
 
     def _expand(
         self,
         pfn: int,
         have_order: int,
         want_order: int,
-        mt: MigrateType,
+        imt: MigrateType | int,
         direction: str,
-        tail_mt: MigrateType | None = None,
     ) -> int:
         """Split a captured block of *have_order* down to *want_order*,
-        returning unused halves to the free lists.
+        returning unused halves to migrate type *imt*'s free lists.
 
         With ``direction == "high"`` the caller receives the highest-addressed
         sub-block so that a high-preferring allocator fills memory from the
         top down.
         """
-        tail_mt = mt if tail_mt is None else tail_mt
+        mem = self.mem
+        nxt_mv, prv_mv = mem.free_next_mv, mem.free_prev_mv
+        lid_mv = mem.free_list_id_mv
+        head, tail, count = self._head, self._tail, self._count
+        min_heap, lid0 = self._min_heap, self._lid0
+        low = direction == "low"
         for o in range(have_order - 1, want_order - 1, -1):
-            if direction == "low":
-                self._insert_free(pfn + (1 << o), o, tail_mt)
+            if low:
+                half = pfn + (1 << o)
             else:
-                self._insert_free(pfn, o, tail_mt)
+                half = pfn
                 pfn += 1 << o
+            li = o * _NMT + imt
+            if lid_mv[half]:
+                self._raise_linked(half)
+            lid_mv[half] = lid0 + li
+            last = tail[li]
+            prv_mv[half] = last
+            nxt_mv[half] = -1
+            if last >= 0:
+                nxt_mv[last] = half
+            else:
+                head[li] = half
+            tail[li] = half
+            count[li] += 1
+            heap = min_heap[li]
+            if heap is not None:
+                heappush(heap, half)
+                heappush(self._max_heap[li], -half)
+            mem.free_order_mv[half] = o
+            mem.free_mt_mv[half] = imt
+        self._occ[imt] |= (1 << have_order) - (1 << want_order)
+        self.nr_free += (1 << have_order) - (1 << want_order)
         return pfn
 
+    def _take(self, order: int, mt: MigrateType | int,
+              direction: str) -> int:
+        """Unlink the head *direction* picks from non-empty list
+        (*order*, *mt*) — its newest (``"lifo"``), lowest or highest —
+        and clear its free-head mark; returns it."""
+        li = order * _NMT + mt
+        mem = self.mem
+        nxt_mv, prv_mv = mem.free_next_mv, mem.free_prev_mv
+        if direction == "lifo":
+            pfn = self._tail[li]
+            nxt = -1
+        else:
+            lid_mv = mem.free_list_id_mv
+            ident = self._lid0 + li
+            if self._min_heap[li] is None:
+                self._build_heaps(li)
+            # A heap entry is live while the frame is still on this list.
+            if direction == "low":
+                heap = self._min_heap[li]
+                pfn = heappop(heap)
+                while lid_mv[pfn] != ident:
+                    pfn = heappop(heap)
+            else:
+                heap = self._max_heap[li]
+                pfn = -heappop(heap)
+                while lid_mv[pfn] != ident:
+                    pfn = -heappop(heap)
+            nxt = nxt_mv[pfn]
+        prv = prv_mv[pfn]
+        if prv >= 0:
+            nxt_mv[prv] = nxt
+        else:
+            self._head[li] = nxt
+        if nxt >= 0:
+            prv_mv[nxt] = prv
+        else:
+            self._tail[li] = prv
+        mem.free_list_id_mv[pfn] = 0
+        n = self._count[li] = self._count[li] - 1
+        if not n:
+            self._occ[mt] &= ~(1 << order)
+        if self._min_heap[li] is not None:
+            self._shrink_heaps(li, n)
+        mem.free_order_mv[pfn] = -1
+        self.nr_free -= 1 << order
+        return pfn
+
+    def _link(self, li: int, pfn: int) -> None:
+        """Append *pfn*, which no list links, at list *li*'s tail."""
+        mem = self.mem
+        lid_mv = mem.free_list_id_mv
+        if lid_mv[pfn]:
+            self._raise_linked(pfn)
+        lid_mv[pfn] = self._lid0 + li
+        last = self._tail[li]
+        mem.free_prev_mv[pfn] = last
+        mem.free_next_mv[pfn] = -1
+        if last >= 0:
+            mem.free_next_mv[last] = pfn
+        else:
+            self._head[li] = pfn
+        self._tail[li] = pfn
+        self._count[li] += 1
+        self._occ[li % _NMT] |= 1 << li // _NMT
+        if self._min_heap[li] is not None:
+            heappush(self._min_heap[li], pfn)
+            heappush(self._max_heap[li], -pfn)
+
+    def _unlink(self, li: int, pfn: int) -> None:
+        """Remove member *pfn* from list *li*."""
+        mem = self.mem
+        nxt_mv, prv_mv = mem.free_next_mv, mem.free_prev_mv
+        nxt = nxt_mv[pfn]
+        prv = prv_mv[pfn]
+        if prv >= 0:
+            nxt_mv[prv] = nxt
+        else:
+            self._head[li] = nxt
+        if nxt >= 0:
+            prv_mv[nxt] = prv
+        else:
+            self._tail[li] = prv
+        mem.free_list_id_mv[pfn] = 0
+        n = self._count[li] = self._count[li] - 1
+        if not n:
+            self._occ[li % _NMT] &= ~(1 << li // _NMT)
+        if self._min_heap[li] is not None:
+            self._shrink_heaps(li, n)
+
     def _insert_free(self, pfn: int, order: int, mt: MigrateType | int) -> None:
-        # ``mt`` may be a plain int on hot paths; IntEnum keys hash and
-        # compare equal to their values, so the dict lookup is identical.
-        imt = int(mt)
-        self.free_lists[order][imt].add(pfn)
-        self._occ[imt] |= 1 << order
+        self._link(order * _NMT + mt, pfn)
         mem = self.mem
         mem.free_order_mv[pfn] = order
-        mem.free_mt_mv[pfn] = imt
+        mem.free_mt_mv[pfn] = mt
         self.nr_free += 1 << order
 
     def _remove_free(self, pfn: int) -> None:
         mem = self.mem
         order = mem.free_order_mv[pfn]
         imt = mem.free_mt_mv[pfn]
-        flist = self.free_lists[order][imt]
-        if not flist.discard(pfn):
+        li = order * _NMT + imt
+        if mem.free_list_id_mv[pfn] != self._lid0 + li:
             self._raise_not_on_list(pfn, order, imt)
-        if not flist:
-            self._occ[imt] &= ~(1 << order)
+        self._unlink(li, pfn)
         mem.free_order_mv[pfn] = -1
         self.nr_free -= 1 << order
 
@@ -662,33 +817,73 @@ class BuddyAllocator:
             f"{self.label}: free block not on list "
             f"order={order} mt={imt}", pfn=pfn)
 
+    def _raise_linked(self, pfn: int) -> None:
+        raise FreelistDivergenceError(
+            f"frame already linked on list "
+            f"{self.mem.free_list_id_mv[pfn]}", pfn=pfn)
+
+    # -- address heaps ---------------------------------------------------
+
+    def _build_heaps(self, li: int) -> None:
+        """Address heaps of list *li* from its chain — O(len(list)),
+        whatever the memory size; a sorted list is a valid min-heap."""
+        live = sorted(self._walk(li))
+        self._min_heap[li] = live
+        self._max_heap[li] = [-p for p in reversed(live)]
+        self._removals[li] = 0
+
+    def _shrink_heaps(self, li: int, live: int, removed: int = 1) -> None:
+        """Heap bookkeeping once *removed* members left address-mode
+        list *li*, *live* staying: an emptied list clears its heaps and
+        keeps them (so a refill pushes instead of rebuilding); past the
+        staleness bound they are rebuilt from the live set."""
+        if not live:
+            self._min_heap[li].clear()
+            self._max_heap[li].clear()
+            self._removals[li] = 0
+            return
+        r = self._removals[li] = self._removals[li] + removed
+        if r > _COMPACT_MIN and r > live:
+            self._build_heaps(li)
+
+    def _walk(self, li: int):
+        """Members of list *li* head to tail (oldest first), guarding
+        against link corruption (a cycle would otherwise hang)."""
+        nxt_mv = self.mem.free_next_mv
+        limit = self._count[li]
+        pfn = self._head[li]
+        seen = 0
+        while pfn >= 0:
+            seen += 1
+            if seen > limit:
+                raise FreelistDivergenceError(
+                    f"{self.label}: free-list walk exceeds member count "
+                    f"(link cycle?)", pfn=pfn)
+            yield pfn
+            pfn = nxt_mv[pfn]
+
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
 
+    def free_list(self, order: int, mt: MigrateType | int) -> list[int]:
+        """Heads on the (*order*, *mt*) free list, oldest first: a LIFO
+        pop takes the last."""
+        return list(self._walk(order * _NMT + mt))
+
     def free_frames_by_type(self) -> dict[MigrateType, int]:
         """Free frames currently on each migrate type's lists."""
-        out = {mt: 0 for mt in MigrateType}
-        for order, lists in enumerate(self.free_lists):
-            for mt, flist in lists.items():
-                out[mt] += len(flist) << order
-        return out
+        frames = [0] * _NMT
+        for li, n in enumerate(self._count):
+            frames[li % _NMT] += n << li // _NMT
+        return dict(zip(MigrateType, frames))
 
     def largest_free_order(self) -> int:
         """Largest order with any free block, or -1 if nothing is free."""
-        occ = self._occ
-        while True:
-            combined = 0
-            for b in occ:
-                combined |= b
-            if not combined:
-                return -1
-            o = combined.bit_length() - 1
-            lists = self.free_lists[o]
-            if any(lists[mt] for mt in MigrateType):
-                return o
-            for mt in MigrateType:  # all empty at o: heal stale bits
-                occ[int(mt)] &= ~(1 << o)
+        combined = 0
+        for bits in self._occ:
+            combined |= bits
+        return combined.bit_length() - 1
 
     def check_consistency(self) -> None:
         """Verify free-list bookkeeping against the frame arrays.

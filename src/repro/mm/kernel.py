@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -491,23 +492,29 @@ class LinuxKernel:
 
     def _free_unnamed(self, pfns: list[int]) -> None:
         """:meth:`free_pages` of each page in *pfns*, in order: a run of
-        one batch's pages that reclaim freed without naming them (the
-        registry has dropped them already).  Never named means live,
-        order 0, unpinned and never moved, so the whole run sits in the
-        allocator that served the batch — a boundary only moves over an
-        evacuated block — and that allocator's order-0 frees bypass the
-        per-CPU cache (:meth:`alloc_pages_bulk` serves no batch where
-        one routes them).  Routing and the deferred-offline check are
-        resolved once for the run."""
+        one batch's order-0, unpinned pages that reclaim has already
+        dropped from the registry.  A page nobody named never moved, but
+        a named one may have (compaction; a pin migration, then unpin),
+        so the run is cut where :meth:`allocator_for` changes.  Order-0
+        frees of a batch's pages bypass the per-CPU cache
+        (:meth:`alloc_pages_bulk` serves no batch where one routes
+        them).  Routing and the deferred-offline check are resolved once
+        per piece."""
         allocator = self.allocator_for(pfns[0])
+        if allocator.start_pfn <= min(pfns) and max(pfns) < allocator.end_pfn:
+            pieces = ((allocator, pfns),)
+        else:
+            pieces = ((a, list(piece))
+                      for a, piece in groupby(pfns, self.allocator_for))
         deferred = self._deferred_offline
-        if not deferred or deferred.isdisjoint(pfns):
-            allocator.free_run(pfns)
-            return
-        for pfn in pfns:
-            allocator.free(pfn)
-            if pfn in deferred:
-                self._reoffline_range(pfn, 1)
+        for allocator, piece in pieces:
+            if not deferred or deferred.isdisjoint(piece):
+                allocator.free_run(piece)
+                continue
+            for pfn in piece:
+                allocator.free(pfn)
+                if pfn in deferred:
+                    self._reoffline_range(pfn, 1)
 
     def _reoffline_range(self, pfn: int, nframes: int) -> None:
         """Carve out any deferred-offline frames the just-freed range

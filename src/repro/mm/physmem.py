@@ -19,7 +19,6 @@ from ..errors import (
     SimInvariantError,
 )
 from ..units import FRAME_SIZE, PAGEBLOCK_FRAMES, bytes_to_frames
-from .freelist import FreelistStore
 from .page import AllocationInfo, AllocSource, MigrateType, PageFlag
 
 _F_ALLOCATED = 1 << PageFlag.ALLOCATED
@@ -54,6 +53,9 @@ class PhysicalMemory:
         head_of: PFN of the allocation head owning this frame (valid only
             where ALLOCATED is set).
         birth: tick at which the allocation headed here was made.
+        free_next, free_prev: successor/predecessor of the free-block
+            head on its free list (-1 = list end; buddy bookkeeping).
+        free_list_id: id of the free list linking the frame (0 = none).
     """
 
     def __init__(self, size_bytes: int) -> None:
@@ -75,6 +77,14 @@ class PhysicalMemory:
         self.alloc_order = np.full(nframes, -1, dtype=np.int8)
         self.head_of = np.zeros(nframes, dtype=np.int64)
         self.birth = np.zeros(nframes, dtype=np.int64)
+        # The buddy free lists are threaded through the frames, as Linux
+        # threads them through ``struct page``.  Every allocator over
+        # this memory links its lists here under ids of its own
+        # (:meth:`reserve_list_ids`), so siblings' lists stay disjoint.
+        self.free_next = np.full(nframes, -1, dtype=np.int64)
+        self.free_prev = np.full(nframes, -1, dtype=np.int64)
+        self.free_list_id = np.zeros(nframes, dtype=np.int32)
+        self._list_ids = 0
 
         # Scalar views over the same buffers.  Single-frame reads and
         # writes through a memoryview skip numpy's dispatch and return
@@ -90,13 +100,9 @@ class PhysicalMemory:
         self.alloc_order_mv = memoryview(self.alloc_order)
         self.head_of_mv = memoryview(self.head_of)
         self.birth_mv = memoryview(self.birth)
-
-        #: Shared intrusive free-list links (one ``next``/``prev``/
-        #: ``list_id`` column per frame); every buddy allocator over this
-        #: memory threads its :class:`~repro.mm.freelist.FreeList`s
-        #: through these arrays, mirroring how Linux threads free lists
-        #: through ``struct page``.
-        self.freelists = FreelistStore(nframes)
+        self.free_next_mv = memoryview(self.free_next)
+        self.free_prev_mv = memoryview(self.free_prev)
+        self.free_list_id_mv = memoryview(self.free_list_id)
 
         #: Optional :class:`~repro.analysis.sanitizer.FrameSanitizer`.
         #: When attached (``REPRO_DEBUG_VM=1`` / ``debug_vm=True``), the
@@ -110,7 +116,8 @@ class PhysicalMemory:
 
     _MV_ATTRS = ("flags_mv", "migratetype_mv", "source_mv",
                  "free_order_mv", "free_mt_mv", "alloc_order_mv",
-                 "head_of_mv", "birth_mv")
+                 "head_of_mv", "birth_mv", "free_next_mv", "free_prev_mv",
+                 "free_list_id_mv")
 
     def __getstate__(self) -> dict:
         """Drop the memoryview mirrors: views are not picklable and are
@@ -124,6 +131,13 @@ class PhysicalMemory:
         self.__dict__.update(state)
         for name in self._MV_ATTRS:
             setattr(self, name, memoryview(getattr(self, name[:-3])))
+
+    def reserve_list_ids(self, n: int) -> int:
+        """Claim *n* fresh free-list ids for one allocator; returns the
+        first (ids start at 1: a ``free_list_id`` of 0 means no list)."""
+        first = self._list_ids + 1
+        self._list_ids += n
+        return first
 
     # ------------------------------------------------------------------
     # Invariant failures (cold paths, split out of the hot marks)
@@ -234,27 +248,6 @@ class PhysicalMemory:
             note = self.sanitizer.note_alloc
             for p in pfns.tolist():
                 note(p, 0, birth)
-
-    def mark_free_bulk(self, pfns: np.ndarray) -> None:
-        """Vectorised form of :meth:`mark_free` over a batch of order-0
-        allocation heads.  Restricted to order 0 (the bulk-free fast
-        path); a non-head frame raises the same typed error as the
-        scalar path, a higher-order head a ConfigurationError."""
-        ao = self.alloc_order
-        orders = ao[pfns]
-        if orders.any():
-            bad = int(pfns[np.flatnonzero(orders)[0]])
-            if ao[bad] < 0:
-                self._raise_bad_free(bad)
-            raise ConfigurationError(
-                f"mark_free_bulk handles order-0 heads only; pfn {bad} "
-                f"heads an order-{int(ao[bad])} allocation")
-        self.flags[pfns] = 0
-        ao[pfns] = -1
-        if self.sanitizer is not None:
-            note = self.sanitizer.note_free
-            for p in pfns.tolist():
-                note(p, 0)
 
     def mark_free(self, pfn: int) -> int:
         """Clear a live allocation headed at *pfn*; returns its order."""

@@ -53,7 +53,8 @@ class ReclaimLRU:
     Insertion order approximates recency; ``reclaim`` frees from the oldest
     end.  Handles freed by their owners are lazily skipped.  A bulk
     allocation is one entry — its :class:`HandleBatch`, sitting where its
-    pages' own entries would have — consumed oldest page first.
+    pages' own entries would have — consumed oldest page first.  Every
+    page of a batch is order 0 (:meth:`HandleRegistry.register_batch`).
     """
 
     def __init__(self, stat) -> None:
@@ -103,11 +104,12 @@ class ReclaimLRU:
         """Free oldest entries until *target_frames* frames are recovered
         (or the LRU empties).  Returns frames actually freed.
 
-        A handle goes to *free_fn*.  A batch is walked slot by slot: a
-        slot nobody named is freed without a handle — the registry
-        drops it and marks the slot ``~pfn`` — and each maximal run of
-        such PFNs goes to *free_run*, in slot order, before the next
-        named victim goes to *free_fn*.
+        A handle entry goes to *free_fn*.  A batch is walked slot by
+        slot, and its order-0 pages are freed in runs: the registry
+        drops each page — a slot nobody named is marked ``~pfn``, a
+        named page's handle is marked freed — and each maximal run of
+        their current PFNs goes to *free_run*, in slot order.  Only a
+        pinned page ends a run: it goes to *free_fn* after the run.
         """
         freed = 0
         lru = self._lru
@@ -132,7 +134,15 @@ class ReclaimLRU:
                     del by_pfn[handle]
                     run.append(handle)
                     freed += 1
-                elif not handle.freed:  # else forget() stopped counting it
+                elif handle.freed:  # forget() stopped counting it
+                    continue
+                elif not handle.pinned:
+                    # Named, maybe moved since; still order 0.
+                    del by_pfn[handle.pfn]
+                    handle.freed = True
+                    run.append(handle.pfn)
+                    freed += 1
+                else:
                     if run:
                         free_run(run)
                         run = []

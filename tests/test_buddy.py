@@ -54,7 +54,7 @@ def test_alloc_splits_minimally():
     buddy = make_buddy()
     buddy.alloc(0, MigrateType.MOVABLE)
     # One pageblock was split into a ladder of orders 0..MAX_ORDER-1.
-    sizes = [len(buddy.free_lists[o][MigrateType.MOVABLE])
+    sizes = [len(buddy.free_list(o, MigrateType.MOVABLE))
              for o in range(MAX_ORDER)]
     assert sizes == [1] * MAX_ORDER
 
@@ -65,7 +65,7 @@ def test_free_merges_back_to_pageblock():
     buddy.free(pfn)
     assert buddy.nr_free == buddy.nr_frames
     assert buddy.largest_free_order() == MAX_ORDER
-    assert len(buddy.free_lists[MAX_ORDER][MigrateType.MOVABLE]) == \
+    assert len(buddy.free_list(MAX_ORDER, MigrateType.MOVABLE)) == \
         buddy.nr_blocks
     buddy.check_consistency()
 
@@ -109,7 +109,7 @@ def test_freed_page_joins_current_pageblock_type():
     pfn = buddy.alloc(0, MigrateType.UNMOVABLE)  # steals block 0
     buddy.free(pfn)
     # Freed into the (now UNMOVABLE) block's list.
-    assert len(buddy.free_lists[MAX_ORDER][MigrateType.UNMOVABLE]) == 1
+    assert len(buddy.free_list(MAX_ORDER, MigrateType.UNMOVABLE)) == 1
     buddy.check_consistency()
 
 
@@ -120,7 +120,8 @@ def test_free_onto_a_buddy_missing_from_its_list_is_a_typed_error():
     buddy = make_buddy(label="zone")
     pfn = buddy.alloc(0, MigrateType.MOVABLE)
     assert pfn == 0 and buddy.mem.free_order[1] == 0
-    assert buddy.free_lists[0][MigrateType.MOVABLE].discard(1)
+    assert buddy.free_list(0, MigrateType.MOVABLE) == [1]
+    buddy._unlink(MigrateType.MOVABLE, 1)      # list (order 0, MOVABLE)
     with pytest.raises(FreelistDivergenceError) as exc:
         buddy.free(pfn)
     assert exc.value.pfn == 1
@@ -134,7 +135,7 @@ def test_free_onto_a_buddy_missing_from_its_list_is_a_typed_error():
 
 def test_take_free_block_and_split():
     buddy = make_buddy()
-    head = min(buddy.free_lists[MAX_ORDER][MigrateType.MOVABLE])
+    head = min(buddy.free_list(MAX_ORDER, MigrateType.MOVABLE))
     got = buddy.take_free_split(head, 3)
     assert got == head
     assert buddy.mem.free_order[head] == -1
@@ -223,7 +224,7 @@ def test_random_churn_preserves_invariants(seed):
 
 
 # ---------------------------------------------------------------------------
-# Bulk APIs: alloc_bulk / free_bulk vs the scalar paths
+# Bulk API: alloc_bulk vs the scalar path
 # ---------------------------------------------------------------------------
 
 
@@ -244,50 +245,4 @@ def test_alloc_bulk_empty_and_overask():
     got = buddy.alloc_bulk(buddy.nr_frames + 5, MigrateType.MOVABLE)
     # Fast-path-only contract: never more than asked, never more than free.
     assert got.size <= buddy.nr_frames
-    buddy.check_consistency()
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_free_bulk_bit_identical_to_scalar_frees(seed):
-    """Property: free_bulk reaches the same normal form as freeing the
-    same frames one at a time, whatever the batch's shape."""
-    import numpy as np
-
-    rng = random.Random(seed)
-    a = make_buddy(mem_mib=4)
-    b = make_buddy(mem_mib=4)
-    live_a, live_b = [], []
-    for _ in range(40):
-        n = rng.randrange(1, 64)
-        live_a.extend(a.alloc_bulk(n, MigrateType.MOVABLE).tolist())
-        live_b.extend(b.alloc_bulk(n, MigrateType.MOVABLE).tolist())
-    assert live_a == live_b
-    idx = list(range(len(live_a)))
-    rng.shuffle(idx)
-    batch = [live_a[i] for i in idx[: len(idx) // 2]]
-    a.free_bulk(batch)
-    for pfn in batch:
-        b.free(pfn)
-    assert np.array_equal(a.mem.free_order, b.mem.free_order)
-    assert np.array_equal(a.mem.free_mt, b.mem.free_mt)
-    assert a.nr_free == b.nr_free
-    a.check_consistency()
-    b.check_consistency()
-
-
-def test_free_bulk_rejects_duplicates():
-    from repro.errors import ConfigurationError
-
-    buddy = make_buddy(mem_mib=4)
-    pfns = buddy.alloc_bulk(8, MigrateType.MOVABLE).tolist()
-    with pytest.raises(ConfigurationError):
-        buddy.free_bulk([pfns[0], pfns[0]])
-
-
-def test_free_bulk_whole_batch_restores_everything():
-    buddy = make_buddy(mem_mib=4)
-    pfns = buddy.alloc_bulk(512, MigrateType.MOVABLE)
-    buddy.free_bulk(pfns)
-    assert buddy.nr_free == buddy.nr_frames
     buddy.check_consistency()

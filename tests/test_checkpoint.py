@@ -84,13 +84,14 @@ class TestEnvelope:
         list-backed ``transient``, version 4 payloads ``PageHandle``
         slot state (and a version-4 build has no ``_restore_handle`` to
         read this build's), version 5 payloads an eager handle registry
-        (no slot table) and ``PhysicalMemory.alloc_heads``, and a
-        version-6 build would read this build's freed-marker slots
-        (``~pfn``) as live PFNs; resuming any must stop at the envelope,
+        (no slot table) and ``PhysicalMemory.alloc_heads``, a version-6
+        build would read this build's freed-marker slots (``~pfn``) as
+        live PFNs, and version 7 payloads pickle ``FreeList`` objects of
+        a module that is gone; resuming any must stop at the envelope,
         not mid-``json.dumps`` or mid-unpickle."""
-        assert FORMAT_VERSION == 7
+        assert FORMAT_VERSION == 8
         path = tmp_path / "x.ckpt"
-        for old in (2, 3, 4, 5, 6):
+        for old in (2, 3, 4, 5, 6, 7):
             data = bytearray(encode_checkpoint("workload", 1, {}))
             data[4:8] = old.to_bytes(4, "big")
             path.write_bytes(bytes(data))
@@ -683,6 +684,48 @@ class TestRestoreSanitizer:
         # Sabotage the free accounting the sweep cross-checks.
         kernel.buddy.nr_free += 7
         with pytest.raises(SanitizerError):
+            restore_kernel(kernel)
+
+    @staticmethod
+    def _restored():
+        """A churned kernel through a pickle, with its order-0 LIFO
+        list's oldest two members (a free list of three or more)."""
+        from repro.mm import KernelConfig, LinuxKernel, MigrateType
+
+        kernel = LinuxKernel(KernelConfig(mem_bytes=MiB(16)))
+        handles = [kernel.alloc_pages(0) for _ in range(64)]
+        for handle in handles[::2]:
+            kernel.free_pages(handle)
+        kernel = pickle.loads(pickle.dumps(kernel, pickle.HIGHEST_PROTOCOL))
+        members = kernel.buddy.free_list(0, MigrateType.MOVABLE)
+        assert len(members) >= 3
+        return kernel, members[:2]
+
+    def test_a_corrupted_link_is_refused(self):
+        from repro.checkpoint import restore_kernel
+        from repro.errors import FreelistDivergenceError
+
+        kernel, (first, second) = self._restored()
+        kernel.mem.free_prev[second] = -1      # the chain says first
+        with pytest.raises(FreelistDivergenceError, match="prev link"):
+            restore_kernel(kernel)
+
+    def test_a_corrupted_count_is_refused(self):
+        from repro.checkpoint import restore_kernel
+        from repro.errors import FreelistDivergenceError
+
+        kernel, _ = self._restored()
+        kernel.buddy._count[1] += 1            # list (order 0, MOVABLE)
+        with pytest.raises(FreelistDivergenceError, match="count says"):
+            restore_kernel(kernel)
+
+    def test_a_corrupted_tag_is_refused(self):
+        from repro.checkpoint import restore_kernel
+        from repro.errors import FreelistDivergenceError
+
+        kernel, (first, _) = self._restored()
+        kernel.mem.free_list_id[first] += 1    # another list's id
+        with pytest.raises(FreelistDivergenceError, match="tagged list"):
             restore_kernel(kernel)
 
 

@@ -1,9 +1,12 @@
-"""Free lists: intrusive array-backed lists vs the legacy reference.
+"""Free lists: the fused allocator's intrusive lists beside the
+reference model's.
 
-Behavioural tests run against both representations; the differential
-fuzzer (the transition's acceptance property) drives random op
-sequences through both at once and demands identical pop orders and
-lengths on every mode, including FIFO.
+The lists are rows of ``BuddyAllocator``'s table threaded through the
+``free_next``/``free_prev``/``free_list_id`` columns of its memory; the
+reference model (``reference_buddy``) keeps an insertion-ordered dict
+per list.  Behavioural tests speak to one list of each through the same
+small interface and demand the same answers; ``test_reference_buddy.py``
+drives whole allocators against each other.
 """
 
 import pickle
@@ -16,17 +19,136 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import FreelistDivergenceError
-from repro.mm import AllocSource
-from repro.mm.freelist import (
-    _COMPACT_MIN,
-    FreeList,
-    FreelistStore,
+from repro.mm import (
+    AllocSource,
+    BuddyAllocator,
+    MigrateType,
+    PageblockTable,
+    PhysicalMemory,
+    VmStat,
 )
+from repro.mm.buddy import _COMPACT_MIN
+from repro.units import MiB
 
 from conftest import make_contiguitas
-from legacy_freelist import LegacyFreeList
+from reference_buddy import RefBuddy
 
-IMPLS = [FreeList, LegacyFreeList]
+MT = MigrateType.UNMOVABLE
+
+
+def empty_allocator(mem_mib: int = 16) -> BuddyAllocator:
+    """A LIFO allocator over *mem_mib* whose lists start empty."""
+    mem = PhysicalMemory(MiB(mem_mib))
+    return BuddyAllocator(mem, PageblockTable(mem), VmStat(), prefer="lifo")
+
+
+class IntrusiveList:
+    """The order-0 list of *mt* in a fused allocator, as a list."""
+
+    def __init__(self, alloc: BuddyAllocator | None = None,
+                 mt: MigrateType = MT) -> None:
+        self.alloc = alloc or empty_allocator()
+        self.mt, self.li = mt, int(mt)        # order 0: row == mt
+
+    def __len__(self) -> int:
+        return self.alloc._count[self.li]
+
+    def __contains__(self, pfn: int) -> bool:
+        return (self.alloc.mem.free_list_id_mv[pfn]
+                == self.alloc._lid0 + self.li)
+
+    def __iter__(self):
+        return iter(self.alloc.free_list(0, self.mt))
+
+    def add(self, pfn: int) -> None:
+        if pfn not in self:
+            self.alloc._insert_free(pfn, 0, self.mt)
+
+    def discard(self, pfn: int) -> bool:
+        if pfn not in self:
+            return False
+        self.alloc._remove_free(pfn)
+        return True
+
+    def _pop(self, direction: str) -> int:
+        if not self:
+            raise KeyError("pop from an empty list")
+        return self.alloc._take(0, self.mt, direction)
+
+    def pop_lowest(self) -> int:
+        return self._pop("low")
+
+    def pop_highest(self) -> int:
+        return self._pop("high")
+
+    def pop_lifo(self) -> int:
+        return self._pop("lifo")
+
+    def pop_many_lifo(self, k: int) -> np.ndarray:
+        return self.alloc.take_free_bulk(k, self.mt)
+
+    @property
+    def heaps(self):
+        return self.alloc._min_heap[self.li], self.alloc._max_heap[self.li]
+
+    def _compact(self) -> None:
+        if self.heaps[0] is not None:
+            self.alloc._build_heaps(self.li)
+
+    def stale_entries(self) -> int:
+        low, high = self.heaps
+        return 0 if low is None else len(low) + len(high) - 2 * len(self)
+
+
+class DictList:
+    """The same list in the reference model: a dict used as a set."""
+
+    def __init__(self) -> None:
+        self.ref = RefBuddy([MT] * 8, 0, 0, "lifo", False)
+        self.members = self.ref.lists[0, MT]
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+    def __contains__(self, pfn: int) -> bool:
+        return pfn in self.members
+
+    def __iter__(self):
+        return iter(list(self.members))
+
+    def add(self, pfn: int) -> None:
+        if pfn not in self:
+            self.ref._insert(pfn, 0, MT)
+
+    def discard(self, pfn: int) -> bool:
+        if pfn not in self:
+            return False
+        self.ref._remove(pfn)
+        return True
+
+    def _pop(self, direction: str) -> int:
+        if not self:
+            raise KeyError("pop from an empty list")
+        return self.ref._pop(0, MT, direction)
+
+    def pop_lowest(self) -> int:
+        return self._pop("low")
+
+    def pop_highest(self) -> int:
+        return self._pop("high")
+
+    def pop_lifo(self) -> int:
+        return self._pop("lifo")
+
+    def pop_many_lifo(self, k: int) -> np.ndarray:
+        return np.asarray([self.pop_lifo() for _ in range(min(k, len(self)))],
+                          dtype=np.int64)
+
+    def _compact(self) -> None:
+        """Nothing to rebuild: the model keeps no heaps."""
+
+
+IMPLS = [IntrusiveList, DictList]
 
 
 @pytest.fixture(params=IMPLS, ids=["intrusive", "legacy"])
@@ -83,6 +205,7 @@ class TestBehaviour:
         fl = make_list()
         for pfn in [1, 2, 3]:
             fl.add(pfn)
+        fl.pop_highest()  # the intrusive list's heaps now hold 1 and 2
         assert fl.discard(1)
         assert not fl.discard(1)  # already gone
         assert fl.pop_lowest() == 2
@@ -95,9 +218,8 @@ class TestBehaviour:
         assert fl.pop_highest() == 7
 
     def test_readd_takes_fifo_position_from_readd(self, make_list):
-        """The normalisation both representations now share: a member
-        discarded and re-added queues at its re-add position (the lazy
-        legacy path used to revive the original position)."""
+        """A member discarded and re-added queues at its re-add
+        position, in both representations."""
         fl = make_list()
         for pfn in [1, 2, 3]:
             fl.add(pfn)
@@ -139,50 +261,32 @@ class TestBehaviour:
 
 class TestIntrusive:
     def test_store_shared_across_lists(self):
-        store = FreelistStore(64)
-        a, b = store.new_list(), store.new_list()
+        """Every list of an allocator links through one set of columns,
+        and a frame sits on at most one of them."""
+        alloc = empty_allocator()
+        a = IntrusiveList(alloc, MigrateType.UNMOVABLE)
+        b = IntrusiveList(alloc, MigrateType.MOVABLE)
         a.add(3)
         b.add(5)
         assert 3 in a and 3 not in b
         with pytest.raises(FreelistDivergenceError):
-            b.add(3)  # a frame lives on at most one list per store
+            b.add(3)
         a.discard(3)
         b.add(3)
         assert 3 in b
 
-    def test_standalone_store_grows_on_demand(self):
-        fl = FreeList()
-        fl.add(100_000)  # far past the default capacity
-        assert 100_000 in fl
-        assert fl.pop_lifo() == 100_000
-
-    def test_extend_bulk_append(self):
-        fl = FreeList()
-        fl.add(999)
-        fl.extend([5, 6, 7])
-        assert list(fl) == [999, 5, 6, 7]
-        assert [fl.pop_lifo() for _ in range(4)] == [7, 6, 5, 999]
-        fl.check_invariants()
-
-    def test_extend_rejects_linked_frames(self):
-        store = FreelistStore(32)
-        a, b = store.new_list(), store.new_list()
-        a.add(4)
-        with pytest.raises(FreelistDivergenceError):
-            b.extend([3, 4, 5])
-
     def test_temporal_only_list_has_no_heap_bookkeeping(self):
-        fl = FreeList()
+        fl = IntrusiveList()
         for i in range(1000):
             fl.add(i)
             fl.discard(i)
-        assert fl._min_heap is None  # zero address-order overhead
+        assert fl.heaps == (None, None)  # zero address-order overhead
         fl.add(1)
         assert fl.pop_lowest() == 1  # first address op builds heaps
-        assert fl._min_heap == []  # emptied list keeps empty heaps
+        assert fl.heaps == ([], [])  # emptied list keeps empty heaps
 
     def test_heap_staleness_bounded_under_churn(self):
-        fl = FreeList()
+        fl = IntrusiveList()
         fl.add(0)
         fl.pop_lowest()  # enter address mode
         live_span = 512
@@ -192,49 +296,49 @@ class TestIntrusive:
         live = len(fl)
         slack = max(_COMPACT_MIN, live) + 1
         assert fl.stale_entries() <= 2 * slack
-        fl.check_invariants()
+        fl.alloc.check_consistency()
 
     def test_check_invariants_catches_corruption(self):
-        fl = FreeList()
+        fl = IntrusiveList()
         for pfn in [1, 2, 3]:
             fl.add(pfn)
-        fl.check_invariants()
-        fl._store.next_mv[1] = 3  # sever the chain behind the count
+        fl.alloc.check_consistency()
+        fl.alloc.mem.free_next_mv[1] = 3  # sever the chain behind the count
         with pytest.raises(FreelistDivergenceError):
-            fl.check_invariants()
+            fl.alloc.check_consistency()
 
 
 class TestAddressModeCost:
-    """ISSUE 21: an address-mode list that empties keeps its (cleared)
-    heaps, and building them walks the list, never the store."""
+    """An address-mode list that empties keeps its (cleared) heaps, and
+    building them walks the list, never the memory."""
 
     @pytest.mark.parametrize("drop_heaps", [False, True],
                              ids=["heaps-kept", "heaps-none"])
     def test_empty_refill_cycles_pop_in_address_order(self, drop_heaps):
         rng = random.Random(5)
-        fl = FreeList(FreelistStore(4096))
+        fl = IntrusiveList()
         for cycle in range(1000):
             pfns = rng.sample(range(4096), rng.randint(1, 12))
             for pfn in pfns:
                 fl.add(pfn)
             if cycle == 500:
                 # Mid-cycle, members linked: a checkpoint may also hold
-                # a list whose heaps are None (written before this PR,
-                # or after a large extend) — both must restore and pop.
+                # a list whose heaps are None — both must restore and pop.
                 if drop_heaps:
-                    fl._min_heap = fl._max_heap = None
-                fl = pickle.loads(pickle.dumps(fl))
-                assert (fl._min_heap is None) == drop_heaps
+                    fl.alloc._min_heap[fl.li] = None
+                    fl.alloc._max_heap[fl.li] = None
+                fl.alloc = pickle.loads(pickle.dumps(fl.alloc))
+                assert (fl.heaps[0] is None) == drop_heaps
             if cycle % 2:
                 assert [fl.pop_highest() for _ in pfns] == \
                     sorted(pfns, reverse=True)
             else:
                 assert [fl.pop_lowest() for _ in pfns] == sorted(pfns)
             assert not fl and fl.stale_entries() == 0
-            assert fl._min_heap == [] and fl._max_heap == []
+            assert fl.heaps == ([], [])
             if cycle % 100 == 0:
-                fl.check_invariants()
-        fl.check_invariants()
+                fl.alloc.check_consistency()
+        fl.alloc.check_consistency()
 
     @staticmethod
     def _churn(mem_mib, monkeypatch):
@@ -244,10 +348,10 @@ class TestAddressModeCost:
         kernel = make_contiguitas(mem_mib)
         nframes = kernel.mem.nframes
         builds, scans = [], []
-        build = FreeList._build_heaps
+        build = BuddyAllocator._build_heaps
         monkeypatch.setattr(
-            FreeList, "_build_heaps",
-            lambda self: (builds.append(len(self)), build(self))[1])
+            BuddyAllocator, "_build_heaps",
+            lambda self, li: (builds.append(li), build(self, li))[1])
         for name in ("flatnonzero", "nonzero"):
             def spy(a, *args, _real=getattr(np, name), _name=name, **kw):
                 if np.size(a) >= nframes:
@@ -269,48 +373,6 @@ class TestAddressModeCost:
         assert small == large
         assert small[1] == []  # no O(nframes) scan on any alloc/free
         assert small[0] <= 2 * 10 + 5000 // _COMPACT_MIN  # O(lists) + compactions
-
-
-class TestLegacy:
-    def test_churn_keeps_structures_bounded(self):
-        """Heavy add/discard churn must not leak stale heap/queue
-        entries: internal structures stay within a constant factor of
-        the live set."""
-        fl = LegacyFreeList()
-        live_span = 512
-        for i in range(40_000):
-            fl.add(i % live_span)
-            fl.discard((i * 7 + 3) % live_span)
-        live = len(fl)
-        assert live <= live_span
-        # Between compactions at most max(_COMPACT_MIN, live) removals
-        # accumulate, each leaving one stale entry per structure.
-        slack = max(_COMPACT_MIN, live) + 1
-        assert len(fl._min_heap) <= live + slack
-        assert len(fl._max_heap) <= live + slack
-        assert len(fl._queue) <= live + slack
-        assert fl.stale_entries() <= 3 * slack
-
-    def test_compact_zeroes_stale_entries(self):
-        """Regression (stale-accounting drift): a full rebuild used to
-        keep both the first and last queue occurrence of a live member,
-        leaving ``stale_entries() > 0`` immediately after ``_compact``.
-        The rebuilt queue now holds exactly one live entry per member."""
-        fl = LegacyFreeList()
-        for pfn in range(2 * _COMPACT_MIN):
-            fl.add(pfn)
-        # Discard-then-re-add members so the queue accumulates
-        # duplicate occurrences, then force the rebuild.
-        for pfn in range(0, 2 * _COMPACT_MIN, 2):
-            fl.discard(pfn)
-            fl.add(pfn)
-        fl._compact()
-        assert fl.stale_entries() == 0
-        fl.check_invariants()
-        # And the rebuild preserved every pop mode's view.
-        assert fl.pop_lifo() == 2 * _COMPACT_MIN - 2
-        assert fl.pop_lowest() == 0
-        assert list(fl)[0] == 1
 
 
 @settings(max_examples=150)
@@ -366,46 +428,3 @@ def test_matches_reference_set(ops):
         while fl:
             drained.append(fl.pop_lowest())
         assert drained == sorted(ref)
-
-
-#: op, pfn, k — op selects add/discard/pop_{lowest,highest,lifo}/
-#: extend/pop_many_lifo; k sizes the bulk ops.
-_FUZZ_OP = st.tuples(st.integers(0, 6), st.integers(0, 60),
-                     st.integers(1, 8))
-
-
-@settings(max_examples=300)
-@given(st.lists(_FUZZ_OP, max_size=200))
-def test_differential_fuzz_intrusive_vs_legacy(ops):
-    """The transition's acceptance property: random op sequences drive
-    the array-backed list and the legacy reference to identical pop
-    orders, membership, and lengths — on every extraction mode."""
-    new = FreeList()
-    old = LegacyFreeList()
-    for op, pfn, k in ops:
-        if op == 0:
-            new.add(pfn)
-            old.add(pfn)
-        elif op == 1:
-            assert new.discard(pfn) == old.discard(pfn)
-        elif op in (2, 3, 4):
-            pop = ("pop_lowest", "pop_highest", "pop_lifo")[op - 2]
-            if not old:
-                with pytest.raises(KeyError):
-                    getattr(new, pop)()
-            else:
-                assert getattr(new, pop)() == getattr(old, pop)()
-        elif op == 5:
-            fresh = [p for p in range(pfn, pfn + k) if p not in old]
-            new.extend(fresh)
-            old.extend(fresh)
-        else:
-            assert new.pop_many_lifo(k).tolist() == \
-                old.pop_many_lifo(k).tolist()
-        assert len(new) == len(old)
-        assert (pfn in new) == (pfn in old)
-    new.check_invariants()
-    old.check_invariants()
-    while old:
-        assert new.pop_lowest() == old.pop_lowest()
-    assert not new

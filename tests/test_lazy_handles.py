@@ -113,8 +113,8 @@ class Lazy:
         self.registry.on_free(handle)
 
     def reclaim(self, target: int) -> list[int]:
-        """The PFNs freed, in order: a named victim through ``free``,
-        a run of unnamed ones as the registry already dropped them."""
+        """The PFNs freed, in order: a pinned victim through ``free``,
+        a run of the others as the registry already dropped them."""
         victims = []
 
         def free_fn(handle: PageHandle) -> None:
@@ -266,23 +266,33 @@ def test_every_route_to_a_page_reaches_one_object_across_a_pickle():
     assert (second.pfn, second.freed) == (41, True)
     late = _one_object(registry, batch, cache, 7)
     assert (late.pfn, late.birth, late.reclaimable) == (47, 5, True)
-    victims: list[PageHandle] = []
-    lru.reclaim(victims.append, pytest.fail, 1)
-    assert victims == [batch[2]] and len(lru) == 17
+    # Every slot is built now (``list(batch)`` above); reclaim frees a
+    # named page in the run all the same.
+    runs.clear()
+    lru.reclaim(pytest.fail, runs.append, 1)
+    assert runs == [[42]] and len(lru) == 17
+    assert batch[2].freed and 42 not in registry
 
 
-def test_a_named_victim_ends_the_run_before_it():
+def test_a_pinned_victim_ends_the_run_before_it():
+    """A named page joins the run at its current PFN, as a page nobody
+    named does; a pinned one goes to ``free_fn`` after the run (a batch
+    page is order 0, so pinning is the one thing that sends it there)."""
     registry = HandleRegistry()
     lru = ReclaimLRU(VmStat())
     batch = registry.register_batch(
         list(range(8)), MigrateType.MOVABLE, AllocSource.USER, 1, True)
     lru.register_batch(batch)
-    named = batch[2]
+    named, moved, pinned = batch[1], batch[2], batch[4]
+    registry.relocate(2, 20)
+    pinned.pinned = True
     calls: list = []
     assert lru.reclaim(calls.append,
-                       lambda run: calls.append(list(run)), 4) == 4
-    assert calls == [[0, 1], named, [3]] and len(lru) == 4
-    assert registry._slots[:5] == [~0, ~1, named, ~3, 4]
+                       lambda run: calls.append(list(run)), 6) == 6
+    assert calls == [[0, 1, 20, 3], pinned, [5]] and len(lru) == 2
+    assert registry._slots[:7] == [~0, named, moved, ~3, pinned, ~5, 6]
+    assert named.freed and moved.freed and not pinned.freed
+    assert [p for p in (1, 20, 4) if p in registry] == [4]
 
 
 @pytest.mark.parametrize("make_kernel", [make_linux, make_contiguitas],
@@ -391,10 +401,10 @@ def test_reclaim_names_no_page():
 @pytest.mark.parametrize("make_kernel", [make_linux, make_contiguitas],
                          ids=["linux", "contiguitas"])
 def test_a_dead_kernel_dies_by_refcount(make_kernel):
-    """``FreelistStore`` holds its lists weakly, so nothing about a
-    finished server waits for the cyclic collector — with far fewer
-    tracked objects allocated per server it would otherwise run less
-    often and the dead columns (1.3 MiB at 256 MiB) would pile up."""
+    """Nothing about a finished server waits for the cyclic collector —
+    with far fewer tracked objects allocated per server it would
+    otherwise run less often and the dead frame columns, free-list links
+    included (2.6 MiB at 256 MiB), would pile up."""
     gc.collect()
     gc.disable()
     try:

@@ -1,12 +1,13 @@
-"""Reclaim frees a page nobody named without naming it.
+"""Reclaim frees a batch's pages in runs, named or not.
 
-``ReclaimLRU.reclaim`` walks a batch's slots and hands each run of
-unbuilt pages to ``LinuxKernel._free_unnamed`` in one call; a page that
-was named goes through ``free_pages`` as before.  The differential
-below runs every workload twice: once as it is, and once with a driver
-that names every page of a bulk allocation the moment it is allocated,
-so that reclaim only ever meets built handles — the per-page
-``free_pages`` path.  Everything the simulation shows must be equal.
+``ReclaimLRU.reclaim`` walks a batch's slots and hands each run of its
+order-0, unpinned pages to ``LinuxKernel._free_unnamed`` in one call,
+whether somebody named a page or not; only a pinned page goes through
+``free_pages``.  The differential below runs every workload twice: once
+as it is, and once with a driver that names every page of a bulk
+allocation the moment it is allocated, so that reclaim only ever meets
+built handles.  Reclaim must call ``free_pages`` for none of them, and
+everything the simulation shows must be equal.
 """
 
 from __future__ import annotations
@@ -14,10 +15,12 @@ from __future__ import annotations
 import pytest
 
 from repro.faults import NAMED_PLANS, FaultPlan, FaultSpec, injecting
+from repro.mm import MigrateType
 from repro.mm import vmstat as ev
 from repro.mm.handle import HandleList
 from repro.telemetry import tracing
 from repro.telemetry.events import RingBufferSink
+from repro.units import MAX_ORDER
 from repro.workloads import Workload, get_service
 
 from conftest import make_contiguitas, make_linux
@@ -47,12 +50,28 @@ def observe(workload_cls, make_kernel, service: str, steps: int = 120,
             plan: FaultPlan | None = None, **config) -> dict:
     """Run one server and return everything it can be compared by."""
     kernel = make_kernel(64, debug_vm=True, **config)
+    handed = free_pages_from_reclaim(kernel)
     with injecting(plan, seed=7), traced() as sink:
         workload = workload_cls(kernel, get_service(service), seed=11)
         workload.start()
         for _ in range(steps):
             workload.step()
-    return state(kernel, sink)
+    return {**state(kernel, sink), "reclaim_free_pages": len(handed)}
+
+
+def free_pages_from_reclaim(kernel) -> list:
+    """The handles *kernel*'s reclaim hands to ``free_pages`` from now
+    on, in order."""
+    handed = []
+    reclaim = kernel.reclaim_lru.reclaim
+
+    def counting(free_fn, free_run, target_frames):
+        return reclaim(lambda handle: (handed.append(handle),
+                                       free_fn(handle)),
+                       free_run, target_frames)
+
+    kernel.reclaim_lru.reclaim = counting
+    return handed
 
 
 def traced():
@@ -67,9 +86,10 @@ def state(kernel, sink: RingBufferSink) -> dict:
     return {
         "frames": {name: getattr(mem, name).tobytes()
                    for name in FRAME_COLUMNS},
-        "free_lists": [[list(flist) for flist in by_mt.values()]
+        "free_lists": [alloc.free_list(order, mt)
                        for alloc in kernel.allocators()
-                       for by_mt in alloc.free_lists],
+                       for order in range(MAX_ORDER + 1)
+                       for mt in MigrateType],
         "vmstat": kernel.stat.snapshot(),
         "trace": sink.to_jsonl(),
         "sanitizer": {pfn: tuple(hist)
@@ -98,6 +118,8 @@ def assert_equal_runs(make_kernel, service: str, **kwargs) -> dict:
 def test_unnamed_reclaim_equals_named_reclaim(kernel, service):
     run = assert_equal_runs(KERNELS[kernel], service)
     assert run["unnamed_frees"] > 100
+    assert run["vmstat"][ev.PAGES_RECLAIMED] > 100
+    assert run["reclaim_free_pages"] == 0
 
 
 def test_under_the_uce_plan():
@@ -137,3 +159,27 @@ def test_with_per_cpu_lists():
     it: nothing is left unnamed, and nothing may differ."""
     run = assert_equal_runs(make_contiguitas, "web", pcp_enabled=True)
     assert run["unnamed_frees"] == 0
+
+
+def test_a_run_is_cut_where_a_named_page_changed_allocators():
+    """A page pinned into the unmovable region and unpinned there is
+    still its batch's: reclaim frees it in slot order, by the allocator
+    now holding it, between the two pieces of the movable run."""
+    kernel = make_contiguitas(64, debug_vm=True)
+    batch = kernel.alloc_pages_bulk(512, reclaimable=True)
+    pfns = kernel.handles._slots[batch.start:batch.stop]
+    moved = batch[10]
+    kernel.pin_pages(moved)
+    kernel.unpin_pages(moved)
+    assert kernel.allocator_for(moved.pfn) is kernel.unmovable
+    runs = []
+    for alloc in kernel.allocators():
+        def spy(run, label=alloc.label, free_run=alloc.free_run):
+            runs.append((label, list(run)))
+            free_run(run)
+        alloc.free_run = spy
+    assert kernel.reclaim(len(batch)) == len(batch)
+    assert runs == [("movable", pfns[:10]), ("unmovable", [moved.pfn]),
+                    ("movable", pfns[11:])]
+    assert moved.freed
+    kernel.check_consistency()

@@ -31,6 +31,9 @@ from repro.errors import (
     SimInvariantError,
 )
 
+from repro.mm import MigrateType
+from repro.units import MAX_ORDER
+
 from conftest import churn, make_linux
 
 
@@ -41,9 +44,9 @@ def make_debug_kernel(**kwargs):
 def free_head_pfn(kernel) -> int:
     """Some PFN currently heading a free block on a buddy list."""
     for alloc in kernel.allocators():
-        for lists in alloc.free_lists:
-            for flist in lists.values():
-                for pfn in flist:
+        for order in range(MAX_ORDER + 1):
+            for mt in MigrateType:
+                for pfn in alloc.free_list(order, mt):
                     return pfn
     raise AssertionError("no free blocks at all")
 
@@ -175,10 +178,10 @@ class TestCorruptionSweeps:
     def test_cleared_occupancy_bit_detected(self):
         kernel = make_debug_kernel()
         alloc = kernel.allocators()[0]
-        for order, lists in enumerate(alloc.free_lists):
-            for mt, flist in lists.items():
-                if flist:
-                    alloc._occ[int(mt)] &= ~(1 << order)
+        for order in range(MAX_ORDER + 1):
+            for mt in MigrateType:
+                if alloc.free_list(order, mt):
+                    alloc._occ[mt] &= ~(1 << order)
                     with pytest.raises(FreelistDivergenceError) as exc:
                         verify_allocator(alloc)
                     assert "occupancy" in str(exc.value)
@@ -190,10 +193,9 @@ class TestCorruptionSweeps:
         handle = kernel.alloc_pages(0)
         pfn = handle.pfn
         alloc = kernel.allocator_for(pfn)
-        # Forge a freelist entry pointing at the live frame.
-        mt = next(iter(alloc.free_lists[0]))
-        alloc.free_lists[0][mt].add(pfn)
-        alloc._occ[int(mt)] |= 1
+        # Forge a freelist entry pointing at the live frame: link it on
+        # list (order 0, UNMOVABLE).
+        alloc._link(MigrateType.UNMOVABLE, pfn)
         with pytest.raises(FreelistDivergenceError):
             verify_allocator(alloc)
 

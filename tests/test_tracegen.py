@@ -469,8 +469,8 @@ class TestRetireDifferential:
         reference = _burst(monkeypatch, PerInstructionLoop, config)
         assert resumed.snapshot() == reference["result"]
         # What a loadgen checkpoint pickles did not change shape (7 is
-        # the handle registry's freed marker).
-        assert FORMAT_VERSION == 7
+        # the handle registry's freed marker, 8 the free-list columns).
+        assert FORMAT_VERSION == 8
         assert sorted(vars(RequestLoop(NGINX))) == [
             "accesses_per_request", "app", "buffer_pages", "core",
             "hot_pages", "hot_weight", "instructions_per_request",
