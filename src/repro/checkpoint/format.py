@@ -72,8 +72,12 @@ MAGIC = b"RPCK"
 #: of a live page.  8: the free lists are link columns of
 #: ``PhysicalMemory`` and a table in ``BuddyAllocator`` — a version-7
 #: payload pickles ``FreeList``/``FreelistStore`` objects of a module
-#: that no longer exists.
-FORMAT_VERSION = 8
+#: that no longer exists.  9: the workload driver's expiry heap and its
+#: ``_seq`` counter became a calendar (a ``defaultdict`` of due step to
+#: ``(kind, payload)`` lists) and a slab ``ObjectRef`` a slotted class
+#: with a ``freed`` flag — a version-8 payload holds a heap this build
+#: would read as a calendar.
+FORMAT_VERSION = 9
 
 #: magic + version + header length: the minimum parseable file.
 _PREFIX_LEN = 12

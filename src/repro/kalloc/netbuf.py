@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import SimInvariantError
+from ..errors import DoubleFreeError, SimInvariantError
 from ..mm.handle import PageHandle
 from ..mm.page import AllocSource, MigrateType
 from ..telemetry import tracepoint
@@ -104,10 +104,13 @@ class NetworkBufferPool:
 
     def free_buffer(self, handle: PageHandle) -> None:
         """Release a transient buffer."""
+        # The set's values are None: only a handle it lacks pops True.
+        if self.transient.pop(handle, True):
+            raise DoubleFreeError("transient buffer already freed",
+                                  pfn=handle.pfn)
         if _tp_free.enabled:
             _tp_free.emit(pfn=handle.pfn, order=handle.order,
                           pinned=handle.pinned)
-        del self.transient[handle]
         if handle.pinned:
             self.kernel.unpin_pages(handle)
         self.kernel.free_pages(handle)

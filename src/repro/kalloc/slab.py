@@ -10,9 +10,7 @@ unmovable pages alive — scattered wherever the buddy placed them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from ..errors import ReproError
+from ..errors import DoubleFreeError, ReproError
 from ..units import FRAME_SIZE
 from ..mm.handle import PageHandle
 from ..mm.page import AllocSource, MigrateType
@@ -24,13 +22,16 @@ _tp_grow = tracepoint("kalloc.slab.grow")
 _tp_shrink = tracepoint("kalloc.slab.shrink")
 
 
-@dataclass(frozen=True)
 class ObjectRef:
-    """Reference to one live slab object."""
+    """Reference to one slab object; ``freed`` once it is released."""
 
-    cache: "SlabCache"
-    slab: "_Slab"
-    index: int
+    __slots__ = ("cache", "slab", "index", "freed")
+
+    def __init__(self, cache: "SlabCache", slab: "_Slab", index: int) -> None:
+        self.cache = cache
+        self.slab = slab
+        self.index = index
+        self.freed = False
 
 
 class _Slab:
@@ -121,6 +122,11 @@ class SlabCache:
         """Release an object; an empty slab returns its page to the buddy."""
         if ref.cache is not self:
             raise ReproError(f"object belongs to {ref.cache.name}")
+        if ref.freed:
+            raise DoubleFreeError(
+                f"{self.name} object {ref.index} already freed",
+                pfn=ref.slab.handle.pfn)
+        ref.freed = True
         slab = ref.slab
         if slab in self._full:
             self._full.remove(slab)

@@ -13,9 +13,9 @@ scales from 64 MiB test machines to multi-GiB benchmark machines.
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from ..errors import ContiguityError, OutOfMemoryError, SimInvariantError
@@ -136,10 +136,12 @@ class Workload:
         #: every reader of the list skips freed handles.
         self._pruned_reclaimed = kernel.stat[ev.PAGES_RECLAIMED]
         self._pruned_compact_runs = kernel.stat[ev.COMPACT_RUNS]
-        #: Min-heap of ``(deadline, seq, kind, payload)``; ``seq`` is
-        #: unique, so tuple comparison never reaches the payload.
-        self._expiries: list[tuple] = []
-        self._seq = 0
+        #: Expiry calendar: due step -> ``[(kind, payload), ...]`` in
+        #: scheduling order.  Every lifetime is at least one step and
+        #: ``step`` expires right after advancing ``steps`` by one, so
+        #: every key exceeds ``steps`` between steps and the only bucket
+        #: ever due is ``steps`` itself.
+        self._expiries: defaultdict[int, list] = defaultdict(list)
         self.steps = 0
         self.started = False
         self._traffic = 1.0
@@ -352,103 +354,126 @@ class Workload:
         self._pruned_reclaimed = reclaimed
         self._pruned_compact_runs = compact_runs
 
-    def _spawn_poisson(self, rate_per_gib: float, fn) -> None:
+    def _spawn_poisson(self, rate_per_gib: float, spawn) -> None:
+        """Draw this step's count of one churn kind and *spawn* it; the
+        first OutOfMemoryError ends the kind for this step."""
         expected = rate_per_gib * self._scale
         count = int(expected)
         if self.rng.random() < expected - count:
             count += 1
-        for _ in range(count):
+        if count:
             try:
-                fn()
+                spawn(count)
             except OutOfMemoryError:
                 self.oom_events += 1
-                return
 
-    def _push_expiry(self, kind: str, payload, lifetime: float) -> None:
-        """Schedule *payload*'s death after an exponential lifetime with
-        mean *lifetime* steps (at least one)."""
-        self._seq += 1
-        life = max(1, int(self.rng.expovariate(1.0 / lifetime)))
-        heapq.heappush(self._expiries,
-                       (self.steps + life, self._seq, kind, payload))
+    # Each ``_spawn_*`` makes *count* allocations of one kind and files
+    # each death in the calendar after an exponential lifetime of the
+    # kind's mean, at least one step (``int(x) or 1`` is ``max(1,
+    # int(x))`` for x >= 0).  Per event the draws are the stdlib's, in
+    # the order the kind has always made them.
 
-    def _spawn_netbuf(self) -> None:
-        spec = self.spec
-        buf = self.netpool.alloc_buffer(
-            order=self.rng.choice(spec.net_buffer_orders))
-        if self.rng.random() < spec.net_straggler_fraction:
-            life = spec.net_straggler_lifetime_steps
-        else:
-            life = spec.net_lifetime_steps
-        self._push_expiry("net", buf, life)
+    def _spawn_netbuf(self, count: int) -> None:
+        spec, rng = self.spec, self.rng
+        choice, random, expovariate = rng.choice, rng.random, rng.expovariate
+        alloc_buffer = self.netpool.alloc_buffer
+        orders = spec.net_buffer_orders
+        straggler_fraction = spec.net_straggler_fraction
+        straggler_rate = 1.0 / spec.net_straggler_lifetime_steps
+        rate = 1.0 / spec.net_lifetime_steps
+        calendar, now = self._expiries, self.steps
+        for _ in range(count):
+            buf = alloc_buffer(order=choice(orders))
+            life = expovariate(straggler_rate if random() < straggler_fraction
+                               else rate)
+            calendar[now + (int(life) or 1)].append(("net", buf))
 
-    def _spawn_slab(self) -> None:
-        ref = self.rng.choice(self._slab_caches).alloc_object()
-        self._push_expiry("slab", ref, self.spec.slab_lifetime_steps)
+    def _spawn_slab(self, count: int) -> None:
+        choice, expovariate = self.rng.choice, self.rng.expovariate
+        caches, rate = self._slab_caches, 1.0 / self.spec.slab_lifetime_steps
+        calendar, now = self._expiries, self.steps
+        for _ in range(count):
+            ref = choice(caches).alloc_object()
+            calendar[now + (int(expovariate(rate)) or 1)].append(("slab", ref))
 
-    def _spawn_fs(self) -> None:
-        handle = self.kernel.alloc_pages(
-            0, source=AllocSource.FILESYSTEM,
-            migratetype=MigrateType.UNMOVABLE)
-        spec = self.spec
-        if self.rng.random() < spec.fs_straggler_fraction:
-            life = spec.fs_straggler_lifetime_steps
-        else:
-            life = spec.fs_lifetime_steps
-        self._push_expiry("fs", handle, life)
+    def _spawn_fs(self, count: int) -> None:
+        spec, rng = self.spec, self.rng
+        random, expovariate = rng.random, rng.expovariate
+        alloc_pages = self.kernel.alloc_pages
+        straggler_fraction = spec.fs_straggler_fraction
+        straggler_rate = 1.0 / spec.fs_straggler_lifetime_steps
+        rate = 1.0 / spec.fs_lifetime_steps
+        calendar, now = self._expiries, self.steps
+        for _ in range(count):
+            handle = alloc_pages(0, source=AllocSource.FILESYSTEM,
+                                 migratetype=MigrateType.UNMOVABLE)
+            life = expovariate(straggler_rate if random() < straggler_fraction
+                               else rate)
+            calendar[now + (int(life) or 1)].append(("fs", handle))
 
-    def _spawn_pin(self) -> None:
-        handle = self.kernel.alloc_pages(0)
-        self.kernel.pin_pages(handle)
-        self._push_expiry("pin", handle, self.spec.pin_lifetime_steps)
+    def _spawn_pin(self, count: int) -> None:
+        kernel, expovariate = self.kernel, self.rng.expovariate
+        rate = 1.0 / self.spec.pin_lifetime_steps
+        calendar, now = self._expiries, self.steps
+        for _ in range(count):
+            handle = kernel.alloc_pages(0)
+            kernel.pin_pages(handle)
+            calendar[now + (int(expovariate(rate)) or 1)].append(
+                ("pin", handle))
 
-    def _spawn_pt(self) -> None:
+    def _spawn_pt(self, count: int) -> None:
         """Page-table pages of short-lived sibling processes (forks,
         build jobs); a direct unmovable source beyond the service's own
         mapping tree."""
-        handle = self.kernel.alloc_pages(
-            0, source=AllocSource.PAGETABLE,
-            migratetype=MigrateType.UNMOVABLE)
-        self._push_expiry("fs", handle, self.spec.pagetable_lifetime_steps)
+        alloc_pages = self.kernel.alloc_pages
+        expovariate = self.rng.expovariate
+        rate = 1.0 / self.spec.pagetable_lifetime_steps
+        calendar, now = self._expiries, self.steps
+        for _ in range(count):
+            handle = alloc_pages(0, source=AllocSource.PAGETABLE,
+                                 migratetype=MigrateType.UNMOVABLE)
+            calendar[now + (int(expovariate(rate)) or 1)].append(
+                ("fs", handle))
 
-    def _spawn_cache(self) -> None:
-        handle = self.kernel.alloc_pages(
-            self.spec.cache_batch_order, reclaimable=True)
-        self.cache_pages.append(handle)
-        self._cache_frames += handle.nframes
-        if not self.spec.cache_opportunistic:
-            # Bounded-cache mode: stay at the configured utilisation.
-            # Eviction picks a *random* victim — file-access recency is
-            # uncorrelated with allocation address, so real LRU eviction
-            # shreds free memory across the address space.
-            target = int(self.kernel.mem.nframes * self.spec.cache_fraction)
-            while self._cache_frames > target and self.cache_pages:
-                old = self.cache_pages.swap_pop(
-                    self.rng.randrange(len(self.cache_pages)))
+    def _spawn_cache(self, count: int) -> None:
+        spec, kernel, pages = self.spec, self.kernel, self.cache_pages
+        # Bounded-cache mode stays at the configured utilisation.
+        # Eviction picks a *random* victim — file-access recency is
+        # uncorrelated with allocation address, so real LRU eviction
+        # shreds free memory across the address space.
+        bounded = not spec.cache_opportunistic
+        target = int(kernel.mem.nframes * spec.cache_fraction)
+        for _ in range(count):
+            handle = kernel.alloc_pages(spec.cache_batch_order,
+                                        reclaimable=True)
+            pages.append(handle)
+            self._cache_frames += handle.nframes
+            while bounded and self._cache_frames > target and pages:
+                old = pages.swap_pop(self.rng.randrange(len(pages)))
                 self._cache_frames -= old.nframes
                 if not old.freed:
-                    self.kernel.free_pages(old)
+                    kernel.free_pages(old)
 
     def _expire(self) -> None:
-        heap, now = self._expiries, self.steps
-        while heap and heap[0][0] <= now:
-            _deadline, _seq, kind, payload = heapq.heappop(heap)
+        for kind, payload in self._expiries.pop(self.steps, ()):
             self._release(kind, payload)
 
     def _drain_expiries(self, kernel_residue: float = 0.0) -> None:
-        """Flush every pending expiry.
+        """Flush every pending expiry, in due order and, within a step,
+        in scheduling order.
 
         Each live *kernel* allocation (networking/slab/fs/pagetable) leaks
         with probability *kernel_residue* — it simply stays allocated,
         scattered wherever it was placed.  Pins always die: the process
         exit unpins and frees them.
         """
-        while self._expiries:
-            _deadline, _seq, kind, payload = heapq.heappop(self._expiries)
-            if (kind != "pin" and kernel_residue > 0
-                    and self.rng.random() < kernel_residue):
-                continue  # leaked: permanent unmovable residue
-            self._release(kind, payload)
+        calendar = self._expiries
+        for due in sorted(calendar):
+            for kind, payload in calendar.pop(due):
+                if (kind != "pin" and kernel_residue > 0
+                        and self.rng.random() < kernel_residue):
+                    continue  # leaked: permanent unmovable residue
+                self._release(kind, payload)
 
     def _release(self, kind: str, payload) -> None:
         if kind == "net":

@@ -86,12 +86,13 @@ class TestEnvelope:
         read this build's), version 5 payloads an eager handle registry
         (no slot table) and ``PhysicalMemory.alloc_heads``, a version-6
         build would read this build's freed-marker slots (``~pfn``) as
-        live PFNs, and version 7 payloads pickle ``FreeList`` objects of
-        a module that is gone; resuming any must stop at the envelope,
-        not mid-``json.dumps`` or mid-unpickle."""
-        assert FORMAT_VERSION == 8
+        live PFNs, version 7 payloads pickle ``FreeList`` objects of a
+        module that is gone, and version 8 payloads a workload expiry
+        heap where this build keeps a calendar; resuming any must stop
+        at the envelope, not mid-``json.dumps`` or mid-unpickle."""
+        assert FORMAT_VERSION == 9
         path = tmp_path / "x.ckpt"
-        for old in (2, 3, 4, 5, 6, 7):
+        for old in (2, 3, 4, 5, 6, 7, 8):
             data = bytearray(encode_checkpoint("workload", 1, {}))
             data[4:8] = old.to_bytes(4, "big")
             path.write_bytes(bytes(data))

@@ -1,18 +1,18 @@
-"""The driver's three hot data structures (ISSUE 17): the tuple expiry
-heap, the dict-backed transient-buffer set and the proved-prefix cache
-prune.  They are host-side only, so the tests pin *behaviour*: the
-kernel-call stream against goldens recorded before the change, and the
-prune against the full-pass filter it replaced.
+"""The driver's hot data structures: the expiry calendar, the
+dict-backed transient-buffer set and the proved-prefix cache prune.
+They are host-side only, so the tests pin *behaviour*: the kernel-call
+stream against goldens recorded before each change, the calendar
+against a log of what was scheduled and released, and the prune against
+the full-pass filter it replaced.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-import heapq
 import json
 import os
-from collections import Counter
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -30,14 +30,27 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "fixtures",
                       "driver_callstream.json")
 
 
-def callstream_sha256(service: str, make_kernel, mem_mib: int = 64,
-                      steps: int = 60, seed: int = 11) -> str:
-    """sha256 of every kernel call the driver and the kalloc glue make:
+#: Spec variants pinned beside the stock services: a bounded cache
+#: (bounded-mode ``swap_pop`` eviction, one ``randrange`` per victim)
+#: and a server whose churn runs out of memory mid-batch (the first
+#: OutOfMemoryError ends that churn kind for the step).
+VARIANTS = {
+    "web+bounded/linux": ("web", "linux", {"cache_opportunistic": False}),
+    "web+oom/contiguitas": ("web", "contiguitas", {
+        "anon_fraction": 0.8, "cache_opportunistic": False,
+        "cache_fraction": 0.1, "net_rate_per_gib": 3000.0}),
+}
+
+
+def callstream(spec, make_kernel, mem_mib: int = 64, steps: int = 60,
+               seed: int = 11) -> tuple[str, Workload]:
+    """sha256 of every kernel call the driver and the kalloc glue make —
     deploy, *steps* churn intervals, then a restart (``stop`` drains the
-    expiry heap in pop order with one RNG draw per entry, so a reordered
-    heap or a moved draw changes which allocations leak)."""
+    expiry calendar in due order with one RNG draw per entry, so a
+    reordered drain or a moved draw changes which allocations leak) —
+    and the stopped workload."""
     recorder = TraceRecorder(make_kernel(mem_mib))
-    workload = Workload(recorder, get_service(service), seed=seed)
+    workload = Workload(recorder, spec, seed=seed)
     workload.start()
     for _ in range(steps):
         workload.step()
@@ -45,24 +58,38 @@ def callstream_sha256(service: str, make_kernel, mem_mib: int = 64,
     digest = hashlib.sha256()
     for event in recorder.events:
         digest.update(event.to_json().encode() + b"\n")
-    return digest.hexdigest()
+    return digest.hexdigest(), workload
+
+
+def load_golden() -> dict:
+    with open(GOLDEN, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 class TestCallStreamGolden:
-    """``fixtures/driver_callstream.json`` was recorded at the parent of
-    ISSUE 17 (dataclass heap, list-backed ``transient``, full-pass
-    prune).  A driver refactor that reorders one RNG draw or one kernel
-    call fails here, in Tier-1, not only in the e2e ``sim_digest``.
+    """``fixtures/driver_callstream.json``: the service cells were
+    recorded under the dataclass expiry heap, list-backed ``transient``
+    and full-pass prune; the variant cells under the tuple heap, before
+    the calendar and the one-loop spawns.  A driver refactor that
+    reorders one RNG draw or one kernel call fails here, in Tier-1, not
+    only in the e2e ``sim_digest``.
     After a *deliberate* change to the driver's behaviour, replace the
     cell with the digest the failure prints."""
 
     @pytest.mark.parametrize("kernel", sorted(KERNELS))
     @pytest.mark.parametrize("service", SERVICES)
     def test_stream_matches_the_recording(self, service, kernel):
-        with open(GOLDEN, encoding="utf-8") as fh:
-            golden = json.load(fh)
-        got = callstream_sha256(service, KERNELS[kernel])
-        assert got == golden[f"{service}/{kernel}"], got
+        got, _ = callstream(get_service(service), KERNELS[kernel])
+        assert got == load_golden()[f"{service}/{kernel}"], got
+
+    @pytest.mark.parametrize("cell", sorted(VARIANTS))
+    def test_variant_matches_the_recording(self, cell):
+        service, kernel, changes = VARIANTS[cell]
+        spec = dataclasses.replace(get_service(service), **changes)
+        got, workload = callstream(spec, KERNELS[kernel])
+        if "+oom/" in cell:
+            assert workload.oom_events > 0
+        assert got == load_golden()[cell], got
 
 
 class ShadowWorkload(Workload):
@@ -179,15 +206,59 @@ class TestShadowPrune:
         assert not any(h.freed for h in workload.cache_pages)
 
 
-class TestExpiryHeap:
-    def test_entries_are_plain_tuples_in_deadline_then_seq_order(self):
-        workload = Workload(make_linux(64), get_service("web"), seed=3)
+class _LoggedBucket(list):
+    """A calendar bucket that also records what is filed in it."""
+
+    def __init__(self, filed: list) -> None:
+        super().__init__()
+        self.filed = filed
+
+    def append(self, entry) -> None:
+        self.filed.append(entry[1])
+        super().append(entry)
+
+
+class LoggedWorkload(Workload):
+    """Records every payload filed in the calendar and every release."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.filed: list = []
+        self.released: list = []
+        self._expiries = defaultdict(lambda: _LoggedBucket(self.filed))
+
+    def _release(self, kind, payload) -> None:
+        self.released.append(payload)
+        super()._release(kind, payload)
+
+
+class TestExpiryCalendar:
+    @pytest.mark.parametrize("make_kernel", KERNELS.values(),
+                             ids=sorted(KERNELS))
+    def test_buckets_lie_ahead_and_hold_exactly_the_live_deaths(
+            self, make_kernel):
+        """After every step each bucket is due after ``steps`` — so
+        ``_expire``, which pops bucket ``steps`` only, misses no death
+        — and the calendar holds exactly the payloads scheduled and not
+        yet released, each once, none of them freed."""
+        workload = LoggedWorkload(make_kernel(64), get_service("web"),
+                                  seed=3)
         workload.start()
-        for _ in range(30):
+        for _ in range(120):
             workload.step()
-        heap = list(workload._expiries)
-        assert heap and all(type(item) is tuple for item in heap)
-        # Popping never reaches the payload (handles do not order): the
-        # unique seq breaks every deadline tie.
-        order = [heapq.heappop(heap)[:2] for _ in range(len(heap))]
-        assert order == sorted(order) and len(set(order)) == len(order)
+            assert all(due > workload.steps for due in workload._expiries)
+            pending = [payload for bucket in workload._expiries.values()
+                       for _kind, payload in bucket]
+            released = {id(p) for p in workload.released}
+            assert len(released) == len(workload.released)
+            assert sorted(map(id, pending)) == sorted(
+                id(p) for p in workload.filed if id(p) not in released)
+            assert not any(p.freed for p in pending)
+        assert workload.released and pending
+        kinds = {kind for bucket in workload._expiries.values()
+                 for kind, _payload in bucket}
+        assert kinds == {"net", "slab", "fs", "pin"}
+        workload.stop(kernel_residue=0.0)
+        assert not workload._expiries
+        assert sorted(map(id, workload.released)) == sorted(
+            map(id, workload.filed))

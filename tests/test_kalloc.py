@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.errors import ReproError
+from repro.errors import DoubleFreeError, ReproError
 from repro.kalloc import (
     NetworkBufferPool,
     NetworkQueueConfig,
@@ -70,6 +70,20 @@ class TestSlab:
         with pytest.raises(ReproError):
             b.free_object(ref)
 
+    def test_double_free_is_a_typed_error(self, linux):
+        """A second free must not put the slot back twice: two later
+        allocations would share it."""
+        cache = SlabCache(linux, "test-256", 256)
+        keep = cache.alloc_object()
+        ref = cache.alloc_object()
+        cache.free_object(ref)
+        with pytest.raises(DoubleFreeError, match="already freed"):
+            cache.free_object(ref)
+        a, b = cache.alloc_object(), cache.alloc_object()
+        assert cache.nr_slabs == 1
+        assert len({a.index, b.index, keep.index}) == 3
+        assert cache.total_objects == 3
+
     def test_bad_object_size_rejected(self, linux):
         with pytest.raises(ReproError):
             SlabCache(linux, "bad", 0)
@@ -111,6 +125,15 @@ class TestNetBuf:
         assert buf.source is AllocSource.USER
         assert buf.pinned
         pool.free_buffer(buf)
+        assert linux.free_frames() == linux.mem.nframes
+
+    def test_double_free_is_a_typed_error(self, linux):
+        pool = NetworkBufferPool(linux)
+        buf = pool.alloc_buffer()
+        pool.free_buffer(buf)
+        with pytest.raises(DoubleFreeError, match="already freed"):
+            pool.free_buffer(buf)
+        assert not pool.transient
         assert linux.free_frames() == linux.mem.nframes
 
 

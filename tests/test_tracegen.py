@@ -469,8 +469,9 @@ class TestRetireDifferential:
         reference = _burst(monkeypatch, PerInstructionLoop, config)
         assert resumed.snapshot() == reference["result"]
         # What a loadgen checkpoint pickles did not change shape (7 is
-        # the handle registry's freed marker, 8 the free-list columns).
-        assert FORMAT_VERSION == 8
+        # the handle registry's freed marker, 8 the free-list columns,
+        # 9 the workload expiry calendar).
+        assert FORMAT_VERSION == 9
         assert sorted(vars(RequestLoop(NGINX))) == [
             "accesses_per_request", "app", "buffer_pages", "core",
             "hot_pages", "hot_weight", "instructions_per_request",
