@@ -1,12 +1,13 @@
-"""Regenerate every paper figure, table and ablation, and check its shape.
+"""Regenerate every paper figure, table and ablation.
 
-Each figure is an experiment spec (``repro experiment list``).  One test
-per spec runs it through ``run_experiment`` — served from the
-content-addressed result cache after the first run, so the shared
-fleet survey and steady-state profile are simulated once — writes the
-rendered report to ``results/<name with - as _>.txt`` (byte for byte
-what ``repro experiment run <name>`` prints) and then calls the
-figure's check: the paper's shape claims, asserted over the rows.
+Each figure is an experiment spec that declares the paper's claims
+about it (``repro experiment list``).  One test per such spec runs it
+through ``run_experiment`` — served from the content-addressed result
+cache after the first run, so the shared fleet survey and steady-state
+profile are simulated once — and writes the rendered report to
+``results/<name with - as _>.txt``, byte for byte what ``repro
+experiment run <name>`` prints, and then checks the spec's claims on
+that seed.  ``repro experiment verify --all`` checks them on three.
 
     PYTHONPATH=src python -m pytest benchmarks/bench_figures.py
     PYTHONPATH=src python -m pytest benchmarks/bench_figures.py -k fig11
@@ -16,274 +17,19 @@ import os
 
 import pytest
 
-from repro.experiments import run_experiment
+from repro.experiments import all_specs, run_experiment, verify_claims
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
-#: Spec name -> its check, a function of the ExperimentResult.
-CHECKS = {}
+FIGURES = [spec.name for spec in all_specs() if spec.claims]
 
 
-def checks(name):
-    """Register the decorated function as the check of spec *name*."""
-    def add(fn):
-        CHECKS[name] = fn
-        return fn
-    return add
-
-
-@checks("fig02-hwgen")
-def check_fig02(result):
-    rows = result.rows
-    assert rows[-1]["relative_capacity"] >= 7.5
-    assert rows[-1]["coverage_1g"] == 1.0
-
-
-@checks("fig03-walk-cycles")
-def check_fig03(result):
-    results = {(row["service"], row["pages"]): row for row in result.rows}
-    web_4k = results[("Web", "4KB")]
-    web_2m = results[("Web", "2MB")]
-    web_1g = results[("Web", "1GB")]
-    # Paper: total can approach 20 % of cycles.
-    assert 10.0 < web_4k["total_pct"] < 35.0
-    # Paper: 2 MiB halves Web's instruction walk cycles.
-    assert web_2m["instr_pct"] < 0.7 * web_4k["instr_pct"]
-    # Paper: 1 GiB's data gain exceeds 2 MiB's for Web.
-    assert (web_4k["data_pct"] - web_1g["data_pct"]) > \
-        (web_4k["data_pct"] - web_2m["data_pct"])
-    # Ordering holds for every service.
-    for service in {service for service, _ in results}:
-        assert results[(service, "2MB")]["total_pct"] < \
-            results[(service, "4KB")]["total_pct"]
-
-
-@checks("fig04-contiguity-cdf")
-def check_fig04(result):
-    without = {row["granularity"]: row["without_any"]
-               for row in result.rows}
-    # Shape assertions: larger granularities are strictly harder.
-    assert without["2MB"] <= without["32MB"] <= without["1GB"]
-    # A substantial share of servers lacks any 2 MiB contiguity, and
-    # dynamically allocating 1 GiB is (nearly) impossible.
-    assert without["2MB"] > 0.05
-    assert without["1GB"] > 0.9
-
-
-@checks("fig05-unmovable-cdf")
-def check_fig05(result):
-    med = {row["granularity"]: row["median"] for row in result.rows}
-    # Amplification grows with granularity.
-    assert med["2MB"] <= med["4MB"] <= med["32MB"] <= med["1GB"]
-    # Scattering amplification: block-level far above page-level.
-    assert 0.1 < med["2MB"] < 0.7
-    assert med["1GB"] > 0.9
-
-
-@checks("fig06-sources")
-def check_fig06(result):
-    fractions = {row["source"]: row["fraction"] for row in result.rows}
-    # Networking dominates, as in the paper.
-    assert max(fractions, key=fractions.get) == "networking"
-    assert fractions["networking"] > 0.5
-    # Slab is the clear second among kernel heaps.
-    assert fractions.get("slab", 0) > fractions.get("pagetable", 0)
-
-
-@checks("s24-uptime-corr")
-def check_s24(result):
-    # The paper's non-result: effectively no correlation.  (With a small
-    # sample we allow a wider band than the fleet's 0.003.)
-    assert abs(result.rows[0]["correlation"]) < 0.35
-
-
-@checks("fig10-endtoend")
-def check_fig10(result):
-    out = {(row["service"], row["config"]): row for row in result.rows}
-    for service in ("Web", "CacheA", "CacheB"):
-        full, partial, cont = (
-            out[(service, config)]["relative_perf"]
-            for config in ("linux-full", "linux-partial", "contiguitas"))
-        # Contiguitas beats both fragmented-Linux setups.
-        assert cont > partial >= full * 0.98, service
-        # Paper band: 7-18 % over full fragmentation...
-        assert 1.03 < cont / full < 1.40, (service, cont / full)
-        # ...and 2-9 % over partial.
-        assert 1.003 < cont / partial < 1.20, (service, cont / partial)
-
-    # Web's 1 GiB pages contribute a substantial extra win (paper: 7.5 %).
-    web = out[("Web", "contiguitas")]
-    assert web["coverage_1g"] > 0.0, "Contiguitas failed to place 1G pages"
-    assert web["perf_from_1g"] > 0.02
-    # Linux cannot allocate any 1 GiB page under fragmentation.
-    assert out[("Web", "linux-full")]["coverage_1g"] == 0.0
-    assert out[("Web", "linux-partial")]["coverage_1g"] == 0.0
-
-
-@checks("fig11-unmovable")
-def check_fig11(result):
-    rows = result.rows
-    for row in rows:
-        # Contiguitas confines; Linux scatters.
-        assert row["contiguitas"] < row["linux"], row["service"]
-        assert row["contiguitas"] <= 0.17, (row["service"],
-                                            row["contiguitas"])
-    linux_avg = sum(row["linux"] for row in rows) / len(rows)
-    cont_avg = sum(row["contiguitas"] for row in rows) / len(rows)
-    # Fleet-shape: Linux average lands in the paper's band and
-    # Contiguitas cuts it by several x.
-    assert 0.12 < linux_avg < 0.55
-    assert cont_avg < linux_avg / 2
-
-
-@checks("fig12-potential")
-def check_fig12(result):
-    out = {(row["service"], row["kernel"]): row for row in result.rows}
-    for service in {row["service"] for row in result.rows}:
-        linux, cont = out[(service, "linux")], out[(service, "contiguitas")]
-        for g in ("2M", "32M", "1G*"):
-            assert cont[g] >= linux[g], (service, g)
-        # Contiguitas preserves most of memory as potential contiguity
-        # even at the coarsest granularity that fits the machine.
-        assert cont["32M"] > 0.5, service
-        # Linux's potential collapses as granularity grows...
-        assert linux["32M"] <= linux["2M"], service
-        # ...while Contiguitas keeps most memory recoverable even at the
-        # paper's 1 GiB scale-equivalent (Linux finds almost nothing).
-        assert cont["1G*"] > 0.4, service
-        assert linux["1G*"] < cont["1G*"], service
-
-
-@checks("s52-internal-frag")
-def check_s52(result):
-    rows = result.rows
-    avg = sum(row["frag"] for row in rows) / len(rows)
-    peak = max(row["frag_peak"] for row in rows)
-    # Internal fragmentation exists (motivating HW defrag) but the
-    # region stays small.  Our churn model recovers free space faster
-    # than production (see EXPERIMENTS.md), so the band is wide.
-    assert 0.01 < avg < 0.6
-    assert peak > 0.03
-    for row in rows:
-        assert row["region_share"] < 0.3, row["service"]
-
-
-@checks("fig13-unavailable")
-def check_fig13(result):
-    rows = result.rows
-    # Linear growth for Linux; constant for Contiguitas.
-    sims = [row["linux_sim"] for row in rows]
-    conts = [row["contiguitas"] for row in rows]
-    deltas = {b - a for a, b in zip(sims, sims[1:])}
-    assert len(deltas) == 1, "Linux-Sim not linear"
-    assert len(set(conts)) == 1, "Contiguitas not constant"
-    assert conts[0] == rows[0]["invlpg_cycles"]
-    # Right edge near the paper's ~8000 cycles.
-    assert 7000 <= sims[-1] <= 9500
-    # Validation band.
-    for row in rows:
-        real, sim = row["linux_real"], row["linux_sim"]
-        assert -0.06 <= (sim - real) / real <= 0.10
-    assert 1100 <= rows[0]["copy_cycles"] <= 1500
-
-
-@checks("s53-interference")
-def check_s53_interference(result):
-    overheads = {(row["app"], row["rate"], row["design"]): row["overhead"]
-                 for row in result.rows if row["method"] == "analytic"}
-    nc, c = "noncacheable", "cacheable"
-    # Regular rate: no measurable impact for either design.
-    assert overheads[("nginx", "regular", nc)] < 0.001
-    assert overheads[("memcached", "regular", nc)] < 0.001
-    # Very High: small but nonzero for noncacheable...
-    assert 0.0005 < overheads[("nginx", "very-high", nc)] < 0.005
-    assert 0.0005 < overheads[("memcached", "very-high", nc)] < 0.006
-    # ...and effectively zero for cacheable.
-    assert overheads[("memcached", "very-high", c)] < 1e-4
-    # memcached's huge-page win lands near the paper's 7 %.
-    assert 1.03 < result.rows[0]["memcached_2m_gain"] < 1.12
-
-
-@checks("s53-hwcost")
-def check_s53_hwcost(result):
-    from repro.workloads import VERY_HIGH_RATE
-
-    vals = result.rows[0]
-    assert vals["area_mm2"] == pytest.approx(0.0038, rel=0.15)
-    assert vals["energy_nj"] == pytest.approx(0.0017, rel=0.15)
-    assert vals["leakage_mw"] == pytest.approx(0.64, rel=0.15)
-    assert vals["core_fraction"] < 0.001
-    # Even one entry sustains >10x the Very High migration rate.
-    assert vals["capacity_1_entry"] > 10 * VERY_HIGH_RATE
-
-
-@checks("alg1-resizing")
-def check_alg1(result):
-    rows = result.rows
-    # Pure-function expectations.
-    by_case = {(row["p_unmov"], row["p_mov"]): row["target"] for row in rows}
-    assert by_case[(0.0, 0.0)] < 100_000
-    assert by_case[(20.0, 0.0)] > 100_000
-    assert by_case[(50.0, 0.0)] > by_case[(20.0, 0.0)]
-    assert by_case[(50.0, 50.0)] <= 100_000
-
-    # Live behaviour: grow under demand, give memory back afterwards.
-    spike = rows[0]
-    assert spike["peak"] > spike["initial"]
-    assert spike["settled"] < spike["peak"]
-    assert spike["violations"] == 0
-
-
-@checks("ablation-placement")
-def check_placement(result):
-    out = {row["bias"]: row for row in result.rows}
-    with_bias = out[True]
-    without = out[False]
-    # The bias must recover strictly more memory.
-    assert with_bias["end"] < without["end"]
-    assert with_bias["shrinks"] > without["shrinks"]
-
-
-@checks("ablation-designs")
-def check_designs(result):
-    part = {name: [row for row in result.rows if row["part"] == name]
-            for name in ("initial-size", "slice-copy", "hw-shrink")}
-    sizes = part["initial-size"]
-    # Small initial regions expand more; large ones shrink more.
-    assert sizes[0]["expands"] >= sizes[-1]["expands"]
-    assert sizes[-1]["shrinks"] >= sizes[0]["shrinks"]
-    # Parallel slice copy is faster, sequential never loses correctness.
-    for row in part["slice-copy"]:
-        assert row["parallel"] <= row["sequential"]
-    # Hardware migration unlocks shrinking that software cannot do.
-    shrink = {row["hw"]: row["blocks"] for row in part["hw-shrink"]}
-    assert shrink[True] < shrink[False]
-
-
-@checks("ablation-pcp")
-def check_pcp(result):
-    out = {(row["kernel"], row["pcp"]): row for row in result.rows}
-    # Linux scatters with or without PCP; Contiguitas confines either way.
-    for pcp in (False, True):
-        assert out[("linux", pcp)]["unmovable_2m"] > \
-            out[("contiguitas", pcp)]["unmovable_2m"]
-        assert out[("contiguitas", pcp)]["violations"] == 0
-
-
-@checks("ablation-autotune")
-def check_autotune(result):
-    # Row 0 is the default configuration, then one row per trial.
-    costs = [row["cost"] for row in result.rows]
-    assert min(costs) <= costs[0]
-    assert len(costs) == result.config["trials"] + 1
-
-
-@pytest.mark.parametrize("name", sorted(CHECKS))
+@pytest.mark.parametrize("name", FIGURES)
 def test_figure(name):
-    result = run_experiment(name)
-    report = result.report()
+    report = run_experiment(name).report()
     path = os.path.join(RESULTS_DIR, name.replace("-", "_") + ".txt")
     with open(path, "w") as fh:
         fh.write(report + "\n")
     print(f"\n{report}")
-    CHECKS[name](result)
+    assert [f"{v.claim.id}: {v.measured[0]}"
+            for v in verify_claims([name], seeds=1) if not v.held] == []

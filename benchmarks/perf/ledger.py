@@ -3,7 +3,8 @@
 
     python3 benchmarks/e2e/run.py --repeat 5 --json-out run.json
     python3 benchmarks/e2e/run.py --traced --workload durable-run --json-out traced.json
-    python3 benchmarks/perf/ledger.py append run.json traced.json --pr N --sha "$(git rev-parse HEAD)" --tier1 SECONDS COUNT
+    PYTHONPATH=src python3 -m repro experiment verify --all --json > verify.json
+    python3 benchmarks/perf/ledger.py append run.json traced.json --pr N --sha "$(git rev-parse HEAD)" --tier1 SECONDS COUNT --verify verify.json
     python3 benchmarks/perf/ledger.py report
 
 ``history.jsonl`` beside this file is append-only: one JSON object per
@@ -19,6 +20,10 @@ the numbers a roadmap gate is written in live here and not in prose.
 ``--tier1 SECONDS COUNT`` records the Tier-1 suite's wall seconds and
 test count for the tree measured, as every appended row's optional
 ``"tier1"`` object, so "the tests did not get slower" is a row too.
+``--verify FILE`` reads ``repro experiment verify --all --json`` for
+the same tree and records its verdict as every row's optional
+``"verify"`` object (claims, claims held, seeds), beside the digest: a
+row may change ``sim_digest`` on purpose only when every claim held.
 ``report`` prints every workload's rows oldest first and judges each
 against the row before it with ``e2ebench.compare.verdict``, the rule
 ``run.py --compare`` applies, so "better" here means what it means
@@ -59,11 +64,13 @@ def load_contract() -> dict:
 
 
 def rows_from_runs(runs: list[dict], contract: dict, pr: int,
-                   sha: str, tier1: dict | None = None) -> list[dict]:
+                   sha: str, tier1: dict | None = None,
+                   verify: dict | None = None) -> list[dict]:
     """One ledger row per workload from ``run.py --json-out`` records:
     the end-to-end metrics from its untraced runs and, when there are
     traced runs of it too, their per-layer medians under ``layers``;
-    *tier1* (``{"seconds", "tests"}``) rides on every row."""
+    *tier1* (``{"seconds", "tests"}``) and *verify* (``{"claims",
+    "held", "seeds"}``) ride on every row."""
     rows = []
     for workload in (w["name"] for w in contract["workloads"]):
         full = [r for r in runs
@@ -95,6 +102,7 @@ def rows_from_runs(runs: list[dict], contract: dict, pr: int,
                      "nproc": os.cpu_count() or 1},
             **({"layers": layers} if layers else {}),
             **({"tier1": tier1} if tier1 else {}),
+            **({"verify": verify} if verify else {}),
         })
     if not rows:
         raise LedgerError("no full-size untraced run in the record")
@@ -141,6 +149,15 @@ def check_row(row, contract: dict, where: str) -> None:
              and number(tier1["seconds"]) and tier1["seconds"] > 0
              and type(tier1["tests"]) is int and tier1["tests"] > 0,
              "'tier1' is not {\"seconds\": > 0, \"tests\": int > 0}")
+    if "verify" in row:
+        verify = row["verify"]
+        need(isinstance(verify, dict)
+             and set(verify) == {"claims", "held", "seeds"}
+             and all(type(verify[key]) is int for key in verify)
+             and 0 <= verify["held"] <= verify["claims"]
+             and verify["claims"] > 0 and verify["seeds"] > 0,
+             "'verify' is not {\"claims\": int > 0, \"held\": int <= "
+             "claims, \"seeds\": int > 0}")
 
 
 def load_history(path: str, contract: dict) -> list[dict]:
@@ -171,8 +188,26 @@ def parse_tier1(seconds: str, tests: str) -> dict:
     return tier1
 
 
+def parse_verify(path: str) -> dict:
+    """The verdict of one ``repro experiment verify --json`` record:
+    how many claims it judged, how many held on every seed, and the
+    fewest seeds any claim was judged on."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            records = json.load(fh)
+        verify = {"claims": len(records),
+                  "held": sum(record["held"] is True for record in records),
+                  "seeds": min(len(record["seeds"]) for record in records)}
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        raise LedgerError(f"{path}: not a `repro experiment verify --json` "
+                          f"record ({exc!r})") from None
+    if not verify["seeds"]:
+        raise LedgerError(f"{path}: a claim was judged on no seed")
+    return verify
+
+
 def append(run_paths: list[str], pr: int, sha: str, history: str,
-           tier1: dict | None = None) -> None:
+           tier1: dict | None = None, verify: dict | None = None) -> None:
     contract = load_contract()
     where = ", ".join(run_paths)
     try:
@@ -180,7 +215,7 @@ def append(run_paths: list[str], pr: int, sha: str, history: str,
         for run_path in run_paths:
             with open(run_path, encoding="utf-8") as fh:
                 runs += json.load(fh)["runs"]
-        rows = rows_from_runs(runs, contract, pr, sha, tier1)
+        rows = rows_from_runs(runs, contract, pr, sha, tier1, verify)
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise LedgerError(f"{where}: not a run.py --json-out record "
                           f"({exc!r})") from None
@@ -240,6 +275,10 @@ def report(history: str) -> None:
                 print("      sim_digest "
                       + ("identical to" if same else "DIFFERS from")
                       + f" PR {prev['pr']}")
+            if "verify" in row:
+                verify = row["verify"]
+                print(f"      verify {verify['held']}/{verify['claims']} "
+                      f"claims held on {verify['seeds']} seeds")
             prev = row
 
 
@@ -261,12 +300,16 @@ def main(argv=None) -> int:
     add.add_argument("--tier1", nargs=2, metavar=("SECONDS", "COUNT"),
                      help="Tier-1 wall seconds and test count of the "
                           "tree measured")
+    add.add_argument("--verify", metavar="FILE",
+                     help="`repro experiment verify --all --json` output "
+                          "for the tree measured")
     sub.add_parser("report", help="print the trajectory with verdicts")
     args = parser.parse_args(argv)
     try:
         if args.verb == "append":
             append(args.run, args.pr, args.sha, args.history,
-                   parse_tier1(*args.tier1) if args.tier1 else None)
+                   parse_tier1(*args.tier1) if args.tier1 else None,
+                   parse_verify(args.verify) if args.verify else None)
         else:
             report(args.history)
     except (LedgerError, OSError) as exc:

@@ -59,7 +59,13 @@ import tokenize
 #: (``workloads/base.py`` 321 → 337), a slotted slab ``ObjectRef``, and
 #: typed double-free checks in ``SlabCache.free_object`` and
 #: ``NetworkBufferPool.free_buffer`` (``kalloc`` +8).
-BUDGET = 13_206
+#: Then 13,206 → 13,664: the paper's claims became data on the specs —
+#: the claim table on the 18 figure specs (``experiments/builtin.py``
+#: 936 → 1,208), its two kinds and the verifier
+#: (``experiments/claims.py``, 141) and ``experiment verify`` (``cli``
+#: +30); the 18 check functions went from ``bench_figures.py`` (181 →
+#: 14), so ``src/repro`` plus ``benchmarks/*.py`` went 13,387 → 13,678.
+BUDGET = 13_664
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
              tokenize.INDENT, tokenize.DEDENT, tokenize.ENCODING,

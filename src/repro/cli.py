@@ -24,6 +24,8 @@ Examples::
     python -m repro experiment sweep workload-steady   # its grid, as a
                                           # scenario report
     python -m repro experiment report fig06-sources --json
+    python -m repro experiment verify fig13-unavailable  # its claims,
+                                          # on three seeds
     python -m repro scenario list         # bundled scenario matrices
     python -m repro scenario show uce-degrade --smoke
     python -m repro scenario run fragmentation-aging --smoke
@@ -337,6 +339,33 @@ def _cmd_experiment_report(args) -> None:
             f"no cached result for {args.name!r} with this config/seed; "
             f"run `repro experiment run {args.name}` first")
     _print_experiment(result, args.json)
+
+
+def _cmd_experiment_verify(args) -> None:
+    """Every claim of the named specs (``--all``: of every spec that
+    declares claims) on three seeds: the per-claim index on stdout,
+    exit 1 naming each claim broken on any seed."""
+    import json
+    import sys
+
+    from .experiments import all_specs, verify_claims
+    from .experiments.claims import render_markdown
+
+    if bool(args.names) == args.all:
+        raise SystemExit("repro: name the specs to verify or pass --all, "
+                         "not both")
+    names = args.names or [spec.name for spec in all_specs() if spec.claims]
+    verdicts = verify_claims(names, workers=args.workers,
+                             cache=_experiment_cache(args))
+    print(json.dumps([v.snapshot() for v in verdicts], indent=2,
+                     sort_keys=True) if args.json
+          else render_markdown(verdicts))
+    broken = [f"{v.spec}:{v.claim.id}" for v in verdicts if not v.held]
+    print(f"# {len(verdicts) - len(broken)} of {len(verdicts)} claim(s) "
+          "held on every seed", file=sys.stderr)
+    if broken:
+        raise SystemExit(f"repro: {len(broken)} claim(s) broken: "
+                         + ", ".join(broken))
 
 
 def _scenario_target(args):
@@ -694,6 +723,17 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[_common_options(seed=None, json_flag=True)])
     _experiment_cell_options(ereport, force=False)
     ereport.set_defaults(fn=_cmd_experiment_report)
+
+    everify = esub.add_parser(
+        "verify", help="check specs' paper claims on the spec's seed and "
+                       "the two after it (exit 1 when one breaks)",
+        parents=[_common_options(workers=True, json_flag=True)])
+    everify.add_argument("names", nargs="*", metavar="NAME",
+                         help="spec names (see `experiment list`)")
+    everify.add_argument("--all", action="store_true",
+                         help="every spec that declares claims")
+    _cache_dir_option(everify)
+    everify.set_defaults(fn=_cmd_experiment_verify)
 
     scenario = sub.add_parser(
         "scenario",

@@ -25,6 +25,7 @@ from .cache import (
     default_cache_dir,
     result_key,
 )
+from .claims import Band, Claim, Ordered, Verdict, verify_claims
 from .grid import (
     Axis,
     AxisValue,
@@ -49,13 +50,17 @@ from . import builtin as _builtin  # noqa: F401
 __all__ = [
     "Axis",
     "AxisValue",
+    "Band",
     "CACHE_ENV",
     "CACHE_SCHEMA",
     "Cell",
+    "Claim",
     "ExperimentContext",
     "ExperimentResult",
     "ExperimentSpec",
+    "Ordered",
     "ResultCache",
+    "Verdict",
     "all_specs",
     "axes_from_grid",
     "canonical_json",
@@ -68,4 +73,5 @@ __all__ = [
     "run_experiment",
     "unregister",
     "value_id",
+    "verify_claims",
 ]

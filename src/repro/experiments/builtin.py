@@ -15,11 +15,15 @@ Producers return canonical-JSON-safe rows only (scan snapshots, plain
 dicts of numbers) and import the simulator inside the function, so a
 cache hit stays in the cold import tier (docs/INTERNALS.md); rendering
 to the figure tables happens in ``postprocess``, which is never cached
-and reads nothing but the rows and the config.
+and reads nothing but the rows and the config.  Each figure's
+``claims`` state what the paper reports, the paper's value beside the
+band or ordering the reproduction is held to (``repro experiment
+verify``).
 """
 
 from __future__ import annotations
 
+from .claims import Band, Ordered
 from .grid import axes_from_grid
 from .spec import ExperimentContext, ExperimentSpec, register
 
@@ -64,6 +68,17 @@ def _fetch_survey(ctx: ExperimentContext):
         "mem_mib": ctx.params["mem_mib"],
     })
     return FleetSample.from_snapshots(rows)
+
+
+def _col(rows: list, key: str, field: str) -> dict:
+    """``{row[key]: row[field]}`` over *rows*, in row order."""
+    return {row[key]: row[field] for row in rows}
+
+
+def _row(rows: list, **match) -> dict:
+    """The first of *rows* whose fields equal *match*."""
+    return next(row for row in rows
+                if all(row[key] == value for key, value in match.items()))
 
 
 def _cdf(values: list, points: tuple) -> dict:
@@ -218,7 +233,7 @@ FLEET_SURVEY = register(ExperimentSpec(
 
 
 def _survey_figure(name: str, description: str, figure: str,
-                   producer, postprocess) -> ExperimentSpec:
+                   producer, postprocess, claims) -> ExperimentSpec:
     """Register a figure over ``fleet-survey``: it takes the survey's
     scale as its parameters and the survey's seed as its own."""
     return register(ExperimentSpec(
@@ -231,21 +246,70 @@ def _survey_figure(name: str, description: str, figure: str,
         seed=FLEET_SURVEY.seed,
         figure=figure,
         postprocess=postprocess,
+        claims=claims,
     ))
 
 
-_survey_figure("fig04-contiguity-cdf",
-               "CDF of free-memory contiguity across the fleet",
-               "Fig. 4", _produce_fig04, _report_fig04)
-_survey_figure("fig05-unmovable-cdf",
-               "CDF of blocks holding unmovable pages across the fleet",
-               "Fig. 5", _produce_fig05, _report_fig05)
-_survey_figure("fig06-sources",
-               "Sources of unmovable allocations (networking-dominated)",
-               "Fig. 6", _produce_fig06, _report_fig06)
-_survey_figure("s24-uptime-corr",
-               "Correlation of server uptime with free 2MB blocks",
-               "§2.4", _produce_s24, _report_s24)
+def _without(rows: list) -> dict:
+    return _col(rows, "granularity", "without_any")
+
+
+def _median(rows: list) -> dict:
+    return _col(rows, "granularity", "median")
+
+
+def _source(rows: list) -> dict:
+    return _col(rows, "source", "fraction")
+
+
+def _heap_error(rows: list) -> dict:
+    """Each kernel heap's measured share minus the paper's."""
+    from ..kalloc import SOURCE_MIX_META
+
+    return {source: _source(rows).get(source, 0.0)
+            - getattr(SOURCE_MIX_META, source)
+            for source in ("slab", "filesystem", "pagetable")}
+
+
+_survey_figure(
+    "fig04-contiguity-cdf", "CDF of free-memory contiguity across the fleet",
+    "Fig. 4", _produce_fig04, _report_fig04, claims=(
+        Ordered("harder-with-granularity", "servers without a free block: "
+                "2MB 23%, 32MB 59%, 1GB ~100%",
+                lambda rows: [_without(rows)[gran]
+                              for gran in ("2MB", "32MB", "1GB")], "<="),
+        Band("no-free-2mb", "23% of servers lack a free 2MB block",
+             lambda rows: _without(rows)["2MB"], lo=0.05),
+        Band("no-free-1gb", "dynamic 1GB allocation is practically "
+             "impossible", lambda rows: _without(rows)["1GB"], lo=0.9)))
+_survey_figure(
+    "fig05-unmovable-cdf",
+    "CDF of blocks holding unmovable pages across the fleet",
+    "Fig. 5", _produce_fig05, _report_fig05, claims=(
+        Ordered("amplification-grows", "a 7.6% page-level share, "
+                "amplified at every coarser granularity",
+                lambda rows: [_median(rows)[gran] for gran in GRANULARITIES],
+                "<="),
+        Band("median-2mb", "median 34% of 2MB blocks",
+             lambda rows: _median(rows)["2MB"], 0.1, 0.7),
+        Band("median-1gb", "~100% of 1GB regions",
+             lambda rows: _median(rows)["1GB"], lo=0.9)))
+_survey_figure(
+    "fig06-sources", "Sources of unmovable allocations (networking-dominated)",
+    "Fig. 6", _produce_fig06, _report_fig06, claims=(
+        Band("networking-dominates", "networking >73%",
+             lambda rows: _source(rows)["networking"], lo=0.73),
+        Ordered("slab-over-pagetables", "slab 12% above page tables ~4%",
+                lambda rows: [_source(rows).get("pagetable", 0),
+                              _source(rows).get("slab", 0)]),
+        Band("heaps-near-paper", "slab 12%, filesystems ~7%, page tables "
+             "~4%", _heap_error, -0.08, 0.08)))
+_survey_figure(
+    "s24-uptime-corr", "Correlation of server uptime with free 2MB blocks",
+    "§2.4", _produce_s24, _report_s24, claims=(
+        Band("no-correlation", "Pearson 0.00286 fleet-wide (0.16 for "
+             "young servers)", lambda rows: rows[0]["correlation"],
+             -0.35, 0.35),))
 
 
 def _produce_tail_latency(ctx: ExperimentContext) -> list:
@@ -560,7 +624,7 @@ def _report_s52(rows: list, config: dict) -> str:
 
 
 def _steady_figure(name: str, description: str, figure: str,
-                   producer, postprocess) -> ExperimentSpec:
+                   producer, postprocess, claims) -> ExperimentSpec:
     """Register a figure over ``steady-profile``, seeded like it: a
     figure fetches its dependency at its own seed."""
     return register(ExperimentSpec(
@@ -570,18 +634,74 @@ def _steady_figure(name: str, description: str, figure: str,
         seed=STEADY_PROFILE.seed,
         figure=figure,
         postprocess=postprocess,
+        claims=claims,
     ))
 
 
-_steady_figure("fig11-unmovable",
-               "Unmovable 2MB blocks at steady state, Linux vs Contiguitas",
-               "Fig. 11", _produce_fig11, _report_fig11)
-_steady_figure("fig12-potential",
-               "Potential contiguity after perfect compaction",
-               "Fig. 12", _produce_fig12, _report_fig12)
-_steady_figure("s52-internal-frag",
-               "Internal fragmentation of Contiguitas's unmovable region",
-               "§5.2", _produce_s52, _report_s52)
+def _average(rows: list, field: str) -> float:
+    return sum(row[field] for row in rows) / len(rows)
+
+
+def _potential(rows: list, kernel: str, gran: str) -> dict:
+    """``{service: potential}`` of *kernel* at granularity *gran*."""
+    return {row["service"]: row[gran] for row in rows
+            if row["kernel"] == kernel}
+
+
+def _potential_pairs(rows: list, grans: tuple) -> dict:
+    """``{"<service> <gran>": [linux, contiguitas]}``."""
+    return {f"{service} {gran}": [linux, _potential(rows, "contiguitas",
+                                                    gran)[service]]
+            for gran in grans
+            for service, linux in _potential(rows, "linux", gran).items()}
+
+
+_steady_figure(
+    "fig11-unmovable",
+    "Unmovable 2MB blocks at steady state, Linux vs Contiguitas",
+    "Fig. 11", _produce_fig11, _report_fig11, claims=(
+        Ordered("contiguitas-confines", "Contiguitas below Linux for "
+                "every workload", lambda rows: {
+                    row["service"]: [row["contiguitas"], row["linux"]]
+                    for row in rows}),
+        Band("contiguitas-max", "Contiguitas <=9%",
+             lambda rows: _col(rows, "service", "contiguitas"), hi=0.17),
+        Band("linux-range", "Linux 19-42%",
+             lambda rows: _col(rows, "service", "linux"), 0.19, 0.42),
+        Band("linux-average", "Linux average 31%",
+             lambda rows: _average(rows, "linux"), 0.19, 0.42),
+        Band("contiguitas-cut", "average 7% against Linux's 31%",
+             lambda rows: _average(rows, "contiguitas")
+             / _average(rows, "linux"), hi=0.5)))
+_steady_figure(
+    "fig12-potential", "Potential contiguity after perfect compaction",
+    "Fig. 12", _produce_fig12, _report_fig12, claims=(
+        Ordered("contiguitas-keeps-more", "Contiguitas recovers at least "
+                "Linux's potential", lambda rows: _potential_pairs(
+                    rows, ("2M", "32M", "1G*")), "<="),
+        Ordered("linux-collapses", "Linux's potential collapses as "
+                "granularity grows", lambda rows: {
+                    service: [linux, _potential(rows, "linux", "2M")[service]]
+                    for service, linux
+                    in _potential(rows, "linux", "32M").items()}, "<="),
+        Ordered("linux-below-at-1g", "Linux's potential reaches zero at "
+                "1GB", lambda rows: _potential_pairs(rows, ("1G*",))),
+        Band("contiguitas-32m", "Contiguitas's whole movable region is "
+             "recoverable", lambda rows: _potential(rows, "contiguitas",
+                                                    "32M"), lo=0.5),
+        Band("contiguitas-1g", "recoverable at 1GB too",
+             lambda rows: _potential(rows, "contiguitas", "1G*"), lo=0.4)))
+_steady_figure(
+    "s52-internal-frag",
+    "Internal fragmentation of Contiguitas's unmovable region",
+    "§5.2", _produce_s52, _report_s52, claims=(
+        Band("average-free", "~22% free in a typical occupied 2MB block",
+             lambda rows: _average(rows, "frag"), 0.01, 0.6),
+        Band("trough-peak", "free space swings with traffic, peaking in "
+             "troughs", lambda rows: max(row["frag_peak"] for row in rows),
+             lo=0.03),
+        Band("region-small", "the region stays a small share of memory",
+             lambda rows: _col(rows, "service", "region_share"), hi=0.3)))
 
 
 #: Fig. 10's machine per service (Web needs room for 1 GiB
@@ -640,6 +760,14 @@ def _report_fig10(rows: list, config: dict) -> str:
     )
 
 
+def _speedup(rows: list, config: str, over: str) -> dict:
+    """``{service: relative_perf(config) / relative_perf(over)}``."""
+    perf = {(row["service"], row["config"]): row["relative_perf"]
+            for row in rows}
+    return {service: perf[service, config] / perf[service, over]
+            for service in _FIG10_MACHINES}
+
+
 FIG10 = register(ExperimentSpec(
     name="fig10-endtoend",
     description="Relative RPS of Web/CacheA/CacheB on fully and "
@@ -648,6 +776,28 @@ FIG10 = register(ExperimentSpec(
     seed=7,
     figure="Fig. 10",
     postprocess=_report_fig10,
+    claims=(
+        Band("over-full", "7-18% over fully fragmented Linux",
+             lambda rows: _speedup(rows, "contiguitas", "linux-full"),
+             1.03, 1.40),
+        Band("over-partial", "2-9% over partially fragmented Linux",
+             lambda rows: _speedup(rows, "contiguitas", "linux-partial"),
+             1.003, 1.20),
+        Band("partial-not-below-full", "partial fragmentation costs no "
+             "more than full", lambda rows: _speedup(
+                 rows, "linux-partial", "linux-full"), lo=0.98),
+        Ordered("web-1g-placed", "Contiguitas places 1GB pages for Web "
+                "(4GB placed)", lambda rows: [0.0, _row(
+                    rows, service="Web",
+                    config="contiguitas")["coverage_1g"]]),
+        Band("web-1g-gain", "1GB pages add 7.5% to Web's win",
+             lambda rows: _row(rows, service="Web", config="contiguitas")[
+                 "perf_from_1g"], lo=0.02),
+        Band("linux-no-1g", "Linux's 1GB allocation always fails",
+             lambda rows: {config: _row(rows, service="Web", config=config)[
+                 "coverage_1g"] for config in ("linux-full", "linux-partial")},
+             0.0, 0.0),
+    ),
 ))
 
 
@@ -678,6 +828,12 @@ FIG02 = register(ExperimentSpec(
     producer=_produce_fig02,
     figure="Fig. 2",
     postprocess=_report_fig02,
+    claims=(
+        Band("memory-growth", "~8x memory from Gen1 to Gen5",
+             lambda rows: rows[-1]["relative_capacity"], lo=7.5),
+        Band("1g-covers-gen5", "1GB coverage exceeds Gen5 memory",
+             lambda rows: rows[-1]["coverage_1g"], 1.0, 1.0),
+    ),
 ))
 
 
@@ -714,6 +870,10 @@ def _report_fig03(rows: list, config: dict) -> str:
     )
 
 
+def _walk(rows: list, service: str, pages: str) -> dict:
+    return _row(rows, service=service, pages=pages)
+
+
 FIG03 = register(ExperimentSpec(
     name="fig03-walk-cycles",
     description="Cycles lost to page walks per service and page size",
@@ -722,6 +882,20 @@ FIG03 = register(ExperimentSpec(
     seed=3,
     figure="Fig. 3",
     postprocess=_report_fig03,
+    claims=(
+        Band("web-4k-total", "~20% of Web's cycles walk at 4KB",
+             lambda rows: _walk(rows, "Web", "4KB")["total_pct"], 10.0, 35.0),
+        Band("web-2m-instr", "2MB halves Web's instruction walks (6% -> 3%)",
+             lambda rows: _walk(rows, "Web", "2MB")["instr_pct"]
+             / _walk(rows, "Web", "4KB")["instr_pct"], hi=0.7),
+        Ordered("web-1g-data", "1GB's data-walk gain exceeds 2MB's for Web",
+                lambda rows: [_walk(rows, "Web", pages)["data_pct"]
+                              for pages in ("1GB", "2MB")]),
+        Ordered("2m-beats-4k", "2MB pages cut every service's walks",
+                lambda rows: {row["service"]: [
+                    _walk(rows, row["service"], pages)["total_pct"]
+                    for pages in ("2MB", "4KB")] for row in rows}),
+    ),
 ))
 
 
@@ -796,6 +970,24 @@ FIG13 = register(ExperimentSpec(
     producer=_produce_fig13,
     figure="Fig. 13",
     postprocess=_report_fig13,
+    claims=(
+        Ordered("linux-linear", "Linux grows linearly with victim TLBs",
+                lambda rows: [b["linux_sim"] - a["linux_sim"]
+                              for a, b in zip(rows, rows[1:])], "=="),
+        Ordered("contiguitas-constant", "Contiguitas constant: one local "
+                "invalidation", lambda rows: [row["contiguitas"]
+                                              for row in rows]
+                + [rows[0]["invlpg_cycles"]], "=="),
+        Band("linux-right-edge", "~8000 cycles at the right edge",
+             lambda rows: rows[-1]["linux_sim"], 7000, 9500),
+        Band("sim-vs-real", "Linux-Sim within -6%..+10% of Linux-Real",
+             lambda rows: {row["victims"]: (row["linux_sim"]
+                                            - row["linux_real"])
+                           / row["linux_real"] for row in rows},
+             -0.06, 0.10),
+        Band("copy-cycles", "~1300 cycles per 4KB copy",
+             lambda rows: rows[0]["copy_cycles"], 1100, 1500),
+    ),
 ))
 
 
@@ -856,6 +1048,14 @@ def _report_s53_interference(rows: list, config: dict) -> str:
                     f"{rows[0]['memcached_2m_gain']:.3f}x (paper: ~1.07x)")
 
 
+def _overhead(rows: list, rate: str, design: str,
+              method: str = "analytic") -> dict:
+    """``{app: overhead}`` at one (rate, design, method)."""
+    return {row["app"]: row["overhead"] for row in rows
+            if (row["rate"], row["design"], row["method"])
+            == (rate, design, method)}
+
+
 S53_INTERFERENCE = register(ExperimentSpec(
     name="s53-interference",
     description="NGINX/memcached throughput overhead under "
@@ -863,6 +1063,32 @@ S53_INTERFERENCE = register(ExperimentSpec(
     producer=_produce_s53_interference,
     figure="§5.3",
     postprocess=_report_s53_interference,
+    claims=(
+        Band("regular-no-impact", "no impact at the Regular rate (100/s)",
+             lambda rows: _overhead(rows, "regular", "noncacheable"),
+             hi=0.001),
+        Band("nginx-very-high", "0.2% for NGINX at 1000/s, noncacheable",
+             lambda rows: _overhead(rows, "very-high",
+                                    "noncacheable")["nginx"],
+             0.0005, 0.005),
+        Band("memcached-very-high", "0.3% for memcached at 1000/s, "
+             "noncacheable", lambda rows: _overhead(
+                 rows, "very-high", "noncacheable")["memcached"],
+             0.0005, 0.006),
+        Band("cacheable-no-impact", "~0 with the cacheable design",
+             lambda rows: _overhead(rows, "very-high",
+                                    "cacheable")["memcached"], hi=1e-4),
+        Ordered("noncacheable-costs-more", "noncacheable above cacheable, "
+                "analytic and simulated", lambda rows: {
+                    f"{app} {method}": [_overhead(rows, "very-high", design,
+                                                  method)[app]
+                                        for design in ("cacheable",
+                                                       "noncacheable")]
+                    for app in ("nginx", "memcached")
+                    for method in ("analytic", "simulated")}),
+        Band("memcached-2m-gain", "~1.07x for memcached on 2MB pages",
+             lambda rows: rows[0]["memcached_2m_gain"], 1.03, 1.12),
+    ),
 ))
 
 
@@ -904,6 +1130,18 @@ def _report_s53_hwcost(rows: list, config: dict) -> str:
     )
 
 
+def _near(paper: float, rel: float = 0.15) -> tuple:
+    """The band within *rel* of the *paper* value."""
+    return paper * (1 - rel), paper * (1 + rel)
+
+
+def _one_entry_headroom(rows: list) -> float:
+    """One entry's migration capacity over the Very High rate."""
+    from ..workloads.interference import VERY_HIGH_RATE
+
+    return rows[0]["capacity_1_entry"] / VERY_HIGH_RATE
+
+
 S53_HWCOST = register(ExperimentSpec(
     name="s53-hwcost",
     description="Metadata-table area/energy/leakage (CACTI-like, 22nm) "
@@ -911,6 +1149,18 @@ S53_HWCOST = register(ExperimentSpec(
     producer=_produce_s53_hwcost,
     figure="§5.3",
     postprocess=_report_s53_hwcost,
+    claims=(
+        Band("area", "0.0038 mm^2 per slice",
+             lambda rows: rows[0]["area_mm2"], *_near(0.0038)),
+        Band("energy", "0.0017 nJ per access",
+             lambda rows: rows[0]["energy_nj"], *_near(0.0017)),
+        Band("leakage", "0.64 mW", lambda rows: rows[0]["leakage_mw"],
+             *_near(0.64)),
+        Band("core-share", "0.014% of core area",
+             lambda rows: rows[0]["core_fraction"], hi=0.001),
+        Band("one-entry-suffices", "one entry already sustains a very "
+             "high migration rate", _one_entry_headroom, lo=10),
+    ),
 ))
 
 
@@ -972,6 +1222,10 @@ def _report_alg1(rows: list, config: dict) -> str:
     )
 
 
+def _target(rows: list, p_unmov: float, p_mov: float) -> int:
+    return _row(rows, p_unmov=p_unmov, p_mov=p_mov)["target"]
+
+
 ALG1 = register(ExperimentSpec(
     name="alg1-resizing",
     description="Algorithm-1 resize targets per pressure scenario and a "
@@ -979,6 +1233,26 @@ ALG1 = register(ExperimentSpec(
     producer=_produce_alg1,
     figure="Alg. 1",
     postprocess=_report_alg1,
+    claims=(
+        Ordered("shrinks-without-unmovable-demand", "shrink when idle or "
+                "under movable demand", lambda rows: {
+                    f"P_mov={p_mov:g}": [_target(rows, 0.0, p_mov),
+                                         rows[0]["mem_unmov"]]
+                    for p_mov in (0.0, 30.0)}),
+        Ordered("expands-with-unmovable-demand", "expand under unmovable "
+                "demand, harder as it grows", lambda rows: [
+                    rows[0]["mem_unmov"], _target(rows, 20.0, 0.0),
+                    _target(rows, 50.0, 0.0)]),
+        Ordered("both-pressured-no-expand", "no expansion when both kinds "
+                "are pressured", lambda rows: [_target(rows, 50.0, 50.0),
+                                               rows[0]["mem_unmov"]], "<="),
+        Ordered("spike-absorbed-and-returned", "the region grows for a "
+                "demand spike and gives memory back", lambda rows: {
+                    "grows": [rows[0]["initial"], rows[0]["peak"]],
+                    "returns": [rows[0]["settled"], rows[0]["peak"]]}),
+        Band("spike-confined", "no unmovable page escapes the region",
+             lambda rows: rows[0]["violations"], 0, 0),
+    ),
 ))
 
 
@@ -1039,6 +1313,15 @@ ABLATION_PLACEMENT = register(ExperimentSpec(
     seed=5,
     figure="§3.2 ablation",
     postprocess=_report_placement,
+    claims=(
+        Ordered("bias-shrinks-further", "the bias keeps the border free, "
+                "so the region shrinks further", lambda rows: [
+                    _col(rows, "bias", "end")[bias] for bias in (True, False)
+                ]),
+        Ordered("bias-shrinks-more-often", "more successful shrinks with "
+                "the bias", lambda rows: [_col(rows, "bias", "shrinks")[bias]
+                                          for bias in (False, True)]),
+    ),
 ))
 
 
@@ -1139,6 +1422,10 @@ def _report_designs(rows: list, config: dict) -> str:
     )
 
 
+def _part(rows: list, part: str) -> list:
+    return [row for row in rows if row["part"] == part]
+
+
 ABLATION_DESIGNS = register(ExperimentSpec(
     name="ablation-designs",
     description="Initial region size, sequential vs parallel slice copy, "
@@ -1147,6 +1434,22 @@ ABLATION_DESIGNS = register(ExperimentSpec(
     seed=3,
     figure="§3.2-3.3 ablation",
     postprocess=_report_designs,
+    claims=(
+        Ordered("small-region-expands-more", "too small a region expands "
+                "more", lambda rows: [_part(rows, "initial-size")[i]
+                                      ["expands"] for i in (-1, 0)], "<="),
+        Ordered("large-region-shrinks-more", "too large a region shrinks "
+                "more", lambda rows: [_part(rows, "initial-size")[i]
+                                      ["shrinks"] for i in (0, -1)], "<="),
+        Ordered("parallel-copy-faster", "parallel slice copy is faster "
+                "(§3.3's trade-off)", lambda rows: {
+                    row["migration"]: [row["parallel"], row["sequential"]]
+                    for row in _part(rows, "slice-copy")}, "<="),
+        Ordered("hw-shrinks-further", "Contiguitas-HW evacuates blocks "
+                "software cannot", lambda rows: [
+                    _col(_part(rows, "hw-shrink"), "hw", "blocks")[hw]
+                    for hw in (True, False)]),
+    ),
 ))
 
 
@@ -1193,6 +1496,16 @@ ABLATION_PCP = register(ExperimentSpec(
     seed=13,
     figure="PCP ablation",
     postprocess=_report_pcp,
+    claims=(
+        Ordered("linux-scatters", "Linux scatters and Contiguitas confines, "
+                "with per-CPU caches or without", lambda rows: {
+                    f"pcp={pcp}": [_row(rows, kernel=kernel, pcp=pcp)[
+                        "unmovable_2m"] for kernel in ("contiguitas", "linux")]
+                    for pcp in (False, True)}),
+        Band("confined", "no confinement violation either way",
+             lambda rows: {f"pcp={row['pcp']}": row["violations"]
+                           for row in rows if "violations" in row}, 0, 0),
+    ),
 ))
 
 
@@ -1240,4 +1553,9 @@ ABLATION_AUTOTUNE = register(ExperimentSpec(
     seed=5,
     figure="§3.2 ablation",
     postprocess=_report_autotune,
+    claims=(
+        Ordered("search-beats-default", "the paper's future work: tuned "
+                "coefficients cost less than the defaults", lambda rows: [
+                    min(row["cost"] for row in rows), rows[0]["cost"]]),
+    ),
 ))

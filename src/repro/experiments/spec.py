@@ -18,7 +18,10 @@ derived from a small number of expensive steady-state runs.  An
   producer's semantics change so stale cached rows can never satisfy a
   new binary;
 * an optional **postprocess** — rows → rendered report text, run on
-  every invocation (cheap), never cached.
+  every invocation (cheap), never cached;
+* **claims** — the paper's statements about the rows, typed
+  :mod:`~repro.experiments.claims` (``repro experiment verify``); never
+  part of the cache key, since they judge rows and produce none.
 
 Producers compose through :meth:`ExperimentContext.fetch`: a figure spec
 fetches the shared underlying run (e.g. ``fleet-survey``) through the
@@ -34,6 +37,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
 from ..errors import ConfigurationError
+from .claims import Claim
 from .grid import Axis, expand_axes
 
 _NAME_RE = re.compile(r"^[a-z0-9][a-z0-9-]*$")
@@ -101,12 +105,20 @@ class ExperimentSpec:
     version: int = 1
     figure: str = ""
     postprocess: Callable[[list, Mapping[str, Any]], str] | None = None
+    claims: tuple[Claim, ...] = ()
 
     def __post_init__(self) -> None:
         if not _NAME_RE.match(self.name):
             raise ConfigurationError(
                 f"experiment name {self.name!r} must be kebab-case "
                 "([a-z0-9-], starting alphanumeric)")
+        object.__setattr__(self, "claims", tuple(self.claims))
+        ids = [claim.id for claim in self.claims
+               if isinstance(claim, Claim)]
+        if len(ids) != len(self.claims) or len(set(ids)) != len(ids):
+            raise ConfigurationError(
+                f"experiment {self.name!r}: claims must be Claim "
+                f"instances with distinct ids, got {ids}")
         if not callable(self.producer):
             raise ConfigurationError(
                 f"experiment {self.name!r}: producer must be callable")

@@ -84,13 +84,17 @@ class TestExportSnapshots:
         assert sorted(repro.experiments.__all__) == [
             "Axis",
             "AxisValue",
+            "Band",
             "CACHE_ENV",
             "CACHE_SCHEMA",
             "Cell",
+            "Claim",
             "ExperimentContext",
             "ExperimentResult",
             "ExperimentSpec",
+            "Ordered",
             "ResultCache",
+            "Verdict",
             "all_specs",
             "axes_from_grid",
             "canonical_json",
@@ -103,6 +107,7 @@ class TestExportSnapshots:
             "run_experiment",
             "unregister",
             "value_id",
+            "verify_claims",
         ]
 
     def test_scenarios_all(self):

@@ -9,13 +9,16 @@ Every test uses a ``tmp_path`` cache root and registers throwaway specs
 import json
 import os
 import pathlib
+import re
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments import (
     CACHE_ENV,
+    Band,
     ExperimentSpec,
+    Ordered,
     ResultCache,
     all_specs,
     axes_from_grid,
@@ -28,6 +31,7 @@ from repro.experiments import (
     result_key,
     run_experiment,
     unregister,
+    verify_claims,
 )
 from repro.faults import FaultPlan, FaultSpec
 
@@ -684,6 +688,9 @@ class TestFigureSpecs:
 
         main(argv + ["--json"])
         rows = json.loads(capsys.readouterr().out)
+        if name == "ablation-autotune":  # the default, then each trial
+            assert [row["trial"] for row in rows] == list(
+                range(overrides["trials"] + 1))
         cache = ResultCache(str(figure_cache))
         hit = run_experiment(name, overrides=overrides, cache=cache)
         loaded = load_cached(name, overrides=overrides, cache=cache)
@@ -747,11 +754,178 @@ class TestFigureSpecs:
                 result.spec.postprocess(loaded.rows, loaded.config)
 
     def test_every_result_file_is_a_checked_spec(self):
-        """The bench file regenerates exactly the committed results, and
-        every figure it names is a registered spec with a report."""
-        names = set(_bench_figures().CHECKS)
+        """The bench file regenerates exactly the committed results: one
+        per spec that declares claims, each with a report.  No check
+        function is left beside it; the claims are on the specs."""
+        names = set(_bench_figures().FIGURES)
         stems = {path.stem for path in (BENCHMARKS / "results").glob("*.txt")}
         assert stems == {name.replace("-", "_") for name in names}
         assert len(names) == 18
         for name in names:
             assert get_spec(name).postprocess is not None, name
+            assert get_spec(name).claims, name
+        source = (BENCHMARKS / "bench_figures.py").read_text()
+        assert source.count("def ") == 1  # the one parametrised test
+
+
+def _toy_claims_spec(*claims, name="toy-claims"):
+    """A registered spec whose one row depends on the seed, carrying
+    *claims*."""
+    return register(ExperimentSpec(
+        name=name, description="claims test", seed=10,
+        producer=lambda ctx: [{"seed": ctx.seed, "x": ctx.seed % 10,
+                               "y": 5}],
+        claims=claims), replace=True)
+
+
+class TestClaims:
+    """``ExperimentSpec.claims``: typed band and ordering predicates over
+    rows, verified on several seeds by ``repro experiment verify``."""
+
+    ROWS = [{"k": "a", "v": 1.0}, {"k": "b", "v": 2.0},
+            {"k": "c", "v": 2.0}]
+
+    def test_band_ends_are_inclusive_and_may_be_open(self):
+        assert Band("b", "p", lambda rows: 2.0, 1.0, 2.0).evaluate(
+            self.ROWS) == (True, "2")
+        assert Band("b", "p", lambda rows: 0.5, lo=1.0).evaluate(
+            self.ROWS) == (False, "0.5")
+        assert Band("b", "p", lambda rows: -9, hi=0).evaluate(self.ROWS)[0]
+        assert Band("b", "p", lambda rows: 7, 7, 7).expected == "= 7"
+        assert Band("b", "p", lambda rows: 7, lo=1).expected == ">= 1"
+        assert Band("b", "p", lambda rows: 7, 1, 2.5).expected == "1 .. 2.5"
+
+    def test_ordered_compares_neighbours(self):
+        values = lambda rows: [row["v"] for row in rows]  # noqa: E731
+        assert Ordered("o", "p", values, "<=").evaluate(self.ROWS) == (
+            True, "1 <= 2 <= 2")
+        assert not Ordered("o", "p", values, "<").evaluate(self.ROWS)[0]
+        assert not Ordered("o", "p", values, "==").evaluate(self.ROWS)[0]
+        assert Ordered("o", "p", lambda rows: [3, 3, 3], "==").evaluate(
+            self.ROWS) == (True, "3 x 3")
+        # A single value orders nothing: the claim cannot hold.
+        assert not Ordered("o", "p", lambda rows: [1]).evaluate(self.ROWS)[0]
+
+    def test_a_mapping_states_the_claim_per_label(self):
+        band = Band("b", "p", lambda rows: {row["k"]: row["v"]
+                                            for row in rows}, hi=1.5)
+        assert band.evaluate(self.ROWS) == (False, "b: 2")
+        assert band.evaluate(self.ROWS[:1]) == (True, "a: 1")
+        chain = Ordered("o", "p", lambda rows: {"up": [1, 2], "down": [2, 1]})
+        assert chain.evaluate(self.ROWS) == (False, "down: 2 < 1")
+
+    def test_a_measure_that_cannot_read_the_rows_breaks_the_claim(self):
+        held, text = Band("b", "p", lambda rows: rows[0]["missing"],
+                          lo=0).evaluate(self.ROWS)
+        assert not held and text == "KeyError: 'missing'"
+        held, text = Band("b", "p", lambda rows: 1 / 0, lo=0).evaluate([])
+        assert not held and text.startswith("ZeroDivisionError")
+
+    @pytest.mark.parametrize("make,match", [
+        (lambda: Band("Bad Id", "p", len, lo=0), "kebab-case"),
+        (lambda: Band("b", "", len, lo=0), "paper"),
+        (lambda: Band("b", "p", 3, lo=0), "callable"),
+        (lambda: Band("b", "p", len), "lo, hi or both"),
+        (lambda: Band("b", "p", len, 2, 1), "above hi"),
+        (lambda: Ordered("o", "p", len, ">"), "op must be one of"),
+        (lambda: ExperimentSpec(name="x", description="",
+                                producer=lambda ctx: [],
+                                claims=(Band("b", "p", len, lo=0),) * 2),
+         "distinct ids"),
+        (lambda: ExperimentSpec(name="x", description="",
+                                producer=lambda ctx: [],
+                                claims=("x > 1",)), "Claim instances"),
+    ])
+    def test_validation(self, make, match):
+        with pytest.raises(ConfigurationError, match=match):
+            make()
+
+    def test_verify_runs_the_spec_seed_and_the_ones_after_it(self, cache):
+        _toy_claims_spec(Band("x-small", "x below 2",
+                              lambda rows: rows[0]["x"], hi=1),
+                         Ordered("x-below-y", "x < y",
+                                 lambda rows: [rows[0]["x"], rows[0]["y"]]))
+        try:
+            verdicts = verify_claims(["toy-claims"], cache=cache)
+            assert [(v.claim.id, v.seeds, v.measured, v.broken)
+                    for v in verdicts] == [
+                ("x-small", (10, 11, 12), ("0", "1", "2"), (12,)),
+                ("x-below-y", (10, 11, 12), ("0 < 5", "1 < 5", "2 < 5"), ())]
+            assert [v.held for v in verdicts] == [False, True]
+            assert verdicts[0].snapshot()["kind"] == "band"
+            # The seeds are cached cells: a rerun computes nothing.
+            assert len(cache.keys()) == 3
+            assert verify_claims(["toy-claims"], seeds=5,
+                                 cache=cache)[0].broken == (12, 13, 14)
+            assert len(cache.keys()) == 5
+        finally:
+            unregister("toy-claims")
+
+    def test_verify_refuses_a_spec_without_claims(self, counting_spec, cache):
+        with pytest.raises(ConfigurationError, match="declares no claims"):
+            verify_claims(["toy-count"], cache=cache)
+        with pytest.raises(ConfigurationError, match="seeds must be >= 1"):
+            verify_claims(["toy-count"], seeds=0, cache=cache)
+
+    def test_cli_prints_the_index_and_exits_1_on_a_broken_claim(
+            self, tmp_path, capsys):
+        from repro.cli import main
+
+        _toy_claims_spec(Band("x-small", "x below 2",
+                              lambda rows: rows[0]["x"], hi=1))
+        argv = ["experiment", "verify", "toy-claims", "--cache-dir",
+                str(tmp_path / "cache")]
+        try:
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            broken = capsys.readouterr()
+            assert ("| [`toy-claims`](../EXPERIMENTS.md#toy-claims) | "
+                    "`x-small` | x below 2 | <= 1 | 10/11/12: 0 / 1 / 2 | "
+                    "**broken** on seed 12 |") in broken.out
+            assert "# 0 of 1 claim(s) held on every seed" in broken.err
+            with pytest.raises(SystemExit) as info:
+                main(argv + ["--json"])
+            assert info.value.code == ("repro: 1 claim(s) broken: "
+                                       "toy-claims:x-small")
+            record, = json.loads(capsys.readouterr().out)
+            assert (record["held"], record["broken"]) == (False, [12])
+            for bad in ([], ["--all"]):
+                with pytest.raises(SystemExit, match="or pass --all"):
+                    main(["experiment", "verify", *bad,
+                          *(["toy-claims"] if bad else [])])
+        finally:
+            unregister("toy-claims")
+
+    def test_every_figure_claim_reads_its_rows_and_can_break(self, cache):
+        """Fig. 13 runs in milliseconds: its claims hold on its rows and
+        a row moved off the paper's value breaks exactly its claim."""
+        result = run_experiment("fig13-unavailable", cache=cache)
+        spec = result.spec
+        assert all(claim.evaluate(result.rows)[0] for claim in spec.claims)
+        rows = [dict(row, copy_cycles=2000) for row in result.rows]
+        assert [claim.id for claim in spec.claims
+                if not claim.evaluate(rows)[0]] == ["copy-cycles"]
+        rows = [dict(row, contiguitas=row["contiguitas"] + row["victims"])
+                for row in result.rows]
+        assert [claim.id for claim in spec.claims
+                if not claim.evaluate(rows)[0]] == ["contiguitas-constant"]
+
+    def test_the_committed_index_is_every_claim_held_on_three_seeds(self):
+        """``docs/CLAIMS.md`` is ``repro experiment verify --all``'s
+        output: one line per declared claim in spec order, each with
+        the paper value and range its spec declares, each held, and
+        each spec's link landing on an EXPERIMENTS.md anchor."""
+        root = BENCHMARKS.parent
+        lines = [line for line in
+                 (root / "docs" / "CLAIMS.md").read_text().splitlines()
+                 if line.startswith("| [`")]
+        assert [line.split(" | ")[:4] for line in lines] == [
+            [f"| [`{spec.name}`](../EXPERIMENTS.md#{spec.name})",
+             f"`{claim.id}`", claim.paper, claim.expected]
+            for spec in all_specs() for claim in spec.claims]
+        assert all(line.endswith(" | held |") and re.match(
+            r"\d+/\d+/\d+: ", line.split(" | ")[4]) for line in lines)
+        experiments = (root / "EXPERIMENTS.md").read_text()
+        for spec in all_specs():
+            if spec.claims:
+                assert f'<a id="{spec.name}"></a>' in experiments, spec.name

@@ -150,6 +150,33 @@ class TestAppend:
         assert "--tier1" in capsys.readouterr().err
         assert not history.exists()
 
+    def test_the_verify_verdict_rides_beside_the_digest(self, tmp_path,
+                                                         capsys):
+        """``--verify`` reads ``repro experiment verify --all --json``."""
+        history = str(tmp_path / "history.jsonl")
+        runs = write_runs(tmp_path / "a.json", [run_record()])
+        verdicts = tmp_path / "verify.json"
+        verdicts.write_text(json.dumps(
+            [{"spec": "fig13-unavailable", "claim": "copy-cycles",
+              "seeds": [0, 1, 2], "held": True},
+             {"spec": "fig11-unmovable", "claim": "linux-average",
+              "seeds": [42, 43, 44], "held": False}]))
+        assert ledger.main(["--history", history, "append", runs,
+                            "--pr", "31", "--sha", "c" * 40,
+                            "--verify", str(verdicts)]) == 0
+        row, = ledger.load_history(history, CONTRACT)
+        assert row["verify"] == {"claims": 2, "held": 1, "seeds": 3}
+        capsys.readouterr()
+        assert ledger.main(["--history", history, "report"]) == 0
+        assert "verify 1/2 claims held on 3 seeds" in capsys.readouterr().out
+        for bad in ("{oops", "[]", '[{"held": true}]'):
+            verdicts.write_text(bad)
+            assert ledger.main(["--history", history, "append", runs,
+                                "--pr", "32", "--sha", "d" * 40,
+                                "--verify", str(verdicts)]) == 1
+            assert "verify --json" in capsys.readouterr().err
+        assert len(ledger.load_history(history, CONTRACT)) == 1
+
     def test_a_record_with_no_full_untraced_run_is_refused(self, tmp_path,
                                                            capsys):
         path = write_runs(tmp_path / "q.json", [run_record(quick=True)])
@@ -176,6 +203,10 @@ class TestReportValidates:
         (lambda row: row.update(tier1={"seconds": 30.0}), "'tier1'"),
         (lambda row: row.update(tier1={"seconds": 30.0, "tests": 1.5}),
          "'tier1'"),
+        (lambda row: row.update(verify={"claims": 2, "held": 3,
+                                        "seeds": 3}), "'verify'"),
+        (lambda row: row.update(verify={"claims": 2, "held": 2}),
+         "'verify'"),
     ])
     def test_a_malformed_row_fails_the_report(self, tmp_path, capsys,
                                               damage, message):
