@@ -65,7 +65,14 @@ import tokenize
 #: (``experiments/claims.py``, 141) and ``experiment verify`` (``cli``
 #: +30); the 18 check functions went from ``bench_figures.py`` (181 →
 #: 14), so ``src/repro`` plus ``benchmarks/*.py`` went 13,387 → 13,678.
-BUDGET = 13_664
+#: Then 13,664 → 12,935: the dead-surface rule (DL105, +108 in
+#: ``analysis/simlint``) and the deletion of everything it reported —
+#: ``repro.vm``, ``mm/hugetlb.py``, ``mm/thp.py``, ``sim/coherence.py``,
+#: ``sim/hwtiming.py``, ``analysis/timeline.py``,
+#: ``HwMigrationEngine.migrate_page``, ``defrag_unmovable_region`` and
+#: some forty accessors and methods only tests called; the five that
+#: tests still read moved to ``tests/conftest.py``.
+BUDGET = 12_935
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
              tokenize.INDENT, tokenize.DEDENT, tokenize.ENCODING,

@@ -12,7 +12,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ".contiguity": ("SCAN_GRANULARITIES", "contiguity_report",
                     "free_block_count", "free_contiguity",
                     "movable_potential", "unmovable_block_fraction",
-                    "unmovable_page_fraction",
                     "unmovable_region_internal_frag", "unmovable_report"),
     ".hwcost": ("MetadataTableCost", "SramCostModel",
                 "migrations_per_second_capacity"),
@@ -21,7 +20,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
                    "verify_kernel"),
     ".simlint": ("Finding", "lint_paths", "lint_source"),
     ".snapshot": ("MemorySnapshot", "load_snapshot", "save_snapshot"),
-    ".timeline": ("TimelineRecorder", "watch_kernel"),
 })
 
 __all__ = [
@@ -31,7 +29,6 @@ __all__ = [
     "MetadataTableCost",
     "SCAN_GRANULARITIES",
     "SramCostModel",
-    "TimelineRecorder",
     "contiguity_report",
     "debug_vm_enabled",
     "format_table",
@@ -43,12 +40,10 @@ __all__ = [
     "movable_potential",
     "percent",
     "unmovable_block_fraction",
-    "unmovable_page_fraction",
     "unmovable_region_internal_frag",
     "load_snapshot",
     "save_snapshot",
     "unmovable_report",
     "verify_allocator",
     "verify_kernel",
-    "watch_kernel",
 ]

@@ -83,12 +83,6 @@ def unmovable_block_fraction(mem: PhysicalMemory, block_frames: int,
     return float(blocks.any(axis=1).mean())
 
 
-def unmovable_page_fraction(mem: PhysicalMemory) -> float:
-    """Fraction of 4 KiB frames that are unmovable (the paper's 7.6 %
-    median, against which block-level amplification is judged)."""
-    return float(mem.unmovable_mask().mean())
-
-
 def movable_potential(mem: PhysicalMemory, block_frames: int) -> float:
     """Fraction of total memory usable as contiguity after a *perfect*
     software compaction: blocks with zero unmovable pages (Fig. 12)."""

@@ -20,6 +20,7 @@ from .catalogue import ApiDoc, Contracts, parse_api_doc, parse_observability
 from .model import Finding, ProgramModel, iter_python_files, module_name
 from .passes import (
     ApiSurfaceRule,
+    DeadSurfaceRule,
     DeterminismBoundaryRule,
     RngStreamRule,
     TelemetryContractRule,
@@ -53,6 +54,7 @@ RULES: tuple[Rule, ...] = (
     RngStreamRule(),
     ApiSurfaceRule(),
     DeterminismBoundaryRule(),
+    DeadSurfaceRule(),
 )
 
 #: ``SL000`` is raised by the parser, not by a rule; the full catalogue
@@ -117,8 +119,12 @@ def _load_contracts(program: ProgramModel, root: str,
     api_path = os.path.join(docs, "API.md")
     catalogue = parse_observability(obs_path)
     catalogue.path = _relative(obs_path, root)
-    package = min((name.partition(".")[0] for name in program.modules),
-                  default="repro")
+    # The analyzed package; a loose script beside it (an example) is no
+    # candidate unless nothing else was linted.
+    packaged = [info.name for info in program.files
+                if "." in info.name or info.filename == "__init__.py"]
+    package = min((name.partition(".")[0]
+                   for name in packaged or program.modules), default="repro")
     if os.path.isfile(api_path):
         api = parse_api_doc(api_path, package=package)
         api.path = _relative(api_path, root)

@@ -10,7 +10,10 @@ records and adds the cross-module views the whole-program rules share:
   imported in one module (relative imports resolved) can be followed
   into the module that defines it;
 * a **call-site index** — every call, keyed by the callee's simple
-  name, so reachability sweeps don't re-walk the forest;
+  name;
+* **name-level reachability** — which top-level functions, classes and
+  methods a set of roots reaches through the names each scope mentions
+  (:meth:`ProgramModel.reachable`, shared by DL104 and DL105);
 * **string-literal provenance** — module-level string constants,
   importable across modules, so a name spelled ``PREFIX + suffix`` or
   ``f"{SITE}:{seed}"`` still resolves to its literal prefix.
@@ -26,8 +29,8 @@ from dataclasses import dataclass, field
 
 __all__ = [
     "CallSite",
+    "Definition",
     "Finding",
-    "FunctionInfo",
     "ModuleInfo",
     "ProgramModel",
     "StringVal",
@@ -81,13 +84,20 @@ class StringVal:
 
 
 @dataclass(frozen=True)
-class FunctionInfo:
-    """One function or method definition."""
+class Definition:
+    """One function, method or class definition."""
 
     module: str
     qualname: str          # "ClassName.method" or "function"
     name: str              # the simple name
     node: ast.AST = field(compare=False, hash=False, repr=False)
+    #: the class a method is defined in; None for anything else
+    parent: Definition | None = field(default=None, compare=False,
+                                      hash=False, repr=False)
+    #: every name the definition mentions (a loaded name or an
+    #: attribute); filled for top-level definitions and methods only
+    uses: set[str] = field(default_factory=set, compare=False,
+                           hash=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -99,7 +109,7 @@ class CallSite:
     dotted: str | None     # full dotted chain when statically renderable
     node: ast.Call = field(compare=False, hash=False, repr=False)
     #: innermost enclosing function, or None at module level
-    enclosing: FunctionInfo | None = None
+    enclosing: Definition | None = None
 
 
 def _parse_codes(raw: str) -> set[str]:
@@ -170,7 +180,12 @@ class ModuleInfo:
         #: module-level NAME = "literal" string constants.
         self.constants: dict[str, str] = {}
         #: functions and methods defined here, by qualname.
-        self.functions: dict[str, FunctionInfo] = {}
+        self.functions: dict[str, Definition] = {}
+        #: the units reachability decides on: top-level functions and
+        #: classes, and the methods of top-level classes.
+        self.definitions: list[Definition] = []
+        #: names the module's own top-level statements mention.
+        self.uses: set[str] = set()
         #: every call whose callee is a plain name or attribute chain.
         self.calls: list[CallSite] = []
         self.nodes: list[ast.AST] = []
@@ -191,33 +206,49 @@ class ModuleInfo:
 
     def _index(self) -> None:
         """The one walk: parent links, the flat node list, imports,
-        functions and calls.
+        definitions, the names each one uses, and calls.
 
         ``ast.walk`` is breadth-first, so a node's scope — its innermost
-        enclosing function, and the class a ``def`` directly under it
-        would be a method of — is known from its parent by the time the
-        node is reached.
+        enclosing function, the class a ``def`` directly under it would
+        be a method of, and the definition whose uses it adds to — is
+        known from its parent by the time the node is reached.
         """
-        scopes: dict[ast.AST, tuple[FunctionInfo | None, str | None]] = {
-            self.tree: (None, None)}
-        calls: list[tuple[ast.Call, str, FunctionInfo | None]] = []
+        Scope = tuple[Definition | None, str | None, Definition | None]
+        scopes: dict[ast.AST, Scope] = {self.tree: (None, None, None)}
+        calls: list[tuple[ast.Call, str, Definition | None]] = []
         for node in ast.walk(self.tree):
             self.nodes.append(node)
-            scope = fn, class_name = scopes[node]
+            scope = fn, class_name, unit = scopes[node]
+            uses = self.uses if unit is None else unit.uses
             if isinstance(node, _FUNCTION_DEFS):
                 qual = (f"{class_name}.{node.name}" if class_name
                         else node.name)
-                defined = self.functions[qual] = FunctionInfo(
+                method = (unit is not None and fn is None
+                          and class_name == unit.qualname)
+                defined = self.functions[qual] = Definition(
                     module=self.name, qualname=qual, name=node.name,
-                    node=node)
-                scope = defined, None
+                    node=node, parent=unit if method else None)
+                if unit is None or method:
+                    self.definitions.append(defined)
+                    unit = defined
+                scope = defined, None, unit
             elif isinstance(node, ast.ClassDef):
-                scope = fn, node.name
+                if unit is None:
+                    unit = Definition(module=self.name,
+                                      qualname=node.name, name=node.name,
+                                      node=node)
+                    self.definitions.append(unit)
+                scope = fn, node.name, unit
             elif isinstance(node, ast.Call):
                 if isinstance(node.func, ast.Attribute):
                     calls.append((node, node.func.attr, fn))
                 elif isinstance(node.func, ast.Name):
                     calls.append((node, node.func.id, fn))
+            elif isinstance(node, ast.Name):
+                if isinstance(node.ctx, ast.Load):
+                    uses.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                uses.add(node.attr)
             elif isinstance(node, ast.Import):
                 for alias in node.names:
                     if alias.asname:
@@ -297,6 +328,9 @@ class ModuleInfo:
                 or "ALL" in self.file_disables)
 
 
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
 
 def module_name(path: str) -> str:
     """Dotted module name from the package layout on disk: walk up
@@ -321,9 +355,11 @@ class ProgramModel:
         #: dotted module name -> its file (the last one added wins when
         #: two loose files share a name)
         self.modules: dict[str, ModuleInfo] = {}
-        self.call_sites: list[CallSite] = []
         self.calls_by_name: dict[str, list[CallSite]] = {}
-        self.functions_by_name: dict[str, list[FunctionInfo]] = {}
+        #: every file's :attr:`ModuleInfo.definitions`, by simple name
+        self.definitions_by_name: dict[str, list[Definition]] = {}
+        #: the methods of each top-level class
+        self.methods: dict[Definition, list[Definition]] = {}
         #: one ``SL000`` finding per file that failed to parse
         self.parse_errors: list[Finding] = []
 
@@ -345,12 +381,57 @@ class ProgramModel:
     def build_indexes(self) -> None:
         """Populate the program-wide indexes after all files are added."""
         for info in self.modules.values():
-            for fn in info.functions.values():
-                self.functions_by_name.setdefault(fn.name, []).append(fn)
-        for info in self.modules.values():
-            self.call_sites.extend(info.calls)
+            for d in info.definitions:
+                self.definitions_by_name.setdefault(d.name, []).append(d)
+                if d.parent is not None:
+                    self.methods.setdefault(d.parent, []).append(d)
             for site in info.calls:
                 self.calls_by_name.setdefault(site.callee, []).append(site)
+
+    # -- reachability ---------------------------------------------------
+
+    def reachable(self, roots: Iterable[Definition] = (),
+                  names: Iterable[str] = (), *,
+                  methods_need_class: bool = True) -> set[Definition]:
+        """The definitions reached from *roots* and from the bare
+        *names* (an ``__all__`` entry, a door string's function).
+
+        A reached definition reaches every definition whose simple name
+        it uses — by calling it, passing it, subclassing it or
+        annotating with it.  A method counts only once its class is
+        reached (dunder methods come with the class) unless
+        *methods_need_class* is off — a call path may run a method on
+        an object built anywhere — and reaching a method reaches its
+        class.  Matching is by simple name, so the walk
+        over-approximates: it may keep a definition alive, never the
+        reverse.
+        """
+        reached: set[Definition] = set()
+        named: set[str] = set()
+        stack = list(roots)
+        pending = list(names)
+        while stack or pending:
+            for name in pending:
+                if name in named:
+                    continue
+                named.add(name)
+                stack.extend(
+                    d for d in self.definitions_by_name.get(name, ())
+                    if not methods_need_class or d.parent is None
+                    or d.parent in reached)
+            pending = []
+            while stack:
+                d = stack.pop()
+                if d in reached:
+                    continue
+                reached.add(d)
+                pending.extend(d.uses)
+                if d.parent is not None:
+                    stack.append(d.parent)
+                stack.extend(
+                    m for m in self.methods.get(d, ())
+                    if m.name in named or _is_dunder(m.name))
+        return reached
 
     # -- string provenance ----------------------------------------------
 

@@ -1,4 +1,4 @@
-"""The whole-program rule catalogue (DL101–DL104).
+"""The whole-program rule catalogue (DL101–DL105).
 
 Each rule overrides ``check(program, contracts)`` and yields the same
 :class:`~repro.analysis.simlint.model.Finding` type the per-file rules
@@ -20,17 +20,20 @@ from dataclasses import dataclass
 
 from .catalogue import ApiDoc, Contracts, names_match
 from .model import (
+    Definition,
     Finding,
-    FunctionInfo,
     ModuleInfo,
     ProgramModel,
     StringVal,
+    iter_python_files,
+    module_name,
     named_assignments,
 )
 from .rules import Rule, set_iterations
 
 __all__ = [
     "ApiSurfaceRule",
+    "DeadSurfaceRule",
     "DeterminismBoundaryRule",
     "RngStreamRule",
     "TelemetryContractRule",
@@ -500,7 +503,7 @@ class ApiSurfaceRule(Rule):
         # calling one internally, outside its defining module, regressed.
         for callee in sorted(api.deprecated_callables):
             defining = {fn.module
-                        for fn in program.functions_by_name.get(callee, ())}
+                        for fn in program.definitions_by_name.get(callee, ())}
             for site in program.calls_by_name.get(callee, ()):
                 if site.module in defining:
                     continue
@@ -618,8 +621,7 @@ class ApiSurfaceRule(Rule):
 #: Function names that produce manifests/snapshots — the roots of the
 #: byte-identity contract.
 DETERMINISM_ROOTS = frozenset({
-    "snapshot", "deterministic_view", "to_json", "to_jsonl",
-    "build_manifest", "write_manifest",
+    "snapshot", "to_json", "build_manifest", "write_manifest",
 })
 
 
@@ -627,8 +629,8 @@ class DeterminismBoundaryRule(Rule):
     """DL104: nothing order-unstable on a path into a manifest.
 
     Functions *reachable* from the snapshot/manifest producers (the
-    byte-identity roots: ``snapshot``, ``deterministic_view``,
-    ``to_json``/``to_jsonl``, ``build_manifest``/``write_manifest``)
+    byte-identity roots: ``snapshot``, ``to_json``,
+    ``build_manifest``/``write_manifest``)
     must not iterate a set/frozenset without ``sorted(...)`` and must
     not call ``id()`` — both launder hash/address order into output
     that two runs diff byte-for-byte.  This is SL006 escalated from two
@@ -641,30 +643,8 @@ class DeterminismBoundaryRule(Rule):
     title = "no unordered iteration / id() reachable from manifests"
     deep = True
 
-    def _reachable(self, program: ProgramModel) -> list[FunctionInfo]:
-        calls_in: dict[FunctionInfo, list] = {}
-        for site in program.call_sites:
-            if site.enclosing is not None:
-                calls_in.setdefault(site.enclosing, []).append(site)
-        roots = [fn for fns in (program.functions_by_name.get(r, ())
-                                for r in sorted(DETERMINISM_ROOTS))
-                 for fn in fns]
-        seen: set[FunctionInfo] = set()
-        stack = list(roots)
-        while stack:
-            fn = stack.pop()
-            if fn in seen:
-                continue
-            seen.add(fn)
-            for site in calls_in.get(fn, ()):
-                for callee in program.functions_by_name.get(site.callee,
-                                                            ()):
-                    if callee not in seen:
-                        stack.append(callee)
-        return sorted(seen, key=lambda f: (f.module, f.qualname))
-
     def _check_function(self, info: ModuleInfo,
-                        fn: FunctionInfo) -> Iterator[Finding]:
+                        fn: Definition) -> Iterator[Finding]:
         for node in ast.walk(fn.node):
             if (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Name)
@@ -684,6 +664,112 @@ class DeterminismBoundaryRule(Rule):
 
     def check(self, program: ProgramModel,
               contracts: Contracts) -> Iterator[Finding]:
-        for fn in self._reachable(program):
-            info = program.modules[fn.module]
-            yield from self._check_function(info, fn)
+        roots = [d for name in DETERMINISM_ROOTS
+                 for d in program.definitions_by_name.get(name, ())]
+        for fn in program.reachable(roots, methods_need_class=False):
+            if isinstance(fn.node, ast.ClassDef):
+                continue
+            yield from self._check_function(program.modules[fn.module], fn)
+
+
+# ---------------------------------------------------------------------------
+# DL105 — dead surface
+# ---------------------------------------------------------------------------
+
+#: Directories under the contract root whose scripts are entry points.
+ENTRY_DIRS = ("examples", "benchmarks")
+
+#: A ``"package.module:function"`` door string: a function resolved by
+#: name at run time (``repro.run``'s durable-run table, a console
+#: script).
+_DOOR_RE = re.compile(r"([A-Za-z_][\w.]*):([A-Za-z_]\w*)")
+
+
+class DeadSurfaceRule(Rule):
+    """DL105: every definition is reached from a front door.
+
+    The roots are every module's top-level statements, every
+    ``"module:function"`` door string, the ``__all__`` of each module
+    docs/API.md documents, and every ``.py`` under the contract root's
+    ``examples/`` and ``benchmarks/``.  A top-level function or class
+    the name-level walk (:meth:`ProgramModel.reachable`) never reaches,
+    or a method of a reached class nobody names, supports no figure,
+    front door or example: a test alone keeps it alive.  An ``__all__``
+    or lazy-export table outside a documented module names nothing (its
+    entries are strings), so re-exporting a name does not keep it.
+    """
+
+    code = "DL105"
+    title = "no definition that only tests reach"
+    deep = True
+
+    @staticmethod
+    def _entry_files(program: ProgramModel,
+                     contracts: Contracts) -> list[ModuleInfo]:
+        analyzed = {os.path.normpath(os.path.join(contracts.root, i.path)): i
+                    for i in program.files}
+        dirs = [os.path.join(contracts.root, d) for d in ENTRY_DIRS]
+        entries = []
+        for path in iter_python_files(d for d in dirs if os.path.isdir(d)):
+            path = os.path.normpath(path)
+            if path in analyzed:
+                entries.append(analyzed[path])
+                continue
+            try:
+                with open(path, encoding="utf-8") as fh:
+                    entries.append(ModuleInfo(
+                        fh.read(), os.path.relpath(path, contracts.root),
+                        module_name(path)))
+            except (OSError, UnicodeDecodeError, SyntaxError):
+                continue
+        return entries
+
+    @staticmethod
+    def _documented_all(program: ProgramModel,
+                        contracts: Contracts) -> Iterator[str]:
+        for module in contracts.api.documented_modules:
+            info = program.modules.get(module)
+            for name, value in named_assignments(
+                    info.tree.body if info else ()):
+                if name == "__all__" and isinstance(value,
+                                                    (ast.List, ast.Tuple)):
+                    yield from (e.value for e in value.elts
+                                if isinstance(e, ast.Constant))
+
+    @staticmethod
+    def _doors(program: ProgramModel,
+               files: list[ModuleInfo]) -> Iterator[str]:
+        for info in files:
+            for node in info.nodes:
+                if (isinstance(node, ast.Constant)
+                        and isinstance(node.value, str)):
+                    m = _DOOR_RE.fullmatch(node.value)
+                    if m and m.group(1) in program.modules:
+                        yield m.group(2)
+
+    def check(self, program: ProgramModel,
+              contracts: Contracts) -> Iterator[Finding]:
+        entries = self._entry_files(program, contracts)
+        roots = [d for info in entries for d in info.definitions]
+        # A module-level dunder (``__getattr__``) runs on import.
+        roots += [d for info in program.files for d in info.definitions
+                  if d.parent is None and d.name.startswith("__")
+                  and d.name.endswith("__")]
+        names = {name for info in (*program.files, *entries)
+                 for name in info.uses}
+        names.update(self._documented_all(program, contracts))
+        names.update(self._doors(program, [*program.files, *entries]))
+        reached = program.reachable(roots, names)
+        skip = {info.path for info in entries}
+        for info in program.files:
+            if info.path in skip or info.is_test_file():
+                continue
+            for d in info.definitions:
+                if d in reached or (d.parent is not None
+                                    and d.parent not in reached):
+                    continue
+                yield self.at(
+                    info, d.node,
+                    f"{d.qualname} is dead surface: no module body, door "
+                    f"string, documented __all__, example or benchmark "
+                    f"reaches it")

@@ -397,7 +397,7 @@ class PerFrameObjectRule(Rule):
     loop over PFNs re-introduces an object allocation per page — the
     cost the arrays were built to eliminate — and shows up directly in
     the churn benchmark.  Read the packed view instead
-    (``pageblocks.get_int``, ``mem.free_order_mv``, ...) and construct
+    (``pageblocks.types``, ``mem.free_order_mv``, ...) and construct
     objects only at the API boundary.  A site where the object *is* the
     product (e.g. handing :class:`PageHandle` results to a caller) is
     acknowledged with ``# simlint: disable=SL009``.
@@ -441,7 +441,7 @@ class PerFrameObjectRule(Rule):
                         info, node,
                         f"{ctor}(...) constructs a Python object per "
                         f"frame in an mm hot loop; read the packed "
-                        f"arrays (pageblocks.get_int, free_order_mv, "
+                        f"arrays (pageblocks.types, free_order_mv, "
                         f"...) and build objects at the API boundary")
 
 

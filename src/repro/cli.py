@@ -354,7 +354,8 @@ def _cmd_experiment_verify(args) -> None:
     if bool(args.names) == args.all:
         raise SystemExit("repro: name the specs to verify or pass --all, "
                          "not both")
-    names = args.names or [spec.name for spec in all_specs() if spec.claims]
+    names = (list(dict.fromkeys(args.names))
+             or [spec.name for spec in all_specs() if spec.claims])
     verdicts = verify_claims(names, workers=args.workers,
                              cache=_experiment_cache(args))
     print(json.dumps([v.snapshot() for v in verdicts], indent=2,

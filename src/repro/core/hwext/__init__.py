@@ -8,7 +8,7 @@ from .commands import (
     clear_descriptor,
     migrate_descriptor,
 )
-from .engine import EngineStats, HwMigrationEngine, HwMigrationReport
+from .engine import EngineStats, HwMigrationEngine
 from .metadata import AccessMode, MetadataTable, MigrationEntry
 
 __all__ = [
@@ -16,7 +16,6 @@ __all__ = [
     "CommandKind",
     "EngineStats",
     "HwMigrationEngine",
-    "HwMigrationReport",
     "MetadataTable",
     "MigrateFlag",
     "MigrationEntry",

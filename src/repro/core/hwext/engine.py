@@ -39,26 +39,6 @@ from .metadata import AccessMode, MetadataTable, MigrationEntry
 
 
 @dataclass
-class HwMigrationReport:
-    """Cost summary of one hardware page migration."""
-
-    src_ppn: int
-    dst_ppn: int
-    mode: AccessMode
-    #: Cycles a memory operation could stall: one local TLB invalidation.
-    unavailable_cycles: int
-    #: Background cycles the copy machinery was busy.
-    copy_cycles: int
-    cross_slice_writes: int
-    lines_copied: int
-    lines_skipped_dirty: int = 0
-
-    @property
-    def total_cycles(self) -> int:
-        return self.copy_cycles + self.unavailable_cycles
-
-
-@dataclass
 class EngineStats:
     """Lifetime counters across all migrations."""
 
@@ -74,15 +54,9 @@ class HwMigrationEngine:
     """Functional + cycle-accounting model of Contiguitas-HW."""
 
     def __init__(self, params: ArchParams | None = None,
-                 mode: AccessMode = AccessMode.NONCACHEABLE,
-                 directory=None) -> None:
+                 mode: AccessMode = AccessMode.NONCACHEABLE) -> None:
         self.params = params or DEFAULT_PARAMS
         self.mode = mode
-        #: Optional MESI directory (repro.sim.coherence.Directory): when
-        #: attached, the copy's BusRdX operations run through the real
-        #: protocol — private copies observably invalidated, dirty lines
-        #: written back — and their cycle costs replace the constants.
-        self.directory = directory
         self.llc = SlicedLLC(self.params)
         self.table = MetadataTable(self.params.hw_table_entries)
         self.queue = WorkQueue()
@@ -135,6 +109,7 @@ class HwMigrationEngine:
                 self._dirty_dst.pop(desc.src_ppn, None)
                 for line in range(entry.total_lines):
                     self._private.pop((desc.src_ppn, line), None)
+                self.stats.migrations += 1
             desc.complete()
 
     def start_copy(self, src_ppn: int) -> None:
@@ -178,11 +153,7 @@ class HwMigrationEngine:
             dst_slice = self.llc.home_slice(dst_line)
             # BusRdX both lines: pull newest source data into the LLC and
             # invalidate stale private copies.
-            if self.directory is not None:
-                cycles += self.directory.bus_rdx(src_line)
-                cycles += self.directory.bus_rdx(dst_line)
-            else:
-                cycles += p.l2_latency
+            cycles += p.l2_latency
             self._private.pop((src_ppn, line), None)
             self.llc.slices[src_slice].access(src_line)
             cycles += p.l3_latency  # the copy at the home slice
@@ -238,46 +209,6 @@ class HwMigrationEngine:
         if current is not None and current != mapping:
             self.stats.nacks += 1
         self._private[key] = mapping
-
-    def private_mapping_of(self, src_ppn: int, line: int) -> str | None:
-        """Which mapping (if any) holds this line in private caches."""
-        return self._private.get((src_ppn, line))
-
-    # ------------------------------------------------------------------
-    # One-shot migration with full cost accounting
-    # ------------------------------------------------------------------
-
-    def migrate_page(self, src_ppn: int, dst_ppn: int) -> HwMigrationReport:
-        """Run one complete page migration and return its cost report.
-
-        The page remains accessible throughout: ``unavailable_cycles`` is
-        a single local INVLPG, independent of core count (Fig. 13's flat
-        Contiguitas line).
-        """
-        self.submit_migrate(src_ppn, dst_ppn)
-        if self.mode is AccessMode.CACHEABLE:
-            # The OS flips PTE + TLBs first, then the copy runs.
-            self.start_copy(src_ppn)
-        dirty_before = len(self._dirty_dst.get(src_ppn, ()))
-        xslice_before = self.stats.cross_slice_writes
-        copy_cycles = self.copy_lines(src_ppn)
-        entry = self.table.lookup(src_ppn)
-        if entry is None or not entry.done:
-            raise HardwareProtocolError(
-                f"migration of ppn {src_ppn} did not complete its copy")
-        lines = LINES_PER_PAGE - dirty_before
-        self.submit_clear(src_ppn)
-        self.stats.migrations += 1
-        return HwMigrationReport(
-            src_ppn=src_ppn,
-            dst_ppn=dst_ppn,
-            mode=self.mode,
-            unavailable_cycles=self.params.invlpg_cycles,
-            copy_cycles=copy_cycles,
-            cross_slice_writes=self.stats.cross_slice_writes - xslice_before,
-            lines_copied=lines,
-            lines_skipped_dirty=dirty_before,
-        )
 
     # ------------------------------------------------------------------
     # Design-space estimation (sequential vs parallel slice copy, §3.3)

@@ -355,30 +355,6 @@ class ContiguitasKernel(LinuxKernel):
         boundary_pfn = self.layout.boundary_pfn
         return [(s, e) for s, e in candidates if e <= boundary_pfn]
 
-    # -- Contiguitas-HW driven maintenance ------------------------------------
-
-    def defrag_unmovable_region(self) -> int:
-        """Compact the unmovable region using hardware migration,
-        consolidating the ~22 % internal free space the paper measures
-        (§5.2).  Returns pages migrated.  Requires ``hw_enabled``."""
-        if not self.config.hw_enabled:
-            return 0
-        moved = 0
-        # Walk boundary-adjacent blocks and empty any that are mostly free,
-        # so the resizer can shrink them.
-        for block in range(self.layout.boundary_block,
-                           self.mem.npageblocks):
-            start = block * PAGEBLOCK_FRAMES
-            end = start + PAGEBLOCK_FRAMES
-            used = int(self.mem.allocated_mask(start, end).sum())
-            if 0 < used <= PAGEBLOCK_FRAMES // 2:
-                result = self.evacuator.evacuate(
-                    self.unmovable, self.handles, start, end,
-                    hardware_assisted=True)
-                if result.success:
-                    moved += result.pages_migrated
-        return moved
-
     # -- invariants ----------------------------------------------------------
 
     def confinement_violations(self) -> int:

@@ -69,11 +69,14 @@ class Claim:
     def evaluate(self, rows: list) -> tuple[bool, str]:
         """(held, measured text) over one cell's *rows*.  A per-label
         claim's text names the first label that breaks it; a measure
-        that cannot read the rows breaks the claim, naming the error."""
+        that cannot read the rows, or measures no label at all, breaks
+        the claim, naming why."""
         try:
             measured = self.measure(rows)
             if not isinstance(measured, Mapping):
                 return self.holds(measured), self.show(measured)
+            if not measured:
+                return False, "no labels measured"
             for label, value in measured.items():
                 if not self.holds(value):
                     return False, f"{label}: {self.show(value)}"

@@ -67,11 +67,6 @@ class FaultSite:
         self._spec = None
         self._rng = None
 
-    @property
-    def fires(self) -> int:
-        """How many times this site has fired since it was armed."""
-        return self._fires
-
     def fire(self, **ctx) -> bool:
         """One injection attempt; True when the fault should happen.
 

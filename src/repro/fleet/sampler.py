@@ -34,6 +34,7 @@ from .stats import median, pearson
 #: Per-server metrics addressable through :meth:`FleetSample.series`.
 SERIES_METRICS = ("contiguity", "unmovable")
 
+
 @dataclass
 class FleetSample:
     """Aggregated results of one fleet-sampling campaign."""
@@ -48,11 +49,6 @@ class FleetSample:
         """Scans from servers that actually ran (degraded ``failed=True``
         placeholders excluded); what every aggregate is computed over."""
         return [s for s in self.scans if not s.failed]
-
-    def failed_indices(self) -> list[int]:
-        """Indices of servers that exhausted their retry budget; scans
-        are index-ordered so positions are server indices."""
-        return [i for i, s in enumerate(self.scans) if s.failed]
 
     def series(self, metric: str, granularity: str) -> list[float]:
         """Per-server values of one scan *metric* at one *granularity*.
@@ -112,19 +108,9 @@ class FleetSample:
         """Merged vmstat counters across every server in the sample."""
         return self._summary().vmstat
 
-    def tail_summary(self) -> dict[str, dict[str, float]]:
-        """Fleet-wide tail-latency aggregates from per-server bursts.
-
-        For each latency class the per-server p99s are summarised as
-        median / worst (exact percentiles do not merge across servers,
-        so the fleet view is a distribution *of* per-server tails).
-        Empty when no server ran a loadgen burst.
-        """
-        return self._summary().tail
-
     def snapshot(self) -> dict:
         """Fleet-level aggregates as one plain dict
-        (:class:`~repro.telemetry.Snapshotable` surface)."""
+        (the telemetry ``snapshot()`` surface)."""
         return self._summary().snapshot()
 
     def merge(self, other: "FleetSample") -> "FleetSample":
@@ -160,8 +146,8 @@ class FleetSummary:
     uptime_correlation: float
     source_breakdown: dict[AllocSource, float]
     vmstat: CounterSet
-    #: Fleet-wide tail-latency aggregates (``FleetSample.tail_summary``
-    #: parity); empty on loadgen-free surveys.
+    #: Fleet-wide tail-latency aggregates, per latency class the
+    #: per-server p99s as median / worst; empty on loadgen-free surveys.
     tail: dict[str, dict[str, float]] = field(default_factory=dict)
     manifest: dict | None = field(default=None, compare=False, repr=False)
 
@@ -182,10 +168,6 @@ class FleetSummary:
             for key, value in row.items():
                 snap[f"latency.{cls}.{key}"] = value
         return snap
-
-    def tail_summary(self) -> dict[str, dict[str, float]]:
-        """:meth:`FleetSample.tail_summary` parity."""
-        return self.tail
 
     def vmstat_totals(self) -> CounterSet:
         """Merged vmstat counters (:class:`FleetSample` parity)."""
@@ -238,7 +220,7 @@ class _StreamAggregator:
         live = len(rows)
         zeroes = sum(1 for r in rows if r[3] == 0.0)
         grand = sum(self._source_totals.values())
-        # Index-sorted for the same fold order FleetSample.tail_summary
+        # Index-sorted for the same fold order FleetSample.snapshot
         # sees; median/max are order-free but the contract is
         # bit-identity, not near-identity.
         tail = {

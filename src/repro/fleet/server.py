@@ -62,7 +62,7 @@ class ServerScan:
 
     def snapshot(self) -> dict:
         """Scalar measurements plus counters as one flat-ish dict
-        (:class:`~repro.telemetry.Snapshotable` surface).  Degradation
+        (the telemetry ``snapshot()`` surface).  Degradation
         and latency keys appear only when present so healthy/loadgen-free
         snapshots stay byte-identical to earlier runs."""
         snap = {

@@ -114,7 +114,3 @@ class NetworkBufferPool:
         if handle.pinned:
             self.kernel.unpin_pages(handle)
         self.kernel.free_pages(handle)
-
-    def frames_in_use(self) -> int:
-        return (sum(h.nframes for h in self.rings)
-                + sum(h.nframes for h in self.transient))

@@ -74,6 +74,3 @@ class PageTableAllocator:
             total += tables
             level_entries = tables if tables > 1 else 0
         return max(total, 1) if self._mapped_frames else 0
-
-    def frames_in_use(self) -> int:
-        return self.nr_tables

@@ -94,10 +94,6 @@ class SlabCache:
         return (MigrateType.RECLAIMABLE if self.reclaimable
                 else MigrateType.UNMOVABLE)
 
-    @property
-    def nr_slabs(self) -> int:
-        return len(self._partial) + len(self._full)
-
     def alloc_object(self) -> ObjectRef:
         """Allocate one object, grabbing a new slab page if needed."""
         if not self._partial:
@@ -140,10 +136,6 @@ class SlabCache:
                                 order=self.slab_order)
             self.kernel.free_pages(slab.handle)
 
-    def frames_in_use(self) -> int:
-        """Frames currently held by this cache's slabs."""
-        return self.nr_slabs << self.slab_order
-
 
 class SlabAllocator:
     """Registry of slab caches, mirroring kmalloc size classes."""
@@ -166,6 +158,3 @@ class SlabAllocator:
 
     def __getitem__(self, name: str) -> SlabCache:
         return self.caches[name]
-
-    def frames_in_use(self) -> int:
-        return sum(c.frames_in_use() for c in self.caches.values())

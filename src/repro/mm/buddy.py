@@ -866,18 +866,6 @@ class BuddyAllocator:
     # Introspection
     # ------------------------------------------------------------------
 
-    def free_list(self, order: int, mt: MigrateType | int) -> list[int]:
-        """Heads on the (*order*, *mt*) free list, oldest first: a LIFO
-        pop takes the last."""
-        return list(self._walk(order * _NMT + mt))
-
-    def free_frames_by_type(self) -> dict[MigrateType, int]:
-        """Free frames currently on each migrate type's lists."""
-        frames = [0] * _NMT
-        for li, n in enumerate(self._count):
-            frames[li % _NMT] += n << li // _NMT
-        return dict(zip(MigrateType, frames))
-
     def largest_free_order(self) -> int:
         """Largest order with any free block, or -1 if nothing is free."""
         combined = 0

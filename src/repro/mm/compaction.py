@@ -46,7 +46,7 @@ class CompactionResult:
     blocks_scanned: int = 0
 
     def snapshot(self) -> dict:
-        """Uniform machine-readable view (Snapshotable protocol)."""
+        """Uniform machine-readable view (the telemetry surface)."""
         return {
             "satisfied": self.satisfied,
             "pages_migrated": self.pages_migrated,

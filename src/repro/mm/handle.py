@@ -187,10 +187,6 @@ class HandleRegistry:
         self._by_pfn[new_pfn] = entry
         return handle
 
-    def live_handles(self) -> list[PageHandle]:
-        """All live handles (unordered)."""
-        return list(map(self.resolve, self._by_pfn.values()))
-
     def check_invariants(self, mem) -> None:
         """Sweep every entry against *mem*: its key heads a live
         allocation of the handle's order (0 for an unbuilt slot), a

@@ -39,15 +39,6 @@ class PageblockTable:
         """Migrate type of the pageblock containing *pfn*."""
         return MigrateType(int(self.types[pfn // PAGEBLOCK_FRAMES]))
 
-    def get_int(self, pfn: int) -> int:
-        """Migrate type of the pageblock containing *pfn*, as a raw int.
-
-        Hot-path variant of :meth:`get`: skips the IntEnum construction,
-        which costs more than the array read itself.  Compares equal to
-        the corresponding :class:`MigrateType` member.
-        """
-        return self._types_mv[pfn // PAGEBLOCK_FRAMES]
-
     def set(self, pfn: int, mt: MigrateType) -> None:
         """Set the migrate type of the pageblock containing *pfn*."""
         self.types[pfn // PAGEBLOCK_FRAMES] = int(mt)
@@ -67,20 +58,6 @@ class PageblockTable:
         """Pageblock count per migrate type, one vectorised bincount."""
         c = np.bincount(self.types, minlength=len(MigrateType))
         return {mt: int(c[int(mt)]) for mt in MigrateType}
-
-    def blocks_of(self, mt: MigrateType) -> np.ndarray:
-        """Indices of pageblocks tagged *mt*."""
-        return np.flatnonzero(self.types == int(mt))
-
-    def occupancy(self) -> np.ndarray:
-        """Allocated frames per pageblock, one vectorised pass."""
-        return (self.mem.allocated_mask()
-                .reshape(self.mem.npageblocks, PAGEBLOCK_FRAMES)
-                .sum(axis=1, dtype=np.int64))
-
-    def empty_blocks(self) -> np.ndarray:
-        """Indices of pageblocks with zero allocated frames."""
-        return np.flatnonzero(self.occupancy() == 0)
 
     def block_range(self, block: int) -> tuple[int, int]:
         """Frame range ``[start, end)`` of pageblock index *block*."""

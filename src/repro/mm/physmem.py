@@ -24,7 +24,6 @@ from .page import AllocationInfo, AllocSource, MigrateType, PageFlag
 _F_ALLOCATED = 1 << PageFlag.ALLOCATED
 _F_HEAD = 1 << PageFlag.HEAD
 _F_PINNED = 1 << PageFlag.PINNED
-_F_MIGRATING = 1 << PageFlag.UNDER_MIGRATION
 _F_POISON = 1 << PageFlag.HW_POISON
 
 #: Largest order whose frames the scalar marks write one by one through
@@ -276,14 +275,6 @@ class PhysicalMemory:
         """Unpin the allocation headed at *pfn*."""
         end = pfn + (1 << int(self.alloc_order[pfn]))
         self.flags[pfn:end] &= ~np.uint8(_F_PINNED)
-
-    def set_migrating(self, pfn: int, active: bool) -> None:
-        """Flag/unflag the allocation headed at *pfn* as under migration."""
-        end = pfn + (1 << int(self.alloc_order[pfn]))
-        if active:
-            self.flags[pfn:end] |= _F_MIGRATING
-        else:
-            self.flags[pfn:end] &= ~np.uint8(_F_MIGRATING)
 
     def poison(self, pfn: int) -> None:
         """Mark frame *pfn* hardware-poisoned (uncorrectable error).

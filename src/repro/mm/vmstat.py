@@ -6,8 +6,7 @@ performs zero pageblock steals while Linux performs many).
 
 :class:`VmStat` is a thin facade over the unified telemetry layer's
 :class:`~repro.telemetry.metrics.CounterSet`: it inherits the uniform
-``snapshot()`` / ``merge()`` / ``delta()`` / ``to_jsonl()`` surface (the
-:class:`~repro.telemetry.metrics.Snapshotable` protocol) and adds only
+``snapshot()`` / ``merge()`` / ``delta()`` surface and adds only
 the event-name constants the kernel modules share.  The sorted
 ``items()`` view is cached between ``inc`` calls — tests and reports
 read it far more often than the hot paths bump it.
@@ -45,7 +44,6 @@ RECLAIM_RUNS = "reclaim_runs"
 PAGES_RECLAIMED = "pages_reclaimed"
 THP_ALLOC = "thp_alloc"
 THP_FALLBACK = "thp_fallback"
-THP_PROMOTED = "thp_collapse"
 HUGETLB_1G_ALLOC = "hugetlb_1g_alloc"
 HUGETLB_1G_FAIL = "hugetlb_1g_fail"
 REGION_EXPAND = "region_expand"

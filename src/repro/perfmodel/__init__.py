@@ -10,7 +10,6 @@ from .walkcycles import (
     WalkCycleResult,
     mix_for_coverage,
     walk_cycles,
-    walk_cycles_from_addrspace,
 )
 
 __all__ = [
@@ -27,5 +26,4 @@ __all__ = [
     "mix_for_coverage",
     "perf_ratio",
     "walk_cycles",
-    "walk_cycles_from_addrspace",
 ]

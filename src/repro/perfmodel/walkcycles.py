@@ -127,64 +127,6 @@ def walk_cycles(
     )
 
 
-def walk_cycles_from_addrspace(
-    aspace,
-    spec: WorkloadSpec,
-    n_instructions: int = 100_000,
-    params: ArchParams = DEFAULT_PARAMS,
-    seed: int = 0,
-) -> WalkCycleResult:
-    """Fig. 3's quantity measured against *real* kernel state.
-
-    Instead of an assumed page-size mix, every data access is translated
-    through a live :class:`~repro.vm.addrspace.AddressSpace`: the mapping
-    granularity (4 KiB base page vs collapsed THP) is whatever the kernel
-    actually provided, so fragmentation shows up as walk cycles end to
-    end.  Instruction fetches still use the service's instruction trace
-    (text mappings are not modelled per-process).
-    """
-    total_len = sum(vma.length for vma in aspace.vmas)
-    if total_len == 0:
-        raise ConfigurationError("address space has no mappings")
-    data_spec = TraceSpec(
-        footprint_bytes=total_len,
-        hot_fraction=spec.data_trace.hot_fraction,
-        hot_weight=spec.data_trace.hot_weight,
-        stride_locality=spec.data_trace.stride_locality,
-    )
-    n_data = int(n_instructions * spec.data_access_per_instr)
-    offsets = generate_addresses(data_spec, n_data, seed=seed)
-
-    tlb = TLBHierarchy(params, pt_access_cycles=_pt_access_cycles(
-        params, total_len))
-    # Map flat trace offsets onto the VMAs in order.
-    spans = []
-    base = 0
-    for vma in aspace.vmas:
-        spans.append((base, base + vma.length, vma))
-        base += vma.length
-    for off in offsets.tolist():
-        for lo, hi, vma in spans:
-            if lo <= off < hi:
-                vaddr = vma.start + (off - lo)
-                break
-        else:  # pragma: no cover - offsets are bounded by total_len
-            continue
-        _, shift = aspace.translate(vaddr)
-        tlb.translate(vaddr, shift)
-    data_walk = tlb.stats.walk_cycles
-
-    instr_walk, _ = _run_stream(
-        spec.instr_trace, MIX_2M if aspace.huge_coverage() > 0.5 else MIX_4K,
-        int(n_instructions * spec.instr_fetch_per_instr), params, seed + 1)
-    exec_cycles = n_instructions * spec.base_cpi
-    total = exec_cycles + data_walk + instr_walk
-    return WalkCycleResult(
-        data_pct=100.0 * data_walk / total,
-        instr_pct=100.0 * instr_walk / total,
-    )
-
-
 def mix_for_coverage(coverage: dict[str, float]) -> PageSizeMix:
     """Translate a measured huge-page coverage (from
     :meth:`~repro.workloads.base.Workload.huge_coverage`) into a

@@ -7,17 +7,9 @@ migration engine lives in.
 """
 
 from .cache import SetAssocCache, SlicedLLC, slice_of
-from .coherence import CoherenceStats, Directory, MesiState
 from .core import CoreStats, TimingCore
 from .engine import EventQueue
-from .hwtiming import (
-    AccessSample,
-    TrafficResult,
-    lazy_invalidation_window,
-    simulate_migration_traffic,
-    table_occupancy_bound,
-)
-from .iommu import DeviceTlb, InvalidationRequest, Iommu
+from .iommu import DeviceTlb, Iommu
 from .params import DEFAULT_PARAMS, ArchParams
 from .shootdown import (
     MigrationTimeline,
@@ -37,17 +29,12 @@ from .tlb import (
 from .trace import TraceSpec, generate_addresses
 
 __all__ = [
-    "AccessSample",
     "ArchParams",
-    "CoherenceStats",
     "CoreStats",
     "DEFAULT_PARAMS",
     "DeviceTlb",
-    "Directory",
     "EventQueue",
-    "InvalidationRequest",
     "Iommu",
-    "MesiState",
     "MigrationTimeline",
     "PageWalkCache",
     "SHIFT_1G",
@@ -59,14 +46,10 @@ __all__ = [
     "TLBHierarchy",
     "TimingCore",
     "TraceSpec",
-    "TrafficResult",
     "WalkStats",
     "generate_addresses",
-    "lazy_invalidation_window",
     "page_copy_cycles",
     "simulate_contiguitas_migration",
     "simulate_linux_migration",
-    "simulate_migration_traffic",
     "slice_of",
-    "table_occupancy_bound",
 ]

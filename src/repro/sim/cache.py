@@ -56,16 +56,6 @@ class SetAssocCache:
     def contains(self, line: int) -> bool:
         return line in self._set_of(line)
 
-    def invalidate(self, line: int) -> bool:
-        """Drop *line* if present; returns whether it was present."""
-        entry = self._set_of(line)
-        return entry.pop(line, None) is not None
-
-    def invalidate_page(self, pfn: int, lines_per_page: int = 64) -> int:
-        """Invalidate every line of physical page *pfn*; returns count."""
-        base = pfn * lines_per_page
-        return sum(self.invalidate(base + i) for i in range(lines_per_page))
-
 
 def slice_of(line: int, nslices: int) -> int:
     """The slice-selection hash ``f`` (paper Fig. 9).

@@ -29,16 +29,6 @@ class CoreStats:
     translation_cycles: float = 0.0
     data_cycles: float = 0.0
 
-    @property
-    def cpi(self) -> float:
-        return self.cycles / self.instructions if self.instructions else 0.0
-
-    @property
-    def walk_share(self) -> float:
-        """Fraction of cycles in address translation (Fig. 3's numerator
-        when fed a per-workload trace)."""
-        return (self.translation_cycles / self.cycles) if self.cycles else 0.0
-
 
 class TimingCore:
     """One core: private L1/L2, a shared sliced LLC, and a TLB hierarchy.

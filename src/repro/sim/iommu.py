@@ -16,23 +16,8 @@ lazily by any core, with no synchronous drain.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
-
-from ..errors import ConfigurationError
 from .params import ArchParams, DEFAULT_PARAMS
 from .tlb import SHIFT_4K, SetAssocTLB
-
-
-@dataclass
-class InvalidationRequest:
-    """One descriptor in the IOMMU's invalidation queue."""
-
-    iova_vpn: int
-    shift: int = SHIFT_4K
-    #: Whether the request must also be forwarded to device TLBs.
-    device_tlb: bool = True
-    completed: bool = False
 
 
 class DeviceTlb:
@@ -41,7 +26,6 @@ class DeviceTlb:
     def __init__(self, entries: int = 64, ways: int | None = None,
                  label: str = "nic-tlb") -> None:
         self.tlb = SetAssocTLB(entries, ways or entries, label=label)
-        self.invalidations = 0
 
     def lookup(self, iova_vpn: int, shift: int = SHIFT_4K) -> bool:
         return self.tlb.lookup(iova_vpn, shift)
@@ -49,18 +33,13 @@ class DeviceTlb:
     def fill(self, iova_vpn: int, shift: int = SHIFT_4K) -> None:
         self.tlb.fill(iova_vpn, shift)
 
-    def invalidate(self, iova_vpn: int, shift: int = SHIFT_4K) -> bool:
-        self.invalidations += 1
-        return self.tlb.invalidate(iova_vpn, shift)
-
 
 class Iommu:
-    """The IOMMU: IOTLB + queued invalidation, with latency accounting.
+    """The IOMMU: IOTLB + the latency of queued invalidation.
 
     Args:
         params: architectural latencies.
         iotlb_entries: IOTLB capacity (fully associative model).
-        queue_depth: invalidation queue capacity.
     """
 
     #: Cycles for the IOMMU to fetch and process one queue descriptor.
@@ -69,15 +48,12 @@ class Iommu:
     DEVICE_INVALIDATE_CYCLES = 700
 
     def __init__(self, params: ArchParams | None = None,
-                 iotlb_entries: int = 128, queue_depth: int = 256) -> None:
+                 iotlb_entries: int = 128) -> None:
         self.params = params or DEFAULT_PARAMS
         self.iotlb = SetAssocTLB(iotlb_entries, iotlb_entries,
                                  label="iotlb")
         self.devices: list[DeviceTlb] = []
-        self.queue: deque[InvalidationRequest] = deque()
-        self.queue_depth = queue_depth
         self.walks = 0
-        self.invalidations_processed = 0
 
     def attach_device(self, device: DeviceTlb) -> None:
         self.devices.append(device)
@@ -98,31 +74,6 @@ class Iommu:
     # ------------------------------------------------------------------
     # Invalidation path
     # ------------------------------------------------------------------
-
-    def post(self, request: InvalidationRequest) -> None:
-        """Core side: enqueue an invalidation descriptor."""
-        if len(self.queue) >= self.queue_depth:
-            raise ConfigurationError("invalidation queue full")
-        self.queue.append(request)
-
-    def process(self) -> int:
-        """Drain the queue; returns total processing cycles.
-
-        Per descriptor: fetch + IOTLB invalidate, plus a synchronous
-        round trip to every attached device TLB when requested.
-        """
-        cycles = 0
-        while self.queue:
-            req = self.queue.popleft()
-            cycles += self.DESCRIPTOR_CYCLES
-            self.iotlb.invalidate(req.iova_vpn, req.shift)
-            if req.device_tlb:
-                for device in self.devices:
-                    device.invalidate(req.iova_vpn, req.shift)
-                    cycles += self.DEVICE_INVALIDATE_CYCLES
-            req.completed = True
-            self.invalidations_processed += 1
-        return cycles
 
     def synchronous_invalidate_cycles(self, nr_pages: int = 1) -> int:
         """Cost of the baseline flow: post, drain, and *wait* for

@@ -47,10 +47,6 @@ class MigrationTimeline:
         (Fig. 13's y-axis)."""
         return self.available_at - self.start
 
-    @property
-    def total_cycles(self) -> int:
-        return self.end - self.start
-
 
 def page_copy_cycles(params: ArchParams) -> int:
     """Cycles to copy one 4 KiB page through the cache hierarchy.

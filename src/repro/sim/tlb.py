@@ -77,9 +77,6 @@ class SetAssocTLB:
             del entry[victim]
         entry[(vpn, shift)] = self._stamp
 
-    def invalidate(self, vpn: int, shift: int) -> bool:
-        return self._set_of(vpn).pop((vpn, shift), None) is not None
-
     def flush(self) -> None:
         for entry in self._sets:
             entry.clear()
@@ -123,7 +120,7 @@ class WalkStats:
     translation_cycles: int = 0
 
     def snapshot(self) -> dict:
-        """Counters as a plain dict (:class:`~repro.telemetry.Snapshotable`)."""
+        """Counters as a plain dict (the telemetry ``snapshot()`` surface)."""
         return {
             "accesses": self.accesses,
             "l1_hits": self.l1_hits,
@@ -246,17 +243,6 @@ class TLBHierarchy:
             _tp_walk.emit(vpn=vaddr >> shift, shift=shift,
                           levels=remaining, cycles=cycles)
         return cycles
-
-    def invalidate(self, vaddr: int, shift: int) -> int:
-        """INVLPG: drop the translation everywhere; returns its cost in
-        cycles (dominated by the pipeline flush, §4)."""
-        vpn = vaddr >> shift
-        self.l1.invalidate(vpn, shift)
-        self.l1_1g.invalidate(vpn, shift)
-        self.l2.invalidate(vpn, shift)
-        for pwc in self.pwcs:
-            pwc.flush()
-        return self.params.invlpg_cycles
 
     def reset_stats(self) -> None:
         """Zero the counters, keeping TLB/PWC contents (end of warmup)."""

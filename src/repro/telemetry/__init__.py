@@ -11,8 +11,7 @@ experiment manifests:
   simulated-time timestamps, and ring-buffer / JSONL sinks;
 * :mod:`repro.telemetry.metrics` — a :class:`MetricsRegistry` of counters,
   gauges, log2-bucket histograms, and scoped timers, all exposing the
-  uniform :class:`Snapshotable` surface (``snapshot()`` / ``merge()`` /
-  ``to_jsonl()``);
+  uniform ``snapshot()`` / ``merge()`` surface;
 * :mod:`repro.telemetry.manifest` — machine-readable per-run manifests
   (config, seed, git revision, counter snapshot) and the diffing used
   by ``repro metrics``;
@@ -40,7 +39,6 @@ from .events import (
 )
 from .manifest import (
     build_manifest,
-    deterministic_view,
     format_manifest,
     format_manifest_diff,
     load_manifest,
@@ -52,7 +50,6 @@ from .metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    Snapshotable,
 )
 
 __all__ = [
@@ -63,13 +60,11 @@ __all__ = [
     "JsonlSink",
     "MetricsRegistry",
     "RingBufferSink",
-    "Snapshotable",
     "TelemetryConfig",
     "TraceEvent",
     "Tracepoint",
     "TracepointRegistry",
     "build_manifest",
-    "deterministic_view",
     "format_manifest",
     "format_manifest_diff",
     "load_manifest",

@@ -142,13 +142,6 @@ class TracepointRegistry:
                 hit.append(name)
         return sorted(hit)
 
-    def disable_all(self) -> None:
-        for tp in self._points.values():
-            tp.enabled = False
-
-    def enabled_names(self) -> list[str]:
-        return sorted(n for n, tp in self._points.items() if tp.enabled)
-
     # -- sinks -----------------------------------------------------------
 
     def attach(self, sink) -> None:
@@ -244,10 +237,6 @@ class RingBufferSink:
         self._buf.clear()
         self.appended = 0
 
-    def to_jsonl(self) -> str:
-        """All buffered events, one JSON object per line."""
-        return "".join(e.to_json() + "\n" for e in self._buf)
-
 
 class JsonlSink:
     """Streams events to a file as JSON lines (``repro trace`` input)."""
@@ -277,9 +266,9 @@ class JsonlSink:
 
 
 def read_jsonl(path) -> list[TraceEvent]:
-    """Load an event stream written by :class:`JsonlSink` (or
-    :meth:`RingBufferSink.to_jsonl`); a missing file or a line that is
-    not an event is a :class:`ConfigurationError` naming it."""
+    """Load an event stream written by :class:`JsonlSink`; a missing
+    file or a line that is not an event is a :class:`ConfigurationError`
+    naming it."""
     out = []
     try:
         with open(path) as fh:

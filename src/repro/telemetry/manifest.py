@@ -6,9 +6,8 @@ snapshot.  Every front door emits them as JSON; ``repro metrics``
 pretty-prints and diffs them.
 
 Volatile facts (wall-clock timestamps, hostname, worker count) live in a
-dedicated ``volatile`` section so that :func:`deterministic_view` — the
-part that must be bit-identical across worker counts and machines — is
-just the manifest minus that one key.
+dedicated ``volatile`` section, so the part that must be bit-identical
+across worker counts and machines is the manifest minus that one key.
 """
 
 from __future__ import annotations
@@ -86,12 +85,6 @@ def build_manifest(
         },
     }
     return manifest
-
-
-def deterministic_view(manifest: dict) -> dict:
-    """The manifest minus its ``volatile`` section — the part that must
-    be identical for identical (config, seed) runs at any worker count."""
-    return {k: v for k, v in manifest.items() if k != "volatile"}
 
 
 def write_manifest(path, manifest: dict) -> str:

@@ -1,11 +1,11 @@
 """Metrics: counters, gauges, log2 histograms.
 
-Everything here speaks one protocol — :class:`Snapshotable` —
+Everything here speaks one surface —
 ``snapshot() -> dict`` for a point-in-time machine-readable view and
 ``merge(other)`` for combining measurements from independent runs (the
 parallel fleet merges per-server counters this way).  A
 :class:`MetricsRegistry` groups named instruments behind the same
-surface plus ``to_jsonl()`` for interchange.
+surface.
 
 :class:`CounterSet` is the primitive under
 :class:`repro.mm.vmstat.VmStat`; keeping it here lets the fleet and the
@@ -14,20 +14,9 @@ benchmarks aggregate kernel counters without importing ``mm``.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Iterator
-from typing import Protocol, runtime_checkable
 
 from ..errors import ConfigurationError
-
-
-@runtime_checkable
-class Snapshotable(Protocol):
-    """The uniform stats surface every collector implements."""
-
-    def snapshot(self) -> dict: ...
-
-    def merge(self, other) -> None: ...
 
 
 class CounterSet:
@@ -97,12 +86,6 @@ class CounterSet:
     def reset(self) -> None:
         self._counts.clear()
         self._items_cache = None
-
-    def to_jsonl(self) -> str:
-        """One JSON line per counter, name-sorted."""
-        return "".join(
-            json.dumps({"counter": k, "value": v}) + "\n"
-            for k, v in self.items())
 
 
 class Gauge:
@@ -223,7 +206,7 @@ class MetricsRegistry:
 
     Instruments are created on first reference (``registry.gauge("x")``)
     so call sites need no registration ceremony.  The whole registry is
-    :class:`Snapshotable`; ``merge`` combines same-named instruments,
+    snapshotable; ``merge`` combines same-named instruments,
     which is how per-worker measurements fold into one run record.
     """
 
@@ -265,16 +248,6 @@ class MetricsRegistry:
             self.gauge(name).merge(gauge)
         for name, hist in other._histograms.items():
             self.histogram(name).merge(hist)
-
-    def to_jsonl(self) -> str:
-        """Counters, then gauges, then histograms — one JSON line each."""
-        lines = [self.counters.to_jsonl()]
-        for k, g in sorted(self._gauges.items()):
-            lines.append(json.dumps({"gauge": k, "value": g.value}) + "\n")
-        for k, h in sorted(self._histograms.items()):
-            lines.append(json.dumps(
-                {"histogram": k, **h.snapshot()}, sort_keys=True) + "\n")
-        return "".join(lines)
 
     def reset(self) -> None:
         self.counters.reset()

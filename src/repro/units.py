@@ -33,11 +33,6 @@ CACHE_LINE = 64
 LINES_PER_PAGE = FRAME_SIZE // CACHE_LINE
 
 
-def KiB(n: float) -> int:
-    """Return *n* kibibytes in bytes."""
-    return int(n * 1024)
-
-
 def MiB(n: float) -> int:
     """Return *n* mebibytes in bytes."""
     return int(n * 1024 * 1024)
@@ -61,13 +56,3 @@ def order_of(nframes: int) -> int:
     if nframes <= 0 or (1 << order) != nframes:
         raise ValueError(f"{nframes} is not a power-of-two frame count")
     return order
-
-
-def human_size(nbytes: float) -> str:
-    """Render a byte count using binary units, e.g. ``human_size(2<<20)``
-    returns ``'2.0MiB'``."""
-    for unit in ("B", "KiB", "MiB", "GiB", "TiB"):
-        if abs(nbytes) < 1024 or unit == "TiB":
-            return f"{nbytes:.1f}{unit}" if unit != "B" else f"{int(nbytes)}B"
-        nbytes /= 1024
-    raise AssertionError("unreachable")

@@ -506,12 +506,6 @@ class Workload:
             "4k": frames_4k / total,
         }
 
-    def anon_frames(self) -> int:
-        cov = 0
-        for chunk in self.anon_chunks:
-            cov += sum(h.nframes for h in self._chunk_handles(chunk))
-        return cov + len(self.gigapages) * GIGAPAGE_FRAMES
-
     @staticmethod
     def _chunk_handles(chunk) -> list[PageHandle]:
         return [chunk] if isinstance(chunk, PageHandle) else chunk

@@ -10,8 +10,9 @@ import sys
 import pytest
 
 from repro.core import ContiguitasConfig, ContiguitasKernel
-from repro.mm import AllocSource, KernelConfig, LinuxKernel
-from repro.units import MiB
+from repro.mm import AllocSource, KernelConfig, LinuxKernel, MigrateType
+from repro.mm import PageHandle
+from repro.units import GIGAPAGE_FRAMES, MiB
 
 
 def fresh_python(code: str, env: dict | None = None
@@ -37,6 +38,42 @@ def make_contiguitas(mem_mib: int = 32, **kwargs) -> ContiguitasKernel:
     """A small Contiguitas kernel for tests."""
     return ContiguitasKernel(ContiguitasConfig(mem_bytes=MiB(mem_mib),
                                                **kwargs))
+
+
+def free_list(buddy, order: int, mt) -> list[int]:
+    """Heads on *buddy*'s (*order*, *mt*) free list, oldest first: a
+    LIFO pop takes the last."""
+    return list(buddy._walk(order * len(MigrateType) + mt))
+
+
+def free_frames_by_type(buddy) -> dict[MigrateType, int]:
+    """Free frames on each migrate type's lists, from *buddy*'s per-list
+    counts (list index = order * len(MigrateType) + migrate type)."""
+    nmt = len(MigrateType)
+    frames = dict.fromkeys(MigrateType, 0)
+    for li, n in enumerate(buddy._count):
+        frames[MigrateType(li % nmt)] += n << li // nmt
+    return frames
+
+
+def live_handles(registry) -> list[PageHandle]:
+    """Every live handle of a :class:`~repro.mm.HandleRegistry`
+    (unordered)."""
+    return list(map(registry.resolve, registry._by_pfn.values()))
+
+
+def anon_frames(workload) -> int:
+    """Frames a workload's anonymous heap holds, at any page size."""
+    chunks = [[c] if isinstance(c, PageHandle) else c
+              for c in workload.anon_chunks]
+    return (sum(h.nframes for chunk in chunks for h in chunk)
+            + len(workload.gigapages) * GIGAPAGE_FRAMES)
+
+
+def deterministic_view(manifest: dict) -> dict:
+    """The manifest minus its ``volatile`` section — the part that must
+    be identical for identical (config, seed) runs at any worker count."""
+    return {k: v for k, v in manifest.items() if k != "volatile"}
 
 
 @pytest.fixture

@@ -9,8 +9,5 @@ class MetricsRegistry:
     def inc(self, name, value=1):
         return name
 
-    def gauge(self, name):
-        return name
-
     def histogram(self, name):
         return name

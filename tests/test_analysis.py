@@ -13,7 +13,6 @@ from repro.analysis import (
     movable_potential,
     percent,
     unmovable_block_fraction,
-    unmovable_page_fraction,
     unmovable_region_internal_frag,
 )
 from repro.mm import AllocSource, MigrateType, PhysicalMemory
@@ -43,7 +42,7 @@ def test_single_page_poisons_whole_gigabyte():
     mem.mark_allocated(100_000, 0, MigrateType.UNMOVABLE,
                        AllocSource.NETWORKING, 0)
     assert movable_potential(mem, SCAN_GRANULARITIES["1GB"]) == 0.0
-    assert unmovable_page_fraction(mem) < 0.00001
+    assert mem.unmovable_mask().mean() < 0.00001
 
 
 def test_free_contiguity_counts_only_full_blocks(mem):

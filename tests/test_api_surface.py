@@ -199,6 +199,7 @@ class TestExportSnapshots:
             "DL102",
             "DL103",
             "DL104",
+            "DL105",
         ]
 
     def test_simlint_all(self):

@@ -18,6 +18,8 @@ from repro.mm import (
 from repro.mm import vmstat as ev
 from repro.units import MAX_ORDER, MiB, PAGEBLOCK_FRAMES
 
+from conftest import free_frames_by_type, free_list
+
 
 def make_buddy(mem_mib=8, **kwargs):
     mem = PhysicalMemory(MiB(mem_mib))
@@ -54,7 +56,7 @@ def test_alloc_splits_minimally():
     buddy = make_buddy()
     buddy.alloc(0, MigrateType.MOVABLE)
     # One pageblock was split into a ladder of orders 0..MAX_ORDER-1.
-    sizes = [len(buddy.free_list(o, MigrateType.MOVABLE))
+    sizes = [len(free_list(buddy, o, MigrateType.MOVABLE))
              for o in range(MAX_ORDER)]
     assert sizes == [1] * MAX_ORDER
 
@@ -65,7 +67,7 @@ def test_free_merges_back_to_pageblock():
     buddy.free(pfn)
     assert buddy.nr_free == buddy.nr_frames
     assert buddy.largest_free_order() == MAX_ORDER
-    assert len(buddy.free_list(MAX_ORDER, MigrateType.MOVABLE)) == \
+    assert len(free_list(buddy, MAX_ORDER, MigrateType.MOVABLE)) == \
         buddy.nr_blocks
     buddy.check_consistency()
 
@@ -109,7 +111,7 @@ def test_freed_page_joins_current_pageblock_type():
     pfn = buddy.alloc(0, MigrateType.UNMOVABLE)  # steals block 0
     buddy.free(pfn)
     # Freed into the (now UNMOVABLE) block's list.
-    assert len(buddy.free_list(MAX_ORDER, MigrateType.UNMOVABLE)) == 1
+    assert len(free_list(buddy, MAX_ORDER, MigrateType.UNMOVABLE)) == 1
     buddy.check_consistency()
 
 
@@ -120,7 +122,7 @@ def test_free_onto_a_buddy_missing_from_its_list_is_a_typed_error():
     buddy = make_buddy(label="zone")
     pfn = buddy.alloc(0, MigrateType.MOVABLE)
     assert pfn == 0 and buddy.mem.free_order[1] == 0
-    assert buddy.free_list(0, MigrateType.MOVABLE) == [1]
+    assert free_list(buddy, 0, MigrateType.MOVABLE) == [1]
     buddy._unlink(MigrateType.MOVABLE, 1)      # list (order 0, MOVABLE)
     with pytest.raises(FreelistDivergenceError) as exc:
         buddy.free(pfn)
@@ -135,7 +137,7 @@ def test_free_onto_a_buddy_missing_from_its_list_is_a_typed_error():
 
 def test_take_free_block_and_split():
     buddy = make_buddy()
-    head = min(buddy.free_list(MAX_ORDER, MigrateType.MOVABLE))
+    head = min(free_list(buddy, MAX_ORDER, MigrateType.MOVABLE))
     got = buddy.take_free_split(head, 3)
     assert got == head
     assert buddy.mem.free_order[head] == -1
@@ -196,7 +198,7 @@ def test_merge_does_not_cross_allocator_boundary():
 def test_free_frames_by_type_accounting():
     buddy = make_buddy()
     buddy.alloc(0, MigrateType.UNMOVABLE)  # steal one block
-    by_type = buddy.free_frames_by_type()
+    by_type = free_frames_by_type(buddy)
     assert sum(by_type.values()) == buddy.nr_free
     assert by_type[MigrateType.UNMOVABLE] == PAGEBLOCK_FRAMES - 1
 

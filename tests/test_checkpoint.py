@@ -33,6 +33,8 @@ from repro.errors import (
 from repro.faults import FaultPlan, FaultSpec, NAMED_PLANS, injecting
 from repro.units import MiB
 
+from conftest import deterministic_view, free_list
+
 
 class TestEnvelope:
     def test_encode_read_round_trip(self, tmp_path):
@@ -503,7 +505,7 @@ class TestFleetResume:
     def test_survey_kill_and_resume_byte_identical_manifest(
             self, tmp_path):
         from repro.fleet import survey_fleet
-        from repro.telemetry import TelemetryConfig, deterministic_view
+        from repro.telemetry import TelemetryConfig
 
         telemetry = TelemetryConfig()
         config = _small_fleet(3, telemetry=telemetry)
@@ -603,7 +605,6 @@ def _view(result) -> str:
     """What must be byte-identical across interrupted, uninterrupted and
     never-checkpointed runs: the manifest's deterministic view, or the
     snapshot for a kind whose config carries no telemetry."""
-    from repro.telemetry import deterministic_view
 
     manifest = getattr(result, "manifest", None)
     return json.dumps(deterministic_view(manifest) if manifest
@@ -698,7 +699,7 @@ class TestRestoreSanitizer:
         for handle in handles[::2]:
             kernel.free_pages(handle)
         kernel = pickle.loads(pickle.dumps(kernel, pickle.HIGHEST_PROTOCOL))
-        members = kernel.buddy.free_list(0, MigrateType.MOVABLE)
+        members = free_list(kernel.buddy, 0, MigrateType.MOVABLE)
         assert len(members) >= 3
         return kernel, members[:2]
 
@@ -931,7 +932,7 @@ class TestCheckpointCli:
 class TestManifestVolatileOnly:
     def test_checkpoint_keys_never_touch_deterministic_view(self):
         from repro.fleet import survey_fleet
-        from repro.telemetry import TelemetryConfig, deterministic_view
+        from repro.telemetry import TelemetryConfig
         import tempfile
 
         telemetry = TelemetryConfig()

@@ -20,6 +20,8 @@ from repro.mm import (
 )
 from repro.units import MAX_ORDER, MiB
 
+from conftest import live_handles
+
 
 def build(mem_mib=8):
     mem = PhysicalMemory(MiB(mem_mib))
@@ -67,9 +69,9 @@ def test_compaction_creates_pageblock():
 def test_compaction_moves_pages_toward_high_addresses():
     mem, buddy, handles, compactor = build()
     live = fragment(buddy, handles)
-    before = sorted(h.pfn for h in handles.live_handles())
+    before = sorted(h.pfn for h in live_handles(handles))
     compactor.compact(buddy, handles, target_order=MAX_ORDER)
-    after = sorted(h.pfn for h in handles.live_handles())
+    after = sorted(h.pfn for h in live_handles(handles))
     assert sum(after) > sum(before)
 
 
@@ -77,7 +79,7 @@ def test_compaction_updates_handles():
     mem, buddy, handles, compactor = build()
     fragment(buddy, handles)
     compactor.compact(buddy, handles, target_order=MAX_ORDER)
-    for handle in handles.live_handles():
+    for handle in live_handles(handles):
         info = mem.allocation_info(handle.pfn)
         assert info.pfn == handle.pfn  # head still matches
 

@@ -180,21 +180,3 @@ def test_confinement_holds_under_heavy_churn(rng):
           fill_cache=True, cache_churn=0.5)
     assert k.confinement_violations() == 0
     k.check_consistency()
-
-
-def test_defrag_unmovable_region_requires_hw():
-    k = make_contiguitas(mem_mib=32)
-    assert k.defrag_unmovable_region() == 0
-
-
-def test_defrag_unmovable_region_consolidates():
-    k = make_contiguitas(mem_mib=32, hw_enabled=True,
-                         initial_unmovable_fraction=0.5)
-    handles = [k.alloc_pages(0, source=AllocSource.NETWORKING)
-               for _ in range(PAGEBLOCK_FRAMES * 3)]
-    for i, h in enumerate(handles):
-        if i % 3:
-            k.free_pages(h)
-    moved = k.defrag_unmovable_region()
-    assert moved > 0
-    k.check_consistency()

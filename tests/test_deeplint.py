@@ -211,6 +211,67 @@ class TestDL104Determinism:
         assert len(hits) == 1
 
 
+class TestDL105DeadSurface:
+    """A definition only a test reaches is one finding; naming it from
+    an example, a door string or a documented ``__all__`` clears it."""
+
+    @staticmethod
+    def tree(tmp_path, files=None):
+        files = {
+            "pkg/__init__.py": "",
+            "pkg/mod.py": ('__all__ = ["helper"]\n\n\n'
+                           "def helper():\n    return 1\n"),
+            "tests/test_mod.py": ("from pkg.mod import helper\n\n\n"
+                                  "def test_helper():\n"
+                                  "    assert helper() == 1\n"),
+            "docs/OBSERVABILITY.md": "# Observability\n",
+            "docs/API.md": "# API\n",
+            **(files or {}),
+        }
+        for name, text in files.items():
+            path = tmp_path / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+        return [(f.path, f.line, f.message.split()[0])
+                for f in lint_paths([tmp_path], deep=True)
+                if f.rule == "DL105"]
+
+    def test_function_reached_only_by_a_test_is_one_finding(self,
+                                                             tmp_path):
+        # pkg.mod is undocumented, so its __all__ names nothing.
+        assert self.tree(tmp_path) == [("pkg/mod.py", 4, "helper")]
+
+    @pytest.mark.parametrize("root", [
+        {"examples/use.py": "from pkg.mod import helper\nhelper()\n"},
+        {"pkg/doors.py": 'DOORS = ["pkg.mod:helper"]\n'},
+        {"docs/API.md": "# API\n\n## `pkg.mod` — the surface\n"},
+    ], ids=["example", "door-string", "documented-all"])
+    def test_named_from_a_root_is_no_finding(self, tmp_path, root):
+        assert self.tree(tmp_path, files=root) == []
+
+    def test_method_needs_its_class_and_its_name(self, tmp_path):
+        files = {
+            "pkg/mod.py": ("class Engine:\n"
+                           "    def __init__(self):\n"
+                           "        self.n = 0\n\n"
+                           "    def run(self):\n"
+                           "        return self.n\n\n"
+                           "    def only_tested(self):\n"
+                           "        return -1\n\n\n"
+                           "class Unused:\n"
+                           "    def run(self):\n"
+                           "        return 0\n"),
+            "tests/test_mod.py": "",
+            "examples/use.py": ("from pkg.mod import Engine\n"
+                                "Engine().run()\n"),
+        }
+        # Engine.run is named and its class reached; the dead class is
+        # one finding, not one per method.
+        assert self.tree(tmp_path, files=files) == [
+            ("pkg/mod.py", 8, "Engine.only_tested"),
+            ("pkg/mod.py", 12, "Unused")]
+
+
 class TestCleanAndShippedTrees:
     def test_clean_fixture_has_zero_findings(self):
         assert lint_paths([CLEAN], deep=True) == []
@@ -268,7 +329,7 @@ class TestSarif:
         driver = run["tool"]["driver"]
         assert driver["name"] == "repro-deeplint"
         rule_ids = [r["id"] for r in driver["rules"]]
-        for code in ("SL001", "DL101", "DL102", "DL103", "DL104"):
+        for code in ("SL001", "DL101", "DL102", "DL103", "DL104", "DL105"):
             assert code in rule_ids
         assert run["results"], "dirty fixture must produce results"
         for result in run["results"]:
@@ -372,7 +433,7 @@ class TestCli:
         assert proc.returncode == 1
         doc = json.loads(proc.stdout)
         rules = {f["rule"] for f in doc["findings"]}
-        assert {"DL101", "DL102", "DL103", "DL104"} <= rules
+        assert {"DL101", "DL102", "DL103", "DL104", "DL105"} <= rules
 
     def test_shipped_tree_strict_exits_zero(self):
         proc = _run_cli("--deep", "--strict", "src/repro")

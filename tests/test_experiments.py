@@ -813,6 +813,9 @@ class TestClaims:
         assert band.evaluate(self.ROWS[:1]) == (True, "a: 1")
         chain = Ordered("o", "p", lambda rows: {"up": [1, 2], "down": [2, 1]})
         assert chain.evaluate(self.ROWS) == (False, "down: 2 < 1")
+        # Measuring no label at all measures nothing: the claim breaks.
+        assert Band("b", "p", lambda rows: {}, lo=1).evaluate([]) == (
+            False, "no labels measured")
 
     def test_a_measure_that_cannot_read_the_rows_breaks_the_claim(self):
         held, text = Band("b", "p", lambda rows: rows[0]["missing"],
@@ -873,8 +876,9 @@ class TestClaims:
 
         _toy_claims_spec(Band("x-small", "x below 2",
                               lambda rows: rows[0]["x"], hi=1))
-        argv = ["experiment", "verify", "toy-claims", "--cache-dir",
-                str(tmp_path / "cache")]
+        # A name given twice is verified once.
+        argv = ["experiment", "verify", "toy-claims", "toy-claims",
+                "--cache-dir", str(tmp_path / "cache")]
         try:
             with pytest.raises(SystemExit) as info:
                 main(argv)

@@ -8,6 +8,7 @@ from repro.errors import MigrationError, OutOfMemoryError
 from repro.mm import (
     AllocSource,
     MigrateType,
+    PageFlag,
     PageHandle,
     move_allocation,
 )
@@ -16,7 +17,7 @@ from repro.units import PAGEBLOCK_FRAMES
 from repro.workloads import Workload
 from repro.workloads.services import CACHE_B, CI
 
-from conftest import make_contiguitas, make_linux
+from conftest import anon_frames, make_contiguitas, make_linux
 
 
 class TestFailureInjection:
@@ -44,7 +45,7 @@ class TestFailureInjection:
     def test_move_allocation_rejects_double_migration(self):
         k = make_linux(mem_mib=16)
         h = k.alloc_pages(0)
-        k.mem.set_migrating(h.pfn, True)
+        k.mem.flags[h.pfn] |= 1 << PageFlag.UNDER_MIGRATION
         dst = k.buddy.take_free(0, MigrateType.MOVABLE)
         with pytest.raises(MigrationError):
             move_allocation(k.mem, h.pfn, dst)
@@ -136,9 +137,9 @@ class TestCoTenancy:
         b = Workload(k, spec, seed=2)
         a.start()
         b.start()
-        b_frames = b.anon_frames()
+        b_frames = anon_frames(b)
         a.stop(kernel_residue=0.0, keep_cache=False)
-        assert b.anon_frames() == b_frames
+        assert anon_frames(b) == b_frames
         for chunk in b.anon_chunks:
             for h in b._chunk_handles(chunk):
                 assert not h.freed

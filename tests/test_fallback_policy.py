@@ -1,6 +1,5 @@
 """Fallback policy table and pageblock metadata."""
 
-import numpy as np
 import pytest
 
 from repro.mm import MigrateType, PageblockTable, PhysicalMemory
@@ -47,10 +46,6 @@ class TestPageblockTable:
         table.set(PAGEBLOCK_FRAMES + 5, MigrateType.UNMOVABLE)
         assert table.get_block(1) is MigrateType.UNMOVABLE
         assert table.get_block(0) is MigrateType.MOVABLE
-
-    def test_blocks_of(self, table):
-        table.set_block(2, MigrateType.RECLAIMABLE)
-        assert np.array_equal(table.blocks_of(MigrateType.RECLAIMABLE), [2])
 
     def test_block_range(self, table):
         start, end = table.block_range(1)

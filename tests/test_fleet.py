@@ -170,7 +170,7 @@ class TestScanSnapshotRoundTrip:
         rebuilt = FleetSample.from_snapshots(
             [s.snapshot() for s in scans])
         assert rebuilt == sample
-        assert rebuilt.failed_indices() == [1]
+        assert [scan.failed for scan in rebuilt.scans] == [False, True]
 
     def test_json_round_trip_is_loss_free(self):
         import json

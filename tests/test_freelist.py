@@ -30,7 +30,7 @@ from repro.mm import (
 from repro.mm.buddy import _COMPACT_MIN
 from repro.units import MiB
 
-from conftest import make_contiguitas
+from conftest import free_list, make_contiguitas
 from reference_buddy import RefBuddy
 
 MT = MigrateType.UNMOVABLE
@@ -58,7 +58,7 @@ class IntrusiveList:
                 == self.alloc._lid0 + self.li)
 
     def __iter__(self):
-        return iter(self.alloc.free_list(0, self.mt))
+        return iter(free_list(self.alloc, 0, self.mt))
 
     def add(self, pfn: int) -> None:
         if pfn not in self:

@@ -11,6 +11,8 @@ from repro.core import PlacementPolicy
 from repro.errors import DoubleAllocError
 from repro.mm import AllocSource, HandleRegistry, MigrateType, PageHandle
 
+from conftest import live_handles
+
 
 def handle(pfn=0, order=0):
     return PageHandle(pfn, order, MigrateType.MOVABLE, AllocSource.USER, 0)
@@ -101,7 +103,7 @@ class TestHandleRegistry:
         reg = HandleRegistry()
         a = reg.register(handle(pfn=1))
         b = reg.register(handle(pfn=2))
-        assert set(reg.live_handles()) == {a, b}
+        assert set(live_handles(reg)) == {a, b}
 
 
 class TestPlacementPolicy:

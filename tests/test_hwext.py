@@ -82,12 +82,25 @@ class TestWorkQueue:
             q.enqcmd(migrate_descriptor(3, 4))
 
 
+def migrate(eng, src, dst):
+    """One whole page migration through the OS-visible protocol, the
+    way ``examples/hw_migration.py`` drives the engine; returns the
+    cycles the copy took."""
+    eng.submit_migrate(src, dst)
+    if eng.mode is AccessMode.CACHEABLE:
+        # The OS flips PTE + TLBs first, then the copy runs.
+        eng.start_copy(src)
+    cycles = eng.copy_lines(src)
+    eng.submit_clear(src)
+    return cycles
+
+
 class TestEngineNoncacheable:
     def test_full_migration_copies_all_lines(self):
         eng = HwMigrationEngine()
-        report = eng.migrate_page(100, 200)
-        assert report.lines_copied == LINES_PER_PAGE
-        assert report.unavailable_cycles == eng.params.invlpg_cycles
+        migrate(eng, 100, 200)
+        assert eng.stats.lines_copied == LINES_PER_PAGE
+        assert eng.stats.migrations == 1
         assert eng.table.lookup(100) is None  # cleared
 
     def test_redirection_during_copy(self):
@@ -118,17 +131,16 @@ class TestEngineNoncacheable:
 
     def test_cross_slice_writes_happen(self):
         eng = HwMigrationEngine()
-        report = eng.migrate_page(100, 200)
+        cycles = migrate(eng, 100, 200)
         # The slice hash spreads lines: some copies must cross slices.
-        assert report.cross_slice_writes > 0
-        assert report.copy_cycles > 0
+        assert eng.stats.cross_slice_writes > 0
+        assert cycles > 0
 
     def test_copy_cost_reasonable(self):
         """The HW copy should take on the order of microseconds at 2 GHz
         (§5.3 quotes ~2 µs per 4 KiB page)."""
         eng = HwMigrationEngine()
-        report = eng.migrate_page(100, 200)
-        us = eng.params.cycles_to_us(report.copy_cycles)
+        us = eng.params.cycles_to_us(migrate(eng, 100, 200))
         assert 0.5 <= us <= 5.0
 
     def test_concurrent_migrations(self):
@@ -157,10 +169,14 @@ class TestEngineCacheable:
         eng = HwMigrationEngine(mode=AccessMode.CACHEABLE)
         eng.submit_migrate(100, 200)
         eng.access(100, 5, mapping="src")
-        assert eng.private_mapping_of(100, 5) == "src"
+        eng.access(100, 5, mapping="src")
+        assert eng.stats.nacks == 0
         eng.access(100, 5, mapping="dst")
-        assert eng.private_mapping_of(100, 5) == "dst"
         assert eng.stats.nacks == 1
+        eng.access(100, 5, mapping="dst")
+        assert eng.stats.nacks == 1
+        eng.access(100, 5, mapping="src")
+        assert eng.stats.nacks == 2
 
     def test_dirty_destination_lines_skipped(self):
         eng = HwMigrationEngine(mode=AccessMode.CACHEABLE)
@@ -176,10 +192,10 @@ class TestEngineCacheable:
 
     def test_full_cacheable_migration_report(self):
         eng = HwMigrationEngine(mode=AccessMode.CACHEABLE)
-        report = eng.migrate_page(100, 200)
-        assert report.mode is AccessMode.CACHEABLE
-        assert report.lines_copied == LINES_PER_PAGE
-        assert report.unavailable_cycles == eng.params.invlpg_cycles
+        assert migrate(eng, 100, 200) > 0
+        assert eng.stats.lines_copied == LINES_PER_PAGE
+        assert eng.stats.migrations == 1
+        assert eng.table.lookup(100) is None
 
 
 class TestEngineErrors:

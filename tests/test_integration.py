@@ -2,20 +2,12 @@
 
 import pytest
 
-from repro.analysis import (
-    movable_potential,
-    unmovable_block_fraction,
-    watch_kernel,
-)
+from repro.analysis import movable_potential, unmovable_block_fraction
 from repro.core import IlluminatorKernel
 from repro.core.hwext import HwMigrationEngine
 from repro.mm import AllocSource, KernelConfig
-from repro.units import MiB, PAGEBLOCK_FRAMES
-from repro.vm import AddressSpace, EXTENT_BYTES
-from repro.workloads import (
-    Workload,
-    fragment_fully,
-)
+from repro.units import LINES_PER_PAGE, MiB, PAGEBLOCK_FRAMES
+from repro.workloads import Workload
 from repro.workloads.services import CACHE_B
 
 from conftest import make_contiguitas, make_linux
@@ -103,27 +95,6 @@ def test_full_service_lifecycle_on_contiguitas():
     kernel.check_consistency()
 
 
-def test_addrspace_on_fragmented_linux_vs_contiguitas():
-    """A process faulting a heap sees different page sizes depending on
-    the kernel's fragmentation state — the mechanism behind Fig. 10."""
-    linux = make_linux(mem_mib=64, compaction_enabled=False)
-    fragment_fully(linux)
-    aspace_l = AddressSpace(linux)
-    vma_l = aspace_l.mmap(4 * EXTENT_BYTES)
-    for off in range(0, vma_l.length, 4096):
-        aspace_l.fault(vma_l.start + off)
-
-    cont = make_contiguitas(mem_mib=64)
-    fragment_fully(cont)
-    aspace_c = AddressSpace(cont)
-    vma_c = aspace_c.mmap(4 * EXTENT_BYTES)
-    for off in range(0, vma_c.length, 4096):
-        aspace_c.fault(vma_c.start + off)
-
-    assert aspace_c.huge_coverage() > aspace_l.huge_coverage()
-    assert aspace_c.huge_coverage() == 1.0
-
-
 def test_hw_engine_paired_with_kernel_shrink():
     """Contiguitas-HW migrations as the kernel uses them: unmovable pages
     at the boundary move deeper, the region shrinks, and the functional
@@ -139,27 +110,17 @@ def test_hw_engine_paired_with_kernel_shrink():
     for _ in range(40):
         kernel.advance(200_000)
     assert kernel.layout.unmovable_blocks < before
-    # Mirror one of those migrations through the functional HW engine.
-    report = engine.migrate_page(1000, 2000)
-    assert report.unavailable_cycles == engine.params.invlpg_cycles
+    # Mirror one of those migrations through the functional HW engine:
+    # accesses mid-copy are redirected, never blocked.
+    engine.submit_migrate(1000, 2000)
+    assert engine.copy_lines(1000, max_lines=LINES_PER_PAGE // 2) > 0
+    assert engine.access(1000, 0) == 2000
+    assert engine.access(1000, LINES_PER_PAGE - 1) == 1000
+    engine.copy_lines(1000)
+    engine.submit_clear(1000)
+    assert engine.stats.migrations == 1
+    assert engine.stats.lines_copied == LINES_PER_PAGE
     kernel.check_consistency()
-
-
-def test_timeline_records_fragmentation_buildup(rng):
-    """The §5.2 observation: unmovable share rises quickly then
-    plateaus; a timeline over a Linux workload shows monotone-ish growth
-    early and stabilisation later."""
-    kernel = make_linux(mem_mib=64)
-    recorder = watch_kernel(kernel)
-    workload = Workload(kernel, CACHE_B, seed=9)
-    workload.start()
-    for step in range(400):
-        workload.step()
-        if step % 40 == 0:
-            recorder.sample(step)
-    series = recorder.series("unmovable_2m_blocks")
-    assert series[-1] > series[0]
-    assert len(series) == len(recorder.steps()) == 10
 
 
 def test_pinning_story_across_kernels():

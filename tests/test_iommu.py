@@ -3,8 +3,8 @@
 import pytest
 
 from repro.core.hwext import HwMigrationEngine, MigrationEntry
-from repro.errors import ConfigurationError, HardwareProtocolError
-from repro.sim.iommu import DeviceTlb, InvalidationRequest, Iommu
+from repro.errors import HardwareProtocolError
+from repro.sim.iommu import DeviceTlb, Iommu
 from repro.units import LINES_PER_PAGE
 
 
@@ -16,35 +16,7 @@ class TestIommu:
         assert cold > warm
         assert iommu.walks == 1
 
-    def test_invalidation_queue_roundtrip(self):
-        iommu = Iommu()
-        iommu.translate(42)
-        req = InvalidationRequest(iova_vpn=42, device_tlb=False)
-        iommu.post(req)
-        cycles = iommu.process()
-        assert req.completed
-        assert cycles >= Iommu.DESCRIPTOR_CYCLES
-        # Next translation walks again.
-        walks = iommu.walks
-        iommu.translate(42)
-        assert iommu.walks == walks + 1
-
-    def test_device_tlb_forwarding(self):
-        iommu = Iommu()
-        nic = DeviceTlb()
-        iommu.attach_device(nic)
-        nic.fill(7)
-        iommu.post(InvalidationRequest(iova_vpn=7))
-        iommu.process()
-        assert nic.invalidations == 1
-        assert not nic.lookup(7)
         # lookup after invalidation counts as a miss that refills.
-
-    def test_queue_depth_enforced(self):
-        iommu = Iommu(queue_depth=1)
-        iommu.post(InvalidationRequest(iova_vpn=1))
-        with pytest.raises(ConfigurationError):
-            iommu.post(InvalidationRequest(iova_vpn=2))
 
     def test_synchronous_invalidation_scales_with_devices(self):
         iommu = Iommu()

@@ -34,7 +34,7 @@ from repro.mm.page import AllocSource, MigrateType
 from repro.units import MiB
 from repro.workloads import Workload, get_service
 
-from conftest import make_contiguitas, make_linux
+from conftest import live_handles, make_contiguitas, make_linux
 
 NPFNS = 96
 
@@ -215,7 +215,7 @@ def test_slots_match_the_eager_structures(ops):
     lazy.registry.check_invariants(_Orders(eager.by_pfn))
     assert ([fields(h) for h in cache_lazy]
             == [fields(h) for h in cache_eager])
-    assert (sorted(map(fields, lazy.registry.live_handles()))
+    assert (sorted(map(fields, live_handles(lazy.registry)))
             == sorted(map(fields, eager.by_pfn.values())))
     assert lazy.reclaim(NPFNS * 4) == eager.reclaim(NPFNS * 4)
     assert len(lazy.lru) == len(eager.lru) == 0

@@ -132,39 +132,3 @@ class TestEndToEnd:
             CACHE_B, {"1g": 0.0, "2m": 1.0, "4k": 0.0}, "contiguitas",
             n_instructions=N)
         assert 1.01 < result.relative_perf < 1.30
-
-
-class TestAddrspaceIntegration:
-    def test_fragmented_kernel_pays_more_walk_cycles(self):
-        """End-to-end: the same process on a fragmented Linux kernel vs a
-        post-fragmentation Contiguitas kernel — coverage comes from real
-        kernel state and translates into walk cycles."""
-        from conftest import make_contiguitas, make_linux
-        from repro.perfmodel import walk_cycles_from_addrspace
-        from repro.vm import AddressSpace, EXTENT_BYTES
-        from repro.workloads import fragment_fully
-        from repro.workloads.services import CACHE_B
-
-        results = {}
-        for name, kernel in (
-            ("linux", make_linux(mem_mib=64, compaction_enabled=False)),
-            ("contiguitas", make_contiguitas(mem_mib=64)),
-        ):
-            fragment_fully(kernel)
-            aspace = AddressSpace(kernel)
-            vma = aspace.mmap(8 * EXTENT_BYTES)
-            for off in range(0, vma.length, 4096):
-                aspace.fault(vma.start + off)
-            results[name] = walk_cycles_from_addrspace(
-                aspace, CACHE_B, n_instructions=N)
-        assert results["contiguitas"].data_pct < results["linux"].data_pct
-
-    def test_empty_addrspace_rejected(self):
-        from repro.errors import ConfigurationError
-        from repro.perfmodel import walk_cycles_from_addrspace
-        from repro.vm import AddressSpace
-        from repro.workloads.services import CACHE_B
-        from conftest import make_linux
-
-        with pytest.raises(ConfigurationError):
-            walk_cycles_from_addrspace(AddressSpace(make_linux()), CACHE_B)

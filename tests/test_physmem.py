@@ -203,23 +203,3 @@ class TestPageblockQueries:
             assert counts[mt] == table.count(mt)
         assert counts[MigrateType.UNMOVABLE] == 1
         assert counts[MigrateType.MOVABLE] == 2
-
-    def test_occupancy_tracks_allocations(self, mem, table):
-        assert table.occupancy().tolist() == [0, 0, 0, 0]
-        mem.mark_allocated(0, 3, MigrateType.MOVABLE,
-                           AllocSource.USER, birth=0)
-        start, _ = table.block_range(1)
-        mem.mark_allocated(start, 0, MigrateType.MOVABLE,
-                           AllocSource.USER, birth=0)
-        occ = table.occupancy()
-        assert occ.tolist() == [8, 1, 0, 0]
-        assert int(occ.sum()) == mem.nframes - mem.free_frames()
-
-    def test_empty_blocks_shrinks_and_recovers(self, mem, table):
-        assert table.empty_blocks().tolist() == [0, 1, 2, 3]
-        start, _ = table.block_range(2)
-        mem.mark_allocated(start, 0, MigrateType.MOVABLE,
-                           AllocSource.USER, birth=0)
-        assert table.empty_blocks().tolist() == [0, 1, 3]
-        mem.mark_free(start)
-        assert table.empty_blocks().tolist() == [0, 1, 2, 3]

@@ -23,7 +23,7 @@ from repro.telemetry.events import RingBufferSink
 from repro.units import MAX_ORDER
 from repro.workloads import Workload, get_service
 
-from conftest import make_contiguitas, make_linux
+from conftest import free_list, make_contiguitas, make_linux
 
 SERVICES = ("web", "cache-a", "cache-b", "ci")
 KERNELS = {"linux": make_linux, "contiguitas": make_contiguitas}
@@ -86,12 +86,12 @@ def state(kernel, sink: RingBufferSink) -> dict:
     return {
         "frames": {name: getattr(mem, name).tobytes()
                    for name in FRAME_COLUMNS},
-        "free_lists": [alloc.free_list(order, mt)
+        "free_lists": [free_list(alloc, order, mt)
                        for alloc in kernel.allocators()
                        for order in range(MAX_ORDER + 1)
                        for mt in MigrateType],
         "vmstat": kernel.stat.snapshot(),
-        "trace": sink.to_jsonl(),
+        "trace": [event.to_json() for event in sink],
         "sanitizer": {pfn: tuple(hist)
                       for pfn, hist in mem.sanitizer._hist.items()},
         "offlined": kernel.offlined_frames(),

@@ -46,6 +46,8 @@ from repro.units import MAX_ORDER, MiB
 
 from reference_buddy import RefBuddy, RefKernel
 
+from conftest import free_frames_by_type, free_list
+
 #: Rule steps each configuration must run inside Tier-1.
 MIN_STEPS = 10_000
 EXAMPLES, STEPS_PER_EXAMPLE = 10, 250
@@ -114,9 +116,9 @@ class _Machine(RuleBasedStateMachine):
             by_type = dict.fromkeys(MigrateType, 0)
             for (order, mt), members in ref.lists.items():
                 if members or real._count[order * len(MigrateType) + mt]:
-                    assert real.free_list(order, mt) == list(members)
+                    assert free_list(real, order, mt) == list(members)
                 by_type[mt] += len(members) << order
-            assert real.free_frames_by_type() == by_type
+            assert free_frames_by_type(real) == by_type
             heads += [(head, order)
                       for head, (order, _) in ref.free_heads.items()]
         assert self.table.types.tolist() == self.ref_types
@@ -165,7 +167,7 @@ class RawMachine(_Machine):
     @rule(order=ORDERS)
     def fallback_steal(self, order):
         """A request of the type with the fewest free frames."""
-        by_type = self.buddy.free_frames_by_type()
+        by_type = free_frames_by_type(self.buddy)
         self._alloc(order, min(MigrateType, key=by_type.__getitem__), None)
 
     @rule(count=st.integers(1, 96), mt=MTS)

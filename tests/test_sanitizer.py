@@ -34,7 +34,7 @@ from repro.errors import (
 from repro.mm import MigrateType
 from repro.units import MAX_ORDER
 
-from conftest import churn, make_linux
+from conftest import churn, free_list, make_linux
 
 
 def make_debug_kernel(**kwargs):
@@ -46,7 +46,7 @@ def free_head_pfn(kernel) -> int:
     for alloc in kernel.allocators():
         for order in range(MAX_ORDER + 1):
             for mt in MigrateType:
-                for pfn in alloc.free_list(order, mt):
+                for pfn in free_list(alloc, order, mt):
                     return pfn
     raise AssertionError("no free blocks at all")
 
@@ -180,7 +180,7 @@ class TestCorruptionSweeps:
         alloc = kernel.allocators()[0]
         for order in range(MAX_ORDER + 1):
             for mt in MigrateType:
-                if alloc.free_list(order, mt):
+                if free_list(alloc, order, mt):
                     alloc._occ[mt] &= ~(1 << order)
                     with pytest.raises(FreelistDivergenceError) as exc:
                         verify_allocator(alloc)

@@ -72,20 +72,6 @@ class TestSetAssocCache:
         assert c.contains(0)
         assert not c.contains(1 * c.nsets)
 
-    def test_invalidate(self):
-        c = SetAssocCache(64 * 64, ways=4)
-        c.access(9)
-        assert c.invalidate(9)
-        assert not c.invalidate(9)
-        assert not c.contains(9)
-
-    def test_invalidate_page(self):
-        c = SetAssocCache(256 * 1024, ways=8)
-        base = 7 * 64
-        for i in range(64):
-            c.access(base + i)
-        assert c.invalidate_page(7) == 64
-
     def test_bad_geometry_rejected(self):
         with pytest.raises(ConfigurationError):
             SetAssocCache(100, ways=3)

@@ -8,7 +8,6 @@ from repro.analysis import (
     load_snapshot,
     save_snapshot,
     unmovable_block_fraction,
-    unmovable_page_fraction,
 )
 from repro.analysis.contiguity import movable_potential
 from repro.errors import ConfigurationError

@@ -16,12 +16,10 @@ from repro.telemetry import (
     JsonlSink,
     MetricsRegistry,
     RingBufferSink,
-    Snapshotable,
     TelemetryConfig,
     TraceEvent,
     TracepointRegistry,
     build_manifest,
-    deterministic_view,
     format_manifest,
     format_manifest_diff,
     load_manifest,
@@ -32,6 +30,8 @@ from repro.telemetry import (
     write_manifest,
 )
 from repro.telemetry.metrics import HIST_BUCKETS
+
+from conftest import deterministic_view
 
 
 class _BoomSink:
@@ -69,9 +69,8 @@ class TestTracepoints:
         for name in ("mm.alloc", "mm.free", "fleet.done"):
             reg.tracepoint(name)
         assert reg.enable("mm.*") == ["mm.alloc", "mm.free"]
-        assert reg.enabled_names() == ["mm.alloc", "mm.free"]
-        reg.disable_all()
-        assert reg.enabled_names() == []
+        assert [tp.name for tp in reg if tp.enabled] == ["mm.alloc",
+                                                         "mm.free"]
 
     def test_sim_clock_stamps_events(self):
         class FakeKernel:
@@ -146,12 +145,6 @@ class TestSinks:
         assert sink.written == 2
         assert read_jsonl(path) == events
 
-    def test_ring_to_jsonl_matches_event_json(self):
-        sink = RingBufferSink()
-        sink.append(TraceEvent("t", 1, {"k": 2}))
-        line = sink.to_jsonl().strip()
-        assert TraceEvent.from_json(line) == TraceEvent("t", 1, {"k": 2})
-
 
 class TestCounterSet:
     def test_items_sorted_and_cached(self):
@@ -183,16 +176,9 @@ class TestCounterSet:
         v = VmStat()
         v.inc("alloc_success", 3)
         assert isinstance(v, CounterSet)
-        assert isinstance(v, Snapshotable)
         other = VmStat()
         other.inc("alloc_success")
         assert v.delta(other) == {"alloc_success": 2}
-
-    def test_to_jsonl(self):
-        c = CounterSet({"b": 2, "a": 1})
-        lines = [json.loads(line) for line in c.to_jsonl().splitlines()]
-        assert lines == [{"counter": "a", "value": 1},
-                         {"counter": "b", "value": 2}]
 
 
 class TestHistogram:
@@ -369,7 +355,8 @@ class TestMetricsRegistry:
 
         for obj in (CounterSet(), MetricsRegistry(), WalkStats(),
                     FleetSample(scans=[])):
-            assert isinstance(obj, Snapshotable), type(obj)
+            assert callable(obj.snapshot), type(obj)
+            assert callable(obj.merge), type(obj)
 
 
 class TestWalkStats:

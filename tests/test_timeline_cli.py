@@ -1,49 +1,8 @@
-"""Timeline recorder and the command-line interface."""
+"""The command-line interface."""
 
 import pytest
 
-from repro.analysis import TimelineRecorder, watch_kernel
 from repro.cli import build_parser, main
-from repro.errors import ConfigurationError
-
-from conftest import make_contiguitas
-
-
-class TestTimelineRecorder:
-    def test_sample_and_series(self):
-        counter = {"v": 0}
-
-        def metric():
-            counter["v"] += 1
-            return counter["v"]
-
-        rec = TimelineRecorder(metrics={"m": metric})
-        rec.sample(0)
-        rec.sample(10)
-        assert rec.series("m") == [1.0, 2.0]
-        assert rec.steps() == [0, 10]
-        assert rec.final("m") == 2.0
-
-    def test_unknown_metric_rejected(self):
-        rec = TimelineRecorder(metrics={"m": lambda: 1})
-        with pytest.raises(ConfigurationError):
-            rec.series("nope")
-
-    def test_empty_metrics_rejected(self):
-        with pytest.raises(ConfigurationError):
-            TimelineRecorder(metrics={})
-
-    def test_final_requires_samples(self):
-        rec = TimelineRecorder(metrics={"m": lambda: 1})
-        with pytest.raises(ConfigurationError):
-            rec.final("m")
-
-    def test_watch_kernel_includes_region_metric(self):
-        k = make_contiguitas(mem_mib=16)
-        rec = watch_kernel(k)
-        values = rec.sample(0)
-        assert "unmovable_region_blocks" in values
-        assert values["free_frames"] == k.free_frames()
 
 
 @pytest.fixture

@@ -36,10 +36,8 @@ class TestSetAssocTLB:
         assert tlb.lookup(0, SHIFT_4K)
         assert not tlb.lookup(1, SHIFT_4K)
 
-    def test_invalidate_and_flush(self):
+    def test_flush(self):
         tlb = SetAssocTLB(64, 4)
-        tlb.fill(3, SHIFT_4K)
-        assert tlb.invalidate(3, SHIFT_4K)
         tlb.fill(4, SHIFT_4K)
         tlb.flush()
         assert not tlb.lookup(4, SHIFT_4K)
@@ -89,15 +87,6 @@ class TestTLBHierarchy:
             h2m.translate(a, SHIFT_2M)
         assert h2m.stats.walks < h4k.stats.walks / 2
         assert h2m.stats.walk_cycles < h4k.stats.walk_cycles
-
-    def test_invalidate_costs_invlpg(self):
-        h = TLBHierarchy(DEFAULT_PARAMS)
-        h.translate(0x1000, SHIFT_4K)
-        assert h.invalidate(0x1000, SHIFT_4K) == DEFAULT_PARAMS.invlpg_cycles
-        # Next access walks again.
-        walks = h.stats.walks
-        h.translate(0x1000, SHIFT_4K)
-        assert h.stats.walks == walks + 1
 
     def test_stats_accounting(self):
         h = TLBHierarchy(DEFAULT_PARAMS)

@@ -513,9 +513,10 @@ class TestFleetTail:
         for scan in sample.scans:
             assert scan.latency["all"]["requests"] > 0
             assert scan.vmstat["loadgen.requests"] > 0
-        tail = sample.tail_summary()
-        assert tail["all"]["servers"] == 3
-        assert tail["all"]["p99_us_max"] >= tail["all"]["p99_us_median"]
+        snap = sample.snapshot()
+        assert snap["latency.all.servers"] == 3
+        assert (snap["latency.all.p99_us_max"]
+                >= snap["latency.all.p99_us_median"])
 
     def test_worker_count_invisible_in_snapshots(self):
         from repro.fleet import run_fleet

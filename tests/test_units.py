@@ -23,7 +23,6 @@ def test_gigapage_frames():
 
 
 def test_size_helpers():
-    assert units.KiB(4) == 4096
     assert units.MiB(2) == 2 * 1024 * 1024
     assert units.GiB(1) == 1 << 30
 
@@ -46,9 +45,3 @@ def test_order_of():
 def test_order_of_rejects_non_powers(bad):
     with pytest.raises(ValueError):
         units.order_of(bad)
-
-
-def test_human_size():
-    assert units.human_size(512) == "512B"
-    assert units.human_size(2 << 20) == "2.0MiB"
-    assert units.human_size(3 * (1 << 30)) == "3.0GiB"
