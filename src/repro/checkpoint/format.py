@@ -8,18 +8,37 @@ mode maps to one typed error:
     offset  size  field
     0       4     magic  b"RPCK"
     4       4     format version, big-endian uint32
-    8       4     header length, big-endian uint32
-    12      H     header, UTF-8 JSON: {"kind", "step", "meta",
-                  "payload_sha256", "payload_len"}
-    12+H    N     payload, pickle protocol >= 4
+    8       4     header length H, big-endian uint32
+    12      32    SHA-256 of the header
+    44      H     header, UTF-8 JSON: {"kind", "step", "meta", "sections"}
+    44+H    ...   the sections' bytes, back to back in table order
 
-A bit flip anywhere in the payload breaks the SHA-256 digest; a
-truncated file breaks the recorded length before the digest is even
-computed; an unknown format version is :class:`CheckpointVersionError`
-(a :class:`CheckpointCorruptError` subclass, so generic corruption
-handling catches it too).  The header is plain JSON so
-``repro checkpoint inspect`` can describe a file without unpickling —
-and therefore without importing or trusting the payload.
+``sections`` is the section table: one ``{"name", "type", "dtype",
+"shape", "len", "sha256"}`` entry per section.  A section is
+
+* ``array`` — a numpy array's raw little-endian buffer (``dtype`` from
+  :data:`DTYPES`, ``shape`` a list of dimensions);
+* ``json`` — one UTF-8 JSON document;
+* ``pickle`` — one pickle, the whole payload of a run kind whose state
+  is still an object graph (``loadgen`` and the fleet kinds).
+
+A :class:`Sections` payload is written as data: every array value is an
+``array`` section, every other value a ``json`` section, and an int64
+or int32 array is narrowed to the smallest of int16/int32 that holds
+its range (readers widen).  Any other payload becomes the one
+``pickle`` section :data:`PICKLED`.  The reader returns what the writer
+was given: a :class:`Sections` of read-only arrays (views of the file's
+bytes) and decoded JSON, or the unpickled object.
+
+A bit flip anywhere breaks the header's or a section's SHA-256; a
+truncated file breaks the recorded lengths before any digest is even
+computed; every header and table field is type-checked before it is
+used, so a checksum-valid file with a malformed field is refused too;
+an unknown format version is :class:`CheckpointVersionError` (a
+:class:`CheckpointCorruptError` subclass, so generic corruption handling
+catches it too).  ``repro checkpoint inspect`` describes a file from
+its header and digests alone — never decoding a section, and therefore
+without importing numpy or trusting a pickle.
 
 :class:`CheckpointStore` keeps two generations per name and rotates
 them with ``os.replace`` only — the write path never leaves a window
@@ -52,35 +71,26 @@ from ..telemetry import MetricsRegistry, tracepoint
 MAGIC = b"RPCK"
 #: Bumped whenever the envelope *or* what the front doors put in it
 #: changes shape, so an old file fails as CheckpointVersionError rather
-#: than as a pickle AttributeError or a KeyError mid-resume.  2: the run
-#: session (repro.run) records ``meta["identity"]`` and fleet payloads
-#: carry the streaming aggregator for both fleet kinds.  3: ``Histogram``
-#: buckets are a ``list[int]`` — a version-2 loadgen payload would put a
-#: numpy array under ``LatencyRecorder`` and break ``json.dumps``.  4: the
-#: workload driver's expiry heap holds plain tuples and
-#: ``NetworkBufferPool.transient`` is a dict — a version-3 payload would
-#: restore ``_Expiry`` objects (a class that is gone) and a list.  5: a
-#: ``PageHandle`` pickles as a call to ``repro.mm.handle._restore_handle``
-#: on a six-field record — a build that reads version 4 has no such
-#: function, and this build must not pretend it wrote the slot-state form.
-#: 6: the handle registry files a bulk page under a slot number and the
-#: LRU and ``cache_pages`` hold slots — a version-5 payload holds an eager
-#: registry (no slot table to resolve through) and a ``PhysicalMemory``
-#: attribute (its set of allocation heads) that no longer exists.  7: a
-#: slot reclaim freed before anybody named it holds the freed marker
-#: ``~pfn`` — a version-6 build would read the negative int as the PFN
-#: of a live page.  8: the free lists are link columns of
-#: ``PhysicalMemory`` and a table in ``BuddyAllocator`` — a version-7
-#: payload pickles ``FreeList``/``FreelistStore`` objects of a module
-#: that no longer exists.  9: the workload driver's expiry heap and its
-#: ``_seq`` counter became a calendar (a ``defaultdict`` of due step to
-#: ``(kind, payload)`` lists) and a slab ``ObjectRef`` a slotted class
-#: with a ``freed`` flag — a version-8 payload holds a heap this build
-#: would read as a calendar.
-FORMAT_VERSION = 9
+#: than mid-resume.  Versions 1-9 held one pickled payload (the workload
+#: kind's a pickled kernel and driver, whose every class move froze a
+#: new layout into the file).  10: the envelope is a checksummed header
+#: and a section table, and the workload kind writes typed array and
+#: JSON sections (``snapshot()``/``restore()`` of each layer) instead.
+FORMAT_VERSION = 10
 
-#: magic + version + header length: the minimum parseable file.
-_PREFIX_LEN = 12
+#: magic + version + header length + header SHA-256.
+_PREFIX_LEN = 44
+
+#: The section name of a payload written as one pickle.
+PICKLED = "payload"
+
+#: Array dtypes a section may declare, with their item sizes.
+DTYPES = {"|b1": 1, "|i1": 1, "|u1": 1, "<i2": 2, "<i4": 4, "<i8": 8,
+          "<f8": 8}
+
+_TYPES = ("array", "json", "pickle")
+_ENTRY_KEYS = {"name", "type", "dtype", "shape", "len", "sha256"}
+_HEX = frozenset("0123456789abcdef")
 
 metrics = MetricsRegistry()
 
@@ -90,9 +100,14 @@ _tp_restore = tracepoint("checkpoint.restore")
 _fs_write_fail = fault_site("checkpoint.write-fail")
 
 
+class Sections(dict):
+    """A payload written as data: section name -> numpy array or
+    JSON-safe value (see the module docstring)."""
+
+
 @dataclass(frozen=True)
 class Checkpoint:
-    """One decoded checkpoint: the envelope header plus the live payload."""
+    """One decoded checkpoint: the envelope header plus the payload."""
 
     kind: str
     step: int
@@ -101,11 +116,12 @@ class Checkpoint:
     path: str = ""
 
 
-def _collector_paused(fn, *args, **kwargs):
+def collector_paused(fn, *args, **kwargs):
     """``fn(*args, **kwargs)`` with the cyclic collector off: a payload
-    is tens of thousands of live containers and no garbage, so every
-    collection pickle's allocations trigger is a wasted full-heap walk.
-    The collector is left as it was found on every exit path."""
+    (pickled, or snapshot into sections and restored from them) is
+    thousands of live containers and no garbage, so every collection
+    its allocations trigger is a wasted full-heap walk.  The collector
+    is left as it was found on every exit path."""
     was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -115,28 +131,126 @@ def _collector_paused(fn, *args, **kwargs):
             gc.enable()
 
 
+def _narrowed(array):
+    """*array* itself, or — an int64 or int32 array whose range fits —
+    a copy in the narrowest of int16/int32."""
+    import numpy as np
+
+    if array.dtype not in (np.int64, np.int32):
+        return array
+    if not array.size:
+        return array.astype(np.int16)
+    lo, hi = int(array.min()), int(array.max())
+    for narrow in (np.int16, np.int32):
+        info = np.iinfo(narrow)
+        if info.min <= lo and hi <= info.max:
+            return array.astype(narrow) if narrow != array.dtype else array
+    return array
+
+
+def _section(name: str, value) -> tuple[dict, Any]:
+    """One table entry without its digest, and the bytes-like body."""
+    # numpy is imported only when an array is written (or read), so
+    # the metadata verbs that describe a file never load it.
+    if type(value).__module__ == "numpy":
+        import numpy as np
+
+        if not isinstance(value, np.ndarray):
+            raise TypeError(f"section {name!r}: {type(value).__name__} "
+                            f"is neither an array nor JSON-safe")
+        array = np.ascontiguousarray(_narrowed(value))
+        if array.dtype.str not in DTYPES:
+            raise TypeError(f"section {name!r}: dtype {array.dtype.str} "
+                            f"is not one of {sorted(DTYPES)}")
+        return ({"name": name, "type": "array", "dtype": array.dtype.str,
+                 "shape": list(array.shape)},
+                memoryview(array).cast("B"))
+    return ({"name": name, "type": "json", "dtype": None, "shape": None},
+            json.dumps(value, separators=(",", ":"),
+                       allow_nan=False).encode("utf-8"))
+
+
 def encode_checkpoint(kind: str, step: int, payload: Any,
-                      meta: dict | None = None) -> bytes:
-    """Serialise one envelope to bytes (no I/O)."""
-    blob = _collector_paused(pickle.dumps, payload,
-                             protocol=pickle.HIGHEST_PROTOCOL)
-    header = json.dumps({
-        "kind": kind,
-        "step": int(step),
-        "meta": meta or {},
-        "payload_sha256": hashlib.sha256(blob).hexdigest(),
-        "payload_len": len(blob),
-    }, sort_keys=True).encode("utf-8")
-    return b"".join((MAGIC, FORMAT_VERSION.to_bytes(4, "big"),
-                     len(header).to_bytes(4, "big"), header, blob))
+                      meta: dict | None = None) -> list:
+    """Serialise one envelope (no I/O) as the bytes-like chunks a
+    writer writes in order: the prefix and header, then every section
+    body as it is — an array straight from its buffer, never copied
+    into one blob."""
+    if isinstance(payload, Sections):
+        parts = [_section(name, value) for name, value in payload.items()]
+    else:
+        parts = [({"name": PICKLED, "type": "pickle", "dtype": None,
+                   "shape": None},
+                  collector_paused(pickle.dumps, payload,
+                                   protocol=pickle.HIGHEST_PROTOCOL))]
+    table = []
+    for entry, body in parts:
+        entry["len"] = len(body)
+        entry["sha256"] = hashlib.sha256(body).hexdigest()
+        table.append(entry)
+    header = json.dumps({"kind": kind, "step": int(step),
+                         "meta": meta or {}, "sections": table},
+                        sort_keys=True).encode("utf-8")
+    return [MAGIC, FORMAT_VERSION.to_bytes(4, "big"),
+            len(header).to_bytes(4, "big"), hashlib.sha256(header).digest(),
+            header, *(body for _entry, body in parts)]
+
+
+def _is_int(value) -> bool:
+    return type(value) is int
+
+
+def _check_entry(entry, size: int, path: str) -> None:
+    """Type-check one section-table entry; *size* bounds its length."""
+    if type(entry) is not dict or set(entry) != _ENTRY_KEYS:
+        raise CheckpointCorruptError(
+            f"{path}: section entry {entry!r:.80} must have exactly the "
+            f"keys {sorted(_ENTRY_KEYS)}")
+    name = entry["name"]
+    if type(name) is not str:
+        raise CheckpointCorruptError(f"{path}: section name {name!r:.40} "
+                                     f"is not a string")
+    kind, dtype, shape, length = (entry["type"], entry["dtype"],
+                                  entry["shape"], entry["len"])
+    digest = entry["sha256"]
+    where = f"{path}: section {name!r}"
+    if type(kind) is not str or kind not in _TYPES:
+        raise CheckpointCorruptError(f"{where}: unknown type {kind!r:.40}")
+    if not _is_int(length) or not 0 <= length <= size:
+        raise CheckpointCorruptError(
+            f"{where}: length {length!r:.40} is not an int in [0, {size}]")
+    if (type(digest) is not str or len(digest) != 64
+            or not _HEX.issuperset(digest)):
+        raise CheckpointCorruptError(
+            f"{where}: sha256 {digest!r:.80} is not 64 hex digits")
+    if kind != "array":
+        if dtype is not None or shape is not None:
+            raise CheckpointCorruptError(
+                f"{where}: a {kind} section has no dtype or shape")
+        return
+    if type(dtype) is not str or dtype not in DTYPES:
+        raise CheckpointCorruptError(
+            f"{where}: dtype {dtype!r:.40} is not one of {sorted(DTYPES)}")
+    if (type(shape) is not list
+            or not all(_is_int(n) and 0 <= n <= size for n in shape)):
+        raise CheckpointCorruptError(
+            f"{where}: shape {shape!r:.80} is not a list of dimensions")
+    items = 1
+    for n in shape:
+        items *= n
+    if items * DTYPES[dtype] != length:
+        raise CheckpointCorruptError(
+            f"{where}: shape {shape} of {dtype} is "
+            f"{items * DTYPES[dtype]} bytes, length says {length}")
 
 
 def _parse_header(data: bytes, path: str) -> tuple[dict, int]:
-    """Validate the envelope prefix; return (header dict, payload offset).
+    """Validate the prefix, the header and its section table; return
+    (header dict, offset of the first section).
 
-    Everything before the payload check (:func:`_checked_payload`)
-    lives here so :func:`inspect_checkpoint` can describe a file whose
-    payload is damaged.
+    Everything before the section digests (:func:`_sections`) lives
+    here so :func:`inspect_checkpoint` can describe a file whose
+    sections are damaged.
     """
     if len(data) < _PREFIX_LEN:
         raise CheckpointCorruptError(
@@ -150,38 +264,94 @@ def _parse_header(data: bytes, path: str) -> tuple[dict, int]:
         raise CheckpointVersionError(
             f"{path}: format version {version} (this build reads "
             f"{FORMAT_VERSION})")
-    header_len = int.from_bytes(data[8:12], "big")
-    end = _PREFIX_LEN + header_len
+    end = _PREFIX_LEN + int.from_bytes(data[8:12], "big")
     if len(data) < end:
         raise CheckpointCorruptError(
             f"{path}: truncated header ({len(data)} bytes, "
             f"header ends at {end})")
+    raw = data[_PREFIX_LEN:end]
+    if hashlib.sha256(raw).digest() != data[12:_PREFIX_LEN]:
+        raise CheckpointCorruptError(f"{path}: header checksum mismatch")
     try:
-        header = json.loads(data[_PREFIX_LEN:end].decode("utf-8"))
+        header = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointCorruptError(f"{path}: unparseable header: {exc}")
-    for key in ("kind", "step", "payload_sha256", "payload_len"):
+    if type(header) is not dict:
+        raise CheckpointCorruptError(f"{path}: header is not an object")
+    for key in ("kind", "step", "meta", "sections"):
         if key not in header:
-            raise CheckpointCorruptError(
-                f"{path}: header missing {key!r}")
+            raise CheckpointCorruptError(f"{path}: header missing {key!r}")
+    if type(header["kind"]) is not str:
+        raise CheckpointCorruptError(
+            f"{path}: kind {header['kind']!r:.40} is not a string")
+    if not _is_int(header["step"]) or header["step"] < 0:
+        raise CheckpointCorruptError(
+            f"{path}: step {header['step']!r:.40} is not an int >= 0")
+    if type(header["meta"]) is not dict:
+        raise CheckpointCorruptError(
+            f"{path}: meta {header['meta']!r:.40} is not an object")
+    table = header["sections"]
+    if type(table) is not list:
+        raise CheckpointCorruptError(
+            f"{path}: section table {table!r:.40} is not a list")
+    for entry in table:
+        _check_entry(entry, len(data), path)
+    names = [entry["name"] for entry in table]
+    if len(set(names)) != len(names):
+        raise CheckpointCorruptError(f"{path}: duplicate section names")
+    pickles = sum(entry["type"] == "pickle" for entry in table)
+    if pickles and (len(table) != 1 or names[0] != PICKLED):
+        raise CheckpointCorruptError(
+            f"{path}: a pickle section must be the only section, "
+            f"named {PICKLED!r}")
     return header, end
 
 
-def _checked_payload(data: bytes, header: dict, offset: int,
-                     path: str) -> memoryview:
-    """The payload as a view of *data* (no copy), once its length and
-    SHA-256 match what the header recorded."""
-    blob = memoryview(data)[offset:]
-    if len(blob) != header["payload_len"]:
+def _sections(data: bytes, header: dict,
+              offset: int) -> list[tuple[dict, memoryview, str]]:
+    """``(entry, view of data, checksum status)`` per section, in table
+    order — ``"ok"``, ``"mismatch"`` or, for a view the file ends
+    inside, ``"truncated"`` — each digest computed once."""
+    view, out = memoryview(data), []
+    for entry in header["sections"]:
+        body = view[offset:offset + entry["len"]]
+        offset += entry["len"]
+        out.append((entry, body, "truncated" if len(body) < entry["len"]
+                    else "ok" if hashlib.sha256(body).hexdigest()
+                    == entry["sha256"] else "mismatch"))
+    return out
+
+
+def _check(data: bytes, header: dict, offset: int, sections: list,
+           path: str) -> None:
+    """Refuse a file whose sections do not end where it ends, or any
+    section whose digest does not match."""
+    total = offset + sum(entry["len"] for entry in header["sections"])
+    if total != len(data):
         raise CheckpointCorruptError(
-            f"{path}: payload length {len(blob)} != recorded "
-            f"{header['payload_len']}")
-    digest = hashlib.sha256(blob).hexdigest()
-    if digest != header["payload_sha256"]:
+            f"{path}: sections end at {total}, file is {len(data)} bytes")
+    for entry, _body, status in sections:
+        if status != "ok":
+            raise CheckpointCorruptError(
+                f"{path}: section {entry['name']!r} checksum {status}")
+
+
+def _decode(entry: dict, body: memoryview, path: str):
+    kind = entry["type"]
+    try:
+        if kind == "array":
+            import numpy as np
+
+            return np.frombuffer(body, dtype=entry["dtype"]).reshape(
+                entry["shape"])
+        if kind == "json":
+            return json.loads(body.tobytes().decode("utf-8"))
+        return collector_paused(pickle.loads, body)
+    except Exception as exc:
+        step = {"array": "array view", "json": "JSON parse",
+                "pickle": "unpickle"}[kind]
         raise CheckpointCorruptError(
-            f"{path}: payload checksum mismatch ({digest[:12]}... != "
-            f"recorded {header['payload_sha256'][:12]}...)")
-    return blob
+            f"{path}: section {entry['name']!r}: {step} failed: {exc}")
 
 
 def read_checkpoint(path: str | os.PathLike) -> Checkpoint:
@@ -190,29 +360,34 @@ def read_checkpoint(path: str | os.PathLike) -> Checkpoint:
     Raises:
         FileNotFoundError: no file at *path*.
         CheckpointVersionError: envelope version skew.
-        CheckpointCorruptError: bad magic, truncation, checksum or
-            pickle failure.
+        CheckpointCorruptError: bad magic, truncation, a malformed
+            header or table field, a checksum, or a section that does
+            not decode.
     """
     path = str(path)
     with open(path, "rb") as fh:
         data = fh.read()
     header, offset = _parse_header(data, path)
-    blob = _checked_payload(data, header, offset, path)
-    try:
-        payload = _collector_paused(pickle.loads, blob)
-    except Exception as exc:
-        raise CheckpointCorruptError(f"{path}: payload unpickle failed: {exc}")
-    return Checkpoint(kind=header["kind"], step=int(header["step"]),
-                      payload=payload, meta=dict(header.get("meta", {})),
-                      path=path)
+    sections = _sections(data, header, offset)
+    _check(data, header, offset, sections, path)
+    if sections and sections[0][0]["type"] == "pickle":
+        payload = _decode(*sections[0][:2], path)
+    else:
+        payload = Sections((entry["name"], _decode(entry, body, path))
+                           for entry, body, _status in sections)
+    return Checkpoint(kind=header["kind"], step=header["step"],
+                      payload=payload, meta=header["meta"], path=path)
 
 
 def inspect_checkpoint(path: str | os.PathLike) -> dict:
-    """Header-level description of one file, never unpickling.
+    """Header-level description of one file, never decoding a section.
 
-    Returns a dict with ``status`` ``"ok"`` (header parses and the
-    payload digest matches), ``"corrupt"``, ``"version-skew"`` or
-    ``"missing"``; validation detail rides in ``error``.
+    Returns a dict with ``status`` ``"ok"`` (the header parses and every
+    section digest matches), ``"corrupt"``, ``"version-skew"`` or
+    ``"missing"``; validation detail rides in ``error``.  Once the
+    header parses, ``sections`` lists each section's name, type, dtype,
+    shape, bytes and ``checksum`` (``"ok"``, ``"mismatch"`` or
+    ``"truncated"``).
     """
     path = str(path)
     info: dict = {"path": path}
@@ -225,9 +400,14 @@ def inspect_checkpoint(path: str | os.PathLike) -> dict:
     info.update(size=len(data), mtime=os.stat(path).st_mtime)
     try:
         header, offset = _parse_header(data, path)
+        sections = _sections(data, header, offset)
         info.update(kind=header["kind"], step=header["step"],
-                    meta=header.get("meta", {}))
-        _checked_payload(data, header, offset, path)
+                    meta=header["meta"], sections=[
+                        {"name": entry["name"], "type": entry["type"],
+                         "dtype": entry["dtype"], "shape": entry["shape"],
+                         "bytes": entry["len"], "checksum": status}
+                        for entry, _body, status in sections])
+        _check(data, header, offset, sections, path)
     except CheckpointVersionError as exc:
         info.update(status="version-skew", error=str(exc))
     except CheckpointCorruptError as exc:
@@ -273,7 +453,7 @@ class CheckpointStore:
                 ``checkpoint.write-fail`` site fired) before any rename;
                 both existing generations are untouched.
         """
-        data = encode_checkpoint(kind, step, payload, meta=meta)
+        chunks = encode_checkpoint(kind, step, payload, meta)
         # A writer SIGKILLed mid-write never reached the ``except``
         # below, so the next save — the writer, never a reader, which
         # other processes run mid-save — sweeps what it left.  Staged
@@ -289,7 +469,7 @@ class CheckpointStore:
                                    suffix=self.SUFFIX)
         try:
             with os.fdopen(fd, "wb") as fh:
-                fh.write(data)
+                fh.writelines(chunks)
                 fh.flush()
                 os.fsync(fh.fileno())
             if _fs_write_fail.armed and _fs_write_fail.fire(
@@ -309,7 +489,8 @@ class CheckpointStore:
             raise
         metrics.inc("checkpoint.writes")
         if _tp_write.enabled:
-            _tp_write.emit(kind=kind, step=step, bytes=len(data),
+            _tp_write.emit(kind=kind, step=step,
+                           bytes=sum(len(chunk) for chunk in chunks),
                            path=self.current_path)
         return self.current_path
 
@@ -344,7 +525,7 @@ class CheckpointStore:
         return None
 
     def inspect(self) -> dict:
-        """Header-level description of both generations (no unpickle)."""
+        """Header-level description of both generations (no decode)."""
         return {
             "directory": self.directory,
             "name": self.name,

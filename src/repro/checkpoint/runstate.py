@@ -1,17 +1,18 @@
 """Restoring simulator state safely, and crashing it on purpose.
 
-A checkpoint payload is a pickled object graph (kernel, workload,
-recorders, RNG streams).  Pickle restores the *data* faithfully — the
-SoA columns, the freelist links, every ``random.Random`` state — but
-two things need explicit help after ``pickle.loads``:
+A ``workload`` checkpoint is data: each layer's ``snapshot()`` sections,
+loaded by ``restore()`` into a kernel and driver freshly booted from
+the run's config (``repro.workloads.config``).  Two things still need
+explicit help before the run continues:
 
-* the tracepoint registry holds the simulated clock through a weakref
-  that is never pickled, so the restored kernel must be re-registered
-  with :func:`repro.telemetry.set_sim_clock`;
-* trust: a checkpoint that passed the envelope checksum can still have
-  been written by a buggy (or memory-corrupted) producer, so restore
-  reruns the PR 3 sanitizer sweep — the freelist link-walk plus the
-  whole-kernel accounting audit — before the run continues.
+* the tracepoint registry reads the simulated clock of the most
+  recently registered kernel, so the restored kernel is registered
+  (again) with :func:`repro.telemetry.set_sim_clock`;
+* trust: a checkpoint that passed every checksum can still have been
+  written by a buggy (or memory-corrupted) producer, so restore reruns
+  the sanitizer sweep — the freelist link-walk, the handle registry
+  against the frame arrays, and the whole-kernel accounting audit —
+  before the run continues.
 
 :func:`maybe_crash` is the other half of the crash-recovery harness:
 wired at checkpoint boundaries, it lets the ``sim.crash`` fault site
@@ -29,11 +30,10 @@ _fs_crash = fault_site("sim.crash")
 
 
 def restore_kernel(kernel) -> None:
-    """Full post-unpickle sequence: reattach the clock, then sanitize.
+    """Full post-restore sequence: reattach the clock, then sanitize.
 
-    ``LinuxKernel.__init__`` registers a new kernel as the simulated
-    clock; unpickling bypasses ``__init__``-side effects on
-    process-global registries, so that is redone here.  Then
+    Whatever kernel was built last is the clock tracepoints read, so
+    the restored one is registered here, whoever booted it.  Then
     ``kernel.check_consistency()`` (``verify_kernel``: every free
     list's link walk and ``list_id`` tags, occupancy bitmaps,
     per-migratetype accounting, global free counts, the handle

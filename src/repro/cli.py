@@ -567,6 +567,20 @@ def _cmd_checkpoint_inspect(args) -> None:
         ["Store", "Generation", "Status", "Step", "Kind", "Bytes"],
         rows, title=f"Checkpoints under {args.dir}"))
     for report in reports:
+        for generation, desc in zip(("current", "previous"),
+                                    report["generations"]):
+            if desc.get("sections"):
+                print()
+                print(format_table(
+                    ["Section", "Type", "Dtype", "Shape", "Bytes",
+                     "Checksum"],
+                    [(sec["name"], sec["type"], sec["dtype"] or "-",
+                      "-" if sec["shape"] is None
+                      else "x".join(map(str, sec["shape"])) or "()",
+                      str(sec["bytes"]), sec["checksum"])
+                     for sec in desc["sections"]],
+                    title=f"{report['name']} {generation}: sections"))
+    for report in reports:
         wd = report["watchdog"]
         age = ("-" if wd["age_s"] is None
                else f"{wd['age_s']:.0f}s old")
@@ -806,8 +820,9 @@ def build_parser() -> argparse.ArgumentParser:
                                      required=True)
 
     cinspect = csub.add_parser(
-        "inspect", help="describe both checkpoint generations (header "
-                        "only — never unpickles)",
+        "inspect", help="describe both checkpoint generations and their "
+                        "sections (header and checksums only — never "
+                        "decodes a section)",
         parents=[_common_options(json_flag=True)])
     cinspect.add_argument("dir", metavar="DIR",
                           help="checkpoint directory")

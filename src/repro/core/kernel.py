@@ -115,6 +115,20 @@ class ContiguitasKernel(LinuxKernel):
         self.layout.note_offline(pfn)
         self._refresh_watermarks()
 
+    def _state(self) -> dict:
+        return {**super()._state(), "layout": self.layout.snapshot(),
+                "region_psi": self.region_pressure.snapshot(),
+                "resizer": self.resizer.snapshot(),
+                "last_resize_check": self._last_resize_check}
+
+    def _restore_state(self, state: dict) -> None:
+        # The layout first: the base class re-derives the watermarks.
+        self.layout.restore(state["layout"])
+        self.region_pressure.restore(state["region_psi"])
+        self.resizer.restore(state["resizer"])
+        self._last_resize_check = state["last_resize_check"]
+        super()._restore_state(state)
+
     # -- routing -----------------------------------------------------------
 
     def allocator_for(self, pfn: int) -> BuddyAllocator:

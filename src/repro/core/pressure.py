@@ -28,6 +28,14 @@ class RegionPressure:
             region: PsiTracker(halflife_ticks) for region in Region
         }
 
+    def snapshot(self) -> dict[str, list[float]]:
+        return {region.value: tracker.snapshot()
+                for region, tracker in self._trackers.items()}
+
+    def restore(self, state: dict[str, list[float]]) -> None:
+        for region, tracker in self._trackers.items():
+            tracker.restore(state[region.value])
+
     def record_stall(self, region: Region, ticks: float) -> None:
         """Report stall time attributed to *region*."""
         self._trackers[region].record_stall(ticks)

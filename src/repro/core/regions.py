@@ -62,6 +62,16 @@ class RegionLayout:
         return cls(total_blocks=total_blocks,
                    boundary_block=total_blocks - unmovable)
 
+    def snapshot(self) -> list[int]:
+        """The boundary and the offlined-frame counts (the rest is the
+        config's)."""
+        return [self.boundary_block, self.offlined_movable,
+                self.offlined_unmovable]
+
+    def restore(self, state: list[int]) -> None:
+        (self.boundary_block, self.offlined_movable,
+         self.offlined_unmovable) = state
+
     # -- derived geometry -------------------------------------------------
 
     @property

@@ -88,6 +88,14 @@ class RegionResizer:
         self.blocked_expands = 0
         self.blocked_shrinks = 0
 
+    def snapshot(self) -> list[int]:
+        return [self.expands, self.shrinks, self.blocked_expands,
+                self.blocked_shrinks]
+
+    def restore(self, state: list[int]) -> None:
+        (self.expands, self.shrinks, self.blocked_expands,
+         self.blocked_shrinks) = state
+
     def run(
         self,
         pressure_unmov: float,

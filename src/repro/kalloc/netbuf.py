@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import DoubleFreeError, SimInvariantError
-from ..mm.handle import PageHandle
+from ..mm.handle import HandleTable, PageHandle
+from ..mm.sections import int64, rows_of
 from ..mm.page import AllocSource, MigrateType
 from ..telemetry import tracepoint
 
@@ -53,6 +54,18 @@ class NetworkBufferPool:
         # hash, the ReclaimLRU idiom): O(1) release, and no order is
         # ever read back — only the count and a frame sum.
         self.transient: dict[PageHandle, None] = {}
+
+    def snapshot(self, table: HandleTable) -> dict:
+        """The rings and the transient set, as handle-table rows."""
+        return {"rings": int64(table.rows(self.rings)),
+                "transient": int64(table.rows(self.transient))}
+
+    def restore(self, state, handles: list[PageHandle]) -> None:
+        self.rings = [handles[row] for row in rows_of(state["rings"],
+                                                      len(handles))]
+        self.transient = dict.fromkeys(
+            handles[row] for row in rows_of(state["transient"],
+                                            len(handles)))
 
     def bring_up(self) -> None:
         """Allocate the persistent per-queue rings (driver initialisation)."""

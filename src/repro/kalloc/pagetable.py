@@ -11,8 +11,9 @@ this unmovable source too.
 
 from __future__ import annotations
 
-from ..mm.handle import PageHandle
+from ..mm.handle import HandleTable, PageHandle
 from ..mm.page import AllocSource, MigrateType
+from ..mm.sections import int64, rows_of
 from ..telemetry import tracepoint
 from ..units import PAGEBLOCK_FRAMES
 
@@ -35,6 +36,15 @@ class PageTableAllocator:
         self.kernel = kernel
         self._tables: list[PageHandle] = []
         self._mapped_frames = 0
+
+    def snapshot(self, table: HandleTable) -> dict:
+        return {"tables": int64(table.rows(self._tables)),
+                "mapped_frames": self._mapped_frames}
+
+    def restore(self, state, handles: list[PageHandle]) -> None:
+        self._tables = [handles[row] for row in rows_of(state["tables"],
+                                                        len(handles))]
+        self._mapped_frames = state["mapped_frames"]
 
     @property
     def nr_tables(self) -> int:

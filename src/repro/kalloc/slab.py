@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from ..errors import DoubleFreeError, ReproError
 from ..units import FRAME_SIZE
-from ..mm.handle import PageHandle
+from ..mm.handle import HandleTable, PageHandle
 from ..mm.page import AllocSource, MigrateType
+from ..mm.sections import int64, rows_of
 from ..telemetry import tracepoint
 
 # Slab-page grabs/returns, not per-object traffic: the page events are
@@ -158,3 +159,63 @@ class SlabAllocator:
 
     def __getitem__(self, name: str) -> SlabCache:
         return self.caches[name]
+
+    def snapshot(self, table: HandleTable, refs: list[ObjectRef]) -> dict:
+        """Every cache's partial slabs (in order), full slabs and object
+        count; each slab as ``[cache, page's table row, free slots]``;
+        and *refs* — the object references a holder keeps — as slab,
+        index and freed columns, in order.  A slab is numbered once, so
+        every reference to it restores to one object."""
+        caches = list(self.caches.values())
+        index = {cache: i for i, cache in enumerate(caches)}
+        ids: dict[_Slab, int] = {}
+        owners: list[int] = []
+
+        def slab_id(slab: _Slab, cache: SlabCache) -> int:
+            if slab not in ids:
+                ids[slab] = len(owners)
+                owners.append(index[cache])
+            return ids[slab]
+
+        state = [{"partial": [slab_id(slab, cache) for slab in cache._partial],
+                  "full": [slab_id(slab, cache) for slab in sorted(
+                      cache._full, key=lambda slab: slab.handle.pfn)],
+                  "objects": cache.total_objects} for cache in caches]
+        objects = [slab_id(ref.slab, ref.cache) for ref in refs]
+        rows = table.rows(slab.handle for slab in ids)
+        return {"caches": state,
+                "slabs": [[owner, row, slab.free_slots]
+                          for owner, row, slab in zip(owners, rows, ids)],
+                "objects.slab": int64(objects),
+                "objects.index": int64([ref.index for ref in refs]),
+                "objects.freed": int64([ref.freed for ref in refs])}
+
+    def restore(self, state, handles: list[PageHandle]) -> list[ObjectRef]:
+        """Load a :meth:`snapshot`; returns its object references."""
+        caches = list(self.caches.values())
+        if len(state["caches"]) != len(caches):
+            raise ValueError(f"{len(state['caches'])} slab caches, "
+                             f"expected {len(caches)}")
+        owners, pages, free = (zip(*state["slabs"]) if state["slabs"]
+                               else ((), (), ()))
+        owners = [caches[i] for i in rows_of(owners, len(caches))]
+        slabs = list(map(_Slab, (handles[row] for row in rows_of(
+            pages, len(handles))), (cache.objects_per_slab
+                                    for cache in owners)))
+        for slab, free_slots in zip(slabs, free):
+            slab.free_slots = list(free_slots)
+        for cache, cached in zip(caches, state["caches"]):
+            cache._partial = [slabs[i] for i in rows_of(cached["partial"],
+                                                        len(slabs))]
+            cache._full = {slabs[i] for i in rows_of(cached["full"],
+                                                     len(slabs))}
+            cache.total_objects = cached["objects"]
+        refs = []
+        for sid, index, freed in zip(
+                rows_of(state["objects.slab"], len(slabs)),
+                state["objects.index"].tolist(),
+                state["objects.freed"].tolist(), strict=True):
+            ref = ObjectRef(owners[sid], slabs[sid], index)
+            ref.freed = freed == 1
+            refs.append(ref)
+        return refs

@@ -183,6 +183,47 @@ class BuddyAllocator:
         """Whether *pfn* lies in this allocator's managed range."""
         return self.start_pfn <= pfn < self.end_pfn
 
+    # ------------------------------------------------------------------
+    # Snapshot (the checkpoint schema)
+    # ------------------------------------------------------------------
+
+    def snapshot(self) -> dict:
+        """The managed range and the free-list table as stored, heaps
+        (stale entries included) concatenated in list order, min heap
+        before max heap; a list that has only served LIFO pops has
+        length -1."""
+        heaps = [h for pair in zip(self._min_heap, self._max_heap)
+                 for h in pair]
+        return {"table": {
+            "range": [self.start_block, self.end_block],
+            "head": self._head, "tail": self._tail, "count": self._count,
+            "removals": self._removals, "occ": self._occ,
+            "nr_free": self.nr_free,
+            "heap_lens": [-1 if h is None else len(h) for h in heaps]},
+            "heaps": np.array([pfn for h in heaps if h for pfn in h],
+                              dtype=np.int64)}
+
+    def restore(self, state) -> None:
+        """Load a :meth:`snapshot` into this allocator, freshly built
+        over the same memory."""
+        table = state["table"]
+        self.start_block, self.end_block = table["range"]
+        for name in ("head", "tail", "count", "removals", "occ"):
+            column = getattr(self, "_" + name)
+            if len(table[name]) != len(column):
+                raise ValueError(f"{self.label}: {name} has "
+                                 f"{len(table[name])} entries")
+            column[:] = table[name]
+        self.nr_free = table["nr_free"]
+        flat, at, heaps = state["heaps"].tolist(), 0, []
+        for n in table["heap_lens"]:
+            heaps.append(None if n < 0 else flat[at:at + n])
+            at += max(n, 0)
+        if at != len(flat) or len(heaps) != 2 * _NLISTS:
+            raise ValueError(f"{self.label}: heap lengths do not add up")
+        self._min_heap[:] = heaps[0::2]
+        self._max_heap[:] = heaps[1::2]
+
     def seed_free(self) -> None:
         """Populate the free lists with the entire range as free pageblocks.
 

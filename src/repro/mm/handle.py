@@ -9,12 +9,18 @@ tables / reverse mappings so owners keep working after a move.
 
 from __future__ import annotations
 
+import struct
 from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from itertools import chain, count, filterfalse
+from operator import attrgetter
+
+import numpy as np
 
 from ..errors import DoubleAllocError, SanitizerError
 from .page import AllocSource, MigrateType
+from .sections import int64, nest, rows_of, scope
 
 
 class PageHandle:
@@ -57,29 +63,92 @@ class PageHandle:
     def nframes(self) -> int:
         return 1 << self.order
 
-    def __reduce__(self):
-        # The persisted record is this tuple, not the slots: a slotted
-        # class without a reduce goes through copyreg's slot-state path
-        # (a fresh dict per handle on save, a setattr per slot on load),
-        # which was 70 of an 80 ms checkpoint encode.  Pickle's memo
-        # still shares one object between every structure holding it.
-        return _restore_handle, (
-            self.pfn, self.order, self.migratetype, self.source, self.birth,
-            self.pinned | self.freed << 1 | self.reclaimable << 2)
-
     def __repr__(self) -> str:
         state = "freed" if self.freed else ("pinned" if self.pinned else "live")
         return (f"PageHandle(pfn={self.pfn}, order={self.order}, "
                 f"{self.source.name}, {state})")
 
 
-def _restore_handle(pfn, order, migratetype, source, birth, bits):
-    """Rebuild a handle from the record :meth:`PageHandle.__reduce__`
-    wrote: ``bits`` is ``pinned | freed << 1 | reclaimable << 2``."""
+def _from_record(pfn, order, migratetype, source, birth, bits):
+    """A handle from its record: ``bits`` is ``pinned | freed << 1 |
+    reclaimable << 2`` (a snapshot's handle table, and a freed-marker
+    slot's build)."""
     handle = PageHandle(pfn, order, migratetype, source, birth,
                         bits & 1 == 1, bits & 4 == 4)
     handle.freed = bits & 2 == 2
     return handle
+
+
+class HandleTable:
+    """Every :class:`PageHandle` one snapshot names, each written once.
+
+    A holder writes a handle as its row here; restore builds each row's
+    handle once, so every holder of one object gets one object back.
+    """
+
+    _COLUMNS = ("pfn", "order", "migratetype", "source", "birth", "bits")
+
+    def __init__(self) -> None:
+        # Identity-hashed: insertion order is row order.
+        self._rows: dict[PageHandle, int] = {}
+
+    def rows(self, handles) -> list[int]:
+        """The row of each of *handles*, adding the ones not yet seen
+        (in order of first appearance)."""
+        rows, handles = self._rows, list(handles)
+        rows.update(zip(filterfalse(rows.__contains__,
+                                    dict.fromkeys(handles)),
+                        count(len(rows))))
+        return list(map(rows.__getitem__, handles))
+
+    def refs(self, refs: list) -> dict:
+        """A list of ints and handles (slot numbers, PFNs or freed
+        markers beside built handles) as sections: ``ints``, the list
+        with 0 where a handle sits, ``at`` the handles' positions and
+        ``rows`` their rows."""
+        ints, at = _ints(refs)
+        return {"ints": ints, "at": int64(at),
+                "rows": int64(self.rows([refs[i] for i in at]))}
+
+    def snapshot(self) -> dict:
+        """The table: one column per field, ``bits`` = ``pinned |
+        freed << 1 | reclaimable << 2``."""
+        fields = int64(list(chain.from_iterable(map(attrgetter(
+            "pfn", "order", "migratetype", "source", "birth", "pinned",
+            "freed", "reclaimable"), self._rows)))).reshape(-1, 8)
+        return {"pfn": fields[:, 0], "order": fields[:, 1].astype(np.int8),
+                "migratetype": fields[:, 2].astype(np.int8),
+                "source": fields[:, 3].astype(np.int8),
+                "birth": fields[:, 4], "bits": (
+                    fields[:, 5] | fields[:, 6] << 1
+                    | fields[:, 7] << 2).astype(np.uint8)}
+
+    @classmethod
+    def restore(cls, state) -> list[PageHandle]:
+        """The handles of a :meth:`snapshot`, in row order."""
+        columns = [state[name] for name in cls._COLUMNS]
+        if len({len(column) for column in columns}) != 1:
+            raise ValueError("handle table columns differ in length")
+        pfn, order, mt, source, birth, bits = columns
+        mts = {int(mt): mt for mt in MigrateType}
+        sources = {int(src): src for src in AllocSource}
+        handles = list(map(
+            PageHandle, pfn.tolist(), order.tolist(),
+            map(mts.__getitem__, mt.tolist()),
+            map(sources.__getitem__, source.tolist()), birth.tolist(),
+            (bits & 1 != 0).tolist(), (bits & 4 != 0).tolist()))
+        for row in np.flatnonzero(bits & 2).tolist():
+            handles[row].freed = True
+        return handles
+
+
+def refs_restore(state, handles: list[PageHandle]) -> list:
+    """The list :meth:`HandleTable.refs` wrote."""
+    refs = state["ints"].tolist()
+    for i, row in zip(rows_of(state["at"], len(refs)),
+                      rows_of(state["rows"], len(handles)), strict=True):
+        refs[i] = handles[row]
+    return refs
 
 
 class HandleRegistry:
@@ -156,7 +225,7 @@ class HandleRegistry:
         slots[start:stop] = out = [
             v if type(v) is not int
             else PageHandle(v, 0, mt, source, birth, pinned, reclaimable)
-            if v >= 0 else _restore_handle(~v, 0, mt, source, birth, freed)
+            if v >= 0 else _from_record(~v, 0, mt, source, birth, freed)
             for v in slots[start:stop]]
         return out
 
@@ -194,19 +263,121 @@ class HandleRegistry:
         unbuilt slot's table PFN is its key — so no entry is filed under
         a slot holding the freed marker, a negative int.
 
+        Vectorised over the keys and slots; only the handles (scalar
+        entries and built slots) are read one by one.
+
         Raises:
             SanitizerError: the first entry that disagrees.
         """
-        slots = self._slots
-        order_of = mem.alloc_order_mv
-        for pfn, entry in self._by_pfn.items():
-            handle = slots[entry] if type(entry) is int else entry
-            at, order, freed = ((handle, 0, False) if type(handle) is int
-                                else (handle.pfn, handle.order, handle.freed))
-            if at != pfn or freed or order_of[pfn] != order:
-                raise SanitizerError(
-                    f"handle registry entry {handle!r} does not match the "
-                    f"allocation it is filed under", pfn=pfn)
+        by_pfn, slots = self._by_pfn, self._slots
+        if not by_pfn:
+            return
+        # The slot table first: its PFNs are the key objects (see
+        # :meth:`snapshot`).
+        table, built = _ints(slots)
+        keys = int64(list(by_pfn))
+        # Each key's slot number, 0 for a scalar entry (a handle).
+        entries = list(by_pfn.values())
+        index, scalar = _ints(entries)
+        is_scalar = np.zeros(len(keys), dtype=bool)
+        is_scalar[scalar] = True
+        # Where each entry says its allocation is: its slot's table
+        # value (a PFN, or the freed marker, < 0), or — a scalar entry,
+        # or a slot holding a built handle — the PFN its handle says,
+        # -1 (no key) for a freed one; and of what order.
+        if len(table):
+            at = table[index]
+            is_built = np.zeros(len(table), dtype=bool)
+            is_built[built] = True
+            via_slot = np.flatnonzero(is_built[index] & ~is_scalar)
+        else:       # no slot at all: only a scalar entry can match
+            at = np.full(len(keys), -1, dtype=np.int64)
+            via_slot = np.empty(0, dtype=np.int64)
+        handles = [entries[i] for i in scalar] + [
+            slots[s] for s in index[via_slot].tolist()]
+        orders = np.zeros(len(keys), dtype=np.int64)
+        if handles:
+            named = np.concatenate((int64(scalar), via_slot))
+            fields = int64(list(chain.from_iterable(map(
+                attrgetter("pfn", "order", "freed"), handles)))).reshape(-1, 3)
+            at[named] = np.where(fields[:, 2] != 0, -1, fields[:, 0])
+            orders[named] = fields[:, 1]
+        bad = np.flatnonzero((at != keys) | (mem.alloc_order[keys] != orders))
+        if bad.size:
+            i = int(bad[0])
+            entry = entries[i]
+            filed = slots[entry] if type(entry) is int else entry
+            raise SanitizerError(
+                f"handle registry entry {filed!r} does not match the "
+                f"allocation it is filed under", pfn=int(keys[i]))
+
+    def snapshot(self, table: HandleTable) -> dict:
+        """The registry as stored: ``_by_pfn`` keys and entries, the
+        slot table and the per-batch fields; handles as table rows."""
+        # The slot table first: an unbuilt slot's PFN is the very int
+        # object that keys its page, so the keys read warm after it.
+        slots = nest("slots", table.refs(self._slots))
+        return {"keys": int64(list(self._by_pfn)),
+                **nest("entries", table.refs(list(self._by_pfn.values()))),
+                **slots,
+                "batches": [[start, int(mt), int(source), birth, pinned,
+                             reclaimable] for start, (
+                                 mt, source, birth, pinned, reclaimable)
+                            in zip(self._batch_starts, self._batch_fields)]}
+
+    def restore(self, state, handles: list[PageHandle]) -> None:
+        """Load a :meth:`snapshot` into this (empty) registry."""
+        entries = refs_restore(scope("entries", state), handles)
+        self._by_pfn = dict(zip(state["keys"].tolist(), entries,
+                                strict=True))
+        self._slots = refs_restore(scope("slots", state), handles)
+        self._batch_starts = [start for start, *_ in state["batches"]]
+        self._batch_fields = [
+            (MigrateType(mt), AllocSource(source), birth, pinned,
+             reclaimable)
+            for _, mt, source, birth, pinned, reclaimable
+            in state["batches"]]
+
+
+#: Items :func:`_ints` packs per ``struct`` call.
+_CHUNK = 1024
+
+
+def _ints(values: list) -> tuple[np.ndarray, list[int]]:
+    """*values* (ints and handles) as an int64 array with 0 where a
+    handle sits, and the handles' positions.
+
+    Handles cluster (the registry files the network rings and heap
+    first, the driver's page cache appends its scalar pages last), so a
+    list with an int at both ends is tried whole, and any other goes in
+    chunks: a chunk of ints packs in one pass, and only a chunk that
+    refuses is scanned for its handles' types.
+    """
+    if values and type(values[0]) is int and type(values[-1]) is int:
+        try:
+            return int64(values), []
+        except struct.error:
+            pass
+    packed, at = [], []
+    for lo in range(0, len(values), _CHUNK):
+        chunk = values[lo:lo + _CHUNK]
+        try:
+            packed.append(struct.pack(f"<{len(chunk)}q", *chunk))
+            continue
+        except struct.error:
+            pass
+        kinds = list(map(type, chunk))
+        handles = len(chunk) - kinds.count(int)
+        found = list(range(handles)) if handles == len(chunk) else []
+        i = -1
+        while len(found) < handles:
+            i = kinds.index(PageHandle, i + 1)
+            found.append(i)
+        for i in found:
+            chunk[i] = 0
+        at.extend(lo + i for i in found)
+        packed.append(struct.pack(f"<{len(chunk)}q", *chunk))
+    return np.frombuffer(b"".join(packed), dtype=np.int64), at
 
 
 @dataclass(frozen=True, slots=True, eq=False)

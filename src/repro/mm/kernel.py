@@ -19,7 +19,6 @@ from itertools import groupby
 import numpy as np
 
 from ..errors import (
-    ConfigurationError,
     ContiguityError,
     DoubleFreeError,
     MigrationError,
@@ -28,18 +27,19 @@ from ..errors import (
 )
 from ..faults import fault_site
 from ..telemetry import set_sim_clock, tracepoint
-from ..units import GIGAPAGE_FRAMES, MAX_ORDER, PAGEBLOCK_FRAMES
+from ..units import GIGAPAGE_FRAMES, MAX_ORDER, PAGEBLOCK_FRAMES, order_of
 from . import vmstat as ev
 from .buddy import BuddyAllocator, _fs_watermark
 from .compaction import Compactor
 from .contig import RangeEvacuator
-from .handle import HandleRegistry, PageHandle
+from .handle import HandleRegistry, HandleTable, PageHandle
 from .migrate import MigrationCostModel, can_migrate_sw, migrate_with_retry
 from .page import AllocSource, MigrateType
 from .pageblock import PageblockTable
 from .physmem import PhysicalMemory
 from .psi import PsiTracker
 from .reclaim import ReclaimLRU, Watermarks
+from .sections import nest, rng_state, scope, set_rng_state
 from .vmstat import VmStat
 
 _tp_oom = tracepoint("mm.kernel.oom")
@@ -632,6 +632,9 @@ class LinuxKernel:
     def _note_offline(self, pfn: int) -> None:
         """Re-derive capacity-relative state after a frame went offline
         (Contiguitas additionally re-accounts the owning region)."""
+        self._refresh_watermarks()
+
+    def _refresh_watermarks(self) -> None:
         self.watermarks = Watermarks.for_frames(
             self.buddy.nr_frames - self._offlined)
 
@@ -693,10 +696,7 @@ class LinuxKernel:
 
     def _alloc_contig(self, nframes: int) -> PageHandle | None:
         self.drain_pcp()
-        order = (nframes - 1).bit_length()
-        if (1 << order) != nframes:
-            raise ConfigurationError(
-                f"contig size must be a power of two, got {nframes} frames")
+        order = order_of(nframes)   # ValueError unless a power of two
         for start, end in self._contig_candidates(nframes):
             allocator = self.allocator_for(start)
             if not (allocator.contains(start) and allocator.contains(end - 1)):
@@ -713,6 +713,63 @@ class LinuxKernel:
             self.handles.register(handle)
             return handle
         return None
+
+    # -- snapshot (the checkpoint schema) ----------------------------------------
+
+    def snapshot(self, table: HandleTable) -> dict:
+        """This kernel's mutable state as sections: the frame columns,
+        the pageblock types, each allocator's free-list table (and PCP
+        lists), the handle registry and the reclaim LRU — handles as
+        rows of *table* — and the scalars, counters and scan RNG.  What
+        the config determines (the config objects, cost models,
+        watermarks, the memoryview mirrors) is left to a fresh boot."""
+        sections = {**nest("mem", self.mem.snapshot()),
+                    **nest("pageblocks", self.pageblocks.snapshot()),
+                    **nest("handles", self.handles.snapshot(table)),
+                    **nest("lru", self.reclaim_lru.snapshot(table)),
+                    "state": self._state()}
+        for alloc in self.allocators():
+            sections.update(nest(alloc.label, alloc.snapshot()))
+            if alloc.label in self._pcp:
+                sections.update(nest(alloc.label,
+                                     self._pcp[alloc.label].snapshot()))
+        return sections
+
+    def _state(self) -> dict:
+        return {"now": self.now, "stat": self.stat.snapshot(),
+                "psi": self.psi.snapshot(),
+                "scan_rng": rng_state(self._scan_rng),
+                "compact_defer": [self._compact_defer_shift,
+                                  self._compact_skip_remaining],
+                "offlined": self._offlined,
+                "deferred_offline": sorted(self._deferred_offline)}
+
+    def restore(self, sections, handles: list[PageHandle]) -> None:
+        """Load a :meth:`snapshot` into this kernel, freshly booted from
+        the same config; *handles* are the table's rows, built."""
+        self.mem.restore(scope("mem", sections))
+        self.pageblocks.restore(scope("pageblocks", sections))
+        for alloc in self.allocators():
+            state = scope(alloc.label, sections)
+            alloc.restore(state)
+            if alloc.label in self._pcp:
+                self._pcp[alloc.label].restore(state)
+        self.handles.restore(scope("handles", sections), handles)
+        self.reclaim_lru.restore(scope("lru", sections), handles,
+                                 self.handles)
+        self._restore_state(sections["state"])
+
+    def _restore_state(self, state: dict) -> None:
+        self.now = state["now"]
+        # A fresh boot has counted nothing: merging is loading.
+        self.stat.merge(state["stat"])
+        self.psi.restore(state["psi"])
+        set_rng_state(self._scan_rng, state["scan_rng"])
+        self._compact_defer_shift, self._compact_skip_remaining = (
+            state["compact_defer"])
+        self._offlined = state["offlined"]
+        self._deferred_offline = set(state["deferred_offline"])
+        self._refresh_watermarks()
 
     # -- introspection ---------------------------------------------------------
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from ..units import PAGEBLOCK_FRAMES
 from .page import MigrateType
-from .physmem import PhysicalMemory
+from .physmem import PhysicalMemory, load_column
 
 
 class PageblockTable:
@@ -26,14 +26,11 @@ class PageblockTable:
         # Scalar view sharing the buffer; see PhysicalMemory for why.
         self._types_mv = memoryview(self.types)
 
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        del state["_types_mv"]
-        return state
+    def snapshot(self) -> dict:
+        return {"types": self.types}
 
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._types_mv = memoryview(self.types)
+    def restore(self, state) -> None:
+        load_column(self.types, state["types"])
 
     def get(self, pfn: int) -> MigrateType:
         """Migrate type of the pageblock containing *pfn*."""

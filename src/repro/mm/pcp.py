@@ -47,6 +47,23 @@ class PerCpuPages:
         self.refills = 0
         self.spills = 0
 
+    def snapshot(self) -> dict:
+        """The per-CPU lists (PFNs, per migrate type) and the cursors."""
+        return {"pcp": {"lists": [[list(lists[mt]) for mt in MigrateType]
+                                  for lists in self._lists],
+                        "next_cpu": self._next_cpu, "refills": self.refills,
+                        "spills": self.spills}}
+
+    def restore(self, state) -> None:
+        state = state["pcp"]
+        if len(state["lists"]) != self.cpus:
+            raise ValueError(f"{len(state['lists'])} per-CPU lists, "
+                             f"expected {self.cpus}")
+        self._lists = [{mt: deque(pfns) for mt, pfns in zip(
+            MigrateType, lists, strict=True)} for lists in state["lists"]]
+        self._next_cpu = state["next_cpu"]
+        self.refills, self.spills = state["refills"], state["spills"]
+
     # ------------------------------------------------------------------
 
     def held_pages(self, cpu: int | None = None) -> int:

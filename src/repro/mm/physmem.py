@@ -31,6 +31,15 @@ _F_POISON = 1 << PageFlag.HW_POISON
 _SCALAR_MARK_ORDER = 3
 
 
+def load_column(column: np.ndarray, value: np.ndarray) -> None:
+    """Copy a snapshot's *value* into *column* in place: same shape (no
+    broadcasting) and a dtype that widens safely, else ValueError or
+    TypeError."""
+    if value.shape != column.shape:
+        raise ValueError(f"shape {value.shape}, expected {column.shape}")
+    np.copyto(column, value, casting="safe")
+
+
 class PhysicalMemory:
     """The frame array of one simulated server.
 
@@ -110,26 +119,25 @@ class PhysicalMemory:
         self.sanitizer = None
 
     # ------------------------------------------------------------------
-    # Pickling (checkpoint/restore)
+    # Snapshot (the checkpoint schema)
     # ------------------------------------------------------------------
 
-    _MV_ATTRS = ("flags_mv", "migratetype_mv", "source_mv",
-                 "free_order_mv", "free_mt_mv", "alloc_order_mv",
-                 "head_of_mv", "birth_mv", "free_next_mv", "free_prev_mv",
-                 "free_list_id_mv")
+    #: The per-frame columns a snapshot holds: all of them.  The
+    #: memoryview mirrors share their buffers and are never written.
+    _COLUMNS = ("flags", "migratetype", "source", "free_order", "free_mt",
+                "alloc_order", "head_of", "birth", "free_next", "free_prev",
+                "free_list_id")
 
-    def __getstate__(self) -> dict:
-        """Drop the memoryview mirrors: views are not picklable and are
-        pure derivations of the numpy columns anyway."""
-        state = dict(self.__dict__)
-        for name in self._MV_ATTRS:
-            state.pop(name, None)
-        return state
+    def snapshot(self) -> dict:
+        """Every frame column, as it is (no copy)."""
+        return {name: getattr(self, name) for name in self._COLUMNS}
 
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        for name in self._MV_ATTRS:
-            setattr(self, name, memoryview(getattr(self, name[:-3])))
+    def restore(self, state) -> None:
+        """Copy a :meth:`snapshot` into this memory's own columns (so
+        every view of them stays valid); a column of another length, or
+        one that does not widen safely, raises ValueError/TypeError."""
+        for name in self._COLUMNS:
+            load_column(getattr(self, name), state[name])
 
     def reserve_list_ids(self, n: int) -> int:
         """Claim *n* fresh free-list ids for one allocator; returns the

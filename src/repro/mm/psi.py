@@ -52,3 +52,9 @@ class PsiTracker:
         decay = 0.5 ** (elapsed_ticks / self.halflife_ticks)
         self.pressure = decay * self.pressure + (1.0 - decay) * instant
         return self.pressure
+
+    def snapshot(self) -> list[float]:
+        return [self._pending_stall, self.pressure, self.total_stall_ticks]
+
+    def restore(self, state: list[float]) -> None:
+        self._pending_stall, self.pressure, self.total_stall_ticks = state

@@ -16,7 +16,13 @@ from dataclasses import dataclass
 
 from ..telemetry import tracepoint
 from . import vmstat as ev
-from .handle import HandleBatch, HandleRegistry, PageHandle
+from .handle import (
+    HandleBatch,
+    HandleRegistry,
+    HandleTable,
+    PageHandle,
+)
+from .sections import int64, rows_of
 
 _tp_reclaim = tracepoint("mm.reclaim.run")
 
@@ -73,6 +79,31 @@ class ReclaimLRU:
 
     def __len__(self) -> int:
         return len(self._lru) + self._surplus
+
+    def snapshot(self, table: HandleTable) -> dict:
+        """The LRU in recency order: its handles as table rows, each
+        batch as its slot range and its position in the order."""
+        lru = self._lru
+        return {
+            "rows": int64(table.rows(
+                e for e in lru if type(e) is not HandleBatch)),
+            "state": {"batches": [[i, e.start, e.stop]
+                                  for i, e in enumerate(lru)
+                                  if type(e) is HandleBatch],
+                      "surplus": self._surplus, "cursor": self._cursor,
+                      "registered": self._registry is not None}}
+
+    def restore(self, state, handles: list[PageHandle],
+                registry: HandleRegistry) -> None:
+        """Load a :meth:`snapshot`; batches resolve through *registry*."""
+        entries = [handles[row] for row in rows_of(state["rows"],
+                                                   len(handles))]
+        meta = state["state"]
+        for at, start, stop in meta["batches"]:
+            entries.insert(at, HandleBatch(registry, start, stop))
+        self._lru = OrderedDict.fromkeys(entries)
+        self._surplus, self._cursor = meta["surplus"], meta["cursor"]
+        self._registry = registry if meta["registered"] else None
 
     def register(self, handle: PageHandle) -> None:
         """Add a reclaimable allocation (most-recently-used position)."""

@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
+from functools import cached_property
 from importlib import import_module
 from typing import Callable
 
@@ -49,15 +50,27 @@ class RunKind:
         manifest_kind: the ``kind`` its run manifest carries.
         door: ``"module:function"`` of the front door, resolved at call
             time so this module imports none of the layers above it.
+        config: ``"module:Class"`` of the config, for a kind whose
+            checkpoints are data (:class:`~repro.checkpoint.format.
+            Sections`): the config rides as ``Class.state()`` JSON and
+            comes back through ``Class.from_state``.  Empty: the config
+            is pickled with the rest of the payload.
     """
 
     name: str
     manifest_kind: str
     door: str
+    config: str = ""
+
+
+def _resolve(name: str):
+    module, _, attr = name.partition(":")
+    return getattr(import_module(module), attr)
 
 
 KINDS: dict[str, RunKind] = {kind.name: kind for kind in (
-    RunKind("workload", "workload", "repro.workloads:run_workload"),
+    RunKind("workload", "workload", "repro.workloads:run_workload",
+            "repro.workloads:WorkloadConfig"),
     RunKind("loadgen", "loadgen", "repro.workloads:run_loadgen"),
     RunKind("fleet", "fleet", "repro.fleet:run_fleet"),
     RunKind("fleet-survey", "fleet", "repro.fleet:survey_fleet"),
@@ -67,8 +80,9 @@ KINDS: dict[str, RunKind] = {kind.name: kind for kind in (
 class RunSession:
     """Everything around one run loop; a context manager spanning it.
 
-    ``config`` rides (pickled) in every checkpoint payload so ``repro
-    checkpoint resume <dir>`` needs no flags.  ``identity`` is the
+    ``config`` rides in every checkpoint payload (as JSON for a kind
+    whose checkpoints are data, else pickled) so ``repro checkpoint
+    resume <dir>`` needs no flags.  ``identity`` is the
     JSON-safe dict that says *which run this is* — the manifest's
     deterministic ``config`` section — and is stored in the checkpoint
     header so a resume over another run's directory is refused instead
@@ -141,6 +155,11 @@ class RunSession:
                 f"{'; '.join(differing)})")
         return ckpt
 
+    @cached_property
+    def _saved_config(self):
+        """What every checkpoint carries of the config (see RunKind)."""
+        return self.config.state() if self.kind.config else self.config
+
     def boundary(self, done: int, make_payload: Callable[[], dict]) -> None:
         """One checkpoint boundary after *done* units of work.
 
@@ -151,10 +170,11 @@ class RunSession:
         if self.store is None or done % self.every:
             return
         from .checkpoint import maybe_crash
+        payload = make_payload()
+        payload["config"] = self._saved_config
         try:
             self.store.save(
-                self.kind.name, done,
-                {**make_payload(), "config": self.config},
+                self.kind.name, done, payload,
                 meta={"identity": self.identity,
                       "checkpoint_every": self.every})
         except CheckpointWriteError:
@@ -224,6 +244,12 @@ def resume_run(ckpt, directory: str, *, checkpoint_every: int = 0,
     """
     kind = KINDS[ckpt.kind]
     config = ckpt.payload["config"]
+    if kind.config:
+        try:
+            config = _resolve(kind.config).from_state(config)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigurationError(
+                f"{ckpt.path}: embedded config does not load: {exc!r}")
     if manifest_path:
         if not hasattr(config, "telemetry"):
             raise ConfigurationError(
@@ -232,8 +258,7 @@ def resume_run(ckpt, directory: str, *, checkpoint_every: int = 0,
         config = replace(config, telemetry=replace(
             config.telemetry or TelemetryConfig(),
             manifest_path=manifest_path))
-    module, _, function = kind.door.partition(":")
-    result = getattr(import_module(module), function)(
+    result = _resolve(kind.door)(
         config, checkpoint_dir=directory, resume=True,
         checkpoint_every=checkpoint_every or ckpt.meta["checkpoint_every"])
     return json.dumps(result.snapshot(), indent=2, sort_keys=True)

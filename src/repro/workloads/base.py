@@ -23,8 +23,16 @@ from ..mm import vmstat as ev
 from ..kalloc.netbuf import NetworkBufferPool, NetworkQueueConfig
 from ..kalloc.pagetable import PageTableAllocator
 from ..kalloc.slab import SlabAllocator
-from ..mm.handle import HandleList, PageHandle
+from ..mm.handle import HandleList, HandleTable, PageHandle, refs_restore
 from ..mm.page import AllocSource, MigrateType
+from ..mm.sections import (
+    int64,
+    nest,
+    rng_state,
+    rows_of,
+    scope,
+    set_rng_state,
+)
 from ..sim.trace import TraceSpec
 from ..telemetry import tracepoint
 from ..units import GIGAPAGE_FRAMES, PAGEBLOCK_FRAMES
@@ -485,6 +493,102 @@ class Workload:
             if payload.pinned:
                 self.kernel.unpin_pages(payload)
             self.kernel.free_pages(payload)
+
+    # ------------------------------------------------------------------
+    # Snapshot (the checkpoint schema)
+    # ------------------------------------------------------------------
+
+    #: Calendar entry kinds, by the code a snapshot writes.
+    _KINDS = ("net", "slab", "fs", "pin")
+
+    def snapshot(self, table: HandleTable) -> dict:
+        """The driver's mutable state as sections, handles as rows of
+        *table*: the heap (a THP chunk as size 0, a base-page chunk as
+        its page count), the gigapages, ``cache_pages`` (slots as they
+        are), the network pool, slab caches and page tables, the expiry
+        calendar (each due step's entries as kind codes and refs: a
+        handle's row, or a slab object's position in ``slab.objects``),
+        and the scalars and RNG state."""
+        chunks = [[chunk] if type(chunk) is PageHandle else chunk
+                  for chunk in self.anon_chunks]
+        entries = [entry for due in self._expiries.values()
+                   for entry in due]
+        objects = [payload for kind, payload in entries if kind == "slab"]
+        rows = iter(table.rows(payload for kind, payload in entries
+                               if kind != "slab"))
+        positions = iter(range(len(objects)))
+        codes = {kind: code for code, kind in enumerate(self._KINDS)}
+        return {
+            "anon.rows": int64(table.rows(
+                handle for chunk in chunks for handle in chunk)),
+            "anon.sizes": int64([0 if type(chunk) is PageHandle
+                                 else len(chunk)
+                                 for chunk in self.anon_chunks]),
+            "gigapages": int64(table.rows(self.gigapages)),
+            **nest("cache", table.refs(self.cache_pages._refs)),
+            **nest("net", self.netpool.snapshot(table)),
+            **nest("slab", self.slab.snapshot(table, objects)),
+            **nest("pagetables", self.pagetables.snapshot(table)),
+            "calendar.due": int64(list(self._expiries)),
+            "calendar.sizes": int64(list(map(len, self._expiries.values()))),
+            "calendar.kinds": int64([codes[kind] for kind, _ in entries]),
+            "calendar.refs": int64(
+                [next(positions) if kind == "slab" else next(rows)
+                 for kind, _ in entries]),
+            "state": {
+                "rng": rng_state(self.rng), "steps": self.steps,
+                "started": self.started, "traffic": self._traffic,
+                "cache_frames": self._cache_frames,
+                "pruned": [self._pruned_reclaimed,
+                           self._pruned_compact_runs],
+                "outcomes": [self.thp_hits, self.thp_misses,
+                             self.oom_events]}}
+
+    def restore(self, sections, handles: list[PageHandle]) -> None:
+        """Load a :meth:`snapshot` into this driver, freshly built (not
+        started) over the kernel the snapshot's kernel sections were
+        loaded into; *handles* are the table's rows, built."""
+        pick = handles.__getitem__
+        heap = list(map(pick, rows_of(sections["anon.rows"], len(handles))))
+        self.anon_chunks, at = [], 0
+        for size in sections["anon.sizes"].tolist():
+            self.anon_chunks.append(heap[at] if size == 0
+                                    else heap[at:at + size])
+            at += size or 1
+        if at != len(heap):
+            raise ValueError("heap chunk sizes do not add up")
+        self.gigapages = list(map(pick, rows_of(sections["gigapages"],
+                                                len(handles))))
+        self.cache_pages = HandleList(self.kernel.handles, refs_restore(
+            scope("cache", sections), handles))
+        self.netpool.restore(scope("net", sections), handles)
+        objects = self.slab.restore(scope("slab", sections), handles)
+        self.pagetables.restore(scope("pagetables", sections), handles)
+        # Each entry's payload: a slab object's ref indexes ``objects``,
+        # any other's ``handles`` (IndexError past either end).
+        kinds = [self._KINDS[code] for code in rows_of(
+            sections["calendar.kinds"], len(self._KINDS))]
+        entries = list(zip(kinds, [
+            objects[ref] if kind == "slab" else handles[ref]
+            for kind, ref in zip(kinds, rows_of(
+                sections["calendar.refs"], max(len(handles), len(objects))),
+                strict=True)]))
+        self._expiries.clear()
+        at = 0
+        for due, size in zip(sections["calendar.due"].tolist(),
+                             sections["calendar.sizes"].tolist(),
+                             strict=True):
+            self._expiries[due] = entries[at:at + size]
+            at += size
+        if at != len(entries):
+            raise ValueError("calendar sizes do not add up")
+        state = sections["state"]
+        set_rng_state(self.rng, state["rng"])
+        self.steps, self.started = state["steps"], state["started"]
+        self._traffic, self._cache_frames = (state["traffic"],
+                                             state["cache_frames"])
+        self._pruned_reclaimed, self._pruned_compact_runs = state["pruned"]
+        self.thp_hits, self.thp_misses, self.oom_events = state["outcomes"]
 
     # ------------------------------------------------------------------
     # Measurement

@@ -11,10 +11,15 @@ fragmentation run and a tail-latency burst share one entry point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
+from dataclasses import asdict, dataclass
 
-from ..errors import ConfigurationError
+from ..errors import CheckpointCorruptError, ConfigurationError
+from ..mm.handle import HandleTable
+from ..mm.sections import nest, scope
 from ..run import RunSession
+from ..sim.trace import TraceSpec
+from ..telemetry import TelemetryConfig
 from ..units import MiB, PAGEBLOCK_FRAMES
 from .base import Workload, WorkloadSpec
 from .registry import canonical_service_name, get_service
@@ -91,6 +96,29 @@ class WorkloadConfig:
         return {**vars(self), "service": self.service_name,
                 "loadgen": self.loadgen and self.loadgen.snapshot()}
 
+    def state(self) -> dict:
+        """The whole config as JSON (a literal spec and the burst's
+        telemetry included), for :meth:`from_state`: the ``config``
+        section of this run's checkpoints."""
+        return json.loads(json.dumps(asdict(self)))
+
+    @classmethod
+    def from_state(cls, state: dict) -> "WorkloadConfig":
+        """The config :meth:`state` wrote."""
+        service, loadgen = state["service"], state["loadgen"]
+        if isinstance(service, dict):
+            service = WorkloadSpec(**{
+                **service, "net_buffer_orders": tuple(
+                    service["net_buffer_orders"]),
+                "data_trace": TraceSpec(**service["data_trace"]),
+                "instr_trace": TraceSpec(**service["instr_trace"])})
+        if loadgen is not None:
+            telemetry = loadgen["telemetry"]
+            loadgen = LoadgenConfig(**{**loadgen, "telemetry": telemetry and (
+                TelemetryConfig(**{**telemetry, "trace_patterns": tuple(
+                    telemetry["trace_patterns"])}))})
+        return cls(**{**state, "service": service, "loadgen": loadgen})
+
 
 @dataclass
 class WorkloadResult:
@@ -160,24 +188,24 @@ def run_workload(config: WorkloadConfig, *,
                          checkpoint_every=checkpoint_every,
                          checkpoint_dir=checkpoint_dir, resume=resume)
     ckpt = session.restore()
+    if config.kernel == "linux":
+        kernel = LinuxKernel(KernelConfig(mem_bytes=config.mem_bytes))
+    else:
+        kernel = ContiguitasKernel(
+            ContiguitasConfig(mem_bytes=config.mem_bytes))
+    workload = Workload(kernel, config.spec, seed=config.seed)
     if ckpt is not None:
         # Looked up on the package at call time, so a patched
         # restore_kernel (the benchmark's tap) is the one called.
         from ..checkpoint import restore_kernel
-        kernel, workload = ckpt.payload["kernel"], ckpt.payload["workload"]
+        from ..checkpoint.format import collector_paused
+        collector_paused(_restore, ckpt, kernel, workload)
         restore_kernel(kernel)
     else:
-        if config.kernel == "linux":
-            kernel = LinuxKernel(KernelConfig(mem_bytes=config.mem_bytes))
-        else:
-            kernel = ContiguitasKernel(
-                ContiguitasConfig(mem_bytes=config.mem_bytes))
-        workload = Workload(kernel, config.spec, seed=config.seed)
         workload.start()
     for step in range(ckpt.step if ckpt is not None else 0, config.steps):
         workload.step()
-        session.boundary(step + 1, lambda: {"kernel": kernel,
-                                            "workload": workload})
+        session.boundary(step + 1, lambda: _snapshot(kernel, workload))
 
     loadgen_result = None
     if config.loadgen is not None:
@@ -198,3 +226,35 @@ def run_workload(config: WorkloadConfig, *,
         free_frames=kernel.free_frames(),
         vmstat=kernel.stat.snapshot(),
         loadgen=loadgen_result)
+
+
+def _snapshot(kernel, workload):
+    """One checkpoint's sections: the kernel's, the driver's, and the
+    handle table both wrote their handles into."""
+    from ..checkpoint.format import Sections, collector_paused
+
+    def sections():
+        table = HandleTable()
+        return Sections({**nest("kernel", kernel.snapshot(table)),
+                         **nest("workload", workload.snapshot(table)),
+                         **nest("handles", table.snapshot())})
+    return collector_paused(sections)
+
+
+def _restore(ckpt, kernel, workload) -> None:
+    """Load *ckpt*'s sections into a freshly booted kernel and a fresh
+    (not started) driver.
+
+    Raises:
+        CheckpointCorruptError: a section is missing, or does not fit
+            the kernel this config boots.
+    """
+    sections = ckpt.payload
+    try:
+        handles = HandleTable.restore(scope("handles", sections))
+        kernel.restore(scope("kernel", sections), handles)
+        workload.restore(scope("workload", sections), handles)
+    except (AttributeError, IndexError, KeyError, TypeError,
+            ValueError) as exc:
+        raise CheckpointCorruptError(
+            f"{ckpt.path}: sections do not restore: {exc!r}") from exc

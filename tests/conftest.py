@@ -70,6 +70,38 @@ def anon_frames(workload) -> int:
             + len(workload.gigapages) * GIGAPAGE_FRAMES)
 
 
+def through_envelope(sections: dict) -> dict:
+    """*sections* written as one checkpoint file and read back, as a
+    resume reads them: arrays come back as read-only views, int64 ones
+    narrowed where their range allows."""
+    import tempfile
+
+    from repro.checkpoint import encode_checkpoint, read_checkpoint
+    from repro.checkpoint.format import Sections
+
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "sections.ckpt")
+        with open(path, "wb") as fh:
+            fh.writelines(encode_checkpoint("test", 0, Sections(sections)))
+        return read_checkpoint(path).payload
+
+
+def restored(kernel):
+    """A fresh kernel of *kernel*'s class and config holding *kernel*'s
+    state: ``snapshot()``, the checkpoint envelope, ``restore()`` — the
+    path a resume takes, minus the sanitizer sweep."""
+    from repro.mm.handle import HandleTable
+    from repro.mm.sections import nest, scope
+
+    table = HandleTable()
+    sections = through_envelope({**nest("kernel", kernel.snapshot(table)),
+                                 **nest("handles", table.snapshot())})
+    fresh = type(kernel)(kernel.config)
+    fresh.restore(scope("kernel", sections),
+                  HandleTable.restore(scope("handles", sections)))
+    return fresh
+
+
 def deterministic_view(manifest: dict) -> dict:
     """The manifest minus its ``volatile`` section — the part that must
     be identical for identical (config, seed) runs at any worker count."""

@@ -6,7 +6,6 @@ import gc
 import json
 import os
 import pickle
-import pickletools
 import re
 
 import pytest
@@ -33,14 +32,19 @@ from repro.errors import (
 from repro.faults import FaultPlan, FaultSpec, NAMED_PLANS, injecting
 from repro.units import MiB
 
-from conftest import deterministic_view, free_list
+from conftest import deterministic_view, free_list, restored
+
+
+def _envelope(*args, **kwargs) -> bytes:
+    """One checkpoint file's bytes."""
+    return b"".join(encode_checkpoint(*args, **kwargs))
 
 
 class TestEnvelope:
     def test_encode_read_round_trip(self, tmp_path):
         path = tmp_path / "x.ckpt"
         payload = {"nums": list(range(50)), "nested": {"a": (1, 2)}}
-        path.write_bytes(encode_checkpoint(
+        path.write_bytes(_envelope(
             "demo", 7, payload, meta={"seed": 3}))
         ckpt = read_checkpoint(path)
         assert ckpt.kind == "demo"
@@ -50,7 +54,7 @@ class TestEnvelope:
 
     def test_truncation_is_typed_corruption(self, tmp_path):
         path = tmp_path / "x.ckpt"
-        data = encode_checkpoint("demo", 1, {"k": "v" * 100})
+        data = _envelope("demo", 1, {"k": "v" * 100})
         path.write_bytes(data[:-10])
         with pytest.raises(CheckpointCorruptError):
             read_checkpoint(path)
@@ -63,7 +67,7 @@ class TestEnvelope:
 
     def test_bit_flip_breaks_checksum(self, tmp_path):
         path = tmp_path / "x.ckpt"
-        data = bytearray(encode_checkpoint("demo", 1, {"k": "v" * 100}))
+        data = bytearray(_envelope("demo", 1, {"k": "v" * 100}))
         data[-5] ^= 0xFF
         path.write_bytes(bytes(data))
         with pytest.raises(CheckpointCorruptError, match="checksum"):
@@ -71,7 +75,7 @@ class TestEnvelope:
 
     def test_version_skew_is_its_own_type(self, tmp_path):
         path = tmp_path / "x.ckpt"
-        data = bytearray(encode_checkpoint("demo", 1, {}))
+        data = bytearray(_envelope("demo", 1, {}))
         data[4:8] = (FORMAT_VERSION + 1).to_bytes(4, "big")
         path.write_bytes(bytes(data))
         with pytest.raises(CheckpointVersionError):
@@ -81,30 +85,27 @@ class TestEnvelope:
         assert issubclass(CheckpointVersionError, CheckpointCorruptError)
 
     def test_previous_format_version_is_refused(self, tmp_path):
-        """Version 2 loadgen payloads pickled a numpy-backed Histogram,
-        version 3 workload payloads ``_Expiry`` heap entries and a
-        list-backed ``transient``, version 4 payloads ``PageHandle``
-        slot state (and a version-4 build has no ``_restore_handle`` to
-        read this build's), version 5 payloads an eager handle registry
-        (no slot table) and ``PhysicalMemory.alloc_heads``, a version-6
-        build would read this build's freed-marker slots (``~pfn``) as
-        live PFNs, version 7 payloads pickle ``FreeList`` objects of a
-        module that is gone, and version 8 payloads a workload expiry
-        heap where this build keeps a calendar; resuming any must stop
-        at the envelope, not mid-``json.dumps`` or mid-unpickle."""
-        assert FORMAT_VERSION == 9
+        """Versions 1-9 held one pickled payload — the workload kind's a
+        pickled kernel and driver, whose layout every refactor froze
+        anew (version 2 a numpy-backed Histogram, 3 ``_Expiry`` heap
+        entries, 4 ``PageHandle`` slot state, 5 an eager handle
+        registry, 6 live-only slots, 7 ``FreeList`` objects, 8 an
+        expiry heap, 9 ``PageHandle.__reduce__`` records); version 10
+        is a section table of arrays and JSON.  Resuming any older file
+        must stop at the envelope, not mid-decode."""
+        assert FORMAT_VERSION == 10
         path = tmp_path / "x.ckpt"
-        for old in (2, 3, 4, 5, 6, 7, 8):
-            data = bytearray(encode_checkpoint("workload", 1, {}))
+        for old in range(1, 10):
+            data = bytearray(_envelope("workload", 1, {}))
             data[4:8] = old.to_bytes(4, "big")
             path.write_bytes(bytes(data))
             with pytest.raises(CheckpointVersionError,
-                               match=f"version {old}"):
+                               match=f"version {old} "):
                 read_checkpoint(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.ckpt"
-        data = bytearray(encode_checkpoint("demo", 1, {}))
+        data = bytearray(_envelope("demo", 1, {}))
         data[:4] = b"JUNK"
         path.write_bytes(bytes(data))
         with pytest.raises(CheckpointCorruptError, match="magic"):
@@ -113,7 +114,7 @@ class TestEnvelope:
 
     def test_inspect_statuses(self, tmp_path):
         good = tmp_path / "good.ckpt"
-        good.write_bytes(encode_checkpoint("demo", 4, {"a": 1},
+        good.write_bytes(_envelope("demo", 4, {"a": 1},
                                            meta={"seed": 9}))
         info = inspect_checkpoint(good)
         assert info["status"] == "ok"
@@ -171,15 +172,15 @@ class TestCollectorPaused:
         (gc.enable if enabled else gc.disable)()
         path = tmp_path / "x.ckpt"
         del _collector_seen[:]
-        path.write_bytes(encode_checkpoint("demo", 1, _CollectorProbe()))
+        path.write_bytes(_envelope("demo", 1, _CollectorProbe()))
         assert gc.isenabled() is enabled
         assert read_checkpoint(path).payload == 0
         assert gc.isenabled() is enabled
 
         with pytest.raises((pickle.PicklingError, AttributeError)):
-            encode_checkpoint("demo", 1, lambda: None)
+            _envelope("demo", 1, lambda: None)
         assert gc.isenabled() is enabled
-        path.write_bytes(encode_checkpoint("demo", 1, _CollectorProbe(True)))
+        path.write_bytes(_envelope("demo", 1, _CollectorProbe(True)))
         with pytest.raises(CheckpointCorruptError, match="unpickle failed"):
             read_checkpoint(path)
         assert gc.isenabled() is enabled
@@ -187,61 +188,285 @@ class TestCollectorPaused:
 
 
 class TestPayloadShape:
-    """The speed of a checkpoint is the shape of its pickle: a live page
-    nobody named is two ints (its registry slot and its PFN), a page
-    reclaim freed before anybody named it one int (the freed marker in
-    its slot, no ``REDUCE``), a built handle one ``REDUCE`` on a
-    six-field tuple.  Dropping ``PageHandle.__reduce__`` brings back
-    copyreg's slot-state form — one ``BUILD`` and an eight-key dict per
-    handle — and fails both payload bounds here (489 / 527 builds for
-    334 handle objects, 17.5 / 18.7 bytes per entry); so does building
-    the reclaimed pages' handles again (18.0 / 18.4 bytes per entry),
-    without a stopwatch."""
+    """A ``workload`` checkpoint is data: array and JSON sections and no
+    pickle.  A handle is one row of the handle table however many
+    holders name it, a bulk page nobody named one int of the slot
+    table, and an int64 frame column is written at the narrowest width
+    that holds its range."""
 
     @pytest.mark.parametrize("kernel_name", ["linux", "contiguitas"])
-    def test_handles_pickle_as_compact_records(self, kernel_name):
-        from repro.core import ContiguitasConfig, ContiguitasKernel
-        from repro.mm import KernelConfig, LinuxKernel
-        from repro.workloads import Workload, get_service
+    def test_a_workload_checkpoint_is_typed_sections(self, kernel_name,
+                                                     tmp_path):
+        from repro.workloads import WorkloadConfig, run_workload
 
-        # debug_vm off whatever the environment says: the sanitizer's
-        # per-PFN history rides in the pickle and is not what this
-        # measures.
-        if kernel_name == "linux":
-            kernel = LinuxKernel(
-                KernelConfig(mem_bytes=MiB(64), debug_vm=False))
-        else:
-            kernel = ContiguitasKernel(
-                ContiguitasConfig(mem_bytes=MiB(64), debug_vm=False))
-        workload = Workload(kernel, get_service("web"), seed=11)
-        workload.start()
-        for _ in range(60):
-            workload.step()
-        registry = kernel.handles
-        live = len(registry)
-        assert live > 5000
-        # Handle objects in the payload: built slots (freed ones stay in
-        # the table) plus the scalar allocations.
-        slots = registry._slots
-        built = sum(type(v) is not int for v in slots)
-        objects = built + sum(
-            type(e) is not int for e in registry._by_pfn.values())
-        assert objects < live / 4, (objects, live)
-        reclaimed = sum(type(v) is int and v < 0 for v in slots)
+        config = WorkloadConfig("web", kernel_name, MiB(64), steps=60,
+                                seed=11)
+        run_workload(config, checkpoint_every=60,
+                     checkpoint_dir=str(tmp_path))
+        store = CheckpointStore(str(tmp_path), "workload")
+        table = {entry["name"]: entry
+                 for entry in store.inspect()["generations"][0]["sections"]}
+        assert {entry["type"] for entry in table.values()} == {
+            "array", "json"}
+        # 16,384 frames: every PFN, and the -1 list end, fits int16.
+        for column in ("head_of", "free_next", "free_prev"):
+            assert table[f"kernel.mem.{column}"]["dtype"] == "<i2"
+        assert table["kernel.mem.flags"]["dtype"] == "|u1"
+        payload = store.load_latest().payload
+        live = len(payload["kernel.handles.keys"])
+        rows = len(payload["handles.pfn"])
+        assert live > 5000 and rows < live / 4, (rows, live)
+        slots = payload["kernel.handles.slots.ints"]
+        built = len(payload["kernel.handles.slots.at"])
+        reclaimed = int((slots < 0).sum())
         assert reclaimed > 400 and reclaimed > 10 * built, (reclaimed, built)
-        table = pickle.dumps(slots, protocol=pickle.HIGHEST_PROTOCOL)
-        assert sum(op.name == "REDUCE"
-                   for op, _arg, _pos in pickletools.genops(table)) == built
-        blob = pickle.dumps({"kernel": kernel, "workload": workload},
-                            protocol=pickle.HIGHEST_PROTOCOL)
-        builds = array_bytes = 0
-        for opcode, arg, _pos in pickletools.genops(blob):
-            if opcode.name == "BUILD":
-                builds += 1
-            elif isinstance(arg, (bytes, bytearray)):
-                array_bytes += len(arg)     # BINBYTES*/BYTEARRAY8: arrays
-        assert builds < objects, (builds, objects)
-        assert (len(blob) - array_bytes) / live <= 17.5
+        # Every holder's rows index the one table.
+        for name, value in payload.items():
+            if name.endswith("rows") and len(value):
+                assert 0 <= value.min() and value.max() < rows, name
+
+    def test_int64_arrays_are_narrowed_and_read_back_equal(self, tmp_path):
+        import numpy as np
+
+        from repro.checkpoint.format import Sections
+
+        arrays = {"small": np.array([-1, 0, 32767]),
+                  "medium": np.array([-1, 70_000]),
+                  "large": np.array([1 << 40]), "empty": np.array([], int),
+                  "bytes": np.array([1, 2], np.uint8)}
+        path = tmp_path / "x.ckpt"
+        path.write_bytes(_envelope("demo", 0, Sections(arrays)))
+        back = read_checkpoint(path).payload
+        assert {name: value.dtype.str for name, value in back.items()} == {
+            "small": "<i2", "medium": "<i4", "large": "<i8",
+            "empty": "<i2", "bytes": "|u1"}
+        for name, value in arrays.items():
+            assert back[name].tolist() == value.tolist()
+
+
+def _forged(header, body: bytes = b"") -> bytes:
+    """An envelope holding *header* (any JSON value) and *body*, its
+    header checksummed as a writer would: what a buggy producer could
+    write, past the digests."""
+    import hashlib
+
+    raw = json.dumps(header).encode("utf-8")
+    return b"".join((MAGIC, FORMAT_VERSION.to_bytes(4, "big"),
+                     len(raw).to_bytes(4, "big"),
+                     hashlib.sha256(raw).digest(), raw, body))
+
+
+def _parts(data: bytes) -> tuple[dict, bytes]:
+    """(header, sections' bytes) of a well-formed envelope."""
+    end = 44 + int.from_bytes(data[8:12], "big")
+    return json.loads(data[44:end]), data[end:]
+
+
+def _array_file() -> bytes:
+    import numpy as np
+
+    from repro.checkpoint.format import Sections
+
+    return _envelope("demo", 3, Sections(
+        {"a": np.arange(4, dtype=np.int16), "b": {"k": [1, 2]}}))
+
+
+def _set(path):
+    """Set the header field at *path* (keys and list indices)."""
+    def mutate(header, value):
+        *parents, last = path
+        for key in parents:
+            header = header[key]
+        header[last] = value
+    return mutate
+
+
+def _drop(path):
+    def mutate(header, _value):
+        *parents, last = path
+        for key in parents:
+            header = header[key]
+        del header[last]
+    return mutate
+
+
+#: id -> (mutation, value): one malformed header or table field each.
+MALFORMED = {
+    "step-is-a-string": (_set(["step"]), "abc"),
+    "step-is-a-bool": (_set(["step"]), True),
+    "step-is-a-float": (_set(["step"]), 2.5),
+    "step-is-negative": (_set(["step"]), -1),
+    "kind-is-an-int": (_set(["kind"]), 7),
+    "meta-is-a-list": (_set(["meta"]), ["identity"]),
+    "meta-is-an-int": (_set(["meta"]), 3),
+    "header-missing-step": (_drop(["step"]), None),
+    "sections-is-a-dict": (_set(["sections"]), {}),
+    "entry-is-a-list": (_set(["sections", 0]), ["a", "array"]),
+    "entry-missing-sha256": (_drop(["sections", 0, "sha256"]), None),
+    "entry-extra-key": (_set(["sections", 0, "offset"]), 0),
+    "name-is-an-int": (_set(["sections", 0, "name"]), 0),
+    "duplicate-names": (_set(["sections", 1, "name"]), "a"),
+    "type-unknown": (_set(["sections", 0, "type"]), "marshal"),
+    "len-is-a-string": (_set(["sections", 0, "len"]), "8"),
+    "len-is-negative": (_set(["sections", 0, "len"]), -8),
+    "len-past-the-file": (_set(["sections", 0, "len"]), 1 << 40),
+    "sha256-is-an-int": (_set(["sections", 0, "sha256"]), 12),
+    "sha256-is-short": (_set(["sections", 0, "sha256"]), "ab" * 8),
+    "sha256-is-not-hex": (_set(["sections", 0, "sha256"]), "z" * 64),
+    "dtype-not-allowed": (_set(["sections", 0, "dtype"]), "|O"),
+    "shape-is-an-int": (_set(["sections", 0, "shape"]), 4),
+    "shape-is-negative": (_set(["sections", 0, "shape"]), [-4]),
+    "shape-disagrees-with-len": (_set(["sections", 0, "shape"]), [5]),
+    "json-section-with-dtype": (_set(["sections", 1, "dtype"]), "<i2"),
+    "pickle-beside-another": (_set(["sections", 1, "type"]), "pickle"),
+}
+
+
+class TestTypedHeader:
+    """Every header and table field is type-checked before use: a
+    checksum-valid file with a malformed field is typed corruption —
+    ``read_checkpoint`` raises ``CheckpointCorruptError``,
+    ``inspect_checkpoint`` says ``corrupt`` and ``load_latest`` falls
+    back to ``.prev`` — never a bare ``ValueError``/``TypeError``."""
+
+    @pytest.mark.parametrize("field", sorted(MALFORMED))
+    def test_malformed_field_is_typed_corruption(self, field, tmp_path):
+        header, body = _parts(_array_file())
+        mutate, value = MALFORMED[field]
+        mutate(header, value)
+        path = tmp_path / "x.ckpt"
+        path.write_bytes(_forged(header, body))
+        with pytest.raises(CheckpointCorruptError):
+            read_checkpoint(path)
+        assert inspect_checkpoint(path)["status"] == "corrupt"
+
+    def test_header_that_is_not_an_object(self, tmp_path):
+        path = tmp_path / "x.ckpt"
+        path.write_bytes(_forged(["kind", "step"]))
+        with pytest.raises(CheckpointCorruptError, match="not an object"):
+            read_checkpoint(path)
+
+    def test_a_flipped_header_byte_breaks_its_checksum(self, tmp_path):
+        data = bytearray(_array_file())
+        data[50] ^= 0x01
+        path = tmp_path / "x.ckpt"
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointCorruptError, match="header checksum"):
+            read_checkpoint(path)
+
+    def test_malformed_current_falls_back_to_previous(self, tmp_path):
+        store = CheckpointStore(tmp_path, "run")
+        store.save("demo", 1, {"step": 1})
+        store.save("demo", 2, {"step": 2})    # step 1 becomes .prev
+        header, body = _parts(_envelope("demo", 2, {"step": 2}))
+        header["step"] = "abc"
+        with open(store.current_path, "wb") as fh:
+            fh.write(_forged(header, body))
+        ckpt = store.load_latest()
+        assert ckpt.step == 1 and ckpt.payload == {"step": 1}
+        assert [g["status"] for g in store.inspect()["generations"]] == [
+            "corrupt", "ok"]
+
+
+def _fuzz_file() -> bytes:
+    """A real 16 MiB ``workload`` checkpoint (built once)."""
+    if not _FUZZ:
+        import tempfile
+
+        from repro.workloads import WorkloadConfig, run_workload
+
+        with tempfile.TemporaryDirectory() as directory:
+            run_workload(WorkloadConfig("web", "contiguitas", MiB(16),
+                                        steps=6, seed=3),
+                         checkpoint_every=6, checkpoint_dir=directory)
+            with open(os.path.join(directory, "workload.ckpt"), "rb") as fh:
+                _FUZZ.append(fh.read())
+    return _FUZZ[0]
+
+
+_FUZZ: list[bytes] = []
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**70, 2**70)
+    | st.floats(allow_nan=False) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+
+
+class TestEnvelopeFuzz:
+    """Whatever happens to a real checkpoint's bytes, reading it is a
+    typed ``CheckpointCorruptError`` or a clean load — never another
+    exception — and allocates no more than about the file again."""
+
+    @staticmethod
+    def _read(data: bytes, tmp_path) -> None:
+        import tracemalloc
+
+        path = tmp_path / "fuzz.ckpt"
+        path.write_bytes(data)
+        tracemalloc.start()
+        try:
+            read_checkpoint(path)
+        except CheckpointCorruptError:
+            pass
+        finally:
+            _now, peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+        assert peak <= 2 * len(data) + (1 << 16), (peak, len(data))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_bit_flips(self, data, tmp_path_factory):
+        blob = bytearray(_fuzz_file())
+        # Distinct bytes, so no flip undoes another: every flip lands
+        # under the header's or a section's digest.
+        for at in data.draw(st.lists(st.integers(0, len(blob) - 1),
+                                     min_size=1, max_size=4, unique=True)):
+            blob[at] ^= 1 << data.draw(st.integers(0, 7))
+        path = tmp_path_factory.mktemp("flip") / "x.ckpt"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointCorruptError):
+            read_checkpoint(path)
+
+    @settings(max_examples=40, deadline=None)
+    @given(cut=st.integers(0, 1 << 20))
+    def test_truncations(self, cut, tmp_path_factory):
+        blob = _fuzz_file()
+        self._read(blob[:cut % len(blob)], tmp_path_factory.mktemp("cut"))
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_section_table_mutations(self, data, tmp_path_factory):
+        header, body = _parts(_fuzz_file())
+        table = header["sections"]
+        entry = table[data.draw(st.integers(0, len(table) - 1))]
+        action = data.draw(st.sampled_from(["set", "drop", "swap"]))
+        key = data.draw(st.sampled_from(sorted(entry)))
+        if action == "set":
+            entry[key] = data.draw(_JSON_VALUES)
+        elif action == "drop":
+            del entry[key]
+        else:
+            other = table[data.draw(st.integers(0, len(table) - 1))]
+            entry[key], other[key] = other[key], entry[key]
+        self._read(_forged(header, body), tmp_path_factory.mktemp("table"))
+
+    def test_a_reshaped_section_is_refused_at_restore(self, tmp_path):
+        """A table that passes the envelope but does not fit the kernel
+        the config boots is typed corruption too."""
+        from repro.workloads import WorkloadConfig, run_workload
+
+        header, body = _parts(_fuzz_file())
+        flags = next(e for e in header["sections"]
+                     if e["name"] == "kernel.mem.flags")
+        flags["shape"] = [64, flags["shape"][0] // 64]
+        (tmp_path / "workload.ckpt").write_bytes(_forged(header, body))
+        config = WorkloadConfig("web", "contiguitas", MiB(16), steps=6,
+                                seed=3)
+        with pytest.raises(CheckpointCorruptError, match="do not restore"):
+            run_workload(config, checkpoint_every=6,
+                         checkpoint_dir=str(tmp_path), resume=True)
 
 
 class TestStore:
@@ -430,8 +655,10 @@ class TestWorkloadCrashResume:
         config = self._config(5)
         run_workload(config, checkpoint_every=4,
                      checkpoint_dir=str(tmp_path))
+        from repro.workloads import WorkloadConfig
+
         ckpt = CheckpointStore(str(tmp_path), "workload").load_latest()
-        assert ckpt.payload["config"] == config
+        assert WorkloadConfig.from_state(ckpt.payload["config"]) == config
         assert ckpt.meta["checkpoint_every"] == 4
 
 
@@ -690,15 +917,15 @@ class TestRestoreSanitizer:
 
     @staticmethod
     def _restored():
-        """A churned kernel through a pickle, with its order-0 LIFO
-        list's oldest two members (a free list of three or more)."""
+        """A churned kernel through snapshot/restore, with its order-0
+        LIFO list's oldest two members (a free list of three or more)."""
         from repro.mm import KernelConfig, LinuxKernel, MigrateType
 
         kernel = LinuxKernel(KernelConfig(mem_bytes=MiB(16)))
         handles = [kernel.alloc_pages(0) for _ in range(64)]
         for handle in handles[::2]:
             kernel.free_pages(handle)
-        kernel = pickle.loads(pickle.dumps(kernel, pickle.HIGHEST_PROTOCOL))
+        kernel = restored(kernel)
         members = free_list(kernel.buddy, 0, MigrateType.MOVABLE)
         assert len(members) >= 3
         return kernel, members[:2]
@@ -863,6 +1090,42 @@ class TestCheckpointCli:
         reports = json.loads(capsys.readouterr().out)
         assert reports[0]["generations"][0]["status"] == "ok"
         assert reports[0]["watchdog"]["status"] == "ok"
+
+    def test_inspect_lists_sections_without_decoding(self, tmp_path,
+                                                    capsys):
+        from repro.cli import main
+
+        self._seed_store(tmp_path)
+        main(["checkpoint", "inspect", str(tmp_path), "--json"])
+        current = json.loads(capsys.readouterr().out)[0]["generations"][0]
+        sections = {sec["name"]: sec for sec in current["sections"]}
+        assert sections["kernel.mem.flags"] == {
+            "name": "kernel.mem.flags", "type": "array", "dtype": "|u1",
+            "shape": [4096], "bytes": 4096, "checksum": "ok"}
+        assert sections["workload.state"]["type"] == "json"
+        assert sections["workload.state"]["dtype"] is None
+        assert {sec["checksum"] for sec in sections.values()} == {"ok"}
+        main(["checkpoint", "inspect", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert "workload current: sections" in out
+        assert re.search(r"kernel\.mem\.flags +array +\|u1 +4096 +4096 +ok",
+                         out)
+
+    def test_inspect_names_the_damaged_section(self, tmp_path, capsys):
+        from repro.cli import main
+
+        self._seed_store(tmp_path)
+        path = CheckpointStore(str(tmp_path), "workload").current_path
+        data = bytearray(open(path, "rb").read())
+        data[-3] ^= 0xFF                      # inside the last section
+        with open(path, "wb") as fh:
+            fh.write(bytes(data))
+        main(["checkpoint", "inspect", str(tmp_path), "--json"])
+        current = json.loads(capsys.readouterr().out)[0]["generations"][0]
+        assert current["status"] == "corrupt"
+        damaged = [sec["name"] for sec in current["sections"]
+                   if sec["checksum"] != "ok"]
+        assert damaged == [current["sections"][-1]["name"]]
 
     def test_inspect_missing_dir_exits(self, tmp_path):
         from repro.cli import main

@@ -9,7 +9,6 @@ small interface and demand the same answers; ``test_reference_buddy.py``
 drives whole allocators against each other.
 """
 
-import pickle
 import random
 from collections import deque
 
@@ -28,9 +27,10 @@ from repro.mm import (
     VmStat,
 )
 from repro.mm.buddy import _COMPACT_MIN
+from repro.mm.sections import nest, scope
 from repro.units import MiB
 
-from conftest import free_list, make_contiguitas
+from conftest import free_list, make_contiguitas, through_envelope
 from reference_buddy import RefBuddy
 
 MT = MigrateType.UNMOVABLE
@@ -327,7 +327,13 @@ class TestAddressModeCost:
                 if drop_heaps:
                     fl.alloc._min_heap[fl.li] = None
                     fl.alloc._max_heap[fl.li] = None
-                fl.alloc = pickle.loads(pickle.dumps(fl.alloc))
+                sections = through_envelope({
+                    **nest("mem", fl.alloc.mem.snapshot()),
+                    **nest("alloc", fl.alloc.snapshot())})
+                fresh = empty_allocator()
+                fresh.mem.restore(scope("mem", sections))
+                fresh.restore(scope("alloc", sections))
+                fl.alloc = fresh
                 assert (fl.heaps[0] is None) == drop_heaps
             if cycle % 2:
                 assert [fl.pop_highest() for _ in pfns] == \

@@ -1,17 +1,17 @@
 """Handle registry lifecycle and the placement policy."""
 
 import copy
-import pickle
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import PlacementPolicy
 from repro.errors import DoubleAllocError
 from repro.mm import AllocSource, HandleRegistry, MigrateType, PageHandle
+from repro.mm.handle import HandleTable, refs_restore
 
-from conftest import live_handles
+from conftest import live_handles, through_envelope
 
 
 def handle(pfn=0, order=0):
@@ -32,22 +32,25 @@ class TestPageHandle:
 
 
 class TestPageHandleRecord:
-    """What a checkpoint persists of a handle is the six-field tuple
-    ``__reduce__`` returns, not the class's slots."""
+    """What a checkpoint persists of a handle is one row of the handle
+    table — six columns, the three flags packed into ``bits`` — written
+    once however many holders name it."""
 
     @given(pfn=st.integers(0, 2**40), order=st.integers(0, 18),
            migratetype=st.sampled_from(MigrateType),
            source=st.sampled_from(AllocSource),
            birth=st.integers(0, 2**40), pinned=st.booleans(),
-           freed=st.booleans(), reclaimable=st.booleans(),
-           protocol=st.integers(0, pickle.HIGHEST_PROTOCOL))
+           freed=st.booleans(), reclaimable=st.booleans())
     def test_round_trip_keeps_all_eight_fields(
             self, pfn, order, migratetype, source, birth, pinned, freed,
-            reclaimable, protocol):
+            reclaimable):
         h = PageHandle(pfn, order, migratetype, source, birth,
                        pinned=pinned, reclaimable=reclaimable)
         h.freed = freed
-        for clone in (pickle.loads(pickle.dumps(h, protocol)), copy.copy(h)):
+        table = HandleTable()
+        table.rows([h])
+        (restored,) = HandleTable.restore(through_envelope(table.snapshot()))
+        for clone in (restored, copy.copy(h)):
             assert clone is not h and type(clone) is PageHandle
             for name in PageHandle.__slots__:
                 # Same type too: enum members and real bools, not 0/1.
@@ -57,17 +60,51 @@ class TestPageHandleRecord:
     def test_the_record_is_six_fields_wide(self):
         h = PageHandle(7, 2, MigrateType.UNMOVABLE, AllocSource.SLAB, 9,
                        pinned=True, reclaimable=True)
-        restore, record = h.__reduce__()
-        assert record == (7, 2, MigrateType.UNMOVABLE, AllocSource.SLAB, 9,
-                          0b101)
-        assert restore(*record).reclaimable
+        table = HandleTable()
+        table.rows([h])
+        record = {name: column.tolist()
+                  for name, column in table.snapshot().items()}
+        assert record == {"pfn": [7], "order": [2],
+                          "migratetype": [int(MigrateType.UNMOVABLE)],
+                          "source": [int(AllocSource.SLAB)], "birth": [9],
+                          "bits": [0b101]}
+        assert HandleTable.restore(table.snapshot())[0].reclaimable
 
-    def test_two_references_unpickle_to_one_object(self):
-        h = handle(pfn=5)
-        payload = {"registry": {5: h}, "lru": [h], "transient": {h: None}}
-        out = pickle.loads(pickle.dumps(payload, pickle.HIGHEST_PROTOCOL))
-        assert out["registry"][5] is out["lru"][0]
-        assert list(out["transient"]) == [out["lru"][0]]
+    def test_two_references_restore_to_one_object(self):
+        h, other = handle(pfn=5), handle(pfn=6)
+        table = HandleTable()
+        assert table.rows([h, other, h]) == [0, 1, 0]
+        registry, lru = table.refs([3, h]), table.rows([h])
+        handles = HandleTable.restore(table.snapshot())
+        assert len(handles) == 2
+        restored = refs_restore(registry, handles)
+        assert restored[0] == 3 and restored[1] is handles[lru[0]]
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(layout=st.lists(st.tuples(st.booleans(), st.integers(1, 1500)),
+                           max_size=6),
+           value=st.integers(-2**40, 2**40))
+    def test_a_list_of_ints_and_handles_round_trips(self, layout, value):
+        """Runs of handles and ints, across the chunks the encoder
+        packs in, come back in place: ints as they were, each handle
+        as the one object its row restores to."""
+        pool = [handle(pfn=p) for p in range(3)]
+        values = []
+        for is_handle, length in layout:
+            values += ([pool[i % 3] for i in range(length)] if is_handle
+                       else [value + i for i in range(length)])
+        table = HandleTable()
+        refs = table.refs(values)
+        handles = HandleTable.restore(table.snapshot())
+        back = refs_restore(through_envelope(refs), handles)
+        assert len(back) == len(values) and len(handles) == len(
+            {id(v) for v in values if type(v) is PageHandle})
+        for was, now in zip(values, back):
+            if type(was) is int:
+                assert now == was and type(now) is int
+            else:
+                assert now is handles[table.rows([was])[0]]
 
 
 class TestHandleRegistry:

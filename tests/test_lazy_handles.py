@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import dataclasses
 import gc
-import pickle
 import random
 import weakref
 from collections import OrderedDict
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,13 +28,22 @@ from repro.mm.handle import (
     HandleBatch,
     HandleList,
     HandleRegistry,
+    HandleTable,
     PageHandle,
+    refs_restore,
 )
 from repro.mm.page import AllocSource, MigrateType
+from repro.mm.sections import nest, scope
 from repro.units import MiB
 from repro.workloads import Workload, get_service
 
-from conftest import live_handles, make_contiguitas, make_linux
+from conftest import (
+    live_handles,
+    make_contiguitas,
+    make_linux,
+    restored,
+    through_envelope,
+)
 
 NPFNS = 96
 
@@ -222,10 +231,13 @@ def test_slots_match_the_eager_structures(ops):
 
 
 class _Orders:
-    """``mem.alloc_order_mv`` as the eager registry implies it."""
+    """``mem.alloc_order`` as the eager registry implies it (-1: no
+    allocation heads there)."""
 
     def __init__(self, by_pfn: dict) -> None:
-        self.alloc_order_mv = {pfn: h.order for pfn, h in by_pfn.items()}
+        self.alloc_order = np.full(NPFNS, -1, dtype=np.int8)
+        for pfn, h in by_pfn.items():
+            self.alloc_order[pfn] = h.order
 
 
 def _one_object(registry, batch, cache, i: int) -> PageHandle:
@@ -239,7 +251,7 @@ def _one_object(registry, batch, cache, i: int) -> PageHandle:
     return handle
 
 
-def test_every_route_to_a_page_reaches_one_object_across_a_pickle():
+def test_every_route_to_a_page_reaches_one_object_across_a_restore():
     registry = HandleRegistry()
     lru = ReclaimLRU(VmStat())
     batch = registry.register_batch(
@@ -258,8 +270,24 @@ def test_every_route_to_a_page_reaches_one_object_across_a_pickle():
     assert (first.pfn, first.freed, first.birth) == (40, True, 5)
     early = batch[3]
 
-    registry, lru, batch, cache, first, early = pickle.loads(pickle.dumps(
-        (registry, lru, batch, cache, first, early), pickle.HIGHEST_PROTOCOL))
+    # Through the checkpoint schema: each holder writes handles as rows
+    # of one table, and restore builds each row once.
+    table = HandleTable()
+    sections = through_envelope({
+        **nest("registry", registry.snapshot(table)),
+        **nest("lru", lru.snapshot(table)),
+        **nest("cache", table.refs(cache._refs)),
+        "named": np.array(table.rows([first, early])),
+        **nest("handles", table.snapshot())})
+    handles = HandleTable.restore(scope("handles", sections))
+    registry = HandleRegistry()
+    registry.restore(scope("registry", sections), handles)
+    lru = ReclaimLRU(VmStat())
+    lru.restore(scope("lru", sections), handles, registry)
+    cache = HandleList(registry, refs_restore(scope("cache", sections),
+                                              handles))
+    batch = HandleBatch(registry, batch.start, batch.stop)
+    first, early = (handles[row] for row in sections["named"].tolist())
     assert first is _one_object(registry, batch, cache, 0)  # built before
     assert early is _one_object(registry, batch, cache, 3)
     second = _one_object(registry, batch, cache, 1)         # built after
@@ -426,10 +454,10 @@ class TestRestoreSweep:
     arrays (typed raise, alive under ``-O``)."""
 
     @staticmethod
-    def _unpickled():
-        """A kernel whose slot table holds all three kinds of slot:
-        live unbuilt, built (bounded-mode evictions) and freed-marker
-        (the reclaim at the end)."""
+    def _restored():
+        """A restored kernel whose slot table holds all three kinds of
+        slot: live unbuilt, built (bounded-mode evictions) and
+        freed-marker (the reclaim at the end)."""
         kernel = make_linux(64)
         spec = dataclasses.replace(get_service("web"),
                                    cache_opportunistic=False)
@@ -438,7 +466,7 @@ class TestRestoreSweep:
         for _ in range(20):
             workload.step()
         assert kernel.reclaim(512) == 512
-        return pickle.loads(pickle.dumps(kernel, pickle.HIGHEST_PROTOCOL))
+        return restored(kernel)
 
     @staticmethod
     def _live_unbuilt_slot(kernel) -> int:
@@ -446,20 +474,20 @@ class TestRestoreSweep:
                     if type(v) is int and v >= 0)
 
     def test_a_clean_kernel_passes(self):
-        kernel = self._unpickled()
+        kernel = self._restored()
         kinds = {"built" if type(v) is not int else "live" if v >= 0
                  else "freed" for v in kernel.handles._slots}
         assert kinds == {"built", "live", "freed"}
         restore_kernel(kernel)
 
     def test_a_corrupted_slot_pfn_is_refused(self):
-        kernel = self._unpickled()
+        kernel = self._restored()
         kernel.handles._slots[self._live_unbuilt_slot(kernel)] += 1
         with pytest.raises(SanitizerError, match="handle registry"):
             restore_kernel(kernel)
 
     def test_a_live_slot_flipped_to_the_freed_marker_is_refused(self):
-        kernel = self._unpickled()
+        kernel = self._restored()
         slots = kernel.handles._slots
         slot = self._live_unbuilt_slot(kernel)
         slots[slot] = ~slots[slot]
@@ -467,14 +495,62 @@ class TestRestoreSweep:
             restore_kernel(kernel)
 
     def test_a_built_handle_off_its_key_is_refused(self):
-        kernel = self._unpickled()
+        kernel = self._restored()
         handle = kernel.handles.resolve(self._live_unbuilt_slot(kernel))
         handle.pfn += 1
         with pytest.raises(SanitizerError, match="handle registry"):
             restore_kernel(kernel)
 
     def test_an_allocation_nobody_owns_is_refused(self):
-        kernel = self._unpickled()
+        kernel = self._restored()
         kernel.handles.on_free(kernel.alloc_pages(0))
         with pytest.raises(SanitizerError, match="allocation heads"):
             restore_kernel(kernel)
+
+    def test_the_sweep_names_the_pfn_the_entry_loop_names(self):
+        """The vectorised sweep against the loop it replaced (kept here
+        as the reference): over random corruptions of slots, entries,
+        handle fields and frame orders, both pass or both name the same
+        first PFN."""
+        def reference(registry, mem) -> int | None:
+            for pfn, entry in registry._by_pfn.items():
+                filed = (registry._slots[entry] if type(entry) is int
+                         else entry)
+                at, order, freed = ((filed, 0, False) if type(filed) is int
+                                    else (filed.pfn, filed.order,
+                                          filed.freed))
+                if at != pfn or freed or mem.alloc_order[pfn] != order:
+                    return pfn
+            return None
+
+        def swept(registry, mem) -> int | None:
+            try:
+                registry.check_invariants(mem)
+            except SanitizerError as exc:
+                return exc.pfn
+            return None
+
+        kernel = self._restored()
+        registry, mem, rng = kernel.handles, kernel.mem, random.Random(3)
+        keys = list(registry._by_pfn)
+        scalar = [h for h in registry._by_pfn.values() if type(h) is not int]
+        for _ in range(150):
+            slot = rng.randrange(len(registry._slots))
+            key, handle = rng.choice(keys), rng.choice(scalar)
+            saved = (registry._slots[slot], registry._by_pfn[key],
+                     handle.pfn, handle.freed, int(mem.alloc_order[key]))
+            what = rng.randrange(5)
+            if what == 0 and type(saved[0]) is int:
+                registry._slots[slot] = rng.choice([~saved[0], saved[0] + 1])
+            elif what == 1 and type(saved[1]) is int:
+                registry._by_pfn[key] = (saved[1] + 1) % len(registry._slots)
+            elif what == 2:
+                handle.pfn += 1
+            elif what == 3:
+                handle.freed = True
+            else:
+                mem.alloc_order[key] = rng.choice([-1, 1, 2])
+            assert swept(registry, mem) == reference(registry, mem)
+            (registry._slots[slot], registry._by_pfn[key], handle.pfn,
+             handle.freed, mem.alloc_order[key]) = saved
+        assert swept(registry, mem) is None
