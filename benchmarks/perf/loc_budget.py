@@ -79,7 +79,11 @@ import tokenize
 #: ``mm/sections.py``, +143), and ``snapshot()``/``restore()`` on every
 #: other stateful layer of the ``workload`` run kind (``mm``, ``core``,
 #: ``kalloc``, the driver, ``WorkloadConfig.state``, ``run.py``, +347).
-BUDGET = 13_580
+#: Then 13,580 → 13,636: the handle registry as a frame column and a
+#: slot array, with its range-checked restore and array sweep
+#: (``mm``, +33), and typed errors for hostile trace logs and scenario
+#: fields (``workloads/tracelog.py``, ``scenarios``, +23).
+BUDGET = 13_636
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
              tokenize.INDENT, tokenize.DEDENT, tokenize.ENCODING,

@@ -276,7 +276,7 @@ def verify_kernel(kernel) -> None:
     if free != on_lists:
         raise FreelistDivergenceError(
             f"{free} frames free in memory vs {on_lists} on free lists")
-    kernel.handles.check_invariants(mem)
+    kernel.handles.check_invariants()
     heads = int((mem.alloc_order >= 0).sum()) - kernel.offlined_frames()
     if heads != len(kernel.handles):
         raise SanitizerError(

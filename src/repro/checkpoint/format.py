@@ -76,7 +76,9 @@ MAGIC = b"RPCK"
 #: new layout into the file).  10: the envelope is a checksummed header
 #: and a section table, and the workload kind writes typed array and
 #: JSON sections (``snapshot()``/``restore()`` of each layer) instead.
-FORMAT_VERSION = 10
+#: 11: the handle registry's PFN map is a frame column and its slot
+#: table one int64 array.
+FORMAT_VERSION = 11
 
 #: magic + version + header length + header SHA-256.
 _PREFIX_LEN = 44
@@ -274,7 +276,7 @@ def _parse_header(data: bytes, path: str) -> tuple[dict, int]:
         raise CheckpointCorruptError(f"{path}: header checksum mismatch")
     try:
         header = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise CheckpointCorruptError(f"{path}: unparseable header: {exc}")
     if type(header) is not dict:
         raise CheckpointCorruptError(f"{path}: header is not an object")

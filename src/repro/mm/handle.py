@@ -10,6 +10,7 @@ tables / reverse mappings so owners keep working after a move.
 from __future__ import annotations
 
 import struct
+from array import array
 from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ import numpy as np
 
 from ..errors import DoubleAllocError, SanitizerError
 from .page import AllocSource, MigrateType
-from .sections import int64, nest, rows_of, scope
+from .sections import int64, rows_of
 
 
 class PageHandle:
@@ -69,16 +70,6 @@ class PageHandle:
                 f"{self.source.name}, {state})")
 
 
-def _from_record(pfn, order, migratetype, source, birth, bits):
-    """A handle from its record: ``bits`` is ``pinned | freed << 1 |
-    reclaimable << 2`` (a snapshot's handle table, and a freed-marker
-    slot's build)."""
-    handle = PageHandle(pfn, order, migratetype, source, birth,
-                        bits & 1 == 1, bits & 4 == 4)
-    handle.freed = bits & 2 == 2
-    return handle
-
-
 class HandleTable:
     """Every :class:`PageHandle` one snapshot names, each written once.
 
@@ -102,8 +93,8 @@ class HandleTable:
         return list(map(rows.__getitem__, handles))
 
     def refs(self, refs: list) -> dict:
-        """A list of ints and handles (slot numbers, PFNs or freed
-        markers beside built handles) as sections: ``ints``, the list
+        """A list of ints and handles (slot numbers beside handles, as
+        a :class:`HandleList` holds them) as sections: ``ints``, the list
         with 0 where a handle sits, ``at`` the handles' positions and
         ``rows`` their rows."""
         ints, at = _ints(refs)
@@ -151,25 +142,37 @@ def refs_restore(state, handles: list[PageHandle]) -> list:
     return refs
 
 
+#: ``PhysicalMemory.handle_slot`` codes below the slot numbers: no
+#: allocation heads here, or one whose handle :meth:`HandleRegistry.register`
+#: took.
+NO_HANDLE = -1
+SCALAR = -2
+
+
 class HandleRegistry:
     """Maps head PFN → :class:`PageHandle` for every live allocation.
 
-    A bulk allocation registers *slots*, not objects: ``_slots[slot]``
-    is the page's PFN until somebody names the page, its handle from
-    then on (freed or not, so every holder of the slot sees one object),
-    and ``_by_pfn`` maps a bulk page's current head PFN to its slot
-    number.  Pinning and moving take the handle, and so does every free
-    but one: reclaim frees a page nobody named without naming it, drops
-    its ``_by_pfn`` entry and leaves the freed marker ``~pfn`` (< 0) in
-    the slot (:meth:`~repro.mm.reclaim.ReclaimLRU.reclaim`).  So a slot
-    still holding a PFN (>= 0) has never been freed, pinned or moved:
-    that PFN is still its key.  :meth:`resolve` builds a marked slot's
-    handle freed.
+    The map is a frame column, ``mem.handle_slot``: a bulk page's slot
+    number, :data:`SCALAR` for a handle :meth:`register` took (those
+    few live in ``_scalar``, keyed by PFN), or :data:`NO_HANDLE`.  A
+    bulk allocation registers *slots*, not objects: the slot table
+    ``_slots`` (an int64 ``array``) holds each page's PFN while it
+    lives and the freed marker ``~pfn`` (< 0) once it is freed, and a
+    handle exists only once somebody names the page — ``_built`` keeps
+    it by slot from then on, freed or not, so every holder of the slot
+    sees one object.  Pinning and moving take the handle, and so does
+    every free but one: reclaim frees a page nobody named without
+    naming it (:meth:`~repro.mm.reclaim.ReclaimLRU.reclaim`).  So an
+    unbuilt slot has never been pinned, and :meth:`resolve` builds a
+    marked slot's handle freed.
     """
 
-    def __init__(self) -> None:
-        self._by_pfn: dict[int, PageHandle | int] = {}
-        self._slots: list[int | PageHandle] = []
+    def __init__(self, mem) -> None:
+        self.mem = mem
+        self._col, self._col_mv = mem.handle_slot, mem.handle_slot_mv
+        self._scalar: dict[int, PageHandle] = {}
+        self._slots = array("q")
+        self._built: dict[int, PageHandle] = {}
         #: Per bulk call, in slot order: its first slot, and what its
         #: handles are built with after ``(pfn, 0)``: ``(migratetype,
         #: source, birth, pinned=False, reclaimable)``.
@@ -177,31 +180,34 @@ class HandleRegistry:
         self._batch_fields: list[tuple] = []
 
     def __len__(self) -> int:
-        return len(self._by_pfn)
+        return int(np.count_nonzero(self._col != NO_HANDLE))
 
     def __contains__(self, pfn: int) -> bool:
-        return pfn in self._by_pfn
+        return self._col_mv[pfn] != NO_HANDLE
 
     def register(self, handle: PageHandle) -> PageHandle:
-        if handle.pfn in self._by_pfn:
+        pfn = handle.pfn
+        if self._col_mv[pfn] != NO_HANDLE:
             raise DoubleAllocError("duplicate head pfn in handle registry",
-                                   pfn=handle.pfn)
-        self._by_pfn[handle.pfn] = handle
+                                   pfn=pfn)
+        self._col_mv[pfn] = SCALAR
+        self._scalar[pfn] = handle
         return handle
 
-    def register_batch(self, pfns: list[int], migratetype: MigrateType,
+    def register_batch(self, pfns, migratetype: MigrateType,
                        source: AllocSource, birth: int,
                        reclaimable: bool) -> "HandleBatch":
         """Register one order-0 allocation per PFN without building a
         handle for any of them; the batch builds them on demand."""
-        by_pfn = self._by_pfn
-        if not by_pfn.keys().isdisjoint(pfns):
+        pfns = np.asarray(pfns, dtype=np.int64)
+        taken = np.flatnonzero(self._col[pfns] != NO_HANDLE)
+        if taken.size:
             raise DoubleAllocError("duplicate head pfn in handle registry",
-                                   pfn=next(p for p in pfns if p in by_pfn))
+                                   pfn=int(pfns[taken[0]]))
         slots = self._slots
         start = len(slots)
-        slots.extend(pfns)
-        by_pfn.update(zip(pfns, range(start, len(slots))))
+        slots.frombytes(pfns.tobytes())
+        self._col[pfns] = np.arange(start, len(slots))
         self._batch_starts.append(start)
         self._batch_fields.append(
             (migratetype, source, birth, False, reclaimable))
@@ -212,21 +218,24 @@ class HandleRegistry:
         number — that slot's, built on first use."""
         if type(ref) is not int:
             return ref
-        handle = self._slots[ref]
-        return (handle if type(handle) is not int
+        handle = self._built.get(ref)
+        return (handle if handle is not None
                 else self.resolve_span(ref, ref + 1)[0])
 
     def resolve_span(self, start: int, stop: int) -> list[PageHandle]:
         """Every handle of slots ``[start, stop)`` of one batch, in one
         pass (whole-batch iteration costs what eager construction did)."""
-        slots = self._slots
+        built, out = self._built, []
         mt, source, birth, pinned, reclaimable = self._fields_of(start)
-        freed = pinned | 2 | reclaimable << 2   # a marked slot's record
-        slots[start:stop] = out = [
-            v if type(v) is not int
-            else PageHandle(v, 0, mt, source, birth, pinned, reclaimable)
-            if v >= 0 else _from_record(~v, 0, mt, source, birth, freed)
-            for v in slots[start:stop]]
+        for slot, pfn in zip(range(start, stop), self._slots[start:stop]):
+            handle = built.get(slot)
+            if handle is None:
+                # The handles are the product: built once, on request.
+                handle = built[slot] = PageHandle(  # simlint: disable=SL009
+                    pfn if pfn >= 0 else ~pfn, 0, mt, source, birth, pinned,
+                    reclaimable)
+                handle.freed = pfn < 0
+            out.append(handle)
         return out
 
     def _fields_of(self, slot: int) -> tuple:
@@ -236,107 +245,138 @@ class HandleRegistry:
     def slot_of(self, handle: PageHandle) -> int:
         """The slot a live *handle* was built from; -1 for a handle
         that :meth:`register` took."""
-        entry = self._by_pfn.get(handle.pfn)
-        return entry if type(entry) is int else -1
+        return max(self._col_mv[handle.pfn], -1)
 
     def get(self, pfn: int) -> PageHandle:
-        return self.resolve(self._by_pfn[pfn])
+        slot = self._col_mv[pfn]
+        return self.resolve(slot) if slot >= 0 else self._scalar[pfn]
 
     def on_free(self, handle: PageHandle) -> None:
         """Drop a handle when its allocation is released."""
-        del self._by_pfn[handle.pfn]
+        pfn = handle.pfn
+        slot = self._col_mv[pfn]
+        if slot >= 0:
+            self._slots[slot] = ~pfn
+        else:
+            del self._scalar[pfn]
+        self._col_mv[pfn] = NO_HANDLE
         handle.freed = True
 
     def relocate(self, old_pfn: int, new_pfn: int) -> PageHandle:
         """Repoint the handle at *old_pfn* after a migration to *new_pfn*
         (the simulator's PTE/rmap update)."""
-        entry = self._by_pfn.pop(old_pfn)
-        handle = self.resolve(entry)
+        slot = self._col_mv[old_pfn]
+        if slot >= 0:
+            handle = self.resolve(slot)
+            self._slots[slot] = new_pfn
+        else:
+            handle = self._scalar.pop(old_pfn)
+            self._scalar[new_pfn] = handle
+        self._col_mv[old_pfn] = NO_HANDLE
+        self._col_mv[new_pfn] = slot
         handle.pfn = new_pfn
-        self._by_pfn[new_pfn] = entry
         return handle
 
-    def check_invariants(self, mem) -> None:
-        """Sweep every entry against *mem*: its key heads a live
-        allocation of the handle's order (0 for an unbuilt slot), a
-        built or scalar handle sits at its own PFN and is not freed, an
-        unbuilt slot's table PFN is its key — so no entry is filed under
-        a slot holding the freed marker, a negative int.
+    def _table(self) -> np.ndarray:
+        """A copy of the slot table (a view would pin its buffer, and
+        the table could not grow while the view lived)."""
+        return np.frombuffer(self._slots, dtype=np.int64).copy()
 
-        Vectorised over the keys and slots; only the handles (scalar
-        entries and built slots) are read one by one.
+    def check_invariants(self) -> None:
+        """Sweep the registry against its memory: every column entry
+        heads a live allocation of its handle's order (0 for a slot)
+        and is the one its slot or scalar handle is filed under — a
+        slot's table PFN is its key and a live slot's key holds it, a
+        scalar handle sits at its own key, unfreed — and every built
+        handle agrees with its slot's table value.
+
+        Vectorised over the column and the slot table; only the scalar
+        and built handles are read one by one.
 
         Raises:
-            SanitizerError: the first entry that disagrees.
+            SanitizerError: naming the lowest PFN where they disagree.
         """
-        by_pfn, slots = self._by_pfn, self._slots
-        if not by_pfn:
-            return
-        # The slot table first: its PFNs are the key objects (see
-        # :meth:`snapshot`).
-        table, built = _ints(slots)
-        keys = int64(list(by_pfn))
-        # Each key's slot number, 0 for a scalar entry (a handle).
-        entries = list(by_pfn.values())
-        index, scalar = _ints(entries)
-        is_scalar = np.zeros(len(keys), dtype=bool)
-        is_scalar[scalar] = True
-        # Where each entry says its allocation is: its slot's table
-        # value (a PFN, or the freed marker, < 0), or — a scalar entry,
-        # or a slot holding a built handle — the PFN its handle says,
-        # -1 (no key) for a freed one; and of what order.
-        if len(table):
-            at = table[index]
-            is_built = np.zeros(len(table), dtype=bool)
-            is_built[built] = True
-            via_slot = np.flatnonzero(is_built[index] & ~is_scalar)
-        else:       # no slot at all: only a scalar entry can match
-            at = np.full(len(keys), -1, dtype=np.int64)
-            via_slot = np.empty(0, dtype=np.int64)
-        handles = [entries[i] for i in scalar] + [
-            slots[s] for s in index[via_slot].tolist()]
-        orders = np.zeros(len(keys), dtype=np.int64)
-        if handles:
-            named = np.concatenate((int64(scalar), via_slot))
-            fields = int64(list(chain.from_iterable(map(
-                attrgetter("pfn", "order", "freed"), handles)))).reshape(-1, 3)
-            at[named] = np.where(fields[:, 2] != 0, -1, fields[:, 0])
-            orders[named] = fields[:, 1]
-        bad = np.flatnonzero((at != keys) | (mem.alloc_order[keys] != orders))
-        if bad.size:
-            i = int(bad[0])
-            entry = entries[i]
-            filed = slots[entry] if type(entry) is int else entry
+        col, order = self._col, self.mem.alloc_order
+        table = self._table()
+        bad = np.zeros(len(col), dtype=bool)
+        keys = np.flatnonzero(col >= 0)
+        bad[keys[(table[col[keys]] != keys) | (order[keys] != 0)]] = True
+        live = np.flatnonzero(table >= 0)
+        pfns = table[live]
+        bad[pfns[col[pfns] != live]] = True
+        scalar = col == SCALAR
+        keys = int64(list(self._scalar))
+        pfn, rank, freed = _fields(self._scalar.values())
+        bad[keys[(pfn != keys) | freed | (order[keys] != rank)
+                 | ~scalar[keys]]] = True
+        scalar[keys] = False
+        bad |= scalar       # a scalar entry with no handle
+        at = table[int64(list(self._built))]
+        pfn, rank, freed = _fields(self._built.values())
+        wrong = at[(at != np.where(freed, ~pfn, pfn)) | (rank != 0)]
+        bad[np.where(wrong < 0, ~wrong, wrong)] = True
+        if bad.any():
+            pfn = int(np.flatnonzero(bad)[0])
+            slot = int(col[pfn])
+            filed = (self._scalar.get(pfn) if slot == SCALAR
+                     else self._built.get(slot, f"slot {slot}") if slot >= 0
+                     else "none")
             raise SanitizerError(
                 f"handle registry entry {filed!r} does not match the "
-                f"allocation it is filed under", pfn=int(keys[i]))
+                f"allocation it is filed under", pfn=pfn)
 
     def snapshot(self, table: HandleTable) -> dict:
-        """The registry as stored: ``_by_pfn`` keys and entries, the
-        slot table and the per-batch fields; handles as table rows."""
-        # The slot table first: an unbuilt slot's PFN is the very int
-        # object that keys its page, so the keys read warm after it.
-        slots = nest("slots", table.refs(self._slots))
-        return {"keys": int64(list(self._by_pfn)),
-                **nest("entries", table.refs(list(self._by_pfn.values()))),
-                **slots,
+        """The registry beside ``mem.handle_slot`` (a section of the
+        memory's): the slot table, the built handles by slot, the
+        scalar handles and the per-batch fields; handles as table
+        rows."""
+        return {"slots": self._table(),
+                "built.slots": int64(list(self._built)),
+                "built.rows": int64(table.rows(self._built.values())),
+                "scalar": int64(table.rows(self._scalar.values())),
                 "batches": [[start, int(mt), int(source), birth, pinned,
                              reclaimable] for start, (
                                  mt, source, birth, pinned, reclaimable)
                             in zip(self._batch_starts, self._batch_fields)]}
 
     def restore(self, state, handles: list[PageHandle]) -> None:
-        """Load a :meth:`snapshot` into this (empty) registry."""
-        entries = refs_restore(scope("entries", state), handles)
-        self._by_pfn = dict(zip(state["keys"].tolist(), entries,
-                                strict=True))
-        self._slots = refs_restore(scope("slots", state), handles)
+        """Load a :meth:`snapshot` into this (empty) registry, whose
+        memory already holds the snapshot's ``handle_slot`` column; a
+        column, slot table or handle map that indexes outside the other
+        or memory, or files two objects under one key, raises
+        ValueError."""
+        slots, nframes = state["slots"], len(self._col)
+        if slots.size and not -nframes <= slots.min() <= slots.max() < nframes:
+            raise ValueError("slot table PFNs outside memory")
+        if not (SCALAR <= self._col.min() and self._col.max() < len(slots)):
+            raise ValueError("handle column outside the slot table")
+        table = slots.astype(np.int64, casting="safe")
+        self._slots = array("q", table.tobytes())
+        pick = handles.__getitem__
+        self._built = dict(zip(
+            rows_of(state["built.slots"], len(slots)),
+            map(pick, rows_of(state["built.rows"], len(handles))),
+            strict=True))
+        scalar = list(map(pick, rows_of(state["scalar"], len(handles))))
+        self._scalar = {handle.pfn: handle for handle in scalar}
+        if (len(self._built) != len(state["built.slots"])
+                or len(self._scalar) != len(scalar)
+                or not all(0 <= pfn < nframes for pfn in self._scalar)):
+            raise ValueError("a built slot or scalar PFN repeats, or a "
+                             "scalar PFN lies outside memory")
         self._batch_starts = [start for start, *_ in state["batches"]]
         self._batch_fields = [
             (MigrateType(mt), AllocSource(source), birth, pinned,
              reclaimable)
             for _, mt, source, birth, pinned, reclaimable
             in state["batches"]]
+
+
+def _fields(handles) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``pfn``, ``order`` and ``freed`` columns of *handles*."""
+    fields = int64(list(chain.from_iterable(map(
+        attrgetter("pfn", "order", "freed"), handles)))).reshape(-1, 3)
+    return fields[:, 0], fields[:, 1], fields[:, 2] != 0
 
 
 #: Items :func:`_ints` packs per ``struct`` call.
@@ -347,11 +387,11 @@ def _ints(values: list) -> tuple[np.ndarray, list[int]]:
     """*values* (ints and handles) as an int64 array with 0 where a
     handle sits, and the handles' positions.
 
-    Handles cluster (the registry files the network rings and heap
-    first, the driver's page cache appends its scalar pages last), so a
-    list with an int at both ends is tried whole, and any other goes in
-    chunks: a chunk of ints packs in one pass, and only a chunk that
-    refuses is scanned for its handles' types.
+    Handles cluster (the driver's page cache appends its scalar pages
+    after its bulk slots), so a list with an int at both ends is tried
+    whole, and any other goes in chunks: a chunk of ints packs in one
+    pass, and only a chunk that refuses is scanned for its handles'
+    types.
     """
     if values and type(values[0]) is int and type(values[-1]) is int:
         try:
@@ -446,8 +486,8 @@ class HandleList:
         refs[index], refs[-1] = refs[-1], refs[index]
         return self._registry.resolve(refs.pop())
 
-    # The two prunes below read ``freed`` without building a handle: an
-    # unbuilt slot holds its PFN (live) or the freed marker (< 0).
+    # The two prunes below read ``freed`` without building a handle: a
+    # slot's table value is its PFN (live) or the freed marker (< 0).
 
     def cut_freed_prefix(self) -> int:
         """Drop the leading run of freed handles in place; returns the
@@ -455,10 +495,9 @@ class HandleList:
         slots = self._registry._slots
         k = frames = 0
         for ref in self._refs:
-            handle = slots[ref] if type(ref) is int else ref
-            if handle >= 0 if type(handle) is int else not handle.freed:
+            if slots[ref] >= 0 if type(ref) is int else not ref.freed:
                 break
-            frames += 1 if type(handle) is int else 1 << handle.order
+            frames += 1 if type(ref) is int else 1 << ref.order
             k += 1
         del self._refs[:k]
         return frames
@@ -468,9 +507,7 @@ class HandleList:
         slots = self._registry._slots
         return HandleList(self._registry, [
             ref for ref in self._refs
-            if (handle >= 0 if type(
-                handle := slots[ref] if type(ref) is int else ref) is int
-                else not handle.freed)])
+            if (slots[ref] >= 0 if type(ref) is int else not ref.freed)])
 
     def frames(self) -> int:
         """Frames held by every item (a slot is one order-0 page)."""

@@ -129,7 +129,7 @@ class LinuxKernel:
                 if self.config.debug_vm is not None else debug_vm_enabled()):
             FrameSanitizer().attach(self.mem)
         self.pageblocks = PageblockTable(self.mem)
-        self.handles = HandleRegistry()
+        self.handles = HandleRegistry(self.mem)
         self.reclaim_lru = ReclaimLRU(self.stat)
         self.psi = PsiTracker(self.config.psi_halflife_ticks)
         self._build_allocators()
@@ -285,8 +285,8 @@ class LinuxKernel:
         if (count <= 0 or prefer is not None
                 or self._pcp.get(allocator.label) is not None):
             return []
-        pfns = allocator.alloc_bulk(count, mt, source, self.now).tolist()
-        if not pfns:
+        pfns = allocator.alloc_bulk(count, mt, source, self.now)
+        if not pfns.size:
             return []
         batch = self.handles.register_batch(
             pfns, mt, source, self.now, reclaimable)

@@ -64,6 +64,10 @@ class PhysicalMemory:
         free_next, free_prev: successor/predecessor of the free-block
             head on its free list (-1 = list end; buddy bookkeeping).
         free_list_id: id of the free list linking the frame (0 = none).
+        handle_slot: the handle registry's entry for the allocation
+            headed here — a bulk page's slot number, or a negative code
+            (:data:`~repro.mm.handle.NO_HANDLE`, -1, the initial value;
+            :data:`~repro.mm.handle.SCALAR`).
     """
 
     def __init__(self, size_bytes: int) -> None:
@@ -93,6 +97,8 @@ class PhysicalMemory:
         self.free_prev = np.full(nframes, -1, dtype=np.int64)
         self.free_list_id = np.zeros(nframes, dtype=np.int32)
         self._list_ids = 0
+        # The handle registry's PFN map (:class:`~repro.mm.HandleRegistry`).
+        self.handle_slot = np.full(nframes, -1, dtype=np.int64)
 
         # Scalar views over the same buffers.  Single-frame reads and
         # writes through a memoryview skip numpy's dispatch and return
@@ -111,6 +117,7 @@ class PhysicalMemory:
         self.free_next_mv = memoryview(self.free_next)
         self.free_prev_mv = memoryview(self.free_prev)
         self.free_list_id_mv = memoryview(self.free_list_id)
+        self.handle_slot_mv = memoryview(self.handle_slot)
 
         #: Optional :class:`~repro.analysis.sanitizer.FrameSanitizer`.
         #: When attached (``REPRO_DEBUG_VM=1`` / ``debug_vm=True``), the
@@ -126,7 +133,7 @@ class PhysicalMemory:
     #: memoryview mirrors share their buffers and are never written.
     _COLUMNS = ("flags", "migratetype", "source", "free_order", "free_mt",
                 "alloc_order", "head_of", "birth", "free_next", "free_prev",
-                "free_list_id")
+                "free_list_id", "handle_slot")
 
     def snapshot(self) -> dict:
         """Every frame column, as it is (no copy)."""

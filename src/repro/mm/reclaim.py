@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from ..telemetry import tracepoint
 from . import vmstat as ev
 from .handle import (
+    NO_HANDLE,
     HandleBatch,
     HandleRegistry,
     HandleTable,
@@ -136,11 +137,12 @@ class ReclaimLRU:
         (or the LRU empties).  Returns frames actually freed.
 
         A handle entry goes to *free_fn*.  A batch is walked slot by
-        slot, and its order-0 pages are freed in runs: the registry
-        drops each page — a slot nobody named is marked ``~pfn``, a
-        named page's handle is marked freed — and each maximal run of
-        their current PFNs goes to *free_run*, in slot order.  Only a
-        pinned page ends a run: it goes to *free_fn* after the run.
+        slot, and its order-0 pages are freed in runs: each page leaves
+        the registry here — its frame's column entry cleared, its slot
+        marked ``~pfn`` and, if somebody named it, its handle marked
+        freed — and each maximal run of their current PFNs goes to
+        *free_run*, in slot order.  Only a pinned page ends a run: it
+        goes to *free_fn* after the run.
         """
         freed = 0
         lru = self._lru
@@ -153,25 +155,24 @@ class ReclaimLRU:
                     free_fn(entry)
                 continue
             slot, stop = max(self._cursor, entry.start), entry.stop
-            slots, by_pfn = entry.registry._slots, entry.registry._by_pfn
+            registry = entry.registry
+            slots, built = registry._slots, registry._built
+            column = registry._col_mv
             before = freed
             run: list[int] = []
             while slot < stop and freed < target_frames:
-                handle = slots[slot]
+                pfn = slots[slot]
                 slot += 1
-                if type(handle) is int:
-                    # Never named, so live, order 0, at this PFN.
-                    slots[slot - 1] = ~handle
-                    del by_pfn[handle]
-                    run.append(handle)
-                    freed += 1
-                elif handle.freed:  # forget() stopped counting it
+                if pfn < 0:     # freed: forget() stopped counting it
                     continue
-                elif not handle.pinned:
-                    # Named, maybe moved since; still order 0.
-                    del by_pfn[handle.pfn]
-                    handle.freed = True
-                    run.append(handle.pfn)
+                handle = built.get(slot - 1)
+                if handle is None or not handle.pinned:
+                    # Named or not, still order 0 (maybe moved since).
+                    column[pfn] = NO_HANDLE
+                    slots[slot - 1] = ~pfn
+                    if handle is not None:
+                        handle.freed = True
+                    run.append(pfn)
                     freed += 1
                 else:
                     if run:

@@ -193,6 +193,8 @@ def load_matrix(path: str) -> Scenario:
             "older YAML matrix)") from None
     except ValueError as exc:  # raised by the two hooks above
         raise ConfigurationError(f"{path}: {exc}") from None
+    except RecursionError:
+        raise ConfigurationError(f"{path}: JSON nested too deeply") from None
     return scenario_from_dict(doc, source=path)
 
 

@@ -69,10 +69,17 @@ def _check_options(owner: str, options: Mapping[str, Any]) -> dict:
 
 
 def _check_plan(owner: str, plan: str | None) -> None:
-    if plan is not None and plan not in NAMED_PLANS:
+    if plan is not None and (type(plan) is not str
+                             or plan not in NAMED_PLANS):
         raise ConfigurationError(
             f"{owner}: unknown fault plan {plan!r}; known: "
             + ", ".join(sorted(NAMED_PLANS)))
+
+
+def _check_replicas(owner: str, replicas) -> None:
+    if type(replicas) is not int or replicas < 1:
+        raise ConfigurationError(
+            f"{owner}: replicas must be an integer >= 1, got {replicas!r}")
 
 
 def _check_axes(owner: str, axes) -> tuple[Axis, ...]:
@@ -105,9 +112,8 @@ class Smoke:
         object.__setattr__(
             self, "options", _check_options("smoke", self.options))
         object.__setattr__(self, "axes", _check_axes("smoke", self.axes))
-        if self.replicas is not None and self.replicas < 1:
-            raise ConfigurationError(
-                f"smoke: replicas must be >= 1, got {self.replicas}")
+        if self.replicas is not None:
+            _check_replicas("smoke", self.replicas)
 
 
 @dataclass(frozen=True)
@@ -141,10 +147,11 @@ class Scenario:
         object.__setattr__(
             self, "options", _check_options(where, self.options))
         object.__setattr__(self, "axes", _check_axes(where, self.axes))
-        if self.replicas < 1:
-            raise ConfigurationError(
-                f"{where}: replicas must be >= 1, got {self.replicas}")
+        _check_replicas(where, self.replicas)
         _check_plan(where, self.plan)
+        if type(self.prefix) is not str:
+            raise ConfigurationError(
+                f"{where}: prefix must be a string, got {self.prefix!r}")
         if self.seed is not None and not isinstance(self.seed, int):
             raise ConfigurationError(
                 f"{where}: seed must be an integer, got {self.seed!r}")

@@ -120,7 +120,7 @@ def load_manifest(path) -> dict:
     try:
         with open(path) as fh:
             manifest = json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigurationError(
             f"cannot read manifest {path}: {exc}") from exc
     if not isinstance(manifest, dict):

@@ -53,10 +53,6 @@ class TraceEvent:
                    if v not in (None,)}
         return json.dumps(payload, separators=(",", ":"))
 
-    @classmethod
-    def from_json(cls, line: str) -> "TraceEvent":
-        return cls(**json.loads(line))
-
 
 class TraceRecorder:
     """Wraps a kernel, logging every call it forwards.
@@ -168,13 +164,42 @@ class ReplayResult:
     live_objects: dict[int, object] = field(default_factory=dict)
 
 
+def _trace_line(number: int, line: str) -> dict:
+    """One trace line as a JSON object, or ConfigurationError naming
+    its line *number*."""
+    try:
+        value = json.loads(line)
+    except (ValueError, RecursionError):
+        value = None
+    if type(value) is not dict:
+        raise ConfigurationError(f"trace line {number}: not a JSON object")
+    return value
+
+
 def load_trace(fh: IO[str]) -> list[TraceEvent]:
-    """Read a trace written by :meth:`TraceRecorder.save`."""
-    header = json.loads(fh.readline())
+    """Read a trace written by :meth:`TraceRecorder.save`.
+
+    Raises:
+        ConfigurationError: naming the first line that is not a JSON
+            object, an unsupported header version, or an event with no
+            ``op`` or a key :class:`TraceEvent` does not have.
+    """
+    header = _trace_line(1, fh.readline())
     if header.get("version") not in (1, TRACE_VERSION):
         raise ConfigurationError(
-            f"unsupported trace version {header.get('version')}")
-    return [TraceEvent.from_json(line) for line in fh if line.strip()]
+            f"unsupported trace version {header.get('version')!r:.40}")
+    keys = TraceEvent.__dataclass_fields__.keys()
+    events = []
+    for number, line in enumerate(fh, 2):
+        if not line.strip():
+            continue
+        event = _trace_line(number, line)
+        if "op" not in event or not keys >= event.keys():
+            raise ConfigurationError(
+                f"trace line {number}: event keys {sorted(event)!r:.80} "
+                f"are not a subset of {sorted(keys)} with an 'op'")
+        events.append(TraceEvent(**event))
+    return events
 
 
 def replay(events: list[TraceEvent], kernel,

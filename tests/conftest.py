@@ -59,7 +59,8 @@ def free_frames_by_type(buddy) -> dict[MigrateType, int]:
 def live_handles(registry) -> list[PageHandle]:
     """Every live handle of a :class:`~repro.mm.HandleRegistry`
     (unordered)."""
-    return list(map(registry.resolve, registry._by_pfn.values()))
+    pfns = (registry.mem.handle_slot != -1).nonzero()[0]
+    return list(map(registry.get, pfns.tolist()))
 
 
 def anon_frames(workload) -> int:

@@ -91,11 +91,12 @@ class TestEnvelope:
         entries, 4 ``PageHandle`` slot state, 5 an eager handle
         registry, 6 live-only slots, 7 ``FreeList`` objects, 8 an
         expiry heap, 9 ``PageHandle.__reduce__`` records); version 10
-        is a section table of arrays and JSON.  Resuming any older file
-        must stop at the envelope, not mid-decode."""
-        assert FORMAT_VERSION == 10
+        is a section table of arrays and JSON, 11 the same with the
+        handle registry as a frame column and a slot array.  Resuming
+        any older file must stop at the envelope, not mid-decode."""
+        assert FORMAT_VERSION == 11
         path = tmp_path / "x.ckpt"
-        for old in range(1, 10):
+        for old in range(1, 11):
             data = bytearray(_envelope("workload", 1, {}))
             data[4:8] = old.to_bytes(4, "big")
             path.write_bytes(bytes(data))
@@ -213,11 +214,11 @@ class TestPayloadShape:
             assert table[f"kernel.mem.{column}"]["dtype"] == "<i2"
         assert table["kernel.mem.flags"]["dtype"] == "|u1"
         payload = store.load_latest().payload
-        live = len(payload["kernel.handles.keys"])
+        live = int((payload["kernel.mem.handle_slot"] != -1).sum())
         rows = len(payload["handles.pfn"])
         assert live > 5000 and rows < live / 4, (rows, live)
-        slots = payload["kernel.handles.slots.ints"]
-        built = len(payload["kernel.handles.slots.at"])
+        slots = payload["kernel.handles.slots"]
+        built = len(payload["kernel.handles.built.slots"])
         reclaimed = int((slots < 0).sum())
         assert reclaimed > 400 and reclaimed > 10 * built, (reclaimed, built)
         # Every holder's rows index the one table.
@@ -244,13 +245,14 @@ class TestPayloadShape:
             assert back[name].tolist() == value.tolist()
 
 
-def _forged(header, body: bytes = b"") -> bytes:
-    """An envelope holding *header* (any JSON value) and *body*, its
-    header checksummed as a writer would: what a buggy producer could
-    write, past the digests."""
+def _forged(header, body: bytes = b"", raw: bytes | None = None) -> bytes:
+    """An envelope holding *header* (any JSON value; or its *raw* bytes)
+    and *body*, its header checksummed as a writer would: what a buggy
+    producer could write, past the digests."""
     import hashlib
 
-    raw = json.dumps(header).encode("utf-8")
+    if raw is None:
+        raw = json.dumps(header).encode("utf-8")
     return b"".join((MAGIC, FORMAT_VERSION.to_bytes(4, "big"),
                      len(raw).to_bytes(4, "big"),
                      hashlib.sha256(raw).digest(), raw, body))
@@ -452,6 +454,29 @@ class TestEnvelopeFuzz:
             entry[key], other[key] = other[key], entry[key]
         self._read(_forged(header, body), tmp_path_factory.mktemp("table"))
 
+    @settings(max_examples=12, deadline=None)
+    @given(depth=st.integers(1, 200_000), array=st.booleans())
+    def test_a_deeply_nested_header(self, depth, array, tmp_path_factory):
+        """A checksum-valid header nested past the JSON decoder's
+        recursion limit is typed corruption, not a RecursionError."""
+        raw = ("[" * depth + "]" * depth if array
+               else '{"k":' * depth + "0" + "}" * depth)
+        path = tmp_path_factory.mktemp("deep") / "x.ckpt"
+        path.write_bytes(_forged(None, raw=raw.encode()))
+        with pytest.raises(CheckpointCorruptError):
+            read_checkpoint(path)
+        assert inspect_checkpoint(path)["status"] == "corrupt"
+
+    def test_a_deeply_nested_current_falls_back_to_previous(self, tmp_path):
+        store = CheckpointStore(tmp_path, "run")
+        store.save("demo", 1, {"step": 1})
+        store.save("demo", 2, {"step": 2})
+        with open(store.current_path, "wb") as fh:
+            fh.write(_forged(None, raw=b"[" * 100_000 + b"]" * 100_000))
+        assert store.load_latest().payload == {"step": 1}
+        assert [g["status"] for g in store.inspect()["generations"]] == [
+            "corrupt", "ok"]
+
     def test_a_reshaped_section_is_refused_at_restore(self, tmp_path):
         """A table that passes the envelope but does not fit the kernel
         the config boots is typed corruption too."""
@@ -467,6 +492,49 @@ class TestEnvelopeFuzz:
         with pytest.raises(CheckpointCorruptError, match="do not restore"):
             run_workload(config, checkpoint_every=6,
                          checkpoint_dir=str(tmp_path), resume=True)
+
+
+    @pytest.mark.parametrize("entry", ["scalar", "slot"])
+    def test_a_column_naming_a_free_pfn_is_refused_by_the_sweep(
+            self, entry, tmp_path):
+        """Re-checksummed so the envelope passes, a handle-registry
+        column naming a PFN that heads no allocation — as a scalar
+        entry, or filed under a live slot — is refused by the restore
+        sweep, which names that PFN."""
+        import hashlib
+
+        import numpy as np
+
+        from repro.errors import SanitizerError
+        from repro.mm.handle import SCALAR
+        from repro.workloads import WorkloadConfig, run_workload
+
+        header, body = _parts(_fuzz_file())
+        sections, offset = {}, 0
+        for item in header["sections"]:
+            sections[item["name"]] = (item, offset)
+            offset += item["len"]
+        body = bytearray(body)
+
+        def array(name):
+            item, at = sections[name]
+            return np.frombuffer(body, dtype=item["dtype"],
+                                 count=item["shape"][0], offset=at)
+
+        column = array("kernel.mem.handle_slot").copy()
+        pfn = int(np.flatnonzero(
+            (array("kernel.mem.alloc_order") < 0) & (column == -1))[0])
+        column[pfn] = SCALAR if entry == "scalar" else column.max()
+        item, at = sections["kernel.mem.handle_slot"]
+        body[at:at + item["len"]] = column.tobytes()
+        item["sha256"] = hashlib.sha256(column.tobytes()).hexdigest()
+        (tmp_path / "workload.ckpt").write_bytes(_forged(header, bytes(body)))
+        config = WorkloadConfig("web", "contiguitas", MiB(16), steps=6,
+                                seed=3)
+        with pytest.raises(SanitizerError, match="handle registry") as err:
+            run_workload(config, checkpoint_every=6,
+                         checkpoint_dir=str(tmp_path), resume=True)
+        assert err.value.pfn == pfn
 
 
 class TestStore:

@@ -29,7 +29,7 @@ def build(mem_mib=8):
     stat = VmStat()
     buddy = BuddyAllocator(mem, table, stat)
     buddy.seed_free()
-    handles = HandleRegistry()
+    handles = HandleRegistry(mem)
     compactor = Compactor(mem, stat, MigrationCostModel(), victim_cores=7)
     return mem, buddy, handles, compactor
 

@@ -22,7 +22,7 @@ def build(mem_mib=8):
     stat = VmStat()
     buddy = BuddyAllocator(mem, table, stat)
     buddy.seed_free()
-    return mem, buddy, HandleRegistry(), RangeEvacuator(mem, stat)
+    return mem, buddy, HandleRegistry(mem), RangeEvacuator(mem, stat)
 
 
 def alloc_tracked(buddy, handles, order=0, mt=MigrateType.MOVABLE,

@@ -97,11 +97,11 @@ class ShadowWorkload(Workload):
     ``branches`` counts which path produced the result (the proved
     prefix cut edits the list in place, the full pass rebinds it).
 
-    The filter reads the list's raw items — a handle, or the registry
-    slot of a page nobody has named, which holds its PFN while the page
-    lives and the freed marker (< 0) once reclaim has freed it — so the
-    check builds no handle and the prune under test still meets the
-    unbuilt slots it meets in a real run."""
+    The filter reads the list's raw items — a handle, or a registry
+    slot, whose table value is its page's PFN while the page lives and
+    the freed marker (< 0) once it is freed — so the check builds no
+    handle and the prune under test still meets the unbuilt slots it
+    meets in a real run."""
 
     def __init__(self, *args, branches: Counter, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -109,17 +109,15 @@ class ShadowWorkload(Workload):
 
     def _prune_cache(self, reclaimed: int) -> None:
         before = self.cache_pages
-        slots = self.kernel.handles._slots
-        unbuilt = sum(type(v) is int for v in slots)
-        items = (slots[ref] if type(ref) is int else ref
-                 for ref in before._refs)
-        want = [ref for ref, item in zip(before._refs, items)
-                if not (item < 0 if type(item) is int else item.freed)]
+        slots, built = self.kernel.handles._slots, self.kernel.handles._built
+        unbuilt = len(slots) - len(built)
+        want = [ref for ref in before._refs
+                if not (slots[ref] < 0 if type(ref) is int else ref.freed)]
         super()._prune_cache(reclaimed)
         assert self.cache_pages._refs == want
         assert self._cache_frames == sum(
             1 if type(ref) is int else ref.nframes for ref in want)
-        assert sum(type(v) is int for v in slots) == unbuilt
+        assert len(slots) - len(built) == unbuilt
         self.branches["prefix" if self.cache_pages is before else "full"] += 1
 
 

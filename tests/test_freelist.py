@@ -350,7 +350,9 @@ class TestAddressModeCost:
     def _churn(mem_mib, monkeypatch):
         """5,000 order-0 NETWORKING alloc/free pairs, three pages in
         flight so the low-order lists keep emptying and refilling;
-        returns (heap builds, full-memory scans seen)."""
+        returns (heap builds, full-memory scans seen).  The sanitizer
+        sweep after them scans the handle registry's frame column, so
+        it runs after the count is taken."""
         kernel = make_contiguitas(mem_mib)
         nframes = kernel.mem.nframes
         builds, scans = [], []
@@ -369,8 +371,9 @@ class TestAddressModeCost:
             live.append(kernel.alloc_pages(0, AllocSource.NETWORKING))
             if len(live) > 3:
                 kernel.free_pages(live.popleft())
+        counted = len(builds), list(scans)
         kernel.check_consistency()
-        return len(builds), scans
+        return counted
 
     def test_allocation_cost_is_independent_of_memory_size(self, monkeypatch):
         small = self._churn(64, monkeypatch)

@@ -10,6 +10,8 @@ from repro.core import PlacementPolicy
 from repro.errors import DoubleAllocError
 from repro.mm import AllocSource, HandleRegistry, MigrateType, PageHandle
 from repro.mm.handle import HandleTable, refs_restore
+from repro.mm.physmem import PhysicalMemory
+from repro.units import MiB
 
 from conftest import live_handles, through_envelope
 
@@ -109,27 +111,27 @@ class TestPageHandleRecord:
 
 class TestHandleRegistry:
     def test_register_and_get(self):
-        reg = HandleRegistry()
+        reg = HandleRegistry(PhysicalMemory(MiB(2)))
         h = reg.register(handle(pfn=10))
         assert reg.get(10) is h
         assert 10 in reg
         assert len(reg) == 1
 
     def test_duplicate_pfn_raises_typed(self):
-        reg = HandleRegistry()
+        reg = HandleRegistry(PhysicalMemory(MiB(2)))
         reg.register(handle(pfn=10))
         with pytest.raises(DoubleAllocError):
             reg.register(handle(pfn=10))
 
     def test_on_free_marks_and_removes(self):
-        reg = HandleRegistry()
+        reg = HandleRegistry(PhysicalMemory(MiB(2)))
         h = reg.register(handle(pfn=10))
         reg.on_free(h)
         assert h.freed
         assert 10 not in reg
 
     def test_relocate_moves_key_and_pfn(self):
-        reg = HandleRegistry()
+        reg = HandleRegistry(PhysicalMemory(MiB(2)))
         h = reg.register(handle(pfn=10))
         reg.relocate(10, 99)
         assert h.pfn == 99
@@ -137,7 +139,7 @@ class TestHandleRegistry:
         assert 10 not in reg
 
     def test_live_handles(self):
-        reg = HandleRegistry()
+        reg = HandleRegistry(PhysicalMemory(MiB(2)))
         a = reg.register(handle(pfn=1))
         b = reg.register(handle(pfn=2))
         assert set(live_handles(reg)) == {a, b}

@@ -25,6 +25,7 @@ from repro.errors import DoubleAllocError, SanitizerError
 from repro.fleet import ServerConfig, SimulatedServer
 from repro.mm import LinuxKernel, ReclaimLRU, VmStat
 from repro.mm.handle import (
+    SCALAR,
     HandleBatch,
     HandleList,
     HandleRegistry,
@@ -32,6 +33,7 @@ from repro.mm.handle import (
     PageHandle,
     refs_restore,
 )
+from repro.mm.physmem import PhysicalMemory
 from repro.mm.page import AllocSource, MigrateType
 from repro.mm.sections import nest, scope
 from repro.units import MiB
@@ -100,7 +102,7 @@ class Lazy:
     """The real registry and LRU, freed the way ``free_pages`` does."""
 
     def __init__(self) -> None:
-        self.registry = HandleRegistry()
+        self.registry = HandleRegistry(PhysicalMemory(MiB(2)))
         self.lru = ReclaimLRU(VmStat())
 
     def register(self, handle: PageHandle) -> PageHandle:
@@ -221,23 +223,15 @@ def test_slots_match_the_eager_structures(ops):
         assert len(cache_lazy) == len(cache_eager)
         assert all((p in lazy.registry) == (p in eager.by_pfn)
                    for p in range(0, NPFNS, 7))
-    lazy.registry.check_invariants(_Orders(eager.by_pfn))
+    for pfn, handle in eager.by_pfn.items():
+        lazy.registry.mem.alloc_order[pfn] = handle.order
+    lazy.registry.check_invariants()
     assert ([fields(h) for h in cache_lazy]
             == [fields(h) for h in cache_eager])
     assert (sorted(map(fields, live_handles(lazy.registry)))
             == sorted(map(fields, eager.by_pfn.values())))
     assert lazy.reclaim(NPFNS * 4) == eager.reclaim(NPFNS * 4)
     assert len(lazy.lru) == len(eager.lru) == 0
-
-
-class _Orders:
-    """``mem.alloc_order`` as the eager registry implies it (-1: no
-    allocation heads there)."""
-
-    def __init__(self, by_pfn: dict) -> None:
-        self.alloc_order = np.full(NPFNS, -1, dtype=np.int8)
-        for pfn, h in by_pfn.items():
-            self.alloc_order[pfn] = h.order
 
 
 def _one_object(registry, batch, cache, i: int) -> PageHandle:
@@ -252,7 +246,7 @@ def _one_object(registry, batch, cache, i: int) -> PageHandle:
 
 
 def test_every_route_to_a_page_reaches_one_object_across_a_restore():
-    registry = HandleRegistry()
+    registry = HandleRegistry(PhysicalMemory(MiB(2)))
     lru = ReclaimLRU(VmStat())
     batch = registry.register_batch(
         list(range(40, 60)), MigrateType.MOVABLE, AllocSource.USER, 5, True)
@@ -264,7 +258,8 @@ def test_every_route_to_a_page_reaches_one_object_across_a_restore():
     # Reclaim freed slots 0 and 1 without naming them: the registry
     # dropped both and left the marker, and a handle is built, freed,
     # when read.
-    assert runs == [[40, 41]] and registry._slots[:3] == [~40, ~41, 42]
+    assert runs == [[40, 41]] and registry._slots[:3].tolist() == [
+        ~40, ~41, 42]
     assert len(registry) == 18 and 40 not in registry
     first = batch[0]
     assert (first.pfn, first.freed, first.birth) == (40, True, 5)
@@ -274,13 +269,16 @@ def test_every_route_to_a_page_reaches_one_object_across_a_restore():
     # of one table, and restore builds each row once.
     table = HandleTable()
     sections = through_envelope({
+        **nest("mem", registry.mem.snapshot()),
         **nest("registry", registry.snapshot(table)),
         **nest("lru", lru.snapshot(table)),
         **nest("cache", table.refs(cache._refs)),
         "named": np.array(table.rows([first, early])),
         **nest("handles", table.snapshot())})
     handles = HandleTable.restore(scope("handles", sections))
-    registry = HandleRegistry()
+    mem = PhysicalMemory(MiB(2))
+    mem.restore(scope("mem", sections))
+    registry = HandleRegistry(mem)
     registry.restore(scope("registry", sections), handles)
     lru = ReclaimLRU(VmStat())
     lru.restore(scope("lru", sections), handles, registry)
@@ -306,7 +304,7 @@ def test_a_pinned_victim_ends_the_run_before_it():
     """A named page joins the run at its current PFN, as a page nobody
     named does; a pinned one goes to ``free_fn`` after the run (a batch
     page is order 0, so pinning is the one thing that sends it there)."""
-    registry = HandleRegistry()
+    registry = HandleRegistry(PhysicalMemory(MiB(2)))
     lru = ReclaimLRU(VmStat())
     batch = registry.register_batch(
         list(range(8)), MigrateType.MOVABLE, AllocSource.USER, 1, True)
@@ -318,7 +316,8 @@ def test_a_pinned_victim_ends_the_run_before_it():
     assert lru.reclaim(calls.append,
                        lambda run: calls.append(list(run)), 6) == 6
     assert calls == [[0, 1, 20, 3], pinned, [5]] and len(lru) == 2
-    assert registry._slots[:7] == [~0, named, moved, ~3, pinned, ~5, 6]
+    assert registry._slots[:7].tolist() == [~0, ~1, ~20, ~3, 4, ~5, 6]
+    assert registry._built == {1: named, 2: moved, 4: pinned}
     assert named.freed and moved.freed and not pinned.freed
     assert [p for p in (1, 20, 4) if p in registry] == [4]
 
@@ -407,9 +406,9 @@ def test_the_fleet_server_builds_a_twentieth_of_its_bulk_pages_at_most():
     SimulatedServer(ServerConfig(
         mem_bytes=MiB(64), min_uptime_steps=60, max_uptime_steps=60,
         kernel_cls=boot), seed=11).run()
-    slots = kernels[0].handles._slots
-    assert len(slots) > 4000
-    assert sum(type(v) is PageHandle for v in slots) / len(slots) <= 0.05
+    registry = kernels[0].handles
+    assert len(registry._slots) > 4000
+    assert len(registry._built) / len(registry._slots) <= 0.05
 
 
 def test_reclaim_names_no_page():
@@ -421,9 +420,8 @@ def test_reclaim_names_no_page():
     workload.start()
     for _ in range(300):
         workload.step()
-    slots = kernel.handles._slots
-    assert sum(type(v) is int and v < 0 for v in slots) == 6774
-    assert not any(type(v) is PageHandle for v in slots)
+    assert not kernel.handles._built
+    assert sum(v < 0 for v in kernel.handles._slots) == 6774
 
 
 @pytest.mark.parametrize("make_kernel", [make_linux, make_contiguitas],
@@ -471,12 +469,13 @@ class TestRestoreSweep:
     @staticmethod
     def _live_unbuilt_slot(kernel) -> int:
         return next(i for i, v in enumerate(kernel.handles._slots)
-                    if type(v) is int and v >= 0)
+                    if v >= 0 and i not in kernel.handles._built)
 
     def test_a_clean_kernel_passes(self):
         kernel = self._restored()
-        kinds = {"built" if type(v) is not int else "live" if v >= 0
-                 else "freed" for v in kernel.handles._slots}
+        kinds = {"built" if i in kernel.handles._built else "live"
+                 if v >= 0 else "freed"
+                 for i, v in enumerate(kernel.handles._slots)}
         assert kinds == {"built", "live", "freed"}
         restore_kernel(kernel)
 
@@ -508,49 +507,61 @@ class TestRestoreSweep:
             restore_kernel(kernel)
 
     def test_the_sweep_names_the_pfn_the_entry_loop_names(self):
-        """The vectorised sweep against the loop it replaced (kept here
-        as the reference): over random corruptions of slots, entries,
-        handle fields and frame orders, both pass or both name the same
-        first PFN."""
+        """The vectorised sweep against a loop over the same rules
+        (kept here as the reference): over random corruptions of the
+        slot table, the column, handle fields and frame orders, both
+        pass or both name the same lowest PFN."""
         def reference(registry, mem) -> int | None:
-            for pfn, entry in registry._by_pfn.items():
-                filed = (registry._slots[entry] if type(entry) is int
-                         else entry)
-                at, order, freed = ((filed, 0, False) if type(filed) is int
-                                    else (filed.pfn, filed.order,
-                                          filed.freed))
-                if at != pfn or freed or mem.alloc_order[pfn] != order:
-                    return pfn
-            return None
+            slots, bad = registry._slots, set()
+            for pfn in np.flatnonzero(mem.handle_slot != -1).tolist():
+                entry = int(mem.handle_slot[pfn])
+                handle = (registry._scalar.get(pfn) if entry == SCALAR
+                          else None)
+                if (slots[entry] != pfn or mem.alloc_order[pfn] != 0
+                        if entry >= 0 else handle is None
+                        or (handle.pfn, handle.freed) != (pfn, False)
+                        or mem.alloc_order[pfn] != handle.order):
+                    bad.add(pfn)
+            bad.update(pfn for pfn in registry._scalar
+                       if mem.handle_slot[pfn] != SCALAR)
+            bad.update(pfn for slot, pfn in enumerate(slots)
+                       if pfn >= 0 and mem.handle_slot[pfn] != slot)
+            for slot, handle in registry._built.items():
+                at = slots[slot]
+                if (at != (~handle.pfn if handle.freed else handle.pfn)
+                        or handle.order):
+                    bad.add(~at if at < 0 else at)
+            return min(bad, default=None)
 
-        def swept(registry, mem) -> int | None:
+        def swept(registry) -> int | None:
             try:
-                registry.check_invariants(mem)
+                registry.check_invariants()
             except SanitizerError as exc:
                 return exc.pfn
             return None
 
         kernel = self._restored()
         registry, mem, rng = kernel.handles, kernel.mem, random.Random(3)
-        keys = list(registry._by_pfn)
-        scalar = [h for h in registry._by_pfn.values() if type(h) is not int]
+        keys = np.flatnonzero(mem.handle_slot != -1).tolist()
+        handles = [*registry._scalar.values(), *registry._built.values()]
         for _ in range(150):
             slot = rng.randrange(len(registry._slots))
-            key, handle = rng.choice(keys), rng.choice(scalar)
-            saved = (registry._slots[slot], registry._by_pfn[key],
+            key, handle = rng.choice(keys), rng.choice(handles)
+            saved = (registry._slots[slot], int(mem.handle_slot[key]),
                      handle.pfn, handle.freed, int(mem.alloc_order[key]))
             what = rng.randrange(5)
-            if what == 0 and type(saved[0]) is int:
+            if what == 0:
                 registry._slots[slot] = rng.choice([~saved[0], saved[0] + 1])
-            elif what == 1 and type(saved[1]) is int:
-                registry._by_pfn[key] = (saved[1] + 1) % len(registry._slots)
+            elif what == 1:
+                mem.handle_slot[key] = rng.choice(
+                    [SCALAR, (saved[1] + 1) % len(registry._slots)])
             elif what == 2:
                 handle.pfn += 1
             elif what == 3:
-                handle.freed = True
+                handle.freed = not handle.freed
             else:
                 mem.alloc_order[key] = rng.choice([-1, 1, 2])
-            assert swept(registry, mem) == reference(registry, mem)
-            (registry._slots[slot], registry._by_pfn[key], handle.pfn,
+            assert swept(registry) == reference(registry, mem)
+            (registry._slots[slot], mem.handle_slot[key], handle.pfn,
              handle.freed, mem.alloc_order[key]) = saved
-        assert swept(registry, mem) is None
+        assert swept(registry) is None

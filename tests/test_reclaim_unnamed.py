@@ -82,7 +82,7 @@ def traced():
 def state(kernel, sink: RingBufferSink) -> dict:
     assert sink.dropped == 0
     mem = kernel.mem
-    slots = kernel.handles._slots
+    registry = kernel.handles
     return {
         "frames": {name: getattr(mem, name).tobytes()
                    for name in FRAME_COLUMNS},
@@ -95,7 +95,8 @@ def state(kernel, sink: RingBufferSink) -> dict:
         "sanitizer": {pfn: tuple(hist)
                       for pfn, hist in mem.sanitizer._hist.items()},
         "offlined": kernel.offlined_frames(),
-        "unnamed_frees": sum(type(v) is int and v < 0 for v in slots),
+        "unnamed_frees": sum(v < 0 and slot not in registry._built
+                             for slot, v in enumerate(registry._slots)),
     }
 
 
@@ -140,7 +141,7 @@ def test_a_deferred_offline_frame_is_offlined_right_after_its_page(
     for name in (True, False):
         kernel = make_kernel(64, debug_vm=True)
         batch = kernel.alloc_pages_bulk(3000, reclaimable=True)
-        pfns = kernel.handles._slots[batch.start:batch.stop]
+        pfns = kernel.handles._slots[batch.start:batch.stop].tolist()
         if name:
             list(batch)
         with injecting(FaultPlan("pinned-everywhere", (
@@ -167,7 +168,7 @@ def test_a_run_is_cut_where_a_named_page_changed_allocators():
     now holding it, between the two pieces of the movable run."""
     kernel = make_contiguitas(64, debug_vm=True)
     batch = kernel.alloc_pages_bulk(512, reclaimable=True)
-    pfns = kernel.handles._slots[batch.start:batch.stop]
+    pfns = kernel.handles._slots[batch.start:batch.stop].tolist()
     moved = batch[10]
     kernel.pin_pages(moved)
     kernel.unpin_pages(moved)

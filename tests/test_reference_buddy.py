@@ -262,7 +262,7 @@ class KernelMachine(_Machine):
             return
         assert type(batch) is HandleBatch
         slots = self.kernel.handles._slots[batch.start:batch.stop]
-        assert slots == [page.pfn for page in pages]
+        assert slots.tolist() == [page.pfn for page in pages]
         for i, page in enumerate(pages):
             self.real[page] = (batch, i)
 

@@ -470,8 +470,9 @@ class TestRetireDifferential:
         assert resumed.snapshot() == reference["result"]
         # What a loadgen checkpoint pickles did not change shape (7 is
         # the handle registry's freed marker, 8 the free-list columns,
-        # 9 the workload expiry calendar, 10 the sectioned envelope).
-        assert FORMAT_VERSION == 10
+        # 9 the workload expiry calendar, 10 the sectioned envelope,
+        # 11 the handle registry's frame column).
+        assert FORMAT_VERSION == 11
         assert sorted(vars(RequestLoop(NGINX))) == [
             "accesses_per_request", "app", "buffer_pages", "core",
             "hot_pages", "hot_weight", "instructions_per_request",
