@@ -77,8 +77,10 @@ MAGIC = b"RPCK"
 #: and a section table, and the workload kind writes typed array and
 #: JSON sections (``snapshot()``/``restore()`` of each layer) instead.
 #: 11: the handle registry's PFN map is a frame column and its slot
-#: table one int64 array.
-FORMAT_VERSION = 11
+#: table one int64 array.  12: ``WorkloadConfig`` lost ``loadgen`` and
+#: the pickled ``FleetConfig``/fleet aggregator lost their supervision
+#: and tail-latency fields.
+FORMAT_VERSION = 12
 
 #: magic + version + header length + header SHA-256.
 _PREFIX_LEN = 44

@@ -23,7 +23,15 @@ from ..errors import MigrationError, OutOfMemoryError
 from ..mm import vmstat as ev
 from ..mm.buddy import BuddyAllocator
 from ..mm.handle import PageHandle
-from ..mm.kernel import KernelConfig, LinuxKernel, _fs_uce
+from ..mm.kernel import (
+    COMPACT_BUDGET_PAGES,
+    COMPACT_STALL_PER_PAGE_TICKS,
+    PSI_HALFLIFE_TICKS,
+    RECLAIM_STALL_TICKS,
+    KernelConfig,
+    LinuxKernel,
+    _fs_uce,
+)
 from ..mm.migrate import migrate_with_retry
 from ..mm.page import AllocSource, MigrateType
 from ..mm.reclaim import Watermarks
@@ -45,15 +53,17 @@ class ContiguitasConfig(KernelConfig):
         placement: border-bias policy (ablation: ``bias_enabled=False``).
         hw_enabled: model Contiguitas-HW being present, allowing unmovable
             pages to be migrated.
-        resize_check_interval_ticks: background resize cadence; resizing
-            is also woken directly by low-watermark reclaim events.
     """
 
     initial_unmovable_fraction: float = 1 / 16
     resize: ResizeConfig = field(default_factory=ResizeConfig)
     placement: PlacementPolicy = field(default_factory=PlacementPolicy)
     hw_enabled: bool = False
-    resize_check_interval_ticks: int = 100_000
+
+
+#: Background resize cadence (µs); resizing is also woken directly by
+#: low-watermark reclaim events.
+RESIZE_CHECK_INTERVAL_TICKS = 100_000
 
 
 # Enum members as module constants: a class-attribute read on an Enum
@@ -69,7 +79,7 @@ class ContiguitasKernel(LinuxKernel):
 
     def __init__(self, config: ContiguitasConfig | None = None) -> None:
         self._cfg = config or ContiguitasConfig()
-        self.region_pressure = RegionPressure(self._cfg.psi_halflife_ticks)
+        self.region_pressure = RegionPressure(PSI_HALFLIFE_TICKS)
         self.resizer = RegionResizer(self._cfg.resize)
         self._last_resize_check = 0
         super().__init__(self._cfg)
@@ -175,7 +185,7 @@ class ContiguitasKernel(LinuxKernel):
         region reclaims, compacts, and pulls free boundary blocks back
         from the unmovable region.
         """
-        self._record_stall(allocator, self.config.reclaim_stall_ticks)
+        self._record_stall(allocator, RECLAIM_STALL_TICKS)
         self.drain_pcp()
         if allocator is self.unmovable:
             while allocator.largest_free_order() < order:
@@ -206,14 +216,14 @@ class ContiguitasKernel(LinuxKernel):
             return pfn
         if order > 0 and self.config.compaction_enabled:
             if compact_budget is None:
-                compact_budget = self.config.compact_budget_pages
+                compact_budget = COMPACT_BUDGET_PAGES
             result = self.compactor.compact(
                 allocator, self.handles, target_order=order,
                 max_migrations=compact_budget)
             self._record_stall(
                 allocator,
                 result.pages_migrated
-                * self.config.compact_stall_per_page_ticks)
+                * COMPACT_STALL_PER_PAGE_TICKS)
             pfn = allocator.alloc(order, mt, source, self.now, pinned)
             if pfn is not None:
                 return pfn
@@ -343,7 +353,7 @@ class ContiguitasKernel(LinuxKernel):
 
     def _periodic_work(self) -> None:
         resize_due = (self.now - self._last_resize_check
-                      >= self.config.resize_check_interval_ticks)
+                      >= RESIZE_CHECK_INTERVAL_TICKS)
         for alloc in self.allocators():
             wm = self._watermarks_for(alloc)
             if alloc.nr_free < wm.low:

@@ -12,7 +12,6 @@ from .engine import (
     estimate_survey_bytes,
     iter_fleet_scans,
     resolve_workers,
-    run_fleet_scans,
 )
 from .sampler import (
     FleetSample,
@@ -40,6 +39,5 @@ __all__ = [
     "percentile",
     "resolve_workers",
     "run_fleet",
-    "run_fleet_scans",
     "survey_fleet",
 ]

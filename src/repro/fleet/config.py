@@ -1,6 +1,6 @@
 """FleetConfig: the typed front door for one fleet-sampling campaign.
 
-A campaign's knobs span sampling, telemetry, and supervision concerns.
+A campaign's knobs span sampling, parallelism and telemetry.
 :class:`FleetConfig` gathers them into one frozen, validated value that
 can be stored, hashed into an experiment cache key, recorded in a run
 manifest, and varied with :func:`dataclasses.replace` — the same shape
@@ -44,15 +44,10 @@ class FleetConfig:
             fails at construction, not mid-campaign.
         telemetry: observability settings; ``None`` keeps the
             near-zero-cost disabled path and skips the manifest.
-        max_retries: supervised-engine retry budget per server.
-        server_timeout: seconds one attempt may run before the
-            supervisor recycles it (``None`` = no limit).
-        backoff_base: first-retry backoff seconds (doubles per attempt).
-        chunk_size: servers packed per worker task in parallel runs
-            (``None`` = auto-sized from fleet and pool size; ignored
-            when serial; forced to 1 under ``server_timeout`` since
-            timeouts are per-server).  Results are bit-identical for
-            every chunk size.
+
+    Supervision runs on the engine's constants (retry budget, backoff,
+    automatic chunking; :mod:`repro.fleet.engine`): none of them can
+    change a scan.
     """
 
     n_servers: int = 50
@@ -60,10 +55,6 @@ class FleetConfig:
     base_seed: int = 0
     workers: int | None = None
     telemetry: TelemetryConfig | None = None
-    max_retries: int | None = None
-    server_timeout: float | None = None
-    backoff_base: float | None = None
-    chunk_size: int | None = None
 
     def __post_init__(self) -> None:
         if self.n_servers < 0:
@@ -71,15 +62,3 @@ class FleetConfig:
                 f"n_servers must be >= 0, got {self.n_servers}")
         if self.workers is not None:
             resolve_workers(self.workers)  # rejects negatives loudly
-        if self.max_retries is not None and self.max_retries < 0:
-            raise ConfigurationError(
-                f"max_retries must be >= 0, got {self.max_retries}")
-        if self.server_timeout is not None and self.server_timeout <= 0:
-            raise ConfigurationError(
-                f"server_timeout must be > 0, got {self.server_timeout}")
-        if self.backoff_base is not None and self.backoff_base < 0:
-            raise ConfigurationError(
-                f"backoff_base must be >= 0, got {self.backoff_base}")
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ConfigurationError(
-                f"chunk_size must be >= 1, got {self.chunk_size}")

@@ -1,13 +1,13 @@
 """Supervised fleet execution: fan per-server simulations across cores.
 
 The fleet survey (§2.4) runs N *independent* simulated servers — an
-embarrassingly parallel job.  :func:`run_fleet_scans` dispatches one
-payload per task to a :class:`~concurrent.futures.ProcessPoolExecutor` under a
-supervisor loop that retries failures with capped exponential backoff,
-recycles stragglers past a per-server timeout, and survives worker
-crashes — both genuine ones (a dead process breaks the whole pool, which
-is rebuilt boundedly) and injected ``fleet.worker.crash`` faults (raised
-inside the worker by the payload wrapper).  The result is bit-identical
+embarrassingly parallel job.  :func:`iter_fleet_scans` dispatches chunks
+of payloads to a :class:`~concurrent.futures.ProcessPoolExecutor` under
+a supervisor loop that retries failures with capped exponential backoff
+and survives worker crashes — both genuine ones (a dead process breaks
+the whole pool, which is rebuilt boundedly) and injected
+``fleet.worker.crash`` faults (raised inside the worker by the payload
+wrapper).  The result is bit-identical
 to the serial loop it replaces:
 
 * each server is seeded ``base_seed + index`` regardless of which worker
@@ -17,8 +17,8 @@ to the serial loop it replaces:
 * servers share no mutable state (each builds its own kernel), so the
   only thing crossing the process boundary is the payload tuple in and
   the :class:`~repro.fleet.server.ServerScan` out;
-* every scan lands in its per-index result slot, so the returned list is
-  in index order whatever the completion order.
+* every scan is yielded with its index, so callers file it in index
+  order whatever the completion order.
 
 Graceful degradation: a payload that exhausts its retry budget yields a
 *degraded* placeholder scan (``failed=True`` plus the final error, which
@@ -131,14 +131,13 @@ def _degraded_scan(error: str) -> ServerScan:
         failed=True, error=error)
 
 
-def _backoff(attempt: int, base: float,
-             cap: float = DEFAULT_BACKOFF_CAP) -> float:
+def _backoff(attempt: int) -> float:
     """Delay before retrying after failed *attempt* (0-based): capped
-    exponential, ``min(cap, base * 2**attempt)``.  ``base=0`` disables
-    sleeping entirely (the spelling tests use)."""
-    if base <= 0.0:
+    exponential, ``min(DEFAULT_BACKOFF_CAP, DEFAULT_BACKOFF_BASE *
+    2**attempt)``, read at call time; a base of 0 disables sleeping."""
+    if DEFAULT_BACKOFF_BASE <= 0.0:
         return 0.0
-    return min(cap, base * (2 ** attempt))
+    return min(DEFAULT_BACKOFF_CAP, DEFAULT_BACKOFF_BASE * (2 ** attempt))
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -253,19 +252,11 @@ def _scan_chunk(
     return [_scan_payload(p) for p in payloads]
 
 
-def _resolve_chunk(chunk_size: int | None, n_servers: int, nworkers: int,
-                   server_timeout: float | None) -> int:
-    """Servers per pool task.  Straggler control is per-server, so an
-    armed ``server_timeout`` forces singleton tasks; otherwise the auto
-    heuristic aims for a few chunks per inflight slot so the tail of
-    the run stays load-balanced."""
-    if server_timeout is not None:
-        return 1
-    if chunk_size is not None:
-        if chunk_size < 1:
-            raise ConfigurationError(
-                f"chunk_size must be >= 1, got {chunk_size}")
-        return chunk_size
+def _resolve_chunk(n_servers: int, nworkers: int) -> int:
+    """Servers per pool task: a few chunks per inflight slot, so the
+    tail of the run stays load-balanced.  Results are bit-identical for
+    every chunk size — chunking changes packaging, never seeding or
+    supervision."""
     return max(1, min(_MAX_CHUNK,
                       n_servers // (nworkers * _INFLIGHT_PER_WORKER * 4)))
 
@@ -274,21 +265,21 @@ def iter_fleet_scans(n_servers: int,
                      config: ServerConfig | None = None,
                      base_seed: int = 0,
                      workers: int | None = None,
-                     chunk_size: int | None = None,
-                     max_retries: int | None = None,
-                     server_timeout: float | None = None,
-                     backoff_base: float | None = None,
                      indices=None):
-    """Stream ``(index, scan)`` pairs as servers complete.
+    """Run *n_servers* independent servers under supervision and stream
+    ``(index, scan)`` pairs as they complete.
 
-    The streaming spine of :func:`run_fleet_scans`: identical
-    supervision (retries, backoff, straggler recycling, pool rebuilds)
-    and identical per-index scans, but each scan is handed to the
-    caller the moment it lands instead of accumulating in a list —
+    The raw engine under :func:`repro.fleet.run_fleet` and
+    :func:`repro.fleet.survey_fleet`.  Each scan is handed to the caller
+    the moment it lands instead of accumulating in a list, so
     aggregation memory stays flat however many servers the survey
     spans.  Parallel runs yield in completion order; the serial path
-    yields in index order.  Every index is yielded exactly once
-    (degraded placeholders included).
+    yields in index order.  Every index is yielded exactly once, and
+    server *i*'s scan equals ``SimulatedServer(config, seed=base_seed +
+    i).run()`` for every worker count — including every
+    retried-then-recovered server when faults are injected.  A server
+    whose :data:`DEFAULT_MAX_RETRIES` retries all fail comes back as a
+    degraded ``failed=True`` scan.
 
     ``indices`` restricts the run to a subset of server indices
     (default: all of ``range(n_servers)``) without changing any
@@ -297,10 +288,6 @@ def iter_fleet_scans(n_servers: int,
     server is bit-identical to its uninterrupted self because seeding
     is ``base_seed + index`` either way.
     """
-    if max_retries is None:
-        max_retries = DEFAULT_MAX_RETRIES
-    if backoff_base is None:
-        backoff_base = DEFAULT_BACKOFF_BASE
     if indices is None:
         indices = range(n_servers)
     else:
@@ -313,16 +300,13 @@ def iter_fleet_scans(n_servers: int,
     n_failed = 0
     if nworkers <= 1:
         for i in indices:
-            scan, failed = _supervise_one(
-                i, config, base_seed + i, 0, max_retries, backoff_base, t0)
+            scan, failed = _supervise_one(i, config, base_seed + i, 0, t0)
             n_failed += failed
             yield i, scan
     else:
-        chunk = _resolve_chunk(chunk_size, len(indices), nworkers,
-                               server_timeout)
         for index, scan, failed in _iter_supervised(
-                config, base_seed, indices, nworkers, chunk,
-                max_retries, server_timeout, backoff_base, t0):
+                config, base_seed, indices, nworkers,
+                _resolve_chunk(len(indices), nworkers), t0):
             n_failed += failed
             yield index, scan
     if _tp_run_finish.enabled:
@@ -331,63 +315,16 @@ def iter_fleet_scans(n_servers: int,
                             seconds=time.perf_counter() - t0)
 
 
-def run_fleet_scans(n_servers: int,
-                    config: ServerConfig | None = None,
-                    base_seed: int = 0,
-                    workers: int | None = None,
-                    chunk_size: int | None = None,
-                    max_retries: int | None = None,
-                    server_timeout: float | None = None,
-                    backoff_base: float | None = None) -> list[ServerScan]:
-    """Run *n_servers* independent servers under supervision.
-
-    This is the raw engine: it returns the index-ordered scan list.
-    Most callers want :func:`repro.fleet.run_fleet`, the typed front
-    door that wraps the scans in a :class:`~repro.fleet.FleetSample`
-    with telemetry and a run manifest — or, for surveys too large to
-    hold every scan, :func:`iter_fleet_scans` / the streaming
-    aggregator in :mod:`repro.fleet.sampler`.
-
-    Returns scans ordered by server index.  Identical output to
-    ``[SimulatedServer(config, seed=base_seed + i).run() for i in ...]``
-    for every worker count, including 1 (the serial fallback) — and,
-    when faults are injected, for every retried-then-recovered server.
-
-    Args:
-        max_retries: failed payloads are retried this many times
-            (default :data:`DEFAULT_MAX_RETRIES`) before yielding a
-            degraded ``failed=True`` scan.
-        server_timeout: seconds a single attempt may run before the
-            supervisor abandons it and charges a retry (None = no
-            limit).  The straggler's eventual result is discarded.
-            Forces singleton tasks (timeouts are per-server).
-        backoff_base: first-retry delay, doubling per attempt up to
-            :data:`DEFAULT_BACKOFF_CAP` (0 disables sleeping).
-        chunk_size: servers dispatched per pool task.  ``None`` picks a
-            heuristic from the fleet and worker counts; 1 reproduces
-            the pre-chunking one-payload-per-task dispatch exactly.
-            Scans are bit-identical for every value — chunking changes
-            packaging, never seeding or supervision.
-    """
-    results: list[ServerScan | None] = [None] * n_servers
-    for i, scan in iter_fleet_scans(
-            n_servers, config=config, base_seed=base_seed, workers=workers,
-            chunk_size=chunk_size, max_retries=max_retries,
-            server_timeout=server_timeout, backoff_base=backoff_base):
-        results[i] = scan
-    return results
-
-
 def _supervise_one(index: int, config: ServerConfig | None, seed: int,
-                   start_attempt: int, max_retries: int,
-                   backoff_base: float, t0: float) -> tuple[ServerScan, bool]:
+                   start_attempt: int,
+                   t0: float) -> tuple[ServerScan, bool]:
     """Drive one payload to completion in-process (the serial engine and
     the broken-pool drain): bounded retries with capped exponential
     backoff, then a degraded scan.  Returns ``(scan, degraded?)``."""
     error = ""
-    for attempt in range(start_attempt, max_retries + 1):
+    for attempt in range(start_attempt, DEFAULT_MAX_RETRIES + 1):
         if attempt > start_attempt:
-            delay = _backoff(attempt - 1, backoff_base)
+            delay = _backoff(attempt - 1)
             if delay > 0.0:
                 time.sleep(delay)
         outcome = _scan_payload((index, config, seed, attempt))
@@ -398,41 +335,39 @@ def _supervise_one(index: int, config: ServerConfig | None, seed: int,
                                      seconds=time.perf_counter() - t0)
             return outcome.scan, False
         error = outcome.error
-        if attempt < max_retries and _tp_server_retry.enabled:
+        if attempt < DEFAULT_MAX_RETRIES and _tp_server_retry.enabled:
             _tp_server_retry.emit(index=index, seed=seed, attempt=attempt)
     if _tp_server_fail.enabled:
         _tp_server_fail.emit(index=index, seed=seed,
-                             attempts=max_retries + 1 - start_attempt,
+                             attempts=DEFAULT_MAX_RETRIES + 1 - start_attempt,
                              error=error.splitlines()[0] if error else "")
     return _degraded_scan(error), True
 
 
 def _iter_supervised(config: ServerConfig | None, base_seed: int, indices,
-                     nworkers: int, chunk: int, max_retries: int,
-                     server_timeout: float | None, backoff_base: float,
-                     t0: float):
+                     nworkers: int, chunk: int, t0: float):
     """The parallel supervisor: submit/collect loop over a process pool,
     yielding ``(index, scan, degraded?)`` as results land.
 
     Invariants: every index is yielded exactly once (real or degraded);
-    a payload is charged one attempt per submission, timeout, or pool
-    break; attempts never exceed ``max_retries + 1``.  Fresh payloads
+    a payload is charged one attempt per submission or pool break;
+    attempts never exceed ``DEFAULT_MAX_RETRIES + 1``.  Fresh payloads
     are packed up to *chunk* per task; retries always travel as
     singletons so each server keeps its own attempt count and backoff.
     """
     pending: deque[tuple[int, int]] = deque((i, 0) for i in indices)
     delayed: list[tuple[float, int, int]] = []   # (ready_at, index, attempt)
-    inflight: dict = {}                          # future -> (entries, ddl)
+    inflight: dict = {}                          # future -> entries
     ready: deque[tuple[int, ServerScan, bool]] = deque()
     rebuilds = 0
     pool = ProcessPoolExecutor(max_workers=nworkers)
 
     def handle_failure(index: int, attempt: int, error: str) -> None:
         seed = base_seed + index
-        if attempt < max_retries:
+        if attempt < DEFAULT_MAX_RETRIES:
             if _tp_server_retry.enabled:
                 _tp_server_retry.emit(index=index, seed=seed, attempt=attempt)
-            delay = _backoff(attempt, backoff_base)
+            delay = _backoff(attempt)
             if delay > 0.0:
                 heapq.heappush(
                     delayed,
@@ -462,30 +397,20 @@ def _iter_supervised(config: ServerConfig | None, base_seed: int, indices,
                            and pending[0][1] == 0):
                         entries.append(pending.popleft())
                 task = [(i, config, base_seed + i, a) for i, a in entries]
-                fut = pool.submit(_scan_chunk, task)
-                deadline = (now + server_timeout
-                            if server_timeout is not None else None)
-                inflight[fut] = (entries, deadline)
+                inflight[pool.submit(_scan_chunk, task)] = entries
             if not inflight:
                 # Everything left is backing off; sleep until the first
                 # delayed payload is ready for resubmission.
                 time.sleep(max(0.0, delayed[0][0] - time.perf_counter()))
                 continue
 
-            timeout = None
-            if delayed:
-                timeout = max(0.0, delayed[0][0] - now)
-            ddls = [d for (_e, d) in inflight.values() if d is not None]
-            if ddls:
-                until_ddl = max(0.0, min(ddls) - now)
-                timeout = (until_ddl if timeout is None
-                           else min(timeout, until_ddl))
+            timeout = max(0.0, delayed[0][0] - now) if delayed else None
             done, _ = wait(list(inflight), timeout=timeout,
                            return_when=FIRST_COMPLETED)
 
             broken = False
             for fut in done:
-                entries, _ddl = inflight.pop(fut)
+                entries = inflight.pop(fut)
                 try:
                     outcomes = fut.result()
                 except Exception as exc:
@@ -516,7 +441,7 @@ def _iter_supervised(config: ServerConfig | None, base_seed: int, indices,
                 # A worker died hard and took the pool down; every other
                 # in-flight payload is lost with it.  Charge each an
                 # attempt and rebuild, boundedly.
-                for fut, (entries, _ddl) in list(inflight.items()):
+                for entries in inflight.values():
                     for index, attempt in entries:
                         seed = base_seed + index
                         handle_failure(
@@ -536,35 +461,12 @@ def _iter_supervised(config: ServerConfig | None, base_seed: int, indices,
                     while pending:
                         index, attempt = pending.popleft()
                         scan, failed = _supervise_one(
-                            index, config, base_seed + index, attempt,
-                            max_retries, backoff_base, t0)
+                            index, config, base_seed + index, attempt, t0)
                         yield index, scan, failed
                     while ready:
                         yield ready.popleft()
                     return
                 pool = ProcessPoolExecutor(max_workers=nworkers)
-                continue
-
-            if server_timeout is not None:
-                # Straggler control: charge timed-out payloads an attempt
-                # and resubmit elsewhere; the stuck worker's eventual
-                # result is simply dropped (its future left inflight no
-                # longer exists in the map).
-                now = time.perf_counter()
-                expired = [fut for fut, (_e, d) in inflight.items()
-                           if d is not None and d <= now]
-                for fut in expired:
-                    entries, _ddl = inflight.pop(fut)
-                    fut.cancel()
-                    for index, attempt in entries:
-                        seed = base_seed + index
-                        handle_failure(
-                            index, attempt,
-                            f"server {index} (seed {seed}, attempt "
-                            f"{attempt}): timed out after "
-                            f"{server_timeout:.3f}s")
-                while ready:
-                    yield ready.popleft()
         while ready:
             yield ready.popleft()
     finally:

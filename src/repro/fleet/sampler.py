@@ -113,12 +113,6 @@ class FleetSample:
         (the telemetry ``snapshot()`` surface)."""
         return self._summary().snapshot()
 
-    def merge(self, other: "FleetSample") -> "FleetSample":
-        """Fold another campaign's scans into this one (aggregates are
-        derived, so merging the scan lists merges everything)."""
-        self.scans.extend(other.scans)
-        return self
-
     @classmethod
     def from_snapshots(cls, rows) -> "FleetSample":
         """Rebuild a sample from per-scan :meth:`ServerScan.snapshot`
@@ -146,9 +140,6 @@ class FleetSummary:
     uptime_correlation: float
     source_breakdown: dict[AllocSource, float]
     vmstat: CounterSet
-    #: Fleet-wide tail-latency aggregates, per latency class the
-    #: per-server p99s as median / worst; empty on loadgen-free surveys.
-    tail: dict[str, dict[str, float]] = field(default_factory=dict)
     manifest: dict | None = field(default=None, compare=False, repr=False)
 
     def snapshot(self) -> dict:
@@ -164,9 +155,6 @@ class FleetSummary:
         for src, frac in sorted(self.source_breakdown.items(),
                                 key=lambda kv: kv[0].name):
             snap[f"unmovable_share.{src.name.lower()}"] = frac
-        for cls, row in self.tail.items():
-            for key, value in row.items():
-                snap[f"latency.{cls}.{key}"] = value
         return snap
 
     def vmstat_totals(self) -> CounterSet:
@@ -196,8 +184,6 @@ class _StreamAggregator:
         self._rows: list[tuple[int, float, float, float]] = []
         self._source_totals: dict[AllocSource, int] = {}
         self._vmstat = CounterSet()
-        #: Per-class tail rows: class -> [(index, p99_us, p999_us)].
-        self._tail_rows: dict[str, list[tuple[int, float, float]]] = {}
 
     def add(self, index: int, scan: ServerScan) -> None:
         self.seen.add(index)
@@ -210,28 +196,12 @@ class _StreamAggregator:
                            float(scan.free_2m_blocks),
                            scan.contiguity["2MB"],
                            scan.unmovable["2MB"]))
-        for cls, row in scan.latency.items():
-            if row.get("requests", 0):
-                self._tail_rows.setdefault(cls, []).append(
-                    (index, row["p99_us"], row["p999_us"]))
 
     def finalize(self) -> FleetSummary:
         rows = sorted(self._rows)
         live = len(rows)
         zeroes = sum(1 for r in rows if r[3] == 0.0)
         grand = sum(self._source_totals.values())
-        # Index-sorted for the same fold order FleetSample.snapshot
-        # sees; median/max are order-free but the contract is
-        # bit-identity, not near-identity.
-        tail = {
-            cls: {
-                "servers": len(trs),
-                "p99_us_median": median([t[1] for t in sorted(trs)]),
-                "p99_us_max": max(t[1] for t in trs),
-                "p999_us_max": max(t[2] for t in trs),
-            }
-            for cls, trs in sorted(self._tail_rows.items())
-        }
         return FleetSummary(
             n_servers=len(self.seen),
             n_failed_servers=len(self.seen) - live,
@@ -245,17 +215,16 @@ class _StreamAggregator:
                                in self._source_totals.items()}
                               if grand else {}),
             vmstat=self._vmstat,
-            tail=tail,
         )
 
 
 def _manifest_config(n_servers: int, config: ServerConfig | None,
                      base_seed: int) -> dict:
     """Which campaign this is: the manifest's ``config`` section and
-    the identity a checkpoint of it records.  Worker count, chunk size
-    and supervision budgets are absent — they cannot change a scan."""
+    the identity a checkpoint of it records.  The worker count is
+    absent — it cannot change a scan."""
     cfg = config or ServerConfig()
-    config_dict = {
+    return {
         "n_servers": n_servers,
         "base_seed": base_seed,
         "mem_bytes": cfg.mem_bytes,
@@ -268,10 +237,6 @@ def _manifest_config(n_servers: int, config: ServerConfig | None,
         "fault_plan": (cfg.fault_plan.snapshot()
                        if cfg.fault_plan is not None else None),
     }
-    # Only on loadgen fleets, so earlier manifests diff clean.
-    if cfg.loadgen is not None:
-        config_dict["loadgen"] = cfg.loadgen.snapshot()
-    return config_dict
 
 
 def _run_campaign(kind: str, config: FleetConfig,
@@ -304,10 +269,6 @@ def _run_campaign(kind: str, config: FleetConfig,
         for index, scan in iter_fleet_scans(
                 config.n_servers, config=config.server,
                 base_seed=config.base_seed, workers=config.workers,
-                chunk_size=config.chunk_size,
-                max_retries=config.max_retries,
-                server_timeout=config.server_timeout,
-                backoff_base=config.backoff_base,
                 indices=([i for i in range(config.n_servers)
                           if i not in agg.seen] if agg.seen else None)):
             agg.add(index, scan)
@@ -332,7 +293,7 @@ def run_fleet(config: FleetConfig, /, *,
     """Run one fleet-sampling campaign described by a :class:`FleetConfig`.
 
     The typed front door (docs/API.md): every knob — sampling size,
-    seeds, worker count, telemetry, supervision budgets — arrives on one
+    seeds, worker count, telemetry — arrives on one
     frozen config, and the result is a :class:`FleetSample` whose scans
     are bit-identical for any worker count.
 
@@ -370,7 +331,7 @@ def survey_fleet(config: FleetConfig, *,
     :class:`~repro.fleet.server.ServerScan` until the campaign ends,
     this keeps only the aggregator's four floats per server, so peak
     memory is independent of ``n_servers`` — and so are its
-    checkpoints.  Supervision (retries, stragglers, fault plans),
+    checkpoints.  Supervision (retries, fault plans),
     telemetry, checkpoint/resume and the manifest's deterministic view
     are identical to :func:`run_fleet` for the same config — only the
     per-scan list is absent.

@@ -28,7 +28,6 @@ from ..mm.page import AllocSource
 from ..units import FRAME_SIZE, PAGEBLOCK_FRAMES, MiB
 from ..workloads.base import Workload
 from ..workloads.services import CACHE_A, CACHE_B, CI, WEB
-from ..workloads.tracegen import LoadgenConfig, run_loadgen
 
 
 @dataclass
@@ -48,23 +47,18 @@ class ServerScan:
     #: visible in manifests while fault-free servers stay bit-identical
     #: to a clean run.
     vmstat: dict[str, int] = field(default_factory=dict)
-    #: Per-server tail-latency summary when the server ran an open-loop
-    #: load burst (``ServerConfig.loadgen``): latency class ("all" /
-    #: "migration" / "quiet") -> stats row (p50/p99/p999 in µs, counts).
-    #: Empty — and absent from snapshots — on loadgen-free runs, so
-    #: pre-loadgen manifests stay byte-identical.
-    latency: dict[str, dict] = field(default_factory=dict)
     #: Degradation markers: a scan whose server exhausted its retry
     #: budget is a placeholder with ``failed=True`` and the final error
-    #: (see :func:`repro.fleet.engine.run_fleet`); aggregates skip it.
+    #: (see :func:`repro.fleet.engine.iter_fleet_scans`); aggregates
+    #: skip it.
     failed: bool = False
     error: str = ""
 
     def snapshot(self) -> dict:
         """Scalar measurements plus counters as one flat-ish dict
-        (the telemetry ``snapshot()`` surface).  Degradation
-        and latency keys appear only when present so healthy/loadgen-free
-        snapshots stay byte-identical to earlier runs."""
+        (the telemetry ``snapshot()`` surface).  Degradation keys
+        appear only on a failed scan, so healthy snapshots stay
+        byte-identical to earlier runs."""
         snap = {
             "uptime_steps": self.uptime_steps,
             "free_frames": self.free_frames,
@@ -74,9 +68,6 @@ class ServerScan:
             "sources": {src.name: n for src, n in self.sources.items()},
             "vmstat": dict(self.vmstat),
         }
-        if self.latency:
-            snap["latency"] = {cls: dict(row)
-                               for cls, row in self.latency.items()}
         if self.failed:
             snap["failed"] = True
             snap["error"] = self.error
@@ -97,8 +88,6 @@ class ServerScan:
             sources={AllocSource[name]: n
                      for name, n in snap["sources"].items()},
             vmstat=dict(snap["vmstat"]),
-            latency={cls: dict(row)
-                     for cls, row in snap.get("latency", {}).items()},
             failed=bool(snap.get("failed", False)),
             error=snap.get("error", ""),
         )
@@ -117,7 +106,6 @@ class ServerConfig:
     #: (the paper samples 64 GiB hosts; policies scale with size).
     mem_bytes: int = MiB(1024)
     kernel_cls: type = LinuxKernel
-    kernel_config: KernelConfig | None = None
     #: Steps of workload churn per unit of uptime; fragmentation
     #: saturates long before high uptimes, as in production.
     min_uptime_steps: int = 50
@@ -129,11 +117,6 @@ class ServerConfig:
     #: worker (seeded per server) for the duration of its run, and the
     #: ``fleet.worker.crash`` spec drives injected crashes in the engine.
     fault_plan: FaultPlan | None = None
-    #: Open-loop tail-latency probe: when set, each server runs this
-    #: load burst after its churn (reseeded with the server's own seed,
-    #: telemetry stripped — the fleet manifest is the telemetry) and
-    #: reports per-class percentiles in ``ServerScan.latency``.
-    loadgen: LoadgenConfig | None = None
 
     def __post_init__(self) -> None:
         # PhysicalMemory's check, made here so that a bad size is one
@@ -176,10 +159,7 @@ class SimulatedServer:
 
     def _run_scan(self) -> ServerScan:
         cfg = self.config
-        kconfig = cfg.kernel_config
-        if kconfig is None:
-            kconfig = KernelConfig(mem_bytes=cfg.mem_bytes)
-        kernel = cfg.kernel_cls(kconfig)
+        kernel = cfg.kernel_cls(KernelConfig(mem_bytes=cfg.mem_bytes))
         spec = self.rng.choice(FLEET_SERVICES)
         uptime = self.rng.randint(cfg.min_uptime_steps, cfg.max_uptime_steps)
 
@@ -197,7 +177,7 @@ class SimulatedServer:
             workload.step()
 
         mem = kernel.mem
-        scan = ServerScan(
+        return ServerScan(
             uptime_steps=uptime,
             free_frames=mem.free_frames(),
             free_2m_blocks=free_block_count(mem, PAGEBLOCK_FRAMES),
@@ -206,20 +186,3 @@ class SimulatedServer:
             sources=unmovable_breakdown(mem),
             vmstat=kernel.stat.snapshot(),
         )
-        if cfg.loadgen is not None:
-            self._run_loadgen(cfg.loadgen, scan)
-        return scan
-
-    def _run_loadgen(self, lg: LoadgenConfig, scan: ServerScan) -> None:
-        """Run the per-server tail-latency burst and fold it into *scan*.
-
-        The burst is reseeded with this server's seed (so the fleet's
-        per-server latency rows are deterministic at any worker count)
-        and runs without its own telemetry — the per-class summaries
-        land on the scan, burst counters join the vmstat counters, and
-        the fleet manifest aggregates both.
-        """
-        result = run_loadgen(replace(lg, seed=self.seed, telemetry=None))
-        scan.latency = result.summary()
-        scan.vmstat["loadgen.requests"] = result.requests
-        scan.vmstat["loadgen.windows"] = result.windows_seen

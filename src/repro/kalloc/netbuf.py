@@ -34,12 +34,12 @@ class NetworkQueueConfig:
     """Sizing of the persistent networking footprint.
 
     Defaults approximate one RX+TX queue pair per core with a 1 MiB buffer
-    pool each on the simulated 8-core machine.
+    pool each on the simulated 8-core machine.  Ring buffers are
+    single frames.
     """
 
     nr_queues: int = 8
     ring_frames_per_queue: int = 64
-    buffer_order: int = 0
 
 
 class NetworkBufferPool:
@@ -72,17 +72,12 @@ class NetworkBufferPool:
         if self.rings:
             raise SimInvariantError("network rings already up")
         cfg = self.config
-        for _ in range(cfg.nr_queues):
-            remaining = cfg.ring_frames_per_queue
-            while remaining > 0:
-                order = min(cfg.buffer_order, 3)
-                handle = self.kernel.alloc_pages(
-                    order=order,
-                    source=AllocSource.NETWORKING,
-                    migratetype=MigrateType.UNMOVABLE,
-                )
-                self.rings.append(handle)
-                remaining -= handle.nframes
+        for _ in range(cfg.nr_queues * cfg.ring_frames_per_queue):
+            self.rings.append(self.kernel.alloc_pages(
+                order=0,
+                source=AllocSource.NETWORKING,
+                migratetype=MigrateType.UNMOVABLE,
+            ))
 
     def tear_down(self) -> None:
         """Free the persistent rings (driver removal)."""

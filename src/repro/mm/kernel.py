@@ -13,7 +13,7 @@ replaces the single allocator with the two confined regions.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import groupby
 
 import numpy as np
@@ -61,51 +61,52 @@ DEFAULT_MIGRATETYPE: dict[AllocSource, MigrateType] = {
 }
 
 
+# Calibrations every kernel variant shares (docs/INTERNALS.md, "What a
+# kernel call costs").
+
+#: Simulated core count; remote TLB victims = cores - 1.
+CORES = 8
+VICTIM_CORES = CORES - 1
+#: Software page-migration cost model.
+MIGRATION_COST = MigrationCostModel()
+#: Stall charged per direct-reclaim episode (µs).
+RECLAIM_STALL_TICKS = 50.0
+#: Stall charged per page compaction moves on the allocation path (µs).
+COMPACT_STALL_PER_PAGE_TICKS = 3.0
+#: Direct-compaction budget per allocation attempt, in migrated
+#: pages.  Linux bounds direct compaction the same way: a THP fault
+#: tries briefly and falls back rather than compacting the world.
+COMPACT_BUDGET_PAGES = 768
+#: Budget for the THP fault path specifically — much lighter, as in
+#: Linux, where a huge-page fault must not stall the application.
+THP_COMPACT_BUDGET_PAGES = 160
+#: Per-CPU page cache refill batch and high mark (Linux PCP).
+PCP_BATCH = 32
+PCP_HIGH = 96
+#: PSI averaging half-life (µs).
+PSI_HALFLIFE_TICKS = 1_000_000.0
+
+
 @dataclass
 class KernelConfig:
     """Tunables shared by all kernel variants.
 
     Attributes:
         mem_bytes: physical memory size (multiple of 2 MiB).
-        cores: simulated core count; remote TLB victims = cores - 1.
         thp_enabled: whether ``alloc_thp`` attempts 2 MiB pages.
         compaction_enabled: whether the slow path may compact.
-        migration_cost: software page-migration cost model.
-        reclaim_stall_ticks: stall charged per direct-reclaim episode (µs).
-        compact_stall_per_page_ticks: stall charged per page compaction
-            moves on the allocation path (µs).
-        psi_halflife_ticks: PSI averaging half-life (µs).
     """
 
     mem_bytes: int = 256 * 1024 * 1024
-    cores: int = 8
     thp_enabled: bool = True
     compaction_enabled: bool = True
-    migration_cost: MigrationCostModel = field(
-        default_factory=MigrationCostModel)
-    reclaim_stall_ticks: float = 50.0
-    compact_stall_per_page_ticks: float = 3.0
-    #: Direct-compaction budget per allocation attempt, in migrated
-    #: pages.  Linux bounds direct compaction the same way: a THP fault
-    #: tries briefly and falls back rather than compacting the world.
-    compact_budget_pages: int = 768
-    #: Budget for the THP fault path specifically — much lighter, as in
-    #: Linux, where a huge-page fault must not stall the application.
-    thp_compact_budget_pages: int = 160
     #: Route order-0 traffic through per-CPU page caches (Linux PCP).
     #: Off by default; the PCP ablation benchmark turns it on.
     pcp_enabled: bool = False
-    pcp_batch: int = 32
-    pcp_high: int = 96
-    psi_halflife_ticks: float = 1_000_000.0
     #: Attach the runtime frame-state sanitizer (the CONFIG_DEBUG_VM
     #: analogue, :mod:`repro.analysis.sanitizer`).  ``None`` defers to
     #: the ``REPRO_DEBUG_VM`` environment variable; True/False override.
     debug_vm: bool | None = None
-
-    @property
-    def victim_cores(self) -> int:
-        return max(0, self.cores - 1)
 
 
 class LinuxKernel:
@@ -131,14 +132,12 @@ class LinuxKernel:
         self.pageblocks = PageblockTable(self.mem)
         self.handles = HandleRegistry(self.mem)
         self.reclaim_lru = ReclaimLRU(self.stat)
-        self.psi = PsiTracker(self.config.psi_halflife_ticks)
+        self.psi = PsiTracker(PSI_HALFLIFE_TICKS)
         self._build_allocators()
         self.compactor = Compactor(
-            self.mem, self.stat, self.config.migration_cost,
-            victim_cores=self.config.victim_cores)
+            self.mem, self.stat, MIGRATION_COST, victim_cores=VICTIM_CORES)
         self.evacuator = RangeEvacuator(
-            self.mem, self.stat, self.config.migration_cost,
-            victim_cores=self.config.victim_cores)
+            self.mem, self.stat, MIGRATION_COST, victim_cores=VICTIM_CORES)
         import random as _random
 
         self._scan_rng = _random.Random(0xC0417)
@@ -148,9 +147,7 @@ class LinuxKernel:
 
             for alloc in self.allocators():
                 self._pcp[alloc.label] = PerCpuPages(
-                    alloc, cpus=self.config.cores,
-                    batch=self.config.pcp_batch,
-                    high=self.config.pcp_high)
+                    alloc, cpus=CORES, batch=PCP_BATCH, high=PCP_HIGH)
         # Deferred compaction (Linux's defer_compaction): after a failed
         # targeted compaction, skip the expensive path for the next
         # 2**shift high-order slow-path entries.
@@ -308,7 +305,7 @@ class LinuxKernel:
             _tp_slowpath.emit(order=order, mt=int(mt), source=int(source),
                               label=allocator.label,
                               nr_free=allocator.nr_free)
-        self._record_stall(allocator, self.config.reclaim_stall_ticks)
+        self._record_stall(allocator, RECLAIM_STALL_TICKS)
         self.drain_pcp()
         wm = self._watermarks_for(allocator)
         want = max(1 << order, wm.high - allocator.nr_free)
@@ -319,14 +316,14 @@ class LinuxKernel:
 
         if order > 0 and self.config.compaction_enabled:
             if compact_budget is None:
-                compact_budget = self.config.compact_budget_pages
+                compact_budget = COMPACT_BUDGET_PAGES
             result = self.compactor.compact(
                 allocator, self.handles, target_order=order,
                 max_migrations=compact_budget)
             self._record_stall(
                 allocator,
                 result.pages_migrated
-                * self.config.compact_stall_per_page_ticks)
+                * COMPACT_STALL_PER_PAGE_TICKS)
             pfn = allocator.alloc(order, mt, source, self.now, pinned)
             if pfn is not None:
                 return pfn
@@ -345,7 +342,7 @@ class LinuxKernel:
         pfn = self._oom_rescue(allocator, order, mt, source, pinned)
         if pfn is not None:
             return pfn
-        self._record_stall(allocator, self.config.reclaim_stall_ticks)
+        self._record_stall(allocator, RECLAIM_STALL_TICKS)
         if _tp_oom.enabled:
             _tp_oom.emit(order=order, mt=int(mt), label=allocator.label,
                          nr_free=allocator.nr_free)
@@ -404,7 +401,7 @@ class LinuxKernel:
         a handful of poisoned or busy candidates.
         """
         if budget is None:
-            budget = self.config.compact_budget_pages
+            budget = COMPACT_BUDGET_PAGES
         size = 1 << order
         span = allocator.end_pfn - allocator.start_pfn
         ncands = span // size
@@ -658,7 +655,7 @@ class LinuxKernel:
             handle = self.alloc_pages(
                 MAX_ORDER, source, MigrateType.MOVABLE,
                 reclaimable=reclaimable,
-                compact_budget=self.config.thp_compact_budget_pages)
+                compact_budget=THP_COMPACT_BUDGET_PAGES)
         except OutOfMemoryError:
             self.stat.inc(ev.THP_FALLBACK)
             return None

@@ -121,7 +121,7 @@ class RunSession:
                 self._sink = self._exit.enter_context(
                     JsonlSink(tcfg.events_path))
             else:
-                self._sink = RingBufferSink(tcfg.ring_capacity)
+                self._sink = RingBufferSink()
             self._exit.enter_context(
                 tracing(*tcfg.trace_patterns, sink=self._sink))
         return self
@@ -183,7 +183,7 @@ class RunSession:
 
     @property
     def emits_manifest(self) -> bool:
-        return self.telemetry is not None and self.telemetry.emit_manifest
+        return self.telemetry is not None
 
     def manifest(self, *, seed: int, counters, aggregates: dict,
                  metrics: dict | None = None,

@@ -28,25 +28,22 @@ class TelemetryConfig:
         trace: enable tracepoints for the duration of the run.
         trace_patterns: glob patterns selecting which tracepoints fire
             (default: all).
-        ring_capacity: in-memory ring-buffer size (most recent events).
         events_path: when set, dump the run's event stream there as
             JSONL (readable by ``repro trace --input``).
         manifest_path: when set, write the run manifest JSON there.
-        emit_manifest: build a manifest even without a ``manifest_path``
-            (returned on the result object instead of written).
+
+    A traced run without an ``events_path`` keeps its most recent
+    events in a :class:`~repro.telemetry.RingBufferSink` of the default
+    capacity, and every run with a config builds a manifest (returned
+    on the result object, and written when ``manifest_path`` is set).
     """
 
     trace: bool = False
     trace_patterns: tuple[str, ...] = ("*",)
-    ring_capacity: int = 1 << 16
     events_path: str | None = None
     manifest_path: str | None = None
-    emit_manifest: bool = True
 
     def __post_init__(self) -> None:
-        if self.ring_capacity < 1:
-            raise ConfigurationError(
-                f"ring_capacity must be >= 1, got {self.ring_capacity}")
         if not self.trace_patterns:
             raise ConfigurationError("trace_patterns must not be empty")
         if self.events_path is not None and not self.trace:

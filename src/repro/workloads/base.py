@@ -33,7 +33,7 @@ from ..mm.sections import (
     scope,
     set_rng_state,
 )
-from ..sim.trace import TraceSpec
+from .tracespec import TraceSpec
 from ..telemetry import tracepoint
 from ..units import GIGAPAGE_FRAMES, PAGEBLOCK_FRAMES
 

@@ -4,9 +4,9 @@ Mirrors the fleet's ``run_fleet(FleetConfig)`` pattern (PR 5): one
 frozen, eagerly-validated config in, one result object out.  The config
 composes a service (by registry name or as a literal
 :class:`~repro.workloads.base.WorkloadSpec`) with the kernel flavour,
-machine size, seed, and — optionally — an open-loop
-:class:`~repro.workloads.tracegen.LoadgenConfig` so a steady-state
-fragmentation run and a tail-latency burst share one entry point.
+machine size, step count and seed.  A tail-latency burst is
+:func:`~repro.workloads.tracegen.run_loadgen`'s, not this entry
+point's.
 """
 
 from __future__ import annotations
@@ -18,12 +18,10 @@ from ..errors import CheckpointCorruptError, ConfigurationError
 from ..mm.handle import HandleTable
 from ..mm.sections import nest, scope
 from ..run import RunSession
-from ..sim.trace import TraceSpec
-from ..telemetry import TelemetryConfig
+from .tracespec import TraceSpec
 from ..units import MiB, PAGEBLOCK_FRAMES
 from .base import Workload, WorkloadSpec
 from .registry import canonical_service_name, get_service
-from .tracegen import LoadgenConfig, LoadgenResult, run_loadgen
 
 _KERNELS = ("linux", "contiguitas")
 
@@ -38,12 +36,8 @@ class WorkloadConfig:
         kernel: ``"linux"`` or ``"contiguitas"``.
         mem_bytes: simulated machine's physical memory.
         steps: workload steps to run after :meth:`Workload.start`.
-        seed: run seed (workload churn and any loadgen burst derive
-            their named streams from it).
-        loadgen: when set, an open-loop load burst runs after the
-            steady-state steps and its tail summary lands on the
-            result.  The burst reuses this config's seed unless the
-            loadgen config carries a non-zero seed of its own.
+        seed: run seed (workload churn derives its named streams
+            from it).
     """
 
     service: str | WorkloadSpec = "cache-b"
@@ -51,7 +45,6 @@ class WorkloadConfig:
     mem_bytes: int = MiB(256)
     steps: int = 200
     seed: int = 0
-    loadgen: LoadgenConfig | None = None
 
     def __post_init__(self) -> None:
         if isinstance(self.service, str):
@@ -69,11 +62,6 @@ class WorkloadConfig:
         if self.steps < 0:
             raise ConfigurationError(
                 f"steps must be >= 0, got {self.steps}")
-        if self.loadgen is not None and not isinstance(
-                self.loadgen, LoadgenConfig):
-            raise ConfigurationError(
-                "loadgen must be a LoadgenConfig, "
-                f"got {type(self.loadgen).__name__}")
 
     @property
     def spec(self) -> WorkloadSpec:
@@ -92,32 +80,26 @@ class WorkloadConfig:
     def snapshot(self) -> dict:
         """JSON-safe view of the configuration: the identity a
         checkpoint of this run records (every field; the service by
-        name, the burst without its telemetry)."""
-        return {**vars(self), "service": self.service_name,
-                "loadgen": self.loadgen and self.loadgen.snapshot()}
+        name)."""
+        return {**vars(self), "service": self.service_name}
 
     def state(self) -> dict:
-        """The whole config as JSON (a literal spec and the burst's
-        telemetry included), for :meth:`from_state`: the ``config``
-        section of this run's checkpoints."""
+        """The whole config as JSON (a literal spec included), for
+        :meth:`from_state`: the ``config`` section of this run's
+        checkpoints."""
         return json.loads(json.dumps(asdict(self)))
 
     @classmethod
     def from_state(cls, state: dict) -> "WorkloadConfig":
         """The config :meth:`state` wrote."""
-        service, loadgen = state["service"], state["loadgen"]
+        service = state["service"]
         if isinstance(service, dict):
             service = WorkloadSpec(**{
                 **service, "net_buffer_orders": tuple(
                     service["net_buffer_orders"]),
                 "data_trace": TraceSpec(**service["data_trace"]),
                 "instr_trace": TraceSpec(**service["instr_trace"])})
-        if loadgen is not None:
-            telemetry = loadgen["telemetry"]
-            loadgen = LoadgenConfig(**{**loadgen, "telemetry": telemetry and (
-                TelemetryConfig(**{**telemetry, "trace_patterns": tuple(
-                    telemetry["trace_patterns"])}))})
-        return cls(**{**state, "service": service, "loadgen": loadgen})
+        return cls(**{**state, "service": service})
 
 
 @dataclass
@@ -132,13 +114,10 @@ class WorkloadResult:
     unmovable_fraction: float
     free_frames: int
     vmstat: dict[str, int]
-    loadgen: LoadgenResult | None = None
 
     def snapshot(self) -> dict:
-        """JSON-safe view; the ``latency`` key appears only when an
-        open-loop burst ran, so steady-state snapshots stay identical
-        to pre-loadgen ones."""
-        snap = {
+        """JSON-safe view."""
+        return {
             "service": self.service,
             "kernel": self.kernel,
             "steps": self.steps,
@@ -148,21 +127,17 @@ class WorkloadResult:
             "free_frames": self.free_frames,
             "vmstat": dict(self.vmstat),
         }
-        if self.loadgen is not None:
-            snap["latency"] = self.loadgen.summary()
-        return snap
 
 
 def run_workload(config: WorkloadConfig, *,
                  checkpoint_every: int = 0,
                  checkpoint_dir: str | None = None,
                  resume: bool = False) -> WorkloadResult:
-    """Run a workload to steady state (plus an optional load burst).
+    """Run a workload to steady state.
 
     The kernel boots, the service's churn runs for ``config.steps``
     steps, and the fragmentation/coverage measurements the paper
-    reports per machine are collected.  With ``config.loadgen`` set, an
-    open-loop tail-latency burst follows.
+    reports per machine are collected.
 
     With ``checkpoint_every > 0`` and a ``checkpoint_dir``, the churn
     loop checkpoints every N steps and gives the ``sim.crash`` fault
@@ -207,14 +182,6 @@ def run_workload(config: WorkloadConfig, *,
         workload.step()
         session.boundary(step + 1, lambda: _snapshot(kernel, workload))
 
-    loadgen_result = None
-    if config.loadgen is not None:
-        lg = config.loadgen
-        if lg.seed == 0 and config.seed != 0:
-            from dataclasses import replace
-            lg = replace(lg, seed=config.seed)
-        loadgen_result = run_loadgen(lg)
-
     return WorkloadResult(
         service=config.service_name,
         kernel=config.kernel,
@@ -224,8 +191,7 @@ def run_workload(config: WorkloadConfig, *,
         unmovable_fraction=unmovable_block_fraction(
             kernel.mem, PAGEBLOCK_FRAMES),
         free_frames=kernel.free_frames(),
-        vmstat=kernel.stat.snapshot(),
-        loadgen=loadgen_result)
+        vmstat=kernel.stat.snapshot())
 
 
 def _snapshot(kernel, workload):

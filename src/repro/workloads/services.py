@@ -20,7 +20,7 @@ production scale regardless of the simulated machine's physical memory.
 
 from __future__ import annotations
 
-from ..sim.trace import TraceSpec
+from .tracespec import TraceSpec
 from .base import WorkloadSpec
 from .registry import register_service
 

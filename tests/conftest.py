@@ -109,6 +109,26 @@ def deterministic_view(manifest: dict) -> dict:
     return {k: v for k, v in manifest.items() if k != "volatile"}
 
 
+def fleet_scans(n_servers: int, **kwargs) -> list:
+    """Every scan of :func:`repro.fleet.iter_fleet_scans`, filed by
+    server index."""
+    from repro.fleet import iter_fleet_scans
+
+    scans = [None] * n_servers
+    for index, scan in iter_fleet_scans(n_servers, **kwargs):
+        scans[index] = scan
+    return scans
+
+
+@pytest.fixture
+def no_backoff(monkeypatch):
+    """Fleet retries run back to back instead of sleeping between
+    attempts."""
+    from repro.fleet import engine
+
+    monkeypatch.setattr(engine, "DEFAULT_BACKOFF_BASE", 0.0)
+
+
 @pytest.fixture
 def linux() -> LinuxKernel:
     return make_linux()

@@ -92,11 +92,13 @@ class TestEnvelope:
         registry, 6 live-only slots, 7 ``FreeList`` objects, 8 an
         expiry heap, 9 ``PageHandle.__reduce__`` records); version 10
         is a section table of arrays and JSON, 11 the same with the
-        handle registry as a frame column and a slot array.  Resuming
-        any older file must stop at the envelope, not mid-decode."""
-        assert FORMAT_VERSION == 11
+        handle registry as a frame column and a slot array, 12 the same
+        with ``WorkloadConfig`` and the fleet's pickled config and
+        aggregator rid of their test-only fields.  Resuming any older
+        file must stop at the envelope, not mid-decode."""
+        assert FORMAT_VERSION == 12
         path = tmp_path / "x.ckpt"
-        for old in range(1, 11):
+        for old in range(1, 12):
             data = bytearray(_envelope("workload", 1, {}))
             data[4:8] = old.to_bytes(4, "big")
             path.write_bytes(bytes(data))

@@ -309,14 +309,14 @@ SMALL = dict(mem_bytes=MiB(64), min_uptime_steps=20, max_uptime_steps=60)
 
 
 class TestChaosFleet:
-    def test_same_seed_same_plan_bit_identical_manifests(self, tmp_path):
+    def test_same_seed_same_plan_bit_identical_manifests(self, tmp_path,
+                                                         no_backoff):
         from repro.telemetry import TelemetryConfig
 
         def manifest(path):
             cfg = ServerConfig(**SMALL, fault_plan=NAMED_PLANS["ci-smoke"])
             sample = run_fleet(FleetConfig(
                 n_servers=4, server=cfg, base_seed=3, workers=2,
-                backoff_base=0.0,
                 telemetry=TelemetryConfig(manifest_path=str(path))))
             return sample.manifest
 
@@ -324,24 +324,24 @@ class TestChaosFleet:
         b = deterministic_view(manifest(tmp_path / "b.json"))
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
-    def test_chaos_run_complete_with_zero_drops(self):
+    def test_chaos_run_complete_with_zero_drops(self, no_backoff):
         cfg = ServerConfig(**SMALL, fault_plan=NAMED_PLANS["ci-smoke"])
         sample = run_fleet(FleetConfig(n_servers=4, server=cfg, base_seed=3,
-                                       workers=2, backoff_base=0.0))
+                                       workers=2))
         assert len(sample.scans) == 4
         assert not any(scan.failed for scan in sample.scans)
         totals = sample.vmstat_totals()
         assert totals["fault.mm.buddy.watermark"] > 0
         assert totals["oom_rescue"] > 0
 
-    def test_crash_only_chaos_matches_clean_manifest_counters(self):
+    def test_crash_only_chaos_matches_clean_manifest_counters(
+            self, no_backoff):
         clean = run_fleet(FleetConfig(n_servers=3,
                                       server=ServerConfig(**SMALL),
                                       base_seed=11, workers=1))
         cfg = ServerConfig(**SMALL, fault_plan=NAMED_PLANS["crash-only"])
         chaotic = run_fleet(FleetConfig(n_servers=3, server=cfg,
-                                        base_seed=11, workers=1,
-                                        backoff_base=0.0))
+                                        base_seed=11, workers=1))
         assert chaotic.scans == clean.scans
 
     def test_manifest_config_records_plan(self):

@@ -112,7 +112,7 @@ class TestServerConfigValidation:
 class TestScanSnapshotRoundTrip:
     """Pin the ``from_snapshot(snapshot()) == scan`` contract — the
     experiment cache and fleet checkpoints both rely on it, including
-    the conditional ``latency``/``failed``/``error`` keys."""
+    the conditional ``failed``/``error`` keys."""
 
     def _scan(self, **kw):
         from repro.fleet import ServerScan
@@ -132,22 +132,8 @@ class TestScanSnapshotRoundTrip:
 
         scan = self._scan()
         snap = scan.snapshot()
-        assert "latency" not in snap
         assert "failed" not in snap and "error" not in snap
         assert ServerScan.from_snapshot(snap) == scan
-
-    def test_latency_fields_round_trip(self):
-        from repro.fleet import ServerScan
-
-        scan = self._scan(latency={
-            "all": {"requests": 10, "p50_us": 1.0, "p99_us": 2.0,
-                    "p999_us": 3.0, "max_us": 4.0},
-            "migration": {"requests": 2, "p50_us": 5.0, "p99_us": 6.0,
-                          "p999_us": 7.0, "max_us": 8.0},
-        })
-        rebuilt = ServerScan.from_snapshot(scan.snapshot())
-        assert rebuilt == scan
-        assert rebuilt.latency["migration"]["p99_us"] == 6.0
 
     def test_failed_and_error_round_trip(self):
         from repro.fleet import ServerScan
@@ -177,8 +163,6 @@ class TestScanSnapshotRoundTrip:
 
         from repro.fleet import ServerScan
 
-        scan = self._scan(latency={"all": {"requests": 1, "p50_us": 1.0,
-                                           "p99_us": 1.0, "p999_us": 1.0,
-                                           "max_us": 1.0}})
+        scan = self._scan()
         snap = json.loads(json.dumps(scan.snapshot()))
         assert ServerScan.from_snapshot(snap) == scan

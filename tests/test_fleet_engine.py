@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import time
 
 import pytest
 
@@ -16,18 +17,20 @@ from repro.fleet import (
     iter_fleet_scans,
     resolve_workers,
     run_fleet,
-    run_fleet_scans,
     survey_fleet,
 )
+from repro.fleet import engine
 from repro.fleet.engine import (
+    DEFAULT_MAX_RETRIES,
     WORKERS_ENV,
     WorkerOutcome,
+    _iter_supervised,
     _resolve_chunk,
     _scan_payload,
 )
 from repro.units import MiB
 
-from conftest import deterministic_view
+from conftest import deterministic_view, fleet_scans
 
 SMALL = ServerConfig(mem_bytes=MiB(64), min_uptime_steps=20,
                      max_uptime_steps=60)
@@ -36,6 +39,17 @@ SMALL = ServerConfig(mem_bytes=MiB(64), min_uptime_steps=20,
 #: bit-identity tests.
 TINY = ServerConfig(mem_bytes=MiB(64), min_uptime_steps=5,
                     max_uptime_steps=15)
+
+
+def chunked_scans(n_servers: int, config, base_seed: int, chunk: int):
+    """A two-worker supervised run that packs up to *chunk* fresh
+    servers into each pool task, filed by server index."""
+    scans = [None] * n_servers
+    for index, scan, _failed in _iter_supervised(
+            config, base_seed, range(n_servers), 2, chunk,
+            time.perf_counter()):
+        scans[index] = scan
+    return scans
 
 
 class TestWorkerResolution:
@@ -75,7 +89,7 @@ class TestRunFleet:
     def test_serial_fallback_matches_direct_loop(self):
         from repro.fleet import SimulatedServer
 
-        scans = run_fleet_scans(3, config=SMALL, base_seed=9, workers=1)
+        scans = fleet_scans(3, config=SMALL, base_seed=9, workers=1)
         direct = [SimulatedServer(SMALL, seed=9 + i).run()
                   for i in range(3)]
         assert scans == direct
@@ -83,9 +97,8 @@ class TestRunFleet:
     def test_parallel_bit_identical_to_serial(self):
         """The acceptance property: scans from the process pool equal the
         serial path field-for-field, in index order."""
-        serial = run_fleet_scans(4, config=SMALL, base_seed=3, workers=1)
-        parallel = run_fleet_scans(4, config=SMALL, base_seed=3, workers=2,
-                             chunk_size=1)
+        serial = fleet_scans(4, config=SMALL, base_seed=3, workers=1)
+        parallel = fleet_scans(4, config=SMALL, base_seed=3, workers=2)
         assert parallel == serial
 
     def test_run_fleet_front_door_workers_param(self):
@@ -96,7 +109,7 @@ class TestRunFleet:
         assert a.scans == b.scans
 
     def test_zero_servers(self):
-        assert run_fleet_scans(0, config=SMALL, workers=1) == []
+        assert fleet_scans(0, config=SMALL, workers=1) == []
         assert run_fleet(FleetConfig(n_servers=0, server=SMALL,
                                      workers=1)).scans == []
 
@@ -120,34 +133,33 @@ class TestSupervision:
         assert "attempt 1" in outcome.error
         assert "WorkerCrashError" in outcome.error
 
-    def test_crashed_server_retried_to_identical_scan(self):
+    def test_crashed_server_retried_to_identical_scan(self, no_backoff):
         """Retried payloads replay the same seed: a crash-then-retry run
         is bit-identical to a clean run of the same seed."""
-        clean = run_fleet_scans(3, config=SMALL, base_seed=7, workers=1)
+        clean = fleet_scans(3, config=SMALL, base_seed=7, workers=1)
         cfg = dataclasses.replace(SMALL, fault_plan=CRASH_ONCE)
         for workers in (1, 2):
-            chaotic = run_fleet_scans(3, config=cfg, base_seed=7,
-                                workers=workers, backoff_base=0.0)
+            chaotic = fleet_scans(3, config=cfg, base_seed=7,
+                                  workers=workers)
             assert chaotic == clean
             assert not any(s.failed for s in chaotic)
 
-    def test_exhausted_retries_degrade_not_abort(self):
+    def test_exhausted_retries_degrade_not_abort(self, no_backoff):
         """Every index comes back even when every attempt crashes; the
         placeholders are marked failed with the final error attached."""
         cfg = dataclasses.replace(SMALL, fault_plan=CRASH_ALWAYS)
         for workers in (1, 2):
-            scans = run_fleet_scans(3, config=cfg, base_seed=0, workers=workers,
-                              max_retries=1, backoff_base=0.0)
+            scans = fleet_scans(3, config=cfg, base_seed=0,
+                                workers=workers)
             assert len(scans) == 3
             assert all(s.failed for s in scans)
             assert all("WorkerCrashError" in s.error for s in scans)
             assert "server 2" in scans[2].error
 
-    def test_degraded_sample_aggregates_skip_failures(self):
+    def test_degraded_sample_aggregates_skip_failures(self, no_backoff):
         cfg = dataclasses.replace(SMALL, fault_plan=CRASH_ALWAYS)
-        healthy = run_fleet_scans(2, config=SMALL, base_seed=0, workers=1)
-        broken = run_fleet_scans(1, config=cfg, base_seed=50, workers=1,
-                           max_retries=0, backoff_base=0.0)
+        healthy = fleet_scans(2, config=SMALL, base_seed=0, workers=1)
+        broken = fleet_scans(1, config=cfg, base_seed=50, workers=1)
         sample = FleetSample(scans=healthy + broken)
         assert [i for i, scan in enumerate(sample.scans)
                 if scan.failed] == [2]
@@ -158,43 +170,42 @@ class TestSupervision:
         assert snap["n_failed_servers"] == 1
 
     def test_chunk_size_still_accepted(self):
-        scans = run_fleet_scans(2, config=SMALL, base_seed=1, workers=2,
-                          chunk_size=1)
-        assert scans == run_fleet_scans(2, config=SMALL, base_seed=1, workers=1)
+        """Singleton tasks, what the automatic chunking picks for small
+        fleets."""
+        scans = chunked_scans(2, SMALL, base_seed=1, chunk=1)
+        assert scans == fleet_scans(2, config=SMALL, base_seed=1, workers=1)
 
     def test_chunked_run_bit_identical(self):
         """Multi-server chunks change only the IPC batching, never the
         scans: a chunked parallel run equals the serial loop."""
-        serial = run_fleet_scans(6, config=TINY, base_seed=11, workers=1)
-        chunked = run_fleet_scans(6, config=TINY, base_seed=11, workers=2,
-                                  chunk_size=3)
+        serial = fleet_scans(6, config=TINY, base_seed=11, workers=1)
+        chunked = chunked_scans(6, TINY, base_seed=11, chunk=3)
         assert chunked == serial
 
-    def test_chunked_run_survives_crash_faults(self):
+    def test_chunked_run_survives_crash_faults(self, no_backoff):
         """Retries travel as singletons even when the first attempt was
         chunked, so crash-then-retry stays bit-identical to clean."""
-        clean = run_fleet_scans(6, config=TINY, base_seed=7, workers=1)
+        clean = fleet_scans(6, config=TINY, base_seed=7, workers=1)
         cfg = dataclasses.replace(TINY, fault_plan=CRASH_ONCE)
-        chaotic = run_fleet_scans(6, config=cfg, base_seed=7, workers=2,
-                                  chunk_size=4, backoff_base=0.0)
+        chaotic = chunked_scans(6, cfg, base_seed=7, chunk=4)
         assert chaotic == clean
         assert not any(s.failed for s in chaotic)
 
 
 class TestChunkResolution:
-    def test_timeout_forces_singletons(self):
-        assert _resolve_chunk(8, 100, 4, server_timeout=1.0) == 1
-
-    def test_explicit_validated(self):
-        assert _resolve_chunk(8, 100, 4, server_timeout=None) == 8
-        with pytest.raises(ConfigurationError):
-            _resolve_chunk(0, 100, 4, server_timeout=None)
-
     def test_auto_at_least_one(self):
-        assert _resolve_chunk(None, 2, 4, server_timeout=None) >= 1
+        assert _resolve_chunk(2, 4) == 1
+
+    def test_auto_grows_with_the_fleet_up_to_a_cap(self):
+        """Four chunks per inflight slot (two slots per worker), at
+        most 64 servers per task."""
+        assert _resolve_chunk(1000, 2) == 1000 // 16
+        assert _resolve_chunk(10**6, 2) == 64
 
     def test_config_rejects_bad_chunk_size(self):
-        with pytest.raises(ConfigurationError):
+        """Chunking is automatic: a config has no chunk size to get
+        wrong."""
+        with pytest.raises(TypeError, match="chunk_size"):
             FleetConfig(chunk_size=0)
 
 
@@ -204,7 +215,7 @@ class TestStreaming:
                                      workers=1))
         assert sorted(seen) == [0, 1, 2, 3, 4]
         assert seen == dict(enumerate(
-            run_fleet_scans(5, config=TINY, base_seed=2, workers=1)))
+            fleet_scans(5, config=TINY, base_seed=2, workers=1)))
 
     def test_survey_matches_run_fleet_snapshot(self):
         cfg = FleetConfig(n_servers=8, server=TINY, base_seed=5, workers=1)
@@ -214,14 +225,15 @@ class TestStreaming:
         assert (summary.vmstat_totals().snapshot()
                 == sample.vmstat_totals().snapshot())
 
-    def test_survey_parallel_chunked_identical(self):
+    def test_survey_parallel_chunked_identical(self, monkeypatch):
+        monkeypatch.setattr(engine, "_resolve_chunk", lambda n, w: 3)
         cfg = FleetConfig(n_servers=8, server=TINY, base_seed=5, workers=1)
-        par = dataclasses.replace(cfg, workers=2, chunk_size=3)
+        par = dataclasses.replace(cfg, workers=2)
         assert survey_fleet(par).snapshot() == survey_fleet(cfg).snapshot()
 
-    def test_survey_aggregates_degraded_servers(self):
+    def test_survey_aggregates_degraded_servers(self, no_backoff):
         cfg = FleetConfig(
-            n_servers=3, workers=1, max_retries=0, backoff_base=0.0,
+            n_servers=3, workers=1,
             server=dataclasses.replace(TINY, fault_plan=CRASH_ALWAYS))
         summary = survey_fleet(cfg)
         assert summary.n_servers == 3
@@ -229,33 +241,31 @@ class TestStreaming:
         assert summary.snapshot() == run_fleet(cfg).snapshot()
 
 
-    def test_sample_snapshot_byte_equal_with_loadgen_and_a_failure(self):
-        """Both front doors aggregate through one fold: on a
-        loadgen-bearing fleet where exactly one server exhausts its
-        retry budget, ``FleetSample.snapshot()`` (index order) and a
-        parallel ``survey_fleet`` (completion order) serialise to the
-        same bytes — keys, order, and every float."""
+    def test_sample_snapshot_byte_equal_with_a_failure(self, no_backoff):
+        """Both front doors aggregate through one fold: on a fleet where
+        exactly one server exhausts its retry budget,
+        ``FleetSample.snapshot()`` (index order) and a parallel
+        ``survey_fleet`` (completion order) serialise to the same bytes
+        — keys, order, and every float."""
         import json
 
-        from repro.workloads import LoadgenConfig
-
         plan = FaultPlan("flaky", (FaultSpec("fleet.worker.crash",
-                                             rate=0.3),))
-        base_seed = next(b for b in range(1000) if sum(
-            plan.should_crash(b + i, 0) for i in range(4)) == 1)
+                                             rate=0.5),))
+
+        def fails(seed):
+            return all(plan.should_crash(seed, attempt)
+                       for attempt in range(DEFAULT_MAX_RETRIES + 1))
+
+        base_seed = next(b for b in range(1000)
+                         if sum(fails(b + i) for i in range(4)) == 1)
         cfg = FleetConfig(
-            n_servers=4, base_seed=base_seed, workers=1, max_retries=0,
-            backoff_base=0.0,
-            server=dataclasses.replace(
-                TINY, fault_plan=plan,
-                loadgen=LoadgenConfig(rate_rps=150_000.0, duration_s=5e-4)))
+            n_servers=4, base_seed=base_seed, workers=1,
+            server=dataclasses.replace(TINY, fault_plan=plan))
         sample = run_fleet(cfg)
         assert sum(scan.failed for scan in sample.scans) == 1
         snap = sample.snapshot()
         assert snap["n_failed_servers"] == 1
-        assert snap["latency.all.servers"] == 3
-        survey = survey_fleet(dataclasses.replace(cfg, workers=2,
-                                                  chunk_size=1))
+        survey = survey_fleet(dataclasses.replace(cfg, workers=2))
         assert json.dumps(snap) == json.dumps(survey.snapshot())
 
 

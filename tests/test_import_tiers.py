@@ -112,3 +112,16 @@ def test_probe_sees_the_hot_tier_when_it_loads():
     loaded = run_probe("import repro\nrepro.LinuxKernel")
     assert "numpy" in loaded and "repro.mm" in loaded
 
+
+
+def test_fleet_import_loads_no_simulator_or_load_generator():
+    """A fleet server boots a kernel, churns a workload and scans it;
+    nothing on that path needs the hardware simulator or the open-loop
+    load generator, so importing the fleet loads neither."""
+    done = fresh_python(
+        "import sys, repro.fleet\n"
+        "print(sorted(m for m in sys.modules if m == 'repro.sim'\n"
+        "             or m.startswith(('repro.sim.',\n"
+        "                              'repro.workloads.tracegen'))))")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -471,53 +471,27 @@ class TestRetireDifferential:
         # What a loadgen checkpoint pickles did not change shape (7 is
         # the handle registry's freed marker, 8 the free-list columns,
         # 9 the workload expiry calendar, 10 the sectioned envelope,
-        # 11 the handle registry's frame column).
-        assert FORMAT_VERSION == 11
+        # 11 the handle registry's frame column, 12 the configs' removed
+        # test-only fields).
+        assert FORMAT_VERSION == 12
         assert sorted(vars(RequestLoop(NGINX))) == [
             "accesses_per_request", "app", "buffer_pages", "core",
             "hot_pages", "hot_weight", "instructions_per_request",
             "params", "rng", "seed"]
 
 
-class TestWorkloadLoadgenIntegration:
-    def test_workload_result_carries_latency(self):
-        from repro.units import MiB
-        from repro.workloads import WorkloadConfig, run_workload
-
-        result = run_workload(WorkloadConfig(
-            service="cache-b", mem_bytes=MiB(64), steps=20, seed=5,
-            loadgen=LoadgenConfig(**FAST)))
-        snap = result.snapshot()
-        assert snap["latency"]["all"]["requests"] > 0
-        # The burst inherits the workload seed when left at default.
-        again = run_workload(WorkloadConfig(
-            service="cache-b", mem_bytes=MiB(64), steps=20, seed=5,
-            loadgen=LoadgenConfig(**FAST)))
-        assert again.snapshot() == snap
-
-
 class TestFleetTail:
+    """A fleet survey runs no load burst: the tail-latency experiment is
+    its own spec (``tail-latency-interference``)."""
+
     def _config(self, workers):
         from repro.fleet import FleetConfig, ServerConfig
         from repro.units import MiB
 
         server = ServerConfig(mem_bytes=MiB(64), min_uptime_steps=10,
-                              max_uptime_steps=20,
-                              loadgen=LoadgenConfig(**FAST))
+                              max_uptime_steps=20)
         return FleetConfig(n_servers=3, server=server, base_seed=21,
                            workers=workers)
-
-    def test_scans_carry_latency_and_tail_summary(self):
-        from repro.fleet import run_fleet
-
-        sample = run_fleet(self._config(workers=1))
-        for scan in sample.scans:
-            assert scan.latency["all"]["requests"] > 0
-            assert scan.vmstat["loadgen.requests"] > 0
-        snap = sample.snapshot()
-        assert snap["latency.all.servers"] == 3
-        assert (snap["latency.all.p99_us_max"]
-                >= snap["latency.all.p99_us_median"])
 
     def test_worker_count_invisible_in_snapshots(self):
         from repro.fleet import run_fleet
@@ -525,31 +499,15 @@ class TestFleetTail:
         a = run_fleet(self._config(workers=1)).snapshot()
         b = run_fleet(self._config(workers=3)).snapshot()
         assert a == b
-        assert any(k.startswith("latency.") for k in a)
 
     def test_loadgen_free_snapshots_unchanged(self):
-        from repro.fleet import FleetConfig, ServerConfig, run_fleet
-        from repro.units import MiB
+        from repro.fleet import run_fleet
 
-        server = ServerConfig(mem_bytes=MiB(64), min_uptime_steps=10,
-                              max_uptime_steps=20)
-        snap = run_fleet(FleetConfig(n_servers=2, server=server,
-                                     base_seed=21, workers=1)).snapshot()
-        assert not any(k.startswith("latency.") for k in snap)
-        for scan in snap.get("scans", []):
-            assert "latency" not in scan
-
-    def test_server_scan_latency_round_trips(self):
-        from repro.fleet import ServerScan, SimulatedServer
-        from repro.fleet.server import ServerConfig
-        from repro.units import MiB
-
-        scan = SimulatedServer(ServerConfig(
-            mem_bytes=MiB(64), min_uptime_steps=10, max_uptime_steps=20,
-            loadgen=LoadgenConfig(**FAST)), seed=4).run()
-        assert scan.latency
-        rebuilt = ServerScan.from_snapshot(scan.snapshot())
-        assert rebuilt == scan
+        sample = run_fleet(self._config(workers=1))
+        assert not any(k.startswith("latency.") for k in sample.snapshot())
+        for scan in sample.scans:
+            assert "latency" not in scan.snapshot()
+            assert not any(k.startswith("loadgen.") for k in scan.vmstat)
 
 
 class TestTailLatencyExperiment:
