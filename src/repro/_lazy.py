@@ -3,7 +3,8 @@
 ``repro``, ``repro.analysis`` and ``repro.workloads`` re-export names
 whose home modules import numpy and the simulator; resolving them on
 first use keeps ``import repro.cli`` and every cache-only verb off that
-cost (docs/INTERNALS.md, "Import tiers").
+cost (docs/INTERNALS.md, "Import tiers").  ``repro.faults`` does the
+same for its injector, which a warm ``scenario run`` never needs.
 """
 
 from __future__ import annotations

@@ -12,7 +12,9 @@ Identical (spec, config, seed, plan) invocations are served from the
 on-disk cache (``benchmarks/results/cache/``) byte for byte; a spec's
 ``axes`` are the grid ``repro experiment sweep`` hands
 :func:`repro.scenarios.run_scenario`, which lands every finished cell
-here, so an interrupted grid resumes without recomputing anything.  See
+here, so an interrupted grid resumes without recomputing anything.  The
+built-in paper specs live in five family modules (``spec.FAMILIES``),
+each imported the first time one of its names is asked for.  See
 docs/API.md for the stable surface and EXPERIMENTS.md for the CLI
 walkthrough.
 """
@@ -43,9 +45,6 @@ from .spec import (
     register,
     unregister,
 )
-
-# Importing the package registers the built-in paper specs.
-from . import builtin as _builtin  # noqa: F401
 
 __all__ = [
     "Axis",

@@ -14,22 +14,25 @@ hits).
 
 Telemetry: every run folds ``experiment.cache_hit`` /
 ``experiment.cache_miss`` counters into a
-:class:`~repro.telemetry.MetricsRegistry` and (unless suppressed) builds
-a run manifest — the machine-checkable record CI's experiment-smoke job
-gates on.  Fault plans ride in unchanged: a ``--plan`` chaos experiment
-is cached under a key that includes the plan snapshot, so chaos rows
-never masquerade as clean ones.
+:class:`~repro.telemetry.MetricsRegistry` and snapshots them for its run
+manifest — the machine-checkable record CI's experiment-smoke job gates
+on.  The manifest itself is built on first read of
+:attr:`ExperimentResult.manifest` (or when ``manifest_path`` asks for
+the file), so a run nobody asks it of never forks ``git``.  Fault plans
+ride in unchanged: a ``--plan`` chaos experiment is cached under a key
+that includes the plan snapshot, so chaos rows never masquerade as
+clean ones.
 """
 
 from __future__ import annotations
 
 import os
 import shutil
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import ConfigurationError
-from ..telemetry import MetricsRegistry, build_manifest, tracepoint, \
-    write_manifest
+from ..telemetry import MetricsRegistry, tracepoint, write_manifest
+from ..telemetry.manifest import LazyManifest
 from .cache import ResultCache, result_key
 from .spec import ExperimentContext, ExperimentSpec, get_spec
 
@@ -39,8 +42,9 @@ _tp_miss = tracepoint("experiment.cache.miss")
 
 
 @dataclass
-class ExperimentResult:
-    """One cell's outcome: the rows plus enough context to report it."""
+class ExperimentResult(LazyManifest):
+    """One cell's outcome: the rows plus enough context to report it,
+    and its manifest, built on first read of :attr:`manifest`."""
 
     spec: ExperimentSpec
     config: dict
@@ -48,7 +52,6 @@ class ExperimentResult:
     key: str
     rows: list
     cached: bool
-    manifest: dict | None = field(default=None, repr=False)
 
     def report(self) -> str:
         """The spec's rendered report (its ``postprocess``), or a plain
@@ -65,6 +68,17 @@ def _plan_snapshot(plan) -> dict | None:
     return None if plan is None else plan.snapshot()
 
 
+def _address(name: str, overrides: dict | None, seed: int | None, plan,
+             cache: ResultCache | None):
+    """One cell's (spec, config, seed, cache, key), defaults filled in."""
+    spec = get_spec(name)
+    config = spec.resolve(overrides)
+    seed = spec.seed if seed is None else seed
+    cache = ResultCache() if cache is None else cache
+    return spec, config, seed, cache, result_key(
+        spec.name, spec.version, config, seed, _plan_snapshot(plan))
+
+
 def run_experiment(name: str,
                    overrides: dict | None = None,
                    seed: int | None = None,
@@ -73,7 +87,6 @@ def run_experiment(name: str,
                    cache: ResultCache | None = None,
                    force: bool = False,
                    metrics: MetricsRegistry | None = None,
-                   emit_manifest: bool = True,
                    manifest_path: str | None = None,
                    checkpoint_every: int = 0,
                    checkpoint_dir: str | None = None) -> ExperimentResult:
@@ -94,8 +107,8 @@ def run_experiment(name: str,
             unit of work: the derived checkpoint directory is emptied
             first, so no earlier run's state is resumed into the rows.
         metrics: shared registry (a scenario passes one across cells);
-            ``experiment.*`` counters land here.
-        emit_manifest: build a run manifest onto the result.
+            ``experiment.*`` counters land here and the result's
+            manifest snapshots them.
         manifest_path: also write the manifest JSON there.
         checkpoint_every: when > 0, producers that support mid-cell
             checkpointing write to ``<cache>/checkpoints/<key>`` every N
@@ -110,17 +123,10 @@ def run_experiment(name: str,
             ``repro experiment run --resume-from`` points a rerun at a
             killed cell's checkpoints.  Never deleted, ``force`` or not.
     """
-    spec = get_spec(name)
-    config = spec.resolve(overrides)
-    if seed is None:
-        seed = spec.seed
-    if cache is None:
-        cache = ResultCache()
+    spec, config, seed, cache, key = _address(name, overrides, seed, plan,
+                                              cache)
     if metrics is None:
         metrics = MetricsRegistry()
-
-    key = result_key(spec.name, spec.version, config, seed,
-                     _plan_snapshot(plan))
     if _tp_run.enabled:
         _tp_run.emit(spec=spec.name, seed=seed, key=key[:12])
 
@@ -141,7 +147,7 @@ def run_experiment(name: str,
                 dep, overrides=overrides,
                 seed=seed if dep_seed is None else dep_seed,
                 workers=workers, plan=plan, cache=cache, metrics=metrics,
-                emit_manifest=False, checkpoint_every=checkpoint_every)
+                checkpoint_every=checkpoint_every)
             return dep_result.rows
 
         derived = None
@@ -170,18 +176,17 @@ def run_experiment(name: str,
 
     result = ExperimentResult(spec=spec, config=config, seed=seed,
                               key=key, rows=rows, cached=cached)
-    if emit_manifest:
-        result.manifest = build_manifest(
-            kind="experiment",
-            config={"experiment": spec.name, "version": spec.version,
-                    "fault_plan": _plan_snapshot(plan),
-                    "params": config, "cache_key": key},
-            seed=seed,
-            counters=metrics.counters.snapshot(),
-            aggregates={"rows": len(rows)},
-            volatile={"cache_dir": cache.root})
-        if manifest_path:
-            write_manifest(manifest_path, result.manifest)
+    result.manifest_parts = {
+        "kind": "experiment",
+        "config": {"experiment": spec.name, "version": spec.version,
+                   "fault_plan": _plan_snapshot(plan),
+                   "params": config, "cache_key": key},
+        "seed": seed,
+        "counters": metrics.counters.snapshot(),
+        "aggregates": {"rows": len(rows)},
+        "volatile": {"cache_dir": cache.root}}
+    if manifest_path:
+        write_manifest(manifest_path, result.manifest)
     return result
 
 
@@ -192,14 +197,8 @@ def load_cached(name: str,
                 cache: ResultCache | None = None) -> ExperimentResult | None:
     """The cached result for one cell without ever computing — the
     ``repro experiment report`` path.  Returns None on a miss."""
-    spec = get_spec(name)
-    config = spec.resolve(overrides)
-    if seed is None:
-        seed = spec.seed
-    if cache is None:
-        cache = ResultCache()
-    key = result_key(spec.name, spec.version, config, seed,
-                     _plan_snapshot(plan))
+    spec, config, seed, cache, key = _address(name, overrides, seed, plan,
+                                              cache)
     rows = cache.get(key)
     if rows is None:
         return None

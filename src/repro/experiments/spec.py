@@ -179,13 +179,49 @@ class ExperimentSpec:
         return config
 
 
-#: The process-wide spec registry (built-ins register on import;
-#: tests add and remove their own).
+#: The process-wide spec registry (built-ins register when their family
+#: module is imported; tests add and remove their own).
 _REGISTRY: dict[str, ExperimentSpec] = {}
+
+#: Each built-in spec family's module and the names it registers, in
+#: registration order.  A family is imported the first time one of its
+#: names is asked for, so a warm ``repro scenario run`` compiles one
+#: family and ``import repro.experiments`` compiles none.
+FAMILIES: dict[str, tuple[str, ...]] = {
+    "repro.experiments.survey": (
+        "fleet-survey", "fig04-contiguity-cdf", "fig05-unmovable-cdf",
+        "fig06-sources", "s24-uptime-corr"),
+    "repro.experiments.steady": (
+        "workload-steady", "steady-profile", "fig11-unmovable",
+        "fig12-potential", "s52-internal-frag"),
+    "repro.experiments.latency": (
+        "tail-latency-interference", "fig13-unavailable",
+        "s53-interference"),
+    "repro.experiments.analytic": (
+        "fig02-hwgen", "fig03-walk-cycles", "fig10-endtoend",
+        "s53-hwcost", "alg1-resizing"),
+    "repro.experiments.ablations": (
+        "ablation-placement", "ablation-designs", "ablation-pcp",
+        "ablation-autotune"),
+}
+_HOME = {name: module for module, names in FAMILIES.items()
+         for name in names}
+
+
+def _load_family(name: str) -> None:
+    """Import the family module that registers built-in *name*, if any
+    (a no-op once imported, and while it is being imported).  Through
+    ``__import__``: ``importlib.import_module`` bypasses the import
+    statement's machinery, so ``-X importtime`` (which CI reads) would
+    not list the family."""
+    if name in _HOME:
+        __import__(_HOME[name])
 
 
 def register(spec: ExperimentSpec, replace: bool = False) -> ExperimentSpec:
-    """Add *spec* to the registry; duplicate names fail unless *replace*."""
+    """Add *spec* to the registry; duplicate names fail unless *replace*
+    (a built-in's name is taken whether or not its family has loaded)."""
+    _load_family(spec.name)
     if spec.name in _REGISTRY and not replace:
         raise ConfigurationError(
             f"experiment {spec.name!r} is already registered "
@@ -200,14 +236,17 @@ def unregister(name: str) -> None:
 
 
 def get_spec(name: str) -> ExperimentSpec:
+    _load_family(name)
     try:
         return _REGISTRY[name]
     except KeyError:
         raise ConfigurationError(
             f"unknown experiment {name!r}; registered: "
-            + (", ".join(sorted(_REGISTRY)) or "(none)")) from None
+            + ", ".join(spec.name for spec in all_specs())) from None
 
 
 def all_specs() -> list[ExperimentSpec]:
-    """Every registered spec, name-sorted."""
+    """Every registered spec, name-sorted (every family imported)."""
+    for module in FAMILIES:
+        __import__(module)
     return [_REGISTRY[name] for name in sorted(_REGISTRY)]

@@ -12,22 +12,12 @@ churn — so the simulator injects those adversities on purpose:
 
 Same seed + same plan ⇒ the same fault sequence ⇒ bit-identical
 manifests; see ``docs/ROBUSTNESS.md`` for the fault taxonomy and the
-degradation semantics each site exercises.
+degradation semantics each site exercises.  The names re-exported here
+resolve on first use, so importing :mod:`repro.faults.plan` (what a
+scenario matrix needs) loads no injector.
 """
 
-from .injector import (
-    FAULTS,
-    FaultRegistry,
-    FaultSite,
-    fault_site,
-    injecting,
-)
-from .plan import (
-    KNOWN_SITES,
-    NAMED_PLANS,
-    FaultPlan,
-    FaultSpec,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "FAULTS",
@@ -40,3 +30,9 @@ __all__ = [
     "fault_site",
     "injecting",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".injector": ("FAULTS", "FaultRegistry", "FaultSite", "fault_site",
+                  "injecting"),
+    ".plan": ("KNOWN_SITES", "NAMED_PLANS", "FaultPlan", "FaultSpec"),
+})

@@ -21,7 +21,6 @@ counts, and cache hits — the property CI's scenario-smoke job diffs.
 
 from __future__ import annotations
 
-from html import escape
 from typing import Mapping, NamedTuple
 
 __all__ = ["render_html", "render_markdown"]
@@ -201,6 +200,8 @@ def render_markdown(result) -> str:
 
 
 def _html_table(header: list[str], rows: list[list[str]]) -> list[str]:
+    from html import escape
+
     lines = ["<table>", "<tr>"]
     lines += [f"<th>{escape(h)}</th>" for h in header]
     lines.append("</tr>")
@@ -214,6 +215,8 @@ def _html_table(header: list[str], rows: list[list[str]]) -> list[str]:
 
 def render_html(result) -> str:
     """The same report as a standalone, dependency-free HTML document."""
+    from html import escape
+
     doc = _document(result)
     lines = [
         "<!DOCTYPE html>",

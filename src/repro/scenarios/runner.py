@@ -31,8 +31,8 @@ from ..experiments.cache import ResultCache
 from ..experiments.grid import Cell
 from ..experiments.runner import ExperimentResult
 from ..faults.plan import NAMED_PLANS
-from ..telemetry import MetricsRegistry, build_manifest, tracepoint, \
-    write_manifest
+from ..telemetry import MetricsRegistry, tracepoint, write_manifest
+from ..telemetry.manifest import LazyManifest
 from .loader import get_scenario
 from .model import Scenario, ScenarioMatrix
 
@@ -108,14 +108,14 @@ class ScenarioConfig:
 
 
 @dataclass
-class ScenarioResult:
-    """A compiled matrix plus each selected cell's experiment result."""
+class ScenarioResult(LazyManifest):
+    """A compiled matrix plus each selected cell's experiment result,
+    and the scenario manifest, built on first read of :attr:`manifest`."""
 
     matrix: ScenarioMatrix
     seed: int
     cells: tuple[Cell, ...]
     results: list[ExperimentResult]
-    manifest: dict | None = field(default=None, repr=False)
 
     @property
     def n_cached(self) -> int:
@@ -180,9 +180,12 @@ def _resolve(config: ScenarioConfig):
     return matrix, cells, seed
 
 
-def _cell_plan(matrix: ScenarioMatrix, cell: Cell):
-    name = matrix.cell_plan(cell)
-    return None if name is None else NAMED_PLANS[name]
+def _cell_args(matrix: ScenarioMatrix, cell: Cell, seed: int) -> dict:
+    """What one cell hands ``run_experiment`` or ``load_cached``."""
+    plan = matrix.cell_plan(cell)
+    return {"overrides": matrix.cell_overrides(cell),
+            "seed": seed + cell.replica,
+            "plan": None if plan is None else NAMED_PLANS[plan]}
 
 
 def run_scenario(config: ScenarioConfig,
@@ -206,15 +209,11 @@ def run_scenario(config: ScenarioConfig,
         if _tp_cell_start.enabled:
             _tp_cell_start.emit(scenario=matrix.scenario, cell=cell.id)
         result = run_experiment(
-            matrix.experiment,
-            overrides=matrix.cell_overrides(cell),
-            seed=seed + cell.replica,
+            matrix.experiment, **_cell_args(matrix, cell, seed),
             workers=config.workers,
-            plan=_cell_plan(matrix, cell),
             cache=cache,
             force=config.force,
             metrics=metrics,
-            emit_manifest=False,
             checkpoint_every=config.checkpoint_every)
         if result.cached:
             metrics.inc("scenario.cells_cached")
@@ -227,18 +226,17 @@ def run_scenario(config: ScenarioConfig,
 
     scenario_result = ScenarioResult(matrix=matrix, seed=seed,
                                      cells=cells, results=results)
-    scenario_result.manifest = build_manifest(
-        kind="scenario",
-        config={**matrix.snapshot(),
-                "cells": [cell.id for cell in cells]},
-        seed=seed,
-        counters=metrics.counters.snapshot(),
-        aggregates={"cells_total": len(results),
-                    "cells_cached": scenario_result.n_cached,
-                    "cells_computed":
-                        len(results) - scenario_result.n_cached},
-        volatile={"cache_dir": cache.root, "workers": config.workers},
-    )
+    n_cached = scenario_result.n_cached
+    scenario_result.manifest_parts = {
+        "kind": "scenario",
+        "config": {**matrix.snapshot(),
+                   "cells": [cell.id for cell in cells]},
+        "seed": seed,
+        "counters": metrics.counters.snapshot(),
+        "aggregates": {"cells_total": len(results),
+                       "cells_cached": n_cached,
+                       "cells_computed": len(results) - n_cached},
+        "volatile": {"cache_dir": cache.root, "workers": config.workers}}
     if manifest_path:
         write_manifest(manifest_path, scenario_result.manifest)
     return scenario_result
@@ -255,12 +253,8 @@ def load_scenario(config: ScenarioConfig,
     results: list[ExperimentResult] = []
     missing: list[str] = []
     for cell in cells:
-        result = load_cached(
-            matrix.experiment,
-            overrides=matrix.cell_overrides(cell),
-            seed=seed + cell.replica,
-            plan=_cell_plan(matrix, cell),
-            cache=cache)
+        result = load_cached(matrix.experiment,
+                             **_cell_args(matrix, cell, seed), cache=cache)
         if result is None:
             missing.append(cell.id)
         else:

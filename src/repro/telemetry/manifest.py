@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from functools import cached_property
 
 from ..errors import ConfigurationError
 
@@ -85,6 +86,24 @@ def build_manifest(
         },
     }
     return manifest
+
+
+class LazyManifest:
+    """Mixin for a run result whose manifest is built on first read.
+
+    The run sets ``manifest_parts`` (:func:`build_manifest`'s keywords)
+    when it ends, so the counters and aggregates are the run's own; the
+    host facts (git rev, platform, time) are taken only when somebody
+    reads :attr:`manifest`, so a run nobody asks forks no ``git``.  A
+    result with no parts (one only read back from a cache) has none.
+    """
+
+    manifest_parts: dict | None = None
+
+    @cached_property
+    def manifest(self) -> dict | None:
+        parts = self.manifest_parts
+        return None if parts is None else build_manifest(**parts)
 
 
 def write_manifest(path, manifest: dict) -> str:

@@ -144,6 +144,84 @@ class TestSpecRegistry:
             assert expected in names
 
 
+#: Every built-in spec, in ``all_specs()`` order.
+BUILTIN_SPECS = (
+    "ablation-autotune", "ablation-designs", "ablation-pcp",
+    "ablation-placement", "alg1-resizing", "fig02-hwgen",
+    "fig03-walk-cycles", "fig04-contiguity-cdf", "fig05-unmovable-cdf",
+    "fig06-sources", "fig10-endtoend", "fig11-unmovable", "fig12-potential",
+    "fig13-unavailable", "fleet-survey", "s24-uptime-corr",
+    "s52-internal-frag", "s53-hwcost", "s53-interference", "steady-profile",
+    "tail-latency-interference", "workload-steady")
+
+
+class TestSpecFamilies:
+    """The built-in specs live in five family modules, each imported the
+    first time one of its names is asked for (``spec.FAMILIES``)."""
+
+    def test_each_family_registers_exactly_its_row(self):
+        from conftest import fresh_python
+
+        done = fresh_python(
+            "import json\n"
+            "from importlib import import_module\n"
+            "from repro.experiments import spec\n"
+            "added = {}\n"
+            "for module in spec.FAMILIES:\n"
+            "    before = list(spec._REGISTRY)\n"
+            "    import_module(module)\n"
+            "    added[module] = [n for n in spec._REGISTRY\n"
+            "                     if n not in before]\n"
+            "print(json.dumps(added))\n")
+        assert done.returncode == 0, done.stderr
+        from repro.experiments.spec import FAMILIES
+
+        assert json.loads(done.stdout) == {
+            module: list(names) for module, names in FAMILIES.items()}
+        names = [name for row in FAMILIES.values() for name in row]
+        assert len(names) == len(set(names))
+
+    def test_all_specs_is_every_family_in_name_order(self):
+        from conftest import fresh_python
+
+        done = fresh_python(
+            "from repro.experiments import all_specs\n"
+            "print(' '.join(s.name for s in all_specs()))\n")
+        assert done.returncode == 0, done.stderr
+        assert tuple(done.stdout.split()) == BUILTIN_SPECS
+
+    def test_unknown_name_lists_every_builtin(self):
+        """Asked before any family has loaded, the error still names all
+        22 built-ins."""
+        from conftest import fresh_python
+
+        done = fresh_python(
+            "from repro.errors import ConfigurationError\n"
+            "from repro.experiments import get_spec\n"
+            "try:\n"
+            "    get_spec('no-such-spec')\n"
+            "except ConfigurationError as exc:\n"
+            "    print(exc)\n")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == (
+            "unknown experiment 'no-such-spec'; registered: "
+            + ", ".join(BUILTIN_SPECS))
+
+    def test_builtin_name_is_taken_before_its_family_loads(self):
+        from conftest import fresh_python
+
+        done = fresh_python(
+            "from repro.errors import ConfigurationError\n"
+            "from repro.experiments import ExperimentSpec, register\n"
+            "try:\n"
+            "    register(ExperimentSpec(name='fig02-hwgen', "
+            "description='x', producer=list))\n"
+            "except ConfigurationError as exc:\n"
+            "    print(exc)\n")
+        assert done.returncode == 0, done.stderr
+        assert "already registered" in done.stdout
+
+
 class TestResultKey:
     def test_stable_and_order_independent(self):
         a = result_key("s", 1, {"a": 1, "b": 2}, 7)
@@ -318,6 +396,29 @@ class TestSweep:
         assert manifest["config"]["scenario"] == "toy-count"
         assert manifest["counters"]["scenario.cells_total"] == 3
 
+    def test_cell_manifest_counts_stop_at_its_own_cell(self, cache,
+                                                       counting_spec):
+        """Cells share one metrics registry and every manifest is built
+        only when read, here after the last cell: each cell's counters
+        are still the values at the end of that cell, never a later
+        cell's."""
+        from repro.scenarios import Scenario, ScenarioConfig, run_scenario
+
+        spec, _ = counting_spec
+        result = run_scenario(ScenarioConfig(Scenario(
+            name="toy-count", description="test", experiment=spec.name,
+            axes=spec.axes)), cache=cache)
+        assert [r.manifest["counters"] for r in result.results] == [
+            {"experiment.cache_miss": 1, "scenario.cells_total": 1},
+            {"experiment.cache_miss": 2, "scenario.cells_computed": 1,
+             "scenario.cells_total": 2},
+            {"experiment.cache_miss": 3, "scenario.cells_computed": 2,
+             "scenario.cells_total": 3}]
+        assert result.manifest["counters"] == {
+            "experiment.cache_miss": 3, "scenario.cells_computed": 3,
+            "scenario.cells_total": 3}
+        assert all(r.manifest["git_rev"] for r in result.results)
+
     def test_interrupted_sweep_resumes(self, cache, counting_spec,
                                        tmp_path, capsys):
         """A killed sweep's finished cells are served from checkpoint on
@@ -325,8 +426,7 @@ class TestSweep:
         _, calls = counting_spec
         # Finish cell x=1 as a standalone run (same content address the
         # sweep will compute), as if a prior sweep died after it.
-        run_experiment("toy-count", overrides={"x": 1}, cache=cache,
-                       emit_manifest=False)
+        run_experiment("toy-count", overrides={"x": 1}, cache=cache)
         assert calls["n"] == 1
 
         cells, manifest = self._sweep("toy-count", tmp_path, capsys)
@@ -733,11 +833,11 @@ class TestFigureSpecs:
         """Figs. 11, 12 and §5.2 fetch one ``steady-profile`` cell: one
         simulation for the three, cached across processes, and each
         report renders from its rows alone."""
-        from repro.experiments import builtin
+        from repro.experiments import steady
         from repro.telemetry import MetricsRegistry
 
-        monkeypatch.setattr(builtin, "_STEADY_MEM_MIB", 64)
-        monkeypatch.setattr(builtin, "_STEADY_STEPS", 30)
+        monkeypatch.setattr(steady, "_STEADY_MEM_MIB", 64)
+        monkeypatch.setattr(steady, "_STEADY_STEPS", 30)
         cache = ResultCache(str(tmp_path))
         metrics = MetricsRegistry()
         results = [run_experiment(name, cache=cache, metrics=metrics)

@@ -13,10 +13,17 @@ import pytest
 import repro.units
 from conftest import fresh_python
 from repro.experiments import ResultCache, get_spec, result_key
+from repro.experiments.spec import FAMILIES
+from repro.telemetry.manifest import git_rev
 
 #: What the hot tier looks like from ``sys.modules``.
 HOT = ("numpy", "repro.mm", "repro.core", "repro.kalloc", "repro.sim",
        "repro.fleet", "repro.workloads.base")
+
+#: What a warm ``scenario run`` never needs: the manifest's host facts,
+#: the HTML renderer, the fault injector and the tool verbs.
+NOT_WARM = ("subprocess", "platform", "html", "repro.faults.injector",
+            "repro.checkpoint", "repro.analysis.simlint", "repro.tools")
 
 PROBE = """
 import json, sys
@@ -27,9 +34,11 @@ print("\\nHOT=" + json.dumps(hot))
 """
 
 
-def run_probe(body: str, env: dict | None = None) -> list[str]:
-    """Run *body* in a fresh interpreter; the hot modules it loaded."""
-    done = fresh_python(PROBE.format(body=body, hot=HOT), env)
+def run_probe(body: str, env: dict | None = None,
+              watch: tuple[str, ...] = HOT) -> list[str]:
+    """Run *body* in a fresh interpreter; the modules of *watch* (the
+    hot tier by default) it loaded."""
+    done = fresh_python(PROBE.format(body=body, hot=watch), env)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.rsplit("HOT=", 1)[1])
 
@@ -65,6 +74,7 @@ def warm(tmp_path_factory):
     for argv in (
             ["scenario", "run", "steady-web", "--smoke",
              "--manifest", str(manifest)],
+            ["scenario", "run", "uce-degrade", "--smoke", "--workers", "1"],
             ["experiment", "run", "tail-latency-interference",
              "--set", "duration_ms=0.2", "--resume-from", str(ckpt)],
             ["experiment", "run", "s53-hwcost"],
@@ -125,3 +135,37 @@ def test_fleet_import_loads_no_simulator_or_load_generator():
         "                              'repro.workloads.tracegen'))))")
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_warm_scenario_run_loads_one_family_and_no_tool(warm):
+    """A warm ``scenario run`` compiles its one spec family, and neither
+    forks ``git`` for a manifest nobody reads nor loads a tool verb."""
+    loaded = run_probe(
+        main_body("scenario", "run", "uce-degrade", "--smoke"),
+        env={"REPRO_EXPERIMENT_CACHE": warm["cache"]},
+        watch=(*FAMILIES, *NOT_WARM))
+    assert loaded == ["repro.experiments.survey"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("scenario", "list"),
+    ("scenario", "show", "uce-degrade", "--smoke"),
+], ids=["list", "show"])
+def test_scenario_metadata_verbs_load_no_family(argv, warm):
+    assert run_probe(main_body(*argv), watch=FAMILIES) == []
+
+
+def test_manifest_file_still_carries_the_git_rev(warm, tmp_path):
+    """``--manifest`` builds the manifest, host facts and all (the
+    probe sees ``subprocess`` load, so its absence above means
+    something)."""
+    path = tmp_path / "m.json"
+    loaded = run_probe(
+        main_body("scenario", "run", "uce-degrade", "--smoke",
+                  "--manifest", str(path)),
+        env={"REPRO_EXPERIMENT_CACHE": warm["cache"]},
+        watch=("subprocess", "platform"))
+    assert loaded == ["subprocess", "platform"]
+    manifest = json.loads(path.read_text())
+    assert manifest["git_rev"] == git_rev()
+    assert manifest["aggregates"]["cells_cached"] == 2
