@@ -63,16 +63,15 @@ def free_block_count(mem: PhysicalMemory, block_frames: int) -> int:
     return int(blocks.all(axis=1).sum())
 
 
-def unmovable_block_fraction(mem: PhysicalMemory, block_frames: int,
-                             start_pfn: int = 0,
-                             end_pfn: int | None = None) -> float:
+def unmovable_block_fraction(mem: PhysicalMemory,
+                             block_frames: int) -> float:
     """Fraction of aligned blocks containing >= 1 unmovable page.
 
     A single unmovable 4 KiB page renders its whole block unusable for a
     larger mapping — the scattering amplification the paper quantifies
     (7.6 % of 4 KiB pages poisoning 34 % of 2 MiB blocks, §2.5).
     """
-    unmovable = mem.unmovable_mask(start_pfn, end_pfn)
+    unmovable = mem.unmovable_mask()
     # A granularity larger than the scanned range degenerates to "does
     # the whole range contain any unmovable page" — the right question
     # when asking a scaled-down machine about 1 GiB regions.
@@ -94,15 +93,14 @@ def movable_potential(mem: PhysicalMemory, block_frames: int) -> float:
 
 
 def unmovable_region_internal_frag(mem: PhysicalMemory,
-                                   start_pfn: int,
-                                   end_pfn: int | None = None) -> float:
-    """Free-page share inside *occupied* 2 MiB blocks of a region.
+                                   start_pfn: int) -> float:
+    """Free-page share inside *occupied* 2 MiB blocks from *start_pfn* on.
 
     §5.2 measures ~22 % for Contiguitas's unmovable region — free space
     that software cannot recover (its neighbours are unmovable), which
     motivates Contiguitas-HW defragmentation.
     """
-    allocated = mem.allocated_mask(start_pfn, end_pfn)
+    allocated = mem.allocated_mask(start_pfn)
     blocks = _block_view(allocated, PAGEBLOCK_FRAMES)
     if blocks.shape[0] == 0:
         return 0.0

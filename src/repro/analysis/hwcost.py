@@ -11,6 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import ConfigurationError
+from ..sim.params import DEFAULT_PARAMS, KERNEL_ENTRY_GAP_CYCLES
+
+#: Die area of a server-class core at 22 nm (mm²), the denominator of
+#: §5.3's ~0.014 % table-area figure.
+CORE_AREA_MM2 = 27.0
+#: Microseconds one migration's copy holds its table entry (§5.3).
+MIGRATION_COPY_US = 5.0
 
 
 @dataclass(frozen=True)
@@ -47,31 +54,22 @@ class MetadataTableCost:
     def total_bits(self) -> int:
         return self.entries * self.bits_per_entry
 
-    def area_mm2(self, model: SramCostModel | None = None) -> float:
-        model = model or SramCostModel()
+    def area_mm2(self) -> float:
+        model = SramCostModel()
         return self.total_bits() * model.mm2_per_bit * model.scale()
 
-    def energy_per_access_nj(self, model: SramCostModel | None = None
-                             ) -> float:
-        model = model or SramCostModel()
-        return self.total_bits() * model.nj_per_access_per_bit
+    def energy_per_access_nj(self) -> float:
+        return self.total_bits() * SramCostModel().nj_per_access_per_bit
 
-    def leakage_mw(self, model: SramCostModel | None = None) -> float:
-        model = model or SramCostModel()
-        return self.total_bits() * model.mw_leakage_per_bit
+    def leakage_mw(self) -> float:
+        return self.total_bits() * SramCostModel().mw_leakage_per_bit
 
-    def fraction_of_core_area(self, core_mm2: float = 27.0) -> float:
+    def fraction_of_core_area(self) -> float:
         """Table area relative to a server-class core (§5.3: ~0.014 %)."""
-        if core_mm2 <= 0:
-            raise ConfigurationError("core area must be positive")
-        return self.area_mm2() / core_mm2
+        return self.area_mm2() / CORE_AREA_MM2
 
 
-def migrations_per_second_capacity(
-    entries: int = 16,
-    kernel_entry_window_us: float = 25.0,
-    copy_us: float = 5.0,
-) -> float:
+def migrations_per_second_capacity(entries: int = 16) -> float:
     """Theoretical migration throughput of the metadata table (§5.3).
 
     Each migration holds its entry for roughly one kernel-entry window
@@ -81,5 +79,6 @@ def migrations_per_second_capacity(
     """
     if entries <= 0:
         raise ConfigurationError("entries must be positive")
-    hold_us = kernel_entry_window_us + copy_us
+    hold_us = (DEFAULT_PARAMS.cycles_to_us(KERNEL_ENTRY_GAP_CYCLES)
+               + MIGRATION_COPY_US)
     return entries * 1_000_000.0 / hold_us

@@ -42,19 +42,12 @@ DL104     nothing reachable from a manifest/snapshot producer
 
 Suppress a source-anchored finding with a trailing ``# simlint:
 disable=SL004`` comment (comma-separate several codes), or a whole file
-with ``# simlint: disable-file=SL004`` on its own line.  Findings
-anchored in a docs file (a dead catalogue row) are only suppressible
-via the committed baseline file.  See ``docs/ANALYSIS.md`` for the full
-catalogue and the ``repro lint`` CLI.
+with ``# simlint: disable-file=SL004`` on its own line.  A finding
+anchored in a docs file (a dead catalogue row) is fixed in the docs.
+See ``docs/ANALYSIS.md`` for the full catalogue and the ``repro lint``
+CLI.
 """
 
-from .baseline import (
-    Baseline,
-    BaselineError,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
 from .core import (
     RULES,
     DeepLintError,
@@ -70,20 +63,15 @@ from .rules import Rule
 from .sarif import render_sarif
 
 __all__ = [
-    "Baseline",
-    "BaselineError",
     "DeepLintError",
     "Finding",
     "RULES",
     "Rule",
-    "apply_baseline",
     "find_contract_root",
     "lint_paths",
     "lint_source",
-    "load_baseline",
     "render_json",
     "render_sarif",
     "render_text",
     "rule_catalogue",
-    "write_baseline",
 ]

@@ -139,11 +139,11 @@ def _load_contracts(program: ProgramModel, root: str,
 # ---------------------------------------------------------------------------
 
 
-def _run(program: ProgramModel, rules: Iterable[Rule] | None,
+def _run(program: ProgramModel,
          contracts: Contracts | None = None) -> list[Finding]:
     program.build_indexes()
     findings = list(program.parse_errors)
-    for rule in RULES if rules is None else rules:
+    for rule in RULES:
         if contracts is not None or not rule.deep:
             findings.extend(rule.check(program, contracts))
     by_path = {info.path: info for info in program.files}
@@ -152,8 +152,7 @@ def _run(program: ProgramModel, rules: Iterable[Rule] | None,
         if f.path not in by_path or not by_path[f.path].suppressed(f))
 
 
-def lint_source(source: str, path: str = "<string>",
-                rules: Iterable[Rule] | None = None) -> list[Finding]:
+def lint_source(source: str, path: str = "<string>") -> list[Finding]:
     """Lint one source string with the per-file rules; returns sorted,
     unsuppressed findings.
 
@@ -162,11 +161,10 @@ def lint_source(source: str, path: str = "<string>",
     """
     program = ProgramModel()
     program.add_source(source, str(path), module_name(str(path)))
-    return _run(program, rules)
+    return _run(program)
 
 
-def lint_paths(paths: Iterable, rules: Iterable[Rule] | None = None, *,
-               deep: bool = False,
+def lint_paths(paths: Iterable, *, deep: bool = False,
                docs_dir: str | None = None) -> list[Finding]:
     """Lint every ``.py`` file under *paths* (files or directories).
 
@@ -194,7 +192,7 @@ def lint_paths(paths: Iterable, rules: Iterable[Rule] | None = None, *,
         program.add_source(source, _relative(path, root) if root else path,
                            module_name(path))
     contracts = _load_contracts(program, root, docs_dir) if deep else None
-    return _run(program, rules, contracts)
+    return _run(program, contracts)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,8 @@ Each rule overrides ``check(program, contracts)`` and yields the same
 :class:`~repro.analysis.simlint.model.Finding` type the per-file rules
 produce, so text/JSON/SARIF rendering and the CLI exit code treat both
 uniformly.  Findings anchored in a source file honour ``# simlint:
-disable=DLxxx`` allowlists; findings anchored in a docs file (a
-documented-but-dead catalogue row) can only be suppressed through the
-baseline file.
+disable=DLxxx`` allowlists; a finding anchored in a docs file (a
+documented-but-dead catalogue row) is fixed in the docs.
 """
 
 from __future__ import annotations

@@ -27,11 +27,11 @@ SARIF_VERSION = "2.1.0"
 
 
 def finding_fingerprint(finding: Finding) -> str:
-    """Line-number-independent identity for baselining.
+    """Line-number-independent identity of a finding.
 
     Hashes ``rule|path|message`` — stable across unrelated edits that
-    shift line numbers, which is what keeps a committed baseline from
-    churning.
+    shift line numbers, so a SARIF consumer matches a finding from one
+    run to the next.
     """
     key = f"{finding.rule}|{finding.path}|{finding.message}"
     return hashlib.sha256(key.encode("utf-8")).hexdigest()
@@ -42,15 +42,12 @@ def _uri(path: str) -> str:
 
 
 def render_sarif(findings: list[Finding],
-                 rules: list[tuple[str, str, str]],
-                 suppressed_fingerprints: frozenset[str] = frozenset(),
-                 ) -> str:
+                 rules: list[tuple[str, str, str]]) -> str:
     """Render findings as a SARIF 2.1.0 document (a JSON string).
 
     *rules* is the ``(code, title, doc)`` catalogue; every finding's
     rule must appear in it (unknown rules get a minimal stub so the
-    document stays valid).  *suppressed_fingerprints* marks which
-    findings the baseline suppresses.
+    document stays valid).
     """
     codes = [code for code, _, _ in rules]
     rule_objects = [
@@ -72,8 +69,7 @@ def render_sarif(findings: list[Finding],
             })
     results = []
     for finding in sorted(findings):
-        fingerprint = finding_fingerprint(finding)
-        result = {
+        results.append({
             "ruleId": finding.rule,
             "ruleIndex": codes.index(finding.rule),
             "level": "error",
@@ -91,12 +87,9 @@ def render_sarif(findings: list[Finding],
                 },
             }],
             "partialFingerprints": {
-                "reproDeeplint/v1": fingerprint,
+                "reproDeeplint/v1": finding_fingerprint(finding),
             },
-        }
-        if fingerprint in suppressed_fingerprints:
-            result["suppressions"] = [{"kind": "external"}]
-        results.append(result)
+        })
     document = {
         "$schema": SARIF_SCHEMA,
         "version": SARIF_VERSION,

@@ -37,7 +37,7 @@ Examples::
     python -m repro metrics run.json      # pretty-print one manifest
     python -m repro metrics a.json b.json # diff two runs
     python -m repro lint src/repro/mm/buddy.py   # per-file rules only
-    python -m repro lint --deep --strict src/repro  # + whole-program rules
+    python -m repro lint --deep src/repro  # + whole-program rules
     python -m repro lint --deep --sarif out.sarif src/repro
     python -m repro lint --json --list-rules
 
@@ -613,8 +613,9 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--out", metavar="PATH", default=None,
                        help="write matching events as JSONL instead of "
                             "pretty-printing")
-    trace.add_argument("--service", default="CacheB",
-                       choices=["Web", "CacheA", "CacheB", "CI"])
+    trace.add_argument("--service", default="cache-b",
+                       help="registered service to run (default: "
+                            "cache-b)")
     trace.add_argument("--mem-mib", type=int, default=128)
     trace.add_argument("--steps", type=int, default=60)
     trace.set_defaults(fn="repro.tools:cmd_trace")
@@ -639,19 +640,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="also run the whole-program passes "
                            "(DL101-DL104) against docs/OBSERVABILITY.md "
                            "and docs/API.md")
-    lint.add_argument("--strict", action="store_true",
-                      help="also fail on stale baseline entries, "
-                           "keeping the suppression file honest")
     lint.add_argument("--sarif", metavar="PATH",
                       help="write findings as SARIF 2.1.0 to PATH "
                            "('-' for stdout)")
-    lint.add_argument("--baseline", metavar="PATH",
-                      help="baseline suppression file (default: "
-                           ".deeplint-baseline.json at the contract "
-                           "root, when there is one)")
-    lint.add_argument("--write-baseline", action="store_true",
-                      help="suppress every current finding into the "
-                           "baseline file and exit")
     lint.add_argument("--docs", metavar="DIR",
                       help="directory holding OBSERVABILITY.md/API.md "
                            "(default: discovered by walking up from the "

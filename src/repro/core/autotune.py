@@ -109,7 +109,6 @@ def random_search(
     demand: list[int] | None = None,
     trials: int = 20,
     seed: int = 0,
-    mem_bytes: int = MiB(64),
 ) -> TuneOutcome:
     """Random search over the Algorithm-1 coefficient space.
 
@@ -135,13 +134,12 @@ def random_search(
         )
 
     baseline = ResizeConfig()
-    baseline_cost = replay_demand(baseline, demand,
-                                  mem_bytes=mem_bytes).cost()
+    baseline_cost = replay_demand(baseline, demand).cost()
     best, best_cost = baseline, baseline_cost
     history = [(baseline, baseline_cost)]
     for _ in range(trials):
         candidate = sample()
-        cost = replay_demand(candidate, demand, mem_bytes=mem_bytes).cost()
+        cost = replay_demand(candidate, demand).cost()
         history.append((candidate, cost))
         if cost < best_cost:
             best, best_cost = candidate, cost

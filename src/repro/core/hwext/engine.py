@@ -73,13 +73,11 @@ class HwMigrationEngine:
     # ------------------------------------------------------------------
 
     def submit_migrate(self, src_ppn: int, dst_ppn: int,
-                       flag: MigrateFlag | None = None,
                        size_pages: int = 1) -> WorkDescriptor:
         """ENQCMD a Migrate descriptor and process it."""
-        if flag is None:
-            flag = (MigrateFlag.START_COPY
-                    if self.mode is AccessMode.NONCACHEABLE
-                    else MigrateFlag.INSTALL_ONLY)
+        flag = (MigrateFlag.START_COPY
+                if self.mode is AccessMode.NONCACHEABLE
+                else MigrateFlag.INSTALL_ONLY)
         desc = migrate_descriptor(src_ppn, dst_ppn, flag, size_pages)
         self.queue.enqcmd(desc)
         self._process()

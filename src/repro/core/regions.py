@@ -123,8 +123,8 @@ class RegionLayout:
         return (self.unmovable_blocks + blocks <= self.max_unmovable_blocks
                 and self.boundary_block - blocks > 0)
 
-    def can_shrink_unmovable(self, blocks: int = 1) -> bool:
-        return self.unmovable_blocks - blocks >= self.min_unmovable_blocks
+    def can_shrink_unmovable(self) -> bool:
+        return self.unmovable_blocks > self.min_unmovable_blocks
 
     def expand_unmovable(self, blocks: int = 1) -> None:
         """Move the boundary down, growing the unmovable region."""
@@ -132,8 +132,9 @@ class RegionLayout:
             raise ConfigurationError("expand beyond limits")
         self.boundary_block -= blocks
 
-    def shrink_unmovable(self, blocks: int = 1) -> None:
-        """Move the boundary up, returning memory to the movable region."""
-        if not self.can_shrink_unmovable(blocks):
+    def shrink_unmovable(self) -> None:
+        """Move the boundary up one block, returning it to the movable
+        region."""
+        if not self.can_shrink_unmovable():
             raise ConfigurationError("shrink beyond limits")
-        self.boundary_block += blocks
+        self.boundary_block += 1

@@ -240,9 +240,13 @@ def _report_s53_hwcost(rows: list, config: dict) -> str:
     )
 
 
-def _near(paper: float, rel: float = 0.15) -> tuple:
-    """The band within *rel* of the *paper* value."""
-    return paper * (1 - rel), paper * (1 + rel)
+#: How far (relative) the §5.3 table costs may sit from the paper's.
+NEAR_PAPER_REL = 0.15
+
+
+def _near(paper: float) -> tuple:
+    """The band within :data:`NEAR_PAPER_REL` of the *paper* value."""
+    return paper * (1 - NEAR_PAPER_REL), paper * (1 + NEAR_PAPER_REL)
 
 
 def _one_entry_headroom(rows: list) -> float:

@@ -141,12 +141,10 @@ def run_experiment(name: str,
         if _tp_miss.enabled:
             _tp_miss.emit(spec=spec.name, key=key[:12])
 
-        def fetch(dep: str, overrides: dict | None = None,
-                  dep_seed: int | None = None) -> list:
+        def fetch(dep: str, overrides: dict | None = None) -> list:
             dep_result = run_experiment(
-                dep, overrides=overrides,
-                seed=seed if dep_seed is None else dep_seed,
-                workers=workers, plan=plan, cache=cache, metrics=metrics,
+                dep, overrides=overrides, seed=seed, workers=workers,
+                plan=plan, cache=cache, metrics=metrics,
                 checkpoint_every=checkpoint_every)
             return dep_result.rows
 

@@ -58,10 +58,10 @@ def _json_type(value: Any) -> str:
 class ExperimentContext:
     """What a producer sees for one (config, seed) cell.
 
-    ``fetch(name, overrides=..., seed=...)`` resolves another
-    experiment's rows through the same cache, metrics registry, worker
-    budget, and fault plan — the dependency mechanism that lets several
-    figures share one steady-state run.
+    ``fetch(name, overrides=...)`` resolves another experiment's rows
+    through the same cache, metrics registry, worker budget, and fault
+    plan — the dependency mechanism that lets several figures share one
+    steady-state run.  A dependency always runs at this cell's seed.
 
     ``checkpoint_every``/``checkpoint_dir`` are the mid-cell durability
     knobs: producers that run long surveys or bursts splat

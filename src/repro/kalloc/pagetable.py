@@ -65,10 +65,11 @@ class PageTableAllocator:
                                tables=self.nr_tables,
                                mapped_frames=self._mapped_frames)
 
-    def on_unmap(self, nframes: int, leaf_level: int = 0) -> None:
-        """Account for unmapping; empty tables are freed."""
+    def on_unmap(self, nframes: int) -> None:
+        """Account for unmapping 4 KiB mappings; empty tables are
+        freed."""
         self._mapped_frames = max(0, self._mapped_frames - nframes)
-        while self.nr_tables > self._tables_needed(leaf_level):
+        while self.nr_tables > self._tables_needed(0):
             self.kernel.free_pages(self._tables.pop())
 
     def _tables_needed(self, leaf_level: int) -> int:

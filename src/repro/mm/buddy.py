@@ -577,9 +577,9 @@ class BuddyAllocator:
         migratetype: MigrateType,
         source: AllocSource = AllocSource.USER,
         now: int = 0,
-        pinned: bool = False,
     ) -> np.ndarray:
-        """Allocate up to *count* order-0 frames in one vectorised pass.
+        """Allocate up to *count* unpinned order-0 frames in one
+        vectorised pass.
 
         Equivalent to repeated ``alloc(0, ...)`` calls — same PFNs, same
         order, same counters — but the frame marks are fancy-index
@@ -592,8 +592,7 @@ class BuddyAllocator:
         pfns = self.take_free_bulk(count, migratetype)
         if pfns.size == 0:
             return pfns
-        self.mem.mark_allocated_bulk(
-            pfns, migratetype, source, now, pinned)
+        self.mem.mark_allocated_bulk(pfns, migratetype, source, now)
         self.stat.inc(ev.ALLOC_SUCCESS, pfns.size)
         if _tp_alloc.enabled:
             for p in pfns.tolist():

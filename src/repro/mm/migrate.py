@@ -122,14 +122,13 @@ def migrate_with_retry(
     dst_pfn: int,
     hardware_assisted: bool = False,
     stat: VmStat | None = None,
-    max_attempts: int = MIGRATE_MAX_ATTEMPTS,
 ) -> AllocationInfo:
     """:func:`move_allocation` with bounded retry over transient failures.
 
     Mirrors Linux ``migrate_pages``: a page that is transiently pinned
     or busy (a raised refcount) fails the attempt, the loop retries up
-    to *max_attempts* times, and only a failure that persists across
-    every attempt surfaces as :class:`MigrationError`.  Permanent
+    to :data:`MIGRATE_MAX_ATTEMPTS` times, and only a failure that
+    persists across every attempt surfaces as :class:`MigrationError`.  Permanent
     conditions (pinned, device-visible, already under migration) raise
     immediately from :func:`move_allocation` on the first attempt.
 
@@ -151,7 +150,7 @@ def migrate_with_retry(
                                    hardware_assisted=hardware_assisted)
         if stat is not None:
             stat.inc(ev.MIGRATE_RETRY)
-        if attempt >= max_attempts:
+        if attempt >= MIGRATE_MAX_ATTEMPTS:
             raise MigrationError(
                 f"pfn {src_pfn}: {transient} persisted across "
                 f"{attempt} attempts")

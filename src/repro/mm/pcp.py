@@ -66,11 +66,10 @@ class PerCpuPages:
 
     # ------------------------------------------------------------------
 
-    def held_pages(self, cpu: int | None = None) -> int:
+    def held_pages(self) -> int:
         """Free pages currently parked on PCP lists (invisible to the
         buddy allocator's ``nr_free``)."""
-        cpus = range(self.cpus) if cpu is None else (cpu,)
-        return sum(len(lst) for c in cpus for lst in self._lists[c].values())
+        return sum(len(lst) for lists in self._lists for lst in lists.values())
 
     def _rotate_cpu(self) -> int:
         """Round-robin CPU selection (the simulator's stand-in for

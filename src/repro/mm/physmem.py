@@ -241,10 +241,9 @@ class PhysicalMemory:
         migratetype: MigrateType,
         source: AllocSource,
         birth: int,
-        pinned: bool = False,
     ) -> None:
-        """Vectorised form of order-0 :meth:`mark_allocated` over a
-        batch of head PFNs (unique, all currently free): the per-frame
+        """Vectorised form of unpinned order-0 :meth:`mark_allocated` over
+        a batch of head PFNs (unique, all currently free): the per-frame
         columns are written with fancy-index stores instead of one
         Python call per frame.  Raises the same typed error as the
         scalar path on the first already-live frame."""
@@ -252,7 +251,7 @@ class PhysicalMemory:
         if flags[pfns].any():
             bad = int(pfns[np.flatnonzero(flags[pfns])[0]])
             self._raise_double_alloc(bad, 0)
-        flags[pfns] = _F_ALLOCATED | _F_HEAD | (_F_PINNED if pinned else 0)
+        flags[pfns] = _F_ALLOCATED | _F_HEAD
         self.migratetype[pfns] = int(migratetype)
         self.source[pfns] = int(source)
         self.head_of[pfns] = pfns

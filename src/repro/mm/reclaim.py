@@ -25,6 +25,11 @@ from .handle import (
 )
 from .sections import int64, rows_of
 
+#: Watermarks as fractions of the managed range, Linux-style.
+WMARK_MIN_RATIO = 0.005
+WMARK_LOW_RATIO = 0.0125
+WMARK_HIGH_RATIO = 0.02
+
 _tp_reclaim = tracepoint("mm.reclaim.run")
 
 
@@ -42,15 +47,12 @@ class Watermarks:
     high: int
 
     @classmethod
-    def for_frames(cls, nr_frames: int,
-                   min_ratio: float = 0.005,
-                   low_ratio: float = 0.0125,
-                   high_ratio: float = 0.02) -> "Watermarks":
+    def for_frames(cls, nr_frames: int) -> "Watermarks":
         """Derive watermarks from a managed-range size, Linux-style."""
         return cls(
-            min=max(1, int(nr_frames * min_ratio)),
-            low=max(2, int(nr_frames * low_ratio)),
-            high=max(3, int(nr_frames * high_ratio)),
+            min=max(1, int(nr_frames * WMARK_MIN_RATIO)),
+            low=max(2, int(nr_frames * WMARK_LOW_RATIO)),
+            high=max(3, int(nr_frames * WMARK_HIGH_RATIO)),
         )
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import ConfigurationError
-from ..sim.params import ArchParams, DEFAULT_PARAMS
 from ..workloads.base import WorkloadSpec
 from .walkcycles import (
     MIX_4K,
@@ -68,19 +67,16 @@ def evaluate_configuration(
     spec: WorkloadSpec,
     coverage: dict[str, float],
     config_name: str,
-    baseline_mix: PageSizeMix = MIX_4K,
     n_instructions: int = 200_000,
-    params: ArchParams = DEFAULT_PARAMS,
     seed: int = 0,
 ) -> EndToEndResult:
     """Score one (service, achieved-coverage) point against the 4 KiB
     baseline, splitting out the 1 GiB contribution like Fig. 10's
     stacked Web bar."""
-    base = walk_cycles(spec, baseline_mix, n_instructions=n_instructions,
-                       params=params, seed=seed)
+    base = walk_cycles(spec, MIX_4K, n_instructions=n_instructions,
+                       seed=seed)
     mix = mix_for_coverage(coverage)
-    this = walk_cycles(spec, mix, n_instructions=n_instructions,
-                       params=params, seed=seed)
+    this = walk_cycles(spec, mix, n_instructions=n_instructions, seed=seed)
     rel = perf_ratio(base, this)
 
     perf_from_1g = 0.0
@@ -89,8 +85,7 @@ def evaluate_configuration(
         demoted = PageSizeMix(frac_1g=0.0,
                               frac_2m=min(1.0, mix.frac_2m + mix.frac_1g))
         demoted_walk = walk_cycles(spec, demoted,
-                                   n_instructions=n_instructions,
-                                   params=params, seed=seed)
+                                   n_instructions=n_instructions, seed=seed)
         perf_from_1g = rel - perf_ratio(base, demoted_walk)
 
     return EndToEndResult(

@@ -36,12 +36,12 @@ GENERATIONS = (
 )
 
 
-def generation_trends(generations=GENERATIONS) -> list[dict[str, float]]:
+def generation_trends() -> list[dict[str, float]]:
     """Fig. 2's series: relative memory capacity and TLB coverage with
     4 KiB / 2 MiB / 1 GiB pages, normalised to the first generation."""
-    base = generations[0]
+    base = GENERATIONS[0]
     rows = []
-    for gen in generations:
+    for gen in GENERATIONS:
         rows.append({
             "generation": gen.name,
             "relative_capacity": gen.memory_bytes / base.memory_bytes,

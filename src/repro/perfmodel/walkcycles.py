@@ -21,6 +21,11 @@ from ..sim.tlb import SHIFT_1G, SHIFT_2M, SHIFT_4K, TLBHierarchy
 from ..sim.trace import TraceSpec, generate_addresses
 from ..workloads.base import WorkloadSpec
 
+#: Share of a trace, on top of the measured part, that warms the TLBs
+#: and PWCs first: production counters measure steady state, not cold
+#: start.
+WARMUP_FRACTION = 0.5
+
 
 @dataclass(frozen=True)
 class PageSizeMix:
@@ -71,18 +76,16 @@ def _pt_access_cycles(params: ArchParams, footprint: int) -> int:
 
 
 def _run_stream(spec: TraceSpec, mix: PageSizeMix, n: int,
-                params: ArchParams, seed: int,
-                warmup_fraction: float = 0.5) -> tuple[int, int]:
+                seed: int) -> tuple[int, int]:
     """Simulate one access stream; returns (walk_cycles, accesses).
 
-    The first ``warmup_fraction`` of the trace warms the TLBs and PWCs
-    (production counters measure steady state, not cold start); statistics
-    count only the remainder.
+    The first :data:`WARMUP_FRACTION` of the trace warms the TLBs and
+    PWCs; statistics count only the remainder.
     """
-    tlb = TLBHierarchy(params,
+    tlb = TLBHierarchy(DEFAULT_PARAMS,
                        pt_access_cycles=_pt_access_cycles(
-                           params, spec.footprint_bytes))
-    warm = int(n * warmup_fraction)
+                           DEFAULT_PARAMS, spec.footprint_bytes))
+    warm = int(n * WARMUP_FRACTION)
     addrs = generate_addresses(spec, n + warm, seed=seed)
     footprint = spec.footprint_bytes
     for addr in addrs[:warm].tolist():
@@ -96,9 +99,7 @@ def _run_stream(spec: TraceSpec, mix: PageSizeMix, n: int,
 def walk_cycles(
     spec: WorkloadSpec,
     data_mix: PageSizeMix,
-    instr_mix: PageSizeMix | None = None,
     n_instructions: int = 200_000,
-    params: ArchParams = DEFAULT_PARAMS,
     seed: int = 0,
 ) -> WalkCycleResult:
     """Fig. 3's quantity for one service and page-size configuration.
@@ -107,18 +108,15 @@ def walk_cycles(
     reports walk cycles as percentages of total execution cycles
     (``base_cpi`` per instruction plus all walk stalls).
     """
-    if instr_mix is None:
-        # Instructions get huge pages whenever data does (the paper maps
-        # text with huge pages for Web); 1 GiB text is unrealistic, cap
-        # instruction mappings at 2 MiB.
-        instr_mix = (MIX_2M if (data_mix.frac_2m or data_mix.frac_1g)
-                     else MIX_4K)
+    # Instructions get huge pages whenever data does (the paper maps text
+    # with huge pages for Web); 1 GiB text is unrealistic, cap instruction
+    # mappings at 2 MiB.
+    instr_mix = MIX_2M if (data_mix.frac_2m or data_mix.frac_1g) else MIX_4K
     n_data = int(n_instructions * spec.data_access_per_instr)
     n_fetch = int(n_instructions * spec.instr_fetch_per_instr)
-    data_walk, _ = _run_stream(spec.data_trace, data_mix, n_data,
-                               params, seed)
+    data_walk, _ = _run_stream(spec.data_trace, data_mix, n_data, seed)
     instr_walk, _ = _run_stream(spec.instr_trace, instr_mix, n_fetch,
-                                params, seed + 1)
+                                seed + 1)
     exec_cycles = n_instructions * spec.base_cpi
     total = exec_cycles + data_walk + instr_walk
     return WalkCycleResult(

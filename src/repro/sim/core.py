@@ -99,13 +99,14 @@ class TimingCore:
         stats.cycles = clock
         stats.instructions += n
 
-    def execute(self, vaddr: int | None = None, shift: int = SHIFT_4K,
-                paddr: int | None = None) -> float:
+    def execute(self, vaddr: int | None = None,
+                shift: int = SHIFT_4K) -> float:
         """Retire one instruction; memory ops pass a virtual address.
 
         Returns the cycles charged.  Translation stalls are charged in
         full (the paper's page walks serialise address generation); the
-        data access is discounted by the overlap factor.
+        data access, which the caches see at *vaddr* too, is discounted
+        by the overlap factor.
         """
         cycles = 1.0 / self.params.issue_width
         if vaddr is None:
@@ -115,8 +116,7 @@ class TimingCore:
         xlat = self.tlb.translate(vaddr, shift)
         cycles += xlat
         stats.translation_cycles += xlat
-        data = self.data_access_cycles(
-            paddr if paddr is not None else vaddr)
+        data = self.data_access_cycles(vaddr)
         exposed = data * (1.0 - self.overlap)
         cycles += exposed
         stats.data_cycles += exposed

@@ -75,10 +75,9 @@ class Iommu:
     # Invalidation path
     # ------------------------------------------------------------------
 
-    def synchronous_invalidate_cycles(self, nr_pages: int = 1) -> int:
-        """Cost of the baseline flow: post, drain, and *wait* for
-        completion before a migration may proceed — the device-side
+    def synchronous_invalidate_cycles(self) -> int:
+        """Cost of the baseline flow for one page: post, drain, and *wait*
+        for completion before a migration may proceed — the device-side
         analogue of the IPI shootdown (Fig. 1)."""
-        per_page = self.DESCRIPTOR_CYCLES + len(self.devices) * \
+        return self.DESCRIPTOR_CYCLES + len(self.devices) * \
             self.DEVICE_INVALIDATE_CYCLES
-        return nr_pages * per_page

@@ -110,3 +110,8 @@ class ArchParams:
 
 #: The paper's simulated platform.
 DEFAULT_PARAMS = ArchParams()
+
+#: Worst-case gap until a core next enters the kernel (a context switch
+#: or syscall, every ~25 µs in production, §5.3): 25 µs at 2 GHz.  Lazy
+#: local TLB invalidations all land within it.
+KERNEL_ENTRY_GAP_CYCLES = 50_000

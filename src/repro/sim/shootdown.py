@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from ..errors import ConfigurationError
 from .engine import EventQueue
-from .params import ArchParams
+from .params import KERNEL_ENTRY_GAP_CYCLES, ArchParams
 
 
 @dataclass
@@ -58,16 +58,13 @@ def page_copy_cycles(params: ArchParams) -> int:
     return params.lines_per_page * per_line + params.l3_latency
 
 
-def simulate_linux_migration(
-    params: ArchParams,
-    victims: int,
-    engine: EventQueue | None = None,
-) -> MigrationTimeline:
+def simulate_linux_migration(params: ArchParams,
+                             victims: int) -> MigrationTimeline:
     """Run the Fig. 1 protocol against *victims* remote cores."""
     if victims < 0 or victims >= params.cores:
         raise ConfigurationError(
             f"victims={victims} impossible on {params.cores} cores")
-    q = engine or EventQueue()
+    q = EventQueue()
     t = MigrationTimeline(start=q.now)
     state = {"acks": 0}
 
@@ -101,25 +98,18 @@ def simulate_linux_migration(
     return t
 
 
-def simulate_contiguitas_migration(
-    params: ArchParams,
-    victims: int,
-    kernel_entry_gap_cycles: int = 50_000,
-    engine: EventQueue | None = None,
-) -> MigrationTimeline:
+def simulate_contiguitas_migration(params: ArchParams,
+                                   victims: int) -> MigrationTimeline:
     """Run the Contiguitas-HW migration (§3.3, noncacheable design).
 
     The OS issues ``Migrate(src, dst)``; the LLC copies lines in the
     background while redirecting traffic.  Each core performs its local
-    invalidation whenever the kernel next runs there (context switch or
-    syscall, every ~25 µs in production, §5.3) — no IPIs, no waiting.  The
-    page is unavailable only for the local INVLPG on the accessing core.
-
-    Args:
-        kernel_entry_gap_cycles: worst-case delay until a core naturally
-            enters the kernel (25 µs at 2 GHz = 50 000 cycles).
+    invalidation whenever the kernel next runs there (within
+    :data:`~repro.sim.params.KERNEL_ENTRY_GAP_CYCLES`) — no IPIs, no
+    waiting.  The page is unavailable only for the local INVLPG on the
+    accessing core.
     """
-    q = engine or EventQueue()
+    q = EventQueue()
     t = MigrationTimeline(start=q.now)
 
     # Enqueue the Migrate command and start the copy: the page remains
@@ -138,7 +128,7 @@ def simulate_contiguitas_migration(
     # Lazy local invalidations complete within one kernel-entry window on
     # each core, independently; the metadata entry is cleared after the
     # last one.  They overlap with the copy.
-    last_invalidate = q.now + kernel_entry_gap_cycles
+    last_invalidate = q.now + KERNEL_ENTRY_GAP_CYCLES
     q.at(max(copy_done, last_invalidate), done)
     q.run()
     return t

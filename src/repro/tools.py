@@ -83,7 +83,6 @@ def cmd_metrics(args) -> None:
 
 def cmd_lint(args) -> None:
     import os
-    import sys
 
     from .analysis import simlint
 
@@ -106,60 +105,22 @@ def cmd_lint(args) -> None:
     # works from any working directory.
     paths = args.paths or [os.path.dirname(os.path.abspath(__file__))]
     try:
-        root = simlint.find_contract_root(paths, args.docs)
         findings = simlint.lint_paths(paths, deep=args.deep,
                                       docs_dir=args.docs)
     except simlint.DeepLintError as exc:
         raise SystemExit(f"repro lint: {exc}")
-    baseline_path = args.baseline
-    if baseline_path is None and root is not None:
-        baseline_path = os.path.join(root, ".deeplint-baseline.json")
-    # The whole-program rules do not run without --deep, so this run can
-    # neither call their baseline entries stale nor rewrite them.
-    skipped = frozenset() if args.deep else frozenset(
-        rule.code for rule in simlint.RULES if rule.deep)
-
-    def load_baseline():
-        if baseline_path is None or not os.path.isfile(baseline_path):
-            return None
-        try:
-            return simlint.load_baseline(baseline_path)
-        except simlint.BaselineError as exc:
-            raise SystemExit(f"repro lint: {exc}")
-
-    if args.write_baseline:
-        if baseline_path is None:
-            raise SystemExit(
-                "repro lint: no contract root above the linted paths to "
-                "hold .deeplint-baseline.json; pass --baseline PATH")
-        replaced = load_baseline() if skipped else None
-        simlint.write_baseline(
-            baseline_path, findings,
-            tuple(e for e in replaced.entries if e["rule"] in skipped)
-            if replaced else ())
-        print(f"wrote {len(findings)} suppression(s) to "
-              f"{baseline_path}")
-        return
-    baseline = load_baseline()
-    active, _suppressed, stale = simlint.apply_baseline(findings, baseline,
-                                                        skipped)
     if args.sarif:
         document = simlint.render_sarif(
-            findings, simlint.rule_catalogue(deep=True),
-            baseline.fingerprints if baseline else frozenset())
+            findings, simlint.rule_catalogue(deep=True))
         if args.sarif == "-":
             print(document, end="")
         else:
             with open(args.sarif, "w", encoding="utf-8") as fh:
                 fh.write(document)
     if args.sarif != "-":
-        print(simlint.render_json(active) if args.json
-              else simlint.render_text(active))
-    for entry in stale:
-        print(f"simlint: stale baseline entry {entry['rule']} "
-              f"{entry['path']}: {entry['message']!r} matches nothing — "
-              f"delete it from {baseline_path}", file=sys.stderr)
-    if active or (args.strict and stale):
+        print(simlint.render_json(findings) if args.json
+              else simlint.render_text(findings))
+    if findings:
         raise SystemExit(1)
 
 

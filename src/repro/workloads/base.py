@@ -41,6 +41,9 @@ from ..units import GIGAPAGE_FRAMES, PAGEBLOCK_FRAMES
 # trace streams (steals, compaction) with workload phase.
 _tp_step = tracepoint("workload.step")
 
+#: Kernel ticks (µs) one churn interval advances the clock.
+STEP_TICKS = 1000
+
 
 @dataclass(frozen=True)
 class WorkloadSpec:
@@ -300,7 +303,7 @@ class Workload:
     # Steady-state churn
     # ------------------------------------------------------------------
 
-    def step(self, ticks: int = 1000) -> None:
+    def step(self) -> None:
         """One churn interval: expire dead allocations, create new ones."""
         if not self.started:
             raise SimInvariantError("stepping a workload that never started")
@@ -328,7 +331,7 @@ class Workload:
         self._spawn_poisson(spec.pin_rate_per_gib * t, self._spawn_pin)
         self._spawn_poisson(spec.pagetable_rate_per_gib, self._spawn_pt)
         self._spawn_poisson(spec.cache_churn_per_gib, self._spawn_cache)
-        self.kernel.advance(ticks)
+        self.kernel.advance(STEP_TICKS)
         if _tp_step.enabled:
             _tp_step.emit(step=self.steps, traffic=round(self._traffic, 4),
                           cache_frames=self._cache_frames)

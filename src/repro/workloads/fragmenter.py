@@ -23,9 +23,15 @@ from ..errors import OutOfMemoryError
 from ..mm.page import AllocSource, MigrateType
 from .base import Workload, WorkloadSpec
 
+#: Share of memory the Full Fragmentation filler punches with unmovable
+#: pages that outlive it.
+FULL_UNMOVABLE_RESIDUE = 0.06
+#: Share of live kernel allocations each Partial Fragmentation restart
+#: leaks (:meth:`Workload.stop`).
+PARTIAL_KERNEL_RESIDUE = 0.6
 
-def fragment_fully(kernel, unmovable_residue: float = 0.06,
-                   seed: int = 0) -> int:
+
+def fragment_fully(kernel) -> int:
     """Fully fragment a kernel's memory; returns residual unmovable frames.
 
     Interleaves movable and unmovable order-0 allocations until memory is
@@ -36,7 +42,7 @@ def fragment_fully(kernel, unmovable_residue: float = 0.06,
     exactly the paper's point that Contiguitas behaves identically under
     Full and Partial fragmentation.
     """
-    rng = random.Random(seed)
+    rng = random.Random(0)
     sources = (AllocSource.NETWORKING, AllocSource.SLAB,
                AllocSource.FILESYSTEM, AllocSource.PAGETABLE)
     # Phase 1: fill memory completely with movable pages — the state of a
@@ -52,7 +58,7 @@ def fragment_fully(kernel, unmovable_residue: float = 0.06,
     # choice but to place the unmovable page exactly where the hole was —
     # this is how production churn sprinkles unmovable pages everywhere.
     rng.shuffle(movable)
-    holes = int(len(movable) * unmovable_residue * 2)
+    holes = int(len(movable) * FULL_UNMOVABLE_RESIDUE * 2)
     unmovable = []
     for handle in movable[:holes]:
         kernel.free_pages(handle)
@@ -73,8 +79,7 @@ def fragment_fully(kernel, unmovable_residue: float = 0.06,
 
 
 def fragment_partially(kernel, spec: WorkloadSpec, steps: int = 300,
-                       seed: int = 0, kernel_residue: float = 0.6,
-                       cycles: int = 2) -> None:
+                       seed: int = 0, cycles: int = 2) -> None:
     """Deploy-and-restart *spec* repeatedly (code pushes, paper §5.1).
 
     Each cycle runs the service to (approach) steady state and restarts
@@ -101,7 +106,7 @@ def fragment_partially(kernel, spec: WorkloadSpec, steps: int = 300,
         warmup.start()
         for _ in range(steps):
             warmup.step()
-        warmup.stop(kernel_residue=kernel_residue)
+        warmup.stop(kernel_residue=PARTIAL_KERNEL_RESIDUE)
         # Page-cache re-expansion: hot files refill the freed memory.
         before = kernel.stat[ev.PAGES_RECLAIMED]
         try:

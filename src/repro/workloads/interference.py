@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.hwext.metadata import AccessMode
-from ..sim.params import ArchParams, DEFAULT_PARAMS
+from ..sim.params import DEFAULT_PARAMS, KERNEL_ENTRY_GAP_CYCLES, ArchParams
 
 #: The paper's two migration rates (§5.3).
 REGULAR_RATE = 100.0
@@ -53,22 +53,17 @@ MEMCACHED = ServerApp("memcached", buffer_access_intensity=0.024,
                       huge_page_sensitive=True)
 
 
-def migration_window_cycles(params: ArchParams,
-                            kernel_entry_gap_cycles: int = 50_000) -> int:
+def migration_window_cycles(params: ArchParams) -> int:
     """How long a page stays in the noncacheable state: the copy plus the
-    worst-case lazy local-invalidation window (~25 µs of kernel-entry
-    gap at production syscall rates, §5.3)."""
+    worst-case lazy local-invalidation window (the kernel-entry gap at
+    production syscall rates, §5.3)."""
     from ..sim.shootdown import page_copy_cycles
 
-    return page_copy_cycles(params) + kernel_entry_gap_cycles
+    return page_copy_cycles(params) + KERNEL_ENTRY_GAP_CYCLES
 
 
-def interference_overhead(
-    app: ServerApp,
-    migrations_per_second: float,
-    mode: AccessMode,
-    params: ArchParams = DEFAULT_PARAMS,
-) -> float:
+def interference_overhead(app: ServerApp, migrations_per_second: float,
+                          mode: AccessMode) -> float:
     """Throughput overhead fraction caused by buffer migrations.
 
     Noncacheable: every access to a page under migration is redirected to
@@ -76,6 +71,7 @@ def interference_overhead(
     window.  Cacheable: only the one-time BusRdX invalidations of at most
     one private copy per line — amortised to effectively zero.
     """
+    params = DEFAULT_PARAMS
     total_cycles_per_s = params.freq_ghz * 1e9 * app.app_cores
     if mode is AccessMode.CACHEABLE:
         # 64 lines re-fetched once after invalidation, worst case.
@@ -87,12 +83,7 @@ def interference_overhead(
     return migrations_per_second * penalty / total_cycles_per_s
 
 
-def relative_throughput(
-    app: ServerApp,
-    migrations_per_second: float,
-    mode: AccessMode,
-    params: ArchParams = DEFAULT_PARAMS,
-) -> float:
+def relative_throughput(app: ServerApp, migrations_per_second: float,
+                        mode: AccessMode) -> float:
     """Application throughput relative to a migration-free run."""
-    return 1.0 - interference_overhead(app, migrations_per_second, mode,
-                                       params)
+    return 1.0 - interference_overhead(app, migrations_per_second, mode)

@@ -27,13 +27,11 @@ _SERVICES: dict[str, WorkloadSpec] = {}
 _ALIASES: dict[str, str] = {}
 
 
-def register_service(name: str, spec: WorkloadSpec,
-                     replace: bool = False) -> WorkloadSpec:
+def register_service(name: str, spec: WorkloadSpec) -> WorkloadSpec:
     """Register *spec* under the kebab-case *name*.
 
     The spec's own display name (``spec.name``, CamelCase in the
-    built-ins) is kept as a lookup alias.  Re-registering an existing
-    name requires ``replace=True``.
+    built-ins) is kept as a lookup alias.  A name registers once.
     """
     if not _NAME_RE.match(name):
         raise ConfigurationError(
@@ -43,10 +41,8 @@ def register_service(name: str, spec: WorkloadSpec,
         raise ConfigurationError(
             f"register_service takes a WorkloadSpec, "
             f"got {type(spec).__name__}")
-    if name in _SERVICES and not replace:
-        raise ConfigurationError(
-            f"service {name!r} already registered "
-            "(pass replace=True to override)")
+    if name in _SERVICES:
+        raise ConfigurationError(f"service {name!r} already registered")
     _SERVICES[name] = spec
     if spec.name != name:
         _ALIASES[spec.name] = name

@@ -238,9 +238,7 @@ def relative_throughput_simulated(
     migrations_per_second: float,
     mode: AccessMode = AccessMode.NONCACHEABLE,
     requests: int = 2000,
-    params: ArchParams = DEFAULT_PARAMS,
     seed: int = 0,
-    boost: float | None = None,
 ) -> float:
     """Simulated counterpart of
     :func:`repro.workloads.interference.relative_throughput`.
@@ -251,15 +249,14 @@ def relative_throughput_simulated(
     measured overhead back down; migration interference is linear in
     rate, which the analytic model and the boosted sweep both confirm.
     """
-    quiet = RequestLoop(app, params, seed=seed).run(requests)
+    quiet = RequestLoop(app, seed=seed).run(requests)
     if migrations_per_second <= 0:
         return 1.0
-    if boost is None:
-        # Target ~40 windows within the simulated cycle span.
-        span_seconds = quiet.cycles / (params.freq_ghz * 1e9)
-        expected = migrations_per_second * span_seconds
-        boost = max(1.0, 40.0 / max(expected, 1e-12))
-    noisy = RequestLoop(app, params, seed=seed).run(
+    # Target ~40 windows within the simulated cycle span.
+    span_seconds = quiet.cycles / (DEFAULT_PARAMS.freq_ghz * 1e9)
+    expected = migrations_per_second * span_seconds
+    boost = max(1.0, 40.0 / max(expected, 1e-12))
+    noisy = RequestLoop(app, seed=seed).run(
         requests, migrations_per_second=migrations_per_second * boost,
         mode=mode)
     overhead_boosted = 1.0 - (noisy.requests_per_kilocycle

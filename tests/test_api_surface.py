@@ -7,7 +7,9 @@ Accidental exports (a helper leaking into ``import *``) and accidental
 breakage (a public name vanishing in a refactor) both fail this file.
 """
 
+import ast
 import inspect
+import pathlib
 import sys
 from importlib import import_module
 
@@ -177,8 +179,8 @@ class TestExportSnapshots:
                 assert hasattr(mod, name), f"{mod.__name__}.{name}"
 
     def test_lint_rule_ids_pinned(self):
-        # The analysis rule set is surface too: CI gates, baselines,
-        # and SARIF consumers key on these IDs.  Adding or removing a
+        # The analysis rule set is surface too: CI gates, inline
+        # suppressions and SARIF consumers key on these IDs.  Adding or removing a
         # rule must update this snapshot, docs/ANALYSIS.md, and the
         # fixture coverage in tests/test_deeplint.py together.
         from repro.analysis.simlint import rule_catalogue
@@ -205,22 +207,17 @@ class TestExportSnapshots:
         from repro.analysis import simlint
 
         assert sorted(simlint.__all__) == [
-            "Baseline",
-            "BaselineError",
             "DeepLintError",
             "Finding",
             "RULES",
             "Rule",
-            "apply_baseline",
             "find_contract_root",
             "lint_paths",
             "lint_source",
-            "load_baseline",
             "render_json",
             "render_sarif",
             "render_text",
             "rule_catalogue",
-            "write_baseline",
         ]
 
 
@@ -523,3 +520,123 @@ class TestGridDeprecationShim:
                [(c.id, c.overrides) for c in expand_axes(by_hand.axes)]
         assert [c.overrides for c in cells] == [
             {"service": "web", "steps": 10}, {"service": "web", "steps": 20}]
+
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
+
+#: Keyword parameters no call site passes that stay on purpose, one
+#: reason each.  Everything else such a parameter would vary is a value
+#: nothing sets: a module constant, or the branch that works it out.
+UNPASSED_ALLOWED = {
+    "repro/analysis/sanitizer.py FrameSanitizer.note_free(tick)":
+        "safety code: the sanitizer records the free tick for reports",
+}
+
+
+def _call_sites() -> dict[str, list[tuple[int, set, bool, bool]]]:
+    """Every call in the repo's code, keyed by callee name (a bare name
+    or the attribute called, as DL105 matches): (positional count,
+    keywords, ``*`` splat, ``**`` splat)."""
+    sites: dict[str, list] = {}
+    for top in ("src", "tests", "benchmarks", "examples"):
+        for path in sorted((REPO / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr",
+                                                            None)
+                if name is None:
+                    continue
+                sites.setdefault(name, []).append((
+                    len(node.args),
+                    {k.arg for k in node.keywords if k.arg},
+                    any(isinstance(a, ast.Starred) for a in node.args),
+                    any(k.arg is None for k in node.keywords)))
+    return sites
+
+
+def _unpassed_parameters() -> list[str]:
+    """``path Qualname(param)`` for each defaulted parameter of a
+    function under ``src/repro`` that no call site passes."""
+    sites = _call_sites()
+    found = []
+
+    def visit(node, path, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, path, child.name)
+                continue
+            if not isinstance(child, (ast.FunctionDef,
+                                      ast.AsyncFunctionDef)):
+                visit(child, path, cls)
+                continue
+            args = child.args
+            positional = args.posonlyargs + args.args
+            # A call through an instance binds self: one fewer argument.
+            bound = cls is not None and not any(
+                getattr(d, "id", None) == "staticmethod"
+                for d in child.decorator_list)
+            names = [child.name] + ([cls] if child.name == "__init__"
+                                    else [])
+            calls = [c for n in names for c in sites.get(n, ())]
+            first = len(positional) - len(args.defaults)
+            params = [(i, p.arg) for i, p in enumerate(positional)
+                      if i >= first]
+            params += [(None, p.arg) for p, default in
+                       zip(args.kwonlyargs, args.kw_defaults)
+                       if default is not None]
+            for index, param in params:
+                need = None if index is None else index + (not bound)
+                if not any(param in kws or dstar
+                           or (need is not None and (star or n >= need))
+                           for n, kws, star, dstar in calls):
+                    owner = f"{cls}." if cls else ""
+                    found.append(f"{path} {owner}{child.name}({param})")
+            visit(child, path, None)
+
+    for path in sorted((REPO / "src" / "repro").rglob("*.py")):
+        rel = path.relative_to(REPO / "src").as_posix()
+        visit(ast.parse(path.read_text("utf-8")), rel, None)
+    return found
+
+
+class TestParameterAudit:
+    """A keyword parameter is an option: one that no caller in
+    ``src/``, ``tests/``, ``benchmarks/`` or ``examples/`` passes is a
+    value nothing sets (docs/API.md, "Removed surface")."""
+
+    def test_every_keyword_parameter_is_passed_somewhere(self):
+        found = _unpassed_parameters()
+        stale = sorted(set(UNPASSED_ALLOWED) - set(found))
+        assert not stale, f"allowlisted but passed now: {stale}"
+        assert [p for p in found if p not in UNPASSED_ALLOWED] == []
+
+    def test_the_kernel_entry_gap_is_one_constant(self):
+        """§5.3's ~25 µs kernel-entry window: the lazy-invalidation
+        simulation, the noncacheable window and the table's capacity
+        all read ``KERNEL_ENTRY_GAP_CYCLES``, and none types its own."""
+        from repro.analysis.hwcost import (MIGRATION_COPY_US,
+                                           migrations_per_second_capacity)
+        from repro.sim.params import DEFAULT_PARAMS, KERNEL_ENTRY_GAP_CYCLES
+        from repro.sim.shootdown import (page_copy_cycles,
+                                         simulate_contiguitas_migration)
+        from repro.workloads.interference import migration_window_cycles
+
+        for rel in ("sim/shootdown.py", "workloads/interference.py",
+                    "analysis/hwcost.py"):
+            tree = ast.parse((REPO / "src" / "repro" / rel).read_text())
+            names = {n.id for n in ast.walk(tree)
+                     if isinstance(n, ast.Name)}
+            literals = {n.value for n in ast.walk(tree)
+                        if isinstance(n, ast.Constant)}
+            assert "KERNEL_ENTRY_GAP_CYCLES" in names, rel
+            assert not literals & {50_000, 25.0}, rel
+        gap = KERNEL_ENTRY_GAP_CYCLES
+        copy = page_copy_cycles(DEFAULT_PARAMS)
+        assert migration_window_cycles(DEFAULT_PARAMS) == copy + gap
+        assert simulate_contiguitas_migration(DEFAULT_PARAMS, 7).end == \
+            max(gap, copy + DEFAULT_PARAMS.hw_table_latency
+                * DEFAULT_PARAMS.lines_per_page)
+        hold_us = DEFAULT_PARAMS.cycles_to_us(gap) + MIGRATION_COPY_US
+        assert migrations_per_second_capacity(1) == 1_000_000.0 / hold_us

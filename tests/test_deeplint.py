@@ -1,9 +1,9 @@
-"""The whole-program (``deep``) rules, SARIF, baseline, determinism.
+"""The whole-program (``deep``) rules, SARIF, determinism.
 
 Fixture packages under ``tests/fixtures/deeplint/`` carry one seeded
 violation and one allowlisted case per DL rule (``dirty``) and a
 conforming package (``clean``); the shipped ``src/repro`` tree itself
-must be deep-clean with the committed (empty) baseline.
+must be deep-clean.
 """
 
 import json
@@ -15,17 +15,12 @@ import textwrap
 import pytest
 
 from repro.analysis.simlint import (
-    BaselineError,
     DeepLintError,
-    apply_baseline,
     find_contract_root,
     lint_paths,
-    load_baseline,
     render_sarif,
     rule_catalogue,
-    write_baseline,
 )
-from repro.analysis.simlint.sarif import finding_fingerprint
 
 TESTS = pathlib.Path(__file__).parent
 FIXTURES = TESTS / "fixtures" / "deeplint"
@@ -277,13 +272,8 @@ class TestCleanAndShippedTrees:
         assert lint_paths([CLEAN], deep=True) == []
 
     def test_shipped_tree_is_deep_clean(self):
-        # The acceptance bar: repo code satisfies its own contracts
-        # with no baseline debt.
+        # The acceptance bar: repo code satisfies its own contracts.
         assert lint_paths([SRC], deep=True) == []
-
-    def test_committed_baseline_is_empty(self):
-        baseline = load_baseline(str(REPO / ".deeplint-baseline.json"))
-        assert baseline.entries == ()
 
     def test_missing_docs_raise(self, tmp_path):
         (tmp_path / "pkg").mkdir()
@@ -350,64 +340,6 @@ class TestSarif:
         assert json.dumps(reparsed, sort_keys=True, indent=2) + "\n" == \
             rendered
 
-    def test_baselined_results_marked_suppressed(self, dirty):
-        target = dirty[0]
-        doc = json.loads(render_sarif(
-            dirty, rule_catalogue(deep=True),
-            frozenset({finding_fingerprint(target)})))
-        flags = [("suppressions" in r) for r in doc["runs"][0]["results"]]
-        assert flags.count(True) == 1
-
-
-class TestBaseline:
-    def test_write_load_apply_suppresses_everything(self, dirty,
-                                                    tmp_path):
-        path = tmp_path / "baseline.json"
-        write_baseline(str(path), dirty)
-        baseline = load_baseline(str(path))
-        active, suppressed, stale = apply_baseline(dirty, baseline)
-        assert active == []
-        assert sorted(suppressed) == sorted(dirty)
-        assert stale == []
-
-    def test_line_number_changes_do_not_unsuppress(self, dirty,
-                                                   tmp_path):
-        from dataclasses import replace
-
-        path = tmp_path / "baseline.json"
-        write_baseline(str(path), dirty)
-        moved = [replace(f, line=f.line + 40) for f in dirty]
-        active, suppressed, stale = apply_baseline(
-            moved, load_baseline(str(path)))
-        assert active == []
-        assert stale == []
-
-    def test_stale_entries_reported(self, dirty, tmp_path):
-        path = tmp_path / "baseline.json"
-        write_baseline(str(path), dirty)
-        active, _suppressed, stale = apply_baseline(
-            dirty[1:], load_baseline(str(path)))
-        assert active == []
-        assert len(stale) == 1
-        assert stale[0]["message"] == dirty[0].message
-
-    def test_no_baseline_passes_findings_through(self, dirty):
-        active, suppressed, stale = apply_baseline(dirty, None)
-        assert active == dirty
-        assert suppressed == [] and stale == []
-
-    def test_bad_baseline_rejected(self, tmp_path):
-        bad = tmp_path / "b.json"
-        bad.write_text("[not json")
-        with pytest.raises(BaselineError):
-            load_baseline(str(bad))
-        bad.write_text('{"schema": 99, "suppressions": []}')
-        with pytest.raises(BaselineError):
-            load_baseline(str(bad))
-        bad.write_text('{"schema": 1, "suppressions": [{"rule": "X"}]}')
-        with pytest.raises(BaselineError):
-            load_baseline(str(bad))
-
 
 class TestContractRoot:
     def test_fixture_docs_shadow_repo_docs(self):
@@ -435,8 +367,8 @@ class TestCli:
         rules = {f["rule"] for f in doc["findings"]}
         assert {"DL101", "DL102", "DL103", "DL104", "DL105"} <= rules
 
-    def test_shipped_tree_strict_exits_zero(self):
-        proc = _run_cli("--deep", "--strict", "src/repro")
+    def test_shipped_tree_exits_zero(self):
+        proc = _run_cli("--deep", "src/repro")
         assert proc.returncode == 0, proc.stdout + proc.stderr
 
     def test_sarif_stdout_parses(self):
@@ -444,27 +376,3 @@ class TestCli:
         assert proc.returncode == 1
         doc = json.loads(proc.stdout)
         assert doc["version"] == "2.1.0"
-
-    def test_write_baseline_then_rerun_is_clean(self, tmp_path):
-        baseline = tmp_path / "b.json"
-        first = _run_cli("--deep", "--write-baseline",
-                         "--baseline", str(baseline), str(DIRTY))
-        assert first.returncode == 0, first.stdout + first.stderr
-        second = _run_cli("--deep", "--strict",
-                          "--baseline", str(baseline), str(DIRTY))
-        assert second.returncode == 0, second.stdout + second.stderr
-
-    def test_strict_fails_on_stale_baseline_entry(self, tmp_path):
-        baseline = tmp_path / "b.json"
-        baseline.write_text(json.dumps({
-            "schema": 1,
-            "suppressions": [{"rule": "DL101", "path": "gone.py",
-                              "message": "never matches"}],
-        }))
-        proc = _run_cli("--deep", "--strict",
-                        "--baseline", str(baseline), "src/repro")
-        assert proc.returncode == 1
-        assert "stale baseline entry" in proc.stderr
-        relaxed = _run_cli("--deep", "--baseline", str(baseline),
-                           "src/repro")
-        assert relaxed.returncode == 0

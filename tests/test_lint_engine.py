@@ -2,15 +2,13 @@
 
 What holds only because the per-file (SL) and whole-program (DL) rules
 share one engine: each file is parsed once, a file that does not parse
-is reported once, a finding names its file the same way whichever rule
-raised it, and the baseline flags work with and without ``--deep``.
-The CLI output over the fixture packages is pinned byte for byte.
+is reported once, and a finding names its file the same way whichever
+rule raised it.  The CLI output over the fixture packages is pinned byte for byte.
 """
 
 import ast
 import collections
 import json
-import os
 import pathlib
 
 import pytest
@@ -133,20 +131,27 @@ class TestOneDisplayPath:
     def test_no_contract_root_keeps_the_path_as_given(self, loose):
         assert [f.path for f in lint_paths([loose])] == [str(loose)]
 
-    def test_baseline_written_from_absolute_applies_from_relative(
-            self, tree, capsys, monkeypatch):
-        baseline = tree / "b.json"
-        status, _out, _err = run_lint(
-            capsys, "--deep", "--write-baseline", "--baseline", baseline,
-            (tree / "pkg").resolve())
-        assert status == 0
-        paths = {e["path"] for e in
-                 json.loads(baseline.read_text())["suppressions"]}
-        assert paths == {"pkg/mod.py", "pkg/broken.py"}
+    def test_absolute_and_relative_spellings_agree(self, tree, capsys,
+                                                   monkeypatch):
+        _status, absolute, _err = run_lint(capsys, "--deep", "--json",
+                                           (tree / "pkg").resolve())
         monkeypatch.chdir(tree)
-        status, out, err = run_lint(capsys, "--deep", "--strict",
-                                    "--baseline", "b.json", "pkg")
-        assert (status, err) == (0, ""), out
+        _status, relative, _err = run_lint(capsys, "--deep", "--json", "pkg")
+        assert relative == absolute
+        assert {f["path"] for f in json.loads(relative)["findings"]} == {
+            "pkg/mod.py", "pkg/broken.py"}
+
+
+class TestOneSuppression:
+    """An inline ``# simlint: disable=CODE`` is the only suppression:
+    the baseline file and its flags are gone."""
+
+    @pytest.mark.parametrize("flag", ["--strict", "--write-baseline",
+                                      "--baseline=b.json"])
+    def test_baseline_flags_are_rejected(self, flag, loose, capsys):
+        status, _out, err = run_lint(capsys, flag, loose)
+        assert status == 2
+        assert "unrecognized arguments" in err
 
 
 class TestLooseFiles:
@@ -159,65 +164,3 @@ class TestLooseFiles:
         found = lint_paths([tmp_path])
         assert [(f.rule, pathlib.Path(f.path).parent.name)
                 for f in found] == [("SL005", "a"), ("SL005", "b")]
-
-
-class TestBaselineWithoutDeep:
-    """--baseline, --strict and --write-baseline used to be silently
-    ignored unless --deep was given."""
-
-    def test_write_baseline_writes_and_then_suppresses(self, loose, capsys):
-        baseline = loose.parent / "b.json"
-        status, out, _err = run_lint(capsys, "--write-baseline",
-                                     "--baseline", baseline, loose)
-        assert status == 0
-        assert "wrote 1 suppression(s)" in out
-        entries = json.loads(baseline.read_text())["suppressions"]
-        assert [e["rule"] for e in entries] == ["SL005"]
-        status, out, _err = run_lint(capsys, "--baseline", baseline, loose)
-        assert status == 0
-        assert "simlint: clean" in out
-
-    def test_strict_fails_on_a_stale_entry(self, loose, capsys):
-        baseline = loose.parent / "b.json"
-        baseline.write_text(json.dumps({
-            "schema": 1,
-            "suppressions": [
-                {"rule": "SL005", "path": str(loose),
-                 "message": "mutable default argument in f() is shared "
-                            "across calls; default to None and build "
-                            "inside"},
-                {"rule": "SL004", "path": "gone.py",
-                 "message": "never matches"}]}))
-        status, _out, err = run_lint(capsys, "--strict",
-                                     "--baseline", baseline, loose)
-        assert status == 1
-        assert "stale baseline entry SL004 gone.py" in err
-        status, _out, err = run_lint(capsys, "--baseline", baseline, loose)
-        assert status == 0
-        assert "stale baseline entry" in err
-
-    def test_default_baseline_is_found_at_the_contract_root(self, tree,
-                                                            capsys):
-        status, out, _err = run_lint(capsys, "--write-baseline",
-                                     tree / "pkg")
-        assert status == 0
-        assert os.path.join(str(tree), ".deeplint-baseline.json") in out
-        status, out, _err = run_lint(capsys, "--strict", tree / "pkg")
-        assert status == 0, out
-
-    def test_write_baseline_without_a_root_needs_a_path(self, loose, capsys):
-        status, _out, _err = run_lint(capsys, "--write-baseline", loose)
-        assert isinstance(status, str) and "--baseline PATH" in status
-
-    def test_deep_entries_are_neither_stale_nor_dropped(self, tree, capsys):
-        baseline = tree / ".deeplint-baseline.json"
-        run_lint(capsys, "--deep", "--write-baseline", tree / "pkg")
-        deep_entries = json.loads(baseline.read_text())["suppressions"]
-        assert "DL102" in {e["rule"] for e in deep_entries}
-        # A shallow run cannot see DL findings: their entries are not
-        # stale to it, and rewriting the file from it keeps them.
-        status, _out, err = run_lint(capsys, "--strict", tree / "pkg")
-        assert (status, err) == (0, "")
-        run_lint(capsys, "--write-baseline", tree / "pkg")
-        assert json.loads(baseline.read_text())["suppressions"] == \
-            deep_entries

@@ -547,6 +547,27 @@ class TestCliVerbs:
         assert read_jsonl(dst) == [
             TraceEvent("mm.compact.start", 2, {"target_order": 9})]
 
+    @pytest.mark.parametrize("service", ["cache-b", "ads"])
+    def test_trace_runs_any_registered_service(self, service, capsys):
+        """``--service`` takes the registry's kebab-case names, the
+        spelling ``--set service=...`` uses, and every registered
+        service."""
+        from repro.cli import main
+
+        main(["trace", "--service", service, "--steps", "1",
+              "--mem-mib", "64", "--match", "workload.step"])
+        (line,) = capsys.readouterr().out.splitlines()
+        assert "workload.step" in line and "step=1" in line
+
+    def test_trace_unknown_service_lists_the_registry(self):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "--service", "nope", "--steps", "1"])
+        assert exc.value.code.startswith("repro: unknown service 'nope'")
+        for name in ("ads", "cache-a", "cache-b", "ci", "rdma", "web"):
+            assert name in exc.value.code
+
     def test_metrics_single_manifest(self, tmp_path, capsys):
         from repro.cli import main
 
