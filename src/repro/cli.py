@@ -105,6 +105,19 @@ def _experiment_cache(args):
     return ResultCache(args.cache_dir) if args.cache_dir else ResultCache()
 
 
+def write_manifest_arg(args, result, what: str) -> None:
+    """``--manifest PATH``: write *result*'s manifest there and say so
+    on stderr (*what* names the manifest's kind in that line)."""
+    if args.manifest:
+        import sys
+
+        from .telemetry import write_manifest
+
+        write_manifest(args.manifest, result.manifest)
+        print(f"# {what} manifest written to {args.manifest}",
+              file=sys.stderr)
+
+
 def _print_experiment(result, as_json: bool) -> None:
     """Result rows/report to stdout; cache status to stderr — so two runs
     of the same cell produce byte-identical stdout whether they computed
@@ -153,13 +166,9 @@ def _cmd_experiment_run(args) -> None:
         args.name, overrides=_config_overrides(args), seed=args.seed,
         workers=args.workers, plan=_resolve_plan(args.plan),
         cache=_experiment_cache(args), force=args.force,
-        manifest_path=args.manifest,
         checkpoint_every=every, checkpoint_dir=args.resume_from)
     _print_experiment(result, args.json)
-    if args.manifest:
-        import sys
-
-        print(f"# run manifest written to {args.manifest}", file=sys.stderr)
+    write_manifest_arg(args, result, "run")
 
 
 def _cmd_experiment_sweep(args) -> None:
@@ -340,14 +349,9 @@ def _cmd_scenario_show(args) -> None:
 def _run_scenario(args, config) -> None:
     from .scenarios import run_scenario
 
-    result = run_scenario(config, cache=_experiment_cache(args),
-                          manifest_path=args.manifest)
+    result = run_scenario(config, cache=_experiment_cache(args))
     _print_scenario(result, args)
-    if args.manifest:
-        import sys
-
-        print(f"# scenario manifest written to {args.manifest}",
-              file=sys.stderr)
+    write_manifest_arg(args, result, "scenario")
 
 
 def _cmd_scenario_run(args) -> None:
@@ -595,8 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the cadence recorded in the checkpoint")
     cresume.add_argument(
         "--manifest", metavar="PATH", default=None,
-        help="write the resumed run's manifest JSON to PATH "
-             "(overrides the recorded telemetry destination)")
+        help="write the resumed run's manifest JSON to PATH")
     cresume.set_defaults(fn="repro.tools:cmd_checkpoint_resume")
 
     trace = sub.add_parser(
@@ -616,8 +619,10 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--service", default="cache-b",
                        help="registered service to run (default: "
                             "cache-b)")
-    trace.add_argument("--mem-mib", type=int, default=128)
-    trace.add_argument("--steps", type=int, default=60)
+    trace.add_argument("--mem-mib", type=_count_arg("MiB count", 16),
+                       default=128)
+    trace.add_argument("--steps", type=_count_arg("step count", 0),
+                       default=60)
     trace.set_defaults(fn="repro.tools:cmd_trace")
 
     metrics = sub.add_parser(

@@ -214,7 +214,7 @@ class ContiguitasKernel(LinuxKernel):
         pfn = allocator.alloc(order, mt, source, self.now, pinned)
         if pfn is not None:
             return pfn
-        if order > 0 and self.config.compaction_enabled:
+        if order > 0:
             if compact_budget is None:
                 compact_budget = COMPACT_BUDGET_PAGES
             result = self.compactor.compact(
@@ -227,7 +227,6 @@ class ContiguitasKernel(LinuxKernel):
             pfn = allocator.alloc(order, mt, source, self.now, pinned)
             if pfn is not None:
                 return pfn
-        if order > 0 and self.config.compaction_enabled:
             if self._reclaim_compact(allocator, order, compact_budget):
                 pfn = allocator.alloc(order, mt, source, self.now, pinned)
                 if pfn is not None:

@@ -17,8 +17,8 @@ Telemetry: every run folds ``experiment.cache_hit`` /
 :class:`~repro.telemetry.MetricsRegistry` and snapshots them for its run
 manifest — the machine-checkable record CI's experiment-smoke job gates
 on.  The manifest itself is built on first read of
-:attr:`ExperimentResult.manifest` (or when ``manifest_path`` asks for
-the file), so a run nobody asks it of never forks ``git``.  Fault plans
+:attr:`ExperimentResult.manifest`, so a run nobody asks it of never
+forks ``git``.  Fault plans
 ride in unchanged: a ``--plan`` chaos experiment is cached under a key
 that includes the plan snapshot, so chaos rows never masquerade as
 clean ones.
@@ -31,7 +31,7 @@ import shutil
 from dataclasses import dataclass
 
 from ..errors import ConfigurationError
-from ..telemetry import MetricsRegistry, tracepoint, write_manifest
+from ..telemetry import MetricsRegistry, tracepoint
 from ..telemetry.manifest import LazyManifest
 from .cache import ResultCache, result_key
 from .spec import ExperimentContext, ExperimentSpec, get_spec
@@ -87,7 +87,6 @@ def run_experiment(name: str,
                    cache: ResultCache | None = None,
                    force: bool = False,
                    metrics: MetricsRegistry | None = None,
-                   manifest_path: str | None = None,
                    checkpoint_every: int = 0,
                    checkpoint_dir: str | None = None) -> ExperimentResult:
     """Run (or serve from cache) one experiment cell.
@@ -109,7 +108,6 @@ def run_experiment(name: str,
         metrics: shared registry (a scenario passes one across cells);
             ``experiment.*`` counters land here and the result's
             manifest snapshots them.
-        manifest_path: also write the manifest JSON there.
         checkpoint_every: when > 0, producers that support mid-cell
             checkpointing write to ``<cache>/checkpoints/<key>`` every N
             units of work and auto-resume from the last good checkpoint
@@ -183,8 +181,6 @@ def run_experiment(name: str,
         "counters": metrics.counters.snapshot(),
         "aggregates": {"rows": len(rows)},
         "volatile": {"cache_dir": cache.root}}
-    if manifest_path:
-        write_manifest(manifest_path, result.manifest)
     return result
 
 

@@ -157,10 +157,12 @@ def _report_fig06(rows: list, config: dict) -> str:
 
 def _produce_s24(ctx: ExperimentContext) -> list:
     sample = _fetch_survey(ctx)
+    # First, so a fleet too small to correlate is one ConfigurationError
+    # before min() meets an empty list.
+    correlation = sample.uptime_correlation()
     uptimes = [scan.uptime_steps for scan in sample.scans]
     return [{"servers": len(sample.scans), "uptime_min": min(uptimes),
-             "uptime_max": max(uptimes),
-             "correlation": sample.uptime_correlation()}]
+             "uptime_max": max(uptimes), "correlation": correlation}]
 
 
 def _report_s24(rows: list, config: dict) -> str:

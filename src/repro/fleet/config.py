@@ -1,10 +1,9 @@
 """FleetConfig: the typed front door for one fleet-sampling campaign.
 
-A campaign's knobs span sampling, parallelism and telemetry.
-:class:`FleetConfig` gathers them into one frozen, validated value that
-can be stored, hashed into an experiment cache key, recorded in a run
-manifest, and varied with :func:`dataclasses.replace` — the same shape
-as :class:`~repro.telemetry.TelemetryConfig` and
+A campaign's knobs span sampling and parallelism.  :class:`FleetConfig`
+gathers them into one frozen, validated value that can be stored,
+hashed into an experiment cache key, recorded in a run manifest, and
+varied with :func:`dataclasses.replace` — the same shape as
 :class:`~repro.faults.FaultPlan`.
 
 Pass it to :func:`repro.fleet.run_fleet`::
@@ -24,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import ConfigurationError
-from ..telemetry import TelemetryConfig
 from .engine import resolve_workers
 from .server import ServerConfig
 
@@ -42,8 +40,6 @@ class FleetConfig:
         workers: process count (``None`` = ``REPRO_FLEET_WORKERS`` or
             cpu count; 0/1 = serial).  Validated eagerly so a typo
             fails at construction, not mid-campaign.
-        telemetry: observability settings; ``None`` keeps the
-            near-zero-cost disabled path and skips the manifest.
 
     Supervision runs on the engine's constants (retry budget, backoff,
     automatic chunking; :mod:`repro.fleet.engine`): none of them can
@@ -54,7 +50,6 @@ class FleetConfig:
     server: ServerConfig | None = None
     base_seed: int = 0
     workers: int | None = None
-    telemetry: TelemetryConfig | None = None
 
     def __post_init__(self) -> None:
         if self.n_servers < 0:

@@ -10,25 +10,24 @@ one streaming loop that folds every scan into fleet-level aggregates;
 ``run_fleet`` also keeps the per-server scans, ``survey_fleet`` stays in
 constant memory.
 
-Observability and durability are :class:`repro.run.RunSession`'s: a
-:class:`~repro.telemetry.TelemetryConfig` on the config turns a campaign
-into a traced run with a manifest (config, seeds, merged vmstat
-counters, aggregates) for ``repro metrics`` diffing, and the
-``checkpoint_every``/``checkpoint_dir``/``resume`` keywords make it
-resumable.
+Every result carries a manifest (config, seeds, merged vmstat counters,
+aggregates) for ``repro metrics`` diffing, built when first read; the
+``checkpoint_every``/``checkpoint_dir``/``resume`` keywords make a
+campaign resumable (:class:`repro.run.RunSession`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import ConfigurationError
 from ..mm.page import AllocSource
 from ..run import RunSession
 from ..telemetry import CounterSet
+from ..telemetry.manifest import LazyManifest
 from .config import FleetConfig
 from .engine import check_survey_fit, iter_fleet_scans, resolve_workers
-from .server import ServerConfig, ServerScan
+from .server import UTILIZATION_RANGE, ServerConfig, ServerScan
 from .stats import median, pearson
 
 #: Per-server metrics addressable through :meth:`FleetSample.series`.
@@ -36,14 +35,12 @@ SERIES_METRICS = ("contiguity", "unmovable")
 
 
 @dataclass
-class FleetSample:
-    """Aggregated results of one fleet-sampling campaign."""
+class FleetSample(LazyManifest):
+    """Aggregated results of one fleet-sampling campaign, and its
+    manifest, built on first read of :attr:`manifest` (not a field, so
+    equality is the scans')."""
 
     scans: list[ServerScan]
-    #: Run manifest when sampled with telemetry enabled; excluded from
-    #: equality so traced and untraced runs with identical scans compare
-    #: equal (the manifest carries volatile facts like timestamps).
-    manifest: dict | None = field(default=None, compare=False, repr=False)
 
     def completed_scans(self) -> list[ServerScan]:
         """Scans from servers that actually ran (degraded ``failed=True``
@@ -113,6 +110,9 @@ class FleetSample:
         (the telemetry ``snapshot()`` surface)."""
         return self._summary().snapshot()
 
+    def manifest_derived(self) -> dict:
+        return self._summary().manifest_derived()
+
     @classmethod
     def from_snapshots(cls, rows) -> "FleetSample":
         """Rebuild a sample from per-scan :meth:`ServerScan.snapshot`
@@ -123,7 +123,7 @@ class FleetSample:
 
 
 @dataclass
-class FleetSummary:
+class FleetSummary(LazyManifest):
     """Constant-memory aggregates of one fleet survey.
 
     The streaming counterpart of :class:`FleetSample`: the same
@@ -140,7 +140,6 @@ class FleetSummary:
     uptime_correlation: float
     source_breakdown: dict[AllocSource, float]
     vmstat: CounterSet
-    manifest: dict | None = field(default=None, compare=False, repr=False)
 
     def snapshot(self) -> dict:
         """Same keys, same values, same order as
@@ -160,6 +159,9 @@ class FleetSummary:
     def vmstat_totals(self) -> CounterSet:
         """Merged vmstat counters (:class:`FleetSample` parity)."""
         return self.vmstat
+
+    def manifest_derived(self) -> dict:
+        return {"counters": self.vmstat, "aggregates": self.snapshot()}
 
 
 class _StreamAggregator:
@@ -231,7 +233,8 @@ def _manifest_config(n_servers: int, config: ServerConfig | None,
         "kernel": cfg.kernel_cls.__name__,
         "min_uptime_steps": cfg.min_uptime_steps,
         "max_uptime_steps": cfg.max_uptime_steps,
-        "utilization_range": list(cfg.utilization_range),
+        # A constant, kept so recorded checkpoint identities still match.
+        "utilization_range": list(UTILIZATION_RANGE),
         # Declarative chaos rides in the manifest so a chaos run diffs
         # cleanly against a clean run of the same seed.
         "fault_plan": (cfg.fault_plan.snapshot()
@@ -261,28 +264,23 @@ def _run_campaign(kind: str, config: FleetConfig,
     # worker starts or a checkpoint directory is made.
     check_survey_fit(config.n_servers, identity["mem_bytes"],
                      config.workers)
-    with RunSession(kind, config, identity, config.telemetry,
-                    **checkpointing) as session:
-        ckpt = session.restore()
-        if ckpt is not None:
-            agg, scans = ckpt.payload["agg"], ckpt.payload["scans"]
-        for index, scan in iter_fleet_scans(
-                config.n_servers, config=config.server,
-                base_seed=config.base_seed, workers=config.workers,
-                indices=([i for i in range(config.n_servers)
-                          if i not in agg.seen] if agg.seen else None)):
-            agg.add(index, scan)
-            if scans is not None:
-                scans[index] = scan
-            session.boundary(len(agg.seen),
-                             lambda: {"agg": agg, "scans": scans})
+    session = RunSession(kind, config, identity, **checkpointing)
+    ckpt = session.restore()
+    if ckpt is not None:
+        agg, scans = ckpt.payload["agg"], ckpt.payload["scans"]
+    for index, scan in iter_fleet_scans(
+            config.n_servers, config=config.server,
+            base_seed=config.base_seed, workers=config.workers,
+            indices=([i for i in range(config.n_servers)
+                      if i not in agg.seen] if agg.seen else None)):
+        agg.add(index, scan)
+        if scans is not None:
+            scans[index] = scan
+        session.boundary(len(agg.seen),
+                         lambda: {"agg": agg, "scans": scans})
     summary = agg.finalize()
-    if session.emits_manifest:
-        summary.manifest = session.manifest(
-            seed=config.base_seed,
-            counters=summary.vmstat,
-            aggregates=summary.snapshot(),
-            volatile={"workers": resolve_workers(config.workers)})
+    summary.manifest_parts = session.manifest(
+        seed=config.base_seed, workers=resolve_workers(config.workers))
     return summary, scans
 
 
@@ -293,18 +291,15 @@ def run_fleet(config: FleetConfig, /, *,
     """Run one fleet-sampling campaign described by a :class:`FleetConfig`.
 
     The typed front door (docs/API.md): every knob — sampling size,
-    seeds, worker count, telemetry — arrives on one
-    frozen config, and the result is a :class:`FleetSample` whose scans
-    are bit-identical for any worker count.
+    seeds, worker count — arrives on one frozen config, and the result
+    is a :class:`FleetSample` whose scans are bit-identical for any
+    worker count.
 
-    With ``config.telemetry`` set the run is observable: tracepoints
-    matching ``telemetry.trace_patterns`` stream to
-    ``telemetry.events_path`` (JSONL) or an in-memory ring while the
-    fleet executes, and a run manifest lands on ``FleetSample.manifest``
-    (written to ``telemetry.manifest_path`` when set).  The manifest's
-    deterministic view is identical for every worker count: per-server
-    vmstat counters are snapshotted inside the seeded workers and merged
-    here.
+    ``FleetSample.manifest`` is the run manifest, built when first
+    read; its deterministic view is identical for every worker count:
+    per-server vmstat counters are snapshotted inside the seeded workers
+    and merged here.  To trace the campaign, call this inside
+    :func:`~repro.telemetry.tracing`.
 
     With a ``config.server.fault_plan`` installed this is the
     chaos-campaign entry point — the same seed and plan always produce
@@ -317,8 +312,9 @@ def run_fleet(config: FleetConfig, /, *,
     summary, scans = _run_campaign(
         "fleet", config, {}, checkpoint_every=checkpoint_every,
         checkpoint_dir=checkpoint_dir, resume=resume)
-    return FleetSample(scans=[scans[i] for i in range(config.n_servers)],
-                       manifest=summary.manifest)
+    sample = FleetSample(scans=[scans[i] for i in range(config.n_servers)])
+    sample.manifest_parts = summary.manifest_parts
+    return sample
 
 
 def survey_fleet(config: FleetConfig, *,
@@ -332,8 +328,8 @@ def survey_fleet(config: FleetConfig, *,
     this keeps only the aggregator's four floats per server, so peak
     memory is independent of ``n_servers`` — and so are its
     checkpoints.  Supervision (retries, fault plans),
-    telemetry, checkpoint/resume and the manifest's deterministic view
-    are identical to :func:`run_fleet` for the same config — only the
+    checkpoint/resume and the manifest's deterministic view are
+    identical to :func:`run_fleet` for the same config — only the
     per-scan list is absent.
     """
     return _run_campaign(

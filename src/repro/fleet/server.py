@@ -29,6 +29,9 @@ from ..units import FRAME_SIZE, PAGEBLOCK_FRAMES, MiB
 from ..workloads.base import Workload
 from ..workloads.services import CACHE_A, CACHE_B, CI, WEB
 
+#: Per-server memory utilisation is drawn from this range — fleets are
+#: not uniformly full, which is what gives Fig. 4 its spread.
+UTILIZATION_RANGE = (0.70, 0.99)
 
 @dataclass
 class ServerScan:
@@ -110,9 +113,6 @@ class ServerConfig:
     #: saturates long before high uptimes, as in production.
     min_uptime_steps: int = 50
     max_uptime_steps: int = 800
-    #: Per-server memory utilisation is drawn from this range — fleets
-    #: are not uniformly full, which is what gives Fig. 4 its spread.
-    utilization_range: tuple[float, float] = (0.70, 0.99)
     #: Declarative chaos: when set, the plan is installed inside each
     #: worker (seeded per server) for the duration of its run, and the
     #: ``fleet.worker.crash`` spec drives injected crashes in the engine.
@@ -126,6 +126,11 @@ class ServerConfig:
             raise ConfigurationError(
                 f"memory size {self.mem_bytes} must be a positive "
                 f"multiple of {pageblock} bytes")
+        if not 0 <= self.min_uptime_steps <= self.max_uptime_steps:
+            raise ConfigurationError(
+                "uptime range needs 0 <= min_uptime_steps <= "
+                f"max_uptime_steps, got {self.min_uptime_steps} and "
+                f"{self.max_uptime_steps}")
 
 
 FLEET_SERVICES = (WEB, CACHE_A, CACHE_B, CI)
@@ -165,7 +170,7 @@ class SimulatedServer:
 
         # Draw this server's utilisation and cap the page cache so free
         # memory varies across the fleet like it does in production.
-        util = self.rng.uniform(*cfg.utilization_range)
+        util = self.rng.uniform(*UTILIZATION_RANGE)
         anon = min(spec.anon_fraction, util - 0.05)
         cache = max(0.03, util - anon - 0.05)
         spec = replace(spec, anon_fraction=anon, cache_fraction=cache,

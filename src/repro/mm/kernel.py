@@ -91,15 +91,14 @@ PSI_HALFLIFE_TICKS = 1_000_000.0
 class KernelConfig:
     """Tunables shared by all kernel variants.
 
+    THP and compaction are always on, as in the stock Linux the paper
+    measures against.
+
     Attributes:
         mem_bytes: physical memory size (multiple of 2 MiB).
-        thp_enabled: whether ``alloc_thp`` attempts 2 MiB pages.
-        compaction_enabled: whether the slow path may compact.
     """
 
     mem_bytes: int = 256 * 1024 * 1024
-    thp_enabled: bool = True
-    compaction_enabled: bool = True
     #: Route order-0 traffic through per-CPU page caches (Linux PCP).
     #: Off by default; the PCP ablation benchmark turns it on.
     pcp_enabled: bool = False
@@ -314,7 +313,7 @@ class LinuxKernel:
         if pfn is not None:
             return pfn
 
-        if order > 0 and self.config.compaction_enabled:
+        if order > 0:
             if compact_budget is None:
                 compact_budget = COMPACT_BUDGET_PAGES
             result = self.compactor.compact(
@@ -648,9 +647,6 @@ class LinuxKernel:
         Mirrors the THP fault path: try the huge allocation, compact once
         if needed, and let the caller fall back to base pages.
         """
-        if not self.config.thp_enabled:
-            self.stat.inc(ev.THP_FALLBACK)
-            return None
         try:
             handle = self.alloc_pages(
                 MAX_ORDER, source, MigrateType.MOVABLE,

@@ -108,6 +108,9 @@ def walk_cycles(
     reports walk cycles as percentages of total execution cycles
     (``base_cpi`` per instruction plus all walk stalls).
     """
+    if n_instructions < 1:
+        raise ConfigurationError(
+            f"n_instructions must be >= 1, got {n_instructions}")
     # Instructions get huge pages whenever data does (the paper maps text
     # with huge pages for Web); 1 GiB text is unrealistic, cap instruction
     # mappings at 2 MiB.

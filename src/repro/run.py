@@ -7,14 +7,17 @@ Everything *around* the loop lives here, once:
 
 1. open the :class:`~repro.checkpoint.CheckpointStore` from the
    ``(checkpoint_every, checkpoint_dir, resume)`` triple;
-2. open the trace sink a :class:`~repro.telemetry.TelemetryConfig`
-   asks for, and close it when the run ends — however it ends;
-3. :meth:`RunSession.restore` — load the last good checkpoint and
+2. :meth:`RunSession.restore` — load the last good checkpoint and
    refuse it unless it was written by a run with this run's identity;
-4. :meth:`RunSession.boundary` — save when due, tolerate a failed
+3. :meth:`RunSession.boundary` — save when due, tolerate a failed
    write, give the ``sim.crash`` fault site its shot;
-5. :meth:`RunSession.manifest` — assemble (and optionally write) the
-   run manifest, checkpoint bookkeeping under ``volatile`` only.
+4. :meth:`RunSession.manifest` — the run manifest's parts known when
+   the loop ends, checkpoint bookkeeping under ``volatile`` only; the
+   result builds the manifest from them when it is first read
+   (:class:`~repro.telemetry.manifest.LazyManifest`).
+
+Tracing is not a session's business: wrap the front door call in
+:func:`~repro.telemetry.tracing`.
 
 :data:`KINDS` is the registry ``repro checkpoint resume`` reads:
 adding a run kind is one loop that calls into a session plus one row
@@ -24,21 +27,12 @@ here.  See the "Run session" section of docs/INTERNALS.md.
 from __future__ import annotations
 
 import json
-from contextlib import ExitStack
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from importlib import import_module
 from typing import Callable
 
 from .errors import CheckpointWriteError, ConfigurationError
-from .telemetry import (
-    JsonlSink,
-    RingBufferSink,
-    TelemetryConfig,
-    build_manifest,
-    tracing,
-    write_manifest,
-)
 
 
 @dataclass(frozen=True)
@@ -78,7 +72,7 @@ KINDS: dict[str, RunKind] = {kind.name: kind for kind in (
 
 
 class RunSession:
-    """Everything around one run loop; a context manager spanning it.
+    """Everything around one run loop.
 
     ``config`` rides in every checkpoint payload (as JSON for a kind
     whose checkpoints are data, else pickled) so ``repro checkpoint
@@ -86,13 +80,11 @@ class RunSession:
     JSON-safe dict that says *which run this is* — the manifest's
     deterministic ``config`` section — and is stored in the checkpoint
     header so a resume over another run's directory is refused instead
-    of silently blending the two.  Worker count, chunk size, telemetry
-    and cadence are deliberately not identity: they cannot change
-    results.
+    of silently blending the two.  Worker count, chunk size and cadence
+    are deliberately not identity: they cannot change results.
     """
 
-    def __init__(self, kind: str, config, identity: dict,
-                 telemetry: TelemetryConfig | None, *,
+    def __init__(self, kind: str, config, identity: dict, *,
                  checkpoint_every: int = 0,
                  checkpoint_dir: str | None = None,
                  resume: bool = False) -> None:
@@ -102,7 +94,6 @@ class RunSession:
         self.kind = KINDS[kind]
         self.config = config
         self.identity = identity
-        self.telemetry = telemetry
         self.every = checkpoint_every
         self.resume = resume
         #: None is the no-checkpoint fast path: hot loops may test this
@@ -111,23 +102,6 @@ class RunSession:
         if checkpoint_every and checkpoint_dir is not None:
             from .checkpoint import CheckpointStore
             self.store = CheckpointStore(checkpoint_dir, kind)
-        self._sink = None
-        self._exit = ExitStack()
-
-    def __enter__(self) -> "RunSession":
-        tcfg = self.telemetry
-        if tcfg is not None and tcfg.trace:
-            if tcfg.events_path:
-                self._sink = self._exit.enter_context(
-                    JsonlSink(tcfg.events_path))
-            else:
-                self._sink = RingBufferSink()
-            self._exit.enter_context(
-                tracing(*tcfg.trace_patterns, sink=self._sink))
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._exit.__exit__(*exc_info)
 
     def restore(self):
         """The last good checkpoint of *this* run, or None.
@@ -181,32 +155,18 @@ class RunSession:
             pass
         maybe_crash(done, kind=self.kind.name)
 
-    @property
-    def emits_manifest(self) -> bool:
-        return self.telemetry is not None
-
-    def manifest(self, *, seed: int, counters, aggregates: dict,
-                 metrics: dict | None = None,
-                 volatile: dict | None = None) -> dict:
-        """Build the run manifest; write it when the telemetry config
-        names a path.  Call only when :attr:`emits_manifest`."""
-        sink = self._sink
-        volatile = {**(volatile or {}), "trace_events": (
-            sink.written if isinstance(sink, JsonlSink)
-            else sink.appended if sink else 0)}
+    def manifest(self, *, seed: int, **volatile) -> dict:
+        """:func:`~repro.telemetry.build_manifest`'s keywords known when
+        the run ends: kind, identity, seed and *volatile*; the result
+        adds its counters and aggregates (``manifest_derived``)."""
         if self.store is not None:
             # Volatile by design: resumed, uninterrupted and
             # never-checkpointed runs share one deterministic view.
             volatile.update({"checkpoint_dir": self.store.directory,
                              "checkpoint_every": self.every,
                              "resumed": self.resume})
-        manifest = build_manifest(
-            kind=self.kind.manifest_kind, config=self.identity, seed=seed,
-            counters=counters, metrics=metrics, aggregates=aggregates,
-            volatile=volatile)
-        if self.telemetry.manifest_path:
-            write_manifest(self.telemetry.manifest_path, manifest)
-        return manifest
+        return {"kind": self.kind.manifest_kind, "config": self.identity,
+                "seed": seed, "volatile": volatile}
 
 
 def load_resumable(directory: str, name: str):
@@ -233,15 +193,11 @@ def load_resumable(directory: str, name: str):
     return ckpt
 
 
-def resume_run(ckpt, directory: str, *, checkpoint_every: int = 0,
-               manifest_path: str | None = None) -> str:
+def resume_run(ckpt, directory: str, *, checkpoint_every: int = 0):
     """Finish the run *ckpt* (from :func:`load_resumable`) belongs to;
-    returns its result's snapshot as JSON (indent 2, sorted keys).
-
-    ``manifest_path`` rewrites the embedded config's telemetry so the
-    resumed run lands its proof-of-identity manifest wherever CI wants
-    it, without re-spelling the whole config.
-    """
+    returns the front door's result (its ``snapshot()`` is what
+    ``repro checkpoint resume`` prints, its ``manifest`` what
+    ``--manifest`` writes)."""
     kind = KINDS[ckpt.kind]
     config = ckpt.payload["config"]
     if kind.config:
@@ -250,15 +206,6 @@ def resume_run(ckpt, directory: str, *, checkpoint_every: int = 0,
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigurationError(
                 f"{ckpt.path}: embedded config does not load: {exc!r}")
-    if manifest_path:
-        if not hasattr(config, "telemetry"):
-            raise ConfigurationError(
-                "--manifest is not supported for this checkpoint kind "
-                "(its config carries no telemetry)")
-        config = replace(config, telemetry=replace(
-            config.telemetry or TelemetryConfig(),
-            manifest_path=manifest_path))
-    result = _resolve(kind.door)(
+    return _resolve(kind.door)(
         config, checkpoint_dir=directory, resume=True,
         checkpoint_every=checkpoint_every or ckpt.meta["checkpoint_every"])
-    return json.dumps(result.snapshot(), indent=2, sort_keys=True)

@@ -31,7 +31,7 @@ from ..experiments.cache import ResultCache
 from ..experiments.grid import Cell
 from ..experiments.runner import ExperimentResult
 from ..faults.plan import NAMED_PLANS
-from ..telemetry import MetricsRegistry, tracepoint, write_manifest
+from ..telemetry import MetricsRegistry, tracepoint
 from ..telemetry.manifest import LazyManifest
 from .loader import get_scenario
 from .model import Scenario, ScenarioMatrix
@@ -189,8 +189,7 @@ def _cell_args(matrix: ScenarioMatrix, cell: Cell, seed: int) -> dict:
 
 
 def run_scenario(config: ScenarioConfig,
-                 cache: ResultCache | None = None,
-                 manifest_path: str | None = None) -> ScenarioResult:
+                 cache: ResultCache | None = None) -> ScenarioResult:
     """Run (or serve from cache) every selected cell of a scenario.
 
     Each cell is one ``run_experiment`` call: atomically cached on
@@ -237,8 +236,6 @@ def run_scenario(config: ScenarioConfig,
                        "cells_cached": n_cached,
                        "cells_computed": len(results) - n_cached},
         "volatile": {"cache_dir": cache.root, "workers": config.workers}}
-    if manifest_path:
-        write_manifest(manifest_path, scenario_result.manifest)
     return scenario_result
 
 

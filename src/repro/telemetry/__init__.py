@@ -13,10 +13,12 @@ experiment manifests:
   gauges, log2-bucket histograms, and scoped timers, all exposing the
   uniform ``snapshot()`` / ``merge()`` surface;
 * :mod:`repro.telemetry.manifest` — machine-readable per-run manifests
-  (config, seed, git revision, counter snapshot) and the diffing used
-  by ``repro metrics``;
-* :mod:`repro.telemetry.config` — :class:`TelemetryConfig`, the one knob
-  experiment entry points (``run_fleet``, benchmarks) accept.
+  (config, seed, git revision, counter snapshot), built when a run
+  result's ``manifest`` is first read, and the diffing used by
+  ``repro metrics``.
+
+Tracing a run is scoping it: ``with tracing("mm.*", sink=...):`` around
+any front door call.
 
 The pre-existing stats surfaces — :class:`repro.mm.vmstat.VmStat`, the
 fleet aggregates, sim-side stats — are thin facades over these
@@ -24,7 +26,6 @@ primitives; see ``docs/OBSERVABILITY.md`` for the tracepoint catalogue
 and manifest schema.
 """
 
-from .config import TelemetryConfig
 from .events import (
     TRACEPOINTS,
     JsonlSink,
@@ -60,7 +61,6 @@ __all__ = [
     "JsonlSink",
     "MetricsRegistry",
     "RingBufferSink",
-    "TelemetryConfig",
     "TraceEvent",
     "Tracepoint",
     "TracepointRegistry",

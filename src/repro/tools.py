@@ -21,7 +21,7 @@ def _format_event(event) -> str:
 def cmd_trace(args) -> None:
     from fnmatch import fnmatchcase
 
-    from .telemetry import read_jsonl, tracing
+    from .telemetry import JsonlSink, read_jsonl, tracing
 
     if args.input:
         events = read_jsonl(args.input)
@@ -49,9 +49,9 @@ def cmd_trace(args) -> None:
         events = events[-args.limit:]
 
     if args.out:
-        with open(args.out, "w") as fh:
+        with JsonlSink(args.out) as sink:
             for e in events:
-                fh.write(e.to_json() + "\n")
+                sink.append(e)
         print(f"{len(events)} events written to {args.out}")
     else:
         for e in events:
@@ -202,8 +202,10 @@ def cmd_checkpoint_inspect(args) -> None:
 
 
 def cmd_checkpoint_resume(args) -> None:
+    import json
     import sys
 
+    from .cli import write_manifest_arg
     from .run import load_resumable, resume_run
 
     names = _store_names(args.dir)
@@ -219,9 +221,7 @@ def cmd_checkpoint_resume(args) -> None:
     ckpt = load_resumable(args.dir, name)
     print(f"# resuming {ckpt.kind} from step {ckpt.step} ({ckpt.path})",
           file=sys.stderr)
-    print(resume_run(ckpt, args.dir,
-                     checkpoint_every=args.checkpoint_every,
-                     manifest_path=args.manifest))
-    if args.manifest:
-        print(f"# run manifest written to {args.manifest}",
-              file=sys.stderr)
+    result = resume_run(ckpt, args.dir,
+                        checkpoint_every=args.checkpoint_every)
+    print(json.dumps(result.snapshot(), indent=2, sort_keys=True))
+    write_manifest_arg(args, result, "run")

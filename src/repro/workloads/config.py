@@ -18,6 +18,7 @@ from ..errors import CheckpointCorruptError, ConfigurationError
 from ..mm.handle import HandleTable
 from ..mm.sections import nest, scope
 from ..run import RunSession
+from ..telemetry.manifest import LazyManifest
 from .tracespec import TraceSpec
 from ..units import MiB, PAGEBLOCK_FRAMES
 from .base import Workload, WorkloadSpec
@@ -103,8 +104,10 @@ class WorkloadConfig:
 
 
 @dataclass
-class WorkloadResult:
-    """Outcome of one :func:`run_workload` run."""
+class WorkloadResult(LazyManifest):
+    """Outcome of one :func:`run_workload` run, and its manifest (kind
+    ``workload``, the vmstat as counters), built on first read of
+    :attr:`manifest`."""
 
     service: str
     kernel: str
@@ -127,6 +130,13 @@ class WorkloadResult:
             "free_frames": self.free_frames,
             "vmstat": dict(self.vmstat),
         }
+
+    def manifest_derived(self) -> dict:
+        return {"counters": self.vmstat, "aggregates": {
+            "free_frames": self.free_frames,
+            "unmovable_fraction": self.unmovable_fraction,
+            **{f"huge_coverage.{size}": share
+               for size, share in sorted(self.huge_coverage.items())}}}
 
 
 def run_workload(config: WorkloadConfig, *,
@@ -157,9 +167,7 @@ def run_workload(config: WorkloadConfig, *,
     from ..core import ContiguitasConfig, ContiguitasKernel
     from ..mm import KernelConfig, LinuxKernel
 
-    # No telemetry on a WorkloadConfig, so there is no sink to scope
-    # with a ``with`` block.
-    session = RunSession("workload", config, config.snapshot(), None,
+    session = RunSession("workload", config, config.snapshot(),
                          checkpoint_every=checkpoint_every,
                          checkpoint_dir=checkpoint_dir, resume=resume)
     ckpt = session.restore()
@@ -182,7 +190,7 @@ def run_workload(config: WorkloadConfig, *,
         workload.step()
         session.boundary(step + 1, lambda: _snapshot(kernel, workload))
 
-    return WorkloadResult(
+    result = WorkloadResult(
         service=config.service_name,
         kernel=config.kernel,
         steps=config.steps,
@@ -192,6 +200,8 @@ def run_workload(config: WorkloadConfig, *,
             kernel.mem, PAGEBLOCK_FRAMES),
         free_frames=kernel.free_frames(),
         vmstat=kernel.stat.snapshot())
+    result.manifest_parts = session.manifest(seed=config.seed)
+    return result
 
 
 def _snapshot(kernel, workload):

@@ -37,12 +37,8 @@ from ..core.hwext.metadata import AccessMode
 from ..errors import ConfigurationError
 from ..sim.params import ArchParams, DEFAULT_PARAMS
 from ..run import RunSession
-from ..telemetry import (
-    Histogram,
-    MetricsRegistry,
-    TelemetryConfig,
-    tracepoint,
-)
+from ..telemetry import Histogram, MetricsRegistry, tracepoint
+from ..telemetry.manifest import LazyManifest
 from .interference import MEMCACHED, NGINX, ServerApp
 from .requestloop import MigrationSchedule, RequestLoop
 
@@ -58,6 +54,10 @@ FAMILIES = ("exponential", "lognormal", "pareto")
 #: noncacheable/cacheable Contiguitas-HW variants, or ``"none"`` for a
 #: migration-free baseline.
 DESIGNS = ("noncacheable", "cacheable", "none")
+
+#: Guard rail: a config offering more requests than this is refused
+#: instead of silently simulating an hour if rate*duration explodes.
+MAX_REQUESTS = 100_000
 
 #: Request-serving applications available to the generator.
 APPS: dict[str, ServerApp] = {"nginx": NGINX, "memcached": MEMCACHED}
@@ -365,10 +365,6 @@ class LoadgenConfig:
             collect meaningful samples.
         buffer_pages: networking buffer pool size.
         seed: run seed; every stream derives from it by name.
-        max_requests: guard rail — error out instead of silently
-            simulating an hour if rate*duration explodes.
-        telemetry: optional :class:`TelemetryConfig`; enables the
-            ``loadgen.*`` tracepoints and manifest emission.
     """
 
     shape: str = "azure-faas"
@@ -379,8 +375,6 @@ class LoadgenConfig:
     migrations_per_second: float = 12_000.0
     buffer_pages: int = 64
     seed: int = 0
-    max_requests: int = 100_000
-    telemetry: TelemetryConfig | None = None
 
     def __post_init__(self) -> None:
         get_shape(self.shape)  # raises with the known-shape list
@@ -404,25 +398,24 @@ class LoadgenConfig:
         if self.buffer_pages < 8:
             raise ConfigurationError(
                 f"buffer_pages must be >= 8, got {self.buffer_pages}")
-        if self.max_requests < 1:
-            raise ConfigurationError("max_requests must be >= 1")
         expected = self.rate_rps * self.duration_s
-        if expected > self.max_requests:
+        if expected > MAX_REQUESTS:
             raise ConfigurationError(
                 f"rate_rps*duration_s offers ~{expected:.0f} requests, "
-                f"above max_requests={self.max_requests}; lower the rate "
-                "or duration, or raise max_requests")
+                f"above max_requests={MAX_REQUESTS}; lower the rate "
+                "or duration")
 
     def snapshot(self) -> dict:
-        """JSON-safe view of the configuration (telemetry excluded)."""
-        d = asdict(self)
-        d.pop("telemetry")
-        return d
+        """JSON-safe view of the configuration, and the identity a
+        checkpoint of this run records; it names the guard rail too, so
+        format-12 checkpoints keep resuming."""
+        return {**asdict(self), "max_requests": MAX_REQUESTS}
 
 
 @dataclass
-class LoadgenResult:
-    """Outcome of one :func:`run_loadgen` run.
+class LoadgenResult(LazyManifest):
+    """Outcome of one :func:`run_loadgen` run, and its manifest, built
+    on first read of :attr:`manifest`.
 
     ``latency`` maps class name to its recorder: ``"all"`` for every
     request, ``"migration"`` for requests whose lifetime overlapped a
@@ -436,7 +429,6 @@ class LoadgenResult:
     span_cycles: float
     freq_ghz: float
     latency: dict[str, LatencyRecorder]
-    manifest: dict | None = None
 
     @property
     def achieved_rps(self) -> float:
@@ -463,9 +455,27 @@ class LoadgenResult:
                 "achieved_rps": round(self.achieved_rps, 3),
                 "rows": self.rows()}
 
+    def manifest_derived(self) -> dict:
+        """Counters, latency histograms and per-class percentiles: the
+        percentiles sort every sample, so they wait for a reader."""
+        metrics = MetricsRegistry()
+        metrics.inc("loadgen.requests", self.requests)
+        metrics.inc("loadgen.windows", self.windows_seen)
+        metrics.inc("loadgen.spikes", self.spikes)
+        for cls, rec in self.latency.items():
+            metrics.histogram(f"loadgen.latency.{cls}").merge(rec.hist)
+        return {
+            "counters": metrics.counters.snapshot(),
+            "metrics": metrics.snapshot(),
+            "aggregates": {
+                "achieved_rps": round(self.achieved_rps, 3),
+                **{f"{cls}.{key}": val
+                   for cls, stats in self.summary().items()
+                   for key, val in stats.items()}}}
 
-def _run_open_loop(config: LoadgenConfig, metrics: MetricsRegistry,
-                   params: ArchParams, session: RunSession) -> LoadgenResult:
+
+def _run_open_loop(config: LoadgenConfig, params: ArchParams,
+                   session: RunSession) -> LoadgenResult:
     shape = get_shape(config.shape)
     app = APPS[config.app]
     freq_hz = params.freq_ghz * 1e9
@@ -529,12 +539,6 @@ def _run_open_loop(config: LoadgenConfig, metrics: MetricsRegistry,
                 "windows_before": windows_before})
 
     windows_seen = schedule.windows_seen if schedule else 0
-    metrics.inc("loadgen.requests", len(arrivals))
-    metrics.inc("loadgen.windows", windows_seen)
-    metrics.inc("loadgen.spikes", spikes)
-    for cls, rec in recorders.items():
-        metrics.histogram(f"loadgen.latency.{cls}").merge(rec.hist)
-
     result = LoadgenResult(
         config=config.snapshot(),
         requests=len(arrivals),
@@ -558,9 +562,8 @@ def run_loadgen(config: LoadgenConfig,
 
     Arrivals are sampled from the configured :class:`TraceShape`,
     dispatched against a :class:`RequestLoop` under the configured
-    migration design, and per-request latencies recorded.  With
-    ``config.telemetry`` set, ``loadgen.*`` tracepoints fire and a run
-    manifest (latency histograms included) is attached / written.
+    migration design, and per-request latencies recorded.  The result's
+    ``manifest`` (latency histograms included) is built when first read.
 
     With ``checkpoint_every > 0`` and a ``checkpoint_dir``, the request
     loop checkpoints every N served requests; ``resume=True`` restores
@@ -568,21 +571,9 @@ def run_loadgen(config: LoadgenConfig,
     with a manifest byte-identical to an uninterrupted run's.  The
     plumbing is :class:`repro.run.RunSession`'s.
     """
-    metrics = MetricsRegistry()
-    with RunSession("loadgen", config, config.snapshot(), config.telemetry,
-                    checkpoint_every=checkpoint_every,
-                    checkpoint_dir=checkpoint_dir,
-                    resume=resume) as session:
-        result = _run_open_loop(config, metrics, params, session)
-    if session.emits_manifest:
-        result.manifest = session.manifest(
-            seed=config.seed,
-            counters=metrics.counters.snapshot(),
-            metrics=metrics.snapshot(),
-            aggregates={
-                "achieved_rps": round(result.achieved_rps, 3),
-                **{f"{cls}.{key}": val
-                   for cls, stats in result.summary().items()
-                   for key, val in stats.items()},
-            })
+    session = RunSession("loadgen", config, config.snapshot(),
+                         checkpoint_every=checkpoint_every,
+                         checkpoint_dir=checkpoint_dir, resume=resume)
+    result = _run_open_loop(config, params, session)
+    result.manifest_parts = session.manifest(seed=config.seed)
     return result

@@ -40,6 +40,21 @@ def make_contiguitas(mem_mib: int = 32, **kwargs) -> ContiguitasKernel:
                                                **kwargs))
 
 
+def pin_one_per_pageblock(kernel) -> None:
+    """Fill *kernel*, then free all but one page per pageblock and pin
+    those: plenty of memory is free, but no 2 MiB block can be assembled,
+    compaction or not."""
+    movable = [kernel.alloc_pages(0) for _ in range(kernel.mem.nframes)]
+    per_block = {}
+    for h in movable:
+        per_block.setdefault(kernel.mem.pageblock_of(h.pfn), h)
+    for h in movable:
+        if per_block.get(kernel.mem.pageblock_of(h.pfn)) is not h:
+            kernel.free_pages(h)
+    for victim in per_block.values():
+        kernel.pin_pages(victim)
+
+
 def free_list(buddy, order: int, mt) -> list[int]:
     """Heads on *buddy*'s (*order*, *mt*) free list, oldest first: a
     LIFO pop takes the last."""

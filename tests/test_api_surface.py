@@ -20,6 +20,7 @@ import repro.analysis
 import repro.experiments
 import repro.fleet
 import repro.scenarios
+import repro.telemetry
 import repro.workloads
 from repro.errors import ConfigurationError
 from repro.fleet import FleetConfig, run_fleet
@@ -172,9 +173,35 @@ class TestExportSnapshots:
             "sample_service",
         ]
 
+    def test_telemetry_all(self):
+        """``TelemetryConfig`` is gone: tracing a run is scoping it with
+        ``tracing``, and every run result carries a manifest."""
+        assert sorted(repro.telemetry.__all__) == [
+            "CounterSet",
+            "Gauge",
+            "Histogram",
+            "JsonlSink",
+            "MetricsRegistry",
+            "RingBufferSink",
+            "TRACEPOINTS",
+            "TraceEvent",
+            "Tracepoint",
+            "TracepointRegistry",
+            "build_manifest",
+            "format_manifest",
+            "format_manifest_diff",
+            "load_manifest",
+            "manifest_diff",
+            "read_jsonl",
+            "set_sim_clock",
+            "tracepoint",
+            "tracing",
+            "write_manifest",
+        ]
+
     def test_all_names_actually_exported(self):
         for mod in (repro, repro.fleet, repro.experiments, repro.workloads,
-                    repro.scenarios):
+                    repro.scenarios, repro.telemetry):
             for name in mod.__all__:
                 assert hasattr(mod, name), f"{mod.__name__}.{name}"
 
@@ -244,6 +271,28 @@ class TestFrontDoor:
         with pytest.raises(ConfigurationError):
             FleetConfig(n_servers=1, workers=-2)
 
+    @pytest.mark.parametrize("low,high", [(10, 5), (-10, -5), (-1, 0)])
+    def test_server_config_refuses_a_bad_uptime_range(self, low, high):
+        """An inverted range used to spend every server's retry budget
+        on ``randrange`` and cache ``failed`` rows; a negative one cached
+        negative uptimes."""
+        with pytest.raises(ConfigurationError,
+                           match=f"got {low} and {high}$"):
+            ServerConfig(min_uptime_steps=low, max_uptime_steps=high)
+        ServerConfig(min_uptime_steps=0, max_uptime_steps=0)
+
+    def test_inverted_uptime_range_is_one_repro_line(self, tmp_path):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "run", "fleet-survey", "--set",
+                  "n_servers=3", "--set", "min_uptime_steps=10", "--set",
+                  "max_uptime_steps=5", "--workers", "1", "--cache-dir",
+                  str(tmp_path)])
+        assert str(exc.value.code) == (
+            "repro: uptime range needs 0 <= min_uptime_steps <= "
+            "max_uptime_steps, got 10 and 5")
+
 
 class TestWorkloadFrontDoor:
     def test_get_service_kebab_and_alias(self):
@@ -295,27 +344,63 @@ class TestWorkloadFrontDoor:
 
 #: The fields of the seven configs on the paths users run (for
 #: ``ContiguitasConfig`` its own, beside the ``KernelConfig`` ones it
-#: inherits).  Every one is set by a caller outside ``tests/``; a
-#: calibration is a module constant, not a field (docs/API.md,
-#: "Removed surface").
+#: inherits).  Every one is set by a caller outside ``tests/``
+#: (:class:`TestConfigFields` checks it); a calibration is a module
+#: constant, not a field (docs/API.md, "Removed surface").
 CONFIG_FIELDS = {
     "repro.fleet:FleetConfig": [
-        "n_servers", "server", "base_seed", "workers", "telemetry"],
+        "n_servers", "server", "base_seed", "workers"],
     "repro.fleet:ServerConfig": [
         "mem_bytes", "kernel_cls", "min_uptime_steps", "max_uptime_steps",
-        "utilization_range", "fault_plan"],
+        "fault_plan"],
     "repro.workloads:WorkloadConfig": [
         "service", "kernel", "mem_bytes", "steps", "seed"],
-    "repro.telemetry:TelemetryConfig": [
-        "trace", "trace_patterns", "events_path", "manifest_path"],
+    "repro.workloads:LoadgenConfig": [
+        "shape", "rate_rps", "duration_s", "app", "design",
+        "migrations_per_second", "buffer_pages", "seed"],
     "repro.mm:KernelConfig": [
-        "mem_bytes", "thp_enabled", "compaction_enabled", "pcp_enabled",
-        "debug_vm"],
+        "mem_bytes", "pcp_enabled", "debug_vm"],
     "repro.core:ContiguitasConfig": [
         "initial_unmovable_fraction", "resize", "placement", "hw_enabled"],
     "repro.kalloc.netbuf:NetworkQueueConfig": [
         "nr_queues", "ring_frames_per_queue"],
 }
+
+#: Pinned fields no call outside ``tests/`` sets that stay on purpose,
+#: one reason each.
+UNSET_ALLOWED = {
+    "repro.mm:KernelConfig.debug_vm":
+        "safety code: REPRO_DEBUG_VM sets it to attach the frame sanitizer",
+}
+
+
+def _config_class(path: str):
+    module, name = path.split(":")
+    return getattr(import_module(module), name)
+
+
+def _unset_fields() -> list[str]:
+    """``module:Class.field`` for each pinned field that no call in
+    ``src/``, ``benchmarks/`` or ``examples/`` sets: by a keyword of its
+    name in any call (matched by name, as :class:`TestParameterAudit`
+    matches, so ``replace(...)`` and ``**config`` forwarders count) or
+    by enough positional arguments in a call to its class."""
+    import dataclasses
+
+    sites = _call_sites(("src", "benchmarks", "examples"))
+    keywords = {kw for calls in sites.values() for _, kws, _, _ in calls
+                for kw in kws}
+    found = []
+    for path, names in CONFIG_FIELDS.items():
+        cls = _config_class(path)
+        order = [f.name for f in dataclasses.fields(cls)]
+        for name in names:
+            need = order.index(name) + 1
+            if name in keywords or any(
+                    n >= need for n, _, _, _ in sites.get(cls.__name__, ())):
+                continue
+            found.append(f"{path}.{name}")
+    return found
 
 
 class TestConfigFields:
@@ -325,8 +410,7 @@ class TestConfigFields:
         ``WorkloadConfig`` positionally."""
         import dataclasses
 
-        module, name = path.split(":")
-        cls = getattr(import_module(module), name)
+        cls = _config_class(path)
         inherited = {f.name for base in cls.__mro__[1:]
                      if dataclasses.is_dataclass(base)
                      for f in dataclasses.fields(base)}
@@ -335,6 +419,14 @@ class TestConfigFields:
 
     def test_thirty_one_fields(self):
         assert sum(map(len, CONFIG_FIELDS.values())) == 31
+
+    def test_every_pinned_field_is_set_outside_tests(self):
+        """A field only tests set is an option nothing uses: make it a
+        module constant, or delete it with its branch."""
+        found = _unset_fields()
+        stale = sorted(set(UNSET_ALLOWED) - set(found))
+        assert not stale, f"allowlisted but set now: {stale}"
+        assert [f for f in found if f not in UNSET_ALLOWED] == []
 
 
 class TestRemovedShims:
@@ -533,12 +625,13 @@ UNPASSED_ALLOWED = {
 }
 
 
-def _call_sites() -> dict[str, list[tuple[int, set, bool, bool]]]:
-    """Every call in the repo's code, keyed by callee name (a bare name
-    or the attribute called, as DL105 matches): (positional count,
-    keywords, ``*`` splat, ``**`` splat)."""
+def _call_sites(tops=("src", "tests", "benchmarks", "examples")
+                ) -> dict[str, list[tuple[int, set, bool, bool]]]:
+    """Every call in the code under the *tops* directories, keyed by
+    callee name (a bare name or the attribute called, as DL105
+    matches): (positional count, keywords, ``*`` splat, ``**`` splat)."""
     sites: dict[str, list] = {}
-    for top in ("src", "tests", "benchmarks", "examples"):
+    for top in tops:
         for path in sorted((REPO / top).rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text("utf-8"))):
                 if not isinstance(node, ast.Call):

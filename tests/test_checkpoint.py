@@ -788,24 +788,22 @@ class TestLoadgenCrashResume:
                 == json.dumps(reference.snapshot(), sort_keys=True))
 
 
-def _small_fleet(seed, n_servers=4, telemetry=None):
+def _small_fleet(seed, n_servers=4):
     from repro.fleet import FleetConfig, ServerConfig
 
     return FleetConfig(
         n_servers=n_servers,
         server=ServerConfig(mem_bytes=MiB(32), min_uptime_steps=30,
                             max_uptime_steps=60),
-        base_seed=seed, workers=1, telemetry=telemetry)
+        base_seed=seed, workers=1)
 
 
 class TestFleetResume:
     def test_survey_kill_and_resume_byte_identical_manifest(
             self, tmp_path):
         from repro.fleet import survey_fleet
-        from repro.telemetry import TelemetryConfig
 
-        telemetry = TelemetryConfig()
-        config = _small_fleet(3, telemetry=telemetry)
+        config = _small_fleet(3)
         with injecting(_crash_plan(2), seed=0):
             with pytest.raises(SimCrashError):
                 survey_fleet(config, checkpoint_every=1,
@@ -865,18 +863,15 @@ class TestFleetResume:
 
 def _contract_cases():
     """kind -> (config, cadence, a config of a *different* run, a key
-    that differs).  Telemetry wherever the config can carry it, so the
-    comparison below is over the manifest's deterministic view."""
+    that differs)."""
     from dataclasses import replace
 
-    from repro.telemetry import TelemetryConfig
     from repro.workloads import LoadgenConfig, WorkloadConfig
 
     workload = WorkloadConfig(service="web", mem_bytes=MiB(16), steps=12,
                               seed=1)
-    loadgen = LoadgenConfig(rate_rps=150_000.0, duration_s=1e-3, seed=7,
-                            telemetry=TelemetryConfig())
-    fleet = _small_fleet(3, telemetry=TelemetryConfig())
+    loadgen = LoadgenConfig(rate_rps=150_000.0, duration_s=1e-3, seed=7)
+    fleet = _small_fleet(3)
     return {
         "workload": (workload, 2,
                      replace(workload, service="cache-b", seed=2), "seed"),
@@ -900,12 +895,8 @@ def _run_kind(kind, config, **checkpointing):
 
 def _view(result) -> str:
     """What must be byte-identical across interrupted, uninterrupted and
-    never-checkpointed runs: the manifest's deterministic view, or the
-    snapshot for a kind whose config carries no telemetry."""
-
-    manifest = getattr(result, "manifest", None)
-    return json.dumps(deterministic_view(manifest) if manifest
-                      else result.snapshot(), sort_keys=True)
+    never-checkpointed runs: the manifest's deterministic view."""
+    return json.dumps(deterministic_view(result.manifest), sort_keys=True)
 
 
 def test_every_registered_run_kind_has_a_contract_case():
@@ -961,13 +952,12 @@ class TestRunSessionContract:
         plain = _run_kind(kind, config)
         assert "checkpoint" not in _view(checkpointed)
         assert _view(checkpointed) == _view(plain)
-        if getattr(plain, "manifest", None):
-            volatile = checkpointed.manifest["volatile"]
-            assert volatile["checkpoint_every"] == every
-            assert volatile["checkpoint_dir"] == str(tmp_path)
-            assert volatile["resumed"] is False
-            assert not {"checkpoint_every", "checkpoint_dir", "resumed"} \
-                & set(plain.manifest["volatile"])
+        volatile = checkpointed.manifest["volatile"]
+        assert volatile["checkpoint_every"] == every
+        assert volatile["checkpoint_dir"] == str(tmp_path)
+        assert volatile["resumed"] is False
+        assert not {"checkpoint_every", "checkpoint_dir", "resumed"} \
+            & set(plain.manifest["volatile"])
 
 
 class TestRestoreSanitizer:
@@ -1265,11 +1255,9 @@ class TestCheckpointCli:
 class TestManifestVolatileOnly:
     def test_checkpoint_keys_never_touch_deterministic_view(self):
         from repro.fleet import survey_fleet
-        from repro.telemetry import TelemetryConfig
         import tempfile
 
-        telemetry = TelemetryConfig()
-        config = _small_fleet(13, n_servers=2, telemetry=telemetry)
+        config = _small_fleet(13, n_servers=2)
         with tempfile.TemporaryDirectory() as tmp:
             ck = survey_fleet(config, checkpoint_every=1,
                               checkpoint_dir=tmp)

@@ -47,8 +47,7 @@ def test_committed_checkpoint_resumes_to_committed_snapshot(kernel,
     shutil.copy(os.path.join(FIXTURES, kernel, "workload.ckpt"), tmp_path)
     ckpt = load_resumable(str(tmp_path), "workload")
     assert (ckpt.kind, ckpt.step) == ("workload", AT)
-    printed = resume_run(ckpt, str(tmp_path))
-    assert json.loads(printed) == expected[kernel]
+    assert resume_run(ckpt, str(tmp_path)).snapshot() == expected[kernel]
 
 
 @pytest.mark.parametrize("kernel", KERNELS)

@@ -304,9 +304,10 @@ class TestRunExperiment:
 
     def test_manifest_written_to_path(self, cache, counting_spec,
                                       tmp_path):
+        from repro.telemetry import write_manifest
+
         path = tmp_path / "run.json"
-        run_experiment("toy-count", cache=cache,
-                       manifest_path=str(path))
+        write_manifest(path, run_experiment("toy-count", cache=cache).manifest)
         manifest = json.loads(path.read_text())
         assert manifest["kind"] == "experiment"
         assert manifest["config"]["experiment"] == "toy-count"

@@ -24,7 +24,7 @@ class TestFailureInjection:
     def test_pin_mid_compaction_is_skipped_not_corrupted(self):
         """Pages pinned between compaction passes are left alone; the
         pass completes and bookkeeping stays exact."""
-        k = make_linux(mem_mib=16, compaction_enabled=False)
+        k = make_linux(mem_mib=16)
         pages = [k.alloc_pages(0) for _ in range(k.mem.nframes)]
         rng = random.Random(1)
         for i, h in enumerate(pages):

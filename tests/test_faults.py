@@ -34,6 +34,7 @@ from repro.faults import (
 from repro.fleet import FleetConfig, ServerConfig, run_fleet
 from repro.mm import AllocSource, vmstat as ev
 from repro.mm.migrate import MIGRATE_MAX_ATTEMPTS, migrate_with_retry
+from repro.telemetry import load_manifest, write_manifest
 from repro.units import MiB, PAGEBLOCK_FRAMES
 
 
@@ -311,14 +312,11 @@ SMALL = dict(mem_bytes=MiB(64), min_uptime_steps=20, max_uptime_steps=60)
 class TestChaosFleet:
     def test_same_seed_same_plan_bit_identical_manifests(self, tmp_path,
                                                          no_backoff):
-        from repro.telemetry import TelemetryConfig
-
         def manifest(path):
             cfg = ServerConfig(**SMALL, fault_plan=NAMED_PLANS["ci-smoke"])
             sample = run_fleet(FleetConfig(
-                n_servers=4, server=cfg, base_seed=3, workers=2,
-                telemetry=TelemetryConfig(manifest_path=str(path))))
-            return sample.manifest
+                n_servers=4, server=cfg, base_seed=3, workers=2))
+            return load_manifest(write_manifest(path, sample.manifest))
 
         a = deterministic_view(manifest(tmp_path / "a.json"))
         b = deterministic_view(manifest(tmp_path / "b.json"))

@@ -275,20 +275,16 @@ class TestManifestBitIdentity:
         campaign is byte-identical for workers=1 and workers=8."""
         import json
 
-        from repro.telemetry import TelemetryConfig
-
         cfg = FleetConfig(n_servers=64, server=TINY, base_seed=42,
-                          workers=1, telemetry=TelemetryConfig())
+                          workers=1)
         m1 = run_fleet(cfg).manifest
         m8 = run_fleet(dataclasses.replace(cfg, workers=8)).manifest
         assert (json.dumps(deterministic_view(m1), sort_keys=True)
                 == json.dumps(deterministic_view(m8), sort_keys=True))
 
     def test_survey_manifest_matches_run_fleet(self):
-        from repro.telemetry import TelemetryConfig
-
         cfg = FleetConfig(n_servers=8, server=TINY, base_seed=6,
-                          workers=1, telemetry=TelemetryConfig())
+                          workers=1)
         assert (deterministic_view(survey_fleet(cfg).manifest)
                 == deterministic_view(run_fleet(cfg).manifest))
 

@@ -45,7 +45,7 @@ def test_unmovable_exhaustion_without_free_pageblock():
     4 KiB pages exist inside movable blocks."""
     from repro.errors import OutOfMemoryError
 
-    k = make_illuminator(mem_mib=8, compaction_enabled=False)
+    k = make_illuminator(mem_mib=8)
     # Fill all memory, then free everything except one page per block:
     # plenty of free 4 KiB pages, but no block is fully free.
     holders = [k.alloc_pages(0) for _ in range(k.mem.nframes)]

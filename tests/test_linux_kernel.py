@@ -7,7 +7,7 @@ from repro.mm import AllocSource, KernelConfig, LinuxKernel, MigrateType
 from repro.mm import vmstat as ev
 from repro.units import GIGAPAGE_FRAMES, MAX_ORDER, MiB, PAGEBLOCK_FRAMES
 
-from conftest import churn, make_linux
+from conftest import churn, make_linux, pin_one_per_pageblock
 
 
 def test_alloc_free_roundtrip(linux):
@@ -72,25 +72,9 @@ def test_thp_alloc_success(linux):
     assert linux.stat[ev.THP_ALLOC] == 1
 
 
-def test_thp_disabled_falls_back():
-    k = make_linux(thp_enabled=False)
-    assert k.alloc_thp() is None
-    assert k.stat[ev.THP_FALLBACK] == 1
-
-
 def test_thp_fallback_when_fragmented():
-    k = make_linux(mem_mib=4, compaction_enabled=False)
-    # Poison every pageblock with one pinned page, then free the rest:
-    # plenty of memory is free but no 2 MiB block can be assembled.
-    movable = [k.alloc_pages(0) for _ in range(k.mem.nframes)]
-    per_block = {}
-    for h in movable:
-        per_block.setdefault(k.mem.pageblock_of(h.pfn), h)
-    for h in movable:
-        if per_block.get(k.mem.pageblock_of(h.pfn)) is not h:
-            k.free_pages(h)
-    for victim in per_block.values():
-        k.pin_pages(victim)
+    k = make_linux(mem_mib=4)
+    pin_one_per_pageblock(k)
     assert k.alloc_thp() is None
     assert k.stat[ev.THP_FALLBACK] == 1
 

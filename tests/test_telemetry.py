@@ -16,7 +16,6 @@ from repro.telemetry import (
     JsonlSink,
     MetricsRegistry,
     RingBufferSink,
-    TelemetryConfig,
     TraceEvent,
     TracepointRegistry,
     build_manifest,
@@ -375,20 +374,6 @@ class TestWalkStats:
         }
 
 
-class TestTelemetryConfig:
-    def test_defaults_valid(self):
-        cfg = TelemetryConfig()
-        assert cfg.trace is False
-
-    def test_empty_patterns_rejected(self):
-        with pytest.raises(ConfigurationError):
-            TelemetryConfig(trace_patterns=())
-
-    def test_events_path_requires_trace(self):
-        with pytest.raises(ConfigurationError):
-            TelemetryConfig(events_path="x.jsonl")
-
-
 class TestWorkerEnvValidation:
     def test_non_integer_env_rejected(self, monkeypatch):
         from repro.fleet.engine import WORKERS_ENV, resolve_workers
@@ -463,26 +448,24 @@ class TestFleetTelemetry:
         from repro.fleet import FleetConfig, run_fleet
 
         cfg = _small_config()
-        serial = run_fleet(FleetConfig(
-            server=cfg, workers=1, telemetry=TelemetryConfig(), **FLEET_KW))
-        parallel = run_fleet(FleetConfig(
-            server=cfg, workers=4, telemetry=TelemetryConfig(), **FLEET_KW))
+        serial = run_fleet(FleetConfig(server=cfg, workers=1, **FLEET_KW))
+        parallel = run_fleet(FleetConfig(server=cfg, workers=4, **FLEET_KW))
         assert serial.scans == parallel.scans
         assert deterministic_view(serial.manifest) == \
             deterministic_view(parallel.manifest)
         assert serial.manifest["counters"]["alloc_success"] > 0
 
     def test_tracing_produces_jsonl_and_manifest(self, tmp_path):
+        """Tracing a run is scoping it: the events stream to the sink,
+        and the manifest the result carries is what gets written."""
         from repro.fleet import FleetConfig, run_fleet
 
         events_path = tmp_path / "events.jsonl"
         manifest_path = tmp_path / "run.json"
-        sample = run_fleet(FleetConfig(
-            server=_small_config(), workers=1,
-            telemetry=TelemetryConfig(trace=True,
-                                      events_path=str(events_path),
-                                      manifest_path=str(manifest_path)),
-            **FLEET_KW))
+        config = FleetConfig(server=_small_config(), workers=1, **FLEET_KW)
+        with JsonlSink(events_path) as sink, tracing("*", sink=sink):
+            sample = run_fleet(config)
+        write_manifest(manifest_path, sample.manifest)
         events = read_jsonl(events_path)
         names = {e.name for e in events}
         assert "fleet.run.start" in names
@@ -490,11 +473,12 @@ class TestFleetTelemetry:
         manifest = load_manifest(manifest_path)
         assert manifest == sample.manifest
         assert manifest["kind"] == "fleet"
-        # Traced and untraced runs produce identical scans (tracing is
-        # observation, not perturbation).
-        plain = run_fleet(FleetConfig(server=_small_config(), workers=1,
-                                      **FLEET_KW))
+        # Traced and untraced runs produce identical scans and manifests
+        # (tracing is observation, not perturbation).
+        plain = run_fleet(config)
         assert plain.scans == sample.scans
+        assert deterministic_view(plain.manifest) == \
+            deterministic_view(manifest)
 
     def test_series_is_the_per_server_accessor(self):
         """``contiguity_values``/``unmovable_values`` (shimmed since
@@ -546,6 +530,18 @@ class TestCliVerbs:
               "--out", str(dst)])
         assert read_jsonl(dst) == [
             TraceEvent("mm.compact.start", 2, {"target_order": 9})]
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--steps", "-3", "step count must be >= 0, got -3"),
+        ("--mem-mib", "0", "MiB count must be >= 16, got 0")])
+    def test_trace_refuses_a_bad_count(self, flag, value, message, capsys):
+        """``--steps -3`` used to run only ``start()`` and exit 0."""
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("service", ["cache-b", "ads"])
     def test_trace_runs_any_registered_service(self, service, capsys):

@@ -280,9 +280,7 @@ FAST = dict(rate_rps=500_000.0, duration_s=5e-4, buffer_pages=8)
 
 class TestRunLoadgen:
     def test_bit_identical_across_runs(self):
-        from repro.telemetry import TelemetryConfig
-
-        cfg = LoadgenConfig(seed=6, telemetry=TelemetryConfig(), **FAST)
+        cfg = LoadgenConfig(seed=6, **FAST)
         a = run_loadgen(cfg)
         b = run_loadgen(cfg)
         assert a.rows() == b.rows()
@@ -326,19 +324,18 @@ class TestRunLoadgen:
         assert s["migration"]["requests"] == 0
         assert r.windows_seen == 0
 
-    def test_manifest_kind_and_aggregates(self):
-        from repro.telemetry import TelemetryConfig
+    def test_manifest_is_built_on_first_read(self):
+        """A run nobody asks for its manifest sorts no sample for it."""
+        r = run_loadgen(LoadgenConfig(seed=1, **FAST))
+        assert "manifest" not in vars(r)
+        assert r.manifest is r.manifest
 
-        r = run_loadgen(LoadgenConfig(seed=1,
-                                      telemetry=TelemetryConfig(), **FAST))
+    def test_manifest_kind_and_aggregates(self):
+        r = run_loadgen(LoadgenConfig(seed=1, **FAST))
         assert r.manifest["kind"] == "loadgen"
         agg = r.manifest["aggregates"]
         assert "all.p99_us" in agg and "achieved_rps" in agg
         assert "loadgen.latency.all" in r.manifest["metrics"]["histograms"]
-
-    def test_no_telemetry_no_manifest(self):
-        r = run_loadgen(LoadgenConfig(seed=1, **FAST))
-        assert r.manifest is None
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
@@ -365,8 +362,7 @@ class TestRunLoadgen:
 
     def test_max_requests_guard(self):
         with pytest.raises(ConfigurationError, match="max_requests"):
-            run_loadgen(LoadgenConfig(rate_rps=1e9, duration_s=1e-2,
-                                      max_requests=1000))
+            run_loadgen(LoadgenConfig(rate_rps=1e9, duration_s=1e-2))
 
 
 class PerInstructionLoop(RequestLoop):

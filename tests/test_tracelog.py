@@ -18,7 +18,7 @@ from repro.workloads.tracelog import (
     replay,
 )
 
-from conftest import make_contiguitas, make_linux
+from conftest import make_contiguitas, make_linux, pin_one_per_pageblock
 
 
 def record_churn(steps=800, seed=5, mem_mib=32, free_probability=0.45):
@@ -116,7 +116,9 @@ class TestWorkloadCapture:
             recorder.free_pages(handle)
 
     def test_failed_huge_attempts_are_recorded_and_replayed(self):
-        recorder = TraceRecorder(make_linux(8, thp_enabled=False))
+        kernel = make_linux(8)
+        pin_one_per_pageblock(kernel)       # no 2 MiB block to be had
+        recorder = TraceRecorder(kernel)
         assert recorder.alloc_thp() is None
         with pytest.raises(ContiguityError):
             recorder.alloc_gigapage()       # 8 MiB has no 1 GiB range
@@ -138,7 +140,8 @@ class TestWorkloadCapture:
         recorder.pin_pages(huge)
         recorder.unpin_pages(huge)
         recorder.free_pages(huge)
-        target = make_linux(8, thp_enabled=False)
+        target = make_linux(8)
+        pin_one_per_pageblock(target)
         result = replay(recorder.events, target)
         assert result.alloc_failures == 1
         assert result.events == len(recorder.events)

@@ -91,7 +91,7 @@ class TestServiceSpecs:
 
 class TestFragmentation:
     def test_full_fragmentation_blocks_thp(self):
-        k = make_linux(mem_mib=64, compaction_enabled=False)
+        k = make_linux(mem_mib=64)
         fragment_fully(k)
         assert unmovable_block_fraction(
             k.mem, PAGEBLOCK_FRAMES) > 0.5
