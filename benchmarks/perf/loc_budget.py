@@ -82,7 +82,7 @@ import tokenize
 #: Then 13,580 → 13,636: the handle registry as a frame column and a
 #: slot array, with its range-checked restore and array sweep
 #: (``mm``, +33), and typed errors for hostile trace logs and scenario
-#: fields (``workloads/tracelog.py``, ``scenarios``, +23).
+#: fields (the trace-log loader, deleted since, and ``scenarios``, +23).
 #: Then 13,636 → 13,470: options only tests set went — 20 of the 51
 #: fields of the seven front-door configs, with the fleet's per-server
 #: load burst and tail aggregates, ``WorkloadConfig.loadgen``, the
@@ -110,7 +110,16 @@ import tokenize
 #: branches; every front door's result builds its manifest on first
 #: read (``manifest_derived``), and the uptime range, ``walk_cycles``
 #: and the s24 producer refuse their edge values.
-BUDGET = 13_248
+#: Then 13,248 → 12,947: DL105 stopped rooting the ``__all__`` of the
+#: modules docs/API.md documents, and what it then found went —
+#: ``core/illuminator.py``, ``workloads/tracelog.py`` (−185; its
+#: recorder is a test helper now), ``relative_throughput``,
+#: ``list_services``, ``list_shapes``, ``unregister`` and
+#: ``lint_source`` — with the second grid spelling
+#: (``ExperimentSpec.axes``, ``axes_from_grid``, ``experiment sweep``
+#: and ``experiment list``'s cell count); the vacuous-claim verdict and
+#: the boolean-seed checks added 24.
+BUDGET = 12_947
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
              tokenize.INDENT, tokenize.DEDENT, tokenize.ENCODING,

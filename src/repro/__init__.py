@@ -33,9 +33,8 @@ from .errors import (
 )
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    ".core": ("ContiguitasConfig", "ContiguitasKernel", "IlluminatorKernel",
-              "PlacementPolicy", "RegionLayout", "RegionResizer",
-              "ResizeConfig"),
+    ".core": ("ContiguitasConfig", "ContiguitasKernel", "PlacementPolicy",
+              "RegionLayout", "RegionResizer", "ResizeConfig"),
     ".core.hwext": ("AccessMode", "HwMigrationEngine"),
     ".mm": ("AllocSource", "KernelConfig", "LinuxKernel", "MigrateType",
             "PageHandle"),
@@ -53,7 +52,6 @@ __all__ = [
     "ContiguityError",
     "HardwareProtocolError",
     "HwMigrationEngine",
-    "IlluminatorKernel",
     "KernelConfig",
     "LinuxKernel",
     "MigrateType",

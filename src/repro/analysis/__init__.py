@@ -18,7 +18,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ".reporting": ("format_table", "percent"),
     ".sanitizer": ("FrameSanitizer", "debug_vm_enabled", "verify_allocator",
                    "verify_kernel"),
-    ".simlint": ("Finding", "lint_paths", "lint_source"),
+    ".simlint": ("Finding", "lint_paths"),
     ".snapshot": ("MemorySnapshot", "load_snapshot", "save_snapshot"),
 })
 
@@ -35,7 +35,6 @@ __all__ = [
     "free_block_count",
     "free_contiguity",
     "lint_paths",
-    "lint_source",
     "migrations_per_second_capacity",
     "movable_potential",
     "percent",

@@ -53,7 +53,6 @@ from .core import (
     DeepLintError,
     find_contract_root,
     lint_paths,
-    lint_source,
     render_json,
     render_text,
     rule_catalogue,
@@ -69,7 +68,6 @@ __all__ = [
     "Rule",
     "find_contract_root",
     "lint_paths",
-    "lint_source",
     "render_json",
     "render_sarif",
     "render_text",

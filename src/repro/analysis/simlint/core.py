@@ -152,18 +152,6 @@ def _run(program: ProgramModel,
         if f.path not in by_path or not by_path[f.path].suppressed(f))
 
 
-def lint_source(source: str, path: str = "<string>") -> list[Finding]:
-    """Lint one source string with the per-file rules; returns sorted,
-    unsuppressed findings.
-
-    A syntactically invalid file yields a single ``SL000`` parse-error
-    finding rather than raising.
-    """
-    program = ProgramModel()
-    program.add_source(source, str(path), module_name(str(path)))
-    return _run(program)
-
-
 def lint_paths(paths: Iterable, *, deep: bool = False,
                docs_dir: str | None = None) -> list[Finding]:
     """Lint every ``.py`` file under *paths* (files or directories).

@@ -688,14 +688,14 @@ class DeadSurfaceRule(Rule):
     """DL105: every definition is reached from a front door.
 
     The roots are every module's top-level statements, every
-    ``"module:function"`` door string, the ``__all__`` of each module
-    docs/API.md documents, and every ``.py`` under the contract root's
-    ``examples/`` and ``benchmarks/``.  A top-level function or class
-    the name-level walk (:meth:`ProgramModel.reachable`) never reaches,
-    or a method of a reached class nobody names, supports no figure,
-    front door or example: a test alone keeps it alive.  An ``__all__``
-    or lazy-export table outside a documented module names nothing (its
-    entries are strings), so re-exporting a name does not keep it.
+    ``"module:function"`` door string, and every ``.py`` under the
+    contract root's ``examples/`` and ``benchmarks/``; tests are never
+    roots.  A top-level function or class the name-level walk
+    (:meth:`ProgramModel.reachable`) never reaches, or a method of a
+    reached class nobody names, supports no figure, front door or
+    example: a test alone keeps it alive.  An ``__all__`` or lazy-export
+    table names nothing (its entries are strings), and neither does
+    docs/API.md, so documenting or re-exporting a name does not keep it.
     """
 
     code = "DL105"
@@ -724,18 +724,6 @@ class DeadSurfaceRule(Rule):
         return entries
 
     @staticmethod
-    def _documented_all(program: ProgramModel,
-                        contracts: Contracts) -> Iterator[str]:
-        for module in contracts.api.documented_modules:
-            info = program.modules.get(module)
-            for name, value in named_assignments(
-                    info.tree.body if info else ()):
-                if name == "__all__" and isinstance(value,
-                                                    (ast.List, ast.Tuple)):
-                    yield from (e.value for e in value.elts
-                                if isinstance(e, ast.Constant))
-
-    @staticmethod
     def _doors(program: ProgramModel,
                files: list[ModuleInfo]) -> Iterator[str]:
         for info in files:
@@ -756,7 +744,6 @@ class DeadSurfaceRule(Rule):
                   and d.name.endswith("__")]
         names = {name for info in (*program.files, *entries)
                  for name in info.uses}
-        names.update(self._documented_all(program, contracts))
         names.update(self._doors(program, [*program.files, *entries]))
         reached = program.reachable(roots, names)
         skip = {info.path for info in entries}
@@ -770,5 +757,4 @@ class DeadSurfaceRule(Rule):
                 yield self.at(
                     info, d.node,
                     f"{d.qualname} is dead surface: no module body, door "
-                    f"string, documented __all__, example or benchmark "
-                    f"reaches it")
+                    f"string, example or benchmark reaches it")

@@ -21,8 +21,6 @@ Examples::
         --set n_servers=6                 # ... under injected faults
     python -m repro experiment run tail-latency-interference \\
         --set design=cacheable --resume-from ck/   # a resumable burst
-    python -m repro experiment sweep workload-steady   # its grid, as a
-                                          # scenario report
     python -m repro experiment report fig06-sources --json
     python -m repro experiment verify fig13-unavailable  # its claims,
                                           # on three seeds
@@ -137,22 +135,20 @@ def _print_experiment(result, as_json: bool) -> None:
 def _cmd_experiment_list(args) -> None:
     import json
 
-    from .experiments import all_specs, expand_axes
+    from .experiments import all_specs
 
     specs = all_specs()
     if args.json:
         print(json.dumps(
             [{"name": s.name, "description": s.description,
               "figure": s.figure, "seed": s.seed, "version": s.version,
-              "defaults": dict(s.defaults),
-              "axes": [axis.snapshot() for axis in s.axes],
-              "cells": len(expand_axes(s.axes))}
+              "defaults": dict(s.defaults)}
              for s in specs], indent=2, sort_keys=True))
         return
     print(format_table(
-        ["Name", "Figure", "Seed", "Cells", "Description"],
-        [(s.name, s.figure or "-", str(s.seed),
-          str(len(expand_axes(s.axes))), s.description) for s in specs],
+        ["Name", "Figure", "Seed", "Description"],
+        [(s.name, s.figure or "-", str(s.seed), s.description)
+         for s in specs],
         title="Registered experiments (repro experiment run <name>)"))
 
 
@@ -169,22 +165,6 @@ def _cmd_experiment_run(args) -> None:
         checkpoint_every=every, checkpoint_dir=args.resume_from)
     _print_experiment(result, args.json)
     write_manifest_arg(args, result, "run")
-
-
-def _cmd_experiment_sweep(args) -> None:
-    """The spec's own axes, run as the scenario they describe: the
-    ``--set`` overrides sit under every cell as scenario options."""
-    from .experiments import get_spec
-    from .scenarios import Scenario, ScenarioConfig
-
-    spec = get_spec(args.name)
-    _run_scenario(args, ScenarioConfig(
-        scenario=Scenario(
-            name=spec.name, description=spec.description or spec.name,
-            experiment=spec.name, options=_config_overrides(args),
-            axes=spec.axes, plan=args.plan),
-        seed=args.seed, workers=args.workers, force=args.force,
-        checkpoint_every=args.checkpoint_every))
 
 
 def _cmd_experiment_report(args) -> None:
@@ -220,12 +200,16 @@ def _cmd_experiment_verify(args) -> None:
     print(json.dumps([v.snapshot() for v in verdicts], indent=2,
                      sort_keys=True) if args.json
           else render_markdown(verdicts))
-    broken = [f"{v.spec}:{v.claim.id}" for v in verdicts if not v.held]
-    print(f"# {len(verdicts) - len(broken)} of {len(verdicts)} claim(s) "
-          "held on every seed", file=sys.stderr)
-    if broken:
-        raise SystemExit(f"repro: {len(broken)} claim(s) broken: "
-                         + ", ".join(broken))
+    failed = {kind: [f"{v.spec}:{v.claim.id}" for v in verdicts
+                     if getattr(v, kind)]
+              for kind in ("broken", "vacuous")}
+    held = sum(v.held for v in verdicts)
+    print(f"# {held} of {len(verdicts)} claim(s) held on every seed",
+          file=sys.stderr)
+    if failed["broken"] or failed["vacuous"]:
+        raise SystemExit("repro: " + "; ".join(
+            f"{len(names)} claim(s) {kind}: " + ", ".join(names)
+            for kind, names in failed.items() if names))
 
 
 def _scenario_target(args):
@@ -442,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
                  "or $REPRO_EXPERIMENT_CACHE)")
 
     def _experiment_cell_options(cell_parser, *, force: bool) -> None:
-        """Options shared by run/sweep/report beyond the common set."""
+        """Options shared by run/report beyond the common set."""
         cell_parser.add_argument(
             "name", metavar="NAME",
             help="spec name (see `experiment list`)")
@@ -474,17 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
              "derived <cache>/checkpoints/<key> (implies "
              "--checkpoint-every 1 unless given)")
     erun.set_defaults(fn=_cmd_experiment_run)
-
-    esweep = esub.add_parser(
-        "sweep", help="run a spec's whole parameter grid (resumable)",
-        parents=[_common_options(seed=None, workers=True,
-                                 json_flag=True, manifest=True)])
-    _experiment_cell_options(esweep, force=True)
-    esweep.add_argument(
-        "--checkpoint-every", type=_cadence_arg, default=0, metavar="N",
-        help="mid-cell durability within each grid cell (see "
-             "`experiment run --checkpoint-every`)")
-    esweep.set_defaults(fn=_cmd_experiment_sweep)
 
     ereport = esub.add_parser(
         "report", help="render a cached result without computing",

@@ -7,7 +7,6 @@ the LLC migration engine that moves pages while they remain in use
 """
 
 from .autotune import TuneOutcome, random_search, replay_demand
-from .illuminator import IlluminatorKernel, StrictPageblockBuddy
 from .kernel import ContiguitasConfig, ContiguitasKernel
 from .placement import PlacementPolicy
 from .pressure import Region, RegionPressure
@@ -17,14 +16,12 @@ from .resizing import RegionResizer, ResizeConfig, target_unmovable_frames
 __all__ = [
     "ContiguitasConfig",
     "ContiguitasKernel",
-    "IlluminatorKernel",
     "PlacementPolicy",
     "Region",
     "RegionLayout",
     "RegionPressure",
     "RegionResizer",
     "ResizeConfig",
-    "StrictPageblockBuddy",
     "TuneOutcome",
     "random_search",
     "replay_demand",

@@ -9,14 +9,13 @@ This is the front door for reproducing the paper's figures::
     print(result.report())
 
 Identical (spec, config, seed, plan) invocations are served from the
-on-disk cache (``benchmarks/results/cache/``) byte for byte; a spec's
-``axes`` are the grid ``repro experiment sweep`` hands
-:func:`repro.scenarios.run_scenario`, which lands every finished cell
-here, so an interrupted grid resumes without recomputing anything.  The
-built-in paper specs live in five family modules (``spec.FAMILIES``),
-each imported the first time one of its names is asked for.  See
-docs/API.md for the stable surface and EXPERIMENTS.md for the CLI
-walkthrough.
+on-disk cache (``benchmarks/results/cache/``) byte for byte; a grid is
+a scenario matrix (:func:`repro.scenarios.run_scenario`), which lands
+every finished cell here, so an interrupted grid resumes without
+recomputing anything.  The built-in paper specs live in five family
+modules (``spec.FAMILIES``), each imported the first time one of its
+names is asked for.  See docs/API.md for the stable surface and
+EXPERIMENTS.md for the CLI walkthrough.
 """
 
 from .cache import (
@@ -32,7 +31,6 @@ from .grid import (
     Axis,
     AxisValue,
     Cell,
-    axes_from_grid,
     expand_axes,
     value_id,
 )
@@ -43,7 +41,6 @@ from .spec import (
     all_specs,
     get_spec,
     register,
-    unregister,
 )
 
 __all__ = [
@@ -61,7 +58,6 @@ __all__ = [
     "ResultCache",
     "Verdict",
     "all_specs",
-    "axes_from_grid",
     "canonical_json",
     "default_cache_dir",
     "expand_axes",
@@ -70,7 +66,6 @@ __all__ = [
     "register",
     "result_key",
     "run_experiment",
-    "unregister",
     "value_id",
     "verify_claims",
 ]

@@ -186,12 +186,6 @@ ABLATION_DESIGNS = register(ExperimentSpec(
     figure="§3.2-3.3 ablation",
     postprocess=_report_designs,
     claims=(
-        Ordered("small-region-expands-more", "too small a region expands "
-                "more", lambda rows: [_part(rows, "initial-size")[i]
-                                      ["expands"] for i in (-1, 0)], "<="),
-        Ordered("large-region-shrinks-more", "too large a region shrinks "
-                "more", lambda rows: [_part(rows, "initial-size")[i]
-                                      ["shrinks"] for i in (0, -1)], "<="),
         Ordered("parallel-copy-faster", "parallel slice copy is faster "
                 "(§3.3's trade-off)", lambda rows: {
                     row["migration"]: [row["parallel"], row["sequential"]]

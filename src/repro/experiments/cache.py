@@ -12,10 +12,9 @@ of *everything that determines the rows*:
 Identical (spec, config, seed, plan) runs therefore hit the same entry
 across processes, grids, and figures.  The figures sharing one run
 (``fleet-survey``, ``steady-profile``) pay for it once, and the store
-is the checkpoint mechanism that makes an interrupted grid (``repro scenario
-run``, ``repro experiment sweep``) resumable: every completed cell is
-an atomically-written cache file, so a rerun recomputes only the
-missing cells.
+is the checkpoint mechanism that makes an interrupted grid (``repro
+scenario run``) resumable: every completed cell is an atomically-written
+cache file, so a rerun recomputes only the missing cells.
 
 Entries contain no volatile facts (no timestamps, hosts, durations), so
 an identical run writes a byte-identical cache file; rows are

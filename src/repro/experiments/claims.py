@@ -9,7 +9,9 @@ every figure:
   the reproduction tolerates;
 * :class:`Ordered` — measured numbers, in the order given, satisfy one
   comparison (``<``, ``<=`` or ``==``) between neighbours: the paper's
-  orderings, monotone trends and constants.
+  orderings, monotone trends and constants.  An ``<=`` claim that reads
+  equal numbers on every seed is *vacuous*: it would hold on any
+  simulator, so it is evidence of nothing.
 
 A claim's ``measure`` maps the rows to its number (a :class:`Band`) or
 its sequence (an :class:`Ordered`).  It may return a mapping
@@ -20,7 +22,8 @@ service, per granularity); it then holds when it holds for every label.
 several seeds.  Each spec's seeds are the replicas of one scenario, run
 by :func:`repro.scenarios.run_scenario` (the one grid loop), so the rows
 come from, and land in, the result cache.  ``repro experiment verify``
-prints the verdicts and exits 1 when a claim is broken on any seed.
+prints the verdicts and exits 1 when a claim is broken on any seed or
+vacuous.
 """
 
 from __future__ import annotations
@@ -85,6 +88,10 @@ class Claim:
         return True, ", ".join(f"{label}: {self.show(value)}"
                                for label, value in measured.items())
 
+    def vacuous(self, rows: list) -> bool:
+        """Whether *rows* hold the claim whatever the simulator did."""
+        return False
+
 
 @dataclass(frozen=True)
 class Band(Claim):
@@ -142,6 +149,16 @@ class Ordered(Claim):
         return len(values) > 1 and all(
             compare(a, b) for a, b in zip(values, values[1:]))
 
+    def vacuous(self, rows: list) -> bool:
+        """An ``<=`` chain whose every measured sequence is all-equal:
+        ``0 <= 0`` holds however wrong the kernel is."""
+        if self.op != "<=":
+            return False
+        measured = self.measure(rows)
+        chains = (measured.values() if isinstance(measured, Mapping)
+                  else [measured])
+        return all(len(set(chain)) == 1 for chain in chains)
+
     def show(self, values) -> str:
         if len(values) > 2 and len(set(values)) == 1:
             return f"{len(values)} x {_num(values[0])}"
@@ -157,17 +174,19 @@ class Verdict:
     seeds: tuple[int, ...]
     measured: tuple[str, ...]
     broken: tuple[int, ...]
+    vacuous: bool
 
     @property
     def held(self) -> bool:
-        return not self.broken
+        return not self.broken and not self.vacuous
 
     def snapshot(self) -> dict:
         return {"spec": self.spec, "claim": self.claim.id,
                 "kind": type(self.claim).__name__.lower(),
                 "paper": self.claim.paper, "expected": self.claim.expected,
                 "seeds": list(self.seeds), "measured": list(self.measured),
-                "broken": list(self.broken), "held": self.held}
+                "broken": list(self.broken), "vacuous": self.vacuous,
+                "held": self.held}
 
 
 def verify_claims(names, seeds: int = 3, cache=None,
@@ -191,12 +210,15 @@ def verify_claims(names, seeds: int = 3, cache=None,
             workers=workers), cache=cache).results
         for claim in spec.claims:
             outcomes = [claim.evaluate(result.rows) for result in results]
+            broken = tuple(result.seed for result, (held, _)
+                           in zip(results, outcomes) if not held)
             verdicts.append(Verdict(
                 spec=spec.name, claim=claim,
                 seeds=tuple(result.seed for result in results),
                 measured=tuple(text for _, text in outcomes),
-                broken=tuple(result.seed for result, (held, _)
-                             in zip(results, outcomes) if not held)))
+                broken=broken,
+                vacuous=not broken and all(claim.vacuous(result.rows)
+                                           for result in results)))
     return verdicts
 
 
@@ -209,8 +231,10 @@ def render_markdown(verdicts: list[Verdict]) -> str:
         seeds = "/".join(str(seed) for seed in v.seeds)
         measured = (v.measured[:1] if len(set(v.measured)) == 1
                     else v.measured)
-        verdict = ("held" if v.held else
-                   "**broken** on seed " + ", ".join(map(str, v.broken)))
+        verdict = ("**broken** on seed " + ", ".join(map(str, v.broken))
+                   if v.broken else
+                   "**vacuous**: equal on every seed" if v.vacuous
+                   else "held")
         cells = (f"[`{v.spec}`](../EXPERIMENTS.md#{v.spec})",
                  f"`{v.claim.id}`", v.claim.paper, v.claim.expected,
                  f"{seeds}: " + " / ".join(measured), verdict)

@@ -1,4 +1,4 @@
-"""The one grid engine behind experiment grids and scenario matrices.
+"""The one grid engine behind scenario matrices.
 
 An :class:`Axis` is a named dimension whose :class:`AxisValue` entries
 each carry an id (the cell-id fragment) and the config overrides that
@@ -7,15 +7,11 @@ of several axes and yields :class:`Cell` records with deterministic ids
 (``d-rc-50`` style: the value ids joined in sorted-axis-name order, so
 reordering axis *declarations* never changes a cell's identity).
 
-Both declarations compile through here, for the one runner
-(``repro.scenarios.run_scenario``):
-
-* ``ExperimentSpec`` declares ``axes=(...)``, usually built from a
-  ``{param: values}`` dict by :func:`axes_from_grid` — the grid
-  ``repro experiment sweep`` runs;
-* ``repro.scenarios`` compiles JSON scenario matrices onto the same
-  cells, so a matrix cell and a spec-grid cell hit the identical
-  content-addressed cache entry for the identical config.
+``repro.scenarios`` compiles JSON scenario matrices onto these cells
+for the one runner (``repro.scenarios.run_scenario``); a cell's config
+is the spec's defaults under the cell's overrides, so a matrix cell and
+an ``experiment run`` of the same config hit the identical
+content-addressed cache entry.
 
 Everything here is pure data: axis values are restricted to JSON
 scalars and normalised through canonical JSON, so two spellings of the
@@ -36,7 +32,6 @@ __all__ = [
     "Axis",
     "AxisValue",
     "Cell",
-    "axes_from_grid",
     "expand_axes",
     "value_id",
 ]
@@ -187,20 +182,6 @@ class Cell:
         if self.plan is not None:
             snap["plan"] = self.plan
         return snap
-
-
-def axes_from_grid(grid: Mapping[str, tuple]) -> tuple[Axis, ...]:
-    """A ``{param: (values...)}`` grid dict as axes.
-
-    Each parameter becomes an axis of the same name whose values set
-    exactly that parameter, with ids derived via :func:`value_id`.
-    """
-    axes = []
-    for param in sorted(grid):
-        axes.append(Axis(param, tuple(
-            AxisValue(id=value_id(v), options={param: v})
-            for v in grid[param])))
-    return tuple(axes)
 
 
 def expand_axes(axes: tuple[Axis, ...], *, replicas: int = 1,

@@ -5,7 +5,6 @@
 from __future__ import annotations
 
 from .claims import Band, Ordered
-from .grid import axes_from_grid
 from .spec import ExperimentContext, ExperimentSpec, register
 
 def _produce_tail_latency(ctx: ExperimentContext) -> list:
@@ -73,11 +72,6 @@ TAIL_LATENCY = register(ExperimentSpec(
         # (noncacheable > cacheable ≈ none at p99) is robust to seed.
         "buffer_pages": 8,
     },
-    axes=axes_from_grid({
-        "design": ("noncacheable", "cacheable", "none"),
-        "rate_krps": (1000, 2000),
-        "app": ("nginx", "memcached"),
-    }),
     seed=17,
     figure="Fig. 13 / §5.3",
     postprocess=_report_tail_latency,

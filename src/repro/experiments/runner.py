@@ -71,6 +71,8 @@ def _plan_snapshot(plan) -> dict | None:
 def _address(name: str, overrides: dict | None, seed: int | None, plan,
              cache: ResultCache | None):
     """One cell's (spec, config, seed, cache, key), defaults filled in."""
+    if seed is not None and type(seed) is not int:
+        raise ConfigurationError(f"seed must be an integer, got {seed!r}")
     spec = get_spec(name)
     config = spec.resolve(overrides)
     seed = spec.seed if seed is None else seed

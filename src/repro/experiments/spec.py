@@ -7,9 +7,6 @@ derived from a small number of expensive steady-state runs.  An
 * a **name** (the CLI handle: ``repro experiment run <name>``);
 * **defaults** — the resolved configuration, a flat dict of JSON
   scalars, every key overridable from the CLI (``--set key=value``);
-* **axes** — named :class:`~repro.experiments.grid.Axis` dimensions:
-  the grid ``repro experiment sweep`` runs as a scenario, cell by cell
-  (``axes_from_grid`` builds them from a per-parameter dict);
 * a **seed policy** — the spec's default base seed, overridable per run;
 * a **producer** — the function that actually simulates, returning
   JSON-serialisable result rows (cached content-addressed, see
@@ -38,7 +35,6 @@ from typing import Any, Callable, Mapping
 
 from ..errors import ConfigurationError
 from .claims import Claim
-from .grid import Axis, expand_axes
 
 _NAME_RE = re.compile(r"^[a-z0-9][a-z0-9-]*$")
 
@@ -100,7 +96,6 @@ class ExperimentSpec:
     description: str
     producer: Callable[[ExperimentContext], list]
     defaults: Mapping[str, Any] = field(default_factory=dict)
-    axes: tuple[Axis, ...] = ()
     seed: int = 0
     version: int = 1
     figure: str = ""
@@ -127,21 +122,6 @@ class ExperimentSpec:
                 raise ConfigurationError(
                     f"experiment {self.name!r}: default {key}={value!r} "
                     "is not a JSON scalar (configs must hash stably)")
-        for axis in self.axes:
-            if not isinstance(axis, Axis):
-                raise ConfigurationError(
-                    f"experiment {self.name!r}: axes must be Axis "
-                    f"instances, got {type(axis).__name__}")
-            for value in axis.values:
-                for key in value.options:
-                    if key not in self.defaults:
-                        raise ConfigurationError(
-                            f"experiment {self.name!r}: axis "
-                            f"{axis.name!r} overrides parameter "
-                            f"{key!r} with no default; known: "
-                            f"{sorted(self.defaults)}")
-        object.__setattr__(self, "axes", tuple(self.axes))
-        expand_axes(self.axes)  # fail fast on duplicate/colliding axes
         if self.version < 1:
             raise ConfigurationError(
                 f"experiment {self.name!r}: version must be >= 1")
@@ -228,11 +208,6 @@ def register(spec: ExperimentSpec, replace: bool = False) -> ExperimentSpec:
             "(pass replace=True to override)")
     _REGISTRY[spec.name] = spec
     return spec
-
-
-def unregister(name: str) -> None:
-    """Remove a spec (test hygiene); unknown names are a no-op."""
-    _REGISTRY.pop(name, None)
 
 
 def get_spec(name: str) -> ExperimentSpec:

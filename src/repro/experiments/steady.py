@@ -7,7 +7,6 @@ from __future__ import annotations
 
 from .claims import Band, Ordered
 from .common import _boot, _bounded_cache, _col
-from .grid import axes_from_grid
 from .spec import ExperimentContext, ExperimentSpec, register
 
 def _produce_workload_steady(ctx: ExperimentContext) -> list:
@@ -58,7 +57,6 @@ WORKLOAD_STEADY = register(ExperimentSpec(
         "mem_mib": 128,
         "steps": 200,
     },
-    axes=axes_from_grid({"kernel": ("linux", "contiguitas")}),
     seed=13,
     figure="§2.4 churn / scenario library",
     postprocess=_report_workload_steady,

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 from .claims import Band, Ordered
 from .common import _col
-from .grid import axes_from_grid
 from .spec import ExperimentContext, ExperimentSpec, register
 
 #: The scan-report granularities every figure iterates.
@@ -192,7 +191,6 @@ _SURVEY_DEFAULTS = {
     "min_uptime_steps": 1100,
     "max_uptime_steps": 1600,
 }
-_SURVEY_AXES = axes_from_grid({"n_servers": (6, 12, 24)})
 
 FLEET_SURVEY = register(ExperimentSpec(
     name="fleet-survey",
@@ -200,7 +198,6 @@ FLEET_SURVEY = register(ExperimentSpec(
                 "the §2.4 uptime study",
     producer=_produce_fleet_survey,
     defaults=_SURVEY_DEFAULTS,
-    axes=_SURVEY_AXES,
     seed=11,
     figure="Figs. 4-6, §2.4",
 ))
@@ -216,7 +213,6 @@ def _survey_figure(name: str, description: str, figure: str,
         producer=producer,
         defaults={"n_servers": _SURVEY_DEFAULTS["n_servers"],
                   "mem_mib": _SURVEY_DEFAULTS["mem_mib"]},
-        axes=_SURVEY_AXES,
         seed=FLEET_SURVEY.seed,
         figure=figure,
         postprocess=postprocess,

@@ -129,7 +129,7 @@ class FaultPlan:
         return rng.random() < spec.rate
 
 
-#: Plans addressable by name from ``repro experiment run|sweep|report
+#: Plans addressable by name from ``repro experiment run|report
 #: --plan``, scenario matrices and CI; an unknown name is refused with
 #: this table's keys.
 NAMED_PLANS: dict[str, FaultPlan] = {

@@ -11,8 +11,8 @@ A scenario is a JSON matrix file — a base experiment spec plus axes
 of named values (``src/repro/scenarios/library/*.json`` ships 10+ of
 them; ``repro scenario list`` enumerates).  Matrices compile through
 the :class:`~repro.experiments.Axis`/:class:`~repro.experiments.Cell`
-engine and :func:`run_scenario` is the one grid runner (``repro
-experiment sweep`` hands it a spec's own axes), so scenario cells share
+engine and :func:`run_scenario` is the one grid runner (a spec declares
+no grid of its own), so scenario cells share
 the experiment layer's content-addressed cache, checkpoint/resume, fault
 plans, and bit-identity-across-workers contract unchanged.  See
 docs/API.md for the stable surface and EXPERIMENTS.md for the CLI

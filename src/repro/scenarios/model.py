@@ -152,7 +152,7 @@ class Scenario:
         if type(self.prefix) is not str:
             raise ConfigurationError(
                 f"{where}: prefix must be a string, got {self.prefix!r}")
-        if self.seed is not None and not isinstance(self.seed, int):
+        if self.seed is not None and type(self.seed) is not int:
             raise ConfigurationError(
                 f"{where}: seed must be an integer, got {self.seed!r}")
         if self.smoke is not None and not isinstance(self.smoke, Smoke):

@@ -8,9 +8,8 @@ deterministic snapshot/manifest out.
 ``run_scenario`` compiles the named (or inline) scenario matrix through
 the shared grid engine and drives every cell through
 :func:`repro.experiments.run_experiment` — the cells land in the same
-content-addressed cache as ``repro experiment run`` cells (``repro
-experiment sweep`` *is* a scenario: the spec's own axes, run here), so
-a rerun of a finished scenario is pure cache hits (checkpoint/resume of
+content-addressed cache as ``repro experiment run`` cells, so a rerun
+of a finished scenario is pure cache hits (checkpoint/resume of
 interrupted cells rides the experiment layer unchanged), and the rows
 are byte-identical at any worker count.
 
@@ -95,7 +94,7 @@ class ScenarioConfig:
                     f"got {axis!r}={value!r}")
             select[axis] = value
         object.__setattr__(self, "select", select)
-        if self.seed is not None and not isinstance(self.seed, int):
+        if self.seed is not None and type(self.seed) is not int:
             raise ConfigurationError(
                 f"seed must be an integer, got {self.seed!r}")
         if self.workers is not None and self.workers < 1:

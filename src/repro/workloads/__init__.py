@@ -2,8 +2,8 @@
 
 The typed front door (mirroring ``repro.fleet``):
 
-* :func:`get_service` / :func:`list_services` /
-  :func:`register_service` — the kebab-case service registry
+* :func:`get_service` / :func:`register_service` — the kebab-case
+  service registry
   (``"web"``, ``"cache-b"``, ...; legacy CamelCase aliases resolve);
 * :class:`WorkloadConfig` + :func:`run_workload` — one frozen config
   in, one :class:`WorkloadResult` out;
@@ -26,8 +26,6 @@ __all__ = [
     "REGULAR_RATE",
     "RequestLoop",
     "ServerApp",
-    "TraceEvent",
-    "TraceRecorder",
     "TraceShape",
     "VERY_HIGH_RATE",
     "WALK_CHARACTERISATION",
@@ -41,15 +39,10 @@ __all__ = [
     "get_service",
     "get_shape",
     "interference_overhead",
-    "list_services",
-    "list_shapes",
-    "load_trace",
     "migration_window_cycles",
     "register_service",
     "register_shape",
-    "relative_throughput",
     "relative_throughput_simulated",
-    "replay",
     "run_loadgen",
     "run_workload",
     "sample_arrivals",
@@ -60,16 +53,15 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ".base": ("Workload", "WorkloadSpec"),
     ".config": ("WorkloadConfig", "WorkloadResult", "run_workload"),
     ".fragmenter": ("fragment_fully", "fragment_partially"),
-    ".registry": ("canonical_service_name", "get_service", "list_services",
+    ".registry": ("canonical_service_name", "get_service",
                   "register_service"),
     ".requestloop": ("LoopResult", "MigrationSchedule", "RequestLoop",
                      "relative_throughput_simulated"),
     ".tracegen": ("LatencyRecorder", "LoadgenConfig", "LoadgenResult",
-                  "TraceShape", "get_shape", "list_shapes", "register_shape",
-                  "run_loadgen", "sample_arrivals", "sample_service"),
-    ".tracelog": ("TraceEvent", "TraceRecorder", "load_trace", "replay"),
+                  "TraceShape", "get_shape", "register_shape", "run_loadgen",
+                  "sample_arrivals", "sample_service"),
     ".interference": ("MEMCACHED", "NGINX", "REGULAR_RATE", "VERY_HIGH_RATE",
                       "ServerApp", "interference_overhead",
-                      "migration_window_cycles", "relative_throughput"),
+                      "migration_window_cycles"),
     ".services": ("PRODUCTION_SERVICES", "WALK_CHARACTERISATION"),
 })

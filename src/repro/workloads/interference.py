@@ -81,9 +81,3 @@ def interference_overhead(app: ServerApp, migrations_per_second: float,
         extra_latency = params.l3_latency - params.l1_latency
         penalty = window * app.buffer_access_intensity * extra_latency
     return migrations_per_second * penalty / total_cycles_per_s
-
-
-def relative_throughput(app: ServerApp, migrations_per_second: float,
-                        mode: AccessMode) -> float:
-    """Application throughput relative to a migration-free run."""
-    return 1.0 - interference_overhead(app, migrations_per_second, mode)

@@ -74,11 +74,6 @@ def canonical_service_name(name: str) -> str:
         f"unknown service {name!r}; known services: {known}")
 
 
-def list_services() -> list[str]:
-    """Registered canonical service names, sorted."""
-    return sorted(_SERVICES)
-
-
 # The built-in services register themselves when their module loads.
 # Loading it from here means every path to a lookup sees them, whichever
 # submodule was imported first (the package ``__init__`` is lazy).

@@ -240,8 +240,9 @@ def relative_throughput_simulated(
     requests: int = 2000,
     seed: int = 0,
 ) -> float:
-    """Simulated counterpart of
-    :func:`repro.workloads.interference.relative_throughput`.
+    """Simulated application throughput relative to a migration-free
+    run: the counterpart of ``1 -`` the analytic
+    :func:`repro.workloads.interference.interference_overhead`.
 
     A real second is billions of cycles — far beyond instruction-level
     simulation — so the run applies a rate *boost* (chosen so dozens of

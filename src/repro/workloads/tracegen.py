@@ -178,11 +178,6 @@ def get_shape(name: str) -> TraceShape:
             f"unknown trace shape {name!r}; known shapes: {known}") from None
 
 
-def list_shapes() -> list[str]:
-    """Registered shape names, sorted."""
-    return sorted(_SHAPES)
-
-
 #: Poisson arrivals, near-constant service: the M/M/1 textbook case and
 #: the calibration baseline.
 STEADY = register_shape(TraceShape(

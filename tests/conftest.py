@@ -135,6 +135,35 @@ def fleet_scans(n_servers: int, **kwargs) -> list:
     return scans
 
 
+def lint_source(source: str, path: str = "<string>") -> list:
+    """Sorted, unsuppressed per-file findings for one source string;
+    a syntactically invalid file yields a single ``SL000`` finding."""
+    from repro.analysis.simlint.core import _run
+    from repro.analysis.simlint.model import ProgramModel, module_name
+
+    program = ProgramModel()
+    program.add_source(source, str(path), module_name(str(path)))
+    return _run(program)
+
+
+@pytest.fixture
+def toy_register():
+    """``register`` for specs that live for one test: every name it
+    registered is popped from the registry afterwards."""
+    from repro.experiments import register
+    from repro.experiments.spec import _REGISTRY
+
+    names = []
+
+    def add(spec):
+        names.append(spec.name)
+        return register(spec)
+
+    yield add
+    for name in names:
+        _REGISTRY.pop(name, None)
+
+
 @pytest.fixture
 def no_backoff(monkeypatch):
     """Fleet retries run back to back instead of sleeping between

@@ -1,6 +1,6 @@
 """The fixture's documented stable surface (shim module)."""
 
-__all__ = ["get_new", "old_helper"]
+__all__ = ["get_new", "old_helper", "only_tested"]
 
 _DEPRECATED = {"OLD": "get_new"}
 
@@ -11,6 +11,12 @@ def get_new():
 
 def old_helper():
     return get_new()
+
+
+def only_tested():
+    """Seeded DL105 violation: documented in API.md and listed in
+    ``__all__``, but only a test calls it."""
+    return 2
 
 
 def __getattr__(name):

@@ -44,7 +44,6 @@ class TestExportSnapshots:
             "ContiguityError",
             "HardwareProtocolError",
             "HwMigrationEngine",
-            "IlluminatorKernel",
             "KernelConfig",
             "LinuxKernel",
             "MigrateType",
@@ -98,7 +97,6 @@ class TestExportSnapshots:
             "ResultCache",
             "Verdict",
             "all_specs",
-            "axes_from_grid",
             "canonical_json",
             "default_cache_dir",
             "expand_axes",
@@ -107,7 +105,6 @@ class TestExportSnapshots:
             "register",
             "result_key",
             "run_experiment",
-            "unregister",
             "value_id",
             "verify_claims",
         ]
@@ -143,8 +140,6 @@ class TestExportSnapshots:
             "REGULAR_RATE",
             "RequestLoop",
             "ServerApp",
-            "TraceEvent",
-            "TraceRecorder",
             "TraceShape",
             "VERY_HIGH_RATE",
             "WALK_CHARACTERISATION",
@@ -158,15 +153,10 @@ class TestExportSnapshots:
             "get_service",
             "get_shape",
             "interference_overhead",
-            "list_services",
-            "list_shapes",
-            "load_trace",
             "migration_window_cycles",
             "register_service",
             "register_shape",
-            "relative_throughput",
             "relative_throughput_simulated",
-            "replay",
             "run_loadgen",
             "run_workload",
             "sample_arrivals",
@@ -240,7 +230,6 @@ class TestExportSnapshots:
             "Rule",
             "find_contract_root",
             "lint_paths",
-            "lint_source",
             "render_json",
             "render_sarif",
             "render_text",
@@ -308,14 +297,6 @@ class TestWorkloadFrontDoor:
 
         with pytest.raises(ConfigurationError, match="cache-b"):
             get_service("no-such-service")
-
-    def test_list_services_sorted_kebab(self):
-        from repro.workloads import list_services
-
-        names = list_services()
-        assert names == sorted(names)
-        assert {"web", "cache-a", "cache-b", "ci", "ads",
-                "rdma"} <= set(names)
 
     def test_workload_config_frozen_and_validated(self):
         from repro.workloads import WorkloadConfig
@@ -442,12 +423,13 @@ class TestRemovedShims:
         assert name not in dir(repro.workloads)
 
     def test_service_registry_is_the_replacement(self):
-        from repro.workloads import get_service, list_services, services
+        from repro.workloads import get_service, services
 
         assert get_service("rdma") is services.RDMA
         assert get_service("CacheB") is get_service("cache-b")
         assert not hasattr(services, "BY_NAME")
-        assert len(list_services()) >= 6
+        for name in ("web", "cache-a", "cache-b", "ci", "ads", "rdma"):
+            assert get_service(name).name
 
     def test_yamlite_is_gone(self):
         """Matrices are JSON read by the stdlib: no parser module, no
@@ -545,8 +527,8 @@ class TestLazyExports:
                       "repro.workloads.config"):
             done = fresh_python(
                 f"import {first}\n"
-                "from repro.workloads.registry import list_services\n"
-                "assert 'web' in list_services(), list_services()\n")
+                "from repro.workloads.registry import get_service\n"
+                "assert get_service('web').name == 'Web'\n")
             assert done.returncode == 0, (first, done.stderr)
 
 
@@ -582,8 +564,9 @@ class TestScenarioFrontDoor:
 
 
 class TestGridDeprecationShim:
-    """``ExperimentSpec(grid={...})`` (shimmed since PR 10) is gone;
-    what the shim did is one call, ``axes=axes_from_grid({...})``."""
+    """``ExperimentSpec(grid={...})`` (a deprecation shim) is gone, and
+    so is its ``axes=`` successor: a grid is a scenario matrix
+    (``repro scenario run --matrix``)."""
 
     def _spec(self, **kwargs):
         from repro.experiments import ExperimentSpec
@@ -597,21 +580,39 @@ class TestGridDeprecationShim:
         with pytest.raises(TypeError, match="grid"):
             self._spec(grid={"steps": (10, 20)})
 
-    def test_grid_dict_matches_axes_spelling(self):
-        from repro.experiments import Axis, AxisValue, axes_from_grid, \
-            expand_axes
+    def test_axes_keyword_is_gone(self):
+        with pytest.raises(TypeError, match="axes"):
+            self._spec(axes=())
 
-        by_dict = self._spec(axes=axes_from_grid(
-            {"steps": (10, 20), "service": ("web",)}))
-        by_hand = self._spec(axes=(
-            Axis("steps", (AxisValue("10", {"steps": 10}),
-                           AxisValue("20", {"steps": 20}))),
-            Axis("service", (AxisValue("web", {"service": "web"}),))))
-        cells = expand_axes(by_dict.axes)
-        assert [(c.id, c.overrides) for c in cells] == \
-               [(c.id, c.overrides) for c in expand_axes(by_hand.axes)]
-        assert [c.overrides for c in cells] == [
-            {"service": "web", "steps": 10}, {"service": "web", "steps": 20}]
+
+class TestRemovedSurface:
+    """Names no figure, front door or example reached (docs/API.md,
+    "Removed surface"): each is gone, not deprecated."""
+
+    @pytest.mark.parametrize("module, name", [
+        ("repro", "IlluminatorKernel"),
+        ("repro.core", "IlluminatorKernel"),
+        ("repro.core", "StrictPageblockBuddy"),
+        ("repro.workloads", "TraceEvent"),
+        ("repro.workloads", "TraceRecorder"),
+        ("repro.workloads", "load_trace"),
+        ("repro.workloads", "replay"),
+        ("repro.workloads", "relative_throughput"),
+        ("repro.workloads", "list_services"),
+        ("repro.workloads", "list_shapes"),
+        ("repro.experiments", "axes_from_grid"),
+        ("repro.experiments", "unregister"),
+        ("repro.analysis", "lint_source"),
+        ("repro.analysis.simlint", "lint_source"),
+    ])
+    def test_name_is_gone(self, module, name):
+        assert not hasattr(import_module(module), name)
+
+    @pytest.mark.parametrize("module", ["repro.core.illuminator",
+                                        "repro.workloads.tracelog"])
+    def test_module_is_gone(self, module):
+        with pytest.raises(ImportError):
+            import_module(module)
 
 
 REPO = pathlib.Path(__file__).resolve().parent.parent

@@ -738,55 +738,6 @@ class TestCrashRestartPlan:
         sites = {spec.site for spec in plan.specs}
         assert sites == {"checkpoint.write-fail", "sim.crash"}
 
-    def test_write_fail_tolerated_then_crash_then_identical_resume(
-            self, tmp_path):
-        """The full harness semantics: boundary 1's write dies before
-        any rename (tolerated — the run continues), boundary 2's write
-        lands and sim.crash kills the run, and resumption from that
-        checkpoint finishes byte-identically."""
-        from repro.workloads import run_workload
-
-        config = TestWorkloadCrashResume()._config(11)
-        store = CheckpointStore(str(tmp_path), "workload")
-        with injecting(NAMED_PLANS["crash-restart"], seed=0):
-            with pytest.raises(SimCrashError):
-                run_workload(config, checkpoint_every=2,
-                             checkpoint_dir=str(tmp_path))
-        # Boundary 1 (step 2) failed before the rename, so the first
-        # surviving generation is boundary 2 (step 4).
-        assert store.load_latest().step == 4
-        resumed = run_workload(config, checkpoint_every=2,
-                               checkpoint_dir=str(tmp_path), resume=True)
-        reference = run_workload(config)
-        assert resumed.snapshot() == reference.snapshot()
-
-
-class TestLoadgenCrashResume:
-    def _config(self, seed):
-        from repro.workloads.tracegen import LoadgenConfig
-
-        return LoadgenConfig(rate_rps=150_000.0, duration_s=1e-3,
-                             seed=seed)
-
-    def test_kill_and_resume_rows_identical(self, tmp_path):
-        from repro.workloads.tracegen import run_loadgen
-
-        config = self._config(7)
-        with injecting(_crash_plan(2), seed=0):
-            with pytest.raises(SimCrashError):
-                run_loadgen(config, checkpoint_every=25,
-                            checkpoint_dir=str(tmp_path))
-        resumed = run_loadgen(config, checkpoint_every=25,
-                              checkpoint_dir=str(tmp_path), resume=True)
-        reference = run_loadgen(config)
-        assert resumed.rows() == reference.rows()
-        assert resumed.requests == reference.requests
-        assert resumed.achieved_rps == reference.achieved_rps
-        # The recorder rides in the payload: what came back through
-        # pickle still serialises (plain ints, no numpy scalars).
-        assert (json.dumps(resumed.snapshot(), sort_keys=True)
-                == json.dumps(reference.snapshot(), sort_keys=True))
-
 
 def _small_fleet(seed, n_servers=4):
     from repro.fleet import FleetConfig, ServerConfig
@@ -799,23 +750,6 @@ def _small_fleet(seed, n_servers=4):
 
 
 class TestFleetResume:
-    def test_survey_kill_and_resume_byte_identical_manifest(
-            self, tmp_path):
-        from repro.fleet import survey_fleet
-
-        config = _small_fleet(3)
-        with injecting(_crash_plan(2), seed=0):
-            with pytest.raises(SimCrashError):
-                survey_fleet(config, checkpoint_every=1,
-                             checkpoint_dir=str(tmp_path))
-        resumed = survey_fleet(config, checkpoint_every=1,
-                               checkpoint_dir=str(tmp_path), resume=True)
-        reference = survey_fleet(config)
-        assert (json.dumps(deterministic_view(resumed.manifest),
-                           sort_keys=True)
-                == json.dumps(deterministic_view(reference.manifest),
-                              sort_keys=True))
-
     def test_run_fleet_kill_and_resume_equal_scans(self, tmp_path):
         from repro.fleet import run_fleet
 
@@ -840,25 +774,19 @@ class TestFleetResume:
         ckpt = CheckpointStore(str(tmp_path), "fleet").load_latest()
         assert sorted(ckpt.payload["scans"]) == [0, 1]
 
-    def test_campaign_mismatch_is_configuration_error(self, tmp_path):
-        from repro.fleet import run_fleet
-
-        run_fleet(_small_fleet(5), checkpoint_every=1,
-                  checkpoint_dir=str(tmp_path))
-        other = _small_fleet(5, n_servers=6)
-        with pytest.raises(ConfigurationError,
-                           match="different campaign"):
-            run_fleet(other, checkpoint_every=1,
-                      checkpoint_dir=str(tmp_path), resume=True)
-
     def test_resume_with_no_checkpoint_starts_fresh(self, tmp_path):
-        from repro.fleet import run_fleet
+        from repro.fleet import run_fleet, survey_fleet
 
         config = _small_fleet(9, n_servers=2)
         fresh = run_fleet(config, checkpoint_every=1,
                           checkpoint_dir=str(tmp_path / "empty"),
                           resume=True)
         assert fresh == run_fleet(config)
+        summary = survey_fleet(config, checkpoint_every=1,
+                               checkpoint_dir=str(tmp_path / "survey"),
+                               resume=True)
+        assert (deterministic_view(summary.manifest)
+                == deterministic_view(survey_fleet(config).manifest))
 
 
 def _contract_cases():

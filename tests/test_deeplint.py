@@ -208,7 +208,8 @@ class TestDL104Determinism:
 
 class TestDL105DeadSurface:
     """A definition only a test reaches is one finding; naming it from
-    an example, a door string or a documented ``__all__`` clears it."""
+    an example or a door string clears it, and listing it in a
+    documented ``__all__`` does not."""
 
     @staticmethod
     def tree(tmp_path, files=None):
@@ -239,10 +240,24 @@ class TestDL105DeadSurface:
     @pytest.mark.parametrize("root", [
         {"examples/use.py": "from pkg.mod import helper\nhelper()\n"},
         {"pkg/doors.py": 'DOORS = ["pkg.mod:helper"]\n'},
-        {"docs/API.md": "# API\n\n## `pkg.mod` — the surface\n"},
-    ], ids=["example", "door-string", "documented-all"])
+    ], ids=["example", "door-string"])
     def test_named_from_a_root_is_no_finding(self, tmp_path, root):
         assert self.tree(tmp_path, files=root) == []
+
+    def test_a_documented_all_is_not_a_root(self, tmp_path):
+        """docs/API.md documents ``pkg.mod``, whose ``__all__`` lists
+        ``helper``: a documented name only a test calls is still dead."""
+        docs = {"docs/API.md": "# API\n\n## `pkg.mod` — the surface\n"}
+        assert self.tree(tmp_path, files=docs) == [
+            ("pkg/mod.py", 4, "helper")]
+
+    def test_dirty_fixture_flags_its_test_only_documented_name(self, dirty):
+        """``pkg.api`` is documented and lists ``only_tested`` in its
+        ``__all__``; only the fixture's test calls it."""
+        hits = [f for f in dirty if f.rule == "DL105"]
+        assert [(f.path.rsplit("/", 1)[-1], f.message.split()[0])
+                for f in hits] == [("api.py", "only_tested"),
+                                   ("dead.py", "orphan")]
 
     def test_method_needs_its_class_and_its_name(self, tmp_path):
         files = {

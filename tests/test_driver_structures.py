@@ -20,8 +20,7 @@ from repro.faults import FaultPlan, FaultSpec, injecting
 from repro.mm import vmstat as ev
 from repro.workloads import Workload, get_service
 from repro.workloads.fragmenter import fragment_partially
-from repro.workloads.tracelog import TraceRecorder
-
+from call_recorder import TraceRecorder
 from conftest import make_contiguitas, make_linux
 
 SERVICES = ("web", "cache-a", "cache-b", "ci")

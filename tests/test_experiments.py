@@ -1,9 +1,10 @@
 """Experiment orchestration: specs, content-addressed cache, sweeps
-(``repro experiment sweep`` = the scenario a spec declares about itself).
+(a grid is a matrix file, run by ``repro scenario run --matrix``).
 
 Every test uses a ``tmp_path`` cache root and registers throwaway specs
-(cleaned up via ``unregister``), so nothing leaks into the durable
-``benchmarks/results/cache`` store or the built-in registry.
+(popped from the registry by the ``toy_register`` fixture), so nothing
+leaks into the durable ``benchmarks/results/cache`` store or the
+built-in registry.
 """
 
 import json
@@ -21,16 +22,13 @@ from repro.experiments import (
     Ordered,
     ResultCache,
     all_specs,
-    axes_from_grid,
     canonical_json,
     default_cache_dir,
-    expand_axes,
     get_spec,
     load_cached,
     register,
     result_key,
     run_experiment,
-    unregister,
     verify_claims,
 )
 from repro.faults import FaultPlan, FaultSpec
@@ -42,7 +40,7 @@ def cache(tmp_path):
 
 
 @pytest.fixture
-def counting_spec():
+def counting_spec(toy_register):
     """A registered toy spec whose producer counts its invocations."""
     calls = {"n": 0}
 
@@ -51,12 +49,10 @@ def counting_spec():
         return [{"x": ctx.params["x"], "seed": ctx.seed,
                  "call": calls["n"]}]
 
-    spec = register(ExperimentSpec(
+    spec = toy_register(ExperimentSpec(
         name="toy-count", description="test", producer=producer,
-        defaults={"x": 1, "y": "a"},
-        axes=axes_from_grid({"x": (1, 2, 3)}), seed=5))
-    yield spec, calls
-    unregister("toy-count")
+        defaults={"x": 1, "y": "a"}, seed=5))
+    return spec, calls
 
 
 class TestSpecRegistry:
@@ -68,10 +64,6 @@ class TestSpecRegistry:
             ExperimentSpec(name="x", description="",
                            producer=lambda ctx: [],
                            defaults={"k": [1, 2]})
-        with pytest.raises(ConfigurationError, match="no default"):
-            ExperimentSpec(name="x", description="",
-                           producer=lambda ctx: [],
-                           axes=axes_from_grid({"k": (1,)}))
         with pytest.raises(ConfigurationError, match="version"):
             ExperimentSpec(name="x", description="",
                            producer=lambda ctx: [], version=0)
@@ -131,11 +123,6 @@ class TestSpecRegistry:
         for limit in (7, 0.5, False, None):
             assert self._typed_spec().resolve(
                 {"limit": limit})["limit"] is limit
-
-    def test_cells_deterministic(self, counting_spec):
-        spec, _ = counting_spec
-        assert [(c.id, c.overrides) for c in expand_axes(spec.axes)] == [
-            ("1", {"x": 1}), ("2", {"x": 2}), ("3", {"x": 3})]
 
     def test_builtins_registered(self):
         names = [s.name for s in all_specs()]
@@ -293,14 +280,11 @@ class TestRunExperiment:
         assert calls["n"] == 2
         assert not r.cached
 
-    def test_producer_must_return_list(self, cache):
-        register(ExperimentSpec(name="toy-bad", description="",
-                                producer=lambda ctx: {"not": "a list"}))
-        try:
-            with pytest.raises(ConfigurationError, match="list"):
-                run_experiment("toy-bad", cache=cache)
-        finally:
-            unregister("toy-bad")
+    def test_producer_must_return_list(self, cache, toy_register):
+        toy_register(ExperimentSpec(name="toy-bad", description="",
+                                    producer=lambda ctx: {"not": "a list"}))
+        with pytest.raises(ConfigurationError, match="list"):
+            run_experiment("toy-bad", cache=cache)
 
     def test_manifest_written_to_path(self, cache, counting_spec,
                                       tmp_path):
@@ -328,8 +312,31 @@ class TestRunExperiment:
         assert calls["n"] == 2
 
 
+    @pytest.mark.parametrize("entry", ["matrix", "scenario-config",
+                                       "run-experiment"])
+    def test_a_boolean_seed_is_refused_by_value(self, entry, cache,
+                                                tmp_path):
+        """``True`` is an ``int`` to Python: it used to run as seed 1,
+        and ``run_experiment`` cached it under a key of its own."""
+        from repro.scenarios import ScenarioConfig, load_matrix
+
+        with pytest.raises(ConfigurationError,
+                           match="seed must be an integer, got True"):
+            if entry == "matrix":
+                path = tmp_path / "m.json"
+                path.write_text(json.dumps({
+                    "name": "bool-seed", "description": "d",
+                    "experiment": "fig02-hwgen", "seed": True}))
+                load_matrix(str(path))
+            elif entry == "scenario-config":
+                ScenarioConfig(scenario="steady-web", seed=True)
+            else:
+                run_experiment("fig02-hwgen", seed=True, cache=cache)
+        assert cache.keys() == []
+
+
 class TestNestedFetch:
-    def test_figures_share_one_dependency_run(self, cache):
+    def test_figures_share_one_dependency_run(self, cache, toy_register):
         calls = {"dep": 0}
 
         def dep_producer(ctx):
@@ -340,47 +347,44 @@ class TestNestedFetch:
             rows = ctx.fetch("toy-dep", overrides={"n": ctx.params["n"]})
             return [{"derived": rows[0]["v"] + 1}]
 
-        register(ExperimentSpec(name="toy-dep", description="",
-                                producer=dep_producer, defaults={"n": 2}))
-        register(ExperimentSpec(name="toy-fig-a", description="",
-                                producer=fig_producer, defaults={"n": 2}))
-        register(ExperimentSpec(name="toy-fig-b", description="",
-                                producer=fig_producer, defaults={"n": 2}))
-        try:
-            a = run_experiment("toy-fig-a", cache=cache)
-            b = run_experiment("toy-fig-b", cache=cache)
-            assert calls["dep"] == 1  # second figure hit the cached dep
-            assert a.rows == b.rows == [{"derived": 21}]
-            counters = b.manifest["counters"]
-            assert counters["experiment.cache_hit"] == 1
-        finally:
-            for name in ("toy-dep", "toy-fig-a", "toy-fig-b"):
-                unregister(name)
-
-
-def _matrix_of(name: str, options: dict) -> dict:
-    """The spec's own grid written as a ``--matrix`` document."""
-    spec = get_spec(name)
-    return {"name": spec.name, "description": spec.description,
-            "experiment": spec.name, "options": options,
-            "axes": [{"name": axis.name,
-                      "values": [v.options[axis.name] for v in axis.values]}
-                     for axis in spec.axes]}
+        toy_register(ExperimentSpec(name="toy-dep", description="",
+                                    producer=dep_producer,
+                                    defaults={"n": 2}))
+        for name in ("toy-fig-a", "toy-fig-b"):
+            toy_register(ExperimentSpec(name=name, description="",
+                                        producer=fig_producer,
+                                        defaults={"n": 2}))
+        a = run_experiment("toy-fig-a", cache=cache)
+        b = run_experiment("toy-fig-b", cache=cache)
+        assert calls["dep"] == 1  # second figure hit the cached dep
+        assert a.rows == b.rows == [{"derived": 21}]
+        counters = b.manifest["counters"]
+        assert counters["experiment.cache_hit"] == 1
 
 
 class TestSweep:
-    """``repro experiment sweep NAME`` builds the scenario the spec
-    describes and hands it to ``run_scenario``: there is no second grid
-    runner, so a sweep is resumable, keyed and printed as a scenario."""
+    """A spec's grid is a matrix file, run by ``repro scenario run
+    --matrix``: there is no second grid runner, so a sweep is
+    resumable, keyed and printed as a scenario."""
 
-    def _sweep(self, name, tmp_path, capsys, *flags):
-        """(cells as --json prints them, manifest) of one CLI sweep
-        against the ``cache`` fixture's directory."""
+    def _sweep(self, name, tmp_path, capsys, *flags, options=None,
+               plan=None):
+        """(cells as --json prints them, manifest) of one CLI run of the
+        ``x`` = 1, 2, 3 grid over *name* against the ``cache`` fixture's
+        directory."""
         from repro.cli import main
 
+        doc = {"name": name, "description": "x grid", "experiment": name,
+               "options": options or {},
+               "axes": [{"name": "x", "values": [1, 2, 3]}]}
+        if plan is not None:
+            doc["plan"] = plan
+        matrix = tmp_path / "grid.json"
+        matrix.write_text(json.dumps(doc))
         manifest = tmp_path / "sweep.json"
-        main(["experiment", "sweep", name, "--json", "--cache-dir",
-              str(tmp_path / "cache"), "--manifest", str(manifest), *flags])
+        main(["scenario", "run", "--matrix", str(matrix), "--json",
+              "--cache-dir", str(tmp_path / "cache"),
+              "--manifest", str(manifest), *flags])
         return (json.loads(capsys.readouterr().out),
                 json.loads(manifest.read_text()))
 
@@ -403,12 +407,14 @@ class TestSweep:
         only when read, here after the last cell: each cell's counters
         are still the values at the end of that cell, never a later
         cell's."""
+        from repro.experiments import Axis, AxisValue
         from repro.scenarios import Scenario, ScenarioConfig, run_scenario
 
         spec, _ = counting_spec
         result = run_scenario(ScenarioConfig(Scenario(
             name="toy-count", description="test", experiment=spec.name,
-            axes=spec.axes)), cache=cache)
+            axes=(Axis("x", tuple(AxisValue(str(x), {"x": x})
+                                  for x in (1, 2, 3))),))), cache=cache)
         assert [r.manifest["counters"] for r in result.results] == [
             {"experiment.cache_miss": 1, "scenario.cells_total": 1},
             {"experiment.cache_miss": 2, "scenario.cells_computed": 1,
@@ -440,7 +446,7 @@ class TestSweep:
             "cells_total": 3, "cells_cached": 1, "cells_computed": 2}
 
     def test_producer_crash_leaves_no_torn_cell(self, cache, tmp_path,
-                                                capsys):
+                                                capsys, toy_register):
         state = {"fail": True, "calls": 0}
 
         def flaky(ctx):
@@ -449,23 +455,19 @@ class TestSweep:
                 raise RuntimeError("injected producer crash")
             return [{"x": ctx.params["x"]}]
 
-        register(ExperimentSpec(name="toy-flaky", description="",
-                                producer=flaky, defaults={"x": 1},
-                                axes=axes_from_grid({"x": (1, 2, 3)})))
-        try:
-            with pytest.raises(RuntimeError, match="injected"):
-                self._sweep("toy-flaky", tmp_path, capsys)
-            assert state["calls"] == 2  # x=1 landed, x=2 died
-            assert len(cache.keys()) == 1
+        toy_register(ExperimentSpec(name="toy-flaky", description="",
+                                    producer=flaky, defaults={"x": 1}))
+        with pytest.raises(RuntimeError, match="injected"):
+            self._sweep("toy-flaky", tmp_path, capsys)
+        assert state["calls"] == 2  # x=1 landed, x=2 died
+        assert len(cache.keys()) == 1
 
-            state["fail"] = False
-            _, manifest = self._sweep("toy-flaky", tmp_path, capsys)
-            # x=1 resumed from checkpoint; x=2, x=3 computed fresh.
-            assert state["calls"] == 4
-            assert manifest["aggregates"]["cells_cached"] == 1
-            assert manifest["counters"]["experiment.cache_miss"] == 2
-        finally:
-            unregister("toy-flaky")
+        state["fail"] = False
+        _, manifest = self._sweep("toy-flaky", tmp_path, capsys)
+        # x=1 resumed from checkpoint; x=2, x=3 computed fresh.
+        assert state["calls"] == 4
+        assert manifest["aggregates"]["cells_cached"] == 1
+        assert manifest["counters"]["experiment.cache_miss"] == 2
 
     def test_full_rerun_is_all_resumed(self, counting_spec, tmp_path,
                                        capsys):
@@ -478,27 +480,28 @@ class TestSweep:
 
     def test_sweep_base_overrides(self, counting_spec, tmp_path, capsys):
         cells, manifest = self._sweep("toy-count", tmp_path, capsys,
-                                      "--set", "y=b")
+                                      options={"y": "b"})
         assert all(c["config"]["y"] == "b" for c in cells)
         assert manifest["config"]["options"] == {"y": "b"}
-        # Grid values win over base overrides on collision.
+        # Grid values win over base options on collision.
         cells, _ = self._sweep("toy-count", tmp_path, capsys,
-                               "--set", "x=99")
+                               options={"x": 99})
         assert [c["config"]["x"] for c in cells] == [1, 2, 3]
         with pytest.raises(SystemExit, match="unknown parameter 'z'"):
-            self._sweep("toy-count", tmp_path, capsys, "--set", "z=1")
+            self._sweep("toy-count", tmp_path, capsys, options={"z": 1})
 
     def test_seed_plan_and_force(self, cache, counting_spec, tmp_path,
                                  capsys):
-        """``--seed`` reaches every cell, ``--plan`` is keyed into every
-        cell's address, ``--force`` recomputes finished cells."""
+        """``--seed`` reaches every cell, the matrix's ``plan`` is keyed
+        into every cell's address, ``--force`` recomputes finished
+        cells."""
         from repro.faults import NAMED_PLANS
 
         _, calls = counting_spec
         clean, _ = self._sweep("toy-count", tmp_path, capsys, "--seed", "9")
         assert [c["rows"][0]["seed"] for c in clean] == [9, 9, 9]
         chaos, manifest = self._sweep("toy-count", tmp_path, capsys,
-                                      "--seed", "9", "--plan", "ci-smoke")
+                                      "--seed", "9", plan="ci-smoke")
         assert manifest["config"]["plan"] == "ci-smoke"
         assert not {c["key"] for c in chaos} & {c["key"] for c in clean}
         assert chaos[0]["key"] == run_experiment(
@@ -510,48 +513,7 @@ class TestSweep:
         assert calls["n"] == 9
         assert not any(c["cached"] for c in forced)
         with pytest.raises(SystemExit, match="repro: .*unknown fault plan"):
-            self._sweep("toy-count", tmp_path, capsys, "--plan", "nope")
-
-    @pytest.mark.parametrize("name,sets", [
-        ("toy-count", {"y": "b"}),
-        ("workload-steady", {"mem_mib": 64, "steps": 20}),
-    ])
-    def test_sweep_is_the_scenario_run(self, name, sets, counting_spec,
-                                       tmp_path, capsys):
-        """The sweep and ``scenario run --matrix`` over the same axes
-        written as a file print the same bytes, carry the same cell ids
-        and serve each other's cells from one cache."""
-        from repro.cli import main
-
-        matrix = tmp_path / "grid.json"
-        matrix.write_text(json.dumps(_matrix_of(name, sets)))
-        flags = [f"--set={k}={v}" for k, v in sets.items()]
-
-        def both(cache_dir, *extra):
-            out = []
-            for argv in (["experiment", "sweep", name, *flags],
-                         ["scenario", "run", "--matrix", str(matrix)]):
-                main(argv + ["--cache-dir", str(tmp_path / cache_dir),
-                             "--workers", "1", *extra])
-                out.append(capsys.readouterr())
-            return out
-
-        swept, ran = both("sweep-first")
-        assert swept.out == ran.out and swept.out.startswith(
-            f"# Scenario: {name}\n")
-        n = len(expand_axes(get_spec(name).axes))
-        assert f"{n} cell(s), 0 cached" in swept.err
-        assert f"{n} cell(s), {n} cached" in ran.err
-        # The other direction: a sweep over a scenario run's cache.
-        main(["scenario", "run", "--matrix", str(matrix), "--workers", "1",
-              "--cache-dir", str(tmp_path / "scenario-first")])
-        assert f"{n} cell(s), 0 cached" in capsys.readouterr().err
-        main(["experiment", "sweep", name, *flags, "--workers", "1",
-              "--cache-dir", str(tmp_path / "scenario-first")])
-        assert f"{n} cell(s), {n} cached" in capsys.readouterr().err
-        swept, ran = both("sweep-first", "--json")
-        assert swept.out == ran.out
-        assert len(json.loads(swept.out)) == n
+            self._sweep("toy-count", tmp_path, capsys, plan="nope")
 
 
 class TestCacheStore:
@@ -580,14 +542,12 @@ class TestExperimentCli:
         return capsys.readouterr()
 
     @pytest.fixture
-    def toy(self):
-        register(ExperimentSpec(
+    def toy(self, toy_register):
+        toy_register(ExperimentSpec(
             name="toy-cli", description="cli test",
             producer=lambda ctx: [{"x": ctx.params["x"],
                                    "seed": ctx.seed}],
-            defaults={"x": 1}, axes=axes_from_grid({"x": (1, 2)}), seed=3))
-        yield
-        unregister("toy-cli")
+            defaults={"x": 1}, seed=3))
 
     def test_list(self, capsys):
         from repro.cli import main
@@ -646,7 +606,12 @@ class TestExperimentCli:
                       tmp_path, capsys)
 
     def test_sweep_and_report(self, toy, tmp_path, capsys):
-        swept = self._run(["experiment", "sweep", "toy-cli"],
+        matrix = tmp_path / "grid.json"
+        matrix.write_text(json.dumps({
+            "name": "toy-cli", "description": "x grid",
+            "experiment": "toy-cli",
+            "axes": [{"name": "x", "values": [1, 2]}]}))
+        swept = self._run(["scenario", "run", "--matrix", str(matrix)],
                           tmp_path, capsys)
         assert "# scenario toy-cli: 2 cell(s), 0 cached" in swept.err
         assert "## Cell grid" in swept.out
@@ -869,14 +834,14 @@ class TestFigureSpecs:
         assert source.count("def ") == 1  # the one parametrised test
 
 
-def _toy_claims_spec(*claims, name="toy-claims"):
-    """A registered spec whose one row depends on the seed, carrying
+def _toy_claims_spec(toy_register, *claims):
+    """Register a spec whose one row depends on the seed, carrying
     *claims*."""
-    return register(ExperimentSpec(
-        name=name, description="claims test", seed=10,
+    return toy_register(ExperimentSpec(
+        name="toy-claims", description="claims test", seed=10,
         producer=lambda ctx: [{"seed": ctx.seed, "x": ctx.seed % 10,
                                "y": 5}],
-        claims=claims), replace=True)
+        claims=claims))
 
 
 class TestClaims:
@@ -944,26 +909,25 @@ class TestClaims:
         with pytest.raises(ConfigurationError, match=match):
             make()
 
-    def test_verify_runs_the_spec_seed_and_the_ones_after_it(self, cache):
-        _toy_claims_spec(Band("x-small", "x below 2",
+    def test_verify_runs_the_spec_seed_and_the_ones_after_it(
+            self, cache, toy_register):
+        _toy_claims_spec(toy_register,
+                         Band("x-small", "x below 2",
                               lambda rows: rows[0]["x"], hi=1),
                          Ordered("x-below-y", "x < y",
                                  lambda rows: [rows[0]["x"], rows[0]["y"]]))
-        try:
-            verdicts = verify_claims(["toy-claims"], cache=cache)
-            assert [(v.claim.id, v.seeds, v.measured, v.broken)
-                    for v in verdicts] == [
-                ("x-small", (10, 11, 12), ("0", "1", "2"), (12,)),
-                ("x-below-y", (10, 11, 12), ("0 < 5", "1 < 5", "2 < 5"), ())]
-            assert [v.held for v in verdicts] == [False, True]
-            assert verdicts[0].snapshot()["kind"] == "band"
-            # The seeds are cached cells: a rerun computes nothing.
-            assert len(cache.keys()) == 3
-            assert verify_claims(["toy-claims"], seeds=5,
-                                 cache=cache)[0].broken == (12, 13, 14)
-            assert len(cache.keys()) == 5
-        finally:
-            unregister("toy-claims")
+        verdicts = verify_claims(["toy-claims"], cache=cache)
+        assert [(v.claim.id, v.seeds, v.measured, v.broken)
+                for v in verdicts] == [
+            ("x-small", (10, 11, 12), ("0", "1", "2"), (12,)),
+            ("x-below-y", (10, 11, 12), ("0 < 5", "1 < 5", "2 < 5"), ())]
+        assert [v.held for v in verdicts] == [False, True]
+        assert verdicts[0].snapshot()["kind"] == "band"
+        # The seeds are cached cells: a rerun computes nothing.
+        assert len(cache.keys()) == 3
+        assert verify_claims(["toy-claims"], seeds=5,
+                             cache=cache)[0].broken == (12, 13, 14)
+        assert len(cache.keys()) == 5
 
     def test_verify_refuses_a_spec_without_claims(self, counting_spec, cache):
         with pytest.raises(ConfigurationError, match="declares no claims"):
@@ -972,34 +936,62 @@ class TestClaims:
             verify_claims(["toy-count"], seeds=0, cache=cache)
 
     def test_cli_prints_the_index_and_exits_1_on_a_broken_claim(
-            self, tmp_path, capsys):
+            self, tmp_path, capsys, toy_register):
         from repro.cli import main
 
-        _toy_claims_spec(Band("x-small", "x below 2",
+        _toy_claims_spec(toy_register,
+                         Band("x-small", "x below 2",
                               lambda rows: rows[0]["x"], hi=1))
         # A name given twice is verified once.
         argv = ["experiment", "verify", "toy-claims", "toy-claims",
                 "--cache-dir", str(tmp_path / "cache")]
-        try:
-            with pytest.raises(SystemExit) as info:
-                main(argv)
-            broken = capsys.readouterr()
-            assert ("| [`toy-claims`](../EXPERIMENTS.md#toy-claims) | "
-                    "`x-small` | x below 2 | <= 1 | 10/11/12: 0 / 1 / 2 | "
-                    "**broken** on seed 12 |") in broken.out
-            assert "# 0 of 1 claim(s) held on every seed" in broken.err
-            with pytest.raises(SystemExit) as info:
-                main(argv + ["--json"])
-            assert info.value.code == ("repro: 1 claim(s) broken: "
-                                       "toy-claims:x-small")
-            record, = json.loads(capsys.readouterr().out)
-            assert (record["held"], record["broken"]) == (False, [12])
-            for bad in ([], ["--all"]):
-                with pytest.raises(SystemExit, match="or pass --all"):
-                    main(["experiment", "verify", *bad,
-                          *(["toy-claims"] if bad else [])])
-        finally:
-            unregister("toy-claims")
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        broken = capsys.readouterr()
+        assert ("| [`toy-claims`](../EXPERIMENTS.md#toy-claims) | "
+                "`x-small` | x below 2 | <= 1 | 10/11/12: 0 / 1 / 2 | "
+                "**broken** on seed 12 |") in broken.out
+        assert "# 0 of 1 claim(s) held on every seed" in broken.err
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--json"])
+        assert info.value.code == ("repro: 1 claim(s) broken: "
+                                   "toy-claims:x-small")
+        record, = json.loads(capsys.readouterr().out)
+        assert (record["held"], record["broken"]) == (False, [12])
+        for bad in ([], ["--all"]):
+            with pytest.raises(SystemExit, match="or pass --all"):
+                main(["experiment", "verify", *bad,
+                      *(["toy-claims"] if bad else [])])
+
+    def test_an_equal_chain_on_every_seed_is_vacuous(self, tmp_path,
+                                                     capsys, toy_register):
+        """``5 <= 5`` on every seed holds on any simulator: ``verify``
+        reports it vacuous and exits 1 naming it, as it does a broken
+        claim; an ``<=`` chain that moves on some seed is evidence."""
+        from repro.cli import main
+
+        _toy_claims_spec(toy_register,
+                         Ordered("y-constant", "y never grows",
+                                 lambda rows: [rows[0]["y"]] * 2, "<="),
+                         Ordered("x-at-most-y", "x <= y",
+                                 lambda rows: [rows[0]["x"],
+                                               rows[0]["y"]], "<="))
+        cache_dir = str(tmp_path / "cache")
+        with pytest.raises(SystemExit) as info:
+            main(["experiment", "verify", "toy-claims",
+                  "--cache-dir", cache_dir])
+        assert info.value.code == ("repro: 1 claim(s) vacuous: "
+                                   "toy-claims:y-constant")
+        out = capsys.readouterr()
+        assert ("| `y-constant` | y never grows | each <= the next | "
+                "10/11/12: 5 <= 5 | **vacuous**: equal on every seed |"
+                in out.out)
+        assert "# 1 of 2 claim(s) held on every seed" in out.err
+        verdicts = verify_claims(["toy-claims"],
+                                 cache=ResultCache(cache_dir))
+        assert [(v.vacuous, v.held, v.broken) for v in verdicts] == [
+            (True, False, ()), (False, True, ())]
+        assert verdicts[0].snapshot()["vacuous"] is True
 
     def test_every_figure_claim_reads_its_rows_and_can_break(self, cache):
         """Fig. 13 runs in milliseconds: its claims hold on its rows and

@@ -9,8 +9,6 @@ heavyweight contracts pinned here:
   compiles to the cell ids and snapshots pinned below;
 * cell ids are deterministic and invariant under axis declaration
   reordering (the cache-key contract);
-* a legacy grid dict and its ``axes_from_grid`` spelling compile to
-  identical cells (property-tested) — one engine, two front doors;
 * a second run of any scenario is pure cache hits with byte-identical
   report markdown, at any worker count;
 * every bundled library scenario's smoke variant actually runs.
@@ -22,8 +20,6 @@ import os
 import re
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.experiments import (
@@ -31,11 +27,8 @@ from repro.experiments import (
     AxisValue,
     ExperimentSpec,
     ResultCache,
-    axes_from_grid,
     canonical_json,
     expand_axes,
-    register,
-    unregister,
     value_id,
 )
 from repro.scenarios import (
@@ -56,7 +49,7 @@ def cache(tmp_path):
 
 
 @pytest.fixture
-def toy_spec():
+def toy_spec(toy_register):
     """A registered toy experiment the scenario tests sweep."""
     calls = {"n": 0}
 
@@ -65,12 +58,10 @@ def toy_spec():
         return [{"x": ctx.params["x"], "mode": ctx.params["mode"],
                  "seed": ctx.seed, "metric": ctx.params["x"] * 10}]
 
-    spec = register(ExperimentSpec(
+    spec = toy_register(ExperimentSpec(
         name="toy-scn", description="scenario test probe",
-        producer=producer, defaults={"x": 1, "mode": "a"},
-        axes=axes_from_grid({"x": (1, 2)}), seed=3))
-    yield spec, calls
-    unregister("toy-scn")
+        producer=producer, defaults={"x": 1, "mode": "a"}, seed=3))
+    return spec, calls
 
 
 #: A user-supplied matrix file, as ``--matrix`` reads it.
@@ -130,32 +121,6 @@ class TestGridEngine:
         assert [c.id for c in one] == ["1"]
         assert [c.id for c in two] == ["1-r0", "1-r1"]
         assert [c.replica for c in two] == [0, 1]
-
-    @given(grid=st.dictionaries(
-        st.from_regex(r"[a-z][a-z0-9_]{0,5}", fullmatch=True),
-        st.lists(st.one_of(st.integers(-50, 50),
-                           st.sampled_from(["a", "b", "c-d"])),
-                 min_size=1, max_size=3, unique=True),
-        min_size=1, max_size=3))
-    @settings(max_examples=50, deadline=None)
-    def test_dict_grid_equals_axes_spelling(self, grid):
-        """A grid dict through ``axes_from_grid`` and the same axes
-        spelled out by hand (declared in reverse) compile to identical
-        cells — ids, coords, overrides."""
-        defaults = {key: values[0] for key, values in grid.items()}
-        by_dict = ExperimentSpec(
-            name="prop-grid", description="d", producer=lambda ctx: [],
-            defaults=defaults, axes=axes_from_grid(grid))
-        by_hand = ExperimentSpec(
-            name="prop-grid", description="d", producer=lambda ctx: [],
-            defaults=defaults,
-            axes=tuple(Axis(key, tuple(AxisValue(value_id(v), {key: v})
-                                       for v in grid[key]))
-                       for key in sorted(grid, reverse=True)))
-        assert [(c.id, c.coords, c.overrides)
-                for c in expand_axes(by_dict.axes)] == \
-               [(c.id, c.coords, c.overrides)
-                for c in expand_axes(by_hand.axes)]
 
     def test_plan_axis_limits(self):
         axes = [
@@ -413,8 +378,8 @@ class TestFrontDoorRuns:
                           cache=cache)
 
     def test_scenario_cells_share_sweep_cache(self, cache, toy_spec):
-        """A sweep cell and the scenario cell resolving to the same
-        config are one cache entry — the one-engine contract."""
+        """An ``experiment run`` cell and the scenario cell resolving to
+        the same config are one cache entry — the one-engine contract."""
         from repro.experiments import run_experiment
 
         _, calls = toy_spec
@@ -592,20 +557,18 @@ class TestCli:
         assert message.startswith(f"repro: {path}: ")
         assert re.search(complaint, message) and "\n" not in message
 
-    def test_experiment_sweep_takes_no_matrix(self, tmp_path, capsys):
-        """The PR 10 compatibility bridge is gone: a matrix file is a
-        ``scenario run --matrix`` (the test above), and ``experiment
-        sweep`` requires a spec name."""
+    def test_experiment_sweep_is_an_invalid_choice(self, capsys):
+        """A grid is a matrix file, run by ``scenario run --matrix`` (the
+        test above): ``experiment sweep`` is gone (docs/API.md, "Removed
+        surface")."""
         from repro.cli import build_parser
 
-        for argv, complaint in (
-                (["experiment", "sweep", "workload-steady",
-                  "--matrix", "user.json"], "unrecognized arguments"),
-                (["experiment", "sweep"], "arguments are required: NAME")):
+        for argv in (["experiment", "sweep", "workload-steady"],
+                     ["experiment", "sweep"]):
             with pytest.raises(SystemExit) as exit_info:
                 build_parser().parse_args(argv)
             assert exit_info.value.code == 2
-            assert complaint in capsys.readouterr().err
+            assert "invalid choice: 'sweep'" in capsys.readouterr().err
 
     def test_name_and_matrix_are_exclusive(self, tmp_path, capsys):
         from repro.cli import main

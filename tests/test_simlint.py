@@ -17,11 +17,12 @@ from repro.analysis.simlint import (
     RULES,
     Finding,
     lint_paths,
-    lint_source,
     render_json,
     render_text,
     rule_catalogue,
 )
+
+from conftest import lint_source
 
 MM_PATH = "src/repro/mm/fixture.py"
 FLEET_PATH = "src/repro/fleet/fixture.py"

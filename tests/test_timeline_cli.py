@@ -57,7 +57,8 @@ class TestCli:
 
     def test_workers_validated_identically(self, capsys):
         parser = build_parser()
-        for argv in (["experiment", "sweep", "x", "--workers", "0"],
+        for argv in (["scenario", "run", "--matrix", "m.json",
+                      "--workers", "0"],
                      ["scenario", "run", "x", "--workers", "-2"],
                      ["experiment", "run", "x", "--workers", "zero"]):
             with pytest.raises(SystemExit):
@@ -87,7 +88,8 @@ class TestCli:
         (["experiment", "run", "s53-hwcost", "--checkpoint-every", "-3"],
          "argument --checkpoint-every: checkpoint cadence must be >= 0, "
          "got -3"),
-        (["experiment", "sweep", "s53-hwcost", "--checkpoint-every", "-3"],
+        (["scenario", "run", "--matrix", "m.json", "--checkpoint-every",
+          "-3"],
          "argument --checkpoint-every: checkpoint cadence must be >= 0, "
          "got -3"),
         (["trace", "--limit", "-3"],

@@ -16,7 +16,6 @@ from repro.workloads import (
     fragment_fully,
     fragment_partially,
     interference_overhead,
-    relative_throughput,
 )
 from repro.workloads.services import CACHE_B, CI, WEB
 from repro.analysis import unmovable_block_fraction
@@ -145,8 +144,8 @@ class TestInterference:
         assert oh < 0.0001
 
     def test_relative_throughput(self):
-        rel = relative_throughput(NGINX, VERY_HIGH_RATE,
-                                  AccessMode.NONCACHEABLE)
+        rel = 1.0 - interference_overhead(NGINX, VERY_HIGH_RATE,
+                                          AccessMode.NONCACHEABLE)
         assert 0.99 < rel < 1.0
 
     def test_overhead_scales_with_rate(self):
