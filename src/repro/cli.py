@@ -279,20 +279,19 @@ def _cmd_scenario_list(args) -> None:
         import json
 
         print(json.dumps(
-            [{"name": s.name, "description": s.description,
-              "experiment": s.experiment, "plan": s.plan,
-              "replicas": s.replicas,
-              "cells": len(s.matrix().cells()),
-              "smoke_cells": (len(s.matrix(smoke=True).cells())
+            [{"name": s.name, "description": s.full.description,
+              "experiment": s.full.experiment, "plan": s.full.plan,
+              "replicas": s.full.replicas,
+              "cells": len(s.full.cells()),
+              "smoke_cells": (len(s.smoke.cells())
                               if s.smoke is not None else None)}
              for s in scenarios], indent=2, sort_keys=True))
         return
     print(format_table(
         ["Name", "Experiment", "Cells", "Smoke", "Plan", "Description"],
-        [(s.name, s.experiment, str(len(s.matrix().cells())),
-          str(len(s.matrix(smoke=True).cells()))
-          if s.smoke is not None else "-",
-          s.plan or "-", s.description)
+        [(s.name, s.full.experiment, str(len(s.full.cells())),
+          str(len(s.smoke.cells())) if s.smoke is not None else "-",
+          s.full.plan or "-", s.full.description)
          for s in scenarios],
         title="Bundled scenarios (repro scenario run <name>)"))
 

@@ -1,4 +1,4 @@
-"""Experiment orchestration: declarative specs, the grid engine and
+"""Experiment orchestration: declarative specs, their claims and
 content-addressed result caching.
 
 This is the front door for reproducing the paper's figures::
@@ -27,13 +27,6 @@ from .cache import (
     result_key,
 )
 from .claims import Band, Claim, Ordered, Verdict, verify_claims
-from .grid import (
-    Axis,
-    AxisValue,
-    Cell,
-    expand_axes,
-    value_id,
-)
 from .runner import ExperimentResult, load_cached, run_experiment
 from .spec import (
     ExperimentContext,
@@ -44,12 +37,9 @@ from .spec import (
 )
 
 __all__ = [
-    "Axis",
-    "AxisValue",
     "Band",
     "CACHE_ENV",
     "CACHE_SCHEMA",
-    "Cell",
     "Claim",
     "ExperimentContext",
     "ExperimentResult",
@@ -60,12 +50,10 @@ __all__ = [
     "all_specs",
     "canonical_json",
     "default_cache_dir",
-    "expand_axes",
     "get_spec",
     "load_cached",
     "register",
     "result_key",
     "run_experiment",
-    "value_id",
     "verify_claims",
 ]

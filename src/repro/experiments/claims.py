@@ -193,7 +193,7 @@ def verify_claims(names, seeds: int = 3, cache=None,
                   workers: int | None = None) -> list[Verdict]:
     """Every claim of each spec in *names*, evaluated on the spec's
     seed and the ``seeds - 1`` after it (scenario replicas)."""
-    from ..scenarios import Scenario, ScenarioConfig, run_scenario
+    from ..scenarios import ScenarioConfig, run_scenario, scenario_from_dict
     from .spec import get_spec
 
     if seeds < 1:
@@ -205,8 +205,9 @@ def verify_claims(names, seeds: int = 3, cache=None,
             raise ConfigurationError(
                 f"experiment {name!r} declares no claims")
         results = run_scenario(ScenarioConfig(
-            scenario=Scenario(name=spec.name, description=spec.description,
-                              experiment=spec.name, replicas=seeds),
+            scenario=scenario_from_dict({
+                "name": spec.name, "description": spec.description,
+                "experiment": spec.name, "replicas": seeds}),
             workers=workers), cache=cache).results
         for claim in spec.claims:
             outcomes = [claim.evaluate(result.rows) for result in results]

@@ -9,10 +9,11 @@ The front door for running named what-if campaigns::
 
 A scenario is a JSON matrix file — a base experiment spec plus axes
 of named values (``src/repro/scenarios/library/*.json`` ships 10+ of
-them; ``repro scenario list`` enumerates).  Matrices compile through
-the :class:`~repro.experiments.Axis`/:class:`~repro.experiments.Cell`
-engine and :func:`run_scenario` is the one grid runner (a spec declares
-no grid of its own), so scenario cells share
+them; ``repro scenario list`` enumerates).  Every matrix — a file, a
+dict, the replicas scenario ``verify_claims`` builds — is checked once
+by :func:`scenario_from_dict`, expands straight to cells, and
+:func:`run_scenario` is the one grid runner (a spec declares no grid of
+its own), so scenario cells share
 the experiment layer's content-addressed cache, checkpoint/resume, fault
 plans, and bit-identity-across-workers contract unchanged.  See
 docs/API.md for the stable surface and EXPERIMENTS.md for the CLI
@@ -24,12 +25,11 @@ from .loader import (
     library_dir,
     list_scenarios,
     load_matrix,
-    scenario_from_dict,
 )
 from .model import (
     Scenario,
     ScenarioMatrix,
-    Smoke,
+    scenario_from_dict,
 )
 from .report import (
     render_html,
@@ -47,7 +47,6 @@ __all__ = [
     "ScenarioConfig",
     "ScenarioMatrix",
     "ScenarioResult",
-    "Smoke",
     "get_scenario",
     "library_dir",
     "list_scenarios",

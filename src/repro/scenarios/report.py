@@ -132,12 +132,12 @@ def _marginal_rows(result, axis, means: dict, metrics: list[str]):
     """Per value of *axis* some cell picked: [value id, n cells,
     mean-of-cell-means per metric]."""
     rows = []
-    for value in axis.values:
+    for value in axis["values"]:
         members = [means[cell.id] for cell in result.cells
-                   if dict(cell.coords).get(axis.name) == value.id]
+                   if dict(cell.coords).get(axis["name"]) == value["id"]]
         if not members:
             continue
-        row = [value.id, str(len(members))]
+        row = [value["id"], str(len(members))]
         for metric in metrics:
             picked = [m[metric] for m in members if metric in m]
             row.append(_fmt(sum(picked) / len(picked) if picked else None))
@@ -161,11 +161,11 @@ def _document(result) -> _Document:
             [[cell.id] + [_fmt_delta(means[cell.id].get(m), base.get(m))
                           for m in metrics]
              for cell in cells[1:]]))
-    for axis in sorted(matrix.axes, key=lambda a: a.name):
+    for axis in sorted(matrix.axes, key=lambda a: a["name"]):
         rows = _marginal_rows(result, axis, means, metrics)
         if rows:
             sections.append(_Section(
-                "Marginals by", axis.name, ["value", "cells"], rows))
+                "Marginals by", axis["name"], ["value", "cells"], rows))
     return _Document(
         title=f"Scenario: {matrix.scenario}"
               + (" (smoke)" if matrix.smoke else ""),

@@ -5,8 +5,8 @@ run_fleet``, ``WorkloadConfig -> run_workload``, and ``LoadgenConfig ->
 run_loadgen``: a validated frozen config in, a result object with a
 deterministic snapshot/manifest out.
 
-``run_scenario`` compiles the named (or inline) scenario matrix through
-the shared grid engine and drives every cell through
+``run_scenario`` compiles the named (or inline) scenario matrix to its
+cells and drives every cell through
 :func:`repro.experiments.run_experiment` — the cells land in the same
 content-addressed cache as ``repro experiment run`` cells, so a rerun
 of a finished scenario is pure cache hits (checkpoint/resume of
@@ -27,13 +27,12 @@ from typing import Any, Mapping
 from ..errors import ConfigurationError
 from ..experiments import get_spec, load_cached, run_experiment
 from ..experiments.cache import ResultCache
-from ..experiments.grid import Cell
 from ..experiments.runner import ExperimentResult
 from ..faults.plan import NAMED_PLANS
 from ..telemetry import MetricsRegistry, tracepoint
 from ..telemetry.manifest import LazyManifest
 from .loader import get_scenario
-from .model import Scenario, ScenarioMatrix
+from .model import Cell, Scenario, ScenarioMatrix
 
 __all__ = ["ScenarioConfig", "ScenarioResult", "load_scenario",
            "run_scenario"]
@@ -50,8 +49,8 @@ class ScenarioConfig:
 
     Attributes:
         scenario: a bundled scenario name (``repro scenario list``) or
-            an already-built :class:`~repro.scenarios.Scenario` (e.g.
-            from ``load_matrix`` on a user file).
+            a checked :class:`~repro.scenarios.Scenario` (from
+            ``load_matrix`` on a user file or ``scenario_from_dict``).
         smoke: run the scenario's CI-sized smoke variant.
         seed: base seed override (default: the scenario's seed, else
             the experiment spec's); replicas offset it per clone.
@@ -94,16 +93,25 @@ class ScenarioConfig:
                     f"got {axis!r}={value!r}")
             select[axis] = value
         object.__setattr__(self, "select", select)
+        # By type, not value: ``True`` is an ``int`` and ``"no"`` is
+        # truthy to Python, and either would run as something else.
         if self.seed is not None and type(self.seed) is not int:
             raise ConfigurationError(
                 f"seed must be an integer, got {self.seed!r}")
-        if self.workers is not None and self.workers < 1:
+        if self.workers is not None and (type(self.workers) is not int
+                                         or self.workers < 1):
             raise ConfigurationError(
-                f"workers must be >= 1, got {self.workers}")
-        if self.checkpoint_every < 0:
+                f"workers must be an integer >= 1, got {self.workers!r}")
+        if type(self.checkpoint_every) is not int or \
+                self.checkpoint_every < 0:
             raise ConfigurationError(
-                f"checkpoint_every must be >= 0, got "
-                f"{self.checkpoint_every}")
+                f"checkpoint_every must be an integer >= 0, got "
+                f"{self.checkpoint_every!r}")
+        for name in ("smoke", "force"):
+            if type(getattr(self, name)) is not bool:
+                raise ConfigurationError(
+                    f"{name} must be a boolean, got "
+                    f"{getattr(self, name)!r}")
 
 
 @dataclass
@@ -149,13 +157,17 @@ def _resolve(config: ScenarioConfig):
         _tp_compile.emit(scenario=matrix.scenario, cells=len(cells),
                          smoke=int(matrix.smoke))
 
-    axes = {axis.name: axis for axis in matrix.axes}
+    axes = {axis["name"]: [value["id"] for value in axis["values"]]
+            for axis in matrix.axes}
     for axis_name, wanted in sorted(config.select.items()):
         if axis_name not in axes:
             raise ConfigurationError(
                 f"scenario {matrix.scenario!r} has no axis {axis_name!r}; "
                 "known: " + (", ".join(sorted(axes)) or "(none)"))
-        axes[axis_name].value(wanted)  # unknown value ids fail loudly
+        if wanted not in axes[axis_name]:
+            raise ConfigurationError(
+                f"axis {axis_name!r} has no value {wanted!r}; known: "
+                + ", ".join(axes[axis_name]))
         cells = tuple(cell for cell in cells
                       if dict(cell.coords)[axis_name] == wanted)
     if config.cells:

@@ -83,12 +83,9 @@ class TestExportSnapshots:
 
     def test_experiments_all(self):
         assert sorted(repro.experiments.__all__) == [
-            "Axis",
-            "AxisValue",
             "Band",
             "CACHE_ENV",
             "CACHE_SCHEMA",
-            "Cell",
             "Claim",
             "ExperimentContext",
             "ExperimentResult",
@@ -99,13 +96,11 @@ class TestExportSnapshots:
             "all_specs",
             "canonical_json",
             "default_cache_dir",
-            "expand_axes",
             "get_spec",
             "load_cached",
             "register",
             "result_key",
             "run_experiment",
-            "value_id",
             "verify_claims",
         ]
 
@@ -115,7 +110,6 @@ class TestExportSnapshots:
             "ScenarioConfig",
             "ScenarioMatrix",
             "ScenarioResult",
-            "Smoke",
             "get_scenario",
             "library_dir",
             "list_scenarios",
@@ -549,6 +543,14 @@ class TestScenarioFrontDoor:
             ScenarioConfig(scenario="x", cells=("ok", ""))
         with pytest.raises(ConfigurationError):
             ScenarioConfig(scenario="x", select={"axis": 3})
+        # By type: each used to be accepted (``smoke="no"`` ran the
+        # smoke variant) or to fail as a bare ``TypeError``.
+        for field, value in (("workers", True), ("workers", "2"),
+                             ("checkpoint_every", True), ("smoke", "no"),
+                             ("force", "yes")):
+            with pytest.raises(ConfigurationError,
+                               match=f"^{field} must be .*, got {value!r}$"):
+                ScenarioConfig("uce-degrade", **{field: value})
 
     def test_run_scenario_takes_config_returns_result(self, tmp_path):
         from repro.experiments import ResultCache
@@ -601,6 +603,12 @@ class TestRemovedSurface:
         ("repro.workloads", "list_services"),
         ("repro.workloads", "list_shapes"),
         ("repro.experiments", "axes_from_grid"),
+        ("repro.experiments", "Axis"),
+        ("repro.experiments", "AxisValue"),
+        ("repro.experiments", "Cell"),
+        ("repro.experiments", "expand_axes"),
+        ("repro.experiments", "value_id"),
+        ("repro.scenarios", "Smoke"),
         ("repro.experiments", "unregister"),
         ("repro.analysis", "lint_source"),
         ("repro.analysis.simlint", "lint_source"),
@@ -609,7 +617,8 @@ class TestRemovedSurface:
         assert not hasattr(import_module(module), name)
 
     @pytest.mark.parametrize("module", ["repro.core.illuminator",
-                                        "repro.workloads.tracelog"])
+                                        "repro.workloads.tracelog",
+                                        "repro.experiments.grid"])
     def test_module_is_gone(self, module):
         with pytest.raises(ImportError):
             import_module(module)
@@ -626,27 +635,37 @@ UNPASSED_ALLOWED = {
 }
 
 
+def _callees(func) -> list[str]:
+    """The names a call of *func* reaches: the bare name or attribute
+    called (as DL105 matches), or for ``_resolve(kind.door)(...)`` each
+    front door a ``run.KINDS`` door string names."""
+    if (isinstance(func, ast.Call)
+            and getattr(func.func, "id", None) == "_resolve"
+            and func.args and getattr(func.args[0], "attr", None) == "door"):
+        from repro.run import KINDS
+
+        return [kind.door.partition(":")[2] for kind in KINDS.values()]
+    name = getattr(func, "id", None) or getattr(func, "attr", None)
+    return [] if name is None else [name]
+
+
 def _call_sites(tops=("src", "tests", "benchmarks", "examples")
                 ) -> dict[str, list[tuple[int, set, bool, bool]]]:
     """Every call in the code under the *tops* directories, keyed by
-    callee name (a bare name or the attribute called, as DL105
-    matches): (positional count, keywords, ``*`` splat, ``**`` splat)."""
+    callee name (:func:`_callees`): (positional count, keywords, ``*``
+    splat, ``**`` splat)."""
     sites: dict[str, list] = {}
     for top in tops:
         for path in sorted((REPO / top).rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text("utf-8"))):
                 if not isinstance(node, ast.Call):
                     continue
-                func = node.func
-                name = getattr(func, "id", None) or getattr(func, "attr",
-                                                            None)
-                if name is None:
-                    continue
-                sites.setdefault(name, []).append((
-                    len(node.args),
-                    {k.arg for k in node.keywords if k.arg},
-                    any(isinstance(a, ast.Starred) for a in node.args),
-                    any(k.arg is None for k in node.keywords)))
+                for name in _callees(node.func):
+                    sites.setdefault(name, []).append((
+                        len(node.args),
+                        {k.arg for k in node.keywords if k.arg},
+                        any(isinstance(a, ast.Starred) for a in node.args),
+                        any(k.arg is None for k in node.keywords)))
     return sites
 
 
@@ -705,6 +724,14 @@ class TestParameterAudit:
         stale = sorted(set(UNPASSED_ALLOWED) - set(found))
         assert not stale, f"allowlisted but passed now: {stale}"
         assert [p for p in found if p not in UNPASSED_ALLOWED] == []
+
+    def test_door_string_calls_count_for_each_front_door(self):
+        """``resume_run`` calls ``_resolve(kind.door)(config, resume=True,
+        ...)``: that call passes its keywords to every door KINDS names,
+        so ``survey_fleet(resume)`` is passed outside the tests."""
+        sites = _call_sites(("src", "benchmarks", "examples"))
+        assert any("resume" in kws
+                   for _, kws, _, _ in sites.get("survey_fleet", ()))
 
     def test_the_kernel_entry_gap_is_one_constant(self):
         """§5.3's ~25 µs kernel-entry window: the lazy-invalidation

@@ -407,14 +407,14 @@ class TestSweep:
         only when read, here after the last cell: each cell's counters
         are still the values at the end of that cell, never a later
         cell's."""
-        from repro.experiments import Axis, AxisValue
-        from repro.scenarios import Scenario, ScenarioConfig, run_scenario
+        from repro.scenarios import (ScenarioConfig, run_scenario,
+                                     scenario_from_dict)
 
         spec, _ = counting_spec
-        result = run_scenario(ScenarioConfig(Scenario(
-            name="toy-count", description="test", experiment=spec.name,
-            axes=(Axis("x", tuple(AxisValue(str(x), {"x": x})
-                                  for x in (1, 2, 3))),))), cache=cache)
+        result = run_scenario(ScenarioConfig(scenario_from_dict({
+            "name": "toy-count", "description": "test",
+            "experiment": spec.name,
+            "axes": [{"name": "x", "values": [1, 2, 3]}]})), cache=cache)
         assert [r.manifest["counters"] for r in result.results] == [
             {"experiment.cache_miss": 1, "scenario.cells_total": 1},
             {"experiment.cache_miss": 2, "scenario.cells_computed": 1,

@@ -1,4 +1,4 @@
-"""Scenario matrices: the loader, the grid engine, the front door, reports.
+"""Scenario matrices: the loader, the matrix model, the front door, reports.
 
 Everything runs against ``tmp_path`` caches and the real bundled
 library (read-only), so nothing leaks into the durable store.  The
@@ -23,13 +23,9 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments import (
-    Axis,
-    AxisValue,
     ExperimentSpec,
     ResultCache,
     canonical_json,
-    expand_axes,
-    value_id,
 )
 from repro.scenarios import (
     ScenarioConfig,
@@ -107,20 +103,23 @@ class TestGridEngine:
         assert ids(fwd) == ids(rev) == ["t-a-1", "t-a-2", "t-b-1", "t-b-2"]
 
     def test_value_ids_distinct_and_deterministic(self):
-        assert value_id(1) == "1"
-        assert value_id(-4) == "neg4"
-        assert value_id(1.5) == "1.5"
-        assert value_id("cache-b") == "cache-b"
-        assert value_id(True) != value_id(1)
-        assert value_id(None) == "null"
+        values = [1, -4, 1.5, "cache-b", True, None]
+        cells = toy_scenario(prefix="", smoke=None,
+                             axes=[{"name": "x", "values": values}]
+                             ).matrix().cells()
+        assert [c.id for c in cells] == [
+            "1", "neg4", "1.5", "cache-b", "true", "null"]
+        assert [c.overrides for c in cells] == [{"x": v} for v in values]
 
     def test_replicas_suffix_only_when_replicated(self):
-        one = expand_axes((Axis("x", (AxisValue("1", {"x": 1}),)),))
-        two = expand_axes((Axis("x", (AxisValue("1", {"x": 1}),)),),
-                          replicas=2)
-        assert [c.id for c in one] == ["1"]
-        assert [c.id for c in two] == ["1-r0", "1-r1"]
-        assert [c.replica for c in two] == [0, 1]
+        def cells(replicas):
+            return toy_scenario(prefix="", smoke=None, replicas=replicas,
+                                axes=[{"name": "x", "values": [1]}]
+                                ).matrix().cells()
+
+        assert [c.id for c in cells(1)] == ["1"]
+        assert [c.id for c in cells(2)] == ["1-r0", "1-r1"]
+        assert [c.replica for c in cells(2)] == [0, 1]
 
     def test_plan_axis_limits(self):
         axes = [
@@ -169,9 +168,14 @@ class TestLoader:
          "'why' must be a list of strings, got 3"),
         (MATRIX_JSON.replace('["user matrix"]', '["ok", 3]'),
          "'why' must be a list of strings"),
+        (MATRIX_JSON.replace(
+            "[40]", '[{"id": "a", "value": 2, "options": {"steps": 1}}]'),
+         "axis 'steps' value sets 'steps' twice"),
+        (MATRIX_JSON.replace('{"mem_mib": 64}', "[]"),
+         "options must be a mapping, got list"),
     ], ids=["duplicate-key", "nested-duplicate-key", "nan", "infinity",
             "trailing-comma", "top-level-list", "why-scalar",
-            "why-mixed-list"])
+            "why-mixed-list", "value-and-option", "options-list"])
     def test_load_matrix_rejects(self, tmp_path, body, match):
         bad = tmp_path / "bad.json"
         bad.write_text(body)
