@@ -125,7 +125,13 @@ import tokenize
 #: once into plain-data axes that expand straight to cells (grid, model
 #: and loader 496 → 345); ``ScenarioConfig`` checks its fields by type
 #: (+10).
-BUDGET = 12_792
+#: Then 12,792 → 12,599: the linter checks what exists, once — DL103's
+#: deprecation-table and scenario-library passes went (API.md holds no
+#: deprecation table, and ``list_scenarios`` plus
+#: ``TestLibraryIsData`` check the library), and DL102 reads seeds
+#: through ``ProgramModel.resolve_string`` (``analysis/simlint`` 1,572
+#: → 1,375); ``ExperimentSpec`` refuses an empty description (+4).
+BUDGET = 12_599
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
              tokenize.INDENT, tokenize.DEDENT, tokenize.ENCODING,

@@ -34,8 +34,7 @@ DL102     every string-seeded ``random.Random`` follows the
           ``{site}:{purpose}…:{seed}`` named-stream convention and
           stream objects don't escape their declaring purpose
 DL103     docs/API.md and the code agree on the stable surface
-          (``__all__`` snapshots, live deprecation shims, no internal
-          use of deprecated spellings, frozen front-door configs)
+          (``__all__`` snapshots, frozen front-door configs)
 DL104     nothing reachable from a manifest/snapshot producer
           iterates a set unsorted or calls ``id()``
 ========  ==========================================================

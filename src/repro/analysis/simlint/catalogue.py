@@ -2,9 +2,9 @@
 
 ``docs/OBSERVABILITY.md`` carries the telemetry catalogue — one table
 of tracepoints, one of metrics — and ``docs/API.md`` carries the
-stable-surface declaration (documented modules, deprecation tables,
-frozen front-door configs).  DL101/DL103 diff the program against these
-files, which is what turns them from prose into enforced artifacts.
+stable-surface declaration (documented modules and frozen front-door
+configs).  DL101/DL103 diff the program against these files, which is
+what turns them from prose into enforced artifacts.
 
 Catalogue names may contain ``{placeholder}`` segments
 (``loadgen.latency.{class}``): they match any emission whose statically
@@ -134,23 +134,6 @@ def parse_observability(path: str) -> TelemetryCatalogue:
     return cat
 
 
-@dataclass(frozen=True)
-class DeprecatedName:
-    """One row of an API.md deprecation table."""
-
-    dotted: str            # "repro.workloads.WEB"
-    replacement: str
-    line: int
-
-    @property
-    def module(self) -> str:
-        return self.dotted.rpartition(".")[0]
-
-    @property
-    def leaf(self) -> str:
-        return self.dotted.rpartition(".")[2]
-
-
 @dataclass
 class ApiDoc:
     """The parsed API.md contract."""
@@ -158,17 +141,11 @@ class ApiDoc:
     path: str
     #: dotted module names with a documented ``## `repro...` `` section
     documented_modules: dict[str, int] = field(default_factory=dict)
-    #: deprecation-table rows (old dotted name -> entry)
-    deprecated: dict[str, DeprecatedName] = field(default_factory=dict)
-    #: deprecated bare callables from ``### Deprecated: `name(...)` ``
-    #: headings (e.g. sample_fleet) -> heading line
-    deprecated_callables: dict[str, int] = field(default_factory=dict)
     #: ``*Config`` class names mentioned anywhere in the doc -> first line
     config_classes: dict[str, int] = field(default_factory=dict)
 
 
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*")
-_DOTTED_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)+$")
 
 
 def parse_api_doc(path: str, package: str = "repro") -> ApiDoc:
@@ -176,44 +153,22 @@ def parse_api_doc(path: str, package: str = "repro") -> ApiDoc:
 
     * ``## `repro.x` — ...`` headings declare documented modules (whose
       ``__all__`` must be a literal snapshot);
-    * rows of tables under a ``Deprecated`` heading whose first cell is
-      a backticked dotted name declare shimmed old spellings;
-    * ``### Deprecated: `name(...)` `` headings declare deprecated bare
-      callables;
     * any backticked ``SomethingConfig`` span declares a frozen
       front-door dataclass.
     """
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     doc = ApiDoc(path=str(path))
-    in_deprecated = False
-    for i, line in enumerate(lines):
-        lineno = i + 1
+    for lineno, line in enumerate(lines, start=1):
         m = _HEADING_RE.match(line)
-        if m:
-            title = m.group(2)
-            in_deprecated = "deprecated" in title.lower()
-            for span in _BACKTICK_RE.findall(title):
+        if m and m.group(1) == "##":
+            for span in _BACKTICK_RE.findall(m.group(2)):
                 bare = span.partition("(")[0].strip()
-                if m.group(1) == "##" and (
-                        bare == package
-                        or bare.startswith(package + ".")):
+                if bare == package or bare.startswith(package + "."):
                     doc.documented_modules.setdefault(bare, lineno)
-                elif in_deprecated and _IDENT_RE.fullmatch(bare):
-                    doc.deprecated_callables.setdefault(bare, lineno)
         for span in _BACKTICK_RE.findall(line):
             if span.endswith("Config") and _IDENT_RE.fullmatch(span):
                 doc.config_classes.setdefault(span, lineno)
-        if in_deprecated and line.strip().startswith("|"):
-            cells = [c.strip() for c in line.strip("|").split("|")]
-            if len(cells) >= 2:
-                names = _BACKTICK_RE.findall(cells[0])
-                repl = cells[1]
-                for name in names:
-                    if (_DOTTED_RE.fullmatch(name)
-                            and name.startswith(package + ".")):
-                        doc.deprecated[name] = DeprecatedName(
-                            dotted=name, replacement=repl, line=lineno)
     return doc
 
 
@@ -224,10 +179,6 @@ class Contracts:
 
     catalogue: TelemetryCatalogue
     api: ApiDoc
-    #: top-level package name of the analyzed tree ("repro", or the
-    #: fixture package under test)
-    package: str
-    #: contract root every display path is relative to; rules that must
-    #: touch the filesystem (e.g. the scenario library) resolve against
-    #: it.
+    #: contract root every display path is relative to; DL105 finds the
+    #: ``examples/`` and ``benchmarks/`` entry scripts under it.
     root: str

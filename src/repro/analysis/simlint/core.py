@@ -130,8 +130,7 @@ def _load_contracts(program: ProgramModel, root: str,
         api.path = _relative(api_path, root)
     else:
         api = ApiDoc(path=_relative(api_path, root))
-    return Contracts(catalogue=catalogue, api=api, package=package,
-                     root=root)
+    return Contracts(catalogue=catalogue, api=api, root=root)
 
 
 # ---------------------------------------------------------------------------

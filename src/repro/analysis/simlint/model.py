@@ -14,9 +14,11 @@ records and adds the cross-module views the whole-program rules share:
 * **name-level reachability** — which top-level functions, classes and
   methods a set of roots reaches through the names each scope mentions
   (:meth:`ProgramModel.reachable`, shared by DL104 and DL105);
-* **string-literal provenance** — module-level string constants,
-  importable across modules, so a name spelled ``PREFIX + suffix`` or
-  ``f"{SITE}:{seed}"`` still resolves to its literal prefix.
+* **one string model** — :meth:`ProgramModel.resolve_string` renders
+  a string expression as its text and its runtime parts, reading
+  module-level string constants (imported ones too), so a name spelled
+  ``PREFIX + suffix`` or ``f"{SITE}:{seed}"`` reads the same to DL101
+  and DL102.
 """
 
 from __future__ import annotations
@@ -71,16 +73,32 @@ class Finding:
 class StringVal:
     """What static analysis knows about a string expression.
 
-    ``exact=True`` means *prefix* is the whole value; ``exact=False``
-    means the value starts with *prefix* and continues with runtime
-    content (an f-string field, a concatenated variable, ...).
+    *text* is the value with each runtime part (an f-string field or a
+    concatenated name no constant resolves) replaced by one
+    :attr:`HOLE`; *dynamic* holds those parts' expressions, in order.
     """
 
-    prefix: str
-    exact: bool
+    HOLE = "\x00"
+
+    text: str
+    dynamic: tuple[ast.AST, ...] = ()
+
+    @property
+    def prefix(self) -> str:
+        """The literal text before the first runtime part."""
+        return self.text.partition(self.HOLE)[0]
+
+    @property
+    def exact(self) -> bool:
+        """Whether the whole value is known."""
+        return not self.dynamic
+
+    def __add__(self, other: StringVal) -> StringVal:
+        return StringVal(self.text + other.text,
+                         self.dynamic + other.dynamic)
 
     def render(self) -> str:
-        return self.prefix if self.exact else self.prefix + "{…}"
+        return self.text.replace(self.HOLE, "{…}")
 
 
 @dataclass(frozen=True)
@@ -197,8 +215,11 @@ class ModuleInfo:
         """Absolute dotted module for a ``from ... import`` statement."""
         if level == 0:
             return module or ""
-        # level 1 = this package, 2 = parent package, ...
+        # level 1 = this package, 2 = parent package, ...; a package's
+        # own ``__init__`` is named after the package it is.
         parts = self.name.split(".")
+        if self.filename == "__init__.py":
+            parts.append("__init__")
         base = parts[:-level] if level <= len(parts) else []
         if module:
             base.append(module)
@@ -439,41 +460,38 @@ class ProgramModel:
                        node: ast.AST) -> StringVal | None:
         """Best-effort static value of a string expression.
 
-        Handles literals, f-strings (literal head, dynamic tail),
-        ``+``-concatenation, and names resolving to module-level string
-        constants — including constants imported from sibling modules.
+        Handles literals, f-strings, ``+``-concatenation, and names
+        resolving to module-level string constants — including constants
+        imported from sibling modules, and a constant in a plain
+        f-string field.  Whatever stays unknown becomes a runtime part.
         Returns None when the expression is not string-like at all.
         """
         if isinstance(node, ast.Constant):
-            return (StringVal(node.value, True)
+            return (StringVal(node.value)
                     if isinstance(node.value, str) else None)
         if isinstance(node, ast.JoinedStr):
-            prefix: list[str] = []
-            exact = True
+            out = StringVal("")
             for part in node.values:
-                if (isinstance(part, ast.Constant)
-                        and isinstance(part.value, str)):
-                    prefix.append(part.value)
-                else:
-                    exact = False
-                    break
-            return StringVal("".join(prefix), exact)
+                if not isinstance(part, ast.FormattedValue):
+                    out += StringVal(part.value)
+                    continue
+                value = None
+                if part.conversion == -1 and part.format_spec is None:
+                    value = self.resolve_string(info, part.value)
+                out += value or StringVal(StringVal.HOLE, (part.value,))
+            return out
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
             left = self.resolve_string(info, node.left)
             if left is None:
                 return None
-            if not left.exact:
-                return left
             right = self.resolve_string(info, node.right)
-            if right is None:
-                return StringVal(left.prefix, False)
-            return StringVal(left.prefix + right.prefix, right.exact)
+            return left + (right or StringVal(StringVal.HOLE, (node.right,)))
         if isinstance(node, ast.Name) and node.id in info.constants:
-            return StringVal(info.constants[node.id], True)
+            return StringVal(info.constants[node.id])
         # A constant of another module, imported by name or reached
         # through an imported module.
         owner, _, attr = (info.dotted(node) or "").rpartition(".")
         target = self.modules.get(owner)
         if target is not None and attr in target.constants:
-            return StringVal(target.constants[attr], True)
+            return StringVal(target.constants[attr])
         return None

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import ast
 import os
-import posixpath
 import re
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -45,7 +44,7 @@ __all__ = [
 
 #: MetricsRegistry emission methods -> the instrument kind they create.
 _METRIC_KINDS = {"inc": "counter", "gauge": "gauge",
-                 "histogram": "histogram", "timer": "timer"}
+                 "histogram": "histogram"}
 
 
 @dataclass(frozen=True)
@@ -60,7 +59,7 @@ class TelemetryContractRule(Rule):
     """DL101: every telemetry name crosses the OBSERVABILITY.md catalogue.
 
     Tracepoint declarations and MetricsRegistry emissions (counters,
-    gauges, histograms, timers — including dynamic names like
+    gauges and histograms — including dynamic names like
     ``f"loadgen.latency.{cls}"``, matched by literal prefix against
     ``loadgen.latency.{class}``) are extracted program-wide and diffed
     against the two catalogue tables: an undocumented emission, a
@@ -199,44 +198,6 @@ class RngStreamRule(Rule):
     title = "named RNG streams: {site}:{purpose}…:{seed}, no escape"
     deep = True
 
-    # -- seed-expression templating -------------------------------------
-
-    @staticmethod
-    def _template(node: ast.AST) -> tuple[str, list[ast.AST]] | None:
-        """Render a string expression as ``"lit{0}lit{1}"`` plus the
-        dynamic sub-expressions, or None when not string-shaped."""
-        if isinstance(node, ast.Constant):
-            return ((node.value, [])
-                    if isinstance(node.value, str) else None)
-        if isinstance(node, ast.JoinedStr):
-            text: list[str] = []
-            dynamic: list[ast.AST] = []
-            for part in node.values:
-                if (isinstance(part, ast.Constant)
-                        and isinstance(part.value, str)):
-                    text.append(part.value)
-                else:
-                    text.append(f"\x00{len(dynamic)}\x00")
-                    dynamic.append(part.value
-                                   if isinstance(part, ast.FormattedValue)
-                                   else part)
-            return "".join(text), dynamic
-        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
-            left = RngStreamRule._template(node.left)
-            if left is None:
-                return None
-            ltext, ldyn = left
-            right = RngStreamRule._template(node.right)
-            if right is None:
-                return ltext + "\x00%d\x00" % len(ldyn), ldyn + [node.right]
-            rtext, rdyn = right
-            rtext = re.sub(r"\x00(\d+)\x00",
-                           lambda m: "\x00%d\x00" % (int(m.group(1))
-                                                     + len(ldyn)),
-                           rtext)
-            return ltext + rtext, ldyn + rdyn
-        return None
-
     @staticmethod
     def _mentions_seed(node: ast.AST) -> bool:
         for sub in ast.walk(node):
@@ -247,13 +208,9 @@ class RngStreamRule(Rule):
         return False
 
     def _check_stream_name(self, info: ModuleInfo, call: ast.Call,
-                           seed_arg: ast.AST) -> Iterator[Finding]:
-        rendered = self._template(seed_arg)
-        if rendered is None:
-            return  # non-string seed: integer/injected, SL002 territory
-        text, dynamic = rendered
-        segments = text.split(":")
-        pretty = re.sub(r"\x00\d+\x00", "{…}", text)
+                           seed: StringVal) -> Iterator[Finding]:
+        segments = seed.text.split(":")
+        pretty = seed.render()
         if len(segments) < 3:
             yield self.at(
                 info, call,
@@ -274,13 +231,13 @@ class RngStreamRule(Rule):
                 f"stream site '{site}' does not name its declaring "
                 f"module '{info.name}' — streams are per-site so a "
                 f"reader can find the declaration")
-        if re.fullmatch(r"\x00(\d+)\x00", segments[-1]) is None:
+        if segments[-1] != StringVal.HOLE:
             yield self.at(
                 info, call,
                 f"stream seed '{pretty}' must end with a dynamic "
                 f"':'-separated field (the run seed or a draw "
                 f"discriminator), not a constant")
-        if not any(self._mentions_seed(expr) for expr in dynamic):
+        if not any(self._mentions_seed(expr) for expr in seed.dynamic):
             yield self.at(
                 info, call,
                 f"no field of stream seed '{pretty}' references a seed "
@@ -289,7 +246,8 @@ class RngStreamRule(Rule):
 
     # -- escape analysis ------------------------------------------------
 
-    def _stream_assignments(self, info: ModuleInfo):
+    @staticmethod
+    def _stream_assignments(program: ProgramModel, info: ModuleInfo):
         """Yield ``(call, target, enclosing_fn, class_name)`` for every
         string-seeded Random assigned to a name or self-attribute."""
         for node in info.nodes:
@@ -300,7 +258,7 @@ class RngStreamRule(Rule):
             call = node.value
             if (info.dotted(call.func) != "random.Random"
                     or not call.args
-                    or self._template(call.args[0]) is None):
+                    or program.resolve_string(info, call.args[0]) is None):
                 continue
             target = node.targets[0]
             enclosing = None
@@ -315,10 +273,11 @@ class RngStreamRule(Rule):
                     break
             yield call, target, enclosing, class_name
 
-    def _escapes(self, info: ModuleInfo) -> Iterator[Finding]:
+    def _escapes(self, program: ProgramModel,
+                 info: ModuleInfo) -> Iterator[Finding]:
         class_attrs: dict[str, set[str]] = {}
         for call, target, enclosing, class_name in (
-                self._stream_assignments(info)):
+                self._stream_assignments(program, info)):
             if isinstance(target, ast.Name) and enclosing is not None:
                 var = target.id
                 for sub in ast.walk(enclosing):
@@ -364,10 +323,12 @@ class RngStreamRule(Rule):
         for name in sorted(program.modules):
             info = program.modules[name]
             for site in info.calls:
-                if site.node.args and site.dotted == "random.Random":
-                    yield from self._check_stream_name(
-                        info, site.node, site.node.args[0])
-            yield from self._escapes(info)
+                if not (site.node.args and site.dotted == "random.Random"):
+                    continue
+                seed = program.resolve_string(info, site.node.args[0])
+                if seed is not None:  # else integer/injected: SL002's
+                    yield from self._check_stream_name(info, site.node, seed)
+            yield from self._escapes(program, info)
 
 
 # ---------------------------------------------------------------------------
@@ -378,20 +339,12 @@ class RngStreamRule(Rule):
 class ApiSurfaceRule(Rule):
     """DL103: the code and docs/API.md declare the same stable surface.
 
-    Cross-checks five claims: every module API.md documents exists and
-    snapshots its surface in a literal ``__all__``; every row of a
-    deprecation table still has a live shim (the old name appears in the
-    shim module, typically as the ``__getattr__`` dispatch key); no
-    internal code imports a table's old spelling or calls a deprecated
-    callable (the shims exist for *downstream* callers — internal use
-    means the migration regressed); every ``*Config`` front door the
-    doc names is a frozen dataclass, because the caching and manifest
-    layers key on config values being immutable; and, when the doc
-    declares a ``<package>.scenarios`` front door, every bundled
-    ``library/*.json`` matrix loads through ``load_matrix`` and
-    honours the library contract (kebab stem, ``name`` matching the
-    stem, a ``smoke`` variant, no stray non-JSON file) so ``scenario
-    list`` cannot break at runtime on a file nobody loads in CI.
+    Cross-checks two claims: every module API.md documents exists and
+    snapshots its surface in a literal ``__all__``; and every
+    ``*Config`` front door the doc names is a frozen dataclass, because
+    the caching and manifest layers key on config values being
+    immutable.  A public name is removed outright, with a "Removed
+    surface" row in API.md: there are no deprecation shims to check.
     """
 
     code = "DL103"
@@ -406,26 +359,6 @@ class ApiSurfaceRule(Rule):
             and all(isinstance(e, ast.Constant) and isinstance(e.value, str)
                     for e in value.elts)
             for name, value in named_assignments(info.tree.body))
-
-    @staticmethod
-    def _string_literals(info: ModuleInfo) -> set[str]:
-        return {n.value for n in info.nodes
-                if isinstance(n, ast.Constant)
-                and isinstance(n.value, str)}
-
-    @staticmethod
-    def _defined_names(info: ModuleInfo) -> set[str]:
-        out: set[str] = set()
-        for node in info.nodes:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                out.add(node.name)
-            elif isinstance(node, ast.Assign):
-                for t in node.targets:
-                    if isinstance(t, ast.Name):
-                        out.add(t.id)
-        out.update(info.imports)
-        return out
 
     def _check_documented_modules(self, program: ProgramModel,
                                   api: ApiDoc) -> Iterator[Finding]:
@@ -442,74 +375,6 @@ class ApiSurfaceRule(Rule):
                     info.path, 1,
                     f"module '{module}' is documented as stable surface "
                     f"in API.md but declares no literal __all__ snapshot")
-
-    def _check_shims(self, program: ProgramModel,
-                     api: ApiDoc) -> Iterator[Finding]:
-        for dotted in sorted(api.deprecated):
-            entry = api.deprecated[dotted]
-            info = program.modules.get(entry.module)
-            if info is None:
-                yield self.doc_finding(
-                    api.path, entry.line,
-                    f"deprecation table names '{dotted}' but module "
-                    f"'{entry.module}' was not found")
-                continue
-            leaf = entry.leaf
-            if (leaf not in self._string_literals(info)
-                    and leaf not in self._defined_names(info)):
-                yield self.doc_finding(
-                    api.path, entry.line,
-                    f"documented deprecated name '{dotted}' has no shim "
-                    f"in {entry.module} (removed without updating "
-                    f"API.md?)")
-
-    def _check_internal_use(self, program: ProgramModel,
-                            api: ApiDoc) -> Iterator[Finding]:
-        # Old spellings from the deprecation tables: importing one from
-        # the shim module is the regression (the sanctioned interim
-        # import path, e.g. repro.workloads.services, stays legal).
-        by_module: dict[str, dict[str, str]] = {}
-        for entry in api.deprecated.values():
-            by_module.setdefault(entry.module, {})[entry.leaf] = (
-                entry.replacement)
-        for name in sorted(program.modules):
-            info = program.modules[name]
-            if info.name in by_module:
-                continue
-            for node in info.nodes:
-                if isinstance(node, ast.ImportFrom):
-                    base = info.resolve_relative(node.module, node.level)
-                    for alias in node.names:
-                        repl = by_module.get(base, {}).get(alias.name)
-                        if repl is not None:
-                            yield self.at(
-                                info, node,
-                                f"internal import of deprecated "
-                                f"'{base}.{alias.name}' — use {repl} "
-                                f"(shims are for downstream callers)")
-                elif isinstance(node, ast.Attribute):
-                    dotted = info.dotted(node)
-                    if dotted is None:
-                        continue
-                    module, _, leaf = dotted.rpartition(".")
-                    repl = by_module.get(module, {}).get(leaf)
-                    if repl is not None:
-                        yield self.at(
-                            info, node,
-                            f"internal use of deprecated '{dotted}' — "
-                            f"use {repl}")
-        # Deprecated callables ("### Deprecated: `sample_fleet(...)`"):
-        # calling one internally, outside its defining module, regressed.
-        for callee in sorted(api.deprecated_callables):
-            defining = {fn.module
-                        for fn in program.definitions_by_name.get(callee, ())}
-            for site in program.calls_by_name.get(callee, ()):
-                if site.module in defining:
-                    continue
-                yield self.at(
-                    program.modules[site.module], site.node,
-                    f"internal call to deprecated {callee}() "
-                    f"(docs/API.md marks it a downstream-only shim)")
 
     def _check_frozen_configs(self, program: ProgramModel,
                               api: ApiDoc) -> Iterator[Finding]:
@@ -537,80 +402,11 @@ class ApiSurfaceRule(Rule):
                             return True
         return False
 
-    _STEM_RE = re.compile(r"^[a-z0-9][a-z0-9-]*$")
-
-    def _check_scenario_library(self, program: ProgramModel,
-                                contracts: Contracts) -> Iterator[Finding]:
-        # The scenario front door (and thus the library contract) is
-        # opt-in: only packages whose API.md documents a `.scenarios`
-        # module are held to it.
-        scenarios_module = f"{contracts.package}.scenarios"
-        if scenarios_module not in contracts.api.documented_modules:
-            return
-        info = program.modules.get(scenarios_module)
-        if info is None:
-            return  # _check_documented_modules already flagged this
-        # info.path is a display path relative to the contract root;
-        # resolve it back to the filesystem before probing for library/.
-        pkg_dir = os.path.dirname(os.path.join(contracts.root, info.path))
-        library = os.path.join(pkg_dir, "library")
-        if not os.path.isdir(library):
-            yield self.doc_finding(
-                info.path, 1,
-                f"'{scenarios_module}' is documented as the scenario "
-                f"front door but ships no library/ directory of "
-                f"bundled matrices")
-            return
-        # Read through the loader `scenario list` uses, so "parses" and
-        # "well-formed" mean here exactly what they mean at runtime.
-        from ...errors import ConfigurationError
-        from ...scenarios import load_matrix
-
-        lib_display = posixpath.join(
-            posixpath.dirname(info.path), "library")
-        for entry in sorted(os.listdir(library)):
-            path = posixpath.join(lib_display, entry)
-            stem, ext = os.path.splitext(entry)
-            if ext != ".json":
-                yield self.doc_finding(
-                    path, 1,
-                    f"stray file '{entry}' in the scenario library is "
-                    f"not JSON; `list_scenarios` will not see it (a "
-                    f".yml matrix converts with the docs/API.md recipe)")
-                continue
-            if not self._STEM_RE.match(stem):
-                yield self.doc_finding(
-                    path, 1,
-                    f"scenario file name '{entry}' must be kebab-case "
-                    f"([a-z0-9-].json)")
-            fs_path = os.path.join(library, entry)
-            try:
-                scenario = load_matrix(fs_path)
-            except ConfigurationError as exc:
-                # The finding already names the file, root-relative.
-                message = str(exc).removeprefix(f"{fs_path}: ")
-                yield self.doc_finding(
-                    path, 1, f"bundled scenario does not load: {message}")
-                continue
-            if scenario.name != stem:
-                yield self.doc_finding(
-                    path, 1,
-                    f"scenario name {scenario.name!r} must match the "
-                    f"file stem '{stem}' (the `scenario run` handle)")
-            if scenario.smoke is None:
-                yield self.doc_finding(
-                    path, 1,
-                    "bundled scenario needs a 'smoke' mapping (the "
-                    "CI-sized variant every library entry must ship)")
-
     def check(self, program: ProgramModel,
               contracts: Contracts) -> Iterator[Finding]:
         api = contracts.api
         yield from self._check_documented_modules(program, api)
-        yield from self._check_shims(program, api)
-        yield from self._check_internal_use(program, api)
         yield from self._check_frozen_configs(program, api)
-        yield from self._check_scenario_library(program, contracts)
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,6 @@ in ``tool.driver.rules``, and one ``result`` per finding.  Output is
 rendered with sorted keys and a trailing newline so two identical
 analysis runs produce byte-identical files — the same determinism bar
 the simulator itself is held to.
-
-Baseline-suppressed findings are still included, carrying
-``suppressions: [{"kind": "external"}]`` so viewers show them greyed
-out rather than losing them.
 """
 
 from __future__ import annotations

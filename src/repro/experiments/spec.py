@@ -107,6 +107,10 @@ class ExperimentSpec:
             raise ConfigurationError(
                 f"experiment name {self.name!r} must be kebab-case "
                 "([a-z0-9-], starting alphanumeric)")
+        if not isinstance(self.description, str) or not self.description:
+            raise ConfigurationError(
+                f"experiment {self.name!r}: description must be a "
+                "non-empty string")
         object.__setattr__(self, "claims", tuple(self.claims))
         ids = [claim.id for claim in self.claims
                if isinstance(claim, Claim)]

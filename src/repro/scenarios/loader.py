@@ -11,8 +11,11 @@ read (missing, a directory, not UTF-8, not JSON) is a
 :class:`~repro.errors.ConfigurationError` naming the path.
 
 The bundled library (``repro scenario list``) lives next to this
-module in ``library/*.json``; each file's stem is its scenario name,
-a contract the deep linter's DL103 pass enforces.
+module in ``library/*.json``; each file's stem is its scenario name.
+:func:`list_scenarios` refuses a file whose ``name`` is not its stem,
+and ``tests/test_scenarios.py``'s ``TestLibraryIsData`` checks the
+shipped files: the pinned names, the shape, a ``smoke`` block, and
+that each one loads.
 """
 
 from __future__ import annotations

@@ -10,8 +10,7 @@ experiment manifests:
   near-zero-cost disabled path, typed :class:`TraceEvent` records carrying
   simulated-time timestamps, and ring-buffer / JSONL sinks;
 * :mod:`repro.telemetry.metrics` — a :class:`MetricsRegistry` of counters,
-  gauges, log2-bucket histograms, and scoped timers, all exposing the
-  uniform ``snapshot()`` / ``merge()`` surface;
+  gauges and log2-bucket histograms, all exposing the uniform ``snapshot()`` / ``merge()`` surface;
 * :mod:`repro.telemetry.manifest` — machine-readable per-run manifests
   (config, seed, git revision, counter snapshot), built when a run
   result's ``manifest`` is first read, and the diffing used by

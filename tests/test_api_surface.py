@@ -405,7 +405,7 @@ class TestConfigFields:
 
 
 class TestRemovedShims:
-    """Names past their deprecation window (docs/API.md, policy rule 4)
+    """Names that were once shimmed (docs/API.md, "Removal policy")
     are gone outright: using one is an ``AttributeError``/``TypeError``
     at the call site, not a warning."""
 

@@ -58,15 +58,19 @@ def counting_spec(toy_register):
 class TestSpecRegistry:
     def test_validation(self):
         with pytest.raises(ConfigurationError, match="kebab-case"):
-            ExperimentSpec(name="Bad_Name", description="",
+            ExperimentSpec(name="Bad_Name", description="d",
                            producer=lambda ctx: [])
         with pytest.raises(ConfigurationError, match="JSON scalar"):
-            ExperimentSpec(name="x", description="",
+            ExperimentSpec(name="x", description="d",
                            producer=lambda ctx: [],
                            defaults={"k": [1, 2]})
         with pytest.raises(ConfigurationError, match="version"):
-            ExperimentSpec(name="x", description="",
+            ExperimentSpec(name="x", description="d",
                            producer=lambda ctx: [], version=0)
+        for description in ("", None):
+            with pytest.raises(ConfigurationError, match="description"):
+                ExperimentSpec(name="x", description=description,
+                               producer=lambda ctx: [])
 
     def test_duplicate_registration_rejected(self, counting_spec):
         spec, _ = counting_spec
@@ -87,7 +91,7 @@ class TestSpecRegistry:
              "limit": None}
 
     def _typed_spec(self):
-        return ExperimentSpec(name="typed", description="",
+        return ExperimentSpec(name="typed", description="d",
                               producer=lambda ctx: [], defaults=self.TYPED)
 
     @pytest.mark.parametrize("key,value,expected,given", [
@@ -281,7 +285,7 @@ class TestRunExperiment:
         assert not r.cached
 
     def test_producer_must_return_list(self, cache, toy_register):
-        toy_register(ExperimentSpec(name="toy-bad", description="",
+        toy_register(ExperimentSpec(name="toy-bad", description="d",
                                     producer=lambda ctx: {"not": "a list"}))
         with pytest.raises(ConfigurationError, match="list"):
             run_experiment("toy-bad", cache=cache)
@@ -347,11 +351,11 @@ class TestNestedFetch:
             rows = ctx.fetch("toy-dep", overrides={"n": ctx.params["n"]})
             return [{"derived": rows[0]["v"] + 1}]
 
-        toy_register(ExperimentSpec(name="toy-dep", description="",
+        toy_register(ExperimentSpec(name="toy-dep", description="d",
                                     producer=dep_producer,
                                     defaults={"n": 2}))
         for name in ("toy-fig-a", "toy-fig-b"):
-            toy_register(ExperimentSpec(name=name, description="",
+            toy_register(ExperimentSpec(name=name, description="d",
                                         producer=fig_producer,
                                         defaults={"n": 2}))
         a = run_experiment("toy-fig-a", cache=cache)
@@ -455,7 +459,7 @@ class TestSweep:
                 raise RuntimeError("injected producer crash")
             return [{"x": ctx.params["x"]}]
 
-        toy_register(ExperimentSpec(name="toy-flaky", description="",
+        toy_register(ExperimentSpec(name="toy-flaky", description="d",
                                     producer=flaky, defaults={"x": 1}))
         with pytest.raises(RuntimeError, match="injected"):
             self._sweep("toy-flaky", tmp_path, capsys)
@@ -897,11 +901,11 @@ class TestClaims:
         (lambda: Band("b", "p", len), "lo, hi or both"),
         (lambda: Band("b", "p", len, 2, 1), "above hi"),
         (lambda: Ordered("o", "p", len, ">"), "op must be one of"),
-        (lambda: ExperimentSpec(name="x", description="",
+        (lambda: ExperimentSpec(name="x", description="d",
                                 producer=lambda ctx: [],
                                 claims=(Band("b", "p", len, lo=0),) * 2),
          "distinct ids"),
-        (lambda: ExperimentSpec(name="x", description="",
+        (lambda: ExperimentSpec(name="x", description="d",
                                 producer=lambda ctx: [],
                                 claims=("x > 1",)), "Claim instances"),
     ])

@@ -77,7 +77,7 @@ class TestParseOnce:
         root = FIXTURES / "dirty"
         files = [p.relative_to(root).as_posix()
                  for p in sorted(root.rglob("*.py"))]
-        assert len(files) == 13
+        assert len(files) == 11
         assert parsed == {name: 1 for name in files}
 
 
