@@ -131,7 +131,14 @@ import tokenize
 #: ``TestLibraryIsData`` check the library), and DL102 reads seeds
 #: through ``ProgramModel.resolve_string`` (``analysis/simlint`` 1,572
 #: → 1,375); ``ExperimentSpec`` refuses an empty description (+4).
-BUDGET = 12_599
+#: Then 12,599 → 12,457: one way to finish a killed run — ``repro
+#: checkpoint resume`` and what only it needed went (``run.RunKind``,
+#: ``KINDS``, ``load_resumable``, ``resume_run``, the embedded config,
+#: ``WorkloadConfig.state``/``from_state``,
+#: ``LoadgenResult.snapshot``), ``run_loadgen`` and ``survey_fleet``
+#: stopped checkpointing, and the ``fleet`` payload became JSON, so the
+#: envelope lost its ``pickle`` section type (``run.py`` 108 → 55).
+BUDGET = 12_457
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
              tokenize.INDENT, tokenize.DEDENT, tokenize.ENCODING,

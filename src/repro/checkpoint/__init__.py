@@ -1,10 +1,9 @@
 """Durable checkpoint/restore for long-horizon runs.
 
-Long churn loops, the open-loop load generator, sharded fleet surveys
-and experiment cells all checkpoint through the same primitive: a
-versioned, SHA-256-checksummed ``RPCK`` envelope written with the
-atomic tempfile + ``os.replace`` idiom and rotated across two
-generations, so a SIGKILL at any point leaves at least one fully-valid
+Long churn loops, sharded fleet campaigns and experiment cells all
+checkpoint through the same primitive: a versioned,
+SHA-256-checksummed ``RPCK`` envelope written with the atomic tempfile
++ ``os.replace`` idiom and rotated across two generations, so a SIGKILL at any point leaves at least one fully-valid
 checkpoint and a resumed run produces manifests byte-identical to an
 uninterrupted one.  See ``docs/ROBUSTNESS.md`` for the format, the
 guarantees and the failure matrix.

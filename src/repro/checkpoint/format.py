@@ -18,17 +18,14 @@ mode maps to one typed error:
 
 * ``array`` — a numpy array's raw little-endian buffer (``dtype`` from
   :data:`DTYPES`, ``shape`` a list of dimensions);
-* ``json`` — one UTF-8 JSON document;
-* ``pickle`` — one pickle, the whole payload of a run kind whose state
-  is still an object graph (``loadgen`` and the fleet kinds).
+* ``json`` — one UTF-8 JSON document.
 
-A :class:`Sections` payload is written as data: every array value is an
-``array`` section, every other value a ``json`` section, and an int64
-or int32 array is narrowed to the smallest of int16/int32 that holds
-its range (readers widen).  Any other payload becomes the one
-``pickle`` section :data:`PICKLED`.  The reader returns what the writer
-was given: a :class:`Sections` of read-only arrays (views of the file's
-bytes) and decoded JSON, or the unpickled object.
+A payload is a dict of sections, written as data: every array value is
+an ``array`` section, every other value a ``json`` section, and an
+int64 or int32 array is narrowed to the smallest of int16/int32 that
+holds its range (readers widen).  The reader returns what the writer
+was given: a dict of read-only arrays (views of the file's bytes) and
+decoded JSON.
 
 A bit flip anywhere breaks the header's or a section's SHA-256; a
 truncated file breaks the recorded lengths before any digest is even
@@ -38,7 +35,7 @@ an unknown format version is :class:`CheckpointVersionError` (a
 :class:`CheckpointCorruptError` subclass, so generic corruption handling
 catches it too).  ``repro checkpoint inspect`` describes a file from
 its header and digests alone — never decoding a section, and therefore
-without importing numpy or trusting a pickle.
+without importing numpy.
 
 :class:`CheckpointStore` keeps two generations per name and rotates
 them with ``os.replace`` only — the write path never leaves a window
@@ -55,7 +52,6 @@ import gc
 import hashlib
 import json
 import os
-import pickle
 import tempfile
 from dataclasses import dataclass, field
 from typing import Any
@@ -79,20 +75,19 @@ MAGIC = b"RPCK"
 #: 11: the handle registry's PFN map is a frame column and its slot
 #: table one int64 array.  12: ``WorkloadConfig`` lost ``loadgen`` and
 #: the pickled ``FleetConfig``/fleet aggregator lost their supervision
-#: and tail-latency fields.
-FORMAT_VERSION = 12
+#: and tail-latency fields.  13: no payload embeds its config, the
+#: ``loadgen`` and ``fleet-survey`` kinds are gone, and the ``fleet``
+#: kind writes its aggregator and scans as JSON: no ``pickle`` section.
+FORMAT_VERSION = 13
 
 #: magic + version + header length + header SHA-256.
 _PREFIX_LEN = 44
-
-#: The section name of a payload written as one pickle.
-PICKLED = "payload"
 
 #: Array dtypes a section may declare, with their item sizes.
 DTYPES = {"|b1": 1, "|i1": 1, "|u1": 1, "<i2": 2, "<i4": 4, "<i8": 8,
           "<f8": 8}
 
-_TYPES = ("array", "json", "pickle")
+_TYPES = ("array", "json")
 _ENTRY_KEYS = {"name", "type", "dtype", "shape", "len", "sha256"}
 _HEX = frozenset("0123456789abcdef")
 
@@ -104,27 +99,22 @@ _tp_restore = tracepoint("checkpoint.restore")
 _fs_write_fail = fault_site("checkpoint.write-fail")
 
 
-class Sections(dict):
-    """A payload written as data: section name -> numpy array or
-    JSON-safe value (see the module docstring)."""
-
-
 @dataclass(frozen=True)
 class Checkpoint:
     """One decoded checkpoint: the envelope header plus the payload."""
 
     kind: str
     step: int
-    payload: Any
+    payload: dict
     meta: dict = field(default_factory=dict)
     path: str = ""
 
 
 def collector_paused(fn, *args, **kwargs):
     """``fn(*args, **kwargs)`` with the cyclic collector off: a payload
-    (pickled, or snapshot into sections and restored from them) is
-    thousands of live containers and no garbage, so every collection
-    its allocations trigger is a wasted full-heap walk.  The collector
+    (snapshot into sections, or restored from them) is thousands of
+    live containers and no garbage, so every collection its
+    allocations trigger is a wasted full-heap walk.  The collector
     is left as it was found on every exit path."""
     was_enabled = gc.isenabled()
     gc.disable()
@@ -174,19 +164,13 @@ def _section(name: str, value) -> tuple[dict, Any]:
                        allow_nan=False).encode("utf-8"))
 
 
-def encode_checkpoint(kind: str, step: int, payload: Any,
+def encode_checkpoint(kind: str, step: int, payload: dict,
                       meta: dict | None = None) -> list:
     """Serialise one envelope (no I/O) as the bytes-like chunks a
     writer writes in order: the prefix and header, then every section
     body as it is — an array straight from its buffer, never copied
     into one blob."""
-    if isinstance(payload, Sections):
-        parts = [_section(name, value) for name, value in payload.items()]
-    else:
-        parts = [({"name": PICKLED, "type": "pickle", "dtype": None,
-                   "shape": None},
-                  collector_paused(pickle.dumps, payload,
-                                   protocol=pickle.HIGHEST_PROTOCOL))]
+    parts = [_section(name, value) for name, value in payload.items()]
     table = []
     for entry, body in parts:
         entry["len"] = len(body)
@@ -303,11 +287,6 @@ def _parse_header(data: bytes, path: str) -> tuple[dict, int]:
     names = [entry["name"] for entry in table]
     if len(set(names)) != len(names):
         raise CheckpointCorruptError(f"{path}: duplicate section names")
-    pickles = sum(entry["type"] == "pickle" for entry in table)
-    if pickles and (len(table) != 1 or names[0] != PICKLED):
-        raise CheckpointCorruptError(
-            f"{path}: a pickle section must be the only section, "
-            f"named {PICKLED!r}")
     return header, end
 
 
@@ -341,19 +320,15 @@ def _check(data: bytes, header: dict, offset: int, sections: list,
 
 
 def _decode(entry: dict, body: memoryview, path: str):
-    kind = entry["type"]
     try:
-        if kind == "array":
+        if entry["type"] == "array":
             import numpy as np
 
             return np.frombuffer(body, dtype=entry["dtype"]).reshape(
                 entry["shape"])
-        if kind == "json":
-            return json.loads(body.tobytes().decode("utf-8"))
-        return collector_paused(pickle.loads, body)
+        return json.loads(body.tobytes().decode("utf-8"))
     except Exception as exc:
-        step = {"array": "array view", "json": "JSON parse",
-                "pickle": "unpickle"}[kind]
+        step = {"array": "array view", "json": "JSON parse"}[entry["type"]]
         raise CheckpointCorruptError(
             f"{path}: section {entry['name']!r}: {step} failed: {exc}")
 
@@ -374,11 +349,8 @@ def read_checkpoint(path: str | os.PathLike) -> Checkpoint:
     header, offset = _parse_header(data, path)
     sections = _sections(data, header, offset)
     _check(data, header, offset, sections, path)
-    if sections and sections[0][0]["type"] == "pickle":
-        payload = _decode(*sections[0][:2], path)
-    else:
-        payload = Sections((entry["name"], _decode(entry, body, path))
-                           for entry, body, _status in sections)
+    payload = {entry["name"]: _decode(entry, body, path)
+               for entry, body, _status in sections}
     return Checkpoint(kind=header["kind"], step=header["step"],
                       payload=payload, meta=header["meta"], path=path)
 
@@ -448,7 +420,7 @@ class CheckpointStore:
     def previous_path(self) -> str:
         return os.path.join(self.directory, self.name + self.PREV_SUFFIX)
 
-    def save(self, kind: str, step: int, payload: Any,
+    def save(self, kind: str, step: int, payload: dict,
              meta: dict | None = None) -> str:
         """Write one checkpoint generation atomically; returns its path.
 
@@ -463,7 +435,7 @@ class CheckpointStore:
         # other processes run mid-save — sweeps what it left.  Staged
         # files are ``.tmp-<name>.<random>.ckpt`` and mkstemp's random
         # part holds no ".", so store ``fleet`` cannot match a staged
-        # file of ``fleet-survey`` (or of a ``fleet.x``).
+        # file of a store ``fleet.x``.
         prefix = f".tmp-{self.name}."
         for entry in os.listdir(self.directory):
             if (entry.startswith(prefix) and entry.endswith(self.SUFFIX)

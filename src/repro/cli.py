@@ -2,8 +2,9 @@
 
 Every simulation is an experiment spec (``repro experiment list``), so
 it is seeded by policy, cached, ``--json``-able and leaves a manifest;
-``scenario`` runs matrices of specs, ``checkpoint`` inspects and
-resumes killed runs, and the other verbs are tools.
+``scenario`` runs matrices of specs, ``checkpoint`` inspects a killed
+run's checkpoints (rerunning its command finishes it), and the other
+verbs are tools.
 
 Examples::
 
@@ -20,7 +21,7 @@ Examples::
     python -m repro experiment run fleet-survey --plan ci-smoke \\
         --set n_servers=6                 # ... under injected faults
     python -m repro experiment run tail-latency-interference \\
-        --set design=cacheable --resume-from ck/   # a resumable burst
+        --set design=cacheable            # a §5.3 open-loop burst
     python -m repro experiment report fig06-sources --json
     python -m repro experiment verify fig13-unavailable  # its claims,
                                           # on three seeds
@@ -540,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
     sreport.set_defaults(fn=_cmd_scenario_report)
 
     checkpoint = sub.add_parser(
-        "checkpoint", help="inspect or resume durable run checkpoints")
+        "checkpoint", help="inspect durable run checkpoints")
     csub = checkpoint.add_subparsers(dest="checkpoint_command",
                                      required=True)
 
@@ -556,23 +557,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="watchdog staleness threshold: a current generation older "
              "than this marks the run hung (default: 600)")
     cinspect.set_defaults(fn="repro.tools:cmd_checkpoint_inspect")
-
-    cresume = csub.add_parser(
-        "resume", help="continue a killed run from its last good "
-                       "checkpoint (self-describing: the config rides "
-                       "in the checkpoint)")
-    cresume.add_argument("dir", metavar="DIR",
-                         help="checkpoint directory")
-    cresume.add_argument(
-        "--name", default=None,
-        help="store name when DIR holds several (*.ckpt basename)")
-    cresume.add_argument(
-        "--checkpoint-every", type=_cadence_arg, default=0, metavar="N",
-        help="override the cadence recorded in the checkpoint")
-    cresume.add_argument(
-        "--manifest", metavar="PATH", default=None,
-        help="write the resumed run's manifest JSON to PATH")
-    cresume.set_defaults(fn="repro.tools:cmd_checkpoint_resume")
 
     trace = sub.add_parser(
         "trace", help="dump/filter a tracepoint event stream",

@@ -23,8 +23,7 @@ def _produce_tail_latency(ctx: ExperimentContext) -> list:
             migrations_per_second=p["migration_rate"],
             buffer_pages=p["buffer_pages"],
             seed=ctx.seed,
-        ),
-        **ctx.checkpointing)
+        ))
     cell = {"shape": p["shape"], "app": p["app"], "design": p["design"],
             "rate_krps": p["rate_krps"],
             "windows": result.windows_seen,

@@ -60,10 +60,9 @@ class ExperimentContext:
     steady-state run.  A dependency always runs at this cell's seed.
 
     ``checkpoint_every``/``checkpoint_dir`` are the mid-cell durability
-    knobs: producers that run long surveys or bursts splat
-    :attr:`checkpointing` into the underlying front door
-    (``run_fleet``, ``run_loadgen``, ``run_workload``) so a killed cell
-    resumes from its last good checkpoint instead of recomputing;
+    knobs: producers of long runs splat :attr:`checkpointing` into the
+    underlying front door (``run_fleet``, ``run_workload``) so a killed
+    cell resumes from its last good checkpoint instead of recomputing;
     neither knob is part of the cache key because checkpointing cannot
     change results (bit-identity contract).
     """

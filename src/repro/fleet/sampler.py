@@ -11,9 +11,9 @@ one streaming loop that folds every scan into fleet-level aggregates;
 constant memory.
 
 Every result carries a manifest (config, seeds, merged vmstat counters,
-aggregates) for ``repro metrics`` diffing, built when first read; the
-``checkpoint_every``/``checkpoint_dir``/``resume`` keywords make a
-campaign resumable (:class:`repro.run.RunSession`).
+aggregates) for ``repro metrics`` diffing, built when first read;
+``run_fleet``'s ``checkpoint_every``/``checkpoint_dir``/``resume``
+keywords make a campaign resumable (:class:`repro.run.RunSession`).
 """
 
 from __future__ import annotations
@@ -199,6 +199,24 @@ class _StreamAggregator:
                            scan.contiguity["2MB"],
                            scan.unmovable["2MB"]))
 
+    def snapshot(self) -> dict:
+        """JSON-safe state: a ``fleet`` checkpoint's ``agg`` section."""
+        return {"seen": sorted(self.seen), "rows": self._rows,
+                "sources": {src.name: n for src, n
+                            in self._source_totals.items()},
+                "vmstat": self._vmstat.snapshot()}
+
+    @classmethod
+    def restore(cls, state: dict) -> "_StreamAggregator":
+        """The aggregator :meth:`snapshot` described."""
+        agg = cls()
+        agg.seen = set(state["seen"])
+        agg._rows = [tuple(row) for row in state["rows"]]
+        agg._source_totals = {AllocSource[name]: n
+                              for name, n in state["sources"].items()}
+        agg._vmstat = CounterSet(state["vmstat"])
+        return agg
+
     def finalize(self) -> FleetSummary:
         rows = sorted(self._rows)
         live = len(rows)
@@ -233,7 +251,7 @@ def _manifest_config(n_servers: int, config: ServerConfig | None,
         "kernel": cfg.kernel_cls.__name__,
         "min_uptime_steps": cfg.min_uptime_steps,
         "max_uptime_steps": cfg.max_uptime_steps,
-        # A constant, kept so recorded checkpoint identities still match.
+        # A constant, kept so manifests do not move.
         "utilization_range": list(UTILIZATION_RANGE),
         # Declarative chaos rides in the manifest so a chaos run diffs
         # cleanly against a clean run of the same seed.
@@ -242,20 +260,20 @@ def _manifest_config(n_servers: int, config: ServerConfig | None,
     }
 
 
-def _run_campaign(kind: str, config: FleetConfig,
+def _run_campaign(config: FleetConfig,
                   scans: dict[int, ServerScan] | None, **checkpointing):
     """The one fleet loop: stream scans as servers complete, fold each
     into the aggregator, and keep it in *scans* unless that is None.
 
-    Returns ``(summary, scans)``.  A checkpoint carries the aggregator
-    (constant size, and it knows which indices it has seen) plus the
-    kept scans when there are any; a resumed campaign runs only the
-    servers the killed one never finished, and per-index seeding makes
-    the outcome byte-identical to an uninterrupted run's.
+    Returns ``(summary, scans)``.  A checkpoint (``run_fleet``'s only)
+    is data: the aggregator's state (it knows which indices it has
+    seen) and the kept scans, as JSON.  A resumed campaign runs only
+    the servers the killed one never finished, and per-index seeding
+    makes the outcome byte-identical to an uninterrupted run's.
     """
     if not isinstance(config, FleetConfig):
         raise ConfigurationError(
-            f"{kind} campaigns take a FleetConfig, "
+            "fleet campaigns take a FleetConfig, "
             f"got {type(config).__name__}")
     agg = _StreamAggregator()
     identity = _manifest_config(config.n_servers, config.server,
@@ -264,10 +282,12 @@ def _run_campaign(kind: str, config: FleetConfig,
     # worker starts or a checkpoint directory is made.
     check_survey_fit(config.n_servers, identity["mem_bytes"],
                      config.workers)
-    session = RunSession(kind, config, identity, **checkpointing)
+    session = RunSession("fleet", identity, **checkpointing)
     ckpt = session.restore()
     if ckpt is not None:
-        agg, scans = ckpt.payload["agg"], ckpt.payload["scans"]
+        agg = _StreamAggregator.restore(ckpt.payload["agg"])
+        scans = {index: ServerScan.from_snapshot(snap)
+                 for index, snap in ckpt.payload["scans"]}
     for index, scan in iter_fleet_scans(
             config.n_servers, config=config.server,
             base_seed=config.base_seed, workers=config.workers,
@@ -276,8 +296,9 @@ def _run_campaign(kind: str, config: FleetConfig,
         agg.add(index, scan)
         if scans is not None:
             scans[index] = scan
-        session.boundary(len(agg.seen),
-                         lambda: {"agg": agg, "scans": scans})
+        session.boundary(len(agg.seen), lambda: {
+            "agg": agg.snapshot(),
+            "scans": [[i, s.snapshot()] for i, s in scans.items()]})
     summary = agg.finalize()
     summary.manifest_parts = session.manifest(
         seed=config.base_seed, workers=resolve_workers(config.workers))
@@ -305,33 +326,28 @@ def run_fleet(config: FleetConfig, /, *,
     chaos-campaign entry point — the same seed and plan always produce
     the same manifest.
 
-    ``checkpoint_every``/``checkpoint_dir``/``resume`` make the campaign
-    durable (every N completed servers) and resumable; see
+    ``checkpoint_every``/``checkpoint_dir`` make the campaign durable
+    (every N completed servers); calling this again with
+    ``resume=True`` finishes a killed one.  See
     :class:`repro.run.RunSession`.
     """
     summary, scans = _run_campaign(
-        "fleet", config, {}, checkpoint_every=checkpoint_every,
+        config, {}, checkpoint_every=checkpoint_every,
         checkpoint_dir=checkpoint_dir, resume=resume)
     sample = FleetSample(scans=[scans[i] for i in range(config.n_servers)])
     sample.manifest_parts = summary.manifest_parts
     return sample
 
 
-def survey_fleet(config: FleetConfig, *,
-                 checkpoint_every: int = 0,
-                 checkpoint_dir: str | None = None,
-                 resume: bool = False) -> FleetSummary:
+def survey_fleet(config: FleetConfig) -> FleetSummary:
     """Run a fleet campaign in constant memory.
 
     The 1,000-server entry point: where :func:`run_fleet` holds every
     :class:`~repro.fleet.server.ServerScan` until the campaign ends,
     this keeps only the aggregator's four floats per server, so peak
-    memory is independent of ``n_servers`` — and so are its
-    checkpoints.  Supervision (retries, fault plans),
-    checkpoint/resume and the manifest's deterministic view are
-    identical to :func:`run_fleet` for the same config — only the
-    per-scan list is absent.
+    memory is independent of ``n_servers``.  Supervision (retries,
+    fault plans) and the manifest's deterministic view are identical
+    to :func:`run_fleet` for the same config — only the per-scan list
+    is absent.  It takes no checkpoints.
     """
-    return _run_campaign(
-        "fleet-survey", config, None, checkpoint_every=checkpoint_every,
-        checkpoint_dir=checkpoint_dir, resume=resume)[0]
+    return _run_campaign(config, None)[0]

@@ -1,5 +1,5 @@
 """The tool verbs of ``repro``: ``lint``, ``trace``, ``metrics`` and
-``checkpoint inspect|resume``.
+``checkpoint inspect``.
 
 :func:`repro.cli.build_parser` names each handler by a
 ``"repro.tools:function"`` door string that :func:`repro.cli.main`
@@ -200,28 +200,3 @@ def cmd_checkpoint_inspect(args) -> None:
         print(f"\n{report['name']}: watchdog {wd['status']} "
               f"({age}, deadline {wd['deadline_s']:.0f}s)")
 
-
-def cmd_checkpoint_resume(args) -> None:
-    import json
-    import sys
-
-    from .cli import write_manifest_arg
-    from .run import load_resumable, resume_run
-
-    names = _store_names(args.dir)
-    name = args.name or (names[0] if len(names) == 1 else None)
-    if name is None:
-        raise SystemExit(
-            f"repro: several checkpoint stores under {args.dir!r} "
-            f"({', '.join(names)}); pick one with --name")
-    if name not in names:
-        raise SystemExit(
-            f"repro: no checkpoint store {name!r} under {args.dir!r}; "
-            f"present: {', '.join(names)}")
-    ckpt = load_resumable(args.dir, name)
-    print(f"# resuming {ckpt.kind} from step {ckpt.step} ({ckpt.path})",
-          file=sys.stderr)
-    result = resume_run(ckpt, args.dir,
-                        checkpoint_every=args.checkpoint_every)
-    print(json.dumps(result.snapshot(), indent=2, sort_keys=True))
-    write_manifest_arg(args, result, "run")

@@ -11,15 +11,13 @@ point's.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from ..errors import CheckpointCorruptError, ConfigurationError
 from ..mm.handle import HandleTable
 from ..mm.sections import nest, scope
 from ..run import RunSession
 from ..telemetry.manifest import LazyManifest
-from .tracespec import TraceSpec
 from ..units import MiB, PAGEBLOCK_FRAMES
 from .base import Workload, WorkloadSpec
 from .registry import canonical_service_name, get_service
@@ -84,24 +82,6 @@ class WorkloadConfig:
         name)."""
         return {**vars(self), "service": self.service_name}
 
-    def state(self) -> dict:
-        """The whole config as JSON (a literal spec included), for
-        :meth:`from_state`: the ``config`` section of this run's
-        checkpoints."""
-        return json.loads(json.dumps(asdict(self)))
-
-    @classmethod
-    def from_state(cls, state: dict) -> "WorkloadConfig":
-        """The config :meth:`state` wrote."""
-        service = state["service"]
-        if isinstance(service, dict):
-            service = WorkloadSpec(**{
-                **service, "net_buffer_orders": tuple(
-                    service["net_buffer_orders"]),
-                "data_trace": TraceSpec(**service["data_trace"]),
-                "instr_trace": TraceSpec(**service["instr_trace"])})
-        return cls(**{**state, "service": service})
-
 
 @dataclass
 class WorkloadResult(LazyManifest):
@@ -151,11 +131,12 @@ def run_workload(config: WorkloadConfig, *,
 
     With ``checkpoint_every > 0`` and a ``checkpoint_dir``, the churn
     loop checkpoints every N steps and gives the ``sim.crash`` fault
-    site a shot at each boundary.  ``resume=True`` restores the last
-    good checkpoint of *this* config — after a sanitizer sweep — and
-    continues; the finished result is byte-identical to an
-    uninterrupted run's.  The plumbing is
-    :class:`repro.run.RunSession`'s.
+    site a shot at each boundary.  ``resume=True`` with a
+    ``checkpoint_dir`` (a cadence is not needed) restores the last good
+    checkpoint of *this* config — after a sanitizer sweep — and
+    continues: calling this again is how a killed run is finished, and
+    the finished result is byte-identical to an uninterrupted run's.
+    The plumbing is :class:`repro.run.RunSession`'s.
     """
     if not isinstance(config, WorkloadConfig):
         raise ConfigurationError(
@@ -167,7 +148,7 @@ def run_workload(config: WorkloadConfig, *,
     from ..core import ContiguitasConfig, ContiguitasKernel
     from ..mm import KernelConfig, LinuxKernel
 
-    session = RunSession("workload", config, config.snapshot(),
+    session = RunSession("workload", config.snapshot(),
                          checkpoint_every=checkpoint_every,
                          checkpoint_dir=checkpoint_dir, resume=resume)
     ckpt = session.restore()
@@ -207,13 +188,13 @@ def run_workload(config: WorkloadConfig, *,
 def _snapshot(kernel, workload):
     """One checkpoint's sections: the kernel's, the driver's, and the
     handle table both wrote their handles into."""
-    from ..checkpoint.format import Sections, collector_paused
+    from ..checkpoint.format import collector_paused
 
     def sections():
         table = HandleTable()
-        return Sections({**nest("kernel", kernel.snapshot(table)),
-                         **nest("workload", workload.snapshot(table)),
-                         **nest("handles", table.snapshot())})
+        return {**nest("kernel", kernel.snapshot(table)),
+                **nest("workload", workload.snapshot(table)),
+                **nest("handles", table.snapshot())}
     return collector_paused(sections)
 
 

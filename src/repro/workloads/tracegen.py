@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass
 
 from ..core.hwext.metadata import AccessMode
 from ..errors import ConfigurationError
-from ..sim.params import ArchParams, DEFAULT_PARAMS
+from ..sim.params import DEFAULT_PARAMS
 from ..run import RunSession
 from ..telemetry import Histogram, MetricsRegistry, tracepoint
 from ..telemetry.manifest import LazyManifest
@@ -401,9 +401,9 @@ class LoadgenConfig:
                 "or duration")
 
     def snapshot(self) -> dict:
-        """JSON-safe view of the configuration, and the identity a
-        checkpoint of this run records; it names the guard rail too, so
-        format-12 checkpoints keep resuming."""
+        """JSON-safe view of the configuration: the run manifest's
+        ``config`` section.  It names the guard rail too, so manifests
+        keep the key they always carried."""
         return {**asdict(self), "max_requests": MAX_REQUESTS}
 
 
@@ -441,15 +441,6 @@ class LoadgenResult(LazyManifest):
         return [{"class": cls, **stats}
                 for cls, stats in self.summary().items()]
 
-    def snapshot(self) -> dict:
-        """JSON-safe outcome: what ``repro checkpoint resume`` prints
-        for a resumed burst."""
-        return {"requests": self.requests,
-                "windows_seen": self.windows_seen,
-                "spikes": self.spikes,
-                "achieved_rps": round(self.achieved_rps, 3),
-                "rows": self.rows()}
-
     def manifest_derived(self) -> dict:
         """Counters, latency histograms and per-class percentiles: the
         percentiles sort every sample, so they wait for a reader."""
@@ -469,46 +460,46 @@ class LoadgenResult(LazyManifest):
                    for key, val in stats.items()}}}
 
 
-def _run_open_loop(config: LoadgenConfig, params: ArchParams,
-                   session: RunSession) -> LoadgenResult:
+def run_loadgen(config: LoadgenConfig) -> LoadgenResult:
+    """Run one open-loop load-generation burst.
+
+    Arrivals are sampled from the configured :class:`TraceShape`,
+    dispatched against a :class:`RequestLoop` under the configured
+    migration design, and per-request latencies recorded.  The result's
+    ``manifest`` (latency histograms included) is built when first read.
+    A burst is short and its experiment cell is cached, so it takes no
+    checkpoints.
+    """
+    params = DEFAULT_PARAMS
     shape = get_shape(config.shape)
     app = APPS[config.app]
     freq_hz = params.freq_ghz * 1e9
 
     # Arrivals and service demands are pure functions of (shape, rate,
-    # duration, seed) via named streams, so a resumed run regenerates
-    # them instead of carrying ~10^5 floats in every checkpoint.
+    # duration, seed) via named streams.
     arrivals, spikes = sample_arrivals(
         shape, config.rate_rps, config.duration_s, seed=config.seed)
     services = sample_service(shape, len(arrivals), seed=config.seed)
 
-    ckpt = session.restore()
-    if ckpt is not None:
-        loop = ckpt.payload["loop"]
-        schedule: MigrationSchedule | None = ckpt.payload["schedule"]
-        recorders = ckpt.payload["recorders"]
-        windows_before = ckpt.payload["windows_before"]
-    else:
-        loop = RequestLoop(app, params, buffer_pages=config.buffer_pages,
-                           seed=config.seed)
-        schedule = None
-        if config.design != "none" and config.migrations_per_second > 0:
-            schedule = loop.make_schedule(config.migrations_per_second)
-        recorders = {"all": LatencyRecorder(),
-                     "migration": LatencyRecorder(),
-                     "quiet": LatencyRecorder()}
-        windows_before = 0
-        if _tp_start.enabled:
-            _tp_start.emit(shape=shape.name, app=app.name,
-                           design=config.design, rate_rps=config.rate_rps,
-                           offered=len(arrivals))
+    loop = RequestLoop(app, params, buffer_pages=config.buffer_pages,
+                       seed=config.seed)
+    schedule: MigrationSchedule | None = None
+    if config.design != "none" and config.migrations_per_second > 0:
+        schedule = loop.make_schedule(config.migrations_per_second)
+    recorders = {"all": LatencyRecorder(),
+                 "migration": LatencyRecorder(),
+                 "quiet": LatencyRecorder()}
+    windows_before = 0
+    if _tp_start.enabled:
+        _tp_start.emit(shape=shape.name, app=app.name,
+                       design=config.design, rate_rps=config.rate_rps,
+                       offered=len(arrivals))
     mode = (AccessMode.CACHEABLE
             if config.design == "cacheable" and schedule is not None
             else AccessMode.NONCACHEABLE)
 
     core = loop.core
-    for index in range(ckpt.step if ckpt is not None else 0, len(arrivals)):
-        arrival_s, instructions = arrivals[index], services[index]
+    for arrival_s, instructions in zip(arrivals, services):
         arrival = arrival_s * freq_hz
         if core.stats.cycles < arrival:
             # Server idle until this arrival: open-loop dispatch means
@@ -527,11 +518,6 @@ def _run_open_loop(config: LoadgenConfig, params: ArchParams,
             _tp_window.emit(opened=schedule.windows_seen - windows_before,
                             total=schedule.windows_seen)
             windows_before = schedule.windows_seen
-        # One attribute test per request when not checkpointing.
-        if session.store is not None:
-            session.boundary(index + 1, lambda: {
-                "loop": loop, "schedule": schedule, "recorders": recorders,
-                "windows_before": windows_before})
 
     windows_seen = schedule.windows_seen if schedule else 0
     result = LoadgenResult(
@@ -542,33 +528,9 @@ def _run_open_loop(config: LoadgenConfig, params: ArchParams,
         span_cycles=core.stats.cycles,
         freq_ghz=params.freq_ghz,
         latency=recorders)
+    result.manifest_parts = RunSession(
+        "loadgen", config.snapshot()).manifest(seed=config.seed)
     if _tp_done.enabled:
         _tp_done.emit(requests=result.requests, windows=windows_seen,
                       p99_us=result.summary()["all"]["p99_us"])
-    return result
-
-
-def run_loadgen(config: LoadgenConfig,
-                params: ArchParams = DEFAULT_PARAMS, *,
-                checkpoint_every: int = 0,
-                checkpoint_dir: str | None = None,
-                resume: bool = False) -> LoadgenResult:
-    """Run one open-loop load-generation burst.
-
-    Arrivals are sampled from the configured :class:`TraceShape`,
-    dispatched against a :class:`RequestLoop` under the configured
-    migration design, and per-request latencies recorded.  The result's
-    ``manifest`` (latency histograms included) is built when first read.
-
-    With ``checkpoint_every > 0`` and a ``checkpoint_dir``, the request
-    loop checkpoints every N served requests; ``resume=True`` restores
-    the last good checkpoint of *this* config and finishes the burst
-    with a manifest byte-identical to an uninterrupted run's.  The
-    plumbing is :class:`repro.run.RunSession`'s.
-    """
-    session = RunSession("loadgen", config, config.snapshot(),
-                         checkpoint_every=checkpoint_every,
-                         checkpoint_dir=checkpoint_dir, resume=resume)
-    result = _run_open_loop(config, params, session)
-    result.manifest_parts = session.manifest(seed=config.seed)
     return result

@@ -93,12 +93,11 @@ def through_envelope(sections: dict) -> dict:
     import tempfile
 
     from repro.checkpoint import encode_checkpoint, read_checkpoint
-    from repro.checkpoint.format import Sections
 
     with tempfile.TemporaryDirectory() as directory:
         path = os.path.join(directory, "sections.ckpt")
         with open(path, "wb") as fh:
-            fh.writelines(encode_checkpoint("test", 0, Sections(sections)))
+            fh.writelines(encode_checkpoint("test", 0, sections))
         return read_checkpoint(path).payload
 
 

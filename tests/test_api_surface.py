@@ -637,14 +637,7 @@ UNPASSED_ALLOWED = {
 
 def _callees(func) -> list[str]:
     """The names a call of *func* reaches: the bare name or attribute
-    called (as DL105 matches), or for ``_resolve(kind.door)(...)`` each
-    front door a ``run.KINDS`` door string names."""
-    if (isinstance(func, ast.Call)
-            and getattr(func.func, "id", None) == "_resolve"
-            and func.args and getattr(func.args[0], "attr", None) == "door"):
-        from repro.run import KINDS
-
-        return [kind.door.partition(":")[2] for kind in KINDS.values()]
+    called (as DL105 matches)."""
     name = getattr(func, "id", None) or getattr(func, "attr", None)
     return [] if name is None else [name]
 
@@ -724,14 +717,6 @@ class TestParameterAudit:
         stale = sorted(set(UNPASSED_ALLOWED) - set(found))
         assert not stale, f"allowlisted but passed now: {stale}"
         assert [p for p in found if p not in UNPASSED_ALLOWED] == []
-
-    def test_door_string_calls_count_for_each_front_door(self):
-        """``resume_run`` calls ``_resolve(kind.door)(config, resume=True,
-        ...)``: that call passes its keywords to every door KINDS names,
-        so ``survey_fleet(resume)`` is passed outside the tests."""
-        sites = _call_sites(("src", "benchmarks", "examples"))
-        assert any("resume" in kws
-                   for _, kws, _, _ in sites.get("survey_fleet", ()))
 
     def test_the_kernel_entry_gap_is_one_constant(self):
         """§5.3's ~25 µs kernel-entry window: the lazy-invalidation

@@ -5,7 +5,6 @@ resumed produces byte-identical results to an uninterrupted run."""
 import gc
 import json
 import os
-import pickle
 import re
 
 import pytest
@@ -43,7 +42,7 @@ def _envelope(*args, **kwargs) -> bytes:
 class TestEnvelope:
     def test_encode_read_round_trip(self, tmp_path):
         path = tmp_path / "x.ckpt"
-        payload = {"nums": list(range(50)), "nested": {"a": (1, 2)}}
+        payload = {"nums": list(range(50)), "nested": {"a": [1, 2]}}
         path.write_bytes(_envelope(
             "demo", 7, payload, meta={"seed": 3}))
         ckpt = read_checkpoint(path)
@@ -94,11 +93,12 @@ class TestEnvelope:
         is a section table of arrays and JSON, 11 the same with the
         handle registry as a frame column and a slot array, 12 the same
         with ``WorkloadConfig`` and the fleet's pickled config and
-        aggregator rid of their test-only fields.  Resuming any older
-        file must stop at the envelope, not mid-decode."""
-        assert FORMAT_VERSION == 12
+        aggregator rid of their test-only fields, 13 the same with no
+        embedded config and no pickle section at all.  Resuming any
+        older file must stop at the envelope, not mid-decode."""
+        assert FORMAT_VERSION == 13
         path = tmp_path / "x.ckpt"
-        for old in range(1, 12):
+        for old in range(1, 13):
             data = bytearray(_envelope("workload", 1, {}))
             data[4:8] = old.to_bytes(4, "big")
             path.write_bytes(bytes(data))
@@ -140,29 +140,9 @@ class TestEnvelope:
         assert inspect_checkpoint(vsk)["status"] == "version-skew"
 
 
-#: ``gc.isenabled()`` as seen from inside pickle.dumps / pickle.loads.
-_collector_seen = []
-
-
-def _collector_probe(corrupt):
-    _collector_seen.append(("loads", gc.isenabled()))
-    if corrupt:
-        raise ValueError("a blob that passes the checksum and will not load")
-    return 0
-
-
-class _CollectorProbe:
-    def __init__(self, corrupt=False):
-        self.corrupt = corrupt
-
-    def __reduce__(self):
-        _collector_seen.append(("dumps", gc.isenabled()))
-        return _collector_probe, (self.corrupt,)
-
-
 class TestCollectorPaused:
-    """Encode and decode run with the cyclic collector off and leave it
-    exactly as they found it, on every exit path."""
+    """Snapshot and restore run with the cyclic collector off and leave
+    it exactly as they found it, on every exit path."""
 
     @pytest.fixture(autouse=True)
     def _put_the_collector_back(self):
@@ -171,31 +151,27 @@ class TestCollectorPaused:
         (gc.enable if was_enabled else gc.disable)()
 
     @pytest.mark.parametrize("enabled", [True, False])
-    def test_state_after_equals_state_before(self, tmp_path, enabled):
+    def test_state_after_equals_state_before(self, enabled):
+        from repro.checkpoint.format import collector_paused
+
         (gc.enable if enabled else gc.disable)()
-        path = tmp_path / "x.ckpt"
-        del _collector_seen[:]
-        path.write_bytes(_envelope("demo", 1, _CollectorProbe()))
-        assert gc.isenabled() is enabled
-        assert read_checkpoint(path).payload == 0
+        assert collector_paused(gc.isenabled) is False
         assert gc.isenabled() is enabled
 
-        with pytest.raises((pickle.PicklingError, AttributeError)):
-            _envelope("demo", 1, lambda: None)
+        def fails():
+            raise ValueError("a section that does not restore")
+
+        with pytest.raises(ValueError):
+            collector_paused(fails)
         assert gc.isenabled() is enabled
-        path.write_bytes(_envelope("demo", 1, _CollectorProbe(True)))
-        with pytest.raises(CheckpointCorruptError, match="unpickle failed"):
-            read_checkpoint(path)
-        assert gc.isenabled() is enabled
-        assert _collector_seen == [("dumps", False), ("loads", False)] * 2
 
 
 class TestPayloadShape:
-    """A ``workload`` checkpoint is data: array and JSON sections and no
-    pickle.  A handle is one row of the handle table however many
-    holders name it, a bulk page nobody named one int of the slot
-    table, and an int64 frame column is written at the narrowest width
-    that holds its range."""
+    """A ``workload`` checkpoint is data: array and JSON sections.  A
+    handle is one row of the handle table however many holders name
+    it, a bulk page nobody named one int of the slot table, and an
+    int64 frame column is written at the narrowest width that holds its
+    range."""
 
     @pytest.mark.parametrize("kernel_name", ["linux", "contiguitas"])
     def test_a_workload_checkpoint_is_typed_sections(self, kernel_name,
@@ -231,14 +207,12 @@ class TestPayloadShape:
     def test_int64_arrays_are_narrowed_and_read_back_equal(self, tmp_path):
         import numpy as np
 
-        from repro.checkpoint.format import Sections
-
         arrays = {"small": np.array([-1, 0, 32767]),
                   "medium": np.array([-1, 70_000]),
                   "large": np.array([1 << 40]), "empty": np.array([], int),
                   "bytes": np.array([1, 2], np.uint8)}
         path = tmp_path / "x.ckpt"
-        path.write_bytes(_envelope("demo", 0, Sections(arrays)))
+        path.write_bytes(_envelope("demo", 0, arrays))
         back = read_checkpoint(path).payload
         assert {name: value.dtype.str for name, value in back.items()} == {
             "small": "<i2", "medium": "<i4", "large": "<i8",
@@ -269,10 +243,8 @@ def _parts(data: bytes) -> tuple[dict, bytes]:
 def _array_file() -> bytes:
     import numpy as np
 
-    from repro.checkpoint.format import Sections
-
-    return _envelope("demo", 3, Sections(
-        {"a": np.arange(4, dtype=np.int16), "b": {"k": [1, 2]}}))
+    return _envelope("demo", 3, {"a": np.arange(4, dtype=np.int16),
+                                 "b": {"k": [1, 2]}})
 
 
 def _set(path):
@@ -323,6 +295,7 @@ MALFORMED = {
     "shape-disagrees-with-len": (_set(["sections", 0, "shape"]), [5]),
     "json-section-with-dtype": (_set(["sections", 1, "dtype"]), "<i2"),
     "pickle-beside-another": (_set(["sections", 1, "type"]), "pickle"),
+    "type-pickle": (_set(["sections", 0, "type"]), "pickle"),
 }
 
 
@@ -719,17 +692,28 @@ class TestWorkloadCrashResume:
                      checkpoint_dir=str(tmp_path), resume=True)
         assert store.load_latest().step == self.STEPS
 
-    def test_checkpoint_payload_is_self_describing(self, tmp_path):
+    def test_resume_needs_no_cadence(self, tmp_path):
+        """Calling the front door again with ``resume=True`` finishes a
+        killed run; a directory without a cadence still restores."""
+        from repro.checkpoint.format import metrics
         from repro.workloads import run_workload
 
         config = self._config(5)
-        run_workload(config, checkpoint_every=4,
-                     checkpoint_dir=str(tmp_path))
-        from repro.workloads import WorkloadConfig
-
-        ckpt = CheckpointStore(str(tmp_path), "workload").load_latest()
-        assert WorkloadConfig.from_state(ckpt.payload["config"]) == config
-        assert ckpt.meta["checkpoint_every"] == 4
+        with injecting(_crash_plan(2), seed=0):
+            with pytest.raises(SimCrashError):
+                run_workload(config, checkpoint_every=2,
+                             checkpoint_dir=str(tmp_path))
+        restores = metrics.counters.snapshot().get("checkpoint.restores", 0)
+        resumed = run_workload(config, checkpoint_dir=str(tmp_path),
+                               resume=True)
+        assert metrics.counters.snapshot()[
+            "checkpoint.restores"] == restores + 1
+        assert resumed.manifest["volatile"]["resumed"] is True
+        assert resumed.snapshot() == run_workload(config).snapshot()
+        # Without a cadence nothing is written: the killed run's
+        # checkpoint (step 4) is still the newest.
+        store = CheckpointStore(str(tmp_path), "workload")
+        assert store.load_latest().step == 4
 
 
 class TestCrashRestartPlan:
@@ -772,21 +756,18 @@ class TestFleetResume:
                 run_fleet(config, checkpoint_every=1,
                           checkpoint_dir=str(tmp_path))
         ckpt = CheckpointStore(str(tmp_path), "fleet").load_latest()
-        assert sorted(ckpt.payload["scans"]) == [0, 1]
+        assert ckpt.payload["agg"]["seen"] == [0, 1]
+        assert sorted(index for index, _scan
+                      in ckpt.payload["scans"]) == [0, 1]
 
     def test_resume_with_no_checkpoint_starts_fresh(self, tmp_path):
-        from repro.fleet import run_fleet, survey_fleet
+        from repro.fleet import run_fleet
 
         config = _small_fleet(9, n_servers=2)
         fresh = run_fleet(config, checkpoint_every=1,
                           checkpoint_dir=str(tmp_path / "empty"),
                           resume=True)
         assert fresh == run_fleet(config)
-        summary = survey_fleet(config, checkpoint_every=1,
-                               checkpoint_dir=str(tmp_path / "survey"),
-                               resume=True)
-        assert (deterministic_view(summary.manifest)
-                == deterministic_view(survey_fleet(config).manifest))
 
 
 def _contract_cases():
@@ -794,31 +775,44 @@ def _contract_cases():
     that differs)."""
     from dataclasses import replace
 
-    from repro.workloads import LoadgenConfig, WorkloadConfig
+    from repro.workloads import WorkloadConfig
 
     workload = WorkloadConfig(service="web", mem_bytes=MiB(16), steps=12,
                               seed=1)
-    loadgen = LoadgenConfig(rate_rps=150_000.0, duration_s=1e-3, seed=7)
     fleet = _small_fleet(3)
     return {
         "workload": (workload, 2,
                      replace(workload, service="cache-b", seed=2), "seed"),
-        "loadgen": (loadgen, 25, replace(loadgen, design="none"), "design"),
         "fleet": (fleet, 1, replace(fleet, n_servers=6), "n_servers"),
-        "fleet-survey": (fleet, 1, replace(fleet, base_seed=4),
-                         "base_seed"),
     }
 
 
 def _run_kind(kind, config, **checkpointing):
-    """Call *kind*'s front door the way the registry names it."""
-    import importlib
+    """Call the front door that checkpoints as *kind*."""
+    from repro.fleet import run_fleet
+    from repro.workloads import run_workload
 
-    from repro.run import KINDS
+    door = {"workload": run_workload, "fleet": run_fleet}[kind]
+    return door(config, **checkpointing)
 
-    module, _, function = KINDS[kind].door.partition(":")
-    return getattr(importlib.import_module(module), function)(
-        config, **checkpointing)
+
+def test_every_registered_run_kind_has_a_contract_case():
+    """Every front door whose ``RunSession`` takes the checkpoint
+    keywords has a contract case, and no other kind does."""
+    import ast
+    import pathlib
+
+    import repro
+
+    kinds = set()
+    for path in pathlib.Path(repro.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "RunSession"
+                    and any(k.arg in (None, "checkpoint_dir")
+                            for k in node.keywords)):
+                kinds.add(node.args[0].value)
+    assert sorted(kinds) == sorted(_contract_cases())
 
 
 def _view(result) -> str:
@@ -827,17 +821,10 @@ def _view(result) -> str:
     return json.dumps(deterministic_view(result.manifest), sort_keys=True)
 
 
-def test_every_registered_run_kind_has_a_contract_case():
-    """Adding a row to the kind registry means adding its case here."""
-    from repro.run import KINDS
-
-    assert sorted(KINDS) == sorted(_contract_cases())
-
-
 @pytest.mark.parametrize("kind", sorted(_contract_cases()))
 class TestRunSessionContract:
-    """The run-session contract (docs/INTERNALS.md), once per
-    registered run kind."""
+    """The run-session contract (docs/INTERNALS.md), once per front
+    door that checkpoints."""
 
     def test_crash_restart_resume_is_byte_identical(self, kind, tmp_path):
         """The crash-restart plan: boundary 1's write dies before any
@@ -1121,44 +1108,16 @@ class TestCheckpointCli:
         with pytest.raises(SystemExit, match="no such checkpoint"):
             main(["checkpoint", "inspect", str(tmp_path / "nope")])
 
-    def test_resume_reconstructs_run_from_payload(
-            self, tmp_path, capsys):
-        from repro.cli import main
-        from repro.workloads import run_workload
-
-        config = self._seed_store(tmp_path)
-        main(["checkpoint", "resume", str(tmp_path)])
-        captured = capsys.readouterr()
-        assert "resuming workload from step 4" in captured.err
-        resumed = json.loads(captured.out)
-        assert resumed == run_workload(config).snapshot()
-
-    @pytest.mark.parametrize("kind", sorted(_contract_cases()))
-    def test_resume_output_per_kind(self, kind, tmp_path, capsys):
-        """``repro checkpoint resume`` needs no flags for any kind and
-        prints the finished run's snapshot as JSON (indent 2, sorted
-        keys)."""
+    def test_resume_is_not_a_verb(self, tmp_path, capsys):
+        """A killed run is finished by rerunning its command, so
+        ``checkpoint`` has one subcommand."""
         from repro.cli import main
 
-        config, every, _, _ = _contract_cases()[kind]
-        with injecting(_crash_plan(2), seed=0):
-            with pytest.raises(SimCrashError):
-                _run_kind(kind, config, checkpoint_every=every,
-                          checkpoint_dir=str(tmp_path))
-        main(["checkpoint", "resume", str(tmp_path)])
-        captured = capsys.readouterr()
-        assert captured.err == (
-            f"# resuming {kind} from step {2 * every} "
-            f"({tmp_path}/{kind}.ckpt)\n")
-        ref = _run_kind(kind, config)
-        assert captured.out == json.dumps(
-            ref.snapshot(), indent=2, sort_keys=True) + "\n"
-
-    def test_resume_empty_dir_exits(self, tmp_path):
-        from repro.cli import main
-
-        with pytest.raises(SystemExit, match="no checkpoints"):
+        self._seed_store(tmp_path)
+        with pytest.raises(SystemExit) as exc:
             main(["checkpoint", "resume", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'resume'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [
         ["--checkpoint-every", "-3", "--resume-from", "ck"],
@@ -1182,14 +1141,13 @@ class TestCheckpointCli:
 
 class TestManifestVolatileOnly:
     def test_checkpoint_keys_never_touch_deterministic_view(self):
-        from repro.fleet import survey_fleet
+        from repro.fleet import run_fleet
         import tempfile
 
         config = _small_fleet(13, n_servers=2)
         with tempfile.TemporaryDirectory() as tmp:
-            ck = survey_fleet(config, checkpoint_every=1,
-                              checkpoint_dir=tmp)
-        plain = survey_fleet(config)
+            ck = run_fleet(config, checkpoint_every=1, checkpoint_dir=tmp)
+        plain = run_fleet(config)
         assert ck.manifest["volatile"]["checkpoint_every"] == 1
         assert "checkpoint_every" not in plain.manifest["volatile"]
         assert (deterministic_view(ck.manifest)

@@ -1,9 +1,10 @@
-"""Format stability: committed format-12 ``workload`` checkpoints.
+"""Format stability: committed format-13 ``workload`` checkpoints.
 
 ``tests/fixtures/checkpoint/<kernel>/workload.ckpt`` was written at step
 10 of a 20-step, 16 MiB ``web`` run on each kernel, and
-``resumed.json`` holds what resuming each one prints (the finished
-run's snapshot, equal to an uninterrupted run's).  A refactor of ``mm``
+``resumed.json`` holds what resuming each one through
+``run_workload(..., resume=True)`` returns (the finished run's
+snapshot, equal to an uninterrupted run's).  A refactor of ``mm``
 or the workload driver that changes no behaviour must keep these files
 loading and resuming to the same result; a change to what a checkpoint
 holds bumps ``FORMAT_VERSION`` and regenerates them on purpose::
@@ -20,8 +21,7 @@ import sys
 
 import pytest
 
-from repro.checkpoint import FORMAT_VERSION
-from repro.run import load_resumable, resume_run
+from repro.checkpoint import FORMAT_VERSION, CheckpointStore
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                         "fixtures", "checkpoint")
@@ -44,10 +44,13 @@ def test_committed_checkpoint_resumes_to_committed_snapshot(kernel,
         expected = json.load(fh)
     assert expected["format"] == FORMAT_VERSION, (
         "FORMAT_VERSION moved: regenerate the fixtures (module docstring)")
+    from repro.workloads import run_workload
+
     shutil.copy(os.path.join(FIXTURES, kernel, "workload.ckpt"), tmp_path)
-    ckpt = load_resumable(str(tmp_path), "workload")
+    ckpt = CheckpointStore(str(tmp_path), "workload").load_latest()
     assert (ckpt.kind, ckpt.step) == ("workload", AT)
-    assert resume_run(ckpt, str(tmp_path)).snapshot() == expected[kernel]
+    assert run_workload(_config(kernel), checkpoint_dir=str(tmp_path),
+                        resume=True).snapshot() == expected[kernel]
 
 
 @pytest.mark.parametrize("kernel", KERNELS)

@@ -75,8 +75,8 @@ def warm(tmp_path_factory):
             ["scenario", "run", "steady-web", "--smoke",
              "--manifest", str(manifest)],
             ["scenario", "run", "uce-degrade", "--smoke", "--workers", "1"],
-            ["experiment", "run", "tail-latency-interference",
-             "--set", "duration_ms=0.2", "--resume-from", str(ckpt)],
+            ["experiment", "run", "workload-steady", "--set", "mem_mib=16",
+             "--set", "steps=2", "--resume-from", str(ckpt)],
             ["experiment", "run", "s53-hwcost"],
             ["experiment", "run", "fig11-unmovable"]):
         done = fresh_python(main_body(*argv),

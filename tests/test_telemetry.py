@@ -219,7 +219,7 @@ class TestHistogram:
 
     def test_buckets_are_plain_ints(self):
         """The cold tier's one instrument: no numpy in the state it
-        pickles into loadgen checkpoints or dumps into manifests."""
+        dumps into manifests."""
         h = Histogram()
         h.observe(7)
         assert type(h.buckets) is list

@@ -97,9 +97,6 @@ class TestCli:
         (["scenario", "run", "steady-web", "--checkpoint-every", "-3"],
          "argument --checkpoint-every: checkpoint cadence must be >= 0, "
          "got -3"),
-        (["checkpoint", "resume", "ck", "--checkpoint-every", "-3"],
-         "argument --checkpoint-every: checkpoint cadence must be >= 0, "
-         "got -3"),
     ])
     def test_counts_are_refused_by_flag_name(self, argv, complaint,
                                              capsys):

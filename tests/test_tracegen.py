@@ -414,7 +414,9 @@ def _burst(monkeypatch, loop_cls, config):
     monkeypatch.setattr(tracegen, "RequestLoop", build)
     result = run_loadgen(config)
     core, = (loop.core for loop in built)
-    return {"result": result.snapshot(),
+    return {"result": {"requests": result.requests,
+                       "windows_seen": result.windows_seen,
+                       "spikes": result.spikes, "rows": result.rows()},
             "core": dataclasses.asdict(core.stats),
             "tlb": core.tlb.stats.snapshot(),
             "caches": [(c.hits, c.misses)
@@ -443,33 +445,6 @@ class TestRetireDifferential:
         reference = PerInstructionLoop(MEMCACHED, seed=4).run(
             300, migrations_per_second=2e6)
         assert real == reference and real.migrations_seen > 0
-
-    def test_resumed_burst_equals_uninterrupted_reference(
-            self, monkeypatch, tmp_path):
-        from repro.checkpoint import FORMAT_VERSION
-        from repro.errors import SimCrashError
-        from repro.faults import FaultPlan, FaultSpec, injecting
-
-        config = LoadgenConfig(seed=6, **FAST)
-        kill = FaultPlan("kill", (
-            FaultSpec("sim.crash", rate=1.0, max_fires=1, skip=2),))
-        with injecting(kill, seed=0), pytest.raises(SimCrashError):
-            run_loadgen(config, checkpoint_every=40,
-                        checkpoint_dir=str(tmp_path))
-        resumed = run_loadgen(config, checkpoint_every=40,
-                              checkpoint_dir=str(tmp_path), resume=True)
-        reference = _burst(monkeypatch, PerInstructionLoop, config)
-        assert resumed.snapshot() == reference["result"]
-        # What a loadgen checkpoint pickles did not change shape (7 is
-        # the handle registry's freed marker, 8 the free-list columns,
-        # 9 the workload expiry calendar, 10 the sectioned envelope,
-        # 11 the handle registry's frame column, 12 the configs' removed
-        # test-only fields).
-        assert FORMAT_VERSION == 12
-        assert sorted(vars(RequestLoop(NGINX))) == [
-            "accesses_per_request", "app", "buffer_pages", "core",
-            "hot_pages", "hot_weight", "instructions_per_request",
-            "params", "rng", "seed"]
 
 
 class TestFleetTail:
