@@ -41,35 +41,25 @@ Examples::
     python -m repro lint --json --list-rules
 
 Shared options (``--seed``, ``--workers``, ``--json``, ``--manifest``)
-are declared once on parent parsers so every verb spells and validates
-them identically.  The tool verbs (``lint``, ``trace``, ``metrics``,
-``checkpoint``) live in :mod:`repro.tools`, named here by door strings.
+are declared by one function so every verb spells and validates them
+identically.  :func:`main` builds every verb's name and help but the
+options of the verb it runs only (:class:`_Verb`), and this module holds
+the handlers of ``scenario run`` and ``scenario report`` alone: the
+other verbs' handlers live in :mod:`repro.verbs` and the tool verbs'
+(``lint``, ``trace``, ``metrics``, ``checkpoint``) in
+:mod:`repro.tools`, each named here by a ``"module:function"`` door
+string, so a warm ``scenario run`` compiles neither
+(docs/INTERNALS.md, "Import tiers").
 """
 
 from __future__ import annotations
 
 import argparse
 
-from .analysis.reporting import format_table
 from .errors import CheckpointError, ConfigurationError
 
 
-def _resolve_plan(name: str | None):
-    """A named fault plan, or None; unknown names are refused with the
-    list."""
-    if name is None:
-        return None
-    from .faults import NAMED_PLANS
-
-    try:
-        return NAMED_PLANS[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown plan {name!r}; one of "
-            f"{', '.join(sorted(NAMED_PLANS))}") from None
-
-
-def _split_sets(pairs: list[str] | None) -> dict[str, str]:
+def split_sets(pairs: list[str] | None) -> dict[str, str]:
     """``--set KEY=VALUE`` pairs as a dict, both sides still strings
     (what a scenario's axis pins are: ``--set rate_krps=1000`` pins
     value id ``"1000"``)."""
@@ -83,22 +73,7 @@ def _split_sets(pairs: list[str] | None) -> dict[str, str]:
     return split
 
 
-def _config_overrides(args) -> dict:
-    """The experiment verbs' ``--set`` pairs as config overrides: each
-    value a JSON scalar (``--set n_servers=12``, ``--set label='"x"'``),
-    falling back to the plain string."""
-    import json
-
-    overrides = {}
-    for key, raw in _split_sets(args.set).items():
-        try:
-            overrides[key] = json.loads(raw)
-        except json.JSONDecodeError:
-            overrides[key] = raw
-    return overrides
-
-
-def _experiment_cache(args):
+def experiment_cache(args):
     from .experiments import ResultCache
 
     return ResultCache(args.cache_dir) if args.cache_dir else ResultCache()
@@ -117,103 +92,7 @@ def write_manifest_arg(args, result, what: str) -> None:
               file=sys.stderr)
 
 
-def _print_experiment(result, as_json: bool) -> None:
-    """Result rows/report to stdout; cache status to stderr — so two runs
-    of the same cell produce byte-identical stdout whether they computed
-    or hit the cache (the CI smoke job diffs exactly this)."""
-    import json
-    import sys
-
-    status = "cache hit" if result.cached else "computed"
-    print(f"# {result.spec.name} seed={result.seed} "
-          f"key={result.key[:12]} [{status}]", file=sys.stderr)
-    if as_json:
-        print(json.dumps(result.rows, indent=2, sort_keys=True))
-    else:
-        print(result.report())
-
-
-def _cmd_experiment_list(args) -> None:
-    import json
-
-    from .experiments import all_specs
-
-    specs = all_specs()
-    if args.json:
-        print(json.dumps(
-            [{"name": s.name, "description": s.description,
-              "figure": s.figure, "seed": s.seed, "version": s.version,
-              "defaults": dict(s.defaults)}
-             for s in specs], indent=2, sort_keys=True))
-        return
-    print(format_table(
-        ["Name", "Figure", "Seed", "Description"],
-        [(s.name, s.figure or "-", str(s.seed), s.description)
-         for s in specs],
-        title="Registered experiments (repro experiment run <name>)"))
-
-
-def _cmd_experiment_run(args) -> None:
-    from .experiments import run_experiment
-
-    # --resume-from alone implies per-unit checkpointing: the point of
-    # naming a directory is continuing the killed cell from it.
-    every = args.checkpoint_every or (1 if args.resume_from else 0)
-    result = run_experiment(
-        args.name, overrides=_config_overrides(args), seed=args.seed,
-        workers=args.workers, plan=_resolve_plan(args.plan),
-        cache=_experiment_cache(args), force=args.force,
-        checkpoint_every=every, checkpoint_dir=args.resume_from)
-    _print_experiment(result, args.json)
-    write_manifest_arg(args, result, "run")
-
-
-def _cmd_experiment_report(args) -> None:
-    from .experiments import load_cached
-
-    result = load_cached(
-        args.name, overrides=_config_overrides(args), seed=args.seed,
-        plan=_resolve_plan(args.plan), cache=_experiment_cache(args))
-    if result is None:
-        raise ConfigurationError(
-            f"no cached result for {args.name!r} with this config/seed; "
-            f"run `repro experiment run {args.name}` first")
-    _print_experiment(result, args.json)
-
-
-def _cmd_experiment_verify(args) -> None:
-    """Every claim of the named specs (``--all``: of every spec that
-    declares claims) on three seeds: the per-claim index on stdout,
-    exit 1 naming each claim broken on any seed."""
-    import json
-    import sys
-
-    from .experiments import all_specs, verify_claims
-    from .experiments.claims import render_markdown
-
-    if bool(args.names) == args.all:
-        raise SystemExit("repro: name the specs to verify or pass --all, "
-                         "not both")
-    names = (list(dict.fromkeys(args.names))
-             or [spec.name for spec in all_specs() if spec.claims])
-    verdicts = verify_claims(names, workers=args.workers,
-                             cache=_experiment_cache(args))
-    print(json.dumps([v.snapshot() for v in verdicts], indent=2,
-                     sort_keys=True) if args.json
-          else render_markdown(verdicts))
-    failed = {kind: [f"{v.spec}:{v.claim.id}" for v in verdicts
-                     if getattr(v, kind)]
-              for kind in ("broken", "vacuous")}
-    held = sum(v.held for v in verdicts)
-    print(f"# {held} of {len(verdicts)} claim(s) held on every seed",
-          file=sys.stderr)
-    if failed["broken"] or failed["vacuous"]:
-        raise SystemExit("repro: " + "; ".join(
-            f"{len(names)} claim(s) {kind}: " + ", ".join(names)
-            for kind, names in failed.items() if names))
-
-
-def _scenario_target(args):
+def scenario_target(args):
     """The scenario a ``repro scenario`` verb addresses: a bundled name
     or a ``--matrix`` file, never both."""
     from .scenarios import get_scenario, load_matrix
@@ -240,7 +119,7 @@ def _scenario_config(args, scenario):
         seed=args.seed,
         workers=getattr(args, "workers", None),
         cells=tuple(args.cell or ()),
-        select=_split_sets(args.set),
+        select=split_sets(args.set),
         force=getattr(args, "force", False),
         checkpoint_every=getattr(args, "checkpoint_every", 0))
 
@@ -272,82 +151,21 @@ def _print_scenario(result, args) -> None:
         print(f"# HTML report written to {html}", file=sys.stderr)
 
 
-def _cmd_scenario_list(args) -> None:
-    from .scenarios import list_scenarios
-
-    scenarios = list_scenarios()
-    if args.json:
-        import json
-
-        print(json.dumps(
-            [{"name": s.name, "description": s.full.description,
-              "experiment": s.full.experiment, "plan": s.full.plan,
-              "replicas": s.full.replicas,
-              "cells": len(s.full.cells()),
-              "smoke_cells": (len(s.smoke.cells())
-                              if s.smoke is not None else None)}
-             for s in scenarios], indent=2, sort_keys=True))
-        return
-    print(format_table(
-        ["Name", "Experiment", "Cells", "Smoke", "Plan", "Description"],
-        [(s.name, s.full.experiment, str(len(s.full.cells())),
-          str(len(s.smoke.cells())) if s.smoke is not None else "-",
-          s.full.plan or "-", s.full.description)
-         for s in scenarios],
-        title="Bundled scenarios (repro scenario run <name>)"))
-
-
-def _cmd_scenario_show(args) -> None:
-    # The matrix as written: its cells are checked against the spec's
-    # parameters when it runs, so showing it imports no spec family.
-    scenario = _scenario_target(args)
-    matrix = scenario.matrix(smoke=args.smoke)
-    cells = matrix.cells()
-    if args.json:
-        import json
-
-        print(json.dumps(
-            {**matrix.snapshot(),
-             "description": matrix.description,
-             "cells": [cell.snapshot() for cell in cells]},
-            indent=2, sort_keys=True))
-        return
-    variant = " (smoke)" if matrix.smoke else ""
-    print(f"{matrix.scenario}{variant}: {matrix.description}")
-    print(f"experiment={matrix.experiment} plan={matrix.plan or '-'} "
-          f"replicas={matrix.replicas}")
-    if matrix.options:
-        print("options: " + ", ".join(
-            f"{k}={v}" for k, v in sorted(matrix.options.items())))
-    print(format_table(
-        ["Cell", "Coordinates", "Overrides", "Plan"],
-        [(cell.id,
-          ", ".join(f"{a}={v}" for a, v in cell.coords) or "-",
-          ", ".join(f"{k}={v}"
-                    for k, v in sorted(cell.overrides.items())) or "-",
-          matrix.cell_plan(cell) or "-")
-         for cell in cells],
-        title=f"Cells ({len(cells)})"))
-
-
-def _run_scenario(args, config) -> None:
+def _cmd_scenario_run(args) -> None:
     from .scenarios import run_scenario
 
-    result = run_scenario(config, cache=_experiment_cache(args))
+    result = run_scenario(_scenario_config(args, scenario_target(args)),
+                          cache=experiment_cache(args))
     _print_scenario(result, args)
     write_manifest_arg(args, result, "scenario")
-
-
-def _cmd_scenario_run(args) -> None:
-    _run_scenario(args, _scenario_config(args, _scenario_target(args)))
 
 
 def _cmd_scenario_report(args) -> None:
     from .scenarios import load_scenario
 
     result = load_scenario(
-        _scenario_config(args, _scenario_target(args)),
-        cache=_experiment_cache(args))
+        _scenario_config(args, scenario_target(args)),
+        cache=experiment_cache(args))
     _print_scenario(result, args)
 
 
@@ -377,252 +195,294 @@ _cadence_arg = _count_arg("checkpoint cadence", 0)
 _OMIT = object()
 
 
-def _common_options(*, seed=_OMIT, workers: bool = False,
-                    json_flag: bool = False,
-                    manifest: bool = False) -> argparse.ArgumentParser:
-    """One parent parser carrying the requested shared options, so every
-    verb spells ``--seed`` / ``--workers`` / ``--json`` / ``--manifest``
+def _common_options(parser, *, seed=_OMIT, workers: bool = False,
+                    json_flag: bool = False, manifest: bool = False):
+    """Add the requested shared options to *parser*, so every verb
+    spells ``--seed`` / ``--workers`` / ``--json`` / ``--manifest``
     identically (same types, same validation, same help text)."""
-    parent = argparse.ArgumentParser(add_help=False)
     if seed is not _OMIT:
-        parent.add_argument(
+        parser.add_argument(
             "--seed", type=int, default=seed,
             help="base RNG seed" + (" (default: the spec's seed policy)"
                                     if seed is None else ""))
     if workers:
-        parent.add_argument(
+        parser.add_argument(
             "--workers", type=_workers_arg, default=None,
             help="process count (default: REPRO_FLEET_WORKERS "
                  "or cpu count; 1 = serial)")
     if json_flag:
-        parent.add_argument("--json", action="store_true",
+        parser.add_argument("--json", action="store_true",
                             help="machine-readable output")
     if manifest:
-        parent.add_argument(
+        parser.add_argument(
             "--manifest", metavar="PATH", default=None,
             help="write the run manifest JSON to PATH")
-    return parent
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Contiguitas (ISCA 2023) reproduction experiments")
-    sub = parser.add_subparsers(dest="command", required=True)
+class _Verb(argparse.ArgumentParser):
+    """A parser whose arguments its *options* function adds the first
+    time it parses (or on :meth:`fill`).  ``repro --help`` needs only
+    the verbs' names and help, and argparse hands the rest of the
+    command line to the one subparser it names, so :func:`main` builds
+    the options of the verb it runs and of no other, with every help
+    and usage text what the full tree (:func:`build_parser`) prints."""
 
-    experiment = sub.add_parser(
-        "experiment", help="declarative experiments with result caching")
-    esub = experiment.add_subparsers(dest="experiment_command",
-                                     required=True)
+    def __init__(self, *args, options=None, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._options = options
+        self.subverbs: list[_Verb] = []
 
-    elist = esub.add_parser("list", help="registered experiment specs",
-                            parents=[_common_options(json_flag=True)])
-    elist.set_defaults(fn=_cmd_experiment_list)
+    def fill(self) -> None:
+        options, self._options = self._options, None
+        if options is not None:
+            options(self)
 
-    def _cache_dir_option(cell_parser) -> None:
-        cell_parser.add_argument(
-            "--cache-dir", metavar="PATH", default=None,
-            help="result cache root (default: benchmarks/results/cache "
-                 "or $REPRO_EXPERIMENT_CACHE)")
+    # argparse calls it, on the command line and on the one subparser
+    # the command line names.
+    def parse_known_args(self, args=None,  # simlint: disable=DL105
+                         namespace=None):
+        self.fill()
+        return super().parse_known_args(args, namespace)
 
-    def _experiment_cell_options(cell_parser, *, force: bool) -> None:
-        """Options shared by run/report beyond the common set."""
-        cell_parser.add_argument(
-            "name", metavar="NAME",
-            help="spec name (see `experiment list`)")
-        cell_parser.add_argument(
-            "--set", action="append", metavar="KEY=VALUE",
-            help="config override (JSON scalar; repeatable)")
-        cell_parser.add_argument(
-            "--plan", default=None,
-            help="named fault plan (keyed into the cache address)")
-        _cache_dir_option(cell_parser)
-        if force:
-            cell_parser.add_argument(
-                "--force", action="store_true",
-                help="recompute and overwrite even on a cache hit")
 
-    erun = esub.add_parser(
-        "run", help="run one experiment cell (cache-aware)",
-        parents=[_common_options(seed=None, workers=True,
-                                 json_flag=True, manifest=True)])
-    _experiment_cell_options(erun, force=True)
-    erun.add_argument(
+def _subverbs(dest: str, *verbs):
+    """The options of a verb with subcommands: *verbs*, each a
+    ``(name, help, options)`` row."""
+    def options(parser: _Verb) -> None:
+        sub = parser.add_subparsers(dest=dest, required=True)
+        parser.subverbs = [sub.add_parser(name, help=text, options=fill)
+                           for name, text, fill in verbs]
+    return options
+
+
+def _leaf(handler, add=None, **common):
+    """The options of a verb that runs *handler* (a function, or a
+    ``"module:function"`` door string): the shared options *common*
+    asks for (:func:`_common_options`), then *add*'s."""
+    def options(parser: _Verb) -> None:
+        _common_options(parser, **common)
+        if add is not None:
+            add(parser)
+        parser.set_defaults(fn=handler)
+    return options
+
+
+def _cache_dir_option(parser) -> None:
+    parser.add_argument(
+        "--cache-dir", metavar="PATH", default=None,
+        help="result cache root (default: benchmarks/results/cache "
+             "or $REPRO_EXPERIMENT_CACHE)")
+
+
+def _experiment_cell_options(parser, force: bool = False) -> None:
+    """``experiment run``/``report``'s options beyond the common set."""
+    parser.add_argument(
+        "name", metavar="NAME",
+        help="spec name (see `experiment list`)")
+    parser.add_argument(
+        "--set", action="append", metavar="KEY=VALUE",
+        help="config override (JSON scalar; repeatable)")
+    parser.add_argument(
+        "--plan", default=None,
+        help="named fault plan (keyed into the cache address)")
+    _cache_dir_option(parser)
+    if force:
+        parser.add_argument(
+            "--force", action="store_true",
+            help="recompute and overwrite even on a cache hit")
+
+
+def _experiment_run(parser) -> None:
+    _experiment_cell_options(parser, force=True)
+    parser.add_argument(
         "--checkpoint-every", type=_cadence_arg, default=0, metavar="N",
         help="mid-cell durability: producers checkpoint every N units "
              "of work under <cache>/checkpoints/<key> and auto-resume "
              "on the next miss of the same cell")
-    erun.add_argument(
+    parser.add_argument(
         "--resume-from", metavar="DIR", default=None,
         help="resume the cell from checkpoints in DIR instead of the "
              "derived <cache>/checkpoints/<key> (implies "
              "--checkpoint-every 1 unless given)")
-    erun.set_defaults(fn=_cmd_experiment_run)
 
-    ereport = esub.add_parser(
-        "report", help="render a cached result without computing",
-        parents=[_common_options(seed=None, json_flag=True)])
-    _experiment_cell_options(ereport, force=False)
-    ereport.set_defaults(fn=_cmd_experiment_report)
 
-    everify = esub.add_parser(
-        "verify", help="check specs' paper claims on the spec's seed and "
-                       "the two after it (exit 1 when one breaks)",
-        parents=[_common_options(workers=True, json_flag=True)])
-    everify.add_argument("names", nargs="*", metavar="NAME",
-                         help="spec names (see `experiment list`)")
-    everify.add_argument("--all", action="store_true",
-                         help="every spec that declares claims")
-    _cache_dir_option(everify)
-    everify.set_defaults(fn=_cmd_experiment_verify)
+def _experiment_verify(parser) -> None:
+    parser.add_argument("names", nargs="*", metavar="NAME",
+                        help="spec names (see `experiment list`)")
+    parser.add_argument("--all", action="store_true",
+                        help="every spec that declares claims")
+    _cache_dir_option(parser)
 
-    scenario = sub.add_parser(
-        "scenario",
-        help="declarative scenario matrices (bundled library or files)")
-    ssub = scenario.add_subparsers(dest="scenario_command", required=True)
 
-    slist = ssub.add_parser("list", help="bundled scenario library",
-                            parents=[_common_options(json_flag=True)])
-    slist.set_defaults(fn=_cmd_scenario_list)
+def _scenario_target_options(parser) -> None:
+    """Options every scenario-addressing verb shares."""
+    parser.add_argument(
+        "name", metavar="NAME", nargs="?", default=None,
+        help="bundled scenario name (see `scenario list`)")
+    parser.add_argument(
+        "--matrix", metavar="FILE", default=None,
+        help="use a scenario matrix file instead of a bundled name")
+    parser.add_argument(
+        "--smoke", action="store_true",
+        help="the scenario's CI-sized smoke variant")
 
-    def _scenario_target_options(target_parser) -> None:
-        """Options every scenario-addressing verb shares."""
-        target_parser.add_argument(
-            "name", metavar="NAME", nargs="?", default=None,
-            help="bundled scenario name (see `scenario list`)")
-        target_parser.add_argument(
-            "--matrix", metavar="FILE", default=None,
-            help="use a scenario matrix file instead of a bundled name")
-        target_parser.add_argument(
-            "--smoke", action="store_true",
-            help="the scenario's CI-sized smoke variant")
 
-    def _scenario_select_options(target_parser, *, force: bool) -> None:
-        """Cell-selection and cache options for run/report."""
-        target_parser.add_argument(
-            "--cell", action="append", metavar="ID",
-            help="only this cell id (repeatable; see `scenario show`)")
-        target_parser.add_argument(
-            "--set", action="append", metavar="AXIS=VALUE",
-            help="pin an axis to one value id (repeatable)")
-        _cache_dir_option(target_parser)
-        target_parser.add_argument(
-            "--html", metavar="PATH", default=None,
-            help="also write the report as standalone HTML to PATH")
-        if force:
-            target_parser.add_argument(
-                "--force", action="store_true",
-                help="recompute and overwrite even on cache hits")
+def _scenario_select_options(parser, force: bool = False) -> None:
+    """``scenario report``'s options, and ``run``'s but its cadence."""
+    _scenario_target_options(parser)
+    parser.add_argument(
+        "--cell", action="append", metavar="ID",
+        help="only this cell id (repeatable; see `scenario show`)")
+    parser.add_argument(
+        "--set", action="append", metavar="AXIS=VALUE",
+        help="pin an axis to one value id (repeatable)")
+    _cache_dir_option(parser)
+    parser.add_argument(
+        "--html", metavar="PATH", default=None,
+        help="also write the report as standalone HTML to PATH")
+    if force:
+        parser.add_argument(
+            "--force", action="store_true",
+            help="recompute and overwrite even on cache hits")
 
-    sshow = ssub.add_parser(
-        "show", help="a scenario's compiled matrix and cell ids",
-        parents=[_common_options(json_flag=True)])
-    _scenario_target_options(sshow)
-    sshow.set_defaults(fn=_cmd_scenario_show)
 
-    srun = ssub.add_parser(
-        "run", help="run every selected cell of a scenario (cache-aware)",
-        parents=[_common_options(seed=None, workers=True,
-                                 json_flag=True, manifest=True)])
-    _scenario_target_options(srun)
-    _scenario_select_options(srun, force=True)
-    srun.add_argument(
+def _scenario_run(parser) -> None:
+    _scenario_select_options(parser, force=True)
+    parser.add_argument(
         "--checkpoint-every", type=_cadence_arg, default=0, metavar="N",
         help="mid-cell durability within each cell (see "
              "`experiment run --checkpoint-every`)")
-    srun.set_defaults(fn=_cmd_scenario_run)
 
-    sreport = ssub.add_parser(
-        "report", help="render a scenario report from cache, computing "
-                       "nothing",
-        parents=[_common_options(seed=None, json_flag=True)])
-    _scenario_target_options(sreport)
-    _scenario_select_options(sreport, force=False)
-    sreport.set_defaults(fn=_cmd_scenario_report)
 
-    checkpoint = sub.add_parser(
-        "checkpoint", help="inspect durable run checkpoints")
-    csub = checkpoint.add_subparsers(dest="checkpoint_command",
-                                     required=True)
-
-    cinspect = csub.add_parser(
-        "inspect", help="describe both checkpoint generations and their "
-                        "sections (header and checksums only — never "
-                        "decodes a section)",
-        parents=[_common_options(json_flag=True)])
-    cinspect.add_argument("dir", metavar="DIR",
-                          help="checkpoint directory")
-    cinspect.add_argument(
+def _checkpoint_inspect(parser) -> None:
+    parser.add_argument("dir", metavar="DIR",
+                        help="checkpoint directory")
+    parser.add_argument(
         "--deadline", type=float, default=None, metavar="SECONDS",
         help="watchdog staleness threshold: a current generation older "
              "than this marks the run hung (default: 600)")
-    cinspect.set_defaults(fn="repro.tools:cmd_checkpoint_inspect")
 
-    trace = sub.add_parser(
-        "trace", help="dump/filter a tracepoint event stream",
-        parents=[_common_options(seed=0)])
-    trace.add_argument("--input", metavar="PATH", default=None,
-                       help="read a JSONL event stream instead of running "
-                            "a workload")
-    trace.add_argument("--match", action="append", metavar="GLOB",
-                       help="only events whose name matches (repeatable)")
-    trace.add_argument("--limit", type=_count_arg("event count", 0),
-                       default=0,
-                       help="print only the last N events")
-    trace.add_argument("--out", metavar="PATH", default=None,
-                       help="write matching events as JSONL instead of "
-                            "pretty-printing")
-    trace.add_argument("--service", default="cache-b",
-                       help="registered service to run (default: "
-                            "cache-b)")
-    trace.add_argument("--mem-mib", type=_count_arg("MiB count", 16),
-                       default=128)
-    trace.add_argument("--steps", type=_count_arg("step count", 0),
-                       default=60)
-    trace.set_defaults(fn="repro.tools:cmd_trace")
 
-    metrics = sub.add_parser(
-        "metrics", help="pretty-print one run manifest, or diff two",
-        parents=[_common_options(json_flag=True)])
-    metrics.add_argument("manifests", nargs="+", metavar="MANIFEST",
-                         help="one manifest to summarise, or two to diff")
-    metrics.set_defaults(fn="repro.tools:cmd_metrics")
+def _trace(parser) -> None:
+    parser.add_argument("--input", metavar="PATH", default=None,
+                        help="read a JSONL event stream instead of "
+                             "running a workload")
+    parser.add_argument("--match", action="append", metavar="GLOB",
+                        help="only events whose name matches "
+                             "(repeatable)")
+    parser.add_argument("--limit", type=_count_arg("event count", 0),
+                        default=0,
+                        help="print only the last N events")
+    parser.add_argument("--out", metavar="PATH", default=None,
+                        help="write matching events as JSONL instead of "
+                             "pretty-printing")
+    parser.add_argument("--service", default="cache-b",
+                        help="registered service to run (default: "
+                             "cache-b)")
+    parser.add_argument("--mem-mib", type=_count_arg("MiB count", 16),
+                        default=128)
+    parser.add_argument("--steps", type=_count_arg("step count", 0),
+                        default=60)
 
-    lint = sub.add_parser(
-        "lint", help="determinism & invariant static analysis "
-                     "(simlint + deeplint)",
-        parents=[_common_options(json_flag=True)])
-    lint.add_argument("paths", nargs="*", metavar="PATH",
-                      help="files/directories to lint (default: the "
-                           "installed repro package)")
-    lint.add_argument("--list-rules", action="store_true",
-                      help="print the rule catalogue and exit")
-    lint.add_argument("--deep", action="store_true",
-                      help="also run the whole-program passes "
-                           "(DL101-DL104) against docs/OBSERVABILITY.md "
-                           "and docs/API.md")
-    lint.add_argument("--sarif", metavar="PATH",
-                      help="write findings as SARIF 2.1.0 to PATH "
-                           "('-' for stdout)")
-    lint.add_argument("--docs", metavar="DIR",
-                      help="directory holding OBSERVABILITY.md/API.md "
-                           "(default: discovered by walking up from the "
-                           "linted paths)")
-    lint.set_defaults(fn="repro.tools:cmd_lint")
 
+def _metrics(parser) -> None:
+    parser.add_argument("manifests", nargs="+", metavar="MANIFEST",
+                        help="one manifest to summarise, or two to diff")
+
+
+def _lint(parser) -> None:
+    parser.add_argument("paths", nargs="*", metavar="PATH",
+                        help="files/directories to lint (default: the "
+                             "installed repro package)")
+    parser.add_argument("--list-rules", action="store_true",
+                        help="print the rule catalogue and exit")
+    parser.add_argument("--deep", action="store_true",
+                        help="also run the whole-program passes "
+                             "(DL101-DL104) against docs/OBSERVABILITY.md "
+                             "and docs/API.md")
+    parser.add_argument("--sarif", metavar="PATH",
+                        help="write findings as SARIF 2.1.0 to PATH "
+                             "('-' for stdout)")
+    parser.add_argument("--docs", metavar="DIR",
+                        help="directory holding OBSERVABILITY.md/API.md "
+                             "(default: discovered by walking up from the "
+                             "linted paths)")
+
+
+#: The command tree.  Each verb's options are added only when it parses.
+_REPRO = _subverbs(
+    "command",
+    ("experiment", "declarative experiments with result caching",
+     _subverbs(
+         "experiment_command",
+         ("list", "registered experiment specs",
+          _leaf("repro.verbs:cmd_experiment_list", json_flag=True)),
+         ("run", "run one experiment cell (cache-aware)",
+          _leaf("repro.verbs:cmd_experiment_run", _experiment_run,
+                seed=None, workers=True, json_flag=True, manifest=True)),
+         ("report", "render a cached result without computing",
+          _leaf("repro.verbs:cmd_experiment_report",
+                _experiment_cell_options, seed=None, json_flag=True)),
+         ("verify", "check specs' paper claims on the spec's seed and "
+                    "the two after it (exit 1 when one breaks)",
+          _leaf("repro.verbs:cmd_experiment_verify", _experiment_verify,
+                workers=True, json_flag=True)))),
+    ("scenario", "declarative scenario matrices (bundled library or "
+                 "files)",
+     _subverbs(
+         "scenario_command",
+         ("list", "bundled scenario library",
+          _leaf("repro.verbs:cmd_scenario_list", json_flag=True)),
+         ("show", "a scenario's compiled matrix and cell ids",
+          _leaf("repro.verbs:cmd_scenario_show", _scenario_target_options,
+                json_flag=True)),
+         ("run", "run every selected cell of a scenario (cache-aware)",
+          _leaf(_cmd_scenario_run, _scenario_run, seed=None,
+                workers=True, json_flag=True, manifest=True)),
+         ("report", "render a scenario report from cache, computing "
+                    "nothing",
+          _leaf(_cmd_scenario_report, _scenario_select_options,
+                seed=None, json_flag=True)))),
+    ("checkpoint", "inspect durable run checkpoints",
+     _subverbs(
+         "checkpoint_command",
+         ("inspect", "describe both checkpoint generations and their "
+                     "sections (header and checksums only — never "
+                     "decodes a section)",
+          _leaf("repro.tools:cmd_checkpoint_inspect", _checkpoint_inspect,
+                json_flag=True)))),
+    ("trace", "dump/filter a tracepoint event stream",
+     _leaf("repro.tools:cmd_trace", _trace, seed=0)),
+    ("metrics", "pretty-print one run manifest, or diff two",
+     _leaf("repro.tools:cmd_metrics", _metrics, json_flag=True)),
+    ("lint", "determinism & invariant static analysis "
+             "(simlint + deeplint)",
+     _leaf("repro.tools:cmd_lint", _lint, json_flag=True)))
+
+
+def build_parser(lazy: bool = False) -> argparse.ArgumentParser:
+    """The ``repro`` parser with every verb's options, or, *lazy* (what
+    :func:`main` parses with), each verb's added when it parses."""
+    parser = _Verb(prog="repro", options=_REPRO,
+                   description="Contiguitas (ISCA 2023) reproduction "
+                               "experiments")
+    pending = [] if lazy else [parser]
+    while pending:
+        verb = pending.pop()
+        verb.fill()
+        pending.extend(verb.subverbs)
     return parser
 
 
 def main(argv: list[str] | None = None) -> None:
-    args = build_parser().parse_args(argv)
+    args = build_parser(lazy=True).parse_args(argv)
     handler = args.fn
     if isinstance(handler, str):
-        # A ``"module:function"`` door string: the tool verbs' module is
-        # imported only when one of them runs.
-        from importlib import import_module
-
+        # A ``"module:function"`` door string: the module holding the
+        # handler is imported only when its verb runs (by ``__import__``,
+        # so ``-X importtime`` lists it).
         module, _, name = handler.partition(":")
-        handler = getattr(import_module(module), name)
+        handler = getattr(__import__(module, fromlist=(name,)), name)
     try:
         handler(args)
     except (ConfigurationError, CheckpointError) as exc:

@@ -18,23 +18,20 @@ names is asked for.  See docs/API.md for the stable surface and
 EXPERIMENTS.md for the CLI walkthrough.
 """
 
-from .cache import (
-    CACHE_ENV,
-    CACHE_SCHEMA,
-    ResultCache,
-    canonical_json,
-    default_cache_dir,
-    result_key,
-)
-from .claims import Band, Claim, Ordered, Verdict, verify_claims
-from .runner import ExperimentResult, load_cached, run_experiment
-from .spec import (
-    ExperimentContext,
-    ExperimentSpec,
-    all_specs,
-    get_spec,
-    register,
-)
+from .._lazy import lazy_exports
+
+# Resolved on first use: a warm ``scenario run`` needs the cache, the
+# runner and the specs, and never the verifier (docs/INTERNALS.md,
+# "Import tiers").
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".cache": ("CACHE_ENV", "CACHE_SCHEMA", "ResultCache", "canonical_json",
+               "default_cache_dir", "result_key"),
+    ".claims": ("Band", "Claim", "Ordered"),
+    ".context": ("ExperimentContext",),
+    ".runner": ("ExperimentResult", "load_cached", "run_experiment"),
+    ".spec": ("ExperimentSpec", "all_specs", "get_spec", "register"),
+    ".verify": ("Verdict", "verify_claims"),
+})
 
 __all__ = [
     "Band",

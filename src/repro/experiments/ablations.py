@@ -5,9 +5,9 @@ from __future__ import annotations
 
 from .claims import Band, Ordered
 from .common import _boot, _bounded_cache, _churn, _col, _row
-from .spec import ExperimentContext, ExperimentSpec, register
+from .spec import ExperimentSpec, register
 
-def _produce_placement(ctx: ExperimentContext) -> list:
+def _produce_placement(ctx) -> list:
     """One row per placement-bias setting.  A demand spike fills the
     region, then drains in *random* order — the region is now oversized
     with free frames everywhere.  A trickle of new long-lived
@@ -76,7 +76,7 @@ ABLATION_PLACEMENT = register(ExperimentSpec(
 ))
 
 
-def _produce_designs(ctx: ExperimentContext) -> list:
+def _produce_designs(ctx) -> list:
     """Three Contiguitas design choices, one ``part`` each.
 
     * ``initial-size``: the boot-time region size (the paper boots 4 GiB
@@ -198,7 +198,7 @@ ABLATION_DESIGNS = register(ExperimentSpec(
 ))
 
 
-def _produce_pcp(ctx: ExperimentContext) -> list:
+def _produce_pcp(ctx) -> list:
     """Per-CPU page caches on and off under the same CacheB churn.  PCP
     changes placement: concurrent allocation streams draw from per-CPU
     batches, interleaving allocations across the address space at batch
@@ -259,7 +259,7 @@ _RESIZE_KNOBS = {"threshold_unmov": 2, "threshold_mov": 2,
                  "c_ue": 3, "c_me": 3, "c_ms": 3, "c_us": 3}
 
 
-def _produce_autotune(ctx: ExperimentContext) -> list:
+def _produce_autotune(ctx) -> list:
     """The search history against a bursty unmovable-demand trace, one
     row per evaluated configuration; row 0 is the hand-tuned default."""
     from ..core.autotune import random_search, square_wave_demand

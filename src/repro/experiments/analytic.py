@@ -5,9 +5,9 @@ from __future__ import annotations
 
 from .claims import Band, Ordered
 from .common import _boot, _churn, _row
-from .spec import ExperimentContext, ExperimentSpec, register
+from .spec import ExperimentSpec, register
 
-def _produce_fig02(ctx: ExperimentContext) -> list:
+def _produce_fig02(ctx) -> list:
     from ..perfmodel import generation_trends
 
     return generation_trends()
@@ -43,7 +43,7 @@ FIG02 = register(ExperimentSpec(
 ))
 
 
-def _produce_fig03(ctx: ExperimentContext) -> list:
+def _produce_fig03(ctx) -> list:
     """Walk cycles per (service, page size); 1 GiB pages are
     characterised for Web only, as in the paper."""
     from ..perfmodel import MIX_1G, MIX_2M, MIX_4K, walk_cycles
@@ -113,7 +113,7 @@ _FIG10_MACHINES = {"Web": (2048 + 256, 350), "CacheA": (256, 500),
                    "CacheB": (256, 500)}
 
 
-def _produce_fig10(ctx: ExperimentContext) -> list:
+def _produce_fig10(ctx) -> list:
     """The paper's method: pre-condition the machine, deploy the
     service, measure the huge-page coverage it achieved, then feed that
     coverage to the walk-cycle model for relative throughput.  The seed
@@ -202,7 +202,7 @@ FIG10 = register(ExperimentSpec(
 ))
 
 
-def _produce_s53_hwcost(ctx: ExperimentContext) -> list:
+def _produce_s53_hwcost(ctx) -> list:
     from ..analysis.hwcost import (
         MetadataTableCost,
         migrations_per_second_capacity,
@@ -288,7 +288,7 @@ _ALG1_SCENARIOS = (
 )
 
 
-def _produce_alg1(ctx: ExperimentContext) -> list:
+def _produce_alg1(ctx) -> list:
     """The resizing algorithm two ways: the pure function over a grid of
     pressure inputs (one row each), and a live kernel driven through an
     unmovable-demand spike and its release (on every row) — the region

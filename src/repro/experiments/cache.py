@@ -94,9 +94,6 @@ class ResultCache:
     def path_for(self, key: str) -> str:
         return os.path.join(self.root, key[:2], key + ".json")
 
-    def __contains__(self, key: str) -> bool:
-        return os.path.exists(self.path_for(key))
-
     def load(self, key: str) -> dict | None:
         """The full stored entry, or None on miss/corruption (a corrupt
         entry — e.g. a file truncated by a crash predating atomic
@@ -150,17 +147,3 @@ class ResultCache:
                 pass
             raise
         return normalised
-
-    def keys(self) -> list[str]:
-        """Every stored key (for ``repro experiment report`` listings)."""
-        found = []
-        if not os.path.isdir(self.root):
-            return found
-        for prefix in sorted(os.listdir(self.root)):
-            sub = os.path.join(self.root, prefix)
-            if not os.path.isdir(sub):
-                continue
-            for name in sorted(os.listdir(sub)):
-                if name.endswith(".json") and not name.startswith(".tmp-"):
-                    found.append(name[:-len(".json")])
-        return found

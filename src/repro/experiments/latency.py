@@ -5,9 +5,9 @@
 from __future__ import annotations
 
 from .claims import Band, Ordered
-from .spec import ExperimentContext, ExperimentSpec, register
+from .spec import ExperimentSpec, register
 
-def _produce_tail_latency(ctx: ExperimentContext) -> list:
+def _produce_tail_latency(ctx) -> list:
     """One open-loop burst per cell; rows carry the cell's knobs plus
     per-class exact percentiles, so sweep outputs are self-describing."""
     from ..workloads.tracegen import LoadgenConfig, run_loadgen
@@ -77,7 +77,7 @@ TAIL_LATENCY = register(ExperimentSpec(
 ))
 
 
-def _produce_fig13(ctx: ExperimentContext) -> list:
+def _produce_fig13(ctx) -> list:
     """One row per victim-TLB count.  Linux-Real is the analytic cost
     model calibrated against measurement, Linux-Sim the event-driven
     protocol model; the figure-wide scalars ride on every row."""
@@ -169,7 +169,7 @@ FIG13 = register(ExperimentSpec(
 ))
 
 
-def _produce_s53_interference(ctx: ExperimentContext) -> list:
+def _produce_s53_interference(ctx) -> list:
     """Throughput overhead per (app, rate, design) from the analytic
     model, the Very High rate cross-checked at instruction level on the
     simulated request loop, and memcached's huge-page upside once

@@ -32,9 +32,9 @@ from dataclasses import dataclass
 
 from ..errors import ConfigurationError
 from ..telemetry import MetricsRegistry, tracepoint
-from ..telemetry.manifest import LazyManifest
+from ..telemetry.lazymanifest import LazyManifest
 from .cache import ResultCache, result_key
-from .spec import ExperimentContext, ExperimentSpec, get_spec
+from .spec import ExperimentSpec, get_spec
 
 _tp_run = tracepoint("experiment.run")
 _tp_hit = tracepoint("experiment.cache.hit")
@@ -110,14 +110,17 @@ def run_experiment(name: str,
         metrics: shared registry (a scenario passes one across cells);
             ``experiment.*`` counters land here and the result's
             manifest snapshots them.
-        checkpoint_every: when > 0, producers that support mid-cell
-            checkpointing write to ``<cache>/checkpoints/<key>`` every N
-            units of work and auto-resume from the last good checkpoint
-            on the next miss of the same cell — a killed cell loses at
-            most one checkpoint interval.  The directory is removed once
-            the rows land in the cache.  Handed to fetched dependencies,
+        checkpoint_every: when > 0, the producer writes to
+            ``<cache>/checkpoints/<key>`` every N units of work and
+            auto-resumes from the last good checkpoint on the next miss
+            of the same cell — a killed cell loses at most one
+            checkpoint interval.  The directory is removed once the
+            rows land in the cache.  Handed to fetched dependencies,
             each under its own key.  Never part of the cache key
-            (checkpointing cannot change results).
+            (checkpointing cannot change results).  Only a spec whose
+            ``checkpoints`` is set takes it (or ``checkpoint_dir``);
+            any other refuses both with a
+            :class:`~repro.errors.ConfigurationError`.
         checkpoint_dir: explicit checkpoint directory, overriding the
             derived ``<cache>/checkpoints/<key>`` path — how
             ``repro experiment run --resume-from`` points a rerun at a
@@ -125,6 +128,13 @@ def run_experiment(name: str,
     """
     spec, config, seed, cache, key = _address(name, overrides, seed, plan,
                                               cache)
+    if (checkpoint_every or checkpoint_dir is not None) \
+            and not spec.checkpoints:
+        from .spec import all_specs
+
+        raise ConfigurationError(
+            f"experiment {spec.name!r} does not checkpoint; these do: "
+            + ", ".join(s.name for s in all_specs() if s.checkpoints))
     if metrics is None:
         metrics = MetricsRegistry()
     if _tp_run.enabled:
@@ -147,6 +157,8 @@ def run_experiment(name: str,
                 plan=plan, cache=cache, metrics=metrics,
                 checkpoint_every=checkpoint_every)
             return dep_result.rows
+
+        from .context import ExperimentContext
 
         derived = None
         if checkpoint_dir is None and checkpoint_every:

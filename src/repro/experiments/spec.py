@@ -19,6 +19,10 @@ derived from a small number of expensive steady-state runs.  An
 * **claims** — the paper's statements about the rows, typed
   :mod:`~repro.experiments.claims` (``repro experiment verify``); never
   part of the cache key, since they judge rows and produce none.
+* **checkpoints** — whether a miss of the cell writes checkpoints when
+  asked (its producer hands :attr:`ExperimentContext.checkpointing` to
+  a front door that checkpoints, or fetches a spec that does); asking
+  one that does not is refused, never silently ignored.
 
 Producers compose through :meth:`ExperimentContext.fetch`: a figure spec
 fetches the shared underlying run (e.g. ``fleet-survey``) through the
@@ -31,10 +35,13 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from ..errors import ConfigurationError
 from .claims import Claim
+
+if TYPE_CHECKING:
+    from .context import ExperimentContext
 
 _NAME_RE = re.compile(r"^[a-z0-9][a-z0-9-]*$")
 
@@ -51,43 +58,6 @@ def _json_type(value: Any) -> str:
 
 
 @dataclass(frozen=True)
-class ExperimentContext:
-    """What a producer sees for one (config, seed) cell.
-
-    ``fetch(name, overrides=...)`` resolves another experiment's rows
-    through the same cache, metrics registry, worker budget, and fault
-    plan — the dependency mechanism that lets several figures share one
-    steady-state run.  A dependency always runs at this cell's seed.
-
-    ``checkpoint_every``/``checkpoint_dir`` are the mid-cell durability
-    knobs: producers of long runs splat :attr:`checkpointing` into the
-    underlying front door (``run_fleet``, ``run_workload``) so a killed
-    cell resumes from its last good checkpoint instead of recomputing;
-    neither knob is part of the cache key because checkpointing cannot
-    change results (bit-identity contract).
-    """
-
-    spec_name: str
-    params: Mapping[str, Any]
-    seed: int
-    workers: int | None = None
-    fault_plan: Any = None
-    fetch: Callable[..., list] | None = None
-    checkpoint_every: int = 0
-    checkpoint_dir: str | None = None
-
-    @property
-    def checkpointing(self) -> dict:
-        """The checkpoint keywords every front door takes.  Resuming is
-        always safe: with no checkpoint on disk the run starts fresh,
-        a good one only skips work the killed cell already finished,
-        and another run's checkpoint is refused."""
-        return {"checkpoint_every": self.checkpoint_every,
-                "checkpoint_dir": self.checkpoint_dir,
-                "resume": self.checkpoint_dir is not None}
-
-
-@dataclass(frozen=True)
 class ExperimentSpec:
     """One declaratively-registered experiment (see module docstring)."""
 
@@ -100,6 +70,7 @@ class ExperimentSpec:
     figure: str = ""
     postprocess: Callable[[list, Mapping[str, Any]], str] | None = None
     claims: tuple[Claim, ...] = ()
+    checkpoints: bool = False
 
     def __post_init__(self) -> None:
         if not _NAME_RE.match(self.name):

@@ -7,9 +7,9 @@ from __future__ import annotations
 
 from .claims import Band, Ordered
 from .common import _boot, _bounded_cache, _col
-from .spec import ExperimentContext, ExperimentSpec, register
+from .spec import ExperimentSpec, register
 
-def _produce_workload_steady(ctx: ExperimentContext) -> list:
+def _produce_workload_steady(ctx) -> list:
     """One steady-state workload run per cell (the scenario library's
     churn/thrash/aging base): a single snapshot row carrying coverage,
     fragmentation, and the full vmstat counter set."""
@@ -59,6 +59,7 @@ WORKLOAD_STEADY = register(ExperimentSpec(
     },
     seed=13,
     figure="§2.4 churn / scenario library",
+    checkpoints=True,
     postprocess=_report_workload_steady,
 ))
 
@@ -70,7 +71,7 @@ _STEADY_MEM_MIB = 1024
 _STEADY_STEPS = 1200
 
 
-def _produce_steady_profile(ctx: ExperimentContext) -> list:
+def _produce_steady_profile(ctx) -> list:
     """Each production service run to steady state on each kernel, one
     row per run with what Figs. 11, 12 and §5.2 read.  The workload is
     stepped here, as a fleet server steps it, because §5.2 is a time
@@ -133,7 +134,7 @@ STEADY_PROFILE = register(ExperimentSpec(
 ))
 
 
-def _produce_fig11(ctx: ExperimentContext) -> list:
+def _produce_fig11(ctx) -> list:
     """One row per service: its unmovable 2 MiB block share per kernel."""
     rows = {}
     for run in ctx.fetch("steady-profile"):
@@ -158,7 +159,7 @@ def _report_fig11(rows: list, config: dict) -> str:
     )
 
 
-def _produce_fig12(ctx: ExperimentContext) -> list:
+def _produce_fig12(ctx) -> list:
     return [{"service": run["service"], "kernel": run["kernel"],
              **run["potential"]}
             for run in ctx.fetch("steady-profile")]
@@ -178,7 +179,7 @@ def _report_fig12(rows: list, config: dict) -> str:
     )
 
 
-def _produce_s52(ctx: ExperimentContext) -> list:
+def _produce_s52(ctx) -> list:
     """Per service on Contiguitas: the region's size and its internal
     fragmentation, time-averaged over the final diurnal period."""
     return [{"service": run["service"],

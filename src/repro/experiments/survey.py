@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from .claims import Band, Ordered
 from .common import _col
-from .spec import ExperimentContext, ExperimentSpec, register
+from .spec import ExperimentSpec, register
 
 #: The scan-report granularities every figure iterates.
 GRANULARITIES = ("2MB", "4MB", "32MB", "1GB")
@@ -20,7 +20,7 @@ CDF_POINTS = (0.0, 0.05, 0.10, 0.20, 0.30, 0.50, 0.75, 1.0)
 FIG05_CDF_POINTS = (0.0, 0.1, 0.2, 0.3, 0.4, 0.6, 0.8, 1.0)
 
 
-def _produce_fleet_survey(ctx: ExperimentContext) -> list:
+def _produce_fleet_survey(ctx) -> list:
     """Run the fleet campaign and return per-server scan snapshots."""
     from ..fleet import FleetConfig, ServerConfig, run_fleet
     from ..units import MiB
@@ -39,7 +39,7 @@ def _produce_fleet_survey(ctx: ExperimentContext) -> list:
     return [scan.snapshot() for scan in sample.scans]
 
 
-def _fetch_survey(ctx: ExperimentContext):
+def _fetch_survey(ctx):
     """The figure specs' shared dependency: the fleet survey rows for
     this figure's (n_servers, mem_mib) at this run's seed, rebuilt into
     a :class:`~repro.fleet.FleetSample`."""
@@ -73,7 +73,7 @@ def _cdf_table(rows: list, points: tuple, title: str) -> str:
         title=title)
 
 
-def _produce_fig04(ctx: ExperimentContext) -> list:
+def _produce_fig04(ctx) -> list:
     sample = _fetch_survey(ctx)
     rows = []
     for gran in GRANULARITIES:
@@ -101,7 +101,7 @@ def _report_fig04(rows: list, config: dict) -> str:
     )
 
 
-def _produce_fig05(ctx: ExperimentContext) -> list:
+def _produce_fig05(ctx) -> list:
     from ..fleet import median
 
     sample = _fetch_survey(ctx)
@@ -125,7 +125,7 @@ def _report_fig05(rows: list, config: dict) -> str:
     )
 
 
-def _produce_fig06(ctx: ExperimentContext) -> list:
+def _produce_fig06(ctx) -> list:
     sample = _fetch_survey(ctx)
     breakdown = sample.source_breakdown()
     return [{"source": src.name.lower(), "fraction": fraction}
@@ -154,7 +154,7 @@ def _report_fig06(rows: list, config: dict) -> str:
     )
 
 
-def _produce_s24(ctx: ExperimentContext) -> list:
+def _produce_s24(ctx) -> list:
     sample = _fetch_survey(ctx)
     # First, so a fleet too small to correlate is one ConfigurationError
     # before min() meets an empty list.
@@ -200,13 +200,15 @@ FLEET_SURVEY = register(ExperimentSpec(
     defaults=_SURVEY_DEFAULTS,
     seed=11,
     figure="Figs. 4-6, §2.4",
+    checkpoints=True,
 ))
 
 
 def _survey_figure(name: str, description: str, figure: str,
                    producer, postprocess, claims) -> ExperimentSpec:
     """Register a figure over ``fleet-survey``: it takes the survey's
-    scale as its parameters and the survey's seed as its own."""
+    scale as its parameters and the survey's seed as its own, and
+    checkpoints through the survey it fetches."""
     return register(ExperimentSpec(
         name=name,
         description=description,
@@ -217,6 +219,7 @@ def _survey_figure(name: str, description: str, figure: str,
         figure=figure,
         postprocess=postprocess,
         claims=claims,
+        checkpoints=True,
     ))
 
 

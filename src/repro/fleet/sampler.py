@@ -24,7 +24,7 @@ from ..errors import ConfigurationError
 from ..mm.page import AllocSource
 from ..run import RunSession
 from ..telemetry import CounterSet
-from ..telemetry.manifest import LazyManifest
+from ..telemetry.lazymanifest import LazyManifest
 from .config import FleetConfig
 from .engine import check_survey_fit, iter_fleet_scans, resolve_workers
 from .server import UTILIZATION_RANGE, ServerConfig, ServerScan

@@ -15,7 +15,7 @@ Everything *around* the loop lives here, once:
 4. :meth:`RunSession.manifest` — the run manifest's parts known when
    the loop ends, checkpoint bookkeeping under ``volatile`` only; the
    result builds the manifest from them when it is first read
-   (:class:`~repro.telemetry.manifest.LazyManifest`).
+   (:class:`~repro.telemetry.lazymanifest.LazyManifest`).
 
 A killed run is finished by calling its front door again with
 ``resume=True`` (or rerunning its ``experiment``/``scenario``

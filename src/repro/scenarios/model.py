@@ -47,7 +47,6 @@ from dataclasses import dataclass, replace
 from typing import Any, Mapping
 
 from ..errors import ConfigurationError
-from ..faults.plan import NAMED_PLANS
 
 __all__ = ["Cell", "Scenario", "ScenarioMatrix", "scenario_from_dict"]
 
@@ -114,8 +113,11 @@ def _options(raw: dict, where: str) -> dict:
 
 
 def _plan(plan, where: str) -> None:
-    if plan is not None and (type(plan) is not str
-                             or plan not in NAMED_PLANS):
+    if plan is None:
+        return
+    from ..faults.plan import NAMED_PLANS     # only a plan needs them
+
+    if type(plan) is not str or plan not in NAMED_PLANS:
         raise ConfigurationError(
             f"{where}: unknown fault plan {plan!r}; known: "
             + ", ".join(sorted(NAMED_PLANS)))

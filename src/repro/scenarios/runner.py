@@ -28,9 +28,8 @@ from ..errors import ConfigurationError
 from ..experiments import get_spec, load_cached, run_experiment
 from ..experiments.cache import ResultCache
 from ..experiments.runner import ExperimentResult
-from ..faults.plan import NAMED_PLANS
 from ..telemetry import MetricsRegistry, tracepoint
-from ..telemetry.manifest import LazyManifest
+from ..telemetry.lazymanifest import LazyManifest
 from .loader import get_scenario
 from .model import Cell, Scenario, ScenarioMatrix
 
@@ -194,9 +193,12 @@ def _resolve(config: ScenarioConfig):
 def _cell_args(matrix: ScenarioMatrix, cell: Cell, seed: int) -> dict:
     """What one cell hands ``run_experiment`` or ``load_cached``."""
     plan = matrix.cell_plan(cell)
+    if plan is not None:
+        from ..faults.plan import NAMED_PLANS    # only a plan needs them
+
+        plan = NAMED_PLANS[plan]
     return {"overrides": matrix.cell_overrides(cell),
-            "seed": seed + cell.replica,
-            "plan": None if plan is None else NAMED_PLANS[plan]}
+            "seed": seed + cell.replica, "plan": plan}
 
 
 def run_scenario(config: ScenarioConfig,

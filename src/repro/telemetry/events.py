@@ -16,54 +16,21 @@ call site costs one attribute load and one branch — the keyword
 arguments are never even built.  :meth:`Tracepoint.emit` re-checks the
 flag so that un-guarded call sites are merely slow, never wrong.
 
-Events are :class:`TraceEvent` records stamped with *simulated* time: a
-kernel registers itself as the clock (:func:`set_sim_clock`) and every
-event emitted without an explicit ``ts`` reads the kernel's ``now``.
-Sinks are pluggable: :class:`RingBufferSink` keeps the last N events in
-memory (the ftrace ring buffer), :class:`JsonlSink` streams them to a
-file one JSON object per line (the format ``repro trace`` dumps and
-filters).
+Events are stamped with *simulated* time: a kernel registers itself as
+the clock (:func:`set_sim_clock`) and every event emitted without an
+explicit ``ts`` reads the kernel's ``now``.  The event records, the
+sinks they go to and the :func:`~repro.telemetry.sinks.tracing` scope
+live in :mod:`repro.telemetry.sinks`, which only a traced run loads:
+every instrumented module imports this one, a warm ``scenario run``
+among them (docs/INTERNALS.md, "Import tiers").
 """
 
 from __future__ import annotations
 
-import json
 import weakref
-from collections import deque
 from collections.abc import Iterator
-from contextlib import contextmanager
-from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
-
-from ..errors import ConfigurationError
-
-
-@dataclass(frozen=True, slots=True)
-class TraceEvent:
-    """One typed trace record.
-
-    Attributes:
-        name: the tracepoint's dotted name (e.g. ``mm.buddy.alloc``).
-        ts: simulated-time timestamp (kernel ticks; 0 when no clock is
-            registered).
-        fields: event payload — JSON-serialisable scalars only.
-    """
-
-    name: str
-    ts: int
-    fields: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        """One-line JSON rendering (the JSONL interchange format)."""
-        return json.dumps(
-            {"name": self.name, "ts": self.ts, "fields": self.fields},
-            sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, line: str) -> "TraceEvent":
-        obj = json.loads(line)
-        return cls(name=obj["name"], ts=int(obj.get("ts", 0)),
-                   fields=dict(obj.get("fields", {})))
+from functools import cached_property
 
 
 class Tracepoint:
@@ -84,7 +51,7 @@ class Tracepoint:
         registry = self._registry
         if ts is None:
             ts = registry.now()
-        event = TraceEvent(self.name, ts, fields)
+        event = registry.event_type(self.name, ts, fields)
         for sink in registry.sinks:
             sink.append(event)
 
@@ -105,6 +72,14 @@ class TracepointRegistry:
         self._points: dict[str, Tracepoint] = {}
         self.sinks: list = []
         self._clock_ref: weakref.ReferenceType | None = None
+
+    @cached_property
+    def event_type(self):
+        """What an event is built as, loaded by the first emit: a
+        process that never traces never loads the sinks module."""
+        from .sinks import TraceEvent
+
+        return TraceEvent
 
     # -- declaration / lookup -------------------------------------------
 
@@ -181,109 +156,3 @@ def tracepoint(name: str) -> Tracepoint:
 def set_sim_clock(obj) -> None:
     """Register the simulated-time source on the global registry."""
     TRACEPOINTS.set_clock(obj)
-
-
-@contextmanager
-def tracing(*patterns: str, sink=None, registry: TracepointRegistry | None = None):
-    """Enable tracing for a ``with`` block and restore prior state after.
-
-    Yields the sink collecting events (a fresh :class:`RingBufferSink`
-    unless one is passed).  Enablement and sink attachment are restored
-    exactly, so nested/overlapping scopes compose.
-    """
-    registry = registry or TRACEPOINTS
-    sink = RingBufferSink() if sink is None else sink
-    saved = {tp.name: tp.enabled for tp in registry}
-    registry.attach(sink)
-    registry.enable(*patterns)
-    try:
-        yield sink
-    finally:
-        registry.detach(sink)
-        for tp in registry:
-            tp.enabled = saved.get(tp.name, False)
-
-
-class RingBufferSink:
-    """Keeps the most recent *capacity* events (ftrace ring buffer)."""
-
-    def __init__(self, capacity: int = 1 << 16) -> None:
-        if capacity < 1:
-            raise ConfigurationError(
-                f"ring capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._buf: deque[TraceEvent] = deque(maxlen=capacity)
-        #: Total events ever appended; ``appended - len(self)`` = dropped.
-        self.appended = 0
-
-    def append(self, event: TraceEvent) -> None:
-        self.appended += 1
-        self._buf.append(event)
-
-    @property
-    def dropped(self) -> int:
-        return self.appended - len(self._buf)
-
-    def __len__(self) -> int:
-        return len(self._buf)
-
-    def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self._buf)
-
-    def events(self) -> list[TraceEvent]:
-        return list(self._buf)
-
-    def clear(self) -> None:
-        self._buf.clear()
-        self.appended = 0
-
-
-class JsonlSink:
-    """Streams events to a file as JSON lines (``repro trace`` input)."""
-
-    def __init__(self, path) -> None:
-        self.path = str(path)
-        # A live event stream, not a durable artifact: readers tail it
-        # while the run is in flight, so staging + os.replace would
-        # defeat the point.
-        self._fh = open(self.path, "w")  # simlint: disable=SL010
-        self.written = 0
-
-    def append(self, event: TraceEvent) -> None:
-        self._fh.write(event.to_json() + "\n")
-        self.written += 1
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-    def __enter__(self) -> "JsonlSink":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def read_jsonl(path) -> list[TraceEvent]:
-    """Load an event stream written by :class:`JsonlSink`; a missing
-    file or a line that is not an event is a :class:`ConfigurationError`
-    naming it."""
-    out = []
-    try:
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    out.append(TraceEvent.from_json(line))
-                except (ValueError, KeyError, TypeError,
-                        AttributeError) as exc:
-                    raise ConfigurationError(
-                        f"{path}:{lineno}: not a trace event "
-                        f"({exc!r})") from exc
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigurationError(
-            f"cannot read event stream {path}: {exc}") from exc
-    return out

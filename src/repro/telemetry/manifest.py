@@ -2,7 +2,8 @@
 
 A manifest captures everything needed to reproduce and compare a run:
 the configuration, the seed, the git revision and the kernel counter
-snapshot.  Every front door's result carries one (:class:`LazyManifest`);
+snapshot.  Every front door's result carries one, built on first read
+(:class:`~repro.telemetry.lazymanifest.LazyManifest`);
 ``repro metrics`` pretty-prints and diffs them.
 
 Volatile facts (wall-clock timestamps, hostname, worker count) live in a
@@ -15,7 +16,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from functools import cached_property
 
 from ..errors import ConfigurationError
 
@@ -86,32 +86,6 @@ def build_manifest(
         },
     }
     return manifest
-
-
-class LazyManifest:
-    """Mixin for a run result whose manifest is built on first read.
-
-    The run sets ``manifest_parts`` (:func:`build_manifest`'s keywords)
-    when it ends, so the counters and config are the run's own;
-    :meth:`manifest_derived` adds the parts a result works out from
-    itself (aggregates that sort every sample, say), and it and the host
-    facts (git rev, platform, time) are taken only when somebody reads
-    :attr:`manifest`: a run nobody asks does none of that work and forks
-    no ``git``.  A result with no parts (one only read back from a
-    cache) has none.
-    """
-
-    manifest_parts: dict | None = None
-
-    def manifest_derived(self) -> dict:
-        """Manifest parts computed from the result on first read."""
-        return {}
-
-    @cached_property
-    def manifest(self) -> dict | None:
-        parts = self.manifest_parts
-        return (None if parts is None
-                else build_manifest(**parts, **self.manifest_derived()))
 
 
 def write_manifest(path, manifest: dict) -> str:

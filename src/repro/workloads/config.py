@@ -17,7 +17,7 @@ from ..errors import CheckpointCorruptError, ConfigurationError
 from ..mm.handle import HandleTable
 from ..mm.sections import nest, scope
 from ..run import RunSession
-from ..telemetry.manifest import LazyManifest
+from ..telemetry.lazymanifest import LazyManifest
 from ..units import MiB, PAGEBLOCK_FRAMES
 from .base import Workload, WorkloadSpec
 from .registry import canonical_service_name, get_service

@@ -38,7 +38,7 @@ from ..errors import ConfigurationError
 from ..sim.params import DEFAULT_PARAMS
 from ..run import RunSession
 from ..telemetry import Histogram, MetricsRegistry, tracepoint
-from ..telemetry.manifest import LazyManifest
+from ..telemetry.lazymanifest import LazyManifest
 from .interference import MEMCACHED, NGINX, ServerApp
 from .requestloop import MigrationSchedule, RequestLoop
 

@@ -64,11 +64,22 @@ def free_list(buddy, order: int, mt) -> list[int]:
 def free_frames_by_type(buddy) -> dict[MigrateType, int]:
     """Free frames on each migrate type's lists, from *buddy*'s per-list
     counts (list index = order * len(MigrateType) + migrate type)."""
-    nmt = len(MigrateType)
-    frames = dict.fromkeys(MigrateType, 0)
+    types = list(MigrateType)
+    frames = dict.fromkeys(types, 0)
     for li, n in enumerate(buddy._count):
-        frames[MigrateType(li % nmt)] += n << li // nmt
+        if n:
+            frames[types[li % len(types)]] += n << li // len(types)
     return frames
+
+
+def cached_keys(cache) -> list[str]:
+    """Every key a :class:`~repro.experiments.ResultCache` holds, sorted:
+    its entries are ``<root>/<key[:2]>/<key>.json`` (staging files are
+    dot files, which ``*`` skips)."""
+    import glob
+
+    return sorted(os.path.basename(path)[:-len(".json")] for path in
+                  glob.glob(os.path.join(cache.root, "*", "*.json")))
 
 
 def live_handles(registry) -> list[PageHandle]:

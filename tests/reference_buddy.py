@@ -140,7 +140,9 @@ class RefBuddy:
 
 
 class Page:
-    def __init__(self, pfn, order, mt, source, pinned, reclaimable) -> None:
+    def __init__(self, seq, pfn, order, mt, source, pinned,
+                 reclaimable) -> None:
+        self.seq = seq                      # allocation order
         self.pfn, self.order, self.mt, self.source = pfn, order, mt, source
         self.pinned, self.reclaimable, self.freed = pinned, reclaimable, False
 
@@ -160,6 +162,8 @@ class RefKernel:
                 RefBuddy(self.blocks, 0, boundary, "lifo", False),
                 RefBuddy(self.blocks, boundary, nblocks, "lifo", False)]
         self.pages: list[Page] = []          # live, allocation order
+        self.pinned: set[Page] = set()       # the live pinned ones
+        self.allocated = 0                   # pages ever allocated
         self.lru: OrderedDict[Page, None] = OrderedDict()
         self.offlined: set[int] = set()
         self.deferred: set[int] = set()
@@ -175,8 +179,12 @@ class RefKernel:
         return self.regions[0], MigrateType.MOVABLE, None
 
     def _new(self, pfn, order, mt, source, pinned, reclaimable) -> Page:
-        page = Page(pfn, order, mt, source, pinned, reclaimable)
+        page = Page(self.allocated, pfn, order, mt, source, pinned,
+                    reclaimable)
+        self.allocated += 1
         self.pages.append(page)
+        if pinned:
+            self.pinned.add(page)
         if reclaimable:
             self.lru[page] = None
         return page
@@ -197,6 +205,7 @@ class RefKernel:
     def free(self, page: Page) -> None:
         page.freed = True
         self.pages.remove(page)
+        self.pinned.discard(page)
         self.lru.pop(page, None)
         self.region_of(page.pfn).free(page.pfn, page.order)
         for pfn in sorted(p for p in self.deferred
@@ -215,7 +224,12 @@ class RefKernel:
             self.regions[0].free(page.pfn, page.order)
             page.pfn = dst
         page.pinned = True
+        self.pinned.add(page)
         return True
+
+    def unpin(self, page: Page) -> None:
+        page.pinned = False
+        self.pinned.discard(page)
 
     def reclaim(self, target: int) -> int:
         freed = 0
@@ -240,12 +254,18 @@ class RefKernel:
             self.deferred.add(pfn)
 
     def _offline(self, pfn: int) -> None:
+        """Take *pfn*'s free block off its list and give back the rest:
+        at each order, the half without *pfn* (what freeing the other
+        frames one by one merges into)."""
         region = self.region_of(pfn)
         head = next(pfn & -(1 << o) for o in range(MAX_ORDER + 1)
                     if region.free_heads.get(pfn & -(1 << o), (-1,))[0] == o)
-        for frame in range(head, head + (1 << region._remove(head))):
-            if frame != pfn:
-                region.free(frame, 0)
+        for o in range(region._remove(head) - 1, -1, -1):
+            if pfn < head + (1 << o):
+                half = head + (1 << o)
+            else:
+                half, head = head, head + (1 << o)
+            region._insert(half, o, region.blocks[half // PB])
         self.deferred.discard(pfn)
         self.offlined.add(pfn)
 

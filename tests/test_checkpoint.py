@@ -1138,6 +1138,30 @@ class TestCheckpointCli:
                 ">= 0, got -3") in capsys.readouterr().err
         assert not os.listdir(tmp_path)
 
+    @pytest.mark.parametrize("flags", [
+        ["--resume-from", "fx/ck"], ["--checkpoint-every", "2"],
+    ], ids=["resume-from", "cadence"])
+    def test_a_spec_that_does_not_checkpoint_refuses(self, flags, tmp_path,
+                                                     monkeypatch, capsys):
+        """A checkpoint request for a spec whose producer never
+        checkpoints is refused, naming the specs that do, and the call
+        writes nothing: no checkpoint directory, no cached rows."""
+        from repro.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "run", "tail-latency-interference",
+                  "--set", "duration_ms=0.1", "--cache-dir", "cache",
+                  *flags])
+        message = str(exc.value.code)
+        assert message.startswith(
+            "repro: experiment 'tail-latency-interference' does not "
+            "checkpoint; these do: ")
+        assert {"fleet-survey", "workload-steady"} <= set(
+            message.rsplit(": ", 1)[1].split(", "))
+        assert capsys.readouterr().out == ""
+        assert not os.listdir(tmp_path)
+
 
 class TestManifestVolatileOnly:
     def test_checkpoint_keys_never_touch_deterministic_view(self):

@@ -33,6 +33,8 @@ from repro.experiments import (
 )
 from repro.faults import FaultPlan, FaultSpec
 
+from conftest import cached_keys
+
 
 @pytest.fixture
 def cache(tmp_path):
@@ -336,7 +338,7 @@ class TestRunExperiment:
                 ScenarioConfig(scenario="steady-web", seed=True)
             else:
                 run_experiment("fig02-hwgen", seed=True, cache=cache)
-        assert cache.keys() == []
+        assert cached_keys(cache) == []
 
 
 class TestNestedFetch:
@@ -400,7 +402,7 @@ class TestSweep:
         assert [c["cell"] for c in cells] == ["1", "2", "3"]
         assert [c["config"]["x"] for c in cells] == [1, 2, 3]
         assert not any(c["cached"] for c in cells)
-        assert sorted(cache.keys()) == sorted(c["key"] for c in cells)
+        assert sorted(cached_keys(cache)) == sorted(c["key"] for c in cells)
         assert manifest["kind"] == "scenario"
         assert manifest["config"]["scenario"] == "toy-count"
         assert manifest["counters"]["scenario.cells_total"] == 3
@@ -464,7 +466,7 @@ class TestSweep:
         with pytest.raises(RuntimeError, match="injected"):
             self._sweep("toy-flaky", tmp_path, capsys)
         assert state["calls"] == 2  # x=1 landed, x=2 died
-        assert len(cache.keys()) == 1
+        assert len(cached_keys(cache)) == 1
 
         state["fail"] = False
         _, manifest = self._sweep("toy-flaky", tmp_path, capsys)
@@ -527,7 +529,7 @@ class TestCacheStore:
         for root, _dirs, files in os.walk(cache.root):
             names.extend(files)
         assert all(not n.startswith(".tmp-") for n in names)
-        assert len(cache.keys()) == 1
+        assert len(cached_keys(cache)) == 1
 
     def test_entry_metadata_round_trip(self, cache, counting_spec):
         r = run_experiment("toy-count", seed=9, cache=cache)
@@ -812,7 +814,8 @@ class TestFigureSpecs:
         metrics = MetricsRegistry()
         results = [run_experiment(name, cache=cache, metrics=metrics)
                    for name in STEADY_FIGURES]
-        assert sorted(cache.load(key)["spec"] for key in cache.keys()) == \
+        assert sorted(cache.load(key)["spec"]
+                      for key in cached_keys(cache)) == \
             sorted(STEADY_FIGURES + ("steady-profile",))
         counters = metrics.counters.snapshot()
         assert counters["experiment.cache_miss"] == 4  # 3 figures + 1 run
@@ -928,10 +931,10 @@ class TestClaims:
         assert [v.held for v in verdicts] == [False, True]
         assert verdicts[0].snapshot()["kind"] == "band"
         # The seeds are cached cells: a rerun computes nothing.
-        assert len(cache.keys()) == 3
+        assert len(cached_keys(cache)) == 3
         assert verify_claims(["toy-claims"], seeds=5,
                              cache=cache)[0].broken == (12, 13, 14)
-        assert len(cache.keys()) == 5
+        assert len(cached_keys(cache)) == 5
 
     def test_verify_refuses_a_spec_without_claims(self, counting_spec, cache):
         with pytest.raises(ConfigurationError, match="declares no claims"):

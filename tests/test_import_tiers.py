@@ -21,9 +21,22 @@ HOT = ("numpy", "repro.mm", "repro.core", "repro.kalloc", "repro.sim",
        "repro.fleet", "repro.workloads.base")
 
 #: What a warm ``scenario run`` never needs: the manifest's host facts,
-#: the HTML renderer, the fault injector and the tool verbs.
+#: the HTML renderer, the fault injector, the tool verbs, the other
+#: verbs' handlers, the claim verifier, a producer's context, and
+#: telemetry's sinks, instruments and manifest code.
 NOT_WARM = ("subprocess", "platform", "html", "repro.faults.injector",
-            "repro.checkpoint", "repro.analysis.simlint", "repro.tools")
+            "repro.checkpoint", "repro.analysis.simlint", "repro.tools",
+            "repro.verbs", "repro.analysis.reporting",
+            "repro.experiments.verify", "repro.experiments.context",
+            "repro.telemetry.sinks", "repro.telemetry.instruments",
+            "repro.telemetry.manifest")
+
+#: What those modules define, wherever it lived: no module a warm
+#: ``scenario run`` loads defines any of it.
+NOT_WARM_NAMES = ("Verdict", "verify_claims", "ExperimentContext",
+                  "TraceEvent", "RingBufferSink", "JsonlSink", "read_jsonl",
+                  "Gauge", "Histogram", "build_manifest", "write_manifest",
+                  "load_manifest", "manifest_diff", "format_table")
 
 PROBE = """
 import json, sys
@@ -145,6 +158,22 @@ def test_warm_scenario_run_loads_one_family_and_no_tool(warm):
         env={"REPRO_EXPERIMENT_CACHE": warm["cache"]},
         watch=(*FAMILIES, *NOT_WARM))
     assert loaded == ["repro.experiments.survey"]
+
+
+def test_warm_scenario_run_defines_nothing_it_never_calls(warm):
+    """Checked by name in every loaded ``repro`` module's globals, so a
+    class or function moved back onto the warm path under another
+    module name is caught too (and the lazy tables resolve nothing)."""
+    done = fresh_python(
+        main_body("scenario", "run", "uce-degrade", "--smoke")
+        + "import json, sys\n"
+        f"names = set({NOT_WARM_NAMES!r})\n"
+        "print('\\nDEFINED=' + json.dumps(sorted(\n"
+        "    f'{m}.{n}' for m, module in list(sys.modules.items())\n"
+        "    if m.startswith('repro') for n in names & vars(module).keys())))",
+        {"REPRO_EXPERIMENT_CACHE": warm["cache"]})
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.rsplit("DEFINED=", 1)[1]) == []
 
 
 @pytest.mark.parametrize("argv", [

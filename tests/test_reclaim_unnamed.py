@@ -19,7 +19,7 @@ from repro.mm import MigrateType
 from repro.mm import vmstat as ev
 from repro.mm.handle import HandleList
 from repro.telemetry import tracing
-from repro.telemetry.events import RingBufferSink
+from repro.telemetry.sinks import RingBufferSink
 from repro.units import MAX_ORDER
 from repro.workloads import Workload, get_service
 

@@ -5,7 +5,8 @@ A hypothesis state machine drives a ``BuddyAllocator`` (``lifo``,
 beside ``reference_buddy``'s naive model.  Every allocation must return
 the PFN the model returns — pop order is part of every digest — and
 after every rule the two must agree on the free lists (each list's
-members in order, hence the free-area histogram), the pageblock
+count, head, tail and member links, hence its members in order and the
+free-area histogram), the pageblock
 migratetypes, the free frames per migratetype and Mansi & Swift's
 fragmentation metrics: the free-region size distribution, read from the
 frame arrays on one side and the model's lists on the other, and the
@@ -15,7 +16,6 @@ unusable-free-space and fragmentation indices per order.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -46,7 +46,7 @@ from repro.units import MAX_ORDER, MiB
 
 from reference_buddy import RefBuddy, RefKernel
 
-from conftest import free_frames_by_type, free_list
+from conftest import free_frames_by_type
 
 #: Rule steps each configuration must run inside Tier-1.
 MIN_STEPS = 10_000
@@ -59,32 +59,38 @@ SOURCES = st.sampled_from(list(AllocSource))
 PICK = st.integers(0, 1 << 20)
 
 
-def regions_of(free: np.ndarray) -> Counter:
-    """Free-region size distribution: maximal runs of free frames."""
-    edges = np.flatnonzero(np.diff(np.concatenate(
-        ([0], free.astype(np.int8), [0]))))
-    return Counter((edges[1::2] - edges[::2]).tolist())
+def region_sizes(allocated: np.ndarray) -> list[int]:
+    """Free-region sizes, sorted: the maximal runs of frames that
+    *allocated* marks False."""
+    cuts = [0, *(np.flatnonzero(allocated[1:] != allocated[:-1])
+                 + 1).tolist(), len(allocated)]
+    runs = [end - start for start, end in zip(cuts, cuts[1:])]
+    return sorted(runs[1 if allocated[0] else 0::2])
 
 
-def ref_regions(heads) -> Counter:
-    """The same distribution from the model's free blocks."""
-    runs: Counter = Counter()
+def ref_region_sizes(heads: dict) -> list[int]:
+    """The same from the model's free blocks (head -> (order, mt)): a
+    region breaks where a block does not start at the previous end."""
+    sizes = []
     start = end = -1
-    for head, order in sorted(heads):
+    for head in sorted(heads):
         if head != end:
-            runs[end - start] += start >= 0
+            if start >= 0:
+                sizes.append(end - start)
             start = head
-        end = head + (1 << order)
-    runs[end - start] += start >= 0
-    return +runs
+        end = head + (1 << heads[head][0])
+    if start >= 0:
+        sizes.append(end - start)
+    return sorted(sizes)
 
 
-def frag_metrics(blocks: Counter) -> list[tuple[float, float]]:
-    """Per order *j*, from the free blocks per order: the unusable free
-    space index and the fragmentation index (Gorman; -1 where a block
-    of order >= *j* is free), the metrics Mansi & Swift track."""
-    total = sum(n << o for o, n in blocks.items())
-    count = sum(blocks.values())
+def frag_metrics(blocks) -> list[tuple[float, float]]:
+    """Per order *j*, from the free blocks per order (indexed by order):
+    the unusable free space index and the fragmentation index (Gorman;
+    -1 where a block of order >= *j* is free), the metrics Mansi &
+    Swift track."""
+    total = sum(n << o for o, n in enumerate(blocks))
+    count = sum(blocks)
     out, usable = [], 0
     for j in range(MAX_ORDER, -1, -1):
         usable += blocks[j] << j
@@ -92,6 +98,33 @@ def frag_metrics(blocks: Counter) -> list[tuple[float, float]]:
                     -1.0 if usable or not count
                     else 1 - (1 + total / (1 << j)) / count))
     return out
+
+
+def lists_agree(mem: PhysicalMemory, real: BuddyAllocator,
+                ref: RefBuddy) -> None:
+    """*real*'s free lists hold *ref*'s members in *ref*'s order: the
+    table's count of every list, the head and tail of every non-empty
+    one, and every member's ``free_next``/``free_prev`` links, each
+    column read in one gather.  A walk from a head is then the model's
+    list, and the free frames per migratetype, a sum over the counts
+    on either side, agree with them."""
+    assert real._count == [len(members) for members in ref.lists.values()]
+    lists = {li: list(members)
+             for li, members in enumerate(ref.lists.values()) if members}
+    if not lists:
+        return
+    assert [real._head[li] for li in lists] == [m[0] for m in lists.values()]
+    assert [real._tail[li] for li in lists] == [m[-1] for m in lists.values()]
+    members = np.fromiter(itertools.chain(*lists.values()), np.int64)
+    last = np.array(list(itertools.accumulate(map(len, lists.values())))) - 1
+    expected = np.empty_like(members)      # each member's successor
+    expected[:-1] = members[1:]
+    expected[last] = -1
+    assert (mem.free_next[members] == expected).all()
+    expected[1:] = members[:-1]            # ... and predecessor
+    expected[last[:-1] + 1] = -1
+    expected[0] = -1
+    assert (mem.free_prev[members] == expected).all()
 
 
 class _Machine(RuleBasedStateMachine):
@@ -111,20 +144,18 @@ class _Machine(RuleBasedStateMachine):
     def agrees_with_the_reference(self) -> None:
         type(self).checked += 1
         mem = self.mem
-        heads = []
+        heads = {}
         for real, ref in self.pairs():
-            by_type = dict.fromkeys(MigrateType, 0)
-            for (order, mt), members in ref.lists.items():
-                if members or real._count[order * len(MigrateType) + mt]:
-                    assert free_list(real, order, mt) == list(members)
-                by_type[mt] += len(members) << order
-            assert free_frames_by_type(real) == by_type
-            heads += [(head, order)
-                      for head, (order, _) in ref.free_heads.items()]
+            lists_agree(mem, real, ref)
+            heads.update(ref.free_heads)
         assert self.table.types.tolist() == self.ref_types
-        assert regions_of(~mem.allocated_mask()) == ref_regions(heads)
-        real_blocks = Counter(mem.free_order[mem.free_order >= 0].tolist())
-        ref_blocks = Counter(order for _, order in heads)
+        assert region_sizes(mem.allocated_mask()) == ref_region_sizes(heads)
+        free_order = mem.free_order
+        real_blocks = np.bincount(free_order[free_order >= 0],
+                                  minlength=MAX_ORDER + 1).tolist()
+        ref_blocks = [0] * (MAX_ORDER + 1)
+        for order, _ in heads.values():
+            ref_blocks[order] += 1
         assert frag_metrics(real_blocks) == frag_metrics(ref_blocks)
 
     def teardown(self) -> None:
@@ -228,14 +259,15 @@ class KernelMachine(_Machine):
         """Every page the model knows sits where the kernel's does, and
         is freed exactly when the kernel's is (reclaim frees both)."""
         slots = self.kernel.handles._slots
-        for page, real in self.real.items():
-            if type(real) is tuple:
-                real = slots[real[0].start + real[1]]
-            got = ((real.pfn, real.freed) if type(real) is not int
-                   else (~real, True) if real < 0 else (real, False))
-            assert got == (page.pfn, page.freed)
-        self.real = {page: real for page, real in self.real.items()
-                     if not page.freed}
+        # Both sides spelled as a slot is: the PFN, complemented once
+        # the page is freed.
+        want = [~page.pfn if page.freed else page.pfn for page in self.real]
+        assert [slots[real[0].start + real[1]] if type(real) is tuple
+                else ~real.pfn if real.freed else real.pfn
+                for real in self.real.values()] == want
+        if min(want, default=0) < 0:
+            self.real = {page: real for page, real in self.real.items()
+                         if not page.freed}
         assert len(self.kernel.handles) == len(self.ref.pages)
 
     @rule(order=ORDERS, source=SOURCES, mt=MTS_OR_DEFAULT,
@@ -288,12 +320,12 @@ class KernelMachine(_Machine):
         if not page.pinned and self.ref.pin(page):
             self.kernel.pin_pages(self.named(page))
 
-    @precondition(lambda self: any(p.pinned for p in self.ref.pages))
+    @precondition(lambda self: self.ref.pinned)
     @rule(pick=PICK)
     def unpin(self, pick):
-        pinned = [p for p in self.ref.pages if p.pinned]
+        pinned = sorted(self.ref.pinned, key=lambda page: page.seq)
         page = pinned[pick % len(pinned)]
-        page.pinned = False
+        self.ref.unpin(page)
         self.kernel.unpin_pages(self.named(page))
 
     @rule(frames=st.integers(1, 300))

@@ -28,7 +28,7 @@ from repro.telemetry import (
     tracing,
     write_manifest,
 )
-from repro.telemetry.metrics import HIST_BUCKETS
+from repro.telemetry.instruments import HIST_BUCKETS
 
 from conftest import deterministic_view
 

@@ -18,6 +18,45 @@ def experiment(tmp_path, capsys):
     return run
 
 
+def _verbs():
+    """Every command path of the full ``repro`` tree, and whether it
+    takes a subcommand."""
+    pending = [build_parser()]
+    while pending:
+        parser = pending.pop()
+        yield parser.prog.split()[1:], bool(parser.subverbs)
+        pending += parser.subverbs
+
+
+def _usage_argvs():
+    for path, has_subcommands in _verbs():
+        yield [*path, "--help"]
+        yield [*path, "--bogus"]
+        yield ["--bogus", *path]
+        if has_subcommands:
+            yield path
+            yield [*path, "bogus"]
+    yield from (["experiment", "run", "x", "--workers", "0"],
+                ["scenario", "run", "--checkpoint-every", "-1"],
+                ["trace", "--limit", "x"],
+                ["checkpoint", "inspect", "d", "--deadline", "x"])
+
+
+@pytest.mark.parametrize("argv", list(_usage_argvs()),
+                         ids=lambda argv: " ".join(argv) or "-")
+def test_each_verb_parses_as_the_full_tree_does(argv, capsys):
+    """``main`` adds the options of the verb it runs only; every help
+    and usage text it prints, and its exit code, is the full tree's."""
+    with pytest.raises(SystemExit) as full:
+        build_parser().parse_args(argv)
+    printed = capsys.readouterr()
+    with pytest.raises(SystemExit) as lazy:
+        main(argv)
+    assert (lazy.value.code, capsys.readouterr()) == (full.value.code,
+                                                       printed)
+    assert printed.out or printed.err
+
+
 class TestCli:
     def test_parser_has_all_commands(self):
         """The scenario and checkpoint front doors and the tools; every

@@ -20,7 +20,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments import ResultCache, run_experiment
-from repro.telemetry.metrics import HIST_BUCKETS, Histogram
+from repro.telemetry.instruments import HIST_BUCKETS, Histogram
 from repro.workloads.interference import MEMCACHED, NGINX
 from repro.workloads.requestloop import RequestLoop
 from repro.workloads.tracegen import (
