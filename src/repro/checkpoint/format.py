@@ -125,20 +125,23 @@ def collector_paused(fn, *args, **kwargs):
             gc.enable()
 
 
+#: What an int64 or int32 array may be narrowed to, narrowest first,
+#: with each type's bounds.
+_NARROW = (("<i2", -1 << 15, (1 << 15) - 1), ("<i4", -1 << 31, (1 << 31) - 1))
+
+
 def _narrowed(array):
     """*array* itself, or — an int64 or int32 array whose range fits —
     a copy in the narrowest of int16/int32."""
-    import numpy as np
-
-    if array.dtype not in (np.int64, np.int32):
+    wide = array.dtype.str
+    if wide != "<i8" and wide != "<i4":
         return array
     if not array.size:
-        return array.astype(np.int16)
+        return array.astype("<i2")
     lo, hi = int(array.min()), int(array.max())
-    for narrow in (np.int16, np.int32):
-        info = np.iinfo(narrow)
-        if info.min <= lo and hi <= info.max:
-            return array.astype(narrow) if narrow != array.dtype else array
+    for narrow, least, most in _NARROW:
+        if least <= lo and hi <= most:
+            return array.astype(narrow) if narrow != wide else array
     return array
 
 
@@ -443,11 +446,15 @@ class CheckpointStore:
                 os.unlink(os.path.join(self.directory, entry))
         fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=prefix,
                                    suffix=self.SUFFIX)
+        size = sum(map(len, chunks))
         try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.writelines(chunks)
-                fh.flush()
-                os.fsync(fh.fileno())
+            try:    # the whole envelope in one system call
+                written = os.writev(fd, chunks)
+                os.fsync(fd)
+            finally:
+                os.close(fd)
+            if written != size:
+                raise OSError(f"{tmp}: wrote {written} of {size} bytes")
             if _fs_write_fail.armed and _fs_write_fail.fire(
                     kind=kind, step=step):
                 raise CheckpointWriteError(
@@ -465,8 +472,7 @@ class CheckpointStore:
             raise
         metrics.inc("checkpoint.writes")
         if _tp_write.enabled:
-            _tp_write.emit(kind=kind, step=step,
-                           bytes=sum(len(chunk) for chunk in chunks),
+            _tp_write.emit(kind=kind, step=step, bytes=size,
                            path=self.current_path)
         return self.current_path
 

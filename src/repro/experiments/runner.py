@@ -124,7 +124,8 @@ def run_experiment(name: str,
         checkpoint_dir: explicit checkpoint directory, overriding the
             derived ``<cache>/checkpoints/<key>`` path — how
             ``repro experiment run --resume-from`` points a rerun at a
-            killed cell's checkpoints.  Never deleted, ``force`` or not.
+            killed cell's checkpoints, and handed to fetched
+            dependencies as it is.  Never deleted, ``force`` or not.
     """
     spec, config, seed, cache, key = _address(name, overrides, seed, plan,
                                               cache)
@@ -151,11 +152,15 @@ def run_experiment(name: str,
         if _tp_miss.enabled:
             _tp_miss.emit(spec=spec.name, key=key[:12])
 
+        # An explicit directory goes to the fetched dependency, which
+        # is the part that checkpoints; a derived one is per key.
+        explicit = checkpoint_dir
+
         def fetch(dep: str, overrides: dict | None = None) -> list:
             dep_result = run_experiment(
                 dep, overrides=overrides, seed=seed, workers=workers,
                 plan=plan, cache=cache, metrics=metrics,
-                checkpoint_every=checkpoint_every)
+                checkpoint_every=checkpoint_every, checkpoint_dir=explicit)
             return dep_result.rows
 
         from .context import ExperimentContext

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import heapq
 import os
+import re
 import time
 import traceback
 from collections import deque
@@ -92,6 +93,23 @@ class WorkerOutcome:
         return self.scan is not None
 
 
+#: The directory that holds the ``repro`` package.
+_PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__)))) + os.sep
+_FRAME_FILE = re.compile(r'^(  File ")([^"]*)"', re.M)
+
+
+def _portable(text: str) -> str:
+    """A formatted traceback whose frames name their files alike in
+    every checkout: ``repro/...`` under the package, a basename else."""
+    def short(match) -> str:
+        path = match.group(2)
+        path = (path[len(_PACKAGE_ROOT):] if path.startswith(_PACKAGE_ROOT)
+                else os.path.basename(path))
+        return f'{match.group(1)}{path}"'
+    return _FRAME_FILE.sub(short, text)
+
+
 def _scan_payload(
     payload: tuple[int, ServerConfig | None, int, int],
 ) -> WorkerOutcome:
@@ -117,7 +135,7 @@ def _scan_payload(
             index=index, seed=seed, attempt=attempt,
             error=(f"server {index} (seed {seed}, attempt {attempt}): "
                    f"{type(exc).__name__}: {exc}\n"
-                   f"{traceback.format_exc(limit=8)}"))
+                   f"{_portable(traceback.format_exc(limit=8))}"))
     return WorkerOutcome(index=index, seed=seed, attempt=attempt, scan=scan)
 
 

@@ -10,6 +10,8 @@ unmovable pages alive — scattered wherever the buddy placed them.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..errors import DoubleFreeError, ReproError
 from ..units import FRAME_SIZE
 from ..mm.handle import HandleTable, PageHandle
@@ -210,12 +212,12 @@ class SlabAllocator:
             cache._full = {slabs[i] for i in rows_of(cached["full"],
                                                      len(slabs))}
             cache.total_objects = cached["objects"]
-        refs = []
-        for sid, index, freed in zip(
-                rows_of(state["objects.slab"], len(slabs)),
-                state["objects.index"].tolist(),
-                state["objects.freed"].tolist(), strict=True):
-            ref = ObjectRef(owners[sid], slabs[sid], index)
-            ref.freed = freed == 1
-            refs.append(ref)
+        sids = rows_of(state["objects.slab"], len(slabs))
+        index, freed = state["objects.index"], state["objects.freed"]
+        if not len(sids) == len(index) == len(freed):
+            raise ValueError("slab object columns differ in length")
+        refs = list(map(ObjectRef, map(owners.__getitem__, sids),
+                        map(slabs.__getitem__, sids), index.tolist()))
+        for i in np.flatnonzero(freed == 1).tolist():
+            refs[i].freed = True
         return refs

@@ -14,8 +14,7 @@ from array import array
 from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from itertools import chain, count, filterfalse
-from operator import attrgetter
+from itertools import count, filterfalse
 
 import numpy as np
 
@@ -87,9 +86,17 @@ class HandleTable:
         """The row of each of *handles*, adding the ones not yet seen
         (in order of first appearance)."""
         rows, handles = self._rows, list(handles)
-        rows.update(zip(filterfalse(rows.__contains__,
-                                    dict.fromkeys(handles)),
-                        count(len(rows))))
+        if not rows:    # the first holder: its handles, unless repeated
+            rows.update(zip(handles, count()))
+            if len(rows) == len(handles):
+                return list(range(len(handles)))
+            rows.clear()
+        try:    # most holders name only handles an earlier one named
+            return list(map(rows.__getitem__, handles))
+        except KeyError:
+            rows.update(zip(filterfalse(rows.__contains__,
+                                        dict.fromkeys(handles)),
+                            count(len(rows))))
         return list(map(rows.__getitem__, handles))
 
     def refs(self, refs: list) -> dict:
@@ -104,15 +111,14 @@ class HandleTable:
     def snapshot(self) -> dict:
         """The table: one column per field, ``bits`` = ``pinned |
         freed << 1 | reclaimable << 2``."""
-        fields = int64(list(chain.from_iterable(map(attrgetter(
-            "pfn", "order", "migratetype", "source", "birth", "pinned",
-            "freed", "reclaimable"), self._rows)))).reshape(-1, 8)
-        return {"pfn": fields[:, 0], "order": fields[:, 1].astype(np.int8),
-                "migratetype": fields[:, 2].astype(np.int8),
-                "source": fields[:, 3].astype(np.int8),
-                "birth": fields[:, 4], "bits": (
-                    fields[:, 5] | fields[:, 6] << 1
-                    | fields[:, 7] << 2).astype(np.uint8)}
+        rows = self._rows
+        return {"pfn": int64([h.pfn for h in rows]),
+                "order": _bytes([h.order for h in rows], np.int8),
+                "migratetype": _bytes([h.migratetype for h in rows], np.int8),
+                "source": _bytes([h.source for h in rows], np.int8),
+                "birth": int64([h.birth for h in rows]),
+                "bits": _bytes([h.pinned | h.freed << 1 | h.reclaimable << 2
+                                for h in rows], np.uint8)}
 
     @classmethod
     def restore(cls, state) -> list[PageHandle]:
@@ -358,10 +364,11 @@ class HandleRegistry:
             map(pick, rows_of(state["built.rows"], len(handles))),
             strict=True))
         scalar = list(map(pick, rows_of(state["scalar"], len(handles))))
-        self._scalar = {handle.pfn: handle for handle in scalar}
+        pfns = [handle.pfn for handle in scalar]
+        self._scalar = dict(zip(pfns, scalar))
         if (len(self._built) != len(state["built.slots"])
                 or len(self._scalar) != len(scalar)
-                or not all(0 <= pfn < nframes for pfn in self._scalar)):
+                or pfns and not 0 <= min(pfns) <= max(pfns) < nframes):
             raise ValueError("a built slot or scalar PFN repeats, or a "
                              "scalar PFN lies outside memory")
         self._batch_starts = [start for start, *_ in state["batches"]]
@@ -374,9 +381,13 @@ class HandleRegistry:
 
 def _fields(handles) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The ``pfn``, ``order`` and ``freed`` columns of *handles*."""
-    fields = int64(list(chain.from_iterable(map(
-        attrgetter("pfn", "order", "freed"), handles)))).reshape(-1, 3)
-    return fields[:, 0], fields[:, 1], fields[:, 2] != 0
+    return (int64([h.pfn for h in handles]), int64([h.order for h in handles]),
+            int64([h.freed for h in handles]) != 0)
+
+
+def _bytes(values: list[int], dtype) -> np.ndarray:
+    """Small non-negative ints (enum members too) as a one-byte column."""
+    return np.frombuffer(bytes(values), dtype=dtype)
 
 
 #: Items :func:`_ints` packs per ``struct`` call.

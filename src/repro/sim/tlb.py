@@ -77,10 +77,6 @@ class SetAssocTLB:
             del entry[victim]
         entry[(vpn, shift)] = self._stamp
 
-    def flush(self) -> None:
-        for entry in self._sets:
-            entry.clear()
-
 
 class PageWalkCache:
     """Fully associative LRU cache of upper-level page-table entries."""
@@ -103,9 +99,6 @@ class PageWalkCache:
             victim = min(self._cache, key=self._cache.__getitem__)
             del self._cache[victim]
         self._cache[key] = self._stamp
-
-    def flush(self) -> None:
-        self._cache.clear()
 
 
 @dataclass
@@ -247,11 +240,3 @@ class TLBHierarchy:
     def reset_stats(self) -> None:
         """Zero the counters, keeping TLB/PWC contents (end of warmup)."""
         self.stats = WalkStats()
-
-    def flush(self) -> None:
-        """Full TLB flush (non-PCID shootdown fallback)."""
-        self.l1.flush()
-        self.l1_1g.flush()
-        self.l2.flush()
-        for pwc in self.pwcs:
-            pwc.flush()

@@ -1034,6 +1034,25 @@ class TestExperimentMidCellResume:
         assert written == {os.path.join(
             str(tmp_path), "checkpoints", survey.key, "fleet.ckpt")}
 
+    def test_fetched_dependency_checkpoints_into_an_explicit_directory(
+            self, tmp_path):
+        """``experiment run fig04-contiguity-cdf --resume-from DIR``:
+        the survey fig04 fetches checkpoints into DIR, and a rerun
+        resumes from it."""
+        from repro.experiments import ResultCache
+
+        explicit = str(tmp_path / "mine")
+        size = {"n_servers": 2, "mem_mib": 32}
+        _, _, written = self._run(
+            ResultCache(str(tmp_path / "a")), name="fig04-contiguity-cdf",
+            overrides=size, checkpoint_every=1, checkpoint_dir=explicit)
+        assert written == {os.path.join(explicit, "fleet.ckpt")}
+        _, names, _ = self._run(
+            ResultCache(str(tmp_path / "b")), "checkpoint.restore",
+            name="fig04-contiguity-cdf", overrides=size,
+            checkpoint_every=1, checkpoint_dir=explicit)
+        assert names.count("checkpoint.restore") == 1
+
 
 class TestCheckpointCli:
     def _seed_store(self, tmp_path):

@@ -6,7 +6,8 @@
 ``run_workload(..., resume=True)`` returns (the finished run's
 snapshot, equal to an uninterrupted run's).  A refactor of ``mm``
 or the workload driver that changes no behaviour must keep these files
-loading and resuming to the same result; a change to what a checkpoint
+loading and resuming to the same result, and the writer rewriting them
+byte for byte; a change to what a checkpoint
 holds bumps ``FORMAT_VERSION`` and regenerates them on purpose::
 
     PYTHONPATH=src python tests/test_checkpoint_fixture.py
@@ -63,22 +64,40 @@ def test_committed_snapshot_is_the_uninterrupted_run(kernel):
     assert run_workload(_config(kernel)).snapshot() == expected[kernel]
 
 
-def regenerate() -> None:
-    """Rewrite every fixture from the current build."""
+def _killed_run(kernel: str, directory: str) -> None:
+    """The fixture's run, killed at its first boundary: one generation,
+    step 10, in *directory*."""
     from repro.errors import SimCrashError
     from repro.faults import FaultPlan, FaultSpec, injecting
     from repro.workloads import run_workload
 
-    expected = {"format": FORMAT_VERSION}
     kill = FaultPlan("kill", (FaultSpec("sim.crash", rate=1.0,
                                         max_fires=1),))
+    with injecting(kill, seed=0), pytest.raises(SimCrashError):
+        run_workload(_config(kernel), checkpoint_every=AT,
+                     checkpoint_dir=directory)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_writer_reproduces_the_committed_bytes(kernel, tmp_path):
+    """The writer is pinned byte for byte: a change to how a snapshot
+    is built or encoded that keeps the format must write these files."""
+    _killed_run(kernel, str(tmp_path))
+    with open(os.path.join(FIXTURES, kernel, "workload.ckpt"), "rb") as fh:
+        committed = fh.read()
+    with open(tmp_path / "workload.ckpt", "rb") as fh:
+        assert fh.read() == committed
+
+
+def regenerate() -> None:
+    """Rewrite every fixture from the current build."""
+    from repro.workloads import run_workload
+
+    expected = {"format": FORMAT_VERSION}
     for kernel in KERNELS:
         directory = os.path.join(FIXTURES, kernel)
         shutil.rmtree(directory, ignore_errors=True)
-        # Killed at its first boundary: one generation, step 10.
-        with injecting(kill, seed=0), pytest.raises(SimCrashError):
-            run_workload(_config(kernel), checkpoint_every=AT,
-                         checkpoint_dir=directory)
+        _killed_run(kernel, directory)
         expected[kernel] = run_workload(_config(kernel)).snapshot()
     with open(os.path.join(FIXTURES, "resumed.json"), "w") as fh:
         json.dump(expected, fh, indent=1, sort_keys=True)

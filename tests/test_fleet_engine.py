@@ -133,6 +133,21 @@ class TestSupervision:
         assert "attempt 1" in outcome.error
         assert "WorkerCrashError" in outcome.error
 
+    def test_payload_failure_names_files_alike_in_every_checkout(
+            self, monkeypatch):
+        """Error rows land in the result cache, so a traceback names a
+        package frame from the directory holding ``repro`` and any
+        other by its basename: two checkouts write the same bytes."""
+        def boom(self):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(engine.SimulatedServer, "run", boom)
+        error = _scan_payload((0, SMALL, 3, 0)).error
+        assert 'File "repro/fleet/engine.py", line' in error
+        assert 'File "test_fleet_engine.py", line' in error
+        assert os.path.dirname(os.path.abspath(__file__)) not in error
+        assert os.path.dirname(os.path.abspath(engine.__file__)) not in error
+
     def test_crashed_server_retried_to_identical_scan(self, no_backoff):
         """Retried payloads replay the same seed: a crash-then-retry run
         is bit-identical to a clean run of the same seed."""

@@ -36,12 +36,6 @@ class TestSetAssocTLB:
         assert tlb.lookup(0, SHIFT_4K)
         assert not tlb.lookup(1, SHIFT_4K)
 
-    def test_flush(self):
-        tlb = SetAssocTLB(64, 4)
-        tlb.fill(4, SHIFT_4K)
-        tlb.flush()
-        assert not tlb.lookup(4, SHIFT_4K)
-
 
 class TestTLBHierarchy:
     def test_l1_hit_is_cheap(self):
