@@ -153,8 +153,8 @@ def parse_api_doc(path: str, package: str = "repro") -> ApiDoc:
 
     * ``## `repro.x` — ...`` headings declare documented modules (whose
       ``__all__`` must be a literal snapshot);
-    * any backticked ``SomethingConfig`` span declares a frozen
-      front-door dataclass.
+    * any backticked ``SomethingConfig`` span declares an immutable
+      front-door config (a frozen dataclass or a ``NamedTuple``).
     """
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()

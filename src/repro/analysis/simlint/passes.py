@@ -341,10 +341,11 @@ class ApiSurfaceRule(Rule):
 
     Cross-checks two claims: every module API.md documents exists and
     snapshots its surface in a literal ``__all__``; and every
-    ``*Config`` front door the doc names is a frozen dataclass, because
-    the caching and manifest layers key on config values being
-    immutable.  A public name is removed outright, with a "Removed
-    surface" row in API.md: there are no deprecation shims to check.
+    ``*Config`` front door the doc names is immutable — a frozen
+    dataclass or a ``typing.NamedTuple`` — because the caching and
+    manifest layers key on config values.  A public name is removed
+    outright, with a "Removed surface" row in API.md: there are no
+    deprecation shims to check.
     """
 
     code = "DL103"
@@ -382,13 +383,32 @@ class ApiSurfaceRule(Rule):
             for node in info.nodes:
                 if (isinstance(node, ast.ClassDef)
                         and node.name in api.config_classes
-                        and not self._is_frozen_dataclass(info, node)):
+                        and not self._is_immutable(info, node)):
                     yield self.at(
                         info, node,
                         f"{node.name} is documented as a front-door "
-                        f"config in API.md but is not a frozen "
-                        f"dataclass (configs key caches and "
-                        f"manifests; they must be immutable)")
+                        f"config in API.md but is not immutable: neither "
+                        f"a frozen dataclass nor a NamedTuple without an "
+                        f"instance dict (configs key caches and "
+                        f"manifests)")
+
+    @classmethod
+    def _is_immutable(cls, info: ModuleInfo, node: ast.ClassDef) -> bool:
+        """A frozen dataclass, a ``NamedTuple``, or a subclass of one
+        (from the same module) that declares ``__slots__ = ()``, so
+        it has no instance dict to set attributes in."""
+        if cls._is_frozen_dataclass(info, node):
+            return True
+        bases = {info.leaf(base) for base in node.bases}
+        if "NamedTuple" in bases:
+            return True
+        no_dict = any(name == "__slots__" and isinstance(value, ast.Tuple)
+                      and not value.elts
+                      for name, value in named_assignments(node.body))
+        return no_dict and any(
+            isinstance(other, ast.ClassDef) and other.name in bases
+            and other is not node and cls._is_immutable(info, other)
+            for other in info.tree.body)
 
     @staticmethod
     def _is_frozen_dataclass(info: ModuleInfo, node: ast.ClassDef) -> bool:

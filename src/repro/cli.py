@@ -62,13 +62,16 @@ from .errors import CheckpointError, ConfigurationError
 def split_sets(pairs: list[str] | None) -> dict[str, str]:
     """``--set KEY=VALUE`` pairs as a dict, both sides still strings
     (what a scenario's axis pins are: ``--set rate_krps=1000`` pins
-    value id ``"1000"``)."""
+    value id ``"1000"``).  A KEY given twice is refused: no order of
+    the flags should decide which value runs."""
     split = {}
     for pair in pairs or []:
         key, sep, value = pair.partition("=")
         if not sep or not key:
             raise ConfigurationError(
                 f"--set expects KEY=VALUE, got {pair!r}")
+        if key in split:
+            raise ConfigurationError(f"--set gives {key!r} twice")
         split[key] = value
     return split
 

@@ -97,13 +97,17 @@ class ResultCache:
     def load(self, key: str) -> dict | None:
         """The full stored entry, or None on miss/corruption (a corrupt
         entry — e.g. a file truncated by a crash predating atomic
-        writes — is treated as a miss and recomputed)."""
+        writes, bytes that are not UTF-8 or JSON, JSON that is not an
+        entry, or an entry filed under another key — is treated as a
+        miss and recomputed)."""
         try:
-            with open(self.path_for(key)) as fh:
+            with open(self.path_for(key), encoding="utf-8") as fh:
                 entry = json.load(fh)
-        except (OSError, json.JSONDecodeError):
+        except (OSError, ValueError, RecursionError):
             return None
-        if entry.get("schema") != CACHE_SCHEMA or "rows" not in entry:
+        if not isinstance(entry, dict) or entry.get("key") != key \
+                or entry.get("schema") != CACHE_SCHEMA \
+                or not isinstance(entry.get("rows"), list):
             return None
         return entry
 

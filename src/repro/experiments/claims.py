@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, NamedTuple
 
 from ..errors import ConfigurationError
 
@@ -43,18 +42,16 @@ def _num(value) -> str:
     return f"{value:.4g}" if isinstance(value, float) else str(value)
 
 
-@dataclass(frozen=True)
 class Claim:
     """One checked statement: an id unique within its spec, the paper's
     value as the paper states it, and the measure over the rows.  A
-    kind defines ``expected`` (the tolerated range, as text), ``holds``
-    and ``show`` (one measured value, as text)."""
+    kind is a named tuple of those fields and its own, and defines
+    ``expected`` (the tolerated range, as text), ``holds`` and ``show``
+    (one measured value, as text)."""
 
-    id: str
-    paper: str
-    measure: Callable[[list], Any]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __init__(self, *fields, **named) -> None:
         if not isinstance(self.id, str) or not _ID_RE.match(self.id):
             raise ConfigurationError(
                 f"claim id {self.id!r} must be kebab-case")
@@ -89,15 +86,21 @@ class Claim:
         return False
 
 
-@dataclass(frozen=True)
-class Band(Claim):
-    """The measured number lies in ``[lo, hi]``, both ends inclusive."""
-
+class _BandFields(NamedTuple):
+    id: str
+    paper: str
+    measure: Callable[[list], Any]
     lo: float | None = None
     hi: float | None = None
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
+
+class Band(_BandFields, Claim):
+    """The measured number lies in ``[lo, hi]``, both ends inclusive."""
+
+    __slots__ = ()
+
+    def __init__(self, *fields, **named) -> None:
+        super().__init__()
         if self.lo is None and self.hi is None:
             raise ConfigurationError(
                 f"claim {self.id!r}: a band needs lo, hi or both")
@@ -123,14 +126,20 @@ class Band(Claim):
         return _num(value)
 
 
-@dataclass(frozen=True)
-class Ordered(Claim):
-    """Each measured number stands in ``op`` to the next."""
-
+class _OrderedFields(NamedTuple):
+    id: str
+    paper: str
+    measure: Callable[[list], Any]
     op: str = "<"
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
+
+class Ordered(_OrderedFields, Claim):
+    """Each measured number stands in ``op`` to the next."""
+
+    __slots__ = ()
+
+    def __init__(self, *fields, **named) -> None:
+        super().__init__()
         if self.op not in _OPS:
             raise ConfigurationError(
                 f"claim {self.id!r}: op must be one of {sorted(_OPS)}, "

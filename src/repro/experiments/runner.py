@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import os
 import shutil
-from dataclasses import dataclass
 
 from ..errors import ConfigurationError
 from ..telemetry import MetricsRegistry, tracepoint
@@ -41,17 +40,21 @@ _tp_hit = tracepoint("experiment.cache.hit")
 _tp_miss = tracepoint("experiment.cache.miss")
 
 
-@dataclass
 class ExperimentResult(LazyManifest):
     """One cell's outcome: the rows plus enough context to report it,
     and its manifest, built on first read of :attr:`manifest`."""
 
-    spec: ExperimentSpec
-    config: dict
-    seed: int
-    key: str
-    rows: list
-    cached: bool
+    __slots__ = ("spec", "config", "seed", "key", "rows", "cached")
+
+    def __init__(self, spec: ExperimentSpec, config: dict, seed: int,
+                 key: str, rows: list, cached: bool) -> None:
+        self.spec, self.config, self.seed = spec, config, seed
+        self.key, self.rows, self.cached = key, rows, cached
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and all(
+            getattr(self, name) == getattr(other, name)
+            for name in self.__slots__)
 
     def report(self) -> str:
         """The spec's rendered report (its ``postprocess``), or a plain

@@ -34,8 +34,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple
 
 from ..errors import ConfigurationError
 from .claims import Claim
@@ -57,14 +56,11 @@ def _json_type(value: Any) -> str:
                 if isinstance(value, kind))
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """One declaratively-registered experiment (see module docstring)."""
-
+class _SpecFields(NamedTuple):
     name: str
     description: str
     producer: Callable[[ExperimentContext], list]
-    defaults: Mapping[str, Any] = field(default_factory=dict)
+    defaults: Mapping[str, Any] = {}
     seed: int = 0
     version: int = 1
     figure: str = ""
@@ -72,7 +68,14 @@ class ExperimentSpec:
     claims: tuple[Claim, ...] = ()
     checkpoints: bool = False
 
-    def __post_init__(self) -> None:
+
+class ExperimentSpec(_SpecFields):
+    """One declaratively-registered experiment (see module docstring)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *fields, **named) -> ExperimentSpec:
+        self = super().__new__(cls, *fields, **named)
         if not _NAME_RE.match(self.name):
             raise ConfigurationError(
                 f"experiment name {self.name!r} must be kebab-case "
@@ -81,7 +84,7 @@ class ExperimentSpec:
             raise ConfigurationError(
                 f"experiment {self.name!r}: description must be a "
                 "non-empty string")
-        object.__setattr__(self, "claims", tuple(self.claims))
+        self = self._replace(claims=tuple(self.claims))
         ids = [claim.id for claim in self.claims
                if isinstance(claim, Claim)]
         if len(ids) != len(self.claims) or len(set(ids)) != len(ids):
@@ -99,6 +102,7 @@ class ExperimentSpec:
         if self.version < 1:
             raise ConfigurationError(
                 f"experiment {self.name!r}: version must be >= 1")
+        return self
 
     def resolve(self, overrides: Mapping[str, Any] | None = None) -> dict:
         """Defaults merged with *overrides*.  Unknown keys fail loudly,

@@ -3,8 +3,8 @@
 A :class:`FaultPlan` names the injection sites a run should exercise
 and, per site, a firing policy: a probability (``rate``), an initial
 grace window (``skip`` attempts that never fire), and a cap
-(``max_fires``).  Plans are frozen dataclasses so they pickle across
-the fleet's process boundary unchanged and serialise into run
+(``max_fires``).  Plans are named tuples so they pickle across the
+fleet's process boundary unchanged and serialise into run
 manifests via :meth:`FaultPlan.snapshot` — the same seed plus the same
 plan reproduces the same fault sequence bit-for-bit, which is what
 makes a chaos run diffable against a clean run with
@@ -18,7 +18,7 @@ tracepoints — lives in :mod:`repro.faults.injector`.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import ConfigurationError
 
@@ -36,8 +36,7 @@ KNOWN_SITES: tuple[str, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(NamedTuple):
     """Firing policy for one injection site.
 
     Attributes:
@@ -61,14 +60,17 @@ class FaultSpec:
                 "max_fires": self.max_fires, "skip": self.skip}
 
 
-@dataclass(frozen=True)
-class FaultPlan:
-    """A named, validated set of :class:`FaultSpec` policies."""
-
+class _FaultPlanFields(NamedTuple):
     name: str
     specs: tuple[FaultSpec, ...] = ()
 
-    def __post_init__(self) -> None:
+
+class FaultPlan(_FaultPlanFields):
+    """A named, validated set of :class:`FaultSpec` policies."""
+
+    __slots__ = ()
+
+    def __init__(self, *fields, **named) -> None:
         seen: set[str] = set()
         for spec in self.specs:
             if spec.site not in KNOWN_SITES:

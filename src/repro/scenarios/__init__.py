@@ -20,6 +20,7 @@ docs/API.md for the stable surface and EXPERIMENTS.md for the CLI
 walkthrough.
 """
 
+from .._lazy import lazy_exports
 from .loader import (
     get_scenario,
     library_dir,
@@ -31,16 +32,17 @@ from .model import (
     ScenarioMatrix,
     scenario_from_dict,
 )
-from .report import (
-    render_html,
-    render_markdown,
-)
+from .report import render_markdown
 from .runner import (
     ScenarioConfig,
     ScenarioResult,
     load_scenario,
     run_scenario,
 )
+
+# Resolved on first use: only ``--html`` needs the HTML renderer.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".htmlreport": ("render_html",)})
 
 __all__ = [
     "Scenario",

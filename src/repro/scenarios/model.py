@@ -43,8 +43,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, replace
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 from ..errors import ConfigurationError
 
@@ -279,8 +278,8 @@ def scenario_from_dict(doc, source: str = "<matrix>") -> Scenario:
         raise ConfigurationError(
             f"{where}: axis {stray[0]!r} replaces no scenario axis; "
             "known: " + (", ".join(known) or "(none)"))
-    return Scenario(full, replace(
-        full, smoke=True,
+    return Scenario(full, full._replace(
+        smoke=True,
         options={**options, **_options(_mapping(
             smoke.get("options", {}), "smoke options", source), where)},
         axes=_check_variant([replacing.get(axis["name"], axis)
@@ -289,8 +288,7 @@ def scenario_from_dict(doc, source: str = "<matrix>") -> Scenario:
         else _replicas(smoke["replicas"], where)))
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(NamedTuple):
     """One point of the expanded cross product.
 
     ``coords`` maps axis name -> value id in sorted-axis order, the
@@ -314,8 +312,7 @@ class Cell:
         return snap
 
 
-@dataclass(frozen=True)
-class ScenarioMatrix:
+class ScenarioMatrix(NamedTuple):
     """One variant (full or smoke) of a checked scenario; build it with
     :func:`scenario_from_dict`, which checks what :meth:`cells` trusts."""
 
@@ -383,7 +380,7 @@ class ScenarioMatrix:
     def snapshot(self) -> dict:
         """Manifest-ready dict form (plain JSON types only): every field
         but the description, copied."""
-        snap = {**vars(self), "options": dict(self.options), "axes": [
+        snap = {**self._asdict(), "options": dict(self.options), "axes": [
             {**axis, "values": [{**value, "options": dict(value["options"])}
                                 for value in axis["values"]]}
             for axis in self.axes]}
@@ -391,8 +388,7 @@ class ScenarioMatrix:
         return snap
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     """A checked scenario: its full matrix and, when the document has a
     ``smoke`` block, the CI-sized variant."""
 

@@ -11,7 +11,8 @@ once, as a list of sections of already-formatted cell texts:
   picked it, the column-wise collapse that makes a 12-cell matrix
   answer "what did the ``design`` axis do?" at a glance.
 
-:func:`render_markdown` and :func:`render_html` only dress that
+:func:`render_markdown` and :func:`~repro.scenarios.htmlreport.render_html`
+(in a module of its own, which only ``--html`` loads) only dress that
 document: which texts are code, how a table is spelt.
 
 Everything is a pure function of the result rows with stable float
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from typing import Mapping, NamedTuple
 
-__all__ = ["render_html", "render_markdown"]
+__all__ = ["render_markdown"]
 
 #: Headline-metric ordering: first match wins, earlier is better.
 #: Anything unmatched sorts after all of these, alphabetically.
@@ -196,50 +197,4 @@ def render_markdown(result) -> str:
             [[f"`{row[0]}`"] + row[1:] for row in section.rows])
         if section.note:
             lines.append("\n" + section.note)
-    return "\n".join(lines) + "\n"
-
-
-def _html_table(header: list[str], rows: list[list[str]]) -> list[str]:
-    from html import escape
-
-    lines = ["<table>", "<tr>"]
-    lines += [f"<th>{escape(h)}</th>" for h in header]
-    lines.append("</tr>")
-    for row in rows:
-        lines.append("<tr>")
-        lines += [f"<td>{escape(cell)}</td>" for cell in row]
-        lines.append("</tr>")
-    lines.append("</table>")
-    return lines
-
-
-def render_html(result) -> str:
-    """The same report as a standalone, dependency-free HTML document."""
-    from html import escape
-
-    doc = _document(result)
-    lines = [
-        "<!DOCTYPE html>",
-        "<html><head><meta charset=\"utf-8\">",
-        f"<title>{escape(doc.title)}</title>",
-        "<style>",
-        "body { font-family: sans-serif; margin: 2em; }",
-        "table { border-collapse: collapse; margin: 1em 0; }",
-        "th, td { border: 1px solid #999; padding: 0.3em 0.6em;"
-        " text-align: right; }",
-        "th:first-child, td:first-child { text-align: left; }",
-        "</style></head><body>",
-        f"<h1>{escape(doc.title)}</h1>",
-        f"<p>{escape(doc.description)}</p>",
-        f"<p>Experiment <code>{escape(doc.experiment)}</code>"
-        f"{escape(doc.facts)}</p>",
-    ]
-    for section in doc.sections:
-        subject = (f" <code>{escape(section.subject)}</code>"
-                   if section.subject else "")
-        lines.append(f"<h2>{section.title}{subject}</h2>")
-        lines += _html_table(section.lead + doc.metrics, section.rows)
-        if section.note:
-            lines.append(f"<p>{section.note}</p>")
-    lines.append("</body></html>")
     return "\n".join(lines) + "\n"

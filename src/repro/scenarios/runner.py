@@ -21,8 +21,7 @@ Telemetry: ``scenario.compile`` / ``scenario.cell.start`` /
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 from ..errors import ConfigurationError
 from ..experiments import get_spec, load_cached, run_experiment
@@ -42,8 +41,18 @@ _tp_cell_cached = tracepoint("scenario.cell.cached")
 _tp_report = tracepoint("scenario.report")
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class _ScenarioConfigFields(NamedTuple):
+    scenario: Any
+    smoke: bool = False
+    seed: int | None = None
+    workers: int | None = None
+    cells: tuple[str, ...] = ()
+    select: Mapping[str, str] = {}
+    force: bool = False
+    checkpoint_every: int = 0
+
+
+class ScenarioConfig(_ScenarioConfigFields):
     """One validated scenario invocation.
 
     Attributes:
@@ -63,24 +72,18 @@ class ScenarioConfig:
             ``run_experiment`` (0 disables).
     """
 
-    scenario: Any
-    smoke: bool = False
-    seed: int | None = None
-    workers: int | None = None
-    cells: tuple[str, ...] = ()
-    select: Mapping[str, str] = field(default_factory=dict)
-    force: bool = False
-    checkpoint_every: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *fields, **named) -> ScenarioConfig:
+        self = super().__new__(cls, *fields, **named)
         if not isinstance(self.scenario, (str, Scenario)):
             raise ConfigurationError(
                 "scenario must be a bundled scenario name or a Scenario, "
                 f"got {type(self.scenario).__name__}")
         if isinstance(self.scenario, str) and not self.scenario:
             raise ConfigurationError("scenario name must be non-empty")
-        object.__setattr__(self, "cells", tuple(self.cells))
-        for cell_id in self.cells:
+        cells = tuple(self.cells)
+        for cell_id in cells:
             if not isinstance(cell_id, str) or not cell_id:
                 raise ConfigurationError(
                     f"cell ids must be non-empty strings, got {cell_id!r}")
@@ -91,7 +94,7 @@ class ScenarioConfig:
                     f"select entries must map axis name to value id, "
                     f"got {axis!r}={value!r}")
             select[axis] = value
-        object.__setattr__(self, "select", select)
+        self = self._replace(cells=cells, select=select)
         # By type, not value: ``True`` is an ``int`` and ``"no"`` is
         # truthy to Python, and either would run as something else.
         if self.seed is not None and type(self.seed) is not int:
@@ -111,17 +114,22 @@ class ScenarioConfig:
                 raise ConfigurationError(
                     f"{name} must be a boolean, got "
                     f"{getattr(self, name)!r}")
+        return self
 
 
-@dataclass
 class ScenarioResult(LazyManifest):
     """A compiled matrix plus each selected cell's experiment result,
     and the scenario manifest, built on first read of :attr:`manifest`."""
 
-    matrix: ScenarioMatrix
-    seed: int
-    cells: tuple[Cell, ...]
-    results: list[ExperimentResult]
+    __slots__ = ("matrix", "seed", "cells", "results")
+
+    def __init__(self, matrix: ScenarioMatrix, seed: int,
+                 cells: tuple[Cell, ...],
+                 results: list[ExperimentResult]) -> None:
+        self.matrix, self.seed = matrix, seed
+        self.cells, self.results = cells, results
+
+    __eq__ = ExperimentResult.__eq__
 
     @property
     def n_cached(self) -> int:
@@ -138,7 +146,7 @@ class ScenarioResult(LazyManifest):
 
     def report_html(self) -> str:
         """The same grid as a standalone HTML document."""
-        from .report import render_html
+        from .htmlreport import render_html
 
         if _tp_report.enabled:
             _tp_report.emit(scenario=self.matrix.scenario,

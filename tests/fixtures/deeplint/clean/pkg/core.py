@@ -1,8 +1,17 @@
 """A package that satisfies every deep-pass contract."""
 
 import random
+from typing import NamedTuple
 
-__all__ = ["run"]
+__all__ = ["CoreConfig", "run"]
+
+
+class _CoreFields(NamedTuple):
+    seed: int = 0
+
+
+class CoreConfig(_CoreFields):
+    __slots__ = ()
 
 
 def tracepoint(name):

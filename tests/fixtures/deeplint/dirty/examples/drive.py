@@ -4,7 +4,8 @@ reached, so only ``pkg.dead.orphan`` and the test-only
 
 from pkg import api, front, manifest, streams, telemetry
 
-print(api.get_new(), front.FrontConfig(), manifest.snapshot([1]),
+print(api.get_new(), front.FrontConfig(), front.LeakyConfig(),
+      manifest.snapshot([1]),
       manifest.unrelated([2]), telemetry.emit("fast"))
 print(streams.make_plain(1), streams.make_bad(1), streams.make_hushed(1),
       streams.leak(1))

@@ -437,12 +437,14 @@ class TestRemovedShims:
             assert not hasattr(repro.scenarios, name)
 
 
-LAZY_PACKAGES = ("repro", "repro.analysis", "repro.workloads")
+LAZY_PACKAGES = ("repro", "repro.analysis", "repro.scenarios",
+                 "repro.workloads")
 
 
 class TestLazyExports:
-    """The three packages whose re-exports resolve on first access
-    (docs/INTERNALS.md, "Import tiers")."""
+    """The packages whose re-exports resolve on first access
+    (docs/INTERNALS.md, "Import tiers"); ``repro.scenarios`` only its
+    HTML renderer."""
 
     @pytest.mark.parametrize("package", LAZY_PACKAGES)
     def test_every_export_is_its_home_modules_object(self, package):

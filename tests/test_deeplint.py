@@ -141,6 +141,14 @@ class TestDL103ApiSurface:
         msgs = [f.message for f in dirty if f.rule == "DL103"]
         assert any("FrontConfig" in m and "frozen" in m for m in msgs)
 
+    def test_namedtuple_subclass_with_an_instance_dict_flagged(self, dirty):
+        """A ``NamedTuple`` config is immutable by structure; a subclass
+        of one without ``__slots__ = ()`` can grow attributes.  (The
+        clean fixture's ``CoreConfig``, with them, passes.)"""
+        msgs = [f.message for f in dirty if f.rule == "DL103"]
+        assert any("LeakyConfig" in m and "instance dict" in m
+                   for m in msgs)
+
 
 class TestDL104Determinism:
     def test_set_iteration_on_reachable_path_flagged(self, dirty):

@@ -637,7 +637,18 @@ class TestExperimentCli:
          "config/seed; run `repro experiment run fig06-sources` first"),
         (["experiment", "run", "fig06-sources", "--set", "novalue"],
          "repro: --set expects KEY=VALUE, got 'novalue'"),
-    ], ids=["report-miss", "set-spelling"])
+        # Either order of the two flags is refused, naming the key:
+        # neither value may win by coming last.
+        (["experiment", "run", "s53-hwcost", "--set", "cores=2",
+          "--set", "cores=4"], "repro: --set gives 'cores' twice"),
+        (["scenario", "run", "steady-web", "--smoke", "--set",
+          "design=bogus", "--set", "design=none"],
+         "repro: --set gives 'design' twice"),
+        (["scenario", "run", "steady-web", "--smoke", "--set",
+          "design=none", "--set", "design=bogus"],
+         "repro: --set gives 'design' twice"),
+    ], ids=["report-miss", "set-spelling", "set-twice", "pin-twice",
+            "pin-twice-reversed"])
     def test_user_errors_are_one_repro_line(self, argv, message, tmp_path,
                                             capsys):
         """A string exit code is printed as one stderr line and exits

@@ -69,6 +69,10 @@ class TestFaultPlan:
             assert plan.name == name
             clone = pickle.loads(pickle.dumps(plan))
             assert clone.snapshot() == plan.snapshot()
+            # As itself: a worker reads the plan's methods, not a tuple.
+            assert type(clone) is type(plan) and clone == plan
+            assert [type(s) for s in clone.specs] == \
+                [type(s) for s in plan.specs]
 
     def test_snapshot_is_json_ready(self):
         snap = NAMED_PLANS["ci-smoke"].snapshot()

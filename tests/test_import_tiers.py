@@ -21,10 +21,13 @@ HOT = ("numpy", "repro.mm", "repro.core", "repro.kalloc", "repro.sim",
        "repro.fleet", "repro.workloads.base")
 
 #: What a warm ``scenario run`` never needs: the manifest's host facts,
-#: the HTML renderer, the fault injector, the tool verbs, the other
-#: verbs' handlers, the claim verifier, a producer's context, and
-#: telemetry's sinks, instruments and manifest code.
-NOT_WARM = ("subprocess", "platform", "html", "repro.faults.injector",
+#: the HTML renderer, ``dataclasses`` (its records are named tuples and
+#: plain classes) and the ``inspect`` it imports, the fault injector,
+#: the tool verbs, the other verbs' handlers, the claim verifier, a
+#: producer's context, and telemetry's sinks, instruments and manifest
+#: code.
+NOT_WARM = ("subprocess", "platform", "html", "repro.scenarios.htmlreport",
+            "dataclasses", "inspect", "repro.faults.injector",
             "repro.checkpoint", "repro.analysis.simlint", "repro.tools",
             "repro.verbs", "repro.analysis.reporting",
             "repro.experiments.verify", "repro.experiments.context",
@@ -36,7 +39,8 @@ NOT_WARM = ("subprocess", "platform", "html", "repro.faults.injector",
 NOT_WARM_NAMES = ("Verdict", "verify_claims", "ExperimentContext",
                   "TraceEvent", "RingBufferSink", "JsonlSink", "read_jsonl",
                   "Gauge", "Histogram", "build_manifest", "write_manifest",
-                  "load_manifest", "manifest_diff", "format_table")
+                  "load_manifest", "manifest_diff", "format_table",
+                  "render_html")
 
 PROBE = """
 import json, sys

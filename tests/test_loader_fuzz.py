@@ -1,7 +1,8 @@
-"""Hostile input to the two text loaders: a manifest and a scenario
-matrix.  Whatever a file holds, loading it succeeds or raises
-the loader's typed ``ConfigurationError`` — never a traceback from the
-JSON parser, a dict lookup or a constructor call."""
+"""Hostile input to the text loaders: a manifest, a scenario matrix and
+a result-cache entry.  Whatever a file holds, loading it succeeds or
+raises the loader's typed ``ConfigurationError`` (a cache entry: is a
+miss) — never a traceback from the JSON parser, a dict lookup or a
+constructor call."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
+from repro.experiments import ResultCache
 from repro.scenarios import load_matrix
 from repro.scenarios.loader import library_dir
 from repro.telemetry import load_manifest
@@ -85,3 +87,44 @@ class TestMatrix:
         path.write_text(DEEP)
         with pytest.raises(ConfigurationError, match=str(path)):
             load_matrix(str(path))
+
+
+class TestResultCacheEntry:
+    """``ResultCache.load`` serves an entry only when it is one: what
+    else sits at a key's path is a miss, recomputed and overwritten."""
+
+    KEY = "ab" + "0" * 62
+
+    def _cache(self, tmp_path, data: bytes) -> ResultCache:
+        cache = ResultCache(str(tmp_path))
+        path = cache.path_for(self.KEY)
+        os.makedirs(os.path.dirname(path))
+        with open(path, "wb") as fh:
+            fh.write(data)
+        return cache
+
+    @pytest.mark.parametrize("data", [
+        b"[1,2]",
+        b"\xff\xfe{",
+        b'{"schema":1,"rows":{"a":1}}',
+        b'{"schema":1,"key":"' + b"cd" + b"0" * 62 + b'","rows":[]}',
+        DEEP.encode(),
+    ], ids=["not-a-mapping", "not-utf8", "rows-not-a-list",
+            "another-key", "deep-nesting"])
+    def test_a_non_entry_is_a_miss(self, tmp_path, data):
+        cache = self._cache(tmp_path, data)
+        assert cache.load(self.KEY) is None
+        assert cache.get(self.KEY) is None
+
+    def test_an_entry_put_under_its_key_is_a_hit(self, tmp_path):
+        cache = ResultCache(str(tmp_path))
+        cache.put(self.KEY, [{"a": 1}], spec_name="s", version=1,
+                  config={}, seed=0)
+        assert cache.get(self.KEY) == [{"a": 1}]
+
+    @settings(max_examples=40, deadline=None)
+    @given(text=_JSON.map(json.dumps) | st.text(max_size=30))
+    def test_any_file_is_an_entry_or_a_miss(self, text, tmp_path_factory):
+        cache = self._cache(tmp_path_factory.mktemp("c"), text.encode())
+        entry = cache.load(self.KEY)
+        assert entry is None or type(entry["rows"]) is list
