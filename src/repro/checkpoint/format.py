@@ -78,7 +78,12 @@ MAGIC = b"RPCK"
 #: and tail-latency fields.  13: no payload embeds its config, the
 #: ``loadgen`` and ``fleet-survey`` kinds are gone, and the ``fleet``
 #: kind writes its aggregator and scans as JSON: no ``pickle`` section.
-FORMAT_VERSION = 13
+#: 14: every allocation has a registry slot, and the slot table, one
+#: info byte per slot and the frame columns are the handle data: the
+#: ``handles`` table section is gone, every holder writes slots, the
+#: calendar's slab refs are object keys, and five frame columns are
+#: int32.
+FORMAT_VERSION = 14
 
 #: magic + version + header length + header SHA-256.
 _PREFIX_LEN = 44

@@ -91,7 +91,7 @@ def _produce_designs(ctx) -> list:
     import random
 
     from ..core.hwext import HwMigrationEngine
-    from ..mm import AllocSource, MigrateType, PageHandle
+    from ..mm import AllocSource, MigrateType
     from ..mm import vmstat as ev
 
     rows = []
@@ -137,8 +137,8 @@ def _produce_designs(ctx) -> list:
         for pfn in handles[len(handles) // 8:]:
             kernel.unmovable.free(pfn)
         for pfn in keep:
-            kernel.handles.register(PageHandle(
-                pfn, 0, MigrateType.UNMOVABLE, AllocSource.NETWORKING, 0))
+            kernel.handles.register(
+                pfn, 0, MigrateType.UNMOVABLE, AllocSource.NETWORKING, 0)
         for _ in range(60):
             kernel.advance(200_000)
         rows.append({"part": "hw-shrink", "hw": hw,

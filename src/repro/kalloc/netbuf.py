@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import DoubleFreeError, SimInvariantError
-from ..mm.handle import HandleTable, PageHandle
+from ..mm.handle import HandleList, PageHandle
 from ..mm.sections import int64, rows_of
 from ..mm.page import AllocSource, MigrateType
 from ..telemetry import tracepoint
@@ -49,23 +49,22 @@ class NetworkBufferPool:
                  config: NetworkQueueConfig | None = None) -> None:
         self.kernel = kernel
         self.config = config or NetworkQueueConfig()
-        self.rings: list[PageHandle] = []
-        # Insertion-ordered set keyed by the handle itself (identity
-        # hash, the ReclaimLRU idiom): O(1) release, and no order is
-        # ever read back — only the count and a frame sum.
-        self.transient: dict[PageHandle, None] = {}
+        self.rings = HandleList(kernel.handles)
+        #: The live transient buffers' registry slots, as an
+        #: insertion-ordered set: O(1) release, and no order is ever
+        #: read back.
+        self.transient: dict[int, None] = {}
 
-    def snapshot(self, table: HandleTable) -> dict:
-        """The rings and the transient set, as handle-table rows."""
-        return {"rings": int64(table.rows(self.rings)),
-                "transient": int64(table.rows(self.transient))}
+    def snapshot(self) -> dict:
+        """The rings and the transient set, as registry slots."""
+        return {"rings": self.rings.snapshot(),
+                "transient": int64(list(self.transient))}
 
-    def restore(self, state, handles: list[PageHandle]) -> None:
-        self.rings = [handles[row] for row in rows_of(state["rings"],
-                                                      len(handles))]
-        self.transient = dict.fromkeys(
-            handles[row] for row in rows_of(state["transient"],
-                                            len(handles)))
+    def restore(self, state) -> None:
+        registry = self.kernel.handles
+        self.rings = HandleList.restore(registry, state["rings"])
+        self.transient = dict.fromkeys(rows_of(state["transient"],
+                                               len(registry._slots)))
 
     def bring_up(self) -> None:
         """Allocate the persistent per-queue rings (driver initialisation)."""
@@ -105,15 +104,15 @@ class NetworkBufferPool:
                 source=AllocSource.NETWORKING,
                 migratetype=MigrateType.UNMOVABLE,
             )
-        self.transient[handle] = None
+        self.transient[handle.slot] = None
         if _tp_alloc.enabled:
             _tp_alloc.emit(pfn=handle.pfn, order=order, pinned=pinned)
         return handle
 
     def free_buffer(self, handle: PageHandle) -> None:
         """Release a transient buffer."""
-        # The set's values are None: only a handle it lacks pops True.
-        if self.transient.pop(handle, True):
+        # The set's values are None: only a slot it lacks pops True.
+        if self.transient.pop(handle.slot, True):
             raise DoubleFreeError("transient buffer already freed",
                                   pfn=handle.pfn)
         if _tp_free.enabled:

@@ -11,7 +11,7 @@ this unmovable source too.
 
 from __future__ import annotations
 
-from ..mm.handle import HandleTable, PageHandle
+from ..mm.handle import PageHandle
 from ..mm.page import AllocSource, MigrateType
 from ..mm.sections import int64, rows_of
 from ..telemetry import tracepoint
@@ -37,13 +37,14 @@ class PageTableAllocator:
         self._tables: list[PageHandle] = []
         self._mapped_frames = 0
 
-    def snapshot(self, table: HandleTable) -> dict:
-        return {"tables": int64(table.rows(self._tables)),
+    def snapshot(self) -> dict:
+        return {"tables": int64([h.slot for h in self._tables]),
                 "mapped_frames": self._mapped_frames}
 
-    def restore(self, state, handles: list[PageHandle]) -> None:
-        self._tables = [handles[row] for row in rows_of(state["tables"],
-                                                        len(handles))]
+    def restore(self, state) -> None:
+        registry = self.kernel.handles
+        self._tables = list(map(registry.resolve, rows_of(
+            state["tables"], len(registry._slots))))
         self._mapped_frames = state["mapped_frames"]
 
     @property

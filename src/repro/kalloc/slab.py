@@ -14,7 +14,7 @@ import numpy as np
 
 from ..errors import DoubleFreeError, ReproError
 from ..units import FRAME_SIZE
-from ..mm.handle import HandleTable, PageHandle
+from ..mm.handle import PageHandle
 from ..mm.page import AllocSource, MigrateType
 from ..mm.sections import int64, rows_of
 from ..telemetry import tracepoint
@@ -162,9 +162,10 @@ class SlabAllocator:
     def __getitem__(self, name: str) -> SlabCache:
         return self.caches[name]
 
-    def snapshot(self, table: HandleTable, refs: list[ObjectRef]) -> dict:
+    def snapshot(self, refs: list[ObjectRef]) -> dict:
         """Every cache's partial slabs (in order), full slabs and object
-        count; each slab as ``[cache, page's table row, free slots]``;
+        count; each slab as ``[cache, page's registry slot, free
+        slots]``;
         and *refs* — the object references a holder keeps — as slab,
         index and freed columns, in order.  A slab is numbered once, so
         every reference to it restores to one object."""
@@ -184,15 +185,14 @@ class SlabAllocator:
                       cache._full, key=lambda slab: slab.handle.pfn)],
                   "objects": cache.total_objects} for cache in caches]
         objects = [slab_id(ref.slab, ref.cache) for ref in refs]
-        rows = table.rows(slab.handle for slab in ids)
         return {"caches": state,
-                "slabs": [[owner, row, slab.free_slots]
-                          for owner, row, slab in zip(owners, rows, ids)],
+                "slabs": [[owner, slab.handle.slot, slab.free_slots]
+                          for owner, slab in zip(owners, ids)],
                 "objects.slab": int64(objects),
                 "objects.index": int64([ref.index for ref in refs]),
                 "objects.freed": int64([ref.freed for ref in refs])}
 
-    def restore(self, state, handles: list[PageHandle]) -> list[ObjectRef]:
+    def restore(self, state) -> list[ObjectRef]:
         """Load a :meth:`snapshot`; returns its object references."""
         caches = list(self.caches.values())
         if len(state["caches"]) != len(caches):
@@ -201,9 +201,10 @@ class SlabAllocator:
         owners, pages, free = (zip(*state["slabs"]) if state["slabs"]
                                else ((), (), ()))
         owners = [caches[i] for i in rows_of(owners, len(caches))]
-        slabs = list(map(_Slab, (handles[row] for row in rows_of(
-            pages, len(handles))), (cache.objects_per_slab
-                                    for cache in owners)))
+        registry = self.kernel.handles
+        slabs = list(map(_Slab, map(registry.resolve, rows_of(
+            pages, len(registry._slots))), (cache.objects_per_slab
+                                            for cache in owners)))
         for slab, free_slots in zip(slabs, free):
             slab.free_slots = list(free_slots)
         for cache, cached in zip(caches, state["caches"]):

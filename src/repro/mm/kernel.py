@@ -32,7 +32,7 @@ from . import vmstat as ev
 from .buddy import BuddyAllocator, _fs_watermark
 from .compaction import Compactor
 from .contig import RangeEvacuator
-from .handle import HandleRegistry, HandleTable, PageHandle
+from .handle import HandleRegistry, PageHandle
 from .migrate import MigrationCostModel, can_migrate_sw, migrate_with_retry
 from .page import AllocSource, MigrateType
 from .pageblock import PageblockTable
@@ -130,7 +130,7 @@ class LinuxKernel:
             FrameSanitizer().attach(self.mem)
         self.pageblocks = PageblockTable(self.mem)
         self.handles = HandleRegistry(self.mem)
-        self.reclaim_lru = ReclaimLRU(self.stat)
+        self.reclaim_lru = ReclaimLRU(self.stat, self.handles)
         self.psi = PsiTracker(PSI_HALFLIFE_TICKS)
         self._build_allocators()
         self.compactor = Compactor(
@@ -247,9 +247,8 @@ class LinuxKernel:
         if pfn is None:
             pfn = self._slow_path(allocator, order, mt, source, pinned,
                                   compact_budget)
-        handle = PageHandle(pfn, order, mt, source, self.now, pinned,
-                            reclaimable=reclaimable)
-        self.handles.register(handle)
+        handle = self.handles.register(pfn, order, mt, source, self.now,
+                                       pinned, reclaimable)
         if reclaimable:
             self.reclaim_lru.register(handle)
         return handle
@@ -284,8 +283,7 @@ class LinuxKernel:
         pfns = allocator.alloc_bulk(count, mt, source, self.now)
         if not pfns.size:
             return []
-        batch = self.handles.register_batch(
-            pfns, mt, source, self.now, reclaimable)
+        batch = self.handles.register_batch(pfns, reclaimable)
         if reclaimable:
             self.reclaim_lru.register_batch(batch)
         return batch
@@ -701,25 +699,23 @@ class LinuxKernel:
             self.evacuator.capture_range(allocator, start, end)
             self.mem.mark_allocated(
                 start, order, MigrateType.MOVABLE, AllocSource.USER, self.now)
-            handle = PageHandle(start, order, MigrateType.MOVABLE,
-                                AllocSource.USER, self.now)
-            self.handles.register(handle)
-            return handle
+            return self.handles.register(
+                start, order, MigrateType.MOVABLE, AllocSource.USER, self.now)
         return None
 
     # -- snapshot (the checkpoint schema) ----------------------------------------
 
-    def snapshot(self, table: HandleTable) -> dict:
+    def snapshot(self) -> dict:
         """This kernel's mutable state as sections: the frame columns,
         the pageblock types, each allocator's free-list table (and PCP
         lists), the handle registry and the reclaim LRU — handles as
-        rows of *table* — and the scalars, counters and scan RNG.  What
+        registry slots — and the scalars, counters and scan RNG.  What
         the config determines (the config objects, cost models,
         watermarks, the memoryview mirrors) is left to a fresh boot."""
         sections = {**nest("mem", self.mem.snapshot()),
                     **nest("pageblocks", self.pageblocks.snapshot()),
-                    **nest("handles", self.handles.snapshot(table)),
-                    **nest("lru", self.reclaim_lru.snapshot(table)),
+                    **nest("handles", self.handles.snapshot()),
+                    **nest("lru", self.reclaim_lru.snapshot()),
                     "state": self._state()}
         for alloc in self.allocators():
             sections.update(nest(alloc.label, alloc.snapshot()))
@@ -737,9 +733,9 @@ class LinuxKernel:
                 "offlined": self._offlined,
                 "deferred_offline": sorted(self._deferred_offline)}
 
-    def restore(self, sections, handles: list[PageHandle]) -> None:
+    def restore(self, sections) -> None:
         """Load a :meth:`snapshot` into this kernel, freshly booted from
-        the same config; *handles* are the table's rows, built."""
+        the same config."""
         self.mem.restore(scope("mem", sections))
         self.pageblocks.restore(scope("pageblocks", sections))
         for alloc in self.allocators():
@@ -747,9 +743,8 @@ class LinuxKernel:
             alloc.restore(state)
             if alloc.label in self._pcp:
                 self._pcp[alloc.label].restore(state)
-        self.handles.restore(scope("handles", sections), handles)
-        self.reclaim_lru.restore(scope("lru", sections), handles,
-                                 self.handles)
+        self.handles.restore(scope("handles", sections))
+        self.reclaim_lru.restore(scope("lru", sections))
         self._restore_state(sections["state"])
 
     def _restore_state(self, state: dict) -> None:

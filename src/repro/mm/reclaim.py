@@ -17,13 +17,17 @@ from dataclasses import dataclass
 from ..telemetry import tracepoint
 from . import vmstat as ev
 from .handle import (
+    BULK,
     NO_HANDLE,
+    RECLAIMABLE,
     HandleBatch,
     HandleRegistry,
-    HandleTable,
     PageHandle,
 )
+from .page import PageFlag
 from .sections import int64, rows_of
+
+_PINNED = 1 << PageFlag.PINNED
 
 #: Watermarks as fractions of the managed range, Linux-style.
 WMARK_MIN_RATIO = 0.005
@@ -60,17 +64,16 @@ class ReclaimLRU:
     """LRU of reclaimable page handles (page cache and friends).
 
     Insertion order approximates recency; ``reclaim`` frees from the oldest
-    end.  Handles freed by their owners are lazily skipped.  A bulk
-    allocation is one entry — its :class:`HandleBatch`, sitting where its
-    pages' own entries would have — consumed oldest page first.  Every
-    page of a batch is order 0 (:meth:`HandleRegistry.register_batch`).
+    end.  Handles freed by their owners are lazily skipped.  An entry is
+    a handle's registry slot, or a bulk allocation's
+    :class:`HandleBatch` (keyed by identity), sitting where its pages'
+    own entries would have — consumed oldest page first.  Every page of
+    a batch is order 0 (:meth:`HandleRegistry.register_batch`).
     """
 
-    def __init__(self, stat) -> None:
-        # Keyed by the handle itself (identity hash): insertion order is
-        # the recency order, and no address-derived int exists to leak
-        # into output.
-        self._lru: OrderedDict[PageHandle | HandleBatch, None] = OrderedDict()
+    def __init__(self, stat, registry: HandleRegistry) -> None:
+        # Insertion order is the recency order.
+        self._lru: OrderedDict[int | HandleBatch, None] = OrderedDict()
         self._stat = stat
         #: Pages the batch entries stand for, less the one entry each
         #: occupies in ``_lru``: ``len(_lru) + _surplus`` counts pages.
@@ -78,55 +81,51 @@ class ReclaimLRU:
         #: Every batch slot below this one has been reclaimed or skipped
         #: (batches arrive, and are consumed, in slot order).
         self._cursor = 0
-        self._registry: HandleRegistry | None = None
+        self._registry = registry
 
     def __len__(self) -> int:
         return len(self._lru) + self._surplus
 
-    def snapshot(self, table: HandleTable) -> dict:
-        """The LRU in recency order: its handles as table rows, each
-        batch as its slot range and its position in the order."""
+    def snapshot(self) -> dict:
+        """The LRU in recency order: its slots, and each batch as its
+        slot range and its position in the order."""
         lru = self._lru
         return {
-            "rows": int64(table.rows(
-                e for e in lru if type(e) is not HandleBatch)),
+            "slots": int64([e for e in lru if type(e) is int]),
             "state": {"batches": [[i, e.start, e.stop]
                                   for i, e in enumerate(lru)
-                                  if type(e) is HandleBatch],
-                      "surplus": self._surplus, "cursor": self._cursor,
-                      "registered": self._registry is not None}}
+                                  if type(e) is not int],
+                      "surplus": self._surplus, "cursor": self._cursor}}
 
-    def restore(self, state, handles: list[PageHandle],
-                registry: HandleRegistry) -> None:
-        """Load a :meth:`snapshot`; batches resolve through *registry*."""
-        entries = [handles[row] for row in rows_of(state["rows"],
-                                                   len(handles))]
+    def restore(self, state) -> None:
+        """Load a :meth:`snapshot` (building no handle)."""
+        registry = self._registry
+        entries = rows_of(state["slots"], len(registry._slots))
         meta = state["state"]
         for at, start, stop in meta["batches"]:
             entries.insert(at, HandleBatch(registry, start, stop))
         self._lru = OrderedDict.fromkeys(entries)
         self._surplus, self._cursor = meta["surplus"], meta["cursor"]
-        self._registry = registry if meta["registered"] else None
 
     def register(self, handle: PageHandle) -> None:
         """Add a reclaimable allocation (most-recently-used position)."""
-        self._lru[handle] = None
+        self._lru[handle.slot] = None
 
     def register_batch(self, batch: HandleBatch) -> None:
         """Add every page of *batch*, in order, without building any."""
         self._lru[batch] = None
         self._surplus += len(batch) - 1
-        self._registry = batch.registry
 
     def forget(self, handle: PageHandle) -> None:
         """Remove without freeing (owner freed it explicitly)."""
-        if self._lru.pop(handle, 0) is None or self._registry is None:
+        slot = handle.slot
+        if self._lru.pop(slot, 0) is None:
             return
-        # Not an entry of its own: a batch page is still on the LRU
-        # while the cursor has not passed its slot, which then stays
-        # behind (``reclaim`` skips it) but no longer counts.
-        if (handle.reclaimable
-                and self._registry.slot_of(handle) >= self._cursor):
+        # Not an entry of its own: a reclaimable batch page is still on
+        # the LRU while the cursor has not passed its slot, which then
+        # stays behind (``reclaim`` skips it) but no longer counts.
+        if (slot >= self._cursor and self._registry._info[slot]
+                & (BULK | RECLAIMABLE) == BULK | RECLAIMABLE):
             self._surplus -= 1
 
     def reclaim(
@@ -138,28 +137,30 @@ class ReclaimLRU:
         """Free oldest entries until *target_frames* frames are recovered
         (or the LRU empties).  Returns frames actually freed.
 
-        A handle entry goes to *free_fn*.  A batch is walked slot by
+        A slot entry's handle goes to *free_fn*.  A batch is walked slot by
         slot, and its order-0 pages are freed in runs: each page leaves
         the registry here — its frame's column entry cleared, its slot
         marked ``~pfn`` and, if somebody named it, its handle marked
-        freed — and each maximal run of their current PFNs goes to
-        *free_run*, in slot order.  Only a pinned page ends a run: it
-        goes to *free_fn* after the run.
+        freed and dropped — and each maximal run of their current PFNs
+        goes to *free_run*, in slot order.  Only a pinned page (its
+        frame's flag says so, named or not) ends a run: its handle goes
+        to *free_fn* after the run.
         """
         freed = 0
-        lru = self._lru
+        lru, resolve = self._lru, self._registry.resolve
         while freed < target_frames and lru:
             entry = next(iter(lru))
-            if type(entry) is not HandleBatch:
+            if type(entry) is int:
                 del lru[entry]
-                if not entry.freed:
-                    freed += entry.nframes
-                    free_fn(entry)
+                handle = resolve(entry)
+                if not handle.freed:
+                    freed += handle.nframes
+                    free_fn(handle)
                 continue
             slot, stop = max(self._cursor, entry.start), entry.stop
             registry = entry.registry
             slots, built = registry._slots, registry._built
-            column = registry._col_mv
+            column, flags = registry._col_mv, registry.mem.flags_mv
             before = freed
             run: list[int] = []
             while slot < stop and freed < target_frames:
@@ -167,13 +168,14 @@ class ReclaimLRU:
                 slot += 1
                 if pfn < 0:     # freed: forget() stopped counting it
                     continue
-                handle = built.get(slot - 1)
-                if handle is None or not handle.pinned:
+                if not flags[pfn] & _PINNED:
                     # Named or not, still order 0 (maybe moved since).
                     column[pfn] = NO_HANDLE
                     slots[slot - 1] = ~pfn
+                    handle = built[slot - 1]
                     if handle is not None:
                         handle.freed = True
+                        built[slot - 1] = None
                     run.append(pfn)
                     freed += 1
                 else:
@@ -182,7 +184,7 @@ class ReclaimLRU:
                         run = []
                     self._cursor = slot
                     freed += 1
-                    free_fn(handle)
+                    free_fn(registry.resolve(slot - 1))
             self._cursor = slot
             if run:
                 free_run(run)

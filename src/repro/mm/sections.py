@@ -4,8 +4,8 @@ A snapshot is a flat mapping of named sections, each a numpy array or
 a JSON-safe value (the checkpoint envelope writes one as raw bytes, the
 other as JSON).  A layer names its own sections; the layer holding it
 files them under a prefix with :func:`nest` and hands them back with
-:func:`scope`.  Handles are rows of one
-:class:`~repro.mm.handle.HandleTable`.
+:func:`scope`.  An allocation is named by its
+:class:`~repro.mm.handle.HandleRegistry` slot.
 """
 
 from __future__ import annotations

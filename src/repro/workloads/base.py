@@ -17,13 +17,16 @@ import math
 import random
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import chain
+
+import numpy as np
 
 from ..errors import ContiguityError, OutOfMemoryError, SimInvariantError
 from ..mm import vmstat as ev
 from ..kalloc.netbuf import NetworkBufferPool, NetworkQueueConfig
 from ..kalloc.pagetable import PageTableAllocator
 from ..kalloc.slab import SlabAllocator
-from ..mm.handle import HandleList, HandleTable, PageHandle, refs_restore
+from ..mm.handle import HandleList, PageHandle
 from ..mm.page import AllocSource, MigrateType
 from ..mm.sections import (
     int64,
@@ -43,6 +46,11 @@ _tp_step = tracepoint("workload.step")
 
 #: Kernel ticks (µs) one churn interval advances the clock.
 STEP_TICKS = 1000
+
+#: Expiry-calendar entry kinds.  An entry is one int, ``ref << 2 |
+#: kind``: the ref a registry slot, or (``_SLAB``) a key of the driver's
+#: slab-object table.
+_NET, _SLAB, _FS, _PIN = range(4)
 
 
 @dataclass(frozen=True)
@@ -135,6 +143,8 @@ class Workload:
         self.pagetables = PageTableAllocator(kernel)
         self.anon_chunks: list[PageHandle | list[PageHandle]] = []
         self.gigapages: list[PageHandle] = []
+        self._handles = kernel.handles
+        self._resolve = kernel.handles.resolve
         self.cache_pages = HandleList(kernel.handles)
         self._cache_frames = 0
         self._prune_threshold = 4 * kernel.mem.nframes // 64
@@ -147,12 +157,15 @@ class Workload:
         #: every reader of the list skips freed handles.
         self._pruned_reclaimed = kernel.stat[ev.PAGES_RECLAIMED]
         self._pruned_compact_runs = kernel.stat[ev.COMPACT_RUNS]
-        #: Expiry calendar: due step -> ``[(kind, payload), ...]`` in
-        #: scheduling order.  Every lifetime is at least one step and
-        #: ``step`` expires right after advancing ``steps`` by one, so
-        #: every key exceeds ``steps`` between steps and the only bucket
-        #: ever due is ``steps`` itself.
-        self._expiries: defaultdict[int, list] = defaultdict(list)
+        #: Expiry calendar: due step -> its entries (``ref << 2 |
+        #: kind``) in scheduling order.  Every lifetime is at least one
+        #: step and ``step`` expires right after advancing ``steps`` by
+        #: one, so every key exceeds ``steps`` between steps and the
+        #: only bucket ever due is ``steps`` itself.
+        self._expiries: defaultdict[int, list[int]] = defaultdict(list)
+        #: The slab objects the calendar names, by key.
+        self._objects: dict = {}
+        self._next_object = 0
         self.steps = 0
         self.started = False
         self._traffic = 1.0
@@ -397,15 +410,18 @@ class Workload:
             buf = alloc_buffer(order=choice(orders))
             life = expovariate(straggler_rate if random() < straggler_fraction
                                else rate)
-            calendar[now + (int(life) or 1)].append(("net", buf))
+            calendar[now + (int(life) or 1)].append(buf.slot << 2)
 
     def _spawn_slab(self, count: int) -> None:
         choice, expovariate = self.rng.choice, self.rng.expovariate
         caches, rate = self._slab_caches, 1.0 / self.spec.slab_lifetime_steps
-        calendar, now = self._expiries, self.steps
-        for _ in range(count):
-            ref = choice(caches).alloc_object()
-            calendar[now + (int(expovariate(rate)) or 1)].append(("slab", ref))
+        calendar, now, objects = self._expiries, self.steps, self._objects
+        first = self._next_object
+        self._next_object += count      # keys an OOM leaves unused stay so
+        for key in range(first, first + count):
+            objects[key] = choice(caches).alloc_object()
+            calendar[now + (int(expovariate(rate)) or 1)].append(
+                key << 2 | _SLAB)
 
     def _spawn_fs(self, count: int) -> None:
         spec, rng = self.spec, self.rng
@@ -420,7 +436,7 @@ class Workload:
                                  migratetype=MigrateType.UNMOVABLE)
             life = expovariate(straggler_rate if random() < straggler_fraction
                                else rate)
-            calendar[now + (int(life) or 1)].append(("fs", handle))
+            calendar[now + (int(life) or 1)].append(handle.slot << 2 | _FS)
 
     def _spawn_pin(self, count: int) -> None:
         kernel, expovariate = self.kernel, self.rng.expovariate
@@ -430,7 +446,7 @@ class Workload:
             handle = kernel.alloc_pages(0)
             kernel.pin_pages(handle)
             calendar[now + (int(expovariate(rate)) or 1)].append(
-                ("pin", handle))
+                handle.slot << 2 | _PIN)
 
     def _spawn_pt(self, count: int) -> None:
         """Page-table pages of short-lived sibling processes (forks,
@@ -444,7 +460,7 @@ class Workload:
             handle = alloc_pages(0, source=AllocSource.PAGETABLE,
                                  migratetype=MigrateType.UNMOVABLE)
             calendar[now + (int(expovariate(rate)) or 1)].append(
-                ("fs", handle))
+                handle.slot << 2 | _FS)
 
     def _spawn_cache(self, count: int) -> None:
         spec, kernel, pages = self.spec, self.kernel, self.cache_pages
@@ -466,8 +482,9 @@ class Workload:
                     kernel.free_pages(old)
 
     def _expire(self) -> None:
-        for kind, payload in self._expiries.pop(self.steps, ()):
-            self._release(kind, payload)
+        release = self._release
+        for entry in self._expiries.pop(self.steps, ()):
+            release(entry)
 
     def _drain_expiries(self, kernel_residue: float = 0.0) -> None:
         """Flush every pending expiry, in due order and, within a step,
@@ -480,79 +497,82 @@ class Workload:
         """
         calendar = self._expiries
         for due in sorted(calendar):
-            for kind, payload in calendar.pop(due):
-                if (kind != "pin" and kernel_residue > 0
+            for entry in calendar.pop(due):
+                if (entry & 3 != _PIN and kernel_residue > 0
                         and self.rng.random() < kernel_residue):
-                    continue  # leaked: permanent unmovable residue
-                self._release(kind, payload)
+                    # Leaked: permanent unmovable residue.
+                    if entry & 3 == _SLAB:
+                        del self._objects[entry >> 2]
+                    continue
+                self._release(entry)
 
-    def _release(self, kind: str, payload) -> None:
-        if kind == "net":
-            if not payload.freed:
-                self.netpool.free_buffer(payload)
-        elif kind == "slab":
-            payload.cache.free_object(payload)
-        elif not payload.freed:     # "fs" / "pin": a bare page handle
-            if payload.pinned:
-                self.kernel.unpin_pages(payload)
-            self.kernel.free_pages(payload)
+    def _release(self, entry: int) -> None:
+        kind = entry & 3
+        if kind == _SLAB:
+            ref = self._objects.pop(entry >> 2)
+            ref.cache.free_object(ref)
+            return
+        handle = self._resolve(entry >> 2)
+        if handle.freed:
+            return
+        if kind == _NET:
+            self.netpool.free_buffer(handle)
+        else:                       # fs / pin: a bare page
+            if handle.pinned:
+                self.kernel.unpin_pages(handle)
+            self.kernel.free_pages(handle)
 
     # ------------------------------------------------------------------
     # Snapshot (the checkpoint schema)
     # ------------------------------------------------------------------
 
-    #: Calendar entry kinds, by the code a snapshot writes.
-    _KINDS = ("net", "slab", "fs", "pin")
-
-    def snapshot(self, table: HandleTable) -> dict:
-        """The driver's mutable state as sections, handles as rows of
-        *table*: the heap (a THP chunk as size 0, a base-page chunk as
-        its page count), the gigapages, ``cache_pages`` (slots as they
-        are), the network pool, slab caches and page tables, the expiry
+    def snapshot(self) -> dict:
+        """The driver's mutable state as sections, handles as registry
+        slots: the heap (a THP chunk as size 0, a base-page chunk as its
+        page count), the gigapages, ``cache_pages`` (its slot array),
+        the network pool, slab caches and page tables, the expiry
         calendar (each due step's entries as kind codes and refs: a
-        handle's row, or a slab object's position in ``slab.objects``),
-        and the scalars and RNG state."""
+        slot, or a slab object's key; the objects in key order as the
+        slab's object columns beside their keys), and the scalars and
+        RNG state."""
         chunks = [[chunk] if type(chunk) is PageHandle else chunk
                   for chunk in self.anon_chunks]
-        entries = [entry for due in self._expiries.values()
-                   for entry in due]
-        objects = [payload for kind, payload in entries if kind == "slab"]
-        rows = iter(table.rows(payload for kind, payload in entries
-                               if kind != "slab"))
-        positions = iter(range(len(objects)))
-        codes = {kind: code for code, kind in enumerate(self._KINDS)}
+        entries = int64(list(chain.from_iterable(self._expiries.values())))
         return {
-            "anon.rows": int64(table.rows(
-                handle for chunk in chunks for handle in chunk)),
+            "anon.slots": int64([handle.slot for chunk in chunks
+                                 for handle in chunk]),
             "anon.sizes": int64([0 if type(chunk) is PageHandle
                                  else len(chunk)
                                  for chunk in self.anon_chunks]),
-            "gigapages": int64(table.rows(self.gigapages)),
-            **nest("cache", table.refs(self.cache_pages._refs)),
-            **nest("net", self.netpool.snapshot(table)),
-            **nest("slab", self.slab.snapshot(table, objects)),
-            **nest("pagetables", self.pagetables.snapshot(table)),
+            "gigapages": int64([handle.slot for handle in self.gigapages]),
+            "cache": self.cache_pages.snapshot(),
+            **nest("net", self.netpool.snapshot()),
+            **nest("slab", self.slab.snapshot(list(self._objects.values()))),
+            **nest("pagetables", self.pagetables.snapshot()),
             "calendar.due": int64(list(self._expiries)),
             "calendar.sizes": int64(list(map(len, self._expiries.values()))),
-            "calendar.kinds": int64([codes[kind] for kind, _ in entries]),
-            "calendar.refs": int64(
-                [next(positions) if kind == "slab" else next(rows)
-                 for kind, _ in entries]),
+            "calendar.kinds": (entries & 3).astype(np.int8),
+            "calendar.refs": entries >> 2,
+            "calendar.objects": int64(list(self._objects)),
             "state": {
                 "rng": rng_state(self.rng), "steps": self.steps,
                 "started": self.started, "traffic": self._traffic,
                 "cache_frames": self._cache_frames,
                 "pruned": [self._pruned_reclaimed,
                            self._pruned_compact_runs],
+                "next_object": self._next_object,
                 "outcomes": [self.thp_hits, self.thp_misses,
                              self.oom_events]}}
 
-    def restore(self, sections, handles: list[PageHandle]) -> None:
+    def restore(self, sections) -> None:
         """Load a :meth:`snapshot` into this driver, freshly built (not
         started) over the kernel the snapshot's kernel sections were
-        loaded into; *handles* are the table's rows, built."""
-        pick = handles.__getitem__
-        heap = list(map(pick, rows_of(sections["anon.rows"], len(handles))))
+        loaded into.  Only the heap, gigapage, slab-page and page-table
+        handles are built here; every other slot waits until it is
+        read."""
+        registry = self._handles
+        resolve, nslots = registry.resolve, len(registry._slots)
+        heap = list(map(resolve, rows_of(sections["anon.slots"], nslots)))
         self.anon_chunks, at = [], 0
         for size in sections["anon.sizes"].tolist():
             self.anon_chunks.append(heap[at] if size == 0
@@ -560,22 +580,25 @@ class Workload:
             at += size or 1
         if at != len(heap):
             raise ValueError("heap chunk sizes do not add up")
-        self.gigapages = list(map(pick, rows_of(sections["gigapages"],
-                                                len(handles))))
-        self.cache_pages = HandleList(self.kernel.handles, refs_restore(
-            scope("cache", sections), handles))
-        self.netpool.restore(scope("net", sections), handles)
-        objects = self.slab.restore(scope("slab", sections), handles)
-        self.pagetables.restore(scope("pagetables", sections), handles)
-        # Each entry's payload: a slab object's ref indexes ``objects``,
-        # any other's ``handles`` (IndexError past either end).
-        kinds = [self._KINDS[code] for code in rows_of(
-            sections["calendar.kinds"], len(self._KINDS))]
-        entries = list(zip(kinds, [
-            objects[ref] if kind == "slab" else handles[ref]
-            for kind, ref in zip(kinds, rows_of(
-                sections["calendar.refs"], max(len(handles), len(objects))),
-                strict=True)]))
+        self.gigapages = list(map(resolve, rows_of(sections["gigapages"],
+                                                   nslots)))
+        self.cache_pages = HandleList.restore(registry, sections["cache"])
+        self.netpool.restore(scope("net", sections))
+        objects = self.slab.restore(scope("slab", sections))
+        self.pagetables.restore(scope("pagetables", sections))
+        keys = sections["calendar.objects"].tolist()
+        self._objects = dict(zip(keys, objects, strict=True))
+        if len(self._objects) != len(keys):
+            raise ValueError("a slab object key repeats")
+        # Each entry's ref: a slab object's key, any other's slot.
+        kinds = np.asarray(sections["calendar.kinds"])
+        refs = np.asarray(sections["calendar.refs"]).astype(np.int64)
+        rows_of(kinds, 4)
+        slab = kinds == _SLAB
+        rows_of(refs[~slab], nslots)
+        if not np.isin(refs[slab], keys).all():
+            raise IndexError("a calendar entry names no slab object")
+        entries = (refs << 2 | kinds).tolist()
         self._expiries.clear()
         at = 0
         for due, size in zip(sections["calendar.due"].tolist(),
@@ -591,6 +614,7 @@ class Workload:
         self._traffic, self._cache_frames = (state["traffic"],
                                              state["cache_frames"])
         self._pruned_reclaimed, self._pruned_compact_runs = state["pruned"]
+        self._next_object = state["next_object"]
         self.thp_hits, self.thp_misses, self.oom_events = state["outcomes"]
 
     # ------------------------------------------------------------------

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import CheckpointCorruptError, ConfigurationError
-from ..mm.handle import HandleTable
 from ..mm.sections import nest, scope
 from ..run import RunSession
 from ..telemetry.lazymanifest import LazyManifest
@@ -186,15 +185,13 @@ def run_workload(config: WorkloadConfig, *,
 
 
 def _snapshot(kernel, workload):
-    """One checkpoint's sections: the kernel's, the driver's, and the
-    handle table both wrote their handles into."""
+    """One checkpoint's sections: the kernel's and the driver's, each
+    naming an allocation by its registry slot."""
     from ..checkpoint.format import collector_paused
 
     def sections():
-        table = HandleTable()
-        return {**nest("kernel", kernel.snapshot(table)),
-                **nest("workload", workload.snapshot(table)),
-                **nest("handles", table.snapshot())}
+        return {**nest("kernel", kernel.snapshot()),
+                **nest("workload", workload.snapshot())}
     return collector_paused(sections)
 
 
@@ -208,9 +205,8 @@ def _restore(ckpt, kernel, workload) -> None:
     """
     sections = ckpt.payload
     try:
-        handles = HandleTable.restore(scope("handles", sections))
-        kernel.restore(scope("kernel", sections), handles)
-        workload.restore(scope("workload", sections), handles)
+        kernel.restore(scope("kernel", sections))
+        workload.restore(scope("workload", sections))
     except (AttributeError, IndexError, KeyError, TypeError,
             ValueError) as exc:
         raise CheckpointCorruptError(

@@ -89,6 +89,35 @@ def live_handles(registry) -> list[PageHandle]:
     return list(map(registry.get, pfns.tolist()))
 
 
+def built_handles(registry) -> dict[int, PageHandle]:
+    """The handles a :class:`~repro.mm.HandleRegistry` holds built, by
+    slot."""
+    return {slot: handle for slot, handle in enumerate(registry._built)
+            if handle is not None}
+
+
+def mark_head(mem, handle: PageHandle) -> PageHandle:
+    """Write *handle*'s fields into its head frame's columns — what a
+    registry built over a bare ``PhysicalMemory`` (no allocator) reads
+    a handle from, as a kernel's ``mark_allocated`` would write it."""
+    pfn = handle.pfn
+    mem.alloc_order[pfn] = handle.order
+    mem.migratetype[pfn] = int(handle.migratetype)
+    mem.source[pfn] = int(handle.source)
+    mem.birth[pfn] = handle.birth
+    mem.flags[pfn] = 4 if handle.pinned else 0
+    return handle
+
+
+def move_head(mem, old: int, new: int) -> None:
+    """Move a head frame's columns from *old* to *new* (a migration)."""
+    for column in (mem.alloc_order, mem.migratetype, mem.source,
+                   mem.birth, mem.flags):
+        column[new] = column[old]
+    mem.alloc_order[old] = -1
+    mem.flags[old] = 0
+
+
 def anon_frames(workload) -> int:
     """Frames a workload's anonymous heap holds, at any page size."""
     chunks = [[c] if isinstance(c, PageHandle) else c
@@ -116,15 +145,8 @@ def restored(kernel):
     """A fresh kernel of *kernel*'s class and config holding *kernel*'s
     state: ``snapshot()``, the checkpoint envelope, ``restore()`` — the
     path a resume takes, minus the sanitizer sweep."""
-    from repro.mm.handle import HandleTable
-    from repro.mm.sections import nest, scope
-
-    table = HandleTable()
-    sections = through_envelope({**nest("kernel", kernel.snapshot(table)),
-                                 **nest("handles", table.snapshot())})
     fresh = type(kernel)(kernel.config)
-    fresh.restore(scope("kernel", sections),
-                  HandleTable.restore(scope("handles", sections)))
+    fresh.restore(through_envelope(kernel.snapshot()))
     return fresh
 
 

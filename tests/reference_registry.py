@@ -2,9 +2,9 @@
 checked against (``test_registry_model.py``).
 
 Every page — registered one by one or in a batch — is one :class:`Page`
-record holding its fields, filed under its head PFN while it lives; a
-batch page also keeps its slot, so the model knows what a slot resolves
-to after its page moved or was freed.  The reclaim LRU is one
+record holding its fields and its slot, filed under its head PFN while
+it lives, so the model knows what a slot resolves to after its page
+moved or was freed.  The reclaim LRU is one
 ``OrderedDict`` of reclaimable pages in registration order: reclaim
 frees from the oldest end, as ``ReclaimLRU`` does with no page pinned.
 No columns, no slot table, no lazy building.
@@ -24,12 +24,16 @@ class Page:
     source: int
     birth: int
     reclaimable: bool
-    slot: int = -1          # -1: registered one by one
+    slot: int
     freed: bool = False
 
     def fields(self) -> tuple:
-        return (self.pfn, self.order, self.migratetype, self.source,
-                self.birth, self.freed, self.reclaimable)
+        """What a handle says: all of it while it lives; once freed,
+        its PFN, order and reclaimable bit."""
+        if self.freed:
+            return self.pfn, self.order, self.freed, self.reclaimable
+        return (self.pfn, self.order, self.freed, self.reclaimable,
+                self.migratetype, self.source, self.birth)
 
 
 class RefRegistry:
@@ -47,14 +51,15 @@ class RefRegistry:
         return page
 
     def register(self, pfn, order, mt, source, birth, reclaimable) -> Page:
-        return self._file(Page(pfn, order, mt, source, birth, reclaimable))
+        self.slots.append(self._file(Page(
+            pfn, order, mt, source, birth, reclaimable, len(self.slots))))
+        return self.slots[-1]
 
     def register_batch(self, pfns, mt, source, birth, reclaimable) -> None:
         if any(pfn in self.by_pfn for pfn in pfns):
             raise KeyError(pfns)
         for pfn in pfns:
-            self.slots.append(self._file(Page(
-                pfn, 0, mt, source, birth, reclaimable, len(self.slots))))
+            self.register(pfn, 0, mt, source, birth, reclaimable)
 
     def relocate(self, old: int, new: int) -> Page:
         page = self.by_pfn.pop(old)

@@ -94,11 +94,12 @@ class TestEnvelope:
         handle registry as a frame column and a slot array, 12 the same
         with ``WorkloadConfig`` and the fleet's pickled config and
         aggregator rid of their test-only fields, 13 the same with no
-        embedded config and no pickle section at all.  Resuming any
-        older file must stop at the envelope, not mid-decode."""
-        assert FORMAT_VERSION == 13
+        embedded config and no pickle section at all, 14 the same with
+        no handle table (every holder writes registry slots).  Resuming
+        any older file must stop at the envelope, not mid-decode."""
+        assert FORMAT_VERSION == 14
         path = tmp_path / "x.ckpt"
-        for old in range(1, 13):
+        for old in range(1, 14):
             data = bytearray(_envelope("workload", 1, {}))
             data[4:8] = old.to_bytes(4, "big")
             path.write_bytes(bytes(data))
@@ -167,11 +168,11 @@ class TestCollectorPaused:
 
 
 class TestPayloadShape:
-    """A ``workload`` checkpoint is data: array and JSON sections.  A
-    handle is one row of the handle table however many holders name
-    it, a bulk page nobody named one int of the slot table, and an
-    int64 frame column is written at the narrowest width that holds its
-    range."""
+    """A ``workload`` checkpoint is data: array and JSON sections.  An
+    allocation is one registry slot however many holders name it — its
+    PFN in the slot table, one info byte, and the frame columns — and an
+    integer frame column is written at the narrowest width that holds
+    its range."""
 
     @pytest.mark.parametrize("kernel_name", ["linux", "contiguitas"])
     def test_a_workload_checkpoint_is_typed_sections(self, kernel_name,
@@ -191,18 +192,23 @@ class TestPayloadShape:
         for column in ("head_of", "free_next", "free_prev"):
             assert table[f"kernel.mem.{column}"]["dtype"] == "<i2"
         assert table["kernel.mem.flags"]["dtype"] == "|u1"
+        # No handle table, and no column the slot table determines.
+        assert not any(name.startswith("handles.") for name in table)
+        assert "kernel.mem.handle_slot" not in table
         payload = store.load_latest().payload
-        live = int((payload["kernel.mem.handle_slot"] != -1).sum())
-        rows = len(payload["handles.pfn"])
-        assert live > 5000 and rows < live / 4, (rows, live)
         slots = payload["kernel.handles.slots"]
-        built = len(payload["kernel.handles.built.slots"])
-        reclaimed = int((slots < 0).sum())
-        assert reclaimed > 400 and reclaimed > 10 * built, (reclaimed, built)
-        # Every holder's rows index the one table.
-        for name, value in payload.items():
-            if name.endswith("rows") and len(value):
-                assert 0 <= value.min() and value.max() < rows, name
+        info = payload["kernel.handles.info"]
+        live = int((slots >= 0).sum())
+        assert live > 5000 and len(info) == len(slots) > live
+        reclaimed = int(((slots < 0) & (info & 0x40 != 0)).sum())
+        assert reclaimed > 400, reclaimed
+        # Every holder's slots index the one table.
+        for name in ("kernel.lru.slots", "workload.anon.slots",
+                     "workload.cache", "workload.net.rings",
+                     "workload.net.transient", "workload.pagetables.tables"):
+            value = payload[name]
+            assert value.size and 0 <= value.min(), name
+            assert value.max() < len(slots), name
 
     def test_int64_arrays_are_narrowed_and_read_back_equal(self, tmp_path):
         import numpy as np
@@ -473,15 +479,15 @@ class TestEnvelopeFuzz:
     def test_a_column_naming_a_free_pfn_is_refused_by_the_sweep(
             self, entry, tmp_path):
         """Re-checksummed so the envelope passes, a handle-registry
-        column naming a PFN that heads no allocation — as a scalar
-        entry, or filed under a live slot — is refused by the restore
+        slot naming a PFN that heads no allocation — a registered
+        handle's live slot, or a bulk page's — is refused by the restore
         sweep, which names that PFN."""
         import hashlib
 
         import numpy as np
 
         from repro.errors import SanitizerError
-        from repro.mm.handle import SCALAR
+        from repro.mm.handle import BULK
         from repro.workloads import WorkloadConfig, run_workload
 
         header, body = _parts(_fuzz_file())
@@ -496,13 +502,14 @@ class TestEnvelopeFuzz:
             return np.frombuffer(body, dtype=item["dtype"],
                                  count=item["shape"][0], offset=at)
 
-        column = array("kernel.mem.handle_slot").copy()
-        pfn = int(np.flatnonzero(
-            (array("kernel.mem.alloc_order") < 0) & (column == -1))[0])
-        column[pfn] = SCALAR if entry == "scalar" else column.max()
-        item, at = sections["kernel.mem.handle_slot"]
-        body[at:at + item["len"]] = column.tobytes()
-        item["sha256"] = hashlib.sha256(column.tobytes()).hexdigest()
+        pfn = int(np.flatnonzero(array("kernel.mem.alloc_order") < 0)[0])
+        info, table = (array(f"kernel.handles.{name}").copy()
+                       for name in ("info", "slots"))
+        bulk = (info & BULK != 0) == (entry == "slot")
+        table[np.flatnonzero(bulk & (table >= 0))[-1]] = pfn
+        item, at = sections["kernel.handles.slots"]
+        body[at:at + item["len"]] = table.tobytes()
+        item["sha256"] = hashlib.sha256(table.tobytes()).hexdigest()
         (tmp_path / "workload.ckpt").write_bytes(_forged(header, bytes(body)))
         config = WorkloadConfig("web", "contiguitas", MiB(16), steps=6,
                                 seed=3)

@@ -1,4 +1,4 @@
-"""Format stability: committed format-13 ``workload`` checkpoints.
+"""Format stability: committed format-14 ``workload`` checkpoints.
 
 ``tests/fixtures/checkpoint/<kernel>/workload.ckpt`` was written at step
 10 of a 20-step, 16 MiB ``web`` run on each kernel, and

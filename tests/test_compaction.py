@@ -46,8 +46,7 @@ def fragment(buddy, handles, keep_every=2, source=AllocSource.USER):
     live = []
     for i, pfn in enumerate(pfns):
         if i % keep_every == 0:
-            handles.register(PageHandle(pfn, 0, MigrateType.MOVABLE,
-                                        source, 0))
+            handles.register(pfn, 0, MigrateType.MOVABLE, source, 0)
             live.append(pfn)
         else:
             buddy.free(pfn)
@@ -88,8 +87,7 @@ def test_compaction_skips_unmovable():
     mem, buddy, handles, compactor = build()
     # Unmovable page in the first block: that block can never be emptied.
     un = buddy.alloc(0, MigrateType.UNMOVABLE, AllocSource.NETWORKING)
-    handles.register(PageHandle(un, 0, MigrateType.UNMOVABLE,
-                                AllocSource.NETWORKING, 0))
+    handles.register(un, 0, MigrateType.UNMOVABLE, AllocSource.NETWORKING, 0)
     fragment(buddy, handles)
     result = compactor.compact(buddy, handles, target_order=MAX_ORDER)
     assert result.pages_skipped_unmovable >= 1
@@ -100,8 +98,8 @@ def test_compaction_skips_unmovable():
 def test_compaction_skips_pinned():
     mem, buddy, handles, compactor = build()
     pfn = buddy.alloc(0, MigrateType.MOVABLE, AllocSource.USER, pinned=True)
-    handles.register(PageHandle(pfn, 0, MigrateType.MOVABLE,
-                                AllocSource.USER, 0, pinned=True))
+    handles.register(pfn, 0, MigrateType.MOVABLE, AllocSource.USER, 0,
+                     pinned=True)
     fragment(buddy, handles)
     result = compactor.compact(buddy, handles, target_order=MAX_ORDER)
     assert mem.allocation_info(pfn).pfn == pfn  # did not move

@@ -28,9 +28,7 @@ def build(mem_mib=8):
 def alloc_tracked(buddy, handles, order=0, mt=MigrateType.MOVABLE,
                   source=AllocSource.USER, pinned=False):
     pfn = buddy.alloc(order, mt, source, pinned=pinned)
-    handle = PageHandle(pfn, order, mt, source, 0, pinned)
-    handles.register(handle)
-    return handle
+    return handles.register(pfn, order, mt, source, 0, pinned)
 
 
 def test_evacuate_empty_range_succeeds():

@@ -130,9 +130,8 @@ def test_shrink_with_hw_migrates_boundary_occupants():
                          hw_enabled=True)
     pfn = k.unmovable.alloc(0, MigrateType.UNMOVABLE, AllocSource.NETWORKING,
                             prefer="low")
-    from repro.mm import PageHandle
-    k.handles.register(PageHandle(pfn, 0, MigrateType.UNMOVABLE,
-                                  AllocSource.NETWORKING, 0))
+    k.handles.register(pfn, 0, MigrateType.UNMOVABLE,
+                       AllocSource.NETWORKING, 0)
     assert k.mem.pageblock_of(pfn) == k.layout.boundary_block
     assert k._shrink_one()
     assert k.stat[ev.HW_MIGRATIONS] >= 1

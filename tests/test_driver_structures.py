@@ -21,7 +21,7 @@ from repro.mm import vmstat as ev
 from repro.workloads import Workload, get_service
 from repro.workloads.fragmenter import fragment_partially
 from call_recorder import TraceRecorder
-from conftest import make_contiguitas, make_linux
+from conftest import built_handles, make_contiguitas, make_linux
 
 SERVICES = ("web", "cache-a", "cache-b", "ci")
 KERNELS = {"linux": make_linux, "contiguitas": make_contiguitas}
@@ -96,11 +96,11 @@ class ShadowWorkload(Workload):
     ``branches`` counts which path produced the result (the proved
     prefix cut edits the list in place, the full pass rebinds it).
 
-    The filter reads the list's raw items — a handle, or a registry
-    slot, whose table value is its page's PFN while the page lives and
-    the freed marker (< 0) once it is freed — so the check builds no
-    handle and the prune under test still meets the unbuilt slots it
-    meets in a real run."""
+    The filter reads the list's raw items — registry slots, whose table
+    value is the page's PFN while the page lives and the freed marker
+    (< 0) once it is freed — so the check builds no handle and the
+    prune under test still meets the unbuilt slots it meets in a real
+    run."""
 
     def __init__(self, *args, branches: Counter, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -108,15 +108,15 @@ class ShadowWorkload(Workload):
 
     def _prune_cache(self, reclaimed: int) -> None:
         before = self.cache_pages
-        slots, built = self.kernel.handles._slots, self.kernel.handles._built
-        unbuilt = len(slots) - len(built)
-        want = [ref for ref in before._refs
-                if not (slots[ref] < 0 if type(ref) is int else ref.freed)]
+        registry = self.kernel.handles
+        slots, info = registry._slots, registry._info
+        built = len(built_handles(registry))
+        want = [ref for ref in before._refs if slots[ref] >= 0]
         super()._prune_cache(reclaimed)
-        assert self.cache_pages._refs == want
-        assert self._cache_frames == sum(
-            1 if type(ref) is int else ref.nframes for ref in want)
-        assert len(slots) - len(built) == unbuilt
+        assert list(self.cache_pages._refs) == want
+        assert self._cache_frames == sum(1 << (info[ref] & 0x1F)
+                                         for ref in want)
+        assert len(built_handles(registry)) == built
         self.branches["prefix" if self.cache_pages is before else "full"] += 1
 
 
@@ -211,12 +211,12 @@ class _LoggedBucket(list):
         self.filed = filed
 
     def append(self, entry) -> None:
-        self.filed.append(entry[1])
+        self.filed.append(entry)
         super().append(entry)
 
 
 class LoggedWorkload(Workload):
-    """Records every payload filed in the calendar and every release."""
+    """Records every entry filed in the calendar and every release."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -224,9 +224,15 @@ class LoggedWorkload(Workload):
         self.released: list = []
         self._expiries = defaultdict(lambda: _LoggedBucket(self.filed))
 
-    def _release(self, kind, payload) -> None:
-        self.released.append(payload)
-        super()._release(kind, payload)
+    def _release(self, entry) -> None:
+        self.released.append(entry)
+        super()._release(entry)
+
+    def payload(self, entry):
+        """The slab object or page handle *entry* names."""
+        if entry & 3 == 1:
+            return self._objects[entry >> 2]
+        return self.kernel.handles.resolve(entry >> 2)
 
 
 class TestExpiryCalendar:
@@ -236,26 +242,25 @@ class TestExpiryCalendar:
             self, make_kernel):
         """After every step each bucket is due after ``steps`` — so
         ``_expire``, which pops bucket ``steps`` only, misses no death
-        — and the calendar holds exactly the payloads scheduled and not
-        yet released, each once, none of them freed."""
+        — and the calendar holds exactly the entries scheduled and not
+        yet released, each once, none of their payloads freed (an entry
+        is a slot or an object key, never reused)."""
         workload = LoggedWorkload(make_kernel(64), get_service("web"),
                                   seed=3)
         workload.start()
         for _ in range(120):
             workload.step()
             assert all(due > workload.steps for due in workload._expiries)
-            pending = [payload for bucket in workload._expiries.values()
-                       for _kind, payload in bucket]
-            released = {id(p) for p in workload.released}
+            pending = [entry for bucket in workload._expiries.values()
+                       for entry in bucket]
+            released = set(workload.released)
             assert len(released) == len(workload.released)
-            assert sorted(map(id, pending)) == sorted(
-                id(p) for p in workload.filed if id(p) not in released)
-            assert not any(p.freed for p in pending)
+            assert sorted(pending) == sorted(
+                e for e in workload.filed if e not in released)
+            assert not any(workload.payload(e).freed for e in pending)
         assert workload.released and pending
-        kinds = {kind for bucket in workload._expiries.values()
-                 for kind, _payload in bucket}
-        assert kinds == {"net", "slab", "fs", "pin"}
+        kinds = {entry & 3 for entry in pending}
+        assert kinds == {0, 1, 2, 3}    # net, slab, fs, pin
         workload.stop(kernel_residue=0.0)
-        assert not workload._expiries
-        assert sorted(map(id, workload.released)) == sorted(
-            map(id, workload.filed))
+        assert not workload._expiries and not workload._objects
+        assert sorted(workload.released) == sorted(workload.filed)

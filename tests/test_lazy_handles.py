@@ -25,13 +25,11 @@ from repro.errors import DoubleAllocError, SanitizerError
 from repro.fleet import ServerConfig, SimulatedServer
 from repro.mm import LinuxKernel, ReclaimLRU, VmStat
 from repro.mm.handle import (
-    SCALAR,
+    BULK,
     HandleBatch,
     HandleList,
     HandleRegistry,
-    HandleTable,
     PageHandle,
-    refs_restore,
 )
 from repro.mm.physmem import PhysicalMemory
 from repro.mm.page import AllocSource, MigrateType
@@ -40,9 +38,12 @@ from repro.units import MiB
 from repro.workloads import Workload, get_service
 
 from conftest import (
+    built_handles,
     live_handles,
     make_contiguitas,
     make_linux,
+    mark_head,
+    move_head,
     restored,
     through_envelope,
 )
@@ -51,7 +52,13 @@ NPFNS = 96
 
 
 def fields(handle: PageHandle) -> tuple:
-    return tuple(getattr(handle, name) for name in PageHandle.__slots__)
+    """What a handle says: all of it while it lives; once freed, its
+    PFN, order and reclaimable bit (a freed slot's handle may be built
+    after the fact, from a frame that has moved on)."""
+    named = ("pfn", "order", "freed", "reclaimable")
+    if not handle.freed:
+        named += ("migratetype", "source", "birth", "pinned")
+    return tuple(getattr(handle, name) for name in named)
 
 
 class Eager:
@@ -103,25 +110,37 @@ class Lazy:
 
     def __init__(self) -> None:
         self.registry = HandleRegistry(PhysicalMemory(MiB(2)))
-        self.lru = ReclaimLRU(VmStat())
+        self.lru = ReclaimLRU(VmStat(), self.registry)
 
-    def register(self, handle: PageHandle) -> PageHandle:
-        self.registry.register(handle)
+    def register(self, record: PageHandle) -> PageHandle:
+        """File an allocation with *record*'s fields."""
+        handle = self.registry.register(
+            record.pfn, record.order, record.migratetype, record.source,
+            record.birth, record.pinned, record.reclaimable)
+        mark_head(self.registry.mem, handle)
         if handle.reclaimable:
             self.lru.register(handle)
         return handle
 
     def register_batch(self, pfns, mt, source, birth,
                        reclaimable) -> HandleBatch:
-        batch = self.registry.register_batch(
-            pfns, mt, source, birth, reclaimable)
+        batch = self.registry.register_batch(pfns, reclaimable)
+        for pfn in pfns:
+            mark_head(self.registry.mem,
+                      PageHandle(pfn, 0, mt, source, birth))
         if reclaimable:
             self.lru.register_batch(batch)
         return batch
 
+    def relocate(self, old: int, new: int) -> PageHandle:
+        self.registry.relocate(old, new)
+        move_head(self.registry.mem, old, new)
+        return self.registry.get(new)
+
     def free(self, handle: PageHandle) -> None:
         self.lru.forget(handle)
         self.registry.on_free(handle)
+        self.registry.mem.alloc_order[handle.pfn] = -1
 
     def reclaim(self, target: int) -> list[int]:
         """The PFNs freed, in order: a pinned victim through ``free``,
@@ -132,7 +151,11 @@ class Lazy:
             victims.append(handle.pfn)
             self.free(handle)
 
-        self.lru.reclaim(free_fn, victims.extend, target)
+        def free_run(pfns: list[int]) -> None:
+            victims.extend(pfns)
+            self.registry.mem.alloc_order[pfns] = -1
+
+        self.lru.reclaim(free_fn, free_run, target)
         return victims
 
 
@@ -184,7 +207,7 @@ def test_slots_match_the_eager_structures(ops):
         elif op == "relocate" and live_pfns and free_pfns:
             old = live_pfns[a % len(live_pfns)]
             new = free_pfns[b % len(free_pfns)]
-            assert (fields(lazy.registry.relocate(old, new))
+            assert (fields(lazy.relocate(old, new))
                     == fields(eager.relocate(old, new)))
         elif op == "free" and live_pfns:
             pfn = live_pfns[a % len(live_pfns)]
@@ -223,8 +246,6 @@ def test_slots_match_the_eager_structures(ops):
         assert len(cache_lazy) == len(cache_eager)
         assert all((p in lazy.registry) == (p in eager.by_pfn)
                    for p in range(0, NPFNS, 7))
-    for pfn, handle in eager.by_pfn.items():
-        lazy.registry.mem.alloc_order[pfn] = handle.order
     lazy.registry.check_invariants()
     assert ([fields(h) for h in cache_lazy]
             == [fields(h) for h in cache_eager])
@@ -235,21 +256,30 @@ def test_slots_match_the_eager_structures(ops):
 
 
 def _one_object(registry, batch, cache, i: int) -> PageHandle:
+    """Page *i* by every route: one object while it lives; once freed,
+    a handle that says so (built anew per read, and never filed)."""
     handle = batch[i]
-    assert handle is cache[i]
-    assert handle is batch[i:i + 1][0] is list(batch)[i] is list(cache)[i]
+    routes = [cache[i], batch[i:i + 1][0], list(batch)[i], list(cache)[i]]
     if handle.freed:
         assert handle.pfn not in registry
+        assert all(fields(h) == fields(handle) for h in routes)
     else:
+        assert all(h is handle for h in routes)
         assert handle is registry.get(handle.pfn)
     return handle
 
 
+def _bulk(registry, pfns, birth: int) -> HandleBatch:
+    for pfn in pfns:
+        mark_head(registry.mem, PageHandle(pfn, 0, MigrateType.MOVABLE,
+                                           AllocSource.USER, birth))
+    return registry.register_batch(pfns, True)
+
+
 def test_every_route_to_a_page_reaches_one_object_across_a_restore():
     registry = HandleRegistry(PhysicalMemory(MiB(2)))
-    lru = ReclaimLRU(VmStat())
-    batch = registry.register_batch(
-        list(range(40, 60)), MigrateType.MOVABLE, AllocSource.USER, 5, True)
+    lru = ReclaimLRU(VmStat(), registry)
+    batch = _bulk(registry, list(range(40, 60)), 5)
     lru.register_batch(batch)
     cache = HandleList(registry)
     cache.extend(batch)
@@ -262,63 +292,63 @@ def test_every_route_to_a_page_reaches_one_object_across_a_restore():
         ~40, ~41, 42]
     assert len(registry) == 18 and 40 not in registry
     first = batch[0]
-    assert (first.pfn, first.freed, first.birth) == (40, True, 5)
+    assert (first.pfn, first.freed, first.order) == (40, True, 0)
     early = batch[3]
 
-    # Through the checkpoint schema: each holder writes handles as rows
-    # of one table, and restore builds each row once.
-    table = HandleTable()
+    # Through the checkpoint schema: every holder writes slots, and
+    # restore builds a handle only where a holder keeps handles.
     sections = through_envelope({
         **nest("mem", registry.mem.snapshot()),
-        **nest("registry", registry.snapshot(table)),
-        **nest("lru", lru.snapshot(table)),
-        **nest("cache", table.refs(cache._refs)),
-        "named": np.array(table.rows([first, early])),
-        **nest("handles", table.snapshot())})
-    handles = HandleTable.restore(scope("handles", sections))
+        **nest("registry", registry.snapshot()),
+        **nest("lru", lru.snapshot()),
+        "cache": cache.snapshot()})
     mem = PhysicalMemory(MiB(2))
     mem.restore(scope("mem", sections))
     registry = HandleRegistry(mem)
-    registry.restore(scope("registry", sections), handles)
-    lru = ReclaimLRU(VmStat())
-    lru.restore(scope("lru", sections), handles, registry)
-    cache = HandleList(registry, refs_restore(scope("cache", sections),
-                                              handles))
+    registry.restore(scope("registry", sections))
+    lru = ReclaimLRU(VmStat(), registry)
+    lru.restore(scope("lru", sections))
+    assert not built_handles(registry)
+    cache = HandleList.restore(registry, sections["cache"])
     batch = HandleBatch(registry, batch.start, batch.stop)
-    first, early = (handles[row] for row in sections["named"].tolist())
-    assert first is _one_object(registry, batch, cache, 0)  # built before
-    assert early is _one_object(registry, batch, cache, 3)
-    second = _one_object(registry, batch, cache, 1)         # built after
+    assert fields(first) == fields(_one_object(registry, batch, cache, 0))
+    assert fields(early) == fields(_one_object(registry, batch, cache, 3))
+    second = _one_object(registry, batch, cache, 1)
     assert (second.pfn, second.freed) == (41, True)
     late = _one_object(registry, batch, cache, 7)
     assert (late.pfn, late.birth, late.reclaimable) == (47, 5, True)
-    # Every slot is built now (``list(batch)`` above); reclaim frees a
-    # named page in the run all the same.
+    # Every live slot is built now (``list(batch)`` above); reclaim
+    # frees a named page in the run all the same, and drops it.
     runs.clear()
     lru.reclaim(pytest.fail, runs.append, 1)
     assert runs == [[42]] and len(lru) == 17
     assert batch[2].freed and 42 not in registry
+    assert 2 not in built_handles(registry)
 
 
 def test_a_pinned_victim_ends_the_run_before_it():
     """A named page joins the run at its current PFN, as a page nobody
     named does; a pinned one goes to ``free_fn`` after the run (a batch
-    page is order 0, so pinning is the one thing that sends it there)."""
+    page is order 0, so pinning is the one thing that sends it there).
+    Pinned is the frame's flag, so a pinned page nobody has named since
+    a restore goes there too."""
     registry = HandleRegistry(PhysicalMemory(MiB(2)))
-    lru = ReclaimLRU(VmStat())
-    batch = registry.register_batch(
-        list(range(8)), MigrateType.MOVABLE, AllocSource.USER, 1, True)
+    lru = ReclaimLRU(VmStat(), registry)
+    batch = _bulk(registry, list(range(8)), 1)
     lru.register_batch(batch)
-    named, moved, pinned = batch[1], batch[2], batch[4]
+    named, moved = batch[1], batch[2]
     registry.relocate(2, 20)
-    pinned.pinned = True
+    move_head(registry.mem, 2, 20)
+    registry.mem.flags[4] |= 4      # pinned, never named
     calls: list = []
     assert lru.reclaim(calls.append,
                        lambda run: calls.append(list(run)), 6) == 6
+    pinned = registry.get(4)
     assert calls == [[0, 1, 20, 3], pinned, [5]] and len(lru) == 2
+    assert pinned.pinned and not pinned.freed
     assert registry._slots[:7].tolist() == [~0, ~1, ~20, ~3, 4, ~5, 6]
-    assert registry._built == {1: named, 2: moved, 4: pinned}
-    assert named.freed and moved.freed and not pinned.freed
+    assert built_handles(registry) == {4: pinned}
+    assert named.freed and moved.freed
     assert [p for p in (1, 20, 4) if p in registry] == [4]
 
 
@@ -391,7 +421,29 @@ def test_a_bulk_allocation_constructs_no_handle_until_one_is_read(built):
         batch[512]
 
 
-def test_the_fleet_server_builds_a_twentieth_of_its_bulk_pages_at_most():
+@pytest.fixture
+def bulk_built(monkeypatch) -> list[int]:
+    """Slots of every bulk page whose handle is built while the fixture
+    is on."""
+    slots: list[int] = []
+    build, make = HandleRegistry._build, HandleRegistry._make
+
+    def counting(self, slot):
+        if self._info[slot] & BULK:
+            slots.append(slot)
+        return build(self, slot)
+
+    def counting_all(self, many):
+        slots.extend(s for s in many.tolist() if self._info[s] & BULK)
+        return make(self, many)
+
+    monkeypatch.setattr(HandleRegistry, "_build", counting)
+    monkeypatch.setattr(HandleRegistry, "_make", counting_all)
+    return slots
+
+
+def test_the_fleet_server_builds_a_twentieth_of_its_bulk_pages_at_most(
+        bulk_built):
     """The count ISSUE 19 named beforehand, on the benchmark's server:
     64 MiB, bounded cache, 60 steps, seed 11.  Built ÷ bulk slots was
     1.0 before (one handle per page in ``alloc_pages_bulk``) and is
@@ -406,12 +458,12 @@ def test_the_fleet_server_builds_a_twentieth_of_its_bulk_pages_at_most():
     SimulatedServer(ServerConfig(
         mem_bytes=MiB(64), min_uptime_steps=60, max_uptime_steps=60,
         kernel_cls=boot), seed=11).run()
-    registry = kernels[0].handles
-    assert len(registry._slots) > 4000
-    assert len(registry._built) / len(registry._slots) <= 0.05
+    bulk = sum(1 for info in kernels[0].handles._info if info & BULK)
+    assert bulk > 4000
+    assert len(bulk_built) / bulk <= 0.05
 
 
-def test_reclaim_names_no_page():
+def test_reclaim_names_no_page(bulk_built):
     """A 300-step 256 MiB ``web`` server on Linux: reclaim frees 6,774
     bulk pages, which built a handle each (21 % of the slot table)
     until reclaim stopped naming its victims; now none is built."""
@@ -420,8 +472,10 @@ def test_reclaim_names_no_page():
     workload.start()
     for _ in range(300):
         workload.step()
-    assert not kernel.handles._built
-    assert sum(v < 0 for v in kernel.handles._slots) == 6774
+    assert not bulk_built
+    registry = kernel.handles
+    assert sum(pfn < 0 for pfn, info in zip(registry._slots, registry._info)
+               if info & BULK) == 6774
 
 
 @pytest.mark.parametrize("make_kernel", [make_linux, make_contiguitas],
@@ -454,8 +508,9 @@ class TestRestoreSweep:
     @staticmethod
     def _restored():
         """A restored kernel whose slot table holds all three kinds of
-        slot: live unbuilt, built (bounded-mode evictions) and
-        freed-marker (the reclaim at the end)."""
+        slot: live unbuilt, built (a restore builds none; every seventh
+        live slot is read here) and freed-marker (the reclaim at the
+        end)."""
         kernel = make_linux(64)
         spec = dataclasses.replace(get_service("web"),
                                    cache_opportunistic=False)
@@ -464,16 +519,22 @@ class TestRestoreSweep:
         for _ in range(20):
             workload.step()
         assert kernel.reclaim(512) == 512
-        return restored(kernel)
+        kernel = restored(kernel)
+        for slot, pfn in enumerate(kernel.handles._slots):
+            if pfn >= 0 and slot % 7 == 0:
+                kernel.handles.resolve(slot)
+        return kernel
 
     @staticmethod
     def _live_unbuilt_slot(kernel) -> int:
+        built = built_handles(kernel.handles)
         return next(i for i, v in enumerate(kernel.handles._slots)
-                    if v >= 0 and i not in kernel.handles._built)
+                    if v >= 0 and i not in built)
 
     def test_a_clean_kernel_passes(self):
         kernel = self._restored()
-        kinds = {"built" if i in kernel.handles._built else "live"
+        built = built_handles(kernel.handles)
+        kinds = {"built" if i in built else "live"
                  if v >= 0 else "freed"
                  for i, v in enumerate(kernel.handles._slots)}
         assert kinds == {"built", "live", "freed"}
@@ -512,25 +573,27 @@ class TestRestoreSweep:
         slot table, the column, handle fields and frame orders, both
         pass or both name the same lowest PFN."""
         def reference(registry, mem) -> int | None:
-            slots, bad = registry._slots, set()
+            slots, info, bad = registry._slots, registry._info, set()
             for pfn in np.flatnonzero(mem.handle_slot != -1).tolist():
                 entry = int(mem.handle_slot[pfn])
-                handle = (registry._scalar.get(pfn) if entry == SCALAR
-                          else None)
-                if (slots[entry] != pfn or mem.alloc_order[pfn] != 0
-                        if entry >= 0 else handle is None
-                        or (handle.pfn, handle.freed) != (pfn, False)
-                        or mem.alloc_order[pfn] != handle.order):
+                if not 0 <= entry < len(slots):
                     bad.add(pfn)
-            bad.update(pfn for pfn in registry._scalar
-                       if mem.handle_slot[pfn] != SCALAR)
+                elif (slots[entry] != pfn
+                      or mem.alloc_order[pfn] != info[entry] & 0x1F):
+                    bad.add(pfn)
             bad.update(pfn for slot, pfn in enumerate(slots)
                        if pfn >= 0 and mem.handle_slot[pfn] != slot)
-            for slot, handle in registry._built.items():
+            for slot, handle in built_handles(registry).items():
                 at = slots[slot]
-                if (at != (~handle.pfn if handle.freed else handle.pfn)
-                        or handle.order):
-                    bad.add(~at if at < 0 else at)
+                pfn = ~at if at < 0 else at
+                if (handle.pfn, handle.slot, handle.freed, handle.order,
+                        handle.migratetype, handle.source, handle.birth,
+                        handle.pinned, handle.reclaimable) != (
+                        at, slot, False, mem.alloc_order[pfn],
+                        mem.migratetype[pfn], mem.source[pfn],
+                        mem.birth[pfn], bool(mem.flags[pfn] & 4),
+                        bool(info[slot] & 0x20)):
+                    bad.add(pfn)
             return min(bad, default=None)
 
         def swept(registry) -> int | None:
@@ -543,7 +606,7 @@ class TestRestoreSweep:
         kernel = self._restored()
         registry, mem, rng = kernel.handles, kernel.mem, random.Random(3)
         keys = np.flatnonzero(mem.handle_slot != -1).tolist()
-        handles = [*registry._scalar.values(), *registry._built.values()]
+        handles = list(built_handles(registry).values())
         for _ in range(150):
             slot = rng.randrange(len(registry._slots))
             key, handle = rng.choice(keys), rng.choice(handles)
@@ -554,7 +617,7 @@ class TestRestoreSweep:
                 registry._slots[slot] = rng.choice([~saved[0], saved[0] + 1])
             elif what == 1:
                 mem.handle_slot[key] = rng.choice(
-                    [SCALAR, (saved[1] + 1) % len(registry._slots)])
+                    [-2, (saved[1] + 1) % len(registry._slots)])
             elif what == 2:
                 handle.pfn += 1
             elif what == 3:

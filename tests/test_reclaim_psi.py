@@ -3,14 +3,27 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.mm import PsiTracker, ReclaimLRU, VmStat, Watermarks
+from repro.mm import (
+    HandleRegistry,
+    PhysicalMemory,
+    PsiTracker,
+    ReclaimLRU,
+    VmStat,
+    Watermarks,
+)
 from repro.mm import vmstat as ev
 from repro.mm.handle import PageHandle
 from repro.mm.page import AllocSource, MigrateType
+from repro.units import MiB
 
-
-def handle(pfn, order=0):
-    return PageHandle(pfn, order, MigrateType.MOVABLE, AllocSource.USER, 0)
+def lru_with(*pages, stat=None):
+    """A reclaim LRU over a fresh registry, and one handle registered
+    there per ``(pfn, order)`` of *pages*."""
+    registry = HandleRegistry(PhysicalMemory(MiB(4)))
+    handles = [registry.register(
+        pfn, order, MigrateType.MOVABLE, AllocSource.USER, 0)
+        for pfn, order in pages]
+    return ReclaimLRU(VmStat() if stat is None else stat, registry), handles
 
 
 class TestWatermarks:
@@ -31,9 +44,8 @@ class TestWatermarks:
 class TestReclaimLRU:
     def test_reclaims_oldest_first(self):
         stat = VmStat()
-        lru = ReclaimLRU(stat)
+        lru, handles = lru_with(*((i, 0) for i in range(5)), stat=stat)
         freed = []
-        handles = [handle(i) for i in range(5)]
         for h in handles:
             lru.register(h)
         lru.reclaim(freed.append, freed.extend, target_frames=2)
@@ -41,17 +53,15 @@ class TestReclaimLRU:
         assert stat[ev.PAGES_RECLAIMED] == 2
 
     def test_forget_skips_handle(self):
-        lru = ReclaimLRU(VmStat())
+        lru, (a,) = lru_with((0, 0))
         freed = []
-        a = handle(0)
         lru.register(a)
         lru.forget(a)
         assert lru.reclaim(freed.append, freed.extend, 10) == 0
         assert freed == []
 
     def test_already_freed_handles_skipped(self):
-        lru = ReclaimLRU(VmStat())
-        a, b = handle(0), handle(1)
+        lru, (a, b) = lru_with((0, 0), (1, 0))
         lru.register(a)
         lru.register(b)
         a.freed = True
@@ -61,8 +71,7 @@ class TestReclaimLRU:
         assert freed == [b]
 
     def test_reclaim_counts_large_orders(self):
-        lru = ReclaimLRU(VmStat())
-        big = handle(0, order=9)
+        lru, (big,) = lru_with((0, 9))
         lru.register(big)
         assert lru.reclaim(lambda h: None, lambda pfns: None, 1) == 512
 

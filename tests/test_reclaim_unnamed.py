@@ -17,7 +17,7 @@ import pytest
 from repro.faults import NAMED_PLANS, FaultPlan, FaultSpec, injecting
 from repro.mm import MigrateType
 from repro.mm import vmstat as ev
-from repro.mm.handle import HandleList
+from repro.mm.handle import BULK, HandleList
 from repro.telemetry import tracing
 from repro.telemetry.sinks import RingBufferSink
 from repro.units import MAX_ORDER
@@ -46,10 +46,29 @@ class NamingWorkload(Workload):
         self.cache_pages = _NamingList(kernel.handles)
 
 
+def naming(kernel):
+    """*kernel*, its registry recording in ``named`` every slot whose
+    handle it builds from now on."""
+    registry = kernel.handles
+    registry.named = set()
+    build, make = registry._build, registry._make
+
+    def recording(slot):
+        registry.named.add(slot)
+        return build(slot)
+
+    def recording_all(slots):
+        registry.named.update(slots.tolist())
+        return make(slots)
+
+    registry._build, registry._make = recording, recording_all
+    return kernel
+
+
 def observe(workload_cls, make_kernel, service: str, steps: int = 120,
             plan: FaultPlan | None = None, **config) -> dict:
     """Run one server and return everything it can be compared by."""
-    kernel = make_kernel(64, debug_vm=True, **config)
+    kernel = naming(make_kernel(64, debug_vm=True, **config))
     handed = free_pages_from_reclaim(kernel)
     with injecting(plan, seed=7), traced() as sink:
         workload = workload_cls(kernel, get_service(service), seed=11)
@@ -95,8 +114,10 @@ def state(kernel, sink: RingBufferSink) -> dict:
         "sanitizer": {pfn: tuple(hist)
                       for pfn, hist in mem.sanitizer._hist.items()},
         "offlined": kernel.offlined_frames(),
-        "unnamed_frees": sum(v < 0 and slot not in registry._built
-                             for slot, v in enumerate(registry._slots)),
+        "unnamed_frees": sum(
+            v < 0 and info & BULK and slot not in registry.named
+            for slot, (v, info) in enumerate(zip(registry._slots,
+                                                 registry._info))),
     }
 
 
@@ -139,7 +160,7 @@ def test_a_deferred_offline_frame_is_offlined_right_after_its_page(
     run of unnamed pages, which is then freed page by page."""
     runs = []
     for name in (True, False):
-        kernel = make_kernel(64, debug_vm=True)
+        kernel = naming(make_kernel(64, debug_vm=True))
         batch = kernel.alloc_pages_bulk(3000, reclaimable=True)
         pfns = kernel.handles._slots[batch.start:batch.stop].tolist()
         if name:

@@ -35,13 +35,12 @@ from repro.mm import (
     ReclaimLRU,
     VmStat,
 )
-from repro.mm.handle import HandleTable
 from repro.mm.sections import nest, scope
 from repro.units import MiB
 
 from reference_registry import RefRegistry
 
-from conftest import through_envelope
+from conftest import mark_head, move_head, through_envelope
 
 #: PFNs the machine uses (of the 512 a 2 MiB memory has): few enough
 #: that frees, moves and duplicates keep colliding.
@@ -50,16 +49,16 @@ PICK = st.integers(0, 1 << 16)
 
 
 def fields(handle: PageHandle) -> tuple:
-    return (handle.pfn, handle.order, handle.migratetype, handle.source,
-            handle.birth, handle.freed, handle.reclaimable)
+    if handle.freed:
+        return handle.pfn, handle.order, handle.freed, handle.reclaimable
+    return (handle.pfn, handle.order, handle.freed, handle.reclaimable,
+            handle.migratetype, handle.source, handle.birth)
 
 
 def snapshot(mem, registry, lru) -> dict:
-    table = HandleTable()
     return {**nest("mem", mem.snapshot()),
-            **nest("registry", registry.snapshot(table)),
-            **nest("lru", lru.snapshot(table)),
-            **nest("handles", table.snapshot())}
+            **nest("registry", registry.snapshot()),
+            **nest("lru", lru.snapshot())}
 
 
 def same_sections(a: dict, b: dict) -> bool:
@@ -73,7 +72,7 @@ class RegistryMachine(RuleBasedStateMachine):
         super().__init__()
         self.mem = PhysicalMemory(MiB(2))
         self.registry = HandleRegistry(self.mem)
-        self.lru = ReclaimLRU(VmStat())
+        self.lru = ReclaimLRU(VmStat(), self.registry)
         self.ref = RefRegistry()
         self.now = 0
 
@@ -87,6 +86,7 @@ class RegistryMachine(RuleBasedStateMachine):
             self.lru.forget(handle)
         self.registry.on_free(handle)
         self.mem.alloc_order[handle.pfn] = -1
+        self.mem.flags[handle.pfn] = 0
 
     @rule(pick=PICK, order=st.integers(0, 3),
           mt=st.sampled_from(list(MigrateType)),
@@ -97,11 +97,10 @@ class RegistryMachine(RuleBasedStateMachine):
         if pfn is None:
             return
         self.now += 1
-        handle = self.registry.register(PageHandle(
+        handle = mark_head(self.mem, self.registry.register(
             pfn, order, mt, source, self.now, reclaimable=reclaimable))
         if reclaimable:
             self.lru.register(handle)
-        self.mem.alloc_order[pfn] = order
         self.ref.register(pfn, order, mt, source, self.now, reclaimable)
 
     @rule(pick=PICK, count=st.integers(1, 12), reclaimable=st.booleans())
@@ -113,10 +112,11 @@ class RegistryMachine(RuleBasedStateMachine):
         self.now += 1
         args = (pfns, MigrateType.MOVABLE, AllocSource.USER, self.now,
                 reclaimable)
-        batch = self.registry.register_batch(*args)
+        batch = self.registry.register_batch(pfns, reclaimable)
         if reclaimable:
             self.lru.register_batch(batch)
-        self.mem.alloc_order[pfns] = 0
+        for pfn in pfns:
+            mark_head(self.mem, PageHandle(pfn, 0, *args[1:4]))
         self.ref.register_batch(*args)
 
     @rule(pick=PICK, batch=st.booleans())
@@ -128,12 +128,10 @@ class RegistryMachine(RuleBasedStateMachine):
         with pytest.raises(DoubleAllocError):
             if batch:
                 free = [p for p in range(NPFNS) if p not in self.ref.by_pfn]
-                self.registry.register_batch(
-                    free[:2] + [pfn], MigrateType.MOVABLE, AllocSource.USER,
-                    self.now, False)
+                self.registry.register_batch(free[:2] + [pfn], False)
             else:
-                self.registry.register(PageHandle(
-                    pfn, 0, MigrateType.MOVABLE, AllocSource.USER, self.now))
+                self.registry.register(
+                    pfn, 0, MigrateType.MOVABLE, AllocSource.USER, self.now)
         assert len(self.registry._slots) == before
 
     @precondition(lambda self: self.ref.slots)
@@ -150,17 +148,17 @@ class RegistryMachine(RuleBasedStateMachine):
             return
         handle, page = self.registry.get(pfn), self.ref.by_pfn[pfn]
         assert fields(handle) == page.fields()
-        assert self.registry.slot_of(handle) == page.slot
+        assert handle.slot == page.slot
 
     @rule(old=PICK, new=PICK)
     def relocate(self, old, new):
         old, new = self._pick(old, live=True), self._pick(new, live=False)
         if old is None or new is None:
             return
-        handle = self.registry.relocate(old, new)
-        self.mem.alloc_order[new] = self.mem.alloc_order[old]
-        self.mem.alloc_order[old] = -1
-        assert fields(handle) == self.ref.relocate(old, new).fields()
+        self.registry.relocate(old, new)
+        move_head(self.mem, old, new)
+        assert (fields(self.registry.get(new))
+                == self.ref.relocate(old, new).fields())
 
     @rule(pick=PICK)
     def pin(self, pick):
@@ -168,6 +166,7 @@ class RegistryMachine(RuleBasedStateMachine):
         pfn = self._pick(pick, live=True)
         if pfn is not None:
             self.registry.get(pfn).pinned = True
+            self.mem.flags[pfn] |= 4
 
     @rule(pick=PICK)
     def free(self, pick):
@@ -187,6 +186,7 @@ class RegistryMachine(RuleBasedStateMachine):
         def free_run(pfns: list[int]) -> None:
             victims.extend(pfns)
             self.mem.alloc_order[pfns] = -1
+            self.mem.flags[pfns] = 0
 
         self.lru.reclaim(free_fn, free_run, frames)
         assert victims == self.ref.reclaim(frames)
@@ -197,10 +197,10 @@ class RegistryMachine(RuleBasedStateMachine):
                                              self.lru))
         mem = PhysicalMemory(MiB(2))
         mem.restore(scope("mem", sections))
-        handles = HandleTable.restore(scope("handles", sections))
-        registry, lru = HandleRegistry(mem), ReclaimLRU(VmStat())
-        registry.restore(scope("registry", sections), handles)
-        lru.restore(scope("lru", sections), handles, registry)
+        registry = HandleRegistry(mem)
+        lru = ReclaimLRU(VmStat(), registry)
+        registry.restore(scope("registry", sections))
+        lru.restore(scope("lru", sections))
         assert same_sections(snapshot(mem, registry, lru),
                              snapshot(self.mem, self.registry, self.lru))
         self.mem, self.registry, self.lru = mem, registry, lru

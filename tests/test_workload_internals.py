@@ -46,7 +46,8 @@ class TestBufferOrders:
         w.start()
         for _ in range(60):
             w.step()
-        orders = {b.order for b in w.netpool.transient}
+        orders = {k.handles.resolve(slot).order
+                  for slot in w.netpool.transient}
         assert orders >= {0, 2}
 
     def test_single_order_respected(self):
@@ -55,7 +56,8 @@ class TestBufferOrders:
         w.start()
         for _ in range(40):
             w.step()
-        assert {b.order for b in w.netpool.transient} == {1}
+        assert {k.handles.resolve(slot).order
+                for slot in w.netpool.transient} == {1}
 
 
 class TestStragglers:
