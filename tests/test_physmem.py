@@ -5,9 +5,15 @@ import pytest
 
 from repro.analysis.sanitizer import FrameSanitizer
 from repro.errors import ConfigurationError, DoubleAllocError
-from repro.mm import AllocSource, MigrateType, PhysicalMemory
+from repro.mm import (
+    AllocSource,
+    KernelConfig,
+    LinuxKernel,
+    MigrateType,
+    PhysicalMemory,
+)
 from repro.mm.page import PageFlag
-from repro.units import MiB, PAGEBLOCK_FRAMES
+from repro.units import FRAME_SIZE, MiB, PAGEBLOCK_FRAMES
 
 
 @pytest.fixture
@@ -29,6 +35,59 @@ def test_rejects_unaligned_size():
 def test_rejects_zero_size():
     with pytest.raises(ConfigurationError):
         PhysicalMemory(0)
+
+
+def test_rejects_2_to_the_31_frames():
+    """Frame numbers are int32 columns: a memory of 2**31 frames is
+    refused before any column is allocated."""
+    with pytest.raises(ConfigurationError, match=r"under 2\*\*31 frames"):
+        PhysicalMemory((1 << 31) * FRAME_SIZE)
+
+
+#: One tick past what the int32 birth column holds.
+PAST_INT32 = 1 << 31
+
+
+@pytest.mark.parametrize("order", [0, 2, 5])
+def test_a_birth_past_int32_raises_rather_than_wraps(mem, order):
+    """The memoryview marks (orders 0-3) and the slice mark (above)
+    write the birth through a memoryview, which refuses the tick."""
+    with pytest.raises(ValueError):
+        mem.mark_allocated(64, order, MigrateType.MOVABLE,
+                           AllocSource.USER, PAST_INT32)
+    assert mem.birth[64] == 0
+    mem.mark_allocated(128, order, MigrateType.MOVABLE, AllocSource.USER,
+                       PAST_INT32 - 1)
+    assert mem.birth[128] == PAST_INT32 - 1
+
+
+def test_a_bulk_birth_past_int32_raises_before_any_store(mem):
+    """The bulk mark checks the tick itself (NumPy 1.x would wrap a
+    fancy-index store of it), so no column is written."""
+    pfns = np.arange(8, 16)
+    before = _columns(mem)
+    with pytest.raises(OverflowError):
+        mem.mark_allocated_bulk(pfns, MigrateType.MOVABLE, AllocSource.USER,
+                                PAST_INT32)
+    after = _columns(mem)
+    assert all(np.array_equal(before[n], after[n]) for n in _COLUMNS)
+    mem.mark_allocated_bulk(pfns, MigrateType.MOVABLE, AllocSource.USER,
+                            PAST_INT32 - 1)
+    assert (mem.birth[pfns] == PAST_INT32 - 1).all()
+
+
+@pytest.mark.parametrize("bulk", [False, True], ids=["alloc", "bulk"])
+def test_a_kernel_past_int32_ticks_raises(bulk):
+    """The buddy allocator's own hot mark and the kernel's bulk path
+    refuse a clock the birth column cannot hold."""
+    kernel = LinuxKernel(KernelConfig(mem_bytes=MiB(8)))
+    kernel.now = PAST_INT32
+    with pytest.raises(OverflowError if bulk else ValueError):
+        if bulk:
+            kernel.alloc_pages_bulk(1024)
+        else:
+            kernel.alloc_pages(0)
+    assert not (kernel.mem.birth < 0).any()
 
 
 def test_mark_allocated_and_info(mem):
