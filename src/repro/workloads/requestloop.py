@@ -29,6 +29,7 @@ import random
 from dataclasses import dataclass
 
 from ..core.hwext.metadata import AccessMode
+from ..errors import ConfigurationError
 from ..sim.core import TimingCore
 from ..sim.params import ArchParams, DEFAULT_PARAMS
 from ..units import FRAME_SIZE
@@ -135,6 +136,14 @@ class RequestLoop:
                  buffer_pages: int = 64,
                  instructions_per_request: int = 400,
                  seed: int = 0) -> None:
+        # Refused before any draw: the touch loop draws below
+        # buffer_pages (``_randbelow(0)`` would spin), and a request of
+        # fewer than one instruction is not one.
+        for name, value in (("buffer_pages", buffer_pages),
+                            ("instructions_per_request",
+                             instructions_per_request)):
+            if value < 1:
+                raise ConfigurationError(f"{name} must be >= 1, got {value}")
         self.app = app
         self.params = params
         self.core = TimingCore(params)
@@ -187,16 +196,19 @@ class RequestLoop:
         # Buffer touches.
         base_vaddr = 0x10_0000_0000
         execute = core.execute
-        rand, randrange = self.rng.random, self.rng.randrange
+        # ``_randbelow(n)`` is the draw ``randrange(n)`` makes for an int
+        # n > 0 (both sizes are checked at construction), minus its
+        # argument handling: the same stream, not a second RNG.
+        rand, below = self.rng.random, self.rng._randbelow
         hot_weight = self.hot_weight
         hot_pages, buffer_pages = self.hot_pages, self.buffer_pages
         for _ in range(accesses):
             if rand() < hot_weight:
-                page = randrange(hot_pages)
+                page = below(hot_pages)
             else:
-                page = randrange(buffer_pages)
+                page = below(buffer_pages)
             now = stats.cycles
-            vaddr = base_vaddr + page * FRAME_SIZE + randrange(64) * 64
+            vaddr = base_vaddr + page * FRAME_SIZE + below(64) * 64
             if schedule is not None:
                 if now >= schedule.next_start:
                     schedule.advance(now)
@@ -250,6 +262,8 @@ def relative_throughput_simulated(
     measured overhead back down; migration interference is linear in
     rate, which the analytic model and the boosted sweep both confirm.
     """
+    if requests < 1:
+        raise ConfigurationError(f"requests must be >= 1, got {requests}")
     quiet = RequestLoop(app, seed=seed).run(requests)
     if migrations_per_second <= 0:
         return 1.0

@@ -37,7 +37,7 @@ from ..core.hwext.metadata import AccessMode
 from ..errors import ConfigurationError
 from ..sim.params import DEFAULT_PARAMS
 from ..run import RunSession
-from ..telemetry import Histogram, MetricsRegistry, tracepoint
+from ..telemetry import MetricsRegistry, tracepoint
 from ..telemetry.lazymanifest import LazyManifest
 from .interference import MEMCACHED, NGINX, ServerApp
 from .requestloop import MigrationSchedule, RequestLoop
@@ -272,24 +272,22 @@ def sample_service(shape: TraceShape, n: int, seed: int = 0) -> list[int]:
 
 
 class LatencyRecorder:
-    """Per-request latency: a log2 histogram plus the exact samples.
+    """Per-request latency: the exact samples, in recording order.
 
-    The histogram merges across runs and folds into manifests like any
-    other telemetry; the sample list gives exact nearest-rank
-    percentiles — p999 on a few hundred requests would be meaningless
-    at one-doubling resolution.
+    They give exact nearest-rank percentiles — p999 on a few hundred
+    requests would be meaningless at one-doubling resolution — and,
+    when a manifest is read, its log2 histogram: observed in the same
+    order, so its float ``total`` is the one per-request observing
+    summed.
     """
 
-    __slots__ = ("hist", "samples")
+    __slots__ = ("samples",)
 
     def __init__(self) -> None:
-        self.hist = Histogram()
         self.samples: list[int] = []
 
     def observe(self, cycles: float) -> None:
-        v = int(round(cycles))
-        self.hist.observe(v)
-        self.samples.append(v)
+        self.samples.append(int(round(cycles)))
 
     @property
     def count(self) -> int:
@@ -449,7 +447,9 @@ class LoadgenResult(LazyManifest):
         metrics.inc("loadgen.windows", self.windows_seen)
         metrics.inc("loadgen.spikes", self.spikes)
         for cls, rec in self.latency.items():
-            metrics.histogram(f"loadgen.latency.{cls}").merge(rec.hist)
+            hist = metrics.histogram(f"loadgen.latency.{cls}")
+            for v in rec.samples:
+                hist.observe(v)
         return {
             "counters": metrics.counters.snapshot(),
             "metrics": metrics.snapshot(),

@@ -1,6 +1,7 @@
 """Timing core and the simulated request loop."""
 
 import dataclasses
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,7 +11,7 @@ from repro.core.hwext import AccessMode
 from repro.errors import ConfigurationError
 from repro.sim import DEFAULT_PARAMS
 from repro.sim.core import TimingCore
-from repro.sim.tlb import SHIFT_2M, SHIFT_4K
+from repro.sim.tlb import SHIFT_1G, SHIFT_2M, SHIFT_4K
 from repro.workloads import MEMCACHED, NGINX
 from repro.workloads.requestloop import (
     RequestLoop,
@@ -135,7 +136,107 @@ class TestRetire:
         assert core.stats.cycles == pytest.approx(1000.0, rel=1e-12)
 
 
+class TwoCallCore(TimingCore):
+    """Reference: ``execute`` as it was before its L1-hit path — every
+    memory op through ``translate`` + ``data_access_cycles``."""
+
+    def execute(self, vaddr=None, shift=SHIFT_4K):
+        cycles = 1.0 / self.params.issue_width
+        if vaddr is None:
+            self.retire(1)
+            return cycles
+        stats = self.stats
+        xlat = self.tlb.translate(vaddr, shift)
+        cycles += xlat
+        stats.translation_cycles += xlat
+        data = self.data_access_cycles(vaddr)
+        exposed = data * (1.0 - self.overlap)
+        cycles += exposed
+        stats.data_cycles += exposed
+        stats.instructions += 1
+        stats.cycles += cycles
+        return cycles
+
+
+def _ops(seed, n):
+    """Compute ops and memory ops over three page sizes: hot lines (L1
+    hits once warm), other lines of hot pages (L1D misses) and far
+    pages (L1-TLB misses)."""
+    rng = random.Random(f"hit-path:{seed}")
+    hot = [rng.randrange(1 << 24) << 6 for _ in range(24)]
+    for _ in range(n):
+        r = rng.random()
+        shift = rng.choices((SHIFT_4K, SHIFT_2M, SHIFT_1G), (8, 1, 1))[0]
+        if r < 0.1:
+            yield None, shift
+        elif r < 0.7:
+            yield rng.choice(hot), shift
+        elif r < 0.85:
+            yield rng.choice(hot) ^ (rng.randrange(64) << 6), shift
+        else:
+            yield rng.randrange(1 << 40), shift
+
+
+def _state(core):
+    """Every number and every entry the two paths may touch."""
+    tlb = core.tlb
+    arrays = (tlb.l1, tlb.l2, tlb.l1_1g, core.l1, core.l2, *core.llc.slices)
+    return (core.stats, tlb.stats,
+            [(a.label, a.hits, a.misses, a._stamp,
+              [list(entry.items()) for entry in a._sets]) for a in arrays],
+            [(pwc._stamp, list(pwc._cache.items())) for pwc in tlb.pwcs])
+
+
+class TestHitPathDifferential:
+    """``execute``'s one-frame L1 hit changes what the two calls would."""
+
+    # Width 3: a slot that is not a power of two, where adding the hit's
+    # three terms in another order gives another double.
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("overlap", [0.0, 0.6, 0.95])
+    def test_matches_two_call_reference(self, overlap, width):
+        params = dataclasses.replace(DEFAULT_PARAMS, issue_width=width)
+        real = TimingCore(params, overlap=overlap)
+        reference = TwoCallCore(params, overlap=overlap)
+        walks = []
+        translate = real.tlb.translate
+        real.tlb.translate = lambda *a: walks.append(a[1]) or translate(*a)
+        memory_ops = 0
+        for vaddr, shift in _ops(width, 4000):
+            assert real.execute(vaddr, shift) == reference.execute(
+                vaddr, shift)
+            memory_ops += vaddr is not None
+        assert _state(real) == _state(reference)
+        # Both paths ran, and every page size took the two-call one.
+        assert walks and memory_ops - len(walks) > memory_ops // 4
+        assert set(walks) == {SHIFT_4K, SHIFT_2M, SHIFT_1G}
+        assert real.l1.misses and real.tlb.l1.misses
+
+    @pytest.mark.parametrize("n", [1, 8, 64, 100])
+    def test_randbelow_is_randrange(self, n):
+        """The touch loop draws through ``Random._randbelow``, which is
+        what ``randrange(n)`` calls for an int n > 0 on this interpreter:
+        the same values and the same generator state after them."""
+        a, b = random.Random(f"pin:{n}"), random.Random(f"pin:{n}")
+        assert ([a._randbelow(n) for _ in range(2000)]
+                == [b.randrange(n) for _ in range(2000)])
+        assert a.getstate() == b.getstate()
+
+
 class TestRequestLoop:
+    @pytest.mark.parametrize("field,value", [
+        ("buffer_pages", 0), ("buffer_pages", -4),
+        ("instructions_per_request", 0), ("instructions_per_request", -5)])
+    def test_bad_sizes_are_refused_before_any_draw(self, field, value):
+        with pytest.raises(ConfigurationError,
+                           match=f"^{field} must be >= 1, got {value}$"):
+            RequestLoop(NGINX, **{field: value})
+
+    @pytest.mark.parametrize("requests", [0, -3])
+    def test_no_requests_is_refused(self, requests):
+        with pytest.raises(ConfigurationError, match="^requests must be"):
+            relative_throughput_simulated(NGINX, 1000.0, requests=requests)
+
     def test_zero_instruction_request_retires_nothing_negative(self):
         """``instructions=0`` used to compute ``range(-1)``; the compute
         part is now clamped at zero and the one touch is all it costs."""

@@ -9,12 +9,18 @@ Covers the tentpole contracts:
 * ``RequestLoop`` seeding is construction-order independent and arming
   migrations never perturbs the page-access stream;
 * ``run_loadgen`` is bit-identical run to run, and the noncacheable
-  design degrades p99 the way §5.3 reports.
+  design degrades p99 the way §5.3 reports;
+* six short bursts simulate what ``tests/fixtures/loadgen_golden.json``
+  holds (regenerate it only after a deliberate change to a simulated
+  number: ``PYTHONPATH=src python tests/test_tracegen.py``).
 """
 
 import dataclasses
+import json
 import math
+import os
 import random
+import sys
 
 import pytest
 
@@ -402,7 +408,9 @@ class PerInstructionLoop(RequestLoop):
 
 
 def _burst(monkeypatch, loop_cls, config):
-    """Run one burst on *loop_cls*; returns everything it simulated."""
+    """Run one burst on *loop_cls*; returns everything it simulated, as
+    JSON holds it: rows, manifest counters, histograms and aggregates,
+    and the core's cycle, walk and per-array hit/miss counts."""
     from repro.workloads import tracegen
 
     built = []
@@ -414,13 +422,18 @@ def _burst(monkeypatch, loop_cls, config):
     monkeypatch.setattr(tracegen, "RequestLoop", build)
     result = run_loadgen(config)
     core, = (loop.core for loop in built)
-    return {"result": {"requests": result.requests,
-                       "windows_seen": result.windows_seen,
-                       "spikes": result.spikes, "rows": result.rows()},
-            "core": dataclasses.asdict(core.stats),
-            "tlb": core.tlb.stats.snapshot(),
-            "caches": [(c.hits, c.misses)
-                       for c in (core.l1, core.l2, core.llc)]}
+    tlb = core.tlb
+    manifest = result.manifest
+    arrays = (tlb.l1, tlb.l2, tlb.l1_1g, core.l1, core.l2, *core.llc.slices)
+    return json.loads(json.dumps({
+        "result": {"requests": result.requests,
+                   "windows_seen": result.windows_seen,
+                   "spikes": result.spikes, "rows": result.rows()},
+        **{key: manifest[key]
+           for key in ("counters", "metrics", "aggregates")},
+        "core": dataclasses.asdict(core.stats),
+        "walk": tlb.stats.snapshot(),
+        "hits_misses": {a.label: [a.hits, a.misses] for a in arrays}}))
 
 
 class TestRetireDifferential:
@@ -445,6 +458,29 @@ class TestRetireDifferential:
         reference = PerInstructionLoop(MEMCACHED, seed=4).run(
             300, migrations_per_second=2e6)
         assert real == reference and real.migrations_seen > 0
+
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                      "fixtures", "loadgen_golden.json")
+GOLDEN_CELLS = [(app, design) for app in ("nginx", "memcached")
+                for design in ("noncacheable", "cacheable", "none")]
+
+
+def _golden_config(app, design):
+    return LoadgenConfig(app=app, design=design, seed=6, **FAST)
+
+
+class TestLoadgenGolden:
+    """The differentials above run old and new serving code over the
+    same ``sim``; the committed golden pins the numbers themselves."""
+
+    @pytest.mark.parametrize("app,design", GOLDEN_CELLS)
+    def test_burst_matches_committed_golden(self, monkeypatch, app,
+                                            design):
+        with open(GOLDEN) as fh:
+            golden = json.load(fh)
+        assert (_burst(monkeypatch, RequestLoop, _golden_config(app, design))
+                == golden[f"{app}/{design}"])
 
 
 class TestFleetTail:
@@ -508,3 +544,19 @@ class TestTailLatencyExperiment:
         text = result.report()
         for needle in ("all", "migration", "quiet", "p999"):
             assert needle in text
+
+
+def regenerate() -> int:
+    with pytest.MonkeyPatch.context() as mp:
+        golden = {f"{app}/{design}": _burst(mp, RequestLoop,
+                                            _golden_config(app, design))
+                  for app, design in GOLDEN_CELLS}
+    with open(GOLDEN, "w") as fh:
+        json.dump(golden, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {GOLDEN}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(regenerate())
