@@ -174,7 +174,13 @@ import tokenize
 #: ``relative_throughput_simulated`` zero requests (+8); a
 #: ``LatencyRecorder`` keeps only its samples, and the manifest's
 #: histograms are built from them when it is read (−1).
-BUDGET = 12_535
+#: Then 12,535 → 12,489: a report that is one table over a spec's rows
+#: is a ``spec.Table`` value (+14), and the 20 hand-built
+#: ``format_table`` reports became nine tables and eleven short
+#: functions over them (−69); ``analysis.percent`` went (−3); migration
+#: rates that are not finite and >= 0 and page shifts other than
+#: 12/21/30 are refused, in one check ``LoadgenConfig`` shares (+12).
+BUDGET = 12_489
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
              tokenize.INDENT, tokenize.DEDENT, tokenize.ENCODING,

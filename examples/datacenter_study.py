@@ -14,7 +14,7 @@ Usage::
 
 import sys
 
-from repro.analysis import format_table, percent
+from repro.analysis import format_table
 from repro.fleet import FleetConfig, ServerConfig, run_fleet
 from repro.units import MiB
 
@@ -34,9 +34,9 @@ def main() -> None:
         values = fleet.series("contiguity", gran)
         rows.append((
             gran,
-            percent(fleet.fraction_without_any(gran), 0),
-            percent(sum(values) / len(values)),
-            percent(fleet.median_unmovable(gran), 0),
+            f"{fleet.fraction_without_any(gran):.0%}",
+            f"{sum(values) / len(values):.1%}",
+            f"{fleet.median_unmovable(gran):.0%}",
         ))
     print()
     print(format_table(
@@ -50,7 +50,7 @@ def main() -> None:
     breakdown = fleet.source_breakdown()
     print(format_table(
         ["Source", "Share of unmovable memory"],
-        [(src.name.lower(), percent(frac))
+        [(src.name.lower(), f"{frac:.1%}")
          for src, frac in sorted(breakdown.items(),
                                  key=lambda kv: -kv[1])],
         title="Unmovable sources (paper Fig. 6):",

@@ -21,7 +21,6 @@ from repro.analysis import (
     format_table,
     free_contiguity,
     load_snapshot,
-    percent,
     save_snapshot,
     unmovable_block_fraction,
 )
@@ -64,10 +63,10 @@ def main() -> None:
         rows.append((
             os.path.basename(path),
             snap.meta["service"],
-            percent(snap.free_frames() / snap.nframes, 0),
-            percent(free_contiguity(snap, SCAN_GRANULARITIES["2MB"])),
-            percent(unmovable_block_fraction(
-                snap, SCAN_GRANULARITIES["2MB"])),
+            f"{snap.free_frames() / snap.nframes:.0%}",
+            f"{free_contiguity(snap, SCAN_GRANULARITIES['2MB']):.1%}",
+            format(unmovable_block_fraction(
+                snap, SCAN_GRANULARITIES["2MB"]), ".1%"),
         ))
     print(format_table(
         ["Snapshot", "Service", "Free", "Free contiguity 2MB",

@@ -21,7 +21,6 @@ from repro import (
 )
 from repro.analysis import (
     format_table,
-    percent,
     unmovable_block_fraction,
 )
 from repro.units import MiB, PAGEBLOCK_FRAMES
@@ -61,7 +60,8 @@ def main() -> None:
         huge = kernel.alloc_thp()
         rows.append((
             kernel.name,
-            percent(unmovable_block_fraction(kernel.mem, PAGEBLOCK_FRAMES)),
+            format(unmovable_block_fraction(kernel.mem, PAGEBLOCK_FRAMES),
+                   ".1%"),
             "yes" if huge is not None else "no",
         ))
         if kernel.name == "contiguitas":

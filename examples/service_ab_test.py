@@ -13,7 +13,7 @@ Usage::
 
 import sys
 
-from repro.analysis import format_table, percent
+from repro.analysis import format_table
 from repro.core import ContiguitasConfig, ContiguitasKernel
 from repro.mm import KernelConfig, LinuxKernel
 from repro.perfmodel import evaluate_configuration
@@ -63,7 +63,7 @@ def main() -> None:
     base = results["linux-full"].relative_perf
     rows = [
         (label,
-         percent(r.walk.total_pct / 100, 1),
+         f"{r.walk.total_pct / 100:.1%}",
          f"{r.relative_perf / base:.3f}",
          f"+{r.perf_from_1g:.3f}" if r.perf_from_1g else "-")
         for label, r in results.items()

@@ -15,7 +15,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
                     "unmovable_region_internal_frag", "unmovable_report"),
     ".hwcost": ("MetadataTableCost", "SramCostModel",
                 "migrations_per_second_capacity"),
-    ".reporting": ("format_table", "percent"),
+    ".reporting": ("format_table",),
     ".sanitizer": ("FrameSanitizer", "debug_vm_enabled", "verify_allocator",
                    "verify_kernel"),
     ".simlint": ("Finding", "lint_paths"),
@@ -37,7 +37,6 @@ __all__ = [
     "lint_paths",
     "migrations_per_second_capacity",
     "movable_potential",
-    "percent",
     "unmovable_block_fraction",
     "unmovable_region_internal_frag",
     "load_snapshot",

@@ -28,11 +28,6 @@ def format_table(headers: Sequence[str],
     return "\n".join(lines)
 
 
-def percent(x: float, digits: int = 1) -> str:
-    """Format a 0-1 fraction as a percentage string."""
-    return f"{100.0 * x:.{digits}f}%"
-
-
 def _fmt(cell: object) -> str:
     if isinstance(cell, float):
         return f"{cell:.4g}"

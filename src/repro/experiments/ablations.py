@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from .claims import Band, Ordered
 from .common import _boot, _bounded_cache, _churn, _col, _row
-from .spec import ExperimentSpec, register
+from .spec import ExperimentSpec, Table, register
 
 def _produce_placement(ctx) -> list:
     """One row per placement-bias setting.  A demand spike fills the
@@ -42,20 +42,6 @@ def _produce_placement(ctx) -> list:
     return rows
 
 
-def _report_placement(rows: list, config: dict) -> str:
-    from ..analysis import format_table
-
-    return format_table(
-        ["Placement", "Region start (blocks)", "Region end",
-         "Shrinks", "Blocked shrinks"],
-        [("bias on" if row["bias"] else "bias off", row["start"],
-          row["end"], row["shrinks"], row["blocked"]) for row in rows],
-        title=("Ablation: placement bias vs region shrinkability "
-               "(demand spike drains in random order, then a trickle of "
-               "long-lived allocations lands before the region shrinks)"),
-    )
-
-
 ABLATION_PLACEMENT = register(ExperimentSpec(
     name="ablation-placement",
     description="Placement bias away from the region border on/off vs "
@@ -63,7 +49,13 @@ ABLATION_PLACEMENT = register(ExperimentSpec(
     producer=_produce_placement,
     seed=5,
     figure="§3.2 ablation",
-    postprocess=_report_placement,
+    postprocess=Table(
+        "Ablation: placement bias vs region shrinkability "
+        "(demand spike drains in random order, then a trickle of "
+        "long-lived allocations lands before the region shrinks)",
+        (("Placement", lambda row: "bias on" if row["bias"] else "bias off"),
+         ("Region start (blocks)", "{start}"), ("Region end", "{end}"),
+         ("Shrinks", "{shrinks}"), ("Blocked shrinks", "{blocked}"))),
     claims=(
         Ordered("bias-shrinks-further", "the bias keeps the border free, "
                 "so the region shrinks further", lambda rows: [
@@ -147,30 +139,23 @@ def _produce_designs(ctx) -> list:
 
 
 def _report_designs(rows: list, config: dict) -> str:
-    from ..analysis import format_table
-
-    part = {name: [row for row in rows if row["part"] == name]
-            for name in ("initial-size", "slice-copy", "hw-shrink")}
-    text = format_table(
-        ["Initial size", "Expands", "Shrinks", "Final blocks"],
-        [(row["size"], row["expands"], row["shrinks"], row["blocks"])
-         for row in part["initial-size"]],
-        title="Ablation: initial unmovable-region size (64MiB machine)",
-    )
-    text += "\n\n" + format_table(
-        ["Migration", "Sequential (cycles)", "Parallel (cycles)",
-         "Speedup"],
-        [(row["migration"], row["sequential"], row["parallel"],
-          f"{row['sequential'] / row['parallel']:.1f}x")
-         for row in part["slice-copy"]],
-        title="Ablation: sequential vs parallel slice copy",
-    )
-    shrink = {row["hw"]: row["blocks"] for row in part["hw-shrink"]}
-    return text + (
-        f"\n\nAblation: shrinking a half-memory region with scattered "
-        f"unmovable pages\n  confinement only: {shrink[False]} blocks "
-        f"remain\n  with Contiguitas-HW: {shrink[True]} blocks remain"
-    )
+    sizes = Table(
+        "Ablation: initial unmovable-region size (64MiB machine)",
+        (("Initial size", "{size}"), ("Expands", "{expands}"),
+         ("Shrinks", "{shrinks}"), ("Final blocks", "{blocks}")))
+    copies = Table(
+        "Ablation: sequential vs parallel slice copy",
+        (("Migration", "{migration}"),
+         ("Sequential (cycles)", "{sequential}"),
+         ("Parallel (cycles)", "{parallel}"),
+         ("Speedup",
+          lambda row: f"{row['sequential'] / row['parallel']:.1f}x")))
+    shrink = _col(_part(rows, "hw-shrink"), "hw", "blocks")
+    return (f"{sizes(_part(rows, 'initial-size'), config)}\n\n"
+            f"{copies(_part(rows, 'slice-copy'), config)}\n\n"
+            "Ablation: shrinking a half-memory region with scattered "
+            f"unmovable pages\n  confinement only: {shrink[False]} blocks "
+            f"remain\n  with Contiguitas-HW: {shrink[True]} blocks remain")
 
 
 def _part(rows: list, part: str) -> list:
@@ -221,18 +206,6 @@ def _produce_pcp(ctx) -> list:
     return rows
 
 
-def _report_pcp(rows: list, config: dict) -> str:
-    from ..analysis import format_table, percent
-
-    return format_table(
-        ["Kernel", "PCP", "Unmovable 2MB blocks", "Confinement violations"],
-        [(row["kernel"], "on" if row["pcp"] else "off",
-          percent(row["unmovable_2m"]), row.get("violations", "-"))
-         for row in rows],
-        title="Ablation: per-CPU page caches vs unmovable scattering",
-    )
-
-
 ABLATION_PCP = register(ExperimentSpec(
     name="ablation-pcp",
     description="Per-CPU page caches on/off vs unmovable scattering, "
@@ -240,7 +213,13 @@ ABLATION_PCP = register(ExperimentSpec(
     producer=_produce_pcp,
     seed=13,
     figure="PCP ablation",
-    postprocess=_report_pcp,
+    postprocess=Table(
+        "Ablation: per-CPU page caches vs unmovable scattering",
+        (("Kernel", "{kernel}"),
+         ("PCP", lambda row: "on" if row["pcp"] else "off"),
+         ("Unmovable 2MB blocks", "{unmovable_2m:.1%}"),
+         ("Confinement violations",
+          lambda row: row.get("violations", "-")))),
     claims=(
         Ordered("linux-scatters", "Linux scatters and Contiguitas confines, "
                 "with per-CPU caches or without", lambda rows: {

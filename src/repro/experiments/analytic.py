@@ -5,26 +5,12 @@ from __future__ import annotations
 
 from .claims import Band, Ordered
 from .common import _boot, _churn, _row
-from .spec import ExperimentSpec, register
+from .spec import ExperimentSpec, Table, register
 
 def _produce_fig02(ctx) -> list:
     from ..perfmodel import generation_trends
 
     return generation_trends()
-
-
-def _report_fig02(rows: list, config: dict) -> str:
-    from ..analysis import format_table, percent
-
-    return format_table(
-        ["Generation", "Rel. memory", "TLB cov 4K", "TLB cov 2M",
-         "TLB cov 1G"],
-        [(row["generation"], f'{row["relative_capacity"]:.1f}x',
-          percent(row["coverage_4k"], 3), percent(row["coverage_2m"], 2),
-          percent(row["coverage_1g"], 0))
-         for row in rows],
-        title="Figure 2: memory capacity and TLB coverage by generation",
-    )
 
 
 FIG02 = register(ExperimentSpec(
@@ -33,7 +19,13 @@ FIG02 = register(ExperimentSpec(
                 "generations",
     producer=_produce_fig02,
     figure="Fig. 2",
-    postprocess=_report_fig02,
+    postprocess=Table(
+        "Figure 2: memory capacity and TLB coverage by generation",
+        (("Generation", "{generation}"),
+         ("Rel. memory", "{relative_capacity:.1f}x"),
+         ("TLB cov 4K", "{coverage_4k:.3%}"),
+         ("TLB cov 2M", "{coverage_2m:.2%}"),
+         ("TLB cov 1G", "{coverage_1g:.0%}"))),
     claims=(
         Band("memory-growth", "~8x memory from Gen1 to Gen5",
              lambda rows: rows[-1]["relative_capacity"], lo=7.5),
@@ -64,18 +56,6 @@ def _produce_fig03(ctx) -> list:
     return rows
 
 
-def _report_fig03(rows: list, config: dict) -> str:
-    from ..analysis import format_table
-
-    return format_table(
-        ["Service", "Pages", "Data walk %", "Instr walk %", "Total %"],
-        [(row["service"], row["pages"], f"{row['data_pct']:.1f}%",
-          f"{row['instr_pct']:.1f}%", f"{row['total_pct']:.1f}%")
-         for row in rows],
-        title="Figure 3: page-walk cycles as % of total cycles",
-    )
-
-
 def _walk(rows: list, service: str, pages: str) -> dict:
     return _row(rows, service=service, pages=pages)
 
@@ -87,7 +67,12 @@ FIG03 = register(ExperimentSpec(
     defaults={"instructions": 150_000},
     seed=3,
     figure="Fig. 3",
-    postprocess=_report_fig03,
+    postprocess=Table(
+        "Figure 3: page-walk cycles as % of total cycles",
+        (("Service", "{service}"), ("Pages", "{pages}"),
+         ("Data walk %", "{data_pct:.1f}%"),
+         ("Instr walk %", "{instr_pct:.1f}%"),
+         ("Total %", "{total_pct:.1f}%"))),
     claims=(
         Band("web-4k-total", "~20% of Web's cycles walk at 4KB",
              lambda rows: _walk(rows, "Web", "4KB")["total_pct"], 10.0, 35.0),
@@ -145,20 +130,20 @@ def _produce_fig10(ctx) -> list:
 
 
 def _report_fig10(rows: list, config: dict) -> str:
-    from ..analysis import format_table, percent
-
+    """Fig. 10's table, each run's throughput over its service's
+    Linux-Full run's."""
+    table = Table(
+        "Figure 10: end-to-end performance (relative RPS)",
+        (("Service", "{service}"), ("Config", "{config}"),
+         ("2M cov", "{coverage_2m:.0%}"), ("1G cov", "{coverage_1g:.0%}"),
+         ("Walk %", "{walk_pct:.1f}%"),
+         ("Perf vs Linux-Full", "{vs_full:.3f}"),
+         ("1G share", lambda row: f"+{row['perf_from_1g']:.3f}"
+          if row["perf_from_1g"] else "-")))
     base = {row["service"]: row["relative_perf"] for row in rows
             if row["config"] == "linux-full"}
-    return format_table(
-        ["Service", "Config", "2M cov", "1G cov", "Walk %",
-         "Perf vs Linux-Full", "1G share"],
-        [(row["service"], row["config"], percent(row["coverage_2m"], 0),
-          percent(row["coverage_1g"], 0), f"{row['walk_pct']:.1f}%",
-          f"{row['relative_perf'] / base[row['service']]:.3f}",
-          f"+{row['perf_from_1g']:.3f}" if row["perf_from_1g"] else "-")
-         for row in rows],
-        title="Figure 10: end-to-end performance (relative RPS)",
-    )
+    return table([{**row, "vs_full": row["relative_perf"]
+                   / base[row["service"]]} for row in rows], config)
 
 
 def _speedup(rows: list, config: str, over: str) -> dict:
@@ -319,17 +304,15 @@ def _produce_alg1(ctx) -> list:
 
 
 def _report_alg1(rows: list, config: dict) -> str:
-    from ..analysis import format_table
-
-    table = format_table(
-        ["P_unmov", "P_mov", "Mem_unmov", "Target", "Delta", "Expected"],
-        [(row["p_unmov"], row["p_mov"], row["mem_unmov"], row["target"],
-          f"{(row['target'] - row['mem_unmov']) / row['mem_unmov']:+.1%}",
-          row["expected"]) for row in rows],
-        title="Algorithm 1: resizing targets per pressure scenario",
-    )
+    table = Table(
+        "Algorithm 1: resizing targets per pressure scenario",
+        (("P_unmov", "{p_unmov:.4g}"), ("P_mov", "{p_mov:.4g}"),
+         ("Mem_unmov", "{mem_unmov}"), ("Target", "{target}"),
+         ("Delta", lambda row: format(
+             (row["target"] - row["mem_unmov"]) / row["mem_unmov"], "+.1%")),
+         ("Expected", "{expected}")))
     spike = rows[0]
-    return table + (
+    return table(rows, config) + (
         f"\n\nLive demand spike: region {spike['initial']} -> "
         f"{spike['peak']} -> {spike['settled']} pageblocks (expands "
         f"{spike['expands']}, shrinks {spike['shrinks']})"

@@ -5,7 +5,7 @@
 from __future__ import annotations
 
 from .claims import Band, Ordered
-from .spec import ExperimentSpec, register
+from .spec import ExperimentSpec, Table, register
 
 def _produce_tail_latency(ctx) -> list:
     """One open-loop burst per cell; rows carry the cell's knobs plus
@@ -32,23 +32,17 @@ def _produce_tail_latency(ctx) -> list:
 
 
 def _report_tail_latency(rows: list, config: dict) -> str:
-    from ..analysis import format_table
-
     header = (f"shape={config['shape']} app={config['app']} "
               f"design={config['design']} "
               f"rate={config['rate_krps']:g} krps "
               f"migrations={config['migration_rate']:g}/s")
-    table = format_table(
-        ["Class", "Requests", "p50 (µs)", "p99 (µs)", "p999 (µs)",
-         "max (µs)"],
-        [(row["class"], str(row["requests"]), f"{row['p50_us']:.3f}",
-          f"{row['p99_us']:.3f}", f"{row['p999_us']:.3f}",
-          f"{row['max_us']:.3f}")
-         for row in rows],
-        title="Tail latency under migration interference (§5.3 open-loop)",
-    )
+    table = Table(
+        "Tail latency under migration interference (§5.3 open-loop)",
+        (("Class", "{class}"), ("Requests", "{requests}"),
+         ("p50 (µs)", "{p50_us:.3f}"), ("p99 (µs)", "{p99_us:.3f}"),
+         ("p999 (µs)", "{p999_us:.3f}"), ("max (µs)", "{max_us:.3f}")))
     windows = rows[0]["windows"] if rows else 0
-    return (f"{header}\n{table}\n\n"
+    return (f"{header}\n{table(rows, config)}\n\n"
             f"Migration windows during the burst: {windows}; "
             "'migration' rows are requests whose lifetime overlapped "
             "a window, 'quiet' the rest.")
@@ -118,19 +112,17 @@ def _produce_fig13(ctx) -> list:
 
 
 def _report_fig13(rows: list, config: dict) -> str:
-    from ..analysis import format_table
-
-    table = format_table(
-        ["Victim TLBs", "Linux-Real (cycles)", "Linux-Sim (cycles)",
-         "Sim vs Real", "Contiguitas (cycles)"],
-        [(row["victims"], row["linux_real"], row["linux_sim"],
-          f"{(row['linux_sim'] - row['linux_real']) / row['linux_real']:+.1%}",
-          row["contiguitas"])
-         for row in rows],
-        title="Figure 13: page-unavailable cycles during migration",
-    )
+    table = Table(
+        "Figure 13: page-unavailable cycles during migration",
+        (("Victim TLBs", "{victims}"),
+         ("Linux-Real (cycles)", "{linux_real}"),
+         ("Linux-Sim (cycles)", "{linux_sim}"),
+         ("Sim vs Real", lambda row: format(
+             (row["linux_sim"] - row["linux_real"]) / row["linux_real"],
+             "+.1%")),
+         ("Contiguitas (cycles)", "{contiguitas}")))
     figure = rows[0]
-    return table + (
+    return table(rows, config) + (
         f"\n\nPage copy cost: {figure['copy_cycles']} cycles "
         f"(paper: ~1300)"
         f"\nWith a NIC device TLB, baseline downtime grows by "
@@ -211,19 +203,17 @@ def _produce_s53_interference(ctx) -> list:
 
 
 def _report_s53_interference(rows: list, config: dict) -> str:
-    from ..analysis import format_table
-
-    table = format_table(
-        ["App", "Migration rate", "HW design", "Throughput overhead"],
-        [(row["app"], row["rate"], row["design"],
-          f"{row['overhead']:.3%}" if row["method"] == "analytic"
-          else f"{row['overhead']:.4%} (simulated)")
-         for row in rows],
-        title=("Section 5.3: migration interference "
-               "(paper: <=0.3% noncacheable at 1000/s, ~0 cacheable)"),
-    )
-    return table + (f"\n\nmemcached with 2MB pages: "
-                    f"{rows[0]['memcached_2m_gain']:.3f}x (paper: ~1.07x)")
+    table = Table(
+        "Section 5.3: migration interference "
+        "(paper: <=0.3% noncacheable at 1000/s, ~0 cacheable)",
+        (("App", "{app}"), ("Migration rate", "{rate}"),
+         ("HW design", "{design}"),
+         ("Throughput overhead", lambda row: f"{row['overhead']:.3%}"
+          if row["method"] == "analytic"
+          else f"{row['overhead']:.4%} (simulated)")))
+    return table(rows, config) + (
+        f"\n\nmemcached with 2MB pages: "
+        f"{rows[0]['memcached_2m_gain']:.3f}x (paper: ~1.07x)")
 
 
 def _overhead(rows: list, rate: str, design: str,

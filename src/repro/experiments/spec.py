@@ -15,7 +15,8 @@ derived from a small number of expensive steady-state runs.  An
   producer's semantics change so stale cached rows can never satisfy a
   new binary;
 * an optional **postprocess** — rows → rendered report text, run on
-  every invocation (cheap), never cached;
+  every invocation (cheap), never cached; a report that is one table
+  over the rows is a :class:`Table`, which is its own renderer;
 * **claims** — the paper's statements about the rows, typed
   :mod:`~repro.experiments.claims` (``repro experiment verify``); never
   part of the cache key, since they judge rows and produce none.
@@ -54,6 +55,35 @@ _SCALARS = tuple(kind for kind, _ in _JSON_TYPES)
 def _json_type(value: Any) -> str:
     return next(name for kind, name in _JSON_TYPES
                 if isinstance(value, kind))
+
+
+class Table(NamedTuple):
+    """A report that is one table over a spec's rows: a *title*, one
+    ``(header, cell)`` column per entry of *columns*, one line per row,
+    and an optional closing line *summary* builds from all the rows.
+    A cell is a ``str.format_map`` template over the row
+    (``"{linux:.1%}"``) or a function of the row whose value
+    ``format_table`` renders.  Only a function's value gets
+    ``format_table``'s float formatting (``.4g``): a template's text is
+    final, so ``"{x}"`` prints a float's full ``repr`` and ``"{x:.4g}"``
+    matches a function cell.  Callable as ``(rows, config)``, a table
+    is a ``postprocess``."""
+
+    title: str
+    columns: tuple[tuple[str, str | Callable[[Mapping[str, Any]], object]],
+                   ...]
+    summary: Callable[[list], tuple] | None = None
+
+    def __call__(self, rows: list, config: Mapping[str, Any]) -> str:
+        from ..analysis.reporting import format_table
+
+        lines = [[cell.format_map(row) if isinstance(cell, str)
+                  else cell(row) for _, cell in self.columns]
+                 for row in rows]
+        if self.summary is not None:
+            lines.append(self.summary(rows))
+        return format_table([header for header, _ in self.columns], lines,
+                            title=self.title)
 
 
 class _SpecFields(NamedTuple):

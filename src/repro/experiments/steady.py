@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from .claims import Band, Ordered
 from .common import _boot, _bounded_cache, _col
-from .spec import ExperimentSpec, register
+from .spec import ExperimentSpec, Table, register
 
 def _produce_workload_steady(ctx) -> list:
     """One steady-state workload run per cell (the scenario library's
@@ -29,23 +29,6 @@ def _produce_workload_steady(ctx) -> list:
     return [result.snapshot()]
 
 
-def _report_workload_steady(rows: list, config: dict) -> str:
-    from ..analysis import format_table, percent
-
-    return format_table(
-        ["Service", "Kernel", "Steps", "THP 2M", "1G", "Unmovable",
-         "Free frames"],
-        [(row["service"], row["kernel"], str(row["steps"]),
-          percent(row["huge_coverage"]["2m"]),
-          percent(row["huge_coverage"]["1g"]),
-          percent(row["unmovable_fraction"]),
-          f"{row['free_frames']:,}")
-         for row in rows],
-        title="Steady-state fragmentation after churn "
-              "(Mansi & Swift-style aging)",
-    )
-
-
 WORKLOAD_STEADY = register(ExperimentSpec(
     name="workload-steady",
     description="Single-server steady-state churn: coverage, "
@@ -60,7 +43,13 @@ WORKLOAD_STEADY = register(ExperimentSpec(
     seed=13,
     figure="§2.4 churn / scenario library",
     checkpoints=True,
-    postprocess=_report_workload_steady,
+    postprocess=Table(
+        "Steady-state fragmentation after churn (Mansi & Swift-style aging)",
+        (("Service", "{service}"), ("Kernel", "{kernel}"),
+         ("Steps", "{steps}"), ("THP 2M", "{huge_coverage[2m]:.1%}"),
+         ("1G", "{huge_coverage[1g]:.1%}"),
+         ("Unmovable", "{unmovable_fraction:.1%}"),
+         ("Free frames", "{free_frames:,}"))),
 ))
 
 
@@ -143,40 +132,10 @@ def _produce_fig11(ctx) -> list:
     return list(rows.values())
 
 
-def _report_fig11(rows: list, config: dict) -> str:
-    from ..analysis import format_table, percent
-
-    avg = {kernel: sum(row[kernel] for row in rows) / len(rows)
-           for kernel in ("linux", "contiguitas")}
-    return format_table(
-        ["Workload", "Linux", "Contiguitas"],
-        [(row["service"], percent(row["linux"]),
-          percent(row["contiguitas"])) for row in rows]
-        + [("average", percent(avg["linux"]),
-            percent(avg["contiguitas"]))],
-        title=("Figure 11: unmovable 2MB pages at steady state "
-               "(paper: Linux 19-42% avg 31%, Contiguitas <=9% avg 7%)"),
-    )
-
-
 def _produce_fig12(ctx) -> list:
     return [{"service": run["service"], "kernel": run["kernel"],
              **run["potential"]}
             for run in ctx.fetch("steady-profile")]
-
-
-def _report_fig12(rows: list, config: dict) -> str:
-    from ..analysis import format_table, percent
-
-    return format_table(
-        ["Workload", "Kernel", "2M", "32M", "1G*"],
-        [(row["service"], row["kernel"])
-         + tuple(percent(row[g], 0) for g in ("2M", "32M", "1G*"))
-         for row in rows],
-        title=("Figure 12: potential contiguity after perfect compaction "
-               "(% of total memory; 1G* = memory/64, the scale-equivalent "
-               "of 1GiB on the paper's 64GiB hosts)"),
-    )
 
 
 def _produce_s52(ctx) -> list:
@@ -189,23 +148,6 @@ def _produce_s52(ctx) -> list:
              "region_share": run["region_blocks"] / run["npageblocks"]}
             for run in ctx.fetch("steady-profile")
             if run["kernel"] == "contiguitas"]
-
-
-def _report_s52(rows: list, config: dict) -> str:
-    from ..analysis import format_table, percent
-
-    avg = sum(row["frag"] for row in rows) / len(rows)
-    peak = max(row["frag_peak"] for row in rows)
-    return format_table(
-        ["Workload", "Unmovable region", "Share of memory",
-         "Free in occupied 2MB blocks (avg)", "(trough peak)"],
-        [(row["service"], f"{row['region_blocks']} blocks",
-          percent(row["region_share"], 0), percent(row["frag"], 0),
-          percent(row["frag_peak"], 0)) for row in rows]
-        + [("average", "", "", percent(avg, 0), percent(peak, 0))],
-        title=("Section 5.2: unmovable-region internal fragmentation "
-               "(paper: ~22% free in a typical block)"),
-    )
 
 
 def _steady_figure(name: str, description: str, figure: str,
@@ -244,7 +186,14 @@ def _potential_pairs(rows: list, grans: tuple) -> dict:
 _steady_figure(
     "fig11-unmovable",
     "Unmovable 2MB blocks at steady state, Linux vs Contiguitas",
-    "Fig. 11", _produce_fig11, _report_fig11, claims=(
+    "Fig. 11", _produce_fig11, Table(
+        "Figure 11: unmovable 2MB pages at steady state "
+        "(paper: Linux 19-42% avg 31%, Contiguitas <=9% avg 7%)",
+        (("Workload", "{service}"), ("Linux", "{linux:.1%}"),
+         ("Contiguitas", "{contiguitas:.1%}")),
+        lambda rows: ("average", f"{_average(rows, 'linux'):.1%}",
+                      f"{_average(rows, 'contiguitas'):.1%}")),
+    claims=(
         Ordered("contiguitas-confines", "Contiguitas below Linux for "
                 "every workload", lambda rows: {
                     row["service"]: [row["contiguitas"], row["linux"]]
@@ -260,7 +209,13 @@ _steady_figure(
              / _average(rows, "linux"), hi=0.5)))
 _steady_figure(
     "fig12-potential", "Potential contiguity after perfect compaction",
-    "Fig. 12", _produce_fig12, _report_fig12, claims=(
+    "Fig. 12", _produce_fig12, Table(
+        "Figure 12: potential contiguity after perfect compaction "
+        "(% of total memory; 1G* = memory/64, the scale-equivalent "
+        "of 1GiB on the paper's 64GiB hosts)",
+        (("Workload", "{service}"), ("Kernel", "{kernel}"),
+         ("2M", "{2M:.0%}"), ("32M", "{32M:.0%}"), ("1G*", "{1G*:.0%}"))),
+    claims=(
         Ordered("contiguitas-keeps-more", "Contiguitas recovers at least "
                 "Linux's potential", lambda rows: _potential_pairs(
                     rows, ("2M", "32M", "1G*")), "<="),
@@ -279,7 +234,17 @@ _steady_figure(
 _steady_figure(
     "s52-internal-frag",
     "Internal fragmentation of Contiguitas's unmovable region",
-    "§5.2", _produce_s52, _report_s52, claims=(
+    "§5.2", _produce_s52, Table(
+        "Section 5.2: unmovable-region internal fragmentation "
+        "(paper: ~22% free in a typical block)",
+        (("Workload", "{service}"), ("Unmovable region",
+                                     "{region_blocks} blocks"),
+         ("Share of memory", "{region_share:.0%}"),
+         ("Free in occupied 2MB blocks (avg)", "{frag:.0%}"),
+         ("(trough peak)", "{frag_peak:.0%}")),
+        lambda rows: ("average", "", "", f"{_average(rows, 'frag'):.0%}",
+                      f"{max(row['frag_peak'] for row in rows):.0%}")),
+    claims=(
         Band("average-free", "~22% free in a typical occupied 2MB block",
              lambda rows: _average(rows, "frag"), 0.01, 0.6),
         Band("trough-peak", "free space swings with traffic, peaking in "

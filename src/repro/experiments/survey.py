@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from .claims import Band, Ordered
 from .common import _col
-from .spec import ExperimentSpec, register
+from .spec import ExperimentSpec, Table, register
 
 #: The scan-report granularities every figure iterates.
 GRANULARITIES = ("2MB", "4MB", "32MB", "1GB")
@@ -61,16 +61,10 @@ def _cdf(values: list, points: tuple) -> dict:
             for point in points}
 
 
-def _cdf_table(rows: list, points: tuple, title: str) -> str:
+def _cdf_table(points: tuple, title: str) -> Table:
     """Figs. 4 and 5's table: one CDF row per granularity."""
-    from ..analysis import format_table
-
-    return format_table(
-        ["Granularity"] + [f"<= {p:.0%}" for p in points],
-        [[row["granularity"]]
-         + [f"{row['cdf'][f'{p:.2f}']:.2f}" for p in points]
-         for row in rows],
-        title=title)
+    return Table(title, (("Granularity", "{granularity}"),) + tuple(
+        (f"<= {p:.0%}", f"{{cdf[{p:.2f}]:.2f}}") for p in points))
 
 
 def _produce_fig04(ctx) -> list:
@@ -87,11 +81,10 @@ def _produce_fig04(ctx) -> list:
 
 
 def _report_fig04(rows: list, config: dict) -> str:
-    table = _cdf_table(rows, CDF_POINTS, title=(
-        "Figure 4: CDF of servers vs contiguity "
-        "(fraction of free memory in free blocks)"))
-    without = {row["granularity"]: row["without_any"] for row in rows}
-    return table + (
+    table = _cdf_table(CDF_POINTS, "Figure 4: CDF of servers vs contiguity "
+                       "(fraction of free memory in free blocks)")
+    without = _without(rows)
+    return table(rows, config) + (
         f"\n\nServers with zero free 2MB blocks:  "
         f"{without['2MB']:.0%} (paper: 23%)"
         f"\nServers with zero free 32MB blocks: "
@@ -115,11 +108,10 @@ def _produce_fig05(ctx) -> list:
 
 
 def _report_fig05(rows: list, config: dict) -> str:
-    table = _cdf_table(rows, FIG05_CDF_POINTS, title=(
-        "Figure 5: CDF of servers vs fraction of blocks containing "
-        "unmovable pages"))
-    med = {row["granularity"]: row["median"] for row in rows}
-    return table + (
+    table = _cdf_table(FIG05_CDF_POINTS, "Figure 5: CDF of servers vs "
+                       "fraction of blocks containing unmovable pages")
+    med = _median(rows)
+    return table(rows, config) + (
         f"\n\nMedian unmovable 2MB blocks:  {med['2MB']:.0%} (paper: 34%)"
         f"\nMedian unmovable 1GB regions: {med['1GB']:.0%} (paper: ~100%)"
     )
@@ -134,24 +126,14 @@ def _produce_fig06(ctx) -> list:
                 key=lambda kv: (-kv[1], kv[0].name))]
 
 
-def _report_fig06(rows: list, config: dict) -> str:
-    from ..analysis import format_table, percent
+def _paper_share(row: dict) -> str:
+    """Fig. 6's paper share of *row*'s source, or ``(other)``."""
     from ..kalloc import SOURCE_MIX_META
 
-    paper = {
-        "networking": SOURCE_MIX_META.networking,
-        "slab": SOURCE_MIX_META.slab,
-        "filesystem": SOURCE_MIX_META.filesystem,
-        "pagetable": SOURCE_MIX_META.pagetable,
-    }
-    return format_table(
-        ["Source", "Measured", "Paper"],
-        [(row["source"], percent(row["fraction"]),
-          percent(paper[row["source"]]) if row["source"] in paper
-          else "(other)")
-         for row in rows],
-        title="Figure 6: sources of unmovable allocations",
-    )
+    if row["source"] not in ("networking", "slab", "filesystem",
+                             "pagetable"):
+        return "(other)"
+    return f"{getattr(SOURCE_MIX_META, row['source']):.1%}"
 
 
 def _produce_s24(ctx) -> list:
@@ -269,7 +251,11 @@ _survey_figure(
              lambda rows: _median(rows)["1GB"], lo=0.9)))
 _survey_figure(
     "fig06-sources", "Sources of unmovable allocations (networking-dominated)",
-    "Fig. 6", _produce_fig06, _report_fig06, claims=(
+    "Fig. 6", _produce_fig06, Table(
+        "Figure 6: sources of unmovable allocations",
+        (("Source", "{source}"), ("Measured", "{fraction:.1%}"),
+         ("Paper", _paper_share))),
+    claims=(
         Band("networking-dominates", "networking >73%",
              lambda rows: _source(rows)["networking"], lo=0.73),
         Ordered("slab-over-pagetables", "slab 12% above page tables ~4%",

@@ -168,8 +168,12 @@ class TLBHierarchy:
         """Translate a virtual address mapped at page size ``1 << shift``.
 
         Returns the cycles spent on translation (TLB probes plus, on a
-        miss, the page walk) and updates :attr:`stats`.
+        miss, the page walk) and updates :attr:`stats`.  A shift other
+        than 4 KiB, 2 MiB or 1 GiB's is refused before anything counts.
         """
+        if shift not in _LEVELS_BY_SHIFT:
+            raise ConfigurationError(f"page shift {shift!r} is not 12, 21 "
+                                     "or 30 (4 KiB, 2 MiB or 1 GiB)")
         p = self.params
         vpn = vaddr >> shift
         self.stats.accesses += 1

@@ -19,9 +19,11 @@ zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..core.hwext.metadata import AccessMode
+from ..errors import ConfigurationError
 from ..sim.params import DEFAULT_PARAMS, KERNEL_ENTRY_GAP_CYCLES, ArchParams
 
 #: The paper's two migration rates (§5.3).
@@ -62,6 +64,15 @@ def migration_window_cycles(params: ArchParams) -> int:
     return page_copy_cycles(params) + KERNEL_ENTRY_GAP_CYCLES
 
 
+def check_migration_rate(migrations_per_second: float) -> None:
+    """Refuse a migration rate that is not a finite number >= 0 (NaN
+    would slip past every ``<= 0`` test and arm nothing)."""
+    if not math.isfinite(migrations_per_second) or migrations_per_second < 0:
+        need = ">= 0" if migrations_per_second < 0 else "finite"
+        raise ConfigurationError(f"migrations_per_second must be {need}, "
+                                 f"got {migrations_per_second}")
+
+
 def interference_overhead(app: ServerApp, migrations_per_second: float,
                           mode: AccessMode) -> float:
     """Throughput overhead fraction caused by buffer migrations.
@@ -71,6 +82,7 @@ def interference_overhead(app: ServerApp, migrations_per_second: float,
     window.  Cacheable: only the one-time BusRdX invalidations of at most
     one private copy per line — amortised to effectively zero.
     """
+    check_migration_rate(migrations_per_second)
     params = DEFAULT_PARAMS
     total_cycles_per_s = params.freq_ghz * 1e9 * app.app_cores
     if mode is AccessMode.CACHEABLE:

@@ -33,7 +33,8 @@ from ..errors import ConfigurationError
 from ..sim.core import TimingCore
 from ..sim.params import ArchParams, DEFAULT_PARAMS
 from ..units import FRAME_SIZE
-from .interference import ServerApp, migration_window_cycles
+from .interference import (ServerApp, check_migration_rate,
+                           migration_window_cycles)
 
 
 @dataclass
@@ -234,6 +235,7 @@ class RequestLoop:
         every buffer access (noncacheable) or on the first touch only
         (cacheable).
         """
+        check_migration_rate(migrations_per_second)
         schedule = None
         if migrations_per_second > 0:
             schedule = self.make_schedule(migrations_per_second)
@@ -264,8 +266,9 @@ def relative_throughput_simulated(
     """
     if requests < 1:
         raise ConfigurationError(f"requests must be >= 1, got {requests}")
+    check_migration_rate(migrations_per_second)
     quiet = RequestLoop(app, seed=seed).run(requests)
-    if migrations_per_second <= 0:
+    if migrations_per_second == 0:
         return 1.0
     # Target ~40 windows within the simulated cycle span.
     span_seconds = quiet.cycles / (DEFAULT_PARAMS.freq_ghz * 1e9)

@@ -39,7 +39,7 @@ from ..sim.params import DEFAULT_PARAMS
 from ..run import RunSession
 from ..telemetry import MetricsRegistry, tracepoint
 from ..telemetry.lazymanifest import LazyManifest
-from .interference import MEMCACHED, NGINX, ServerApp
+from .interference import MEMCACHED, NGINX, ServerApp, check_migration_rate
 from .requestloop import MigrationSchedule, RequestLoop
 
 _tp_start = tracepoint("loadgen.start")
@@ -378,16 +378,14 @@ class LoadgenConfig:
             raise ConfigurationError(
                 f"unknown design {self.design!r}; known: {DESIGNS}")
         # NaN fails every comparison below and would generate forever.
-        for name in ("rate_rps", "duration_s", "migrations_per_second"):
+        for name in ("rate_rps", "duration_s"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigurationError(
                     f"{name} must be finite, got {getattr(self, name)}")
         if self.rate_rps <= 0 or self.duration_s <= 0:
             raise ConfigurationError(
                 "rate_rps and duration_s must be > 0")
-        if self.migrations_per_second < 0:
-            raise ConfigurationError(
-                "migrations_per_second must be >= 0")
+        check_migration_rate(self.migrations_per_second)
         if self.buffer_pages < 8:
             raise ConfigurationError(
                 f"buffer_pages must be >= 8, got {self.buffer_pages}")

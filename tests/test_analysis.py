@@ -11,7 +11,6 @@ from repro.analysis import (
     free_contiguity,
     migrations_per_second_capacity,
     movable_potential,
-    percent,
     unmovable_block_fraction,
     unmovable_region_internal_frag,
 )
@@ -125,7 +124,3 @@ class TestReporting:
         assert lines[0] == "T"
         assert "a" in lines[1] and "bb" in lines[1]
         assert len(lines) == 5
-
-    def test_percent(self):
-        assert percent(0.314) == "31.4%"
-        assert percent(0.5, digits=0) == "50%"

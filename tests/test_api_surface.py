@@ -81,6 +81,31 @@ class TestExportSnapshots:
             "survey_fleet",
         ]
 
+    def test_analysis_all(self):
+        assert sorted(repro.analysis.__all__) == [
+            "Finding",
+            "FrameSanitizer",
+            "MemorySnapshot",
+            "MetadataTableCost",
+            "SCAN_GRANULARITIES",
+            "SramCostModel",
+            "contiguity_report",
+            "debug_vm_enabled",
+            "format_table",
+            "free_block_count",
+            "free_contiguity",
+            "lint_paths",
+            "load_snapshot",
+            "migrations_per_second_capacity",
+            "movable_potential",
+            "save_snapshot",
+            "unmovable_block_fraction",
+            "unmovable_region_internal_frag",
+            "unmovable_report",
+            "verify_allocator",
+            "verify_kernel",
+        ]
+
     def test_experiments_all(self):
         assert sorted(repro.experiments.__all__) == [
             "Band",

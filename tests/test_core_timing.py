@@ -12,7 +12,7 @@ from repro.errors import ConfigurationError
 from repro.sim import DEFAULT_PARAMS
 from repro.sim.core import TimingCore
 from repro.sim.tlb import SHIFT_1G, SHIFT_2M, SHIFT_4K
-from repro.workloads import MEMCACHED, NGINX
+from repro.workloads import MEMCACHED, NGINX, interference_overhead
 from repro.workloads.requestloop import (
     RequestLoop,
     relative_throughput_simulated,
@@ -236,6 +236,29 @@ class TestRequestLoop:
     def test_no_requests_is_refused(self, requests):
         with pytest.raises(ConfigurationError, match="^requests must be"):
             relative_throughput_simulated(NGINX, 1000.0, requests=requests)
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"),
+                                      float("-inf"), -5, -1e-9])
+    def test_a_rate_that_is_not_finite_and_non_negative_is_refused(
+            self, rate):
+        """NaN used to return ``nan`` overhead and a throughput of 1.0,
+        a negative rate a negative overhead, and a loop run at either
+        served quietly (at an infinite one, it divided by zero)."""
+        refused = pytest.raises(ConfigurationError,
+                                match="^migrations_per_second must be")
+        for mode in AccessMode:
+            with refused:
+                interference_overhead(NGINX, rate, mode)
+        with refused:
+            relative_throughput_simulated(NGINX, rate, requests=50)
+        with refused:
+            RequestLoop(NGINX).run(5, migrations_per_second=rate)
+
+    def test_a_zero_rate_is_no_interference(self):
+        for mode in AccessMode:
+            assert interference_overhead(NGINX, 0, mode) == 0.0
+            assert relative_throughput_simulated(
+                NGINX, 0.0, mode=mode, requests=50) == 1.0
 
     def test_zero_instruction_request_retires_nothing_negative(self):
         """``instructions=0`` used to compute ``range(-1)``; the compute

@@ -31,6 +31,7 @@ from repro.experiments import (
     run_experiment,
     verify_claims,
 )
+from repro.experiments.spec import Table
 from repro.faults import FaultPlan, FaultSpec
 
 from conftest import cached_keys
@@ -850,6 +851,76 @@ class TestFigureSpecs:
             assert get_spec(name).claims, name
         source = (BENCHMARKS / "bench_figures.py").read_text()
         assert source.count("def ") == 1  # the one parametrised test
+
+
+#: Each figure's resolved default config and the rows its committed
+#: results file was rendered from, as a fresh-cache
+#: ``benchmarks/bench_figures.py`` run produced them.
+FIGURE_ROWS = json.loads(
+    (pathlib.Path(__file__).parent / "fixtures" / "figure_rows.json")
+    .read_text())
+
+
+class TestCommittedReports:
+    """Every figure's report at full size, from committed rows: the
+    renderer alone, with no simulation behind it."""
+
+    def test_the_rows_are_every_figure_at_its_defaults(self):
+        assert sorted(FIGURE_ROWS) == sorted(_bench_figures().FIGURES)
+        for name, cell in FIGURE_ROWS.items():
+            assert cell["config"] == get_spec(name).resolve(), name
+
+    @pytest.mark.parametrize("name", sorted(FIGURE_ROWS))
+    def test_the_report_is_the_committed_results_file(self, name):
+        cell = FIGURE_ROWS[name]
+        report = get_spec(name).postprocess(cell["rows"], cell["config"])
+        assert report + "\n" == (BENCHMARKS / "results" / (
+            name.replace("-", "_") + ".txt")).read_text()
+
+    def test_experiments_md_quotes_each_results_file_once(self):
+        """EXPERIMENTS.md shows each figure's measured numbers as its
+        results file, in a ``text`` block under a ``results/<file>``
+        marker, which ``bench_figures.py`` rewrites with the file."""
+        doc = (BENCHMARKS.parent / "EXPERIMENTS.md").read_text()
+        blocks = re.findall(
+            r"<!-- results/([a-z0-9_]+\.txt) -->\n```text\n(.*?)```\n",
+            doc, re.S)
+        files = sorted(path.name
+                       for path in (BENCHMARKS / "results").glob("*.txt"))
+        assert doc.count("<!-- results/") == len(blocks)
+        assert sorted(name for name, _ in blocks) == files
+        for name, body in blocks:
+            assert body == (BENCHMARKS / "results" / name).read_text(), name
+
+
+class TestTable:
+    """``spec.Table``: a report that is one table over the rows."""
+
+    TABLE = Table("T", (("Name", "{name}"), ("Share", "{share:.1%}"),
+                        ("Raw", lambda row: row["share"] * 2),
+                        ("Nested", "{sub[2m]:.0%}")),
+                  lambda rows: ("total", len(rows), "", ""))
+
+    def test_cells_render_through_format_table(self):
+        rows = [{"name": "a", "share": 0.3141, "sub": {"2m": 0.5}},
+                {"name": "bb", "share": 1.0, "sub": {"2m": 0.25}}]
+        from repro.analysis import format_table
+
+        assert self.TABLE(rows, {}) == format_table(
+            ["Name", "Share", "Raw", "Nested"],
+            [["a", "31.4%", 0.6282, "50%"], ["bb", "100.0%", 2.0, "25%"],
+             ["total", 2, "", ""]], title="T")
+        assert self.TABLE(rows, {}).splitlines()[3].split() == [
+            "a", "31.4%", "0.6282", "50%"]
+
+    def test_a_table_is_a_postprocess(self, toy_register, cache):
+        spec = toy_register(ExperimentSpec(
+            name="toy-table", description="table test",
+            producer=lambda ctx: [{"name": "x", "share": 0.5,
+                                   "sub": {"2m": 1.0}}],
+            postprocess=self.TABLE))
+        assert spec.postprocess is self.TABLE
+        assert "50.0%" in run_experiment("toy-table", cache=cache).report()
 
 
 def _toy_claims_spec(toy_register, *claims):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.sim import (
     DEFAULT_PARAMS,
     SHIFT_1G,
@@ -89,6 +90,25 @@ class TestTLBHierarchy:
         s = h.stats
         assert s.accesses == 3
         assert s.l1_hits + s.l2_hits + s.walks == 3
+
+    @pytest.mark.parametrize("shift", [0, 13, 20, 31, -1])
+    def test_an_unsupported_shift_is_refused_before_counting(self, shift):
+        """Only 4 KiB, 2 MiB and 1 GiB mappings exist; any other shift
+        is a typed error, and neither the hierarchy nor the timing core
+        above it counts the access."""
+        from repro.sim.core import TimingCore
+
+        h = TLBHierarchy(DEFAULT_PARAMS)
+        with pytest.raises(ConfigurationError, match=f"shift {shift} "):
+            h.translate(0x1000, shift)
+        assert h.stats.accesses == 0
+        assert (h.l1.hits, h.l1.misses, h.l2.misses) == (0, 0, 0)
+        core = TimingCore()
+        with pytest.raises(ConfigurationError):
+            core.execute(0x1000, shift)
+        assert core.stats.instructions == 0
+        assert core.tlb.stats.accesses == 0
+        assert (core.tlb.l1.misses, core.tlb.l2.misses) == (0, 0)
 
 
 class TestTraceGeneration:
