@@ -180,7 +180,10 @@ import tokenize
 #: functions over them (−69); ``analysis.percent`` went (−3); migration
 #: rates that are not finite and >= 0 and page shifts other than
 #: 12/21/30 are refused, in one check ``LoadgenConfig`` shares (+12).
-BUDGET = 12_489
+#: Then 12,489 → 12,485: ``repro.core``, ``repro.core.hwext`` and
+#: ``repro.sim`` re-export through lazy tables (−7), and
+#: ``mm/kernel.py`` imports the sanitizer at module level (+3).
+BUDGET = 12_485
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
              tokenize.INDENT, tokenize.DEDENT, tokenize.ENCODING,

@@ -3,8 +3,11 @@
 ``repro``, ``repro.analysis`` and ``repro.workloads`` re-export names
 whose home modules import numpy and the simulator; resolving them on
 first use keeps ``import repro.cli`` and every cache-only verb off that
-cost (docs/INTERNALS.md, "Import tiers").  ``repro.faults`` does the
-same for its injector, which a warm ``scenario run`` never needs.
+cost (docs/INTERNALS.md, "Import tiers").  ``repro.core``,
+``repro.core.hwext`` and ``repro.sim`` do the same, so the latency
+study, which imports one leaf module of each, loads no allocator.
+``repro.faults`` does the same for its injector, which a warm
+``scenario run`` never needs.
 """
 
 from __future__ import annotations

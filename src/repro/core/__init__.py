@@ -6,12 +6,7 @@ the LLC migration engine that moves pages while they remain in use
 (:mod:`repro.core.hwext`).
 """
 
-from .autotune import TuneOutcome, random_search, replay_demand
-from .kernel import ContiguitasConfig, ContiguitasKernel
-from .placement import PlacementPolicy
-from .pressure import Region, RegionPressure
-from .regions import RegionLayout
-from .resizing import RegionResizer, ResizeConfig, target_unmovable_frames
+from .._lazy import lazy_exports
 
 __all__ = [
     "ContiguitasConfig",
@@ -27,3 +22,12 @@ __all__ = [
     "replay_demand",
     "target_unmovable_frames",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".autotune": ("TuneOutcome", "random_search", "replay_demand"),
+    ".kernel": ("ContiguitasConfig", "ContiguitasKernel"),
+    ".placement": ("PlacementPolicy",),
+    ".pressure": ("Region", "RegionPressure"),
+    ".regions": ("RegionLayout",),
+    ".resizing": ("RegionResizer", "ResizeConfig", "target_unmovable_frames"),
+})

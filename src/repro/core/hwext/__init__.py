@@ -1,15 +1,6 @@
 """Contiguitas-HW: LLC extensions for transparent page mobility (§3.3)."""
 
-from .commands import (
-    CommandKind,
-    MigrateFlag,
-    WorkDescriptor,
-    WorkQueue,
-    clear_descriptor,
-    migrate_descriptor,
-)
-from .engine import EngineStats, HwMigrationEngine
-from .metadata import AccessMode, MetadataTable, MigrationEntry
+from ..._lazy import lazy_exports
 
 __all__ = [
     "AccessMode",
@@ -24,3 +15,10 @@ __all__ = [
     "clear_descriptor",
     "migrate_descriptor",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".commands": ("CommandKind", "MigrateFlag", "WorkDescriptor", "WorkQueue",
+                  "clear_descriptor", "migrate_descriptor"),
+    ".engine": ("EngineStats", "HwMigrationEngine"),
+    ".metadata": ("AccessMode", "MetadataTable", "MigrationEntry"),
+})

@@ -18,6 +18,11 @@ from itertools import groupby
 
 import numpy as np
 
+from ..analysis.sanitizer import (
+    FrameSanitizer,
+    debug_vm_enabled,
+    verify_kernel,
+)
 from ..errors import (
     ContiguityError,
     DoubleFreeError,
@@ -121,10 +126,6 @@ class LinuxKernel:
         set_sim_clock(self)
         self.stat = VmStat()
         self.mem = PhysicalMemory(self.config.mem_bytes)
-        # Lazy import: analysis packages import mm at module level, so
-        # the reverse edge must stay runtime-only.
-        from ..analysis.sanitizer import FrameSanitizer, debug_vm_enabled
-
         if (self.config.debug_vm
                 if self.config.debug_vm is not None else debug_vm_enabled()):
             FrameSanitizer().attach(self.mem)
@@ -774,6 +775,4 @@ class LinuxKernel:
         """Cross-check buddy bookkeeping against the frame arrays.
 
         Raises the typed sanitizer errors (survives ``python -O``)."""
-        from ..analysis.sanitizer import verify_kernel
-
         verify_kernel(self)

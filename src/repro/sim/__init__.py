@@ -6,27 +6,7 @@ protocol, the TLB hierarchy with page-walk caches, and the sliced LLC the
 migration engine lives in.
 """
 
-from .cache import SetAssocCache, SlicedLLC, slice_of
-from .core import CoreStats, TimingCore
-from .engine import EventQueue
-from .iommu import DeviceTlb, Iommu
-from .params import DEFAULT_PARAMS, ArchParams
-from .shootdown import (
-    MigrationTimeline,
-    page_copy_cycles,
-    simulate_contiguitas_migration,
-    simulate_linux_migration,
-)
-from .tlb import (
-    SHIFT_1G,
-    SHIFT_2M,
-    SHIFT_4K,
-    PageWalkCache,
-    SetAssocTLB,
-    TLBHierarchy,
-    WalkStats,
-)
-from .trace import TraceSpec, generate_addresses
+from .._lazy import lazy_exports
 
 __all__ = [
     "ArchParams",
@@ -53,3 +33,17 @@ __all__ = [
     "simulate_linux_migration",
     "slice_of",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".cache": ("SetAssocCache", "SlicedLLC", "slice_of"),
+    ".core": ("CoreStats", "TimingCore"),
+    ".engine": ("EventQueue",),
+    ".iommu": ("DeviceTlb", "Iommu"),
+    ".params": ("DEFAULT_PARAMS", "ArchParams"),
+    ".shootdown": ("MigrationTimeline", "page_copy_cycles",
+                   "simulate_contiguitas_migration",
+                   "simulate_linux_migration"),
+    ".tlb": ("SHIFT_1G", "SHIFT_2M", "SHIFT_4K", "PageWalkCache", "SetAssocTLB",
+             "TLBHierarchy", "WalkStats"),
+    ".trace": ("TraceSpec", "generate_addresses"),
+})

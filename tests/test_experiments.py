@@ -8,6 +8,7 @@ built-in registry.
 """
 
 import json
+import math
 import os
 import pathlib
 import re
@@ -891,6 +892,32 @@ class TestCommittedReports:
         assert sorted(name for name, _ in blocks) == files
         for name, body in blocks:
             assert body == (BENCHMARKS / "results" / name).read_text(), name
+
+    def test_readme_headline_numbers_are_the_results_files(self):
+        """README's "Reproduction summary" quotes fig11 and fig13.  The
+        rounding rule: a range rounds outward to whole percent (floor
+        of the least workload, ceiling of the greatest), so it holds
+        every measured value; an average rounds to the nearest whole
+        percent; cycles round to the nearest hundred, in thousands."""
+        def column(text, index):
+            return {line.split()[0]: float(line.split()[index].rstrip("%"))
+                    for line in text.splitlines()[3:] if line.strip()}
+
+        fig11 = (BENCHMARKS / "results" / "fig11_unmovable.txt").read_text()
+        quoted = []
+        for index in (1, 2):
+            shares = column(fig11, index)
+            average = shares.pop("average")
+            quoted.append(f"{math.floor(min(shares.values()))}-"
+                          f"{math.ceil(max(shares.values()))} % "
+                          f"(avg {round(average)} %)")
+        fig13 = (BENCHMARKS / "results" / "fig13_unavailable.txt").read_text()
+        linux_sim = column(fig13.split("\n\n")[0], 2)
+        readme = " ".join((BENCHMARKS.parent / "README.md").read_text()
+                          .split())
+        assert (f"Linux {quoted[0]} vs Contiguitas {quoted[1]} —"
+                in readme)
+        assert f"(~{linux_sim['7'] / 1000:.1f}K cycles at 7)" in readme
 
 
 class TestTable:

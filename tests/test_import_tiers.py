@@ -141,6 +141,37 @@ def test_probe_sees_the_hot_tier_when_it_loads():
 
 
 
+#: What the simulation tier never needs: the allocator, its kernels,
+#: the fleet, the workload driver, numpy, and the parts of ``core`` and
+#: ``sim`` that only the OS model or Fig. 13's device TLBs use.
+SIM_HOT = ("numpy", "repro.mm", "repro.kalloc", "repro.fleet",
+           "repro.workloads.base", "repro.core.kernel",
+           "repro.core.autotune", "repro.core.hwext.engine",
+           "repro.sim.iommu")
+
+SIM_CASES = {
+    "loadgen-burst": (
+        "from repro.workloads import LoadgenConfig, run_loadgen\n"
+        "run_loadgen(LoadgenConfig(duration_s=2e-4))"),
+    "tail-latency-cold": main_body(
+        "experiment", "run", "tail-latency-interference",
+        "--set", "duration_ms=0.2"),
+    "s53-hwcost-cold": main_body("experiment", "run", "s53-hwcost"),
+    "import-packages": "import repro.core, repro.core.hwext, repro.sim",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIM_CASES))
+def test_simulation_tier_loads_no_allocator(case, tmp_path):
+    """The §5.3 latency study runs ``sim``, ``requestloop`` and
+    ``tracegen`` only; computing it (a fresh cache) or importing the
+    packages it reaches through loads nothing of the OS model."""
+    loaded = run_probe(SIM_CASES[case],
+                       env={"REPRO_EXPERIMENT_CACHE": str(tmp_path)},
+                       watch=SIM_HOT)
+    assert loaded == [], f"{case} pulled in the allocator tier: {loaded}"
+
+
 def test_fleet_import_loads_no_simulator_or_load_generator():
     """A fleet server boots a kernel, churns a workload and scans it;
     nothing on that path needs the hardware simulator or the open-loop
@@ -150,6 +181,22 @@ def test_fleet_import_loads_no_simulator_or_load_generator():
         "print(sorted(m for m in sys.modules if m == 'repro.sim'\n"
         "             or m.startswith(('repro.sim.',\n"
         "                              'repro.workloads.tracegen'))))")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+def test_server_run_imports_nothing_the_fleet_parent_lacks():
+    """A forked survey worker runs servers the parent never ran: any
+    module a server imports on first use would be compiled once per
+    worker, inside the timed survey."""
+    done = fresh_python(
+        "import sys, repro.fleet\n"
+        "from repro.units import MiB\n"
+        "loaded = set(sys.modules)\n"
+        "repro.fleet.SimulatedServer(\n"
+        "    repro.fleet.ServerConfig(mem_bytes=MiB(64)), seed=3).run()\n"
+        "print(sorted(m for m in set(sys.modules) - loaded\n"
+        "             if m.startswith('repro')))")
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
 
